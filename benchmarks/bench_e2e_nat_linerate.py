@@ -6,14 +6,10 @@ FlexSFP running the NAT at the prototype operating point, and checks that
 achieved goodput equals the theoretical line-rate goodput for every frame
 size with zero PPE overload drops.
 
-A second test measures the flow-cache fast path + batched execution: same
-workload, ``fastpath=True, batch_size=16`` — simulation results must be
-identical, but wall-clock simulated-packets/sec must improve ≥3×.
-
-A third test measures the compiled engine tier: fused per-flow recipes
-over the struct-of-arrays burst lane must beat the fast path itself by
-≥10× on the same oversubscribed workload, again with bit-identical
-simulation results.
+A second test measures the compiled engine tier against the reference
+oracle on an oversubscribed 60 B workload: fused per-flow recipes over the
+struct-of-arrays burst lane must produce bit-identical simulation results
+at ≥ ``COMPILED_SPEEDUP_FLOOR``× the wall-clock simulated-packets/sec.
 
 Set ``FLEXSFP_METRICS_DIR=<dir>`` to export every run's full metrics
 registry as ``<dir>/<tag>.jsonl`` + ``<dir>/<tag>.prom`` (CI uploads these
@@ -27,7 +23,6 @@ import pytest
 from common import export_bench, report
 from repro.apps import StaticNat
 from repro.core import FlexSFPModule
-from repro.engine import EngineConfig
 from repro.netem import CbrSource, ImixSource
 from repro.packet import make_udp
 from repro.sim import Port, RateMeter, Simulator, connect, goodput_fraction
@@ -35,17 +30,22 @@ from repro.nfv import Deployment
 
 RUN_S = 0.3e-3
 SPEEDUP_RUN_S = 1.2e-3
-SPEEDUP_BATCH = 64
-# The compiled tier amortizes per-burst Python overhead, so it runs a
-# deeper burst than the interpreted fast path uses.
-COMPILED_BATCH = 256
+# The compiled tier amortizes per-burst Python overhead, so its source
+# emits deep template bursts.
+COMPILED_BURST = 256
+# Measured on the 2-vCPU container this repo is developed in: single
+# compiled/reference pairs read 36.5x to 56.6x over ten interleaved pairs
+# (median 42x).  The floor sits at roughly half the worst observed pair so
+# host noise cannot trip it while losing the fused lane (every frame
+# deopting to the per-frame lane) always does.
+COMPILED_SPEEDUP_FLOOR = 20.0
 # The speedup workload oversubscribes the PPE (14 Gbps offered into the
 # prototype's 13.125 Gbps of 60 B service capacity) so the ingress queue
-# stays deep and real full-size batches form.
+# stays deep and real full-size groups form.
 SPEEDUP_RATE_BPS = 14e9
 # Wall-clock runs per mode; the fastest is reported (simulation output is
 # deterministic, so repeats only reduce scheduler/allocator noise).  The
-# modes are measured in interleaved reference/fast pairs so a slow-machine
+# modes are measured in interleaved reference/compiled pairs so a slow-machine
 # epoch hits both sides instead of biasing the ratio.
 SPEEDUP_REPEATS = 3
 FRAME_SIZES = (60, 128, 512, 1024, 1514)
@@ -76,35 +76,24 @@ def _export_metrics(tag: str, module, host, fiber) -> None:
 
 def run_nat(
     frame_len: int | None,
-    fastpath: bool = False,
-    batch_size: int = 1,
     run_s: float = RUN_S,
     rate_bps: float = 10e9,
     burst: int = 1,
-    engine: EngineConfig | str | None = None,
+    engine: str | None = None,
 ) -> dict:
-    """One line-rate run; ``frame_len=None`` means IMIX.
-
-    ``engine`` selects a tier through the typed Engine API and carries
-    its own options; the ``fastpath``/``batch_size`` knobs remain for the
-    legacy call sites and are ignored when ``engine`` is given.
-    """
+    """One line-rate run on tier ``engine`` (default: ``FLEXSFP_ENGINE``,
+    then reference); ``frame_len=None`` means IMIX."""
     sim = Simulator()
     nat = StaticNat(capacity=1024)
     nat.add_mapping("10.0.0.1", "198.51.100.1")
-    if engine is not None:
-        module = FlexSFPModule(sim, "dut", Deployment.solo(nat), auth_key=KEY, engine=engine)
-    else:
-        module = FlexSFPModule(
-            sim, "dut", Deployment.solo(nat), auth_key=KEY, fastpath=fastpath,
-            batch_size=batch_size,
-        )
-    config = module.engine_config
-    fastpath, batch_size = config.fastpath, config.batch_size
-    host = Port(sim, "host", rate_bps, queue_bytes=1 << 22, coalesce=batch_size > 1)
+    module = FlexSFPModule(
+        sim, "dut", Deployment.solo(nat), auth_key=KEY, engine=engine
+    )
+    compiled = module.engine == "compiled"
+    host = Port(sim, "host", rate_bps, queue_bytes=1 << 22, coalesce=compiled)
     # The sink opts into batched delivery; the meter reads each frame's
     # stamped wire-arrival time, so its window is identical either way.
-    fiber = Port(sim, "fiber", 10e9, queue_bytes=1 << 22, batch_rx=batch_size > 1)
+    fiber = Port(sim, "fiber", 10e9, queue_bytes=1 << 22, batch_rx=compiled)
 
     meter = RateMeter("fiber")
 
@@ -125,9 +114,8 @@ def run_nat(
         )
 
     fiber.attach(on_fiber_rx)
-    if batch_size > 1:
+    if compiled:
         fiber.attach_batch(on_fiber_rx_batch)
-    if config.compiled:
         fiber.attach_burst(on_fiber_rx_burst)
     connect(host, module.edge_port)
     connect(module.line_port, fiber)
@@ -155,17 +143,13 @@ def run_nat(
             factory=factory, burst=burst,
             # The factory is index-independent (one template per size), so
             # the compiled tier may clone whole bursts from the template.
-            template_burst=config.compiled,
+            template_burst=compiled,
         )
     wall_start = time.perf_counter()
     sim.run(until=run_s + 0.1e-3)
     wall_s = time.perf_counter() - wall_start
     processed = module.ppe.processed.packets
-    tag = (
-        f"nat_{frame_len if frame_len is not None else 'imix'}"
-        f"_fp{int(fastpath)}_b{batch_size}"
-        + (f"_{config.tier}" if config.compiled else "")
-    )
+    tag = f"nat_{frame_len if frame_len is not None else 'imix'}_{module.engine}"
     _export_metrics(tag, module, host, fiber)
     return {
         "frame": frame_len if frame_len is not None else "IMIX",
@@ -233,35 +217,38 @@ def _speedup_run(**kwargs):
     return run_nat(60, run_s=SPEEDUP_RUN_S, rate_bps=SPEEDUP_RATE_BPS, **kwargs)
 
 
-def compute_speedup():
-    """Reference vs fast path+batching on an oversubscribed 60 B workload.
+def compute_compiled_speedup():
+    """Reference vs compiled on an oversubscribed 60 B workload.
 
-    Each repeat measures one reference run and one fast run back to back
-    and the cleanest pair (highest ratio) is reported: simulated output
-    is deterministic — every pair computes identical statistics — so
-    repeats only strip scheduler/allocator noise, and pairing keeps a
+    Each repeat measures one reference run and one compiled run back to
+    back and the cleanest pair (highest ratio) is reported: simulated
+    output is deterministic — every pair computes identical statistics —
+    so repeats only strip scheduler/allocator noise, and pairing keeps a
     machine slowdown from landing on one mode only.
     """
-    reference = fast = None
+    reference = compiled = None
     for _ in range(SPEEDUP_REPEATS):
-        ref_run = _speedup_run()
-        fast_run = _speedup_run(
-            fastpath=True, batch_size=SPEEDUP_BATCH, burst=SPEEDUP_BATCH
-        )
+        ref_run = _speedup_run(engine="reference")
+        comp_run = _speedup_run(engine="compiled", burst=COMPILED_BURST)
         if (
             reference is None
-            or ref_run["wall_s"] / fast_run["wall_s"]
-            > reference["wall_s"] / fast["wall_s"]
+            or comp_run["sim_pkts_per_wall_s"] / ref_run["sim_pkts_per_wall_s"]
+            > compiled["sim_pkts_per_wall_s"] / reference["sim_pkts_per_wall_s"]
         ):
-            reference, fast = ref_run, fast_run
-    return reference, fast
+            reference, compiled = ref_run, comp_run
+    return reference, compiled
 
 
-def test_fastpath_speedup(benchmark):
-    reference, fast = benchmark.pedantic(compute_speedup, rounds=1, iterations=1)
-    speedup = fast["sim_pkts_per_wall_s"] / reference["sim_pkts_per_wall_s"]
+def test_compiled_speedup(benchmark):
+    reference, compiled = benchmark.pedantic(
+        compute_compiled_speedup, rounds=1, iterations=1
+    )
+    speedup = (
+        compiled["sim_pkts_per_wall_s"] / reference["sim_pkts_per_wall_s"]
+    )
     report(
-        f"Fast path + batch={SPEEDUP_BATCH}: simulated packets per wall-second "
+        f"Compiled tier (fused recipes, source burst={COMPILED_BURST}) vs "
+        f"reference: simulated packets per wall-second "
         f"(60 B CBR at {SPEEDUP_RATE_BPS / 1e9:.0f}G offered, "
         f"speedup {speedup:.2f}x)",
         ("mode", "sim pkts/s", "events", "achieved Gbps", "translated", "drops"),
@@ -274,124 +261,45 @@ def test_fastpath_speedup(benchmark):
                 r["translated"],
                 r["overload_drops"],
             )
-            for mode, r in (("reference", reference), ("fastpath", fast))
+            for mode, r in (("reference", reference), ("compiled", compiled))
         ],
     )
     # Identical simulation results: verdicts, drops, per-frame latency
     # distribution, delivered bytes, and the measured wire rate...
-    assert fast["translated"] == reference["translated"]
+    assert compiled["translated"] == reference["translated"]
     assert reference["overload_drops"] > 0  # the PPE queue is genuinely deep
-    assert fast["overload_drops"] == reference["overload_drops"]
-    assert fast["verdicts"] == reference["verdicts"]
-    assert fast["latency_ns"] == reference["latency_ns"]
-    assert fast["delivered"] == reference["delivered"]
-    assert fast["achieved_gbps"] == pytest.approx(
-        reference["achieved_gbps"], rel=1e-9
-    )
-    # ...at >= 3x the wall-clock simulation throughput.
-    assert speedup >= 3.0, f"fast path speedup {speedup:.2f}x < 3x"
-    export_bench(
-        "fastpath_speedup",
-        metrics={
-            f"{mode}.{key}": r[key]
-            for mode, r in (("reference", reference), ("fastpath", fast))
-            for key in (
-                "achieved_gbps", "translated", "overload_drops",
-                "sim_pkts_per_wall_s", "events",
-            )
-        },
-        knobs={"fastpath": True, "batch_size": SPEEDUP_BATCH},
-        summary={"speedup": speedup},
-        wall_s=reference["wall_s"] + fast["wall_s"],
-    )
-
-
-COMPILED_ENGINE = EngineConfig(
-    tier="compiled", fastpath=True, batch_size=COMPILED_BATCH
-)
-
-
-def compute_compiled_speedup():
-    """Compiled tier vs the interpreted fast path, same pairing protocol
-    as :func:`compute_speedup`: interleaved baseline/compiled pairs, the
-    cleanest (highest-ratio) pair reported."""
-    baseline = compiled = None
-    for _ in range(SPEEDUP_REPEATS):
-        base_run = _speedup_run(
-            fastpath=True, batch_size=SPEEDUP_BATCH, burst=SPEEDUP_BATCH
-        )
-        comp_run = _speedup_run(engine=COMPILED_ENGINE, burst=COMPILED_BATCH)
-        if (
-            baseline is None
-            or comp_run["sim_pkts_per_wall_s"] / base_run["sim_pkts_per_wall_s"]
-            > compiled["sim_pkts_per_wall_s"] / baseline["sim_pkts_per_wall_s"]
-        ):
-            baseline, compiled = base_run, comp_run
-    return baseline, compiled
-
-
-def test_compiled_speedup(benchmark):
-    baseline, compiled = benchmark.pedantic(
-        compute_compiled_speedup, rounds=1, iterations=1
-    )
-    speedup = (
-        compiled["sim_pkts_per_wall_s"] / baseline["sim_pkts_per_wall_s"]
-    )
-    report(
-        f"Compiled tier (fused recipes, batch={COMPILED_BATCH}) vs fast path "
-        f"(batch={SPEEDUP_BATCH}): simulated packets per wall-second "
-        f"(60 B CBR at {SPEEDUP_RATE_BPS / 1e9:.0f}G offered, "
-        f"speedup {speedup:.2f}x)",
-        ("mode", "sim pkts/s", "events", "achieved Gbps", "translated", "drops"),
-        [
-            (
-                mode,
-                f"{r['sim_pkts_per_wall_s']:,.0f}",
-                r["events"],
-                f"{r['achieved_gbps']:.6f}",
-                r["translated"],
-                r["overload_drops"],
-            )
-            for mode, r in (("fastpath", baseline), ("compiled", compiled))
-        ],
-    )
-    # Zero semantic divergence against the interpreted fast path (which
-    # test_fastpath_speedup already pins against reference).
-    assert compiled["translated"] == baseline["translated"]
-    assert baseline["overload_drops"] > 0  # the PPE queue is genuinely deep
-    assert compiled["overload_drops"] == baseline["overload_drops"]
-    assert compiled["verdicts"] == baseline["verdicts"]
-    assert compiled["latency_ns"] == baseline["latency_ns"]
-    assert compiled["delivered"] == baseline["delivered"]
+    assert compiled["overload_drops"] == reference["overload_drops"]
+    assert compiled["verdicts"] == reference["verdicts"]
+    assert compiled["latency_ns"] == reference["latency_ns"]
+    assert compiled["delivered"] == reference["delivered"]
     assert compiled["achieved_gbps"] == pytest.approx(
-        baseline["achieved_gbps"], rel=1e-9
+        reference["achieved_gbps"], rel=1e-9
     )
     # The fused lane genuinely carried the workload: every processed frame
     # went through a recipe, none fell back to the per-frame deopt path.
     stats = compiled["compiled"]
     assert stats["bursts"] > 0 and stats["recipe_frames"] > 0, stats
     assert stats["deopt_frames"] == 0, stats
-    # ...at >= 10x the fast path's wall-clock simulation throughput.
-    assert speedup >= 10.0, f"compiled speedup {speedup:.2f}x < 10x"
+    # ...at the floor's multiple of the oracle's wall-clock throughput.
+    assert speedup >= COMPILED_SPEEDUP_FLOOR, (
+        f"compiled speedup {speedup:.2f}x < {COMPILED_SPEEDUP_FLOOR}x"
+    )
     export_bench(
         "compiled_speedup",
         metrics={
             f"{mode}.{key}": r[key]
-            for mode, r in (("fastpath", baseline), ("compiled", compiled))
+            for mode, r in (("reference", reference), ("compiled", compiled))
             for key in (
                 "achieved_gbps", "translated", "overload_drops",
                 "sim_pkts_per_wall_s", "events",
             )
         },
-        knobs={
-            "engine": COMPILED_ENGINE.tier,
-            "engine_config": COMPILED_ENGINE.to_dict(),
-            "baseline_batch_size": SPEEDUP_BATCH,
-        },
+        knobs={"engine": "compiled", "source_burst": COMPILED_BURST},
         summary={
             "speedup": speedup,
+            "floor": COMPILED_SPEEDUP_FLOOR,
             "recipe_frames": stats["recipe_frames"],
             "compiled_bursts": stats["bursts"],
         },
-        wall_s=baseline["wall_s"] + compiled["wall_s"],
+        wall_s=reference["wall_s"] + compiled["wall_s"],
     )

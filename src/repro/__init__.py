@@ -35,7 +35,7 @@ Quick start::
     module = FlexSFPModule(sim, "sfp0", Deployment.solo(nat))
 """
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 from . import (
     apps,

@@ -133,26 +133,3 @@ def write_text_atomic(path, text: str) -> None:
         except OSError:
             pass
         raise
-
-
-DEPRECATION_REMOVAL_VERSION = "2.0"
-"""The release in which the legacy ``stats()``-era shims disappear."""
-
-
-def warn_deprecated(
-    old: str, new: str, removal: str = DEPRECATION_REMOVAL_VERSION
-) -> None:
-    """Emit the standard deprecation warning for a legacy snapshot API.
-
-    Every shim names its replacement *and* the release that removes it,
-    so ``flexsfp metrics --fail-on-deprecated`` (and any ``-W error``
-    run) can prove nothing internal still depends on the old surface.
-    """
-    import warnings
-
-    warnings.warn(
-        f"{old} is deprecated and will be removed in repro {removal}; "
-        f"use {new}",
-        DeprecationWarning,
-        stacklevel=3,
-    )

@@ -17,32 +17,17 @@ from .diff import (
     semantic_summary,
 )
 from .run import (
-    DEFAULT_BATCHED_SIZE,
-    ENGINE_BATCHED,
-    ENGINE_COMPILED,
-    ENGINE_REFERENCE,
-    ENGINES,
-    EngineConfig,
     RunArtifact,
     artifact_from_bench,
     artifact_from_fleet_result,
     artifact_from_scenario_run,
-    engine_batch_size,
-    engine_name,
     environment_fingerprint,
-    fleet_view,
     load_artifact,
     spec_digest_of,
 )
 
 __all__ = [
-    "DEFAULT_BATCHED_SIZE",
-    "ENGINES",
-    "ENGINE_BATCHED",
-    "ENGINE_COMPILED",
-    "ENGINE_REFERENCE",
     "ArtifactDiff",
-    "EngineConfig",
     "DiffEntry",
     "DiffKind",
     "RunArtifact",
@@ -50,10 +35,7 @@ __all__ = [
     "artifact_from_fleet_result",
     "artifact_from_scenario_run",
     "diff_artifacts",
-    "engine_batch_size",
-    "engine_name",
     "environment_fingerprint",
-    "fleet_view",
     "is_semantic_metric",
     "load_artifact",
     "semantic_metrics",

@@ -23,7 +23,7 @@ says exactly how.  Every divergence is classified:
 Only the first three kinds make a diff *semantic*; a diff whose entries
 are all ``timing-only`` reports two runs as equivalent.  The
 execution-strategy name rules (``NONSEMANTIC_*``) encode the fast-path
-contract from PR 2: the batched engine must reproduce every verdict,
+contract: the compiled engine must reproduce every verdict,
 drop, latency bucket and delivered byte bit-for-bit, while its cache
 counters and event counts are *expected* to differ.
 
@@ -56,7 +56,7 @@ NONSEMANTIC_PREFIXES = ("sim.profile.", "fleet.supervisor.")
 NONSEMANTIC_INFIXES = (".flow_cache.", ".fastpath_hits.", ".compiled.")
 # Leaf names that are configuration echoes of the execution engine
 # (``.engine`` covers the per-tenant tier echo, ``<module>.tenant.<t>.engine``).
-NONSEMANTIC_SUFFIXES = (".batch_size", ".engine")
+NONSEMANTIC_SUFFIXES = (".engine",)
 
 # Summary keys that mirror the execution strategy rather than results.
 NONSEMANTIC_SUMMARY_KEYS = frozenset({"sim_events"})
@@ -102,7 +102,7 @@ def semantic_shard_digest(
 
     The engine-agnostic sibling of :meth:`~repro.obs.scenario.
     ScenarioRun.digest`: two shards that ran the same workload under
-    different engines (reference vs batched, fast path on vs off) hash
+    different engines (reference vs compiled) hash
     identically here, while any divergence in verdicts, drops, latency
     buckets, delivered bytes, or scenario summaries changes the digest.
     """

@@ -3,7 +3,7 @@
 Every entry point — ``flexsfp run``, the chaos gauntlet, ``flexsfp
 matrix`` cells, and the benchmark harness — reduces its result to one
 :class:`RunArtifact`: the resolved spec and its digest, the root seed,
-the engine/fastpath/shard/device/fault-plan knobs, the merged metrics
+the engine/shard/device/fault-plan knobs, the merged metrics
 registry snapshot, per-shard digests (raw and semantic), the
 completeness block, findings, timings, and an environment fingerprint.
 The artifact is the ingestion format for artifact stores and the operand
@@ -27,21 +27,10 @@ import sys
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .._util import warn_deprecated
-from ..engine import (  # noqa: F401 - canonical home is repro.engine; re-exported
-    DEFAULT_BATCHED_SIZE,
-    ENGINE_BATCHED,
-    ENGINE_COMPILED,
-    ENGINE_REFERENCE,
-    ENGINES,
-    EngineConfig,
-    engine_batch_size,
-    engine_name,
-    resolve_engine,
-)
+from ..engine import resolve_engine
 from ..analysis.effects import corpus_digest
 from ..errors import ConfigError
-from ..obs.export import SCHEMA_FLEET, SCHEMA_RUN, json_document
+from ..obs.export import SCHEMA_RUN, json_document
 from .diff import semantic_shard_digest
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -200,18 +189,9 @@ class RunArtifact:
 # Builders
 # ----------------------------------------------------------------------
 def _knobs_from_spec(spec_payload: Mapping, workers: int | None) -> dict:
-    batch_size = spec_payload.get("batch_size") or 1
-    engine = str(spec_payload.get("engine") or engine_name(batch_size))
-    fastpath = bool(spec_payload.get("fastpath"))
+    engine = resolve_engine(spec_payload.get("engine"))
     knobs = {
         "engine": engine,
-        "engine_config": {
-            "tier": engine,
-            "fastpath": fastpath,
-            "batch_size": batch_size,
-        },
-        "fastpath": fastpath,
-        "batch_size": batch_size,
         "shards": int(spec_payload.get("shards", 1)),
         "workers": workers,
         "device": spec_payload.get("device"),
@@ -357,21 +337,6 @@ def artifact_from_bench(
     comparable across commits.
     """
     knobs = dict(knobs or {})
-    # One coherent engine selection for the knob block: an explicit
-    # engine_config knob is taken verbatim (and validated); otherwise the
-    # bench's tier/legacy knobs resolve exactly like any other entrypoint.
-    provided = knobs.get("engine_config")
-    if isinstance(provided, Mapping):
-        config = EngineConfig(**dict(provided))
-    else:
-        raw_fastpath = knobs.get("fastpath")
-        raw_batch = knobs.get("batch_size")
-        config = resolve_engine(
-            knobs.get("engine"),
-            None if raw_fastpath is None else bool(raw_fastpath),
-            None if raw_batch is None else int(raw_batch),
-        )
-    engine, fastpath, batch_size = config.tier, config.fastpath, config.batch_size
     spec_payload = {"kind": f"bench:{bench}", "seed": seed, **knobs}
     metrics = dict(metrics)
     summary = dict(summary or {})
@@ -388,10 +353,8 @@ def artifact_from_bench(
         spec_digest=spec_digest_of(spec_payload),
         seed=seed,
         knobs={
-            "engine": engine,
-            "engine_config": config.to_dict(),
-            "fastpath": fastpath,
-            "batch_size": batch_size,
+            # The bench's tier resolves exactly like any other entrypoint.
+            "engine": resolve_engine(knobs.get("engine")),
             "shards": int(knobs.get("shards", 1) or 1),
             "workers": knobs.get("workers"),
             "device": knobs.get("device"),
@@ -417,14 +380,13 @@ def artifact_from_bench(
 
 
 # ----------------------------------------------------------------------
-# Loading + legacy views
+# Loading
 # ----------------------------------------------------------------------
 def load_artifact(path) -> RunArtifact:
     """Load a ``flexsfp.run/1`` document from disk.
 
-    Legacy ``flexsfp.fleet/1`` documents (PR 4/5 artifacts) are accepted
-    and upgraded in place, so historical CI artifacts stay diffable
-    against new runs.
+    Anything else — a missing file, malformed JSON, another schema such as
+    the pre-2.0 ``flexsfp.fleet/1`` — raises :class:`ConfigError`.
     """
     from pathlib import Path
 
@@ -437,102 +399,15 @@ def load_artifact(path) -> RunArtifact:
         raise ConfigError(f"artifact {target} is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ConfigError(f"artifact {target} is not a JSON document")
-    schema = payload.get("schema")
-    if schema == SCHEMA_FLEET:
-        return _upgrade_fleet_document(payload)
     return RunArtifact.from_dict(payload)
 
 
-def _upgrade_fleet_document(payload: Mapping) -> RunArtifact:
-    """Build a RunArtifact from a legacy ``flexsfp.fleet/1`` document."""
-    spec_payload = dict(payload.get("spec", {}))
-    shards = tuple(
-        {
-            "index": int(shard["index"]),
-            "seed": int(shard["seed"]),
-            "digest": str(shard["digest"]),
-            "semantic_digest": semantic_shard_digest(
-                dict(shard.get("metrics", {})),
-                dict(shard.get("summary", {})),
-                dict(shard.get("histograms", {})),
-            ),
-            "summary": dict(shard.get("summary", {})),
-        }
-        for shard in payload.get("shards", ())
-    )
-    completeness = payload.get("completeness") or {
-        "ok": True,
-        "shards": spec_payload.get("shards", len(shards)),
-        "completed": len(shards),
-        "failed": [],
-        "failed_indices": [],
-        "resumed": [],
-        "retries": 0,
-    }
-    return RunArtifact(
-        source="flexsfp.fleet/1",
-        spec=spec_payload,
-        spec_digest=spec_digest_of(spec_payload),
-        seed=int(spec_payload.get("seed", 0)),
-        knobs=_knobs_from_spec(spec_payload, payload.get("workers")),
-        metrics=dict(payload.get("merged_metrics", {})),
-        histograms={
-            name: dict(state)
-            for name, state in dict(payload.get("merged_histograms", {})).items()
-        },
-        shards=shards,
-        completeness=dict(completeness),
-        timings={"wall_s": payload.get("wall_s", 0.0)},
-        supervisor=dict(payload.get("supervisor", {})),
-    )
-
-
-def fleet_view(artifact: RunArtifact) -> dict:
-    """Deprecated: the old ``flexsfp.fleet/1`` shape of a run artifact.
-
-    Kept so PR 4/5 consumers (dashboards, jq pipelines over CI
-    artifacts) survive the ``flexsfp.run/1`` migration; per-shard
-    metric snapshots — which the run artifact intentionally reduces to
-    digests — are not reconstructed.
-    """
-    warn_deprecated("fleet_view()", "the flexsfp.run/1 document itself")
-    return {
-        "schema": SCHEMA_FLEET,
-        "spec": dict(artifact.spec),
-        "workers": artifact.knobs.get("workers"),
-        "shards": [
-            {
-                "index": shard["index"],
-                "seed": shard["seed"],
-                "digest": shard["digest"],
-                "summary": dict(shard.get("summary", {})),
-            }
-            for shard in artifact.shards
-        ],
-        "digests": list(artifact.digests),
-        "merged_metrics": dict(artifact.metrics),
-        "merged_histograms": {k: dict(v) for k, v in artifact.histograms.items()},
-        "wall_s": artifact.timings.get("wall_s", 0.0),
-        "completeness": dict(artifact.completeness),
-        "supervisor": dict(artifact.supervisor),
-    }
-
-
 __all__ = [
-    "DEFAULT_BATCHED_SIZE",
-    "ENGINES",
-    "ENGINE_BATCHED",
-    "ENGINE_COMPILED",
-    "ENGINE_REFERENCE",
-    "EngineConfig",
     "RunArtifact",
     "artifact_from_bench",
     "artifact_from_fleet_result",
     "artifact_from_scenario_run",
-    "engine_batch_size",
-    "engine_name",
     "environment_fingerprint",
-    "fleet_view",
     "load_artifact",
     "spec_digest_of",
 ]

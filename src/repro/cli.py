@@ -19,7 +19,7 @@ exposes the toolkit's analysis surface without writing any code:
   deterministic retry, ``--checkpoint``/``--resume`` journalling, and a
   distinct exit code (``4``) when retries were exhausted and the merged
   artifact is explicitly partial.
-* ``matrix`` — sweep engine/fastpath/shards/workers/device/fault-plan
+* ``matrix`` — sweep engine/shards/workers/device/fault-plan
   axes over one scenario, diff every cell against a baseline cell, and
   exit ``5`` on semantic divergence (with ``--fail-on-diverged``).
 * ``diff`` — compare two saved ``flexsfp.run/1`` artifacts; exit ``5``
@@ -40,7 +40,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from ._util import warn_deprecated, write_text_atomic
+from ._util import write_text_atomic
 from .analysis import (
     analyze_app,
     check_app,
@@ -76,7 +76,6 @@ from .fpga import (
 from .hls import compile_app
 from .matrix import (
     MatrixAxes,
-    parse_bool_axis,
     parse_int_axis,
     parse_optional_axis,
     run_matrix,
@@ -85,7 +84,6 @@ from .obs import (
     SCENARIO_KINDS,
     SCENARIOS,
     SCHEMA_DIFF,
-    SCHEMA_FLEET,
     SCHEMA_TRACE,
     ScenarioSpec,
     json_document,
@@ -146,29 +144,6 @@ def _shell_from_args(args: argparse.Namespace) -> ShellSpec:
     )
 
 
-def _engine_from_args(args: argparse.Namespace) -> str | None:
-    """The ``--engine`` tier, after rejecting mixed knob spellings.
-
-    ``--engine`` and the legacy ``--fastpath``/``--batch`` flags are two
-    spellings of the same selection; mixing them is ambiguous (which one
-    carries the options?) and exits 2.  Explicit legacy flags keep
-    working but emit a deprecation warning — ``flexsfp metrics
-    --fail-on-deprecated`` turns that warning into exit 3.
-    """
-    engine = getattr(args, "engine", None)
-    legacy = bool(getattr(args, "fastpath", False)) or bool(
-        getattr(args, "batch", 0)
-    )
-    if engine is not None and legacy:
-        raise ConfigError(
-            "--engine conflicts with the legacy --fastpath/--batch flags; "
-            "pass the engine tier alone and let it carry the options"
-        )
-    if legacy:
-        warn_deprecated("flexsfp --fastpath/--batch", "--engine TIER")
-    return engine
-
-
 # ----------------------------------------------------------------------
 # Subcommands
 # ----------------------------------------------------------------------
@@ -215,9 +190,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         device=device,
         clock_hz=clock_hz,
         strict=False,
-        flow_cache_entries=(
-            args.cache_entries if getattr(args, "fastpath", False) else None
-        ),
+        flow_cache_entries=getattr(args, "cache_entries", None),
     )
     report = result.report
     headers = ("component", "4LUT", "FF", "uSRAM", "LSRAM")
@@ -257,7 +230,6 @@ def cmd_table1(args: argparse.Namespace) -> int:
     args.app = "nat"
     args.device = "MPF200T"
     args.clock = None
-    args.fastpath = False
     return cmd_build(args)
 
 
@@ -416,9 +388,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         kind="chaos",
         fault_plan=args.plan,
         seed=args.seed,
-        engine=_engine_from_args(args),
-        fastpath=True if args.fastpath else None,
-        batch_size=args.batch if args.batch else None,
+        engine=args.engine,
     ).run()
     result = run.summary
     findings = [
@@ -443,25 +413,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     if args.out is not None:
         write_text_atomic(args.out, document + "\n")
     if args.json:
-        if args.legacy_table:
-            warn_deprecated(
-                "flexsfp chaos --json --legacy-table",
-                "the flexsfp.run/1 document (default --json output)",
-            )
-            print(
-                table_json(
-                    "chaos",
-                    ("metric", "value"),
-                    metric_rows,
-                    plan=args.plan,
-                    seed=args.seed,
-                    signature=plan.signature(),
-                    events=[[e.time_s, e.kind, e.target] for e in plan],
-                    result=dict(result),
-                )
-            )
-        else:
-            print(document)
+        print(document)
         return 0
     print(f"plan {args.plan!r} seed={args.seed} sig={plan.signature()[:16]}…")
     _print_rows(
@@ -641,14 +593,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_metrics(args: argparse.Namespace) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DeprecationWarning)
-        # Inside the capture so explicit legacy-knob use is visible to
-        # --fail-on-deprecated, the CI gate for stale spellings.
         spec = ScenarioSpec(
-            kind=args.scenario,
-            engine=_engine_from_args(args),
-            fastpath=True if args.fastpath else None,
-            batch_size=args.batch if args.batch else None,
-            profile=args.profile,
+            kind=args.scenario, engine=args.engine, profile=args.profile
         )
         run = spec.run()
         metrics = run.metrics()
@@ -675,9 +621,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     run = ScenarioSpec(
         kind=args.scenario,
         trace_packets=args.packets,
-        engine=_engine_from_args(args),
-        fastpath=True if args.fastpath else None,
-        batch_size=args.batch if args.batch else None,
+        engine=args.engine,
     ).run()
     tracer = run.tracer
     if args.json:
@@ -705,9 +649,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             seed=args.seed,
             shards=args.shards,
             fault_plan=args.plan,
-            engine=_engine_from_args(args),
-            fastpath=True if args.fastpath else None,
-            batch_size=args.batch if args.batch else None,
+            engine=args.engine,
         )
     policy = None
     if args.shard_timeout is not None or args.max_retries is not None:
@@ -727,14 +669,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         checkpoint=args.checkpoint,
         resume=args.resume,
     )
-    if args.legacy_fleet:
-        warn_deprecated(
-            "flexsfp run --legacy-fleet (flexsfp.fleet/1 output)",
-            "the flexsfp.run/1 artifact (default output)",
-        )
-        document = json_document(SCHEMA_FLEET, **result.to_dict())
-    else:
-        document = result.to_artifact().document()
+    document = result.to_artifact().document()
     if args.out is not None:
         # Atomic: a run killed mid-write never leaves a truncated artifact.
         write_text_atomic(args.out, document + "\n")
@@ -785,12 +720,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_matrix(args: argparse.Namespace) -> int:
     axes = MatrixAxes(
         engines=tuple(args.engines.split(",")) if args.engines else ("reference",),
-        fastpath=parse_bool_axis(args.fastpath, "fastpath"),
         shards=parse_int_axis(args.shards, "shards"),
         workers=parse_int_axis(args.workers, "workers"),
         devices=parse_optional_axis(args.devices, "devices"),
         fault_plans=parse_optional_axis(args.fault_plans, "fault-plans"),
-        batched_size=args.batched_size,
     )
     spec = ScenarioSpec(kind=args.scenario, seed=args.seed)
     progress = None
@@ -902,15 +835,10 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--clock", type=float, default=None, help="PPE clock in MHz")
     build.add_argument("--soc", action="store_true", help="SoC-class control plane")
     build.add_argument(
-        "--fastpath",
-        action="store_true",
-        help="include the flow-cache fast path in the build",
-    )
-    build.add_argument(
         "--cache-entries",
         type=int,
-        default=4096,
-        help="flow-cache entries (with --fastpath)",
+        default=None,
+        help="include a flow cache of this many entries in the build",
     )
     build.set_defaults(func=cmd_build)
 
@@ -966,27 +894,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=ENGINES,
         default=None,
-        help="engine tier (reference|batched|compiled); replaces "
-        "--fastpath/--batch",
-    )
-    chaos.add_argument(
-        "--fastpath", action="store_true", help="deprecated: use --engine"
-    )
-    chaos.add_argument(
-        "--batch", type=int, default=0, help="deprecated: use --engine"
+        help="engine tier (default: FLEXSFP_ENGINE, then reference)",
     )
     chaos.add_argument(
         "--out",
         metavar="FILE",
         default=None,
         help="write the flexsfp.run/1 artifact to FILE (atomic)",
-    )
-    chaos.add_argument(
-        "--legacy-table",
-        action="store_true",
-        dest="legacy_table",
-        help="deprecated: emit the pre-run/1 flexsfp.table/1 JSON shape "
-        "(with --json); removed in 2.0",
     )
     chaos.set_defaults(func=cmd_chaos)
 
@@ -1051,7 +965,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
     )
     metrics.add_argument(
-        "--scenario", choices=sorted(SCENARIOS), default="nat-linerate"
+        "--scenario", choices=SCENARIOS, default="nat-linerate"
     )
     metrics.add_argument(
         "--format",
@@ -1063,14 +977,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=ENGINES,
         default=None,
-        help="engine tier (reference|batched|compiled); replaces "
-        "--fastpath/--batch",
-    )
-    metrics.add_argument(
-        "--fastpath", action="store_true", help="deprecated: use --engine"
-    )
-    metrics.add_argument(
-        "--batch", type=int, default=0, help="deprecated: use --engine"
+        help="engine tier (default: FLEXSFP_ENGINE, then reference)",
     )
     metrics.add_argument(
         "--profile",
@@ -1091,7 +998,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
     )
     trace.add_argument(
-        "--scenario", choices=sorted(SCENARIOS), default="nat-chain"
+        "--scenario", choices=SCENARIOS, default="nat-chain"
     )
     trace.add_argument(
         "--packets", type=int, default=4, help="number of packets to trace"
@@ -1100,14 +1007,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=ENGINES,
         default=None,
-        help="engine tier (reference|batched|compiled); replaces "
-        "--fastpath/--batch",
-    )
-    trace.add_argument(
-        "--fastpath", action="store_true", help="deprecated: use --engine"
-    )
-    trace.add_argument(
-        "--batch", type=int, default=0, help="deprecated: use --engine"
+        help="engine tier (default: FLEXSFP_ENGINE, then reference)",
     )
     trace.set_defaults(func=cmd_trace)
 
@@ -1137,14 +1037,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=ENGINES,
         default=None,
-        help="engine tier (reference|batched|compiled); replaces "
-        "--fastpath/--batch",
-    )
-    run.add_argument(
-        "--fastpath", action="store_true", help="deprecated: use --engine"
-    )
-    run.add_argument(
-        "--batch", type=int, default=0, help="deprecated: use --engine"
+        help="engine tier (default: FLEXSFP_ENGINE, then reference)",
     )
     run.add_argument(
         "--start-method",
@@ -1159,13 +1052,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also write the flexsfp.run/1 artifact to FILE "
         "(atomic: temp file + rename)",
-    )
-    run.add_argument(
-        "--legacy-fleet",
-        action="store_true",
-        dest="legacy_fleet",
-        help="deprecated: emit the pre-run/1 flexsfp.fleet/1 document "
-        "shape; removed in 2.0",
     )
     run.add_argument(
         "--shard-timeout",
@@ -1214,12 +1100,7 @@ def build_parser() -> argparse.ArgumentParser:
     matrix.add_argument(
         "--engines",
         default="reference",
-        help="comma-separated engine axis: reference,batched,compiled",
-    )
-    matrix.add_argument(
-        "--fastpath",
-        default="off",
-        help="comma-separated fastpath axis: on,off",
+        help="comma-separated engine axis: reference,compiled",
     )
     matrix.add_argument(
         "--shards", default="1", help="comma-separated shard-count axis: 1,4"
@@ -1243,13 +1124,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="index of the baseline cell in axis-major order (default: 0)",
-    )
-    matrix.add_argument(
-        "--batched-size",
-        type=int,
-        default=16,
-        dest="batched_size",
-        help="batch size the 'batched' engine cells run (default: 16)",
     )
     matrix.add_argument(
         "--start-method",

@@ -1,19 +1,15 @@
 """Typed runtime settings: every ``FLEXSFP_*`` knob parsed in one place.
 
-The simulation grew environment switches organically — the flow-cache
-fast path, the PPE batch size, the benchmark metrics-export directory —
-each parsed ad hoc at its point of use.  :class:`Settings` consolidates
-them into one frozen dataclass with a single, tested parser
-(:meth:`Settings.from_env`), resolved *once* wherever a component is
-constructed instead of re-read scalar by scalar.
+:class:`Settings` consolidates the environment switches into one frozen
+dataclass with a single, tested parser (:meth:`Settings.from_env`),
+resolved *once* wherever a component is constructed instead of re-read
+scalar by scalar.
 
 Recognized variables:
 
 =========================  ====================================================
-``FLEXSFP_ENGINE``         engine tier default (``reference``/``batched``/
-                           ``compiled``); unset defers to the legacy knobs
-``FLEXSFP_FASTPATH``       flow-cache fast path default (``1/true/on/yes``)
-``FLEXSFP_BATCH``          PPE batch size default (integer ≥ 1)
+``FLEXSFP_ENGINE``         engine tier default (``reference``/``compiled``);
+                           unset means ``reference``
 ``FLEXSFP_METRICS_DIR``    benchmark metrics-artifact export directory
 ``FLEXSFP_BENCH_DIR``      BENCH history directory (``flexsfp.run/1``
                            artifacts + ``BENCH_*.json`` history files);
@@ -28,9 +24,12 @@ Recognized variables:
 =========================  ====================================================
 
 Malformed values never raise at import or construction time: they fall
-back to the documented default, exactly like the scattered parsers they
-replace (a bad ``FLEXSFP_BATCH`` should degrade a CI knob, not brick the
-simulator).
+back to the documented default (a bad ``FLEXSFP_WORKERS`` should degrade a
+CI knob, not brick the simulator).  The one exception is deliberate:
+``FLEXSFP_ENGINE`` is carried verbatim and an unknown tier raises
+:class:`~repro.errors.ConfigError` where it is consumed
+(:func:`repro.engine.resolve_engine`) — falling back to ``reference`` would
+let a stale CI job test the oracle against itself and stay green.
 """
 
 from __future__ import annotations
@@ -40,13 +39,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping
 
-from .engine import ENGINES
-
-_TRUE_WORDS = frozenset({"1", "true", "on", "yes"})
-
 ENV_ENGINE = "FLEXSFP_ENGINE"
-ENV_FASTPATH = "FLEXSFP_FASTPATH"
-ENV_BATCH = "FLEXSFP_BATCH"
 ENV_METRICS_DIR = "FLEXSFP_METRICS_DIR"
 ENV_BENCH_DIR = "FLEXSFP_BENCH_DIR"
 ENV_WORKERS = "FLEXSFP_WORKERS"
@@ -56,13 +49,6 @@ ENV_MAX_RETRIES = "FLEXSFP_MAX_RETRIES"
 ENV_RETRY_BACKOFF = "FLEXSFP_RETRY_BACKOFF"
 
 _START_METHODS = ("fork", "spawn", "forkserver")
-
-
-def parse_bool(raw: str | None, default: bool = False) -> bool:
-    """Parse a boolean env value (``1/true/on/yes`` → True; unset → default)."""
-    if raw is None or not raw.strip():
-        return default
-    return raw.strip().lower() in _TRUE_WORDS
 
 
 def parse_int(
@@ -100,19 +86,15 @@ class Settings:
     """All environment-tunable defaults, resolved once per construction site.
 
     ``engine`` names the default tier consumed by
-    :func:`repro.engine.resolve_engine`; ``fastpath`` / ``batch_size``
-    are the legacy simulation-speed knobs a
-    :class:`~repro.core.module.FlexSFPModule` consults when its own
-    constructor arguments are ``None``; ``metrics_dir`` is where
-    benchmarks export registry dumps; ``workers`` / ``start_method``
-    steer the :mod:`repro.parallel` sharded runner; ``shard_timeout_s``
-    / ``max_retries`` / ``retry_backoff_s`` steer its supervisor
-    (deadline per shard, bounded retry, exponential backoff base).
+    :func:`repro.engine.resolve_engine` (validated there, not here);
+    ``metrics_dir`` is where benchmarks export registry dumps;
+    ``workers`` / ``start_method`` steer the :mod:`repro.parallel` sharded
+    runner; ``shard_timeout_s`` / ``max_retries`` / ``retry_backoff_s``
+    steer its supervisor (deadline per shard, bounded retry, exponential
+    backoff base).
     """
 
     engine: str | None = None
-    fastpath: bool = False
-    batch_size: int = 1
     metrics_dir: Path | None = None
     bench_dir: Path | None = None
     workers: int | None = None
@@ -133,9 +115,7 @@ class Settings:
         workers = parse_int(env.get(ENV_WORKERS), 0, minimum=0)
         shard_timeout = parse_float(env.get(ENV_SHARD_TIMEOUT), 0.0, minimum=0.0)
         return cls(
-            engine=engine if engine in ENGINES else None,
-            fastpath=parse_bool(env.get(ENV_FASTPATH)),
-            batch_size=parse_int(env.get(ENV_BATCH), 1, minimum=1),
+            engine=engine or None,
             metrics_dir=Path(metrics_dir) if metrics_dir else None,
             bench_dir=Path(bench_dir) if bench_dir else None,
             workers=workers if workers > 0 else None,

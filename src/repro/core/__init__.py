@@ -19,6 +19,7 @@ from .ppe import (
     PacketProcessingEngine,
     PPEApplication,
     PPEContext,
+    ReferenceEngine,
     Verdict,
 )
 from .services import (
@@ -68,6 +69,7 @@ __all__ = [
     "PacketProcessingEngine",
     "RECONFIG_DOWNTIME_S",
     "ReconfigState",
+    "ReferenceEngine",
     "STANDARD_CLOCKS_HZ",
     "ServiceRegistry",
     "ShellKind",

@@ -16,7 +16,6 @@ import hashlib
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .._util import warn_deprecated
 from ..errors import ControlPlaneError, FlashError, ReproError, TableError
 from ..packet import Packet
 from .mgmt import MgmtMessage, MgmtOp, parse_chunk_body
@@ -288,11 +287,6 @@ class ControlPlane:
             "crashed": self.crashed,
             "frames_while_unresponsive": self.frames_while_unresponsive,
         }
-
-    def stats(self) -> dict[str, int]:
-        """Deprecated alias for :meth:`snapshot`."""
-        warn_deprecated("ControlPlane.stats()", "ControlPlane.snapshot()")
-        return self.snapshot()
 
     def metric_values(self) -> dict[str, int | bool]:
         """Flat :class:`~repro.obs.registry.MetricSource` view."""

@@ -8,7 +8,7 @@ slow path produces a :class:`FlowRecipe` — the verdict plus a replayable
 mutation/counter recipe — and subsequent packets of the same flow replay
 the recipe without re-entering the application.
 
-Correctness contract (enforced by ``tests/test_fastpath_differential.py``):
+Correctness contract (enforced by ``tests/test_compiled_differential.py``):
 replaying a recipe is bit-identical to running the slow path.  Two
 mechanisms keep that true:
 
@@ -30,7 +30,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Hashable
 
-from .._util import warn_deprecated
 from ..errors import ConfigError
 from ..packet import vlan_pop, vlan_push
 
@@ -283,11 +282,6 @@ class FlowCache:
             "invalidations": self.invalidations,
             "hit_rate": round(self.hit_rate, 6),
         }
-
-    def stats(self) -> dict[str, int | float]:
-        """Deprecated alias for :meth:`snapshot`."""
-        warn_deprecated("FlowCache.stats()", "FlowCache.snapshot()")
-        return self.snapshot()
 
     def metric_values(self) -> dict[str, int | float]:
         """Flat :class:`~repro.obs.registry.MetricSource` view."""

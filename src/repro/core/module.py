@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .._util import mac_to_int, warn_deprecated
+from .._util import mac_to_int
 from ..config import Settings
-from ..engine import EngineConfig, resolve_engine
+from ..engine import ENGINE_COMPILED, resolve_engine, validate_engine
 from ..errors import BitstreamError, ConfigError, FlashError
 from ..fpga.bitstream import Bitstream
 from ..fpga.flash import SPIFlash
@@ -38,7 +38,13 @@ from ..sim.stats import Counter
 from .arbiter import Arbiter
 from .controlplane import ControlPlane
 from .flowcache import DEFAULT_FLOW_CACHE_ENTRIES, FlowCache
-from .ppe import Direction, PacketProcessingEngine, PPEApplication, Verdict
+from .ppe import (
+    Direction,
+    PacketProcessingEngine,
+    PPEApplication,
+    ReferenceEngine,
+    Verdict,
+)
 from .services import ServiceRegistry
 from .shells import PROTOTYPE_SHELL, ShellKind, ShellSpec
 
@@ -83,12 +89,12 @@ class TenantSlot:
         self.dark_until: float = 0.0
         # Populated by the module during provisioning / reconfiguration:
         self.app: PPEApplication | None = None
-        self.config: EngineConfig | None = None
+        self.engine: str | None = None
         self.build = None
         self.program = None
         self.flow_cache: FlowCache | None = None
         self.flash: SPIFlash | None = None
-        self.ppe: PacketProcessingEngine | None = None
+        self.ppe: PacketProcessingEngine | ReferenceEngine | None = None
         self.done_edge: Callable | None = None
         self.done_line: Callable | None = None
 
@@ -105,7 +111,7 @@ class TenantSlot:
         return {
             "app": self.app.name,
             "share": self.spec.share,
-            "engine": self.config.tier,
+            "engine": self.engine,
             "reboots": self.reboots,
             "failed_boots": self.failed_boots,
             "degraded": self.degraded,
@@ -125,9 +131,6 @@ class FlexSFPModule:
         A :class:`~repro.nfv.Deployment` — the ordered tenant slots this
         module hosts (one tenant for the classic single-function cable,
         several for multi-tenant NFV chaining with crossbar steering).
-        Passing a bare :class:`PPEApplication` here (or via the ``app=``
-        keyword) is the deprecated legacy form; it is wrapped in
-        :meth:`~repro.nfv.Deployment.solo` and warns.
     shell:
         Architecture shell (defaults to the prototype One-Way-Filter).
     device:
@@ -139,36 +142,26 @@ class FlexSFPModule:
         A pre-computed :class:`~repro.hls.compiler.BuildResult`; when
         omitted the module synthesizes ``app`` itself (raising if it does
         not fit or misses timing).
-    fastpath / batch_size:
-        Simulation-speed knobs (results are differentially tested to be
-        identical): ``fastpath`` puts a :class:`FlowCache` in front of the
-        PPE; ``batch_size`` > 1 drains up to that many frames per
-        scheduled event and coalesces port events.  ``None`` defers to
-        ``settings`` — the typed :class:`~repro.config.Settings` object
-        resolved once at construction from the ``FLEXSFP_FASTPATH`` /
-        ``FLEXSFP_BATCH`` environment variables (so CI can run the whole
-        suite with the fast path on).
     settings:
         A pre-resolved :class:`~repro.config.Settings`; ``None`` resolves
-        the environment here, once, instead of knob by knob.
+        the environment here, once.
     engine:
-        The typed engine selection — an :class:`~repro.engine.EngineConfig`
-        or a tier name (``reference`` / ``batched`` / ``compiled``).
-        Mutually exclusive with the legacy ``fastpath``/``batch_size``
-        knobs (passing both raises :class:`~repro.errors.ConfigError`);
-        when omitted the legacy knobs and environment resolve through
-        :func:`~repro.engine.resolve_engine` to the same tiers as before.
-        The ``compiled`` tier additionally lowers the verified pipeline
-        IR into a fused per-flow executor program
+        The engine tier name (``reference`` / ``compiled``); omitted it
+        falls back to a solo tenant's own ``engine``, then
+        ``FLEXSFP_ENGINE``, then ``reference``
+        (:func:`~repro.engine.resolve_engine`).  ``reference`` runs the
+        per-frame oracle on un-coalesced ports; ``compiled`` runs the fast
+        engine behind a flow cache, lowers the verified pipeline IR into a
+        fused per-flow executor program
         (:func:`repro.hls.compile_executor`) and opts the data ports into
-        the struct-of-arrays burst lane.
+        coalesced delivery and the struct-of-arrays burst lane.
     """
 
     def __init__(
         self,
         sim: Simulator,
         name: str,
-        deployment: "Deployment | PPEApplication | None" = None,
+        deployment: Deployment,
         shell: ShellSpec = PROTOTYPE_SHELL,
         device: FPGADevice = MPF200T,
         auth_key: bytes = DEFAULT_AUTH_KEY,
@@ -178,34 +171,15 @@ class FlexSFPModule:
         device_id: int = 0,
         mgmt_mac: str | int = "02:f5:f9:00:00:01",
         watchdog_timeout_s: float = WATCHDOG_TIMEOUT_S,
-        fastpath: bool | None = None,
-        batch_size: int | None = None,
         flow_cache_entries: int = DEFAULT_FLOW_CACHE_ENTRIES,
         settings: Settings | None = None,
-        engine: "EngineConfig | str | None" = None,
-        app: PPEApplication | None = None,
+        engine: str | None = None,
     ) -> None:
-        from ..hls.compiler import compile_app  # deferred: avoids import cycle
-
-        if app is not None:
-            if deployment is not None:
-                raise ConfigError(
-                    "pass either a deployment or the legacy app, not both"
-                )
-            warn_deprecated(
-                "FlexSFPModule(app=...)",
-                "FlexSFPModule(deployment=Deployment.solo(app))",
+        if not isinstance(deployment, Deployment):
+            raise ConfigError(
+                "FlexSFPModule needs a Deployment "
+                "(wrap a single application in Deployment.solo(app))"
             )
-            deployment = Deployment.solo(app)
-        elif deployment is None:
-            raise ConfigError("FlexSFPModule needs a Deployment")
-        elif not isinstance(deployment, Deployment):
-            # A bare application in the old positional slot.
-            warn_deprecated(
-                "FlexSFPModule(app=...)",
-                "FlexSFPModule(deployment=Deployment.solo(app))",
-            )
-            deployment = Deployment.solo(deployment)
         if deployment.shell is not None:
             shell = deployment.shell
         if deployment.device is not None:
@@ -223,26 +197,14 @@ class FlexSFPModule:
         self.auth_key = auth_key
         self.deploy_key = deploy_key if deploy_key is not None else auth_key
 
-        if engine is not None and (fastpath is not None or batch_size is not None):
-            raise ConfigError(
-                "engine conflicts with the legacy fastpath/batch_size knobs; "
-                "pass one EngineConfig (or tier name) and let it carry the "
-                "options"
-            )
         solo_spec = deployment.tenants[0]
-        if (
-            not self._multi
-            and engine is None
-            and fastpath is None
-            and batch_size is None
-            and solo_spec.engine is not None
-        ):
+        if engine is None and not self._multi:
             engine = solo_spec.engine
-        self.engine_config = resolve_engine(engine, fastpath, batch_size, settings)
-        self.fastpath = self.engine_config.fastpath
-        self.batch_size = self.engine_config.batch_size
+        self.engine = resolve_engine(engine, settings)
         self._flow_cache_entries = flow_cache_entries
-        self._settings = settings
+        # Optional packet tracer (duck-typed repro.obs.trace.Tracer), set
+        # via attach_tracer.  None costs one attribute load per frame.
+        self._tracer = None
 
         self.slots: list[TenantSlot] = []
         self.crossbar: Crossbar | None = None
@@ -272,42 +234,18 @@ class FlexSFPModule:
             # meaningful; per-tenant images live in the slot flashes.
             self.build = self.slots[0].build
         else:
-            app = solo_spec.build_app()
-            self.app = app
-            self.flow_cache = (
-                FlowCache(flow_cache_entries, name=f"{name}.flow_cache")
-                if self.fastpath
-                else None
+            self.app = solo_spec.build_app()
+            self.flow_cache = self._new_flow_cache(self.engine, name)
+            self.build, self.program = self._synthesize(
+                self.app, self.engine, build
             )
-            self.program = None
-            if self.engine_config.compiled:
-                from ..hls.executor import compile_executor  # deferred: cycle
-
-                executor = compile_executor(
-                    app, shell, device=device, flow_cache_entries=flow_cache_entries
-                )
-                self.program = executor.program
-                self.build = build if build is not None else executor.build
-            else:
-                self.build = (
-                    build
-                    if build is not None
-                    else compile_app(
-                        app,
-                        shell,
-                        device,
-                        flow_cache_entries=flow_cache_entries
-                        if self.fastpath
-                        else None,
-                    )
-                )
         self.flash = SPIFlash(slots=flash_slots)
         self.flash.store_bitstream(0, self.build.bitstream, allow_golden=True)
         self.flash.select_boot(0)
 
-        # Batched execution also opts the module's own ports into batched
+        # The fast engine also opts the module's own ports into batched
         # delivery: the ingress path understands ``link_deliver_s`` stamps.
-        coalesce = self.batch_size > 1
+        coalesce = self.engine == ENGINE_COMPILED
         self.edge_port = Port(
             sim,
             f"{name}.edge",
@@ -354,20 +292,14 @@ class FlexSFPModule:
         self.ppe = (
             None
             if self._multi
-            else PacketProcessingEngine(
-                sim,
+            else self._make_engine(
                 self.app,
                 self.build.report.timing,
-                device_id=device_id,
-                batch_size=self.batch_size,
-                flow_cache=self.flow_cache,
-                program=self.program,
+                self.engine,
+                self.flow_cache,
+                self.program,
             )
         )
-
-        # Optional packet tracer (duck-typed repro.obs.trace.Tracer), set
-        # via attach_tracer.  None costs one attribute load per frame.
-        self._tracer = None
 
         self._down = False
         self.degraded = False
@@ -383,26 +315,20 @@ class FlexSFPModule:
     # ------------------------------------------------------------------
     # Tenant slot provisioning (multi-tenant deployments)
     # ------------------------------------------------------------------
-    def _provision_slot(self, slot: TenantSlot, app: PPEApplication) -> None:
-        """Synthesize one tenant's partition: build, flash, engine."""
-        from ..hls.compiler import compile_app  # deferred: avoids import cycle
+    def _new_flow_cache(self, engine: str, owner: str) -> FlowCache | None:
+        if engine != ENGINE_COMPILED:
+            return None
+        return FlowCache(self._flow_cache_entries, name=f"{owner}.flow_cache")
 
-        spec = slot.spec
-        slot.app = app
-        slot.config = (
-            resolve_engine(spec.engine, None, None, self._settings)
-            if spec.engine is not None
-            else self.engine_config
-        )
-        slot.flow_cache = (
-            FlowCache(
-                self._flow_cache_entries,
-                name=f"{self.name}.tenant.{spec.name}.flow_cache",
-            )
-            if slot.config.fastpath
-            else None
-        )
-        if slot.config.compiled:
+    def _synthesize(self, app: PPEApplication, engine: str, build=None):
+        """``(build, program)`` for ``app`` at tier ``engine``.
+
+        The one place an application is synthesized.  A given ``build`` is
+        kept as the image (a pre-computed one, or the running one across a
+        reboot, when only the compiled tier's recipes need re-fusing
+        against the new application instance).
+        """
+        if engine == ENGINE_COMPILED:
             from ..hls.executor import compile_executor  # deferred: cycle
 
             executor = compile_executor(
@@ -411,31 +337,54 @@ class FlexSFPModule:
                 device=self.device,
                 flow_cache_entries=self._flow_cache_entries,
             )
-            slot.program = executor.program
-            slot.build = executor.build
-        else:
-            slot.program = None
-            slot.build = compile_app(
+            return (executor.build if build is None else build), executor.program
+        if build is None:
+            from ..hls.compiler import compile_app  # deferred: cycle
+
+            build = compile_app(app, self.shell, self.device)
+        return build, None
+
+    def _make_engine(
+        self,
+        app: PPEApplication,
+        timing,
+        engine: str,
+        flow_cache: FlowCache | None,
+        program,
+    ) -> PacketProcessingEngine | ReferenceEngine:
+        """The engine class tier ``engine`` runs; inherits the tracer."""
+        if engine == ENGINE_COMPILED:
+            ppe = PacketProcessingEngine(
+                self.sim,
                 app,
-                self.shell,
-                self.device,
-                flow_cache_entries=self._flow_cache_entries
-                if slot.config.fastpath
-                else None,
+                timing,
+                device_id=self.device_id,
+                flow_cache=flow_cache,
+                program=program,
             )
+        else:
+            ppe = ReferenceEngine(self.sim, app, timing, device_id=self.device_id)
+        ppe.tracer = self._tracer
+        return ppe
+
+    def _provision_slot(self, slot: TenantSlot, app: PPEApplication) -> None:
+        """Synthesize one tenant's partition: build, flash, engine."""
+        spec = slot.spec
+        slot.app = app
+        slot.engine = (
+            self.engine if spec.engine is None else validate_engine(spec.engine)
+        )
+        slot.flow_cache = self._new_flow_cache(
+            slot.engine, f"{self.name}.tenant.{spec.name}"
+        )
+        slot.build, slot.program = self._synthesize(app, slot.engine)
         # Two per-tenant images: slot 0 is the tenant's golden fallback,
         # slot 1 the staging area partial reconfiguration writes into.
         slot.flash = SPIFlash(slots=2)
         slot.flash.store_bitstream(0, slot.build.bitstream, allow_golden=True)
         slot.flash.select_boot(0)
-        slot.ppe = PacketProcessingEngine(
-            self.sim,
-            app,
-            slot.build.report.timing,
-            device_id=self.device_id,
-            batch_size=slot.config.batch_size,
-            flow_cache=slot.flow_cache,
-            program=slot.program,
+        slot.ppe = self._make_engine(
+            app, slot.build.report.timing, slot.engine, slot.flow_cache, slot.program
         )
         slot.done_edge = self._make_slot_done(slot, Direction.EDGE_TO_LINE)
         slot.done_line = self._make_slot_done(slot, Direction.LINE_TO_EDGE)
@@ -524,11 +473,7 @@ class FlexSFPModule:
         classify = self.arbiter.classify
         degraded = self.degraded
         processes = self.shell.processes(direction)
-        # ``submit`` dispatches on batch mode per call; batched modules
-        # can bind the batched admission directly.
-        ppe = self.ppe
-        batched = ppe.batch_size > 1
-        submit = ppe._submit_batched if batched else ppe.submit
+        submit = self.ppe.submit
         done = (
             self._done_edge_to_line
             if direction is Direction.EDGE_TO_LINE
@@ -574,10 +519,7 @@ class FlexSFPModule:
                     packet, when + TRANSCEIVER_LATENCY_S, size
                 )
             elif processes:
-                if batched:
-                    submit(packet, size, direction, done, when)
-                else:
-                    submit(packet, direction, done, at_s=when, size=size)
+                submit(packet, direction, done, when, size)
             else:
                 self._egress_port(direction).send_at(
                     packet,
@@ -639,8 +581,7 @@ class FlexSFPModule:
                 if direction is Direction.EDGE_TO_LINE
                 else self._done_line_to_edge
             )
-            ppe = self.ppe
-            batched = ppe.batch_size > 1
+            submit = self.ppe.submit
             for when in whens.tolist():
                 packet = template.copy()
                 addressing = self._mgmt_addressing(packet)
@@ -651,10 +592,7 @@ class FlexSFPModule:
                     self._to_control_plane(packet.copy(), reply_port, when)
                 packet.meta["flexsfp_ingress_ns"] = int(when * 1e9)
                 if self.shell.processes(direction):
-                    if batched:
-                        ppe._submit_batched(packet, size, direction, done, when)
-                    else:
-                        ppe.submit(packet, direction, done, at_s=when, size=size)
+                    submit(packet, direction, done, when, size)
                 else:
                     self._egress_port(direction).send_at(
                         packet,
@@ -1077,28 +1015,12 @@ class FlexSFPModule:
             # Recipes replay against the application instance; a reboot may
             # swap it, so every cached decision is stale.
             self.flow_cache.invalidate()
-        if self.program is not None:
-            # The compiled tier re-fuses against the booted application —
-            # recipes are compiled per app instance, like the flow cache.
-            from ..hls.executor import compile_executor  # deferred: cycle
-
-            self.program = compile_executor(
-                new_app,
-                self.shell,
-                device=self.device,
-                flow_cache_entries=self._flow_cache_entries,
-            ).program
-        self.ppe = PacketProcessingEngine(
-            self.sim,
-            new_app,
-            bitstream.timing,
-            device_id=self.device_id,
-            batch_size=self.batch_size,
-            flow_cache=self.flow_cache,
-            program=self.program,
+        # The compiled tier re-fuses against the booted application —
+        # recipes are compiled per app instance, like the flow cache.
+        _, self.program = self._synthesize(new_app, self.engine, self.build)
+        self.ppe = self._make_engine(
+            new_app, bitstream.timing, self.engine, self.flow_cache, self.program
         )
-        # An attached tracer survives the engine swap.
-        self.ppe.tracer = self._tracer
         self.reboots += 1
         self._down = True
         self.sim.schedule(RECONFIG_DOWNTIME_S, self._boot_complete)
@@ -1173,26 +1095,7 @@ class FlexSFPModule:
                 raise ConfigError(
                     "reconfigure_tenant() needs a new app or bitstream"
                 )
-            from ..hls.compiler import compile_app  # deferred: cycle
-
-            if slot.config.compiled:
-                from ..hls.executor import compile_executor  # deferred: cycle
-
-                bitstream = compile_executor(
-                    app,
-                    self.shell,
-                    device=self.device,
-                    flow_cache_entries=self._flow_cache_entries,
-                ).build.bitstream
-            else:
-                bitstream = compile_app(
-                    app,
-                    self.shell,
-                    self.device,
-                    flow_cache_entries=self._flow_cache_entries
-                    if slot.config.fastpath
-                    else None,
-                ).bitstream
+            bitstream = self._synthesize(app, slot.engine)[0].bitstream
         from ..apps import create_app  # deferred: avoids import cycle
 
         start = self.sim.now if at_s is None else at_s
@@ -1257,25 +1160,10 @@ class FlexSFPModule:
         slot.app = new_app
         if slot.flow_cache is not None:
             slot.flow_cache.invalidate()
-        if slot.program is not None:
-            from ..hls.executor import compile_executor  # deferred: cycle
-
-            slot.program = compile_executor(
-                new_app,
-                self.shell,
-                device=self.device,
-                flow_cache_entries=self._flow_cache_entries,
-            ).program
-        slot.ppe = PacketProcessingEngine(
-            self.sim,
-            new_app,
-            bitstream.timing,
-            device_id=self.device_id,
-            batch_size=slot.config.batch_size,
-            flow_cache=slot.flow_cache,
-            program=slot.program,
+        _, slot.program = self._synthesize(new_app, slot.engine, slot.build)
+        slot.ppe = self._make_engine(
+            new_app, bitstream.timing, slot.engine, slot.flow_cache, slot.program
         )
-        slot.ppe.tracer = self._tracer
         slot.reboots += 1
         slot.down = True
         self.sim.schedule(RECONFIG_DOWNTIME_S, slot.boot_complete)
@@ -1462,11 +1350,6 @@ class FlexSFPModule:
             "boot_slot": self.flash.boot_slot,
             "watchdog_reboots": self.watchdog_reboots,
         }
-
-    def stats(self) -> dict[str, object]:
-        """Deprecated alias for :meth:`snapshot`."""
-        warn_deprecated("FlexSFPModule.stats()", "FlexSFPModule.snapshot()")
-        return self.snapshot()
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

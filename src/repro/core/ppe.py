@@ -1,44 +1,45 @@
-"""The Packet Processing Engine: application interface and runtime.
+"""The Packet Processing Engine: application interface and two runtimes.
 
 The PPE is the programmable element in every FlexSFP shell (Figure 1).
 Applications implement :class:`PPEApplication` — a functional ``process``
 method (what the logic does to each packet) plus a ``pipeline_spec`` (what
-the logic costs to synthesize).  The :class:`PacketProcessingEngine` runs
-applications inside the discrete-event simulation as a single server whose
-service time comes from the synthesized :class:`TimingSpec`, so overload,
-queueing, and loss emerge from the same arithmetic the paper uses for its
-line-rate claims.
+the logic costs to synthesize).  An engine runs the application inside the
+discrete-event simulation as a single server whose service time comes from
+the synthesized :class:`TimingSpec`, so overload, queueing, and loss emerge
+from the same arithmetic the paper uses for its line-rate claims.
 
-Two optional execution modes accelerate large simulations without changing
-their results:
+Two engines execute that contract, one per tier (:mod:`repro.engine`):
 
-* **Fast path** (``flow_cache``): applications that expose a
-  :meth:`PPEApplication.flow_key` / :meth:`PPEApplication.decide` pair get
-  an exact-match LRU flow cache in front of ``process``.  Repeat packets
-  of a decided flow replay the cached :class:`FlowRecipe` instead of
-  re-running the program; control-plane table writes invalidate entries
-  via the registry generation counter.
-* **Batching** (``batch_size > 1``): the engine drains up to K queued
-  frames per scheduled event instead of one, amortizing heap and callback
-  overhead.  Service times are still accumulated per frame on a
-  :class:`~repro.sim.engine.ServiceTimeline`, so per-frame start/finish
+* :class:`ReferenceEngine` (``reference``) — the oracle.  A bounded FIFO in
+  front of one server, one event chain and one ``process`` call per frame.
+  It knows nothing of flow caches, frame groups, or bursts; every result
+  the fast engine produces is differential-tested against it.
+* :class:`PacketProcessingEngine` (``compiled``) — the fast engine.  Frames
+  reserve their service slot at submit time on a
+  :class:`~repro.sim.engine.ServiceTimeline` (the float sequence of the
+  per-frame schedule) and are processed in groups of up to
+  :data:`BURST_FRAMES` per scheduled event, so per-frame start/finish
   timestamps — and therefore queueing, overload, and latency statistics —
-  are identical to the event-per-frame execution.  Frames are *processed*
-  at the batch boundary and *delivered* once per batch, so downstream
-  egress times may shift by up to one batch window; single-frame batches
-  are exactly the unbatched schedule.
-* **Compiled bursts** (``program`` + :meth:`PacketProcessingEngine.submit_burst`):
-  the compiled engine tier hands the engine whole same-flow bursts as one
-  template packet plus a struct-of-arrays vector of per-frame arrival
-  times.  Admission replays the batched reservation arithmetic (vectorised
-  where that stays bit-exact), and processing collapses each due slice
-  into one :meth:`~repro.core.flowcache.FlowRecipe.apply_burst` with O(1)
-  counter and histogram updates.  Anything the fused contract cannot
-  express — a tracer attached, per-frame arrivals interleaved, a flow the
-  application opts out of, a verdict beyond PASS/DROP, application
-  emissions — *deopts*: those frames materialize into the batched
-  per-frame lane and take the exact reference arithmetic, so compiled
-  results are bit-identical to the reference engine by construction.
+  are identical to the oracle while heap and callback overhead amortizes.
+  Each frame takes the cheapest lane that stays exact:
+
+  - *flow cache*: applications that expose a
+    :meth:`PPEApplication.flow_key` / :meth:`PPEApplication.decide` pair
+    replay a cached :class:`FlowRecipe` instead of re-running the program;
+    control-plane table writes invalidate entries via the registry
+    generation counter.
+  - *fused bursts* (:meth:`PacketProcessingEngine.submit_burst`): whole
+    same-flow bursts arrive as one template packet plus a struct-of-arrays
+    vector of per-frame arrival times.  Admission replays the per-frame
+    reservation arithmetic (vectorised where that stays bit-exact), and
+    processing collapses each due slice into one
+    :meth:`~repro.core.flowcache.FlowRecipe.apply_burst` with O(1) counter
+    and histogram updates.
+  - *deopt*: anything the fused contract cannot express — a tracer
+    attached, per-frame arrivals interleaved, a flow the application opts
+    out of, a verdict beyond PASS/DROP, application emissions —
+    materializes into the per-frame lane and takes the exact reference
+    arithmetic, so results are bit-identical to the oracle by construction.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from typing import TYPE_CHECKING, Callable, Hashable
 
 import numpy as np
 
-from .._util import warn_deprecated
 from ..errors import SimulationError
 from ..fpga.timing import TimingSpec
 from ..packet import Packet
@@ -214,11 +214,6 @@ DoneCallback = Callable[[Packet, Verdict, list[tuple[Packet, Direction]]], None]
 # vector of per-frame virtual deliver times.
 BurstDoneCallback = Callable[[Packet, Verdict, int, "np.ndarray"], None]
 
-# FIFO entry:
-# (packet, wire size, direction, done callback, enqueue ns, arrival seconds).
-_QueuedFrame = "tuple[Packet, int, Direction, DoneCallback, int, float]"
-
-
 class _PendingBurst:
     """Struct-of-arrays record of one admitted compiled burst.
 
@@ -264,17 +259,131 @@ class _PendingBurst:
         self.pos = 0
 
 
-class PacketProcessingEngine:
-    """Queueing server that executes an application at synthesized speed.
+#: Frames the fast engine processes per scheduled event; compiled-tier
+#: sources emit bursts of the same size so one burst fills one group.
+BURST_FRAMES = 16
 
-    Service time per frame is ``TimingSpec.frame_service_time`` —  the
+
+class _EngineBase:
+    """What both engines share: server parameters, counters, reporting."""
+
+    def __init__(
+        self,
+        sim: Simulator,
+        app: PPEApplication,
+        timing: TimingSpec,
+        queue_bytes: int,
+        device_id: int,
+    ) -> None:
+        self.sim = sim
+        self.app = app
+        self.timing = timing
+        self.queue_bytes = queue_bytes
+        self.device_id = device_id
+        # Pipeline fill latency is fixed per deployed app; computing it per
+        # packet would rebuild the whole PipelineSpec each time.
+        self.pipeline_latency_s = (
+            app.pipeline_spec().pipeline_depth / timing.clock_hz
+        )
+        self.processed = Counter("ppe.processed")
+        self.overload_drops = Counter("ppe.overload_drops")
+        self.verdict_counts: dict[Verdict, int] = {v: 0 for v in Verdict}
+        self.latency_ns = Histogram.exponential(start=50.0, factor=2.0, count=16)
+        # Optional packet tracer (duck-typed repro.obs.trace.Tracer — core
+        # never imports obs).  Traced frames get their one apply bracketed
+        # by a header snapshot before and _record_spans after.
+        self.tracer = None
+
+    def _checked(self, verdict: object) -> Verdict:
+        if not isinstance(verdict, Verdict):
+            raise SimulationError(
+                f"application {self.app.name!r} returned {verdict!r} "
+                "instead of a Verdict"
+            )
+        return verdict
+
+    def _record_spans(
+        self,
+        packet: Packet,
+        before,
+        verdict: Verdict,
+        direction: Direction,
+        time_ns: int,
+        queue_depth: int,
+        fastpath: str | None = None,
+    ) -> None:
+        """Record a traced frame's ``ppe`` span (queue residency, fast-path
+        hit/miss) and ``app`` span (verdict, header mutations since
+        ``before``).  Stage names are string literals matching
+        ``repro.obs.trace`` constants: core never imports obs.
+        """
+        tracer = self.tracer
+        app = self.app
+        ppe_detail: dict[str, object] = {
+            "app": app.name,
+            "queue_depth": queue_depth,
+        }
+        if fastpath is not None:
+            ppe_detail["fastpath"] = fastpath
+        tracer.record(
+            packet,
+            "ppe",
+            f"ppe{self.device_id}",
+            packet.meta.get("ppe_enqueue_ns", time_ns),
+            time_ns,
+            direction,
+            **ppe_detail,
+        )
+        app_detail: dict[str, object] = {"verdict": verdict.value}
+        mutations = tracer.header_diff(before, packet)
+        if mutations:
+            app_detail["mutations"] = mutations
+        tracer.record(
+            packet, "app", app.name, time_ns, time_ns, direction, **app_detail
+        )
+
+    def snapshot(self) -> dict[str, object]:
+        """Structured counter snapshot."""
+        return {
+            "processed": self.processed.snapshot(),
+            "overload_drops": self.overload_drops.snapshot(),
+            "verdicts": {v.value: n for v, n in self.verdict_counts.items()},
+            "latency_ns": self.latency_ns.snapshot(),
+        }
+
+    def metric_values(self) -> dict[str, object]:
+        """Flat :class:`~repro.obs.registry.MetricSource` view.
+
+        Keys are prefixed with the application name, so registering an
+        engine under ``module0.ppe`` yields names like
+        ``module0.ppe.nat.overload_drops.packets``.
+        """
+        prefix = self.app.name
+        values: dict[str, object] = {}
+        for group, counter in (
+            ("processed", self.processed),
+            ("overload_drops", self.overload_drops),
+        ):
+            for key, value in counter.metric_values().items():
+                values[f"{prefix}.{group}.{key}"] = value
+        for verdict, count in self.verdict_counts.items():
+            values[f"{prefix}.verdicts.{verdict.value}"] = count
+        for key, value in self.latency_ns.metric_values().items():
+            values[f"{prefix}.latency_ns.{key}"] = value
+        return values
+
+
+class ReferenceEngine(_EngineBase):
+    """The per-frame oracle: a FIFO queueing server at synthesized speed.
+
+    Service time per frame is ``TimingSpec.frame_service_time`` — the
     number of datapath beats the frame occupies.  Packets arriving while
     the engine is busy wait in a bounded ingress FIFO; overflow is counted
     and dropped, which is exactly how the Two-Way-Core shell falls off
     line rate when it is not clocked up (Figure 1 discussion).
 
-    ``batch_size`` > 1 enables batched execution and ``flow_cache`` the
-    fast path (see the module docstring for both contracts).
+    One scheduled event per service completion, one per delivery, one
+    ``process`` call per frame: slow, and simple enough to trust.
     """
 
     def __init__(
@@ -284,22 +393,135 @@ class PacketProcessingEngine:
         timing: TimingSpec,
         queue_bytes: int = 32 * 1024,
         device_id: int = 0,
-        batch_size: int = 1,
+    ) -> None:
+        super().__init__(sim, app, timing, queue_bytes, device_id)
+        # (packet, wire size, direction, done callback, enqueue ns)
+        self._fifo: deque = deque()
+        self._fifo_bytes = 0
+        self._busy = False
+
+    def submit(
+        self,
+        packet: Packet,
+        direction: Direction,
+        done: DoneCallback,
+        at_s: float | None = None,
+        size: int | None = None,
+    ) -> bool:
+        """Offer a packet to the engine; False when the ingress FIFO drops.
+
+        ``at_s`` stamps the frame's arrival (default: now); service still
+        starts from the current event.  ``size`` is an optional
+        precomputed ``packet.wire_len``.
+        """
+        at = self.sim.now if at_s is None else at_s
+        if size is None:
+            size = packet.wire_len
+        if self._fifo_bytes + size > self.queue_bytes:
+            self.overload_drops.count(size)
+            return False
+        enqueue_ns = int(at * 1e9)
+        # Stamp per-engine (overwrite, not setdefault): a packet traversing
+        # two modules must not keep the first engine's timestamp, or the
+        # second engine's latency histogram measures both residencies.
+        packet.meta["ppe_enqueue_ns"] = enqueue_ns
+        self._fifo.append((packet, size, direction, done, enqueue_ns))
+        self._fifo_bytes += size
+        if not self._busy:
+            self._start_next()
+        return True
+
+    def _start_next(self) -> None:
+        if not self._fifo:
+            self._busy = False
+            return
+        self._busy = True
+        packet, size, direction, done, enqueue_ns = self._fifo.popleft()
+        self._fifo_bytes -= size
+        service = self.timing.frame_service_time(size)
+        self.sim.schedule(
+            service, self._finish, packet, direction, done, enqueue_ns
+        )
+
+    def _finish(
+        self,
+        packet: Packet,
+        direction: Direction,
+        done: DoneCallback,
+        enqueue_ns: int,
+    ) -> None:
+        # The frame has streamed through; apply the functional behaviour,
+        # then deliver after the pipeline fill latency.
+        ctx = PPEContext(
+            time_ns=int(self.sim.now * 1e9),
+            direction=direction,
+            device_id=self.device_id,
+            queue_depth=self._fifo_bytes,
+        )
+        tracer = self.tracer
+        if tracer is not None and tracer.is_traced(packet):
+            before = tracer.snapshot_headers(packet)
+            verdict = self._apply(packet, ctx)
+            self._record_spans(
+                packet, before, verdict, direction, ctx.time_ns, ctx.queue_depth
+            )
+        else:
+            verdict = self._apply(packet, ctx)
+        self.sim.schedule(
+            self.pipeline_latency_s,
+            self._deliver,
+            packet,
+            verdict,
+            ctx.emitted,
+            done,
+            enqueue_ns,
+        )
+        self._start_next()
+
+    def _apply(self, packet: Packet, ctx: PPEContext) -> Verdict:
+        """Run the application on one frame."""
+        verdict = self._checked(self.app.process(packet, ctx))
+        # Counted post-process: applications may change the frame length.
+        self.processed.count(packet.wire_len)
+        self.verdict_counts[verdict] += 1
+        return verdict
+
+    def _deliver(
+        self,
+        packet: Packet,
+        verdict: Verdict,
+        emitted: list[tuple[Packet, Direction]],
+        done: DoneCallback,
+        enqueue_ns: int,
+    ) -> None:
+        self.latency_ns.add(int(self.sim.now * 1e9) - enqueue_ns)
+        done(packet, verdict, emitted)
+
+
+class PacketProcessingEngine(_EngineBase):
+    """The fast engine: reserve-at-submit service, grouped processing.
+
+    Results are bit-identical to :class:`ReferenceEngine` (see the module
+    docstring for the lanes and why each stays exact); ``flow_cache``
+    enables recipe replay and ``program`` — the verified executor from
+    :func:`repro.hls.compile_executor` — gates burst fusion.
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        app: PPEApplication,
+        timing: TimingSpec,
+        queue_bytes: int = 32 * 1024,
+        device_id: int = 0,
         flow_cache: FlowCache | None = None,
         program: "CompiledProgram | None" = None,
     ) -> None:
-        if batch_size < 1:
-            raise SimulationError(f"batch size must be >= 1, got {batch_size}")
-        self.sim = sim
-        self.app = app
-        self.timing = timing
-        self.queue_bytes = queue_bytes
-        self.device_id = device_id
-        self.batch_size = batch_size
+        super().__init__(sim, app, timing, queue_bytes, device_id)
         self.flow_cache = flow_cache
-        # Compiled tier: the verified executor program gating burst fusion
-        # (see repro.hls.executor), struct-of-arrays bursts pending
-        # processing, the armed drain event, and fusion statistics.
+        self.fastpath_hits = Counter("ppe.fastpath_hits")
+        # Struct-of-arrays bursts pending processing, the armed drain
+        # event, and fusion statistics.
         self.program = program
         self._bursts: deque = deque()
         self._burst_event = None
@@ -307,14 +529,11 @@ class PacketProcessingEngine:
         self.compiled_bursts = 0
         self.compiled_frames = 0
         self.compiled_deopts = 0
-        self._fifo: deque = deque()
-        self._fifo_bytes = 0
-        self._busy = False
         self._timeline = ServiceTimeline()
-        # Batched mode: frames reserve their service slot at submit time;
-        # processing is grouped into one event per up-to-batch_size frames.
-        # _arrivals mirrors (enqueue_ns, size) of reserved-but-unprocessed
-        # frames for exact queue-depth reconstruction.
+        # Frames reserve their service slot at submit time; processing is
+        # grouped into one event per up-to-BURST_FRAMES frames.  _arrivals
+        # mirrors (enqueue_ns, size) of reserved-but-unprocessed frames for
+        # exact queue-depth reconstruction.
         self._group: list = []
         self._group_event = None
         self._arrivals: deque = deque()
@@ -330,26 +549,11 @@ class PacketProcessingEngine:
         # *during* processing (telemetry, policers) fires the pre-mutation
         # drain hook from inside _process_due; the nested call must no-op.
         self._processing = False
-        if batch_size > 1:
-            # Control-plane writes land between packets.  Frames whose
-            # virtual service already finished but that still sit in a
-            # pending batch must be decided against the pre-write table
-            # state, exactly as the event-per-frame engine would have.
-            app.tables.on_before_mutate = self._process_due
-        # Pipeline fill latency is fixed per deployed app; computing it per
-        # packet would rebuild the whole PipelineSpec each time.
-        self.pipeline_latency_s = (
-            app.pipeline_spec().pipeline_depth / timing.clock_hz
-        )
-        self.processed = Counter("ppe.processed")
-        self.overload_drops = Counter("ppe.overload_drops")
-        self.fastpath_hits = Counter("ppe.fastpath_hits")
-        self.verdict_counts: dict[Verdict, int] = {v: 0 for v in Verdict}
-        self.latency_ns = Histogram.exponential(start=50.0, factor=2.0, count=16)
-        # Optional packet tracer (duck-typed repro.obs.trace.Tracer — core
-        # never imports obs).  None costs one attribute load per frame;
-        # traced frames take the cold instrumented twin of _apply.
-        self.tracer = None
+        # Control-plane writes land between packets.  Frames whose virtual
+        # service already finished but that still sit in a pending group
+        # must be decided against the pre-write table state, exactly as
+        # the oracle would have.
+        app.tables.on_before_mutate = self._process_due
 
     def submit(
         self,
@@ -364,46 +568,19 @@ class PacketProcessingEngine:
         ``at_s`` is the frame's (virtual) arrival time for batch-delivered
         ingress — it may lead ``sim.now`` by up to one delivery batch and
         must be non-decreasing across calls; omitted it defaults to now.
-        Only batched engines (``batch_size > 1``) may be handed future
-        arrivals: their reservations use per-frame arrival times.
         ``size`` is an optional precomputed ``packet.wire_len``.
+
+        The service slot is reserved at the arrival time (``start =
+        max(arrival, free_at)`` — the float sequence of the sequential
+        schedule), which keeps the occupancy check exactly the oracle's
+        "arrived but not yet started" set even when batch-delivered
+        ingress submits several frames per real event.  Processing is
+        deferred to a group event re-armed at the newest frame's finish
+        and closed at :data:`BURST_FRAMES` frames.
         """
         at = self.sim.now if at_s is None else at_s
         if size is None:
             size = packet.wire_len
-        if self.batch_size > 1:
-            return self._submit_batched(packet, size, direction, done, at)
-        if self._fifo_bytes + size > self.queue_bytes:
-            self.overload_drops.count(size)
-            return False
-        enqueue_ns = int(at * 1e9)
-        # Stamp per-engine (overwrite, not setdefault): a packet traversing
-        # two modules must not keep the first engine's timestamp, or the
-        # second engine's latency histogram measures both residencies.
-        packet.meta["ppe_enqueue_ns"] = enqueue_ns
-        self._fifo.append((packet, size, direction, done, enqueue_ns, at))
-        self._fifo_bytes += size
-        if not self._busy:
-            self._start_next()
-        return True
-
-    def _submit_batched(
-        self,
-        packet: Packet,
-        size: int,
-        direction: Direction,
-        done: DoneCallback,
-        at: float,
-    ) -> bool:
-        """Batched admission: reserve the service slot at the arrival time.
-
-        Reserving immediately (``start = max(arrival, free_at)`` — the
-        float sequence of the sequential schedule) keeps the occupancy
-        check exactly the event-per-frame "arrived but not yet started"
-        set even when batch-delivered ingress submits several frames per
-        real event.  Processing is deferred to a group event re-armed at
-        the newest frame's finish and closed at ``batch_size`` frames.
-        """
         if self._bursts:
             # A per-frame submit while compiled bursts are pending: collapse
             # the burst lane into the per-frame lane first so one
@@ -421,7 +598,7 @@ class PacketProcessingEngine:
             self.overload_drops.count(size)
             return False
         enqueue_ns = int(at * 1e9)
-        packet.meta["ppe_enqueue_ns"] = enqueue_ns
+        packet.meta["ppe_enqueue_ns"] = enqueue_ns  # overwrite: see the oracle
         service = self._service_times.get(size)
         if service is None:
             service = self._service_times[size] = self.timing.frame_service_time(
@@ -444,7 +621,7 @@ class PacketProcessingEngine:
         if event is not None:
             event.cancel()
             self._group_event = None
-        if len(group) >= self.batch_size:
+        if len(group) >= BURST_FRAMES:
             self._group = []
             now = self.sim.now
             self.sim.schedule_at(
@@ -472,62 +649,8 @@ class PacketProcessingEngine:
                 finish if finish > now else now, self._process_due_event
             )
 
-    def _start_next(self) -> None:
-        if not self._fifo:
-            self._busy = False
-            return
-        self._busy = True
-        packet, size, direction, done, enqueue_ns, _at = self._fifo.popleft()
-        self._fifo_bytes -= size
-        service = self.timing.frame_service_time(size)
-        self.sim.schedule(
-            service, self._finish, packet, size, direction, done, enqueue_ns
-        )
-
     # ------------------------------------------------------------------
-    # Event-per-frame execution
-    # ------------------------------------------------------------------
-    def _finish(
-        self,
-        packet: Packet,
-        size: int,
-        direction: Direction,
-        done: DoneCallback,
-        enqueue_ns: int,
-    ) -> None:
-        # The frame has streamed through; apply the functional behaviour,
-        # then deliver after the pipeline fill latency.
-        ctx = PPEContext(
-            time_ns=int(self.sim.now * 1e9),
-            direction=direction,
-            device_id=self.device_id,
-            queue_depth=self._fifo_bytes,
-        )
-        verdict = self._apply(packet, size, direction, ctx)
-        self.sim.schedule(
-            self.pipeline_latency_s,
-            self._deliver,
-            packet,
-            verdict,
-            ctx.emitted,
-            done,
-            enqueue_ns,
-        )
-        self._start_next()
-
-    def _deliver(
-        self,
-        packet: Packet,
-        verdict: Verdict,
-        emitted: list[tuple[Packet, Direction]],
-        done: DoneCallback,
-        enqueue_ns: int,
-    ) -> None:
-        self.latency_ns.add(int(self.sim.now * 1e9) - enqueue_ns)
-        done(packet, verdict, emitted)
-
-    # ------------------------------------------------------------------
-    # Batched execution
+    # Grouped per-frame execution
     # ------------------------------------------------------------------
     def _process_due_event(self) -> None:
         self._group_event = None
@@ -543,7 +666,7 @@ class PacketProcessingEngine:
         The hook call is what keeps control-plane writes atomic *between
         packets*: a write landing mid-batch first forces every frame whose
         virtual decision time already passed to be decided against the
-        pre-write table state, exactly as the event-per-frame engine does.
+        pre-write table state, exactly as the oracle does.
         An event that fires after an earlier drain already consumed its
         frames is a no-op.
         """
@@ -564,8 +687,8 @@ class PacketProcessingEngine:
         self._processing = True
         try:
             self._timeline.drain(now)
-            # Reconstruct each frame's queue depth as the event-per-frame
-            # execution would have seen it at that frame's finish time:
+            # Reconstruct each frame's queue depth as the oracle
+            # would have seen it at that frame's finish time:
             # every arrival after it that is enqueued no later than the
             # finish.  Arrivals are submit-ordered (non-decreasing enqueue
             # time), so the "not yet arrived" entries — reservations
@@ -583,7 +706,7 @@ class PacketProcessingEngine:
                 future_bytes += entry[1]
             remaining_bytes = self._arrivals_bytes
             pipeline_latency_s = self.pipeline_latency_s
-            apply = self._apply_batched
+            apply = self._apply if self.tracer is None else self._apply_spanned
             deliveries: list[
                 tuple[Packet, Verdict, list, DoneCallback, int, float]
             ] = []
@@ -625,7 +748,7 @@ class PacketProcessingEngine:
     ) -> None:
         # Done callbacks run at the batch tail but carry each frame's
         # virtual deliver time (``finish + pipeline_latency`` — the exact
-        # float the event-per-frame schedule computes), so a batch-aware
+        # float the oracle's schedule computes), so a batch-aware
         # consumer can keep downstream timestamps identical via
         # ``Port.send_at``.
         latency_add = self.latency_ns.add
@@ -651,7 +774,7 @@ class PacketProcessingEngine:
         The compiled engine's struct-of-arrays ingress: ``times`` is a
         non-decreasing float64 array of virtual arrival seconds, one per
         frame, every frame sharing ``template``'s headers and ``size``.
-        Admission replays the batched per-frame reservation arithmetic,
+        Admission replays :meth:`submit`'s per-frame reservation arithmetic,
         so tail drops and service times are bit-identical to submitting
         each frame individually.  Returns the number of admitted frames.
 
@@ -668,7 +791,6 @@ class PacketProcessingEngine:
             program is not None
             and program.fusible
             and self.tracer is None
-            and self.batch_size > 1
             and not self._arrivals
         ):
             if program.mode == "meter":
@@ -680,20 +802,12 @@ class PacketProcessingEngine:
         if key is None and not meter:
             values = times.tolist() if hasattr(times, "tolist") else list(times)
             self.compiled_deopts += len(values)
-            if self.batch_size <= 1:
-                admitted = 0
-                for at in values:
-                    if self.submit(
-                        template.copy(), direction, done_frame, at_s=at, size=size
-                    ):
-                        admitted += 1
-                return admitted
             defer = self._defer_commit
             self._defer_commit = True
             admitted = 0
-            submit = self._submit_batched
+            submit = self.submit
             for at in values:
-                if submit(template.copy(), size, direction, done_frame, at):
+                if submit(template.copy(), direction, done_frame, at, size):
                     admitted += 1
             if not defer:
                 self._defer_commit = False
@@ -733,7 +847,7 @@ class PacketProcessingEngine:
     ) -> tuple["np.ndarray", "np.ndarray"]:
         """Reserve service slots for a burst; returns admitted (at, finish).
 
-        Exactly :meth:`_submit_batched`'s admission — drain, tail-drop
+        Exactly :meth:`submit`'s admission — drain, tail-drop
         check, ``start = max(arrival, free_at)`` — replayed per frame.
         Two vectorised regimes cover the common cases bit-exactly: a
         burst that fits the queue outright chains through
@@ -996,7 +1110,7 @@ class PacketProcessingEngine:
         finish = burst.finish
         enqueue = burst.enqueue_ns
         total = len(finish)
-        apply = self._apply_batched
+        apply = self._apply if self.tracer is None else self._apply_spanned
         pipeline_latency_s = self.pipeline_latency_s
         deliveries: list = []
         self.compiled_deopts += end - pos
@@ -1097,45 +1211,9 @@ class PacketProcessingEngine:
         done_burst(packet, verdict, size, deliver_s)
 
     # ------------------------------------------------------------------
-    # Functional application (fast path + slow path)
+    # Functional application (flow cache + slow path)
     # ------------------------------------------------------------------
     def _apply(
-        self, packet: Packet, size: int, direction: Direction, ctx: PPEContext
-    ) -> Verdict:
-        """Run the application on one frame, via the flow cache if possible."""
-        tracer = self.tracer
-        if tracer is not None and tracer.is_traced(packet):
-            verdict, _emitted = self._apply_traced(packet, size, direction, ctx)
-            return verdict
-        app = self.app
-        cache = self.flow_cache
-        verdict: Verdict | None = None
-        if cache is not None:
-            key = app.flow_key(packet)
-            if key is not None:
-                generation = app.tables.generation()
-                recipe = cache.lookup((direction, key), generation)
-                if recipe is not None:
-                    self.fastpath_hits.count(size)
-                    verdict = recipe.apply(packet, app)
-                else:
-                    recipe = app.decide(packet, ctx)
-                    if recipe is not None:
-                        cache.insert((direction, key), recipe, generation)
-                        verdict = recipe.apply(packet, app)
-        if verdict is None:
-            verdict = app.process(packet, ctx)
-            if not isinstance(verdict, Verdict):
-                raise SimulationError(
-                    f"application {app.name!r} returned {verdict!r} "
-                    "instead of a Verdict"
-                )
-        # Counted post-process: applications may change the frame length.
-        self.processed.count(packet.wire_len)
-        self.verdict_counts[verdict] += 1
-        return verdict
-
-    def _apply_batched(
         self,
         packet: Packet,
         size: int,
@@ -1143,22 +1221,18 @@ class PacketProcessingEngine:
         finish_ns: int,
         queue_depth: int,
     ) -> tuple[Verdict, list[tuple[Packet, Direction]] | tuple]:
-        """Batched-mode :meth:`_apply` with a lazily built context.
+        """Run the application on one frame, via the flow cache if possible.
 
-        Recipe replays never see the context (the application is not
+        Recipe replays never see a context (the application is not
         entered), so cache hits skip building it entirely and report an
         empty emitted tuple; a recipe's structural ops may change the
         frame length, so the ``processed`` counter sees the precomputed
         ``size`` plus the recipe's ``size_delta``.  Slow-path frames get
-        the identical ``PPEContext`` the event-per-frame execution
-        constructs.
+        the identical ``PPEContext`` the oracle constructs.
         """
-        tracer = self.tracer
-        if tracer is not None and tracer.is_traced(packet):
-            ctx = PPEContext(finish_ns, direction, self.device_id, queue_depth)
-            return self._apply_traced(packet, size, direction, ctx)
         app = self.app
         cache = self.flow_cache
+        ctx = None
         if cache is not None:
             key = app.flow_key(packet)
             if key is not None:
@@ -1182,112 +1256,51 @@ class PacketProcessingEngine:
                     self.processed.count(size + recipe.size_delta)
                     self.verdict_counts[verdict] += 1
                     return verdict, ctx.emitted
-                verdict = app.process(packet, ctx)
-                if not isinstance(verdict, Verdict):
-                    raise SimulationError(
-                        f"application {app.name!r} returned {verdict!r} "
-                        "instead of a Verdict"
-                    )
-                self.processed.count(packet.wire_len)
-                self.verdict_counts[verdict] += 1
-                return verdict, ctx.emitted
-        ctx = PPEContext(finish_ns, direction, self.device_id, queue_depth)
-        verdict = app.process(packet, ctx)
-        if not isinstance(verdict, Verdict):
-            raise SimulationError(
-                f"application {app.name!r} returned {verdict!r} "
-                "instead of a Verdict"
-            )
+        if ctx is None:
+            ctx = PPEContext(finish_ns, direction, self.device_id, queue_depth)
+        verdict = self._checked(app.process(packet, ctx))
+        # Counted post-process: applications may change the frame length.
         self.processed.count(packet.wire_len)
         self.verdict_counts[verdict] += 1
         return verdict, ctx.emitted
 
-    def _apply_traced(
-        self, packet: Packet, size: int, direction: Direction, ctx: PPEContext
-    ) -> tuple[Verdict, list[tuple[Packet, Direction]]]:
-        """Instrumented (cold) twin of the apply paths for traced packets.
+    def _apply_spanned(
+        self,
+        packet: Packet,
+        size: int,
+        direction: Direction,
+        finish_ns: int,
+        queue_depth: int,
+    ) -> tuple[Verdict, list[tuple[Packet, Direction]] | tuple]:
+        """:meth:`_apply` with a tracer attached: traced frames get spans.
 
-        Functionally identical to :meth:`_apply` — the same counters, cache
-        operations, and verdict checks in the same order — but additionally
-        records a ``ppe`` span (queue residency, fast-path hit/miss) and an
-        ``app`` span (verdict, header mutations) on the attached tracer.
-        Stage names are string literals matching ``repro.obs.trace``
-        constants: core never imports obs.
+        The bracket observes the one apply from outside — headers before
+        and after, flow-cache hit/miss from the cache's own counters — so
+        a traced frame runs exactly the code an untraced one does.
         """
         tracer = self.tracer
+        if not tracer.is_traced(packet):
+            return self._apply(packet, size, direction, finish_ns, queue_depth)
         before = tracer.snapshot_headers(packet)
-        app = self.app
         cache = self.flow_cache
-        fastpath: str | None = None
-        verdict: Verdict | None = None
+        hits, misses = (cache.hits, cache.misses) if cache is not None else (0, 0)
+        result = self._apply(packet, size, direction, finish_ns, queue_depth)
+        fastpath = None
         if cache is not None:
-            key = app.flow_key(packet)
-            if key is not None:
-                generation = app.tables.generation()
-                recipe = cache.lookup((direction, key), generation)
-                if recipe is not None:
-                    fastpath = "hit"
-                    self.fastpath_hits.count(size)
-                    verdict = recipe.apply(packet, app, size)
-                else:
-                    fastpath = "miss"
-                    recipe = app.decide(packet, ctx)
-                    if recipe is not None:
-                        cache.insert((direction, key), recipe, generation)
-                        verdict = recipe.apply(packet, app, size)
-        if verdict is None:
-            verdict = app.process(packet, ctx)
-            if not isinstance(verdict, Verdict):
-                raise SimulationError(
-                    f"application {app.name!r} returned {verdict!r} "
-                    "instead of a Verdict"
-                )
-        self.processed.count(packet.wire_len)
-        self.verdict_counts[verdict] += 1
-        enqueue_ns = packet.meta.get("ppe_enqueue_ns", ctx.time_ns)
-        ppe_detail: dict[str, object] = {
-            "app": app.name,
-            "queue_depth": ctx.queue_depth,
-        }
-        if fastpath is not None:
-            ppe_detail["fastpath"] = fastpath
-        tracer.record(
-            packet,
-            "ppe",
-            f"ppe{self.device_id}",
-            enqueue_ns,
-            ctx.time_ns,
-            direction,
-            **ppe_detail,
+            if cache.hits != hits:
+                fastpath = "hit"
+            elif cache.misses != misses:
+                fastpath = "miss"
+        self._record_spans(
+            packet, before, result[0], direction, finish_ns, queue_depth, fastpath
         )
-        app_detail: dict[str, object] = {"verdict": verdict.value}
-        mutations = tracer.header_diff(before, packet)
-        if mutations:
-            app_detail["mutations"] = mutations
-        tracer.record(
-            packet,
-            "app",
-            app.name,
-            ctx.time_ns,
-            ctx.time_ns,
-            direction,
-            **app_detail,
-        )
-        return verdict, ctx.emitted
+        return result
 
     def snapshot(self) -> dict[str, object]:
-        """Structured counter snapshot (stable legacy dict layout)."""
-        stats: dict[str, object] = {
-            "processed": self.processed.snapshot(),
-            "overload_drops": self.overload_drops.snapshot(),
-            "verdicts": {v.value: n for v, n in self.verdict_counts.items()},
-            "latency_ns": self.latency_ns.snapshot(),
-        }
+        stats = super().snapshot()
         if self.flow_cache is not None:
             stats["flow_cache"] = self.flow_cache.snapshot()
             stats["fastpath_hits"] = self.fastpath_hits.snapshot()
-        if self.batch_size > 1:
-            stats["batch_size"] = self.batch_size
         if self.program is not None:
             stats["compiled"] = {
                 "bursts": self.compiled_bursts,
@@ -1297,33 +1310,9 @@ class PacketProcessingEngine:
             }
         return stats
 
-    def stats(self) -> dict[str, object]:
-        """Deprecated alias for :meth:`snapshot`."""
-        warn_deprecated(
-            "PacketProcessingEngine.stats()",
-            "PacketProcessingEngine.snapshot()",
-        )
-        return self.snapshot()
-
     def metric_values(self) -> dict[str, object]:
-        """Flat :class:`~repro.obs.registry.MetricSource` view.
-
-        Keys are prefixed with the application name, so registering an
-        engine under ``module0.ppe`` yields names like
-        ``module0.ppe.nat.overload_drops.packets``.
-        """
         prefix = self.app.name
-        values: dict[str, object] = {}
-        for group, counter in (
-            ("processed", self.processed),
-            ("overload_drops", self.overload_drops),
-        ):
-            for key, value in counter.metric_values().items():
-                values[f"{prefix}.{group}.{key}"] = value
-        for verdict, count in self.verdict_counts.items():
-            values[f"{prefix}.verdicts.{verdict.value}"] = count
-        for key, value in self.latency_ns.metric_values().items():
-            values[f"{prefix}.latency_ns.{key}"] = value
+        values = super().metric_values()
         if self.flow_cache is not None:
             for key, value in self.flow_cache.metric_values().items():
                 values[f"{prefix}.flow_cache.{key}"] = value
@@ -1336,5 +1325,4 @@ class PacketProcessingEngine:
             values[f"{prefix}.compiled.bursts"] = self.compiled_bursts
             values[f"{prefix}.compiled.recipe_frames"] = self.compiled_frames
             values[f"{prefix}.compiled.deopt_frames"] = self.compiled_deopts
-        values[f"{prefix}.batch_size"] = self.batch_size
         return values

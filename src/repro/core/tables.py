@@ -40,11 +40,11 @@ class Table(Generic[K, V]):
             self._on_mutate()
 
     def _pre_mutate(self) -> None:
-        """Fire the pre-mutation hook (batched PPE drain point).
+        """Fire the pre-mutation hook (fast-engine drain point).
 
-        "Atomic, runtime updates" happen *between* packets.  In the batched
+        "Atomic, runtime updates" happen *between* packets.  In the fast
         engine, frames whose virtual service already finished may still be
-        sitting unprocessed in the current batch; this hook lets the engine
+        sitting unprocessed in the current group; this hook lets the engine
         drain them against the pre-write table state, so a control-plane
         write never time-travels into decisions that virtually preceded it.
         Fires before any state change — a mutator that subsequently raises

@@ -1,177 +1,63 @@
-"""The typed engine API: one :class:`EngineConfig` instead of scattered knobs.
+"""The engine tier: one validated value with two members.
 
-Three engine tiers execute the same packet-processing semantics at
-different simulation speeds:
+Two engines execute the same packet-processing semantics at different
+simulation speeds:
 
 ``reference``
-    One frame per event through the un-batched PPE — the semantic
-    oracle every other tier is differential-tested against.
-``batched``
-    Reserve-at-submit batched execution (PR 2): frames are admitted to
-    the service timeline immediately and drained in bursts, bit-exact
-    with the reference engine by construction.
+    :class:`~repro.core.ppe.ReferenceEngine` — one frame per event through
+    a plain FIFO server with un-coalesced ports.  The semantic oracle the
+    fast engine is differential-tested against.
 ``compiled``
-    The batched machinery plus fused per-flow recipe programs compiled
-    from verified pipeline IR (:func:`repro.hls.compile_executor`) and a
-    struct-of-arrays burst lane through ports, sources, and the PPE — a
-    whole burst advances with a handful of Python-level operations.
-    Frames a recipe cannot handle deopt to the batched path one by one.
+    :class:`~repro.core.ppe.PacketProcessingEngine` — reserve-at-submit
+    service with grouped processing, a flow cache, fused per-flow recipe
+    programs compiled from verified pipeline IR
+    (:func:`repro.hls.compile_executor`) and a struct-of-arrays burst lane
+    through ports, sources, and the PPE.  Frames a recipe cannot handle
+    deopt to the exact per-frame arithmetic one by one, so results are
+    bit-identical to ``reference`` by construction.
 
-Historically the tier was implied by two scattered knobs (``fastpath``
-bool + ``batch_size`` int, each with its own env variable and CLI flag).
-:class:`EngineConfig` makes the tier a first-class, validated value that
-modules, switches, :class:`~repro.obs.scenario.ScenarioSpec`,
-``MatrixAxes`` and the CLI all accept; the legacy knobs survive as
-deprecation shims that resolve *through* this module, so both spellings
-pick the same engine.
+The tier is the only engine knob: modules, switches,
+:class:`~repro.obs.scenario.ScenarioSpec`, ``MatrixAxes`` and the CLI all
+take the tier name, and :func:`resolve_engine` is the one place a missing
+name falls back to ``FLEXSFP_ENGINE`` and then to ``reference``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ConfigError
 
-# Canonical engine names: the matrix axis vocabulary.
 ENGINE_REFERENCE = "reference"
-ENGINE_BATCHED = "batched"
 ENGINE_COMPILED = "compiled"
-ENGINES = (ENGINE_REFERENCE, ENGINE_BATCHED, ENGINE_COMPILED)
-
-# Batch size a ``batched``/``compiled`` tier runs unless overridden.
-DEFAULT_BATCHED_SIZE = 16
+ENGINES = (ENGINE_REFERENCE, ENGINE_COMPILED)
 
 
-def engine_name(batch_size: int | None) -> str:
-    """The engine a legacy batch size selects (``None``/1 → reference)."""
-    return ENGINE_BATCHED if batch_size is not None and batch_size > 1 else (
-        ENGINE_REFERENCE
-    )
+def validate_engine(engine: object) -> str:
+    """``engine`` if it names a tier; :class:`ConfigError` otherwise."""
+    if engine not in ENGINES:
+        raise ConfigError(f"unknown engine {engine!r}; known: {list(ENGINES)}")
+    return engine
 
 
-def engine_batch_size(engine: str, batched_size: int = DEFAULT_BATCHED_SIZE) -> int:
-    """The batch size that realizes a named engine."""
-    if engine == ENGINE_REFERENCE:
-        return 1
-    if engine in (ENGINE_BATCHED, ENGINE_COMPILED):
-        return batched_size
-    raise ConfigError(f"unknown engine {engine!r}; known: {list(ENGINES)}")
+def resolve_engine(engine: str | None = None, settings=None) -> str:
+    """The tier to run: ``engine``, else ``FLEXSFP_ENGINE``, else reference.
 
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """One validated engine selection: tier + the options it admits.
-
-    ``fastpath`` enables the flow cache (meaningful on every tier;
-    mandatory on ``compiled``, whose recipe programs *are* cached flow
-    decisions).  ``batch_size`` is the PPE burst size (exactly 1 on
-    ``reference``, > 1 on the batched tiers).  Construction validates
-    the combination, so an ``EngineConfig`` that exists is runnable.
+    An unknown name from either source raises
+    :class:`~repro.errors.ConfigError` — a stale ``FLEXSFP_ENGINE`` must
+    fail the run, not silently test the oracle against itself.
     """
+    if engine is None:
+        if settings is None:
+            from .config import get_settings
 
-    tier: str = ENGINE_REFERENCE
-    fastpath: bool = False
-    batch_size: int = 1
-
-    def __post_init__(self) -> None:
-        if self.tier not in ENGINES:
-            raise ConfigError(
-                f"unknown engine {self.tier!r}; known: {list(ENGINES)}"
-            )
-        if self.tier == ENGINE_REFERENCE:
-            if self.batch_size != 1:
-                raise ConfigError(
-                    "engine 'reference' processes one frame per event; "
-                    f"batch_size must be 1, got {self.batch_size}"
-                )
-        else:
-            if self.batch_size < 2:
-                raise ConfigError(
-                    f"engine {self.tier!r} needs batch_size >= 2, "
-                    f"got {self.batch_size}"
-                )
-        if self.tier == ENGINE_COMPILED and not self.fastpath:
-            raise ConfigError(
-                "engine 'compiled' fuses flow-cache recipes; "
-                "fastpath cannot be disabled"
-            )
-
-    @property
-    def compiled(self) -> bool:
-        return self.tier == ENGINE_COMPILED
-
-    @property
-    def batched(self) -> bool:
-        return self.batch_size > 1
-
-    def to_dict(self) -> dict:
-        return {
-            "tier": self.tier,
-            "fastpath": self.fastpath,
-            "batch_size": self.batch_size,
-        }
-
-
-def resolve_engine(
-    engine: "EngineConfig | str | None" = None,
-    fastpath: bool | None = None,
-    batch_size: int | None = None,
-    settings=None,
-) -> EngineConfig:
-    """Resolve an engine selection from new-style and legacy knobs.
-
-    Precedence: an explicit :class:`EngineConfig` wins outright; an
-    explicit tier name (argument, then ``FLEXSFP_ENGINE``) is filled in
-    with tier-appropriate defaults (``compiled`` implies fastpath;
-    batched tiers default to :data:`DEFAULT_BATCHED_SIZE` unless the
-    legacy batch knob names a burst size); with no tier named anywhere,
-    the legacy ``fastpath``/``batch_size`` knobs (arguments, then env)
-    select ``reference`` or ``batched`` exactly as before this API
-    existed.  Invalid combinations raise
-    :class:`~repro.errors.ConfigError` from ``EngineConfig`` itself.
-    """
-    if isinstance(engine, EngineConfig):
-        return engine
-    if settings is None:
-        from .config import get_settings
-
-        settings = get_settings()
-    tier = engine if engine is not None else settings.engine
-    if tier is None:
-        size = settings.batch_size if batch_size is None else batch_size
-        return EngineConfig(
-            tier=engine_name(size),
-            fastpath=settings.fastpath if fastpath is None else fastpath,
-            batch_size=max(1, size),
-        )
-    tier = str(tier)
-    if tier not in ENGINES:
-        raise ConfigError(f"unknown engine {tier!r}; known: {list(ENGINES)}")
-    if batch_size is not None:
-        size = batch_size
-    elif tier == ENGINE_REFERENCE:
-        size = 1
-    elif settings.batch_size > 1:
-        size = settings.batch_size
-    else:
-        size = DEFAULT_BATCHED_SIZE
-    if fastpath is not None:
-        cache = fastpath
-    elif tier == ENGINE_COMPILED:
-        cache = True
-    else:
-        cache = settings.fastpath
-    return EngineConfig(tier=tier, fastpath=cache, batch_size=size)
+            settings = get_settings()
+        engine = settings.engine
+    return ENGINE_REFERENCE if engine is None else validate_engine(engine)
 
 
 __all__ = [
-    "DEFAULT_BATCHED_SIZE",
     "ENGINES",
-    "ENGINE_BATCHED",
     "ENGINE_COMPILED",
     "ENGINE_REFERENCE",
-    "EngineConfig",
-    "engine_batch_size",
-    "engine_name",
     "resolve_engine",
+    "validate_engine",
 ]

@@ -18,7 +18,6 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, field
 
-from ..engine import EngineConfig
 from ..errors import ConfigError
 from ..fleet import FleetController
 from ..netem import CbrSource, LossyWire
@@ -195,9 +194,7 @@ def run_gauntlet(
     traffic_bps: float = 50e6,
     frame_len: int = 512,
     probe_interval_s: float = PROBE_INTERVAL_S,
-    fastpath: bool | None = None,
-    batch_size: int | None = None,
-    engine: "EngineConfig | str | None" = None,
+    engine: str | None = None,
     registry=None,
     tracer=None,
 ) -> GauntletResult:
@@ -245,8 +242,6 @@ def run_gauntlet(
         switch,
         retrofit_plan,
         auth_key=KEY,
-        fastpath=fastpath,
-        batch_size=batch_size,
         engine=engine,
     )
     module = retrofit.module_at(1)

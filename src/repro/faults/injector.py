@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .._util import warn_deprecated
 from ..errors import ConfigError
 from .plan import LINK_FAULTS, FaultEvent, FaultPlan
 
@@ -109,11 +108,6 @@ class FaultInjector:
         for _, event in self.applied:
             by_kind[event.kind] = by_kind.get(event.kind, 0) + 1
         return {"applied": len(self.applied), "by_kind": by_kind}
-
-    def stats(self) -> dict[str, object]:
-        """Deprecated alias for :meth:`snapshot`."""
-        warn_deprecated("FaultInjector.stats()", "FaultInjector.snapshot()")
-        return self.snapshot()
 
     def metric_values(self) -> dict[str, int]:
         """Flat :class:`~repro.obs.registry.MetricSource` view."""

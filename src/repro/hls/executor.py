@@ -1,6 +1,6 @@
 """Compile backend: lower verified pipeline IR into fused per-flow executors.
 
-The reference and batched engine tiers interpret an application per frame.
+The reference engine tier interprets an application per frame.
 The *compiled* tier instead asks this backend for a
 :class:`CompiledProgram`: a precomputed description of the application's
 per-flow mutation recipes that the

@@ -6,7 +6,6 @@ from .runner import (
     MatrixCell,
     MatrixResult,
     parse_axis_values,
-    parse_bool_axis,
     parse_int_axis,
     parse_optional_axis,
     run_matrix,
@@ -18,7 +17,6 @@ __all__ = [
     "MatrixCell",
     "MatrixResult",
     "parse_axis_values",
-    "parse_bool_axis",
     "parse_int_axis",
     "parse_optional_axis",
     "run_matrix",

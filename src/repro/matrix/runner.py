@@ -2,13 +2,13 @@
 
 A matrix run is the one-command differential oracle: take a base
 :class:`~repro.obs.scenario.ScenarioSpec`, expand it across
-engine × fastpath × shards × workers × device × fault-plan axes, run
+engine × shards × workers × device × fault-plan axes, run
 each cell through the supervised sharded runner, reduce each cell to a
 ``flexsfp.run/1`` artifact, and cross-diff every cell against the
 designated baseline cell with :func:`repro.artifact.diff_artifacts`.
-"Does the batched engine compute what the reference engine computes, at
+"Does the compiled engine compute what the reference engine computes, at
 every shard count" stops being a test file and becomes
-``flexsfp matrix --engines reference,batched --shards 1,4``.
+``flexsfp matrix --engines reference,compiled --shards 1,4``.
 
 Shard-count cells share their shard prefix (shard ``i`` always runs
 under the same derived seed), so the diff engine compares per-shard
@@ -22,15 +22,8 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Iterator
 
-from ..artifact import (
-    DEFAULT_BATCHED_SIZE,
-    ArtifactDiff,
-    RunArtifact,
-    diff_artifacts,
-    engine_batch_size,
-    engine_name,
-)
-from ..engine import ENGINE_COMPILED
+from ..artifact import ArtifactDiff, RunArtifact, diff_artifacts
+from ..engine import validate_engine
 from ..errors import ConfigError
 from ..obs.export import SCHEMA_MATRIX, json_document
 from ..obs.scenario import ScenarioSpec
@@ -47,17 +40,14 @@ class MatrixAxes:
     """
 
     engines: tuple[str, ...] = ("reference",)
-    fastpath: tuple[bool, ...] = (False,)
     shards: tuple[int, ...] = (1,)
     workers: tuple[int, ...] = (1,)
     devices: tuple[str | None, ...] = (None,)
     fault_plans: tuple[str | None, ...] = (None,)
-    batched_size: int = DEFAULT_BATCHED_SIZE
 
     def validate(self) -> None:
         for axis, values in (
             ("engines", self.engines),
-            ("fastpath", self.fastpath),
             ("shards", self.shards),
             ("workers", self.workers),
             ("devices", self.devices),
@@ -66,7 +56,7 @@ class MatrixAxes:
             if not values:
                 raise ConfigError(f"matrix axis {axis!r} must be non-empty")
         for engine in self.engines:
-            engine_batch_size(engine, self.batched_size)  # raises on unknown
+            validate_engine(engine)
         for count in self.shards:
             if count < 1:
                 raise ConfigError(f"shards axis values must be >= 1: {count}")
@@ -77,7 +67,6 @@ class MatrixAxes:
     def size(self) -> int:
         return (
             len(self.engines)
-            * len(self.fastpath)
             * len(self.shards)
             * len(self.workers)
             * len(self.devices)
@@ -89,35 +78,23 @@ class MatrixAxes:
 
         The first yielded cell is the default baseline, so axis ordering
         is part of the contract: engines vary slowest, fault plans
-        fastest.  The ``compiled`` engine *is* the fused fastpath, so a
-        ``fastpath`` axis collapses on it — compiled cells always run
-        fastpath-on and the resulting duplicates are emitted once.
+        fastest.
         """
         self.validate()
-        seen: set[CellConfig] = set()
-        for engine, fastpath, shards, workers, device, plan in itertools.product(
+        for engine, shards, workers, device, plan in itertools.product(
             self.engines,
-            self.fastpath,
             self.shards,
             self.workers,
             self.devices,
             self.fault_plans,
         ):
-            if engine == ENGINE_COMPILED:
-                fastpath = True
-            config = CellConfig(
+            yield CellConfig(
                 engine=engine,
-                fastpath=fastpath,
                 shards=shards,
                 workers=workers,
                 device=device,
                 fault_plan=plan,
-                batch_size=engine_batch_size(engine, self.batched_size),
             )
-            if config in seen:
-                continue
-            seen.add(config)
-            yield config
 
 
 @dataclass(frozen=True)
@@ -125,18 +102,15 @@ class CellConfig:
     """One matrix cell's knob assignment."""
 
     engine: str
-    fastpath: bool
     shards: int
     workers: int
     device: str | None
     fault_plan: str | None
-    batch_size: int
 
     @property
     def label(self) -> str:
         parts = [
             f"engine={self.engine}",
-            f"fastpath={'on' if self.fastpath else 'off'}",
             f"shards={self.shards}",
             f"workers={self.workers}",
         ]
@@ -150,8 +124,6 @@ class CellConfig:
         """The cell's concrete spec: base spec with this cell's knobs."""
         changes: dict[str, object] = {
             "engine": self.engine,
-            "fastpath": self.fastpath,
-            "batch_size": self.batch_size,
             "shards": self.shards,
         }
         if self.device is not None:
@@ -163,12 +135,10 @@ class CellConfig:
     def to_dict(self) -> dict:
         return {
             "engine": self.engine,
-            "fastpath": self.fastpath,
             "shards": self.shards,
             "workers": self.workers,
             "device": self.device,
             "fault_plan": self.fault_plan,
-            "batch_size": self.batch_size,
             "label": self.label,
         }
 
@@ -340,27 +310,6 @@ def parse_axis_values(raw: str, axis: str) -> tuple[str, ...]:
     return values
 
 
-def parse_bool_axis(raw: str, axis: str) -> tuple[bool, ...]:
-    """Parse an on/off axis like ``on,off`` into booleans."""
-    mapping = {
-        "on": True,
-        "off": False,
-        "true": True,
-        "false": False,
-        "1": True,
-        "0": False,
-    }
-    values = []
-    for token in parse_axis_values(raw, axis):
-        try:
-            values.append(mapping[token.lower()])
-        except KeyError:
-            raise ConfigError(
-                f"matrix axis {axis!r}: expected on/off, got {token!r}"
-            ) from None
-    return tuple(values)
-
-
 def parse_int_axis(raw: str, axis: str) -> tuple[int, ...]:
     """Parse a comma-separated integer axis like ``1,4``."""
     values = []
@@ -390,7 +339,6 @@ __all__ = [
     "MatrixCell",
     "MatrixResult",
     "parse_axis_values",
-    "parse_bool_axis",
     "parse_int_axis",
     "parse_optional_axis",
     "run_matrix",

@@ -11,7 +11,6 @@ the collected state as Prometheus text, JSON documents, or JSON Lines.
 from .export import (
     SCHEMA_BENCH_HISTORY,
     SCHEMA_DIFF,
-    SCHEMA_FLEET,
     SCHEMA_JOURNAL,
     SCHEMA_MATRIX,
     SCHEMA_METRICS,
@@ -39,9 +38,6 @@ from .scenario import (
     ScenarioRun,
     ScenarioSpec,
     TrafficProfile,
-    run_nat_chain,
-    run_nat_linerate,
-    run_scenario,
 )
 from .trace import (
     STAGE_APP,
@@ -64,7 +60,6 @@ __all__ = [
     "SCENARIO_KINDS",
     "SCHEMA_BENCH_HISTORY",
     "SCHEMA_DIFF",
-    "SCHEMA_FLEET",
     "SCHEMA_JOURNAL",
     "SCHEMA_MATRIX",
     "SCHEMA_METRICS",
@@ -88,9 +83,6 @@ __all__ = [
     "metrics_jsonl",
     "prometheus_name",
     "prometheus_text",
-    "run_nat_chain",
-    "run_nat_linerate",
-    "run_scenario",
     "table_json",
     "validate_metric_name",
 ]

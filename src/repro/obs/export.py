@@ -27,7 +27,6 @@ SCHEMA_METRICS = "flexsfp.metrics/1"
 SCHEMA_TABLE = "flexsfp.table/1"
 SCHEMA_TRACE = "flexsfp.trace/1"
 SCHEMA_PROFILE = "flexsfp.profile/1"
-SCHEMA_FLEET = "flexsfp.fleet/1"
 SCHEMA_JOURNAL = "flexsfp.journal/1"
 SCHEMA_RUN = "flexsfp.run/1"
 SCHEMA_MATRIX = "flexsfp.matrix/1"

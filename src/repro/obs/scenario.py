@@ -3,7 +3,7 @@
 One :class:`ScenarioSpec` describes a complete simulated workload — which
 scenario *kind* to build (NAT line-rate, chained NATs, the chaos
 gauntlet, a fleet upgrade campaign), the traffic profile, the target
-device, the fault plan, the fastpath/batching knobs, and how many
+device, the fault plan, the engine tier, and how many
 independent shards a fleet-scale run should split into.  ``spec.run()``
 executes one instance; ``spec.run_sharded(workers=K)`` fans the shards
 out across worker processes via :mod:`repro.parallel` and merges the
@@ -17,23 +17,20 @@ metrics`` / ``flexsfp trace`` / ``flexsfp run`` and the benchmark
 artifact export all drive these builders, so the numbers a CI artifact
 carries and the ones a test asserts on come from the identical code
 path.
-
-The legacy ``run_scenario(name, **kwargs)`` string-dispatch entry point
-survives as a deprecation shim that builds a spec and forwards to it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable
 
-from .._util import warn_deprecated
 from ..apps import StaticNat, create_app
-from ..config import Settings, get_settings
+from ..config import Settings
 from ..core.module import FlexSFPModule
-from ..engine import ENGINES, EngineConfig, resolve_engine
+from ..core.ppe import BURST_FRAMES
+from ..engine import ENGINE_COMPILED, resolve_engine, validate_engine
 from ..errors import ConfigError
 from ..fpga import get_device
 from ..netem import CbrSource
@@ -92,15 +89,11 @@ NFV_KINDS = ("nfv-chain", "tenant-churn")
 class ScenarioSpec:
     """A complete, typed description of one simulated workload.
 
-    ``engine`` names the execution tier (``reference`` / ``batched`` /
-    ``compiled``); ``fastpath`` / ``batch_size`` are its options.  Any of
-    the three left as ``None`` resolves from :class:`~repro.config.Settings`
-    (the ``FLEXSFP_ENGINE`` / ``FLEXSFP_FASTPATH`` / ``FLEXSFP_BATCH``
-    environment knobs) exactly once, in :meth:`resolved` — a sharded run
-    resolves in the parent so every worker executes the same knobs
-    regardless of its own environment.  A resolved spec carries the full
-    :class:`~repro.engine.EngineConfig` field set; :meth:`engine_config`
-    returns it as one typed value.
+    ``engine`` names the execution tier (``reference`` / ``compiled``).
+    Left as ``None`` it resolves from :class:`~repro.config.Settings`
+    (``FLEXSFP_ENGINE``) exactly once, in :meth:`resolved` — a sharded run
+    resolves in the parent so every worker executes the same tier
+    regardless of its own environment.
 
     ``seed`` is the *root* seed: shard ``i`` of a sharded run derives its
     own seed from it (see :func:`repro.parallel.derive_shard_seed`), so
@@ -113,8 +106,6 @@ class ScenarioSpec:
     device: str = "MPF200T"
     fault_plan: str | None = None
     seed: int = 1
-    fastpath: bool | None = None
-    batch_size: int | None = None
     engine: str | None = None
     trace_packets: int | None = None
     profile: bool = False
@@ -135,12 +126,8 @@ class ScenarioSpec:
             self.traffic.validate()
         if self.shards < 1:
             raise ConfigError(f"shards must be >= 1: {self.shards}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1: {self.batch_size}")
-        if self.engine is not None and self.engine not in ENGINES:
-            raise ConfigError(
-                f"unknown engine {self.engine!r}; known: {list(ENGINES)}"
-            )
+        if self.engine is not None:
+            validate_engine(self.engine)
         if self.trace_packets is not None and self.trace_packets < 0:
             raise ConfigError(
                 f"trace_packets must be >= 0: {self.trace_packets}"
@@ -165,31 +152,16 @@ class ScenarioSpec:
     def resolved(self, settings: Settings | None = None) -> "ScenarioSpec":
         """A copy with every ``None`` knob filled in (env resolved once)."""
         self.validate()
-        if settings is None:
-            settings = get_settings()
         changes: dict[str, object] = {}
         if self.traffic is None:
             changes["traffic"] = _KIND_TRAFFIC[self.kind]
-        config = resolve_engine(
-            self.engine, self.fastpath, self.batch_size, settings=settings
-        )
-        if self.engine != config.tier:
-            changes["engine"] = config.tier
-        if self.fastpath != config.fastpath:
-            changes["fastpath"] = config.fastpath
-        if self.batch_size != config.batch_size:
-            changes["batch_size"] = config.batch_size
+        if self.engine is None:
+            changes["engine"] = resolve_engine(None, settings)
         if self.kind == "chaos" and self.fault_plan is None:
             changes["fault_plan"] = "smoke"
         if self.kind in NFV_KINDS and not self.tenants:
             changes["tenants"] = default_nfv_tenants()
         return replace(self, **changes) if changes else self
-
-    def engine_config(self, settings: Settings | None = None) -> EngineConfig:
-        """The spec's engine selection as one typed, validated value."""
-        return resolve_engine(
-            self.engine, self.fastpath, self.batch_size, settings=settings
-        )
 
     def with_shard(self, index: int, seed: int) -> "ScenarioSpec":
         """The spec for one shard: its derived seed, shard-count 1."""
@@ -227,6 +199,12 @@ class ScenarioSpec:
     @classmethod
     def from_dict(cls, payload: dict) -> "ScenarioSpec":
         data = dict(payload)
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            # Fail closed: a pre-2.0 payload (``fastpath``/``batch_size``)
+            # must not resume or replay as if its knobs still meant
+            # something.
+            raise ConfigError(f"unknown scenario spec field(s): {unknown}")
         traffic = data.get("traffic")
         if isinstance(traffic, dict):
             data["traffic"] = TrafficProfile(**traffic)
@@ -333,8 +311,7 @@ def _build_nat(spec: ScenarioSpec, module_count: int) -> ScenarioRun:
     registry.register_value("sim.events", lambda: sim.events_processed)
 
     device = get_device(spec.device)
-    config = spec.engine_config()
-    batch_size = config.batch_size
+    compiled = spec.engine == ENGINE_COMPILED
     modules: list[FlexSFPModule] = []
     previous_port: Port | None = None
     for index in range(module_count):
@@ -344,7 +321,7 @@ def _build_nat(spec: ScenarioSpec, module_count: int) -> ScenarioRun:
             Deployment.solo(_make_app(spec, index), device=device),
             auth_key=SCENARIO_KEY,
             device_id=index,
-            engine=config,
+            engine=spec.engine,
         )
         module.register_metrics(registry)
         if tracer is not None:
@@ -358,11 +335,11 @@ def _build_nat(spec: ScenarioSpec, module_count: int) -> ScenarioRun:
 
     host = Port(
         sim, "host", rate_bps=traffic.rate_bps, queue_bytes=1 << 22,
-        coalesce=batch_size > 1,
+        coalesce=compiled,
     )
     fiber = Port(
         sim, "fiber", rate_bps=traffic.rate_bps, queue_bytes=1 << 22,
-        batch_rx=batch_size > 1,
+        batch_rx=compiled,
     )
     connect(host, modules[0].edge_port)
     connect(previous_port, fiber)
@@ -379,10 +356,10 @@ def _build_nat(spec: ScenarioSpec, module_count: int) -> ScenarioRun:
         frame_len=traffic.frame_len,
         stop=traffic.duration_s,
         factory=lambda index, size: template.copy(),
-        burst=batch_size if batch_size > 1 else 1,
+        burst=BURST_FRAMES if compiled else 1,
         # The compiled tier moves whole bursts as template + time vector;
         # the factory above is index-independent, as that mode requires.
-        template_burst=config.compiled,
+        template_burst=compiled,
     )
     sim.run(until=traffic.duration_s + 0.1e-3)
     summary = {
@@ -419,7 +396,7 @@ def _build_chaos(spec: ScenarioSpec) -> ScenarioRun:
         duration_s=traffic.duration_s,
         traffic_bps=traffic.rate_bps,
         frame_len=traffic.frame_len,
-        engine=spec.engine_config(),
+        engine=spec.engine,
         registry=registry,
         tracer=tracer,
     )
@@ -471,7 +448,7 @@ def _build_fleet_upgrade(spec: ScenarioSpec) -> ScenarioRun:
         switch,
         plan,
         auth_key=SCENARIO_KEY,
-        engine=spec.engine_config(),
+        engine=spec.engine,
     )
     retrofit.register_metrics(registry)
     registry.register("switch", switch)
@@ -600,8 +577,7 @@ def _build_nfv(spec: ScenarioSpec, churn: bool) -> ScenarioRun:
     registry.register_value("sim.events", lambda: sim.events_processed)
 
     device = get_device(spec.device)
-    config = spec.engine_config()
-    batch_size = config.batch_size
+    compiled = spec.engine == ENGINE_COMPILED
     deployment = Deployment.from_dicts(spec.tenants, device=device)
     module = FlexSFPModule(
         sim,
@@ -609,7 +585,7 @@ def _build_nfv(spec: ScenarioSpec, churn: bool) -> ScenarioRun:
         deployment,
         auth_key=SCENARIO_KEY,
         device_id=0,
-        engine=config,
+        engine=spec.engine,
     )
     module.register_metrics(registry)
     if tracer is not None:
@@ -618,11 +594,11 @@ def _build_nfv(spec: ScenarioSpec, churn: bool) -> ScenarioRun:
 
     host = Port(
         sim, "host", rate_bps=traffic.rate_bps, queue_bytes=1 << 22,
-        coalesce=batch_size > 1,
+        coalesce=compiled,
     )
     fiber = Port(
         sim, "fiber", rate_bps=traffic.rate_bps, queue_bytes=1 << 22,
-        batch_rx=batch_size > 1,
+        batch_rx=compiled,
     )
     connect(host, module.edge_port)
     connect(module.line_port, fiber)
@@ -652,7 +628,7 @@ def _build_nfv(spec: ScenarioSpec, churn: bool) -> ScenarioRun:
         frame_len=traffic.frame_len,
         stop=traffic.duration_s,
         factory=lambda index, size: templates[index % len(templates)].copy(),
-        burst=batch_size if batch_size > 1 else 1,
+        burst=BURST_FRAMES if compiled else 1,
         template_burst=False,
     )
 
@@ -667,10 +643,10 @@ def _build_nfv(spec: ScenarioSpec, churn: bool) -> ScenarioRun:
         )
 
     # Drain tail sized to the worst-case coalescing window: at low line
-    # rates a batched host port still holds whole frame groups when the
+    # rates a coalescing host port still holds whole frame groups when the
     # sources stop, and every engine must fully drain before the metrics
     # cutoff for the cross-engine bit-identity contract to hold.  The
-    # tail is engine-*invariant* (a fixed frame budget, not batch_size)
+    # tail is engine-*invariant* (a fixed frame budget, not the burst size)
     # so all tiers observe the identical horizon.
     drain_s = max(0.1e-3, 1024 * traffic.frame_len * 8 / traffic.rate_bps)
     sim.run(until=traffic.duration_s + drain_s)
@@ -715,7 +691,7 @@ def _build_tenant_churn(spec: ScenarioSpec) -> ScenarioRun:
 
 
 # ----------------------------------------------------------------------
-# Registry of scenario kinds + legacy entry points
+# Registry of scenario kinds
 # ----------------------------------------------------------------------
 SCENARIO_KINDS: dict[str, Callable[[ScenarioSpec], ScenarioRun]] = {
     "nat-linerate": _build_nat_linerate,
@@ -726,44 +702,5 @@ SCENARIO_KINDS: dict[str, Callable[[ScenarioSpec], ScenarioRun]] = {
     "tenant-churn": _build_tenant_churn,
 }
 
-
-def _legacy_spec(name: str, **kwargs) -> ScenarioSpec:
-    """Map the old ``run_scenario`` keyword surface onto a spec."""
-    traffic_kwargs = {}
-    for key, target in (
-        ("duration_s", "duration_s"),
-        ("rate_bps", "rate_bps"),
-        ("frame_len", "frame_len"),
-    ):
-        if key in kwargs:
-            traffic_kwargs[target] = kwargs.pop(key)
-    traffic = (
-        replace(_KIND_TRAFFIC.get(name, TrafficProfile()), **traffic_kwargs)
-        if traffic_kwargs
-        else None
-    )
-    spec = ScenarioSpec(kind=name, traffic=traffic, **kwargs)
-    spec.validate()
-    return spec
-
-
-def run_nat_linerate(**kwargs) -> ScenarioRun:
-    """The §5.1 quick NAT line-rate config, fully instrumented."""
-    return _legacy_spec("nat-linerate", **kwargs).run()
-
-
-def run_nat_chain(**kwargs) -> ScenarioRun:
-    """Two chained NAT modules — the trace demo for multi-hop cables."""
-    return _legacy_spec("nat-chain", **kwargs).run()
-
-
-SCENARIOS = {
-    "nat-linerate": run_nat_linerate,
-    "nat-chain": run_nat_chain,
-}
-
-
-def run_scenario(name: str, **kwargs) -> ScenarioRun:
-    """Deprecated string-dispatch shim; use :meth:`ScenarioSpec.run`."""
-    warn_deprecated("run_scenario()", "ScenarioSpec(kind=...).run()")
-    return _legacy_spec(name, **kwargs).run()
+#: The kinds ``flexsfp metrics`` / ``flexsfp trace`` offer as ``--scenario``.
+SCENARIOS = ("nat-linerate", "nat-chain")

@@ -46,9 +46,10 @@ class MergeKind(str, Enum):
 
 
 # Leaves that are configuration/identity gauges, not additive counters:
-# summing ``boot_slot`` across shards would manufacture nonsense.
+# summing ``boot_slot`` (or a module's ``tenants`` count) across shards
+# would manufacture nonsense.
 _EQUAL_LEAVES = frozenset(
-    {"boot_slot", "capacity", "size", "limit", "batch_size", "generation", "seq"}
+    {"boot_slot", "capacity", "size", "limit", "tenants", "generation", "seq"}
 )
 # Float leaves are never merged; these are the common offenders, listed
 # here purely for documentation/tests — classification keys on type.

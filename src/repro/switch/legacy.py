@@ -11,7 +11,6 @@ drop-in upgrade story.
 
 from __future__ import annotations
 
-from .._util import warn_deprecated
 from ..core.module import FlexSFPModule
 from ..errors import ConfigError, SimulationError
 from ..packet import Packet
@@ -151,11 +150,6 @@ class LegacySwitch:
                 i for i, cage in enumerate(self.cages) if cage.module is not None
             ],
         }
-
-    def stats(self) -> dict[str, object]:
-        """Deprecated alias for :meth:`snapshot`."""
-        warn_deprecated("LegacySwitch.stats()", "LegacySwitch.snapshot()")
-        return self.snapshot()
 
     def metric_values(self) -> dict[str, object]:
         """Flat :class:`~repro.obs.registry.MetricSource` view."""

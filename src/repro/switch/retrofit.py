@@ -10,11 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .._util import warn_deprecated
 from ..apps import create_app
 from ..core.module import FlexSFPModule
 from ..core.shells import ShellKind, ShellSpec
-from ..engine import EngineConfig
 from ..errors import ConfigError
 from ..nfv import Deployment
 from ..sim.engine import Simulator
@@ -66,11 +64,6 @@ class RetrofitResult:
         """Per-port module snapshots (stable legacy dict layout)."""
         return {port: module.snapshot() for port, module in self.modules.items()}
 
-    def stats(self) -> dict[int, dict]:
-        """Deprecated alias for :meth:`snapshot`."""
-        warn_deprecated("RetrofitResult.stats()", "RetrofitResult.snapshot()")
-        return self.snapshot()
-
     def register_metrics(self, registry) -> None:
         """Publish every deployed module into a registry."""
         for module in self.modules.values():
@@ -82,19 +75,14 @@ def apply_retrofit(
     switch: LegacySwitch,
     plan: RetrofitPlan,
     auth_key: bytes = b"flexsfp-mgmt-key",
-    fastpath: bool | None = None,
-    batch_size: int | None = None,
-    engine: "EngineConfig | str | None" = None,
+    engine: str | None = None,
 ) -> RetrofitResult:
     """Build and seat one FlexSFP per planned port.
 
     Ports must not have external cables connected yet (modules go into the
     cages first, then cables plug into the modules' optical sides).
-    ``engine`` (an :class:`~repro.engine.EngineConfig` or tier name) is
-    forwarded to every module; the legacy ``fastpath``/``batch_size``
-    knobs survive for callers that have not migrated (None keeps the
-    :class:`~repro.config.Settings` environment defaults) but conflict
-    with an explicit ``engine``.
+    ``engine`` (a tier name; ``None`` keeps the ``FLEXSFP_ENGINE``
+    default) is forwarded to every module.
     """
     modules: dict[int, FlexSFPModule] = {}
     for port_index, policy in sorted(plan.policies.items()):
@@ -114,8 +102,6 @@ def apply_retrofit(
             # Unique per-port management address so a fleet controller can
             # target each module individually through the switch.
             mgmt_mac=f"02:f5:f9:00:01:{port_index + 1:02x}",
-            fastpath=fastpath,
-            batch_size=batch_size,
             engine=engine,
         )
         switch.insert_flexsfp(port_index, module)

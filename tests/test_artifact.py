@@ -7,47 +7,31 @@ import json
 import pytest
 
 from repro.artifact import (
-    DEFAULT_BATCHED_SIZE,
     RunArtifact,
     artifact_from_bench,
     artifact_from_scenario_run,
     diff_artifacts,
-    engine_batch_size,
-    engine_name,
     environment_fingerprint,
-    fleet_view,
     load_artifact,
     spec_digest_of,
 )
+from repro.engine import validate_engine
 from repro.errors import ConfigError
-from repro.obs.export import SCHEMA_FLEET, json_document
+from repro.obs.export import json_document
 from repro.obs.scenario import ScenarioSpec
 from repro.parallel.runner import run_sharded
 
 
 @pytest.fixture(scope="module")
 def fleet_artifact() -> RunArtifact:
-    spec = ScenarioSpec(
-        kind="nat-linerate", seed=5, shards=2, fastpath=False, batch_size=1
-    )
+    spec = ScenarioSpec(kind="nat-linerate", seed=5, shards=2, engine="reference")
     return run_sharded(spec, workers=1).to_artifact()
 
 
 class TestEngineNames:
-    def test_engine_name_from_batch_size(self):
-        assert engine_name(None) == "reference"
-        assert engine_name(1) == "reference"
-        assert engine_name(2) == "batched"
-        assert engine_name(16) == "batched"
-
-    def test_engine_batch_size_round_trips(self):
-        assert engine_batch_size("reference") == 1
-        assert engine_batch_size("batched") == DEFAULT_BATCHED_SIZE
-        assert engine_batch_size("batched", 8) == 8
-
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigError, match="unknown engine"):
-            engine_batch_size("turbo")
+            validate_engine("turbo")
 
 
 class TestSpecDigest:
@@ -81,10 +65,9 @@ class TestRunArtifact:
     def test_knobs_reflect_spec(self, fleet_artifact):
         knobs = fleet_artifact.knobs
         assert knobs["engine"] == "reference"
-        assert knobs["batch_size"] == 1
         assert knobs["shards"] == 2
-        assert knobs["fastpath"] is False
         assert knobs["device"] == "MPF200T"
+        assert not {"engine_config", "fastpath", "batch_size"} & set(knobs)
 
     def test_normalized_blanks_only_volatile_sections(self, fleet_artifact):
         normalized = fleet_artifact.normalized()
@@ -127,7 +110,7 @@ class TestRunArtifact:
 class TestScenarioRunBuilder:
     def test_chaos_scenario_artifact(self):
         run = ScenarioSpec(
-            kind="chaos", fault_plan="smoke", seed=7, fastpath=False, batch_size=1
+            kind="chaos", fault_plan="smoke", seed=7, engine="reference"
         ).resolved().run()
         artifact = artifact_from_scenario_run(
             run, source="chaos-gauntlet", findings=[{"kind": "optical_cut"}]
@@ -143,7 +126,7 @@ class TestScenarioRunBuilder:
 
     def test_scenario_artifact_spec_digest_is_stable(self):
         spec = ScenarioSpec(
-            kind="chaos", fault_plan="smoke", seed=7, fastpath=False, batch_size=1
+            kind="chaos", fault_plan="smoke", seed=7, engine="reference"
         )
         first = artifact_from_scenario_run(spec.resolved().run(), source="x")
         second = artifact_from_scenario_run(spec.resolved().run(), source="x")
@@ -157,13 +140,13 @@ class TestBenchBuilder:
             "e2e_nat_linerate",
             metrics={"sim_pps": 123456.0, "delivered.packets": 99},
             seed=1,
-            knobs={"fastpath": True, "batch_size": 16},
+            knobs={"engine": "compiled"},
             summary={"speedup": 3.4},
             wall_s=1.25,
         )
         assert artifact.source == "bench:e2e_nat_linerate"
         assert artifact.spec["kind"] == "bench:e2e_nat_linerate"
-        assert artifact.knobs["engine"] == "batched"
+        assert artifact.knobs["engine"] == "compiled"
         assert artifact.timings == {"wall_s": 1.25}
         assert artifact.completeness["ok"] is True
 
@@ -182,18 +165,15 @@ class TestLoadArtifact:
         loaded = load_artifact(path)
         assert diff_artifacts(loaded, fleet_artifact).identical
 
-    def test_load_upgrades_legacy_fleet_document(self, tmp_path):
-        spec = ScenarioSpec(
-            kind="nat-linerate", seed=5, shards=2, fastpath=False, batch_size=1
-        )
-        result = run_sharded(spec, workers=1)
+    def test_load_rejects_fleet_document(self, fleet_artifact, tmp_path):
+        # The pre-2.0 flexsfp.fleet/1 shape is no longer upgraded in place.
         legacy = tmp_path / "fleet.json"
-        legacy.write_text(json_document(SCHEMA_FLEET, **result.to_dict()) + "\n")
-        upgraded = load_artifact(legacy)
-        assert upgraded.source == "flexsfp.fleet/1"
-        # The upgraded view is semantically identical to the native one.
-        diff = diff_artifacts(upgraded, result.to_artifact())
-        assert not diff.diverged
+        legacy.write_text(
+            json_document("flexsfp.fleet/1", spec=fleet_artifact.spec, shards=[])
+            + "\n"
+        )
+        with pytest.raises(ConfigError, match="flexsfp.fleet/1"):
+            load_artifact(legacy)
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="does not exist"):
@@ -204,13 +184,3 @@ class TestLoadArtifact:
         bad.write_text("{truncated")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_artifact(bad)
-
-
-class TestLegacyFleetView:
-    def test_fleet_view_shape_and_deprecation(self, fleet_artifact):
-        with pytest.warns(DeprecationWarning, match="fleet_view"):
-            view = fleet_view(fleet_artifact)
-        assert view["schema"] == SCHEMA_FLEET
-        assert view["merged_metrics"] == fleet_artifact.metrics
-        assert view["digests"] == list(fleet_artifact.digests)
-        assert len(view["shards"]) == len(fleet_artifact.shards)

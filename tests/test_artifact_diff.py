@@ -22,7 +22,7 @@ def make_doc(**overrides) -> dict:
         "spec": {"kind": "nat-linerate", "seed": 1, "shards": 1},
         "spec_digest": "d" * 64,
         "seed": 1,
-        "knobs": {"engine": "reference", "batch_size": 1, "shards": 1},
+        "knobs": {"engine": "reference", "shards": 1},
         "metrics": {"fiber.rx.packets": 100, "module0.ppe.nat.drops": 0},
         "histograms": {
             "module0.ppe.nat.latency_ns": {"bounds": [1, 2], "counts": [5, 0]}
@@ -79,7 +79,8 @@ class TestSemanticClassification:
             "fleet.supervisor.retries",
             "module0.ppe.nat.flow_cache.hits",
             "module0.ppe.nat.fastpath_hits.packets",
-            "module0.ppe.nat.batch_size",
+            "module0.ppe.nat.compiled.deopt_frames",
+            "module0.tenant.scrub.engine",
         ],
     )
     def test_nonsemantic_names(self, name):

@@ -35,7 +35,7 @@ metric_names = st.sampled_from(
         # Deliberately include non-semantic names so diffs mix kinds.
         "sim.events",
         "module0.ppe.nat.flow_cache.hits",
-        "module0.ppe.nat.batch_size",
+        "module0.tenant.scrub.engine",
         "sim.profile.Simulator.wall_s",
     ]
 )
@@ -96,7 +96,7 @@ def artifacts(draw):
         spec=spec,
         spec_digest=spec_digest_of(spec),
         seed=spec["seed"],
-        knobs={"engine": "reference", "batch_size": 1, "shards": len(shards)},
+        knobs={"engine": "reference", "shards": len(shards)},
         metrics=draw(metrics_dicts),
         histograms=draw(histogram_states),
         shards=tuple(shards),
@@ -187,7 +187,7 @@ def test_volatile_sections_never_diverge(artifact, wall):
 # ----------------------------------------------------------------------
 spec_payloads = st.dictionaries(
     st.sampled_from(
-        ["kind", "seed", "shards", "fastpath", "batch_size", "device", "app"]
+        ["kind", "seed", "shards", "engine", "fault_plan", "device", "app"]
     ),
     st.one_of(
         st.integers(0, 100), st.booleans(), st.sampled_from(["nat", "chaos", None])
@@ -237,4 +237,4 @@ def test_ordinary_dotted_names_are_semantic(stem, leaf):
 def test_strategy_counters_never_semantic(stem):
     assert not is_semantic_metric(f"{stem}.flow_cache.hits")
     assert not is_semantic_metric(f"{stem}.fastpath_hits.packets")
-    assert not is_semantic_metric(f"{stem}.batch_size")
+    assert not is_semantic_metric(f"{stem}.compiled.recipe_frames")

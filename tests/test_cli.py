@@ -169,14 +169,11 @@ class TestJsonOutput:
         assert doc["summary"]["packets_sent"] > 0
 
     def test_chaos_json_legacy_table(self, capsys):
-        code, doc = run_json(
-            capsys, "chaos", "smoke", "--seed", "3", "--legacy-table"
-        )
-        assert code == 0
-        assert doc["schema"] == "flexsfp.table/1"
-        assert doc["plan"] == "smoke" and doc["seed"] == 3
-        assert doc["events"], "fault plan events missing"
-        assert doc["result"]["packets_sent"] > 0
+        # 2.0: the flexsfp.table/1 shape of a chaos run is gone with its flag.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["chaos", "smoke", "--seed", "3", "--json", "--legacy-table"])
+        assert exit_info.value.code == 2
+        assert "--legacy-table" in capsys.readouterr().err
 
     def test_metrics_json(self, capsys):
         code, doc = run_json(capsys, "metrics")
@@ -230,14 +227,11 @@ class TestRunSubcommand:
         assert "module0.ppe.nat.latency_ns" in doc["histograms"]
 
     def test_run_json_legacy_fleet(self, capsys):
-        code, doc = run_json(
-            capsys, "run", "--scenario", "nat-linerate", "--shards", "2",
-            "--workers", "1", "--seed", "3", "--legacy-fleet",
-        )
-        assert code == 0
-        assert doc["schema"] == "flexsfp.fleet/1"
-        assert doc["digests"] == [s["digest"] for s in doc["shards"]]
-        assert doc["merged_metrics"]["fiber.rx.packets"] > 0
+        # 2.0: flexsfp.fleet/1 output is gone with its flag.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--scenario", "nat-linerate", "--json", "--legacy-fleet"])
+        assert exit_info.value.code == 2
+        assert "--legacy-fleet" in capsys.readouterr().err
 
     def test_run_text_table(self, capsys):
         code, out, _ = run(
@@ -380,6 +374,30 @@ class TestSupervisedRun:
         ]
         assert resumed["metrics"] == clean["metrics"]
 
+    def test_resume_rejects_pre_2_0_journal(self, capsys, tmp_path):
+        # A journal bound to a spec that still carries the removed knobs
+        # must not resume as if they meant nothing: typed error, exit 2.
+        journal = tmp_path / "campaign.jsonl"
+        code, _ = run_json(
+            capsys, "run", "--scenario", "nat-linerate", "--shards", "1",
+            "--workers", "1", "--checkpoint", str(journal),
+        )
+        assert code == 0
+        header, *records = journal.read_text().splitlines()
+        header = json.loads(header)
+        header["spec"].update(fastpath=True, batch_size=16)
+        journal.write_text("\n".join([json.dumps(header), *records]) + "\n")
+        code, out, err = run(capsys, "run", "--resume", str(journal))
+        assert code == 2
+        assert "fastpath" in err and "Traceback" not in err
+
+    def test_diff_rejects_fleet_document(self, capsys, tmp_path):
+        legacy = tmp_path / "fleet.json"
+        legacy.write_text(json.dumps({"schema": "flexsfp.fleet/1", "shards": []}))
+        code, _, err = run(capsys, "diff", str(legacy), str(legacy))
+        assert code == 2
+        assert "flexsfp.fleet/1" in err and "Traceback" not in err
+
 
 class TestDeprecationGate:
     def test_metrics_clean_path_passes(self, capsys):
@@ -388,13 +406,14 @@ class TestDeprecationGate:
         assert "flexsfp_module0_ppe_nat_processed_packets" in out
 
     def test_metrics_gate_fails_on_deprecated_call(self, capsys, monkeypatch):
+        import warnings
+
         import repro.cli as cli_module
-        from repro._util import warn_deprecated
         from repro.obs import ScenarioSpec
 
         class NoisySpec(ScenarioSpec):
             def run(self):
-                warn_deprecated("stats()", "metric_values()")
+                warnings.warn("stats() is deprecated", DeprecationWarning)
                 return super().run()
 
         monkeypatch.setattr(cli_module, "ScenarioSpec", NoisySpec)
@@ -404,13 +423,14 @@ class TestDeprecationGate:
         assert "1 deprecated call(s)" in err
 
     def test_without_gate_deprecated_calls_tolerated(self, capsys, monkeypatch):
+        import warnings
+
         import repro.cli as cli_module
-        from repro._util import warn_deprecated
         from repro.obs import ScenarioSpec
 
         class NoisySpec(ScenarioSpec):
             def run(self):
-                warn_deprecated("stats()", "metric_values()")
+                warnings.warn("stats() is deprecated", DeprecationWarning)
                 return super().run()
 
         monkeypatch.setattr(cli_module, "ScenarioSpec", NoisySpec)

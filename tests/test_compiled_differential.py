@@ -6,7 +6,11 @@ the struct-of-arrays lane must change *nothing* about the simulated
 results — verdict counts, functional application counters, drop counts,
 delivered bytes, and the per-frame latency distribution stay bit-identical
 to the reference per-frame engine.  This suite drives every registered
-application through both engines and compares, then pins the deopt paths:
+application through both engines under three ingress shapes — a seeded
+IMIX delivered in coalesced flushes (flow cache, grouped processing), the
+same IMIX one frame per event (``test_fastpath_differential.py`` holds
+those cases under their historical names), and template bursts of
+same-flow CBR (the fused lane) — and compares, then pins the deopt paths:
 a non-fusible application, a tracer attachment, per-frame arrivals
 interleaved into the burst lane, and a control-plane table write mid-run.
 """
@@ -17,7 +21,7 @@ import pytest
 
 from repro.apps import APP_FACTORIES, StaticNat, create_app
 from repro.core import FlexSFPModule
-from repro.engine import EngineConfig
+from repro.core.ppe import BURST_FRAMES
 from repro.netem import CbrSource, ImixSource
 from repro.packet import make_dns_query, make_tcp, make_udp, make_udp6
 from repro.sim import Port, Simulator, connect
@@ -27,7 +31,6 @@ KEY = b"compiled-differential-key"
 RUN_S = 0.3e-3
 RATE_BPS = 5e9
 SEED = 7
-BATCH = 16
 
 # Applications the effect analysis proves fusible AND that implement the
 # runtime hooks their proven lane needs (flow_key/decide for pure
@@ -43,12 +46,25 @@ FUSIBLE_APPS = {
     "vlan",
 }
 
+# Applications whose ``decide`` produces cacheable recipes for plain IPv4
+# traffic; for these the IMIX run must also record flow-cache hits
+# (otherwise the differential would pass vacuously with the cache never
+# engaged).
+CACHED_APPS = {"nat", "firewall", "loadbalancer", "dnsfilter"}
+
 SRC_IPS = [f"10.0.0.{i}" for i in range(1, 9)]
 DST_IPS = [f"203.0.113.{i}" for i in range(1, 5)]
 
 
 def make_imix_factory(seed: int):
-    """Seeded mixed-traffic factory (same flow pool as the fastpath suite)."""
+    """Seeded mixed-traffic factory: a small flow pool with repeats.
+
+    Eight sources times four destinations gives 32 flows, so the IMIX
+    stream revisits flows often enough for real cache hits while still
+    exercising insertion and lookup across many keys.  The RNG is local
+    to the factory, so two runs built with the same seed emit identical
+    packet sequences regardless of engine.
+    """
     rng = random.Random(seed)
 
     def factory(index: int, frame_len: int) -> object:
@@ -71,18 +87,27 @@ def make_imix_factory(seed: int):
     return factory
 
 
-def build_module(sim: Simulator, name: str, engine) -> tuple:
+def build_module(sim: Simulator, name: str, engine, coalesce: bool = True) -> tuple:
+    """Module + host + fiber; ``coalesce=False`` keeps the host port
+    per-event even on the compiled tier (a legacy switch upstream)."""
     app = create_app(name)
     if name == "nat":
         for src in SRC_IPS:
             app.add_mapping(src, src.replace("10.0.0.", "198.51.100."))
     module = FlexSFPModule(sim, "dut", Deployment.solo(app), auth_key=KEY, engine=engine)
-    batched = module.batch_size > 1
-    host = Port(sim, "host", 10e9, queue_bytes=1 << 20, coalesce=batched)
-    fiber = Port(sim, "fiber", 10e9, queue_bytes=1 << 20, batch_rx=batched)
+    compiled = module.engine == "compiled"
+    host = Port(
+        sim, "host", 10e9, queue_bytes=1 << 20, coalesce=compiled and coalesce
+    )
+    fiber = Port(sim, "fiber", 10e9, queue_bytes=1 << 20, batch_rx=compiled)
     connect(host, module.edge_port)
     connect(module.line_port, fiber)
     return module, host, fiber
+
+
+def burst_of(module) -> int:
+    """Source burst size matching the module's tier."""
+    return BURST_FRAMES if module.engine == "compiled" else 1
 
 
 def results_of(module, host, fiber) -> dict:
@@ -99,9 +124,14 @@ def results_of(module, host, fiber) -> dict:
     }
 
 
-def run_imix(name: str, engine: str, tracer_packets: int | None = None):
+def run_imix(
+    name: str,
+    engine: str,
+    tracer_packets: int | None = None,
+    coalesce: bool = True,
+):
     sim = Simulator()
-    module, host, fiber = build_module(sim, name, engine)
+    module, host, fiber = build_module(sim, name, engine, coalesce)
     if tracer_packets is not None:
         from repro.obs.trace import Tracer
 
@@ -113,7 +143,7 @@ def run_imix(name: str, engine: str, tracer_packets: int | None = None):
         stop=RUN_S,
         factory=make_imix_factory(SEED),
         seed=SEED,
-        burst=module.batch_size if module.batch_size > 1 else 1,
+        burst=burst_of(module) if coalesce else 1,
     )
     sim.run(until=RUN_S + 0.2e-3)
     return results_of(module, host, fiber), module
@@ -127,7 +157,6 @@ def run_cbr_burst(name: str, engine: str):
         src_ip="10.0.0.1", dst_ip="203.0.113.1", sport=10_000, dport=20_000,
         payload=bytes(80),
     )
-    compiled = module.engine_config.compiled
     CbrSource(
         sim,
         host,
@@ -135,20 +164,30 @@ def run_cbr_burst(name: str, engine: str):
         frame_len=template.wire_len,
         stop=RUN_S,
         factory=lambda index, size: template.copy(),
-        burst=module.batch_size if module.batch_size > 1 else 1,
-        template_burst=compiled,
+        burst=burst_of(module),
+        template_burst=module.engine == "compiled",
     )
     sim.run(until=RUN_S + 0.2e-3)
     return results_of(module, host, fiber), module
 
 
-@pytest.mark.parametrize("name", sorted(APP_FACTORIES))
-def test_compiled_imix_matches_reference(name):
+def check_imix_matches_reference(name: str, coalesce: bool) -> None:
     reference, _ = run_imix(name, "reference")
-    compiled, module = run_imix(name, "compiled")
+    compiled, module = run_imix(name, "compiled", coalesce=coalesce)
     assert compiled == reference, name
+    # Real traffic, well past the BURST_FRAMES group boundary...
     assert reference["processed"]["packets"] > 50, name
     assert module.program is not None
+    # ...and for recipe-producing apps the cache demonstrably engaged.
+    if name in CACHED_APPS:
+        cache = module.ppe.flow_cache
+        assert cache.hits > 0, f"{name}: flow cache never hit"
+        assert cache.hit_rate > 0.2, f"{name}: {cache.snapshot()}"
+
+
+@pytest.mark.parametrize("name", sorted(APP_FACTORIES))
+def test_compiled_imix_matches_reference(name):
+    check_imix_matches_reference(name, coalesce=True)
 
 
 @pytest.mark.parametrize("name", sorted(APP_FACTORIES))
@@ -200,8 +239,8 @@ def test_interleaved_frames_deopt_burst():
             frame_len=template.wire_len,
             stop=RUN_S,
             factory=lambda index, size: template.copy(),
-            burst=module.batch_size if module.batch_size > 1 else 1,
-            template_burst=module.engine_config.compiled,
+            burst=burst_of(module),
+            template_burst=module.engine == "compiled",
         )
         # Stray per-frame sends interleave with the burst stream.
         for k in range(5):
@@ -220,21 +259,32 @@ def test_interleaved_frames_deopt_burst():
     assert stats["recipe_frames"] > 0
 
 
-def test_midrun_table_write_matches_reference():
-    """A control-plane remap mid-stream flips the translated address at
-    exactly the same packet index under fused bursts as under reference."""
+def check_midrun_table_write(ingress: str) -> None:
+    """A control-plane write mid-stream lands between the same packets.
+
+    Frames whose virtual service finished before the write must be decided
+    against the pre-write tables even if they are still sitting in an open
+    group (the write lands at frame 11 of 22, inside the first
+    BURST_FRAMES group) or a pending fused burst — the pre-mutation drain
+    hook (``Table._pre_mutate`` → ``PacketProcessingEngine._process_due``)
+    enforces this.  The remap must flip the translated source address at
+    exactly the same packet index in both engines.  ``ingress`` is how
+    frames reach the compiled module: ``"burst"`` (template bursts),
+    ``"flush"`` (coalesced per-frame) or ``"event"`` (one frame per event).
+    """
 
     def run(engine: str) -> tuple[list[str], object]:
         sim = Simulator()
         nat = StaticNat()
         nat.add_mapping("10.0.0.1", "198.51.100.1")
         module = FlexSFPModule(sim, "dut", Deployment.solo(nat), auth_key=KEY, engine=engine)
-        batched = module.batch_size > 1
-        host = Port(sim, "host", 10e9, queue_bytes=1 << 22, coalesce=batched)
-        fiber = Port(sim, "fiber", 10e9, queue_bytes=1 << 22, batch_rx=batched)
+        compiled = engine == "compiled"
+        coalesce = compiled and ingress != "event"
+        host = Port(sim, "host", 10e9, queue_bytes=1 << 22, coalesce=coalesce)
+        fiber = Port(sim, "fiber", 10e9, queue_bytes=1 << 22, batch_rx=compiled)
         seen: list[str] = []
         fiber.attach(lambda port, pkt: seen.append(pkt.ipv4.src_ip))
-        if batched:
+        if compiled:
             fiber.attach_batch(
                 lambda port, items: seen.extend(
                     pkt.ipv4.src_ip for pkt, _size, _when in items
@@ -246,8 +296,8 @@ def test_midrun_table_write_matches_reference():
         CbrSource(
             sim, host, rate_bps=1e8, frame_len=112, stop=2e-4,
             factory=lambda i, s: template.copy(),
-            burst=module.batch_size if batched else 1,
-            template_burst=module.engine_config.compiled,
+            burst=BURST_FRAMES if coalesce else 1,
+            template_burst=compiled and ingress == "burst",
         )
         sim.schedule_at(
             1e-4, lambda: module.app.add_mapping("10.0.0.1", "198.51.100.99")
@@ -258,7 +308,21 @@ def test_midrun_table_write_matches_reference():
     reference, _ = run("reference")
     compiled, module = run("compiled")
     assert reference == compiled
+    assert len(reference) > BURST_FRAMES
+    # Both translations were actually observed (the write landed mid-run)
+    # and the cache both engaged and invalidated across the write.
     assert set(reference) == {"198.51.100.1", "198.51.100.99"}
+    cache = module.ppe.flow_cache
+    assert cache.hits > 0
+    assert cache.invalidations > 0
+
+
+def test_midrun_table_write_matches_reference():
+    check_midrun_table_write("burst")
+
+
+def test_midrun_table_write_flush_ingress_matches_reference():
+    check_midrun_table_write("flush")
 
 
 def test_metered_ratelimiter_burst_matches_reference():
@@ -274,9 +338,9 @@ def test_metered_ratelimiter_burst_matches_reference():
         app = create_app("ratelimiter")
         app.add_limit("10.0.0.0", 8, rate_bps=1e8, burst_bytes=4_000)
         module = FlexSFPModule(sim, "dut", Deployment.solo(app), auth_key=KEY, engine=engine)
-        batched = module.batch_size > 1
-        host = Port(sim, "host", 10e9, queue_bytes=1 << 20, coalesce=batched)
-        fiber = Port(sim, "fiber", 10e9, queue_bytes=1 << 20, batch_rx=batched)
+        compiled = engine == "compiled"
+        host = Port(sim, "host", 10e9, queue_bytes=1 << 20, coalesce=compiled)
+        fiber = Port(sim, "fiber", 10e9, queue_bytes=1 << 20, batch_rx=compiled)
         connect(host, module.edge_port)
         connect(module.line_port, fiber)
         template = make_udp(
@@ -290,8 +354,8 @@ def test_metered_ratelimiter_burst_matches_reference():
             frame_len=template.wire_len,
             stop=RUN_S,
             factory=lambda index, size: template.copy(),
-            burst=module.batch_size if batched else 1,
-            template_burst=module.engine_config.compiled,
+            burst=burst_of(module),
+            template_burst=compiled,
         )
         sim.run(until=RUN_S + 0.2e-3)
         return results_of(module, host, fiber), module
@@ -342,9 +406,9 @@ def test_vlan_untag_direction_matches_reference(service_vid):
         module = FlexSFPModule(
             sim, "dut", Deployment.solo(app), shell=shell, auth_key=KEY, engine=engine
         )
-        batched = module.batch_size > 1
-        host = Port(sim, "host", 10e9, queue_bytes=1 << 20, batch_rx=batched)
-        fiber = Port(sim, "fiber", 10e9, queue_bytes=1 << 20, coalesce=batched)
+        compiled = engine == "compiled"
+        host = Port(sim, "host", 10e9, queue_bytes=1 << 20, batch_rx=compiled)
+        fiber = Port(sim, "fiber", 10e9, queue_bytes=1 << 20, coalesce=compiled)
         connect(host, module.edge_port)
         connect(module.line_port, fiber)
         for template in (matched, foreign):
@@ -355,8 +419,8 @@ def test_vlan_untag_direction_matches_reference(service_vid):
                 frame_len=template.wire_len,
                 stop=RUN_S,
                 factory=lambda index, size, t=template: t.copy(),
-                burst=module.batch_size if batched else 1,
-                template_burst=module.engine_config.compiled,
+                burst=burst_of(module),
+                template_burst=compiled,
             )
         sim.run(until=RUN_S + 0.2e-3)
         return results_of(module, host, fiber), module
@@ -369,19 +433,3 @@ def test_vlan_untag_direction_matches_reference(service_vid):
     assert counters["foreign_vid"]["packets"] > 0
     stats = module.ppe.snapshot()["compiled"]
     assert stats["recipe_frames"] > 0, stats
-
-
-def test_explicit_engine_config_carries_options():
-    """A hand-built EngineConfig (bigger batch) is honored verbatim and
-    still differentially clean."""
-    reference, _ = run_imix("nat", "reference")
-    sim = Simulator()
-    config = EngineConfig(tier="compiled", fastpath=True, batch_size=64)
-    module, host, fiber = build_module(sim, "nat", config)
-    assert module.batch_size == 64
-    ImixSource(
-        sim, host, rate_bps=RATE_BPS, stop=RUN_S,
-        factory=make_imix_factory(SEED), seed=SEED, burst=64,
-    )
-    sim.run(until=RUN_S + 0.2e-3)
-    assert results_of(module, host, fiber) == reference

@@ -5,7 +5,6 @@ from pathlib import Path
 from repro.config import (
     Settings,
     get_settings,
-    parse_bool,
     parse_float,
     parse_int,
 )
@@ -26,15 +25,6 @@ def make_module(env, **kwargs):
 
 
 class TestParsers:
-    def test_parse_bool_truthy_words(self):
-        for word in ("1", "true", "TRUE", " on ", "Yes"):
-            assert parse_bool(word) is True
-
-    def test_parse_bool_falsy_and_unset(self):
-        for word in ("0", "false", "off", "no", "", "   ", None):
-            assert parse_bool(word) is False
-        assert parse_bool(None, default=True) is True
-
     def test_parse_int_malformed_falls_back(self):
         assert parse_int("not-a-number", 7) == 7
         assert parse_int(None, 3) == 3
@@ -59,8 +49,7 @@ class TestSettings:
     def test_defaults_from_empty_env(self):
         settings = Settings.from_env({})
         assert settings == Settings()
-        assert settings.fastpath is False
-        assert settings.batch_size == 1
+        assert settings.engine is None
         assert settings.metrics_dir is None
         assert settings.workers is None
         assert settings.start_method is None
@@ -71,8 +60,7 @@ class TestSettings:
     def test_full_env(self):
         settings = Settings.from_env(
             {
-                "FLEXSFP_FASTPATH": "yes",
-                "FLEXSFP_BATCH": "16",
+                "FLEXSFP_ENGINE": " Compiled ",
                 "FLEXSFP_METRICS_DIR": "out/metrics",
                 "FLEXSFP_WORKERS": "4",
                 "FLEXSFP_MP_START": "spawn",
@@ -81,8 +69,7 @@ class TestSettings:
                 "FLEXSFP_RETRY_BACKOFF": "0.5",
             }
         )
-        assert settings.fastpath is True
-        assert settings.batch_size == 16
+        assert settings.engine == "compiled"
         assert settings.metrics_dir == Path("out/metrics")
         assert settings.workers == 4
         assert settings.start_method == "spawn"
@@ -93,8 +80,6 @@ class TestSettings:
     def test_malformed_env_degrades_not_raises(self):
         settings = Settings.from_env(
             {
-                "FLEXSFP_FASTPATH": "maybe",
-                "FLEXSFP_BATCH": "lots",
                 "FLEXSFP_WORKERS": "-3",
                 "FLEXSFP_MP_START": "teleport",
                 "FLEXSFP_SHARD_TIMEOUT": "forever",
@@ -103,9 +88,6 @@ class TestSettings:
             }
         )
         assert settings == Settings()
-
-    def test_batch_clamped_to_one(self):
-        assert Settings.from_env({"FLEXSFP_BATCH": "0"}).batch_size == 1
 
     def test_zero_shard_timeout_means_disabled(self):
         settings = Settings.from_env({"FLEXSFP_SHARD_TIMEOUT": "0"})
@@ -116,42 +98,36 @@ class TestSettings:
 
     def test_with_overrides(self):
         base = Settings()
-        tuned = base.with_overrides(fastpath=True, batch_size=8)
-        assert (tuned.fastpath, tuned.batch_size) == (True, 8)
+        tuned = base.with_overrides(engine="compiled", workers=8)
+        assert (tuned.engine, tuned.workers) == ("compiled", 8)
         assert base == Settings()  # frozen: original untouched
 
     def test_get_settings_reads_process_env(self, monkeypatch):
-        monkeypatch.setenv("FLEXSFP_BATCH", "32")
-        assert get_settings().batch_size == 32
-        monkeypatch.delenv("FLEXSFP_BATCH")
-        assert get_settings().batch_size == 1
+        monkeypatch.setenv("FLEXSFP_WORKERS", "32")
+        assert get_settings().workers == 32
+        monkeypatch.delenv("FLEXSFP_WORKERS")
+        assert get_settings().workers is None
 
 
 class TestModuleResolution:
     """The module resolves one Settings object at construction."""
 
     def test_env_settings_apply_when_args_none(self):
-        module = make_module({"FLEXSFP_FASTPATH": "1", "FLEXSFP_BATCH": "8"})
-        assert module.fastpath is True
-        assert module.batch_size == 8
+        module = make_module({"FLEXSFP_ENGINE": "compiled"})
+        assert module.engine == "compiled"
         assert module.flow_cache is not None
 
     def test_explicit_args_beat_settings(self):
-        module = make_module(
-            {"FLEXSFP_FASTPATH": "1", "FLEXSFP_BATCH": "8"},
-            fastpath=False,
-            batch_size=2,
-        )
-        assert module.fastpath is False
-        assert module.batch_size == 2
+        module = make_module({"FLEXSFP_ENGINE": "compiled"}, engine="reference")
+        assert module.engine == "reference"
         assert module.flow_cache is None
 
     def test_process_env_respected_by_default(self, monkeypatch):
         from repro.apps import StaticNat
 
-        monkeypatch.setenv("FLEXSFP_BATCH", "4")
+        monkeypatch.setenv("FLEXSFP_ENGINE", "compiled")
         sim = Simulator()
         nat = StaticNat(capacity=16)
         nat.add_mapping("10.0.0.1", "198.51.100.1")
         module = FlexSFPModule(sim, "dut", Deployment.solo(nat))
-        assert module.batch_size == 4
+        assert module.engine == "compiled"

@@ -1,11 +1,10 @@
-"""The typed Engine API: EngineConfig validation, resolution, conflicts.
+"""The engine tier: one validated value, two members, one resolution path.
 
-One frozen :class:`~repro.engine.EngineConfig` replaces the scattered
-``fastpath``/``batch_size`` knobs.  These tests pin the construction
-rules (a config that exists is runnable), the resolution precedence
-(explicit config > tier name > ``FLEXSFP_ENGINE`` env > legacy knobs),
-the module/CLI conflict diagnostics, and the spec/artifact plumbing that
-records the resolved selection.
+Pins the surface that exists — ``ENGINES``, ``validate_engine``,
+``resolve_engine`` (argument > ``FLEXSFP_ENGINE`` > ``reference``), what a
+tier name implies for a module, the spec/artifact plumbing that records it
+— and one table asserting that every spelling removed in 2.0 is rejected
+rather than silently reinterpreted.
 """
 
 from __future__ import annotations
@@ -17,19 +16,15 @@ import pytest
 from repro.apps import StaticNat
 from repro.cli import main
 from repro.config import Settings
-from repro.core import FlexSFPModule
-from repro.engine import (
-    DEFAULT_BATCHED_SIZE,
-    ENGINES,
-    EngineConfig,
-    engine_batch_size,
-    engine_name,
-    resolve_engine,
-)
+from repro.core import FlexSFPModule, PacketProcessingEngine, ReferenceEngine
+from repro.engine import ENGINES, resolve_engine, validate_engine
 from repro.errors import ConfigError
+from repro.faults.gauntlet import run_gauntlet
+from repro.matrix import MatrixAxes
+from repro.nfv import Deployment
 from repro.obs.scenario import ScenarioSpec
 from repro.sim import Simulator
-from repro.nfv import Deployment
+from repro.switch import LegacySwitch, RetrofitPlan, apply_retrofit
 
 
 def make_nat() -> StaticNat:
@@ -38,123 +33,102 @@ def make_nat() -> StaticNat:
     return nat
 
 
+def make_module(**kwargs) -> FlexSFPModule:
+    return FlexSFPModule(Simulator(), "dut", Deployment.solo(make_nat()), **kwargs)
+
+
 class TestEngineConfig:
+    def test_two_tiers(self):
+        assert ENGINES == ("reference", "compiled")
+
     def test_default_is_reference(self):
-        config = EngineConfig()
-        assert config.tier == "reference"
-        assert not config.compiled and not config.batched
+        assert resolve_engine(None, Settings()) == "reference"
 
     @pytest.mark.parametrize("tier", ENGINES)
     def test_every_tier_constructs(self, tier):
-        size = 1 if tier == "reference" else 8
-        fastpath = tier == "compiled"
-        config = EngineConfig(tier=tier, fastpath=fastpath, batch_size=size)
-        assert config.to_dict() == {
-            "tier": tier,
-            "fastpath": fastpath,
-            "batch_size": size,
-        }
+        assert validate_engine(tier) == tier
+        module = make_module(engine=tier)
+        assert module.engine == tier
+        expected = ReferenceEngine if tier == "reference" else PacketProcessingEngine
+        assert type(module.ppe) is expected
 
     def test_unknown_tier_rejected(self):
         with pytest.raises(ConfigError, match="unknown engine"):
-            EngineConfig(tier="warp")
+            resolve_engine("warp", Settings())
 
     def test_reference_rejects_batching(self):
-        with pytest.raises(ConfigError, match="batch_size must be 1"):
-            EngineConfig(tier="reference", batch_size=8)
-
-    def test_batched_rejects_unit_batch(self):
-        with pytest.raises(ConfigError, match="batch_size >= 2"):
-            EngineConfig(tier="batched", batch_size=1)
+        # The oracle has no coalesced ports, no flush brackets, no burst lane.
+        module = make_module(engine="reference")
+        assert not module.edge_port.coalesce and not module.line_port.coalesce
+        for method in ("submit_burst", "flush_begin", "flush_end"):
+            assert not hasattr(module.ppe, method)
 
     def test_compiled_requires_fastpath(self):
-        with pytest.raises(ConfigError, match="fastpath"):
-            EngineConfig(tier="compiled", fastpath=False, batch_size=8)
-
-    def test_frozen(self):
-        with pytest.raises(Exception):
-            EngineConfig().tier = "batched"
+        # The flow cache is not an option of the compiled tier, it is part
+        # of it; the oracle never has one.
+        assert make_module(engine="compiled").flow_cache is not None
+        reference = make_module(engine="reference")
+        assert reference.flow_cache is None
+        assert "flow_cache" not in reference.ppe.snapshot()
 
 
 class TestResolution:
     def test_explicit_config_wins(self):
-        config = EngineConfig(tier="batched", batch_size=4)
-        assert resolve_engine(config, fastpath=True, batch_size=99) is config
+        assert resolve_engine("reference", Settings(engine="compiled")) == "reference"
 
     def test_tier_name_fills_defaults(self):
-        settings = Settings()
-        config = resolve_engine("compiled", settings=settings)
-        assert config.tier == "compiled"
-        assert config.fastpath is True  # compiled implies the flow cache
-        assert config.batch_size == DEFAULT_BATCHED_SIZE
-
-    def test_legacy_knobs_select_legacy_tiers(self):
-        settings = Settings()
-        assert resolve_engine(None, False, 1, settings).tier == "reference"
-        assert resolve_engine(None, True, 16, settings) == EngineConfig(
-            tier="batched", fastpath=True, batch_size=16
-        )
+        # Nothing else to fill in: a spec that names its tier is resolved.
+        assert resolve_engine("compiled", Settings()) == "compiled"
+        spec = ScenarioSpec(kind="nat-linerate", engine="compiled")
+        assert spec.resolved(Settings()).engine == "compiled"
 
     def test_env_engine_is_used_when_no_argument(self):
-        settings = Settings(engine="batched")
-        assert resolve_engine(None, settings=settings).tier == "batched"
+        settings = Settings(engine="compiled")
+        assert resolve_engine(None, settings) == "compiled"
         # The argument still beats the environment.
-        assert resolve_engine("reference", settings=settings).tier == "reference"
+        assert resolve_engine("reference", settings) == "reference"
 
     def test_helpers(self):
-        assert engine_name(None) == "reference"
-        assert engine_name(16) == "batched"
-        assert engine_batch_size("reference") == 1
-        assert engine_batch_size("compiled", 32) == 32
-        with pytest.raises(ConfigError):
-            engine_batch_size("warp")
+        assert [validate_engine(tier) for tier in ENGINES] == list(ENGINES)
+        for bad in ("warp", "batched", "", None, 16):
+            with pytest.raises(ConfigError, match="unknown engine"):
+                validate_engine(bad)
+
+    def test_unknown_env_engine_fails_closed(self, capsys, monkeypatch):
+        settings = Settings.from_env({"FLEXSFP_ENGINE": "batched"})
+        with pytest.raises(ConfigError, match="unknown engine 'batched'"):
+            resolve_engine(None, settings)
+        monkeypatch.setenv("FLEXSFP_ENGINE", "batched")
+        assert main(["metrics"]) == 2
+        assert "unknown engine 'batched'" in capsys.readouterr().err
 
 
 class TestModuleConflicts:
     def test_engine_plus_legacy_knobs_rejected(self):
-        with pytest.raises(ConfigError, match="conflicts with the legacy"):
-            FlexSFPModule(
-                Simulator(), "dut", Deployment.solo(make_nat()), engine="reference", fastpath=True
-            )
+        with pytest.raises(TypeError, match="fastpath"):
+            make_module(engine="reference", fastpath=True)
 
     def test_engine_plus_batch_size_rejected(self):
-        with pytest.raises(ConfigError, match="conflicts with the legacy"):
-            FlexSFPModule(
-                Simulator(), "dut", Deployment.solo(make_nat()), engine="batched", batch_size=8
-            )
+        with pytest.raises(TypeError, match="batch_size"):
+            make_module(engine="compiled", batch_size=8)
 
     def test_engine_config_carries_options(self):
-        module = FlexSFPModule(
-            Simulator(),
-            "dut",
-            Deployment.solo(make_nat()),
-            engine=EngineConfig(tier="compiled", fastpath=True, batch_size=32),
-        )
-        assert module.batch_size == 32
-        assert module.fastpath is True
+        # What used to be options rides on the tier name: the fused program,
+        # the flow cache and the coalesced burst-lane ports.
+        module = make_module(engine="compiled", settings=Settings())
         assert module.program is not None
-
-    def test_legacy_knobs_still_work(self):
-        module = FlexSFPModule(
-            Simulator(), "dut", Deployment.solo(make_nat()), fastpath=True, batch_size=8
-        )
-        assert module.engine_config == EngineConfig(
-            tier="batched", fastpath=True, batch_size=8
-        )
-        assert module.program is None
+        assert module.flow_cache is not None
+        assert module.edge_port.coalesce and module.line_port.coalesce
 
 
 class TestScenarioSpecEngine:
-    def test_resolved_spec_pins_all_three_fields(self):
-        spec = ScenarioSpec(kind="nat-linerate", engine="compiled").resolved(
-            Settings()
+    def test_resolved_spec_pins_the_tier(self):
+        assert ScenarioSpec(kind="nat-linerate").resolved(Settings()).engine == (
+            "reference"
         )
-        assert (spec.engine, spec.fastpath, spec.batch_size) == (
-            "compiled",
-            True,
-            DEFAULT_BATCHED_SIZE,
-        )
-        assert spec.engine_config(Settings()).compiled
+        assert ScenarioSpec(kind="nat-linerate").resolved(
+            Settings(engine="compiled")
+        ).engine == "compiled"
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigError, match="unknown engine"):
@@ -162,16 +136,17 @@ class TestScenarioSpecEngine:
 
     def test_resolution_is_idempotent(self):
         settings = Settings()
-        once = ScenarioSpec(kind="nat-linerate", engine="batched").resolved(
+        once = ScenarioSpec(kind="nat-linerate", engine="compiled").resolved(
             settings
         )
         assert once.resolved(settings) == once
 
-    def test_legacy_spec_knobs_resolve_to_tier(self):
-        spec = ScenarioSpec(
-            kind="nat-linerate", fastpath=True, batch_size=16
-        ).resolved(Settings())
-        assert spec.engine == "batched"
+    def test_legacy_spec_knobs_rejected(self):
+        payload = ScenarioSpec(kind="nat-linerate", engine="reference").to_dict()
+        assert "fastpath" not in payload and "batch_size" not in payload
+        for knob, value in (("fastpath", True), ("batch_size", 16)):
+            with pytest.raises(ConfigError, match=knob):
+                ScenarioSpec.from_dict({**payload, knob: value})
 
     def test_round_trips_through_dict(self):
         spec = ScenarioSpec(kind="nat-linerate", engine="compiled").resolved(
@@ -187,27 +162,19 @@ class TestCliConflicts:
         return code, captured.out, captured.err
 
     def test_engine_plus_fastpath_exits_2(self, capsys):
-        code, _, err = self.run(
-            capsys, "metrics", "--engine", "reference", "--fastpath"
-        )
-        assert code == 2
-        assert "--engine conflicts" in err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["metrics", "--engine", "reference", "--fastpath"])
+        assert exit_info.value.code == 2
+        assert "--fastpath" in capsys.readouterr().err
 
     def test_engine_plus_batch_exits_2(self, capsys):
-        code, _, err = self.run(
-            capsys,
-            "run",
-            "--scenario",
-            "nat-linerate",
-            "--shards",
-            "1",
-            "--engine",
-            "compiled",
-            "--batch",
-            "8",
-        )
-        assert code == 2
-        assert "--engine conflicts" in err
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                ["run", "--scenario", "nat-linerate", "--shards", "1",
+                 "--engine", "compiled", "--batch", "8"]
+            )  # fmt: skip
+        assert exit_info.value.code == 2
+        assert "--batch" in capsys.readouterr().err
 
     def test_engine_flag_lands_in_artifact_knobs(self, capsys):
         code, out, _ = self.run(
@@ -224,19 +191,66 @@ class TestCliConflicts:
         assert code == 0
         knobs = json.loads(out)["knobs"]
         assert knobs["engine"] == "compiled"
-        assert knobs["engine_config"] == {
-            "tier": "compiled",
-            "fastpath": True,
-            "batch_size": DEFAULT_BATCHED_SIZE,
-        }
-
-    def test_legacy_flags_warn_under_the_gate(self, capsys):
-        code, _, err = self.run(
-            capsys, "metrics", "--fastpath", "--fail-on-deprecated"
-        )
-        assert code == 3
-        assert "deprecated" in err
+        assert not {"engine_config", "fastpath", "batch_size"} & set(knobs)
 
     def test_bare_metrics_is_deprecation_clean(self, capsys):
         code, _, _ = self.run(capsys, "metrics", "--fail-on-deprecated")
         assert code == 0
+
+
+def _retrofit(**kwargs):
+    sim = Simulator()
+    return apply_retrofit(sim, LegacySwitch(sim, "agg", num_ports=2), RetrofitPlan(), **kwargs)
+
+
+#: Every spelling 2.0 removed, beyond the six pinned under their historical
+#: test names (module ``fastpath=``/``batch_size=`` and CLI ``--fastpath``/
+#: ``--batch`` next to ``--engine`` above; ``--legacy-fleet``/
+#: ``--legacy-table`` in ``test_cli.py``): (what to call, the error that
+#: must come back).
+REMOVED_SPELLINGS = {
+    "engine=batched:module": (lambda: make_module(engine="batched"), ConfigError),
+    "engine=batched:spec": (
+        lambda: ScenarioSpec(kind="nat-linerate", engine="batched").validate(),
+        ConfigError,
+    ),
+    "engine=batched:matrix": (
+        lambda: MatrixAxes(engines=("reference", "batched")).validate(),
+        ConfigError,
+    ),
+    "engine=batched:cli": (lambda: main(["metrics", "--engine", "batched"]), SystemExit),
+    "fastpath=:spec": (lambda: ScenarioSpec(fastpath=True), TypeError),
+    "fastpath=:retrofit": (lambda: _retrofit(fastpath=True), TypeError),
+    "fastpath=:gauntlet": (lambda: run_gauntlet(fastpath=True), TypeError),
+    "fastpath=:matrix": (lambda: MatrixAxes(fastpath=(True,)), TypeError),
+    "batch_size=:spec": (lambda: ScenarioSpec(batch_size=16), TypeError),
+    "batch_size=:retrofit": (lambda: _retrofit(batch_size=16), TypeError),
+    "batch_size=:gauntlet": (lambda: run_gauntlet(batch_size=16), TypeError),
+    "batch_size=:engine": (
+        lambda: PacketProcessingEngine(Simulator(), make_nat(), None, batch_size=16),
+        TypeError,
+    ),
+    "batched_size=:matrix": (lambda: MatrixAxes(batched_size=8), TypeError),
+    "app=:module": (
+        lambda: FlexSFPModule(Simulator(), "dut", app=make_nat()),
+        TypeError,
+    ),
+    "bare-app:module": (
+        lambda: FlexSFPModule(Simulator(), "dut", make_nat()),
+        ConfigError,
+    ),
+    "--fastpath": (lambda: main(["chaos", "smoke", "--fastpath"]), SystemExit),
+    "--batch": (lambda: main(["trace", "--batch", "16"]), SystemExit),
+    "--fastpath:matrix": (lambda: main(["matrix", "--fastpath", "on,off"]), SystemExit),
+    "--batched-size": (lambda: main(["matrix", "--batched-size", "8"]), SystemExit),
+    "--fastpath:build": (lambda: main(["build", "nat", "--fastpath"]), SystemExit),
+}
+
+
+@pytest.mark.parametrize("spelling", REMOVED_SPELLINGS)
+def test_removed_spelling_rejected(spelling, capsys):
+    call, error = REMOVED_SPELLINGS[spelling]
+    with pytest.raises(error) as raised:
+        call()
+    if error is SystemExit:
+        assert raised.value.code == 2  # argparse: unrecognized argument

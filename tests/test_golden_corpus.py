@@ -44,28 +44,18 @@ def _scenario_artifact(spec: ScenarioSpec) -> RunArtifact:
 
 
 # name -> zero-argument artifact builder.  Every case pins a different
-# slice of the surface: the reference engine, the batched+fastpath
-# engine (must produce the same semantic digests, different metric set),
-# the compiled engine (fused burst lane), a multi-shard fleet merge, and
-# the chaos gauntlet's scenario-run path.
+# slice of the surface: the reference engine, the compiled engine (fused
+# burst lane: same semantic digests, different metric set), a multi-shard
+# fleet merge, and the chaos gauntlet's scenario-run path.
 GOLDEN_CASES = {
     "nat-linerate_seed11_reference": lambda: _fleet_artifact(
-        ScenarioSpec(
-            kind="nat-linerate", seed=11, shards=1, fastpath=False, batch_size=1
-        )
-    ),
-    "nat-linerate_seed11_fastpath_batched": lambda: _fleet_artifact(
-        ScenarioSpec(
-            kind="nat-linerate", seed=11, shards=1, fastpath=True, batch_size=16
-        )
+        ScenarioSpec(kind="nat-linerate", seed=11, shards=1, engine="reference")
     ),
     "nat-linerate_seed11_compiled": lambda: _fleet_artifact(
         ScenarioSpec(kind="nat-linerate", seed=11, shards=1, engine="compiled")
     ),
     "nat-linerate_seed11_shards2": lambda: _fleet_artifact(
-        ScenarioSpec(
-            kind="nat-linerate", seed=11, shards=2, fastpath=False, batch_size=1
-        )
+        ScenarioSpec(kind="nat-linerate", seed=11, shards=2, engine="reference")
     ),
     "chaos_smoke_seed7": lambda: _scenario_artifact(
         ScenarioSpec(
@@ -73,8 +63,7 @@ GOLDEN_CASES = {
             fault_plan="smoke",
             seed=7,
             shards=1,
-            fastpath=False,
-            batch_size=1,
+            engine="reference",
         )
     ),
     # Multi-tenant crossbar steering: pins the deployment knob block,
@@ -84,8 +73,7 @@ GOLDEN_CASES = {
             kind="nfv-chain",
             seed=3,
             shards=1,
-            fastpath=False,
-            batch_size=1,
+            engine="reference",
             traffic=TrafficProfile(rate_bps=20e6, frame_len=256, duration_s=0.2),
         )
     ),
@@ -128,9 +116,7 @@ def test_golden_files_are_valid_run_documents(name: str) -> None:
 
 def test_golden_spec_digest_stable_across_regeneration() -> None:
     """Same seed, two fresh runs: identical spec digest AND golden bytes."""
-    spec = ScenarioSpec(
-        kind="nat-linerate", seed=11, shards=1, fastpath=False, batch_size=1
-    )
+    spec = ScenarioSpec(kind="nat-linerate", seed=11, shards=1, engine="reference")
     first = _fleet_artifact(spec)
     second = _fleet_artifact(spec)
     assert first.spec_digest == second.spec_digest

@@ -11,7 +11,6 @@ from repro.matrix import (
     CellConfig,
     MatrixAxes,
     parse_axis_values,
-    parse_bool_axis,
     parse_int_axis,
     parse_optional_axis,
     run_matrix,
@@ -25,23 +24,17 @@ class TestAxes:
         assert axes.size() == 1
         (cell,) = list(axes.cells())
         assert cell.engine == "reference"
-        assert cell.batch_size == 1
-        assert cell.fastpath is False
 
     def test_cell_order_is_axis_major(self):
-        axes = MatrixAxes(engines=("reference", "batched"), shards=(1, 4))
+        axes = MatrixAxes(engines=("reference", "compiled"), shards=(1, 4))
         labels = [cell.label for cell in axes.cells()]
         assert labels == [
-            "engine=reference,fastpath=off,shards=1,workers=1",
-            "engine=reference,fastpath=off,shards=4,workers=1",
-            "engine=batched,fastpath=off,shards=1,workers=1",
-            "engine=batched,fastpath=off,shards=4,workers=1",
+            "engine=reference,shards=1,workers=1",
+            "engine=reference,shards=4,workers=1",
+            "engine=compiled,shards=1,workers=1",
+            "engine=compiled,shards=4,workers=1",
         ]
-
-    def test_batched_cells_use_batched_size(self):
-        axes = MatrixAxes(engines=("batched",), batched_size=8)
-        (cell,) = list(axes.cells())
-        assert cell.batch_size == 8
+        assert axes.size() == len(labels)
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ConfigError, match="non-empty"):
@@ -60,18 +53,12 @@ class TestCellConfig:
     def test_apply_overrides_only_swept_knobs(self):
         base = ScenarioSpec(kind="nat-linerate", seed=42).resolved()
         cell = CellConfig(
-            engine="batched",
-            fastpath=True,
-            shards=4,
-            workers=2,
-            device=None,
-            fault_plan=None,
-            batch_size=16,
+            engine="compiled", shards=4, workers=2, device=None, fault_plan=None
         )
         spec = cell.apply(base)
         assert spec.seed == 42
         assert spec.kind == "nat-linerate"
-        assert spec.fastpath is True and spec.batch_size == 16
+        assert spec.engine == "compiled"
         assert spec.shards == 4
         assert spec.device == base.device  # None axis keeps the base
 
@@ -79,12 +66,10 @@ class TestCellConfig:
         base = ScenarioSpec(kind="chaos", seed=1).resolved()
         cell = CellConfig(
             engine="reference",
-            fastpath=False,
             shards=1,
             workers=1,
             device="MPF300T",
             fault_plan="linkstorm",
-            batch_size=1,
         )
         spec = cell.apply(base)
         assert spec.device == "MPF300T"
@@ -99,12 +84,6 @@ class TestAxisParsers:
         with pytest.raises(ConfigError, match="no values"):
             parse_axis_values(" , ", "x")
 
-    def test_parse_bool_axis(self):
-        assert parse_bool_axis("on,off", "fastpath") == (True, False)
-        assert parse_bool_axis("true,0", "fastpath") == (True, False)
-        with pytest.raises(ConfigError, match="on/off"):
-            parse_bool_axis("maybe", "fastpath")
-
     def test_parse_int_axis(self):
         assert parse_int_axis("1,4", "shards") == (1, 4)
         with pytest.raises(ConfigError, match="integers"):
@@ -116,7 +95,7 @@ class TestAxisParsers:
 
 class TestRunMatrix:
     def test_two_cell_matrix_clean(self):
-        axes = MatrixAxes(engines=("reference", "batched"))
+        axes = MatrixAxes(engines=("reference", "compiled"))
         result = run_matrix(ScenarioSpec(kind="nat-linerate", seed=3), axes)
         assert result.verdict == "clean"
         assert len(result.cells) == 2
@@ -125,11 +104,11 @@ class TestRunMatrix:
         assert not result.cells[1].diverged
 
     def test_baseline_index_selects_cell(self):
-        axes = MatrixAxes(engines=("reference", "batched"))
+        axes = MatrixAxes(engines=("reference", "compiled"))
         result = run_matrix(
             ScenarioSpec(kind="nat-linerate", seed=3), axes, baseline=1
         )
-        assert result.baseline == "engine=batched,fastpath=off,shards=1,workers=1"
+        assert result.baseline == "engine=compiled,shards=1,workers=1"
         assert result.cells[1].is_baseline
 
     def test_baseline_out_of_range(self):
@@ -137,7 +116,7 @@ class TestRunMatrix:
             run_matrix(ScenarioSpec(kind="nat-linerate", seed=3), MatrixAxes(), baseline=5)
 
     def test_progress_callback_sees_every_label(self):
-        axes = MatrixAxes(engines=("reference", "batched"))
+        axes = MatrixAxes(engines=("reference", "compiled"))
         seen: list[str] = []
         run_matrix(
             ScenarioSpec(kind="nat-linerate", seed=3), axes, progress=seen.append

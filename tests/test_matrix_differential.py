@@ -1,13 +1,13 @@
-"""Matrix differential suite: the engine × fastpath oracle.
+"""Matrix differential suite: the engine-axis oracle.
 
 This replaces per-app differential test growth: instead of writing a new
 fast-vs-reference test for every backend, the matrix sweeps the engine
-and fastpath axes over representative scenarios and asserts
-``diff_artifacts()`` reports zero *semantic* divergence against the
-reference cell.  Timing-only fields (wall clock, flow-cache counters,
-batch-size echoes, event counts) are excluded by the diff's
-classification rules — which is exactly the PR 2 fast-path contract:
-identical verdicts, drops, latency buckets, and delivered bytes.
+axis over representative scenarios and asserts ``diff_artifacts()``
+reports zero *semantic* divergence against the reference cell.
+Timing-only fields (wall clock, flow-cache counters, event counts) are
+excluded by the diff's classification rules — which is exactly the
+fast-engine contract: identical verdicts, drops, latency buckets, and
+delivered bytes.
 """
 
 from __future__ import annotations
@@ -21,16 +21,13 @@ from repro.obs.scenario import ScenarioSpec, TrafficProfile
 # while the suite stays fast enough for the tier-1 run.
 CHAOS_TRAFFIC = TrafficProfile(rate_bps=50e6, frame_len=512, duration_s=0.4)
 
-ENGINE_FASTPATH_AXES = MatrixAxes(
-    engines=("reference", "batched", "compiled"),
-    fastpath=(False, True),
-)
+ENGINE_AXES = MatrixAxes(engines=("reference", "compiled"))
 
 
 @pytest.fixture(scope="module")
 def nat_matrix():
     return run_matrix(
-        ScenarioSpec(kind="nat-linerate", seed=11), ENGINE_FASTPATH_AXES
+        ScenarioSpec(kind="nat-linerate", seed=11), ENGINE_AXES
     )
 
 
@@ -40,7 +37,7 @@ def chaos_matrix():
         ScenarioSpec(
             kind="chaos", fault_plan="smoke", seed=7, traffic=CHAOS_TRAFFIC
         ),
-        ENGINE_FASTPATH_AXES,
+        ENGINE_AXES,
     )
 
 
@@ -54,18 +51,11 @@ class TestNatLinerateSweep:
             )
 
     def test_all_engine_fastpath_cells_ran(self, nat_matrix):
-        # 2 engines x 2 fastpath states + one compiled cell: compiled is
-        # the fused fastpath, so its fastpath-off duplicate is deduped.
-        assert len(nat_matrix.cells) == 5
-        engines = {cell.config.engine for cell in nat_matrix.cells}
-        fastpaths = {cell.config.fastpath for cell in nat_matrix.cells}
-        assert engines == {"reference", "batched", "compiled"}
-        assert fastpaths == {True, False}
-        compiled = [
-            cell for cell in nat_matrix.cells if cell.config.engine == "compiled"
+        # One cell per tier: the engine axis has no sub-options to cross.
+        assert [cell.config.engine for cell in nat_matrix.cells] == [
+            "reference",
+            "compiled",
         ]
-        assert len(compiled) == 1
-        assert compiled[0].config.fastpath is True
 
     def test_compiled_cell_fused_real_bursts(self, nat_matrix):
         """The compiled cell demonstrably ran the fused lane (not a
@@ -91,7 +81,7 @@ class TestNatLinerateSweep:
     def test_raw_digests_differ_where_metric_sets_do(self, nat_matrix):
         # Sanity check that the semantic digest is doing real work: the
         # raw (unfiltered) digests differ across engine cells because
-        # the fastpath cells carry flow-cache metrics.
+        # the compiled cell carries flow-cache metrics.
         raw = {cell.artifact.shards[0]["digest"] for cell in nat_matrix.cells}
         assert len(raw) > 1
 
@@ -127,7 +117,7 @@ class TestShardCountSweep:
     def test_shard_axis_reports_no_semantic_divergence(self):
         result = run_matrix(
             ScenarioSpec(kind="nat-linerate", seed=11),
-            MatrixAxes(engines=("reference", "batched"), shards=(1, 2)),
+            MatrixAxes(engines=("reference", "compiled"), shards=(1, 2)),
         )
         assert result.verdict == "clean"
         # Cross-shard-count cells skip the merged view with a note but

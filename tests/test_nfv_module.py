@@ -50,19 +50,14 @@ class TestConstruction:
         assert module.crossbar is None
         assert module.slots == []
 
-    def test_legacy_positional_app_warns(self, sim):
-        with pytest.warns(DeprecationWarning, match="Deployment.solo"):
-            FlexSFPModule(sim, "m", Passthrough(), auth_key=KEY)
-
-    def test_legacy_app_keyword_warns(self, sim):
-        with pytest.warns(DeprecationWarning, match="Deployment.solo"):
-            FlexSFPModule(sim, "m", app=Passthrough(), auth_key=KEY)
-
     def test_deployment_and_app_conflict(self, sim):
-        with pytest.raises(ConfigError, match="not both"):
+        # ``app=`` is gone; a bare application is not a deployment.
+        with pytest.raises(TypeError, match="app"):
             FlexSFPModule(
                 sim, "m", Deployment.solo(Passthrough()), app=Passthrough(), auth_key=KEY
             )
+        with pytest.raises(ConfigError, match="Deployment.solo"):
+            FlexSFPModule(sim, "m", Passthrough(), auth_key=KEY)
 
     def test_oversubscribed_deployment_rejected_at_init(self, sim):
         deployment = Deployment.from_dicts(

@@ -2,7 +2,7 @@
 
 ``nfv-chain`` and ``tenant-churn`` are the acceptance scenarios for
 multi-tenant chaining: the per-tenant digests must be bit-identical
-across the reference, batched, and compiled engines, and a mid-run
+across the reference and compiled engines, and a mid-run
 partial reconfiguration must leave the surviving tenant's digest equal
 to the churn-free run's.
 """
@@ -15,6 +15,7 @@ import pytest
 
 from repro.artifact import artifact_from_scenario_run, diff_artifacts
 from repro.artifact.diff import DiffKind
+from repro.engine import ENGINES
 from repro.obs.scenario import (
     _KIND_TRAFFIC,
     TENANT_CHURN_APP,
@@ -22,9 +23,7 @@ from repro.obs.scenario import (
     TrafficProfile,
 )
 
-ENGINES = ("reference", "batched", "compiled")
-
-# Short profiles keep the six scenario runs inside the tier-1 budget
+# Short profiles keep the four scenario runs inside the tier-1 budget
 # while still crossing the churn window (churn fires at duration/4).
 CHAIN_TRAFFIC = TrafficProfile(rate_bps=20e6, frame_len=256, duration_s=0.2)
 
@@ -71,12 +70,9 @@ class TestCrossEngineIdentity:
         reference = artifact_from_scenario_run(
             chain_runs["reference"], source="test"
         )
-        for engine in ("batched", "compiled"):
-            other = artifact_from_scenario_run(chain_runs[engine], source="test")
-            diff = diff_artifacts(reference, other)
-            assert not diff.diverged, (
-                f"{engine}: {[e.to_dict() for e in diff.semantic_entries]}"
-            )
+        other = artifact_from_scenario_run(chain_runs["compiled"], source="test")
+        diff = diff_artifacts(reference, other)
+        assert not diff.diverged, [e.to_dict() for e in diff.semantic_entries]
 
 
 class TestTenantChurn:
@@ -166,7 +162,7 @@ class TestDeploymentKnobsAndDiff:
         knobs = dict(artifact.knobs)
         knobs["deployment"] = {
             "tenants": [
-                dict(t, engine="batched")
+                dict(t, engine="compiled")
                 for t in knobs["deployment"]["tenants"]
             ]
         }

@@ -97,7 +97,7 @@ class TestScenarioTracing:
         assert "ipv4.src" in app_spans[0].detail["mutations"]
 
     def test_fastpath_hit_miss_detail(self):
-        run = ScenarioSpec(trace_packets=3, fastpath=True).run()
+        run = ScenarioSpec(trace_packets=3, engine="compiled").run()
         ppe_spans = [
             s
             for trace_id in run.tracer.trace_ids()
@@ -107,12 +107,38 @@ class TestScenarioTracing:
         outcomes = [s.detail.get("fastpath") for s in ppe_spans]
         assert outcomes[0] == "miss"
         assert "hit" in outcomes[1:]
+        # The oracle has no flow cache, so no hit/miss to report.
+        reference = ScenarioSpec(trace_packets=1, engine="reference").run()
+        (span,) = [
+            s for s in reference.tracer.spans_for(0) if s.stage == STAGE_PPE
+        ]
+        assert "fastpath" not in span.detail
 
     def test_batched_engine_traces_same_stages(self):
-        run = ScenarioSpec(
-            trace_packets=1, fastpath=True, batch_size=8
-        ).run()
+        run = ScenarioSpec(trace_packets=1, engine="compiled").run()
         assert run.tracer.stages(0) == PIPELINE
+
+    @pytest.mark.parametrize("engine", ["reference", "compiled"])
+    def test_traced_run_matches_untraced_registry(self, engine):
+        """Spans bracket the one apply from outside: every counter a traced
+        frame bumps is the counter an untraced frame would have bumped."""
+        from repro.artifact.diff import semantic_metrics
+
+        traced = ScenarioSpec(trace_packets=3, engine=engine).run()
+        untraced = ScenarioSpec(engine=engine).run()
+        assert traced.metrics()["trace.traced_packets"] == 3
+        observed = {
+            name: value
+            for name, value in semantic_metrics(traced.metrics()).items()
+            if not name.startswith("trace.")
+        }
+        assert observed == semantic_metrics(untraced.metrics())
+        assert traced.histograms() == untraced.histograms()
+        if engine == "reference":
+            # No strategy counters on the oracle: the whole registry agrees.
+            assert {
+                k: v for k, v in traced.metrics().items() if not k.startswith("trace.")
+            } == untraced.metrics()
 
     def test_trace_metrics_in_registry(self):
         run = ScenarioSpec(trace_packets=2).run()

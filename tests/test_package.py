@@ -39,7 +39,7 @@ SUBPACKAGES = (
 
 class TestExports:
     def test_version(self):
-        assert repro.__version__ == "1.0.0"
+        assert repro.__version__ == "2.0.0"
 
     @pytest.mark.parametrize("module_name", SUBPACKAGES)
     def test_subpackages_importable(self, module_name):

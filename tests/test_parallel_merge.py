@@ -121,6 +121,15 @@ class TestMergeMetricsLaws:
         assert merged["m.rx.packets"] == 3
         assert merge_metrics([b, a]) == merged
 
+    def test_tenant_count_is_a_gauge_not_a_counter(self):
+        # Regression: a 4-shard, 2-tenant nfv-chain run reported
+        # ``module0.tenants = 8`` because the leaf merged as SUM.
+        assert classify("module0.tenants", 2) is MergeKind.EQUAL
+        shards = [{"module0.tenants": 2, "module0.edge.rx.packets": 5}] * 4
+        merged = merge_metrics(shards)
+        assert merged["module0.tenants"] == 2
+        assert merged["module0.edge.rx.packets"] == 20
+
     def test_type_drift_dropped(self):
         merged = merge_metrics([{"m.rx.packets": 1}, {"m.rx.packets": "one"}])
         assert "m.rx.packets" not in merged

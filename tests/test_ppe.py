@@ -1,8 +1,12 @@
-"""PPE runtime: queueing server behaviour, verdicts, overload."""
+"""PPE runtime: queueing server behaviour, verdicts, overload.
+
+Every case runs against both engines: the fast engine under the historical
+test names, the reference oracle through the ``*Oracle`` subclasses.
+"""
 
 import pytest
 
-from repro.core import Direction, PacketProcessingEngine, Verdict
+from repro.core import Direction, PacketProcessingEngine, ReferenceEngine, Verdict
 from repro.core.ppe import PPEApplication, PPEContext
 from repro.errors import SimulationError
 from repro.fpga import TimingSpec
@@ -39,8 +43,8 @@ class BadApp(EchoApp):
         return "not-a-verdict"
 
 
-def run_one(sim, app, packet=None, direction=Direction.EDGE_TO_LINE):
-    engine = PacketProcessingEngine(sim, app, TimingSpec(64, 156.25e6))
+def run_one(engine_cls, sim, app, packet=None, direction=Direction.EDGE_TO_LINE):
+    engine = engine_cls(sim, app, TimingSpec(64, 156.25e6))
     results = []
     engine.submit(
         packet or make_udp(),
@@ -52,31 +56,33 @@ def run_one(sim, app, packet=None, direction=Direction.EDGE_TO_LINE):
 
 
 class TestProcessing:
+    engine_cls = PacketProcessingEngine
+
     def test_pass_verdict_delivered(self, sim):
-        engine, results = run_one(sim, EchoApp())
+        engine, results = run_one(self.engine_cls, sim, EchoApp())
         assert results[0][1] is Verdict.PASS
         assert engine.verdict_counts[Verdict.PASS] == 1
 
     def test_emitted_packets_passed_through(self, sim):
-        _, results = run_one(sim, EchoApp(emit_extra=True))
+        _, results = run_one(self.engine_cls, sim, EchoApp(emit_extra=True))
         emitted = results[0][2]
         assert len(emitted) == 1
         assert emitted[0][1] is Direction.EDGE_TO_LINE
 
     def test_context_fields(self, sim):
         app = EchoApp()
-        run_one(sim, app, direction=Direction.LINE_TO_EDGE)
+        run_one(self.engine_cls, sim, app, direction=Direction.LINE_TO_EDGE)
         ctx = app.seen[0]
         assert ctx.direction is Direction.LINE_TO_EDGE
         assert ctx.time_ns >= 0
 
     def test_bad_verdict_raises(self, sim):
         with pytest.raises(SimulationError, match="Verdict"):
-            run_one(sim, BadApp())
+            run_one(self.engine_cls, sim, BadApp())
 
     def test_latency_includes_service_and_pipeline(self, sim):
         app = EchoApp()
-        engine = PacketProcessingEngine(sim, app, TimingSpec(64, 156.25e6))
+        engine = self.engine_cls(sim, app, TimingSpec(64, 156.25e6))
         done_at = []
         engine.submit(
             pad_to_min(make_udp()),
@@ -90,9 +96,11 @@ class TestProcessing:
 
 
 class TestQueueing:
+    engine_cls = PacketProcessingEngine
+
     def test_fifo_order_preserved(self, sim):
         app = EchoApp()
-        engine = PacketProcessingEngine(sim, app, TimingSpec(64, 156.25e6))
+        engine = self.engine_cls(sim, app, TimingSpec(64, 156.25e6))
         order = []
         for i in range(5):
             packet = make_udp(payload=bytes([i]) * 10)
@@ -106,7 +114,7 @@ class TestQueueing:
 
     def test_overload_drops_when_queue_full(self, sim):
         app = EchoApp()
-        engine = PacketProcessingEngine(
+        engine = self.engine_cls(
             sim, app, TimingSpec(64, 156.25e6), queue_bytes=200
         )
         accepted = sum(
@@ -122,7 +130,7 @@ class TestQueueing:
         # Offer 2x what a 64b/156.25MHz PPE can chew through; roughly half
         # must be dropped at the ingress FIFO.
         app = EchoApp()
-        engine = PacketProcessingEngine(
+        engine = self.engine_cls(
             sim, app, TimingSpec(64, 156.25e6), queue_bytes=4096
         )
         interval = TimingSpec(64, 156.25e6).frame_service_time(60) / 2
@@ -142,7 +150,15 @@ class TestQueueing:
         assert 0.45 < processed / count < 0.6
 
     def test_stats_shape(self, sim):
-        engine, _ = run_one(sim, EchoApp())
+        engine, _ = run_one(self.engine_cls, sim, EchoApp())
         stats = engine.snapshot()
         assert stats["processed"]["packets"] == 1
         assert "verdicts" in stats and "latency_ns" in stats
+
+
+class TestProcessingOracle(TestProcessing):
+    engine_cls = ReferenceEngine
+
+
+class TestQueueingOracle(TestQueueing):
+    engine_cls = ReferenceEngine

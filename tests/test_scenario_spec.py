@@ -8,7 +8,6 @@ from repro.obs import (
     SCENARIO_KINDS,
     ScenarioSpec,
     TrafficProfile,
-    run_scenario,
 )
 
 
@@ -20,7 +19,7 @@ class TestValidation:
     def test_bad_shards_batch_trace(self):
         for bad in (
             ScenarioSpec(shards=0),
-            ScenarioSpec(batch_size=0),
+            ScenarioSpec(engine="batched"),
             ScenarioSpec(trace_packets=-1),
         ):
             with pytest.raises(ConfigError):
@@ -45,21 +44,19 @@ class TestValidation:
 class TestResolution:
     def test_fills_traffic_and_knobs_from_settings(self):
         spec = ScenarioSpec(kind="chaos")
-        resolved = spec.resolved(Settings(fastpath=True, batch_size=8))
+        resolved = spec.resolved(Settings(engine="compiled"))
         assert resolved.traffic == TrafficProfile(
             rate_bps=50e6, frame_len=512, duration_s=1.5
         )
-        assert resolved.fastpath is True
-        assert resolved.batch_size == 8
+        assert resolved.engine == "compiled"
         assert resolved.fault_plan == "smoke"
 
     def test_explicit_values_win(self):
         traffic = TrafficProfile(duration_s=0.5)
-        spec = ScenarioSpec(traffic=traffic, fastpath=False, batch_size=2)
-        resolved = spec.resolved(Settings(fastpath=True, batch_size=16))
+        spec = ScenarioSpec(traffic=traffic, engine="reference")
+        resolved = spec.resolved(Settings(engine="compiled"))
         assert resolved.traffic is traffic
-        assert resolved.fastpath is False
-        assert resolved.batch_size == 2
+        assert resolved.engine == "reference"
 
     def test_fully_resolved_spec_is_self(self):
         resolved = ScenarioSpec(kind="chaos").resolved(Settings())
@@ -116,30 +113,3 @@ class TestRuns:
         assert len(run.summary["upgraded"]) == 2
         assert run.summary["delivered"]["packets"] > 0
         assert run.metrics()["sim.events"] > 0
-
-
-class TestLegacyShim:
-    def test_run_scenario_warns(self):
-        with pytest.deprecated_call(match="run_scenario"):
-            run_scenario("nat-linerate")
-
-    def test_shim_matches_spec_run(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = run_scenario("nat-linerate", trace_packets=1)
-        modern = ScenarioSpec(trace_packets=1).run()
-        assert legacy.digest() == modern.digest()
-        assert legacy.metrics() == modern.metrics()
-
-    def test_shim_maps_traffic_kwargs(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = run_scenario("nat-linerate", duration_s=0.1e-3)
-        modern = ScenarioSpec(
-            traffic=TrafficProfile(duration_s=0.1e-3)
-        ).run()
-        assert legacy.digest() == modern.digest()
