@@ -54,10 +54,6 @@ NONSEMANTIC_PREFIXES = ("sim.profile.", "fleet.supervisor.")
 # engine counters (recipe hits, deopts, compile wall time) exist only
 # when that strategy runs and measure the *strategy*, not the result.
 NONSEMANTIC_INFIXES = (".flow_cache.", ".fastpath_hits.", ".compiled.")
-# Leaf names that are configuration echoes of the execution engine
-# (``.engine`` covers the per-tenant tier echo, ``<module>.tenant.<t>.engine``).
-NONSEMANTIC_SUFFIXES = (".engine",)
-
 # Summary keys that mirror the execution strategy rather than results.
 NONSEMANTIC_SUMMARY_KEYS = frozenset({"sim_events"})
 
@@ -71,8 +67,6 @@ def is_semantic_metric(name: str) -> bool:
     if name in NONSEMANTIC_NAMES:
         return False
     if name.startswith(NONSEMANTIC_PREFIXES):
-        return False
-    if name.endswith(NONSEMANTIC_SUFFIXES):
         return False
     return not any(infix in name for infix in NONSEMANTIC_INFIXES)
 
@@ -246,9 +240,7 @@ def _diff_deployment(
     Comparing runs with different tenant *sets* is a category error, not
     a metric drift — one ``tenant-set`` entry carries the whole verdict.
     With the same names, per-tenant app/match/share drift is still
-    ``tenant-set`` (the workload itself changed); per-tenant *engine*
-    drift is the execution strategy and stays ``timing-only``, so the
-    cross-engine matrix contract extends to multi-tenant runs.
+    ``tenant-set`` (the workload itself changed).
     """
     dep_a = (knobs_a or {}).get("deployment") or {}
     dep_b = (knobs_b or {}).get("deployment") or {}
@@ -278,15 +270,6 @@ def _diff_deployment(
                         tb.get(field),
                     )
                 )
-        if ta.get("engine") != tb.get("engine"):
-            entries.append(
-                DiffEntry(
-                    DiffKind.TIMING_ONLY,
-                    f"knobs.deployment.tenants.{name}.engine",
-                    ta.get("engine"),
-                    tb.get("engine"),
-                )
-            )
 
 
 def _completeness_view(block: Mapping | None) -> dict:
@@ -411,7 +394,6 @@ __all__ = [
     "NONSEMANTIC_INFIXES",
     "NONSEMANTIC_NAMES",
     "NONSEMANTIC_PREFIXES",
-    "NONSEMANTIC_SUFFIXES",
     "NONSEMANTIC_SUMMARY_KEYS",
     "diff_artifacts",
     "is_semantic_metric",

@@ -189,9 +189,8 @@ class RunArtifact:
 # Builders
 # ----------------------------------------------------------------------
 def _knobs_from_spec(spec_payload: Mapping, workers: int | None) -> dict:
-    engine = resolve_engine(spec_payload.get("engine"))
     knobs = {
-        "engine": engine,
+        "engine": resolve_engine(spec_payload.get("engine")),
         "shards": int(spec_payload.get("shards", 1)),
         "workers": workers,
         "device": spec_payload.get("device"),
@@ -203,8 +202,7 @@ def _knobs_from_spec(spec_payload: Mapping, workers: int | None) -> dict:
     tenants = spec_payload.get("tenants")
     if tenants:
         # The resolved deployment: tenant identity and workload fields
-        # are semantic (diffed as ``tenant-set``); the per-tenant engine
-        # echoes the execution tier and diffs as ``timing-only``.
+        # are semantic (diffed as ``tenant-set``).
         knobs["deployment"] = {
             "tenants": [
                 {
@@ -212,7 +210,6 @@ def _knobs_from_spec(spec_payload: Mapping, workers: int | None) -> dict:
                     "app": tenant.get("app"),
                     "match": dict(tenant.get("match") or {}),
                     "share": tenant.get("share", 1.0),
-                    "engine": tenant.get("engine") or engine,
                 }
                 for tenant in tenants
             ],

@@ -37,7 +37,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from pathlib import Path
 
 from ._util import write_text_atomic
@@ -444,7 +443,12 @@ def cmd_check(args: argparse.Namespace) -> int:
         from .nfv import default_nfv_tenants
 
         if args.tenants is not None:
-            tenants = json.loads(Path(args.tenants).read_text())
+            try:
+                tenants = json.loads(Path(args.tenants).read_text())
+            except (OSError, ValueError) as exc:
+                raise ConfigError(
+                    f"cannot read tenants file {args.tenants}: {exc}"
+                ) from exc
         else:
             tenants = default_nfv_tenants()
         deployment = Deployment.from_dicts(
@@ -591,22 +595,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", DeprecationWarning)
-        spec = ScenarioSpec(
-            kind=args.scenario, engine=args.engine, profile=args.profile
-        )
-        run = spec.run()
-        metrics = run.metrics()
-    deprecated = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    if args.fail_on_deprecated and deprecated:
-        for warning in deprecated:
-            print(f"deprecated: {warning.message}", file=sys.stderr)
-        print(
-            f"error: {len(deprecated)} deprecated call(s) on the metrics path",
-            file=sys.stderr,
-        )
-        return 3
+    spec = ScenarioSpec(kind=args.scenario, engine=args.engine, profile=args.profile)
+    metrics = spec.run().metrics()
     fmt = "json" if args.json else args.format
     if fmt == "json":
         print(metrics_json(metrics))
@@ -983,12 +973,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help="attach the event-loop profiler (sim.profile.* metrics)",
-    )
-    metrics.add_argument(
-        "--fail-on-deprecated",
-        action="store_true",
-        dest="fail_on_deprecated",
-        help="exit 3 if the scenario path emits any DeprecationWarning (CI gate)",
     )
     metrics.set_defaults(func=cmd_metrics)
 

@@ -193,10 +193,22 @@ class ControlPlane:
         return self._ack(message, stats=self.module.app.tables.stats())
 
     def _op_counter_read(self, message: MgmtMessage) -> MgmtMessage:
+        module = self.module
+        if module.crossbar is None:
+            return self._ack(
+                message,
+                app=module.app.counters_snapshot(),
+                ppe=module.ppe.snapshot(),
+            )
         return self._ack(
             message,
-            app=self.module.app.counters_snapshot(),
-            ppe=self.module.ppe.snapshot(),
+            tenants={
+                slot.name: {
+                    "app": slot.app.counters_snapshot(),
+                    "ppe": slot.ppe.snapshot(),
+                }
+                for slot in module.slots
+            },
         )
 
     # ------------------------------------------------------------------

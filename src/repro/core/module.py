@@ -25,7 +25,7 @@ from typing import Callable
 
 from .._util import mac_to_int
 from ..config import Settings
-from ..engine import ENGINE_COMPILED, resolve_engine, validate_engine
+from ..engine import ENGINE_COMPILED, resolve_engine
 from ..errors import BitstreamError, ConfigError, FlashError
 from ..fpga.bitstream import Bitstream
 from ..fpga.flash import SPIFlash
@@ -35,7 +35,7 @@ from ..packet import BROADCAST_MAC, Packet
 from ..sim.engine import Simulator
 from ..sim.link import Port
 from ..sim.stats import Counter
-from .arbiter import Arbiter
+from .arbiter import Arbiter, is_mgmt_frame
 from .controlplane import ControlPlane
 from .flowcache import DEFAULT_FLOW_CACHE_ENTRIES, FlowCache
 from .ppe import (
@@ -58,60 +58,76 @@ DEFAULT_AUTH_KEY = b"flexsfp-mgmt-key"
 
 
 class TenantSlot:
-    """One tenant's runtime partition on a multi-tenant module.
+    """One function's partition of the fabric; every module has at least one.
 
-    Each slot owns its own application instance, synthesized build,
-    packet-processing engine, flow cache, and a two-slot SPI flash
-    (slot 0 = the tenant's golden image, slot 1 = staging for partial
-    reconfiguration).  The module steers ingress frames to slots through
-    the :class:`~repro.nfv.Crossbar`; a slot going dark (its partition
-    being reprogrammed) or degraded affects only frames steered to it.
+    Each slot owns its application instance, synthesized build,
+    packet-processing engine, flow cache, boot flash, drop counters and
+    pre-bound completion callbacks.  A slot going dark (its partition
+    being reprogrammed) or degraded (both its boot images unusable)
+    affects only the frames that reach it.
+
+    A solo slot and a tenant slot differ in names only: a solo slot's
+    metric ``base`` is the module name and its counters and flash are the
+    module's own; a tenant slot lives behind the crossbar under
+    ``<module>.tenant.<name>`` with a two-image flash (0 = the tenant's
+    golden image, 1 = staging for partial reconfiguration).
     """
 
-    def __init__(self, index: int, spec, module_name: str) -> None:
+    def __init__(
+        self,
+        sim: Simulator,
+        index: int,
+        spec,
+        base: str,
+        flash: SPIFlash,
+        counters: tuple[Counter, Counter, Counter] | None = None,
+    ) -> None:
+        self.sim = sim
         self.index = index
         self.spec = spec
         self.name = spec.name
-        base = f"{module_name}.tenant.{spec.name}"
-        self.verdict_drops = Counter(f"{base}.verdict_drops")
-        self.downtime_drops = Counter(f"{base}.downtime_drops")
-        self.degraded_forwarded = Counter(f"{base}.degraded_forwarded")
+        self.base = base
+        self.flash = flash
+        if counters is None:
+            counters = (
+                Counter(f"{base}.verdict_drops"),
+                Counter(f"{base}.downtime_drops"),
+                Counter(f"{base}.degraded_forwarded"),
+            )
+        self.verdict_drops, self.downtime_drops, self.degraded_forwarded = counters
         self.reboots = 0
         self.failed_boots = 0
-        self.down = False
         self.degraded = False
-        # The dark window of the latest (possibly announced) partial
-        # reconfiguration, in *virtual* time.  Ingress evaluates frames
-        # against this interval using their true wire-arrival timestamps
-        # rather than the event time a coalesced flush replays them at,
-        # so the drop/forward boundary is bit-identical across engines.
-        self.dark_from: float | None = None
-        self.dark_until: float = 0.0
-        # Populated by the module during provisioning / reconfiguration:
+        # The dark window of the latest (possibly announced) boot of this
+        # slot, in *virtual* time.  Ingress evaluates frames against this
+        # interval using their true wire-arrival timestamps rather than
+        # the event time a coalesced flush replays them at, so the
+        # drop/forward boundary is bit-identical across engines.
+        self.dark_from = 0.0
+        self.dark_until = 0.0
+        # Populated by the module during provisioning / boot:
         self.app: PPEApplication | None = None
-        self.engine: str | None = None
         self.build = None
         self.program = None
         self.flow_cache: FlowCache | None = None
-        self.flash: SPIFlash | None = None
         self.ppe: PacketProcessingEngine | ReferenceEngine | None = None
         self.done_edge: Callable | None = None
         self.done_line: Callable | None = None
-
-    def boot_complete(self) -> None:
-        self.down = False
+        self.burst_done_edge: Callable | None = None
+        self.burst_done_line: Callable | None = None
 
     def is_dark(self, when: float) -> bool:
         """Whether this slot's partition is being reprogrammed at ``when``."""
-        return self.dark_from is not None and (
-            self.dark_from <= when < self.dark_until
-        )
+        return self.dark_from <= when < self.dark_until
+
+    @property
+    def down(self) -> bool:
+        return self.is_dark(self.sim.now)
 
     def metric_values(self) -> dict[str, object]:
         return {
             "app": self.app.name,
             "share": self.spec.share,
-            "engine": self.engine,
             "reboots": self.reboots,
             "failed_boots": self.failed_boots,
             "degraded": self.degraded,
@@ -122,6 +138,12 @@ class TenantSlot:
 
 class FlexSFPModule:
     """A programmable SFP+ module in the simulation.
+
+    One fabric with one or more functions loaded into it: ``slots`` holds
+    at least one :class:`TenantSlot`, and ``ppe`` / ``app`` /
+    ``flow_cache`` / ``program`` / ``build`` are read-only views of the
+    first (they follow what a reboot swaps in).  A one-slot module has no
+    crossbar; with several, it steers each frame to exactly one of them.
 
     Parameters
     ----------
@@ -139,20 +161,20 @@ class FlexSFPModule:
         HMAC keys for management-frame authentication and bitstream
         signature verification respectively.
     build:
-        A pre-computed :class:`~repro.hls.compiler.BuildResult`; when
-        omitted the module synthesizes ``app`` itself (raising if it does
-        not fit or misses timing).
+        A pre-computed :class:`~repro.hls.compiler.BuildResult` for a
+        one-tenant deployment; when omitted the module synthesizes each
+        tenant's application itself (raising if it does not fit or
+        misses timing).
     settings:
         A pre-resolved :class:`~repro.config.Settings`; ``None`` resolves
         the environment here, once.
     engine:
-        The engine tier name (``reference`` / ``compiled``); omitted it
-        falls back to a solo tenant's own ``engine``, then
-        ``FLEXSFP_ENGINE``, then ``reference``
-        (:func:`~repro.engine.resolve_engine`).  ``reference`` runs the
-        per-frame oracle on un-coalesced ports; ``compiled`` runs the fast
-        engine behind a flow cache, lowers the verified pipeline IR into a
-        fused per-flow executor program
+        The engine tier name (``reference`` / ``compiled``) every slot
+        runs; omitted it falls back to ``FLEXSFP_ENGINE``, then
+        ``reference`` (:func:`~repro.engine.resolve_engine`).
+        ``reference`` runs the per-frame oracle on un-coalesced ports;
+        ``compiled`` runs the fast engine behind a flow cache, lowers the
+        verified pipeline IR into a fused per-flow executor program
         (:func:`repro.hls.compile_executor`) and opts the data ports into
         coalesced delivery and the struct-of-arrays burst lane.
     """
@@ -188,7 +210,6 @@ class FlexSFPModule:
         self.sim = sim
         self.name = name
         self.deployment = deployment
-        self._multi = deployment.multi_tenant
         self.shell = shell
         self.device = device
         self.device_id = device_id
@@ -197,18 +218,36 @@ class FlexSFPModule:
         self.auth_key = auth_key
         self.deploy_key = deploy_key if deploy_key is not None else auth_key
 
-        solo_spec = deployment.tenants[0]
-        if engine is None and not self._multi:
-            engine = solo_spec.engine
         self.engine = resolve_engine(engine, settings)
         self._flow_cache_entries = flow_cache_entries
         # Optional packet tracer (duck-typed repro.obs.trace.Tracer), set
         # via attach_tracer.  None costs one attribute load per frame.
         self._tracer = None
 
+        self._down = False
+        # Every slot failed both boot images: the module is a dumb cable.
+        self.degraded = False
+        self.reboots = 0
+        self.watchdog_timeout_s = watchdog_timeout_s
+        self.watchdog_reboots = 0
+        self.verdict_drops = Counter(f"{name}.verdict_drops")
+        self.downtime_drops = Counter(f"{name}.downtime_drops")
+        self.degraded_forwarded = Counter(f"{name}.degraded_forwarded")
+        self.punted_to_cpu: list[Packet] = []
+
         self.slots: list[TenantSlot] = []
         self.crossbar: Crossbar | None = None
-        if self._multi:
+        tenants = deployment.tenants
+        if len(tenants) == 1:
+            # The naming decision: a solo slot is the module under its own
+            # name — the module's counters, the module's flash, and no
+            # crossbar in front of it.
+            self.flash = SPIFlash(slots=flash_slots)
+            counters = (self.verdict_drops, self.downtime_drops, self.degraded_forwarded)
+            self._provision_slot(
+                TenantSlot(sim, 0, tenants[0], name, self.flash, counters), build
+            )
+        else:
             if build is not None:
                 raise ConfigError(
                     "a pre-computed build applies to single-tenant modules only"
@@ -221,64 +260,21 @@ class FlexSFPModule:
                     "infeasible deployment: "
                     + "; ".join(f.message for f in blocking)
                 )
-            for index, spec in enumerate(deployment.tenants):
-                slot = TenantSlot(index, spec, name)
-                self._provision_slot(slot, spec.build_app())
-                self.slots.append(slot)
-            self.crossbar = Crossbar(name, deployment.tenants)
-            self.app = self.slots[0].app
-            self.flow_cache = None
-            self.program = None
+            self.crossbar = Crossbar(name, tenants)
+            for index, spec in enumerate(tenants):
+                base = f"{name}.tenant.{spec.name}"
+                self._provision_slot(
+                    TenantSlot(sim, index, spec, base, SPIFlash(slots=2))
+                )
             # The module-level flash keeps the first tenant's image as the
             # golden slot so control-plane OTA and boot metrics stay
             # meaningful; per-tenant images live in the slot flashes.
-            self.build = self.slots[0].build
-        else:
-            self.app = solo_spec.build_app()
-            self.flow_cache = self._new_flow_cache(self.engine, name)
-            self.build, self.program = self._synthesize(
-                self.app, self.engine, build
-            )
-        self.flash = SPIFlash(slots=flash_slots)
-        self.flash.store_bitstream(0, self.build.bitstream, allow_golden=True)
-        self.flash.select_boot(0)
+            self.flash = SPIFlash(slots=flash_slots)
+            self.flash.store_bitstream(0, self.build.bitstream, allow_golden=True)
+            self.flash.select_boot(0)
 
-        # The fast engine also opts the module's own ports into batched
-        # delivery: the ingress path understands ``link_deliver_s`` stamps.
-        coalesce = self.engine == ENGINE_COMPILED
-        self.edge_port = Port(
-            sim,
-            f"{name}.edge",
-            rate_bps=shell.line_rate_bps,
-            coalesce=coalesce,
-            batch_rx=coalesce,
-        )
-        self.line_port = Port(
-            sim,
-            f"{name}.line",
-            rate_bps=shell.line_rate_bps,
-            coalesce=coalesce,
-            batch_rx=coalesce,
-        )
-        self.edge_port.attach(self._on_edge_rx)
-        self.line_port.attach(self._on_line_rx)
-        if coalesce:
-            # One PPE group-event commit per delivery flush instead of a
-            # cancel/re-arm per submitted frame.  Routed through module
-            # methods (not bound PPE methods) so a reboot-swapped engine
-            # keeps receiving the brackets.
-            self.edge_port.rx_flush_begin = self._rx_flush_begin
-            self.edge_port.rx_flush_end = self._rx_flush_end
-            self.line_port.rx_flush_begin = self._rx_flush_begin
-            self.line_port.rx_flush_end = self._rx_flush_end
-            # Whole-flush ingress: one call per delivery batch.
-            self.edge_port.attach_batch(self._on_edge_rx_batch)
-            self.line_port.attach_batch(self._on_line_rx_batch)
-        if self.program is not None:
-            # Compiled tier: whole bursts arrive as one template + a
-            # struct-of-arrays vector of delivery times.
-            self.edge_port.attach_burst(self._on_edge_rx_burst)
-            self.line_port.attach_burst(self._on_line_rx_burst)
+        self.edge_port = self._data_port("edge", Direction.EDGE_TO_LINE)
+        self.line_port = self._data_port("line", Direction.LINE_TO_EDGE)
         self.mgmt_port: Port | None = None
         if shell.kind is ShellKind.ACTIVE_CORE:
             self.mgmt_port = Port(sim, f"{name}.mgmt", rate_bps=1e9)
@@ -287,48 +283,46 @@ class FlexSFPModule:
         self.arbiter = Arbiter(name)
         self.control_plane = ControlPlane(self, auth_key)
         self.services = ServiceRegistry()
-        # Multi-tenant modules run one engine per slot; the module-level
-        # engine handle stays None and every PPE touch branches on _multi.
-        self.ppe = (
-            None
-            if self._multi
-            else self._make_engine(
-                self.app,
-                self.build.report.timing,
-                self.engine,
-                self.flow_cache,
-                self.program,
-            )
-        )
-
-        self._down = False
-        self.degraded = False
-        self.reboots = 0
-        self.failed_boots = 0
-        self.watchdog_timeout_s = watchdog_timeout_s
-        self.watchdog_reboots = 0
-        self.verdict_drops = Counter(f"{name}.verdict_drops")
-        self.downtime_drops = Counter(f"{name}.downtime_drops")
-        self.degraded_forwarded = Counter(f"{name}.degraded_forwarded")
-        self.punted_to_cpu: list[Packet] = []
 
     # ------------------------------------------------------------------
-    # Tenant slot provisioning (multi-tenant deployments)
+    # Views of the first slot, and module health as the sum of its slots
     # ------------------------------------------------------------------
-    def _new_flow_cache(self, engine: str, owner: str) -> FlowCache | None:
-        if engine != ENGINE_COMPILED:
-            return None
-        return FlowCache(self._flow_cache_entries, name=f"{owner}.flow_cache")
+    @property
+    def ppe(self) -> PacketProcessingEngine | ReferenceEngine:
+        return self.slots[0].ppe
 
-    def _synthesize(self, app: PPEApplication, engine: str, build=None):
-        """``(build, program)`` for ``app`` at tier ``engine``.
+    @property
+    def app(self) -> PPEApplication:
+        return self.slots[0].app
+
+    @property
+    def flow_cache(self) -> FlowCache | None:
+        return self.slots[0].flow_cache
+
+    @property
+    def program(self):
+        return self.slots[0].program
+
+    @property
+    def build(self):
+        return self.slots[0].build
+
+    @property
+    def failed_boots(self) -> int:
+        return sum(slot.failed_boots for slot in self.slots)
+
+    # ------------------------------------------------------------------
+    # Slot provisioning
+    # ------------------------------------------------------------------
+    def _synthesize(self, app: PPEApplication, build=None):
+        """``(build, program)`` for ``app`` at the module's tier.
 
         The one place an application is synthesized.  A given ``build`` is
         kept as the image (a pre-computed one, or the running one across a
         reboot, when only the compiled tier's recipes need re-fusing
         against the new application instance).
         """
-        if engine == ENGINE_COMPILED:
+        if self.engine == ENGINE_COMPILED:
             from ..hls.executor import compile_executor  # deferred: cycle
 
             executor = compile_executor(
@@ -348,12 +342,11 @@ class FlexSFPModule:
         self,
         app: PPEApplication,
         timing,
-        engine: str,
         flow_cache: FlowCache | None,
         program,
     ) -> PacketProcessingEngine | ReferenceEngine:
-        """The engine class tier ``engine`` runs; inherits the tracer."""
-        if engine == ENGINE_COMPILED:
+        """The engine class the module's tier runs; inherits the tracer."""
+        if self.engine == ENGINE_COMPILED:
             ppe = PacketProcessingEngine(
                 self.sim,
                 app,
@@ -367,40 +360,45 @@ class FlexSFPModule:
         ppe.tracer = self._tracer
         return ppe
 
-    def _provision_slot(self, slot: TenantSlot, app: PPEApplication) -> None:
-        """Synthesize one tenant's partition: build, flash, engine."""
-        spec = slot.spec
-        slot.app = app
-        slot.engine = (
-            self.engine if spec.engine is None else validate_engine(spec.engine)
-        )
-        slot.flow_cache = self._new_flow_cache(
-            slot.engine, f"{self.name}.tenant.{spec.name}"
-        )
-        slot.build, slot.program = self._synthesize(app, slot.engine)
-        # Two per-tenant images: slot 0 is the tenant's golden fallback,
-        # slot 1 the staging area partial reconfiguration writes into.
-        slot.flash = SPIFlash(slots=2)
+    def _provision_slot(self, slot: TenantSlot, build=None) -> None:
+        """Synthesize one slot's partition and add it: build, flash, engine."""
+        app = slot.app = slot.spec.build_app()
+        if self.engine == ENGINE_COMPILED:
+            slot.flow_cache = FlowCache(
+                self._flow_cache_entries, name=f"{slot.base}.flow_cache"
+            )
+        slot.build, slot.program = self._synthesize(app, build)
         slot.flash.store_bitstream(0, slot.build.bitstream, allow_golden=True)
         slot.flash.select_boot(0)
         slot.ppe = self._make_engine(
-            app, slot.build.report.timing, slot.engine, slot.flow_cache, slot.program
+            app, slot.build.report.timing, slot.flow_cache, slot.program
         )
-        slot.done_edge = self._make_slot_done(slot, Direction.EDGE_TO_LINE)
-        slot.done_line = self._make_slot_done(slot, Direction.LINE_TO_EDGE)
+        slot.done_edge, slot.burst_done_edge = self._bind_done(
+            slot, Direction.EDGE_TO_LINE
+        )
+        slot.done_line, slot.burst_done_line = self._bind_done(
+            slot, Direction.LINE_TO_EDGE
+        )
+        self.slots.append(slot)
 
-    def _make_slot_done(self, slot: TenantSlot, direction: Direction) -> Callable:
-        def done(
-            packet: Packet,
-            verdict: Verdict,
-            emitted: list[tuple[Packet, Direction]],
-        ) -> None:
-            self._ppe_done(packet, verdict, emitted, direction, slot.verdict_drops)
+    def _bind_done(self, slot: TenantSlot, direction: Direction):
+        """The slot's ``(per-frame, fused-slice)`` completion callbacks.
 
-        return done
+        Bound once per slot and direction, so the ingress path allocates
+        nothing per frame.
+        """
+        drops = slot.verdict_drops
+
+        def done(packet: Packet, verdict: Verdict, emitted: list) -> None:
+            self._ppe_done(packet, verdict, emitted, direction, drops)
+
+        def burst_done(packet: Packet, verdict: Verdict, size: int, deliver_s) -> None:
+            self._ppe_burst_done(packet, verdict, size, deliver_s, direction, drops)
+
+        return done, burst_done
 
     def tenant_slot(self, name: str) -> TenantSlot:
-        """The runtime slot for tenant *name* (multi-tenant modules)."""
+        """The runtime slot for tenant *name*."""
         for slot in self.slots:
             if slot.name == name:
                 return slot
@@ -412,216 +410,56 @@ class FlexSFPModule:
     # ------------------------------------------------------------------
     # Ingress handling
     # ------------------------------------------------------------------
-    def _on_edge_rx(self, port: Port, packet: Packet) -> None:
-        self._ingress(packet, Direction.EDGE_TO_LINE, reply_port=self.edge_port)
+    def _data_port(self, side: str, direction: Direction) -> Port:
+        """One data port, its receive handlers bound to ``direction``.
 
-    def _on_line_rx(self, port: Port, packet: Packet) -> None:
-        self._ingress(packet, Direction.LINE_TO_EDGE, reply_port=self.line_port)
+        The fast engine also opts the port into coalesced, batched
+        delivery: the batch and burst handlers take each frame's wire
+        arrival as data.
+        """
+        coalesce = self.engine == ENGINE_COMPILED
+        port = Port(
+            self.sim,
+            f"{self.name}.{side}",
+            rate_bps=self.shell.line_rate_bps,
+            coalesce=coalesce,
+            batch_rx=coalesce,
+        )
+        ingress = self._ingress
+        ingress_burst = self._ingress_burst
+
+        def on_rx(_port: Port, packet: Packet) -> None:
+            ingress(packet, direction, port, packet.wire_len, None)
+
+        def on_rx_batch(_port: Port, items: list[tuple[Packet, int, float]]) -> None:
+            # Whole-flush ingress: one call per delivery batch.
+            for packet, size, when in items:
+                ingress(packet, direction, port, size, when)
+
+        def on_rx_burst(_port: Port, template: Packet, size: int, whens) -> None:
+            # A whole burst: one template + a struct-of-arrays vector of
+            # delivery times.
+            ingress_burst(template, size, whens, direction, port)
+
+        port.attach(on_rx)
+        if coalesce:
+            # One PPE group-event commit per delivery flush instead of a
+            # cancel/re-arm per submitted frame.  Routed through module
+            # methods (not bound PPE methods) so a reboot-swapped engine
+            # keeps receiving the brackets.
+            port.rx_flush_begin = self._rx_flush_begin
+            port.rx_flush_end = self._rx_flush_end
+            port.attach_batch(on_rx_batch)
+            port.attach_burst(on_rx_burst)
+        return port
 
     def _rx_flush_begin(self) -> None:
-        if self._multi:
-            for slot in self.slots:
-                slot.ppe.flush_begin()
-        else:
-            self.ppe.flush_begin()
+        for slot in self.slots:
+            slot.ppe.flush_begin()
 
     def _rx_flush_end(self) -> None:
-        if self._multi:
-            for slot in self.slots:
-                slot.ppe.flush_end()
-        else:
-            self.ppe.flush_end()
-
-    def _on_edge_rx_batch(
-        self, port: Port, items: list[tuple[Packet, int, float]]
-    ) -> None:
-        self._ingress_batch(items, Direction.EDGE_TO_LINE, self.edge_port)
-
-    def _on_line_rx_batch(
-        self, port: Port, items: list[tuple[Packet, int, float]]
-    ) -> None:
-        self._ingress_batch(items, Direction.LINE_TO_EDGE, self.line_port)
-
-    def _ingress_batch(
-        self,
-        items: list[tuple[Packet, int, float]],
-        direction: Direction,
-        reply_port: Port,
-    ) -> None:
-        """Whole-flush ingress: :meth:`_ingress` fused over one delivery batch.
-
-        Per-frame behaviour (classification order, timestamps, drop
-        accounting) is identical to the per-frame path with ``at_s`` set
-        to each frame's stamped delivery time.  Module state transitions
-        (reboot, degradation, PPE swap) are all event-scheduled, so the
-        hot-path lookups are loop-invariant within one flush.
-        """
-        if self._down:
-            drops = self.downtime_drops
-            for _packet, size, _when in items:
-                drops.count(size)
-            return
-        if self._multi:
-            # Crossbar steering is per-frame state (slot down/degraded can
-            # flip mid-flush only via scheduled events, but tenants differ
-            # frame to frame): replay through the per-frame path with each
-            # frame's stamped delivery time.
-            for packet, _size, when in items:
-                packet.meta["link_deliver_s"] = when
-                self._ingress(packet, direction, reply_port)
-            return
-        classify = self.arbiter.classify
-        degraded = self.degraded
-        processes = self.shell.processes(direction)
-        submit = self.ppe.submit
-        done = (
-            self._done_edge_to_line
-            if direction is Direction.EDGE_TO_LINE
-            else self._done_line_to_edge
-        )
-        tracer = self._tracer
-        for packet, size, when in items:
-            if tracer is not None and tracer.admit(packet):
-                when_ns = int(when * 1e9)
-                tracer.record(
-                    packet,
-                    "mac.rx",
-                    self.name,
-                    when_ns,
-                    when_ns,
-                    direction,
-                    port=reply_port.name,
-                    size=size,
-                )
-                classified = classify(packet, size)
-                tracer.record(
-                    packet,
-                    "arbiter",
-                    self.name,
-                    when_ns,
-                    when_ns,
-                    direction,
-                    classified=classified,
-                )
-            else:
-                classified = classify(packet, size)
-            if classified == "cpu":
-                addressing = self._mgmt_addressing(packet)
-                if addressing == "us":
-                    self._to_control_plane(packet, reply_port, when)
-                    continue
-                if addressing == "broadcast":
-                    self._to_control_plane(packet.copy(), reply_port, when)
-            packet.meta["flexsfp_ingress_ns"] = int(when * 1e9)
-            if degraded:
-                self.degraded_forwarded.count(size)
-                self._egress_port(direction).send_at(
-                    packet, when + TRANSCEIVER_LATENCY_S, size
-                )
-            elif processes:
-                submit(packet, direction, done, when, size)
-            else:
-                self._egress_port(direction).send_at(
-                    packet,
-                    when + (TRANSCEIVER_LATENCY_S + PASSTHROUGH_LATENCY_S),
-                    size,
-                )
-
-    def _on_edge_rx_burst(
-        self, port: Port, template: Packet, size: int, whens
-    ) -> None:
-        self._ingress_burst(
-            template, size, whens, Direction.EDGE_TO_LINE, self.edge_port
-        )
-
-    def _on_line_rx_burst(
-        self, port: Port, template: Packet, size: int, whens
-    ) -> None:
-        self._ingress_burst(
-            template, size, whens, Direction.LINE_TO_EDGE, self.line_port
-        )
-
-    def _ingress_burst(
-        self,
-        template: Packet,
-        size: int,
-        whens,
-        direction: Direction,
-        reply_port: Port,
-    ) -> None:
-        """Compiled-tier ingress: one template + delivery-time vector.
-
-        Per-frame counters, timestamps and drop decisions are identical to
-        :meth:`_ingress_batch` over the expanded frames.  Paths with
-        per-frame side effects (tracing, management addressing, degraded
-        forwarding) deopt to exactly that expansion.
-        """
-        count = len(whens)
-        if self._down:
-            drops = self.downtime_drops
-            drops.packets += count
-            drops.bytes += count * size
-            return
-        if self._tracer is not None or self.degraded or self._multi:
-            self._ingress_batch(
-                [
-                    (template.copy(), size, when)
-                    for when in whens.tolist()
-                ],
-                direction,
-                reply_port,
-            )
-            return
-        classified = self.arbiter.classify_bulk(template, size, count)
-        if classified != "data":
-            # A burst of management frames: replay per frame (the bulk
-            # classification already counted them — don't count twice).
-            done = (
-                self._done_edge_to_line
-                if direction is Direction.EDGE_TO_LINE
-                else self._done_line_to_edge
-            )
-            submit = self.ppe.submit
-            for when in whens.tolist():
-                packet = template.copy()
-                addressing = self._mgmt_addressing(packet)
-                if addressing == "us":
-                    self._to_control_plane(packet, reply_port, when)
-                    continue
-                if addressing == "broadcast":
-                    self._to_control_plane(packet.copy(), reply_port, when)
-                packet.meta["flexsfp_ingress_ns"] = int(when * 1e9)
-                if self.shell.processes(direction):
-                    submit(packet, direction, done, when, size)
-                else:
-                    self._egress_port(direction).send_at(
-                        packet,
-                        when + (TRANSCEIVER_LATENCY_S + PASSTHROUGH_LATENCY_S),
-                        size,
-                    )
-            return
-        template.meta["flexsfp_ingress_ns"] = int(float(whens[0]) * 1e9)
-        if not self.shell.processes(direction):
-            # Unprocessed direction: vectorized pass-through at retimer
-            # latency (same scalar constant added per element).
-            self._egress_port(direction).send_burst(
-                template,
-                size,
-                whens + (TRANSCEIVER_LATENCY_S + PASSTHROUGH_LATENCY_S),
-            )
-            return
-        self.ppe.submit_burst(
-            template,
-            size,
-            direction,
-            whens,
-            self._burst_done_edge_to_line
-            if direction is Direction.EDGE_TO_LINE
-            else self._burst_done_line_to_edge,
-            self._done_edge_to_line
-            if direction is Direction.EDGE_TO_LINE
-            else self._done_line_to_edge,
-        )
+        for slot in self.slots:
+            slot.ppe.flush_end()
 
     def _on_mgmt_rx(self, port: Port, packet: Packet) -> None:
         # The out-of-band management port carries only control traffic
@@ -650,19 +488,33 @@ class FlexSFPModule:
             return "broadcast"
         return "other"
 
-    def _ingress(self, packet: Packet, direction: Direction, reply_port: Port) -> None:
+    def _ingress(
+        self,
+        packet: Packet,
+        direction: Direction,
+        reply_port: Port,
+        size: int,
+        at_s: float | None,
+    ) -> None:
+        """The per-frame datapath: every frame of every tier crosses it.
+
+        ``at_s`` is the frame's exact wire arrival when a coalesced flush
+        hands it over early in event time; everything below then uses that
+        virtual time, so timestamps and occupancy checks match the
+        event-per-frame run.  ``None`` means the frame arrived as its own
+        event.  The two are not interchangeable even when ``at_s ==
+        sim.now``: ``send_delayed(p, d)`` schedules ``now + d`` where
+        ``send_at(p, now + d)`` schedules ``now + ((now + d) - now)``.
+        """
         if self._down:
-            self.downtime_drops.count(packet.wire_len)
+            self.downtime_drops.count(size)
             return
-        # Batch-delivered ingress hands the frame over early, carrying its
-        # exact wire arrival; everything below uses that virtual time so
-        # timestamps and occupancy checks match the event-per-frame run.
-        at_s = packet.meta.pop("link_deliver_s", None)
-        size = packet.wire_len
+        when = self.sim.now if at_s is None else at_s
+        classified = self.arbiter.classify(packet, size)
         tracer = self._tracer
         traced = tracer is not None and tracer.admit(packet)
         if traced:
-            arrival_ns = int((self.sim.now if at_s is None else at_s) * 1e9)
+            arrival_ns = int(when * 1e9)
             tracer.record(
                 packet,
                 "mac.rx",
@@ -673,8 +525,6 @@ class FlexSFPModule:
                 port=reply_port.name,
                 size=size,
             )
-        classified = self.arbiter.classify(packet, size)
-        if traced:
             tracer.record(
                 packet,
                 "arbiter",
@@ -693,100 +543,47 @@ class FlexSFPModule:
                 # Answer discovery and let the frame continue downstream.
                 self._to_control_plane(packet.copy(), reply_port, at_s)
             # Management traffic for other modules rides the data path.
-        packet.meta["flexsfp_ingress_ns"] = int(
-            (self.sim.now if at_s is None else at_s) * 1e9
-        )
-        if self._multi:
-            self._ingress_tenant(packet, direction, at_s, size, traced)
-            return
-        if self.degraded:
-            # Degraded pass-through: no PPE, both directions forward at
-            # bare transceiver latency — the module is a dumb cable now.
-            self.degraded_forwarded.count(size)
-            port = self._egress_port(direction)
-            if at_s is None:
-                port.send_delayed(packet, TRANSCEIVER_LATENCY_S)
-            else:
-                port.send_at(packet, at_s + TRANSCEIVER_LATENCY_S, size)
-            return
-        if self.shell.processes(direction):
-            accepted = self.ppe.submit(
-                packet,
-                direction,
-                self._done_edge_to_line
-                if direction is Direction.EDGE_TO_LINE
-                else self._done_line_to_edge,
-                at_s=at_s,
-                size=size,
-            )
-            if not accepted:
-                return  # counted by the PPE as an overload drop
-        else:
-            port = self._egress_port(direction)
-            if at_s is None:
-                port.send_delayed(
-                    packet, TRANSCEIVER_LATENCY_S + PASSTHROUGH_LATENCY_S
-                )
-            else:
-                port.send_at(
-                    packet,
-                    at_s + (TRANSCEIVER_LATENCY_S + PASSTHROUGH_LATENCY_S),
-                )
-
-    def _ingress_tenant(
-        self,
-        packet: Packet,
-        direction: Direction,
-        at_s: float | None,
-        size: int,
-        traced: bool,
-    ) -> None:
-        """Crossbar stage: steer one data-plane frame to its tenant slot.
-
-        Slot-local state (dark during partial reconfiguration, degraded
-        after a failed slot boot) affects only frames steered to that
-        slot — the other tenants keep forwarding, which is the whole
-        point of per-slot images.
-        """
+        packet.meta["flexsfp_ingress_ns"] = int(when * 1e9)
         if not self.shell.processes(direction):
             # The unprocessed direction bypasses the PPE partitions (and
-            # therefore the crossbar) entirely, exactly like the
-            # single-tenant shell datapath.
-            port = self._egress_port(direction)
-            if at_s is None:
-                port.send_delayed(
-                    packet, TRANSCEIVER_LATENCY_S + PASSTHROUGH_LATENCY_S
-                )
+            # therefore the crossbar) entirely: merge + retime only — or,
+            # with no live partition left, the bare retimer of a dumb cable.
+            if self.degraded:
+                self.degraded_forwarded.count(size)
+                delay = TRANSCEIVER_LATENCY_S
             else:
-                port.send_at(
+                delay = TRANSCEIVER_LATENCY_S + PASSTHROUGH_LATENCY_S
+            self._egress(self._egress_port(direction), packet, at_s, delay, size)
+            return
+        crossbar = self.crossbar
+        if crossbar is None:
+            # A solo slot only boots with the whole module: ``_down`` above.
+            slot = self.slots[0]
+        else:
+            slot = self.slots[crossbar.steer(packet, size)]
+            if traced:
+                tracer.record(
                     packet,
-                    at_s + (TRANSCEIVER_LATENCY_S + PASSTHROUGH_LATENCY_S),
+                    "crossbar",
+                    self.name,
+                    arrival_ns,
+                    arrival_ns,
+                    direction,
+                    tenant=slot.name,
                 )
-            return
-        slot = self.slots[self.crossbar.steer(packet, size)]
-        if traced:
-            when_ns = packet.meta["flexsfp_ingress_ns"]
-            self._tracer.record(
-                packet,
-                "crossbar",
-                self.name,
-                when_ns,
-                when_ns,
-                direction,
-                tenant=slot.name,
-            )
-        when = self.sim.now if at_s is None else at_s
-        if slot.is_dark(when):
-            slot.downtime_drops.count(size)
-            return
+            # Slot-local state affects only the frames steered to this slot
+            # — the other slots keep forwarding, which is the whole point
+            # of per-slot images.
+            if slot.is_dark(when):
+                slot.downtime_drops.count(size)
+                return
         if slot.degraded:
+            # Degraded pass-through: no PPE, the slot's frames forward at
+            # bare transceiver latency — a dumb cable for this function.
             slot.degraded_forwarded.count(size)
-            port = self._egress_port(direction)
-            if at_s is None:
-                port.send_delayed(packet, TRANSCEIVER_LATENCY_S)
-            else:
-                port.send_at(packet, at_s + TRANSCEIVER_LATENCY_S, size)
+            self._egress(self._egress_port(direction), packet, at_s)
             return
+        # An overloaded engine counts the frame as its own drop.
         slot.ppe.submit(
             packet,
             direction,
@@ -795,45 +592,62 @@ class FlexSFPModule:
             size=size,
         )
 
+    def _ingress_burst(
+        self,
+        template: Packet,
+        size: int,
+        whens,
+        direction: Direction,
+        reply_port: Port,
+    ) -> None:
+        """Compiled-tier ingress: one template + delivery-time vector.
+
+        The one place the module decides between the fused burst lane and
+        expanding to per-frame copies through :meth:`_ingress`.  Anything
+        with per-frame side effects deopts: a tracer, degraded forwarding,
+        management frames, and crossbar steering (more than one slot).
+        Per-frame counters, timestamps and drop decisions of the fused
+        lane are identical to that expansion.
+        """
+        if self._down:
+            count = len(whens)
+            self.downtime_drops.packets += count
+            self.downtime_drops.bytes += count * size
+            return
+        slot = self.slots[0]
+        if (
+            self._tracer is not None
+            or len(self.slots) > 1
+            or slot.degraded
+            or is_mgmt_frame(template)
+        ):
+            for when in whens.tolist():
+                self._ingress(template.copy(), direction, reply_port, size, when)
+            return
+        self.arbiter.classify_bulk(template, size, len(whens))
+        template.meta["flexsfp_ingress_ns"] = int(float(whens[0]) * 1e9)
+        if not self.shell.processes(direction):
+            # Unprocessed direction: vectorized pass-through at retimer
+            # latency (same scalar constant added per element).
+            self._egress_port(direction).send_burst(
+                template,
+                size,
+                whens + (TRANSCEIVER_LATENCY_S + PASSTHROUGH_LATENCY_S),
+            )
+        elif direction is Direction.EDGE_TO_LINE:
+            slot.ppe.submit_burst(
+                template, size, direction, whens, slot.burst_done_edge, slot.done_edge
+            )
+        else:
+            slot.ppe.submit_burst(
+                template, size, direction, whens, slot.burst_done_line, slot.done_line
+            )
+
     # ------------------------------------------------------------------
     # Egress / verdict routing
     # ------------------------------------------------------------------
     def _egress_port(self, direction: Direction) -> Port:
         return self.line_port if direction is Direction.EDGE_TO_LINE else self.edge_port
-
-    def _ingress_port(self, direction: Direction) -> Port:
-        return self.edge_port if direction is Direction.EDGE_TO_LINE else self.line_port
-
-    def _forward(self, packet: Packet, direction: Direction) -> None:
-        self._egress_port(direction).send(packet)
-
-    # Pre-bound PPE completion callbacks (one per direction) so the hot
-    # ingress path does not allocate a closure per frame.
-    def _done_edge_to_line(
-        self,
-        packet: Packet,
-        verdict: Verdict,
-        emitted: list[tuple[Packet, Direction]],
-    ) -> None:
-        self._ppe_done(packet, verdict, emitted, Direction.EDGE_TO_LINE)
-
-    def _done_line_to_edge(
-        self,
-        packet: Packet,
-        verdict: Verdict,
-        emitted: list[tuple[Packet, Direction]],
-    ) -> None:
-        self._ppe_done(packet, verdict, emitted, Direction.LINE_TO_EDGE)
-
-    def _burst_done_edge_to_line(
-        self, packet: Packet, verdict: Verdict, size: int, deliver_s
-    ) -> None:
-        self._ppe_burst_done(packet, verdict, size, deliver_s, Direction.EDGE_TO_LINE)
-
-    def _burst_done_line_to_edge(
-        self, packet: Packet, verdict: Verdict, size: int, deliver_s
-    ) -> None:
-        self._ppe_burst_done(packet, verdict, size, deliver_s, Direction.LINE_TO_EDGE)
 
     def _ppe_burst_done(
         self,
@@ -842,6 +656,7 @@ class FlexSFPModule:
         size: int,
         deliver_s,
         direction: Direction,
+        drops: Counter,
     ) -> None:
         """Fused-slice completion: PASS egresses the whole slice as one burst.
 
@@ -855,7 +670,6 @@ class FlexSFPModule:
             )
         else:  # DROP
             count = len(deliver_s)
-            drops = self.verdict_drops
             drops.packets += count
             drops.bytes += count * size
 
@@ -865,7 +679,7 @@ class FlexSFPModule:
         verdict: Verdict,
         emitted: list[tuple[Packet, Direction]],
         direction: Direction,
-        drops: Counter | None = None,
+        drops: Counter,
     ) -> None:
         # Batched PPE execution runs this callback at the batch tail but
         # records the frame's virtual deliver time; egressing at that
@@ -920,21 +734,29 @@ class FlexSFPModule:
                 max(at, self.sim.now), self._run_services, packet, direction
             )
         else:  # DROP
-            (self.verdict_drops if drops is None else drops).count(packet.wire_len)
+            drops.count(packet.wire_len)
         for extra, extra_direction in emitted:
             self._egress(self._egress_port(extra_direction), extra, deliver_s)
 
-    def _egress(self, port: Port, packet: Packet, deliver_s: float | None) -> None:
-        if deliver_s is None:
-            port.send_delayed(packet, TRANSCEIVER_LATENCY_S)
+    def _egress(
+        self,
+        port: Port,
+        packet: Packet,
+        at_s: float | None,
+        delay_s: float = TRANSCEIVER_LATENCY_S,
+        size: int | None = None,
+    ) -> None:
+        """Send ``delay_s`` after ``at_s`` (``None``: after the current event)."""
+        if at_s is None:
+            port.send_delayed(packet, delay_s)
         else:
-            port.send_at(packet, deliver_s + TRANSCEIVER_LATENCY_S)
+            port.send_at(packet, at_s + delay_s, size)
 
     def _run_services(self, packet: Packet, direction: Direction) -> None:
         reply = self.services.dispatch(packet, direction)
         if reply is not None:
             self.arbiter.merge_from_cpu(reply)
-            self._ingress_port(direction).send(reply)
+            self._egress_port(direction.reverse).send(reply)
 
     # ------------------------------------------------------------------
     # Control plane plumbing
@@ -972,82 +794,90 @@ class FlexSFPModule:
         self.sim.schedule(delay_s, self.reboot)
 
     def reboot(self, app_factory: Callable[[str, dict], PPEApplication] | None = None) -> None:
-        """Reload the boot-slot bitstream and restart the PPE.
+        """Reload every slot's boot image and restart its engine.
 
-        The boot FSM is a watchdog (§4): it tries the selected slot, and
-        on a corrupt or unreconstructible image (CRC failure, truncated
-        flash, unknown application) counts a failed boot and falls back to
-        the golden slot.  If golden fails too, the module enters *degraded
-        pass-through* — both directions forward at transceiver latency
-        with the PPE bypassed — rather than going dark; remote
-        reprogramming can never brick the port.
+        Each slot goes through the boot FSM of :meth:`_boot_slot`; the
+        shared fabric (MACs, crossbar, softcore) goes dark for one
+        ``RECONFIG_DOWNTIME_S`` reprogram window, during which ingress is
+        dropped and counted.  A module none of whose slots could boot
+        enters *degraded pass-through* — both directions keep forwarding
+        with the PPE bypassed — rather than going dark for good, and does
+        not count a reboot; remote reprogramming can never brick the port.
+        The management endpoint stays reachable either way (it lives in
+        the always-on configuration controller, like a real FPGA's system
+        controller), so the fleet can push a fresh image and reboot the
+        module out of degradation.
 
-        On a successful boot the module goes dark for
-        ``RECONFIG_DOWNTIME_S`` (fabric reprogramming); ingress during
-        that window is dropped and counted.  The new application instance
-        is rebuilt from the bitstream's recorded parameters via the
-        application registry (or a supplied factory).
+        New application instances are rebuilt from the bitstream's
+        recorded parameters via the application registry (or a supplied
+        factory).
+        """
+        booted = [self._boot_slot(slot, app_factory) for slot in self.slots]
+        self.control_plane.revive()  # the softcore restarts with the fabric
+        if any(booted):
+            self.reboots += 1
+        self._down = True
+        self.sim.schedule(RECONFIG_DOWNTIME_S, self._boot_complete)
+
+    def _boot_slot(
+        self,
+        slot: TenantSlot,
+        app_factory: Callable[[str, dict], PPEApplication] | None = None,
+    ) -> bool:
+        """Per-slot boot FSM: selected image, then the slot's golden.
+
+        The FSM is a watchdog (§4): a corrupt or unreconstructible image
+        (CRC failure, truncated flash, unknown application) counts a
+        failed boot and falls through to the golden image.  If golden
+        fails too the slot degrades to pass-through while every other
+        slot keeps processing; returns whether an image booted.
         """
         if app_factory is None:
             from ..apps import create_app  # deferred: avoids import cycle
 
             app_factory = create_app
-        if self._multi:
-            # A whole-module reboot reloads every tenant partition from
-            # its own boot image; the shared fabric (MACs, crossbar,
-            # softcore) goes dark for one reprogram window.
-            for slot in self.slots:
-                self._boot_tenant_slot(slot, app_factory)
-            self.control_plane.revive()
-            self.reboots += 1
-            self._down = True
-            self.sim.schedule(RECONFIG_DOWNTIME_S, self._boot_complete)
-            return
-        booted = self._try_boot_slots(app_factory)
-        if booted is None:
-            self._enter_degraded()
-            return
-        bitstream, new_app = booted
-        self.degraded = False
-        self.control_plane.revive()  # the softcore restarts with the fabric
-        self.app = new_app
-        if self.flow_cache is not None:
-            # Recipes replay against the application instance; a reboot may
-            # swap it, so every cached decision is stale.
-            self.flow_cache.invalidate()
-        # The compiled tier re-fuses against the booted application —
-        # recipes are compiled per app instance, like the flow cache.
-        _, self.program = self._synthesize(new_app, self.engine, self.build)
-        self.ppe = self._make_engine(
-            new_app, bitstream.timing, self.engine, self.flow_cache, self.program
-        )
-        self.reboots += 1
-        self._down = True
-        self.sim.schedule(RECONFIG_DOWNTIME_S, self._boot_complete)
-
-    def _try_boot_slots(
-        self, app_factory: Callable[[str, dict], PPEApplication]
-    ) -> tuple[Bitstream, PPEApplication] | None:
-        """Boot-FSM core: selected slot first, then golden; None if both fail."""
-        slots = [self.flash.boot_slot]
-        if self.flash.boot_slot != 0:
-            slots.append(0)
-        for slot in slots:
+        # An announced reconfiguration already registered this window (at
+        # swap time ``now == dark_from``, so re-registering is idempotent);
+        # un-announced boots (a whole-module reboot) register here.
+        slot.dark_from = self.sim.now
+        slot.dark_until = self.sim.now + RECONFIG_DOWNTIME_S
+        candidates = [slot.flash.boot_slot]
+        if slot.flash.boot_slot != 0:
+            candidates.append(0)
+        for index in candidates:
             try:
-                bitstream = self.flash.load_bitstream(slot)
+                bitstream = slot.flash.load_bitstream(index)
             except (FlashError, BitstreamError):
-                self.failed_boots += 1
+                slot.failed_boots += 1
                 continue
-            if bitstream.app_name == self.app.name:
-                return bitstream, self.app  # same application: keep state
-            try:
-                params = bitstream.metadata.get("app_params", {})
-                return bitstream, app_factory(bitstream.app_name, params)
-            except ConfigError:
-                # The image names an application this module cannot
-                # reconstruct (e.g. a custom program not in the registry).
-                self.failed_boots += 1
-        return None
+            app = slot.app  # same application: keep state
+            if bitstream.app_name != app.name:
+                try:
+                    params = bitstream.metadata.get("app_params", {})
+                    app = app_factory(bitstream.app_name, params)
+                except ConfigError:
+                    # The image names an application this module cannot
+                    # reconstruct (e.g. a custom program not in the registry).
+                    slot.failed_boots += 1
+                    continue
+            slot.degraded = False
+            slot.app = app
+            if slot.flow_cache is not None:
+                # Recipes replay against the application instance; a boot
+                # may swap it, so every cached decision is stale.
+                slot.flow_cache.invalidate()
+            # The compiled tier re-fuses against the booted application —
+            # recipes are compiled per app instance, like the flow cache.
+            _, slot.program = self._synthesize(app, slot.build)
+            slot.ppe = self._make_engine(
+                app, bitstream.timing, slot.flow_cache, slot.program
+            )
+            slot.reboots += 1
+            self.degraded = False
+            return True
+        slot.degraded = True
+        self.degraded = all(each.degraded for each in self.slots)
+        return False
 
     # ------------------------------------------------------------------
     # Partial reconfiguration (per-tenant slot images)
@@ -1062,7 +892,7 @@ class FlexSFPModule:
         """Swap one tenant's slot image while the other slots forward.
 
         The new image (a pre-signed *bitstream*, or one synthesized here
-        from *app* at the slot's engine tier) is written to the slot's
+        from *app* at the module's engine tier) is written to the slot's
         staging flash and booted through the per-slot boot FSM: staging
         first, the tenant's golden image on a corrupt or
         unreconstructible staging image (each failure counted in the
@@ -1079,7 +909,7 @@ class FlexSFPModule:
         in-window timestamps are classified identically to a per-frame
         run) and the image swap itself fires at ``at_s``.
         """
-        if not self._multi:
+        if self.crossbar is None:
             raise ConfigError(
                 "reconfigure_tenant() needs a multi-tenant deployment; "
                 "single-tenant modules reprogram through reboot()"
@@ -1095,92 +925,19 @@ class FlexSFPModule:
                 raise ConfigError(
                     "reconfigure_tenant() needs a new app or bitstream"
                 )
-            bitstream = self._synthesize(app, slot.engine)[0].bitstream
-        from ..apps import create_app  # deferred: avoids import cycle
-
+            bitstream = self._synthesize(app)[0].bitstream
         start = self.sim.now if at_s is None else at_s
         slot.dark_from = start
         slot.dark_until = start + RECONFIG_DOWNTIME_S
         if start > self.sim.now:
-            self.sim.schedule_at(
-                start, self._swap_tenant_slot, slot, bitstream, create_app
-            )
+            self.sim.schedule_at(start, self._swap_tenant_slot, slot, bitstream)
         else:
-            self._swap_tenant_slot(slot, bitstream, create_app)
+            self._swap_tenant_slot(slot, bitstream)
 
-    def _swap_tenant_slot(
-        self,
-        slot: TenantSlot,
-        bitstream: Bitstream,
-        app_factory: Callable[[str, dict], PPEApplication],
-    ) -> None:
+    def _swap_tenant_slot(self, slot: TenantSlot, bitstream: Bitstream) -> None:
         slot.flash.store_bitstream(1, bitstream)
         slot.flash.select_boot(1)
-        self._boot_tenant_slot(slot, app_factory)
-
-    def _boot_tenant_slot(
-        self,
-        slot: TenantSlot,
-        app_factory: Callable[[str, dict], PPEApplication],
-    ) -> None:
-        """Per-slot boot FSM: selected image, then the tenant's golden."""
-        # An announced reconfiguration already registered this window (at
-        # swap time ``now == dark_from``, so re-registering is idempotent);
-        # un-announced paths (module reboot, direct swaps) register here.
-        slot.dark_from = self.sim.now
-        slot.dark_until = self.sim.now + RECONFIG_DOWNTIME_S
-        booted: tuple[Bitstream, PPEApplication] | None = None
-        candidates = [slot.flash.boot_slot]
-        if slot.flash.boot_slot != 0:
-            candidates.append(0)
-        for index in candidates:
-            try:
-                bitstream = slot.flash.load_bitstream(index)
-            except (FlashError, BitstreamError):
-                slot.failed_boots += 1
-                continue
-            if bitstream.app_name == slot.app.name:
-                booted = (bitstream, slot.app)  # same application: keep state
-                break
-            try:
-                params = bitstream.metadata.get("app_params", {})
-                booted = (bitstream, app_factory(bitstream.app_name, params))
-                break
-            except ConfigError:
-                slot.failed_boots += 1
-        if booted is None:
-            # Both slot images unusable: this tenant degrades to
-            # pass-through while every other slot keeps processing.
-            slot.degraded = True
-            slot.down = True
-            self.sim.schedule(RECONFIG_DOWNTIME_S, slot.boot_complete)
-            return
-        bitstream, new_app = booted
-        slot.degraded = False
-        slot.app = new_app
-        if slot.flow_cache is not None:
-            slot.flow_cache.invalidate()
-        _, slot.program = self._synthesize(new_app, slot.engine, slot.build)
-        slot.ppe = self._make_engine(
-            new_app, bitstream.timing, slot.engine, slot.flow_cache, slot.program
-        )
-        slot.reboots += 1
-        slot.down = True
-        self.sim.schedule(RECONFIG_DOWNTIME_S, slot.boot_complete)
-
-    def _enter_degraded(self) -> None:
-        """Both boot images are unusable: degrade to a dumb cable.
-
-        The fabric spends the usual reprogram window cycling through the
-        slots, then the hardwired retimer path takes over.  The management
-        endpoint stays reachable (it lives in the always-on configuration
-        controller, like a real FPGA's system controller), so the fleet
-        can push a fresh image and reboot the module out of degradation.
-        """
-        self.degraded = True
-        self.control_plane.revive()
-        self._down = True
-        self.sim.schedule(RECONFIG_DOWNTIME_S, self._boot_complete)
+        self._boot_slot(slot)
 
     def _boot_complete(self) -> None:
         self._down = False
@@ -1213,38 +970,37 @@ class FlexSFPModule:
         """Attach a packet tracer (duck-typed ``repro.obs.trace.Tracer``).
 
         The tracer admits packets at module ingress and receives stage
-        spans (``mac.rx``, ``arbiter``, ``ppe``, ``app``, ``egress``) with
-        virtual timestamps.  Passing None detaches.  The attachment
-        survives reboots (the swapped-in engine inherits it).
+        spans (``mac.rx``, ``arbiter``, ``crossbar`` behind one, ``ppe``,
+        ``app``, ``egress``) with virtual timestamps.  Passing None
+        detaches.  The attachment survives reboots (a swapped-in engine
+        inherits it).
         """
         self._tracer = tracer
-        if self._multi:
-            for slot in self.slots:
-                slot.ppe.tracer = tracer
-        else:
-            self.ppe.tracer = tracer
+        for slot in self.slots:
+            slot.ppe.tracer = tracer
 
     def register_metrics(self, registry) -> None:
         """Publish every sub-component into a ``MetricsRegistry``.
 
         Prefixes hang off the module name, e.g. ``module0.ppe.<app>...``,
-        ``module0.edge.tx.packets``, ``module0.reboots``.  The PPE and
+        ``module0.edge.tx.packets``, ``module0.reboots``.  The PPEs and
         control plane are registered through lambdas because reboots swap
         the live instances.
         """
         name = self.name
         registry.register(name, self)
-        if self._multi:
+        for slot in self.slots:
+            registry.register(
+                f"{slot.base}.ppe", (lambda s=slot: s.ppe.metric_values())
+            )
+        if self.crossbar is not None:
             # Per-tenant isolation: every tenant's counters live under its
             # own ``<module>.tenant.<name>.*`` subtree, with the steering
             # decision itself observable at ``<module>.crossbar.*``.
             registry.register(f"{name}.crossbar", self.crossbar)
             for slot in self.slots:
-                base = f"{name}.tenant.{slot.name}"
+                base = slot.base
                 registry.register(base, slot)
-                registry.register(
-                    f"{base}.ppe", (lambda s=slot: s.ppe.metric_values())
-                )
                 registry.register(
                     f"{base}.steered", self.crossbar.steered[slot.index]
                 )
@@ -1253,8 +1009,6 @@ class FlexSFPModule:
                 registry.register(
                     f"{base}.degraded_forwarded", slot.degraded_forwarded
                 )
-        else:
-            registry.register(f"{name}.ppe", lambda: self.ppe.metric_values())
         registry.register(f"{name}.edge", self.edge_port)
         registry.register(f"{name}.line", self.line_port)
         if self.mgmt_port is not None:
@@ -1267,10 +1021,16 @@ class FlexSFPModule:
             lambda: self.control_plane.metric_values(),
         )
 
+    def _app_label(self) -> str:
+        """The loaded functions: the app name, or ``tenant:app+...`` behind a crossbar."""
+        if self.crossbar is None:
+            return self.app.name
+        return "+".join(f"{slot.name}:{slot.app.name}" for slot in self.slots)
+
     def metric_values(self) -> dict[str, object]:
         """Flat :class:`~repro.obs.registry.MetricSource` view (module level)."""
         values: dict[str, object] = {
-            "app": self.app.name,
+            "app": self._app_label(),
             "shell": self.shell.kind.value,
             "reboots": self.reboots,
             "failed_boots": self.failed_boots,
@@ -1280,76 +1040,58 @@ class FlexSFPModule:
             "boot_slot": self.flash.boot_slot,
             "control_fraction": self.arbiter.control_fraction(),
         }
-        if self._multi:
-            values["app"] = "+".join(
-                f"{slot.name}:{slot.app.name}" for slot in self.slots
-            )
+        if self.crossbar is not None:
             values["tenants"] = len(self.slots)
         return values
 
     def histogram_states(self) -> dict[str, object]:
         """Live latency histograms keyed by full metric name.
 
-        Single-tenant modules keep the historical
-        ``<module>.ppe.<app>.latency_ns`` key; multi-tenant modules
-        publish one histogram per tenant under its isolation subtree.
+        One per slot under its metric base: ``<module>.ppe.<app>.latency_ns``
+        for a solo slot, ``<module>.tenant.<name>.ppe.<app>.latency_ns``
+        for a tenant slot.
         """
-        if self._multi:
-            return {
-                f"{self.name}.tenant.{slot.name}.ppe."
-                f"{slot.app.name}.latency_ns": slot.ppe.latency_ns
-                for slot in self.slots
-            }
-        return {f"{self.name}.ppe.{self.app.name}.latency_ns": self.ppe.latency_ns}
+        return {
+            f"{slot.base}.ppe.{slot.app.name}.latency_ns": slot.ppe.latency_ns
+            for slot in self.slots
+        }
 
     def snapshot(self) -> dict[str, object]:
         """Structured counter snapshot (stable legacy dict layout)."""
-        if self._multi:
-            return {
-                "app": "+".join(
-                    f"{slot.name}:{slot.app.name}" for slot in self.slots
-                ),
-                "shell": self.shell.kind.value,
-                "tenants": {
-                    slot.name: {
-                        "app": slot.app.name,
-                        "ppe": slot.ppe.snapshot(),
-                        "steered": self.crossbar.steered[slot.index].snapshot(),
-                        "verdict_drops": slot.verdict_drops.snapshot(),
-                        "downtime_drops": slot.downtime_drops.snapshot(),
-                        "reboots": slot.reboots,
-                        "failed_boots": slot.failed_boots,
-                        "degraded": slot.degraded,
-                        "boot_slot": slot.flash.boot_slot,
-                    }
-                    for slot in self.slots
-                },
-                "verdict_drops": self.verdict_drops.snapshot(),
-                "downtime_drops": self.downtime_drops.snapshot(),
-                "control_plane": self.control_plane.snapshot(),
-                "control_fraction": self.arbiter.control_fraction(),
-                "reboots": self.reboots,
-                "failed_boots": self.failed_boots,
-                "degraded": self.degraded,
-                "degraded_forwarded": self.degraded_forwarded.snapshot(),
-                "boot_slot": self.flash.boot_slot,
-                "watchdog_reboots": self.watchdog_reboots,
-            }
-        return {
-            "app": self.app.name,
+        snapshot: dict[str, object] = {
+            "app": self._app_label(),
             "shell": self.shell.kind.value,
-            "ppe": self.ppe.snapshot(),
-            "verdict_drops": self.verdict_drops.snapshot(),
-            "downtime_drops": self.downtime_drops.snapshot(),
-            "control_plane": self.control_plane.snapshot(),
-            "control_fraction": self.arbiter.control_fraction(),
-            "reboots": self.reboots,
-            "failed_boots": self.failed_boots,
-            "degraded": self.degraded,
-            "degraded_forwarded": self.degraded_forwarded.snapshot(),
-            "boot_slot": self.flash.boot_slot,
-            "watchdog_reboots": self.watchdog_reboots,
         }
+        if self.crossbar is None:
+            snapshot["ppe"] = self.ppe.snapshot()
+        else:
+            snapshot["tenants"] = {
+                slot.name: {
+                    "app": slot.app.name,
+                    "ppe": slot.ppe.snapshot(),
+                    "steered": self.crossbar.steered[slot.index].snapshot(),
+                    "verdict_drops": slot.verdict_drops.snapshot(),
+                    "downtime_drops": slot.downtime_drops.snapshot(),
+                    "reboots": slot.reboots,
+                    "failed_boots": slot.failed_boots,
+                    "degraded": slot.degraded,
+                    "boot_slot": slot.flash.boot_slot,
+                }
+                for slot in self.slots
+            }
+        snapshot.update(
+            verdict_drops=self.verdict_drops.snapshot(),
+            downtime_drops=self.downtime_drops.snapshot(),
+            control_plane=self.control_plane.snapshot(),
+            control_fraction=self.arbiter.control_fraction(),
+            reboots=self.reboots,
+            failed_boots=self.failed_boots,
+            degraded=self.degraded,
+            degraded_forwarded=self.degraded_forwarded.snapshot(),
+            boot_slot=self.flash.boot_slot,
+            watchdog_reboots=self.watchdog_reboots,
+        )
+        return snapshot
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

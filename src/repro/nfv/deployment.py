@@ -2,11 +2,11 @@
 
 A :class:`Deployment` is the unit of provisioning for a FlexSFP module:
 an ordered list of :class:`TenantSpec` slots, each naming the network
-function it runs, the ingress frames it claims (:class:`SteeringMatch`),
-the fraction of the app partition it may occupy, and optionally its own
-engine tier.  ``FlexSFPModule(sim, name, deployment)`` is the primary
-constructor; the legacy single-app form is a deprecation shim over
-:meth:`Deployment.solo`.
+function it runs, the ingress frames it claims (:class:`SteeringMatch`)
+and the fraction of the app partition it may occupy; the engine tier is
+the module's, for every slot.  ``FlexSFPModule(sim, name, deployment)``
+is the constructor, and :meth:`Deployment.solo` wraps a single
+application as a one-slot deployment.
 
 Steering is first-match-wins in slot order, and the *last* tenant must
 carry the wildcard match — that invariant makes the crossbar a total
@@ -17,7 +17,7 @@ exactly one slot (the partition property the isolation tests assert).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Mapping
 
 from .._util import ip_to_int
@@ -118,7 +118,6 @@ class TenantSpec:
     app: str | PPEApplication
     match: SteeringMatch = field(default_factory=SteeringMatch)
     share: float = 1.0
-    engine: str | None = None
     params: tuple[tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
@@ -153,22 +152,44 @@ class TenantSpec:
             "app": self.app_name,
             "match": self.match.describe(),
             "share": self.share,
-            "engine": self.engine,
         }
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> TenantSpec:
+        """Build a tenant from its serialized form; fails closed.
+
+        A payload that is not a mapping, lacks ``name`` / ``app`` or
+        carries a key this class does not know is a
+        :class:`~repro.errors.ConfigError`, never a silent default.
+        """
+        if not isinstance(payload, Mapping):
+            raise ConfigError(
+                f"a tenant must be a JSON object, got {type(payload).__name__}"
+            )
+        known = {f.name for f in fields(cls)}
+        unknown = sorted(set(payload) - known)
+        if unknown:
+            raise ConfigError(
+                f"unknown tenant field(s) {unknown} (known: {sorted(known)})"
+            )
+        missing = sorted({"name", "app"} - set(payload))
+        if missing:
+            raise ConfigError(f"tenant is missing required field(s) {missing}")
         params = payload.get("params") or {}
         if isinstance(params, Mapping):
             params = tuple(sorted(params.items()))
-        return cls(
-            name=str(payload["name"]),
-            app=str(payload["app"]),
-            match=SteeringMatch.from_dict(payload.get("match")),
-            share=float(payload.get("share", 1.0)),
-            engine=payload.get("engine"),
-            params=tuple(params),
-        )
+        try:
+            return cls(
+                name=str(payload["name"]),
+                app=str(payload["app"]),
+                match=SteeringMatch.from_dict(payload.get("match")),
+                share=float(payload.get("share", 1.0)),
+                params=tuple(params),
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"malformed tenant {payload.get('name')!r}: {exc}"
+            ) from exc
 
 
 @dataclass(frozen=True)
@@ -211,17 +232,15 @@ class Deployment:
         name: str = "default",
         shell: ShellSpec | None = None,
         device: FPGADevice | None = None,
-        engine: str | None = None,
         params: Mapping[str, Any] | None = None,
     ) -> Deployment:
-        """A one-tenant deployment — the migration target for ``app=``."""
+        """A one-tenant deployment: the single-function cable."""
         return cls(
             tenants=(
                 TenantSpec(
                     name=name,
                     app=app,
                     share=1.0,
-                    engine=engine,
                     params=tuple(sorted((params or {}).items())),
                 ),
             ),
@@ -257,8 +276,12 @@ class Deployment:
         device: FPGADevice | None = None,
     ) -> Deployment:
         """Build a deployment from serialized tenant payloads."""
+        if not isinstance(tenants, (list, tuple)):
+            raise ConfigError(
+                f"tenants must be a list of objects, got {type(tenants).__name__}"
+            )
         return cls(
-            tenants=tuple(TenantSpec.from_dict(dict(t)) for t in tenants),
+            tenants=tuple(TenantSpec.from_dict(t) for t in tenants),
             shell=shell,
             device=device,
         )

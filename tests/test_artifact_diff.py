@@ -80,7 +80,7 @@ class TestSemanticClassification:
             "module0.ppe.nat.flow_cache.hits",
             "module0.ppe.nat.fastpath_hits.packets",
             "module0.ppe.nat.compiled.deopt_frames",
-            "module0.tenant.scrub.engine",
+            "module0.tenant.scrub.ppe.sanitizer.compiled.deopt_frames",
         ],
     )
     def test_nonsemantic_names(self, name):

@@ -35,7 +35,7 @@ metric_names = st.sampled_from(
         # Deliberately include non-semantic names so diffs mix kinds.
         "sim.events",
         "module0.ppe.nat.flow_cache.hits",
-        "module0.tenant.scrub.engine",
+        "module0.tenant.scrub.ppe.sanitizer.compiled.deopt_frames",
         "sim.profile.Simulator.wall_s",
     ]
 )

@@ -399,44 +399,45 @@ class TestSupervisedRun:
         assert "flexsfp.fleet/1" in err and "Traceback" not in err
 
 
-class TestDeprecationGate:
-    def test_metrics_clean_path_passes(self, capsys):
-        code, out, _ = run(capsys, "metrics", "--fail-on-deprecated")
+class TestTenantsFileBoundary:
+    """``flexsfp check --nfv --tenants FILE`` fails closed: exit 2, no traceback."""
+
+    GOOD = [
+        {"name": "scrub", "app": "sanitizer", "match": {"udp_dport": 9099}, "share": 0.5},
+        {"name": "telemetry", "app": "int", "share": 0.5},
+    ]
+
+    def check(self, capsys, tmp_path, text):
+        path = tmp_path / "tenants.json"
+        path.write_text(text)
+        return run(capsys, "check", "--nfv", "--tenants", str(path))
+
+    def test_well_formed_file_is_checked(self, capsys, tmp_path):
+        code, out, _ = self.check(capsys, tmp_path, json.dumps(self.GOOD))
         assert code == 0
-        assert "flexsfp_module0_ppe_nat_processed_packets" in out
+        assert "nfv:scrub+telemetry" in out or "tenant scrub" in out
 
-    def test_metrics_gate_fails_on_deprecated_call(self, capsys, monkeypatch):
-        import warnings
+    @pytest.mark.parametrize(
+        "text, needle",
+        [
+            ("[{", "cannot read tenants file"),
+            (json.dumps({"tenants": GOOD}), "must be a list"),
+            (json.dumps([{"app": "int"}]), "name"),
+            (json.dumps([{"name": "solo"}]), "app"),
+            (json.dumps([dict(GOOD[1], engine="compiled")]), "engine"),
+        ],
+        ids=["malformed-json", "not-a-list", "no-name", "no-app", "engine-key"],
+    )
+    def test_bad_file_exits_2_without_traceback(self, capsys, tmp_path, text, needle):
+        code, _, err = self.check(capsys, tmp_path, text)
+        assert code == 2
+        assert needle in err and "Traceback" not in err
 
-        import repro.cli as cli_module
-        from repro.obs import ScenarioSpec
-
-        class NoisySpec(ScenarioSpec):
-            def run(self):
-                warnings.warn("stats() is deprecated", DeprecationWarning)
-                return super().run()
-
-        monkeypatch.setattr(cli_module, "ScenarioSpec", NoisySpec)
-        code, _, err = run(capsys, "metrics", "--fail-on-deprecated")
-        assert code == 3
-        assert "stats() is deprecated" in err
-        assert "1 deprecated call(s)" in err
-
-    def test_without_gate_deprecated_calls_tolerated(self, capsys, monkeypatch):
-        import warnings
-
-        import repro.cli as cli_module
-        from repro.obs import ScenarioSpec
-
-        class NoisySpec(ScenarioSpec):
-            def run(self):
-                warnings.warn("stats() is deprecated", DeprecationWarning)
-                return super().run()
-
-        monkeypatch.setattr(cli_module, "ScenarioSpec", NoisySpec)
-        code, out, _ = run(capsys, "metrics")
-        assert code == 0
-        assert "flexsfp_" in out
+    def test_missing_file_exits_2(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "check", "--nfv", "--tenants", str(tmp_path / "absent.json")
+        )
+        assert code == 2 and "cannot read tenants file" in err
 
 
 class TestParser:

@@ -95,6 +95,11 @@ def build_module(sim: Simulator, name: str, engine, coalesce: bool = True) -> tu
         for src in SRC_IPS:
             app.add_mapping(src, src.replace("10.0.0.", "198.51.100."))
     module = FlexSFPModule(sim, "dut", Deployment.solo(app), auth_key=KEY, engine=engine)
+    return (module, *wire(sim, module, coalesce))
+
+
+def wire(sim: Simulator, module, coalesce: bool = True) -> tuple:
+    """Host and fiber ports cabled to the module, matching its tier."""
     compiled = module.engine == "compiled"
     host = Port(
         sim, "host", 10e9, queue_bytes=1 << 20, coalesce=compiled and coalesce
@@ -102,7 +107,7 @@ def build_module(sim: Simulator, name: str, engine, coalesce: bool = True) -> tu
     fiber = Port(sim, "fiber", 10e9, queue_bytes=1 << 20, batch_rx=compiled)
     connect(host, module.edge_port)
     connect(module.line_port, fiber)
-    return module, host, fiber
+    return host, fiber
 
 
 def burst_of(module) -> int:
@@ -433,3 +438,162 @@ def test_vlan_untag_direction_matches_reference(service_vid):
     assert counters["foreign_vid"]["packets"] > 0
     stats = module.ppe.snapshot()["compiled"]
     assert stats["recipe_frames"] > 0, stats
+
+
+# ----------------------------------------------------------------------
+# One slot list, one ingress: the seams between the lanes and the boot FSM
+# ----------------------------------------------------------------------
+def registry_of(module, host, fiber) -> dict:
+    """Every semantic metric and latency histogram the run published."""
+    from repro.artifact.diff import semantic_metrics
+    from repro.obs import MetricsRegistry
+
+    registry = MetricsRegistry()
+    module.register_metrics(registry)
+    registry.register("host", host)
+    registry.register("fiber", fiber)
+    return {
+        "metrics": semantic_metrics(registry.collect()),
+        "histograms": {
+            name: histogram.snapshot()
+            for name, histogram in module.histogram_states().items()
+        },
+    }
+
+
+def test_template_burst_into_two_tenants_expands_at_the_module():
+    """A template burst reaching a module with more than one slot expands
+    to per-frame copies at the module boundary and is steered frame by
+    frame: no slot ever sees a burst, and both tiers agree on everything."""
+    from repro.nfv import NFV_SCRUB_DPORT, default_nfv_tenants
+
+    def run(engine: str):
+        sim = Simulator()
+        deployment = Deployment.from_dicts(default_nfv_tenants())
+        module = FlexSFPModule(sim, "dut", deployment, auth_key=KEY, engine=engine)
+        host, fiber = wire(sim, module)
+        for dport in (NFV_SCRUB_DPORT, 53):
+            template = make_udp(
+                src_ip="10.0.0.1", dst_ip="203.0.113.1", sport=10_000,
+                dport=dport, payload=bytes(80),
+            )
+            CbrSource(
+                sim,
+                host,
+                rate_bps=RATE_BPS / 2,
+                frame_len=template.wire_len,
+                stop=RUN_S,
+                factory=lambda index, size, t=template: t.copy(),
+                burst=burst_of(module),
+                template_burst=module.engine == "compiled",
+            )
+        sim.run(until=RUN_S + 0.2e-3)
+        return registry_of(module, host, fiber), module
+
+    reference, _ = run("reference")
+    compiled, module = run("compiled")
+    assert compiled == reference
+    metrics = compiled["metrics"]
+    steered = [slot_steered.packets for slot_steered in module.crossbar.steered]
+    assert all(count > 50 for count in steered), steered
+    assert sum(steered) == metrics["dut.edge.rx.packets"]
+    for slot in module.slots:
+        stats = slot.ppe.snapshot()["compiled"]
+        assert stats["bursts"] == 0 and stats["recipe_frames"] == 0, stats
+        assert slot.ppe.processed.packets == steered[slot.index]
+
+
+def test_solo_reboot_under_coalesced_batch_ingress_matches_reference():
+    """A whole-module reboot that swaps the application, crossed by
+    multi-frame coalesced flushes before, inside and after the dark window:
+    the one boot routine and the ``_down`` window agree on both tiers.
+
+    The three traffic phases keep clear of the two window edges by more
+    than one flush, because a coalesced flush hands frames over early and
+    whole-module darkness is judged at event time.
+    """
+    from repro.core import RECONFIG_DOWNTIME_S
+    from repro.core.shells import ShellSpec
+    from repro.hls import compile_app
+
+    reboot_at = 1e-3
+    back_at = reboot_at + RECONFIG_DOWNTIME_S
+    phases = ((0.0, 0.5e-3), (2e-3, 2.5e-3), (back_at + 0.5e-3, back_at + 1e-3))
+
+    def run(engine: str):
+        sim = Simulator()
+        module, host, fiber = build_module(sim, "nat", engine)
+        image = compile_app(create_app("firewall"), ShellSpec()).bitstream
+        module.load_via_jtag(image, slot=1)
+        module.flash.select_boot(1)
+        sim.schedule_at(reboot_at, module.reboot)
+        for index, (start, stop) in enumerate(phases):
+            ImixSource(
+                sim,
+                host,
+                rate_bps=RATE_BPS,
+                start=start,
+                stop=stop,
+                factory=make_imix_factory(SEED + index),
+                seed=SEED + index,
+                burst=burst_of(module),
+            )
+        sim.run(until=back_at + 1.5e-3)
+        return registry_of(module, host, fiber), module
+
+    reference, _ = run("reference")
+    compiled, module = run("compiled")
+    assert compiled == reference
+    metrics = compiled["metrics"]
+    assert module.app.name == "firewall" and module.reboots == 1
+    assert metrics["dut.downtime_drops.packets"] > 50
+    assert metrics["dut.ppe.firewall.processed.packets"] > 50
+    assert metrics["fiber.rx.packets"] > metrics["dut.ppe.firewall.processed.packets"]
+
+
+@pytest.mark.parametrize("engine", ["reference", "compiled"])
+def test_views_and_tracer_follow_a_reboot_that_swaps_the_application(engine):
+    """``module.ppe`` / ``module.app`` are views of the first slot, before
+    and after a reboot swaps both; an attached tracer survives the swap on
+    a solo module and on every slot of a multi-tenant one."""
+    from repro.core import RECONFIG_DOWNTIME_S
+    from repro.core.shells import ShellSpec
+    from repro.hls import compile_app
+    from repro.nfv import default_nfv_tenants
+    from repro.obs.trace import Tracer
+
+    sim = Simulator()
+    solo, host, fiber = build_module(sim, "nat", engine)
+    multi = FlexSFPModule(
+        sim,
+        "nfv",
+        Deployment.from_dicts(default_nfv_tenants()),
+        auth_key=KEY,
+        engine=engine,
+    )
+    tracers = {}
+    for module in (solo, multi):
+        tracers[module.name] = tracer = Tracer(limit=4)
+        module.attach_tracer(tracer)
+        assert module.ppe is module.slots[0].ppe
+        assert module.app is module.slots[0].app
+    before = solo.ppe, solo.app
+    image = compile_app(create_app("firewall"), ShellSpec()).bitstream
+    solo.load_via_jtag(image, slot=1)
+    solo.flash.select_boot(1)
+    solo.reboot()
+    multi.reconfigure_tenant("scrub", create_app("passthrough"))
+    multi.reboot()
+    sim.run(until=2 * RECONFIG_DOWNTIME_S)
+    assert solo.app.name == "firewall"
+    assert solo.ppe is not before[0] and solo.app is not before[1]
+    assert multi.tenant_slot("scrub").app.name == "passthrough"
+    for module in (solo, multi):
+        assert module.ppe is module.slots[0].ppe
+        assert module.app is module.slots[0].app
+        for slot in module.slots:
+            assert slot.ppe.tracer is tracers[module.name]
+    # The swapped-in engine still reports spans through the same tracer.
+    host.send(make_udp(src_ip="10.0.0.1"))
+    sim.run(until=sim.now + 1e-3)
+    assert "ppe" in tracers["dut"].stages(0)

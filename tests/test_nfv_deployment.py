@@ -72,6 +72,22 @@ class TestTenantSpec:
         assert spec.match.udp_dport == 9099
         assert TenantSpec.from_dict(spec.describe()) == spec
 
+    @pytest.mark.parametrize(
+        "payload, needle",
+        [
+            ({"name": "t", "app": "int", "bogus": 1}, "bogus"),
+            ({"name": "t", "app": "int", "engine": "warp"}, "engine"),
+            ({"app": "int"}, "name"),
+            ({"name": "t"}, "app"),
+            (["t", "int"], "JSON object"),
+            ({"name": "t", "app": "int", "share": "half"}, "malformed tenant"),
+        ],
+        ids=["unknown-key", "engine-key", "no-name", "no-app", "not-a-mapping", "bad-share"],
+    )
+    def test_from_dict_fails_closed(self, payload, needle):
+        with pytest.raises(ConfigError, match=needle):
+            TenantSpec.from_dict(payload)
+
 
 class TestDeployment:
     def test_requires_unique_names_and_catchall(self):
@@ -97,6 +113,10 @@ class TestDeployment:
         assert deployment.multi_tenant
         assert [t.name for t in deployment.tenants] == ["scrub", "telemetry"]
         assert deployment.share_total() == pytest.approx(1.0)
+
+    def test_from_dicts_rejects_a_non_list_document(self):
+        with pytest.raises(ConfigError, match="must be a list"):
+            Deployment.from_dicts({"tenants": list(default_nfv_tenants())})
 
 
 class TestPricing:

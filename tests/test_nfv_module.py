@@ -45,10 +45,17 @@ class TestConstruction:
         assert [slot.name for slot in module.slots] == ["scrub", "telemetry"]
         assert module.tenant_slot("scrub").app.name == "sanitizer"
 
-    def test_single_tenant_stays_on_legacy_path(self, sim):
+    def test_single_tenant_is_a_one_slot_module(self, sim):
         module = FlexSFPModule(sim, "m", Deployment.solo(Passthrough()), auth_key=KEY)
         assert module.crossbar is None
-        assert module.slots == []
+        (slot,) = module.slots
+        # The solo slot is the module under its own name: the module's
+        # counters and flash, and the views read straight through.
+        assert slot.base == "m"
+        assert slot.flash is module.flash
+        assert slot.verdict_drops is module.verdict_drops
+        assert slot.downtime_drops is module.downtime_drops
+        assert module.ppe is slot.ppe and module.app is slot.app
 
     def test_deployment_and_app_conflict(self, sim):
         # ``app=`` is gone; a bare application is not a deployment.
@@ -199,3 +206,48 @@ class TestPartialReconfiguration:
         module = make_module(sim)
         with pytest.raises(ConfigError, match="no tenant"):
             module.reconfigure_tenant("ghost", Passthrough())
+
+
+class TestCounterRead:
+    """``MgmtOp.COUNTER_READ`` reads the slots, however many there are."""
+
+    def read_counters(self, module) -> dict:
+        from repro.core import MgmtMessage, MgmtOp, mgmt_frame
+
+        frame = mgmt_frame(
+            MgmtMessage.control(MgmtOp.COUNTER_READ, 1),
+            KEY,
+            "02:00:00:00:00:bb",
+            module.mgmt_mac,
+        )
+        reply = module.control_plane.handle_frame(frame)
+        assert reply is not None and reply.opcode is MgmtOp.ACK
+        return reply.json_body()
+
+    def test_multi_tenant_reply_carries_per_tenant_counters(self, sim):
+        # Used to escape ControlPlane.dispatch as an AttributeError
+        # (module.ppe was None), which would have killed the event loop.
+        module = make_module(sim)
+        host, fiber, host_rx, fiber_rx = wire(sim, module)
+        host.send(scrub_frame())
+        host.send(make_udp(dport=53))
+        host.send(make_udp(dport=80))
+        sim.run(until=1e-3)
+        body = self.read_counters(module)
+        assert set(body["tenants"]) == {"scrub", "telemetry"}
+        for name, processed in (("scrub", 1), ("telemetry", 2)):
+            slot = module.tenant_slot(name)
+            assert body["tenants"][name] == {
+                "app": slot.app.counters_snapshot(),
+                "ppe": slot.ppe.snapshot(),
+            }
+            assert body["tenants"][name]["ppe"]["processed"]["packets"] == processed
+
+    def test_solo_reply_keeps_its_shape(self, sim):
+        module = FlexSFPModule(sim, "m", Deployment.solo(Passthrough()), auth_key=KEY)
+        body = self.read_counters(module)
+        assert body == {
+            "ok": True,
+            "app": module.app.counters_snapshot(),
+            "ppe": module.ppe.snapshot(),
+        }

@@ -155,23 +155,15 @@ class TestDeploymentKnobsAndDiff:
         ]
         assert any("share" in e.name for e in semantic)
 
-    def test_per_tenant_engine_drift_is_timing_only(self, chain_runs):
-        artifact = artifact_from_scenario_run(
-            chain_runs["reference"], source="test"
-        )
-        knobs = dict(artifact.knobs)
-        knobs["deployment"] = {
-            "tenants": [
-                dict(t, engine="compiled")
-                for t in knobs["deployment"]["tenants"]
-            ]
-        }
-        diff = diff_artifacts(artifact, replace(artifact, knobs=knobs))
-        assert not diff.diverged
-        assert diff.entries, "engine drift should still be reported"
-        assert all(
-            e.kind is DiffKind.TIMING_ONLY for e in diff.entries
-        )
+    def test_module_tier_is_the_only_engine_echo(self, chain_runs):
+        # The module's tier is every slot's tier: neither the knob block
+        # nor the registry carries a per-tenant engine.
+        for engine, run in chain_runs.items():
+            artifact = artifact_from_scenario_run(run, source="test")
+            assert artifact.knobs["engine"] == engine
+            for tenant in artifact.knobs["deployment"]["tenants"]:
+                assert set(tenant) == {"name", "app", "match", "share"}
+            assert not [name for name in run.metrics() if name.endswith(".engine")]
 
 
 class TestSpecSurface:
