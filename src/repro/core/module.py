@@ -423,7 +423,6 @@ class FlexSFPModule:
             f"{self.name}.{side}",
             rate_bps=self.shell.line_rate_bps,
             coalesce=coalesce,
-            batch_rx=coalesce,
         )
         ingress = self._ingress
         ingress_burst = self._ingress_burst
@@ -707,8 +706,8 @@ class FlexSFPModule:
                 **detail,
             )
         if verdict is Verdict.PASS:
-            # Inlined _egress/send_at for the dominant verdict: identical
-            # arithmetic, two fewer calls per frame.
+            # Inlined _egress_port/_egress for the dominant verdict:
+            # identical arithmetic, two fewer calls per frame.
             port = (
                 self.line_port
                 if direction is Direction.EDGE_TO_LINE
@@ -716,8 +715,6 @@ class FlexSFPModule:
             )
             if deliver_s is None:
                 port.send_delayed(packet, TRANSCEIVER_LATENCY_S)
-            elif port.coalesce and port._peer is not None:
-                port._reserve_tx(packet, deliver_s + TRANSCEIVER_LATENCY_S)
             else:
                 port.send_at(packet, deliver_s + TRANSCEIVER_LATENCY_S)
         elif verdict is Verdict.REFLECT:

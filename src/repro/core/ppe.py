@@ -17,36 +17,51 @@ Two engines execute that contract, one per tier (:mod:`repro.engine`):
 * :class:`PacketProcessingEngine` (``compiled``) — the fast engine.  Frames
   reserve their service slot at submit time on a
   :class:`~repro.sim.engine.ServiceTimeline` (the float sequence of the
-  per-frame schedule) and are processed in groups of up to
+  per-frame schedule; the timeline's ``admit`` is the only admission
+  arithmetic there is) and are processed in groups of up to
   :data:`BURST_FRAMES` per scheduled event, so per-frame start/finish
   timestamps — and therefore queueing, overload, and latency statistics —
   are identical to the oracle while heap and callback overhead amortizes.
-  Each frame takes the cheapest lane that stays exact:
 
-  - *flow cache*: applications that expose a
-    :meth:`PPEApplication.flow_key` / :meth:`PPEApplication.decide` pair
-    replay a cached :class:`FlowRecipe` instead of re-running the program;
-    control-plane table writes invalidate entries via the registry
-    generation counter.
-  - *fused bursts* (:meth:`PacketProcessingEngine.submit_burst`): whole
-    same-flow bursts arrive as one template packet plus a struct-of-arrays
-    vector of per-frame arrival times.  Admission replays the per-frame
-    reservation arithmetic (vectorised where that stays bit-exact), and
-    processing collapses each due slice into one
-    :meth:`~repro.core.flowcache.FlowRecipe.apply_burst` with O(1) counter
-    and histogram updates.
-  - *deopt*: anything the fused contract cannot express — a tracer
-    attached, per-frame arrivals interleaved, a flow the application opts
-    out of, a verdict beyond PASS/DROP, application emissions —
-    materializes into the per-frame lane and takes the exact reference
-    arithmetic, so results are bit-identical to the oracle by construction.
+The fast engine has one lane, the per-frame one, and one optimisation of
+it.  Each piece is here because measured traffic takes it (counts: one
+repeat of the named ``BENCHMARK.json`` workload):
+
+- *per-frame* (:meth:`PacketProcessingEngine.submit`): all 14,881 frames
+  of ``nfv-chain-mix`` and all 1,891 of ``chaos-smoke``.  Applications
+  with a :meth:`PPEApplication.flow_key` / :meth:`PPEApplication.decide`
+  pair replay a cached :class:`FlowRecipe` instead of re-running the
+  program (1,890 of those 1,891); table writes invalidate entries via the
+  registry generation counter.
+- *fused bursts* (:meth:`PacketProcessingEngine.submit_burst`): a
+  same-flow burst arrives as one template packet plus a vector of arrival
+  times, is admitted through the same timeline kernel and — when
+  :meth:`PacketProcessingEngine._burst_lane` finds a lane for it — each
+  due slice collapses into one application with O(1) counter and
+  histogram updates.  The ``recipe`` lane (one
+  :meth:`~repro.core.flowcache.FlowRecipe.apply_burst` per slice) carries
+  1,861 of 1,861 bursts of ``nat-linerate-fused``: 29,762 frames, one
+  ``decide`` call.  The ``meter`` lane (the application's sequential
+  :meth:`PPEApplication.burst_plan`) has no benchmark workload; the
+  ratelimiter differentials in ``tests/test_compiled_differential.py``
+  are what keep it.
+- *deopt*: anything the fused contract cannot express — a tracer, per-frame
+  arrivals interleaved, a flow the application opts out of, a verdict
+  beyond PASS/DROP, emissions, a meter without a plan — goes through one
+  door, :meth:`PacketProcessingEngine._materialize_pending_bursts`, back
+  into the per-frame lane, whether found at submit, on contact with a
+  per-frame submit, or at drain.  No workload above deopts a frame
+  (``compiled.deopt_frames == 0``); the differential suite drives every
+  way in.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import deque
+from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Hashable
 
 import numpy as np
@@ -58,7 +73,6 @@ from ..packet import Packet
 if TYPE_CHECKING:  # pragma: no cover - break the hls<->core import cycle
     from ..hls.executor import CompiledProgram
     from ..hls.ir import PipelineSpec
-from ..sim.burst import bounded_admissions, chain_reservations
 from ..sim.engine import ServiceTimeline, Simulator
 from ..sim.stats import Counter, Histogram
 from .flowcache import FlowCache, FlowRecipe
@@ -214,49 +228,27 @@ DoneCallback = Callable[[Packet, Verdict, list[tuple[Packet, Direction]]], None]
 # vector of per-frame virtual deliver times.
 BurstDoneCallback = Callable[[Packet, Verdict, int, "np.ndarray"], None]
 
+@dataclass(slots=True)
 class _PendingBurst:
     """Struct-of-arrays record of one admitted compiled burst.
 
     ``enqueue_ns``/``finish`` are per-admitted-frame arrays; ``pos`` marks
     how far the drain has consumed the burst (finish times are
-    non-decreasing, so the due set is always a prefix).
+    non-decreasing, so the due set is always a prefix).  ``lane`` is the
+    :meth:`PacketProcessingEngine._burst_lane` verdict and ``key`` the
+    flow key of the recipe lane.
     """
 
-    __slots__ = (
-        "template",
-        "size",
-        "direction",
-        "key",
-        "meter",
-        "done_burst",
-        "done_frame",
-        "enqueue_ns",
-        "finish",
-        "pos",
-    )
-
-    def __init__(
-        self,
-        template: Packet,
-        size: int,
-        direction: Direction,
-        key: Hashable,
-        done_burst: BurstDoneCallback,
-        done_frame: DoneCallback,
-        enqueue_ns: "np.ndarray",
-        finish: "np.ndarray",
-        meter: bool = False,
-    ) -> None:
-        self.template = template
-        self.size = size
-        self.direction = direction
-        self.key = key
-        self.meter = meter
-        self.done_burst = done_burst
-        self.done_frame = done_frame
-        self.enqueue_ns = enqueue_ns
-        self.finish = finish
-        self.pos = 0
+    template: Packet
+    size: int
+    direction: Direction
+    lane: str | None
+    key: Hashable
+    done_burst: BurstDoneCallback
+    done_frame: DoneCallback
+    enqueue_ns: "np.ndarray"
+    finish: "np.ndarray"
+    pos: int = 0
 
 
 #: Frames the fast engine processes per scheduled event; compiled-tier
@@ -520,12 +512,10 @@ class PacketProcessingEngine(_EngineBase):
         super().__init__(sim, app, timing, queue_bytes, device_id)
         self.flow_cache = flow_cache
         self.fastpath_hits = Counter("ppe.fastpath_hits")
-        # Struct-of-arrays bursts pending processing, the armed drain
-        # event, and fusion statistics.
+        # Struct-of-arrays bursts pending processing and fusion statistics.
         self.program = program
         self._bursts: deque = deque()
-        self._burst_event = None
-        self._latency_bounds: "np.ndarray | None" = None
+        self._latency_bounds = np.asarray(self.latency_ns.bounds)
         self.compiled_bursts = 0
         self.compiled_frames = 0
         self.compiled_deopts = 0
@@ -535,12 +525,14 @@ class PacketProcessingEngine(_EngineBase):
         # mirrors (enqueue_ns, size) of reserved-but-unprocessed frames for
         # exact queue-depth reconstruction.
         self._group: list = []
-        self._group_event = None
+        # The one cancellable drain event: armed at the open group's last
+        # finish, or at the newest pending burst's (the two never coexist).
+        self._drain_event = None
         self._arrivals: deque = deque()
         self._arrivals_bytes = 0
         # Per-size service-time memo: frame_service_time is a pure function
         # of the frame length for a fixed TimingSpec.
-        self._service_times: dict[int, float] = {}
+        self._service_time = lru_cache(maxsize=None)(timing.frame_service_time)
         # While True (inside a batched-delivery flush bracketed by
         # flush_begin/flush_end) submits skip per-frame group-event
         # re-arming; flush_end arms one event for the open group.
@@ -586,30 +578,14 @@ class PacketProcessingEngine(_EngineBase):
             # the burst lane into the per-frame lane first so one
             # finish-ordered queue drains both.
             self._materialize_pending_bursts()
-        # Inlined ServiceTimeline.drain/reserve (hot path): identical float
-        # operation order, so reservations are bit-exact vs the helpers.
-        timeline = self._timeline
-        reservations = timeline._pending
-        pending_bytes = timeline.pending_bytes
-        while reservations and reservations[0][0] <= at:
-            pending_bytes -= reservations.popleft()[1]
-        if pending_bytes + size > self.queue_bytes:
-            timeline.pending_bytes = pending_bytes
+        finish = self._timeline.admit(
+            at, size, self._service_time(size), self.queue_bytes
+        )
+        if finish is None:
             self.overload_drops.count(size)
             return False
         enqueue_ns = int(at * 1e9)
         packet.meta["ppe_enqueue_ns"] = enqueue_ns  # overwrite: see the oracle
-        service = self._service_times.get(size)
-        if service is None:
-            service = self._service_times[size] = self.timing.frame_service_time(
-                size
-            )
-        free_at = timeline.free_at
-        start = at if at > free_at else free_at
-        finish = start + service
-        timeline.free_at = finish
-        reservations.append((start, size))
-        timeline.pending_bytes = pending_bytes + size
         frame = (packet, size, direction, done, enqueue_ns, finish)
         # The arrivals mirror shares the frame tuples (enqueue at [4],
         # size at [1]) so admission costs one allocation, not two.
@@ -617,10 +593,10 @@ class PacketProcessingEngine(_EngineBase):
         self._arrivals_bytes += size
         group = self._group
         group.append(frame)
-        event = self._group_event
+        event = self._drain_event
         if event is not None:
             event.cancel()
-            self._group_event = None
+            self._drain_event = None
         if len(group) >= BURST_FRAMES:
             self._group = []
             now = self.sim.now
@@ -628,10 +604,7 @@ class PacketProcessingEngine(_EngineBase):
                 finish if finish > now else now, self._process_due
             )
         elif not self._defer_commit:
-            now = self.sim.now
-            self._group_event = self.sim.schedule_at(
-                finish if finish > now else now, self._process_due_event
-            )
+            self._arm_drain(finish)
         return True
 
     def flush_begin(self) -> None:
@@ -641,19 +614,28 @@ class PacketProcessingEngine(_EngineBase):
     def flush_end(self) -> None:
         """Leave a flush: arm one group event for the open remainder."""
         self._defer_commit = False
+        self._arm_group()
+
+    def _arm_group(self) -> None:
         group = self._group
-        if group and self._group_event is None:
-            finish = group[-1][5]
-            now = self.sim.now
-            self._group_event = self.sim.schedule_at(
-                finish if finish > now else now, self._process_due_event
-            )
+        if group and self._drain_event is None:
+            self._arm_drain(group[-1][5])
+
+    def _arm_drain(self, at: float) -> None:
+        """(Re-)arm the one cancellable drain event at ``at``, clamped to now."""
+        event = self._drain_event
+        if event is not None:
+            event.cancel()
+        now = self.sim.now
+        self._drain_event = self.sim.schedule_at(
+            at if at > now else now, self._drain_event_fired
+        )
 
     # ------------------------------------------------------------------
     # Grouped per-frame execution
     # ------------------------------------------------------------------
-    def _process_due_event(self) -> None:
-        self._group_event = None
+    def _drain_event_fired(self) -> None:
+        self._drain_event = None
         self._process_due()
 
     def _process_due(self) -> None:
@@ -674,18 +656,18 @@ class PacketProcessingEngine(_EngineBase):
             # An application writing its own tables mid-processing fired
             # the drain hook reentrantly; the outer loop is the drain.
             return
-        if self._bursts:
-            # Compiled bursts and per-frame arrivals never coexist (either
-            # side materializes the other on contact), so the burst drain
-            # is a complete substitute here.
-            self._process_due_bursts()
-            return
-        arrivals = self._arrivals
-        now = self.sim.now
-        if not arrivals or arrivals[0][5] > now:
-            return
         self._processing = True
         try:
+            now = self.sim.now
+            if self._bursts:
+                # Compiled bursts and per-frame arrivals never coexist
+                # (either side materializes the other on contact), so this
+                # either drains the burst lane or — on a deopt — turns it
+                # into the arrivals the per-frame drain below picks up.
+                self._process_due_bursts(now)
+            arrivals = self._arrivals
+            if not arrivals or arrivals[0][5] > now:
+                return
             self._timeline.drain(now)
             # Reconstruct each frame's queue depth as the oracle
             # would have seen it at that frame's finish time:
@@ -774,231 +756,109 @@ class PacketProcessingEngine(_EngineBase):
         The compiled engine's struct-of-arrays ingress: ``times`` is a
         non-decreasing float64 array of virtual arrival seconds, one per
         frame, every frame sharing ``template``'s headers and ``size``.
-        Admission replays :meth:`submit`'s per-frame reservation arithmetic,
+        Admission is :meth:`submit`'s, through the same timeline kernel,
         so tail drops and service times are bit-identical to submitting
         each frame individually.  Returns the number of admitted frames.
 
-        Bursts the fused contract cannot express deopt at submit: with a
-        tracer attached, no fusible program, a flow the application opts
-        out of, or per-frame arrivals already pending, every frame
-        materializes through the per-frame lane with ``done_frame`` as
-        its completion callback.
+        A burst :meth:`_burst_lane` cannot fuse deopts right here: its
+        admitted frames materialize into the per-frame lane with
+        ``done_frame`` as their completion callback.
         """
-        key = None
-        meter = False
+        times = np.ascontiguousarray(times, dtype=np.float64)
+        admitted_at, finishes = self._timeline.admit_burst(
+            times, size, self._service_time(size), self.queue_bytes
+        )
+        count = len(finishes)
+        if count < len(times):
+            drops = len(times) - count
+            self.overload_drops.packets += drops
+            self.overload_drops.bytes += drops * size
+            if count == 0:
+                return 0
+        lane, key = self._burst_lane(template)
+        self._bursts.append(
+            _PendingBurst(
+                template,
+                size,
+                direction,
+                lane,
+                key,
+                done_burst,
+                done_frame,
+                (admitted_at * 1e9).astype(np.int64),
+                finishes,
+            )
+        )
+        if lane is None:
+            self._materialize_pending_bursts()
+            return count
+        self.compiled_bursts += 1
+        # One armed drain event at the newest burst's final finish covers
+        # every pending burst (finish order is global).
+        self._arm_drain(float(finishes[-1]))
+        return count
+
+    def _burst_lane(self, template: Packet) -> tuple[str | None, Hashable]:
+        """Which fused lane a burst of ``template`` frames takes, if any.
+
+        The one place the lane is chosen: ``("recipe", flow_key)`` when the
+        effect analysis proved the program ``pure`` and the application
+        names the template's flow, ``("meter", None)`` when it proved a
+        sequential meter, ``(None, None)`` — the per-frame lane — for a
+        program that is not fusible, a flow the application opts out of,
+        an attached tracer (recipes skip per-stage spans) or per-frame
+        arrivals already queued (one finish-ordered queue drains both).
+        Being admitted to a lane is not a promise: the drain deopts a
+        burst whose recipe or plan turns out not to be fusible.
+        """
         program = self.program
         if (
-            program is not None
-            and program.fusible
-            and self.tracer is None
-            and not self._arrivals
+            program is None
+            or not program.fusible
+            or self.tracer is not None
+            or self._arrivals
         ):
-            if program.mode == "meter":
-                # Sequential meter lane: no flow key — the application
-                # replays the slice's arrival times itself (burst_plan).
-                meter = True
-            elif self.flow_cache is not None:
-                key = self.app.flow_key(template)
-        if key is None and not meter:
-            values = times.tolist() if hasattr(times, "tolist") else list(times)
-            self.compiled_deopts += len(values)
-            defer = self._defer_commit
-            self._defer_commit = True
-            admitted = 0
-            submit = self.submit
-            for at in values:
-                if submit(template.copy(), direction, done_frame, at, size):
-                    admitted += 1
-            if not defer:
-                self._defer_commit = False
-                self.flush_end()
-            return admitted
-        times = np.ascontiguousarray(times, dtype=np.float64)
-        admitted_at, finishes = self._admit_burst(times, size)
-        if len(finishes) == 0:
-            return 0
-        burst = _PendingBurst(
-            template,
-            size,
-            direction,
-            key,
-            done_burst,
-            done_frame,
-            (admitted_at * 1e9).astype(np.int64),
-            finishes,
-            meter=meter,
-        )
-        self._bursts.append(burst)
-        self.compiled_bursts += 1
-        event = self._burst_event
-        if event is not None:
-            # One armed drain event at the newest burst's final finish
-            # covers every pending burst (finish order is global).
-            event.cancel()
-        last = float(finishes[-1])
-        now = self.sim.now
-        self._burst_event = self.sim.schedule_at(
-            last if last > now else now, self._burst_event_fired
-        )
-        return len(finishes)
+            return None, None
+        if program.mode == "meter":
+            return "meter", None
+        key = None if self.flow_cache is None else self.app.flow_key(template)
+        return ("recipe", key) if key is not None else (None, None)
 
-    def _admit_burst(
-        self, times: "np.ndarray", size: int
-    ) -> tuple["np.ndarray", "np.ndarray"]:
-        """Reserve service slots for a burst; returns admitted (at, finish).
-
-        Exactly :meth:`submit`'s admission — drain, tail-drop
-        check, ``start = max(arrival, free_at)`` — replayed per frame.
-        Two vectorised regimes cover the common cases bit-exactly: a
-        burst that fits the queue outright chains through
-        :func:`~repro.sim.burst.chain_reservations`, and a burst arriving
-        entirely while the server is busy (the oversubscribed steady
-        state) resolves its tail drops with the
-        :func:`~repro.sim.burst.bounded_admissions` scan.  Anything else
-        falls back to a Python loop replaying the exact per-frame
-        sequence.
-        """
-        timeline = self._timeline
-        reservations = timeline._pending
-        service = self._service_times.get(size)
-        if service is None:
-            service = self._service_times[size] = self.timing.frame_service_time(
-                size
-            )
-        n = len(times)
-        first = float(times[0])
-        pending_bytes = timeline.pending_bytes
-        # Amortized drain to the burst head: the state the per-frame loop
-        # would see at its first arrival (each reservation pops once ever).
-        while reservations and reservations[0][0] <= first:
-            pending_bytes -= reservations.popleft()[1]
-        timeline.pending_bytes = pending_bytes
-        if pending_bytes + n * size <= self.queue_bytes:
-            # Occupancy only shrinks as reservations mature, so a burst
-            # that fits on top of the undrained occupancy can never drop;
-            # matured entries are released by the next drain that needs
-            # them, leaving pending_bytes consistent with the deque.
-            chained = chain_reservations(times, service, timeline.free_at)
-            if chained is not None:
-                starts, finishes = chained
-                timeline.free_at = float(finishes[-1])
-                for start in starts.tolist():
-                    reservations.append((start, size))
-                timeline.pending_bytes += n * size
-                return times, finishes
-        free_at = timeline.free_at
-        last = float(times[-1])
-        if last < free_at:
-            # Saturated regime: every arrival lands while the server is
-            # busy, so every admitted start continues the free_at chain
-            # and no reservation made by this burst matures within it.
-            # Matured older reservations form a sorted prefix; per-frame
-            # headroom is then a non-decreasing cap sequence and the
-            # tail-drop scan has a closed form.
-            matured_starts: list[float] = []
-            matured_sizes: list[int] = []
-            while reservations and reservations[0][0] <= last:
-                entry = reservations.popleft()
-                matured_starts.append(entry[0])
-                matured_sizes.append(entry[1])
-            if matured_starts:
-                released = np.concatenate(
-                    ([0], np.add.accumulate(np.asarray(matured_sizes)))
-                )
-                freed = released[
-                    np.searchsorted(np.asarray(matured_starts), times, side="right")
-                ]
-                total_released = int(released[-1])
-            else:
-                freed = np.zeros(n, dtype=np.int64)
-                total_released = 0
-            caps = (self.queue_bytes - size - pending_bytes + freed) // size
-            cumulative = bounded_admissions(caps)
-            admitted_count = int(cumulative[-1])
-            drops = n - admitted_count
-            if drops:
-                overload = self.overload_drops
-                overload.packets += drops
-                overload.bytes += drops * size
-            timeline.pending_bytes = (
-                pending_bytes - total_released + admitted_count * size
-            )
-            if admitted_count == 0:
-                return times[:0], times[:0]
-            chain = np.empty(admitted_count + 1)
-            chain[0] = free_at
-            chain[1:] = service
-            chain = np.add.accumulate(chain)
-            for start in chain[:admitted_count].tolist():
-                reservations.append((start, size))
-            timeline.free_at = float(chain[admitted_count])
-            flags = np.diff(cumulative, prepend=0) == 1
-            return times[flags], chain[1:]
-        free_at = timeline.free_at
-        queue_bytes = self.queue_bytes
-        admitted: list[float] = []
-        finish_times: list[float] = []
-        admit_at = admitted.append
-        admit_finish = finish_times.append
-        drops = 0
-        for at in times.tolist():
-            while reservations and reservations[0][0] <= at:
-                pending_bytes -= reservations.popleft()[1]
-            if pending_bytes + size > queue_bytes:
-                drops += 1
-                continue
-            start = at if at > free_at else free_at
-            finish = start + service
-            free_at = finish
-            reservations.append((start, size))
-            pending_bytes += size
-            admit_at(at)
-            admit_finish(finish)
-        timeline.free_at = free_at
-        timeline.pending_bytes = pending_bytes
-        if drops:
-            overload = self.overload_drops
-            overload.packets += drops
-            overload.bytes += drops * size
-        return np.asarray(admitted), np.asarray(finish_times)
-
-    def _burst_event_fired(self) -> None:
-        self._burst_event = None
-        self._process_due()
-
-    def _process_due_bursts(self) -> None:
+    def _process_due_bursts(self, now: float) -> None:
         """Drain every burst frame whose virtual service has finished.
 
-        The burst analogue of :meth:`_process_due` — reached through the
-        same entry point, so batch events and the pre-mutation table hook
-        both land here.  Due frames form a prefix of each pending burst,
-        and each due slice collapses into one fused recipe application.
+        The burst half of :meth:`_process_due`.  Due frames form a prefix
+        of each pending burst, and each due slice collapses into one
+        fused application.  A slice that cannot fuse deopts the whole
+        burst lane into per-frame arrivals, which the caller then drains.
         """
-        self._processing = True
-        try:
-            now = self.sim.now
-            self._timeline.drain(now)
-            bursts = self._bursts
-            while bursts:
-                burst = bursts[0]
-                finish = burst.finish
-                pos = burst.pos
-                end = int(np.searchsorted(finish, now, side="right"))
-                if end <= pos:
-                    break
-                if burst.meter:
-                    self._fuse_meter_slice(burst, pos, end)
-                else:
-                    self._fuse_slice(burst, pos, end)
-                if end < len(finish):
-                    burst.pos = end
-                    break
-                bursts.popleft()
-        finally:
-            self._processing = False
+        self._timeline.drain(now)
+        bursts = self._bursts
+        while bursts:
+            burst = bursts[0]
+            finish = burst.finish
+            pos = burst.pos
+            end = int(np.searchsorted(finish, now, side="right"))
+            if end <= pos:
+                break
+            fuse = (
+                self._fuse_meter_slice if burst.lane == "meter" else self._fuse_slice
+            )
+            if not fuse(burst, pos, end):
+                self._materialize_pending_bursts()
+                break
+            if end < len(finish):
+                burst.pos = end
+                break
+            bursts.popleft()
 
-    def _fuse_slice(self, burst: _PendingBurst, pos: int, end: int) -> None:
-        """Process one due slice with a single fused recipe application."""
+    def _fuse_slice(self, burst: _PendingBurst, pos: int, end: int) -> bool:
+        """Process one due slice with a single fused recipe application.
+
+        False — nothing applied, nothing counted — when the flow's recipe
+        is not one the fused contract can express: ``decide`` opts out or
+        emits, or the verdict needs per-frame handling downstream.
+        """
         count = end - pos
         app = self.app
         direction = burst.direction
@@ -1019,15 +879,13 @@ class PacketProcessingEngine(_EngineBase):
             )
             recipe = app.decide(burst.template, ctx)
             if recipe is None or ctx.emitted:
-                self._materialize_slice(burst, pos, end)
-                return
+                return False
             self.flow_cache.insert((direction, burst.key), recipe, generation)
             decided = 1
         verdict = recipe.verdict
         if verdict is not Verdict.PASS and verdict is not Verdict.DROP:
             # REFLECT / TO_CPU need per-frame downstream handling.
-            self._materialize_slice(burst, pos, end)
-            return
+            return False
         packet = burst.template.copy()
         applied = recipe.apply_burst(packet, app, size, count)
         # Hits are counted at arrival size; ``processed`` and the
@@ -1054,8 +912,9 @@ class PacketProcessingEngine(_EngineBase):
             deliver_s,
             burst.enqueue_ns[pos:end],
         )
+        return True
 
-    def _fuse_meter_slice(self, burst: _PendingBurst, pos: int, end: int) -> None:
+    def _fuse_meter_slice(self, burst: _PendingBurst, pos: int, end: int) -> bool:
         """Process one due slice through the sequential meter lane.
 
         No recipe and no flow cache: the application's
@@ -1064,14 +923,14 @@ class PacketProcessingEngine(_EngineBase):
         bit-identical arithmetic to per-frame ``process`` calls — and
         returns contiguous verdict runs.  Each run delivers as one fused
         burst; nothing is cached, so the next slice replans against the
-        then-current meter state.
+        then-current meter state.  False when the application has no
+        plan for this template.
         """
         app = self.app
         size = burst.size
         plan = app.burst_plan(burst.template, burst.direction)
         if plan is None:
-            self._materialize_slice(burst, pos, end)
-            return
+            return False
         count = end - pos
         times_ns = (burst.finish[pos:end] * 1e9).astype(np.int64).tolist()
         runs = plan(times_ns, size)
@@ -1100,86 +959,52 @@ class PacketProcessingEngine(_EngineBase):
                 burst.enqueue_ns[offset : offset + n],
             )
             offset += n
-
-    def _materialize_slice(self, burst: _PendingBurst, pos: int, end: int) -> None:
-        """Deopt a due slice through the exact per-frame machinery."""
-        template = burst.template
-        size = burst.size
-        direction = burst.direction
-        done = burst.done_frame
-        finish = burst.finish
-        enqueue = burst.enqueue_ns
-        total = len(finish)
-        apply = self._apply if self.tracer is None else self._apply_spanned
-        pipeline_latency_s = self.pipeline_latency_s
-        deliveries: list = []
-        self.compiled_deopts += end - pos
-        for index in range(pos, end):
-            packet = template.copy()
-            enqueue_ns = int(enqueue[index])
-            packet.meta["ppe_enqueue_ns"] = enqueue_ns
-            finish_s = float(finish[index])
-            # Queue depth approximates to this burst's unprocessed tail;
-            # the fused contract keeps applications from reading it.
-            verdict, emitted = apply(
-                packet,
-                size,
-                direction,
-                int(finish_s * 1e9),
-                (total - index - 1) * size,
-            )
-            deliveries.append(
-                (packet, verdict, emitted, done, enqueue_ns,
-                 finish_s + pipeline_latency_s)
-            )
-        self.sim.schedule(pipeline_latency_s, self._deliver_batch, deliveries)
+        return True
 
     def _materialize_pending_bursts(self) -> None:
         """Collapse the burst lane into the per-frame arrival queue.
 
-        Called when per-frame work interleaves with pending bursts (a
-        probe, an emitted frame, a traced packet): every unprocessed
-        burst frame becomes a regular reserved arrival so one
-        finish-ordered drain handles both.  Reservation state is
-        untouched — burst admission already reserved per frame.
+        The one deopt, whatever triggered it — a burst no lane takes, a
+        per-frame submit landing on pending bursts, a due slice that
+        would not fuse: every unprocessed burst frame becomes a regular
+        reserved arrival (its own packet copy, its own enqueue stamp), so
+        the ordinary per-frame drain handles it with the exact queue
+        depth.  Reservation state is untouched — burst admission already
+        reserved per frame — and groups close every :data:`BURST_FRAMES`
+        frames exactly as :meth:`submit` closes them.
         """
         bursts = self._bursts
         self._bursts = deque()
-        event = self._burst_event
+        event = self._drain_event
         if event is not None:
             event.cancel()
-            self._burst_event = None
-        event = self._group_event
-        if event is not None:
-            event.cancel()
-            self._group_event = None
+            self._drain_event = None
         arrivals = self._arrivals
         group = self._group
-        added = 0
+        before = len(arrivals)
         for burst in bursts:
             template = burst.template
             size = burst.size
             direction = burst.direction
             done = burst.done_frame
-            finish = burst.finish.tolist()
-            enqueue = burst.enqueue_ns.tolist()
-            for index in range(burst.pos, len(finish)):
+            pos = burst.pos
+            for enqueue_ns, finish in zip(
+                burst.enqueue_ns[pos:].tolist(), burst.finish[pos:].tolist()
+            ):
                 packet = template.copy()
-                packet.meta["ppe_enqueue_ns"] = enqueue[index]
-                frame = (
-                    packet, size, direction, done, enqueue[index], finish[index]
-                )
+                packet.meta["ppe_enqueue_ns"] = enqueue_ns
+                frame = (packet, size, direction, done, enqueue_ns, finish)
                 arrivals.append(frame)
-                self._arrivals_bytes += size
                 group.append(frame)
-                added += 1
-        self.compiled_deopts += added
-        if group and not self._defer_commit:
-            finish_s = group[-1][5]
-            now = self.sim.now
-            self._group_event = self.sim.schedule_at(
-                finish_s if finish_s > now else now, self._process_due_event
-            )
+            self._arrivals_bytes += (len(burst.finish) - pos) * size
+        self.compiled_deopts += len(arrivals) - before
+        now = self.sim.now
+        while len(group) >= BURST_FRAMES:
+            finish = group[BURST_FRAMES - 1][5]
+            self.sim.schedule_at(finish if finish > now else now, self._process_due)
+            del group[:BURST_FRAMES]
+        if not self._defer_commit:
+            self._arm_group()
 
     def _deliver_burst(
         self,
@@ -1194,14 +1019,11 @@ class PacketProcessingEngine(_EngineBase):
         # is bisect_right, so the bulk binning lands every latency in the
         # bucket the per-frame add() would have chosen, and the int64
         # cast truncates exactly like int().
-        bounds = self._latency_bounds
-        if bounds is None:
-            bounds = self._latency_bounds = np.asarray(self.latency_ns.bounds)
         latencies = (deliver_s * 1e9).astype(np.int64) - enqueue_ns
         histogram = self.latency_ns
         counts = histogram.counts
         binned = np.bincount(
-            np.searchsorted(bounds, latencies, side="right"),
+            np.searchsorted(self._latency_bounds, latencies, side="right"),
             minlength=len(counts),
         )
         for index, bucket in enumerate(binned.tolist()):

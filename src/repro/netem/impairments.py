@@ -83,6 +83,9 @@ class ImpairedPort(Port):
         **kwargs,
     ) -> None:
         super().__init__(sim, name, rate_bps=rate_bps, **kwargs)
+        # Impairments act per frame in _deliver, so even with no handler
+        # attached this is never a counting sink for batched delivery.
+        self._batched_rx = False
         if not 0.0 <= loss_probability < 1.0:
             raise ConfigError("loss probability must be in [0, 1)")
         if jitter_s < 0:

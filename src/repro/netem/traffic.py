@@ -104,13 +104,9 @@ class TrafficSource:
     def _tick(self) -> None:
         t = self.sim.now
         port = self.port
-        # Emission is the hottest loop in traffic-heavy simulations: bind
-        # the coalesced reservation path directly and inline the stop
-        # checks; semantics are identical to send_at/_done_at.
-        if port.coalesce and port._peer is not None:
-            send = port._reserve_tx
-        else:
-            send = port.send_at
+        # Emission is the hottest loop in traffic-heavy simulations: the
+        # stop checks are inlined; semantics are identical to _done_at.
+        send = port.send_at
         factory = self.factory
         sent = self.sent
         count = self.count

@@ -337,10 +337,7 @@ def _build_nat(spec: ScenarioSpec, module_count: int) -> ScenarioRun:
         sim, "host", rate_bps=traffic.rate_bps, queue_bytes=1 << 22,
         coalesce=compiled,
     )
-    fiber = Port(
-        sim, "fiber", rate_bps=traffic.rate_bps, queue_bytes=1 << 22,
-        batch_rx=compiled,
-    )
+    fiber = Port(sim, "fiber", rate_bps=traffic.rate_bps, queue_bytes=1 << 22)
     connect(host, modules[0].edge_port)
     connect(previous_port, fiber)
     registry.register("host", host)
@@ -596,10 +593,7 @@ def _build_nfv(spec: ScenarioSpec, churn: bool) -> ScenarioRun:
         sim, "host", rate_bps=traffic.rate_bps, queue_bytes=1 << 22,
         coalesce=compiled,
     )
-    fiber = Port(
-        sim, "fiber", rate_bps=traffic.rate_bps, queue_bytes=1 << 22,
-        batch_rx=compiled,
-    )
+    fiber = Port(sim, "fiber", rate_bps=traffic.rate_bps, queue_bytes=1 << 22)
     connect(host, module.edge_port)
     connect(module.line_port, fiber)
     registry.register("host", host)

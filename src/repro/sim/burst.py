@@ -1,85 +1,56 @@
 """Struct-of-arrays burst arithmetic for the compiled engine tier.
 
 The compiled data plane moves whole same-size bursts through the simulator
-as one template packet plus numpy arrays of per-frame times.  The helpers
-here vectorise the serialization/service reservation chain while staying
-bit-identical to the sequential per-frame float arithmetic: within a busy
-segment the running finish is ``np.add.accumulate`` — a sequential left
-fold, so each element is exactly ``previous + service`` in scalar float64 —
-and segment boundaries re-seed from the arrival time exactly where the
-scalar ``start = max(arrival, free_at)`` would.
+as one template packet plus numpy arrays of per-frame times.  A burst is an
+optimisation *of* the per-frame reservation, never a second model of it:
+:meth:`repro.sim.engine.ServiceTimeline.admit_burst` is defined as folding
+the scalar ``admit`` over the arrival times, and the one vector regime here
+exists because a measured workload takes it.
+
+* **Busy chain** (:func:`chain_reservations`): every frame after the first
+  arrives no later than its predecessor's finish, so the server never
+  idles inside the burst and the finishes are one ``np.add.accumulate`` — a
+  sequential left fold, each element exactly ``previous + service`` in
+  scalar float64.  This is a *link* regime: a port serialises a burst its
+  own source (or the PPE upstream) paced at or above the port rate.  On
+  ``nat-linerate-fused`` the host and line ports take it on 3,716 of 3,722
+  bursts (in the other six an arrival beats the running finish by a
+  rounding error, and they replay).
+* Everything else — idle gaps inside the burst, or a burst that might not
+  fit the queue — is the exact scalar replay.  That is where a PPE that
+  keeps up lives (``f_clk x width >= line rate``: a 60 B frame is served
+  in 57.6 ns — nine 64 b beats at 156.25 MHz — and arrives every 67.2 ns,
+  so every frame is its own busy segment): 1,861 of 1,861 PPE bursts on
+  ``nat-linerate-fused``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# A burst whose arrivals out-pace the service rate is a single segment; one
-# with many idle gaps degenerates into per-frame seeding, where the Python
-# loop is cheaper than repeated array scans.  Callers fall back to the
-# exact per-frame loop when the chain exceeds this many segments.
-MAX_CHAIN_SEGMENTS = 8
-
 
 def chain_reservations(
-    times: np.ndarray,
-    service: float,
-    free_at: float,
-    max_segments: int = MAX_CHAIN_SEGMENTS,
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Vectorised ``start = max(arrival, free_at); finish = start + service``.
+    times: np.ndarray, service: float, free_at: float
+) -> np.ndarray | None:
+    """Finish times of a burst served as one busy segment, else None.
 
     ``times`` is a non-decreasing float64 array of arrival seconds and
     ``service`` the per-frame service time (uniform — the burst contract).
-    Returns ``(starts, finishes)`` arrays bit-identical to the sequential
-    reservation loop, or None when the burst breaks into more than
-    ``max_segments`` busy segments (caller runs the per-frame loop).
+    The first frame starts at ``max(times[0], free_at)``; the result is
+    bit-identical to the sequential ``start = max(arrival, free_at);
+    finish = start + service`` loop provided no later arrival beats the
+    running finish (strict ``>``, matching the scalar ``max``).  When one
+    does, the server idles inside the burst and the caller replays the
+    scalar sequence instead.  Frame ``k``'s start is the previous frame's
+    finish (``chain[k]``), so the returned ``chain`` has ``n + 1`` entries:
+    starts are ``chain[:-1]`` and finishes ``chain[1:]``.
     """
     n = len(times)
-    starts = np.empty(n)
-    finishes = np.empty(n)
-    index = 0
-    seed = free_at
-    segments = 0
-    while index < n:
-        segments += 1
-        if segments > max_segments:
-            return None
-        arrival = times[index]
-        base = arrival if arrival > seed else seed
-        remaining = n - index
-        chain = np.empty(remaining + 1)
-        chain[0] = base
-        chain[1:] = service
-        chain = np.add.accumulate(chain)
-        # chain[k] is frame index+k's start while the server stays busy;
-        # the segment ends at the first frame whose arrival beats the
-        # running finish (strict >, matching the scalar max()).
-        gaps = times[index + 1 : n] > chain[1:remaining]
-        take = remaining
-        if gaps.any():
-            take = int(np.argmax(gaps)) + 1
-        starts[index] = base
-        if take > 1:
-            starts[index + 1 : index + take] = chain[1:take]
-        finishes[index : index + take] = chain[1 : take + 1]
-        seed = chain[take]
-        index += take
-    return starts, finishes
-
-
-def bounded_admissions(caps: np.ndarray) -> np.ndarray:
-    """Cumulative admissions of the tail-drop scan, vectorised.
-
-    Models ``A_i = A_{i-1} + (A_{i-1} <= caps_i)`` with ``A_{-1} = 0`` —
-    frame ``i`` is admitted iff the number already admitted is within its
-    queue headroom ``caps_i`` (in frames).  Requires ``caps``
-    non-decreasing, which holds whenever headroom only grows as the
-    timeline drains.  Closed form: an admission streak is bounded both by
-    ``i + 1`` (can't admit more frames than arrived) and by the tightest
-    earlier cap plus the arrivals since it.
-    """
-    caps = np.asarray(caps, dtype=np.int64)
-    idx = np.arange(len(caps))
-    best = np.minimum.accumulate(np.maximum(caps + 1, 0) - idx)
-    return np.minimum(idx + 1, best + idx)
+    first = times[0]
+    chain = np.empty(n + 1)
+    chain[0] = first if first > free_at else free_at
+    chain[1:] = service
+    chain = np.add.accumulate(chain)
+    if n > 1 and (times[1:] > chain[1:n]).any():
+        return None
+    return chain

@@ -11,10 +11,14 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from itertools import repeat
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable
 
+import numpy as np
+
 from ..errors import SimulationError
+from .burst import chain_reservations
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from ..obs.profiler import LoopProfiler
@@ -158,21 +162,24 @@ class Simulator:
 
 
 class ServiceTimeline:
-    """Analytic busy clock for a single server processing frames in batches.
+    """Analytic busy clock of a bounded-FIFO single server.
 
     The event-per-frame pattern (schedule service completion, then schedule
     the next start) costs one or two heap events per frame.  Batched
-    components instead *reserve* service slots on this timeline — the
-    arithmetic is identical to the sequential schedule (``start = max(now,
+    components instead *admit* frames onto this timeline — the arithmetic
+    is identical to the sequential schedule (``start = max(arrival,
     free_at)``, ``finish = start + service``, same float operations in the
     same order), so per-frame start/finish timestamps are bit-identical to
     the unbatched execution while only one real event fires per batch.
 
-    The timeline also tracks byte occupancy: a reserved frame's bytes stay
+    The timeline also tracks byte occupancy: an admitted frame's bytes stay
     "queued" until its virtual start time passes, which keeps tail-drop /
     overload decisions at intermediate arrival events identical to the
-    event-per-frame execution.  Call :meth:`drain` with the current
-    simulation time before reading :attr:`pending_bytes`.
+    event-per-frame execution.  :meth:`admit` is the one place that
+    sequence lives — ports and PPEs call it rather than reaching into the
+    reservation deque — and :meth:`admit_burst` is its vector form.  Call
+    :meth:`drain` with the current simulation time before reading
+    :attr:`pending_bytes` or :attr:`pending_frames`.
     """
 
     __slots__ = ("free_at", "pending_bytes", "_pending")
@@ -182,14 +189,70 @@ class ServiceTimeline:
         self.pending_bytes = 0
         self._pending: deque[tuple[float, int]] = deque()
 
-    def reserve(self, now: float, service_s: float, size: int) -> tuple[float, float]:
-        """Reserve one service slot; returns ``(start, finish)`` times."""
-        start = now if now > self.free_at else self.free_at
-        finish = start + service_s
-        self.free_at = finish
-        self._pending.append((start, size))
-        self.pending_bytes += size
-        return start, finish
+    @property
+    def pending_frames(self) -> int:
+        """Admitted frames whose service has not started (as of the last drain)."""
+        return len(self._pending)
+
+    def admit(
+        self, at: float, size: int, service_s: float, limit: int
+    ) -> float | None:
+        """Offer one ``size``-byte frame arriving at ``at``.
+
+        Drains the occupancy to the arrival (the state the event-per-frame
+        execution would see when the frame showed up), tail-drops when the
+        frame does not fit under ``limit`` bytes (returns None), otherwise
+        reserves the next service slot and returns its finish time.
+        Arrivals must be non-decreasing across calls.
+        """
+        pending = self._pending
+        pending_bytes = self.pending_bytes
+        while pending and pending[0][0] <= at:  # drain(at), inlined: hot path
+            pending_bytes -= pending.popleft()[1]
+        if pending_bytes + size > limit:
+            self.pending_bytes = pending_bytes
+            return None
+        free_at = self.free_at
+        start = at if at > free_at else free_at
+        self.free_at = finish = start + service_s
+        pending.append((start, size))
+        self.pending_bytes = pending_bytes + size
+        return finish
+
+    def admit_burst(
+        self, times: "np.ndarray", size: int, service_s: float, limit: int
+    ) -> tuple["np.ndarray", "np.ndarray"]:
+        """Offer a burst of same-size frames; ``(admitted_times, finishes)``.
+
+        Equal, by definition and by property test, to folding
+        :meth:`admit` over ``times`` (a non-empty, non-decreasing float64
+        array): the same frames admitted, bit-equal finishes, the same
+        ``free_at`` and — after a :meth:`drain` to any time at or past
+        the last arrival — the same occupancy.  The one shortcut is the
+        busy chain of :func:`repro.sim.burst.chain_reservations`, taken
+        when the whole burst fits on top of the occupancy at its head
+        (occupancy only shrinks as reservations mature, so nothing can
+        tail-drop) and the server never idles inside it.
+        """
+        pending = self._pending
+        self.drain(float(times[0]))
+        n = len(times)
+        if self.pending_bytes + n * size <= limit:
+            chain = chain_reservations(times, service_s, self.free_at)
+            if chain is not None:
+                self.free_at = float(chain[n])
+                pending.extend(zip(chain[:n].tolist(), repeat(size)))
+                self.pending_bytes += n * size
+                return times, chain[1:]
+        admit = self.admit
+        admitted: list[float] = []
+        finishes: list[float] = []
+        for at in times.tolist():
+            finish = admit(at, size, service_s, limit)
+            if finish is not None:
+                admitted.append(at)
+                finishes.append(finish)
+        return np.asarray(admitted), np.asarray(finishes)
 
     def drain(self, now: float) -> None:
         """Release the bytes of every reservation whose start has passed."""

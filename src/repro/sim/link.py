@@ -16,7 +16,6 @@ import numpy as np
 
 from ..errors import SimulationError
 from ..packet import Packet
-from .burst import chain_reservations
 from .engine import ServiceTimeline, Simulator
 from .mac import serialization_time
 from .stats import Counter
@@ -41,7 +40,7 @@ class Port:
     after the link's propagation delay.  Received frames are handed to the
     attached handler (set by the owning device via :meth:`attach`).
 
-    With ``coalesce=True`` (the batched fast path) the per-frame
+    With ``coalesce=True`` (the compiled tier's ports) the per-frame
     tx-done/deliver event pair collapses into a single deliver event:
     serialization start/finish times come from an analytic
     :class:`~repro.sim.engine.ServiceTimeline` whose arithmetic matches the
@@ -50,16 +49,17 @@ class Port:
     frames already reserved keep their delivery even if the link is
     disconnected before their serialization would have started.
 
-    A receiver may additionally opt into *batched delivery* with
-    ``batch_rx=True``: a coalescing sender then accumulates reservations
-    and hands them over in a single flush event scheduled at the first
-    pending frame's delivery time, stamping each frame's exact (virtual)
-    delivery timestamp into ``packet.meta["link_deliver_s"]``.  Later
-    frames of the flush arrive *early* in event time but carry their true
-    wire arrival; a batch-aware handler (the FlexSFP module, a meter)
-    reads the stamp and reproduces the event-per-frame arithmetic bit for
-    bit.  Only attach batch_rx to ports whose handler understands the
-    stamp.
+    A coalescing sender goes one step further when its peer can take
+    *batched delivery*: it queues reservations — single frames and whole
+    template bursts alike, in arrival order — and hands them over in one
+    flush event scheduled at the first pending frame's delivery time.
+    Later frames of the flush arrive *early* in event time but carry their
+    exact wire arrival as data, so a batch-aware receiver (the FlexSFP
+    module, a meter) reproduces the event-per-frame arithmetic bit for
+    bit.  A port takes batched delivery iff that is safe: it has a batch
+    handler (:meth:`attach_batch`), or no per-frame handler at all (a
+    counting sink).  A port with only a per-frame handler reads
+    ``sim.now``, so it keeps one deliver event per frame.
     """
 
     def __init__(
@@ -69,31 +69,28 @@ class Port:
         rate_bps: float = 10e9,
         queue_bytes: int = DEFAULT_QUEUE_BYTES,
         coalesce: bool = False,
-        batch_rx: bool = False,
     ) -> None:
         self.sim = sim
         self.name = name
         self.rate_bps = rate_bps
         self.queue_bytes = queue_bytes
         self.coalesce = coalesce
-        self.batch_rx = batch_rx
-        self._pending_rx: list[tuple[Packet, int, float]] = []
-        # Optional bracketing callbacks a batch_rx owner may install: a
+        # Reservations awaiting the next flush toward a batched peer, in
+        # delivery order: (packet, size, when) per frame and (template,
+        # size, whens) per burst, ``whens`` a float64 vector.
+        self._pending_rx: list[tuple[Packet, int, "float | np.ndarray"]] = []
+        # Optional bracketing callbacks a batched receiver may install: a
         # sender's flush calls begin before and end after handing over the
         # whole pending run, letting the receiver defer per-frame work
         # (e.g. PPE group-event arming) to one commit per flush.
         self.rx_flush_begin: Callable[[], None] | None = None
         self.rx_flush_end: Callable[[], None] | None = None
+        self._handler: PacketHandler | None = None
         self._batch_handler: BatchHandler | None = None
         self._burst_handler: BurstHandler | None = None
-        # Compiled bursts pending delivery: (template, size, whens).  Never
-        # non-empty at the same time as _pending_rx — mixing materializes
-        # the bursts into per-frame entries first (see send_burst).
-        self._pending_bursts: list[tuple[Packet, int, np.ndarray]] = []
-        self._burst_flush_event = None
+        self._batched_rx = True  # no handler yet: see attach()
         self._peer: Port | None = None
         self._propagation_s = DEFAULT_PROPAGATION_S
-        self._handler: PacketHandler | None = None
         self._tx_fifo: deque[tuple[Packet, int]] = deque()
         self._tx_fifo_bytes = 0
         self._tx_busy = False
@@ -106,30 +103,35 @@ class Port:
     # Wiring
     # ------------------------------------------------------------------
     def attach(self, handler: PacketHandler) -> None:
-        """Register the owner's receive callback."""
+        """Register the owner's per-frame receive callback.
+
+        A per-frame handler sees arrivals as events, so unless a batch
+        handler is attached too the port stops taking batched delivery.
+        """
         self._handler = handler
+        self._batched_rx = self._batch_handler is not None
 
     def attach_batch(self, handler: BatchHandler) -> None:
-        """Register a batched receive callback (``batch_rx`` ports only).
+        """Register a batched receive callback.
 
-        When set, a sender's flush hands the whole pending run over in one
-        call — ``handler(port, [(packet, size, when), ...])`` — instead of
-        stamping ``link_deliver_s`` and invoking the per-frame handler for
-        each frame.  Frames delivered individually (from non-coalescing
-        senders) still go through the per-frame handler, so owners should
-        attach both.
+        A coalescing sender's flush then hands each pending run of frames
+        over in one call — ``handler(port, [(packet, size, when), ...])``
+        with ``when`` each frame's exact wire arrival — instead of one
+        deliver event per frame.  Frames delivered individually (from
+        non-coalescing senders) still go through the per-frame handler,
+        so owners should attach both.
         """
         self._batch_handler = handler
+        self._batched_rx = True
 
     def attach_burst(self, handler: BurstHandler) -> None:
         """Register a compiled-burst receive callback.
 
-        When set, a sender's burst flush hands each pending burst over in
-        one call — ``handler(port, template, size, whens)`` — where
-        ``whens`` is the float64 vector of exact (virtual) delivery times.
-        The template is shared, not copied: the receiver must not mutate
-        it.  Frames sent individually still take the batch/per-frame
-        paths, so owners should attach all applicable handlers.
+        When set, a sender's flush hands each pending burst over in one
+        call — ``handler(port, template, size, whens)`` — where ``whens``
+        is the float64 vector of exact (virtual) delivery times.  The
+        template is shared, not copied: the receiver must not mutate it.
+        Without one a burst reaches the batch handler as per-frame copies.
         """
         self._burst_handler = handler
 
@@ -171,6 +173,10 @@ class Port:
 
     @property
     def queue_depth_packets(self) -> int:
+        """Frames currently waiting in the egress FIFO."""
+        if self.coalesce:
+            self._timeline.drain(self.sim.now)
+            return self._timeline.pending_frames
         return len(self._tx_fifo)
 
     def metric_values(self) -> dict[str, int | float]:
@@ -239,67 +245,42 @@ class Port:
     def _reserve_tx(
         self, packet: Packet, arrival: float, size: int | None = None
     ) -> bool:
-        """Coalesced transmit: one deliver event per frame.
+        """Coalesced transmit: no tx-done event, at most one deliver event.
 
-        The occupancy check drains the timeline to the frame's *arrival*
-        (which may differ from now for delayed/burst/virtual sends): that
-        is the state the event-per-frame execution would see when its
-        deferred ``send`` ran at the arrival time.  Callers must reserve
-        in non-decreasing arrival order, which every producer (serialized
-        sources, per-direction module egress) naturally does.
+        Admission is judged at the frame's *arrival* (which may differ
+        from now for delayed/burst/virtual sends): that is the state the
+        event-per-frame execution would see when its deferred ``send`` ran
+        at the arrival time.  Callers must reserve in non-decreasing
+        arrival order, which every producer (serialized sources,
+        per-direction module egress) naturally does.
         """
         if size is None:
             size = packet.wire_len
-        # Inlined ServiceTimeline.drain/reserve and serialization_time
-        # (hot path): framing arithmetic is pure int and the float
-        # operations run in the helper's exact order, so timestamps and
-        # occupancy are bit-identical to the out-of-line versions.
-        timeline = self._timeline
-        reservations = timeline._pending
-        pending_bytes = timeline.pending_bytes
-        while reservations and reservations[0][0] <= arrival:
-            pending_bytes -= reservations.popleft()[1]
-        if pending_bytes + size > self.queue_bytes:
-            timeline.pending_bytes = pending_bytes
-            self.drops.count(size)
-            return False
+        # Inlined serialization_time (hot path): pure-int framing, then
+        # the helper's one float operation.
         framed = size + 4
         if framed < 64:
             framed = 64
-        service = (framed + 20) * 8 / self.rate_bps
-        free_at = timeline.free_at
-        start = arrival if arrival > free_at else free_at
-        finish = start + service
-        timeline.free_at = finish
-        reservations.append((start, size))
-        timeline.pending_bytes = pending_bytes + size
+        finish = self._timeline.admit(
+            arrival, size, (framed + 20) * 8 / self.rate_bps, self.queue_bytes
+        )
+        if finish is None:
+            self.drops.count(size)
+            return False
         when = finish + self._propagation_s
-        peer = self._peer
-        if peer.batch_rx:
-            # Batch-aware receiver: fold this frame into one flush event
-            # per producing burst.  Batch handlers get the delivery time
-            # as data; per-frame handlers read the meta stamp.
-            if self._pending_bursts:
-                # Per-frame traffic mixing with pending compiled bursts:
-                # materialize the bursts first so one flush run preserves
-                # global delivery order (burst whens precede this frame's).
-                self._materialize_pending_bursts()
-            if peer._batch_handler is None:
-                packet.meta["link_deliver_s"] = when
+        now = self.sim.now
+        if self._peer._batched_rx:
             pending = self._pending_rx
             pending.append((packet, size, when))
             if len(pending) == 1:
-                self.sim.schedule_at(
-                    when if when > self.sim.now else self.sim.now,
-                    self._flush_rx,
-                )
+                self.sim.schedule_at(when if when > now else now, self._flush_rx)
             return True
-        if when < self.sim.now:
-            # A virtual arrival far enough in the past that the frame
-            # "already" left: deliver immediately (bounded by the batch
-            # window; the reservation arithmetic stays exact regardless).
-            when = self.sim.now
-        self.sim.schedule_at(when, self._coalesced_deliver, packet)
+        # A virtual arrival far enough in the past that the frame
+        # "already" left delivers immediately (bounded by the batch
+        # window; the reservation arithmetic stays exact regardless).
+        self.sim.schedule_at(
+            when if when > now else now, self._coalesced_deliver, packet
+        )
         return True
 
     def _coalesced_deliver(self, packet: Packet) -> None:
@@ -309,261 +290,123 @@ class Port:
         if peer is not None:
             peer._deliver(packet, size)
 
-    # ------------------------------------------------------------------
-    # Compiled burst transmit (struct-of-arrays lane)
-    # ------------------------------------------------------------------
     def send_burst(
         self, template: Packet, size: int, times: "np.ndarray"
     ) -> int:
         """Transmit a burst of identical frames at the given arrival times.
 
-        ``template`` is the shared frame (never copied on the fused path),
-        ``size`` its wire length and ``times`` a non-decreasing float64
-        vector of virtual arrival times.  Admission, serialization and
-        delivery timestamps are bit-identical to calling :meth:`send_at`
-        once per frame; the whole burst costs a handful of Python-level
-        operations instead.  Returns the number of admitted frames.
+        ``template`` is the shared frame (never copied on the way to a
+        batched peer), ``size`` its wire length and ``times`` a
+        non-decreasing float64 vector of virtual arrival times.
+        Admission, serialization and delivery timestamps are bit-identical
+        to calling :meth:`send_at` once per frame — which is literally
+        what happens unless this port coalesces toward a batched peer;
+        there the whole burst costs a handful of Python-level operations.
+        Returns the number of admitted frames.
         """
         times = np.ascontiguousarray(times, dtype=np.float64)
         n = len(times)
         if n == 0:
             return 0
-        if self._peer is None:
+        peer = self._peer
+        if peer is None:
             self.drops.packets += n
             self.drops.bytes += n * size
             return 0
-        if not self.coalesce:
-            # Event-per-frame port: replay as individual sends.
-            for at in times.tolist():
-                self.send_at(template.copy(), at, size)
-            return n
-        timeline = self._timeline
-        reservations = timeline._pending
-        # Same framing arithmetic and float-op order as _reserve_tx.
-        framed = size + 4
-        if framed < 64:
-            framed = 64
-        service = (framed + 20) * 8 / self.rate_bps
-        whens = None
-        # Amortized drain to the burst head — the state _reserve_tx would
-        # see at the first arrival (each reservation pops once ever).
-        first = float(times[0])
-        pending_bytes = timeline.pending_bytes
-        while reservations and reservations[0][0] <= first:
-            pending_bytes -= reservations.popleft()[1]
-        timeline.pending_bytes = pending_bytes
-        if timeline.pending_bytes + n * size <= self.queue_bytes:
-            # Conservative no-drop precheck (occupancy only shrinks as the
-            # timeline drains), so admission cannot tail-drop: chain the
-            # reservations vectorially.
-            chained = chain_reservations(times, service, timeline.free_at)
-            if chained is not None:
-                starts, finishes = chained
-                timeline.free_at = float(finishes[-1])
-                for start in starts.tolist():
-                    reservations.append((start, size))
-                timeline.pending_bytes += n * size
-                whens = finishes + self._propagation_s
-        if whens is None:
-            # Exact scalar replay of _reserve_tx per frame.
-            pending_bytes = timeline.pending_bytes
-            free_at = timeline.free_at
-            queue_bytes = self.queue_bytes
-            admitted: list[float] = []
-            admit = admitted.append
-            dropped = 0
-            for at in times.tolist():
-                while reservations and reservations[0][0] <= at:
-                    pending_bytes -= reservations.popleft()[1]
-                if pending_bytes + size > queue_bytes:
-                    dropped += 1
-                    continue
-                start = at if at > free_at else free_at
-                finish = start + service
-                free_at = finish
-                reservations.append((start, size))
-                pending_bytes += size
-                admit(finish + self._propagation_s)
-            timeline.free_at = free_at
-            timeline.pending_bytes = pending_bytes
-            if dropped:
-                self.drops.packets += dropped
-                self.drops.bytes += dropped * size
-            if not admitted:
-                return 0
-            whens = np.asarray(admitted)
-        count = len(whens)
-        peer = self._peer
-        now = self.sim.now
-        if not peer.batch_rx:
-            # Per-frame receiver: replay the coalesced deliver events.
-            for when in whens.tolist():
-                self.sim.schedule_at(
-                    when if when > now else now,
-                    self._coalesced_deliver,
-                    template.copy(),
-                )
-            return count
-        if self._pending_rx:
-            # Per-frame frames already pending: keep one flush run by
-            # materializing this burst into the same pending list.
-            stamp = peer._batch_handler is None
-            pending = self._pending_rx
-            for when in whens.tolist():
-                packet = template.copy()
-                if stamp:
-                    packet.meta["link_deliver_s"] = when
-                pending.append((packet, size, when))
-            return count
-        pending_bursts = self._pending_bursts
-        pending_bursts.append((template, size, whens))
-        if self._burst_flush_event is None:
-            first = float(whens[0])
-            self._burst_flush_event = self.sim.schedule_at(
-                first if first > now else now, self._flush_rx_bursts
+        if not (self.coalesce and peer._batched_rx):
+            return sum(
+                self.send_at(template.copy(), at, size) for at in times.tolist()
             )
+        _admitted, finishes = self._timeline.admit_burst(
+            times, size, serialization_time(size, self.rate_bps), self.queue_bytes
+        )
+        count = len(finishes)
+        if count < n:
+            self.drops.packets += n - count
+            self.drops.bytes += (n - count) * size
+            if count == 0:
+                return 0
+        whens = finishes + self._propagation_s
+        pending = self._pending_rx
+        pending.append((template, size, whens))
+        if len(pending) == 1:
+            first = float(whens[0])
+            now = self.sim.now
+            self.sim.schedule_at(first if first > now else now, self._flush_rx)
         return count
 
-    def _materialize_pending_bursts(self) -> None:
-        """Deopt pending bursts into the per-frame pending-rx lane."""
-        event = self._burst_flush_event
-        if event is not None:
-            event.cancel()
-            self._burst_flush_event = None
-        bursts = self._pending_bursts
-        self._pending_bursts = []
-        pending = self._pending_rx
-        was_empty = not pending
-        peer = self._peer
-        stamp = peer is None or peer._batch_handler is None
-        for template, size, whens in bursts:
-            for when in whens.tolist():
-                packet = template.copy()
-                if stamp:
-                    packet.meta["link_deliver_s"] = when
-                pending.append((packet, size, when))
-        if pending and was_empty:
-            first = pending[0][2]
-            now = self.sim.now
-            self.sim.schedule_at(
-                first if first > now else now, self._flush_rx
-            )
-
-    def _flush_rx_bursts(self) -> None:
-        self._burst_flush_event = None
-        bursts = self._pending_bursts
-        self._pending_bursts = []
-        horizon = self.sim.horizon
-        if bursts and float(bursts[-1][2][-1]) > horizon:
-            # Frames due beyond the run window stay pending, exactly like
-            # _flush_rx: split each burst at the horizon and re-arm.
-            flushed: list[tuple[Packet, int, np.ndarray]] = []
-            kept: list[tuple[Packet, int, np.ndarray]] = []
-            for template, size, whens in bursts:
-                split = int(np.searchsorted(whens, horizon, side="right"))
-                if split == len(whens):
-                    flushed.append((template, size, whens))
-                    continue
-                if split:
-                    flushed.append((template, size, whens[:split]))
-                kept.append((template, size, whens[split:]))
-            bursts = flushed
-            if kept:
-                self._pending_bursts = kept
-                self._burst_flush_event = self.sim.schedule_at(
-                    float(kept[0][2][0]), self._flush_rx_bursts
-                )
-        if not bursts:
-            return
-        peer = self._peer
-        tx = self.tx
-        if peer is None:
-            for _template, size, whens in bursts:
-                tx.packets += len(whens)
-                tx.bytes += len(whens) * size
-            return
-        begin = peer.rx_flush_begin
-        if begin is not None:
-            begin()
-        burst_handler = peer._burst_handler
-        batch_handler = peer._batch_handler
-        handler = peer._handler
-        frames = 0
-        total_bytes = 0
-        for template, size, whens in bursts:
-            count = len(whens)
-            frames += count
-            total_bytes += count * size
-            if burst_handler is not None:
-                burst_handler(peer, template, size, whens)
-            elif batch_handler is not None:
-                batch_handler(
-                    peer,
-                    [
-                        (template.copy(), size, when)
-                        for when in whens.tolist()
-                    ],
-                )
-            elif handler is not None:
-                for when in whens.tolist():
-                    packet = template.copy()
-                    packet.meta["link_deliver_s"] = when
-                    handler(peer, packet)
-        tx.packets += frames
-        tx.bytes += total_bytes
-        rx = peer.rx
-        rx.packets += frames
-        rx.bytes += total_bytes
-        end = peer.rx_flush_end
-        if end is not None:
-            end()
-
     def _flush_rx(self) -> None:
+        """Hand every pending reservation due within the run window over.
+
+        One pass in delivery order: each burst goes to the peer's burst
+        handler, each run of single frames (and, absent a burst handler,
+        the per-frame copies of a burst) to its batch handler.  A peer
+        with neither is a counting sink.
+        """
         pending = self._pending_rx
         self._pending_rx = []
-        if pending[-1][2] > self.sim.horizon:
+        horizon = self.sim.horizon
+        last = pending[-1][2]
+        if (last if type(last) is float else last[-1]) > horizon:
             # Frames due beyond the current run window stay pending (the
-            # event-per-frame execution would not have delivered them);
-            # a later run resumes them from the re-armed flush.
-            horizon = self.sim.horizon
-            split = next(
-                i for i, entry in enumerate(pending) if entry[2] > horizon
+            # event-per-frame execution would not have delivered them); a
+            # later run resumes them from the re-armed flush.
+            kept = self._pending_rx
+            flushed: list = []
+            for entry in pending:
+                when = entry[2]
+                if type(when) is float:
+                    (flushed if when <= horizon else kept).append(entry)
+                    continue
+                split = int(np.searchsorted(when, horizon, side="right"))
+                if split:
+                    flushed.append((entry[0], entry[1], when[:split]))
+                if split < len(when):
+                    kept.append((entry[0], entry[1], when[split:]))
+            first = kept[0][2]
+            self.sim.schedule_at(
+                first if type(first) is float else float(first[0]), self._flush_rx
             )
-            self._pending_rx = pending[split:]
-            self.sim.schedule_at(self._pending_rx[0][2], self._flush_rx)
-            pending = pending[:split]
+            pending = flushed
         peer = self._peer
-        tx = self.tx
-        if peer is None:
+        if peer is not None:
+            begin = peer.rx_flush_begin
+            if begin is not None:
+                begin()
+            burst_handler = peer._burst_handler
+            batch_handler = peer._batch_handler
+        else:
             # Link torn down after reservation: same silent in-flight loss
             # as the per-frame coalesced deliver.
-            for _packet, size, _when in pending:
-                tx.count(size)
-            return
-        begin = peer.rx_flush_begin
-        if begin is not None:
-            begin()
-        batch_handler = peer._batch_handler
+            burst_handler = batch_handler = None
+        frames = 0
         total_bytes = 0
-        if batch_handler is not None:
-            for entry in pending:
-                total_bytes += entry[1]
-            batch_handler(peer, pending)
-        else:
-            handler = peer._handler
-            if handler is None:
-                for _packet, size, _when in pending:
-                    total_bytes += size
-            else:
-                for packet, size, _when in pending:
-                    total_bytes += size
-                    handler(peer, packet)
-        frames = len(pending)
-        tx.packets += frames
-        tx.bytes += total_bytes
-        rx = peer.rx
-        rx.packets += frames
-        rx.bytes += total_bytes
+        run: list[tuple[Packet, int, float]] = []
+        for entry in pending:
+            packet, size, when = entry
+            if type(when) is float:
+                frames += 1
+                total_bytes += size
+                if batch_handler is not None:
+                    run.append(entry)
+                continue
+            frames += len(when)
+            total_bytes += len(when) * size
+            if burst_handler is not None:
+                if run:
+                    batch_handler(peer, run)
+                    run = []
+                burst_handler(peer, packet, size, when)
+            elif batch_handler is not None:
+                run.extend((packet.copy(), size, at) for at in when.tolist())
+        if run:
+            batch_handler(peer, run)
+        self.tx.packets += frames
+        self.tx.bytes += total_bytes
+        if peer is None:
+            return
+        peer.rx.packets += frames
+        peer.rx.bytes += total_bytes
         end = peer.rx_flush_end
         if end is not None:
             end()

@@ -17,11 +17,14 @@ interleaved into the burst lane, and a control-plane table write mid-run.
 
 import random
 
+import numpy as np
 import pytest
 
+from repro._util import ip_to_int
 from repro.apps import APP_FACTORIES, StaticNat, create_app
 from repro.core import FlexSFPModule
-from repro.core.ppe import BURST_FRAMES
+from repro.core.flowcache import FlowRecipe
+from repro.core.ppe import BURST_FRAMES, Verdict
 from repro.netem import CbrSource, ImixSource
 from repro.packet import make_dns_query, make_tcp, make_udp, make_udp6
 from repro.sim import Port, Simulator, connect
@@ -104,7 +107,7 @@ def wire(sim: Simulator, module, coalesce: bool = True) -> tuple:
     host = Port(
         sim, "host", 10e9, queue_bytes=1 << 20, coalesce=compiled and coalesce
     )
-    fiber = Port(sim, "fiber", 10e9, queue_bytes=1 << 20, batch_rx=compiled)
+    fiber = Port(sim, "fiber", 10e9, queue_bytes=1 << 20)
     connect(host, module.edge_port)
     connect(module.line_port, fiber)
     return host, fiber
@@ -223,8 +226,10 @@ def test_tracer_deopts_to_reference_arithmetic():
 
 
 def test_interleaved_frames_deopt_burst():
-    """A per-frame arrival landing between bursts materializes the pending
-    burst; the mixed stream still matches reference exactly."""
+    """Per-frame arrivals landing between bursts reach the engine while a
+    burst is still pending there (the host port queues both kinds in
+    arrival order and hands each to its own handler), so the engine's one
+    materialiser runs; the mixed stream still matches reference exactly."""
 
     def run(engine: str):
         sim = Simulator()
@@ -254,7 +259,7 @@ def test_interleaved_frames_deopt_burst():
                 lambda: host.send(stray.copy()),
             )
         sim.run(until=RUN_S + 0.2e-3)
-        return results_of(module, host, fiber), module
+        return registry_of(module, host, fiber), module
 
     reference, _ = run("reference")
     compiled, module = run("compiled")
@@ -262,6 +267,8 @@ def test_interleaved_frames_deopt_burst():
     stats = module.ppe.snapshot()["compiled"]
     assert stats["bursts"] > 0
     assert stats["recipe_frames"] > 0
+    # Each stray deopted the burst it landed on, and only that one.
+    assert 0 < stats["deopt_frames"] <= 5 * BURST_FRAMES, stats
 
 
 def check_midrun_table_write(ingress: str) -> None:
@@ -286,7 +293,7 @@ def check_midrun_table_write(ingress: str) -> None:
         compiled = engine == "compiled"
         coalesce = compiled and ingress != "event"
         host = Port(sim, "host", 10e9, queue_bytes=1 << 22, coalesce=coalesce)
-        fiber = Port(sim, "fiber", 10e9, queue_bytes=1 << 22, batch_rx=compiled)
+        fiber = Port(sim, "fiber", 10e9, queue_bytes=1 << 22)
         seen: list[str] = []
         fiber.attach(lambda port, pkt: seen.append(pkt.ipv4.src_ip))
         if compiled:
@@ -345,7 +352,7 @@ def test_metered_ratelimiter_burst_matches_reference():
         module = FlexSFPModule(sim, "dut", Deployment.solo(app), auth_key=KEY, engine=engine)
         compiled = engine == "compiled"
         host = Port(sim, "host", 10e9, queue_bytes=1 << 20, coalesce=compiled)
-        fiber = Port(sim, "fiber", 10e9, queue_bytes=1 << 20, batch_rx=compiled)
+        fiber = Port(sim, "fiber", 10e9, queue_bytes=1 << 20)
         connect(host, module.edge_port)
         connect(module.line_port, fiber)
         template = make_udp(
@@ -412,7 +419,7 @@ def test_vlan_untag_direction_matches_reference(service_vid):
             sim, "dut", Deployment.solo(app), shell=shell, auth_key=KEY, engine=engine
         )
         compiled = engine == "compiled"
-        host = Port(sim, "host", 10e9, queue_bytes=1 << 20, batch_rx=compiled)
+        host = Port(sim, "host", 10e9, queue_bytes=1 << 20)
         fiber = Port(sim, "fiber", 10e9, queue_bytes=1 << 20, coalesce=compiled)
         connect(host, module.edge_port)
         connect(module.line_port, fiber)
@@ -597,3 +604,307 @@ def test_views_and_tracer_follow_a_reboot_that_swaps_the_application(engine):
     host.send(make_udp(src_ip="10.0.0.1"))
     sim.run(until=sim.now + 1e-3)
     assert "ppe" in tracers["dut"].stages(0)
+
+
+# ----------------------------------------------------------------------
+# The burst lane is an optimisation of the per-frame lane: every way out
+# of it, driven on purpose
+# ----------------------------------------------------------------------
+ODD_SRC = "10.0.0.9"
+
+
+class OddNat(StaticNat):
+    """StaticNat whose handling of one source leaves the fused contract:
+    its recipe reflects, punts to the CPU, or ``decide`` opts out."""
+
+    def __init__(self, odd: str) -> None:
+        super().__init__()
+        self.odd = odd
+        self.add_mapping("10.0.0.1", "198.51.100.1")
+        self.add_mapping(ODD_SRC, "198.51.100.9")
+
+    def _odd_verdict(self, packet):
+        if self.odd == "opt-out" or packet.ipv4.src != ip_to_int(ODD_SRC):
+            return None
+        return Verdict.REFLECT if self.odd == "reflect" else Verdict.TO_CPU
+
+    def process(self, packet, ctx):
+        verdict = self._odd_verdict(packet)
+        if verdict is None:
+            return super().process(packet, ctx)
+        self.counter("odd").count(packet.wire_len)
+        return verdict
+
+    def decide(self, packet, ctx):
+        if packet.ipv4.src != ip_to_int(ODD_SRC):
+            return super().decide(packet, ctx)
+        verdict = self._odd_verdict(packet)
+        if verdict is None:
+            return None  # the engine falls back to process(), uncached
+        return FlowRecipe(verdict, counters=("odd",))
+
+
+def run_template_bursts(make_app, engine: str, src_ips=("10.0.0.1", ODD_SRC)):
+    """One template-burst CBR stream per source through a solo module."""
+    sim = Simulator()
+    module = FlexSFPModule(
+        sim, "dut", Deployment.solo(make_app()), auth_key=KEY, engine=engine
+    )
+    host, fiber = wire(sim, module)
+    for src in src_ips:
+        template = make_udp(
+            src_ip=src, dst_ip="203.0.113.1", sport=10_000, dport=20_000,
+            payload=bytes(80),
+        )
+        CbrSource(
+            sim,
+            host,
+            rate_bps=RATE_BPS / len(src_ips),
+            frame_len=template.wire_len,
+            stop=RUN_S,
+            factory=lambda index, size, t=template: t.copy(),
+            burst=burst_of(module),
+            template_burst=module.engine == "compiled",
+        )
+    sim.run(until=RUN_S + 0.2e-3)
+    result = registry_of(module, host, fiber)
+    result["punted"] = len(module.punted_to_cpu)
+    return result, module
+
+
+@pytest.mark.parametrize("odd", ["reflect", "to-cpu", "opt-out"])
+def test_fused_flow_leaving_the_contract_deopts_at_drain(odd):
+    """A burst admitted to the recipe lane whose recipe turns out REFLECT
+    or TO_CPU, or whose ``decide`` returns None, materialises at drain time
+    and takes the per-frame lane with exact queue depths; the well-behaved
+    flow next to it keeps fusing whenever its bursts drain alone."""
+    reference, _ = run_template_bursts(lambda: OddNat(odd), "reference")
+    compiled, module = run_template_bursts(lambda: OddNat(odd), "compiled")
+    assert compiled == reference
+    stats = module.ppe.snapshot()["compiled"]
+    assert stats["bursts"] > 0 and stats["deopt_frames"] > 0, stats
+    metrics = compiled["metrics"]
+    if odd == "reflect":
+        assert metrics["host.rx.packets"] > 50
+    elif odd == "to-cpu":
+        assert compiled["punted"] > 50
+    else:
+        assert metrics["dut.ppe.nat.verdicts.pass"] == metrics["fiber.rx.packets"]
+
+
+def test_meter_flow_without_a_plan_deopts_at_drain():
+    """A meter-lane burst whose ``burst_plan`` returns None replays through
+    per-frame ``process`` — same buckets, same flips — and never fuses."""
+    from repro.apps.ratelimiter import RateLimiter
+
+    class PlanlessLimiter(RateLimiter):
+        def burst_plan(self, template, direction):
+            return None
+
+    def make_app():
+        app = PlanlessLimiter()
+        app.add_limit("10.0.0.0", 8, rate_bps=1e8, burst_bytes=4_000)
+        return app
+
+    reference, _ = run_template_bursts(make_app, "reference", ("10.0.0.1",))
+    compiled, module = run_template_bursts(make_app, "compiled", ("10.0.0.1",))
+    assert compiled == reference
+    assert module.program.mode == "meter"
+    stats = module.ppe.snapshot()["compiled"]
+    assert stats["bursts"] > 0 and stats["recipe_frames"] == 0, stats
+    assert stats["deopt_frames"] == compiled["metrics"]["dut.ppe.ratelimiter.processed.packets"]
+    counters = module.app.counters_snapshot()
+    assert counters["conformed"]["packets"] > 0 and counters["policed"]["packets"] > 0
+
+
+def run_engine_script(
+    engine: str, script, queue_bytes: int = 32 * 1024, variant: str | None = None
+):
+    """Drive one engine directly with ``("frame", at, src)``, ``("burst",
+    times, src)`` and ``("write", at, src)`` (a control-plane table write)
+    steps; returns every completion in order.
+
+    The oracle gets each frame as its own event at its arrival time.  The
+    fast engine gets what a coalesced flush would hand it: each step at
+    the event time of its first arrival, later arrivals future-dated.
+    ``variant`` builds the fast engine short of something a fused lane
+    needs (``no-program``, ``no-flow-cache``) or with a ``tracer``; a
+    ``src`` of ``"v6"`` sends IPv6 frames, a flow the NAT opts out of.
+    """
+    from repro.core import PacketProcessingEngine, ReferenceEngine
+    from repro.core.flowcache import FlowCache
+    from repro.core.ppe import Direction
+    from repro.core.shells import ShellSpec
+    from repro.hls.executor import compile_executor
+
+    sim = Simulator()
+    app = StaticNat()
+    app.add_mapping("10.0.0.1", "198.51.100.1")
+    app.add_mapping("10.0.0.2", "198.51.100.2")
+    executor = compile_executor(app, ShellSpec())
+    timing = executor.build.report.timing
+    if engine == "compiled":
+        ppe = PacketProcessingEngine(
+            sim, app, timing, queue_bytes=queue_bytes,
+            flow_cache=None if variant == "no-flow-cache" else FlowCache(64),
+            program=None if variant == "no-program" else executor.program,
+        )
+    else:
+        ppe = ReferenceEngine(sim, app, timing, queue_bytes=queue_bytes)
+    if variant == "tracer":
+        from repro.obs.trace import Tracer
+
+        ppe.tracer = Tracer(limit=0)
+    done: list[tuple] = []
+
+    def src_of(packet):
+        return packet.ipv4.src if packet.ipv4 is not None else packet.ipv6.src
+
+    def done_frame(packet, verdict, emitted):
+        at = packet.meta.pop("ppe_deliver_s", sim.now)
+        done.append((src_of(packet), verdict, len(emitted), at))
+
+    def done_burst(packet, verdict, size, deliver_s):
+        done.extend((src_of(packet), verdict, 0, at) for at in deliver_s.tolist())
+
+    direction = Direction.EDGE_TO_LINE
+    for kind, when, src in script:
+        if src == "v6":
+            template = make_udp6(payload=bytes(60))
+        else:
+            template = make_udp(src_ip=src, payload=bytes(80))
+        size = template.wire_len
+        if kind == "write":
+            sim.schedule_at(when, app.add_mapping, src, "198.51.100.3")
+        elif engine == "reference":
+            for at in [when] if kind == "frame" else when.tolist():
+                sim.schedule_at(
+                    at,
+                    lambda t=template: ppe.submit(t.copy(), direction, done_frame),
+                )
+        elif kind == "frame":
+            sim.schedule_at(
+                when,
+                lambda t=template, at=when: ppe.submit(
+                    t.copy(), direction, done_frame, at_s=at, size=size
+                ),
+            )
+        else:
+            sim.schedule_at(
+                float(when[0]),
+                lambda t=template, times=when: ppe.submit_burst(
+                    t, size, direction, times, done_burst, done_frame
+                ),
+            )
+    sim.run()
+    return {
+        "done": done,
+        "processed": ppe.processed.snapshot(),
+        "overload_drops": ppe.overload_drops.snapshot(),
+        "verdicts": dict(ppe.snapshot()["verdicts"]),
+        "latency_ns": ppe.latency_ns.snapshot(),
+        "app_counters": app.counters_snapshot(),
+    }, ppe
+
+
+# A 122 B frame arrives every 117 ns at 10 Gb/s and is served in ~100 ns.
+WIRE_S = 117e-9
+
+
+def paced(n: int, start: float, gap: float = WIRE_S):
+    return start + gap * np.arange(n)
+
+
+ENGINE_SCRIPTS = {
+    # A per-frame arrival still queued when the burst shows up: the burst
+    # deopts at submit, on top of the pending arrival.
+    "burst-onto-pending-frame": [
+        ("frame", 1e-6, "10.0.0.2"),
+        ("burst", paced(16, 1e-6 + 20e-9), "10.0.0.1"),
+    ],
+    # A per-frame arrival right behind a burst that has not drained yet:
+    # contact deopt, then a clean burst fuses again.
+    "frame-onto-pending-burst": [
+        ("burst", paced(16, 1e-6), "10.0.0.1"),
+        ("frame", 1e-6 + 15 * WIRE_S + 50e-9, "10.0.0.2"),
+        ("burst", paced(16, 10e-6), "10.0.0.1"),
+    ],
+    # The same, after a table write mid-burst made the engine drain (and
+    # fuse) the due half: only the undrained half materialises.
+    "frame-onto-half-drained-burst": [
+        ("burst", paced(16, 1e-6), "10.0.0.1"),
+        ("write", 1e-6 + 8 * WIRE_S, "10.0.0.3"),
+        ("frame", 1e-6 + 15 * WIRE_S + 50e-9, "10.0.0.2"),
+    ],
+    # Three bursts arriving faster than they are served, deopted together:
+    # groups still close every BURST_FRAMES.
+    "frame-onto-three-pending-bursts": [
+        ("burst", paced(16, 1e-6, gap=60e-9), "10.0.0.1"),
+        ("burst", paced(16, 1e-6 + 16 * 60e-9, gap=60e-9), "10.0.0.1"),
+        ("burst", paced(16, 1e-6 + 32 * 60e-9, gap=60e-9), "10.0.0.1"),
+        ("frame", 1e-6 + 48 * 60e-9, "10.0.0.2"),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_SCRIPTS))
+def test_engine_level_deopts_match_the_oracle(name):
+    reference, _ = run_engine_script("reference", ENGINE_SCRIPTS[name])
+    compiled, ppe = run_engine_script("compiled", ENGINE_SCRIPTS[name])
+    assert compiled == reference
+    offered = sum(
+        {"frame": 1, "write": 0}.get(kind, np.size(when))
+        for kind, when, _src in ENGINE_SCRIPTS[name]
+    )
+    assert len(reference["done"]) == offered
+    # Every burst frame either fused or deopted; the strays did neither.
+    assert ppe.compiled_frames + ppe.compiled_deopts == offered - 1
+    assert (ppe.compiled_frames, ppe.compiled_deopts) == {
+        "burst-onto-pending-frame": (0, 16),
+        "frame-onto-pending-burst": (16, 16),  # the clean burst fused
+        "frame-onto-half-drained-burst": (8, 8),
+        "frame-onto-three-pending-bursts": (0, 48),
+    }[name]
+
+
+@pytest.mark.parametrize(
+    "variant", ["no-program", "no-flow-cache", "tracer", "flow-opt-out"]
+)
+def test_burst_no_lane_takes_deopts_at_submit(variant):
+    """``_burst_lane`` says no for each reason it knows; the burst is still
+    admitted through the kernel and served frame by frame, as the oracle."""
+    src = "v6" if variant == "flow-opt-out" else "10.0.0.1"
+    script = [("burst", paced(16, 1e-6), src), ("burst", paced(16, 4e-6), src)]
+    reference, _ = run_engine_script("reference", script, variant=variant)
+    compiled, ppe = run_engine_script("compiled", script, variant=variant)
+    assert compiled == reference
+    assert len(reference["done"]) == 32
+    assert (ppe.compiled_bursts, ppe.compiled_frames, ppe.compiled_deopts) == (0, 0, 32)
+
+
+def test_burst_that_does_not_fit_at_all_is_dropped_whole():
+    script = [("burst", paced(16, 1e-6), "10.0.0.1")]
+    reference, _ = run_engine_script("reference", script, queue_bytes=100)
+    compiled, ppe = run_engine_script("compiled", script, queue_bytes=100)
+    assert compiled == reference
+    assert reference["overload_drops"]["packets"] == 16 and not reference["done"]
+    assert (ppe.compiled_bursts, ppe.compiled_frames, ppe.compiled_deopts) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("deopt", [False, True])
+def test_burst_larger_than_the_queue_tail_drops_mid_burst(deopt):
+    """64 frames offered at four times the service rate into a 1 kB queue:
+    the engine admits, drops and serves exactly the frames the oracle does,
+    whether the admitted ones then fuse or (a frame already pending) deopt."""
+    script = [("burst", paced(64, 1e-6, gap=25e-9), "10.0.0.1")]
+    if deopt:
+        script.insert(0, ("frame", 1e-6 - 10e-9, "10.0.0.2"))
+    reference, _ = run_engine_script("reference", script, queue_bytes=1024)
+    compiled, ppe = run_engine_script("compiled", script, queue_bytes=1024)
+    assert compiled == reference
+    dropped = reference["overload_drops"]["packets"]
+    assert 0 < dropped < 64
+    if deopt:
+        assert ppe.compiled_frames == 0 and ppe.compiled_deopts == 64 - dropped
+    else:
+        assert ppe.compiled_frames == 64 - dropped and ppe.compiled_deopts == 0

@@ -54,7 +54,7 @@ def nat_linerate_stats(engine: str, observe: str | None = None) -> bytes:
             module.attach_tracer(Tracer(limit=0))
         registry.collect()
     host = Port(sim, "host", 10e9, queue_bytes=1 << 20, coalesce=compiled)
-    fiber = Port(sim, "fiber", 10e9, queue_bytes=1 << 20, batch_rx=compiled)
+    fiber = Port(sim, "fiber", 10e9, queue_bytes=1 << 20)
     connect(host, module.edge_port)
     connect(module.line_port, fiber)
     template = make_udp(src_ip="10.0.0.1", payload=bytes(60 - 42))

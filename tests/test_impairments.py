@@ -25,6 +25,19 @@ class TestLoss:
         assert loss == pytest.approx(0.3, abs=0.05)
         assert rx.impairment_drops.packets == 1000 - len(received)
 
+    def test_handlerless_impaired_port_is_never_a_batched_sink(self, sim):
+        """A coalescing sender batches toward a port with no per-frame
+        handler — but an impaired port's impairments act per frame, so it
+        keeps one deliver event per frame and still drops."""
+        tx = Port(sim, "tx", 10e9, queue_bytes=1 << 22, coalesce=True)
+        rx = ImpairedPort(sim, "rx", loss_probability=0.3, seed=5)
+        connect(tx, rx)
+        for _ in range(1000):
+            tx.send(make_udp(payload=b"x" * 100))
+        sim.run()
+        assert rx.impairment_drops.packets == pytest.approx(300, abs=50)
+        assert rx.rx.packets == 1000 - rx.impairment_drops.packets
+
     def test_deterministic_with_seed(self):
         def run(seed):
             sim = Simulator()

@@ -1,14 +1,15 @@
 """Port/link transport: timing, queueing, drops, wiring rules."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
 from repro.packet import make_udp, pad_to_min
-from repro.sim import Port, connect
+from repro.sim import Port, Simulator, connect
 
 
-def make_pair(sim, rate=10e9, queue_bytes=4096):
-    a = Port(sim, "a", rate_bps=rate, queue_bytes=queue_bytes)
+def make_pair(sim, rate=10e9, queue_bytes=4096, coalesce=False):
+    a = Port(sim, "a", rate_bps=rate, queue_bytes=queue_bytes, coalesce=coalesce)
     b = Port(sim, "b", rate_bps=rate, queue_bytes=queue_bytes)
     connect(a, b, propagation_s=50e-9)
     return a, b
@@ -69,15 +70,21 @@ class TestDrops:
         assert not a.send(make_udp(payload=b"x" * 120))
         assert a.drops.packets == 1
 
-    def test_queue_depth_tracking(self, sim):
-        a, b = make_pair(sim, queue_bytes=1 << 20)
-        b.attach(lambda port, packet: None)
-        for _ in range(4):
-            a.send(pad_to_min(make_udp()))
-        # One packet is in flight; remainder queued.
-        assert a.queue_depth_packets == 3
-        sim.run()
-        assert a.queue_depth_packets == 0
+    def test_queue_depth_tracking(self):
+        """Packets and bytes agree, on the event-per-frame port and on the
+        coalescing one (whose depth is its undrained reservations)."""
+        for coalesce in (False, True):
+            sim = Simulator()
+            a, b = make_pair(sim, queue_bytes=1 << 20, coalesce=coalesce)
+            b.attach(lambda port, packet: None)
+            for _ in range(4):
+                a.send(pad_to_min(make_udp()))
+            # One packet is in flight; remainder queued.
+            assert (a.queue_depth_packets, a.queue_depth_bytes) == (3, 3 * 60)
+            sim.run(until=100e-9)  # the second frame has started serializing
+            assert (a.queue_depth_packets, a.queue_depth_bytes) == (2, 2 * 60)
+            sim.run()
+            assert (a.queue_depth_packets, a.queue_depth_bytes) == (0, 0)
 
 
 class TestWiring:
@@ -94,3 +101,167 @@ class TestWiring:
         c = Port(sim, "c")
         a.connect(c)
         assert a.peer is c
+
+
+FRAME_S = 67.2e-9  # a 60 B frame on a 10 Gb/s wire
+
+
+def frame_times(n, start=0.0, gap=FRAME_S):
+    return start + gap * np.arange(n)
+
+
+class TestBatchedDelivery:
+    """A coalescing sender batches toward a peer iff the peer can take it:
+    it has a batch handler, or no per-frame handler at all."""
+
+    def test_batch_rx_option_is_gone(self, sim):
+        with pytest.raises(TypeError):
+            Port(sim, "p", **{"batch_rx": True})
+
+    def test_counting_sink_is_batched(self, sim):
+        a, b = make_pair(sim, queue_bytes=1 << 20, coalesce=True)
+        for at in frame_times(8).tolist():
+            a.send_at(pad_to_min(make_udp()), at)
+        sim.run()
+        assert (a.tx.packets, b.rx.packets, b.rx.bytes) == (8, 8, 8 * 60)
+        assert sim.events_processed == 1  # one flush, not one event per frame
+
+    def test_per_frame_handler_keeps_one_event_per_frame(self, sim):
+        a, b = make_pair(sim, queue_bytes=1 << 20, coalesce=True)
+        seen = []
+        b.attach(lambda port, packet: seen.append(sim.now))
+        for at in frame_times(8).tolist():
+            a.send_at(pad_to_min(make_udp()), at)
+        sim.run()
+        assert sim.events_processed == 8
+        assert seen == pytest.approx(
+            (frame_times(8) + FRAME_S + 50e-9).tolist(), rel=1e-12
+        )
+
+    def test_batch_handler_gets_the_run_with_exact_times(self, sim):
+        a, b = make_pair(sim, queue_bytes=1 << 20, coalesce=True)
+        per_frame, batches = [], []
+        b.attach(lambda port, packet: per_frame.append(packet))
+        b.attach_batch(lambda port, items: batches.append(items))
+        for at in frame_times(8).tolist():
+            a.send_at(pad_to_min(make_udp()), at)
+        sim.run()
+        assert not per_frame and len(batches) == 1
+        whens = [when for _packet, _size, when in batches[0]]
+        assert whens == pytest.approx(
+            (frame_times(8) + FRAME_S + 50e-9).tolist(), rel=1e-12
+        )
+
+    def test_bursts_and_frames_share_one_queue_in_arrival_order(self, sim):
+        """frame, burst, frame, burst -> batch, burst, batch, burst handler
+        calls inside one flush bracket, with one tx/rx count."""
+        a, b = make_pair(sim, queue_bytes=1 << 20, coalesce=True)
+        calls = []
+        b.rx_flush_begin = lambda: calls.append("begin")
+        b.rx_flush_end = lambda: calls.append("end")
+        b.attach_batch(lambda port, items: calls.append(("batch", len(items))))
+        b.attach_burst(
+            lambda port, template, size, whens: calls.append(("burst", len(whens)))
+        )
+        template = pad_to_min(make_udp())
+        a.send_at(template.copy(), 0.0)
+        assert a.send_burst(template, 60, frame_times(4, start=FRAME_S)) == 4
+        a.send_at(template.copy(), 5 * FRAME_S)
+        a.send_at(template.copy(), 6 * FRAME_S)
+        assert a.send_burst(template, 60, frame_times(3, start=7 * FRAME_S)) == 3
+        sim.run()
+        assert calls == [
+            "begin", ("batch", 1), ("burst", 4), ("batch", 2), ("burst", 3), "end",
+        ]
+        assert (a.tx.packets, b.rx.packets) == (10, 10)
+
+    def test_burst_without_a_burst_handler_reaches_the_batch_handler(self, sim):
+        a, b = make_pair(sim, queue_bytes=1 << 20, coalesce=True)
+        batches = []
+        b.attach_batch(lambda port, items: batches.append(items))
+        template = pad_to_min(make_udp())
+        a.send_burst(template, 60, frame_times(4))
+        a.send_at(template.copy(), 4 * FRAME_S)
+        sim.run()
+        assert [len(items) for items in batches] == [5]
+        packets = [packet for packet, _size, _when in batches[0]]
+        assert all(packet is not template for packet in packets)
+        whens = [when for _packet, _size, when in batches[0]]
+        assert whens == sorted(whens)
+
+    def test_flush_stops_at_the_run_horizon(self, sim):
+        """Frames due beyond ``until`` stay pending — bursts split at the
+        horizon, single frames stay whole — and a later run resumes."""
+        a, b = make_pair(sim, queue_bytes=1 << 20, coalesce=True)
+        template = pad_to_min(make_udp())
+        a.send_burst(template, 60, frame_times(8))
+        a.send_at(template.copy(), 8 * FRAME_S)
+        a.send_at(template.copy(), 9 * FRAME_S)
+        # Deliveries land at (k + 1) * FRAME_S + 50 ns.
+        sim.run(until=4 * FRAME_S)
+        assert b.rx.packets == 3
+        sim.run(until=9.9 * FRAME_S)
+        assert b.rx.packets == 9
+        sim.run()
+        assert (a.tx.packets, b.rx.packets) == (10, 10)
+
+    def test_link_torn_down_with_frames_in_flight(self, sim):
+        a, b = make_pair(sim, queue_bytes=1 << 20, coalesce=True)
+        a.send_burst(pad_to_min(make_udp()), 60, frame_times(4))
+        a.disconnect()
+        sim.run()
+        assert (a.tx.packets, b.rx.packets) == (4, 0)
+
+
+class TestBurstIsItsFrames:
+    """``send_burst`` is ``send_at`` per frame, whatever the port and peer."""
+
+    @staticmethod
+    def deliveries(burst: bool, coalesce: bool, handler: bool, queue_bytes: int):
+        sim = Simulator()
+        a, b = make_pair(sim, queue_bytes=queue_bytes, coalesce=coalesce)
+        seen = []
+        if handler:
+            b.attach(lambda port, packet: seen.append(sim.now))
+        template = pad_to_min(make_udp())
+        # 24 frames offered at twice the wire rate: the queue fills.
+        times = frame_times(24, gap=FRAME_S / 2)
+        if burst:
+            sent = a.send_burst(template, 60, times)
+        else:
+            sent = sum(a.send_at(template.copy(), at, 60) for at in times.tolist())
+        sim.run(until=float(times[-1]))
+        depth = a.queue_depth_packets, a.queue_depth_bytes
+        sim.run()
+        counters = [c.snapshot() for c in (a.tx, a.drops, b.rx)]
+        return sent, depth, counters, seen
+
+    @pytest.mark.parametrize(
+        "coalesce,handler", [(True, False), (True, True), (False, True)]
+    )
+    @pytest.mark.parametrize("queue_bytes", [1 << 20, 300, 59])
+    def test_matches_per_frame_sends(self, coalesce, handler, queue_bytes):
+        per_frame = self.deliveries(False, coalesce, handler, queue_bytes)
+        burst = self.deliveries(True, coalesce, handler, queue_bytes)
+        assert burst == per_frame
+        if coalesce and queue_bytes == 300:
+            # The burst outran the queue: tail drops began mid-burst.
+            assert 0 < per_frame[0] < 24
+        if coalesce and queue_bytes == 59:
+            assert per_frame[0] == 0  # not even one 60 B frame fits
+
+    def test_send_delayed_folds_the_delay_into_the_reservation(self, sim):
+        a, b = make_pair(sim, queue_bytes=1 << 20, coalesce=True)
+        seen = []
+        b.attach(lambda port, packet: seen.append(sim.now))
+        a.send_delayed(pad_to_min(make_udp()), 1e-6)
+        sim.run()
+        assert seen == [pytest.approx(1e-6 + FRAME_S + 50e-9, rel=1e-12)]
+        assert sim.events_processed == 1  # no intermediate deferred send
+
+    def test_empty_and_unconnected(self, sim):
+        a, b = make_pair(sim, coalesce=True)
+        assert a.send_burst(pad_to_min(make_udp()), 60, np.empty(0)) == 0
+        a.disconnect()
+        assert a.send_burst(pad_to_min(make_udp()), 60, frame_times(3)) == 0
+        assert a.drops.packets == 3
