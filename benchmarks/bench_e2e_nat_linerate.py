@@ -90,7 +90,7 @@ def run_nat(
         sim, "dut", Deployment.solo(nat), auth_key=KEY, engine=engine
     )
     compiled = module.engine == "compiled"
-    host = Port(sim, "host", rate_bps, queue_bytes=1 << 22, coalesce=compiled)
+    host = Port(sim, "host", rate_bps, queue_bytes=1 << 22)
     # On the compiled tier the sink takes batched delivery (it attaches a
     # batch handler); the meter reads each frame's exact wire-arrival
     # time, so its window is identical either way.

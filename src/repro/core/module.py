@@ -172,11 +172,12 @@ class FlexSFPModule:
         The engine tier name (``reference`` / ``compiled``) every slot
         runs; omitted it falls back to ``FLEXSFP_ENGINE``, then
         ``reference`` (:func:`~repro.engine.resolve_engine`).
-        ``reference`` runs the per-frame oracle on un-coalesced ports;
-        ``compiled`` runs the fast engine behind a flow cache, lowers the
-        verified pipeline IR into a fused per-flow executor program
-        (:func:`repro.hls.compile_executor`) and opts the data ports into
-        coalesced delivery and the struct-of-arrays burst lane.
+        ``reference`` runs the per-frame oracle behind per-frame receive
+        handlers; ``compiled`` runs the fast engine behind a flow cache,
+        lowers the verified pipeline IR into a fused per-flow executor
+        program (:func:`repro.hls.compile_executor`) and gives the data
+        ports batch and burst receive handlers, so senders hand frames
+        over a flush at a time and template bursts stay struct-of-arrays.
     """
 
     def __init__(
@@ -413,16 +414,12 @@ class FlexSFPModule:
     def _data_port(self, side: str, direction: Direction) -> Port:
         """One data port, its receive handlers bound to ``direction``.
 
-        The fast engine also opts the port into coalesced, batched
-        delivery: the batch and burst handlers take each frame's wire
-        arrival as data.
+        This is the one place the engine tier reaches the fabric: the
+        fast engine also takes batched delivery, its batch and burst
+        handlers reading each frame's wire arrival as data.
         """
-        coalesce = self.engine == ENGINE_COMPILED
         port = Port(
-            self.sim,
-            f"{self.name}.{side}",
-            rate_bps=self.shell.line_rate_bps,
-            coalesce=coalesce,
+            self.sim, f"{self.name}.{side}", rate_bps=self.shell.line_rate_bps
         )
         ingress = self._ingress
         ingress_burst = self._ingress_burst
@@ -441,7 +438,7 @@ class FlexSFPModule:
             ingress_burst(template, size, whens, direction, port)
 
         port.attach(on_rx)
-        if coalesce:
+        if self.engine == ENGINE_COMPILED:
             # One PPE group-event commit per delivery flush instead of a
             # cancel/re-arm per submitted frame.  Routed through module
             # methods (not bound PPE methods) so a reboot-swapped engine
@@ -501,9 +498,7 @@ class FlexSFPModule:
         hands it over early in event time; everything below then uses that
         virtual time, so timestamps and occupancy checks match the
         event-per-frame run.  ``None`` means the frame arrived as its own
-        event.  The two are not interchangeable even when ``at_s ==
-        sim.now``: ``send_delayed(p, d)`` schedules ``now + d`` where
-        ``send_at(p, now + d)`` schedules ``now + ((now + d) - now)``.
+        event.
         """
         if self._down:
             self.downtime_drops.count(size)

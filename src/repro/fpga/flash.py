@@ -16,7 +16,6 @@ from ..errors import BitstreamError, FlashError
 from .bitstream import Bitstream
 
 DEFAULT_FLASH_BITS = 128 * 1024 * 1024  # 128 Mb (prototype)
-ERASED_BYTE = 0xFF
 
 
 @dataclass
@@ -36,6 +35,9 @@ class SPIFlash:
     Slot 0 is the *golden image*: writable only with ``allow_golden=True``
     (factory/JTAG path), never via the network FSM.  Every write requires
     an erase first, and erases are counted per slot for wear accounting.
+
+    Only programmed image bytes are stored: the 0xFF padding of an erased
+    or part-filled slot carries no state the directory does not.
     """
 
     def __init__(self, size_bits: int = DEFAULT_FLASH_BITS, slots: int = 4) -> None:
@@ -46,7 +48,7 @@ class SPIFlash:
         self.size_bits = size_bits
         self.slot_bytes = size_bits // 8 // slots
         self.slots = [FlashSlot(i, self.slot_bytes) for i in range(slots)]
-        self._data = [bytes([ERASED_BYTE]) * self.slot_bytes for _ in range(slots)]
+        self._data = [b""] * slots
         self._erased = [True] * slots
         self.erase_counts = [0] * slots
         self.boot_slot = 0
@@ -66,7 +68,7 @@ class SPIFlash:
         self._check_slot(index)
         if index == 0 and not allow_golden:
             raise FlashError("refusing to erase the golden image slot")
-        self._data[index] = bytes([ERASED_BYTE]) * self.slot_bytes
+        self._data[index] = b""
         self._erased[index] = True
         self.erase_counts[index] += 1
         slot = self.slots[index]
@@ -94,9 +96,7 @@ class SPIFlash:
             self.write_failures += 1
             self._erased[index] = False
             raise FlashError(f"slot {index} program/verify failed")
-        self._data[index] = image + bytes([ERASED_BYTE]) * (
-            self.slot_bytes - len(image)
-        )
+        self._data[index] = bytes(image)
         self._erased[index] = False
         slot = self.slots[index]
         slot.occupied = True
@@ -109,7 +109,7 @@ class SPIFlash:
         slot = self.slots[index]
         if not slot.occupied:
             raise FlashError(f"slot {index} is empty")
-        return self._data[index][: slot.image_len]
+        return self._data[index]
 
     # ------------------------------------------------------------------
     # Bitstream-level convenience
@@ -149,7 +149,7 @@ class SPIFlash:
         slot = self.slots[index]
         if not slot.occupied:
             return False
-        return Bitstream.crc_ok(self._data[index][: slot.image_len])
+        return Bitstream.crc_ok(self._data[index])
 
     def directory(self) -> list[FlashSlot]:
         """Snapshot of the slot directory."""
@@ -168,19 +168,19 @@ class SPIFlash:
         The directory still lists the slot as occupied — exactly like the
         real device, corruption is only discovered when the boot FSM
         CRC-checks the image.  Golden is *not* exempt: physics does not
-        respect the write protect bit.
+        respect the write protect bit.  Rot in a slot that holds no image
+        is counted but has nothing to flip.
         """
         self._check_slot(index)
         if nbits < 1:
             raise FlashError("must corrupt at least one bit")
-        slot = self.slots[index]
-        span = slot.image_len if slot.occupied else self.slot_bytes
-        rng = random.Random(seed)
-        data = bytearray(self._data[index])
-        for _ in range(nbits):
-            position = rng.randrange(span)
-            data[position] ^= 1 << rng.randrange(8)
-        self._data[index] = bytes(data)
+        if self.slots[index].occupied:
+            rng = random.Random(seed)
+            data = bytearray(self._data[index])
+            for _ in range(nbits):
+                position = rng.randrange(len(data))
+                data[position] ^= 1 << rng.randrange(8)
+            self._data[index] = bytes(data)
         self.bitrot_events += 1
 
     def inject_write_failures(self, count: int = 1) -> None:

@@ -51,12 +51,16 @@ def default_factory(
 class TrafficSource:
     """Base: sends packets from ``start`` until ``count`` or ``stop``.
 
-    ``burst`` > 1 is a simulation-speed knob for coalescing ports: each
-    scheduled tick emits up to that many frames as future-dated
-    reservations (``Port.send_at``).  Departure times are accumulated with
-    the same float additions the per-frame tick chain performs, so the
-    emitted traffic — timestamps, RNG draw order, drop decisions — is
-    bit-identical to ``burst=1``; only the event count shrinks.
+    ``burst`` > 1 is a simulation-speed knob: each scheduled tick emits up
+    to that many frames as future-dated reservations (``Port.send_at``).
+    Departure times are accumulated with the same float additions the
+    per-frame tick chain performs, so the emitted traffic — timestamps,
+    RNG draw order, drop decisions — is bit-identical to ``burst=1``; only
+    the event count shrinks.
+
+    ``send_failures`` counts every frame the port refused at reservation:
+    no link, or a tail drop — including the tail drop of a future-dated
+    send, which the port judges at the frame's arrival time.
     """
 
     def __init__(
@@ -72,8 +76,6 @@ class TrafficSource:
     ) -> None:
         if burst < 1:
             raise ConfigError(f"burst must be >= 1, got {burst}")
-        if burst > 1 and not port.coalesce:
-            raise ConfigError("burst emission requires a coalescing port")
         self.sim = sim
         self.port = port
         self.factory = factory if factory is not None else default_factory()
@@ -132,7 +134,7 @@ class TrafficSource:
 class CbrSource(TrafficSource):
     """Constant bit rate: fixed frame size, fixed inter-departure time.
 
-    With ``template_burst=True`` (the compiled engine's emission mode) each
+    With ``template_burst=True`` (the compiled tier's emission mode) each
     tick builds ONE template packet and hands the whole burst to
     :meth:`~repro.sim.link.Port.send_burst` as a struct-of-arrays vector
     of departure times.  Departure timestamps come from the same chained
@@ -156,8 +158,6 @@ class CbrSource(TrafficSource):
         self.frame_len = frame_len
         self.template_burst = template_burst
         super().__init__(sim, port, **kwargs)
-        if template_burst and not port.coalesce:
-            raise ConfigError("template_burst requires a coalescing port")
 
     def _next_frame_len(self) -> int:
         return self.frame_len

@@ -333,10 +333,7 @@ def _build_nat(spec: ScenarioSpec, module_count: int) -> ScenarioRun:
     if tracer is not None:
         registry.register("trace", tracer)
 
-    host = Port(
-        sim, "host", rate_bps=traffic.rate_bps, queue_bytes=1 << 22,
-        coalesce=compiled,
-    )
+    host = Port(sim, "host", rate_bps=traffic.rate_bps, queue_bytes=1 << 22)
     fiber = Port(sim, "fiber", rate_bps=traffic.rate_bps, queue_bytes=1 << 22)
     connect(host, modules[0].edge_port)
     connect(previous_port, fiber)
@@ -589,10 +586,7 @@ def _build_nfv(spec: ScenarioSpec, churn: bool) -> ScenarioRun:
         module.attach_tracer(tracer)
         registry.register("trace", tracer)
 
-    host = Port(
-        sim, "host", rate_bps=traffic.rate_bps, queue_bytes=1 << 22,
-        coalesce=compiled,
-    )
+    host = Port(sim, "host", rate_bps=traffic.rate_bps, queue_bytes=1 << 22)
     fiber = Port(sim, "fiber", rate_bps=traffic.rate_bps, queue_bytes=1 << 22)
     connect(host, module.edge_port)
     connect(module.line_port, fiber)
@@ -604,8 +598,8 @@ def _build_nfv(spec: ScenarioSpec, churn: bool) -> ScenarioRun:
     # for the scrub tenant (its steering dport), 20% martians the scrub
     # app exists to drop, 40% default-dport frames for the catch-all
     # tenant.  A single source keeps the wire order identical across
-    # engines (concurrent saturating sources interleave differently
-    # under coalesced transmission).  The multi-tenant module deopts
+    # engines (concurrent saturating sources would reserve out of
+    # arrival order on the shared port).  The multi-tenant module deopts
     # fused bursts at the crossbar anyway, so the compiled tier runs
     # without ``template_burst`` here — the per-index mix requires it.
     templates = (
@@ -636,8 +630,8 @@ def _build_nfv(spec: ScenarioSpec, churn: bool) -> ScenarioRun:
             churned, create_app(TENANT_CHURN_APP), at_s=churn_at
         )
 
-    # Drain tail sized to the worst-case coalescing window: at low line
-    # rates a coalescing host port still holds whole frame groups when the
+    # Drain tail sized to the worst-case burst window: at low line
+    # rates the host port still holds whole frame groups when the
     # sources stop, and every engine must fully drain before the metrics
     # cutoff for the cross-engine bit-identity contract to hold.  The
     # tail is engine-*invariant* (a fixed frame budget, not the burst size)

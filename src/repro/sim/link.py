@@ -9,7 +9,6 @@ and constant propagation delay.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable
 
 import numpy as np
@@ -35,31 +34,29 @@ DEFAULT_QUEUE_BYTES = 512 * 1024
 class Port:
     """A full-duplex network port with an egress FIFO.
 
-    ``send`` enqueues a frame for transmission; the port serializes frames
-    back-to-back at ``rate_bps`` and delivers them to the connected peer
-    after the link's propagation delay.  Received frames are handed to the
-    attached handler (set by the owning device via :meth:`attach`).
+    Every send reserves at submit: the frame is admitted onto an analytic
+    :class:`~repro.sim.engine.ServiceTimeline` — tail drop judged at its
+    arrival, back-to-back serialization at ``rate_bps``, the same float
+    arithmetic an event-per-frame FIFO would perform — and its delivery
+    time (serialization finish plus the link's propagation delay) is known
+    on the spot.  No event marks the end of a serialization.
 
-    With ``coalesce=True`` (the compiled tier's ports) the per-frame
-    tx-done/deliver event pair collapses into a single deliver event:
-    serialization start/finish times come from an analytic
-    :class:`~repro.sim.engine.ServiceTimeline` whose arithmetic matches the
-    event-per-frame schedule bit for bit, so delivery timestamps and
-    tail-drop decisions are unchanged.  The one behavioural approximation:
-    frames already reserved keep their delivery even if the link is
-    disconnected before their serialization would have started.
+    How the frame then reaches the peer is the *receiver's* choice.  A
+    peer that takes *batched delivery* gets reservations — single frames
+    and whole template bursts alike, in arrival order — queued and handed
+    over in one flush event scheduled at the first pending frame's
+    delivery time.  Later frames of the flush arrive *early* in event time
+    but carry their exact wire arrival as data, so a batch-aware receiver
+    (a compiled-tier FlexSFP module, a meter) reproduces the
+    event-per-frame arithmetic bit for bit.  A port takes batched delivery
+    iff that is safe: it has a batch handler (:meth:`attach_batch`), or no
+    per-frame handler at all (a counting sink).  A port with only a
+    per-frame handler (:meth:`attach`) reads ``sim.now``, so it gets one
+    deliver event per frame.
 
-    A coalescing sender goes one step further when its peer can take
-    *batched delivery*: it queues reservations — single frames and whole
-    template bursts alike, in arrival order — and hands them over in one
-    flush event scheduled at the first pending frame's delivery time.
-    Later frames of the flush arrive *early* in event time but carry their
-    exact wire arrival as data, so a batch-aware receiver (the FlexSFP
-    module, a meter) reproduces the event-per-frame arithmetic bit for
-    bit.  A port takes batched delivery iff that is safe: it has a batch
-    handler (:meth:`attach_batch`), or no per-frame handler at all (a
-    counting sink).  A port with only a per-frame handler reads
-    ``sim.now``, so it keeps one deliver event per frame.
+    A reservation dies with its link: :meth:`disconnect` forgets both
+    directions' queued frames, and a delivery already scheduled on the old
+    link fires as a no-op (never into a peer connected since).
     """
 
     def __init__(
@@ -68,13 +65,11 @@ class Port:
         name: str,
         rate_bps: float = 10e9,
         queue_bytes: int = DEFAULT_QUEUE_BYTES,
-        coalesce: bool = False,
     ) -> None:
         self.sim = sim
         self.name = name
         self.rate_bps = rate_bps
         self.queue_bytes = queue_bytes
-        self.coalesce = coalesce
         # Reservations awaiting the next flush toward a batched peer, in
         # delivery order: (packet, size, when) per frame and (template,
         # size, whens) per burst, ``whens`` a float64 vector.
@@ -91,9 +86,9 @@ class Port:
         self._batched_rx = True  # no handler yet: see attach()
         self._peer: Port | None = None
         self._propagation_s = DEFAULT_PROPAGATION_S
-        self._tx_fifo: deque[tuple[Packet, int]] = deque()
-        self._tx_fifo_bytes = 0
-        self._tx_busy = False
+        # Link generation: deliveries capture it at reservation and fire
+        # as no-ops once a disconnect has moved it on.
+        self._link = 0
         self._timeline = ServiceTimeline()
         self.tx = Counter(f"{name}.tx")
         self.rx = Counter(f"{name}.rx")
@@ -114,12 +109,10 @@ class Port:
     def attach_batch(self, handler: BatchHandler) -> None:
         """Register a batched receive callback.
 
-        A coalescing sender's flush then hands each pending run of frames
-        over in one call — ``handler(port, [(packet, size, when), ...])``
-        with ``when`` each frame's exact wire arrival — instead of one
-        deliver event per frame.  Frames delivered individually (from
-        non-coalescing senders) still go through the per-frame handler,
-        so owners should attach both.
+        A sender's flush then hands each pending run of frames over in
+        one call — ``handler(port, [(packet, size, when), ...])`` with
+        ``when`` each frame's exact wire arrival — instead of one deliver
+        event per frame.
         """
         self._batch_handler = handler
         self._batched_rx = True
@@ -147,13 +140,13 @@ class Port:
         peer._propagation_s = propagation_s
 
     def disconnect(self) -> None:
-        """Tear down the link (queued frames are dropped)."""
-        if self._peer is not None:
-            self._peer._peer = None
-            self._peer = None
-        self._tx_fifo.clear()
-        self._tx_fifo_bytes = 0
-        self._timeline.reset()
+        """Tear down the link; frames queued or in flight either way are lost."""
+        for port in (self, self._peer):
+            if port is not None:
+                port._peer = None
+                port._link += 1
+                port._pending_rx = []
+                port._timeline.reset()
 
     @property
     def connected(self) -> bool:
@@ -166,18 +159,14 @@ class Port:
     @property
     def queue_depth_bytes(self) -> int:
         """Bytes currently waiting in the egress FIFO."""
-        if self.coalesce:
-            self._timeline.drain(self.sim.now)
-            return self._timeline.pending_bytes
-        return self._tx_fifo_bytes
+        self._timeline.drain(self.sim.now)
+        return self._timeline.pending_bytes
 
     @property
     def queue_depth_packets(self) -> int:
         """Frames currently waiting in the egress FIFO."""
-        if self.coalesce:
-            self._timeline.drain(self.sim.now)
-            return self._timeline.pending_frames
-        return len(self._tx_fifo)
+        self._timeline.drain(self.sim.now)
+        return self._timeline.pending_frames
 
     def metric_values(self) -> dict[str, int | float]:
         """Flat :class:`~repro.obs.registry.MetricSource` view."""
@@ -197,65 +186,45 @@ class Port:
     # ------------------------------------------------------------------
     def send(self, packet: Packet) -> bool:
         """Enqueue ``packet`` for transmission; False on tail drop."""
-        if self._peer is None:
-            self.drops.count(packet.wire_len)
-            return False
-        if self.coalesce:
-            return self._reserve_tx(packet, self.sim.now)
-        size = packet.wire_len
-        if self._tx_fifo_bytes + size > self.queue_bytes:
-            self.drops.count(size)
-            return False
-        self._tx_fifo.append((packet, size))
-        self._tx_fifo_bytes += size
-        if not self._tx_busy:
-            self._start_next_tx()
-        return True
+        return self._reserve_tx(packet, self.sim.now)
 
     def send_delayed(self, packet: Packet, delay_s: float) -> None:
         """Send ``packet`` after ``delay_s`` (e.g. a transceiver crossing).
 
-        Coalescing ports fold the delay into the serialization reservation
-        — no intermediate event; others schedule a plain deferred send.
+        The delay is folded into the reservation: no intermediate event.
         """
-        if self.coalesce and self._peer is not None:
-            self._reserve_tx(packet, self.sim.now + delay_s)
-        else:
-            self.sim.schedule(delay_s, self.send, packet)
+        self._reserve_tx(packet, self.sim.now + delay_s)
 
     def send_at(self, packet: Packet, at_s: float, size: int | None = None) -> bool:
-        """Send ``packet`` at absolute (virtual) time ``at_s``.
+        """Send ``packet`` at absolute (virtual) time ``at_s``; False on drop.
 
-        On a coalescing port the reservation is made immediately with the
-        given arrival time — the foundation of burst traffic emission and
-        of batched PPE egress.  ``at_s`` may lag ``now`` by up to one
-        batch window (a batch tail replaying per-frame deliver times);
-        serialization arithmetic still uses the virtual arrival, only the
-        deliver *event* is clamped to now.  Non-coalescing ports fall
-        back to a scheduled plain send (and cannot report the eventual
-        tail-drop outcome, hence True).
+        The reservation is made immediately with the given arrival time —
+        the foundation of burst traffic emission and of batched PPE
+        egress.  ``at_s`` may lag ``now`` by up to one batch window (a
+        batch tail replaying per-frame deliver times); serialization
+        arithmetic still uses the virtual arrival, only the deliver
+        *event* is clamped to now.
         """
-        if self.coalesce and self._peer is not None:
-            return self._reserve_tx(packet, at_s, size)
-        if at_s <= self.sim.now:
-            return self.send(packet)
-        self.sim.schedule(at_s - self.sim.now, self.send, packet)
-        return True
+        return self._reserve_tx(packet, at_s, size)
 
     def _reserve_tx(
         self, packet: Packet, arrival: float, size: int | None = None
     ) -> bool:
-        """Coalesced transmit: no tx-done event, at most one deliver event.
+        """The one transmit path: no tx-done event, at most one deliver event.
 
         Admission is judged at the frame's *arrival* (which may differ
-        from now for delayed/burst/virtual sends): that is the state the
-        event-per-frame execution would see when its deferred ``send`` ran
-        at the arrival time.  Callers must reserve in non-decreasing
-        arrival order, which every producer (serialized sources,
-        per-direction module egress) naturally does.
+        from now for delayed/burst/virtual sends): that is the state an
+        event-per-frame FIFO would see if a deferred ``send`` ran at the
+        arrival time.  Callers must reserve in non-decreasing arrival
+        order, which every producer (serialized sources, per-direction
+        module egress) naturally does.
         """
         if size is None:
             size = packet.wire_len
+        peer = self._peer
+        if peer is None:
+            self.drops.count(size)
+            return False
         # Inlined serialization_time (hot path): pure-int framing, then
         # the helper's one float operation.
         framed = size + 4
@@ -268,27 +237,24 @@ class Port:
             self.drops.count(size)
             return False
         when = finish + self._propagation_s
-        now = self.sim.now
-        if self._peer._batched_rx:
-            pending = self._pending_rx
-            pending.append((packet, size, when))
-            if len(pending) == 1:
-                self.sim.schedule_at(when if when > now else now, self._flush_rx)
-            return True
         # A virtual arrival far enough in the past that the frame
         # "already" left delivers immediately (bounded by the batch
         # window; the reservation arithmetic stays exact regardless).
-        self.sim.schedule_at(
-            when if when > now else now, self._coalesced_deliver, packet
-        )
+        now = self.sim.now
+        fire = when if when > now else now
+        if peer._batched_rx:
+            pending = self._pending_rx
+            pending.append((packet, size, when))
+            if len(pending) == 1:
+                self.sim.schedule_at(fire, self._flush_rx, self._link)
+        else:
+            self.sim.schedule_at(fire, self._deliver_tx, packet, size, self._link)
         return True
 
-    def _coalesced_deliver(self, packet: Packet) -> None:
-        size = packet.wire_len
-        self.tx.count(size)
-        peer = self._peer
-        if peer is not None:
-            peer._deliver(packet, size)
+    def _deliver_tx(self, packet: Packet, size: int, link: int) -> None:
+        if link == self._link:
+            self.tx.count(size)
+            self._peer._deliver(packet, size)
 
     def send_burst(
         self, template: Packet, size: int, times: "np.ndarray"
@@ -300,8 +266,8 @@ class Port:
         non-decreasing float64 vector of virtual arrival times.
         Admission, serialization and delivery timestamps are bit-identical
         to calling :meth:`send_at` once per frame — which is literally
-        what happens unless this port coalesces toward a batched peer;
-        there the whole burst costs a handful of Python-level operations.
+        what happens unless the peer takes batched delivery; there the
+        whole burst costs a handful of Python-level operations.
         Returns the number of admitted frames.
         """
         times = np.ascontiguousarray(times, dtype=np.float64)
@@ -309,13 +275,9 @@ class Port:
         if n == 0:
             return 0
         peer = self._peer
-        if peer is None:
-            self.drops.packets += n
-            self.drops.bytes += n * size
-            return 0
-        if not (self.coalesce and peer._batched_rx):
+        if peer is None or not peer._batched_rx:
             return sum(
-                self.send_at(template.copy(), at, size) for at in times.tolist()
+                self._reserve_tx(template.copy(), at, size) for at in times.tolist()
             )
         _admitted, finishes = self._timeline.admit_burst(
             times, size, serialization_time(size, self.rate_bps), self.queue_bytes
@@ -332,10 +294,12 @@ class Port:
         if len(pending) == 1:
             first = float(whens[0])
             now = self.sim.now
-            self.sim.schedule_at(first if first > now else now, self._flush_rx)
+            self.sim.schedule_at(
+                first if first > now else now, self._flush_rx, self._link
+            )
         return count
 
-    def _flush_rx(self) -> None:
+    def _flush_rx(self, link: int) -> None:
         """Hand every pending reservation due within the run window over.
 
         One pass in delivery order: each burst goes to the peer's burst
@@ -343,6 +307,8 @@ class Port:
         the per-frame copies of a burst) to its batch handler.  A peer
         with neither is a counting sink.
         """
+        if link != self._link:
+            return
         pending = self._pending_rx
         self._pending_rx = []
         horizon = self.sim.horizon
@@ -365,20 +331,17 @@ class Port:
                     kept.append((entry[0], entry[1], when[split:]))
             first = kept[0][2]
             self.sim.schedule_at(
-                first if type(first) is float else float(first[0]), self._flush_rx
+                first if type(first) is float else float(first[0]),
+                self._flush_rx,
+                link,
             )
             pending = flushed
         peer = self._peer
-        if peer is not None:
-            begin = peer.rx_flush_begin
-            if begin is not None:
-                begin()
-            burst_handler = peer._burst_handler
-            batch_handler = peer._batch_handler
-        else:
-            # Link torn down after reservation: same silent in-flight loss
-            # as the per-frame coalesced deliver.
-            burst_handler = batch_handler = None
+        begin = peer.rx_flush_begin
+        if begin is not None:
+            begin()
+        burst_handler = peer._burst_handler
+        batch_handler = peer._batch_handler
         frames = 0
         total_bytes = 0
         run: list[tuple[Packet, int, float]] = []
@@ -403,30 +366,11 @@ class Port:
             batch_handler(peer, run)
         self.tx.packets += frames
         self.tx.bytes += total_bytes
-        if peer is None:
-            return
         peer.rx.packets += frames
         peer.rx.bytes += total_bytes
         end = peer.rx_flush_end
         if end is not None:
             end()
-
-    def _start_next_tx(self) -> None:
-        if not self._tx_fifo:
-            self._tx_busy = False
-            return
-        self._tx_busy = True
-        packet, size = self._tx_fifo.popleft()
-        self._tx_fifo_bytes -= size
-        tx_time = serialization_time(size, self.rate_bps)
-        self.sim.schedule(tx_time, self._tx_done, packet)
-
-    def _tx_done(self, packet: Packet) -> None:
-        self.tx.count(packet.wire_len)
-        peer = self._peer
-        if peer is not None:
-            self.sim.schedule(self._propagation_s, peer._deliver, packet)
-        self._start_next_tx()
 
     def _deliver(self, packet: Packet, size: int | None = None) -> None:
         self.rx.count(packet.wire_len if size is None else size)

@@ -7,9 +7,10 @@ results — verdict counts, functional application counters, drop counts,
 delivered bytes, and the per-frame latency distribution stay bit-identical
 to the reference per-frame engine.  This suite drives every registered
 application through both engines under three ingress shapes — a seeded
-IMIX delivered in coalesced flushes (flow cache, grouped processing), the
-same IMIX one frame per event (``test_fastpath_differential.py`` holds
-those cases under their historical names), and template bursts of
+IMIX delivered in multi-frame flushes (flow cache, grouped processing),
+the same IMIX one frame per event behind a store-and-forward hop
+(``test_fastpath_differential.py`` holds those cases under their
+historical names), and template bursts of
 same-flow CBR (the fused lane) — and compares, then pins the deopt paths:
 a non-fusible application, a tracer attachment, per-frame arrivals
 interleaved into the burst lane, and a control-plane table write mid-run.
@@ -90,25 +91,41 @@ def make_imix_factory(seed: int):
     return factory
 
 
-def build_module(sim: Simulator, name: str, engine, coalesce: bool = True) -> tuple:
-    """Module + host + fiber; ``coalesce=False`` keeps the host port
-    per-event even on the compiled tier (a legacy switch upstream)."""
+def build_module(sim: Simulator, name: str, engine, per_event: bool = False) -> tuple:
+    """Module + host + fiber (see :func:`wire` for ``per_event``)."""
     app = create_app(name)
     if name == "nat":
         for src in SRC_IPS:
             app.add_mapping(src, src.replace("10.0.0.", "198.51.100."))
     module = FlexSFPModule(sim, "dut", Deployment.solo(app), auth_key=KEY, engine=engine)
-    return (module, *wire(sim, module, coalesce))
+    return (module, *wire(sim, module, per_event))
 
 
-def wire(sim: Simulator, module, coalesce: bool = True) -> tuple:
-    """Host and fiber ports cabled to the module, matching its tier."""
-    compiled = module.engine == "compiled"
-    host = Port(
-        sim, "host", 10e9, queue_bytes=1 << 20, coalesce=compiled and coalesce
-    )
+def cable(sim: Simulator, host: Port, module, per_event: bool = False) -> None:
+    """Connect ``host`` to the module's edge.
+
+    ``per_event`` splices a store-and-forward hop in between (a legacy
+    switch upstream) whose host-facing port has only a per-frame handler:
+    every frame crosses it as its own simulator event and is re-sent at
+    ``sim.now``, so whatever the tier the module takes its frames one
+    event at a time instead of in multi-frame flushes.
+    """
+    if not per_event:
+        connect(host, module.edge_port)
+        return
+    tap = Port(sim, "tap", 10e9, queue_bytes=1 << 22)
+    relay = Port(sim, "relay", 10e9, queue_bytes=1 << 22)
+    tap.attach(lambda port, packet: relay.send(packet))
+    relay.attach(lambda port, packet: tap.send(packet))
+    connect(host, tap)
+    connect(relay, module.edge_port)
+
+
+def wire(sim: Simulator, module, per_event: bool = False) -> tuple:
+    """Host and fiber ports cabled to the module."""
+    host = Port(sim, "host", 10e9, queue_bytes=1 << 20)
     fiber = Port(sim, "fiber", 10e9, queue_bytes=1 << 20)
-    connect(host, module.edge_port)
+    cable(sim, host, module, per_event)
     connect(module.line_port, fiber)
     return host, fiber
 
@@ -136,10 +153,10 @@ def run_imix(
     name: str,
     engine: str,
     tracer_packets: int | None = None,
-    coalesce: bool = True,
+    per_event: bool = False,
 ):
     sim = Simulator()
-    module, host, fiber = build_module(sim, name, engine, coalesce)
+    module, host, fiber = build_module(sim, name, engine, per_event)
     if tracer_packets is not None:
         from repro.obs.trace import Tracer
 
@@ -151,7 +168,7 @@ def run_imix(
         stop=RUN_S,
         factory=make_imix_factory(SEED),
         seed=SEED,
-        burst=burst_of(module) if coalesce else 1,
+        burst=1 if per_event else burst_of(module),
     )
     sim.run(until=RUN_S + 0.2e-3)
     return results_of(module, host, fiber), module
@@ -179,9 +196,9 @@ def run_cbr_burst(name: str, engine: str):
     return results_of(module, host, fiber), module
 
 
-def check_imix_matches_reference(name: str, coalesce: bool) -> None:
-    reference, _ = run_imix(name, "reference")
-    compiled, module = run_imix(name, "compiled", coalesce=coalesce)
+def check_imix_matches_reference(name: str, per_event: bool = False) -> None:
+    reference, _ = run_imix(name, "reference", per_event=per_event)
+    compiled, module = run_imix(name, "compiled", per_event=per_event)
     assert compiled == reference, name
     # Real traffic, well past the BURST_FRAMES group boundary...
     assert reference["processed"]["packets"] > 50, name
@@ -195,7 +212,7 @@ def check_imix_matches_reference(name: str, coalesce: bool) -> None:
 
 @pytest.mark.parametrize("name", sorted(APP_FACTORIES))
 def test_compiled_imix_matches_reference(name):
-    check_imix_matches_reference(name, coalesce=True)
+    check_imix_matches_reference(name)
 
 
 @pytest.mark.parametrize("name", sorted(APP_FACTORIES))
@@ -282,7 +299,7 @@ def check_midrun_table_write(ingress: str) -> None:
     enforces this.  The remap must flip the translated source address at
     exactly the same packet index in both engines.  ``ingress`` is how
     frames reach the compiled module: ``"burst"`` (template bursts),
-    ``"flush"`` (coalesced per-frame) or ``"event"`` (one frame per event).
+    ``"flush"`` (multi-frame flushes) or ``"event"`` (one frame per event).
     """
 
     def run(engine: str) -> tuple[list[str], object]:
@@ -291,8 +308,7 @@ def check_midrun_table_write(ingress: str) -> None:
         nat.add_mapping("10.0.0.1", "198.51.100.1")
         module = FlexSFPModule(sim, "dut", Deployment.solo(nat), auth_key=KEY, engine=engine)
         compiled = engine == "compiled"
-        coalesce = compiled and ingress != "event"
-        host = Port(sim, "host", 10e9, queue_bytes=1 << 22, coalesce=coalesce)
+        host = Port(sim, "host", 10e9, queue_bytes=1 << 22)
         fiber = Port(sim, "fiber", 10e9, queue_bytes=1 << 22)
         seen: list[str] = []
         fiber.attach(lambda port, pkt: seen.append(pkt.ipv4.src_ip))
@@ -302,13 +318,13 @@ def check_midrun_table_write(ingress: str) -> None:
                     pkt.ipv4.src_ip for pkt, _size, _when in items
                 )
             )
-        connect(host, module.edge_port)
+        cable(sim, host, module, per_event=ingress == "event")
         connect(module.line_port, fiber)
         template = make_udp(src_ip="10.0.0.1", payload=b"y" * 50)
         CbrSource(
             sim, host, rate_bps=1e8, frame_len=112, stop=2e-4,
             factory=lambda i, s: template.copy(),
-            burst=BURST_FRAMES if coalesce else 1,
+            burst=BURST_FRAMES if compiled and ingress != "event" else 1,
             template_burst=compiled and ingress == "burst",
         )
         sim.schedule_at(
@@ -351,10 +367,7 @@ def test_metered_ratelimiter_burst_matches_reference():
         app.add_limit("10.0.0.0", 8, rate_bps=1e8, burst_bytes=4_000)
         module = FlexSFPModule(sim, "dut", Deployment.solo(app), auth_key=KEY, engine=engine)
         compiled = engine == "compiled"
-        host = Port(sim, "host", 10e9, queue_bytes=1 << 20, coalesce=compiled)
-        fiber = Port(sim, "fiber", 10e9, queue_bytes=1 << 20)
-        connect(host, module.edge_port)
-        connect(module.line_port, fiber)
+        host, fiber = wire(sim, module)
         template = make_udp(
             src_ip="10.0.0.1", dst_ip="203.0.113.1", sport=10_000,
             dport=20_000, payload=bytes(80),
@@ -419,10 +432,7 @@ def test_vlan_untag_direction_matches_reference(service_vid):
             sim, "dut", Deployment.solo(app), shell=shell, auth_key=KEY, engine=engine
         )
         compiled = engine == "compiled"
-        host = Port(sim, "host", 10e9, queue_bytes=1 << 20)
-        fiber = Port(sim, "fiber", 10e9, queue_bytes=1 << 20, coalesce=compiled)
-        connect(host, module.edge_port)
-        connect(module.line_port, fiber)
+        host, fiber = wire(sim, module)
         for template in (matched, foreign):
             CbrSource(
                 sim,

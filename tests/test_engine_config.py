@@ -3,7 +3,7 @@
 Pins the surface that exists — ``ENGINES``, ``validate_engine``,
 ``resolve_engine`` (argument > ``FLEXSFP_ENGINE`` > ``reference``), what a
 tier name implies for a module, the spec/artifact plumbing that records it
-— and one table asserting that every spelling removed in 2.0 is rejected
+— and one table asserting that every removed spelling is rejected
 rather than silently reinterpreted.
 """
 
@@ -23,7 +23,7 @@ from repro.faults.gauntlet import run_gauntlet
 from repro.matrix import MatrixAxes
 from repro.nfv import Deployment, TenantSpec
 from repro.obs.scenario import ScenarioSpec
-from repro.sim import Simulator
+from repro.sim import Port, Simulator
 from repro.switch import LegacySwitch, RetrofitPlan, apply_retrofit
 
 
@@ -57,9 +57,13 @@ class TestEngineConfig:
             resolve_engine("warp", Settings())
 
     def test_reference_rejects_batching(self):
-        # The oracle has no coalesced ports, no flush brackets, no burst lane.
+        # The oracle takes its frames one deliver event at a time: per-frame
+        # receive handlers only, no flush brackets, no burst lane.
         module = make_module(engine="reference")
-        assert not module.edge_port.coalesce and not module.line_port.coalesce
+        for port in (module.edge_port, module.line_port):
+            assert port._handler is not None and not port._batched_rx
+            assert port._batch_handler is None and port._burst_handler is None
+            assert port.rx_flush_begin is None and port.rx_flush_end is None
         for method in ("submit_burst", "flush_begin", "flush_end"):
             assert not hasattr(module.ppe, method)
 
@@ -114,11 +118,15 @@ class TestModuleConflicts:
 
     def test_engine_config_carries_options(self):
         # What used to be options rides on the tier name: the fused program,
-        # the flow cache and the coalesced burst-lane ports.
+        # the flow cache and the batch/burst receive side of the data ports
+        # (the only thing the fabric sees of the tier).
         module = make_module(engine="compiled", settings=Settings())
         assert module.program is not None
         assert module.flow_cache is not None
-        assert module.edge_port.coalesce and module.line_port.coalesce
+        for port in (module.edge_port, module.line_port):
+            assert port._batched_rx
+            assert port._batch_handler is not None and port._burst_handler is not None
+            assert port.rx_flush_begin is not None and port.rx_flush_end is not None
 
 
 class TestScenarioSpecEngine:
@@ -205,7 +213,7 @@ def _retrofit(**kwargs):
     return apply_retrofit(sim, LegacySwitch(sim, "agg", num_ports=2), RetrofitPlan(), **kwargs)
 
 
-#: Every spelling 2.0 removed, beyond the six pinned under their historical
+#: Every spelling removed since 2.0 began, beyond the six pinned under their historical
 #: test names (module ``fastpath=``/``batch_size=`` and CLI ``--fastpath``/
 #: ``--batch`` next to ``--engine`` above; ``--legacy-fleet``/
 #: ``--legacy-table`` in ``test_cli.py``): (what to call, the error that
@@ -252,6 +260,7 @@ REMOVED_SPELLINGS = {
         lambda: TenantSpec.from_dict({"name": "t", "app": "int", "engine": "compiled"}),
         ConfigError,
     ),
+    "coalesce=:port": (lambda: Port(Simulator(), "p", coalesce=True), TypeError),
     "--fail-on-deprecated": (
         lambda: main(["metrics", "--fail-on-deprecated"]),
         SystemExit,

@@ -59,6 +59,32 @@ class TestSlots:
         assert flash.erase_counts[1] == 2
 
 
+    def test_stores_the_image_not_the_padding(self):
+        """No slot-sized buffer, whatever the slot holds: erased, a short
+        image, a failed program, rot with or without an image to rot."""
+        flash = SPIFlash()
+
+        def holds_only_images() -> bool:
+            stored = sum(map(len, flash._data))
+            return stored == sum(s.image_len for s in flash.slots)
+
+        assert holds_only_images() and not any(flash._data)
+        flash.store_bitstream(1, make_bitstream("nat"))
+        flash.store_bitstream(0, make_bitstream("golden"), allow_golden=True)
+        image = flash.read_image(1)
+        assert holds_only_images() and 0 < len(image) < flash.slot_bytes // 100
+        flash.corrupt_bits(1, nbits=16, seed=5)
+        flash.corrupt_bits(2, nbits=16, seed=5)  # nothing there to flip
+        assert flash.bitrot_events == 2 and not flash.verify_slot(1)
+        assert flash.read_image(1) != image and flash.verify_slot(0)
+        flash.inject_write_failures()
+        with pytest.raises(FlashError, match="program/verify"):
+            flash.store_bitstream(3, make_bitstream("v2"))
+        assert holds_only_images()
+        flash.erase_slot(1)
+        assert holds_only_images() and flash._data[1] == b""
+
+
 class TestGoldenProtection:
     def test_golden_not_erasable_by_default(self):
         with pytest.raises(FlashError, match="golden"):

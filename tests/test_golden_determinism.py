@@ -53,7 +53,7 @@ def nat_linerate_stats(engine: str, observe: str | None = None) -> bytes:
         if observe == "tracer-off":
             module.attach_tracer(Tracer(limit=0))
         registry.collect()
-    host = Port(sim, "host", 10e9, queue_bytes=1 << 20, coalesce=compiled)
+    host = Port(sim, "host", 10e9, queue_bytes=1 << 20)
     fiber = Port(sim, "fiber", 10e9, queue_bytes=1 << 20)
     connect(host, module.edge_port)
     connect(module.line_port, fiber)

@@ -26,10 +26,10 @@ class TestLoss:
         assert rx.impairment_drops.packets == 1000 - len(received)
 
     def test_handlerless_impaired_port_is_never_a_batched_sink(self, sim):
-        """A coalescing sender batches toward a port with no per-frame
-        handler — but an impaired port's impairments act per frame, so it
-        keeps one deliver event per frame and still drops."""
-        tx = Port(sim, "tx", 10e9, queue_bytes=1 << 22, coalesce=True)
+        """A sender batches toward a port with no per-frame handler — but
+        an impaired port's impairments act per frame, so it keeps one
+        deliver event per frame and still drops."""
+        tx = Port(sim, "tx", 10e9, queue_bytes=1 << 22)
         rx = ImpairedPort(sim, "rx", loss_probability=0.3, seed=5)
         connect(tx, rx)
         for _ in range(1000):

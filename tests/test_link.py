@@ -8,8 +8,8 @@ from repro.packet import make_udp, pad_to_min
 from repro.sim import Port, Simulator, connect
 
 
-def make_pair(sim, rate=10e9, queue_bytes=4096, coalesce=False):
-    a = Port(sim, "a", rate_bps=rate, queue_bytes=queue_bytes, coalesce=coalesce)
+def make_pair(sim, rate=10e9, queue_bytes=4096):
+    a = Port(sim, "a", rate_bps=rate, queue_bytes=queue_bytes)
     b = Port(sim, "b", rate_bps=rate, queue_bytes=queue_bytes)
     connect(a, b, propagation_s=50e-9)
     return a, b
@@ -70,21 +70,18 @@ class TestDrops:
         assert not a.send(make_udp(payload=b"x" * 120))
         assert a.drops.packets == 1
 
-    def test_queue_depth_tracking(self):
-        """Packets and bytes agree, on the event-per-frame port and on the
-        coalescing one (whose depth is its undrained reservations)."""
-        for coalesce in (False, True):
-            sim = Simulator()
-            a, b = make_pair(sim, queue_bytes=1 << 20, coalesce=coalesce)
-            b.attach(lambda port, packet: None)
-            for _ in range(4):
-                a.send(pad_to_min(make_udp()))
-            # One packet is in flight; remainder queued.
-            assert (a.queue_depth_packets, a.queue_depth_bytes) == (3, 3 * 60)
-            sim.run(until=100e-9)  # the second frame has started serializing
-            assert (a.queue_depth_packets, a.queue_depth_bytes) == (2, 2 * 60)
-            sim.run()
-            assert (a.queue_depth_packets, a.queue_depth_bytes) == (0, 0)
+    def test_queue_depth_tracking(self, sim):
+        """Packets and bytes agree: the depth is the undrained reservations."""
+        a, b = make_pair(sim, queue_bytes=1 << 20)
+        b.attach(lambda port, packet: None)
+        for _ in range(4):
+            a.send(pad_to_min(make_udp()))
+        # One packet is in flight; remainder queued.
+        assert (a.queue_depth_packets, a.queue_depth_bytes) == (3, 3 * 60)
+        sim.run(until=100e-9)  # the second frame has started serializing
+        assert (a.queue_depth_packets, a.queue_depth_bytes) == (2, 2 * 60)
+        sim.run()
+        assert (a.queue_depth_packets, a.queue_depth_bytes) == (0, 0)
 
 
 class TestWiring:
@@ -111,15 +108,15 @@ def frame_times(n, start=0.0, gap=FRAME_S):
 
 
 class TestBatchedDelivery:
-    """A coalescing sender batches toward a peer iff the peer can take it:
-    it has a batch handler, or no per-frame handler at all."""
+    """A sender batches toward a peer iff the peer can take it: it has a
+    batch handler, or no per-frame handler at all."""
 
     def test_batch_rx_option_is_gone(self, sim):
         with pytest.raises(TypeError):
             Port(sim, "p", **{"batch_rx": True})
 
     def test_counting_sink_is_batched(self, sim):
-        a, b = make_pair(sim, queue_bytes=1 << 20, coalesce=True)
+        a, b = make_pair(sim, queue_bytes=1 << 20)
         for at in frame_times(8).tolist():
             a.send_at(pad_to_min(make_udp()), at)
         sim.run()
@@ -127,7 +124,7 @@ class TestBatchedDelivery:
         assert sim.events_processed == 1  # one flush, not one event per frame
 
     def test_per_frame_handler_keeps_one_event_per_frame(self, sim):
-        a, b = make_pair(sim, queue_bytes=1 << 20, coalesce=True)
+        a, b = make_pair(sim, queue_bytes=1 << 20)
         seen = []
         b.attach(lambda port, packet: seen.append(sim.now))
         for at in frame_times(8).tolist():
@@ -139,7 +136,7 @@ class TestBatchedDelivery:
         )
 
     def test_batch_handler_gets_the_run_with_exact_times(self, sim):
-        a, b = make_pair(sim, queue_bytes=1 << 20, coalesce=True)
+        a, b = make_pair(sim, queue_bytes=1 << 20)
         per_frame, batches = [], []
         b.attach(lambda port, packet: per_frame.append(packet))
         b.attach_batch(lambda port, items: batches.append(items))
@@ -155,7 +152,7 @@ class TestBatchedDelivery:
     def test_bursts_and_frames_share_one_queue_in_arrival_order(self, sim):
         """frame, burst, frame, burst -> batch, burst, batch, burst handler
         calls inside one flush bracket, with one tx/rx count."""
-        a, b = make_pair(sim, queue_bytes=1 << 20, coalesce=True)
+        a, b = make_pair(sim, queue_bytes=1 << 20)
         calls = []
         b.rx_flush_begin = lambda: calls.append("begin")
         b.rx_flush_end = lambda: calls.append("end")
@@ -176,7 +173,7 @@ class TestBatchedDelivery:
         assert (a.tx.packets, b.rx.packets) == (10, 10)
 
     def test_burst_without_a_burst_handler_reaches_the_batch_handler(self, sim):
-        a, b = make_pair(sim, queue_bytes=1 << 20, coalesce=True)
+        a, b = make_pair(sim, queue_bytes=1 << 20)
         batches = []
         b.attach_batch(lambda port, items: batches.append(items))
         template = pad_to_min(make_udp())
@@ -192,7 +189,7 @@ class TestBatchedDelivery:
     def test_flush_stops_at_the_run_horizon(self, sim):
         """Frames due beyond ``until`` stay pending — bursts split at the
         horizon, single frames stay whole — and a later run resumes."""
-        a, b = make_pair(sim, queue_bytes=1 << 20, coalesce=True)
+        a, b = make_pair(sim, queue_bytes=1 << 20)
         template = pad_to_min(make_udp())
         a.send_burst(template, 60, frame_times(8))
         a.send_at(template.copy(), 8 * FRAME_S)
@@ -206,23 +203,57 @@ class TestBatchedDelivery:
         assert (a.tx.packets, b.rx.packets) == (10, 10)
 
     def test_link_torn_down_with_frames_in_flight(self, sim):
-        a, b = make_pair(sim, queue_bytes=1 << 20, coalesce=True)
+        a, b = make_pair(sim, queue_bytes=1 << 20)
         a.send_burst(pad_to_min(make_udp()), 60, frame_times(4))
         a.disconnect()
         sim.run()
-        assert (a.tx.packets, b.rx.packets) == (4, 0)
+        assert (a.tx.packets, b.rx.packets) == (0, 0)
+        assert (a.queue_depth_packets, a.queue_depth_bytes) == (0, 0)
+
+    @pytest.mark.parametrize("per_frame", [False, True])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_a_reservation_dies_with_its_link(self, sim, per_frame, reverse):
+        """Disconnect then reconnect inside one serialization + propagation
+        time: the old link's frames, queued or in flight, in either
+        direction, never reach the new peer and are counted nowhere."""
+        a, b = make_pair(sim, queue_bytes=1 << 20)
+        sender, old_peer = (b, a) if reverse else (a, b)
+        seen = []
+        if per_frame:
+            old_peer.attach(lambda port, packet: seen.append(port.name))
+        for _ in range(3):
+            assert sender.send(pad_to_min(make_udp()))
+        a.disconnect()
+        c = Port(sim, "c")
+        if per_frame:
+            c.attach(lambda port, packet: seen.append(port.name))
+        sender.connect(c)
+        assert sim.now == 0.0 and sim.pending() >= 1  # the deliveries are still armed
+        sim.run()
+        assert not seen
+        assert (sender.tx.packets, sender.drops.packets) == (0, 0)
+        assert (old_peer.rx.packets, c.rx.packets) == (0, 0)
+        # The new link starts from an idle wire and works.
+        assert sender.send(pad_to_min(make_udp()))
+        sim.run()
+        assert (sender.tx.packets, c.rx.packets, old_peer.rx.packets) == (1, 1, 0)
+        assert seen == (["c"] if per_frame else [])
 
 
 class TestBurstIsItsFrames:
-    """``send_burst`` is ``send_at`` per frame, whatever the port and peer."""
+    """``send_burst`` is ``send_at`` per frame, whatever the peer takes."""
 
     @staticmethod
-    def deliveries(burst: bool, coalesce: bool, handler: bool, queue_bytes: int):
+    def deliveries(burst: bool, batch: bool, handler: bool, queue_bytes: int):
         sim = Simulator()
-        a, b = make_pair(sim, queue_bytes=queue_bytes, coalesce=coalesce)
+        a, b = make_pair(sim, queue_bytes=queue_bytes)
         seen = []
         if handler:
             b.attach(lambda port, packet: seen.append(sim.now))
+        if batch:
+            b.attach_batch(
+                lambda port, items: seen.extend(when for _p, _s, when in items)
+            )
         template = pad_to_min(make_udp())
         # 24 frames offered at twice the wire rate: the queue fills.
         times = frame_times(24, gap=FRAME_S / 2)
@@ -237,21 +268,29 @@ class TestBurstIsItsFrames:
         return sent, depth, counters, seen
 
     @pytest.mark.parametrize(
-        "coalesce,handler", [(True, False), (True, True), (False, True)]
+        "batch,handler",
+        [(True, False), (True, True), (False, True), (False, False)],
     )
     @pytest.mark.parametrize("queue_bytes", [1 << 20, 300, 59])
-    def test_matches_per_frame_sends(self, coalesce, handler, queue_bytes):
-        per_frame = self.deliveries(False, coalesce, handler, queue_bytes)
-        burst = self.deliveries(True, coalesce, handler, queue_bytes)
+    def test_matches_per_frame_sends(self, batch, handler, queue_bytes):
+        """Batch handler only, both, per-frame handler only, counting sink."""
+        per_frame = self.deliveries(False, batch, handler, queue_bytes)
+        burst = self.deliveries(True, batch, handler, queue_bytes)
         assert burst == per_frame
-        if coalesce and queue_bytes == 300:
+        sent, _depth, counters, seen = per_frame
+        assert counters[0]["packets"] == counters[2]["packets"] == sent
+        assert len(seen) == (sent if batch or handler else 0)
+        if queue_bytes == 300:
             # The burst outran the queue: tail drops began mid-burst.
-            assert 0 < per_frame[0] < 24
-        if coalesce and queue_bytes == 59:
-            assert per_frame[0] == 0  # not even one 60 B frame fits
+            assert 0 < sent < 24
+        if queue_bytes == 59:
+            assert sent == 0  # not even one 60 B frame fits
+        if batch or handler:
+            # Every regime delivers at the per-frame-handler timestamps.
+            assert seen == self.deliveries(False, False, True, queue_bytes)[3]
 
     def test_send_delayed_folds_the_delay_into_the_reservation(self, sim):
-        a, b = make_pair(sim, queue_bytes=1 << 20, coalesce=True)
+        a, b = make_pair(sim, queue_bytes=1 << 20)
         seen = []
         b.attach(lambda port, packet: seen.append(sim.now))
         a.send_delayed(pad_to_min(make_udp()), 1e-6)
@@ -260,7 +299,7 @@ class TestBurstIsItsFrames:
         assert sim.events_processed == 1  # no intermediate deferred send
 
     def test_empty_and_unconnected(self, sim):
-        a, b = make_pair(sim, coalesce=True)
+        a, b = make_pair(sim)
         assert a.send_burst(pad_to_min(make_udp()), 60, np.empty(0)) == 0
         a.disconnect()
         assert a.send_burst(pad_to_min(make_udp()), 60, frame_times(3)) == 0
