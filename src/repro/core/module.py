@@ -425,7 +425,7 @@ class FlexSFPModule:
         ingress_burst = self._ingress_burst
 
         def on_rx(_port: Port, packet: Packet) -> None:
-            ingress(packet, direction, port, packet.wire_len, None)
+            ingress(packet, direction, port, port.rx_size, None)
 
         def on_rx_batch(_port: Port, items: list[tuple[Packet, int, float]]) -> None:
             # Whole-flush ingress: one call per delivery batch.
@@ -437,8 +437,11 @@ class FlexSFPModule:
             # delivery times.
             ingress_burst(template, size, whens, direction, port)
 
-        port.attach(on_rx)
-        if self.engine == ENGINE_COMPILED:
+        if self.engine != ENGINE_COMPILED:
+            port.attach(on_rx)
+        else:
+            # No per-frame handler: a port with a batch handler always
+            # takes batched delivery, so no sender could reach one.
             # One PPE group-event commit per delivery flush instead of a
             # cancel/re-arm per submitted frame.  Routed through module
             # methods (not bound PPE methods) so a reboot-swapped engine

@@ -52,7 +52,9 @@ class _Burst:
         self.probability = max(self.probability, probability)
 
     def effective(self, now: float, base: float) -> float:
-        return max(base, self.probability) if now < self.until else base
+        if now < self.until and self.probability > base:
+            return self.probability
+        return base
 
 
 class ImpairedPort(Port):
@@ -137,42 +139,43 @@ class ImpairedPort(Port):
     # ------------------------------------------------------------------
     # Receive path
     # ------------------------------------------------------------------
-    def _deliver(self, packet: Packet, size: int | None = None) -> None:
-        loss = self._loss_burst.effective(self.sim.now, self.loss_probability)
-        if self.is_dark or self._rng.random() < loss:
-            self.impairment_drops.count(packet.wire_len)
+    def _deliver(self, packet: Packet, size: int) -> None:
+        now = self.sim.now
+        rng = self._rng
+        loss = self._loss_burst.effective(now, self.loss_probability)
+        if now < self._dark_until or rng.random() < loss:
+            self.impairment_drops.count(size)
             return
-        dup = self._duplicate_burst.effective(self.sim.now, self.duplicate_probability)
-        if dup and self._rng.random() < dup:
-            self.duplicated.count(packet.wire_len)
-            gap = self.jitter_s if self.jitter_s > 0 else DUPLICATE_GAP_S
+        dup = self._duplicate_burst.effective(now, self.duplicate_probability)
+        jitter = self.jitter_s
+        if dup and rng.random() < dup:
+            self.duplicated.count(size)
+            gap = jitter if jitter > 0 else DUPLICATE_GAP_S
             self.sim.schedule(
-                self._rng.uniform(0.0, gap) + gap, self._finish_rx, packet.copy()
+                rng.uniform(0.0, gap) + gap, self._finish_rx, packet.copy(), size
             )
-        if self.jitter_s > 0:
-            self.sim.schedule(
-                self._rng.uniform(0.0, self.jitter_s), self._finish_rx, packet
-            )
+        if jitter > 0:
+            self.sim.schedule(rng.uniform(0.0, jitter), self._finish_rx, packet, size)
             return
-        self._finish_rx(packet)
+        self._finish_rx(packet, size)
 
-    def _finish_rx(self, packet: Packet) -> None:
+    def _finish_rx(self, packet: Packet, size: int) -> None:
         # Darkness is re-checked at delivery time: a frame that arrived
         # before a flap must not surface inside the dark window its jitter
         # (or duplication gap) pushed it into.
-        if self.is_dark:
-            self.impairment_drops.count(packet.wire_len)
+        now = self.sim.now
+        if now < self._dark_until:
+            self.impairment_drops.count(size)
             return
-        corrupt = self._corrupt_burst.effective(
-            self.sim.now, self.corrupt_probability
-        )
+        corrupt = self._corrupt_burst.effective(now, self.corrupt_probability)
         if corrupt and self._rng.random() < corrupt:
+            # One flipped payload byte: the frame's length does not change.
+            self.corrupted.count(size)
             packet = self._corrupt(packet)
-        super()._deliver(packet)
+        super()._deliver(packet, size)
 
     def _corrupt(self, packet: Packet) -> Packet:
         """Flip one payload byte (a bit error the FCS failed to catch)."""
-        self.corrupted.count(packet.wire_len)
         mutated = packet.copy()
         if mutated.payload:
             index = self._rng.randrange(len(mutated.payload))
@@ -231,8 +234,8 @@ class LossyWire:
             duplicate_probability=duplicate_probability,
             seed=seed + 1,
         )
-        self.a.attach(lambda port, packet: self.b.send(packet))
-        self.b.attach(lambda port, packet: self.a.send(packet))
+        self.a.attach(lambda port, packet: self.b.send(packet, port.rx_size))
+        self.b.attach(lambda port, packet: self.a.send(packet, port.rx_size))
 
     @property
     def endpoints(self) -> tuple[ImpairedPort, ImpairedPort]:

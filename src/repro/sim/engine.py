@@ -9,8 +9,8 @@ for the simulated horizons used here (milliseconds to seconds).
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
+from heapq import heappop, heappush
 from itertools import repeat
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable
@@ -23,27 +23,30 @@ from .burst import chain_reservations
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from ..obs.profiler import LoopProfiler
 
+_INF = float("inf")
+
 
 class EventHandle:
-    """Handle returned by ``schedule``; allows O(1) cancellation."""
+    """Handle returned by ``schedule``; allows O(1) cancellation.
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled")
+    A cancelled event is one with nothing left to call: :meth:`cancel`
+    drops the callback (and whatever it closes over) on the spot, and the
+    loop discards the entry when it reaches the heap head.
+    """
 
-    def __init__(
-        self, time: float, seq: int, callback: Callable[..., Any], args: tuple
-    ) -> None:
-        self.time = time
-        self.seq = seq
+    __slots__ = ("callback", "args")
+
+    def __init__(self, callback: Callable[..., Any], args: tuple) -> None:
         self.callback = callback
         self.args = args
-        self.cancelled = False
 
     def cancel(self) -> None:
         """Prevent the event from firing (no-op if already fired)."""
-        self.cancelled = True
+        self.callback = None
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+    @property
+    def cancelled(self) -> bool:
+        return self.callback is None
 
 
 class Simulator:
@@ -55,76 +58,92 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._queue: list[EventHandle] = []
+        # Heap of (when, seq, handle): heapq orders entries on the float
+        # and the int, in C; seq is unique, so a handle is never compared.
+        self._queue: list[tuple[float, int, EventHandle]] = []
         self._seq = 0
-        self._now = 0.0
+        # Current simulation time in seconds.  A plain attribute (it is
+        # read several times per event); only this module may store to it.
+        self.now = 0.0
         self._running = False
         self.events_processed = 0
         # Upper bound of the current run() window.  Batched components that
         # replay several virtual times inside one event consult this so
         # they never deliver work the event-per-frame execution would have
         # left beyond the window.
-        self.horizon = float("inf")
+        self.horizon = _INF
         # Optional event-loop profiler (repro.obs.profiler.LoopProfiler):
         # when installed, each dispatched event's wall-clock cost is
         # attributed to the handling component class.  None costs one
         # attribute load per event.
         self.profiler: "LoopProfiler | None" = None
 
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
-
     def schedule(
         self, delay: float, callback: Callable[..., Any], *args: Any
     ) -> EventHandle:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # also refuses NaN, which compares False either way
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback, *args)
+        return self.schedule_at(self.now + delay, callback, *args)
 
     def schedule_at(
         self, when: float, callback: Callable[..., Any], *args: Any
     ) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute time ``when``."""
-        if when < self._now:
+        if not when >= self.now:  # a NaN would break the heap order behind it
             raise SimulationError(
-                f"cannot schedule into the past (when={when}, now={self._now})"
+                f"cannot schedule into the past (when={when}, now={self.now})"
             )
-        self._seq += 1
-        event = EventHandle(when, self._seq, callback, args)
-        heapq.heappush(self._queue, event)
+        self._seq = seq = self._seq + 1
+        event = EventHandle(callback, args)
+        heappush(self._queue, (when, seq, event))
         return event
 
-    def peek_next_time(self) -> float | None:
-        """Timestamp of the next pending event, if any."""
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0].time if self._queue else None
+    def _dispatch(self, until: float, limit: float) -> int:
+        """Fire up to ``limit`` events due by ``until``; how many fired.
 
-    def step(self) -> bool:
-        """Run a single event; returns False when the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
+        The one loop behind :meth:`run`, :meth:`step` and
+        :meth:`peek_next_time`: each iteration looks at the heap head
+        once, drops it if cancelled, and otherwise stops or pops and
+        fires it.  It therefore always returns with a live event (or
+        nothing) at the head.
+        """
+        queue = self._queue
+        fired = 0
+        while queue:
+            when, _seq, event = queue[0]
+            callback = event.callback
+            if callback is None:  # cancelled
+                heappop(queue)
                 continue
-            self._now = event.time
+            if when > until or fired >= limit:
+                break
+            heappop(queue)
+            self.now = when
             self.events_processed += 1
+            fired += 1
             profiler = self.profiler
             if profiler is None:
-                event.callback(*event.args)
+                callback(*event.args)
             else:
                 # Wall-clock reads are the profiler's whole purpose; they
                 # attribute real CPU time and never feed simulated state.
                 start = perf_counter()  # flexsfp: allow(det-wallclock)
                 try:
-                    event.callback(*event.args)
+                    callback(*event.args)
                 finally:
                     elapsed = perf_counter() - start  # flexsfp: allow(det-wallclock)
-                    profiler.record(event.callback, elapsed)
-            return True
-        return False
+                    profiler.record(callback, elapsed)
+        return fired
+
+    def peek_next_time(self) -> float | None:
+        """Timestamp of the next pending event, if any."""
+        self._dispatch(_INF, 0)
+        return self._queue[0][0] if self._queue else None
+
+    def step(self) -> bool:
+        """Run a single event; returns False when the queue is empty."""
+        return self._dispatch(_INF, 1) == 1
 
     def run(self, until: float | None = None, max_events: int | None = None) -> float:
         """Run events until the queue drains, ``until``, or ``max_events``.
@@ -136,29 +155,19 @@ class Simulator:
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
-        self.horizon = float("inf") if until is None else until
-        processed = 0
+        self.horizon = _INF if until is None else until
         try:
-            while self._queue:
-                if max_events is not None and processed >= max_events:
-                    break
-                next_time = self.peek_next_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    break
-                self.step()
-                processed += 1
-            if until is not None and self._now < until:
-                self._now = until
+            self._dispatch(self.horizon, _INF if max_events is None else max_events)
+            if until is not None and self.now < until:
+                self.now = until
         finally:
             self._running = False
-            self.horizon = float("inf")
-        return self._now
+            self.horizon = _INF
+        return self.now
 
     def pending(self) -> int:
-        """Number of not-yet-cancelled queued events."""
-        return sum(1 for e in self._queue if not e.cancelled)
+        """Number of not-yet-cancelled queued events (O(n): walks the heap)."""
+        return sum(1 for entry in self._queue if not entry[2].cancelled)
 
 
 class ServiceTimeline:

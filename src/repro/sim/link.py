@@ -84,6 +84,9 @@ class Port:
         self._batch_handler: BatchHandler | None = None
         self._burst_handler: BurstHandler | None = None
         self._batched_rx = True  # no handler yet: see attach()
+        # Wire size of the frame the per-frame handler is being handed:
+        # a handler that forwards the frame passes it to the next send().
+        self.rx_size = 0
         self._peer: Port | None = None
         self._propagation_s = DEFAULT_PROPAGATION_S
         # Link generation: deliveries capture it at reservation and fire
@@ -102,6 +105,7 @@ class Port:
 
         A per-frame handler sees arrivals as events, so unless a batch
         handler is attached too the port stops taking batched delivery.
+        While it runs, :attr:`rx_size` is the delivered frame's wire size.
         """
         self._handler = handler
         self._batched_rx = self._batch_handler is not None
@@ -184,9 +188,15 @@ class Port:
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------
-    def send(self, packet: Packet) -> bool:
-        """Enqueue ``packet`` for transmission; False on tail drop."""
-        return self._reserve_tx(packet, self.sim.now)
+    def send(self, packet: Packet, size: int | None = None) -> bool:
+        """Enqueue ``packet`` for transmission; False on tail drop.
+
+        ``size`` is the frame's wire size when the caller already holds
+        it: whoever built or last mutated a frame computes it once, and
+        every hop that forwards the frame unchanged passes on the
+        :attr:`rx_size` it was delivered with.
+        """
+        return self._reserve_tx(packet, self.sim.now, size)
 
     def send_delayed(self, packet: Packet, delay_s: float) -> None:
         """Send ``packet`` after ``delay_s`` (e.g. a transceiver crossing).
@@ -372,8 +382,9 @@ class Port:
         if end is not None:
             end()
 
-    def _deliver(self, packet: Packet, size: int | None = None) -> None:
-        self.rx.count(packet.wire_len if size is None else size)
+    def _deliver(self, packet: Packet, size: int) -> None:
+        self.rx_size = size
+        self.rx.count(size)
         if self._handler is not None:
             self._handler(self, packet)
 

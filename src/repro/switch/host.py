@@ -40,7 +40,7 @@ class Host:
         self.handler: Callable[[Packet], None] | None = None
 
     def _on_rx(self, port: Port, packet: Packet) -> None:
-        self.rx_meter.observe(self.sim.now, packet.wire_len)
+        self.rx_meter.observe(self.sim.now, port.rx_size)
         self.received.append(packet)
         if len(self.received) > self.keep_last:
             del self.received[: -self.keep_last]

@@ -103,33 +103,35 @@ class LegacySwitch:
 
     def _make_rx(self, index: int):
         def _rx(port: Port, packet: Packet) -> None:
-            self._forward(index, packet)
+            self._forward(index, packet, port.rx_size)
 
         return _rx
 
-    def _forward(self, ingress: int, packet: Packet) -> None:
+    def _forward(self, ingress: int, packet: Packet, size: int) -> None:
+        """Switch one frame of wire size ``size`` (no hop here changes it)."""
         eth = packet.eth
         if eth is None:
-            self.filtered.count(packet.wire_len)
+            self.filtered.count(size)
             return
         self._learn(eth.src, ingress)
         egress = self._mac_table.get(eth.dst)
         if eth.is_broadcast or eth.is_multicast or egress is None:
-            self.flooded.count(packet.wire_len)
+            self.flooded.count(size)
             for index, cage in enumerate(self.cages):
                 if index != ingress:
                     self.sim.schedule(
                         SWITCH_PIPELINE_LATENCY_S,
                         cage.asic_port.send,
                         packet.copy(),
+                        size,
                     )
             return
         if egress == ingress:
-            self.filtered.count(packet.wire_len)
+            self.filtered.count(size)
             return
-        self.forwarded.count(packet.wire_len)
+        self.forwarded.count(size)
         self.sim.schedule(
-            SWITCH_PIPELINE_LATENCY_S, self.cages[egress].asic_port.send, packet
+            SWITCH_PIPELINE_LATENCY_S, self.cages[egress].asic_port.send, packet, size
         )
 
     def _learn(self, mac: int, port_index: int) -> None:

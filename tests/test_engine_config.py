@@ -126,6 +126,8 @@ class TestModuleConflicts:
         for port in (module.edge_port, module.line_port):
             assert port._batched_rx
             assert port._batch_handler is not None and port._burst_handler is not None
+            # A batched port's per-frame handler is unreachable: none attached.
+            assert port._handler is None
             assert port.rx_flush_begin is not None and port.rx_flush_end is not None
 
 

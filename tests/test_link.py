@@ -1,5 +1,8 @@
 """Port/link transport: timing, queueing, drops, wiring rules."""
 
+from collections import Counter
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -304,3 +307,63 @@ class TestBurstIsItsFrames:
         a.disconnect()
         assert a.send_burst(pad_to_min(make_udp()), 60, frame_times(3)) == 0
         assert a.drops.packets == 3
+
+
+class TestCarriedWireSize:
+    """The fabric carries a frame's wire size; nothing downstream recomputes it.
+
+    That is only sound while no hop changes a frame's length without
+    updating the size it hands on, so every delivery of a chaos run is
+    checked against a fresh ``packet.wire_len``.
+    """
+
+    def test_send_accepts_the_size_and_the_handler_reads_it_back(self, sim):
+        a, b = make_pair(sim)
+        packet = pad_to_min(make_udp(payload=b"x" * 100))
+        seen = []
+        b.attach(lambda port, pkt: seen.append(port.rx_size))
+        assert a.send(packet, packet.wire_len)
+        assert a.send(packet.copy())  # the size is optional: computed here
+        sim.run()
+        assert seen == [packet.wire_len] * 2
+        assert a.tx.bytes == b.rx.bytes == 2 * packet.wire_len
+
+    @pytest.mark.parametrize("engine", ["reference", "compiled"])
+    def test_carried_size_is_the_recomputed_size_on_every_hop(
+        self, monkeypatch, engine
+    ):
+        from repro.faults import FaultEvent, FaultPlan, run_gauntlet
+        from repro.faults.gauntlet import LINE_LINK, MGMT_LINK, NAMED_PLANS
+        from repro.netem import ImpairedPort
+
+        checked = Counter()
+        impaired = set()
+
+        def checking(cls, name):
+            original = getattr(cls, name)
+
+            def wrapper(port, packet, size):
+                assert size == packet.wire_len, (port.name, name, size)
+                checked[f"{cls.__name__}.{name}"] += 1
+                if isinstance(port, ImpairedPort):
+                    impaired.add(port)
+                return original(port, packet, size)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        checking(Port, "_deliver")
+        checking(ImpairedPort, "_deliver")
+        checking(ImpairedPort, "_finish_rx")
+        kinds = ("link_duplicate_burst", "link_corrupt_burst")
+        bursts = [
+            FaultEvent(0.15 + 0.05 * i, kind, link, {"duration_s": 20e-3})
+            for i, (kind, link) in enumerate(product(kinds, (LINE_LINK, MGMT_LINK)))
+        ]
+        plan = FaultPlan([*NAMED_PLANS["smoke"](5), *bursts], seed=5)
+        result = run_gauntlet(
+            seed=5, plan=plan, duration_s=0.4, traffic_bps=20e6, engine=engine
+        )
+        assert result.packets_received > 1000
+        assert min(checked.values()) > 1000 and len(checked) == 3
+        assert sum(port.duplicated.packets for port in impaired) > 10
+        assert sum(port.corrupted.packets for port in impaired) > 10

@@ -1,7 +1,11 @@
 """Discrete-event engine: ordering, cancellation, periodic tasks."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.errors import SimulationError
 from repro.sim import PeriodicTask
 
@@ -37,6 +41,20 @@ class TestScheduling:
         sim.run()
         with pytest.raises(SimulationError):
             sim.schedule_at(0.5, lambda: None)
+
+    @pytest.mark.parametrize("method", ["schedule", "schedule_at"])
+    def test_nan_time_rejected(self, sim, method):
+        # NaN compares False both ways: a `<` guard lets it through, and
+        # inside a heap tuple it breaks the order of everything behind it.
+        fired = []
+        sim.schedule(0.5, fired.append, 0.5)
+        with pytest.raises(SimulationError):
+            getattr(sim, method)(float("nan"), fired.append, "nan")
+        sim.schedule(1.0, fired.append, 1.0)
+        assert sim.pending() == 2
+        sim.run()
+        assert fired == [0.5, 1.0]
+        assert sim.now == 1.0
 
     def test_nested_scheduling(self, sim):
         fired = []
@@ -99,6 +117,35 @@ class TestRunControl:
         sim.schedule(4.0, lambda: None)
         assert sim.peek_next_time() == 4.0
 
+    def test_profiler_brackets_every_event_of_the_one_loop(self, sim):
+        class Recorder:
+            def __init__(self):
+                self.seen = []
+
+            def record(self, callback, elapsed_s):
+                assert elapsed_s >= 0.0
+                self.seen.append(callback)
+
+        def boom():
+            raise RuntimeError("boom")
+
+        tick = lambda: None  # noqa: E731
+        sim.profiler = recorder = Recorder()
+        sim.schedule(1.0, tick)
+        sim.schedule(2.0, tick).cancel()
+        sim.schedule(3.0, tick)
+        sim.schedule(4.0, boom)
+        assert sim.step()
+        sim.run(until=3.5)
+        assert recorder.seen == [tick, tick]
+        # A raising callback is still recorded, and the run stays usable.
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert recorder.seen == [tick, tick, boom]
+        assert sim.events_processed == 3 and sim.horizon == float("inf")
+        sim.run(until=5.0)
+        assert sim.now == 5.0
+
     def test_run_not_reentrant(self, sim):
         def recurse():
             sim.run()
@@ -137,3 +184,40 @@ class TestPeriodicTask:
     def test_invalid_interval(self, sim):
         with pytest.raises(SimulationError):
             PeriodicTask(sim, 0.0, lambda: None)
+
+
+def test_only_the_engine_stores_to_now():
+    """``sim.now`` is a plain attribute (a property cost 79k calls a run).
+
+    What keeps it read-only is this test: no module under ``src/repro``
+    but the engine may assign, augment, delete or ``setattr`` an attribute
+    named ``now``.
+    """
+    root = Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        if path == root / "sim" / "engine.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            stored = (
+                isinstance(node, ast.Attribute)
+                and node.attr == "now"
+                and not isinstance(node.ctx, ast.Load)
+            ) or (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "setattr"
+                and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value == "now"
+            )
+            if stored:
+                offenders.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert offenders == []
+    engine = ast.parse((root / "sim" / "engine.py").read_text())
+    assert any(
+        isinstance(node, ast.Attribute)
+        and node.attr == "now"
+        and isinstance(node.ctx, ast.Store)
+        for node in ast.walk(engine)
+    ), "the scan no longer sees the engine's own stores"
