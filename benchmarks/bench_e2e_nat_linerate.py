@@ -9,7 +9,10 @@ size with zero PPE overload drops.
 A second test measures the compiled engine tier against the reference
 oracle on an oversubscribed 60 B workload: fused per-flow recipes over the
 struct-of-arrays burst lane must produce bit-identical simulation results
-at ≥ ``COMPILED_SPEEDUP_FLOOR``× the wall-clock simulated-packets/sec.
+at ≥ ``COMPILED_SPEEDUP_FLOOR``× the wall-clock simulated-packets/sec.  A
+third holds the same tier to ``SCENARIO_SPEEDUP_FLOOR``× on the whole
+``nat-linerate`` scenario at the paper's operating point, where the PPE
+keeps up and nothing queues.
 
 Set ``FLEXSFP_METRICS_DIR=<dir>`` to export every run's full metrics
 registry as ``<dir>/<tag>.jsonl`` + ``<dir>/<tag>.prom`` (CI uploads these
@@ -22,23 +25,30 @@ import pytest
 
 from common import export_bench, report
 from repro.apps import StaticNat
+from repro.artifact.diff import semantic_shard_digest
 from repro.core import FlexSFPModule
+from repro.core.ppe import BURST_FRAMES
 from repro.netem import CbrSource, ImixSource
+from repro.obs.scenario import ScenarioSpec, TrafficProfile
 from repro.packet import make_udp
 from repro.sim import Port, RateMeter, Simulator, connect, goodput_fraction
 from repro.nfv import Deployment
 
 RUN_S = 0.3e-3
 SPEEDUP_RUN_S = 1.2e-3
-# The compiled tier amortizes per-burst Python overhead, so its source
-# emits deep template bursts.
-COMPILED_BURST = 256
 # Measured on the 2-vCPU container this repo is developed in: single
-# compiled/reference pairs read 36.5x to 56.6x over ten interleaved pairs
-# (median 42x).  The floor sits at roughly half the worst observed pair so
-# host noise cannot trip it while losing the fused lane (every frame
-# deopting to the per-frame lane) always does.
+# compiled/reference pairs read 29x to 39x over ten interleaved pairs
+# (median 32x; a host stall cut one to 9.9x).  The test reports the
+# cleanest of three pairs, so host noise does not trip the floor while
+# losing the fused lane (every frame deopting to the per-frame lane) does.
 COMPILED_SPEEDUP_FLOOR = 20.0
+# ``nat-linerate`` at 10G / 60 B / 2 ms (29,762 frames, the PPE keeping up):
+# ten interleaved pairs read 43x to 49x on the same container, and 3.7x to
+# 4.3x with 16-frame bursts admitted by scalar replay, so losing the burst
+# depth lands far under the floor.  Losing only the timeline's keep-up
+# regime reads 26x to 36x, too close for a floor a noisy host can hold:
+# ``tests/test_sim_timeline_property.py`` asserts that regime is taken.
+SCENARIO_SPEEDUP_FLOOR = 15.0
 # The speedup workload oversubscribes the PPE (14 Gbps offered into the
 # prototype's 13.125 Gbps of 60 B service capacity) so the ingress queue
 # stays deep and real full-size groups form.
@@ -213,23 +223,18 @@ def test_e2e_nat_line_rate(benchmark):
     )
 
 
-def _speedup_run(**kwargs):
-    return run_nat(60, run_s=SPEEDUP_RUN_S, rate_bps=SPEEDUP_RATE_BPS, **kwargs)
+def _cleanest_pair(run_tier):
+    """``run_tier(engine)`` on both tiers, back to back, ``SPEEDUP_REPEATS``
+    times; the pair with the highest compiled/reference ratio.
 
-
-def compute_compiled_speedup():
-    """Reference vs compiled on an oversubscribed 60 B workload.
-
-    Each repeat measures one reference run and one compiled run back to
-    back and the cleanest pair (highest ratio) is reported: simulated
-    output is deterministic — every pair computes identical statistics —
-    so repeats only strip scheduler/allocator noise, and pairing keeps a
-    machine slowdown from landing on one mode only.
+    Simulated output is deterministic — every pair computes identical
+    statistics — so repeats only strip scheduler/allocator noise, and
+    pairing keeps a machine slowdown from landing on one mode only.
     """
     reference = compiled = None
     for _ in range(SPEEDUP_REPEATS):
-        ref_run = _speedup_run(engine="reference")
-        comp_run = _speedup_run(engine="compiled", burst=COMPILED_BURST)
+        ref_run = run_tier("reference")
+        comp_run = run_tier("compiled")
         if (
             reference is None
             or comp_run["sim_pkts_per_wall_s"] / ref_run["sim_pkts_per_wall_s"]
@@ -237,6 +242,19 @@ def compute_compiled_speedup():
         ):
             reference, compiled = ref_run, comp_run
     return reference, compiled
+
+
+def compute_compiled_speedup():
+    """Reference vs compiled on an oversubscribed 60 B workload."""
+    return _cleanest_pair(
+        lambda engine: run_nat(
+            60,
+            run_s=SPEEDUP_RUN_S,
+            rate_bps=SPEEDUP_RATE_BPS,
+            burst=BURST_FRAMES if engine == "compiled" else 1,
+            engine=engine,
+        )
+    )
 
 
 def test_compiled_speedup(benchmark):
@@ -247,7 +265,7 @@ def test_compiled_speedup(benchmark):
         compiled["sim_pkts_per_wall_s"] / reference["sim_pkts_per_wall_s"]
     )
     report(
-        f"Compiled tier (fused recipes, source burst={COMPILED_BURST}) vs "
+        f"Compiled tier (fused recipes, source burst={BURST_FRAMES}) vs "
         f"reference: simulated packets per wall-second "
         f"(60 B CBR at {SPEEDUP_RATE_BPS / 1e9:.0f}G offered, "
         f"speedup {speedup:.2f}x)",
@@ -294,12 +312,70 @@ def test_compiled_speedup(benchmark):
                 "sim_pkts_per_wall_s", "events",
             )
         },
-        knobs={"engine": "compiled", "source_burst": COMPILED_BURST},
+        knobs={"engine": "compiled", "source_burst": BURST_FRAMES},
         summary={
             "speedup": speedup,
             "floor": COMPILED_SPEEDUP_FLOOR,
             "recipe_frames": stats["recipe_frames"],
             "compiled_bursts": stats["bursts"],
+        },
+        wall_s=reference["wall_s"] + compiled["wall_s"],
+    )
+
+
+def _scenario_run(engine: str) -> dict:
+    """``nat-linerate`` at the paper's operating point, build to metrics."""
+    spec = ScenarioSpec(
+        kind="nat-linerate", engine=engine, traffic=TrafficProfile(10e9, 60, 2e-3)
+    )
+    wall_start = time.perf_counter()
+    run = spec.run()
+    metrics = run.metrics()
+    wall_s = time.perf_counter() - wall_start
+    return {
+        "wall_s": wall_s,
+        "sim_pkts_per_wall_s": metrics["fiber.rx.packets"] / wall_s,
+        "digest": semantic_shard_digest(metrics, run.summary, run.histograms()),
+        "delivered": metrics["fiber.rx.packets"],
+        "events": metrics["sim.events"],
+        "deopt_frames": metrics.get("module0.ppe.nat.compiled.deopt_frames"),
+        "bursts": metrics.get("module0.ppe.nat.compiled.bursts"),
+    }
+
+
+def test_scenario_compiled_speedup(benchmark):
+    reference, compiled = benchmark.pedantic(
+        _cleanest_pair, args=(_scenario_run,), rounds=1, iterations=1
+    )
+    speedup = compiled["sim_pkts_per_wall_s"] / reference["sim_pkts_per_wall_s"]
+    report(
+        f"Compiled tier vs reference on the nat-linerate scenario "
+        f"(10G, 60 B, 2 ms; burst depth {BURST_FRAMES}; speedup {speedup:.2f}x)",
+        ("mode", "wall s", "events", "delivered", "deopt frames"),
+        [
+            (mode, f"{r['wall_s']:.4f}", r["events"], r["delivered"], r["deopt_frames"])
+            for mode, r in (("reference", reference), ("compiled", compiled))
+        ],
+    )
+    assert compiled["digest"] == reference["digest"]
+    assert compiled["delivered"] == reference["delivered"] > 0
+    assert compiled["bursts"] > 0 and compiled["deopt_frames"] == 0, compiled
+    assert speedup >= SCENARIO_SPEEDUP_FLOOR, (
+        f"nat-linerate compiled speedup {speedup:.2f}x < {SCENARIO_SPEEDUP_FLOOR}x"
+    )
+    export_bench(
+        "scenario_speedup",
+        metrics={
+            f"{mode}.{key}": r[key]
+            for mode, r in (("reference", reference), ("compiled", compiled))
+            for key in ("delivered", "events")
+        },
+        knobs={"engine": "compiled", "source_burst": BURST_FRAMES},
+        summary={
+            "speedup": speedup,
+            "floor": SCENARIO_SPEEDUP_FLOOR,
+            "semantic_digest": compiled["digest"],
+            "compiled_bursts": compiled["bursts"],
         },
         wall_s=reference["wall_s"] + compiled["wall_s"],
     )

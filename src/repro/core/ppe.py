@@ -40,11 +40,11 @@ repeat of the named ``BENCHMARK.json`` workload):
   due slice collapses into one application with O(1) counter and
   histogram updates.  The ``recipe`` lane (one
   :meth:`~repro.core.flowcache.FlowRecipe.apply_burst` per slice) carries
-  1,861 of 1,861 bursts of ``nat-linerate-fused``: 29,762 frames, one
-  ``decide`` call.  The ``meter`` lane (the application's sequential
-  :meth:`PPEApplication.burst_plan`) has no benchmark workload; the
-  ratelimiter differentials in ``tests/test_compiled_differential.py``
-  are what keep it.
+  117 of 117 bursts of ``nat-linerate-fused``, each admitted by the
+  timeline's keep-up regime: 29,762 frames, one ``decide`` call.  The
+  ``meter`` lane (:meth:`PPEApplication.burst_plan`, sequential) has no
+  benchmark workload; the ratelimiter differentials in
+  ``tests/test_compiled_differential.py`` are what keep it.
 - *deopt*: anything the fused contract cannot express — a tracer, per-frame
   arrivals interleaved, a flow the application opts out of, a verdict
   beyond PASS/DROP, emissions, a meter without a plan — goes through one
@@ -253,7 +253,8 @@ class _PendingBurst:
 
 #: Frames the fast engine processes per scheduled event; compiled-tier
 #: sources emit bursts of the same size so one burst fills one group.
-BURST_FRAMES = 16
+#: Why 256: the measured depth sweep in EXPERIMENTS.md ("Burst depth").
+BURST_FRAMES = 256
 
 
 class _EngineBase:
@@ -765,6 +766,8 @@ class PacketProcessingEngine(_EngineBase):
         ``done_frame`` as their completion callback.
         """
         times = np.ascontiguousarray(times, dtype=np.float64)
+        if len(times) == 0:
+            return 0
         admitted_at, finishes = self._timeline.admit_burst(
             times, size, self._service_time(size), self.queue_bytes
         )

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Any, Callable
 import numpy as np
 
 from ..errors import SimulationError
-from .burst import chain_reservations
+from .burst import chain_reservations, keepup_reservations
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from ..obs.profiler import LoopProfiler
@@ -235,24 +235,39 @@ class ServiceTimeline:
 
         Equal, by definition and by property test, to folding
         :meth:`admit` over ``times`` (a non-empty, non-decreasing float64
-        array): the same frames admitted, bit-equal finishes, the same
-        ``free_at`` and — after a :meth:`drain` to any time at or past
-        the last arrival — the same occupancy.  The one shortcut is the
-        busy chain of :func:`repro.sim.burst.chain_reservations`, taken
-        when the whole burst fits on top of the occupancy at its head
-        (occupancy only shrinks as reservations mature, so nothing can
-        tail-drop) and the server never idles inside it.
+        array): the same frames admitted, bit-equal finishes and the same
+        ``free_at``, occupancy and pending reservations the fold leaves.
+        Two vector regimes (:mod:`repro.sim.burst`) cover the traffic that
+        cannot tail-drop; everything else is the fold itself.
         """
         pending = self._pending
-        self.drain(float(times[0]))
+        head = float(times[0])
+        self.drain(head)
         n = len(times)
+        free_at = self.free_at
         if self.pending_bytes + n * size <= limit:
-            chain = chain_reservations(times, service_s, self.free_at)
+            # Fits on top of the occupancy at its head, which only shrinks.
+            chain = chain_reservations(times, service_s, free_at)
             if chain is not None:
                 self.free_at = float(chain[n])
-                pending.extend(zip(chain[:n].tolist(), repeat(size)))
-                self.pending_bytes += n * size
+                # The fold drains to each arrival in turn: only starts past
+                # the last arrival, and the last frame's own, stay pending.
+                last = float(times[-1])
+                self.drain(last)
+                matured = int(np.searchsorted(chain[: n - 1], last, side="right"))
+                pending.extend(zip(chain[matured:n].tolist(), repeat(size)))
+                self.pending_bytes += (n - matured) * size
                 return times, chain[1:]
+        if head >= free_at and size <= limit:
+            # Nothing is pending (every reserved start precedes free_at)
+            # and each arrival drains its predecessor: one frame fitting
+            # is the exact no-drop condition, and one frame stays pending.
+            on_arrival = keepup_reservations(times, service_s)
+            if on_arrival is not None:
+                self.free_at = float(on_arrival[-1])
+                pending.append((float(times[-1]), size))
+                self.pending_bytes = size
+                return times, on_arrival
         admit = self.admit
         admitted: list[float] = []
         finishes: list[float] = []

@@ -285,7 +285,11 @@ class Port:
         if n == 0:
             return 0
         peer = self._peer
-        if peer is None or not peer._batched_rx:
+        if peer is None:
+            self.drops.packets += n
+            self.drops.bytes += n * size
+            return 0
+        if not peer._batched_rx:
             return sum(
                 self._reserve_tx(template.copy(), at, size) for at in times.tolist()
             )

@@ -29,6 +29,7 @@ from repro.core.ppe import BURST_FRAMES, Verdict
 from repro.netem import CbrSource, ImixSource
 from repro.packet import make_dns_query, make_tcp, make_udp, make_udp6
 from repro.sim import Port, Simulator, connect
+from repro.sim.mac import frame_wire_bytes
 from repro.nfv import Deployment
 
 KEY = b"compiled-differential-key"
@@ -293,11 +294,12 @@ def check_midrun_table_write(ingress: str) -> None:
 
     Frames whose virtual service finished before the write must be decided
     against the pre-write tables even if they are still sitting in an open
-    group (the write lands at frame 11 of 22, inside the first
-    BURST_FRAMES group) or a pending fused burst — the pre-mutation drain
-    hook (``Table._pre_mutate`` → ``PacketProcessingEngine._process_due``)
-    enforces this.  The remap must flip the translated source address at
-    exactly the same packet index in both engines.  ``ingress`` is how
+    group or a pending fused burst (two and a half bursts of BURST_FRAMES
+    flow; the write lands strictly inside the second, between two
+    departures) — the pre-mutation drain hook (``Table._pre_mutate`` →
+    ``PacketProcessingEngine._process_due``) enforces this.  The remap
+    must flip the translated source address at exactly the same packet
+    index in both engines.  ``ingress`` is how
     frames reach the compiled module: ``"burst"`` (template bursts),
     ``"flush"`` (multi-frame flushes) or ``"event"`` (one frame per event).
     """
@@ -321,22 +323,28 @@ def check_midrun_table_write(ingress: str) -> None:
         cable(sim, host, module, per_event=ingress == "event")
         connect(module.line_port, fiber)
         template = make_udp(src_ip="10.0.0.1", payload=b"y" * 50)
+        departure_s = frame_wire_bytes(112) * 8 / 1e8
+        stop = 2.5 * BURST_FRAMES * departure_s
         CbrSource(
-            sim, host, rate_bps=1e8, frame_len=112, stop=2e-4,
+            sim, host, rate_bps=1e8, frame_len=112, stop=stop,
             factory=lambda i, s: template.copy(),
             burst=BURST_FRAMES if compiled and ingress != "event" else 1,
             template_burst=compiled and ingress == "burst",
         )
         sim.schedule_at(
-            1e-4, lambda: module.app.add_mapping("10.0.0.1", "198.51.100.99")
+            (1.5 * BURST_FRAMES + 0.2) * departure_s,
+            lambda: module.app.add_mapping("10.0.0.1", "198.51.100.99"),
         )
-        sim.run(until=3e-4)
+        sim.run(until=stop + 1e-4)
         return seen, module
 
     reference, _ = run("reference")
     compiled, module = run("compiled")
     assert reference == compiled
     assert len(reference) > BURST_FRAMES
+    # Two full bursts flowed and the remap took effect inside the second.
+    assert BURST_FRAMES < reference.index("198.51.100.99") < 2 * BURST_FRAMES
+    assert len(reference) > 2 * BURST_FRAMES
     # Both translations were actually observed (the write landed mid-run)
     # and the cache both engaged and invalidated across the write.
     assert set(reference) == {"198.51.100.1", "198.51.100.99"}
@@ -476,6 +484,62 @@ def registry_of(module, host, fiber) -> dict:
             for name, histogram in module.histogram_states().items()
         },
     }
+
+
+@pytest.mark.parametrize("template_burst", [True, False], ids=["template", "per-frame"])
+@pytest.mark.parametrize("frame_len", [60, 1514])
+def test_run_boundary_inside_a_burst_is_less_than_one_burst_off(
+    frame_len, template_burst
+):
+    """What ``run(until=)`` shows when the boundary falls inside a burst.
+
+    The compiled tier counts a fused burst (or closes a per-frame group)
+    when its last frame finishes, so mid-traffic ``processed`` and every
+    counter downstream of it trail the oracle's (measured: by up to 178
+    frames; the ports upstream split a flush at the run horizon and agree
+    exactly).  The skew stays under one burst on every hop of the
+    ``nat-linerate`` topology and is gone once drained, which every
+    scenario's drain tail guarantees.  Pinned, not fixed.
+    """
+    burst_s = BURST_FRAMES * frame_wire_bytes(frame_len) * 8 / 10e9
+    stop = 4.5 * burst_s
+
+    def run(engine: str):
+        sim = Simulator()
+        module, host, fiber = build_module(sim, "nat", engine)
+        template = make_udp(src_ip="10.0.0.1", payload=bytes(frame_len - 42))
+        compiled = engine == "compiled"
+        CbrSource(
+            sim, host, rate_bps=10e9, frame_len=frame_len, stop=stop,
+            factory=lambda index, size: template.copy(),
+            burst=BURST_FRAMES if compiled else 1,
+            template_burst=compiled and template_burst,
+        )
+        at_cuts = []
+        for cut in (0.4 * burst_s, 1.7 * burst_s, 3.2 * burst_s):
+            sim.run(until=cut)
+            at_cuts.append(
+                {
+                    "host.tx": host.tx.packets,
+                    "edge.rx": module.edge_port.rx.packets,
+                    "processed": module.ppe.processed.packets,
+                    "line.tx": module.line_port.tx.packets,
+                    "fiber.rx": fiber.rx.packets,
+                }
+            )
+        sim.run(until=stop + 0.1e-3)
+        return at_cuts, registry_of(module, host, fiber)
+
+    reference_cuts, reference = run("reference")
+    compiled_cuts, compiled = run("compiled")
+    skews = [
+        abs(fast[counter] - oracle[counter])
+        for oracle, fast in zip(reference_cuts, compiled_cuts)
+        for counter in oracle
+    ]
+    assert 0 < max(skews) < BURST_FRAMES, (reference_cuts, compiled_cuts)
+    assert compiled == reference
+    assert reference["metrics"]["fiber.rx.packets"] > 4 * BURST_FRAMES
 
 
 def test_template_burst_into_two_tenants_expands_at_the_module():
@@ -825,6 +889,8 @@ def paced(n: int, start: float, gap: float = WIRE_S):
     return start + gap * np.arange(n)
 
 
+HALF = BURST_FRAMES // 2
+
 ENGINE_SCRIPTS = {
     # A per-frame arrival still queued when the burst shows up: the burst
     # deopts at submit, on top of the pending arrival.
@@ -846,13 +912,14 @@ ENGINE_SCRIPTS = {
         ("write", 1e-6 + 8 * WIRE_S, "10.0.0.3"),
         ("frame", 1e-6 + 15 * WIRE_S + 50e-9, "10.0.0.2"),
     ],
-    # Three bursts arriving faster than they are served, deopted together:
-    # groups still close every BURST_FRAMES.
+    # Three half-depth bursts arriving faster than they are served, deopted
+    # together: groups still close every BURST_FRAMES (the first two bursts
+    # make one, the third stays in the open group).
     "frame-onto-three-pending-bursts": [
-        ("burst", paced(16, 1e-6, gap=60e-9), "10.0.0.1"),
-        ("burst", paced(16, 1e-6 + 16 * 60e-9, gap=60e-9), "10.0.0.1"),
-        ("burst", paced(16, 1e-6 + 32 * 60e-9, gap=60e-9), "10.0.0.1"),
-        ("frame", 1e-6 + 48 * 60e-9, "10.0.0.2"),
+        ("burst", paced(HALF, 1e-6, gap=60e-9), "10.0.0.1"),
+        ("burst", paced(HALF, 1e-6 + HALF * 60e-9, gap=60e-9), "10.0.0.1"),
+        ("burst", paced(HALF, 1e-6 + 2 * HALF * 60e-9, gap=60e-9), "10.0.0.1"),
+        ("frame", 1e-6 + 3 * HALF * 60e-9, "10.0.0.2"),
     ],
 }
 
@@ -873,7 +940,7 @@ def test_engine_level_deopts_match_the_oracle(name):
         "burst-onto-pending-frame": (0, 16),
         "frame-onto-pending-burst": (16, 16),  # the clean burst fused
         "frame-onto-half-drained-burst": (8, 8),
-        "frame-onto-three-pending-bursts": (0, 48),
+        "frame-onto-three-pending-bursts": (0, 3 * HALF),
     }[name]
 
 
@@ -898,6 +965,20 @@ def test_burst_that_does_not_fit_at_all_is_dropped_whole():
     compiled, ppe = run_engine_script("compiled", script, queue_bytes=100)
     assert compiled == reference
     assert reference["overload_drops"]["packets"] == 16 and not reference["done"]
+    assert (ppe.compiled_bursts, ppe.compiled_frames, ppe.compiled_deopts) == (0, 0, 0)
+
+
+def test_empty_burst_is_a_no_op():
+    """Like ``Port.send_burst``: nothing offered, nothing admitted, no event."""
+    from repro.core.ppe import Direction
+
+    _, ppe = run_engine_script("compiled", [])
+    template = make_udp(src_ip="10.0.0.1", payload=bytes(80))
+    admitted = ppe.submit_burst(
+        template, template.wire_len, Direction.EDGE_TO_LINE, np.array([]), None, None
+    )
+    assert admitted == 0 and ppe.sim.pending() == 0
+    assert ppe.overload_drops.packets == 0
     assert (ppe.compiled_bursts, ppe.compiled_frames, ppe.compiled_deopts) == (0, 0, 0)
 
 

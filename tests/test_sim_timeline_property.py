@@ -5,8 +5,14 @@ differ from it.  The property below generates what a port or PPE can hold
 when a burst shows up — earlier reservations of mixed sizes, some matured,
 a server busy past the burst head or long idle, a queue limit anywhere
 from "nothing fits" to "everything fits" — and requires both forms to
-agree on everything observable.
+agree on everything observable, right after the call and after any later
+drain.  It also knows which of the three regimes each example must take
+(busy chain, keep-up, scalar replay), from their definitions in plain
+floats, so a vector regime that silently stops being taken fails here
+even though the replay behind it returns the same values.
 """
+
+from collections import Counter
 
 import numpy as np
 from hypothesis import given, settings
@@ -25,6 +31,15 @@ gaps = st.one_of(
 prior_frames = st.lists(
     st.tuples(gaps, st.integers(min_value=60, max_value=1514)), max_size=12
 )
+# A burst is ``(keeps_up, gaps)``.  The keep-up arm is what a PPE faster
+# than its line sees: the head at or past ``free_at`` and every gap at
+# least one service time, the exact tie (``+ 0.0``) included.
+bursts = st.one_of(
+    st.tuples(st.just(False), st.lists(gaps, max_size=24)),
+    st.tuples(
+        st.just(True), st.lists(gaps.map(lambda gap: SERVICE_S + gap), max_size=24)
+    ),
+)
 
 
 def timeline_after(prior, free_at_bump: float) -> tuple[ServiceTimeline, float]:
@@ -38,58 +53,128 @@ def timeline_after(prior, free_at_bump: float) -> tuple[ServiceTimeline, float]:
     return timeline, at
 
 
-def observable(timeline: ServiceTimeline, at: float) -> tuple:
-    timeline.drain(at)
+def state(timeline: ServiceTimeline) -> tuple:
     return timeline.free_at, timeline.pending_bytes, timeline.pending_frames
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    prior=prior_frames,
-    free_at_bump=st.sampled_from([0.0, SERVICE_S, 20 * SERVICE_S]),
-    head_gap=gaps,
-    burst_gaps=st.lists(gaps, min_size=0, max_size=24),
-    size=st.integers(min_value=60, max_value=1514),
-    headroom_frames=st.integers(min_value=-1, max_value=30),
-)
-def test_admit_burst_equals_folding_admit(
-    prior, free_at_bump, head_gap, burst_gaps, size, headroom_frames
-):
-    folded, now = timeline_after(prior, free_at_bump)
-    vector, _ = timeline_after(prior, free_at_bump)
-    times = np.add.accumulate(np.asarray([now + head_gap, *burst_gaps]))
-    # The limit leaves room for ``headroom_frames`` frames on top of what
-    # is queued at the burst head: -1 drops everything, small values drop
-    # mid-burst, large ones admit the lot.
-    folded.drain(float(times[0]))
-    limit = folded.pending_bytes + headroom_frames * size + size // 2
-
-    expected_at, expected_finish = [], []
+def fold(timeline: ServiceTimeline, times, size: int, limit: int):
+    """The definition: ``admit`` once per arrival, in order."""
+    admitted_at, finishes = [], []
     for at in times.tolist():
-        finish = folded.admit(at, size, SERVICE_S, limit)
+        finish = timeline.admit(at, size, SERVICE_S, limit)
         if finish is not None:
-            expected_at.append(at)
-            expected_finish.append(finish)
-    admitted_at, finishes = vector.admit_burst(times, size, SERVICE_S, limit)
-
-    assert admitted_at.tolist() == expected_at  # same frames, so same drops
-    assert finishes.tolist() == expected_finish  # bit-equal, not approx
-    last = float(times[-1])
-    for probe in (last, last + SERVICE_S, last + 1.0):
-        assert observable(vector, probe) == observable(folded, probe)
+            admitted_at.append(at)
+            finishes.append(finish)
+    return admitted_at, finishes
 
 
-def test_both_regimes_are_reached():
-    """The property is not vacuous: a paced burst chains, a sparse one and
-    an overfull one replay — told apart by whether the arrival array comes
-    back as is (the chain admits everything) or rebuilt."""
-    times = np.add.accumulate(np.full(16, SERVICE_S / 2))
-    admitted_at, _ = ServiceTimeline().admit_burst(times, 60, SERVICE_S, 1 << 20)
-    assert admitted_at is times
-    sparse = np.add.accumulate(np.full(16, 2 * SERVICE_S))
-    admitted_at, finishes = ServiceTimeline().admit_burst(
-        sparse, 60, SERVICE_S, 1 << 20
+def regime(timeline: ServiceTimeline, times, size: int, limit: int) -> str:
+    """The regime a burst offered to ``timeline`` (drained to its head) is in."""
+    at = times.tolist()
+    if timeline.pending_bytes + len(at) * size <= limit:
+        finish = max(at[0], timeline.free_at)
+        for arrival in at[1:]:
+            finish = finish + SERVICE_S
+            if arrival > finish:
+                break
+        else:
+            return "busy chain"
+    if (
+        at[0] >= timeline.free_at
+        and size <= limit
+        and all(b >= a + SERVICE_S for a, b in zip(at, at[1:]))
+    ):
+        return "keep-up"
+    return "replay"
+
+
+def test_admit_burst_equals_folding_admit():
+    split = Counter()
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        prior=prior_frames,
+        free_at_bump=st.sampled_from([0.0, SERVICE_S, 20 * SERVICE_S]),
+        head_gap=gaps,
+        burst=bursts,
+        size=st.integers(min_value=60, max_value=1514),
+        headroom_frames=st.integers(min_value=-1, max_value=30),
+        half_frame_slack=st.booleans(),
     )
-    assert admitted_at is not sparse and len(finishes) == 16
-    admitted_at, finishes = ServiceTimeline().admit_burst(times, 60, SERVICE_S, 200)
-    assert 0 < len(finishes) < 16
+    def check(
+        prior, free_at_bump, head_gap, burst, size, headroom_frames, half_frame_slack
+    ):
+        folded, now = timeline_after(prior, free_at_bump)
+        vector, _ = timeline_after(prior, free_at_bump)
+        keeps_up, burst_gaps = burst
+        head = now + head_gap
+        if keeps_up:
+            head = max(head, folded.free_at)
+        times = np.add.accumulate(np.asarray([head, *burst_gaps]))
+        # The limit leaves room for ``headroom_frames`` frames on top of
+        # what is queued at the burst head: -1 drops everything, small
+        # values drop mid-burst — or, on a burst that keeps up, sit between
+        # one frame and the whole burst, where only the exact no-drop
+        # condition admits it — and large ones admit the lot.
+        folded.drain(head)
+        limit = folded.pending_bytes + headroom_frames * size
+        if half_frame_slack:
+            limit += size // 2
+        expected_regime = regime(folded, times, size, limit)
+        split[expected_regime] += 1
+
+        expected_at, expected_finish = fold(folded, times, size, limit)
+        admitted_at, finishes = vector.admit_burst(times, size, SERVICE_S, limit)
+
+        assert admitted_at.tolist() == expected_at  # same frames, so same drops
+        assert finishes.tolist() == expected_finish  # bit-equal, not approx
+        # A vector regime hands the arrival array back as is; the replay
+        # rebuilds it.
+        assert (admitted_at is times) == (expected_regime != "replay")
+        assert state(vector) == state(folded)  # what the fold leaves, undrained
+        last = float(times[-1])
+        for probe in (last, last + SERVICE_S, last + 1.0):
+            vector.drain(probe)
+            folded.drain(probe)
+            assert state(vector) == state(folded)
+
+    check()
+    print(f"regime split: {dict(split)}")
+    assert min(split[r] for r in ("busy chain", "keep-up", "replay")) >= 50, split
+
+
+def test_three_regimes_are_told_apart():
+    """Hand-built bursts that can only be in one regime each.
+
+    A paced burst (arrivals inside the running service) can chain but not
+    keep up; a sparse one, and one whose every arrival ties its
+    predecessor's finish under a queue one frame deep, can keep up but not
+    chain; one early frame in a sparse burst, or a queue too shallow for a
+    paced one, replays.  ``pending_frames`` right after the call is the
+    fold's: the suffix of a chain still waiting, one frame after keep-up.
+    """
+    paced = np.add.accumulate(np.full(16, SERVICE_S / 2))
+    sparse = np.add.accumulate(np.full(16, 2 * SERVICE_S))
+    tied = np.add.accumulate(np.asarray([1.0, *[SERVICE_S] * 15]))
+    stumble = sparse.copy()
+    stumble[9] = stumble[8] + SERVICE_S / 2
+    cases = [  # regime, arrivals, size, limit, frames admitted, frames left pending
+        ("busy chain", paced, 60, 1 << 20, 16, 8),  # starts past the last arrival
+        ("busy chain", tied, 60, 1 << 20, 16, 1),  # all matured but the last frame
+        ("keep-up", sparse, 60, 1 << 20, 16, 1),
+        ("keep-up", sparse, 1514, 1514, 16, 1),  # one frame fits, sixteen never would
+        ("keep-up", tied, 60, 60, 16, 1),
+        ("replay", stumble, 60, 1 << 20, 16, 1),
+        ("replay", paced, 60, 200, 11, 3),  # tail drops mid-burst
+        ("replay", sparse, 60, 59, 0, 0),
+    ]
+    for expected_regime, times, size, limit, admitted, left_pending in cases:
+        folded, vector = ServiceTimeline(), ServiceTimeline()
+        assert regime(folded, times, size, limit) == expected_regime
+        expected_at, expected_finish = fold(folded, times, size, limit)
+        admitted_at, finishes = vector.admit_burst(times, size, SERVICE_S, limit)
+        assert len(finishes) == len(expected_at) == admitted
+        assert finishes.tolist() == expected_finish
+        assert (admitted_at is times) == (expected_regime != "replay")
+        assert state(vector) == state(folded)
+        assert vector.pending_frames == left_pending
