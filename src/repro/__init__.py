@@ -33,67 +33,39 @@ Quick start::
     nat = StaticNat()
     nat.add_mapping("10.0.0.1", "198.51.100.1")
     module = FlexSFPModule(sim, "sfp0", Deployment.solo(nat))
+
+``import repro`` executes the version, the error taxonomy and this export
+table, nothing else: this and every sub-package ``__init__`` is one
+``{submodule: names}`` table (:func:`repro._util.export_table`), and a
+name imports its defining submodule the first time it is used.
 """
+
+from ._util import export_table
 
 __version__ = "2.0.0"
 
-from . import (
-    apps,
-    core,
-    costmodel,
-    faults,
-    fleet,
-    fpga,
-    hls,
-    netem,
-    nfv,
-    packet,
-    sim,
-    switch,
-    testbed,
+__all__, __getattr__, __dir__ = export_table(
+    __name__,
+    {
+        "apps": ("apps",),
+        "core": ("core",),
+        "costmodel": ("costmodel",),
+        "errors": (
+            "BitstreamError", "CompileError", "ConfigError", "ControlPlaneError",
+            "FlashError", "PacketError", "ParseError", "ReproError",
+            "ResourceError", "SerializationError", "SimulationError",
+            "TableError", "TimingError",
+        ),
+        "faults": ("faults",),
+        "fleet": ("fleet",),
+        "fpga": ("fpga",),
+        "hls": ("hls",),
+        "netem": ("netem",),
+        "nfv": ("nfv",),
+        "packet": ("packet",),
+        "sim": ("sim",),
+        "switch": ("switch",),
+        "testbed": ("testbed",),
+    },
 )
-from .errors import (
-    BitstreamError,
-    CompileError,
-    ConfigError,
-    ControlPlaneError,
-    FlashError,
-    PacketError,
-    ParseError,
-    ReproError,
-    ResourceError,
-    SerializationError,
-    SimulationError,
-    TableError,
-    TimingError,
-)
-
-__all__ = [
-    "BitstreamError",
-    "CompileError",
-    "ConfigError",
-    "ControlPlaneError",
-    "FlashError",
-    "PacketError",
-    "ParseError",
-    "ReproError",
-    "ResourceError",
-    "SerializationError",
-    "SimulationError",
-    "TableError",
-    "TimingError",
-    "__version__",
-    "apps",
-    "core",
-    "costmodel",
-    "faults",
-    "fleet",
-    "fpga",
-    "hls",
-    "netem",
-    "nfv",
-    "packet",
-    "sim",
-    "switch",
-    "testbed",
-]
+__all__ = sorted([*__all__, "__version__"])

@@ -3,14 +3,45 @@
 The packet headers store addresses as plain integers for fast packing; these
 helpers convert between human-readable notations and the integer forms, and
 provide the handful of bit-twiddling utilities used across the toolkit.
+:func:`export_table` is what every package ``__init__`` is built from.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from functools import lru_cache
+from importlib import import_module
 
 from .errors import ConfigError
+
+
+def export_table(package: str, table: dict[str, tuple[str, ...]]):
+    """``(__all__, __getattr__, __dir__)`` of a package that only re-exports.
+
+    ``table`` maps each submodule to the names it contributes to the
+    package namespace; a submodule listed under its own name is exported
+    as the module.  Importing the package imports none of them: the
+    PEP 562 ``__getattr__`` imports the one submodule that defines a name
+    on first use and binds the value in the package namespace, so it never
+    runs for that name again.
+    """
+    origin = {name: sub for sub, names in table.items() for name in names}
+
+    def __getattr__(name: str):
+        sub = origin.get(name)
+        if sub is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        module = import_module(f"{package}.{sub}")
+        value = module if name == sub else getattr(module, name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(origin.keys() | vars(sys.modules[package]).keys())
+
+    return sorted(origin), __getattr__, __dir__
+
 
 _MAC_RE = re.compile(r"^([0-9a-fA-F]{2}[:\-]){5}[0-9a-fA-F]{2}$")
 

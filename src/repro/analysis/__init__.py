@@ -11,83 +11,23 @@ Three analyzers share one :class:`Finding` model:
 (``verify=True``) and the ``flexsfp check`` CLI subcommand both use.
 """
 
-from __future__ import annotations
+from .._util import export_table
 
-from ..core.shells import ShellSpec
-from ..fpga.resources import FPGADevice, MPF200T
-from ..hls.xdp import XdpProgram
-from .effects import (
-    EffectSummary,
-    LineRateVerdict,
-    StageEffect,
-    analyze_app,
-    analyze_pipeline,
-    corpus_digest,
-    effect_findings,
-    fusion_engagement,
-    line_rate_verdict,
-    profile_findings,
+__all__, __getattr__, __dir__ = export_table(
+    __name__,
+    {
+        "appcheck": ("check_app",),
+        "effects": (
+            "EffectSummary", "LineRateVerdict", "StageEffect", "analyze_app",
+            "analyze_pipeline", "corpus_digest", "effect_findings",
+            "fusion_engagement", "line_rate_verdict", "profile_findings",
+        ),
+        "findings": (
+            "Finding", "Severity", "errors", "severity_counts", "sort_findings",
+            "warnings",
+        ),
+        "irverify": ("verify_pipeline",),
+        "simlint": ("default_lint_root", "lint_file", "lint_paths", "lint_source"),
+        "xdpcheck": ("check_program", "scan_source_file"),
+    },
 )
-from .findings import (
-    Finding,
-    Severity,
-    errors,
-    severity_counts,
-    sort_findings,
-    warnings,
-)
-from .irverify import verify_pipeline
-from .simlint import default_lint_root, lint_file, lint_paths, lint_source
-from .xdpcheck import check_program, scan_source_file
-
-
-def check_app(
-    app,
-    device: FPGADevice = MPF200T,
-    shell: ShellSpec | None = None,
-) -> list[Finding]:
-    """All static findings for one application: XDP analysis + IR verify.
-
-    Also cross-checks any surviving hand-written ``compiled_profile``
-    declaration against the derived effect summary — a mismatch is an
-    error, so a stale fusion contract can never gate the compiled tier.
-    """
-    findings: list[Finding] = []
-    rewrites = None
-    if isinstance(app, XdpProgram):
-        findings += check_program(app)
-        rewrites = list(app.rewrites)
-    spec = app.pipeline_spec()
-    findings += verify_pipeline(
-        spec, device=device, shell=shell, rewrites=rewrites
-    )
-    findings += profile_findings(app, analyze_pipeline(spec))
-    return sort_findings(findings)
-
-
-__all__ = [
-    "EffectSummary",
-    "Finding",
-    "LineRateVerdict",
-    "Severity",
-    "StageEffect",
-    "analyze_app",
-    "analyze_pipeline",
-    "check_app",
-    "check_program",
-    "corpus_digest",
-    "default_lint_root",
-    "effect_findings",
-    "errors",
-    "fusion_engagement",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
-    "line_rate_verdict",
-    "profile_findings",
-    "scan_source_file",
-    "severity_counts",
-    "sort_findings",
-    "verify_pipeline",
-    "warnings",
-]

@@ -51,6 +51,8 @@ import hashlib
 import json
 from dataclasses import dataclass
 
+from ..apps import APP_FACTORIES, create_app
+from ..core.ppe import PPEApplication
 from ..core.shells import ShellSpec
 from ..fpga.timing import TimingSpec
 from ..hls.ir import PipelineSpec, Stage, StageKind
@@ -355,8 +357,6 @@ def fusion_engagement(app, summary: EffectSummary) -> str | None:
         return None
     if summary.burst_mode == MODE_METER:
         return MODE_METER if callable(getattr(app, "burst_plan", None)) else None
-    from ..core.ppe import PPEApplication  # deferred: avoid import cycle
-
     cls = type(app)
     overrides = (
         getattr(cls, "flow_key", None) is not PPEApplication.flow_key
@@ -515,8 +515,6 @@ def corpus_digest(app_names=None) -> str:
     analysis drift even when the run's metrics happen to agree.  The
     result is a pure function of the bundled IR, so it is memoized.
     """
-    from ..apps import APP_FACTORIES, create_app  # deferred: avoid cycle
-
     names = tuple(sorted(APP_FACTORIES) if app_names is None else sorted(app_names))
     cached = _CORPUS_DIGEST.get(names)
     if cached is not None:

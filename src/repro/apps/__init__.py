@@ -1,90 +1,30 @@
 """PPE applications: the paper's §3 use-case spectrum, runnable + buildable.
 
 Every application here is both a functional packet program (executed by the
-simulated PPE) and a synthesizable design (priced by the build flow).  The
-registry at the bottom lets the module reconstruct applications from
+simulated PPE) and a synthesizable design (priced by the build flow).
+:mod:`~repro.apps.registry` lets the module reconstruct applications from
 bitstream metadata after an over-the-network reconfiguration.
 """
 
-from typing import Callable
+from .._util import export_table
 
-from ..core.ppe import PPEApplication
-from ..errors import ConfigError
-from .chain import AppChain
-from .dnsfilter import DnsFilter, domain_suffixes
-from .firewall import AclFirewall, AclRule, five_tuple_key
-from .inband import InbandTelemetry, pack_report, unpack_report
-from .ipv6filter import Ipv6Filter
-from .linkhealth import LinkEvent, LinkHealthMonitor, pack_alert, unpack_alert
-from .loadbalancer import Backend, L4LoadBalancer, flow_hash
-from .nat import PAPER_NAT_FLOWS, StaticNat
-from .ratelimiter import RateLimiter, TokenBucket
-from .responder import CpuPunt
-from .sanitizer import PacketSanitizer, Passthrough
-from .telemetry import FlowRecord, FlowTelemetry, pack_records, unpack_records
-from .tunnel import TunnelGateway, TunnelRoute
-from .vlan import VlanTagger
-
-APP_FACTORIES: dict[str, Callable[..., PPEApplication]] = {
-    "nat": StaticNat,
-    "firewall": AclFirewall,
-    "vlan": VlanTagger,
-    "tunnel": TunnelGateway,
-    "loadbalancer": L4LoadBalancer,
-    "ratelimiter": RateLimiter,
-    "telemetry": FlowTelemetry,
-    "int": InbandTelemetry,
-    "linkhealth": LinkHealthMonitor,
-    "dnsfilter": DnsFilter,
-    "ipv6filter": Ipv6Filter,
-    "punt": CpuPunt,
-    "sanitizer": PacketSanitizer,
-    "passthrough": Passthrough,
-}
-
-
-def create_app(name: str, params: dict | None = None) -> PPEApplication:
-    """Instantiate a registered application from bitstream metadata."""
-    factory = APP_FACTORIES.get(name)
-    if factory is None:
-        raise ConfigError(
-            f"unknown application {name!r}; registered: {sorted(APP_FACTORIES)}"
-        )
-    return factory(**(params or {}))
-
-
-__all__ = [
-    "APP_FACTORIES",
-    "AclFirewall",
-    "AclRule",
-    "AppChain",
-    "Backend",
-    "CpuPunt",
-    "DnsFilter",
-    "FlowRecord",
-    "FlowTelemetry",
-    "InbandTelemetry",
-    "Ipv6Filter",
-    "L4LoadBalancer",
-    "LinkEvent",
-    "LinkHealthMonitor",
-    "PAPER_NAT_FLOWS",
-    "PacketSanitizer",
-    "Passthrough",
-    "RateLimiter",
-    "StaticNat",
-    "TokenBucket",
-    "TunnelGateway",
-    "TunnelRoute",
-    "VlanTagger",
-    "create_app",
-    "domain_suffixes",
-    "five_tuple_key",
-    "flow_hash",
-    "pack_alert",
-    "pack_records",
-    "pack_report",
-    "unpack_alert",
-    "unpack_records",
-    "unpack_report",
-]
+__all__, __getattr__, __dir__ = export_table(
+    __name__,
+    {
+        "chain": ("AppChain",),
+        "dnsfilter": ("DnsFilter", "domain_suffixes"),
+        "firewall": ("AclFirewall", "AclRule", "five_tuple_key"),
+        "inband": ("InbandTelemetry", "pack_report", "unpack_report"),
+        "ipv6filter": ("Ipv6Filter",),
+        "linkhealth": ("LinkEvent", "LinkHealthMonitor", "pack_alert", "unpack_alert"),
+        "loadbalancer": ("Backend", "L4LoadBalancer", "flow_hash"),
+        "nat": ("PAPER_NAT_FLOWS", "StaticNat"),
+        "ratelimiter": ("RateLimiter", "TokenBucket"),
+        "registry": ("APP_FACTORIES", "create_app"),
+        "responder": ("CpuPunt",),
+        "sanitizer": ("PacketSanitizer", "Passthrough"),
+        "telemetry": ("FlowRecord", "FlowTelemetry", "pack_records", "unpack_records"),
+        "tunnel": ("TunnelGateway", "TunnelRoute"),
+        "vlan": ("VlanTagger",),
+    },
+)

@@ -21,6 +21,7 @@ from ..core.ppe import PPEApplication, PPEContext, Verdict
 from ..core.tables import Table, TableRegistry
 from ..errors import ConfigError
 from ..hls.ir import PipelineSpec, Stage, StageKind
+from ..hls.passes import optimize
 from ..packet import Packet
 
 # Stage kinds that belong to the shared shell, not to any one member.
@@ -62,8 +63,6 @@ class AppChain(PPEApplication):
     # ------------------------------------------------------------------
     def pipeline_spec(self) -> PipelineSpec:
         """One fused pipeline: shared shell stages, concatenated chains."""
-        from ..hls.passes import optimize  # deferred: avoid import cycle
-
         member_specs = [app.pipeline_spec() for app in self.apps]
         max_parser = 14
         max_fifo_depth = 2 * 1518

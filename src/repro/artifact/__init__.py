@@ -6,40 +6,20 @@ configuration B compute the same thing" with a typed divergence report
 instead of scattered test assertions.
 """
 
-from .diff import (
-    ArtifactDiff,
-    DiffEntry,
-    DiffKind,
-    diff_artifacts,
-    is_semantic_metric,
-    semantic_metrics,
-    semantic_shard_digest,
-    semantic_summary,
-)
-from .run import (
-    RunArtifact,
-    artifact_from_bench,
-    artifact_from_fleet_result,
-    artifact_from_scenario_run,
-    environment_fingerprint,
-    load_artifact,
-    spec_digest_of,
-)
+from .._util import export_table
 
-__all__ = [
-    "ArtifactDiff",
-    "DiffEntry",
-    "DiffKind",
-    "RunArtifact",
-    "artifact_from_bench",
-    "artifact_from_fleet_result",
-    "artifact_from_scenario_run",
-    "diff_artifacts",
-    "environment_fingerprint",
-    "is_semantic_metric",
-    "load_artifact",
-    "semantic_metrics",
-    "semantic_shard_digest",
-    "semantic_summary",
-    "spec_digest_of",
-]
+__all__, __getattr__, __dir__ = export_table(
+    __name__,
+    {
+        "diff": (
+            "ArtifactDiff", "DiffEntry", "DiffKind", "diff_artifacts",
+            "is_semantic_metric", "semantic_metrics", "semantic_shard_digest",
+            "semantic_summary",
+        ),
+        "run": (
+            "RunArtifact", "artifact_from_bench", "artifact_from_fleet_result",
+            "artifact_from_scenario_run", "environment_fingerprint", "load_artifact",
+            "spec_digest_of",
+        ),
+    },
+)

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from ..engine import resolve_engine
-from ..analysis.effects import corpus_digest
 from ..errors import ConfigError
 from ..obs.export import SCHEMA_RUN, json_document
 from .diff import semantic_shard_digest
@@ -189,6 +188,10 @@ class RunArtifact:
 # Builders
 # ----------------------------------------------------------------------
 def _knobs_from_spec(spec_payload: Mapping, workers: int | None) -> dict:
+    # Only building an artifact needs the effect analysis (and the PPE
+    # behind it); ``flexsfp diff`` loads and compares two without it.
+    from ..analysis.effects import corpus_digest
+
     knobs = {
         "engine": resolve_engine(spec_payload.get("engine")),
         "shards": int(spec_payload.get("shards", 1)),
@@ -333,6 +336,8 @@ def artifact_from_bench(
     exactly what must be stable for BENCH history entries to be
     comparable across commits.
     """
+    from ..analysis.effects import corpus_digest
+
     knobs = dict(knobs or {})
     spec_payload = {"kind": f"bench:{bench}", "seed": seed, **knobs}
     metrics = dict(metrics)

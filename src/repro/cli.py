@@ -30,70 +30,25 @@ for a single canonical schema-tagged JSON document on stdout, built by
 :mod:`repro.obs.export`.  The run-producing commands (``run``, ``chaos``,
 ``matrix``) all emit the unified ``flexsfp.run/1`` artifact — one
 document shape for every entry point, diffable with ``flexsfp diff``.
+
+A command pays for the code it runs.  This module imports the standard
+library, ``_util`` and ``errors`` only; :data:`COMMANDS` is the one table
+a subcommand is registered in, ``(name, help, configure, handler)``:
+``configure(parser)`` adds the arguments (importing the registries their
+``choices=`` read), ``handler(args)`` imports what it executes, and
+:func:`main` configures only the subcommand named on the command line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
 from ._util import write_text_atomic
-from .analysis import (
-    analyze_app,
-    check_app,
-    corpus_digest,
-    default_lint_root,
-    effect_findings,
-    fusion_engagement,
-    line_rate_verdict,
-    lint_paths,
-    scan_source_file,
-    severity_counts,
-    sort_findings,
-)
-from .apps import APP_FACTORIES, create_app
-from .artifact import (
-    artifact_from_scenario_run,
-    diff_artifacts,
-    load_artifact,
-)
-from .core.shells import ControlPlaneClass, ShellKind, ShellSpec
-from .costmodel import FlexSfpBom, table3_rows
-from .engine import ENGINES
 from .errors import ConfigError, ReproError
-from .faults import NAMED_PLANS
-from .fpga import (
-    DEVICES,
-    FORM_FACTORS,
-    TimingSpec,
-    envelope_check,
-    get_device,
-    table2_rows,
-)
-from .hls import compile_app
-from .matrix import (
-    MatrixAxes,
-    parse_int_axis,
-    parse_optional_axis,
-    run_matrix,
-)
-from .obs import (
-    SCENARIO_KINDS,
-    SCENARIOS,
-    SCHEMA_DIFF,
-    SCHEMA_TRACE,
-    ScenarioSpec,
-    json_document,
-    metrics_json,
-    metrics_jsonl,
-    prometheus_text,
-    table_json,
-)
-from .testbed import PowerTestbed
-
-_SHELLS = {kind.value: kind for kind in ShellKind}
 
 # Exit codes beyond the usual 0/1/2: a supervised fleet run that lost
 # shards completes and writes its artifact, but says so unmistakably
@@ -127,14 +82,24 @@ def _emit(
 ) -> None:
     """Render one command result: text table or ``flexsfp.table/1`` JSON."""
     if getattr(args, "json", False):
+        from .obs.export import table_json
+
         print(table_json(title, headers, rows, **extra))
     else:
         _print_rows(headers, rows)
 
 
-def _shell_from_args(args: argparse.Namespace) -> ShellSpec:
+def _shell_kinds() -> dict:
+    from .core.shells import ShellKind
+
+    return {kind.value: kind for kind in ShellKind}
+
+
+def _shell_from_args(args: argparse.Namespace):
+    from .core.shells import ControlPlaneClass, ShellSpec
+
     return ShellSpec(
-        kind=_SHELLS[args.shell],
+        kind=_shell_kinds()[args.shell],
         line_rate_bps=args.rate * 1e9,
         datapath_bits=args.width,
         control_plane=(
@@ -147,6 +112,8 @@ def _shell_from_args(args: argparse.Namespace) -> ShellSpec:
 # Subcommands
 # ----------------------------------------------------------------------
 def cmd_apps(args: argparse.Namespace) -> int:
+    from .apps import APP_FACTORIES, create_app
+
     rows = []
     for name in sorted(APP_FACTORIES):
         app = create_app(name)
@@ -157,6 +124,8 @@ def cmd_apps(args: argparse.Namespace) -> int:
 
 
 def cmd_devices(args: argparse.Namespace) -> int:
+    from .fpga.resources import DEVICES
+
     rows = [
         (
             d.name,
@@ -179,6 +148,11 @@ def cmd_devices(args: argparse.Namespace) -> int:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
+    from .apps import create_app
+    from .fpga.resources import get_device
+    from .hls.compiler import compile_app
+    from .obs.export import table_json
+
     app = create_app(args.app)
     shell = _shell_from_args(args)
     device = get_device(args.device)
@@ -233,6 +207,8 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 
 def cmd_table2(args: argparse.Namespace) -> int:
+    from .fpga.literature import table2_rows
+
     rows = [
         (
             r["name"],
@@ -247,6 +223,8 @@ def cmd_table2(args: argparse.Namespace) -> int:
 
 
 def cmd_table3(args: argparse.Namespace) -> int:
+    from .costmodel.comparables import table3_rows
+
     rows = [
         (
             r["solution"],
@@ -268,6 +246,11 @@ def cmd_table3(args: argparse.Namespace) -> int:
 
 
 def cmd_power(args: argparse.Namespace) -> int:
+    from .apps import create_app
+    from .core.shells import ShellSpec
+    from .hls.compiler import compile_app
+    from .testbed.power import PowerTestbed
+
     app = create_app(args.app)
     build = compile_app(app, ShellSpec())
     testbed = PowerTestbed()
@@ -283,30 +266,32 @@ def cmd_power(args: argparse.Namespace) -> int:
 
 
 def cmd_bom(args: argparse.Namespace) -> int:
+    from .costmodel.bom import FlexSfpBom
+
     bom = FlexSfpBom()
     rows = [
         (r["item"], r["low_usd"], r["high_usd"], f"{r['share_of_high']:.0%}")
         for r in bom.breakdown(args.units)
     ]
     low, high = bom.total_range(args.units)
-    if args.json:
-        print(
-            table_json(
-                "bom",
-                ("item", "low $", "high $", "share"),
-                rows,
-                units=args.units,
-                total_low_usd=low,
-                total_high_usd=high,
-            )
-        )
-        return 0
-    _print_rows(("item", "low $", "high $", "share"), rows)
-    print(f"total at {args.units:,} units: ${low:.0f}-{high:.0f}")
+    _emit(
+        args,
+        "bom",
+        ("item", "low $", "high $", "share"),
+        rows,
+        units=args.units,
+        total_low_usd=low,
+        total_high_usd=high,
+    )
+    if not args.json:
+        print(f"total at {args.units:,} units: ${low:.0f}-{high:.0f}")
     return 0
 
 
 def cmd_scale(args: argparse.Namespace) -> int:
+    from .fpga.timing import TimingSpec
+    from .obs.export import table_json
+
     line_rate = args.gbps * 1e9
     clocks = (156.25e6, 200e6, 250e6, 312.5e6, 400e6)
     candidates = []
@@ -340,6 +325,11 @@ def cmd_scale(args: argparse.Namespace) -> int:
 
 
 def cmd_envelope(args: argparse.Namespace) -> int:
+    from .apps import create_app
+    from .core.shells import ShellSpec
+    from .fpga.formfactor import FORM_FACTORS, envelope_check
+    from .hls.compiler import compile_app
+
     app = create_app(args.app)
     shell = ShellSpec(
         line_rate_bps=args.gbps * 1e9, datapath_bits=args.width
@@ -378,6 +368,10 @@ def cmd_envelope(args: argparse.Namespace) -> int:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
+    from .artifact.run import artifact_from_scenario_run
+    from .faults.gauntlet import NAMED_PLANS
+    from .obs.scenario import ScenarioSpec
+
     plan = NAMED_PLANS[args.plan](args.seed)
     # The gauntlet runs through the instrumented chaos scenario (same
     # run_gauntlet invocation, same defaults, plus a metrics registry) so
@@ -427,6 +421,11 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .analysis.findings import severity_counts, sort_findings
+    from .apps import APP_FACTORIES, create_app
+    from .fpga.resources import get_device
+    from .obs.export import table_json
+
     findings = []
     targets: list[str] = []
     apps = list(args.apps)
@@ -439,8 +438,12 @@ def cmd_check(args: argparse.Namespace) -> int:
             examples_dir = "examples"
     nfv_price = None
     if args.nfv:
-        from .nfv import Deployment, check_deployment, price_deployment
-        from .nfv import default_nfv_tenants
+        from .nfv import (
+            Deployment,
+            check_deployment,
+            default_nfv_tenants,
+            price_deployment,
+        )
 
         if args.tenants is not None:
             try:
@@ -464,6 +467,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         names = "+".join(spec.name for spec in deployment.tenants)
         targets.append(f"nfv:{names}")
     if args.self_lint:
+        from .analysis.simlint import default_lint_root, lint_paths
+
         root = default_lint_root()
         findings += lint_paths([root])
         targets.append(f"self:{root}")
@@ -471,6 +476,14 @@ def cmd_check(args: argparse.Namespace) -> int:
     fusibility_rows: list[tuple] = []
     fused: list[str] = []
     if apps:
+        from .analysis import (
+            analyze_app,
+            check_app,
+            effect_findings,
+            fusion_engagement,
+            line_rate_verdict,
+        )
+
         device = get_device(args.device)
         shell = _shell_from_args(args)
         for name in apps:
@@ -505,6 +518,8 @@ def cmd_check(args: argparse.Namespace) -> int:
                     )
                 )
     if examples_dir is not None:
+        from .analysis.xdpcheck import scan_source_file
+
         for path in sorted(Path(examples_dir).glob("*.py")):
             findings += scan_source_file(path)
             targets.append(f"example:{path}")
@@ -519,6 +534,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         if args.effects:
             extra["effects"] = effects_report
         if args.fusibility or args.effects:
+            from .analysis.effects import corpus_digest
+
             extra["fusibility"] = {
                 "fused": fused,
                 "fused_count": len(fused),
@@ -531,6 +548,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         )
         return 1 if counts["error"] else 0
     if args.fusibility and fusibility_rows:
+        from .analysis.effects import corpus_digest
+
         _print_rows(
             ("app", "proof", "engaged", "key_bits", "rewrite_bits", "digest",
              "blockers"),
@@ -595,6 +614,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
+    from .obs.export import metrics_json, metrics_jsonl, prometheus_text
+    from .obs.scenario import ScenarioSpec
+
     spec = ScenarioSpec(kind=args.scenario, engine=args.engine, profile=args.profile)
     metrics = spec.run().metrics()
     fmt = "json" if args.json else args.format
@@ -608,6 +630,9 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
+    from .obs.export import SCHEMA_TRACE, json_document
+    from .obs.scenario import ScenarioSpec
+
     run = ScenarioSpec(
         kind=args.scenario,
         trace_packets=args.packets,
@@ -627,6 +652,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     from dataclasses import replace as _replace
 
     from .config import get_settings
+    from .obs.scenario import ScenarioSpec
     from .parallel import SupervisorPolicy, load_journal, run_sharded
 
     if args.resume is not None:
@@ -708,6 +734,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_matrix(args: argparse.Namespace) -> int:
+    from .matrix import MatrixAxes, parse_int_axis, parse_optional_axis, run_matrix
+    from .obs.scenario import ScenarioSpec
+
     axes = MatrixAxes(
         engines=tuple(args.engines.split(",")) if args.engines else ("reference",),
         shards=parse_int_axis(args.shards, "shards"),
@@ -764,6 +793,9 @@ def cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
+    from .artifact import diff_artifacts, load_artifact
+    from .obs.export import SCHEMA_DIFF, json_document
+
     a = load_artifact(args.a)
     b = load_artifact(args.b)
     diff = diff_artifacts(a, b)
@@ -795,30 +827,27 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="flexsfp", description="FlexSFP feasibility toolkit"
-    )
-    # Shared by every subcommand: swap the text renderer for one
-    # canonical schema-tagged JSON document on stdout.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--json", action="store_true", help="machine-readable JSON output"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Arguments: one function per subcommand that takes any.  Each imports
+# only the registries its own ``choices=`` read.
+# ----------------------------------------------------------------------
+def _add_engine(parser: argparse.ArgumentParser) -> None:
+    from .engine import ENGINES
 
-    sub.add_parser(
-        "apps", help="list deployable applications", parents=[common]
-    ).set_defaults(func=cmd_apps)
-    sub.add_parser(
-        "devices", help="list the FPGA device catalog", parents=[common]
-    ).set_defaults(func=cmd_devices)
-
-    build = sub.add_parser(
-        "build", help="build an application, print the report", parents=[common]
+    parser.add_argument(
+        "--engine",
+        choices=ENGINES,
+        default=None,
+        help="engine tier (default: FLEXSFP_ENGINE, then reference)",
     )
+
+
+def _args_build(build: argparse.ArgumentParser) -> None:
+    from .apps import APP_FACTORIES
+
     build.add_argument("app", choices=sorted(APP_FACTORIES))
-    build.add_argument("--shell", choices=sorted(_SHELLS), default="one-way-filter")
+    build.add_argument(
+        "--shell", choices=sorted(_shell_kinds()), default="one-way-filter"
+    )
     build.add_argument("--device", default="MPF200T")
     build.add_argument("--rate", type=float, default=10.0, help="line rate in Gbps")
     build.add_argument("--width", type=int, default=64, help="datapath bits")
@@ -830,75 +859,52 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="include a flow cache of this many entries in the build",
     )
-    build.set_defaults(func=cmd_build)
 
-    t1 = sub.add_parser(
-        "table1", help="reproduce the paper's Table 1", parents=[common]
-    )
+
+def _args_table1(t1: argparse.ArgumentParser) -> None:
     t1.add_argument("--shell", default="one-way-filter")
     t1.add_argument("--rate", type=float, default=10.0)
     t1.add_argument("--width", type=int, default=64)
-    t1.set_defaults(func=cmd_table1)
-    sub.add_parser(
-        "table2", help="reproduce the paper's Table 2", parents=[common]
-    ).set_defaults(func=cmd_table2)
-    t3 = sub.add_parser(
-        "table3", help="reproduce the paper's Table 3", parents=[common]
-    )
-    t3.add_argument("--units", type=int, default=1_000)
-    t3.set_defaults(func=cmd_table3)
 
-    power = sub.add_parser(
-        "power", help="the §5 power series for an app", parents=[common]
-    )
+
+def _args_units(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--units", type=int, default=1_000)
+
+
+def _args_power(power: argparse.ArgumentParser) -> None:
+    from .apps import APP_FACTORIES
+
     power.add_argument("--app", choices=sorted(APP_FACTORIES), default="nat")
-    power.set_defaults(func=cmd_power)
 
-    bom = sub.add_parser("bom", help="FlexSFP cost breakdown", parents=[common])
-    bom.add_argument("--units", type=int, default=1_000)
-    bom.set_defaults(func=cmd_bom)
 
-    scale = sub.add_parser(
-        "scale", help="plan an operating point for a line rate", parents=[common]
-    )
+def _args_scale(scale: argparse.ArgumentParser) -> None:
     scale.add_argument("gbps", type=float)
-    scale.set_defaults(func=cmd_scale)
 
-    envelope = sub.add_parser(
-        "envelope", help="check MSA power envelopes for a rate/app", parents=[common]
-    )
+
+def _args_envelope(envelope: argparse.ArgumentParser) -> None:
+    from .apps import APP_FACTORIES
+
     envelope.add_argument("gbps", type=float)
     envelope.add_argument("--app", choices=sorted(APP_FACTORIES), default="nat")
     envelope.add_argument("--width", type=int, default=64)
     envelope.add_argument("--clock", type=float, default=None, help="MHz")
-    envelope.set_defaults(func=cmd_envelope)
 
-    chaos = sub.add_parser(
-        "chaos",
-        help="replay a named fault plan through the chaos gauntlet",
-        parents=[common],
-    )
+
+def _args_chaos(chaos: argparse.ArgumentParser) -> None:
+    from .faults.gauntlet import NAMED_PLANS
+
     chaos.add_argument("plan", choices=sorted(NAMED_PLANS))
     chaos.add_argument("--seed", type=int, default=1)
-    chaos.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default=None,
-        help="engine tier (default: FLEXSFP_ENGINE, then reference)",
-    )
+    _add_engine(chaos)
     chaos.add_argument(
         "--out",
         metavar="FILE",
         default=None,
         help="write the flexsfp.run/1 artifact to FILE (atomic)",
     )
-    chaos.set_defaults(func=cmd_chaos)
 
-    check = sub.add_parser(
-        "check",
-        help="static verification: IR rules, XDP analysis, determinism lint",
-        parents=[common],
-    )
+
+def _args_check(check: argparse.ArgumentParser) -> None:
     check.add_argument(
         "apps",
         nargs="*",
@@ -943,66 +949,47 @@ def build_parser() -> argparse.ArgumentParser:
         "scrub + telemetry pair)",
     )
     check.add_argument("--device", default="MPF200T")
-    check.add_argument("--shell", choices=sorted(_SHELLS), default="one-way-filter")
+    check.add_argument(
+        "--shell", choices=sorted(_shell_kinds()), default="one-way-filter"
+    )
     check.add_argument("--rate", type=float, default=10.0, help="line rate in Gbps")
     check.add_argument("--width", type=int, default=64, help="datapath bits")
     check.add_argument("--soc", action="store_true", help="SoC-class control plane")
-    check.set_defaults(func=cmd_check)
 
-    metrics = sub.add_parser(
-        "metrics",
-        help="run an instrumented scenario, export its metrics registry",
-        parents=[common],
-    )
-    metrics.add_argument(
-        "--scenario", choices=SCENARIOS, default="nat-linerate"
-    )
+
+def _args_metrics(metrics: argparse.ArgumentParser) -> None:
+    from .obs.scenario import SCENARIOS
+
+    metrics.add_argument("--scenario", choices=SCENARIOS, default="nat-linerate")
     metrics.add_argument(
         "--format",
         choices=("prom", "json", "jsonl"),
         default="prom",
         help="export format (--json forces json)",
     )
-    metrics.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default=None,
-        help="engine tier (default: FLEXSFP_ENGINE, then reference)",
-    )
+    _add_engine(metrics)
     metrics.add_argument(
         "--profile",
         action="store_true",
         help="attach the event-loop profiler (sim.profile.* metrics)",
     )
-    metrics.set_defaults(func=cmd_metrics)
 
-    trace = sub.add_parser(
-        "trace",
-        help="per-packet stage spans through a scenario (JSON Lines)",
-        parents=[common],
-    )
-    trace.add_argument(
-        "--scenario", choices=SCENARIOS, default="nat-chain"
-    )
+
+def _args_trace(trace: argparse.ArgumentParser) -> None:
+    from .obs.scenario import SCENARIOS
+
+    trace.add_argument("--scenario", choices=SCENARIOS, default="nat-chain")
     trace.add_argument(
         "--packets", type=int, default=4, help="number of packets to trace"
     )
-    trace.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default=None,
-        help="engine tier (default: FLEXSFP_ENGINE, then reference)",
-    )
-    trace.set_defaults(func=cmd_trace)
+    _add_engine(trace)
 
-    run = sub.add_parser(
-        "run",
-        help="sharded fleet-scale scenario run with merged metrics",
-        parents=[common],
-    )
-    run.add_argument(
-        "--scenario", choices=sorted(SCENARIO_KINDS), default="chaos"
-    )
+
+def _args_run(run: argparse.ArgumentParser) -> None:
+    from .faults.gauntlet import NAMED_PLANS
+    from .obs.scenario import SCENARIO_KINDS
+
+    run.add_argument("--scenario", choices=sorted(SCENARIO_KINDS), default="chaos")
     run.add_argument("--shards", type=int, default=4, help="independent instances")
     run.add_argument(
         "--workers",
@@ -1017,12 +1004,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="fault plan for the chaos scenario (default: smoke)",
     )
-    run.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default=None,
-        help="engine tier (default: FLEXSFP_ENGINE, then reference)",
-    )
+    _add_engine(run)
     run.add_argument(
         "--start-method",
         choices=("fork", "spawn", "forkserver"),
@@ -1070,13 +1052,11 @@ def build_parser() -> argparse.ArgumentParser:
         "failed shards (the journalled spec wins over scenario flags) and "
         "keep journalling into the same file",
     )
-    run.set_defaults(func=cmd_run)
 
-    matrix = sub.add_parser(
-        "matrix",
-        help="sweep scenario axes, diff every cell against a baseline",
-        parents=[common],
-    )
+
+def _args_matrix(matrix: argparse.ArgumentParser) -> None:
+    from .obs.scenario import SCENARIO_KINDS
+
     matrix.add_argument(
         "--scenario", choices=sorted(SCENARIO_KINDS), default="nat-linerate"
     )
@@ -1129,28 +1109,82 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"exit {EXIT_DIVERGED} if any cell diverges semantically "
         "from the baseline (CI gate)",
     )
-    matrix.set_defaults(func=cmd_matrix)
 
-    diff = sub.add_parser(
-        "diff",
-        help="compare two saved flexsfp.run/1 artifacts",
-        parents=[common],
-    )
+
+def _args_diff(diff: argparse.ArgumentParser) -> None:
     diff.add_argument("a", metavar="A.json", help="baseline artifact")
     diff.add_argument("b", metavar="B.json", help="candidate artifact")
-    diff.set_defaults(func=cmd_diff)
 
+
+# ----------------------------------------------------------------------
+# The subcommand table, the one place a subcommand is registered:
+# (name, help, configure(parser) or None, handler(args) -> exit code).
+# ----------------------------------------------------------------------
+COMMANDS = (
+    ("apps", "list deployable applications", None, cmd_apps),
+    ("devices", "list the FPGA device catalog", None, cmd_devices),
+    ("build", "build an application, print the report", _args_build, cmd_build),
+    ("table1", "reproduce the paper's Table 1", _args_table1, cmd_table1),
+    ("table2", "reproduce the paper's Table 2", None, cmd_table2),
+    ("table3", "reproduce the paper's Table 3", _args_units, cmd_table3),
+    ("power", "the §5 power series for an app", _args_power, cmd_power),
+    ("bom", "FlexSFP cost breakdown", _args_units, cmd_bom),
+    ("scale", "plan an operating point for a line rate", _args_scale, cmd_scale),
+    ("envelope", "check MSA power envelopes for a rate/app", _args_envelope, cmd_envelope),
+    ("chaos", "replay a named fault plan through the chaos gauntlet", _args_chaos, cmd_chaos),
+    ("check", "static verification: IR rules, XDP analysis, determinism lint", _args_check, cmd_check),
+    ("metrics", "run an instrumented scenario, export its metrics registry", _args_metrics, cmd_metrics),
+    ("trace", "per-packet stage spans through a scenario (JSON Lines)", _args_trace, cmd_trace),
+    ("run", "sharded fleet-scale scenario run with merged metrics", _args_run, cmd_run),
+    ("matrix", "sweep scenario axes, diff every cell against a baseline", _args_matrix, cmd_matrix),
+    ("diff", "compare two saved flexsfp.run/1 artifacts", _args_diff, cmd_diff),
+)  # fmt: skip
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The complete parser, or one that knows only ``only``'s arguments.
+
+    Every subcommand is always registered by name and help string, so the
+    top-level ``--help`` and argparse's unknown-command message do not
+    depend on ``only``; ``main`` passes the subcommand named on the command
+    line so that parsing it imports what that one subcommand needs.
+    """
+    parser = argparse.ArgumentParser(
+        prog="flexsfp", description="FlexSFP feasibility toolkit"
+    )
+    # Shared by every subcommand: swap the text renderer for one
+    # canonical schema-tagged JSON document on stdout.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--json", action="store_true", help="machine-readable JSON output"
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, configure, handler in COMMANDS:
+        subparser = sub.add_parser(name, help=help_text, parents=[common])
+        if configure is not None and only in (None, name):
+            configure(subparser)
+        subparser.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # The top-level parser takes no option but --help, so the first word
+    # that is not an option is the subcommand (or a typo argparse rejects).
+    named = next((arg for arg in argv if not arg.startswith("-")), "")
+    args = build_parser(only=named).parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe must surface inside this try
+        return code
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader went away (``flexsfp apps | head -1``).  Python flushes
+        # stdout again at exit: point it at devnull so that stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -38,6 +38,7 @@ from ..sim.stats import Counter
 from .arbiter import Arbiter, is_mgmt_frame
 from .controlplane import ControlPlane
 from .flowcache import DEFAULT_FLOW_CACHE_ENTRIES, FlowCache
+from .mgmt import mgmt_frame
 from .ppe import (
     Direction,
     PacketProcessingEngine,
@@ -324,7 +325,9 @@ class FlexSFPModule:
         against the new application instance).
         """
         if self.engine == ENGINE_COMPILED:
-            from ..hls.executor import compile_executor  # deferred: cycle
+            # Loaded by the tier that runs it: a reference module never
+            # imports the executor compiler, a pre-built image never the HLS flow.
+            from ..hls.executor import compile_executor
 
             executor = compile_executor(
                 app,
@@ -334,7 +337,7 @@ class FlexSFPModule:
             )
             return (executor.build if build is None else build), executor.program
         if build is None:
-            from ..hls.compiler import compile_app  # deferred: cycle
+            from ..hls.compiler import compile_app
 
             build = compile_app(app, self.shell, self.device)
         return build, None
@@ -764,8 +767,6 @@ class FlexSFPModule:
             return
         eth = packet.eth
         requester = eth.src if eth is not None else 0
-        from .mgmt import mgmt_frame  # deferred: tiny helper, avoids cycle
-
         response = mgmt_frame(reply, self.auth_key, self.mgmt_mac, requester)
         self.arbiter.merge_from_cpu(response)
         if at_s is None:
@@ -828,7 +829,9 @@ class FlexSFPModule:
         slot keeps processing; returns whether an image booted.
         """
         if app_factory is None:
-            from ..apps import create_app  # deferred: avoids import cycle
+            # core does not import apps at module level; only a boot from
+            # flash metadata needs the registry.
+            from ..apps import create_app
 
             app_factory = create_app
         # An announced reconfiguration already registered this window (at

@@ -64,13 +64,13 @@ from enum import Enum
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Hashable
 
-import numpy as np
-
 from ..errors import SimulationError
 from ..fpga.timing import TimingSpec
 from ..packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover - break the hls<->core import cycle
+    import numpy as np
+
     from ..hls.executor import CompiledProgram
     from ..hls.ir import PipelineSpec
 from ..sim.engine import ServiceTimeline, Simulator
@@ -516,7 +516,7 @@ class PacketProcessingEngine(_EngineBase):
         # Struct-of-arrays bursts pending processing and fusion statistics.
         self.program = program
         self._bursts: deque = deque()
-        self._latency_bounds = np.asarray(self.latency_ns.bounds)
+        self._latency_bounds: np.ndarray | None = None  # built by the first burst
         self.compiled_bursts = 0
         self.compiled_frames = 0
         self.compiled_deopts = 0
@@ -765,6 +765,8 @@ class PacketProcessingEngine(_EngineBase):
         admitted frames materialize into the per-frame lane with
         ``done_frame`` as their completion callback.
         """
+        import numpy as np
+
         times = np.ascontiguousarray(times, dtype=np.float64)
         if len(times) == 0:
             return 0
@@ -841,7 +843,7 @@ class PacketProcessingEngine(_EngineBase):
             burst = bursts[0]
             finish = burst.finish
             pos = burst.pos
-            end = int(np.searchsorted(finish, now, side="right"))
+            end = int(finish.searchsorted(now, side="right"))
             if end <= pos:
                 break
             fuse = (
@@ -929,6 +931,8 @@ class PacketProcessingEngine(_EngineBase):
         then-current meter state.  False when the application has no
         plan for this template.
         """
+        import numpy as np
+
         app = self.app
         size = burst.size
         plan = app.burst_plan(burst.template, burst.direction)
@@ -1022,12 +1026,16 @@ class PacketProcessingEngine(_EngineBase):
         # is bisect_right, so the bulk binning lands every latency in the
         # bucket the per-frame add() would have chosen, and the int64
         # cast truncates exactly like int().
+        import numpy as np
+
         latencies = (deliver_s * 1e9).astype(np.int64) - enqueue_ns
         histogram = self.latency_ns
         counts = histogram.counts
+        bounds = self._latency_bounds
+        if bounds is None:
+            bounds = self._latency_bounds = np.asarray(histogram.bounds)
         binned = np.bincount(
-            np.searchsorted(self._latency_bounds, latencies, side="right"),
-            minlength=len(counts),
+            bounds.searchsorted(latencies, side="right"), minlength=len(counts)
         )
         for index, bucket in enumerate(binned.tolist()):
             if bucket:

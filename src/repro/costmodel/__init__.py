@@ -1,32 +1,15 @@
 """Cost/power economics: BOM, comparables, ideal-scaling normalization."""
 
-from .bom import FLEXSFP_BOM, BomItem, FlexSfpBom
-from .comparables import (
-    DPU_BF2,
-    FPGA_NIC,
-    MANY_CORE,
-    Solution,
-    capex_saving_vs,
-    flexsfp_solution,
-    power_reduction_vs,
-    table3_rows,
-)
-from .scaling import SLICE_GBPS, per_10g, per_10g_band, slices
+from .._util import export_table
 
-__all__ = [
-    "BomItem",
-    "DPU_BF2",
-    "FLEXSFP_BOM",
-    "FPGA_NIC",
-    "FlexSfpBom",
-    "MANY_CORE",
-    "SLICE_GBPS",
-    "Solution",
-    "capex_saving_vs",
-    "flexsfp_solution",
-    "per_10g",
-    "per_10g_band",
-    "power_reduction_vs",
-    "slices",
-    "table3_rows",
-]
+__all__, __getattr__, __dir__ = export_table(
+    __name__,
+    {
+        "bom": ("FLEXSFP_BOM", "BomItem", "FlexSfpBom"),
+        "comparables": (
+            "DPU_BF2", "FPGA_NIC", "MANY_CORE", "Solution", "capex_saving_vs",
+            "flexsfp_solution", "power_reduction_vs", "table3_rows",
+        ),
+        "scaling": ("SLICE_GBPS", "per_10g", "per_10g_band", "slices"),
+    },
+)

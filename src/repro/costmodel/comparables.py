@@ -94,7 +94,8 @@ def flexsfp_solution(
     """Derive the FlexSFP row from the BOM and power models."""
     low, high = FlexSfpBom().total_range(units)
     if power_w is None:
-        from ..testbed.power import FLEXSFP_TOTAL_W  # deferred import
+        # Only the default reads the power testbed; a caller's own figure does not.
+        from ..testbed.power import FLEXSFP_TOTAL_W
 
         power_w = FLEXSFP_TOTAL_W
     return Solution(

@@ -56,10 +56,28 @@ def resolve_engine(engine: str | None = None, settings=None) -> str:
     return ENGINE_REFERENCE if engine is None else validate_engine(engine)
 
 
+def require_engine(engine: str) -> None:
+    """:class:`ConfigError` unless this interpreter can run tier ``engine``.
+
+    The compiled tier's burst lane is numpy code that the first burst
+    imports; a host without numpy hears so when the spec is resolved, not
+    as a ``ModuleNotFoundError`` from the middle of ``sim.run()``.
+    """
+    if engine == ENGINE_COMPILED:
+        from importlib.util import find_spec
+
+        if find_spec("numpy") is None:
+            raise ConfigError(
+                "engine 'compiled' needs numpy for its burst lane and numpy "
+                "is not installed; install it or run with engine 'reference'"
+            )
+
+
 __all__ = [
     "ENGINES",
     "ENGINE_COMPILED",
     "ENGINE_REFERENCE",
+    "require_engine",
     "resolve_engine",
     "validate_engine",
 ]

@@ -6,22 +6,16 @@ gauntlet (:func:`run_gauntlet`) runs the reference robustness experiment
 and reports recovery metrics.
 """
 
-from .gauntlet import NAMED_PLANS, GauntletResult, run_gauntlet
-from .injector import FaultInjector
-from .plan import ALL_FAULTS, LINK_FAULTS, MODULE_FAULTS, FaultEvent, FaultPlan
-from .workers import WORKER_FAULTS, WorkerFault, WorkerFaultPlan
+from .._util import export_table
 
-__all__ = [
-    "ALL_FAULTS",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultPlan",
-    "GauntletResult",
-    "LINK_FAULTS",
-    "MODULE_FAULTS",
-    "NAMED_PLANS",
-    "WORKER_FAULTS",
-    "WorkerFault",
-    "WorkerFaultPlan",
-    "run_gauntlet",
-]
+__all__, __getattr__, __dir__ = export_table(
+    __name__,
+    {
+        "gauntlet": ("NAMED_PLANS", "GauntletResult", "run_gauntlet"),
+        "injector": ("FaultInjector",),
+        "plan": (
+            "ALL_FAULTS", "LINK_FAULTS", "MODULE_FAULTS", "FaultEvent", "FaultPlan",
+        ),
+        "workers": ("WORKER_FAULTS", "WorkerFault", "WorkerFaultPlan"),
+    },
+)

@@ -6,93 +6,31 @@ static timing analysis, and :class:`Bitstream`/:class:`SPIFlash` for the
 configuration artifacts the real module stores and boots.
 """
 
-from . import estimator
-from .bitstream import Bitstream, synthesize_payload
-from .flash import DEFAULT_FLASH_BITS, FlashSlot, SPIFlash
-from .formfactor import (
-    FORM_FACTORS,
-    OSFP,
-    QSFP28,
-    QSFP_DD,
-    SFP28,
-    SFP_PLUS,
-    EnvelopeCheck,
-    FormFactor,
-    envelope_check,
-)
-from .literature import (
-    CLICKNP_IPSEC_GW,
-    FLEXSFP_BUDGET,
-    FLOWBLAZE_STAGE,
-    HXDP_CORE,
-    PIGASUS,
-    TABLE2_DESIGNS,
-    LiteratureDesign,
-    table2_rows,
-)
-from .resources import (
-    ALM_TO_LE,
-    DEVICES,
-    LSRAM_BLOCK_BITS,
-    LUT6_TO_LE,
-    MPF100T,
-    MPF200T,
-    MPF300T,
-    MPF500T,
-    USRAM_BLOCK_BITS,
-    FPGADevice,
-    ResourceVector,
-    get_device,
-    sram_blocks_for_table,
-    usram_blocks_for_bits,
-)
-from .timing import (
-    PROTOTYPE_TIMING,
-    TimingSpec,
-    required_clock_hz,
-    required_width_bits,
-)
+from .._util import export_table
 
-__all__ = [
-    "ALM_TO_LE",
-    "Bitstream",
-    "CLICKNP_IPSEC_GW",
-    "DEFAULT_FLASH_BITS",
-    "DEVICES",
-    "EnvelopeCheck",
-    "FLEXSFP_BUDGET",
-    "FLOWBLAZE_STAGE",
-    "FORM_FACTORS",
-    "FPGADevice",
-    "FlashSlot",
-    "FormFactor",
-    "HXDP_CORE",
-    "LSRAM_BLOCK_BITS",
-    "LUT6_TO_LE",
-    "LiteratureDesign",
-    "MPF100T",
-    "MPF200T",
-    "MPF300T",
-    "MPF500T",
-    "OSFP",
-    "PIGASUS",
-    "PROTOTYPE_TIMING",
-    "QSFP28",
-    "QSFP_DD",
-    "ResourceVector",
-    "SFP28",
-    "SFP_PLUS",
-    "SPIFlash",
-    "TABLE2_DESIGNS",
-    "TimingSpec",
-    "USRAM_BLOCK_BITS",
-    "envelope_check",
-    "estimator",
-    "get_device",
-    "required_clock_hz",
-    "required_width_bits",
-    "sram_blocks_for_table",
-    "synthesize_payload",
-    "table2_rows",
-    "usram_blocks_for_bits",
-]
+__all__, __getattr__, __dir__ = export_table(
+    __name__,
+    {
+        "bitstream": ("Bitstream", "synthesize_payload"),
+        "estimator": ("estimator",),
+        "flash": ("DEFAULT_FLASH_BITS", "FlashSlot", "SPIFlash"),
+        "formfactor": (
+            "FORM_FACTORS", "OSFP", "QSFP28", "QSFP_DD", "SFP28", "SFP_PLUS",
+            "EnvelopeCheck", "FormFactor", "envelope_check",
+        ),
+        "literature": (
+            "CLICKNP_IPSEC_GW", "FLEXSFP_BUDGET", "FLOWBLAZE_STAGE", "HXDP_CORE",
+            "PIGASUS", "TABLE2_DESIGNS", "LiteratureDesign", "table2_rows",
+        ),
+        "resources": (
+            "ALM_TO_LE", "DEVICES", "LSRAM_BLOCK_BITS", "LUT6_TO_LE", "MPF100T",
+            "MPF200T", "MPF300T", "MPF500T", "USRAM_BLOCK_BITS", "FPGADevice",
+            "ResourceVector", "get_device", "sram_blocks_for_table",
+            "usram_blocks_for_bits",
+        ),
+        "timing": (
+            "PROTOTYPE_TIMING", "TimingSpec", "required_clock_hz",
+            "required_width_bits",
+        ),
+    },
+)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ConfigError
+from ..testbed.power import fpga_power_w
 from .resources import ResourceVector
 
 
@@ -152,8 +153,6 @@ def envelope_check(
     The verdict covers both constraints §4 names for the footprint: the
     MSA power class and thermal dissipation (case-temperature ceiling).
     """
-    from ..testbed.power import fpga_power_w  # deferred: avoid cycle
-
     lanes = form_factor.lanes_for(rate_gbps)
     fpga = fpga_power_w(design, clock_hz, activity=activity, serdes_lanes=2 * lanes)
     total = fpga + form_factor.typical_optics_w

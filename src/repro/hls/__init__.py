@@ -1,60 +1,24 @@
 """FlexSFP programming model: pipeline IR, XDP-like front end, build flow."""
 
-from .compiler import (
-    BuildResult,
-    SynthesisReport,
-    compile_app,
-    compile_pipeline,
-    price_pipeline,
-    price_stage,
-)
-from .executor import CompiledProgram, ExecutorBuild, compile_executor
-from .ir import CHAIN_STAGE_KINDS, PipelineSpec, Stage, StageKind
-from .passes import (
-    ALL_PASSES,
-    OptimizationReport,
-    PassFn,
-    coalesce_fifos,
-    eliminate_dead_stages,
-    fuse_actions,
-    merge_checksum_units,
-    optimize,
-)
-from .xdp import (
-    FIELD_BITS,
-    HEADER_BYTES,
-    XdpContext,
-    XdpMap,
-    XdpProgram,
-    XdpVerdict,
-)
+from .._util import export_table
 
-__all__ = [
-    "ALL_PASSES",
-    "BuildResult",
-    "CHAIN_STAGE_KINDS",
-    "CompiledProgram",
-    "ExecutorBuild",
-    "FIELD_BITS",
-    "HEADER_BYTES",
-    "OptimizationReport",
-    "PassFn",
-    "PipelineSpec",
-    "Stage",
-    "StageKind",
-    "SynthesisReport",
-    "XdpContext",
-    "XdpMap",
-    "XdpProgram",
-    "XdpVerdict",
-    "coalesce_fifos",
-    "compile_app",
-    "compile_executor",
-    "compile_pipeline",
-    "eliminate_dead_stages",
-    "fuse_actions",
-    "merge_checksum_units",
-    "optimize",
-    "price_pipeline",
-    "price_stage",
-]
+__all__, __getattr__, __dir__ = export_table(
+    __name__,
+    {
+        "compiler": (
+            "BuildResult", "SynthesisReport", "compile_app", "compile_pipeline",
+            "price_pipeline", "price_stage",
+        ),
+        "executor": ("CompiledProgram", "ExecutorBuild", "compile_executor"),
+        "ir": ("CHAIN_STAGE_KINDS", "PipelineSpec", "Stage", "StageKind"),
+        "passes": (
+            "ALL_PASSES", "OptimizationReport", "PassFn", "coalesce_fifos",
+            "eliminate_dead_stages", "fuse_actions", "merge_checksum_units",
+            "optimize",
+        ),
+        "xdp": (
+            "FIELD_BITS", "HEADER_BYTES", "XdpContext", "XdpMap", "XdpProgram",
+            "XdpVerdict",
+        ),
+    },
+)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..analysis.findings import Severity
 from ..core.shells import ShellSpec
 from ..errors import CompileError
 from ..fpga import estimator
@@ -157,8 +158,6 @@ def _verification_notes(findings, name: str, strict: bool) -> list[str]:
     notes.  Warnings and infos are always returned as note strings for
     :attr:`SynthesisReport.notes`.
     """
-    from ..analysis.findings import Severity  # deferred: avoid import cycle
-
     errors = [f for f in findings if f.severity is Severity.ERROR]
     if errors and strict:
         raise CompileError(
@@ -300,7 +299,8 @@ def compile_app(
     """
     verify_notes: list[str] = []
     if verify:
-        from ..analysis import check_app  # deferred: avoid import cycle
+        # verify=False (feasibility sweeps) never loads the analyzers.
+        from ..analysis import check_app
 
         verify_notes = _verification_notes(
             check_app(app, device=device, shell=shell),

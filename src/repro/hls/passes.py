@@ -24,6 +24,7 @@ from typing import Callable
 
 from ..errors import ResourceError
 from ..fpga.resources import ResourceVector
+from .compiler import price_pipeline
 from .ir import PipelineSpec, Stage, StageKind
 
 PassFn = Callable[[list[Stage]], list[Stage]]
@@ -141,8 +142,6 @@ def optimize(
     spec: PipelineSpec, datapath_bits: int = 64
 ) -> tuple[PipelineSpec, OptimizationReport]:
     """Run every pass to a fixed point; return the new spec + report."""
-    from .compiler import price_pipeline  # deferred: avoid import cycle
-
     try:
         before_total, _ = price_pipeline(spec, datapath_bits)
     except ResourceError:

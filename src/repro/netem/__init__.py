@@ -1,30 +1,16 @@
 """Workload generation and telemetry collection."""
 
-from .collector import CollectorState, FlowAggregate, TelemetryCollector
-from .flows import FlowSetGenerator, FlowSpec, flow_packets
-from .impairments import ImpairedPort, LossyWire
-from .traffic import (
-    IMIX_MIX,
-    CbrSource,
-    ImixSource,
-    PoissonSource,
-    TrafficSource,
-    default_factory,
-)
+from .._util import export_table
 
-__all__ = [
-    "CbrSource",
-    "CollectorState",
-    "FlowAggregate",
-    "FlowSetGenerator",
-    "FlowSpec",
-    "IMIX_MIX",
-    "ImixSource",
-    "ImpairedPort",
-    "LossyWire",
-    "PoissonSource",
-    "TelemetryCollector",
-    "TrafficSource",
-    "default_factory",
-    "flow_packets",
-]
+__all__, __getattr__, __dir__ = export_table(
+    __name__,
+    {
+        "collector": ("CollectorState", "FlowAggregate", "TelemetryCollector"),
+        "flows": ("FlowSetGenerator", "FlowSpec", "flow_packets"),
+        "impairments": ("ImpairedPort", "LossyWire"),
+        "traffic": (
+            "IMIX_MIX", "CbrSource", "ImixSource", "PoissonSource", "TrafficSource",
+            "default_factory",
+        ),
+    },
+)

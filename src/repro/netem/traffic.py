@@ -11,8 +11,6 @@ from __future__ import annotations
 import random
 from typing import Callable, Sequence
 
-import numpy as np
-
 from ..errors import ConfigError
 from ..packet import Packet, make_udp
 from ..sim.engine import Simulator
@@ -169,6 +167,8 @@ class CbrSource(TrafficSource):
         if not self.template_burst:
             super()._tick()
             return
+        import numpy as np
+
         t = self.sim.now
         if self.stop is not None and t >= self.stop:
             return

@@ -15,24 +15,16 @@ per cable" to an ordered set of *tenants* sharing one FPGA:
   and per-tenant line-rate surfaced as `flexsfp check` findings.
 """
 
-from .crossbar import Crossbar
-from .deployment import (
-    NFV_SCRUB_DPORT,
-    Deployment,
-    SteeringMatch,
-    TenantSpec,
-    default_nfv_tenants,
-)
-from .pricing import DeploymentPrice, check_deployment, price_deployment
+from .._util import export_table
 
-__all__ = [
-    "NFV_SCRUB_DPORT",
-    "Crossbar",
-    "Deployment",
-    "DeploymentPrice",
-    "SteeringMatch",
-    "TenantSpec",
-    "check_deployment",
-    "default_nfv_tenants",
-    "price_deployment",
-]
+__all__, __getattr__, __dir__ = export_table(
+    __name__,
+    {
+        "crossbar": ("Crossbar",),
+        "deployment": (
+            "NFV_SCRUB_DPORT", "Deployment", "SteeringMatch", "TenantSpec",
+            "default_nfv_tenants",
+        ),
+        "pricing": ("DeploymentPrice", "check_deployment", "price_deployment"),
+    },
+)

@@ -8,81 +8,28 @@ attributes event-loop wall clock to component classes.  Exporters render
 the collected state as Prometheus text, JSON documents, or JSON Lines.
 """
 
-from .export import (
-    SCHEMA_BENCH_HISTORY,
-    SCHEMA_DIFF,
-    SCHEMA_JOURNAL,
-    SCHEMA_MATRIX,
-    SCHEMA_METRICS,
-    SCHEMA_PROFILE,
-    SCHEMA_RUN,
-    SCHEMA_TABLE,
-    SCHEMA_TRACE,
-    json_document,
-    metrics_json,
-    metrics_jsonl,
-    prometheus_name,
-    prometheus_text,
-    table_json,
-)
-from .profiler import ComponentProfile, LoopProfiler
-from .registry import (
-    MetricSource,
-    MetricsRegistry,
-    MetricValue,
-    validate_metric_name,
-)
-from .scenario import (
-    SCENARIO_KINDS,
-    SCENARIOS,
-    ScenarioRun,
-    ScenarioSpec,
-    TrafficProfile,
-)
-from .trace import (
-    STAGE_APP,
-    STAGE_ARBITER,
-    STAGE_EGRESS,
-    STAGE_MAC_RX,
-    STAGE_PPE,
-    TRACE_ID_META,
-    Tracer,
-    TraceSpan,
-)
+from .._util import export_table
 
-__all__ = [
-    "ComponentProfile",
-    "LoopProfiler",
-    "MetricSource",
-    "MetricValue",
-    "MetricsRegistry",
-    "SCENARIOS",
-    "SCENARIO_KINDS",
-    "SCHEMA_BENCH_HISTORY",
-    "SCHEMA_DIFF",
-    "SCHEMA_JOURNAL",
-    "SCHEMA_MATRIX",
-    "SCHEMA_METRICS",
-    "SCHEMA_PROFILE",
-    "SCHEMA_RUN",
-    "SCHEMA_TABLE",
-    "SCHEMA_TRACE",
-    "STAGE_APP",
-    "STAGE_ARBITER",
-    "STAGE_EGRESS",
-    "STAGE_MAC_RX",
-    "STAGE_PPE",
-    "ScenarioRun",
-    "ScenarioSpec",
-    "TRACE_ID_META",
-    "TrafficProfile",
-    "TraceSpan",
-    "Tracer",
-    "json_document",
-    "metrics_json",
-    "metrics_jsonl",
-    "prometheus_name",
-    "prometheus_text",
-    "table_json",
-    "validate_metric_name",
-]
+__all__, __getattr__, __dir__ = export_table(
+    __name__,
+    {
+        "export": (
+            "SCHEMA_BENCH_HISTORY", "SCHEMA_DIFF", "SCHEMA_JOURNAL", "SCHEMA_MATRIX",
+            "SCHEMA_METRICS", "SCHEMA_PROFILE", "SCHEMA_RUN", "SCHEMA_TABLE",
+            "SCHEMA_TRACE", "json_document", "metrics_json", "metrics_jsonl",
+            "prometheus_name", "prometheus_text", "table_json",
+        ),
+        "profiler": ("ComponentProfile", "LoopProfiler"),
+        "registry": (
+            "MetricSource", "MetricsRegistry", "MetricValue", "validate_metric_name",
+        ),
+        "scenario": (
+            "SCENARIO_KINDS", "SCENARIOS", "ScenarioRun", "ScenarioSpec",
+            "TrafficProfile",
+        ),
+        "trace": (
+            "STAGE_APP", "STAGE_ARBITER", "STAGE_EGRESS", "STAGE_MAC_RX", "STAGE_PPE",
+            "TRACE_ID_META", "Tracer", "TraceSpan",
+        ),
+    },
+)

@@ -27,10 +27,16 @@ from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable
 
 from ..apps import StaticNat, create_app
+from ..artifact.diff import is_semantic_metric
 from ..config import Settings
 from ..core.module import FlexSFPModule
 from ..core.ppe import BURST_FRAMES
-from ..engine import ENGINE_COMPILED, resolve_engine, validate_engine
+from ..engine import (
+    ENGINE_COMPILED,
+    require_engine,
+    resolve_engine,
+    validate_engine,
+)
 from ..errors import ConfigError
 from ..fpga import get_device
 from ..netem import CbrSource
@@ -133,7 +139,9 @@ class ScenarioSpec:
                 f"trace_packets must be >= 0: {self.trace_packets}"
             )
         if self.fault_plan is not None:
-            from ..faults import NAMED_PLANS  # deferred: avoids cycle
+            # Only a chaos spec names a plan: every other kind stays clear of
+            # the gauntlet (fleet, switch, impairments).
+            from ..faults import NAMED_PLANS
 
             if self.fault_plan not in NAMED_PLANS:
                 raise ConfigError(
@@ -157,6 +165,7 @@ class ScenarioSpec:
             changes["traffic"] = _KIND_TRAFFIC[self.kind]
         if self.engine is None:
             changes["engine"] = resolve_engine(None, settings)
+        require_engine(changes.get("engine", self.engine))
         if self.kind == "chaos" and self.fault_plan is None:
             changes["fault_plan"] = "smoke"
         if self.kind in NFV_KINDS and not self.tenants:
@@ -181,7 +190,7 @@ class ScenarioSpec:
         code path, which is what the bit-identity guarantee is tested
         against.
         """
-        from ..parallel import run_sharded  # deferred: avoids cycle
+        from ..parallel import run_sharded  # cycle: parallel.runner imports this module
 
         return run_sharded(self, workers=workers)
 
@@ -379,7 +388,7 @@ def _build_nat_chain(spec: ScenarioSpec) -> ScenarioRun:
 # Chaos gauntlet as a scenario kind
 # ----------------------------------------------------------------------
 def _build_chaos(spec: ScenarioSpec) -> ScenarioRun:
-    from ..faults.gauntlet import run_gauntlet  # deferred: avoids cycle
+    from ..faults.gauntlet import run_gauntlet  # loaded by the chaos kind only
 
     traffic = spec.traffic
     registry = MetricsRegistry()
@@ -417,8 +426,9 @@ def _build_fleet_upgrade(spec: ScenarioSpec) -> ScenarioRun:
     module from ``passthrough`` to ``spec.app``, one at a time with a
     health probe between — the §4.1 orchestration story, instrumented.
     """
+    # Loaded by the fleet-upgrade kind only: the controller, the switch.
     from ..core.shells import ShellSpec
-    from ..fleet import FleetController  # deferred: avoids cycle
+    from ..fleet import FleetController
     from ..hls import compile_app
     from ..parallel.seeds import derive_shard_seed
     from ..switch import LegacySwitch, PortPolicy, RetrofitPlan, apply_retrofit
@@ -523,8 +533,6 @@ def _tenant_digests(module: FlexSFPModule, metrics: dict, histograms: dict) -> d
     byte-identical, which is the isolation guarantee ``tenant-churn``
     asserts.
     """
-    from ..artifact.diff import is_semantic_metric  # deferred: avoids cycle
-
     digests: dict[str, str] = {}
     for slot in module.slots:
         prefix = f"{module.name}.tenant.{slot.name}."

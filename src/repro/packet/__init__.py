@@ -5,75 +5,27 @@ reproduction: the PPE, the legacy-switch models, the traffic generators, and
 the management protocol all speak :class:`Packet`.
 """
 
-from .base import EtherType, Header, IPProto, UDPPort
-from .builder import (
-    gre_encap,
-    make_dns_query,
-    make_icmp_echo,
-    make_tcp,
-    make_udp,
-    make_udp6,
-    pad_to_min,
-    vlan_pop,
-    vlan_push,
-    vxlan_encap,
-)
-from .checksum import (
-    incremental_update16,
-    incremental_update32,
-    internet_checksum,
-    l4_checksum,
-    ones_complement_sum,
-    pseudo_header_v4,
-    pseudo_header_v6,
-)
-from .dns import DNSMessage, DNSQuestion, QType
-from .ethernet import ARP, BROADCAST_MAC, Ethernet, VLAN
-from .ip import IPv4, IPv6
-from .packet import ETHERTYPE_TRANSPARENT_ETHERNET, Packet
-from .telemetry import INTHop, INTShim
-from .transport import ICMP, TCP, TCPFlags, UDP
-from .tunnels import GRE, VXLAN
+from .._util import export_table
 
-__all__ = [
-    "ARP",
-    "BROADCAST_MAC",
-    "DNSMessage",
-    "DNSQuestion",
-    "ETHERTYPE_TRANSPARENT_ETHERNET",
-    "EtherType",
-    "Ethernet",
-    "GRE",
-    "Header",
-    "ICMP",
-    "INTHop",
-    "INTShim",
-    "IPProto",
-    "IPv4",
-    "IPv6",
-    "Packet",
-    "QType",
-    "TCP",
-    "TCPFlags",
-    "UDP",
-    "UDPPort",
-    "VLAN",
-    "VXLAN",
-    "gre_encap",
-    "incremental_update16",
-    "incremental_update32",
-    "internet_checksum",
-    "l4_checksum",
-    "make_dns_query",
-    "make_icmp_echo",
-    "make_tcp",
-    "make_udp",
-    "make_udp6",
-    "ones_complement_sum",
-    "pad_to_min",
-    "pseudo_header_v4",
-    "pseudo_header_v6",
-    "vlan_pop",
-    "vlan_push",
-    "vxlan_encap",
-]
+__all__, __getattr__, __dir__ = export_table(
+    __name__,
+    {
+        "base": ("EtherType", "Header", "IPProto", "UDPPort"),
+        "builder": (
+            "gre_encap", "make_dns_query", "make_icmp_echo", "make_tcp", "make_udp",
+            "make_udp6", "pad_to_min", "vlan_pop", "vlan_push", "vxlan_encap",
+        ),
+        "checksum": (
+            "incremental_update16", "incremental_update32", "internet_checksum",
+            "l4_checksum", "ones_complement_sum", "pseudo_header_v4",
+            "pseudo_header_v6",
+        ),
+        "dns": ("DNSMessage", "DNSQuestion", "QType"),
+        "ethernet": ("ARP", "BROADCAST_MAC", "Ethernet", "VLAN"),
+        "ip": ("IPv4", "IPv6"),
+        "packet": ("ETHERTYPE_TRANSPARENT_ETHERNET", "Packet"),
+        "telemetry": ("INTHop", "INTShim"),
+        "transport": ("ICMP", "TCP", "TCPFlags", "UDP"),
+        "tunnels": ("GRE", "VXLAN"),
+    },
+)

@@ -13,57 +13,24 @@ append-only journal for ``--resume``, and exhausted retries degrade into
 an explicit completeness block instead of silent partial coverage.
 """
 
-from .journal import ShardJournal, load_journal, spec_digest
-from .merge import (
-    MergeKind,
-    classify,
-    histogram_percentile,
-    merge_histogram_states,
-    merge_metrics,
-    merge_values,
-)
-from .runner import (
-    SHARD_SEED_LABEL,
-    FleetRunResult,
-    ShardResult,
-    run_shard,
-    run_sharded,
-    shard_spec,
-)
-from .seeds import derive_shard_seed, shard_seeds
-from .supervisor import (
-    Completeness,
-    ShardError,
-    ShardFailure,
-    SupervisorPolicy,
-    SupervisorTelemetry,
-    run_shard_safe,
-    run_supervised,
-)
+from .._util import export_table
 
-__all__ = [
-    "Completeness",
-    "FleetRunResult",
-    "MergeKind",
-    "SHARD_SEED_LABEL",
-    "ShardError",
-    "ShardFailure",
-    "ShardJournal",
-    "ShardResult",
-    "SupervisorPolicy",
-    "SupervisorTelemetry",
-    "classify",
-    "derive_shard_seed",
-    "histogram_percentile",
-    "load_journal",
-    "merge_histogram_states",
-    "merge_metrics",
-    "merge_values",
-    "run_shard",
-    "run_shard_safe",
-    "run_sharded",
-    "run_supervised",
-    "shard_spec",
-    "shard_seeds",
-    "spec_digest",
-]
+__all__, __getattr__, __dir__ = export_table(
+    __name__,
+    {
+        "journal": ("ShardJournal", "load_journal", "spec_digest"),
+        "merge": (
+            "MergeKind", "classify", "histogram_percentile", "merge_histogram_states",
+            "merge_metrics", "merge_values",
+        ),
+        "runner": (
+            "SHARD_SEED_LABEL", "FleetRunResult", "ShardResult", "run_shard",
+            "run_sharded", "shard_spec",
+        ),
+        "seeds": ("derive_shard_seed", "shard_seeds"),
+        "supervisor": (
+            "Completeness", "ShardError", "ShardFailure", "SupervisorPolicy",
+            "SupervisorTelemetry", "run_shard_safe", "run_supervised",
+        ),
+    },
+)

@@ -115,7 +115,9 @@ class FleetRunResult:
         The artifact (not this raw result dict) is what entry points
         emit and what :func:`repro.artifact.diff_artifacts` consumes.
         """
-        from ..artifact import artifact_from_fleet_result  # deferred: cycle
+        # Only the parent builds the artifact: a spawned worker never loads
+        # artifact.run (and the effect analysis behind its corpus digest).
+        from ..artifact import artifact_from_fleet_result
 
         return artifact_from_fleet_result(self, source=source)
 
@@ -178,7 +180,7 @@ def run_sharded(
     keyword-only supervision knobs (``policy``, ``checkpoint``,
     ``resume``, ``chaos``) pass straight through.
     """
-    from .supervisor import run_supervised  # deferred: avoids cycle
+    from .supervisor import run_supervised  # cycle: supervisor imports this module
 
     return run_supervised(
         spec, workers=workers, start_method=start_method, **supervision

@@ -4,48 +4,20 @@ Provides the event engine, Ethernet MAC arithmetic, port/link transport,
 measurement primitives, and pcap persistence used by every higher layer.
 """
 
-from .engine import EventHandle, PeriodicTask, Simulator
-from .link import DEFAULT_PROPAGATION_S, Port, connect
-from .mac import (
-    FCS_BYTES,
-    IFG_BYTES,
-    JUMBO_FRAME_BYTES,
-    MAX_FRAME_BYTES,
-    MIN_FRAME_BYTES,
-    PER_FRAME_OVERHEAD,
-    PREAMBLE_BYTES,
-    frame_wire_bytes,
-    goodput_fraction,
-    line_rate_packets,
-    max_frame_rate,
-    serialization_time,
-)
-from .pcap import PcapWriter, read_pcap
-from .stats import Counter, Histogram, RateMeter, RunningStats
+from .._util import export_table
 
-__all__ = [
-    "Counter",
-    "DEFAULT_PROPAGATION_S",
-    "EventHandle",
-    "FCS_BYTES",
-    "Histogram",
-    "IFG_BYTES",
-    "JUMBO_FRAME_BYTES",
-    "MAX_FRAME_BYTES",
-    "MIN_FRAME_BYTES",
-    "PER_FRAME_OVERHEAD",
-    "PREAMBLE_BYTES",
-    "PcapWriter",
-    "PeriodicTask",
-    "Port",
-    "RateMeter",
-    "RunningStats",
-    "Simulator",
-    "connect",
-    "frame_wire_bytes",
-    "goodput_fraction",
-    "line_rate_packets",
-    "max_frame_rate",
-    "read_pcap",
-    "serialization_time",
-]
+__all__, __getattr__, __dir__ = export_table(
+    __name__,
+    {
+        "engine": ("EventHandle", "PeriodicTask", "Simulator"),
+        "link": ("DEFAULT_PROPAGATION_S", "Port", "connect"),
+        "mac": (
+            "FCS_BYTES", "IFG_BYTES", "JUMBO_FRAME_BYTES", "MAX_FRAME_BYTES",
+            "MIN_FRAME_BYTES", "PER_FRAME_OVERHEAD", "PREAMBLE_BYTES",
+            "frame_wire_bytes", "goodput_fraction", "line_rate_packets",
+            "max_frame_rate", "serialization_time",
+        ),
+        "pcap": ("PcapWriter", "read_pcap"),
+        "stats": ("Counter", "Histogram", "RateMeter", "RunningStats"),
+    },
+)

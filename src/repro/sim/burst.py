@@ -30,7 +30,10 @@ exists because a measured workload takes it (counts: one repeat of
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    import numpy as np
 
 
 def chain_reservations(
@@ -49,6 +52,8 @@ def chain_reservations(
     finish (``chain[k]``), so the returned ``chain`` has ``n + 1`` entries:
     starts are ``chain[:-1]`` and finishes ``chain[1:]``.
     """
+    import numpy as np
+
     n = len(times)
     first = times[0]
     chain = np.empty(n + 1)

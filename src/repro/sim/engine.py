@@ -15,12 +15,12 @@ from itertools import repeat
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable
 
-import numpy as np
-
 from ..errors import SimulationError
 from .burst import chain_reservations, keepup_reservations
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
+    import numpy as np
+
     from ..obs.profiler import LoopProfiler
 
 _INF = float("inf")
@@ -254,7 +254,7 @@ class ServiceTimeline:
                 # the last arrival, and the last frame's own, stay pending.
                 last = float(times[-1])
                 self.drain(last)
-                matured = int(np.searchsorted(chain[: n - 1], last, side="right"))
+                matured = int(chain[: n - 1].searchsorted(last, side="right"))
                 pending.extend(zip(chain[matured:n].tolist(), repeat(size)))
                 self.pending_bytes += (n - matured) * size
                 return times, chain[1:]
@@ -276,6 +276,8 @@ class ServiceTimeline:
             if finish is not None:
                 admitted.append(at)
                 finishes.append(finish)
+        import numpy as np
+
         return np.asarray(admitted), np.asarray(finishes)
 
     def drain(self, now: float) -> None:

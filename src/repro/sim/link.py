@@ -9,15 +9,16 @@ and constant propagation delay.
 
 from __future__ import annotations
 
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from ..errors import SimulationError
 from ..packet import Packet
 from .engine import ServiceTimeline, Simulator
 from .mac import serialization_time
 from .stats import Counter
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    import numpy as np
 
 PacketHandler = Callable[["Port", Packet], None]
 # Batched receive: one call per delivery flush with [(packet, size, when)].
@@ -280,6 +281,8 @@ class Port:
         whole burst costs a handful of Python-level operations.
         Returns the number of admitted frames.
         """
+        import numpy as np
+
         times = np.ascontiguousarray(times, dtype=np.float64)
         n = len(times)
         if n == 0:
@@ -338,7 +341,7 @@ class Port:
                 if type(when) is float:
                     (flushed if when <= horizon else kept).append(entry)
                     continue
-                split = int(np.searchsorted(when, horizon, side="right"))
+                split = int(when.searchsorted(horizon, side="right"))
                 if split:
                     flushed.append((entry[0], entry[1], when[:split]))
                 if split < len(when):

@@ -1,22 +1,15 @@
 """Legacy switch, hosts, and the FlexSFP retrofit machinery."""
 
-from .host import Host
-from .legacy import (
-    DEFAULT_MAC_TABLE_SIZE,
-    SWITCH_PIPELINE_LATENCY_S,
-    LegacySwitch,
-    SfpCage,
-)
-from .retrofit import PortPolicy, RetrofitPlan, RetrofitResult, apply_retrofit
+from .._util import export_table
 
-__all__ = [
-    "DEFAULT_MAC_TABLE_SIZE",
-    "Host",
-    "LegacySwitch",
-    "PortPolicy",
-    "RetrofitPlan",
-    "RetrofitResult",
-    "SWITCH_PIPELINE_LATENCY_S",
-    "SfpCage",
-    "apply_retrofit",
-]
+__all__, __getattr__, __dir__ = export_table(
+    __name__,
+    {
+        "host": ("Host",),
+        "legacy": (
+            "DEFAULT_MAC_TABLE_SIZE", "SWITCH_PIPELINE_LATENCY_S", "LegacySwitch",
+            "SfpCage",
+        ),
+        "retrofit": ("PortPolicy", "RetrofitPlan", "RetrofitResult", "apply_retrofit"),
+    },
+)

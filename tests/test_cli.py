@@ -1,10 +1,16 @@
 """The flexsfp command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import COMMANDS, build_parser, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -448,3 +454,73 @@ class TestParser:
     def test_unknown_app_rejected(self):
         with pytest.raises(SystemExit):
             main(["build", "quantum-router"])
+
+
+class TestSubcommandTable:
+    """One table registers the 17 subcommands; ``main`` configures one.
+
+    The lazily configured parser must be indistinguishable from the full
+    one: same help, same errors, same exit codes.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _eighty_columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @staticmethod
+    def help_of(capsys, parse, *argv) -> str:
+        with pytest.raises(SystemExit) as exit_info:
+            parse([*argv, "--help"])
+        assert exit_info.value.code == 0
+        return capsys.readouterr().out
+
+    def test_seventeen_subcommands(self):
+        names = [name for name, _help, _configure, _handler in COMMANDS]
+        assert len(names) == len(set(names)) == 17
+
+    @pytest.mark.parametrize("name", [command[0] for command in COMMANDS])
+    def test_lazy_help_equals_the_full_parsers(self, capsys, name):
+        lazy = self.help_of(capsys, main, name)
+        full = self.help_of(capsys, build_parser().parse_args, name)
+        assert lazy == full and f"usage: flexsfp {name}" in lazy
+
+    def test_top_level_help_equals_the_parent_commits(self, capsys):
+        snapshot = json.loads(
+            (ROOT / "tests" / "snapshots" / "public_surface.json").read_text()
+        )["help"]
+        lazy = self.help_of(capsys, main)
+        assert lazy == build_parser().format_help()
+        # Wrapping differs between argparse versions; the words do not.
+        assert lazy.split() == snapshot.split()
+
+    def test_unknown_subcommand_is_argparses_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["paper"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'paper'" in err and "'apps', 'devices'" in err
+
+    def test_only_the_named_subcommand_is_configured(self):
+        parser = build_parser(only="bom")
+        assert parser.parse_args(["bom", "--units", "5"]).units == 5
+        with pytest.raises(SystemExit):  # run is registered, not configured
+            parser.parse_args(["run", "--shards", "2"])
+
+
+class TestClosedPipe:
+    def test_a_reader_that_closes_early_is_not_a_traceback(self):
+        # ``flexsfp apps | head -1`` with the race removed: the reader is
+        # gone before the first row is written.
+        env = {k: v for k, v in os.environ.items() if not k.startswith("FLEXSFP_")}
+        env["PYTHONPATH"] = str(ROOT / "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "apps"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) != 0
+        assert stderr == ""
