@@ -393,8 +393,8 @@ class FlexSFPModule:
         """
         drops = slot.verdict_drops
 
-        def done(packet: Packet, verdict: Verdict, emitted: list) -> None:
-            self._ppe_done(packet, verdict, emitted, direction, drops)
+        def done(packet: Packet, verdict: Verdict, emitted: list, size: int) -> None:
+            self._ppe_done(packet, verdict, emitted, size, direction, drops)
 
         def burst_done(packet: Packet, verdict: Verdict, size: int, deliver_s) -> None:
             self._ppe_burst_done(packet, verdict, size, deliver_s, direction, drops)
@@ -678,6 +678,7 @@ class FlexSFPModule:
         packet: Packet,
         verdict: Verdict,
         emitted: list[tuple[Packet, Direction]],
+        size: int,
         direction: Direction,
         drops: Counter,
     ) -> None:
@@ -715,11 +716,12 @@ class FlexSFPModule:
                 else self.edge_port
             )
             if deliver_s is None:
-                port.send_delayed(packet, TRANSCEIVER_LATENCY_S)
+                port.send_delayed(packet, TRANSCEIVER_LATENCY_S, size)
             else:
-                port.send_at(packet, deliver_s + TRANSCEIVER_LATENCY_S)
+                port.send_at(packet, deliver_s + TRANSCEIVER_LATENCY_S, size)
         elif verdict is Verdict.REFLECT:
-            self._egress(self._egress_port(direction.reverse), packet, deliver_s)
+            port = self._egress_port(direction.reverse)
+            self._egress(port, packet, deliver_s, size=size)
         elif verdict is Verdict.TO_CPU:
             self.punted_to_cpu.append(packet)
             # The embedded CPU's service chain may answer (§4.1's
@@ -732,7 +734,7 @@ class FlexSFPModule:
                 max(at, self.sim.now), self._run_services, packet, direction
             )
         else:  # DROP
-            drops.count(packet.wire_len)
+            drops.count(size)
         for extra, extra_direction in emitted:
             self._egress(self._egress_port(extra_direction), extra, deliver_s)
 
@@ -746,7 +748,7 @@ class FlexSFPModule:
     ) -> None:
         """Send ``delay_s`` after ``at_s`` (``None``: after the current event)."""
         if at_s is None:
-            port.send_delayed(packet, delay_s)
+            port.send_delayed(packet, delay_s, size)
         else:
             port.send_at(packet, at_s + delay_s, size)
 

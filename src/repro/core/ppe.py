@@ -221,7 +221,9 @@ class PPEApplication(ABC):
         return {name: c.snapshot() for name, c in self.counters.items()}
 
 
-DoneCallback = Callable[[Packet, Verdict, list[tuple[Packet, Direction]]], None]
+# Per-frame completion: frame, verdict, emitted frames, and the frame's wire
+# size measured after processing, so that no later hop re-walks the headers.
+DoneCallback = Callable[[Packet, Verdict, list[tuple[Packet, Direction]], int], None]
 
 # Compiled-burst delivery: one call per fused slice with the mutated
 # template copy, the shared verdict and wire size, and the struct-of-arrays
@@ -454,41 +456,44 @@ class ReferenceEngine(_EngineBase):
         tracer = self.tracer
         if tracer is not None and tracer.is_traced(packet):
             before = tracer.snapshot_headers(packet)
-            verdict = self._apply(packet, ctx)
+            verdict, size = self._apply(packet, ctx)
             self._record_spans(
                 packet, before, verdict, direction, ctx.time_ns, ctx.queue_depth
             )
         else:
-            verdict = self._apply(packet, ctx)
+            verdict, size = self._apply(packet, ctx)
         self.sim.schedule(
             self.pipeline_latency_s,
             self._deliver,
             packet,
             verdict,
             ctx.emitted,
+            size,
             done,
             enqueue_ns,
         )
         self._start_next()
 
-    def _apply(self, packet: Packet, ctx: PPEContext) -> Verdict:
-        """Run the application on one frame."""
+    def _apply(self, packet: Packet, ctx: PPEContext) -> tuple[Verdict, int]:
+        """Run the application on one frame; its verdict and new wire size."""
         verdict = self._checked(self.app.process(packet, ctx))
-        # Counted post-process: applications may change the frame length.
-        self.processed.count(packet.wire_len)
+        # Measured post-process: applications may change the frame length.
+        size = packet.wire_len
+        self.processed.count(size)
         self.verdict_counts[verdict] += 1
-        return verdict
+        return verdict, size
 
     def _deliver(
         self,
         packet: Packet,
         verdict: Verdict,
         emitted: list[tuple[Packet, Direction]],
+        size: int,
         done: DoneCallback,
         enqueue_ns: int,
     ) -> None:
         self.latency_ns.add(int(self.sim.now * 1e9) - enqueue_ns)
-        done(packet, verdict, emitted)
+        done(packet, verdict, emitted, size)
 
 
 class PacketProcessingEngine(_EngineBase):
@@ -691,7 +696,7 @@ class PacketProcessingEngine(_EngineBase):
             pipeline_latency_s = self.pipeline_latency_s
             apply = self._apply if self.tracer is None else self._apply_spanned
             deliveries: list[
-                tuple[Packet, Verdict, list, DoneCallback, int, float]
+                tuple[Packet, Verdict, list, int, DoneCallback, int, float]
             ] = []
             append = deliveries.append
             while arrivals and arrivals[0][5] <= now:
@@ -706,12 +711,12 @@ class PacketProcessingEngine(_EngineBase):
                 while future and future[-1][4] <= finish_ns:
                     future_bytes -= future[-1][1]
                     future.pop()
-                verdict, emitted = apply(
+                verdict, emitted, size = apply(
                     packet, size, direction, finish_ns,
                     remaining_bytes - future_bytes,
                 )
                 append(
-                    (packet, verdict, emitted, done, enqueue_ns,
+                    (packet, verdict, emitted, size, done, enqueue_ns,
                      finish + pipeline_latency_s)
                 )
             self._arrivals_bytes = remaining_bytes
@@ -727,7 +732,8 @@ class PacketProcessingEngine(_EngineBase):
             self._processing = False
 
     def _deliver_batch(
-        self, deliveries: list[tuple[Packet, Verdict, list, DoneCallback, int, float]]
+        self,
+        deliveries: list[tuple[Packet, Verdict, list, int, DoneCallback, int, float]],
     ) -> None:
         # Done callbacks run at the batch tail but carry each frame's
         # virtual deliver time (``finish + pipeline_latency`` — the exact
@@ -735,10 +741,10 @@ class PacketProcessingEngine(_EngineBase):
         # consumer can keep downstream timestamps identical via
         # ``Port.send_at``.
         latency_add = self.latency_ns.add
-        for packet, verdict, emitted, done, enqueue_ns, deliver_s in deliveries:
+        for packet, verdict, emitted, size, done, enqueue_ns, deliver_s in deliveries:
             latency_add(int(deliver_s * 1e9) - enqueue_ns)
             packet.meta["ppe_deliver_s"] = deliver_s
-            done(packet, verdict, emitted)
+            done(packet, verdict, emitted, size)
 
     # ------------------------------------------------------------------
     # Compiled burst execution
@@ -1053,14 +1059,14 @@ class PacketProcessingEngine(_EngineBase):
         direction: Direction,
         finish_ns: int,
         queue_depth: int,
-    ) -> tuple[Verdict, list[tuple[Packet, Direction]] | tuple]:
+    ) -> tuple[Verdict, list[tuple[Packet, Direction]] | tuple, int]:
         """Run the application on one frame, via the flow cache if possible.
 
         Recipe replays never see a context (the application is not
         entered), so cache hits skip building it entirely and report an
         empty emitted tuple; a recipe's structural ops may change the
-        frame length, so the ``processed`` counter sees the precomputed
-        ``size`` plus the recipe's ``size_delta``.  Slow-path frames get
+        frame length, so the size returned (and counted as ``processed``)
+        is ``size`` plus the recipe's ``size_delta``.  Slow-path frames get
         the identical ``PPEContext`` the oracle constructs.
         """
         app = self.app
@@ -1076,26 +1082,29 @@ class PacketProcessingEngine(_EngineBase):
                     hits.packets += 1
                     hits.bytes += size
                     verdict = recipe.apply(packet, app, size)
+                    size += recipe.size_delta
                     processed = self.processed
                     processed.packets += 1
-                    processed.bytes += size + recipe.size_delta
+                    processed.bytes += size
                     self.verdict_counts[verdict] += 1
-                    return verdict, ()
+                    return verdict, (), size
                 ctx = PPEContext(finish_ns, direction, self.device_id, queue_depth)
                 recipe = app.decide(packet, ctx)
                 if recipe is not None:
                     cache.insert((direction, key), recipe, generation)
                     verdict = recipe.apply(packet, app, size)
-                    self.processed.count(size + recipe.size_delta)
+                    size += recipe.size_delta
+                    self.processed.count(size)
                     self.verdict_counts[verdict] += 1
-                    return verdict, ctx.emitted
+                    return verdict, ctx.emitted, size
         if ctx is None:
             ctx = PPEContext(finish_ns, direction, self.device_id, queue_depth)
         verdict = self._checked(app.process(packet, ctx))
-        # Counted post-process: applications may change the frame length.
-        self.processed.count(packet.wire_len)
+        # Measured post-process: applications may change the frame length.
+        size = packet.wire_len
+        self.processed.count(size)
         self.verdict_counts[verdict] += 1
-        return verdict, ctx.emitted
+        return verdict, ctx.emitted, size
 
     def _apply_spanned(
         self,
@@ -1104,7 +1113,7 @@ class PacketProcessingEngine(_EngineBase):
         direction: Direction,
         finish_ns: int,
         queue_depth: int,
-    ) -> tuple[Verdict, list[tuple[Packet, Direction]] | tuple]:
+    ) -> tuple[Verdict, list[tuple[Packet, Direction]] | tuple, int]:
         """:meth:`_apply` with a tracer attached: traced frames get spans.
 
         The bracket observes the one apply from outside — headers before

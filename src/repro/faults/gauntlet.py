@@ -270,15 +270,16 @@ def run_gauntlet(
 
     host = Port(sim, "host", rate_bps=10e9, queue_bytes=1 << 22)
     host.connect(switch.external_port(2))
+    template = make_udp(
+        src_ip="10.0.0.1", dst_ip="8.8.8.8", payload=bytes(max(0, frame_len - 42))
+    )
     source = CbrSource(
         sim,
         host,
         rate_bps=traffic_bps,
         frame_len=frame_len,
         stop=duration_s,
-        factory=lambda index, size: make_udp(
-            src_ip="10.0.0.1", dst_ip="8.8.8.8", payload=bytes(max(0, size - 42))
-        ),
+        factory=lambda index, size: template.copy(),
     )
 
     injector = FaultInjector(sim)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ._util import int_to_mac
-from .core.mgmt import MgmtMessage, MgmtOp, chunk_body, mgmt_frame
+from .core.mgmt import MAGIC, MgmtMessage, MgmtOp, chunk_body, mgmt_frame
 from .errors import ControlPlaneError
 from .fpga.bitstream import Bitstream
 from .packet import Packet
@@ -201,13 +201,16 @@ class FleetController:
             pending.callback(None)
 
     def _on_rx(self, port: Port, packet: Packet) -> None:
+        payload = packet.payload
+        if payload[:2] != MAGIC:
+            return  # a flooded data frame: unpack would raise to say the same
         try:
-            message = MgmtMessage.unpack(packet.payload, self.auth_key)
+            message = MgmtMessage.unpack(payload, self.auth_key)
+            body = message.json_body()
         except ControlPlaneError:
-            return  # corrupt or foreign frame; the timeout will handle it
+            return  # corrupt, foreign or garbled frame; the timeout handles it
         if message.opcode not in (MgmtOp.ACK, MgmtOp.NAK):
             return
-        body = message.json_body()
         if message.opcode is MgmtOp.NAK:
             self.naks.count()
         if self._discovering and body.get("ok") and "app" in body and "device" in body:

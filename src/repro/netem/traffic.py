@@ -9,7 +9,8 @@ worst case a 10GbE line-rate test implies.
 from __future__ import annotations
 
 import random
-from typing import Callable, Sequence
+from itertools import repeat
+from typing import Callable, Iterator, Sequence
 
 from ..errors import ConfigError
 from ..packet import Packet, make_udp
@@ -84,29 +85,19 @@ class TrafficSource:
         self.sent = Counter(f"{name}.sent")
         self.send_failures = Counter(f"{name}.send_failures")
         self._index = 0
+        self._frame_iter = self._frames()
         sim.schedule_at(max(start, sim.now), self._tick)
 
-    # Subclasses define the size of the next frame and the gap after it.
-    def _next_frame_len(self) -> int:
+    def _frames(self) -> Iterator[tuple[int, float]]:
+        """Each frame's ``(length, gap after it)``, drawn in emission order."""
         raise NotImplementedError
-
-    def _interval_for(self, frame_len: int) -> float:
-        raise NotImplementedError
-
-    def _done_at(self, t: float) -> bool:
-        if self.count is not None and self._index >= self.count:
-            return True
-        return self.stop is not None and t >= self.stop
-
-    def _done(self) -> bool:
-        return self._done_at(self.sim.now)
 
     def _tick(self) -> None:
         t = self.sim.now
         port = self.port
-        # Emission is the hottest loop in traffic-heavy simulations: the
-        # stop checks are inlined; semantics are identical to _done_at.
+        # Emission is the hottest loop in traffic-heavy simulations.
         send = port.send_at
+        frames = self._frame_iter
         factory = self.factory
         sent = self.sent
         count = self.count
@@ -116,7 +107,7 @@ class TrafficSource:
                 stop is not None and t >= stop
             ):
                 return
-            frame_len = self._next_frame_len()
+            frame_len, gap = next(frames)
             packet = factory(self._index, frame_len)
             self._index += 1
             size = packet.wire_len
@@ -125,7 +116,7 @@ class TrafficSource:
                 sent.bytes += size
             else:
                 self.send_failures.count(size)
-            t = t + self._interval_for(frame_len)
+            t = t + gap
         self.sim.schedule_at(t, self._tick)
 
 
@@ -157,11 +148,11 @@ class CbrSource(TrafficSource):
         self.template_burst = template_burst
         super().__init__(sim, port, **kwargs)
 
-    def _next_frame_len(self) -> int:
-        return self.frame_len
-
-    def _interval_for(self, frame_len: int) -> float:
-        return frame_wire_bytes(frame_len) * 8 / self.rate_bps
+    def _frames(self) -> Iterator[tuple[int, float]]:
+        # Constant per flow: derived once, not once per frame.
+        return repeat(
+            (self.frame_len, frame_wire_bytes(self.frame_len) * 8 / self.rate_bps)
+        )
 
     def _tick(self) -> None:
         if not self.template_burst:
@@ -179,7 +170,7 @@ class CbrSource(TrafficSource):
                 return
             if remaining < n:
                 n = remaining
-        interval = self._interval_for(self.frame_len)
+        _, interval = next(self._frame_iter)
         # np.add.accumulate is a sequential left fold: entry i reproduces
         # the scalar ``t = t + interval`` chain bit for bit.  The extra
         # trailing entry is the next tick time.
@@ -229,12 +220,10 @@ class PoissonSource(TrafficSource):
         self._rng = random.Random(seed)
         super().__init__(sim, port, **kwargs)
 
-    def _next_frame_len(self) -> int:
-        return self.frame_len
-
-    def _interval_for(self, frame_len: int) -> float:
-        mean = frame_wire_bytes(frame_len) * 8 / self.rate_bps
-        return self._rng.expovariate(1.0 / mean)
+    def _frames(self) -> Iterator[tuple[int, float]]:
+        mean = frame_wire_bytes(self.frame_len) * 8 / self.rate_bps
+        while True:
+            yield self.frame_len, self._rng.expovariate(1.0 / mean)
 
 
 class ImixSource(TrafficSource):
@@ -260,8 +249,7 @@ class ImixSource(TrafficSource):
         self._weights = [weight for _, weight in self.mix]
         super().__init__(sim, port, **kwargs)
 
-    def _next_frame_len(self) -> int:
-        return self._rng.choices(self._sizes, weights=self._weights, k=1)[0]
-
-    def _interval_for(self, frame_len: int) -> float:
-        return frame_wire_bytes(frame_len) * 8 / self.rate_bps
+    def _frames(self) -> Iterator[tuple[int, float]]:
+        while True:
+            frame_len = self._rng.choices(self._sizes, weights=self._weights, k=1)[0]
+            yield frame_len, frame_wire_bytes(frame_len) * 8 / self.rate_bps

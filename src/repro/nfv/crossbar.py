@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
+from .._util import ip_to_int
 from ..sim.stats import Counter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -27,7 +28,13 @@ class Crossbar:
 
     def __init__(self, name: str, tenants: Sequence[TenantSpec]) -> None:
         self.name = name
-        self._matches = [(index, spec.match) for index, spec in enumerate(tenants)]
+        # SteeringMatch.matches, compiled once: (slot, dport, prefix, shift)
+        # per tenant, None where the rule leaves the field open.
+        self._rows = []
+        for slot, spec in enumerate(tenants):
+            match, shift = spec.match, 32 - spec.match.prefix_len
+            prefix = None if match.dst_ip is None else ip_to_int(match.dst_ip) >> shift
+            self._rows.append((slot, match.udp_dport, prefix, shift))
         self.tenant_names = tuple(spec.name for spec in tenants)
         self.steered = [
             Counter(f"{name}.tenant.{spec.name}.steered") for spec in tenants
@@ -35,9 +42,17 @@ class Crossbar:
 
     def select(self, packet: Packet) -> int:
         """Pure classification: the slot index *packet* steers to."""
-        for index, match in self._matches:
-            if match.matches(packet):
-                return index
+        ip = packet.ipv4
+        udp = None if ip is None else packet.udp
+        for slot, dport, prefix, shift in self._rows:
+            if dport is prefix is None:  # the wildcard claims non-IP frames too
+                return slot
+            if ip is None:
+                continue
+            if dport is not None and (udp is None or udp.dport != dport):
+                continue
+            if prefix is None or ip.dst >> shift == prefix:
+                return slot
         # Unreachable by construction: Deployment.validate() requires the
         # last slot to carry the wildcard match.
         raise AssertionError("crossbar steering fell through the catch-all")

@@ -478,17 +478,18 @@ def _build_fleet_upgrade(spec: ScenarioSpec) -> ScenarioRun:
     host.connect(switch.external_port(FLEET_UPGRADE_MODULES + 1))
     registry.register("sink", sink)
     registry.register("host", host)
+    template = make_udp(
+        src_ip="10.0.0.1",
+        dst_ip="8.8.8.8",
+        payload=bytes(max(0, traffic.frame_len - 42)),
+    )
     CbrSource(
         sim,
         host,
         rate_bps=traffic.rate_bps,
         frame_len=traffic.frame_len,
         stop=traffic.duration_s,
-        factory=lambda index, size: make_udp(
-            src_ip="10.0.0.1",
-            dst_ip="8.8.8.8",
-            payload=bytes(max(0, size - 42)),
-        ),
+        factory=lambda index, size: template.copy(),
     )
 
     target = create_app(spec.app)

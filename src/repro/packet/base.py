@@ -8,7 +8,6 @@ a buffer.  Parser dispatch (which header follows which) lives in
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from typing import ClassVar
 
 from ..errors import ParseError
@@ -47,34 +46,45 @@ class UDPPort:
     INT_COLLECTOR = 5605
 
 
-class Header(ABC):
+class Header:
     """A single protocol header.
 
     Subclasses are simple records: integer fields, a fixed (or computed)
     ``header_len``, ``pack``/``unpack`` symmetry, and equality by field
     values.  They intentionally carry no parsing context.
+
+    A plain class, not an ``ABC``: ``ABCMeta`` makes every ``isinstance``
+    that misses a Python-level call, several per simulated frame.  What a
+    subclass must define is checked once, when it is defined.
     """
 
     name: ClassVar[str] = "header"
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        for required in ("header_len", "pack", "unpack"):
+            if next(k for k in cls.__mro__ if required in vars(k)) is Header:
+                raise TypeError(f"{cls.__name__} must define Header.{required}")
+
     @property
-    @abstractmethod
     def header_len(self) -> int:
         """Length of this header on the wire, in bytes."""
+        raise NotImplementedError
 
-    @abstractmethod
     def pack(self) -> bytes:
         """Serialize the header to wire format."""
+        raise NotImplementedError
 
     @classmethod
-    @abstractmethod
     def unpack(cls, data: memoryview, offset: int) -> tuple["Header", int]:
         """Parse a header at ``offset``; return ``(header, bytes_consumed)``."""
+        raise NotImplementedError
 
     def copy(self) -> "Header":
-        """Shallow field-wise copy (headers hold only immutable values)."""
-        clone = self.__class__.__new__(self.__class__)
-        clone.__dict__.update(self.__dict__)
+        """One allocation, one dict copy: fields hold immutable values (a
+        subclass with a mutable one, ``INTShim.hops``, copies that too)."""
+        clone = object.__new__(self.__class__)
+        clone.__dict__ = self.__dict__.copy()
         return clone
 
     def __eq__(self, other: object) -> bool:

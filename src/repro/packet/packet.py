@@ -33,6 +33,9 @@ ETHERTYPE_TRANSPARENT_ETHERNET = 0x6558  # GRE/NVGRE bridged Ethernet
 # Maximum nesting of encapsulation the parser will follow.
 _MAX_PARSE_DEPTH = 8
 
+_new = object.__new__
+_plain_copy = Header.copy
+
 
 class Packet:
     """An ordered header stack and payload, with simulation metadata.
@@ -144,11 +147,22 @@ class Packet:
         del self.headers[self.index_of(header)]
 
     def copy(self) -> "Packet":
-        """Deep-enough copy: headers are copied, payload bytes shared."""
-        clone = Packet.__new__(Packet)
-        clone.headers = [h.copy() for h in self.headers]
+        """An independent frame: one dict copy per header and a new list;
+        only the immutable payload is shared, nothing is cached.  The loop
+        is ``Header.copy`` inlined; a subclass's override is called."""
+        clone = _new(Packet)
+        clone.headers = headers = []
+        for header in self.headers:
+            cls = header.__class__
+            if cls.copy is _plain_copy:
+                twin = _new(cls)
+                twin.__dict__ = header.__dict__.copy()
+            else:
+                twin = header.copy()
+            headers.append(twin)
         clone.payload = self.payload
-        clone.meta = dict(self.meta)
+        meta = self.meta
+        clone.meta = meta.copy() if meta else {}
         return clone
 
     # ------------------------------------------------------------------

@@ -9,6 +9,7 @@ first — the same layout idea as INT-MD, sized for a 64-bit datapath.
 
 from __future__ import annotations
 
+import copy
 import struct
 
 from .._util import check_range
@@ -120,5 +121,6 @@ class INTShim(Header):
         return cls(next_ethertype, max_hops, hops), total
 
     def copy(self) -> "INTShim":
-        clone = INTShim(self.next_ethertype, self.max_hops, [h for h in self.hops])
+        clone = super().copy()
+        clone.hops = [copy.copy(hop) for hop in self.hops]  # records are mutable
         return clone

@@ -84,7 +84,10 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if not delay >= 0:  # also refuses NaN, which compares False either way
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self.now + delay, callback, *args)
+        self._seq = seq = self._seq + 1
+        event = EventHandle(callback, args)
+        heappush(self._queue, (self.now + delay, seq, event))
+        return event
 
     def schedule_at(
         self, when: float, callback: Callable[..., Any], *args: Any

@@ -85,6 +85,11 @@ class LegacySwitch:
         ]
         for index, cage in enumerate(self.cages):
             cage.asic_port.attach(self._make_rx(index))
+        # Per ingress port, where a flooded frame goes: every other port,
+        # as (all of them but the last, the last).
+        ports = [cage.asic_port for cage in self.cages]
+        others = [ports[:index] + ports[index + 1 :] for index in range(num_ports)]
+        self._flood_ports = [(egress[:-1], egress[-1]) for egress in others]
         self._mac_table: dict[int, int] = {}
         self.forwarded = Counter(f"{name}.forwarded")
         self.flooded = Counter(f"{name}.flooded")
@@ -108,7 +113,11 @@ class LegacySwitch:
         return _rx
 
     def _forward(self, ingress: int, packet: Packet, size: int) -> None:
-        """Switch one frame of wire size ``size`` (no hop here changes it)."""
+        """Switch one frame of wire size ``size`` (no hop here changes it).
+
+        A flooded frame leaves every port but its ingress: the last one
+        gets the frame that came in, the others a copy each (N-2 copies).
+        """
         eth = packet.eth
         if eth is None:
             self.filtered.count(size)
@@ -117,14 +126,11 @@ class LegacySwitch:
         egress = self._mac_table.get(eth.dst)
         if eth.is_broadcast or eth.is_multicast or egress is None:
             self.flooded.count(size)
-            for index, cage in enumerate(self.cages):
-                if index != ingress:
-                    self.sim.schedule(
-                        SWITCH_PIPELINE_LATENCY_S,
-                        cage.asic_port.send,
-                        packet.copy(),
-                        size,
-                    )
+            schedule = self.sim.schedule
+            others, last = self._flood_ports[ingress]
+            for port in others:
+                schedule(SWITCH_PIPELINE_LATENCY_S, port.send, packet.copy(), size)
+            schedule(SWITCH_PIPELINE_LATENCY_S, last.send, packet, size)
             return
         if egress == ingress:
             self.filtered.count(size)

@@ -1,0 +1,145 @@
+"""The per-frame call budget is a checked-in count.
+
+The per-frame lane does a small, fixed amount of work per frame; how much
+is a number that repeats exactly, so it is pinned the way the import
+surface is.  For each of the four per-frame shapes the census runs the
+scenario once to warm up (lazy imports, memoised service times) and once
+under ``sys.setprofile``, counting every Python frame entered whose code
+lives under ``src/repro`` (list/dict/set comprehension frames excluded:
+3.12 inlines them), and divides by the frames the source offered.  Each
+figure must stay at or under its ceiling in
+``tests/snapshots/call_budget.json`` (measured + 3 %; ``--regen-golden``
+rewrites the file, and the diff is reviewed like ``import_surface.json``).
+
+On the ``chaos`` shape, where the legacy switch floods nearly every frame
+past the fleet controller, the census also counts ``ABCMeta`` instance
+checks (a plain ``Header`` needs none) and exceptions raised (a flooded
+data frame is refused by a comparison, not by raise-and-catch).
+
+``python -m tests.test_call_budget`` prints the whole census as JSON,
+with the top callees per shape (CI uploads it, so the next per-frame
+regression is a diff).
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from abc import ABCMeta
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from repro.obs.scenario import ScenarioSpec, TrafficProfile
+
+SRC = str(Path(__file__).resolve().parents[1] / "src" / "repro") + "/"
+EXPECTED_FILE = Path(__file__).parent / "snapshots" / "call_budget.json"
+HEADROOM = 1.03
+_COMPREHENSIONS = frozenset(("<listcomp>", "<dictcomp>", "<setcomp>"))
+_ABC_CHECK = ABCMeta.__instancecheck__.__code__
+
+#: shape -> the scenario whose per-frame cost is counted (seed 1).
+SHAPES = {
+    "chaos-smoke": ScenarioSpec(
+        kind="chaos", fault_plan="smoke", engine="compiled",
+        traffic=TrafficProfile(10e6, 512, 1.5),
+    ),
+    "fleet-upgrade": ScenarioSpec(
+        kind="fleet-upgrade", engine="compiled",
+        traffic=TrafficProfile(20e6, 512, 0.5),
+    ),
+    "nfv-chain-compiled": ScenarioSpec(
+        kind="nfv-chain", engine="compiled", traffic=TrafficProfile(10e9, 60, 0.2e-3)
+    ),
+    "nat-linerate-reference": ScenarioSpec(
+        kind="nat-linerate", engine="reference", traffic=TrafficProfile(10e9, 60, 0.2e-3)
+    ),
+}  # fmt: skip
+
+
+def census(shape: str) -> dict:
+    """Warm up, then count one run of ``shape`` call by call."""
+    spec = SHAPES[shape]
+    spec.run()
+    calls: Counter = Counter()
+    seen = {"abc_checks": 0, "exceptions": 0}
+
+    def on_call(frame, event, arg):
+        if event != "call":
+            return
+        code = frame.f_code
+        if code is _ABC_CHECK:
+            seen["abc_checks"] += 1
+        elif code.co_filename.startswith(SRC) and code.co_name not in _COMPREHENSIONS:
+            calls[code] += 1
+
+    def on_exception(frame, event, arg):
+        # Counted where it is raised (no traceback below this frame), not
+        # again in every frame it passes through.  GeneratorExit is the
+        # interpreter closing a generator ``any()`` left unfinished.
+        if (
+            event == "exception"
+            and arg[2].tb_next is None
+            and arg[0] is not GeneratorExit
+        ):
+            seen["exceptions"] += 1
+        return on_exception
+
+    def watch(frame, event, arg):
+        frame.f_trace_lines = False
+        return on_exception
+
+    previous = sys.gettrace(), sys.getprofile()  # a coverage run has its own
+    sys.settrace(watch)
+    sys.setprofile(on_call)
+    try:
+        run = spec.run()
+    finally:
+        sys.settrace(previous[0])
+        sys.setprofile(previous[1])
+    metrics = run.metrics()
+    offered = metrics["host.tx.packets"] + metrics.get("host.drops.packets", 0)
+    total = sum(calls.values())
+    return {
+        "frames_offered": offered,
+        "calls": total,
+        "calls_per_frame": round(total / offered, 2),
+        **seen,
+        "top": [
+            {
+                "calls": count,
+                "per_frame": round(count / offered, 2),
+                "where": f"{code.co_filename[len(SRC):]}:{code.co_firstlineno}:{code.co_name}",
+            }
+            for code, count in calls.most_common(15)
+        ],
+    }
+
+
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_calls_per_offered_frame_stay_under_the_ceiling(shape, regen_golden):
+    report = census(shape)
+    expected = json.loads(EXPECTED_FILE.read_text()) if EXPECTED_FILE.exists() else {}
+    if regen_golden:
+        expected[shape] = {
+            "measured": report["calls_per_frame"],
+            "ceiling": round(report["calls_per_frame"] * HEADROOM, 1),
+        }
+        EXPECTED_FILE.write_text(json.dumps(expected, indent=1, sort_keys=True) + "\n")
+    assert report["frames_offered"] > 500
+    assert report["calls_per_frame"] <= expected[shape]["ceiling"], (
+        f"{shape}: {report['calls_per_frame']} repro calls per offered frame, over "
+        f"the ceiling {expected[shape]['ceiling']} (measured "
+        f"{expected[shape]['measured']} when it was set); top callees: "
+        f"{json.dumps(report['top'][:8], indent=1)}"
+    )
+    if shape == "chaos-smoke":
+        # Nothing per frame: a handful per run (typing's own ABCs, a lazy
+        # import's failed stat; a corrupted management frame would add one).
+        assert report["abc_checks"] < 10
+        assert report["exceptions"] * 100 < report["frames_offered"]
+
+
+if __name__ == "__main__":
+    print(json.dumps({shape: census(shape) for shape in SHAPES}, indent=1))

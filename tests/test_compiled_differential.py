@@ -834,7 +834,7 @@ def run_engine_script(
     def src_of(packet):
         return packet.ipv4.src if packet.ipv4 is not None else packet.ipv6.src
 
-    def done_frame(packet, verdict, emitted):
+    def done_frame(packet, verdict, emitted, size):
         at = packet.meta.pop("ppe_deliver_s", sim.now)
         done.append((src_of(packet), verdict, len(emitted), at))
 

@@ -1,11 +1,15 @@
 """Fleet control over an unreliable management network: retries, lossy
 discovery, upgrades under loss/flaps, mid-stream death, and rollback."""
 
+import pytest
+
 from repro.apps import VlanTagger
 from repro.core import ShellSpec
+from repro.core.mgmt import MgmtMessage, MgmtOp, mgmt_frame
 from repro.fleet import FleetController
 from repro.hls import XdpProgram, XdpVerdict, compile_app
 from repro.netem import LossyWire
+from repro.sim import Port
 from repro.switch import LegacySwitch, PortPolicy, RetrofitPlan, apply_retrofit
 
 KEY = b"fleet-key"
@@ -67,6 +71,26 @@ class TestRetries:
         assert len(replies) == 10
         assert all(reply and reply["ok"] for reply in replies)
         assert wire.stats()["drops"] > 0  # the loss was real
+
+
+    @pytest.mark.parametrize("body", [b"not json", b"[]"])
+    def test_authenticated_reply_with_garbled_body_is_refused(self, sim, body):
+        """An HMAC-valid ACK whose body is not a JSON object is a refused
+        frame (it used to raise ControlPlaneError out of ``sim.run()``):
+        the request stays pending and its timeout and retries handle it."""
+        controller = FleetController(sim, auth_key=KEY)
+        peer = Port(sim, "peer", rate_bps=1e9)
+        controller.port.connect(peer)
+        replies = []
+        controller.hello("02:00:00:00:00:09", replies.append)
+        garbled = MgmtMessage(MgmtOp.ACK, seq=1, body=body)
+        peer.send(mgmt_frame(garbled, KEY, "02:00:00:00:00:09", controller.mac))
+        sim.run(until=0.5)
+        assert peer.tx.packets == 1 and controller.port.rx.packets == 1
+        assert replies == [None]
+        assert controller.retries.packets == controller.max_retries
+        assert controller.timeouts.packets == 1
+        assert controller.naks.packets == 0
 
 
 class TestLossyDiscovery:

@@ -1,5 +1,7 @@
 """Per-header pack/unpack symmetry and field validation."""
 
+import copy
+
 import pytest
 
 from repro.errors import ConfigError, ParseError, SerializationError
@@ -18,6 +20,9 @@ from repro.packet import (
     VXLAN,
     Ethernet,
     EtherType,
+    Header,
+    Packet,
+    make_udp,
 )
 
 
@@ -239,3 +244,90 @@ class TestINT:
         clone = shim.copy()
         clone.push_hop(INTHop(2))
         assert shim.hop_count == 1 and clone.hop_count == 2
+
+
+# ----------------------------------------------------------------------
+# A copy shares nothing mutable with its original
+# ----------------------------------------------------------------------
+PACKET_HEADERS = sorted(
+    (cls for cls in Header.__subclasses__() if cls.__module__.startswith("repro.packet.")),
+    key=lambda cls: cls.__name__,
+)
+
+
+def populated(cls):
+    """An instance with every nested container non-empty."""
+    if cls is INTShim:
+        return INTShim(max_hops=4, hops=[INTHop(1, 2, 3, 4), INTHop(5, 6, 7, 8)])
+    if cls is GRE:
+        return GRE(key=7)
+    return cls()
+
+
+def mutate_every_field(record):
+    """Change every public field of ``record``, nested records included."""
+    for name, value in list(vars(record).items()):
+        if isinstance(value, bool):
+            setattr(record, name, not value)
+        elif isinstance(value, int):
+            setattr(record, name, value ^ 1)
+        elif isinstance(value, bytes):
+            setattr(record, name, value + b"\x01")
+        elif isinstance(value, list):
+            for item in value:
+                mutate_every_field(item)
+            value.append(copy.deepcopy(value[0]))
+        else:
+            raise AssertionError(f"{type(record).__name__}.{name}: untested field {value!r}")
+
+
+class TestCopyIndependence:
+    def test_every_packet_header_is_covered(self):
+        assert len(PACKET_HEADERS) == 11 and INTShim in PACKET_HEADERS
+
+    @pytest.mark.parametrize("cls", PACKET_HEADERS, ids=lambda cls: cls.__name__)
+    def test_header_copy_equals_and_shares_nothing(self, cls):
+        original = populated(cls)
+        pristine = copy.deepcopy(original)
+        clone = original.copy()
+        assert type(clone) is cls and clone is not original
+        assert clone == original
+        mutate_every_field(clone)
+        assert clone != original
+        assert original == pristine
+
+    def test_copied_int_shim_owns_its_hop_records(self):
+        """The defect: ``[h for h in self.hops]`` copied the list, not the hops."""
+        shim = INTShim(hops=[INTHop(1, latency_ns=5)])
+        clone = shim.copy()
+        clone.hops[0].latency_ns = 999
+        assert shim.hops[0].latency_ns == 5
+        via_packet = Packet([Ethernet(ethertype=EtherType.INT_SHIM), shim]).copy()
+        via_packet.get(INTShim).hops[0].latency_ns = 999
+        assert shim.hops[0].latency_ns == 5
+
+    def test_packet_copy_equals_and_shares_nothing(self):
+        original = make_udp(payload=b"payload")
+        original.insert_after(original.eth, populated(INTShim))
+        original.meta.update(trace_id=3, ppe_enqueue_ns=17)
+        pristine = copy.deepcopy(original)
+        clone = original.copy()
+        assert clone.headers == original.headers and clone.headers is not original.headers
+        assert all(a is not b for a, b in zip(clone.headers, original.headers))
+        assert clone.payload == original.payload and clone.meta == original.meta
+        for header in clone.headers:
+            mutate_every_field(header)
+        clone.headers.append(VLAN(vid=9))
+        clone.payload += b"!"
+        clone.meta["trace_id"] = 4
+        clone.meta["new"] = True
+        del clone.meta["ppe_enqueue_ns"]
+        assert original.headers == pristine.headers
+        assert original.payload == pristine.payload
+        assert original.meta == pristine.meta == {"trace_id": 3, "ppe_enqueue_ns": 17}
+
+    def test_copy_of_a_frame_without_meta_gets_its_own_empty_meta(self):
+        original = make_udp()
+        clone = original.copy()
+        clone.meta["k"] = 1
+        assert original.meta == {} and original.copy().meta == {}

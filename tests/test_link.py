@@ -370,3 +370,59 @@ class TestCarriedWireSize:
         assert min(checked.values()) > 1000 and len(checked) == 3
         assert sum(port.duplicated.packets for port in impaired) > 10
         assert sum(port.corrupted.packets for port in impaired) > 10
+
+    @pytest.mark.parametrize("engine", ["reference", "compiled"])
+    @pytest.mark.parametrize("kind", ["nfv-chain", "nat-linerate"])
+    def test_the_ppe_completion_carries_the_post_process_size(
+        self, monkeypatch, kind, engine
+    ):
+        """The PPE hop: ``_ppe_done`` hands ``send_at`` / ``send_delayed`` the
+        size the engine measured after processing (nfv-chain's in-band tenant
+        grows the frame by an INT shim), so no send re-walks the headers."""
+        from repro.core.module import FlexSFPModule
+        from repro.obs.scenario import ScenarioSpec, TrafficProfile
+
+        completing = []  # the frame _ppe_done is egressing right now
+        sent = Counter()
+        sizes = set()
+        ppe_done = FlexSFPModule._ppe_done
+
+        def checked_done(module, packet, verdict, emitted, size, direction, drops):
+            assert size == packet.wire_len, (module.name, verdict, size)
+            completing.append(packet)
+            try:
+                ppe_done(module, packet, verdict, emitted, size, direction, drops)
+            finally:
+                completing.pop()
+
+        def checking(name):
+            original = getattr(Port, name)
+
+            def wrapper(port, packet, when, size=None):
+                if completing and packet is completing[-1]:
+                    assert size == packet.wire_len, (port.name, name, size)
+                    sent[name] += 1
+                    sizes.add(size)
+                return original(port, packet, when, size)
+
+            monkeypatch.setattr(Port, name, wrapper)
+
+        monkeypatch.setattr(FlexSFPModule, "_ppe_done", checked_done)
+        checking("send_at")
+        checking("send_delayed")
+        # A tracer (tracing nothing) keeps nat-linerate's compiled tier on the
+        # per-frame lane, where the size is the flow-cache recipe's.
+        run = ScenarioSpec(
+            kind=kind,
+            engine=engine,
+            traffic=TrafficProfile(10e9, 60, 50e-6),
+            trace_packets=0,
+        ).run()
+        passed = sum(
+            value
+            for name, value in run.metrics().items()
+            if name.endswith(".verdicts.pass")
+        )
+        name = "send_delayed" if engine == "reference" else "send_at"
+        assert sent == {name: passed} and passed > 400
+        assert (max(sizes) > 60) == (kind == "nfv-chain")
