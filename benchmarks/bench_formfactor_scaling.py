@@ -12,51 +12,26 @@ paper leaves as future work.
 
 from common import report
 from repro.apps import StaticNat
-from repro.core import ShellSpec
-from repro.errors import ConfigError
-from repro.fpga import FORM_FACTORS, envelope_check
+from repro.core import ShellSpec, plan_operating_point
+from repro.fpga import envelope_report
 from repro.hls import compile_app
 
-# (rate Gbps, datapath bits, clock Hz) operating points from the
-# scalability sweep.
-OPERATING_POINTS = (
-    (10.0, 64, 156.25e6),
-    (25.0, 64, 400e6),
-    (40.0, 128, 400e6),
-    (100.0, 1024, 312.5e6),
-)
+RATES_GBPS = (10.0, 25.0, 40.0, 100.0)
 
 
 def compute():
+    """``(rate, form factor, module W, envelope W, verdict)`` per pair.
+
+    The operating point is the §5.3 planner's and the rows are
+    ``envelope_report``'s: what ``flexsfp paper scale`` / ``envelope`` print.
+    """
     rows = []
-    for rate, width, clock in OPERATING_POINTS:
+    for rate in RATES_GBPS:
+        width, clock = plan_operating_point(rate * 1e9)
         shell = ShellSpec(line_rate_bps=rate * 1e9, datapath_bits=width)
         build = compile_app(StaticNat(), shell, clock_hz=clock, strict=False)
-        for name, form_factor in FORM_FACTORS.items():
-            try:
-                check = envelope_check(
-                    form_factor, rate, build.report.total, build.report.timing.clock_hz
-                )
-            except ConfigError:
-                rows.append(
-                    {
-                        "rate": rate,
-                        "ff": name,
-                        "total_w": None,
-                        "envelope_w": form_factor.power_envelope_w,
-                        "verdict": "no lanes",
-                    }
-                )
-                continue
-            rows.append(
-                {
-                    "rate": rate,
-                    "ff": name,
-                    "total_w": check.total_w,
-                    "envelope_w": check.envelope_w,
-                    "verdict": "fits" if check.fits else "over budget",
-                }
-            )
+        sweep = envelope_report(rate, build.report.total, build.report.timing.clock_hz)
+        rows += [(rate, *row) for row in sweep.rows]
     return rows
 
 
@@ -65,18 +40,9 @@ def test_formfactor_scaling(benchmark):
     report(
         "§6: FlexSFP power vs MSA envelopes across form factors",
         ("Gbps", "form factor", "module W", "envelope W", "verdict"),
-        [
-            (
-                f"{r['rate']:.0f}",
-                r["ff"],
-                f"{r['total_w']:.2f}" if r["total_w"] is not None else "-",
-                r["envelope_w"],
-                r["verdict"],
-            )
-            for r in rows
-        ],
+        [(f"{rate:.0f}", *row) for rate, *row in rows],
     )
-    verdicts = {(r["rate"], r["ff"]): r["verdict"] for r in rows}
+    verdicts = {(rate, ff): verdict for rate, ff, _w, _envelope, verdict in rows}
     # The prototype story: 10G fits the SFP+ envelope.
     assert verdicts[(10.0, "SFP+")] == "fits"
     # 25G doesn't fit an SFP+ electrically, but SFP28 carries it.
@@ -91,8 +57,7 @@ def test_formfactor_scaling(benchmark):
     # And the envelope question is real: the smallest form factor with
     # enough lanes for 100G (QSFP28) is down to <10% power headroom for a
     # *simple* NAT — anything heavier pushes into QSFP-DD/OSFP classes.
-    by_key = {(r["rate"], r["ff"]): r for r in rows}
-    qsfp28_100g = by_key[(100.0, "QSFP28")]
-    assert qsfp28_100g["verdict"] == "fits"
-    headroom = qsfp28_100g["envelope_w"] - qsfp28_100g["total_w"]
-    assert headroom / qsfp28_100g["envelope_w"] < 0.10
+    assert verdicts[(100.0, "QSFP28")] == "fits"
+    watts = {(rate, ff): (float(w), envelope) for rate, ff, w, envelope, _ in rows if w != "-"}
+    module_w, envelope_w = watts[(100.0, "QSFP28")]
+    assert (envelope_w - module_w) / envelope_w < 0.10

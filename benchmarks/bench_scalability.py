@@ -5,9 +5,10 @@ adjusting the width of the internal datapath (e.g., from 64-bit to 512-bit
 or wider) and/or raising the clock frequency ... Both adjustments require
 a more powerful FPGA."
 
-For each target line rate this bench finds the narrowest datapath that
-closes timing on the standard clock grid, rebuilds the NAT at that width,
-and reports the resource growth and whether each catalog device still
+For each target line rate this bench asks the planner
+(``repro.core.plan_operating_point``, the one ``flexsfp paper scale``
+prints) for the cheapest datapath that closes timing on the standard
+clock grid, rebuilds the NAT at that width, and reports the resource growth and whether each catalog device still
 fits — reproducing the qualitative claim that higher rates push the design
 into larger parts and form factors.
 """
@@ -16,40 +17,12 @@ import pytest
 
 from common import report
 from repro.apps import StaticNat
-from repro.core import ShellSpec, STANDARD_CLOCKS_HZ
+from repro.core import ShellSpec, plan_operating_point
 from repro.errors import TimingError
-from repro.fpga import DEVICES, MPF200T, TimingSpec
+from repro.fpga import DEVICES, MPF200T
 from repro.hls import compile_app
 
 LINE_RATES = (10e9, 25e9, 40e9, 100e9)
-MAX_FABRIC_HZ = 400e6
-
-
-def plan_operating_point(line_rate: float) -> tuple[int, float]:
-    """Cheapest (width, clock) on the standard grid sustaining the rate.
-
-    "Cheapest" minimizes raw datapath bandwidth (width × clock), breaking
-    ties toward the lower clock — the same choice the prototype made
-    (64 b @ 156.25 MHz rather than 32 b @ 312.5 MHz for 10 G).
-    """
-    candidates: list[tuple[float, float, int]] = []
-    for clock in STANDARD_CLOCKS_HZ:
-        if clock > MAX_FABRIC_HZ:
-            continue
-        width = 8
-        while width <= 2048:
-            _, sustained = TimingSpec(width, clock).worst_case_frame(line_rate)
-            if sustained:
-                candidates.append((width * clock, clock, width))
-                break
-            width *= 2
-    if not candidates:
-        raise TimingError(
-            f"no single-pipeline operating point sustains "
-            f"{line_rate / 1e9:.0f} Gbps on the standard grid"
-        )
-    _, clock, width = min(candidates)
-    return width, clock
 
 
 def compute():

@@ -8,13 +8,14 @@ rule of Sadok et al. [39].
 
 import pytest
 
-from common import fmt_band, report
+from common import report
 from repro.costmodel import (
     DPU_BF2,
     FlexSfpBom,
     MANY_CORE,
     capex_saving_vs,
     power_reduction_vs,
+    table3_report,
     table3_rows,
 )
 
@@ -33,31 +34,11 @@ def compute():
 
 def test_table3_cost_power(benchmark):
     rows = benchmark.pedantic(compute, rounds=3, iterations=1)
-    display = [
-        (
-            row["solution"],
-            fmt_band(row["raw_usd"]),
-            row["raw_w"],
-            fmt_band(row["usd_per_10g"]),
-            row["w_per_10g"],
-        )
-        for row in rows
-    ]
-    report(
-        "Table 3: raw and ideal-scaled cost/power (per 10 Gb/s)",
-        ("solution", "raw $", "raw W", "$/10G", "W/10G"),
-        display,
-    )
-    bom = FlexSfpBom()
-    report(
-        "FlexSFP BOM breakdown (1k units)",
-        ("item", "low $", "high $", "share"),
-        [
-            (r["item"], r["low_usd"], r["high_usd"], f"{r['share_of_high']:.0%}")
-            for r in bom.breakdown()
-        ],
-    )
-
+    # Display rows are the library's (what `flexsfp paper table3|bom` print).
+    table3 = table3_report(units=1_000)
+    report("Table 3: raw and ideal-scaled cost/power (per 10 Gb/s)", table3.headers, table3.rows)
+    bom = FlexSfpBom().report()
+    report("FlexSFP BOM breakdown (1k units)", bom.headers, bom.rows)
     by_name = {row["solution"]: row for row in rows}
     # Shape: every computed band sits inside (or equals) the paper band
     # with 15% tolerance on the edges.

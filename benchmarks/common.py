@@ -48,11 +48,6 @@ def report(title: str, headers: Sequence[str], rows: Sequence[Sequence[object]])
     return text
 
 
-def fmt_band(band: tuple[float, float], digits: int = 0) -> str:
-    low, high = band
-    return f"{low:.{digits}f}-{high:.{digits}f}"
-
-
 def fmt_pct(fraction: float) -> str:
     return f"{fraction:.0%}"
 

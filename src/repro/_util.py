@@ -3,17 +3,35 @@
 The packet headers store addresses as plain integers for fast packing; these
 helpers convert between human-readable notations and the integer forms, and
 provide the handful of bit-twiddling utilities used across the toolkit.
-:func:`export_table` is what every package ``__init__`` is built from.
+:func:`export_table` is what every package ``__init__`` is built from,
+:class:`Report` what every report builder returns.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from collections import namedtuple
 from functools import lru_cache
 from importlib import import_module
 
 from .errors import ConfigError
+
+
+class Report(
+    namedtuple("Report", "title headers rows extra text ok", defaults=(None, None, True))
+):
+    """What a report builder returns and the CLI renders (``cli._emit``).
+
+    ``title`` / ``headers`` / ``rows`` / ``extra`` (a dict, ``None`` for
+    no extras) are the ``flexsfp.table/1`` document ``--json`` prints.
+    ``text`` is the text form when it is more than that one table: blocks
+    in print order, each a line (``str``) or a ``(headers, rows)`` table.
+    ``ok`` is the verdict behind exit code 0 / 1.  The builder owns the numbers, the CLI only
+    prints them, so a table has one definition whoever asks for it.
+    """
+
+    __slots__ = ()
 
 
 def export_table(package: str, table: dict[str, tuple[str, ...]]):

@@ -16,15 +16,15 @@ from .._util import export_table
 __all__, __getattr__, __dir__ = export_table(
     __name__,
     {
-        "appcheck": ("check_app",),
+        "appcheck": ("apps_report", "check_app"),
         "effects": (
             "EffectSummary", "LineRateVerdict", "StageEffect", "analyze_app",
             "analyze_pipeline", "corpus_digest", "effect_findings",
             "fusion_engagement", "line_rate_verdict", "profile_findings",
         ),
         "findings": (
-            "Finding", "Severity", "errors", "severity_counts", "sort_findings",
-            "warnings",
+            "Finding", "Severity", "errors", "findings_report", "severity_counts",
+            "sort_findings",
         ),
         "irverify": ("verify_pipeline",),
         "simlint": ("default_lint_root", "lint_file", "lint_paths", "lint_source"),

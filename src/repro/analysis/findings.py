@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from .._util import Report
+
 
 class Severity(Enum):
     """How bad a finding is.
@@ -79,12 +81,31 @@ def errors(findings: list[Finding]) -> list[Finding]:
     return [f for f in findings if f.severity is Severity.ERROR]
 
 
-def warnings(findings: list[Finding]) -> list[Finding]:
-    return [f for f in findings if f.severity is Severity.WARNING]
-
-
 def severity_counts(findings: list[Finding]) -> dict[str, int]:
     counts = {level.value: 0 for level in Severity}
     for finding in findings:
         counts[finding.severity.value] += 1
     return counts
+
+
+def findings_report(
+    findings: list[Finding], targets: list[str], extra: dict[str, object], text: list
+) -> Report:
+    """The ``flexsfp check`` document: sorted findings, counts, targets.
+
+    ``extra`` holds further fields of the document and ``text`` the blocks
+    printed above the findings table (the effects / fusibility and NFV-price
+    halves); an error finding makes the report not ``ok``.
+    """
+    findings = sort_findings(findings)
+    counts = severity_counts(findings)
+    headers = ("severity", "rule", "location", "message", "hint")
+    rows = [finding.as_row() for finding in findings]
+    if rows:
+        text = [*text, (headers, rows), ""]
+    summary = (
+        f"checked {len(targets)} target(s): {counts['error']} error(s), "
+        f"{counts['warning']} warning(s), {counts['info']} info"
+    )
+    extra = {"counts": counts, "targets": targets, **extra}
+    return Report("check", headers, rows, extra, (*text, summary), not counts["error"])

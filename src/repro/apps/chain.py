@@ -24,9 +24,6 @@ from ..hls.ir import PipelineSpec, Stage, StageKind
 from ..hls.passes import optimize
 from ..packet import Packet
 
-# Stage kinds that belong to the shared shell, not to any one member.
-_SHARED_KINDS = frozenset({StageKind.PARSER, StageKind.DEPARSER, StageKind.FIFO})
-
 
 class AppChain(PPEApplication):
     """Sequential composition of PPE applications."""

@@ -32,10 +32,6 @@ class CpuPunt(PPEApplication):
         self.punt_arp = punt_arp
         self.punt_icmp_echo = punt_icmp_echo
 
-    def add_owned_ip(self, ip: str) -> None:
-        self.owned_ips.append(ip)
-        self._owned.add(ip_to_int(ip))
-
     def process(self, packet: Packet, ctx: PPEContext) -> Verdict:
         if self.punt_arp:
             arp = packet.get(ARP)

@@ -385,19 +385,3 @@ def diff_artifacts(a, b) -> ArtifactDiff:
             entries.append(DiffEntry(DiffKind.TIMING_ONLY, section, va, vb))
 
     return ArtifactDiff(entries=tuple(entries), notes=tuple(notes))
-
-
-__all__ = [
-    "ArtifactDiff",
-    "DiffEntry",
-    "DiffKind",
-    "NONSEMANTIC_INFIXES",
-    "NONSEMANTIC_NAMES",
-    "NONSEMANTIC_PREFIXES",
-    "NONSEMANTIC_SUMMARY_KEYS",
-    "diff_artifacts",
-    "is_semantic_metric",
-    "semantic_metrics",
-    "semantic_shard_digest",
-    "semantic_summary",
-]

@@ -94,10 +94,6 @@ class RunArtifact:
     def digests(self) -> tuple[str, ...]:
         return tuple(str(shard["digest"]) for shard in self.shards)
 
-    @property
-    def semantic_digests(self) -> tuple[str, ...]:
-        return tuple(str(shard["semantic_digest"]) for shard in self.shards)
-
     def artifact_digest(self) -> str:
         """SHA-256 over the semantic body (volatile trailers excluded).
 
@@ -402,14 +398,3 @@ def load_artifact(path) -> RunArtifact:
     if not isinstance(payload, dict):
         raise ConfigError(f"artifact {target} is not a JSON document")
     return RunArtifact.from_dict(payload)
-
-
-__all__ = [
-    "RunArtifact",
-    "artifact_from_bench",
-    "artifact_from_fleet_result",
-    "artifact_from_scenario_run",
-    "environment_fingerprint",
-    "load_artifact",
-    "spec_digest_of",
-]

@@ -5,10 +5,12 @@ exposes the toolkit's analysis surface without writing any code:
 
 * ``apps`` / ``devices`` — what can be built, and on what.
 * ``build APP`` — run the build flow, print the Table-1-style report.
-* ``table1`` / ``table2`` / ``table3`` — regenerate the paper's tables.
-* ``power`` — the §5 power series for a deployed application.
-* ``bom`` — the FlexSFP cost breakdown at a production volume.
-* ``scale GBPS`` — plan an operating point for a target line rate.
+* ``paper WHAT`` — regenerate one of the paper's artefacts: ``table1`` /
+  ``table2`` / ``table3``, the §5 ``power`` series, the ``bom`` cost
+  breakdown, ``scale GBPS`` (the §5.3 operating point for a line rate)
+  and ``envelope GBPS`` (the §6 form-factor power envelopes).  Each is
+  computed by one library function (:data:`PAPER` names them) that the
+  benches call too; the CLI renders what it returns.
 * ``chaos PLAN`` — replay a named fault plan through the chaos gauntlet.
 * ``metrics`` — run an instrumented scenario, export its registry.
 * ``trace`` — per-packet stage spans through a scenario, as JSON Lines.
@@ -35,8 +37,10 @@ A command pays for the code it runs.  This module imports the standard
 library, ``_util`` and ``errors`` only; :data:`COMMANDS` is the one table
 a subcommand is registered in, ``(name, help, configure, handler)``:
 ``configure(parser)`` adds the arguments (importing the registries their
-``choices=`` read), ``handler(args)`` imports what it executes, and
-:func:`main` configures only the subcommand named on the command line.
+``choices=`` read), ``handler(args)`` imports what it executes and returns
+an exit code or a :class:`~repro._util.Report` to render, and :func:`main`
+configures only the subcommand (under ``paper``, the artefact) named on
+the command line.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ import os
 import sys
 from pathlib import Path
 
-from ._util import write_text_atomic
+from ._util import Report, write_text_atomic
 from .errors import ConfigError, ReproError
 
 # Exit codes beyond the usual 0/1/2: a supervised fleet run that lost
@@ -73,20 +77,24 @@ def _print_rows(headers: tuple[str, ...], rows: list[tuple]) -> None:
         print("  ".join(str(c).ljust(widths[i]) for i, c in enumerate(row)))
 
 
-def _emit(
-    args: argparse.Namespace,
-    title: str,
-    headers: tuple[str, ...],
-    rows: list[tuple],
-    **extra: object,
-) -> None:
-    """Render one command result: text table or ``flexsfp.table/1`` JSON."""
-    if getattr(args, "json", False):
+def _emit(args: argparse.Namespace, report: Report) -> int:
+    """Render one :class:`~repro._util.Report`; returns its exit code.
+
+    Text blocks (default: the one table) or the ``flexsfp.table/1`` JSON
+    document.  The report's builder owns the numbers, this only prints.
+    """
+    if args.json:
         from .obs.export import table_json
 
-        print(table_json(title, headers, rows, **extra))
+        extra = report.extra or {}
+        print(table_json(report.title, report.headers, report.rows, **extra))
     else:
-        _print_rows(headers, rows)
+        for block in report.text or ((report.headers, report.rows),):
+            if isinstance(block, str):
+                print(block)
+            else:
+                _print_rows(*block)
+    return 0 if report.ok else 1
 
 
 def _shell_kinds() -> dict:
@@ -108,10 +116,17 @@ def _shell_from_args(args: argparse.Namespace):
     )
 
 
+def _compile(app: str, shell, **options):
+    from .apps import create_app
+    from .hls.compiler import compile_app
+
+    return compile_app(create_app(app), shell, **options)
+
+
 # ----------------------------------------------------------------------
 # Subcommands
 # ----------------------------------------------------------------------
-def cmd_apps(args: argparse.Namespace) -> int:
+def cmd_apps(args: argparse.Namespace) -> Report:
     from .apps import APP_FACTORIES, create_app
 
     rows = []
@@ -119,11 +134,11 @@ def cmd_apps(args: argparse.Namespace) -> int:
         app = create_app(name)
         spec = app.pipeline_spec()
         rows.append((name, spec.chain_depth, spec.pipeline_depth, spec.description))
-    _emit(args, "apps", ("application", "chain", "stages", "description"), rows)
-    return 0
+    headers = ("application", "chain", "stages", "description")
+    return Report("apps", headers, rows)
 
 
-def cmd_devices(args: argparse.Namespace) -> int:
+def cmd_devices(args: argparse.Namespace) -> Report:
     from .fpga.resources import DEVICES
 
     rows = [
@@ -138,233 +153,102 @@ def cmd_devices(args: argparse.Namespace) -> int:
         )
         for d in DEVICES.values()
     ]
-    _emit(
-        args,
-        "devices",
-        ("device", "LE", "4LUT", "uSRAM", "LSRAM", "SRAM", "price"),
-        rows,
-    )
-    return 0
+    headers = ("device", "LE", "4LUT", "uSRAM", "LSRAM", "SRAM", "price")
+    return Report("devices", headers, rows)
 
 
-def cmd_build(args: argparse.Namespace) -> int:
-    from .apps import create_app
+def cmd_build(args: argparse.Namespace) -> Report:
+    """Build ``args.app`` and frame ``SynthesisReport.table1_rows()``."""
     from .fpga.resources import get_device
-    from .hls.compiler import compile_app
-    from .obs.export import table_json
 
-    app = create_app(args.app)
     shell = _shell_from_args(args)
     device = get_device(args.device)
-    clock_hz = args.clock * 1e6 if args.clock else None
-    result = compile_app(
-        app,
+    report = _compile(
+        args.app,
         shell,
         device=device,
-        clock_hz=clock_hz,
+        clock_hz=args.clock * 1e6 if args.clock else None,
         strict=False,
         flow_cache_entries=getattr(args, "cache_entries", None),
-    )
-    report = result.report
+    ).report
     headers = ("component", "4LUT", "FF", "uSRAM", "LSRAM")
     rows = [tuple(row) for row in report.table1_rows()]
-    if getattr(args, "json", False):
-        print(
-            table_json(
-                "build",
-                headers,
-                rows,
-                app=args.app,
-                device=device.name,
-                shell=shell.kind.value,
-                datapath_bits=report.timing.datapath_bits,
-                clock_mhz=report.timing.clock_hz / 1e6,
-                utilization=dict(report.utilization),
-                fits=report.fits,
-                meets_timing=report.meets_timing,
-                notes=list(report.notes),
-            )
-        )
-        return 0 if report.fits and report.meets_timing else 1
-    print(
-        f"{args.app} on {device.name} / {shell.kind.value}: "
-        f"{report.timing.datapath_bits} b @ {report.timing.clock_hz / 1e6:.2f} MHz"
-    )
-    _print_rows(headers, rows)
+    clock_mhz = report.timing.clock_hz / 1e6
+    extra = {
+        "app": args.app,
+        "device": device.name,
+        "shell": shell.kind.value,
+        "datapath_bits": report.timing.datapath_bits,
+        "clock_mhz": clock_mhz,
+        "utilization": dict(report.utilization),
+        "fits": report.fits,
+        "meets_timing": report.meets_timing,
+        "notes": list(report.notes),
+    }
     util = ", ".join(f"{k} {v:.0%}" for k, v in report.utilization.items())
-    print(f"utilization: {util}")
-    print(f"fits: {report.fits}   meets timing: {report.meets_timing}")
-    for note in report.notes:
-        print(f"note: {note}")
-    return 0 if report.fits and report.meets_timing else 1
+    text = (
+        f"{args.app} on {device.name} / {shell.kind.value}: "
+        f"{report.timing.datapath_bits} b @ {clock_mhz:.2f} MHz",
+        (headers, rows),
+        f"utilization: {util}",
+        f"fits: {report.fits}   meets timing: {report.meets_timing}",
+        *(f"note: {note}" for note in report.notes),
+    )
+    ok = report.fits and report.meets_timing
+    return Report("build", headers, rows, extra, text, ok)
 
 
-def cmd_table1(args: argparse.Namespace) -> int:
-    args.app = "nat"
-    args.device = "MPF200T"
-    args.clock = None
+# ----------------------------------------------------------------------
+# The paper's artefacts.  Each has one owner in the library that returns
+# the rows as the paper prints them; these only hand it the arguments.
+# ----------------------------------------------------------------------
+def _paper_table1(args: argparse.Namespace) -> Report:
+    args.app, args.device, args.clock = "nat", "MPF200T", None
     return cmd_build(args)
 
 
-def cmd_table2(args: argparse.Namespace) -> int:
-    from .fpga.literature import table2_rows
+def _paper_table2(args: argparse.Namespace) -> Report:
+    from .fpga.literature import table2_report
 
-    rows = [
-        (
-            r["name"],
-            f"{r['logic_le']:,.0f}",
-            f"{r['bram_kbit']:,.0f}",
-            r["fit_class"],
-        )
-        for r in table2_rows()
-    ]
-    _emit(args, "table2", ("design", "logic (LE)", "BRAM (kbit)", "verdict"), rows)
-    return 0
+    return table2_report()
 
 
-def cmd_table3(args: argparse.Namespace) -> int:
-    from .costmodel.comparables import table3_rows
+def _paper_table3(args: argparse.Namespace) -> Report:
+    from .costmodel.comparables import table3_report
 
-    rows = [
-        (
-            r["solution"],
-            f"{r['raw_usd'][0]:.0f}-{r['raw_usd'][1]:.0f}",
-            r["raw_w"],
-            f"{r['usd_per_10g'][0]:.0f}-{r['usd_per_10g'][1]:.0f}",
-            r["w_per_10g"],
-        )
-        for r in table3_rows(units=args.units)
-    ]
-    _emit(
-        args,
-        "table3",
-        ("solution", "raw $", "raw W", "$/10G", "W/10G"),
-        rows,
-        units=args.units,
-    )
-    return 0
+    return table3_report(args.units)
 
 
-def cmd_power(args: argparse.Namespace) -> int:
-    from .apps import create_app
+def _paper_power(args: argparse.Namespace) -> Report:
     from .core.shells import ShellSpec
-    from .hls.compiler import compile_app
     from .testbed.power import PowerTestbed
 
-    app = create_app(args.app)
-    build = compile_app(app, ShellSpec())
-    testbed = PowerTestbed()
-    samples = testbed.paper_series(build.report.total, build.report.timing.clock_hz)
-    _emit(
-        args,
-        "power",
-        ("configuration", "watts"),
-        [(s.label, f"{s.watts:.3f}") for s in samples],
-        app=args.app,
-    )
-    return 0
+    build = _compile(args.app, ShellSpec()).report
+    report = PowerTestbed().paper_report(build.total, build.timing.clock_hz)
+    return report._replace(extra={"app": args.app})
 
 
-def cmd_bom(args: argparse.Namespace) -> int:
+def _paper_bom(args: argparse.Namespace) -> Report:
     from .costmodel.bom import FlexSfpBom
 
-    bom = FlexSfpBom()
-    rows = [
-        (r["item"], r["low_usd"], r["high_usd"], f"{r['share_of_high']:.0%}")
-        for r in bom.breakdown(args.units)
-    ]
-    low, high = bom.total_range(args.units)
-    _emit(
-        args,
-        "bom",
-        ("item", "low $", "high $", "share"),
-        rows,
-        units=args.units,
-        total_low_usd=low,
-        total_high_usd=high,
-    )
-    if not args.json:
-        print(f"total at {args.units:,} units: ${low:.0f}-{high:.0f}")
-    return 0
+    return FlexSfpBom().report(args.units)
 
 
-def cmd_scale(args: argparse.Namespace) -> int:
-    from .fpga.timing import TimingSpec
-    from .obs.export import table_json
+def _paper_scale(args: argparse.Namespace) -> Report:
+    from .core.shells import operating_point_report
 
-    line_rate = args.gbps * 1e9
-    clocks = (156.25e6, 200e6, 250e6, 312.5e6, 400e6)
-    candidates = []
-    for clock in clocks:
-        width = 8
-        while width <= 2048:
-            _, sustained = TimingSpec(width, clock).worst_case_frame(line_rate)
-            if sustained:
-                # Tie-break toward the lower clock (the prototype's choice:
-                # 64 b @ 156.25 MHz rather than 32 b @ 312.5 MHz).
-                candidates.append((width * clock, clock, width))
-                break
-            width *= 2
-    headers = ("gbps", "width_bits", "clock_mhz", "raw_gbps")
-    if not candidates:
-        if args.json:
-            print(table_json("scale", headers, [], gbps=args.gbps, feasible=False))
-        else:
-            print(f"no single-pipeline operating point sustains {args.gbps:.0f} Gbps")
-        return 1
-    _, clock, width = min(candidates)
-    if args.json:
-        row = (args.gbps, width, clock / 1e6, width * clock / 1e9)
-        print(table_json("scale", headers, [row], gbps=args.gbps, feasible=True))
-        return 0
-    print(
-        f"{args.gbps:.0f} Gbps -> {width} b datapath @ {clock / 1e6:.2f} MHz "
-        f"(raw {width * clock / 1e9:.1f} Gbps)"
-    )
-    return 0
+    return operating_point_report(args.gbps)
 
 
-def cmd_envelope(args: argparse.Namespace) -> int:
-    from .apps import create_app
+def _paper_envelope(args: argparse.Namespace) -> Report:
     from .core.shells import ShellSpec
-    from .fpga.formfactor import FORM_FACTORS, envelope_check
-    from .hls.compiler import compile_app
+    from .fpga.formfactor import envelope_report
 
-    app = create_app(args.app)
-    shell = ShellSpec(
-        line_rate_bps=args.gbps * 1e9, datapath_bits=args.width
-    )
+    shell = ShellSpec(line_rate_bps=args.gbps * 1e9, datapath_bits=args.width)
     clock_hz = args.clock * 1e6 if args.clock else None
-    build = compile_app(app, shell, clock_hz=clock_hz, strict=False)
-    rows = []
-    for form_factor in FORM_FACTORS.values():
-        try:
-            check = envelope_check(
-                form_factor,
-                args.gbps,
-                build.report.total,
-                build.report.timing.clock_hz,
-            )
-        except ConfigError:
-            rows.append((form_factor.name, "-", form_factor.power_envelope_w, "no lanes"))
-            continue
-        rows.append(
-            (
-                form_factor.name,
-                f"{check.total_w:.2f}",
-                check.envelope_w,
-                "fits" if check.fits else "over budget",
-            )
-        )
-    _emit(
-        args,
-        "envelope",
-        ("form factor", "module W", "envelope W", "verdict"),
-        rows,
-        app=args.app,
-        gbps=args.gbps,
-    )
-    return 0
+    build = _compile(args.app, shell, clock_hz=clock_hz, strict=False).report
+    report = envelope_report(args.gbps, build.total, build.timing.clock_hz)
+    return report._replace(extra={"app": args.app, **report.extra})
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
@@ -420,197 +304,65 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    from .analysis.findings import severity_counts, sort_findings
-    from .apps import APP_FACTORIES, create_app
-    from .fpga.resources import get_device
-    from .obs.export import table_json
+def _nfv_deployment(args: argparse.Namespace, device):
+    from .nfv import Deployment, default_nfv_tenants
 
-    findings = []
-    targets: list[str] = []
-    apps = list(args.apps)
-    examples_dir = args.examples
+    tenants = default_nfv_tenants()
+    if args.tenants is not None:
+        try:
+            tenants = json.loads(Path(args.tenants).read_text())
+        except (OSError, ValueError) as exc:
+            raise ConfigError(
+                f"cannot read tenants file {args.tenants}: {exc}"
+            ) from exc
+    return Deployment.from_dicts(tenants, device=device)
+
+
+def cmd_check(args: argparse.Namespace) -> Report:
+    """Select the checks, concatenate what their builders return."""
+    from .analysis.findings import findings_report
+
+    apps, examples_dir = list(args.apps), args.examples
     # Bare `flexsfp check` sweeps everything shippable: every registered
     # application plus any XDP packet functions in ./examples.
-    if not apps and not args.self_lint and examples_dir is None and not args.nfv:
+    if not (apps or args.self_lint or args.nfv) and examples_dir is None:
+        from .apps import APP_FACTORIES
+
         apps = sorted(APP_FACTORIES)
         if Path("examples").is_dir():
             examples_dir = "examples"
-    nfv_price = None
-    if args.nfv:
-        from .nfv import (
-            Deployment,
-            check_deployment,
-            default_nfv_tenants,
-            price_deployment,
-        )
+    device = shell = None
+    if apps or args.nfv:  # --self and --examples check no build target
+        from .fpga.resources import get_device
 
-        if args.tenants is not None:
-            try:
-                tenants = json.loads(Path(args.tenants).read_text())
-            except (OSError, ValueError) as exc:
-                raise ConfigError(
-                    f"cannot read tenants file {args.tenants}: {exc}"
-                ) from exc
-        else:
-            tenants = default_nfv_tenants()
-        deployment = Deployment.from_dicts(
-            tenants, device=get_device(args.device)
-        )
-        nfv_shell = _shell_from_args(args)
-        findings += check_deployment(
-            deployment, shell=nfv_shell, device=get_device(args.device)
-        )
-        nfv_price = price_deployment(
-            deployment, shell=nfv_shell, device=get_device(args.device)
-        )
-        names = "+".join(spec.name for spec in deployment.tenants)
-        targets.append(f"nfv:{names}")
+        device, shell = get_device(args.device), _shell_from_args(args)
+    # check -> (findings, targets, extra, text), in target order.
+    parts: dict[str, tuple] = {}
+    if args.nfv:
+        from .nfv.pricing import deployment_report
+
+        parts["nfv"] = deployment_report(_nfv_deployment(args, device), shell, device)
     if args.self_lint:
         from .analysis.simlint import default_lint_root, lint_paths
 
         root = default_lint_root()
-        findings += lint_paths([root])
-        targets.append(f"self:{root}")
-    effects_report: dict[str, dict] = {}
-    fusibility_rows: list[tuple] = []
-    fused: list[str] = []
-    if apps:
-        from .analysis import (
-            analyze_app,
-            check_app,
-            effect_findings,
-            fusion_engagement,
-            line_rate_verdict,
-        )
+        parts["self"] = (lint_paths([root]), [f"self:{root}"], {}, [])
+    if apps or args.effects or args.fusibility:
+        from .analysis.appcheck import apps_report
 
-        device = get_device(args.device)
-        shell = _shell_from_args(args)
-        for name in apps:
-            app = create_app(name)
-            summary = analyze_app(app)
-            findings += check_app(app, device=device, shell=shell)
-            # check_app already cross-checked any surviving profile;
-            # include_profile=False keeps the findings deduplicated.
-            findings += effect_findings(
-                app, shell, summary=summary, include_profile=False
-            )
-            targets.append(f"app:{name}")
-            engaged = fusion_engagement(app, summary)
-            if engaged is not None:
-                fused.append(name)
-            if args.effects:
-                payload = summary.to_dict()
-                payload["engaged_mode"] = engaged
-                payload["line_rate"] = line_rate_verdict(summary, shell).to_dict()
-                payload["digest"] = summary.digest()
-                effects_report[name] = payload
-            if args.fusibility:
-                fusibility_rows.append(
-                    (
-                        name,
-                        summary.burst_mode,
-                        engaged or "-",
-                        summary.key_bits,
-                        summary.rewrite_bits,
-                        summary.digest(),
-                        "; ".join(summary.blockers) or "-",
-                    )
-                )
+        parts["apps"] = apps_report(apps, device, shell, args.effects, args.fusibility)
     if examples_dir is not None:
         from .analysis.xdpcheck import scan_source_file
 
-        for path in sorted(Path(examples_dir).glob("*.py")):
-            findings += scan_source_file(path)
-            targets.append(f"example:{path}")
-    findings = sort_findings(findings)
-    counts = severity_counts(findings)
-    headers = ("severity", "rule", "location", "message", "hint")
-    rows = [finding.as_row() for finding in findings]
-    if args.json:
-        extra: dict[str, object] = {}
-        if nfv_price is not None:
-            extra["nfv"] = nfv_price.describe()
-        if args.effects:
-            extra["effects"] = effects_report
-        if args.fusibility or args.effects:
-            from .analysis.effects import corpus_digest
-
-            extra["fusibility"] = {
-                "fused": fused,
-                "fused_count": len(fused),
-                "corpus_digest": corpus_digest(),
-            }
-        print(
-            table_json(
-                "check", headers, rows, counts=counts, targets=targets, **extra
-            )
-        )
-        return 1 if counts["error"] else 0
-    if args.fusibility and fusibility_rows:
-        from .analysis.effects import corpus_digest
-
-        _print_rows(
-            ("app", "proof", "engaged", "key_bits", "rewrite_bits", "digest",
-             "blockers"),
-            fusibility_rows,
-        )
-        print(
-            f"{len(fused)}/{len(fusibility_rows)} applications fuse "
-            f"(corpus digest {corpus_digest()})"
-        )
-        print()
-    if args.effects and effects_report:
-        for name, payload in effects_report.items():
-            line_rate = payload["line_rate"]
-            status = "sustains" if line_rate["sustained"] else "REJECTS"
-            print(
-                f"{name}: mode={payload['burst_mode']} "
-                f"engaged={payload['engaged_mode'] or '-'} "
-                f"key={payload['key_bits']}b rewrite={payload['rewrite_bits']}b "
-                f"digest={payload['digest']}"
-            )
-            print(
-                f"  line rate: {status} {line_rate['clock_mhz']} MHz × "
-                f"{line_rate['datapath_bits']} b, worst frame "
-                f"{line_rate['worst_frame']} B, "
-                f"{line_rate['conflict_cycles']} conflict cycle(s)"
-            )
-            _print_rows(
-                ("stage", "kind", "hdr r/w", "state r/w", "accesses", "time",
-                 "commutes"),
-                [
-                    (
-                        effect["stage"],
-                        effect["kind"],
-                        f"{effect['header_read_bits']}/{effect['header_write_bits']}",
-                        f"{effect['state_read_bits']}/{effect['state_write_bits']}",
-                        effect["table_accesses"],
-                        "yes" if effect["reads_time"] else "-",
-                        "yes" if effect["commutative"] else "no",
-                    )
-                    for effect in payload["effects"]
-                ],
-            )
-            print()
-    if nfv_price is not None:
-        price = nfv_price.describe()
-        print(
-            f"nfv deployment: crossbar {price['crossbar']}, "
-            f"{'fits' if price['fits'] else 'OVERFLOWS'} "
-            f"(utilization {price['utilization']})"
-        )
-        for name, vec in price["per_tenant"].items():
-            print(f"  tenant {name}: {vec}")
-        print()
-    if rows:
-        _print_rows(headers, rows)
-        print()
-    print(
-        f"checked {len(targets)} target(s): {counts['error']} error(s), "
-        f"{counts['warning']} warning(s), {counts['info']} info"
-    )
-    return 1 if counts["error"] else 0
+        paths = sorted(Path(examples_dir).glob("*.py"))
+        found = [finding for path in paths for finding in scan_source_file(path)]
+        parts["examples"] = (found, [f"example:{path}" for path in paths], {}, [])
+    findings = [finding for found, *_ in parts.values() for finding in found]
+    targets = [target for _, names, *_ in parts.values() for target in names]
+    extra = {key: value for *_, more, _ in parts.values() for key, value in more.items()}
+    # The analysis text prints above the NFV price, both above the findings.
+    text = [line for name in ("apps", "nfv") if name in parts for line in parts[name][3]]
+    return findings_report(findings, targets, extra, text)
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
@@ -841,18 +593,23 @@ def _add_engine(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _args_target(parser: argparse.ArgumentParser) -> None:
+    """The build target `build` and `check` share (see _shell_from_args)."""
+    parser.add_argument(
+        "--shell", choices=sorted(_shell_kinds()), default="one-way-filter"
+    )
+    parser.add_argument("--device", default="MPF200T")
+    parser.add_argument("--rate", type=float, default=10.0, help="line rate in Gbps")
+    parser.add_argument("--width", type=int, default=64, help="datapath bits")
+    parser.add_argument("--soc", action="store_true", help="SoC-class control plane")
+
+
 def _args_build(build: argparse.ArgumentParser) -> None:
     from .apps import APP_FACTORIES
 
     build.add_argument("app", choices=sorted(APP_FACTORIES))
-    build.add_argument(
-        "--shell", choices=sorted(_shell_kinds()), default="one-way-filter"
-    )
-    build.add_argument("--device", default="MPF200T")
-    build.add_argument("--rate", type=float, default=10.0, help="line rate in Gbps")
-    build.add_argument("--width", type=int, default=64, help="datapath bits")
+    _args_target(build)
     build.add_argument("--clock", type=float, default=None, help="PPE clock in MHz")
-    build.add_argument("--soc", action="store_true", help="SoC-class control plane")
     build.add_argument(
         "--cache-entries",
         type=int,
@@ -871,23 +628,34 @@ def _args_units(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--units", type=int, default=1_000)
 
 
-def _args_power(power: argparse.ArgumentParser) -> None:
+def _args_app(parser: argparse.ArgumentParser) -> None:
     from .apps import APP_FACTORIES
 
-    power.add_argument("--app", choices=sorted(APP_FACTORIES), default="nat")
+    parser.add_argument("--app", choices=sorted(APP_FACTORIES), default="nat")
 
 
-def _args_scale(scale: argparse.ArgumentParser) -> None:
-    scale.add_argument("gbps", type=float)
+def _args_gbps(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("gbps", type=float)
 
 
 def _args_envelope(envelope: argparse.ArgumentParser) -> None:
-    from .apps import APP_FACTORIES
-
-    envelope.add_argument("gbps", type=float)
-    envelope.add_argument("--app", choices=sorted(APP_FACTORIES), default="nat")
+    _args_gbps(envelope)
+    _args_app(envelope)
     envelope.add_argument("--width", type=int, default=64)
     envelope.add_argument("--clock", type=float, default=None, help="MHz")
+
+
+# The paper-artefact table, the one place `flexsfp paper <what>` is
+# registered: rows shaped like COMMANDS', nested under its `paper` row.
+PAPER = (
+    ("table1", "reproduce the paper's Table 1", _args_table1, _paper_table1),
+    ("table2", "reproduce the paper's Table 2", None, _paper_table2),
+    ("table3", "reproduce the paper's Table 3", _args_units, _paper_table3),
+    ("power", "the §5 power series for an app", _args_app, _paper_power),
+    ("bom", "FlexSFP cost breakdown", _args_units, _paper_bom),
+    ("scale", "plan an operating point for a line rate", _args_gbps, _paper_scale),
+    ("envelope", "check MSA power envelopes for a rate/app", _args_envelope, _paper_envelope),
+)  # fmt: skip
 
 
 def _args_chaos(chaos: argparse.ArgumentParser) -> None:
@@ -948,13 +716,7 @@ def _args_check(check: argparse.ArgumentParser) -> None:
         help="JSON list of tenant specs for --nfv (default: the bundled "
         "scrub + telemetry pair)",
     )
-    check.add_argument("--device", default="MPF200T")
-    check.add_argument(
-        "--shell", choices=sorted(_shell_kinds()), default="one-way-filter"
-    )
-    check.add_argument("--rate", type=float, default=10.0, help="line rate in Gbps")
-    check.add_argument("--width", type=int, default=64, help="datapath bits")
-    check.add_argument("--soc", action="store_true", help="SoC-class control plane")
+    _args_target(check)
 
 
 def _args_metrics(metrics: argparse.ArgumentParser) -> None:
@@ -1118,19 +880,15 @@ def _args_diff(diff: argparse.ArgumentParser) -> None:
 
 # ----------------------------------------------------------------------
 # The subcommand table, the one place a subcommand is registered:
-# (name, help, configure(parser) or None, handler(args) -> exit code).
+# (name, help, configure, handler).  configure(parser) adds the arguments
+# (None: there are none; a table: that many nested subcommands), and
+# handler(args) returns an exit code, or a Report for main to render.
 # ----------------------------------------------------------------------
 COMMANDS = (
     ("apps", "list deployable applications", None, cmd_apps),
     ("devices", "list the FPGA device catalog", None, cmd_devices),
     ("build", "build an application, print the report", _args_build, cmd_build),
-    ("table1", "reproduce the paper's Table 1", _args_table1, cmd_table1),
-    ("table2", "reproduce the paper's Table 2", None, cmd_table2),
-    ("table3", "reproduce the paper's Table 3", _args_units, cmd_table3),
-    ("power", "the §5 power series for an app", _args_power, cmd_power),
-    ("bom", "FlexSFP cost breakdown", _args_units, cmd_bom),
-    ("scale", "plan an operating point for a line rate", _args_scale, cmd_scale),
-    ("envelope", "check MSA power envelopes for a rate/app", _args_envelope, cmd_envelope),
+    ("paper", "reproduce a table or sweep of the paper", PAPER, None),
     ("chaos", "replay a named fault plan through the chaos gauntlet", _args_chaos, cmd_chaos),
     ("check", "static verification: IR rules, XDP analysis, determinism lint", _args_check, cmd_check),
     ("metrics", "run an instrumented scenario, export its metrics registry", _args_metrics, cmd_metrics),
@@ -1141,40 +899,66 @@ COMMANDS = (
 )  # fmt: skip
 
 
-def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+def _common(default) -> argparse.ArgumentParser:
+    """Shared by every subcommand: swap the text renderer for one canonical
+    schema-tagged JSON document on stdout."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--json",
+        action="store_true",
+        default=default,
+        help="machine-readable JSON output",
+    )
+    return common
+
+
+def _register(parser, dest: str, table: tuple, common, only: tuple[str, ...]) -> None:
+    """Register ``table``'s rows, by name and help, as ``parser``'s subcommands.
+
+    Arguments are configured for every row, or for the one ``only``'s first
+    word names; a nested table is narrowed by the words after it.
+    """
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, help_text, configure, handler in table:
+        subparser = sub.add_parser(name, help=help_text, parents=[common])
+        subparser.set_defaults(func=handler)
+        if only and only[0] != name:
+            continue
+        if isinstance(configure, tuple):
+            # --json is accepted after <what> too; SUPPRESS so that an absent
+            # one does not overwrite `flexsfp paper --json <what>`.
+            _register(subparser, "what", configure, _common(argparse.SUPPRESS), only[1:])
+        elif configure is not None:
+            configure(subparser)
+
+
+def build_parser(*only: str) -> argparse.ArgumentParser:
     """The complete parser, or one that knows only ``only``'s arguments.
 
     Every subcommand is always registered by name and help string, so the
     top-level ``--help`` and argparse's unknown-command message do not
     depend on ``only``; ``main`` passes the subcommand named on the command
-    line so that parsing it imports what that one subcommand needs.
+    line (and the artefact after ``paper``) so that parsing it imports what
+    that one subcommand needs.
     """
     parser = argparse.ArgumentParser(
         prog="flexsfp", description="FlexSFP feasibility toolkit"
     )
-    # Shared by every subcommand: swap the text renderer for one
-    # canonical schema-tagged JSON document on stdout.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--json", action="store_true", help="machine-readable JSON output"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, configure, handler in COMMANDS:
-        subparser = sub.add_parser(name, help=help_text, parents=[common])
-        if configure is not None and only in (None, name):
-            configure(subparser)
-        subparser.set_defaults(func=handler)
+    _register(parser, "command", COMMANDS, _common(False), only)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # The top-level parser takes no option but --help, so the first word
-    # that is not an option is the subcommand (or a typo argparse rejects).
-    named = next((arg for arg in argv if not arg.startswith("-")), "")
-    args = build_parser(only=named).parse_args(argv)
+    # The parsers above a subcommand take no option with a value, so the
+    # first words that are not options are the subcommand and, under
+    # `paper`, the artefact (or typos argparse rejects).
+    named = [arg for arg in argv if not arg.startswith("-")][:2] or [""]
+    args = build_parser(*named).parse_args(argv)
     try:
         code = args.func(args)
+        if isinstance(code, Report):
+            code = _emit(args, code)
         sys.stdout.flush()  # a closed pipe must surface inside this try
         return code
     except ReproError as exc:

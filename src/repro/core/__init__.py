@@ -26,7 +26,7 @@ __all__, __getattr__, __dir__ = export_table(
         ),
         "shells": (
             "PROTOTYPE_SHELL", "STANDARD_CLOCKS_HZ", "ControlPlaneClass", "ShellKind",
-            "ShellSpec",
+            "ShellSpec", "operating_point_report", "plan_operating_point",
         ),
         "tables": (
             "ExactTable", "LPMTable", "Table", "TableRegistry", "TernaryEntry",

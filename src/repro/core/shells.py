@@ -20,15 +20,62 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from ..errors import ConfigError
+from .._util import Report
+from ..errors import ConfigError, TimingError
 from ..fpga import estimator
 from ..fpga.resources import ResourceVector
-from ..fpga.timing import required_clock_hz
+from ..fpga.timing import TimingSpec, required_clock_hz
 from .ppe import Direction
 
 # Standard fabric clock grid the build flow snaps to (MHz): multiples used
 # by 10G Ethernet datapaths on PolarFire-class parts.
 STANDARD_CLOCKS_HZ = (156.25e6, 200e6, 250e6, 312.5e6, 400e6)
+
+
+def plan_operating_point(line_rate_bps: float) -> tuple[int, float]:
+    """Cheapest ``(width bits, clock Hz)`` on the grid sustaining the rate.
+
+    The §5.3 planner, the one definition the CLI and the scalability and
+    form-factor benches share.  Per clock it takes the narrowest
+    power-of-two bus whose worst-case frame keeps up; "cheapest" then
+    minimizes raw datapath bandwidth (width × clock), breaking ties toward
+    the lower clock: the prototype's choice (64 b @ 156.25 MHz rather than
+    32 b @ 312.5 MHz for 10 G).  Raises :class:`TimingError` when no
+    single pipeline sustains the rate.
+    """
+    candidates: list[tuple[float, float, int]] = []
+    for clock in STANDARD_CLOCKS_HZ:
+        width = 8
+        while width <= 2048:
+            _, sustained = TimingSpec(width, clock).worst_case_frame(line_rate_bps)
+            if sustained:
+                candidates.append((width * clock, clock, width))
+                break
+            width *= 2
+    if not candidates:
+        raise TimingError(
+            f"no single-pipeline operating point sustains "
+            f"{line_rate_bps / 1e9:.0f} Gbps"
+        )
+    _, clock, width = min(candidates)
+    return width, clock
+
+
+def operating_point_report(gbps: float) -> Report:
+    """:func:`plan_operating_point` as ``flexsfp paper scale`` prints it."""
+    headers = ("gbps", "width_bits", "clock_mhz", "raw_gbps")
+    try:
+        width, clock = plan_operating_point(gbps * 1e9)
+    except TimingError as exc:
+        extra = {"gbps": gbps, "feasible": False}
+        return Report("scale", headers, [], extra, (str(exc),), ok=False)
+    raw_gbps = width * clock / 1e9
+    line = (
+        f"{gbps:.0f} Gbps -> {width} b datapath @ {clock / 1e6:.2f} MHz "
+        f"(raw {raw_gbps:.1f} Gbps)"
+    )
+    row = (gbps, width, clock / 1e6, raw_gbps)
+    return Report("scale", headers, [row], {"gbps": gbps, "feasible": True}, (line,))
 
 
 class ShellKind(Enum):

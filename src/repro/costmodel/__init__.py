@@ -8,7 +8,7 @@ __all__, __getattr__, __dir__ = export_table(
         "bom": ("FLEXSFP_BOM", "BomItem", "FlexSfpBom"),
         "comparables": (
             "DPU_BF2", "FPGA_NIC", "MANY_CORE", "Solution", "capex_saving_vs",
-            "flexsfp_solution", "power_reduction_vs", "table3_rows",
+            "flexsfp_solution", "power_reduction_vs", "table3_report", "table3_rows",
         ),
         "scaling": ("SLICE_GBPS", "per_10g", "per_10g_band", "slices"),
     },

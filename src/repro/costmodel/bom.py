@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .._util import Report
 from ..errors import ConfigError
 
 
@@ -93,3 +94,15 @@ class FlexSfpBom:
                 }
             )
         return rows
+
+    def report(self, units: int = 1_000) -> Report:
+        """:meth:`breakdown` and :meth:`total_range` as ``flexsfp paper bom`` prints them."""
+        headers = ("item", "low $", "high $", "share")
+        rows = [
+            (r["item"], r["low_usd"], r["high_usd"], f"{r['share_of_high']:.0%}")
+            for r in self.breakdown(units)
+        ]
+        low, high = self.total_range(units)
+        extra = {"units": units, "total_low_usd": low, "total_high_usd": high}
+        total = f"total at {units:,} units: ${low:.0f}-{high:.0f}"
+        return Report("bom", headers, rows, extra, ((headers, rows), total))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .._util import Report
 from ..errors import ConfigError
 from .bom import FlexSfpBom
 from .scaling import per_10g, per_10g_band
@@ -113,6 +114,22 @@ def table3_rows(units: int = 1_000) -> list[dict[str, object]]:
     """All Table 3 rows, comparators quoted + FlexSFP derived."""
     solutions = [DPU_BF2, MANY_CORE, FPGA_NIC, flexsfp_solution(units)]
     return [solution.row() for solution in solutions]
+
+
+def table3_report(units: int = 1_000) -> Report:
+    """Table 3 as ``flexsfp paper table3`` prints it (bands as ``low-high``)."""
+    rows = [
+        (
+            r["solution"],
+            "{:.0f}-{:.0f}".format(*r["raw_usd"]),
+            r["raw_w"],
+            "{:.0f}-{:.0f}".format(*r["usd_per_10g"]),
+            r["w_per_10g"],
+        )
+        for r in table3_rows(units)
+    ]
+    headers = ("solution", "raw $", "raw W", "$/10G", "W/10G")
+    return Report("table3", headers, rows, {"units": units})
 
 
 def capex_saving_vs(other: Solution, units: int = 1_000) -> float:

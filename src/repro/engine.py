@@ -71,13 +71,3 @@ def require_engine(engine: str) -> None:
                 "engine 'compiled' needs numpy for its burst lane and numpy "
                 "is not installed; install it or run with engine 'reference'"
             )
-
-
-__all__ = [
-    "ENGINES",
-    "ENGINE_COMPILED",
-    "ENGINE_REFERENCE",
-    "require_engine",
-    "resolve_engine",
-    "validate_engine",
-]

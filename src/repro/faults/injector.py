@@ -42,14 +42,6 @@ class FaultInjector:
     def register_module(self, name: str, module: "FlexSFPModule") -> None:
         self._modules[name] = module
 
-    @property
-    def link_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._links))
-
-    @property
-    def module_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._modules))
-
     # ------------------------------------------------------------------
     # Arming and firing
     # ------------------------------------------------------------------

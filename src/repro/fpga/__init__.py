@@ -16,11 +16,12 @@ __all__, __getattr__, __dir__ = export_table(
         "flash": ("DEFAULT_FLASH_BITS", "FlashSlot", "SPIFlash"),
         "formfactor": (
             "FORM_FACTORS", "OSFP", "QSFP28", "QSFP_DD", "SFP28", "SFP_PLUS",
-            "EnvelopeCheck", "FormFactor", "envelope_check",
+            "EnvelopeCheck", "FormFactor", "envelope_check", "envelope_report",
         ),
         "literature": (
             "CLICKNP_IPSEC_GW", "FLEXSFP_BUDGET", "FLOWBLAZE_STAGE", "HXDP_CORE",
-            "PIGASUS", "TABLE2_DESIGNS", "LiteratureDesign", "table2_rows",
+            "PIGASUS", "TABLE2_DESIGNS", "LiteratureDesign", "table2_report",
+            "table2_rows",
         ),
         "resources": (
             "ALM_TO_LE", "DEVICES", "LSRAM_BLOCK_BITS", "LUT6_TO_LE", "MPF100T",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .._util import Report
 from ..errors import ConfigError
 from ..testbed.power import fpga_power_w
 from .resources import ResourceVector
@@ -170,3 +171,29 @@ def envelope_check(
         case_temp_c=case_temp,
         thermally_ok=thermally_ok,
     )
+
+
+def envelope_report(
+    rate_gbps: float, design: ResourceVector, clock_hz: float
+) -> Report:
+    """The §6 sweep: ``design`` at ``rate_gbps`` against every MSA envelope.
+
+    One :func:`envelope_check` row per form factor; one without the lanes
+    for the rate reads "no lanes" instead of raising.  ``flexsfp paper
+    envelope`` and ``bench_formfactor_scaling`` both print these rows.
+    """
+    rows = []
+    for form_factor in FORM_FACTORS.values():
+        try:
+            check = envelope_check(form_factor, rate_gbps, design, clock_hz)
+        except ConfigError:
+            rows.append(
+                (form_factor.name, "-", form_factor.power_envelope_w, "no lanes")
+            )
+            continue
+        verdict = "fits" if check.fits else "over budget"
+        rows.append(
+            (form_factor.name, f"{check.total_w:.2f}", check.envelope_w, verdict)
+        )
+    headers = ("form factor", "module W", "envelope W", "verdict")
+    return Report("envelope", headers, rows, {"gbps": rate_gbps})

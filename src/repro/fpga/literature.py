@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .._util import Report
 from ..errors import ConfigError
 from .resources import ALM_TO_LE, LUT6_TO_LE, FPGADevice, MPF200T
 
@@ -132,3 +133,12 @@ def table2_rows(device: FPGADevice = MPF200T) -> list[dict[str, object]]:
         }
     )
     return rows
+
+
+def table2_report(device: FPGADevice = MPF200T) -> Report:
+    """Table 2 as ``flexsfp paper table2`` prints it."""
+    rows = [
+        (r["name"], f"{r['logic_le']:,.0f}", f"{r['bram_kbit']:,.0f}", r["fit_class"])
+        for r in table2_rows(device)
+    ]
+    return Report("table2", ("design", "logic (LE)", "BRAM (kbit)", "verdict"), rows)

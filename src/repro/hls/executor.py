@@ -74,20 +74,6 @@ class CompiledProgram:
     def effect_digest(self) -> str:
         return self.summary.digest() if self.summary is not None else ""
 
-    def summary_dict(self) -> dict[str, object]:
-        """Serializable one-glance description (CLI / artifact use)."""
-        return {
-            "app": self.app_name,
-            "fusible": self.fusible,
-            "mode": self.mode,
-            "key_bits": self.key_bits,
-            "rewrite_bits": self.rewrite_bits,
-            "flow_cache_entries": self.flow_cache_entries,
-            "effect_digest": self.effect_digest,
-            "compile_wall_s": round(self.compile_wall_s, 6),
-            "notes": list(self.notes),
-        }
-
 
 @dataclass
 class ExecutorBuild:

@@ -213,10 +213,6 @@ class XdpContext:
     def now_ns(self) -> int:
         return self._ppe_ctx.time_ns
 
-    @property
-    def ingress_direction(self) -> Direction:
-        return self._ppe_ctx.direction
-
     def emit(self, packet: Packet, direction: Direction | None = None) -> None:
         """Originate a packet (telemetry export, mirror, response)."""
         self._ppe_ctx.emit(

@@ -27,7 +27,7 @@ from ..engine import validate_engine
 from ..errors import ConfigError
 from ..obs.export import SCHEMA_MATRIX, json_document
 from ..obs.scenario import ScenarioSpec
-from ..parallel.runner import run_sharded
+from ..parallel.supervisor import run_sharded
 
 
 @dataclass(frozen=True)
@@ -331,15 +331,3 @@ def parse_optional_axis(
         None if token.lower() == "none" else token
         for token in parse_axis_values(raw, axis)
     )
-
-
-__all__ = [
-    "CellConfig",
-    "MatrixAxes",
-    "MatrixCell",
-    "MatrixResult",
-    "parse_axis_values",
-    "parse_int_axis",
-    "parse_optional_axis",
-    "run_matrix",
-]

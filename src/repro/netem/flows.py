@@ -29,10 +29,6 @@ class FlowSpec:
     total_bytes: int
     start_s: float
 
-    @property
-    def is_mouse(self) -> bool:
-        return self.total_bytes < 10_000
-
 
 class FlowSetGenerator:
     """Seeded generator of heavy-tailed flow sets."""

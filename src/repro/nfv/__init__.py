@@ -25,6 +25,9 @@ __all__, __getattr__, __dir__ = export_table(
             "NFV_SCRUB_DPORT", "Deployment", "SteeringMatch", "TenantSpec",
             "default_nfv_tenants",
         ),
-        "pricing": ("DeploymentPrice", "check_deployment", "price_deployment"),
+        "pricing": (
+            "DeploymentPrice", "check_deployment", "deployment_report",
+            "price_deployment",
+        ),
     },
 )

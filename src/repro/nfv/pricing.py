@@ -223,3 +223,23 @@ def check_deployment(
                 )
             )
     return sort_findings(findings)
+
+
+def deployment_report(
+    deployment: Deployment,
+    shell: ShellSpec | None = None,
+    device: FPGADevice | None = None,
+) -> tuple[list[Finding], list[str], dict[str, object], list]:
+    """``flexsfp check --nfv``: ``(findings, targets, extra, text)``, the
+    price as the document's ``nfv`` field and as text."""
+    findings = check_deployment(deployment, shell, device)
+    price = price_deployment(deployment, shell, device).describe()
+    text = [
+        f"nfv deployment: crossbar {price['crossbar']}, "
+        f"{'fits' if price['fits'] else 'OVERFLOWS'} "
+        f"(utilization {price['utilization']})",
+        *(f"  tenant {name}: {vec}" for name, vec in price["per_tenant"].items()),
+        "",
+    ]
+    target = "nfv:" + "+".join(spec.name for spec in deployment.tenants)
+    return findings, [target], {"nfv": price}, text

@@ -5,9 +5,10 @@ scenario *kind* to build (NAT line-rate, chained NATs, the chaos
 gauntlet, a fleet upgrade campaign), the traffic profile, the target
 device, the fault plan, the engine tier, and how many
 independent shards a fleet-scale run should split into.  ``spec.run()``
-executes one instance; ``spec.run_sharded(workers=K)`` fans the shards
-out across worker processes via :mod:`repro.parallel` and merges the
-results deterministically.
+executes one instance; :func:`repro.parallel.run_sharded` fans the
+shards out across worker processes and merges the results
+deterministically (:mod:`repro.parallel` imports this module at its
+top; nothing here imports the runner or the supervisor back).
 
 Every run is wired into the full observability stack: a
 :class:`~repro.obs.registry.MetricsRegistry` over every component, an
@@ -24,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 from typing import Callable
 
 from ..apps import StaticNat, create_app
@@ -182,18 +184,6 @@ class ScenarioSpec:
         spec = self.resolved()
         return SCENARIO_KINDS[spec.kind](spec)
 
-    def run_sharded(self, workers: int = 1):
-        """Fan ``self.shards`` independent instances across processes.
-
-        Returns a :class:`repro.parallel.FleetRunResult`; ``workers=1``
-        runs the shards sequentially in-process through the exact same
-        code path, which is what the bit-identity guarantee is tested
-        against.
-        """
-        from ..parallel import run_sharded  # cycle: parallel.runner imports this module
-
-        return run_sharded(self, workers=workers)
-
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         """A JSON-friendly dict (the CLI's ``--json`` spec echo)."""
@@ -308,8 +298,8 @@ def _make_app(spec: ScenarioSpec, index: int):
     return create_app(spec.app)
 
 
-def _build_nat(spec: ScenarioSpec, module_count: int) -> ScenarioRun:
-    traffic = spec.traffic
+def _instrumented(spec: ScenarioSpec) -> tuple:
+    """A simulator plus the spec's registry, tracer and loop profiler."""
     sim = Simulator()
     registry = MetricsRegistry()
     tracer = Tracer(limit=spec.trace_packets) if spec.trace_packets is not None else None
@@ -318,6 +308,12 @@ def _build_nat(spec: ScenarioSpec, module_count: int) -> ScenarioRun:
         sim.profiler = profiler
         registry.register("sim.profile", profiler)
     registry.register_value("sim.events", lambda: sim.events_processed)
+    return sim, registry, tracer, profiler
+
+
+def _build_nat(spec: ScenarioSpec, module_count: int) -> ScenarioRun:
+    traffic = spec.traffic
+    sim, registry, tracer, profiler = _instrumented(spec)
 
     device = get_device(spec.device)
     compiled = spec.engine == ENGINE_COMPILED
@@ -376,14 +372,6 @@ def _build_nat(spec: ScenarioSpec, module_count: int) -> ScenarioRun:
     )
 
 
-def _build_nat_linerate(spec: ScenarioSpec) -> ScenarioRun:
-    return _build_nat(spec, module_count=1)
-
-
-def _build_nat_chain(spec: ScenarioSpec) -> ScenarioRun:
-    return _build_nat(spec, module_count=2)
-
-
 # ----------------------------------------------------------------------
 # Chaos gauntlet as a scenario kind
 # ----------------------------------------------------------------------
@@ -434,13 +422,7 @@ def _build_fleet_upgrade(spec: ScenarioSpec) -> ScenarioRun:
     from ..switch import LegacySwitch, PortPolicy, RetrofitPlan, apply_retrofit
 
     traffic = spec.traffic
-    sim = Simulator()
-    registry = MetricsRegistry()
-    registry.register_value("sim.events", lambda: sim.events_processed)
-    profiler = LoopProfiler() if spec.profile else None
-    if profiler is not None:
-        sim.profiler = profiler
-        registry.register("sim.profile", profiler)
+    sim, registry, tracer, profiler = _instrumented(spec)
 
     num_ports = FLEET_UPGRADE_MODULES + 2  # + controller port + host port
     switch = LegacySwitch(sim, "agg", num_ports=num_ports, rate_bps=10e9)
@@ -465,7 +447,6 @@ def _build_fleet_upgrade(spec: ScenarioSpec) -> ScenarioRun:
     controller.port.connect(switch.external_port(0))
     controller.register_metrics(registry)
 
-    tracer = Tracer(limit=spec.trace_packets) if spec.trace_packets is not None else None
     if tracer is not None:
         for module in retrofit.modules.values():
             module.attach_tracer(tracer)
@@ -570,14 +551,7 @@ def _build_nfv(spec: ScenarioSpec, churn: bool) -> ScenarioRun:
     partially reconfigured mid-run while the survivors keep forwarding.
     """
     traffic = spec.traffic
-    sim = Simulator()
-    registry = MetricsRegistry()
-    tracer = Tracer(limit=spec.trace_packets) if spec.trace_packets is not None else None
-    profiler = LoopProfiler() if spec.profile else None
-    if profiler is not None:
-        sim.profiler = profiler
-        registry.register("sim.profile", profiler)
-    registry.register_value("sim.events", lambda: sim.events_processed)
+    sim, registry, tracer, profiler = _instrumented(spec)
 
     device = get_device(spec.device)
     compiled = spec.engine == ENGINE_COMPILED
@@ -648,11 +622,7 @@ def _build_nfv(spec: ScenarioSpec, churn: bool) -> ScenarioRun:
     drain_s = max(0.1e-3, 1024 * traffic.frame_len * 8 / traffic.rate_bps)
     sim.run(until=traffic.duration_s + drain_s)
 
-    metrics = registry.collect()
-    histograms = {
-        name: {"bounds": list(h.bounds), "counts": list(h.counts)}
-        for name, h in module.histogram_states().items()
-    }
+    run = ScenarioRun(sim, registry, [module], tracer, profiler, spec=spec)
     summary = {
         "kind": spec.kind,
         "tenants": [slot.name for slot in module.slots],
@@ -661,7 +631,7 @@ def _build_nfv(spec: ScenarioSpec, churn: bool) -> ScenarioRun:
             slot.name: module.crossbar.steered[slot.index].snapshot()
             for slot in module.slots
         },
-        "tenant_digests": _tenant_digests(module, metrics, histograms),
+        "tenant_digests": _tenant_digests(module, run.metrics(), run.histograms()),
         "sim_events": sim.events_processed,
     }
     if churn:
@@ -674,29 +644,20 @@ def _build_nfv(spec: ScenarioSpec, churn: bool) -> ScenarioRun:
             "downtime_drops": slot.downtime_drops.packets,
             "survivors": [s.name for s in module.slots if s.name != churned],
         }
-    return ScenarioRun(
-        sim, registry, [module], tracer, profiler, spec=spec, summary=summary
-    )
-
-
-def _build_nfv_chain(spec: ScenarioSpec) -> ScenarioRun:
-    return _build_nfv(spec, churn=False)
-
-
-def _build_tenant_churn(spec: ScenarioSpec) -> ScenarioRun:
-    return _build_nfv(spec, churn=True)
+    run.summary = summary
+    return run
 
 
 # ----------------------------------------------------------------------
 # Registry of scenario kinds
 # ----------------------------------------------------------------------
 SCENARIO_KINDS: dict[str, Callable[[ScenarioSpec], ScenarioRun]] = {
-    "nat-linerate": _build_nat_linerate,
-    "nat-chain": _build_nat_chain,
+    "nat-linerate": partial(_build_nat, module_count=1),
+    "nat-chain": partial(_build_nat, module_count=2),
     "chaos": _build_chaos,
     "fleet-upgrade": _build_fleet_upgrade,
-    "nfv-chain": _build_nfv_chain,
-    "tenant-churn": _build_tenant_churn,
+    "nfv-chain": partial(_build_nfv, churn=False),
+    "tenant-churn": partial(_build_nfv, churn=True),
 }
 
 #: The kinds ``flexsfp metrics`` / ``flexsfp trace`` offer as ``--scenario``.

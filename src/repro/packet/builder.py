@@ -17,7 +17,6 @@ from .transport import ICMP, TCP, TCPFlags, UDP
 from .tunnels import GRE, VXLAN
 
 MIN_FRAME = 64  # minimum Ethernet frame incl. FCS
-MIN_PAYLOAD_UDP4 = MIN_FRAME - 4 - 14 - 20 - 8  # FCS + eth + ipv4 + udp
 
 
 def make_udp(

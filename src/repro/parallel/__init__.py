@@ -25,12 +25,12 @@ __all__, __getattr__, __dir__ = export_table(
         ),
         "runner": (
             "SHARD_SEED_LABEL", "FleetRunResult", "ShardResult", "run_shard",
-            "run_sharded", "shard_spec",
+            "shard_spec",
         ),
         "seeds": ("derive_shard_seed", "shard_seeds"),
         "supervisor": (
             "Completeness", "ShardError", "ShardFailure", "SupervisorPolicy",
-            "SupervisorTelemetry", "run_shard_safe", "run_supervised",
+            "SupervisorTelemetry", "run_shard_safe", "run_sharded",
         ),
     },
 )

@@ -16,9 +16,11 @@ MIN / MAX  leaves literally named ``min`` / ``max``
 ANY        booleans (``degraded``, ``healthy`` flags)
 EQUAL      strings and configuration-like integer gauges; kept
            only when every shard agrees, dropped otherwise
-SKIP       floats (means, rates, percentiles) — a mean of means
-           is not a mean, so derived gauges never merge; consult
-           the per-shard snapshots or merged histograms instead
+SKIP       floats (``mean``, ``bits_per_second``, ``span_s``,
+           ``p50`` / ``p99``, ``control_fraction`` …; keyed on the
+           type, not on a list of names) — a mean of means is not a
+           mean, so derived gauges never merge; consult the
+           per-shard snapshots or merged histograms instead
 =========  ==================================================
 
 Histograms merge exactly: matching bucket bounds, element-wise count
@@ -50,11 +52,6 @@ class MergeKind(str, Enum):
 # would manufacture nonsense.
 _EQUAL_LEAVES = frozenset(
     {"boot_slot", "capacity", "size", "limit", "tenants", "generation", "seq"}
-)
-# Float leaves are never merged; these are the common offenders, listed
-# here purely for documentation/tests — classification keys on type.
-_SKIP_LEAVES = frozenset(
-    {"mean", "bits_per_second", "span_s", "p50", "p99", "control_fraction"}
 )
 
 # Sentinel for an EQUAL metric whose shards disagree.  Conflict absorbs

@@ -17,10 +17,13 @@ same, just slower to start.  Nothing in a shard touches shared state:
 the scenario spec is resolved — env knobs folded in — *once in the
 parent*, so a worker never reads the environment.
 
-Execution itself lives in :mod:`repro.parallel.supervisor`: every worker
-runs under a shard supervisor (deadlines, heartbeats, bounded
-deterministic retry, checkpoint journalling) rather than a bare pool, so
-a crashed or hung worker costs one retry, never the campaign.
+This module is the shard half: the result types, the per-shard spec and
+the worker entry point.  The fleet half, :func:`run_sharded`, lives in
+:mod:`repro.parallel.supervisor` (which imports this module, never the
+reverse): every worker runs under a shard supervisor (deadlines,
+heartbeats, bounded deterministic retry, checkpoint journalling) rather
+than a bare pool, so a crashed or hung worker costs one retry, never the
+campaign.
 """
 
 from __future__ import annotations
@@ -157,31 +160,3 @@ def _pick_start_method(requested: str | None) -> str:
             )
         return requested
     return "fork" if "fork" in available else available[0]
-
-
-def run_sharded(
-    spec: ScenarioSpec,
-    workers: int | None = None,
-    start_method: str | None = None,
-    **supervision,
-) -> FleetRunResult:
-    """Run every shard of ``spec`` under supervision and merge the results.
-
-    ``workers=1`` (or one shard) runs in-process — the baseline any
-    parallel run must match bit-for-bit.  ``workers=None`` falls back to
-    ``FLEXSFP_WORKERS`` (via :class:`~repro.config.Settings`), then 1.
-    The returned merged metrics and per-shard digests are a pure
-    function of the resolved spec: worker count, start method, and
-    completion order never show through.
-
-    Execution is delegated to :func:`repro.parallel.supervisor.
-    run_supervised` — per-shard deadlines, crash/hang detection with
-    bounded deterministic retry, and checkpoint/resume journalling; the
-    keyword-only supervision knobs (``policy``, ``checkpoint``,
-    ``resume``, ``chaos``) pass straight through.
-    """
-    from .supervisor import run_supervised  # cycle: supervisor imports this module
-
-    return run_supervised(
-        spec, workers=workers, start_method=start_method, **supervision
-    )

@@ -31,7 +31,7 @@ run_shard` for both the in-process and the worker-process paths.
 
 The supervisor itself is orchestration, not simulation: its wall-clock
 reads steer process lifecycles only and never touch a digest or a merged
-metric, exactly like ``wall_s`` in the unsupervised runner.
+metric, any more than the ``wall_s`` they feed.
 """
 
 from __future__ import annotations
@@ -578,7 +578,7 @@ def _run_pending_supervised(
 # ----------------------------------------------------------------------
 # Entry point
 # ----------------------------------------------------------------------
-def run_supervised(
+def run_sharded(
     spec,
     workers: int | None = None,
     start_method: str | None = None,
@@ -590,10 +590,13 @@ def run_supervised(
 ) -> FleetRunResult:
     """Run every shard of ``spec`` under supervision and merge the results.
 
-    The result-bearing contract of :func:`~repro.parallel.runner.
-    run_sharded` is unchanged — merged metrics and per-shard digests are
-    a pure function of the resolved spec; supervision, worker count, and
-    chaos (given retries remain) never show through.  On top of it:
+    The one sharded entry point.  ``workers=1`` (or one shard) runs
+    in-process — the baseline any parallel run must match bit-for-bit.
+    ``workers=None`` falls back to ``FLEXSFP_WORKERS`` (via
+    :class:`~repro.config.Settings`), then 1.  The returned merged metrics
+    and per-shard digests are a pure function of the resolved spec: worker
+    count, start method, completion order, supervision and chaos (given
+    retries remain) never show through.  On top of that:
 
     * ``policy`` bounds each shard (deadline, heartbeat, retries);
     * ``checkpoint`` journals completions for crash recovery;
@@ -605,6 +608,8 @@ def run_supervised(
     Shards whose retries are exhausted are reported in the returned
     :class:`Completeness` block; the run itself always completes.
     """
+    # Parent only: a spawned worker imports this module for its entry
+    # point and never journals or merges.
     from .journal import ShardJournal, load_journal, spec_digest
     from .merge import merge_histogram_states, merge_metrics
 
@@ -699,18 +704,3 @@ def run_supervised(
         supervisor=telemetry.metric_values(),
     )
 
-
-__all__ = [
-    "Completeness",
-    "FAILURE_CRASH",
-    "FAILURE_CORRUPT",
-    "FAILURE_EXCEPTION",
-    "FAILURE_HUNG",
-    "FAILURE_TIMEOUT",
-    "ShardError",
-    "ShardFailure",
-    "SupervisorPolicy",
-    "SupervisorTelemetry",
-    "run_shard_safe",
-    "run_supervised",
-]

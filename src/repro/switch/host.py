@@ -55,10 +55,6 @@ class Host:
     def rx_packets(self) -> int:
         return self.rx_meter.total_packets
 
-    @property
-    def rx_bytes(self) -> int:
-        return self.rx_meter.total_bytes
-
     def clear(self) -> None:
         self.received.clear()
 

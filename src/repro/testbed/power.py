@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .._util import clamp
+from .._util import Report, clamp
 from ..errors import ConfigError
 from ..fpga.resources import ResourceVector
 
@@ -123,3 +123,8 @@ class PowerTestbed:
             self.measure_plain_sfp(activity=1.0),
             self.measure_flexsfp(used, clock_hz, activity=1.0),
         ]
+
+    def paper_report(self, used: ResourceVector, clock_hz: float) -> Report:
+        """:meth:`paper_series` as ``flexsfp paper power`` prints it."""
+        rows = [(s.label, f"{s.watts:.3f}") for s in self.paper_series(used, clock_hz)]
+        return Report("power", ("configuration", "watts"), rows)

@@ -19,7 +19,7 @@ from repro.engine import validate_engine
 from repro.errors import ConfigError
 from repro.obs.export import json_document
 from repro.obs.scenario import ScenarioSpec
-from repro.parallel.runner import run_sharded
+from repro.parallel import run_sharded
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import COMMANDS, build_parser, main
+from repro.cli import COMMANDS, PAPER, build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -69,55 +69,55 @@ class TestBuild:
 
 class TestTables:
     def test_table1(self, capsys):
-        code, out, _ = run(capsys, "table1")
+        code, out, _ = run(capsys, "paper", "table1")
         assert code == 0
         assert "nat app" in out and "Avail." in out
 
     def test_table2(self, capsys):
-        code, out, _ = run(capsys, "table2")
+        code, out, _ = run(capsys, "paper", "table2")
         assert code == 0
         assert "Pigasus" in out and "exceeds" in out
 
     def test_table3(self, capsys):
-        code, out, _ = run(capsys, "table3")
+        code, out, _ = run(capsys, "paper", "table3")
         assert code == 0
         assert "FlexSFP" in out and "DPU (BF-2)" in out
 
     def test_table3_volume(self, capsys):
-        _, out_1k, _ = run(capsys, "table3", "--units", "1000")
-        _, out_100k, _ = run(capsys, "table3", "--units", "100000")
+        _, out_1k, _ = run(capsys, "paper", "table3", "--units", "1000")
+        _, out_100k, _ = run(capsys, "paper", "table3", "--units", "100000")
         assert out_1k != out_100k
 
 
 class TestAnalysis:
     def test_power(self, capsys):
-        code, out, _ = run(capsys, "power")
+        code, out, _ = run(capsys, "paper", "power")
         assert code == 0
         assert "3.800" in out and "NIC + FlexSFP" in out
 
     def test_bom(self, capsys):
-        code, out, _ = run(capsys, "bom")
+        code, out, _ = run(capsys, "paper", "bom")
         assert code == 0
         assert "MPF200T FPGA" in out and "total at 1,000 units" in out
 
     def test_scale_10g(self, capsys):
-        code, out, _ = run(capsys, "scale", "10")
+        code, out, _ = run(capsys, "paper", "scale", "10")
         assert code == 0
         assert "64 b datapath @ 156.25 MHz" in out
 
     def test_scale_impossible(self, capsys):
-        code, out, _ = run(capsys, "scale", "400")
+        code, out, _ = run(capsys, "paper", "scale", "400")
         assert code == 1
         assert "no single-pipeline" in out
 
     def test_envelope_10g(self, capsys):
-        code, out, _ = run(capsys, "envelope", "10")
+        code, out, _ = run(capsys, "paper", "envelope", "10")
         assert code == 0
         assert "SFP+" in out and "fits" in out
 
     def test_envelope_100g_needs_lanes(self, capsys):
         code, out, _ = run(
-            capsys, "envelope", "100", "--width", "1024", "--clock", "312.5"
+            capsys, "paper", "envelope", "100", "--width", "1024", "--clock", "312.5"
         )
         assert code == 0
         assert "no lanes" in out and "QSFP-DD" in out
@@ -150,18 +150,18 @@ class TestJsonOutput:
         assert doc["meets_timing"] is False
 
     def test_bom_json_totals(self, capsys):
-        code, doc = run_json(capsys, "bom")
+        code, doc = run_json(capsys, "paper", "bom")
         assert code == 0
         assert doc["units"] == 1_000
         assert 0 < doc["total_low_usd"] < doc["total_high_usd"]
 
     def test_scale_json(self, capsys):
-        code, doc = run_json(capsys, "scale", "10")
+        code, doc = run_json(capsys, "paper", "scale", "10")
         assert code == 0 and doc["feasible"] is True
         assert doc["rows"][0][1] == 64  # 64 b datapath
 
     def test_scale_json_infeasible(self, capsys):
-        code, doc = run_json(capsys, "scale", "400")
+        code, doc = run_json(capsys, "paper", "scale", "400")
         assert code == 1
         assert doc["feasible"] is False and doc["rows"] == []
 
@@ -457,11 +457,18 @@ class TestParser:
 
 
 class TestSubcommandTable:
-    """One table registers the 17 subcommands; ``main`` configures one.
+    """One table registers the 11 subcommands; ``main`` configures one.
 
     The lazily configured parser must be indistinguishable from the full
-    one: same help, same errors, same exit codes.
+    one: same help, same errors, same exit codes.  ``paper`` nests the
+    seven artefacts of :data:`repro.cli.PAPER` the same way.
     """
+
+    #: Every help page: a subcommand's, or ``paper <what>``'s under its
+    #: pre-``paper`` test id.
+    HELP_PAGES = {name: (name,) for name, *_ in COMMANDS} | {
+        what: ("paper", what) for what, *_ in PAPER
+    }
 
     @pytest.fixture(autouse=True)
     def _eighty_columns(self, monkeypatch):
@@ -474,15 +481,19 @@ class TestSubcommandTable:
         assert exit_info.value.code == 0
         return capsys.readouterr().out
 
-    def test_seventeen_subcommands(self):
+    def test_eleven_subcommands(self):
         names = [name for name, _help, _configure, _handler in COMMANDS]
-        assert len(names) == len(set(names)) == 17
+        assert len(names) == len(set(names)) == 11
+        assert [what for what, *_ in PAPER] == [
+            "table1", "table2", "table3", "power", "bom", "scale", "envelope",
+        ]
 
-    @pytest.mark.parametrize("name", [command[0] for command in COMMANDS])
-    def test_lazy_help_equals_the_full_parsers(self, capsys, name):
-        lazy = self.help_of(capsys, main, name)
-        full = self.help_of(capsys, build_parser().parse_args, name)
-        assert lazy == full and f"usage: flexsfp {name}" in lazy
+    @pytest.mark.parametrize("page", HELP_PAGES)
+    def test_lazy_help_equals_the_full_parsers(self, capsys, page):
+        argv = self.HELP_PAGES[page]
+        lazy = self.help_of(capsys, main, *argv)
+        full = self.help_of(capsys, build_parser().parse_args, *argv)
+        assert lazy == full and f"usage: flexsfp {' '.join(argv)}" in lazy
 
     def test_top_level_help_equals_the_parent_commits(self, capsys):
         snapshot = json.loads(
@@ -495,16 +506,111 @@ class TestSubcommandTable:
 
     def test_unknown_subcommand_is_argparses_error(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            main(["paper"])
+            main(["papers"])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert "invalid choice: 'paper'" in err and "'apps', 'devices'" in err
+        assert "invalid choice: 'papers'" in err and "'apps', 'devices'" in err
 
     def test_only_the_named_subcommand_is_configured(self):
-        parser = build_parser(only="bom")
-        assert parser.parse_args(["bom", "--units", "5"]).units == 5
+        parser = build_parser("paper")
+        assert parser.parse_args(["paper", "bom", "--units", "5"]).units == 5
         with pytest.raises(SystemExit):  # run is registered, not configured
             parser.parse_args(["run", "--shards", "2"])
+
+    def test_json_is_accepted_on_either_side_of_the_artefact(self, capsys):
+        _, before, _ = run(capsys, "paper", "--json", "scale", "10")
+        _, after, _ = run(capsys, "paper", "scale", "10", "--json")
+        assert before == after and json.loads(after)["title"] == "scale"
+
+
+def _nat_build(**shell):
+    from repro.apps import create_app
+    from repro.core import ShellSpec
+    from repro.hls import compile_app
+
+    return compile_app(create_app("nat"), ShellSpec(**shell), strict=False).report
+
+
+def _owner_rows() -> dict:
+    """artefact -> (argv after ``paper``, the owning library function's rows)."""
+    from repro.core import operating_point_report
+    from repro.costmodel import FlexSfpBom, table3_report
+    from repro.fpga import envelope_report, table2_report
+    from repro.testbed import PowerTestbed
+
+    nat = _nat_build()
+    wide = _nat_build(line_rate_bps=100e9, datapath_bits=1024)
+    return {
+        "table1": (["table1"], nat.table1_rows()),
+        "table2": (["table2"], table2_report().rows),
+        "table3": (["table3", "--units", "5000"], table3_report(5000).rows),
+        "power": (
+            ["power"],
+            PowerTestbed().paper_report(nat.total, nat.timing.clock_hz).rows,
+        ),
+        "bom": (["bom", "--units", "5000"], FlexSfpBom().report(5000).rows),
+        "scale": (["scale", "40"], operating_point_report(40.0).rows),
+        "envelope": (
+            ["envelope", "100", "--width", "1024"],
+            envelope_report(100.0, wide.total, wide.timing.clock_hz).rows,
+        ),
+    }
+
+
+class TestPaperArtefacts:
+    """One owner per artefact: the CLI prints a library function's rows."""
+
+    @pytest.mark.parametrize("what", [what for what, *_ in PAPER])
+    def test_json_rows_are_the_owning_functions(self, capsys, what):
+        argv, rows = _owner_rows()[what]
+        code, doc = run_json(capsys, "paper", *argv)
+        assert code == 0 and doc["schema"] == "flexsfp.table/1"
+        assert doc["rows"] == json.loads(json.dumps(rows)) and rows
+
+    @pytest.mark.parametrize(
+        "gbps, point", [(10, (64, 156.25)), (25, (64, 400.0)), (40, (128, 400.0)), (100, (1024, 312.5))]
+    )
+    def test_scale_prints_the_planners_point(self, capsys, gbps, point):
+        from repro.core import plan_operating_point
+
+        width, clock = plan_operating_point(gbps * 1e9)
+        assert (width, clock / 1e6) == point
+        _, out, _ = run(capsys, "paper", "scale", str(gbps))
+        assert f"{width} b datapath @ {clock / 1e6:.2f} MHz" in out
+
+    @pytest.mark.parametrize(
+        "bench", ["bench_scalability.py", "bench_formfactor_scaling.py"]
+    )
+    def test_the_benches_import_the_planner(self, bench):
+        import ast
+
+        tree = ast.parse((ROOT / "benchmarks" / bench).read_text())
+        defined = {
+            node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+        } | {
+            target.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        assert not defined & {"plan_operating_point", "OPERATING_POINTS"}
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "repro.core"
+            for alias in node.names
+        }
+        assert "plan_operating_point" in imported
+
+    def test_one_planner_and_one_clock_grid_under_src(self):
+        sources = {
+            path: path.read_text() for path in (ROOT / "src").rglob("*.py")
+        } | {path: path.read_text() for path in (ROOT / "benchmarks").glob("*.py")}
+        planners = [p for p, text in sources.items() if "def plan_operating_point" in text]
+        grids = [p for p, text in sources.items() if "312.5e6" in text and "156.25e6" in text]
+        shells = ROOT / "src" / "repro" / "core" / "shells.py"
+        assert planners == [shells] and grids == [shells]
 
 
 class TestClosedPipe:

@@ -8,9 +8,10 @@ delivered bytes, and the per-frame latency distribution stay bit-identical
 to the reference per-frame engine.  This suite drives every registered
 application through both engines under three ingress shapes — a seeded
 IMIX delivered in multi-frame flushes (flow cache, grouped processing),
-the same IMIX one frame per event behind a store-and-forward hop
-(``test_fastpath_differential.py`` holds those cases under their
-historical names), and template bursts of
+the same IMIX one frame per event behind a store-and-forward hop (the
+``-event`` cases: ``FlexSFPModule._ingress``, a ``submit`` at ``sim.now``,
+the open-group event re-armed per frame, which is the shape chaos and
+fleet-upgrade traffic has behind a legacy switch), and template bursts of
 same-flow CBR (the fused lane) — and compares, then pins the deopt paths:
 a non-fusible application, a tracer attachment, per-frame arrivals
 interleaved into the burst lane, and a control-plane table write mid-run.
@@ -211,9 +212,17 @@ def check_imix_matches_reference(name: str, per_event: bool = False) -> None:
         assert cache.hit_rate > 0.2, f"{name}: {cache.snapshot()}"
 
 
-@pytest.mark.parametrize("name", sorted(APP_FACTORIES))
-def test_compiled_imix_matches_reference(name):
-    check_imix_matches_reference(name)
+@pytest.mark.parametrize(
+    "name, per_event",
+    [
+        # The multi-frame-flush cases keep their bare ids.
+        pytest.param(name, per_event, id=f"{name}-event" if per_event else name)
+        for per_event in (False, True)
+        for name in sorted(APP_FACTORIES)
+    ],
+)
+def test_compiled_imix_matches_reference(name, per_event):
+    check_imix_matches_reference(name, per_event=per_event)
 
 
 @pytest.mark.parametrize("name", sorted(APP_FACTORIES))
@@ -359,6 +368,10 @@ def test_midrun_table_write_matches_reference():
 
 def test_midrun_table_write_flush_ingress_matches_reference():
     check_midrun_table_write("flush")
+
+
+def test_midrun_table_write_event_ingress_matches_reference():
+    check_midrun_table_write("event")
 
 
 def test_metered_ratelimiter_burst_matches_reference():

@@ -267,6 +267,20 @@ REMOVED_SPELLINGS = {
         lambda: main(["metrics", "--fail-on-deprecated"]),
         SystemExit,
     ),
+    # The paper artefacts live behind `flexsfp paper <what>`; the seven
+    # top-level spellings are not aliases.
+    **{
+        f"flexsfp {what}": (lambda argv=argv: main(argv), SystemExit)
+        for what, argv in {
+            "table1": ["table1"],
+            "table2": ["table2"],
+            "table3": ["table3", "--units", "1000"],
+            "power": ["power", "--app", "nat"],
+            "bom": ["bom"],
+            "scale": ["scale", "10"],
+            "envelope": ["envelope", "10"],
+        }.items()
+    },
 }
 
 

@@ -28,7 +28,7 @@ from repro.artifact import (
     diff_artifacts,
 )
 from repro.obs.scenario import ScenarioSpec, TrafficProfile
-from repro.parallel.runner import run_sharded
+from repro.parallel import run_sharded
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 

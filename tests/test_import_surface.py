@@ -55,6 +55,7 @@ CASES = {
     "run-nat-compiled": _cli(*_NAT, "--engine", "compiled", "--json"),
     "apps-help": _cli("apps", "--help"),
     "run-help": _cli("run", "--help"),
+    "paper-table2": _cli("paper", "table2"),
     "create-app-nat": "from repro.apps import create_app\ncreate_app('nat')\n",
     "no-numpy-run-reference": _cli(
         *_NAT, "--engine", "reference", "--json", prelude=_NO_NUMPY
@@ -63,10 +64,23 @@ CASES = {
         *_NAT, "--engine", "compiled", "--json", prelude=_NO_NUMPY
     ),
     "no-numpy-apps": _cli("apps", prelude=_NO_NUMPY),
-    "no-numpy-table1": _cli("table1", prelude=_NO_NUMPY),
+    "no-numpy-table1": _cli("paper", "table1", prelude=_NO_NUMPY),
     "no-numpy-check-self": _cli("check", "--self", prelude=_NO_NUMPY),
     # Cycles hide behind whichever module happened to be imported first;
     # with every __init__ lazy that order is the caller's, so try them all.
+    # obs.scenario <- parallel.runner <- parallel.supervisor is a plain
+    # top-level chain: whichever of the three comes first, the rest follow.
+    "run-layer-orders": (
+        "import importlib, itertools\n"
+        "trio = ['repro.obs.scenario', 'repro.parallel.runner', 'repro.parallel.supervisor']\n"
+        "orders = list(itertools.permutations(trio))\n"
+        "for order in orders:\n"
+        "    for loaded in [m for m in sys.modules if m.startswith('repro')]:\n"
+        "        del sys.modules[loaded]\n"
+        "    for name in order:\n"
+        "        importlib.import_module(name)\n"
+        "report['imported'] = len(orders)\n"
+    ),
     "every-module-first": (
         "import importlib, pkgutil, repro\n"
         "names = [m.name for m in pkgutil.walk_packages(repro.__path__, 'repro.')]\n"
@@ -192,6 +206,10 @@ def test_help_imports_no_other_subcommands_dependencies():
     run_help = census("run-help")
     assert run_help["exit"] == 0 and "--shard-timeout" in run_help["stdout"]
     assert loaded(run_help, "repro.matrix", "repro.parallel", "numpy") == []
+    # One level down: `paper table2` does not read `paper power`'s --app choices.
+    table2 = census("paper-table2")
+    assert table2["exit"] == 0 and "FlexSFP" in table2["stdout"]
+    assert loaded(table2, "repro.apps", "repro.hls", "repro.core") == []
 
 
 def test_create_app_imports_one_application():
@@ -223,6 +241,36 @@ def test_the_compiled_tier_without_numpy_is_a_config_error():
     assert report["exit"] == 2
     assert report["stderr"].startswith("error: ") and "numpy" in report["stderr"]
     assert "Traceback" not in report["stderr"]
+
+
+def test_the_run_layer_imports_in_any_order_with_no_import_inside_a_function():
+    assert census("run-layer-orders")["imported"] == 6
+    # The one sharded entry point is imported at module level or not at
+    # all: no function-level import of it is left to break a cycle.
+    import ast
+
+    package = ROOT / "src" / "repro"
+    for module in ("obs/scenario.py", "parallel/runner.py", "parallel/supervisor.py"):
+        source = (package / module).read_text()
+        assert "# cycle:" not in source, module
+        tree = ast.parse(source)
+        nested = [
+            (node.module, alias.name)
+            for scope in ast.walk(tree)
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(scope)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        ]
+        assert [
+            pair
+            for pair in nested
+            if pair[1] in ("run_sharded", "run_supervised")
+            or pair[0] in ("supervisor", "runner", "parallel")
+        ] == [], module
+    from repro.obs.scenario import ScenarioSpec
+
+    assert not hasattr(ScenarioSpec, "run_sharded")
 
 
 def test_every_module_can_be_the_first_one_imported():

@@ -1,5 +1,6 @@
 """FlexSFPModule end-to-end: datapath, arbiter, verdicts, reboot."""
 
+import pytest
 
 from repro.apps import AclFirewall, AclRule, StaticNat, Passthrough
 from repro.core import (
@@ -179,6 +180,39 @@ class TestReboot:
         assert not module.is_down
         assert len(fiber_rx) == 1
         assert module.reboots == 1
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 4: whole-module down-time is a boolean that the "
+        "first reboot's _boot_complete clears, not a [down_from, up_at) window",
+    )
+    def test_overlapping_reboots_stay_down_until_the_last_window_ends(self, sim):
+        """Two reboots 50 ms apart: dark to +170 ms, yet up at +120 ms.
+
+        The second reboot re-arms the slot's dark window (+50 .. +170 ms), but
+        the first reboot's ``_boot_complete`` event at +120 ms clears the
+        ``_down`` flag the second one set.  A tenant slot behind a crossbar
+        drops a frame at +130 ms (judged against its window); a solo slot
+        forwards it.  The benchmark's chaos seed 1 has such overlapping
+        reboots, so fixing this moves ``sim.events`` and ``downtime_drops``:
+        ROADMAP item 4's job, which flips this test.
+        """
+        module = FlexSFPModule(sim, "m", Deployment.solo(Passthrough()), auth_key=KEY)
+        host, fiber, host_rx, fiber_rx = wire_module(sim, module)
+        sim.schedule(0.0, module.reboot)
+        sim.schedule(50e-3, module.reboot)
+        seen = []
+
+        def probe():
+            seen.append((module.is_down, module.slots[0].is_dark(sim.now)))
+            host.send(make_udp())
+
+        sim.schedule(130e-3, probe)
+        sim.run(until=200e-3)
+        assert module.slots[0].dark_until == pytest.approx(50e-3 + RECONFIG_DOWNTIME_S)
+        assert seen == [(True, True)]  # today: (False, True)
+        assert module.downtime_drops.packets == 1 and not fiber_rx
 
     def test_same_app_reboot_keeps_state(self, sim):
         nat = StaticNat()

@@ -24,7 +24,6 @@ from repro.parallel import (
     merge_metrics,
     run_shard_safe,
     run_sharded,
-    run_supervised,
     shard_spec,
 )
 
@@ -61,7 +60,7 @@ class TestChaosBitIdentity:
             (1, 1): "worker_raise",
             (2, 1): "worker_corrupt",
         })
-        result = run_supervised(SPEC, workers=2, policy=FAST, chaos=plan)
+        result = run_sharded(SPEC, workers=2, policy=FAST, chaos=plan)
         assert_bit_identical(result, baseline)
         assert result.supervisor["crashes"] == 1
         assert result.supervisor["worker_errors"] == 1
@@ -75,14 +74,14 @@ class TestChaosBitIdentity:
             (3, 1): "worker_kill",
             (3, 2): "worker_kill",
         })
-        result = run_supervised(SPEC, workers=2, policy=FAST, chaos=plan)
+        result = run_sharded(SPEC, workers=2, policy=FAST, chaos=plan)
         assert_bit_identical(result, baseline)
         assert result.supervisor["crashes"] == 2
 
     def test_hung_worker_hits_deadline(self, baseline):
         plan = WorkerFaultPlan.scripted({(1, 1): "worker_hang"})
         policy = dataclasses.replace(FAST, shard_timeout_s=0.6, max_retries=1)
-        result = run_supervised(SPEC, workers=2, policy=policy, chaos=plan)
+        result = run_sharded(SPEC, workers=2, policy=policy, chaos=plan)
         assert_bit_identical(result, baseline)
         assert result.supervisor["stragglers"] == 1
         assert result.supervisor["hangs"] == 0
@@ -93,14 +92,14 @@ class TestChaosBitIdentity:
         policy = dataclasses.replace(
             FAST, shard_timeout_s=30.0, heartbeat_misses=6, max_retries=1
         )
-        result = run_supervised(SPEC, workers=2, policy=policy, chaos=plan)
+        result = run_sharded(SPEC, workers=2, policy=policy, chaos=plan)
         assert_bit_identical(result, baseline)
         assert result.supervisor["hangs"] == 1
         assert result.supervisor["stragglers"] == 0
 
     def test_generated_plan_recovers_under_spawn(self, baseline):
         plan = WorkerFaultPlan.generate(seed=5, shards=SPEC.shards, count=2)
-        result = run_supervised(
+        result = run_sharded(
             SPEC, workers=2, start_method="spawn", policy=FAST, chaos=plan
         )
         assert_bit_identical(result, baseline)
@@ -115,7 +114,7 @@ class TestGracefulDegradation:
     })
 
     def test_exhausted_retries_degrade_to_partial(self, baseline):
-        result = run_supervised(SPEC, workers=2, policy=FAST, chaos=self.EXHAUST)
+        result = run_sharded(SPEC, workers=2, policy=FAST, chaos=self.EXHAUST)
         assert not result.ok
         completeness = result.completeness
         assert completeness.completed == SPEC.shards - 1
@@ -133,7 +132,7 @@ class TestGracefulDegradation:
         assert result.digests == tuple(s.digest for s in survivors)
 
     def test_partial_result_is_explicit_in_artifact(self):
-        result = run_supervised(SPEC, workers=2, policy=FAST, chaos=self.EXHAUST)
+        result = run_sharded(SPEC, workers=2, policy=FAST, chaos=self.EXHAUST)
         block = result.to_dict()["completeness"]
         assert block["ok"] is False
         assert block["failed_indices"] == [1]
@@ -142,7 +141,7 @@ class TestGracefulDegradation:
     def test_exhausted_raise_carries_traceback(self):
         plan = WorkerFaultPlan.scripted({(0, 1): "worker_raise"})
         policy = dataclasses.replace(FAST, max_retries=0)
-        result = run_supervised(SPEC, workers=2, policy=policy, chaos=plan)
+        result = run_sharded(SPEC, workers=2, policy=policy, chaos=plan)
         assert not result.ok
         failure = result.completeness.failed[0]
         assert failure.reasons == ("exception",)
@@ -173,7 +172,7 @@ class TestStructuredErrors:
 class TestCheckpointResume:
     def test_resume_runs_only_missing_shards(self, tmp_path, baseline):
         journal = tmp_path / "campaign.jsonl"
-        first = run_supervised(
+        first = run_sharded(
             SPEC, workers=2, policy=FAST,
             checkpoint=journal, chaos=TestGracefulDegradation.EXHAUST,
         )
@@ -181,7 +180,7 @@ class TestCheckpointResume:
         _, completed = load_journal(journal)
         assert sorted(completed) == [0, 2, 3]
 
-        second = run_supervised(SPEC, workers=2, policy=FAST, resume=journal)
+        second = run_sharded(SPEC, workers=2, policy=FAST, resume=journal)
         assert_bit_identical(second, baseline)
         assert second.completeness.resumed == (0, 2, 3)
         assert second.supervisor["resumed"] == 3
@@ -191,7 +190,7 @@ class TestCheckpointResume:
 
     def test_resume_can_redirect_checkpoint(self, tmp_path, baseline):
         old = tmp_path / "old.jsonl"
-        run_supervised(
+        run_sharded(
             SPEC, workers=1, policy=FAST, checkpoint=old,
             chaos=WorkerFaultPlan.scripted({
                 (0, 1): "worker_kill", (0, 2): "worker_kill",
@@ -199,7 +198,7 @@ class TestCheckpointResume:
             }),
         )
         new = tmp_path / "new.jsonl"
-        result = run_supervised(
+        result = run_sharded(
             SPEC, workers=1, policy=FAST, resume=old, checkpoint=new
         )
         assert_bit_identical(result, baseline)
@@ -210,15 +209,15 @@ class TestCheckpointResume:
 
     def test_resume_rejects_mismatched_spec(self, tmp_path):
         journal = tmp_path / "campaign.jsonl"
-        run_supervised(SPEC, workers=1, checkpoint=journal)
+        run_sharded(SPEC, workers=1, checkpoint=journal)
         other = dataclasses.replace(SPEC, seed=SPEC.seed + 1)
         with pytest.raises(ConfigError, match="different spec"):
-            run_supervised(other, workers=1, resume=journal)
+            run_sharded(other, workers=1, resume=journal)
 
     def test_full_checkpoint_resume_is_a_noop_run(self, tmp_path, baseline):
         journal = tmp_path / "campaign.jsonl"
-        run_supervised(SPEC, workers=1, checkpoint=journal)
-        result = run_supervised(SPEC, workers=2, resume=journal)
+        run_sharded(SPEC, workers=1, checkpoint=journal)
+        result = run_sharded(SPEC, workers=2, resume=journal)
         assert_bit_identical(result, baseline)
         assert result.supervisor["launched"] == 0
         assert result.completeness.resumed == (0, 1, 2, 3)
