@@ -66,6 +66,23 @@ def spec_digest_of(spec_payload: Mapping[str, object]) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+#: What every entry of ``shards`` carries, and as what.
+_SHARD_FIELDS = (
+    ("index", int), ("seed", int), ("digest", str),
+    ("semantic_digest", str), ("summary", dict),
+)  # fmt: skip
+
+
+def _typed(value: object, kind: type, where: str):
+    """``value`` if it is a ``kind`` (a bool is not an int), else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(
+            f"artifact field {where!r} must be a {kind.__name__}, "
+            f"got {type(value).__name__}: {value!r}"
+        )
+    return value
+
+
 @dataclass(frozen=True)
 class RunArtifact:
     """One run, reduced to the ``flexsfp.run/1`` document fields."""
@@ -134,30 +151,59 @@ class RunArtifact:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "RunArtifact":
+        """Rebuild an artifact from its document; a missing section is empty.
+
+        The document comes from outside the program: a field of the wrong
+        type is a :class:`ConfigError` naming it, never a ``TypeError``
+        from deep inside a later diff.
+        """
         data = dict(payload)
         schema = data.pop("schema", SCHEMA_RUN)
         if schema != SCHEMA_RUN:
             raise ConfigError(
                 f"expected a {SCHEMA_RUN!r} document, got schema {schema!r}"
             )
+
+        def take(name: str, kind: type, default: object):
+            return _typed(data.get(name, default), kind, name)
+
+        shards = take("shards", list, [])
+        for index, shard in enumerate(shards):
+            where = f"shards[{index}]"
+            _typed(shard, dict, where)
+            for key, kind in _SHARD_FIELDS:
+                _typed(shard.get(key), kind, f"{where}.{key}")
+        completeness = take("completeness", dict, {})
+        _typed(
+            completeness.get("failed_indices", []), list, "completeness.failed_indices"
+        )
+        knobs = take("knobs", dict, {})
+        deployment = _typed(knobs.get("deployment", {}), dict, "knobs.deployment")
+        for index, tenant in enumerate(
+            _typed(deployment.get("tenants", []), list, "knobs.deployment.tenants")
+        ):
+            _typed(tenant, dict, f"knobs.deployment.tenants[{index}]")
         return cls(
-            source=str(data.get("source", "")),
-            spec=dict(data.get("spec", {})),
-            spec_digest=str(data.get("spec_digest", "")),
-            seed=int(data.get("seed", 0)),
-            knobs=dict(data.get("knobs", {})),
-            metrics=dict(data.get("metrics", {})),
+            source=take("source", str, ""),
+            spec=take("spec", dict, {}),
+            spec_digest=take("spec_digest", str, ""),
+            seed=take("seed", int, 0),
+            knobs=knobs,
+            metrics=take("metrics", dict, {}),
             histograms={
-                name: dict(state)
-                for name, state in dict(data.get("histograms", {})).items()
+                name: dict(_typed(state, dict, f"histograms[{name!r}]"))
+                for name, state in take("histograms", dict, {}).items()
             },
-            shards=tuple(dict(shard) for shard in data.get("shards", ())),
-            completeness=dict(data.get("completeness", {})),
-            summary=dict(data.get("summary", {})),
-            findings=tuple(dict(f) for f in data.get("findings", ())),
-            timings=dict(data.get("timings", {})),
-            environment=dict(data.get("environment", {})),
-            supervisor=dict(data.get("supervisor", {})),
+            shards=tuple(dict(shard) for shard in shards),
+            completeness=completeness,
+            summary=take("summary", dict, {}),
+            findings=tuple(
+                dict(_typed(finding, dict, f"findings[{index}]"))
+                for index, finding in enumerate(take("findings", list, []))
+            ),
+            timings=take("timings", dict, {}),
+            environment=take("environment", dict, {}),
+            supervisor=take("supervisor", dict, {}),
         )
 
     # ------------------------------------------------------------------
@@ -183,6 +229,19 @@ class RunArtifact:
 # ----------------------------------------------------------------------
 # Builders
 # ----------------------------------------------------------------------
+def _all_completed(shards: int) -> dict:
+    """The completeness block of a run whose every shard finished first try."""
+    return {
+        "ok": True,
+        "shards": shards,
+        "completed": shards,
+        "failed": [],
+        "failed_indices": [],
+        "resumed": [],
+        "retries": 0,
+    }
+
+
 def _knobs_from_spec(spec_payload: Mapping, workers: int | None) -> dict:
     # Only building an artifact needs the effect analysis (and the PPE
     # behind it); ``flexsfp diff`` loads and compares two without it.
@@ -238,15 +297,7 @@ def artifact_from_fleet_result(
     completeness = (
         result.completeness.to_dict()
         if result.completeness is not None
-        else {
-            "ok": True,
-            "shards": spec_payload.get("shards", len(shards)),
-            "completed": len(shards),
-            "failed": [],
-            "failed_indices": [],
-            "resumed": [],
-            "retries": 0,
-        }
+        else _all_completed(len(shards))
     )
     return RunArtifact(
         source=source,
@@ -301,15 +352,7 @@ def artifact_from_scenario_run(
         metrics=metrics,
         histograms={k: dict(v) for k, v in histograms.items()},
         shards=(shard,),
-        completeness={
-            "ok": True,
-            "shards": 1,
-            "completed": 1,
-            "failed": [],
-            "failed_indices": [],
-            "resumed": [],
-            "retries": 0,
-        },
+        completeness=_all_completed(1),
         summary=summary,
         findings=tuple(dict(finding) for finding in findings),
         timings=timings,
@@ -362,15 +405,7 @@ def artifact_from_bench(
         metrics=metrics,
         histograms={},
         shards=(shard,),
-        completeness={
-            "ok": True,
-            "shards": 1,
-            "completed": 1,
-            "failed": [],
-            "failed_indices": [],
-            "resumed": [],
-            "retries": 0,
-        },
+        completeness=_all_completed(1),
         summary=summary,
         timings={} if wall_s is None else {"wall_s": wall_s},
         environment=environment_fingerprint(),

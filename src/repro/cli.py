@@ -401,9 +401,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from dataclasses import replace as _replace
-
-    from .config import get_settings
     from .obs.scenario import ScenarioSpec
     from .parallel import SupervisorPolicy, load_journal, run_sharded
 
@@ -419,16 +416,12 @@ def cmd_run(args: argparse.Namespace) -> int:
             fault_plan=args.plan,
             engine=args.engine,
         )
-    policy = None
-    if args.shard_timeout is not None or args.max_retries is not None:
-        policy = SupervisorPolicy.from_settings(get_settings())
-        if args.shard_timeout is not None:
-            policy = _replace(
-                policy,
-                shard_timeout_s=args.shard_timeout if args.shard_timeout > 0 else None,
-            )
-        if args.max_retries is not None:
-            policy = _replace(policy, max_retries=args.max_retries)
+    # A flag left unset keeps the dataclass default; 0 disables the deadline.
+    flags = {
+        "shard_timeout_s": args.shard_timeout or None,
+        "max_retries": args.max_retries,
+    }
+    policy = SupervisorPolicy(**{k: v for k, v in flags.items() if v is not None})
     result = run_sharded(
         spec,
         workers=args.workers,
@@ -756,8 +749,8 @@ def _args_run(run: argparse.ArgumentParser) -> None:
     run.add_argument(
         "--workers",
         type=int,
-        default=None,
-        help="worker processes (default: FLEXSFP_WORKERS, then 1)",
+        default=1,
+        help="worker processes (default: 1)",
     )
     run.add_argument("--seed", type=int, default=1, help="root seed")
     run.add_argument(
@@ -788,7 +781,7 @@ def _args_run(run: argparse.ArgumentParser) -> None:
         dest="shard_timeout",
         metavar="SECONDS",
         help="per-shard deadline; hung/straggling workers are killed and "
-        "retried (0 disables; default: FLEXSFP_SHARD_TIMEOUT)",
+        "retried (default: no deadline; 0 says the same)",
     )
     run.add_argument(
         "--max-retries",
@@ -797,7 +790,7 @@ def _args_run(run: argparse.ArgumentParser) -> None:
         dest="max_retries",
         metavar="N",
         help="retries per failed shard beyond the first attempt "
-        "(default: FLEXSFP_MAX_RETRIES, then 2)",
+        "(default: 2)",
     )
     run.add_argument(
         "--checkpoint",

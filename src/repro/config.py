@@ -14,18 +14,14 @@ Recognized variables:
 ``FLEXSFP_BENCH_DIR``      BENCH history directory (``flexsfp.run/1``
                            artifacts + ``BENCH_*.json`` history files);
                            falls back to ``FLEXSFP_METRICS_DIR``
-``FLEXSFP_WORKERS``        default worker count for sharded scenario runs
 ``FLEXSFP_MP_START``       multiprocessing start method (``fork``/``spawn``/
                            ``forkserver``); unset picks the best available
-``FLEXSFP_SHARD_TIMEOUT``  per-shard deadline in seconds for supervised runs
-                           (float > 0; unset/0 disables the deadline)
-``FLEXSFP_MAX_RETRIES``    retries per failed shard beyond the first attempt
-``FLEXSFP_RETRY_BACKOFF``  base of the exponential retry backoff, in seconds
 =========================  ====================================================
 
-Malformed values never raise at import or construction time: they fall
-back to the documented default (a bad ``FLEXSFP_WORKERS`` should degrade a
-CI knob, not brick the simulator).  The one exception is deliberate:
+Any other ``FLEXSFP_*`` variable is ignored.  Malformed values never raise
+at import or construction time: they fall back to the documented default
+(a bad ``FLEXSFP_MP_START`` should degrade a CI knob, not brick the
+simulator).  The one exception is deliberate:
 ``FLEXSFP_ENGINE`` is carried verbatim and an unknown tier raises
 :class:`~repro.errors.ConfigError` where it is consumed
 (:func:`repro.engine.resolve_engine`) — falling back to ``reference`` would
@@ -42,43 +38,9 @@ from typing import Mapping
 ENV_ENGINE = "FLEXSFP_ENGINE"
 ENV_METRICS_DIR = "FLEXSFP_METRICS_DIR"
 ENV_BENCH_DIR = "FLEXSFP_BENCH_DIR"
-ENV_WORKERS = "FLEXSFP_WORKERS"
 ENV_MP_START = "FLEXSFP_MP_START"
-ENV_SHARD_TIMEOUT = "FLEXSFP_SHARD_TIMEOUT"
-ENV_MAX_RETRIES = "FLEXSFP_MAX_RETRIES"
-ENV_RETRY_BACKOFF = "FLEXSFP_RETRY_BACKOFF"
 
 _START_METHODS = ("fork", "spawn", "forkserver")
-
-
-def parse_int(
-    raw: str | None, default: int, minimum: int | None = None
-) -> int:
-    """Parse an integer env value; malformed input yields ``default``."""
-    if raw is None or not raw.strip():
-        return default
-    try:
-        value = int(raw.strip())
-    except ValueError:
-        return default
-    if minimum is not None and value < minimum:
-        return minimum
-    return value
-
-
-def parse_float(
-    raw: str | None, default: float, minimum: float | None = None
-) -> float:
-    """Parse a float env value; malformed input yields ``default``."""
-    if raw is None or not raw.strip():
-        return default
-    try:
-        value = float(raw.strip())
-    except ValueError:
-        return default
-    if minimum is not None and value < minimum:
-        return minimum
-    return value
 
 
 @dataclass(frozen=True)
@@ -88,20 +50,14 @@ class Settings:
     ``engine`` names the default tier consumed by
     :func:`repro.engine.resolve_engine` (validated there, not here);
     ``metrics_dir`` is where benchmarks export registry dumps;
-    ``workers`` / ``start_method`` steer the :mod:`repro.parallel` sharded
-    runner; ``shard_timeout_s`` / ``max_retries`` / ``retry_backoff_s``
-    steer its supervisor (deadline per shard, bounded retry, exponential
-    backoff base).
+    ``start_method`` is how the :mod:`repro.parallel` sharded runner
+    starts its workers.
     """
 
     engine: str | None = None
     metrics_dir: Path | None = None
     bench_dir: Path | None = None
-    workers: int | None = None
     start_method: str | None = None
-    shard_timeout_s: float | None = None
-    max_retries: int = 2
-    retry_backoff_s: float = 0.05
 
     @classmethod
     def from_env(cls, env: Mapping[str, str] | None = None) -> "Settings":
@@ -112,19 +68,11 @@ class Settings:
         bench_dir = env.get(ENV_BENCH_DIR, "").strip()
         start = env.get(ENV_MP_START, "").strip().lower()
         engine = env.get(ENV_ENGINE, "").strip().lower()
-        workers = parse_int(env.get(ENV_WORKERS), 0, minimum=0)
-        shard_timeout = parse_float(env.get(ENV_SHARD_TIMEOUT), 0.0, minimum=0.0)
         return cls(
             engine=engine or None,
             metrics_dir=Path(metrics_dir) if metrics_dir else None,
             bench_dir=Path(bench_dir) if bench_dir else None,
-            workers=workers if workers > 0 else None,
             start_method=start if start in _START_METHODS else None,
-            shard_timeout_s=shard_timeout if shard_timeout > 0 else None,
-            max_retries=parse_int(env.get(ENV_MAX_RETRIES), 2, minimum=0),
-            retry_backoff_s=parse_float(
-                env.get(ENV_RETRY_BACKOFF), 0.05, minimum=0.0
-            ),
         )
 
     @property

@@ -290,8 +290,8 @@ class ControlPlane:
         self.module.schedule_reboot()
         return self._ack(message, rebooting=True)
 
-    def snapshot(self) -> dict[str, int]:
-        """Structured counter snapshot (stable legacy dict layout)."""
+    def metric_values(self) -> dict[str, int | bool]:
+        """Flat :class:`~repro.obs.registry.MetricSource` view; ``snapshot()`` too."""
         return {
             "commands_handled": self.commands_handled,
             "auth_failures": self.auth_failures,
@@ -300,12 +300,4 @@ class ControlPlane:
             "frames_while_unresponsive": self.frames_while_unresponsive,
         }
 
-    def metric_values(self) -> dict[str, int | bool]:
-        """Flat :class:`~repro.obs.registry.MetricSource` view."""
-        return {
-            "commands_handled": self.commands_handled,
-            "auth_failures": self.auth_failures,
-            "replays_rejected": self.replays_rejected,
-            "crashed": self.crashed,
-            "frames_while_unresponsive": self.frames_while_unresponsive,
-        }
+    snapshot = metric_values

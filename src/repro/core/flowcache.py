@@ -271,8 +271,8 @@ class FlowCache:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def snapshot(self) -> dict[str, int | float]:
-        """Structured counter snapshot (stable legacy dict layout)."""
+    def metric_values(self) -> dict[str, int | float]:
+        """Flat :class:`~repro.obs.registry.MetricSource` view; ``snapshot()`` too."""
         return {
             "size": len(self._entries),
             "capacity": self.capacity,
@@ -283,17 +283,7 @@ class FlowCache:
             "hit_rate": round(self.hit_rate, 6),
         }
 
-    def metric_values(self) -> dict[str, int | float]:
-        """Flat :class:`~repro.obs.registry.MetricSource` view."""
-        return {
-            "size": len(self._entries),
-            "capacity": self.capacity,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-            "hit_rate": round(self.hit_rate, 6),
-        }
+    snapshot = metric_values
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

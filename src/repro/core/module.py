@@ -393,8 +393,10 @@ class FlexSFPModule:
         """
         drops = slot.verdict_drops
 
-        def done(packet: Packet, verdict: Verdict, emitted: list, size: int) -> None:
-            self._ppe_done(packet, verdict, emitted, size, direction, drops)
+        def done(
+            packet: Packet, verdict: Verdict, emitted: list, size: int, deliver_s: float
+        ) -> None:
+            self._ppe_done(packet, verdict, emitted, size, deliver_s, direction, drops)
 
         def burst_done(packet: Packet, verdict: Verdict, size: int, deliver_s) -> None:
             self._ppe_burst_done(packet, verdict, size, deliver_s, direction, drops)
@@ -417,18 +419,19 @@ class FlexSFPModule:
     def _data_port(self, side: str, direction: Direction) -> Port:
         """One data port, its receive handlers bound to ``direction``.
 
-        This is the one place the engine tier reaches the fabric: the
-        fast engine also takes batched delivery, its batch and burst
-        handlers reading each frame's wire arrival as data.
+        This is the one place the engine tier reaches the fabric.  The
+        oracle's per-frame handler runs as the frame's own event, so it
+        (like :meth:`_on_mgmt_rx`) reads the arrival off the clock and
+        passes it on; the fast engine also takes batched delivery, its
+        batch and burst handlers reading each frame's wire arrival as data.
         """
-        port = Port(
-            self.sim, f"{self.name}.{side}", rate_bps=self.shell.line_rate_bps
-        )
+        sim = self.sim
+        port = Port(sim, f"{self.name}.{side}", rate_bps=self.shell.line_rate_bps)
         ingress = self._ingress
         ingress_burst = self._ingress_burst
 
         def on_rx(_port: Port, packet: Packet) -> None:
-            ingress(packet, direction, port, port.rx_size, None)
+            ingress(packet, direction, port, port.rx_size, sim.now)
 
         def on_rx_batch(_port: Port, items: list[tuple[Packet, int, float]]) -> None:
             # Whole-flush ingress: one call per delivery batch.
@@ -470,7 +473,7 @@ class FlexSFPModule:
             self.arbiter.classify(packet) == "cpu"
             and self._mgmt_addressing(packet) != "other"
         ):
-            self._to_control_plane(packet, port)
+            self._to_control_plane(packet, port, self.sim.now)
         else:
             self.verdict_drops.count(packet.wire_len)
 
@@ -496,20 +499,18 @@ class FlexSFPModule:
         direction: Direction,
         reply_port: Port,
         size: int,
-        at_s: float | None,
+        when: float,
     ) -> None:
         """The per-frame datapath: every frame of every tier crosses it.
 
-        ``at_s`` is the frame's exact wire arrival when a coalesced flush
-        hands it over early in event time; everything below then uses that
-        virtual time, so timestamps and occupancy checks match the
-        event-per-frame run.  ``None`` means the frame arrived as its own
-        event.
+        ``when`` is the frame's exact wire arrival, which a coalesced
+        flush hands over early in event time; everything below uses that
+        virtual time, never the clock, so timestamps and occupancy checks
+        match the event-per-frame run.
         """
         if self._down:
             self.downtime_drops.count(size)
             return
-        when = self.sim.now if at_s is None else at_s
         classified = self.arbiter.classify(packet, size)
         tracer = self._tracer
         traced = tracer is not None and tracer.admit(packet)
@@ -537,13 +538,12 @@ class FlexSFPModule:
         if classified == "cpu":
             addressing = self._mgmt_addressing(packet)
             if addressing == "us":
-                self._to_control_plane(packet, reply_port, at_s)
+                self._to_control_plane(packet, reply_port, when)
                 return
             if addressing == "broadcast":
                 # Answer discovery and let the frame continue downstream.
-                self._to_control_plane(packet.copy(), reply_port, at_s)
+                self._to_control_plane(packet.copy(), reply_port, when)
             # Management traffic for other modules rides the data path.
-        packet.meta["flexsfp_ingress_ns"] = int(when * 1e9)
         if not self.shell.processes(direction):
             # The unprocessed direction bypasses the PPE partitions (and
             # therefore the crossbar) entirely: merge + retime only — or,
@@ -553,7 +553,7 @@ class FlexSFPModule:
                 delay = TRANSCEIVER_LATENCY_S
             else:
                 delay = TRANSCEIVER_LATENCY_S + PASSTHROUGH_LATENCY_S
-            self._egress(self._egress_port(direction), packet, at_s, delay, size)
+            self._egress_port(direction).send_at(packet, when + delay, size)
             return
         crossbar = self.crossbar
         if crossbar is None:
@@ -581,14 +581,14 @@ class FlexSFPModule:
             # Degraded pass-through: no PPE, the slot's frames forward at
             # bare transceiver latency — a dumb cable for this function.
             slot.degraded_forwarded.count(size)
-            self._egress(self._egress_port(direction), packet, at_s)
+            self._egress_port(direction).send_at(packet, when + TRANSCEIVER_LATENCY_S)
             return
         # An overloaded engine counts the frame as its own drop.
         slot.ppe.submit(
             packet,
             direction,
             slot.done_edge if direction is Direction.EDGE_TO_LINE else slot.done_line,
-            at_s=at_s,
+            at_s=when,
             size=size,
         )
 
@@ -625,7 +625,6 @@ class FlexSFPModule:
                 self._ingress(template.copy(), direction, reply_port, size, when)
             return
         self.arbiter.classify_bulk(template, size, len(whens))
-        template.meta["flexsfp_ingress_ns"] = int(float(whens[0]) * 1e9)
         if not self.shell.processes(direction):
             # Unprocessed direction: vectorized pass-through at retimer
             # latency (same scalar constant added per element).
@@ -679,20 +678,19 @@ class FlexSFPModule:
         verdict: Verdict,
         emitted: list[tuple[Packet, Direction]],
         size: int,
+        deliver_s: float,
         direction: Direction,
         drops: Counter,
     ) -> None:
-        # Batched PPE execution runs this callback at the batch tail but
-        # records the frame's virtual deliver time; egressing at that
-        # absolute time (plus the transceiver crossing, added in the same
-        # float order as the event-per-frame path) keeps downstream
-        # serialization timestamps bit-identical.
-        deliver_s = packet.meta.pop("ppe_deliver_s", None)
+        # Batched PPE execution runs this callback at the batch tail, the
+        # oracle as the frame's own event; either way ``deliver_s`` is the
+        # frame's virtual deliver time, and egressing at that absolute
+        # time (plus the transceiver crossing, added in the same float
+        # order on both tiers) keeps downstream serialization timestamps
+        # bit-identical.
         tracer = self._tracer
         if tracer is not None and tracer.is_traced(packet):
-            egress_ns = int(
-                (self.sim.now if deliver_s is None else deliver_s) * 1e9
-            )
+            egress_ns = int(deliver_s * 1e9)
             detail: dict[str, object] = {"verdict": verdict.value}
             if verdict is Verdict.PASS:
                 detail["port"] = self._egress_port(direction).name
@@ -708,49 +706,35 @@ class FlexSFPModule:
                 **detail,
             )
         if verdict is Verdict.PASS:
-            # Inlined _egress_port/_egress for the dominant verdict:
-            # identical arithmetic, two fewer calls per frame.
+            # Inlined _egress_port for the dominant verdict: one fewer
+            # call per frame.
             port = (
                 self.line_port
                 if direction is Direction.EDGE_TO_LINE
                 else self.edge_port
             )
-            if deliver_s is None:
-                port.send_delayed(packet, TRANSCEIVER_LATENCY_S, size)
-            else:
-                port.send_at(packet, deliver_s + TRANSCEIVER_LATENCY_S, size)
+            port.send_at(packet, deliver_s + TRANSCEIVER_LATENCY_S, size)
         elif verdict is Verdict.REFLECT:
-            port = self._egress_port(direction.reverse)
-            self._egress(port, packet, deliver_s, size=size)
+            self._egress_port(direction.reverse).send_at(
+                packet, deliver_s + TRANSCEIVER_LATENCY_S, size
+            )
         elif verdict is Verdict.TO_CPU:
             self.punted_to_cpu.append(packet)
             # The embedded CPU's service chain may answer (§4.1's
             # "self-contained microservice node"); replies leave through
             # the interface the packet arrived on.
-            at = (
-                self.sim.now if deliver_s is None else deliver_s
-            ) + CONTROL_PLANE_LATENCY_S
             self.sim.schedule_at(
-                max(at, self.sim.now), self._run_services, packet, direction
+                max(deliver_s + CONTROL_PLANE_LATENCY_S, self.sim.now),
+                self._run_services,
+                packet,
+                direction,
             )
         else:  # DROP
             drops.count(size)
         for extra, extra_direction in emitted:
-            self._egress(self._egress_port(extra_direction), extra, deliver_s)
-
-    def _egress(
-        self,
-        port: Port,
-        packet: Packet,
-        at_s: float | None,
-        delay_s: float = TRANSCEIVER_LATENCY_S,
-        size: int | None = None,
-    ) -> None:
-        """Send ``delay_s`` after ``at_s`` (``None``: after the current event)."""
-        if at_s is None:
-            port.send_delayed(packet, delay_s, size)
-        else:
-            port.send_at(packet, at_s + delay_s, size)
+            self._egress_port(extra_direction).send_at(
+                extra, deliver_s + TRANSCEIVER_LATENCY_S
+            )
 
     def _run_services(self, packet: Packet, direction: Direction) -> None:
         reply = self.services.dispatch(packet, direction)
@@ -761,9 +745,7 @@ class FlexSFPModule:
     # ------------------------------------------------------------------
     # Control plane plumbing
     # ------------------------------------------------------------------
-    def _to_control_plane(
-        self, packet: Packet, reply_port: Port, at_s: float | None = None
-    ) -> None:
+    def _to_control_plane(self, packet: Packet, reply_port: Port, when: float) -> None:
         reply = self.control_plane.handle_frame(packet)
         if reply is None:
             return
@@ -771,14 +753,11 @@ class FlexSFPModule:
         requester = eth.src if eth is not None else 0
         response = mgmt_frame(reply, self.auth_key, self.mgmt_mac, requester)
         self.arbiter.merge_from_cpu(response)
-        if at_s is None:
-            self.sim.schedule(CONTROL_PLANE_LATENCY_S, reply_port.send, response)
-        else:
-            when = at_s + CONTROL_PLANE_LATENCY_S
-            now = self.sim.now
-            self.sim.schedule_at(
-                when if when > now else now, reply_port.send, response
-            )
+        self.sim.schedule_at(
+            max(when + CONTROL_PLANE_LATENCY_S, self.sim.now),
+            reply_port.send,
+            response,
+        )
 
     # ------------------------------------------------------------------
     # Reprogramming / reboot

@@ -221,9 +221,12 @@ class PPEApplication(ABC):
         return {name: c.snapshot() for name, c in self.counters.items()}
 
 
-# Per-frame completion: frame, verdict, emitted frames, and the frame's wire
-# size measured after processing, so that no later hop re-walks the headers.
-DoneCallback = Callable[[Packet, Verdict, list[tuple[Packet, Direction]], int], None]
+# Per-frame completion: frame, verdict, emitted frames, the frame's wire size
+# measured after processing (so no later hop re-walks the headers) and its
+# virtual deliver time (so no later hop asks the clock).
+DoneCallback = Callable[
+    [Packet, Verdict, list[tuple[Packet, Direction]], int, float], None
+]
 
 # Compiled-burst delivery: one call per fused slice with the mutated
 # template copy, the shared verdict and wire size, and the struct-of-arrays
@@ -262,6 +265,9 @@ BURST_FRAMES = 256
 class _EngineBase:
     """What both engines share: server parameters, counters, reporting."""
 
+    #: The oracle has none; the fast engine sets its own.
+    flow_cache: FlowCache | None = None
+
     def __init__(
         self,
         sim: Simulator,
@@ -285,8 +291,7 @@ class _EngineBase:
         self.verdict_counts: dict[Verdict, int] = {v: 0 for v in Verdict}
         self.latency_ns = Histogram.exponential(start=50.0, factor=2.0, count=16)
         # Optional packet tracer (duck-typed repro.obs.trace.Tracer — core
-        # never imports obs).  Traced frames get their one apply bracketed
-        # by a header snapshot before and _record_spans after.
+        # never imports obs).  Traced frames go through _apply_traced.
         self.tracer = None
 
     def _checked(self, verdict: object) -> Verdict:
@@ -297,45 +302,56 @@ class _EngineBase:
             )
         return verdict
 
-    def _record_spans(
+    def _apply_traced(
         self,
         packet: Packet,
-        before,
-        verdict: Verdict,
+        size: int,
         direction: Direction,
+        enqueue_ns: int,
         time_ns: int,
         queue_depth: int,
-        fastpath: str | None = None,
-    ) -> None:
-        """Record a traced frame's ``ppe`` span (queue residency, fast-path
-        hit/miss) and ``app`` span (verdict, header mutations since
-        ``before``).  Stage names are string literals matching
-        ``repro.obs.trace`` constants: core never imports obs.
+    ) -> tuple[Verdict, list[tuple[Packet, Direction]] | tuple, int]:
+        """:meth:`_apply` on a traced frame, plus its ``ppe`` and ``app`` spans.
+
+        The bracket observes the one apply from outside — headers before
+        and after, queue residency from the frame's own ``enqueue_ns``,
+        flow-cache hit/miss from the cache's own counters — so a traced
+        frame runs exactly the code an untraced one does.  Stage names
+        are string literals matching ``repro.obs.trace`` constants: core
+        never imports obs.
         """
         tracer = self.tracer
         app = self.app
+        before = tracer.snapshot_headers(packet)
+        cache = self.flow_cache
+        hits, misses = (cache.hits, cache.misses) if cache is not None else (0, 0)
+        result = self._apply(packet, size, direction, time_ns, queue_depth)
         ppe_detail: dict[str, object] = {
             "app": app.name,
             "queue_depth": queue_depth,
         }
-        if fastpath is not None:
-            ppe_detail["fastpath"] = fastpath
+        if cache is not None:
+            if cache.hits != hits:
+                ppe_detail["fastpath"] = "hit"
+            elif cache.misses != misses:
+                ppe_detail["fastpath"] = "miss"
         tracer.record(
             packet,
             "ppe",
             f"ppe{self.device_id}",
-            packet.meta.get("ppe_enqueue_ns", time_ns),
+            enqueue_ns,
             time_ns,
             direction,
             **ppe_detail,
         )
-        app_detail: dict[str, object] = {"verdict": verdict.value}
+        app_detail: dict[str, object] = {"verdict": result[0].value}
         mutations = tracer.header_diff(before, packet)
         if mutations:
             app_detail["mutations"] = mutations
         tracer.record(
             packet, "app", app.name, time_ns, time_ns, direction, **app_detail
         )
+        return result
 
     def snapshot(self) -> dict[str, object]:
         """Structured counter snapshot."""
@@ -415,12 +431,7 @@ class ReferenceEngine(_EngineBase):
         if self._fifo_bytes + size > self.queue_bytes:
             self.overload_drops.count(size)
             return False
-        enqueue_ns = int(at * 1e9)
-        # Stamp per-engine (overwrite, not setdefault): a packet traversing
-        # two modules must not keep the first engine's timestamp, or the
-        # second engine's latency histogram measures both residencies.
-        packet.meta["ppe_enqueue_ns"] = enqueue_ns
-        self._fifo.append((packet, size, direction, done, enqueue_ns))
+        self._fifo.append((packet, size, direction, done, int(at * 1e9)))
         self._fifo_bytes += size
         if not self._busy:
             self._start_next()
@@ -435,53 +446,60 @@ class ReferenceEngine(_EngineBase):
         self._fifo_bytes -= size
         service = self.timing.frame_service_time(size)
         self.sim.schedule(
-            service, self._finish, packet, direction, done, enqueue_ns
+            service, self._finish, packet, size, direction, done, enqueue_ns
         )
 
     def _finish(
         self,
         packet: Packet,
+        size: int,
         direction: Direction,
         done: DoneCallback,
         enqueue_ns: int,
     ) -> None:
         # The frame has streamed through; apply the functional behaviour,
         # then deliver after the pipeline fill latency.
-        ctx = PPEContext(
-            time_ns=int(self.sim.now * 1e9),
-            direction=direction,
-            device_id=self.device_id,
-            queue_depth=self._fifo_bytes,
-        )
         tracer = self.tracer
+        time_ns = int(self.sim.now * 1e9)
         if tracer is not None and tracer.is_traced(packet):
-            before = tracer.snapshot_headers(packet)
-            verdict, size = self._apply(packet, ctx)
-            self._record_spans(
-                packet, before, verdict, direction, ctx.time_ns, ctx.queue_depth
+            verdict, emitted, size = self._apply_traced(
+                packet, size, direction, enqueue_ns, time_ns, self._fifo_bytes
             )
         else:
-            verdict, size = self._apply(packet, ctx)
+            verdict, emitted, size = self._apply(
+                packet, size, direction, time_ns, self._fifo_bytes
+            )
         self.sim.schedule(
             self.pipeline_latency_s,
             self._deliver,
             packet,
             verdict,
-            ctx.emitted,
+            emitted,
             size,
             done,
             enqueue_ns,
         )
         self._start_next()
 
-    def _apply(self, packet: Packet, ctx: PPEContext) -> tuple[Verdict, int]:
-        """Run the application on one frame; its verdict and new wire size."""
+    def _apply(
+        self,
+        packet: Packet,
+        size: int,
+        direction: Direction,
+        time_ns: int,
+        queue_depth: int,
+    ) -> tuple[Verdict, list[tuple[Packet, Direction]], int]:
+        """Run the application on one frame: verdict, emitted, new wire size.
+
+        ``size`` is the arrival size; the oracle ignores it and measures
+        the frame after processing, which may have changed its length.
+        """
+        ctx = PPEContext(time_ns, direction, self.device_id, queue_depth)
         verdict = self._checked(self.app.process(packet, ctx))
-        # Measured post-process: applications may change the frame length.
         size = packet.wire_len
         self.processed.count(size)
         self.verdict_counts[verdict] += 1
-        return verdict, size
+        return verdict, ctx.emitted, size
 
     def _deliver(
         self,
@@ -492,8 +510,9 @@ class ReferenceEngine(_EngineBase):
         done: DoneCallback,
         enqueue_ns: int,
     ) -> None:
-        self.latency_ns.add(int(self.sim.now * 1e9) - enqueue_ns)
-        done(packet, verdict, emitted, size)
+        now = self.sim.now
+        self.latency_ns.add(int(now * 1e9) - enqueue_ns)
+        done(packet, verdict, emitted, size, now)
 
 
 class PacketProcessingEngine(_EngineBase):
@@ -590,9 +609,7 @@ class PacketProcessingEngine(_EngineBase):
         if finish is None:
             self.overload_drops.count(size)
             return False
-        enqueue_ns = int(at * 1e9)
-        packet.meta["ppe_enqueue_ns"] = enqueue_ns  # overwrite: see the oracle
-        frame = (packet, size, direction, done, enqueue_ns, finish)
+        frame = (packet, size, direction, done, int(at * 1e9), finish)
         # The arrivals mirror shares the frame tuples (enqueue at [4],
         # size at [1]) so admission costs one allocation, not two.
         self._arrivals.append(frame)
@@ -694,7 +711,8 @@ class PacketProcessingEngine(_EngineBase):
                 future_bytes += entry[1]
             remaining_bytes = self._arrivals_bytes
             pipeline_latency_s = self.pipeline_latency_s
-            apply = self._apply if self.tracer is None else self._apply_spanned
+            apply = self._apply
+            tracer = self.tracer
             deliveries: list[
                 tuple[Packet, Verdict, list, int, DoneCallback, int, float]
             ] = []
@@ -711,10 +729,16 @@ class PacketProcessingEngine(_EngineBase):
                 while future and future[-1][4] <= finish_ns:
                     future_bytes -= future[-1][1]
                     future.pop()
-                verdict, emitted, size = apply(
-                    packet, size, direction, finish_ns,
-                    remaining_bytes - future_bytes,
-                )
+                if tracer is not None and tracer.is_traced(packet):
+                    verdict, emitted, size = self._apply_traced(
+                        packet, size, direction, enqueue_ns, finish_ns,
+                        remaining_bytes - future_bytes,
+                    )
+                else:
+                    verdict, emitted, size = apply(
+                        packet, size, direction, finish_ns,
+                        remaining_bytes - future_bytes,
+                    )
                 append(
                     (packet, verdict, emitted, size, done, enqueue_ns,
                      finish + pipeline_latency_s)
@@ -735,16 +759,14 @@ class PacketProcessingEngine(_EngineBase):
         self,
         deliveries: list[tuple[Packet, Verdict, list, int, DoneCallback, int, float]],
     ) -> None:
-        # Done callbacks run at the batch tail but carry each frame's
+        # Done callbacks run at the batch tail but are handed each frame's
         # virtual deliver time (``finish + pipeline_latency`` — the exact
-        # float the oracle's schedule computes), so a batch-aware
-        # consumer can keep downstream timestamps identical via
-        # ``Port.send_at``.
+        # float the oracle's schedule computes), so the consumer keeps
+        # downstream timestamps identical via ``Port.send_at``.
         latency_add = self.latency_ns.add
         for packet, verdict, emitted, size, done, enqueue_ns, deliver_s in deliveries:
             latency_add(int(deliver_s * 1e9) - enqueue_ns)
-            packet.meta["ppe_deliver_s"] = deliver_s
-            done(packet, verdict, emitted, size)
+            done(packet, verdict, emitted, size, deliver_s)
 
     # ------------------------------------------------------------------
     # Compiled burst execution
@@ -980,7 +1002,7 @@ class PacketProcessingEngine(_EngineBase):
         The one deopt, whatever triggered it — a burst no lane takes, a
         per-frame submit landing on pending bursts, a due slice that
         would not fuse: every unprocessed burst frame becomes a regular
-        reserved arrival (its own packet copy, its own enqueue stamp), so
+        reserved arrival (its own packet copy, its own enqueue time), so
         the ordinary per-frame drain handles it with the exact queue
         depth.  Reservation state is untouched — burst admission already
         reserved per frame — and groups close every :data:`BURST_FRAMES`
@@ -1004,9 +1026,7 @@ class PacketProcessingEngine(_EngineBase):
             for enqueue_ns, finish in zip(
                 burst.enqueue_ns[pos:].tolist(), burst.finish[pos:].tolist()
             ):
-                packet = template.copy()
-                packet.meta["ppe_enqueue_ns"] = enqueue_ns
-                frame = (packet, size, direction, done, enqueue_ns, finish)
+                frame = (template.copy(), size, direction, done, enqueue_ns, finish)
                 arrivals.append(frame)
                 group.append(frame)
             self._arrivals_bytes += (len(burst.finish) - pos) * size
@@ -1105,38 +1125,6 @@ class PacketProcessingEngine(_EngineBase):
         self.processed.count(size)
         self.verdict_counts[verdict] += 1
         return verdict, ctx.emitted, size
-
-    def _apply_spanned(
-        self,
-        packet: Packet,
-        size: int,
-        direction: Direction,
-        finish_ns: int,
-        queue_depth: int,
-    ) -> tuple[Verdict, list[tuple[Packet, Direction]] | tuple, int]:
-        """:meth:`_apply` with a tracer attached: traced frames get spans.
-
-        The bracket observes the one apply from outside — headers before
-        and after, flow-cache hit/miss from the cache's own counters — so
-        a traced frame runs exactly the code an untraced one does.
-        """
-        tracer = self.tracer
-        if not tracer.is_traced(packet):
-            return self._apply(packet, size, direction, finish_ns, queue_depth)
-        before = tracer.snapshot_headers(packet)
-        cache = self.flow_cache
-        hits, misses = (cache.hits, cache.misses) if cache is not None else (0, 0)
-        result = self._apply(packet, size, direction, finish_ns, queue_depth)
-        fastpath = None
-        if cache is not None:
-            if cache.hits != hits:
-                fastpath = "hit"
-            elif cache.misses != misses:
-                fastpath = "miss"
-        self._record_spans(
-            packet, before, result[0], direction, finish_ns, queue_depth, fastpath
-        )
-        return result
 
     def snapshot(self) -> dict[str, object]:
         stats = super().snapshot()

@@ -10,10 +10,11 @@ shards that are missing — because shard seeds are a pure function of
 (root seed, index), the resumed shards reproduce the exact digests the
 uninterrupted run would have.
 
-Crash-safety contract: every append is flushed and fsynced, and the
-loader tolerates exactly one trailing partial line (the record a SIGKILL
-interrupted mid-write) by discarding it.  Any earlier malformed line is
-corruption and raises.
+Crash-safety contract: every append is flushed and fsynced, and a record
+is complete once its newline is down.  Whatever follows the last newline
+is the record a SIGKILL interrupted mid-write: the loader discards it, and
+a resumed writer truncates it before appending, so the next record never
+lands on the torn line.  Any other malformed line is corruption and raises.
 """
 
 from __future__ import annotations
@@ -33,6 +34,12 @@ def spec_digest(spec: ScenarioSpec) -> str:
     """SHA-256 over the canonical JSON of a (resolved) spec."""
     canonical = json.dumps(spec.to_dict(), sort_keys=True, default=str)
     return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def _complete_bytes(target: Path) -> bytes:
+    """The journal up to and including its last newline."""
+    data = target.read_bytes()
+    return data[: data.rfind(b"\n") + 1]
 
 
 def _shard_record(result: ShardResult, attempts: int) -> dict:
@@ -95,6 +102,7 @@ class ShardJournal:
                 f"journal {target} was written for a different spec; "
                 "resume must re-run the journalled spec"
             )
+        os.truncate(target, len(_complete_bytes(target)))
         return cls(target, spec, target.open("a"))
 
     # ------------------------------------------------------------------
@@ -123,14 +131,14 @@ def load_journal(
     """Read a journal back: its spec and the completed shards by index.
 
     A shard recorded more than once keeps the last record (a resumed run
-    appends into the same file).  One trailing partial line is the
+    appends into the same file).  An unterminated trailing line is the
     signature of a killed writer and is dropped; a malformed line
     anywhere else raises :class:`~repro.errors.ConfigError`.
     """
     target = Path(path)
     if not target.is_file():
         raise ConfigError(f"journal {target} does not exist")
-    lines = target.read_text().splitlines()
+    lines = _complete_bytes(target).decode(errors="replace").splitlines()
     if not lines:
         raise ConfigError(f"journal {target} is empty")
     records: list[dict] = []
@@ -140,11 +148,9 @@ def load_journal(
         try:
             records.append(json.loads(line))
         except json.JSONDecodeError:
-            if number == len(lines) - 1:
-                break  # the record a SIGKILL cut short; progress before it holds
             raise ConfigError(
                 f"journal {target} line {number + 1} is corrupt "
-                "(not trailing, cannot be a truncated append)"
+                "(newline-terminated, cannot be a truncated append)"
             ) from None
     if not records:
         raise ConfigError(f"journal {target} has no readable header")

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from multiprocessing.connection import wait as _wait_connections
 from pathlib import Path
 
-from ..config import Settings, get_settings
+from ..config import get_settings
 from ..errors import ConfigError
 from ..faults.workers import WorkerFaultPlan
 from .runner import (
@@ -153,14 +153,6 @@ class SupervisorPolicy:
             raise ConfigError(f"backoff must be >= 0: {self.backoff_s}")
         if self.heartbeat_s <= 0 or self.heartbeat_misses < 1 or self.poll_s <= 0:
             raise ConfigError("heartbeat/poll settings must be positive")
-
-    @classmethod
-    def from_settings(cls, settings: Settings) -> "SupervisorPolicy":
-        return cls(
-            shard_timeout_s=settings.shard_timeout_s,
-            max_retries=settings.max_retries,
-            backoff_s=settings.retry_backoff_s,
-        )
 
     def backoff_for(self, attempt: int) -> float:
         """Deterministic exponential backoff before retry ``attempt + 1``."""
@@ -592,8 +584,7 @@ def run_sharded(
 
     The one sharded entry point.  ``workers=1`` (or one shard) runs
     in-process — the baseline any parallel run must match bit-for-bit.
-    ``workers=None`` falls back to ``FLEXSFP_WORKERS`` (via
-    :class:`~repro.config.Settings`), then 1.  The returned merged metrics
+    ``workers=None`` means 1.  The returned merged metrics
     and per-shard digests are a pure function of the resolved spec: worker
     count, start method, completion order, supervision and chaos (given
     retries remain) never show through.  On top of that:
@@ -615,11 +606,11 @@ def run_sharded(
 
     settings = get_settings()
     if workers is None:
-        workers = settings.workers if settings.workers is not None else 1
+        workers = 1
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     if policy is None:
-        policy = SupervisorPolicy.from_settings(settings)
+        policy = SupervisorPolicy()
     resolved = spec.resolved(settings)
 
     telemetry = SupervisorTelemetry()

@@ -32,12 +32,11 @@ class Counter:
         self.packets = 0
         self.bytes = 0
 
-    def snapshot(self) -> dict[str, int]:
+    def metric_values(self) -> dict[str, int]:
+        """Flat :class:`~repro.obs.registry.MetricSource` view; ``snapshot()`` too."""
         return {"packets": self.packets, "bytes": self.bytes}
 
-    def metric_values(self) -> dict[str, int]:
-        """Flat :class:`~repro.obs.registry.MetricSource` view."""
-        return {"packets": self.packets, "bytes": self.bytes}
+    snapshot = metric_values
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Counter({self.name}: {self.packets} pkts / {self.bytes} B)"
@@ -219,17 +218,12 @@ class Histogram:
                 return self.bounds[i] if i < len(self.bounds) else math.inf
         return math.inf  # pragma: no cover - unreachable
 
-    def snapshot(self) -> dict[str, float]:
+    def metric_values(self) -> dict[str, float]:
+        """Flat :class:`~repro.obs.registry.MetricSource` view; ``snapshot()`` too."""
         return {
             "total": self.total,
             "p50": self.percentile(50),
             "p99": self.percentile(99),
         }
 
-    def metric_values(self) -> dict[str, float]:
-        """Flat :class:`~repro.obs.registry.MetricSource` view."""
-        return {
-            "total": self.total,
-            "p50": self.percentile(50),
-            "p99": self.percentile(99),
-        }
+    snapshot = metric_values

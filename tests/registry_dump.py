@@ -1,0 +1,123 @@
+"""Every registry leaf of every scenario kind, as one JSON document.
+
+The proof that a refactor moved nothing simulated is a parent-vs-change
+comparison of every metric, summary field and histogram bucket on both
+tiers; this is that comparison as a tool.
+
+``python -m tests.registry_dump OUT.json`` runs the five non-chaos kinds
+on both tiers at seed 1 and ``chaos`` on both tiers at seeds 1, 2, 3, 5,
+7 and 11 (22 runs; seed 1 has the overlapping reboots seed 7 lacks) and
+writes ``{"<kind>/<engine>/<seed>": {metrics, summary, histograms}}``.
+It dumps whichever ``repro`` is first on ``PYTHONPATH``, so the parent's
+dump is ``PYTHONPATH=<parent clone>/src python -m tests.registry_dump``
+run from this checkout.
+
+``python -m tests.registry_dump --diff A.json B.json`` prints each
+differing leaf and exits 1 if there is one; ``--semantic`` skips the
+leaves :func:`repro.artifact.diff.is_semantic_metric` excludes
+(``sim.events``, flow-cache and compiled-lane counters).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+
+CHAOS_SEEDS = (1, 2, 3, 5, 7, 11)
+_MISSING = "<missing>"
+
+
+def runs() -> list[tuple[str, str, int]]:
+    from repro.engine import ENGINES
+    from repro.obs.scenario import SCENARIO_KINDS
+
+    return [
+        (kind, engine, seed)
+        for kind in sorted(SCENARIO_KINDS)
+        for engine in ENGINES
+        for seed in (CHAOS_SEEDS if kind == "chaos" else (1,))
+    ]
+
+
+def dump() -> dict[str, dict]:
+    from repro.obs.scenario import ScenarioSpec
+
+    document = {}
+    for kind, engine, seed in runs():
+        run = ScenarioSpec(kind=kind, engine=engine, seed=seed).run()
+        document[f"{kind}/{engine}/{seed}"] = {
+            "metrics": run.metrics(),
+            "summary": run.summary,
+            "histograms": run.histograms(),
+        }
+    return document
+
+
+def leaves(value: object, path: str = "") -> dict[str, object]:
+    """``value`` flattened to ``{"a/b/0": scalar}``; an empty container is a leaf."""
+    if isinstance(value, dict) and value:
+        children = value.items()
+    elif isinstance(value, list) and value:
+        children = enumerate(value)
+    else:
+        return {path: value}
+    flat: dict[str, object] = {}
+    for key, child in children:
+        flat.update(leaves(child, f"{path}/{key}" if path else str(key)))
+    return flat
+
+
+def differing(a: dict, b: dict, semantic: bool = False) -> list[str]:
+    """One line per leaf of ``a`` and ``b`` that is not equal in both."""
+    from repro.artifact.diff import NONSEMANTIC_SUMMARY_KEYS, is_semantic_metric
+
+    def compared(leaf: str) -> bool:
+        if not semantic:
+            return True
+        # "<kind>/<engine>/<seed>/<section>/<name...>"
+        section, name = (leaf.split("/", 4) + [""])[3:5]
+        if section == "metrics":
+            return is_semantic_metric(name)
+        return section != "summary" or name not in NONSEMANTIC_SUMMARY_KEYS
+
+    flat_a, flat_b = leaves(a), leaves(b)
+    return [
+        f"{leaf}: {flat_a.get(leaf, _MISSING)!r} != {flat_b.get(leaf, _MISSING)!r}"
+        for leaf in sorted(flat_a.keys() | flat_b.keys())
+        if compared(leaf) and flat_a.get(leaf, _MISSING) != flat_b.get(leaf, _MISSING)
+    ]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(prog="python -m tests.registry_dump")
+    parser.add_argument("files", nargs="+", metavar="FILE")
+    parser.add_argument("--diff", action="store_true", help="compare two dumps")
+    parser.add_argument(
+        "--semantic", action="store_true", help="with --diff: semantic leaves only"
+    )
+    args = parser.parse_args(argv)
+    if not args.diff:
+        if len(args.files) != 1:
+            parser.error("dumping takes one output file")
+        text = json.dumps(dump(), sort_keys=True, indent=1, default=str)
+        with open(args.files[0], "w") as handle:
+            handle.write(text + "\n")
+        document = json.loads(text)
+        print(f"{len(document)} runs, {len(leaves(document))} leaves -> {args.files[0]}")
+        return 0
+    if len(args.files) != 2:
+        parser.error("--diff takes two dumps")
+    documents = []
+    for name in args.files:
+        with open(name) as handle:
+            documents.append(json.load(handle))
+    lines = differing(*documents, semantic=args.semantic)
+    for line in lines:
+        print(line)
+    print(f"{len(lines)} differing leaves over {len(documents[0])} runs")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

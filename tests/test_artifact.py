@@ -184,3 +184,82 @@ class TestLoadArtifact:
         bad.write_text("{truncated")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_artifact(bad)
+
+
+# One field at a time: gone, or replaced by each of these.  1e400 is what
+# ``json.loads`` makes of an out-of-range literal: infinity.
+_DELETE = object()
+MUTATIONS = (_DELETE, None, "x", -1, [], {}, float("inf"))
+
+
+def _paths(node, prefix=()):
+    """Every dict key and list index of a document, outermost first."""
+    children = (
+        node.items() if isinstance(node, dict)
+        else enumerate(node) if isinstance(node, list)
+        else ()
+    )  # fmt: skip
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _mutant(document, path, value):
+    clone = json.loads(json.dumps(document))
+    node = clone
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return clone
+
+
+class TestArtifactBoundaryFailsClosed:
+    """A ``flexsfp.run/1`` document comes from outside the program: whatever
+    one wrong field does, it does as a ``ConfigError`` naming the field."""
+
+    @pytest.mark.parametrize("kind", ["nat-linerate", "nfv-chain"])
+    def test_no_single_field_mutant_escapes_as_anything_but_config_error(self, kind):
+        from repro.obs.scenario import TrafficProfile
+
+        spec = ScenarioSpec(
+            kind=kind, seed=5, shards=2, engine="compiled",
+            traffic=TrafficProfile(duration_s=0.05e-3),
+        )  # fmt: skip
+        good = run_sharded(spec, workers=1).to_artifact()
+        document = json.loads(good.document())
+        mutants = refused = 0
+        for path in _paths(document):
+            for value in MUTATIONS:
+                mutants += 1
+                try:
+                    loaded = RunArtifact.from_dict(_mutant(document, path, value))
+                except ConfigError as exc:
+                    refused += 1
+                    assert str(path[0]) in str(exc), (path, value, exc)
+                    continue
+                # What the loader lets through, every consumer can take.
+                diff_artifacts(good, loaded).to_dict()
+                loaded.artifact_digest()
+                assert all(loaded.digests)
+        assert mutants > 1000 and refused > 100, (mutants, refused)
+
+    def test_diff_cli_names_the_field_and_exits_2(self, fleet_artifact, tmp_path, capsys):
+        from repro.cli import main
+
+        good = tmp_path / "good.json"
+        good.write_text(fleet_artifact.document() + "\n")
+        document = json.loads(fleet_artifact.document())
+        for path, value, named in (
+            (("seed",), float("inf"), "'seed'"),
+            (("metrics",), None, "'metrics'"),
+            (("shards", 1, "summary"), "x", "'shards[1].summary'"),
+            (("completeness", "failed_indices"), -1, "'completeness.failed_indices'"),
+        ):
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(_mutant(document, path, value)))
+            assert main(["diff", str(good), str(bad)]) == 2
+            captured = capsys.readouterr()
+            assert named in captured.err and "Traceback" not in captured.err

@@ -282,6 +282,12 @@ class TestRunSubcommand:
         assert code == 0
         assert doc["completeness"]["ok"] is True
         assert doc["supervisor"]["completed"] == 1
+        # 0 disables the deadline (a zero-second policy would be refused).
+        code, doc = run_json(
+            capsys, "run", "--scenario", "nat-linerate", "--shards", "1",
+            "--shard-timeout", "0",
+        )
+        assert code == 0 and doc["knobs"]["workers"] == 1
 
 
 class TestSupervisedRun:

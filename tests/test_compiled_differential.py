@@ -847,9 +847,8 @@ def run_engine_script(
     def src_of(packet):
         return packet.ipv4.src if packet.ipv4 is not None else packet.ipv6.src
 
-    def done_frame(packet, verdict, emitted, size):
-        at = packet.meta.pop("ppe_deliver_s", sim.now)
-        done.append((src_of(packet), verdict, len(emitted), at))
+    def done_frame(packet, verdict, emitted, size, deliver_s):
+        done.append((src_of(packet), verdict, len(emitted), deliver_s))
 
     def done_burst(packet, verdict, size, deliver_s):
         done.extend((src_of(packet), verdict, 0, at) for at in deliver_s.tolist())

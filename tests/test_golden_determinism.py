@@ -8,19 +8,20 @@ the bytes, which catches any nondeterminism (dict ordering, float drift,
 RNG coupling to wall clock) that a field-by-field comparison could mask.
 
 Also here: the regression test for the per-engine enqueue-timestamp bug —
-``ppe_enqueue_ns`` must be overwritten (not ``setdefault``) on submit, or
-a packet chained through two modules charges the first engine's residency
-to the second engine's latency histogram.
+a frame's enqueue time belongs to the engine that admitted it, or a packet
+chained through two modules charges the first engine's residency to the
+second engine's latency histogram.
 """
 
 import json
 
 from repro.apps import StaticNat
 from repro.core import Direction, FlexSFPModule, PacketProcessingEngine, Verdict
-from repro.core.ppe import BURST_FRAMES
+from repro.core.ppe import BURST_FRAMES, ReferenceEngine
 from repro.faults import run_gauntlet
 from repro.fpga import TimingSpec
 from repro.netem import CbrSource
+from repro.obs.trace import Tracer
 from repro.packet import make_udp
 from repro.sim import Port, Simulator, connect
 from repro.nfv import Deployment
@@ -147,47 +148,76 @@ class TestGoldenDeterminism:
 
 
 class TestEnqueueTimestampRegression:
-    """``ppe_enqueue_ns`` is stamped per engine, never inherited."""
+    """A frame's enqueue time is per engine, never inherited: it lives in the
+    engine's own frame tuple, not on the packet."""
 
     def test_stale_stamp_is_overwritten_on_submit(self, sim):
-        engine = PacketProcessingEngine(
-            sim, StaticNat(capacity=16), TimingSpec(64, 156.25e6)
-        )
-        packet = make_udp()
-        # Simulate a packet that already traversed an upstream engine and
-        # carries that engine's (ancient) enqueue stamp.
-        packet.meta["ppe_enqueue_ns"] = -1_000_000_000
-        engine.submit(packet, Direction.EDGE_TO_LINE, lambda *a: None)
-        assert packet.meta["ppe_enqueue_ns"] == int(sim.now * 1e9)
-        sim.run()
-        # The histogram measured only this engine's residency (< 1 ms),
-        # not the billion stale nanoseconds the old setdefault kept (which
-        # would overflow every bucket and report an infinite percentile).
-        assert engine.latency_ns.total == 1
-        assert engine.latency_ns.percentile(100) < 1_000_000
+        """Whatever an upstream hop left on the packet, this submit's arrival
+        is the enqueue time: ``meta`` is neither read nor written."""
+        for engine_cls in (ReferenceEngine, PacketProcessingEngine):
+            engine = engine_cls(sim, StaticNat(capacity=16), TimingSpec(64, 156.25e6))
+            packet = make_udp()
+            # The key a pre-PR-24 engine stamped, a billion ns in the past.
+            packet.meta["ppe_enqueue_ns"] = -1_000_000_000
+            engine.submit(packet, Direction.EDGE_TO_LINE, lambda *a: None)
+            sim.run()
+            # The histogram measured only this engine's residency (< 1 ms);
+            # a billion stale nanoseconds would overflow every bucket and
+            # report an infinite percentile.
+            assert engine.latency_ns.total == 1
+            assert engine.latency_ns.percentile(100) < 1_000_000
+            assert packet.meta == {"ppe_enqueue_ns": -1_000_000_000}
 
     def test_two_chained_modules_measure_independent_latency(self):
-        sim = Simulator()
-        first = FlexSFPModule(sim, "sfp-a", Deployment.solo(StaticNat()), auth_key=KEY)
-        second = FlexSFPModule(sim, "sfp-b", Deployment.solo(StaticNat()), auth_key=KEY)
-        host = Port(sim, "host", 10e9, queue_bytes=1 << 20)
-        fiber = Port(sim, "fiber", 10e9, queue_bytes=1 << 20)
-        connect(host, first.edge_port)
-        connect(first.line_port, second.edge_port)
-        connect(second.line_port, fiber)
-        for _ in range(20):
-            host.send(make_udp(payload=b"x" * 100))
-        sim.run(until=1e-3)
-        for module in (first, second):
-            assert module.ppe.latency_ns.total == 20
-            assert module.ppe.verdict_counts[Verdict.PASS] == 20
-        # Identical engines fed identically-spaced traffic measure the
-        # same residency distribution.  Under the old setdefault, the
-        # second engine kept the first engine's stamp and its histogram
-        # shifted up by the whole cross-module delay.
-        assert (
-            second.ppe.latency_ns.counts == first.ppe.latency_ns.counts
-        ), (first.ppe.latency_ns.snapshot(), second.ppe.latency_ns.snapshot())
+        """The first hop queues for far longer than the second's whole
+        residency; each engine's histogram and each traced ``ppe`` span
+        measures its own hop."""
+        for engine in ("reference", "compiled"):
+            sim = Simulator()
+            tracer = Tracer()
+            modules = [
+                FlexSFPModule(
+                    sim, name, Deployment.solo(StaticNat()), auth_key=KEY,
+                    device_id=index, engine=engine,
+                )
+                for index, name in enumerate(("sfp-a", "sfp-b"))
+            ]  # fmt: skip
+            first, second = modules
+            for module in modules:
+                module.attach_tracer(tracer)
+            # A 40G host overruns the first PPE (a queue builds); the first
+            # module's 10G line port then paces the second below its
+            # service rate (no queue at all).
+            host = Port(sim, "host", 40e9, queue_bytes=1 << 20)
+            fiber = Port(sim, "fiber", 10e9, queue_bytes=1 << 20)
+            connect(host, first.edge_port)
+            connect(first.line_port, second.edge_port)
+            connect(second.line_port, fiber)
+            for _ in range(20):
+                host.send(make_udp(payload=b"x" * 100))
+            sim.run(until=1e-3)
+            for module in modules:
+                assert module.ppe.latency_ns.total == 20
+                assert module.ppe.verdict_counts[Verdict.PASS] == 20
+            # Second hop: twenty identical bare residencies, one bucket.
+            # Had it inherited the first hop's enqueue time, it would have
+            # spread at least as wide as the first.
+            occupied = [
+                [i for i, count in enumerate(module.ppe.latency_ns.counts) if count]
+                for module in modules
+            ]
+            assert len(occupied[1]) == 1 and len(occupied[0]) > 3, (engine, occupied)
+            assert occupied[0][-1] > occupied[1][0] + 2
+            residency = {"ppe0": [], "ppe1": []}
+            for trace_id in tracer.trace_ids():
+                hops = [s for s in tracer.spans_for(trace_id) if s.stage == "ppe"]
+                assert [s.component for s in hops] == ["ppe0", "ppe1"]
+                assert hops[1].start_ns > hops[0].end_ns
+                for span in hops:
+                    residency[span.component].append(span.end_ns - span.start_ns)
+            assert len(residency["ppe1"]) == 20
+            assert max(residency["ppe1"]) - min(residency["ppe1"]) <= 1  # ns rounding
+            assert max(residency["ppe0"]) > 5 * max(residency["ppe1"]), engine
 
 
 class TestVerificationNeutrality:

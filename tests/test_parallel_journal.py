@@ -74,6 +74,40 @@ class TestCrashTolerance:
         _, completed = load_journal(path)
         assert sorted(completed) == [0]
 
+    def test_resumed_torn_journal_reloads_and_resumes_again(self, tmp_path, results):
+        """A resume must not append onto the torn line: the journal it leaves
+        is one any later reader, and a second resume, can load."""
+        from repro.parallel import run_sharded
+
+        path = tmp_path / "run.jsonl"
+        with ShardJournal.open_new(path, SPEC) as journal:
+            for result in results:
+                journal.append_shard(result)
+        whole = path.read_bytes()
+        lines = whole.splitlines(keepends=True)
+        # Header + shard 0 + half of shard 1; then, after the first resume
+        # has completed the file, everything but half of its last record.
+        for keep in (2, len(lines) - 1):
+            torn = b"".join(lines[:keep]) + lines[keep][: len(lines[keep]) // 2]
+            path.write_bytes(torn)
+            assert len(load_journal(path)[1]) == keep - 1
+            resumed = run_sharded(SPEC, workers=1, resume=path)
+            assert resumed.ok
+            _, completed = load_journal(path)
+            assert [completed[index] for index in range(SPEC.shards)] == results
+            assert all(json.loads(line) for line in path.read_text().splitlines())
+
+    def test_terminated_garbage_tail_is_corruption_not_a_torn_write(
+        self, tmp_path, results
+    ):
+        path = tmp_path / "run.jsonl"
+        with ShardJournal.open_new(path, SPEC) as journal:
+            journal.append_shard(results[0])
+        with path.open("a") as handle:
+            handle.write('{"kind": "shard", "index": 1, "seed": 12\n')
+        with pytest.raises(ConfigError, match="corrupt"):
+            load_journal(path)
+
     def test_corrupt_middle_line_raises(self, tmp_path, results):
         path = tmp_path / "run.jsonl"
         with ShardJournal.open_new(path, SPEC) as journal:

@@ -147,9 +147,11 @@ class TestSpecPlumbing:
         assert result.metrics == direct.metrics()
 
     def test_env_workers_default(self, monkeypatch):
+        # The default is one worker; FLEXSFP_WORKERS (removed in PR 24) is
+        # ignored like any unknown variable.
         monkeypatch.setenv("FLEXSFP_WORKERS", "2")
         result = run_sharded(NAT)
-        assert result.workers == 2
+        assert result.workers == 1
 
     def test_invalid_workers_rejected(self):
         with pytest.raises(ConfigError, match="workers must be >= 1"):

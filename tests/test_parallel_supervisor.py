@@ -12,7 +12,6 @@ import dataclasses
 
 import pytest
 
-from repro.config import Settings
 from repro.errors import ConfigError
 from repro.faults import WorkerFault, WorkerFaultPlan
 from repro.obs import ScenarioSpec, TrafficProfile
@@ -239,15 +238,6 @@ class TestPolicy:
         assert policy.backoff_for(1) == pytest.approx(0.1)
         assert policy.backoff_for(2) == pytest.approx(0.2)
         assert policy.backoff_for(3) == pytest.approx(0.4)
-
-    def test_from_settings(self):
-        settings = Settings(
-            shard_timeout_s=12.5, max_retries=5, retry_backoff_s=0.5
-        )
-        policy = SupervisorPolicy.from_settings(settings)
-        assert policy.shard_timeout_s == 12.5
-        assert policy.max_retries == 5
-        assert policy.backoff_s == 0.5
 
     def test_telemetry_snapshot_keys(self):
         telemetry = SupervisorTelemetry()

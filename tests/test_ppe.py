@@ -49,7 +49,7 @@ def run_one(engine_cls, sim, app, packet=None, direction=Direction.EDGE_TO_LINE)
     engine.submit(
         packet or make_udp(),
         direction,
-        lambda pkt, verdict, emitted, size: results.append((pkt, verdict, emitted)),
+        lambda pkt, verdict, emitted, size, at: results.append((pkt, verdict, emitted)),
     )
     sim.run()
     return engine, results
@@ -107,7 +107,7 @@ class TestQueueing:
             engine.submit(
                 packet,
                 Direction.EDGE_TO_LINE,
-                lambda pkt, v, e, size: order.append(pkt.payload[0]),
+                lambda pkt, v, e, size, at: order.append(pkt.payload[0]),
             )
         sim.run()
         assert order == [0, 1, 2, 3, 4]

@@ -113,3 +113,55 @@ class TestRuns:
         assert len(run.summary["upgraded"]) == 2
         assert run.summary["delivered"]["packets"] > 0
         assert run.metrics()["sim.events"] > 0
+
+
+class TestFramesCarryNoHiddenState:
+    """A frame leaves the fabric with the ``meta`` it was built with: its
+    times travel as arguments, and only the tracer marks a packet."""
+
+    @staticmethod
+    def frames_at_the_sink(monkeypatch, spec):
+        """Run ``spec`` with a recording sink in place of the counting one."""
+        from repro.sim.link import Port
+
+        seen = []
+        init = Port.__init__
+
+        def recording_init(port, sim, name, *args, **kwargs):
+            init(port, sim, name, *args, **kwargs)
+            if name in ("fiber", "sink"):
+                port.attach_batch(
+                    lambda _port, items: seen.extend(item[0] for item in items)
+                )
+                # A burst's template is shared, not copied: look at it as is.
+                port.attach_burst(
+                    lambda _port, template, _size, _whens: seen.append(template)
+                )
+
+        monkeypatch.setattr(Port, "__init__", recording_init)
+        spec.run()
+        return seen
+
+    @pytest.mark.parametrize("engine", ["reference", "compiled"])
+    @pytest.mark.parametrize("kind", ["nat-chain", "nfv-chain", "chaos"])
+    def test_untraced_frames_arrive_with_empty_meta(self, monkeypatch, kind, engine):
+        seen = self.frames_at_the_sink(
+            monkeypatch, ScenarioSpec(kind=kind, engine=engine, seed=7)
+        )
+        # Thousands of frames, or (fused nat-chain) a dozen shared templates.
+        assert len(seen) >= 12
+        assert [frame.meta for frame in seen if frame.meta] == []
+
+    @pytest.mark.parametrize("engine", ["reference", "compiled"])
+    @pytest.mark.parametrize("kind", ["nat-chain", "nfv-chain", "chaos"])
+    def test_traced_frames_carry_only_their_trace_id(self, monkeypatch, kind, engine):
+        seen = self.frames_at_the_sink(
+            monkeypatch,
+            ScenarioSpec(kind=kind, engine=engine, seed=7, trace_packets=4),
+        )
+        marked = [frame.meta for frame in seen if frame.meta]
+        assert all(set(meta) == {"trace_id"} for meta in marked), marked
+        ids = {meta["trace_id"] for meta in marked}
+        # nfv-chain's third frame is the martian its scrub tenant drops.
+        assert ids == ({0, 1, 3} if kind == "nfv-chain" else {0, 1, 2, 3})
+        assert len(seen) > 100

@@ -221,3 +221,41 @@ def test_only_the_engine_stores_to_now():
         and isinstance(node.ctx, ast.Store)
         for node in ast.walk(engine)
     ), "the scan no longer sees the engine's own stores"
+
+
+def test_only_the_tracer_stores_into_packet_meta():
+    """A frame carries no hidden state: its time travels as an argument.
+
+    No module under ``src/repro`` but the tracer (the ``trace_id`` of a
+    traced frame) may subscript-assign or delete on a ``.meta`` attribute,
+    or call a mutating dict method on one.
+    """
+    root = Path(repro.__file__).parent
+    mutators = {"pop", "popitem", "update", "setdefault", "clear", "__setitem__"}
+
+    def is_meta(node):
+        return isinstance(node, ast.Attribute) and node.attr == "meta"
+
+    def stores(path):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Subscript)
+                and is_meta(node.value)
+                and not isinstance(node.ctx, ast.Load)
+            ) or (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in mutators
+                and is_meta(node.func.value)
+            ):
+                yield f"{path.relative_to(root)}:{node.lineno}"
+
+    tracer = root / "obs" / "trace.py"
+    offenders = [
+        where
+        for path in sorted(root.rglob("*.py"))
+        if path != tracer
+        for where in stores(path)
+    ]
+    assert offenders == []
+    assert list(stores(tracer)), "the scan no longer sees the tracer's own store"

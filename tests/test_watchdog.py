@@ -14,7 +14,10 @@ from repro.core import (
 from repro.errors import FlashError
 from repro.hls import compile_app
 from repro.packet import make_udp
+from repro.core.module import TRANSCEIVER_LATENCY_S
 from repro.sim import Port, connect
+from repro.sim.link import DEFAULT_PROPAGATION_S
+from repro.sim.mac import serialization_time
 from repro.nfv import Deployment
 
 KEY = b"watchdog-test-key"
@@ -126,14 +129,19 @@ class TestDegradedPassthrough:
     def test_degraded_latency_is_transceiver_only(self, sim):
         module = self._degrade(sim)
         host, fiber, host_rx, fiber_rx = wire_module(sim, module)
+        received_at = []
+        fiber.attach(lambda p, pkt: received_at.append(sim.now))
         start = RECONFIG_DOWNTIME_S + 1e-3
-        sim.schedule(start, host.send, make_udp(payload=b"x"))
+        frame = make_udp(payload=b"x")
+        sim.schedule(start, host.send, frame)
         sim.run(until=1.0)
-        assert len(fiber_rx) == 1
-        ingress_ns = fiber_rx[0].meta["flexsfp_ingress_ns"]
-        # Forwarded after exactly the transceiver latency (plus egress
-        # serialization, which the meta stamp predates).
-        assert ingress_ns == pytest.approx(start * 1e9, abs=1e3)
+        # Two wire hops (host -> module, module -> sink) and, between them,
+        # exactly one transceiver crossing: no PPE residency, no merge stage.
+        hop_s = serialization_time(frame.wire_len, 10e9) + DEFAULT_PROPAGATION_S
+        assert len(received_at) == 1
+        assert received_at[0] - start - 2 * hop_s == pytest.approx(
+            TRANSCEIVER_LATENCY_S, abs=1e-12
+        )
         assert module.snapshot()["degraded_forwarded"]["packets"] == 1
 
     def test_degraded_hello_reports_degraded(self, sim):
