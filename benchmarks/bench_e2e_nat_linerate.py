@@ -161,6 +161,7 @@ def run_nat(
     processed = module.ppe.processed.packets
     tag = f"nat_{frame_len if frame_len is not None else 'imix'}_{module.engine}"
     _export_metrics(tag, module, host, fiber)
+    lane = f"{module.app.name}.compiled."
     return {
         "frame": frame_len if frame_len is not None else "IMIX",
         "achieved_gbps": meter.bits_per_second() / 1e9,
@@ -170,13 +171,18 @@ def run_nat(
         "pps": meter.packets_per_second() / 1e6,
         "overload_drops": module.ppe.overload_drops.packets,
         "translated": module.app.counter("translated").packets,
-        "verdicts": dict(module.ppe.snapshot()["verdicts"]),
-        "latency_ns": module.ppe.latency_ns.snapshot(),
-        "delivered": fiber.rx.snapshot(),
+        "verdicts": {v.value: n for v, n in module.ppe.verdict_counts.items()},
+        "latency_ns": module.ppe.latency_ns.metric_values(),
+        "delivered": fiber.rx.metric_values(),
         "wall_s": wall_s,
         "sim_pkts_per_wall_s": processed / wall_s if wall_s > 0 else 0.0,
         "events": sim.events_processed,
-        "compiled": module.ppe.snapshot().get("compiled"),
+        "compiled": {
+            name.removeprefix(lane): value
+            for name, value in module.ppe.metric_values().items()
+            if name.startswith(lane)
+        },
+        "compile_wall_s": module.program and module.program.compile_wall_s,
     }
 
 

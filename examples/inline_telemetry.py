@@ -75,8 +75,8 @@ def main() -> None:
             writer.write(i * 1e-6, packet.to_bytes())
     print(f"wrote {len(host_b.received)} frames to {pcap_path}")
 
-    print(f"\nsource module: {source_mod.app.counters_snapshot()}")
-    print(f"sink module:   {sink_mod.app.counters_snapshot()}")
+    print(f"\nsource module: {source_mod.app.metric_values()}")
+    print(f"sink module:   {sink_mod.app.metric_values()}")
 
 
 if __name__ == "__main__":

@@ -107,7 +107,7 @@ def main() -> None:
     print(f"port 2 flow reports: {tel_mod.app.exports_sent} exported "
           f"({len(reports)} reached the uplink collector)")
     print(f"\nuplink received {uplink.rx_packets} packets total")
-    print(f"switch stats: {switch.snapshot()}")
+    print(f"switch stats: {switch.metric_values()}")
 
 
 if __name__ == "__main__":

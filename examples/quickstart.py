@@ -65,7 +65,8 @@ def main() -> None:
     print(f"Achieved goodput: {meter.bits_per_second() / 1e9:.2f} Gbps "
           f"({meter.total_packets} packets, 0 PPE drops: "
           f"{module.ppe.overload_drops.packets == 0})")
-    print(f"PPE verdicts: {module.ppe.snapshot()['verdicts']}")
+    verdicts = {v.value: n for v, n in module.ppe.verdict_counts.items()}
+    print(f"PPE verdicts: {verdicts}")
 
 
 if __name__ == "__main__":

@@ -85,7 +85,8 @@ def main() -> None:
     print(f"\nlegit packets delivered:   {legit} / 4")
     print(f"flooder packets delivered: {flooder} / 50 "
           f"(first {SYN_LIMIT} SYNs pass, the rest die in the cable)")
-    print(f"verdicts: {module.ppe.snapshot()['verdicts']}")
+    verdicts = {v.value: n for v, n in module.ppe.verdict_counts.items()}
+    print(f"verdicts: {verdicts}")
     print(f"lint warnings: {program.lint() or 'none'}")
 
 

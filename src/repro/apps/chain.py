@@ -108,11 +108,11 @@ class AppChain(PPEApplication):
         optimized, _ = optimize(fused)
         return optimized
 
-    def counters_snapshot(self) -> dict[str, dict[str, int]]:
-        merged = {name: c.snapshot() for name, c in self.counters.items()}
+    def metric_values(self) -> dict[str, int]:
+        merged = super().metric_values()
         for app in self.apps:
-            for name, snap in app.counters_snapshot().items():
-                merged[f"{app.name}.{name}"] = snap
+            for name, value in app.metric_values().items():
+                merged[f"{app.name}.{name}"] = value
         return merged
 
     def config(self) -> dict:

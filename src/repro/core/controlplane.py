@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 from ..errors import ControlPlaneError, FlashError, ReproError, TableError
 from ..packet import Packet
-from .mgmt import MgmtMessage, MgmtOp, parse_chunk_body
+from .mgmt import MAX_BODY, MgmtMessage, MgmtOp, parse_chunk_body
 from .tables import ExactTable, LPMTable, TernaryTable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -122,9 +122,15 @@ class ControlPlane:
             }.get(message.opcode)
             if handler is None:
                 return self._nak(message, f"unsupported opcode {message.opcode}")
-            return handler(message)
+            reply = handler(message)
         except ReproError as exc:
             return self._nak(message, str(exc))
+        if len(reply.body) > MAX_BODY:
+            # An answer the channel cannot carry is refused, not raised.
+            return self._nak(
+                message, f"reply too large ({len(reply.body)} B > {MAX_BODY} B)"
+            )
+        return reply
 
     def _ack(self, message: MgmtMessage, **fields: object) -> MgmtMessage:
         return MgmtMessage.control(MgmtOp.ACK, message.seq, ok=True, **fields)
@@ -193,21 +199,21 @@ class ControlPlane:
         return self._ack(message, stats=self.module.app.tables.stats())
 
     def _op_counter_read(self, message: MgmtMessage) -> MgmtMessage:
-        module = self.module
-        if module.crossbar is None:
-            return self._ack(
-                message,
-                app=module.app.counters_snapshot(),
-                ppe=module.ppe.snapshot(),
-            )
+        """Every slot's app counters and its PPE's semantic leaves.
+
+        Only the leaves both engine tiers publish are sent, so the reply
+        is byte-equal across tiers and carries no wall-clock time.
+        """
+        from ..artifact.diff import semantic_metrics  # local import to stay light
+
         return self._ack(
             message,
             tenants={
                 slot.name: {
-                    "app": slot.app.counters_snapshot(),
-                    "ppe": slot.ppe.snapshot(),
+                    "app": slot.app.metric_values(),
+                    "ppe": semantic_metrics(slot.ppe.metric_values()),
                 }
-                for slot in module.slots
+                for slot in self.module.slots
             },
         )
 
@@ -291,7 +297,7 @@ class ControlPlane:
         return self._ack(message, rebooting=True)
 
     def metric_values(self) -> dict[str, int | bool]:
-        """Flat :class:`~repro.obs.registry.MetricSource` view; ``snapshot()`` too."""
+        """Flat :class:`~repro.obs.registry.MetricSource` view."""
         return {
             "commands_handled": self.commands_handled,
             "auth_failures": self.auth_failures,
@@ -299,5 +305,3 @@ class ControlPlane:
             "crashed": self.crashed,
             "frames_while_unresponsive": self.frames_while_unresponsive,
         }
-
-    snapshot = metric_values

@@ -272,7 +272,7 @@ class FlowCache:
         return self.hits / total if total else 0.0
 
     def metric_values(self) -> dict[str, int | float]:
-        """Flat :class:`~repro.obs.registry.MetricSource` view; ``snapshot()`` too."""
+        """Flat :class:`~repro.obs.registry.MetricSource` view."""
         return {
             "size": len(self._entries),
             "capacity": self.capacity,
@@ -282,8 +282,6 @@ class FlowCache:
             "invalidations": self.invalidations,
             "hit_rate": round(self.hit_rate, 6),
         }
-
-    snapshot = metric_values
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

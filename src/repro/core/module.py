@@ -1000,16 +1000,14 @@ class FlexSFPModule:
             lambda: self.control_plane.metric_values(),
         )
 
-    def _app_label(self) -> str:
-        """The loaded functions: the app name, or ``tenant:app+...`` behind a crossbar."""
-        if self.crossbar is None:
-            return self.app.name
-        return "+".join(f"{slot.name}:{slot.app.name}" for slot in self.slots)
-
     def metric_values(self) -> dict[str, object]:
-        """Flat :class:`~repro.obs.registry.MetricSource` view (module level)."""
+        """Flat :class:`~repro.obs.registry.MetricSource` view (module level).
+
+        ``app`` names the loaded functions: the app name, or
+        ``tenant:app+...`` behind a crossbar.
+        """
         values: dict[str, object] = {
-            "app": self._app_label(),
+            "app": self.app.name,
             "shell": self.shell.kind.value,
             "reboots": self.reboots,
             "failed_boots": self.failed_boots,
@@ -1020,6 +1018,9 @@ class FlexSFPModule:
             "control_fraction": self.arbiter.control_fraction(),
         }
         if self.crossbar is not None:
+            values["app"] = "+".join(
+                f"{slot.name}:{slot.app.name}" for slot in self.slots
+            )
             values["tenants"] = len(self.slots)
         return values
 
@@ -1034,43 +1035,6 @@ class FlexSFPModule:
             f"{slot.base}.ppe.{slot.app.name}.latency_ns": slot.ppe.latency_ns
             for slot in self.slots
         }
-
-    def snapshot(self) -> dict[str, object]:
-        """Structured counter snapshot (stable legacy dict layout)."""
-        snapshot: dict[str, object] = {
-            "app": self._app_label(),
-            "shell": self.shell.kind.value,
-        }
-        if self.crossbar is None:
-            snapshot["ppe"] = self.ppe.snapshot()
-        else:
-            snapshot["tenants"] = {
-                slot.name: {
-                    "app": slot.app.name,
-                    "ppe": slot.ppe.snapshot(),
-                    "steered": self.crossbar.steered[slot.index].snapshot(),
-                    "verdict_drops": slot.verdict_drops.snapshot(),
-                    "downtime_drops": slot.downtime_drops.snapshot(),
-                    "reboots": slot.reboots,
-                    "failed_boots": slot.failed_boots,
-                    "degraded": slot.degraded,
-                    "boot_slot": slot.flash.boot_slot,
-                }
-                for slot in self.slots
-            }
-        snapshot.update(
-            verdict_drops=self.verdict_drops.snapshot(),
-            downtime_drops=self.downtime_drops.snapshot(),
-            control_plane=self.control_plane.snapshot(),
-            control_fraction=self.arbiter.control_fraction(),
-            reboots=self.reboots,
-            failed_boots=self.failed_boots,
-            degraded=self.degraded,
-            degraded_forwarded=self.degraded_forwarded.snapshot(),
-            boot_slot=self.flash.boot_slot,
-            watchdog_reboots=self.watchdog_reboots,
-        )
-        return snapshot
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

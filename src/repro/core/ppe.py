@@ -217,8 +217,13 @@ class PPEApplication(ABC):
         """Serializable constructor parameters (stored in bitstreams)."""
         return {}
 
-    def counters_snapshot(self) -> dict[str, dict[str, int]]:
-        return {name: c.snapshot() for name, c in self.counters.items()}
+    def metric_values(self) -> dict[str, int]:
+        """Flat view of the app's own counters: ``<counter>.packets`` / ``.bytes``."""
+        return {
+            f"{name}.{key}": value
+            for name, counter in self.counters.items()
+            for key, value in counter.metric_values().items()
+        }
 
 
 # Per-frame completion: frame, verdict, emitted frames, the frame's wire size
@@ -352,15 +357,6 @@ class _EngineBase:
             packet, "app", app.name, time_ns, time_ns, direction, **app_detail
         )
         return result
-
-    def snapshot(self) -> dict[str, object]:
-        """Structured counter snapshot."""
-        return {
-            "processed": self.processed.snapshot(),
-            "overload_drops": self.overload_drops.snapshot(),
-            "verdicts": {v.value: n for v, n in self.verdict_counts.items()},
-            "latency_ns": self.latency_ns.snapshot(),
-        }
 
     def metric_values(self) -> dict[str, object]:
         """Flat :class:`~repro.obs.registry.MetricSource` view.
@@ -1126,20 +1122,6 @@ class PacketProcessingEngine(_EngineBase):
         self.verdict_counts[verdict] += 1
         return verdict, ctx.emitted, size
 
-    def snapshot(self) -> dict[str, object]:
-        stats = super().snapshot()
-        if self.flow_cache is not None:
-            stats["flow_cache"] = self.flow_cache.snapshot()
-            stats["fastpath_hits"] = self.fastpath_hits.snapshot()
-        if self.program is not None:
-            stats["compiled"] = {
-                "bursts": self.compiled_bursts,
-                "recipe_frames": self.compiled_frames,
-                "deopt_frames": self.compiled_deopts,
-                "compile_wall_s": self.program.compile_wall_s,
-            }
-        return stats
-
     def metric_values(self) -> dict[str, object]:
         prefix = self.app.name
         values = super().metric_values()
@@ -1149,9 +1131,8 @@ class PacketProcessingEngine(_EngineBase):
             for key, value in self.fastpath_hits.metric_values().items():
                 values[f"{prefix}.fastpath_hits.{key}"] = value
         if self.program is not None:
-            # Wall-clock compile time stays snapshot-only: metric values
-            # must be identical across regenerations for golden
-            # byte-identity.
+            # Wall-clock compile time is read off ``self.program`` only:
+            # metric values must repeat exactly across runs.
             values[f"{prefix}.compiled.bursts"] = self.compiled_bursts
             values[f"{prefix}.compiled.recipe_frames"] = self.compiled_frames
             values[f"{prefix}.compiled.deopt_frames"] = self.compiled_deopts

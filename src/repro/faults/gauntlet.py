@@ -333,7 +333,11 @@ def run_gauntlet(
         plan_name=plan_name,
         plan_signature=plan.signature(),
         faults_applied=len(injector.applied),
-        faults_by_kind=dict(injector.snapshot()["by_kind"]),
+        faults_by_kind={
+            key.removeprefix("by_kind."): count
+            for key, count in injector.metric_values().items()
+            if key != "applied"
+        },
         packets_sent=source.sent.packets,
         packets_received=received[0],
         probes=len(probe_log),

@@ -94,13 +94,6 @@ class FaultInjector:
         else:  # module_reboot
             module.reboot()
 
-    def snapshot(self) -> dict[str, object]:
-        """Structured applied-event summary (stable legacy dict layout)."""
-        by_kind: dict[str, int] = {}
-        for _, event in self.applied:
-            by_kind[event.kind] = by_kind.get(event.kind, 0) + 1
-        return {"applied": len(self.applied), "by_kind": by_kind}
-
     def metric_values(self) -> dict[str, int]:
         """Flat :class:`~repro.obs.registry.MetricSource` view."""
         values = {"applied": len(self.applied)}

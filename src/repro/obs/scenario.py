@@ -364,7 +364,7 @@ def _build_nat(spec: ScenarioSpec, module_count: int) -> ScenarioRun:
     summary = {
         "kind": spec.kind,
         "modules": module_count,
-        "delivered": fiber.rx.snapshot(),
+        "delivered": fiber.rx.metric_values(),
         "sim_events": sim.events_processed,
     }
     return ScenarioRun(
@@ -495,7 +495,7 @@ def _build_fleet_upgrade(spec: ScenarioSpec) -> ScenarioRun:
         "failed": [list(item) for item in report.failed] if report else [],
         "rolled_back": list(report.rolled_back) if report else [],
         "ok": bool(report and report.ok),
-        "delivered": sink.rx.snapshot(),
+        "delivered": sink.rx.metric_values(),
     }
     modules = [retrofit.module_at(p) for p in sorted(retrofit.modules)]
     return ScenarioRun(
@@ -626,9 +626,9 @@ def _build_nfv(spec: ScenarioSpec, churn: bool) -> ScenarioRun:
     summary = {
         "kind": spec.kind,
         "tenants": [slot.name for slot in module.slots],
-        "delivered": fiber.rx.snapshot(),
+        "delivered": fiber.rx.metric_values(),
         "steered": {
-            slot.name: module.crossbar.steered[slot.index].snapshot()
+            slot.name: module.crossbar.steered[slot.index].metric_values()
             for slot in module.slots
         },
         "tenant_digests": _tenant_digests(module, run.metrics(), run.histograms()),

@@ -33,10 +33,8 @@ class Counter:
         self.bytes = 0
 
     def metric_values(self) -> dict[str, int]:
-        """Flat :class:`~repro.obs.registry.MetricSource` view; ``snapshot()`` too."""
+        """Flat :class:`~repro.obs.registry.MetricSource` view."""
         return {"packets": self.packets, "bytes": self.bytes}
-
-    snapshot = metric_values
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Counter({self.name}: {self.packets} pkts / {self.bytes} B)"
@@ -219,11 +217,9 @@ class Histogram:
         return math.inf  # pragma: no cover - unreachable
 
     def metric_values(self) -> dict[str, float]:
-        """Flat :class:`~repro.obs.registry.MetricSource` view; ``snapshot()`` too."""
+        """Flat :class:`~repro.obs.registry.MetricSource` view."""
         return {
             "total": self.total,
             "p50": self.percentile(50),
             "p99": self.percentile(99),
         }
-
-    snapshot = metric_values

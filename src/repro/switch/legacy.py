@@ -147,18 +147,6 @@ class LegacySwitch:
     def mac_table(self) -> dict[int, int]:
         return dict(self._mac_table)
 
-    def snapshot(self) -> dict[str, object]:
-        """Structured counter snapshot (stable legacy dict layout)."""
-        return {
-            "forwarded": self.forwarded.snapshot(),
-            "flooded": self.flooded.snapshot(),
-            "filtered": self.filtered.snapshot(),
-            "mac_entries": len(self._mac_table),
-            "flexsfp_ports": [
-                i for i, cage in enumerate(self.cages) if cage.module is not None
-            ],
-        }
-
     def metric_values(self) -> dict[str, object]:
         """Flat :class:`~repro.obs.registry.MetricSource` view."""
         values: dict[str, object] = {}

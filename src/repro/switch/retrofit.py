@@ -60,10 +60,6 @@ class RetrofitResult:
         """First-order power bill of the upgrade (per-module FlexSFP draw)."""
         return per_module_w * len(self.modules)
 
-    def snapshot(self) -> dict[int, dict]:
-        """Per-port module snapshots (stable legacy dict layout)."""
-        return {port: module.snapshot() for port, module in self.modules.items()}
-
     def register_metrics(self, registry) -> None:
         """Publish every deployed module into a registry."""
         for module in self.modules.values():

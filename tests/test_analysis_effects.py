@@ -315,10 +315,10 @@ def test_fusible_set_is_sound_vs_runtime(name):
 
     summary = analyze_app(create_app(name))
     _, module = run_cbr_burst(name, "compiled")
-    stats = module.ppe.snapshot()["compiled"]
-    if stats["recipe_frames"] > 0:
+    ppe = module.ppe
+    if ppe.compiled_frames > 0:
         assert summary.fusible, name
     if not summary.fusible:
-        assert stats["recipe_frames"] == 0, (name, stats)
-        assert stats["deopt_frames"] > 0, (name, stats)
+        assert ppe.compiled_frames == 0, (name, ppe.compiled_deopts)
+        assert ppe.compiled_deopts > 0, name
     assert module.program.effect_digest == summary.digest()

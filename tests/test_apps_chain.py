@@ -81,9 +81,9 @@ class TestTablesAndCounters:
     def test_counters_merged(self):
         chain, nat, firewall = sample_chain()
         chain.process(make_udp(src_ip="10.0.0.1"), make_ctx())
-        merged = chain.counters_snapshot()
-        assert "nat.translated" in merged
-        assert "firewall.permitted" in merged
+        merged = chain.metric_values()
+        assert merged["nat.translated.packets"] == 1
+        assert "firewall.permitted.bytes" in merged
 
 
 class TestLowering:

@@ -137,17 +137,27 @@ def burst_of(module) -> int:
     return BURST_FRAMES if module.engine == "compiled" else 1
 
 
+def compiled_stats(ppe) -> dict:
+    """The engine's ``<app>.compiled.*`` leaves, keyed by leaf name."""
+    prefix = f"{ppe.app.name}.compiled."
+    return {
+        name.removeprefix(prefix): value
+        for name, value in ppe.metric_values().items()
+        if name.startswith(prefix)
+    }
+
+
 def results_of(module, host, fiber) -> dict:
     return {
-        "verdicts": dict(module.ppe.snapshot()["verdicts"]),
-        "processed": module.ppe.processed.snapshot(),
-        "overload_drops": module.ppe.overload_drops.snapshot(),
-        "latency_ns": module.ppe.latency_ns.snapshot(),
-        "app_counters": module.app.counters_snapshot(),
-        "delivered": fiber.rx.snapshot(),
-        "returned": host.rx.snapshot(),
-        "edge_drops": module.edge_port.drops.snapshot(),
-        "line_drops": module.line_port.drops.snapshot(),
+        "verdicts": {v.value: n for v, n in module.ppe.verdict_counts.items()},
+        "processed": module.ppe.processed.metric_values(),
+        "overload_drops": module.ppe.overload_drops.metric_values(),
+        "latency_ns": module.ppe.latency_ns.metric_values(),
+        "app_counters": module.app.metric_values(),
+        "delivered": fiber.rx.metric_values(),
+        "returned": host.rx.metric_values(),
+        "edge_drops": module.edge_port.drops.metric_values(),
+        "line_drops": module.line_port.drops.metric_values(),
     }
 
 
@@ -209,7 +219,7 @@ def check_imix_matches_reference(name: str, per_event: bool = False) -> None:
     if name in CACHED_APPS:
         cache = module.ppe.flow_cache
         assert cache.hits > 0, f"{name}: flow cache never hit"
-        assert cache.hit_rate > 0.2, f"{name}: {cache.snapshot()}"
+        assert cache.hit_rate > 0.2, f"{name}: {cache.metric_values()}"
 
 
 @pytest.mark.parametrize(
@@ -231,7 +241,7 @@ def test_compiled_burst_matches_reference(name):
     compiled, module = run_cbr_burst(name, "compiled")
     assert compiled == reference, name
     assert reference["processed"]["packets"] > 50, name
-    stats = module.ppe.snapshot()["compiled"]
+    stats = compiled_stats(module.ppe)
     if name in FUSIBLE_APPS:
         assert stats["bursts"] > 0, f"{name}: burst lane never engaged"
         assert stats["recipe_frames"] > 0, f"{name}: no fused frames: {stats}"
@@ -248,7 +258,7 @@ def test_tracer_deopts_to_reference_arithmetic():
     reference, _ = run_imix("nat", "reference")
     traced, module = run_imix("nat", "compiled", tracer_packets=4)
     assert traced == reference
-    stats = module.ppe.snapshot()["compiled"]
+    stats = compiled_stats(module.ppe)
     assert stats["recipe_frames"] == 0, stats
 
 
@@ -291,7 +301,7 @@ def test_interleaved_frames_deopt_burst():
     reference, _ = run("reference")
     compiled, module = run("compiled")
     assert compiled == reference
-    stats = module.ppe.snapshot()["compiled"]
+    stats = compiled_stats(module.ppe)
     assert stats["bursts"] > 0
     assert stats["recipe_frames"] > 0
     # Each stray deopted the burst it landed on, and only that one.
@@ -410,9 +420,9 @@ def test_metered_ratelimiter_burst_matches_reference():
     compiled, module = run("compiled")
     assert compiled == reference
     counters = reference["app_counters"]
-    assert counters["conformed"]["packets"] > 0
-    assert counters["policed"]["packets"] > 0
-    stats = module.ppe.snapshot()["compiled"]
+    assert counters["conformed.packets"] > 0
+    assert counters["policed.packets"] > 0
+    stats = compiled_stats(module.ppe)
     assert stats["bursts"] > 0, stats
     assert stats["recipe_frames"] > 0, stats
 
@@ -472,9 +482,9 @@ def test_vlan_untag_direction_matches_reference(service_vid):
     compiled, module = run("compiled")
     assert compiled == reference
     counters = reference["app_counters"]
-    assert counters["untagged"]["packets"] > 0
-    assert counters["foreign_vid"]["packets"] > 0
-    stats = module.ppe.snapshot()["compiled"]
+    assert counters["untagged.packets"] > 0
+    assert counters["foreign_vid.packets"] > 0
+    stats = compiled_stats(module.ppe)
     assert stats["recipe_frames"] > 0, stats
 
 
@@ -493,7 +503,7 @@ def registry_of(module, host, fiber) -> dict:
     return {
         "metrics": semantic_metrics(registry.collect()),
         "histograms": {
-            name: histogram.snapshot()
+            name: histogram.metric_values()
             for name, histogram in module.histogram_states().items()
         },
     }
@@ -592,7 +602,7 @@ def test_template_burst_into_two_tenants_expands_at_the_module():
     assert all(count > 50 for count in steered), steered
     assert sum(steered) == metrics["dut.edge.rx.packets"]
     for slot in module.slots:
-        stats = slot.ppe.snapshot()["compiled"]
+        stats = compiled_stats(slot.ppe)
         assert stats["bursts"] == 0 and stats["recipe_frames"] == 0, stats
         assert slot.ppe.processed.packets == steered[slot.index]
 
@@ -768,7 +778,7 @@ def test_fused_flow_leaving_the_contract_deopts_at_drain(odd):
     reference, _ = run_template_bursts(lambda: OddNat(odd), "reference")
     compiled, module = run_template_bursts(lambda: OddNat(odd), "compiled")
     assert compiled == reference
-    stats = module.ppe.snapshot()["compiled"]
+    stats = compiled_stats(module.ppe)
     assert stats["bursts"] > 0 and stats["deopt_frames"] > 0, stats
     metrics = compiled["metrics"]
     if odd == "reflect":
@@ -797,11 +807,11 @@ def test_meter_flow_without_a_plan_deopts_at_drain():
     compiled, module = run_template_bursts(make_app, "compiled", ("10.0.0.1",))
     assert compiled == reference
     assert module.program.mode == "meter"
-    stats = module.ppe.snapshot()["compiled"]
+    stats = compiled_stats(module.ppe)
     assert stats["bursts"] > 0 and stats["recipe_frames"] == 0, stats
     assert stats["deopt_frames"] == compiled["metrics"]["dut.ppe.ratelimiter.processed.packets"]
-    counters = module.app.counters_snapshot()
-    assert counters["conformed"]["packets"] > 0 and counters["policed"]["packets"] > 0
+    counters = module.app.metric_values()
+    assert counters["conformed.packets"] > 0 and counters["policed.packets"] > 0
 
 
 def run_engine_script(
@@ -885,11 +895,11 @@ def run_engine_script(
     sim.run()
     return {
         "done": done,
-        "processed": ppe.processed.snapshot(),
-        "overload_drops": ppe.overload_drops.snapshot(),
-        "verdicts": dict(ppe.snapshot()["verdicts"]),
-        "latency_ns": ppe.latency_ns.snapshot(),
-        "app_counters": app.counters_snapshot(),
+        "processed": ppe.processed.metric_values(),
+        "overload_drops": ppe.overload_drops.metric_values(),
+        "verdicts": {v.value: n for v, n in ppe.verdict_counts.items()},
+        "latency_ns": ppe.latency_ns.metric_values(),
+        "app_counters": app.metric_values(),
     }, ppe
 
 

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.apps import AclFirewall, StaticNat
+from repro.artifact.diff import semantic_metrics
 from repro.core import (
     FlexSFPModule,
     MgmtMessage,
@@ -15,8 +16,11 @@ from repro.core import (
     chunk_body,
     mgmt_frame,
 )
+from repro.core.mgmt import MAX_BODY
 from repro.hls import compile_app
 from repro.nfv import Deployment
+from repro.obs.scenario import ScenarioSpec
+from repro.sim import Port, connect
 
 KEY = b"unit-test-key"
 
@@ -62,8 +66,12 @@ class TestTableOps:
         assert reply["ok"] and "nat" in reply["stats"]
 
     def test_counter_read(self, module):
+        # A solo module answers in the multi-tenant shape: one slot.
         reply = command(module, MgmtOp.COUNTER_READ, 2)
-        assert reply["ok"] and "ppe" in reply
+        assert reply["ok"] and set(reply["tenants"]) == {"default"}
+        tenant = reply["tenants"]["default"]
+        assert tenant["app"] == module.app.metric_values()
+        assert tenant["ppe"] == semantic_metrics(module.ppe.metric_values())
 
     def test_list_key_normalized_to_tuple(self, sim):
         firewall = AclFirewall()
@@ -186,3 +194,58 @@ class TestReconfigFsm:
         build = compile_app(firewall, ShellSpec(), device=MPF300T)
         reply = self.transfer(module, build.bitstream)
         assert not reply["ok"] and "targets" in reply["reason"]
+
+
+class TestCounterReadReply:
+    """What a module reports is itself a frame: tier-exact and bounded."""
+
+    @staticmethod
+    def read_after_run(kind: str, engine: str) -> MgmtMessage:
+        module = ScenarioSpec(kind=kind, engine=engine).run().modules[0]
+        plane = module.control_plane
+        frame = mgmt_frame(
+            MgmtMessage.control(MgmtOp.COUNTER_READ, plane.last_seq + 1),
+            plane.auth_key,
+            "02:00:00:00:00:bb",
+            module.mgmt_mac,
+        )
+        return plane.handle_frame(frame)
+
+    @pytest.mark.parametrize("kind", ["nat-linerate", "nfv-chain"])
+    def test_reply_is_byte_equal_across_tiers(self, kind):
+        reference = self.read_after_run(kind, "reference")
+        compiled = self.read_after_run(kind, "compiled")
+        for reply in (reference, compiled):
+            assert reply.opcode is MgmtOp.ACK
+            assert len(reply.body) <= MAX_BODY
+        assert compiled.body == reference.body
+        assert b"compile_wall_s" not in reference.body
+
+    def test_oversize_reply_is_a_nak_and_the_run_goes_on(self, sim):
+        # Four tenants' counters do not fit one management body.
+        deployment = Deployment.from_dicts(
+            [
+                {"name": f"t{i}", "app": "sanitizer",
+                 "match": {"udp_dport": 1000 + i}, "share": 0.2}
+                for i in range(3)
+            ]
+            + [{"name": "rest", "app": "sanitizer", "share": 0.2}]
+        )
+        module = FlexSFPModule(sim, "m", deployment, auth_key=KEY)
+        host = Port(sim, "host", 10e9)
+        replies = []
+        host.attach(
+            lambda port, packet: replies.append(MgmtMessage.unpack(packet.payload, KEY))
+        )
+        connect(host, module.edge_port)
+        frame = mgmt_frame(
+            MgmtMessage.control(MgmtOp.COUNTER_READ, 1),
+            KEY,
+            "02:00:00:00:00:bb",
+            module.mgmt_mac,
+        )
+        sim.schedule(1e-3, host.send, frame)
+        sim.run(until=2e-3)
+        assert [reply.opcode for reply in replies] == [MgmtOp.NAK]
+        assert "reply too large" in replies[0].json_body()["reason"]
+        assert module.control_plane.commands_handled == 1

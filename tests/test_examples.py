@@ -1,12 +1,14 @@
 """The bundled examples must stay runnable (they are living documentation)."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES_DIR = ROOT / "examples"
 EXAMPLES = sorted(EXAMPLES_DIR.glob("*.py"))
 
 # What each example must mention in its output to count as "worked".
@@ -34,11 +36,13 @@ def test_every_example_has_expectations():
 def test_example_runs(example):
     result = subprocess.run(
         [sys.executable, str(example)],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr, result.stderr
     for marker in EXPECTED_MARKERS[example.name]:
         assert marker in result.stdout, (
             f"{example.name} output missing {marker!r}:\n{result.stdout}"

@@ -117,7 +117,7 @@ class TestFaultInjector:
         assert module.watchdog_reboots == 1
         assert module.control_plane.responsive
         assert len(injector.applied) == 4
-        assert injector.snapshot()["by_kind"]["softcore_crash"] == 1
+        assert injector.metric_values()["by_kind.softcore_crash"] == 1
         # Applied log records actual firing times, in order.
         times = [t for t, _ in injector.applied]
         assert times == sorted(times)

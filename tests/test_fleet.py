@@ -81,7 +81,8 @@ class TestRemoteOps:
         replies = []
         controller.counter_read(macs[0], replies.append)
         sim.run(until=10e-3)
-        assert replies and "ppe" in replies[0]
+        assert replies and set(replies[0]["tenants"]) == {"default"}
+        assert replies[0]["tenants"]["default"]["ppe"]["passthrough.processed.packets"] == 0
 
 
 class TestDeploy:

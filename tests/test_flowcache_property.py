@@ -110,7 +110,7 @@ def test_stats_bookkeeping_is_consistent(ops):
         else:
             cache.lookup(key, generation=0)
             lookups += 1
-    stats = cache.snapshot()
+    stats = cache.metric_values()
     assert stats["hits"] + stats["misses"] == lookups
     assert 0.0 <= stats["hit_rate"] <= 1.0
     assert stats["size"] == len(cache) <= stats["capacity"]

@@ -21,7 +21,7 @@ from repro.core.ppe import BURST_FRAMES, ReferenceEngine
 from repro.faults import run_gauntlet
 from repro.fpga import TimingSpec
 from repro.netem import CbrSource
-from repro.obs.trace import Tracer
+from repro.obs import MetricsRegistry, Tracer
 from repro.packet import make_udp
 from repro.sim import Port, Simulator, connect
 from repro.nfv import Deployment
@@ -47,8 +47,6 @@ def nat_linerate_stats(engine: str, observe: str | None = None) -> bytes:
     )
     compiled = engine == "compiled"
     if observe is not None:
-        from repro.obs import MetricsRegistry, Tracer
-
         registry = MetricsRegistry()
         module.register_metrics(registry)
         if observe == "tracer-off":
@@ -68,20 +66,14 @@ def nat_linerate_stats(engine: str, observe: str | None = None) -> bytes:
         factory=lambda i, size: template.copy(),
         # Per-frame ingress on both tiers: an attached tracer (even one
         # that admits nothing) deopts template bursts, which would move
-        # the compiled.* strategy counters the snapshot below includes.
+        # the compiled.* strategy counters the payload below includes.
         burst=BURST_FRAMES if compiled else 1,
     )
     sim.run(until=RUN_S + 0.1e-3)
-    ppe = module.ppe.snapshot()
-    # The one wall-clock value in a snapshot; everything else is simulated.
-    ppe.get("compiled", {}).pop("compile_wall_s", None)
-    stats = {
-        "ppe": ppe,
-        "app": module.app.counters_snapshot(),
-        "delivered": fiber.rx.snapshot(),
-        "edge_drops": module.edge_port.drops.snapshot(),
-        "line_tx": module.line_port.tx.snapshot(),
-    }
+    registry = MetricsRegistry()
+    module.register_metrics(registry)
+    registry.register("fiber", fiber)
+    stats = {"metrics": registry.collect(), "app": module.app.metric_values()}
     return json.dumps(stats, sort_keys=True, default=str).encode()
 
 

@@ -267,7 +267,7 @@ class TestBurstIsItsFrames:
         sim.run(until=float(times[-1]))
         depth = a.queue_depth_packets, a.queue_depth_bytes
         sim.run()
-        counters = [c.snapshot() for c in (a.tx, a.drops, b.rx)]
+        counters = [c.metric_values() for c in (a.tx, a.drops, b.rx)]
         return sent, depth, counters, seen
 
     @pytest.mark.parametrize(

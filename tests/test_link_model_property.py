@@ -174,7 +174,7 @@ def test_port_matches_the_event_per_frame_fifo():
         assert verdicts == {
             frame: frame not in model.dropped for frame in verdicts
         }
-        assert a.tx.snapshot() == b.rx.snapshot() == model.tx
+        assert a.tx.metric_values() == b.rx.metric_values() == model.tx
         assert a.drops.packets == len(model.dropped)
         assert (a.queue_depth_packets, a.queue_depth_bytes) == (0, 0)
         seen["tail-drop"] += bool(model.dropped)

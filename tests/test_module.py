@@ -233,7 +233,7 @@ class TestReboot:
 
     def test_stats_shape(self, sim):
         module = FlexSFPModule(sim, "m", Deployment.solo(Passthrough()), auth_key=KEY)
-        stats = module.snapshot()
+        stats = module.metric_values()
         assert stats["app"] == "passthrough"
         assert stats["shell"] == "one-way-filter"
 

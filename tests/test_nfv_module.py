@@ -3,6 +3,7 @@
 import pytest
 
 from repro.apps import Passthrough
+from repro.artifact.diff import semantic_metrics
 from repro.core import FlexSFPModule, RECONFIG_DOWNTIME_S
 from repro.errors import ConfigError
 from repro.nfv import NFV_SCRUB_DPORT, Deployment, default_nfv_tenants
@@ -238,16 +239,8 @@ class TestCounterRead:
         for name, processed in (("scrub", 1), ("telemetry", 2)):
             slot = module.tenant_slot(name)
             assert body["tenants"][name] == {
-                "app": slot.app.counters_snapshot(),
-                "ppe": slot.ppe.snapshot(),
+                "app": slot.app.metric_values(),
+                "ppe": semantic_metrics(slot.ppe.metric_values()),
             }
-            assert body["tenants"][name]["ppe"]["processed"]["packets"] == processed
-
-    def test_solo_reply_keeps_its_shape(self, sim):
-        module = FlexSFPModule(sim, "m", Deployment.solo(Passthrough()), auth_key=KEY)
-        body = self.read_counters(module)
-        assert body == {
-            "ok": True,
-            "app": module.app.counters_snapshot(),
-            "ppe": module.ppe.snapshot(),
-        }
+            ppe = body["tenants"][name]["ppe"]
+            assert ppe[f"{slot.app.name}.processed.packets"] == processed

@@ -151,9 +151,11 @@ class TestQueueing:
 
     def test_stats_shape(self, sim):
         engine, _ = run_one(self.engine_cls, sim, EchoApp())
-        stats = engine.snapshot()
-        assert stats["processed"]["packets"] == 1
-        assert "verdicts" in stats and "latency_ns" in stats
+        stats = engine.metric_values()
+        prefix = engine.app.name
+        assert stats[f"{prefix}.processed.packets"] == 1
+        assert f"{prefix}.verdicts.pass" in stats
+        assert f"{prefix}.latency_ns.p99" in stats
 
 
 class TestProcessingOracle(TestProcessing):

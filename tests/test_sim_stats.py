@@ -21,7 +21,7 @@ class TestCounter:
         counter = Counter("c")
         counter.count(10)
         counter.reset()
-        assert counter.snapshot() == {"packets": 0, "bytes": 0}
+        assert counter.metric_values() == {"packets": 0, "bytes": 0}
 
 
 class TestRunningStats:

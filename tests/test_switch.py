@@ -124,7 +124,7 @@ class TestRetrofit:
         assert set(result.modules) == {0, 1}
         assert result.module_at(0).app.name == "vlan"
         assert result.module_at(1).shell.kind is ShellKind.ONE_WAY_FILTER
-        assert switch.snapshot()["flexsfp_ports"] == [0, 1]
+        assert switch.metric_values()["flexsfp_ports"] == 2
 
     def test_configure_hook(self, sim):
         switch = LegacySwitch(sim, "agg", num_ports=2)

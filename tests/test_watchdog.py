@@ -108,7 +108,7 @@ class TestDegradedPassthrough:
         sim.run(until=1.0)
         assert module.degraded
         assert module.failed_boots == 1
-        assert module.snapshot()["degraded"] is True
+        assert module.metric_values()["degraded"] is True
 
     def test_degraded_forwards_both_directions(self, sim):
         """Acceptance: both-slots-corrupt module still forwards line<->edge."""
@@ -142,7 +142,7 @@ class TestDegradedPassthrough:
         assert received_at[0] - start - 2 * hop_s == pytest.approx(
             TRANSCEIVER_LATENCY_S, abs=1e-12
         )
-        assert module.snapshot()["degraded_forwarded"]["packets"] == 1
+        assert module.degraded_forwarded.packets == 1
 
     def test_degraded_hello_reports_degraded(self, sim):
         module = self._degrade(sim)
@@ -195,7 +195,7 @@ class TestSoftcoreWatchdog:
         assert module.control_plane.responsive
         assert module.watchdog_reboots == 1
         assert module.reboots == 1
-        assert module.snapshot()["watchdog_reboots"] == 1
+        assert module.metric_values()["watchdog_reboots"] == 1
 
     def test_hang_recovers_without_reboot(self, sim):
         module = FlexSFPModule(sim, "m", Deployment.solo(Passthrough()), auth_key=KEY)
