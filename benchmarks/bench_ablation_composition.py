@@ -75,7 +75,7 @@ def _measure_latency(sim: Simulator, modules: list[FlexSFPModule]) -> float:
     host = Port(sim, "host", 10e9, queue_bytes=1 << 20)
     sink = Port(sim, "sink", 10e9)
     latencies: list[float] = []
-    sink.attach(lambda p, pkt: latencies.append(sim.now - pkt.meta["t0"]))
+    sink.attach(lambda p, pkt, size, when: latencies.append(sim.now - pkt.meta["t0"]))
     connect(host, modules[0].edge_port)
     for upstream, downstream in zip(modules, modules[1:]):
         connect(upstream.line_port, downstream.edge_port)

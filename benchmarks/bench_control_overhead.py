@@ -38,7 +38,7 @@ def compute():
     controller.port.queue_bytes = 1 << 22
     fiber = Port(sim, "fiber", 10e9)
     meter = RateMeter("fiber")
-    fiber.attach(lambda p, pkt: meter.observe(sim.now, pkt.wire_len))
+    fiber.attach(lambda p, pkt, size, when: meter.observe(when, size))
     connect(controller.port, module.edge_port)
     connect(module.line_port, fiber)
 

@@ -101,20 +101,15 @@ def run_nat(
     )
     compiled = module.engine == "compiled"
     host = Port(sim, "host", rate_bps, queue_bytes=1 << 22)
-    # On the compiled tier the sink takes batched delivery (it attaches a
-    # batch handler); the meter reads each frame's exact wire-arrival
-    # time, so its window is identical either way.
+    # On the compiled tier the sink takes batched delivery; the meter reads
+    # each frame's exact wire-arrival time, so its window is identical
+    # either way.
     fiber = Port(sim, "fiber", 10e9, queue_bytes=1 << 22)
 
     meter = RateMeter("fiber")
 
-    def on_fiber_rx(port, pkt):
-        meter.observe(sim.now, pkt.wire_len)
-
-    def on_fiber_rx_batch(port, items):
-        observe = meter.observe
-        for _pkt, size, when in items:
-            observe(when, size)
+    def on_fiber_rx(port, pkt, size, when):
+        meter.observe(when, size)
 
     def on_fiber_rx_burst(port, template, size, whens):
         # Uniform frames at exact stamped times: O(1) meter update that is
@@ -123,10 +118,11 @@ def run_nat(
             float(whens[0]), float(whens[-1]), len(whens), len(whens) * size
         )
 
-    fiber.attach(on_fiber_rx)
     if compiled:
-        fiber.attach_batch(on_fiber_rx_batch)
+        fiber.attach_batch(on_fiber_rx)
         fiber.attach_burst(on_fiber_rx_burst)
+    else:
+        fiber.attach(on_fiber_rx)
     connect(host, module.edge_port)
     connect(module.line_port, fiber)
 

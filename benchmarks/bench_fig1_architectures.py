@@ -36,8 +36,8 @@ def run_bidirectional(shell: ShellSpec, clock_hz: float | None) -> dict:
     host = Port(sim, "host", 10e9, queue_bytes=1 << 22)
     fiber = Port(sim, "fiber", 10e9, queue_bytes=1 << 22)
     to_fiber, to_host = RateMeter("to_fiber"), RateMeter("to_host")
-    fiber.attach(lambda p, pkt: to_fiber.observe(sim.now, pkt.wire_len))
-    host.attach(lambda p, pkt: to_host.observe(sim.now, pkt.wire_len))
+    fiber.attach(lambda p, pkt, size, when: to_fiber.observe(when, size))
+    host.attach(lambda p, pkt, size, when: to_host.observe(when, size))
     connect(host, module.edge_port)
     connect(module.line_port, fiber)
 

@@ -47,8 +47,8 @@ def run_in_cable() -> dict:
     uplink = Port(sim, "uplink", 10e9)
     latencies, uplink_bytes = [], [0]
 
-    def on_uplink(port, pkt):
-        uplink_bytes[0] += pkt.wire_len
+    def on_uplink(port, pkt, size, when):
+        uplink_bytes[0] += size
         if pkt.meta.get("legit"):
             latencies.append(sim.now - pkt.meta["sent_at"])
 
@@ -73,7 +73,7 @@ def run_upstream() -> dict:
 
     latencies = []
 
-    def on_clean_side(port, pkt):
+    def on_clean_side(port, pkt, size, when):
         if pkt.meta.get("legit"):
             latencies.append(sim.now - pkt.meta["sent_at"])
 

@@ -81,7 +81,7 @@ def main() -> None:
               f"payload={pong.payload!r}")
     print(f"\nforwarded through the cable: {remote.rx_packets} packet(s)")
     print(f"punted to the embedded CPU:   {len(module.punted_to_cpu)} packet(s)")
-    print(f"service stats: {module.services.stats()}")
+    print(f"service stats: {module.services.metric_values()}")
 
 
 if __name__ == "__main__":

@@ -43,8 +43,10 @@ def main() -> None:
     fiber = Port(sim, "fiber", 10e9)
     fiber_count = [0]
     replies = []
-    fiber.attach(lambda p, pkt: fiber_count.__setitem__(0, fiber_count[0] + 1))
-    host.attach(lambda p, pkt: replies.append(MgmtMessage.unpack(pkt.payload, KEY)))
+    fiber.attach(lambda p, pkt, size, when: fiber_count.__setitem__(0, fiber_count[0] + 1))
+    host.attach(
+        lambda p, pkt, size, when: replies.append(MgmtMessage.unpack(pkt.payload, KEY))
+    )
     connect(host, module.edge_port)
     connect(module.line_port, fiber)
 

@@ -43,8 +43,8 @@ def main() -> None:
     meter = RateMeter("fiber")
     first_seen = []
     fiber.attach(
-        lambda port, pkt: (
-            meter.observe(sim.now, pkt.wire_len),
+        lambda port, pkt, size, when: (
+            meter.observe(when, size),
             first_seen.append(pkt) if not first_seen else None,
         )
     )

@@ -63,7 +63,7 @@ def main() -> None:
     host = Port(sim, "host", 10e9, queue_bytes=1 << 22)
     fiber = Port(sim, "fiber", 10e9)
     delivered = []
-    fiber.attach(lambda p, pkt: delivered.append(pkt))
+    fiber.attach(lambda p, pkt, size, when: delivered.append(pkt))
     connect(host, module.edge_port)
     connect(module.line_port, fiber)
 

@@ -173,11 +173,11 @@ class FlexSFPModule:
         The engine tier name (``reference`` / ``compiled``) every slot
         runs; omitted it falls back to ``FLEXSFP_ENGINE``, then
         ``reference`` (:func:`~repro.engine.resolve_engine`).
-        ``reference`` runs the per-frame oracle behind per-frame receive
-        handlers; ``compiled`` runs the fast engine behind a flow cache,
+        ``reference`` runs the per-frame oracle behind one deliver event
+        per frame; ``compiled`` runs the fast engine behind a flow cache,
         lowers the verified pipeline IR into a fused per-flow executor
-        program (:func:`repro.hls.compile_executor`) and gives the data
-        ports batch and burst receive handlers, so senders hand frames
+        program (:func:`repro.hls.compile_executor`) and has the data
+        ports take batched delivery and bursts, so senders hand frames
         over a flush at a time and template bursts stay struct-of-arrays.
     """
 
@@ -275,8 +275,8 @@ class FlexSFPModule:
             self.flash.store_bitstream(0, self.build.bitstream, allow_golden=True)
             self.flash.select_boot(0)
 
-        self.edge_port = self._data_port("edge", Direction.EDGE_TO_LINE)
-        self.line_port = self._data_port("line", Direction.LINE_TO_EDGE)
+        self.edge_port = self._data_port("edge")
+        self.line_port = self._data_port("line")
         self.mgmt_port: Port | None = None
         if shell.kind is ShellKind.ACTIVE_CORE:
             self.mgmt_port = Port(sim, f"{name}.mgmt", rate_bps=1e9)
@@ -416,46 +416,25 @@ class FlexSFPModule:
     # ------------------------------------------------------------------
     # Ingress handling
     # ------------------------------------------------------------------
-    def _data_port(self, side: str, direction: Direction) -> Port:
-        """One data port, its receive handlers bound to ``direction``.
+    def _data_port(self, side: str) -> Port:
+        """One data port, :meth:`_ingress` its receive handler.
 
-        This is the one place the engine tier reaches the fabric.  The
-        oracle's per-frame handler runs as the frame's own event, so it
-        (like :meth:`_on_mgmt_rx`) reads the arrival off the clock and
-        passes it on; the fast engine also takes batched delivery, its
-        batch and burst handlers reading each frame's wire arrival as data.
+        This is the one place the engine tier reaches the fabric: the
+        oracle takes one deliver event per frame, the fast engine batched
+        delivery plus template bursts (:meth:`_ingress_burst`).
         """
-        sim = self.sim
-        port = Port(sim, f"{self.name}.{side}", rate_bps=self.shell.line_rate_bps)
-        ingress = self._ingress
-        ingress_burst = self._ingress_burst
-
-        def on_rx(_port: Port, packet: Packet) -> None:
-            ingress(packet, direction, port, port.rx_size, sim.now)
-
-        def on_rx_batch(_port: Port, items: list[tuple[Packet, int, float]]) -> None:
-            # Whole-flush ingress: one call per delivery batch.
-            for packet, size, when in items:
-                ingress(packet, direction, port, size, when)
-
-        def on_rx_burst(_port: Port, template: Packet, size: int, whens) -> None:
-            # A whole burst: one template + a struct-of-arrays vector of
-            # delivery times.
-            ingress_burst(template, size, whens, direction, port)
-
+        port = Port(self.sim, f"{self.name}.{side}", rate_bps=self.shell.line_rate_bps)
         if self.engine != ENGINE_COMPILED:
-            port.attach(on_rx)
+            port.attach(self._ingress)
         else:
-            # No per-frame handler: a port with a batch handler always
-            # takes batched delivery, so no sender could reach one.
             # One PPE group-event commit per delivery flush instead of a
             # cancel/re-arm per submitted frame.  Routed through module
             # methods (not bound PPE methods) so a reboot-swapped engine
             # keeps receiving the brackets.
             port.rx_flush_begin = self._rx_flush_begin
             port.rx_flush_end = self._rx_flush_end
-            port.attach_batch(on_rx_batch)
-            port.attach_burst(on_rx_burst)
+            port.attach_batch(self._ingress)
+            port.attach_burst(self._ingress_burst)
         return port
 
     def _rx_flush_begin(self) -> None:
@@ -466,16 +445,16 @@ class FlexSFPModule:
         for slot in self.slots:
             slot.ppe.flush_end()
 
-    def _on_mgmt_rx(self, port: Port, packet: Packet) -> None:
+    def _on_mgmt_rx(self, port: Port, packet: Packet, size: int, when: float) -> None:
         # The out-of-band management port carries only control traffic
         # addressed to (or broadcast at) this module.
         if (
-            self.arbiter.classify(packet) == "cpu"
+            self.arbiter.classify(packet, size) == "cpu"
             and self._mgmt_addressing(packet) != "other"
         ):
-            self._to_control_plane(packet, port, self.sim.now)
+            self._to_control_plane(packet, port, when)
         else:
-            self.verdict_drops.count(packet.wire_len)
+            self.verdict_drops.count(size)
 
     def _mgmt_addressing(self, packet: Packet) -> str:
         """How a management frame relates to this module.
@@ -493,21 +472,19 @@ class FlexSFPModule:
             return "broadcast"
         return "other"
 
-    def _ingress(
-        self,
-        packet: Packet,
-        direction: Direction,
-        reply_port: Port,
-        size: int,
-        when: float,
-    ) -> None:
-        """The per-frame datapath: every frame of every tier crosses it.
+    def _ingress(self, reply_port: Port, packet: Packet, size: int, when: float) -> None:
+        """The data ports' receive handler: every frame of every tier crosses it.
 
         ``when`` is the frame's exact wire arrival, which a coalesced
         flush hands over early in event time; everything below uses that
         virtual time, never the clock, so timestamps and occupancy checks
         match the event-per-frame run.
         """
+        direction = (
+            Direction.EDGE_TO_LINE
+            if reply_port is self.edge_port
+            else Direction.LINE_TO_EDGE
+        )
         if self._down:
             self.downtime_drops.count(size)
             return
@@ -581,26 +558,21 @@ class FlexSFPModule:
             # Degraded pass-through: no PPE, the slot's frames forward at
             # bare transceiver latency — a dumb cable for this function.
             slot.degraded_forwarded.count(size)
-            self._egress_port(direction).send_at(packet, when + TRANSCEIVER_LATENCY_S)
+            self._egress_port(direction).send_at(
+                packet, when + TRANSCEIVER_LATENCY_S, size
+            )
             return
         # An overloaded engine counts the frame as its own drop.
         slot.ppe.submit(
             packet,
             direction,
             slot.done_edge if direction is Direction.EDGE_TO_LINE else slot.done_line,
-            at_s=when,
-            size=size,
+            when,
+            size,
         )
 
-    def _ingress_burst(
-        self,
-        template: Packet,
-        size: int,
-        whens,
-        direction: Direction,
-        reply_port: Port,
-    ) -> None:
-        """Compiled-tier ingress: one template + delivery-time vector.
+    def _ingress_burst(self, reply_port: Port, template: Packet, size: int, whens) -> None:
+        """The compiled tier's burst handler: one template + delivery-time vector.
 
         The one place the module decides between the fused burst lane and
         expanding to per-frame copies through :meth:`_ingress`.  Anything
@@ -622,8 +594,13 @@ class FlexSFPModule:
             or is_mgmt_frame(template)
         ):
             for when in whens.tolist():
-                self._ingress(template.copy(), direction, reply_port, size, when)
+                self._ingress(reply_port, template.copy(), size, when)
             return
+        direction = (
+            Direction.EDGE_TO_LINE
+            if reply_port is self.edge_port
+            else Direction.LINE_TO_EDGE
+        )
         self.arbiter.classify_bulk(template, size, len(whens))
         if not self.shell.processes(direction):
             # Unprocessed direction: vectorized pass-through at retimer

@@ -412,22 +412,18 @@ class ReferenceEngine(_EngineBase):
         packet: Packet,
         direction: Direction,
         done: DoneCallback,
-        at_s: float | None = None,
-        size: int | None = None,
+        at_s: float,
+        size: int,
     ) -> bool:
         """Offer a packet to the engine; False when the ingress FIFO drops.
 
-        ``at_s`` stamps the frame's arrival (default: now); service still
-        starts from the current event.  ``size`` is an optional
-        precomputed ``packet.wire_len``.
+        ``at_s`` is the frame's arrival (service still starts from the
+        current event) and ``size`` its wire size.
         """
-        at = self.sim.now if at_s is None else at_s
-        if size is None:
-            size = packet.wire_len
         if self._fifo_bytes + size > self.queue_bytes:
             self.overload_drops.count(size)
             return False
-        self._fifo.append((packet, size, direction, done, int(at * 1e9)))
+        self._fifo.append((packet, size, direction, done, int(at_s * 1e9)))
         self._fifo_bytes += size
         if not self._busy:
             self._start_next()
@@ -573,15 +569,15 @@ class PacketProcessingEngine(_EngineBase):
         packet: Packet,
         direction: Direction,
         done: DoneCallback,
-        at_s: float | None = None,
-        size: int | None = None,
+        at_s: float,
+        size: int,
     ) -> bool:
         """Offer a packet to the engine; False when the ingress FIFO drops.
 
-        ``at_s`` is the frame's (virtual) arrival time for batch-delivered
-        ingress — it may lead ``sim.now`` by up to one delivery batch and
-        must be non-decreasing across calls; omitted it defaults to now.
-        ``size`` is an optional precomputed ``packet.wire_len``.
+        ``at_s`` is the frame's (virtual) arrival time — for
+        batch-delivered ingress it may lead ``sim.now`` by up to one
+        delivery batch — and must be non-decreasing across calls.
+        ``size`` is the frame's wire size.
 
         The service slot is reserved at the arrival time (``start =
         max(arrival, free_at)`` — the float sequence of the sequential
@@ -591,21 +587,18 @@ class PacketProcessingEngine(_EngineBase):
         deferred to a group event re-armed at the newest frame's finish
         and closed at :data:`BURST_FRAMES` frames.
         """
-        at = self.sim.now if at_s is None else at_s
-        if size is None:
-            size = packet.wire_len
         if self._bursts:
             # A per-frame submit while compiled bursts are pending: collapse
             # the burst lane into the per-frame lane first so one
             # finish-ordered queue drains both.
             self._materialize_pending_bursts()
         finish = self._timeline.admit(
-            at, size, self._service_time(size), self.queue_bytes
+            at_s, size, self._service_time(size), self.queue_bytes
         )
         if finish is None:
             self.overload_drops.count(size)
             return False
-        frame = (packet, size, direction, done, int(at * 1e9), finish)
+        frame = (packet, size, direction, done, int(at_s * 1e9), finish)
         # The arrivals mirror shares the frame tuples (enqueue at [4],
         # size at [1]) so admission costs one allocation, not two.
         self._arrivals.append(frame)

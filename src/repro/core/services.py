@@ -73,11 +73,13 @@ class ServiceRegistry:
             service.ignored.count(packet.wire_len)
         return None
 
-    def stats(self) -> dict[str, dict[str, int]]:
-        return {
-            s.name: {"handled": s.handled.packets, "ignored": s.ignored.packets}
-            for s in self._services
-        }
+    def metric_values(self) -> dict[str, int]:
+        """Flat :class:`~repro.obs.registry.MetricSource` view, per service."""
+        values: dict[str, int] = {}
+        for s in self._services:
+            values[f"{s.name}.handled"] = s.handled.packets
+            values[f"{s.name}.ignored"] = s.ignored.packets
+        return values
 
 
 class ArpResponder(ControlPlaneService):

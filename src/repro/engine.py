@@ -5,18 +5,20 @@ simulation speeds:
 
 ``reference``
     :class:`~repro.core.ppe.ReferenceEngine` — one frame per event through
-    a plain FIFO server, fed by per-frame receive handlers.  The semantic
-    oracle the fast engine is differential-tested against.
+    a plain FIFO server, fed one deliver event per frame
+    (:meth:`~repro.sim.link.Port.attach`).  The semantic oracle the fast
+    engine is differential-tested against.
 ``compiled``
     :class:`~repro.core.ppe.PacketProcessingEngine` — reserve-at-submit
     service with grouped processing, a flow cache, fused per-flow recipe
     programs compiled from verified pipeline IR
     (:func:`repro.hls.compile_executor`) and a struct-of-arrays burst lane
-    through ports, sources, and the PPE; its module's data ports take
-    batched delivery (:meth:`~repro.sim.link.Port.attach_batch`), which is
-    the only thing the fabric sees of the tier.  Frames a recipe cannot
-    handle deopt to the exact per-frame arithmetic one by one, so results
-    are bit-identical to ``reference`` by construction.
+    through ports, sources, and the PPE; its module's data ports hand the
+    same receive handler to :meth:`~repro.sim.link.Port.attach_batch`
+    instead, so batched delivery is the only thing the fabric sees of the
+    tier.  Frames a recipe cannot handle deopt to the exact per-frame
+    arithmetic one by one, so results are bit-identical to ``reference``
+    by construction.
 
 The tier is the only engine knob: modules, switches,
 :class:`~repro.obs.scenario.ScenarioSpec`, ``MatrixAxes`` and the CLI all

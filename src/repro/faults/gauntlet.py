@@ -263,7 +263,7 @@ def run_gauntlet(
     sink.connect(line_wire.b)
     received = [0]
     sink.attach(
-        lambda port, pkt: received.__setitem__(0, received[0] + 1)
+        lambda port, pkt, size, when: received.__setitem__(0, received[0] + 1)
         if pkt.ipv4 is not None
         else None
     )

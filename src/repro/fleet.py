@@ -200,7 +200,7 @@ class FleetController:
         if pending is not None:
             pending.callback(None)
 
-    def _on_rx(self, port: Port, packet: Packet) -> None:
+    def _on_rx(self, port: Port, packet: Packet, size: int, when: float) -> None:
         payload = packet.payload
         if payload[:2] != MAGIC:
             return  # a flooded data frame: unpack would raise to say the same

@@ -26,7 +26,7 @@ import random
 from ..errors import ConfigError
 from ..packet import Packet
 from ..sim.engine import Simulator
-from ..sim.link import Port
+from ..sim.link import PacketHandler, Port
 from ..sim.stats import Counter
 
 # Extra delay separating a duplicated frame from its original when the
@@ -120,6 +120,10 @@ class ImpairedPort(Port):
     @property
     def is_dark(self) -> bool:
         return self.sim.now < self._dark_until
+
+    def attach_batch(self, handler: PacketHandler) -> None:
+        """Attach per frame: a flush would bypass the impairments."""
+        self.attach(handler)
 
     # ------------------------------------------------------------------
     # Fault-injection windows
@@ -234,8 +238,8 @@ class LossyWire:
             duplicate_probability=duplicate_probability,
             seed=seed + 1,
         )
-        self.a.attach(lambda port, packet: self.b.send(packet, port.rx_size))
-        self.b.attach(lambda port, packet: self.a.send(packet, port.rx_size))
+        self.a.attach(lambda port, packet, size, when: self.b.send(packet, size))
+        self.b.attach(lambda port, packet, size, when: self.a.send(packet, size))
 
     @property
     def endpoints(self) -> tuple[ImpairedPort, ImpairedPort]:
@@ -258,7 +262,8 @@ class LossyWire:
         for endpoint in self.endpoints:
             endpoint.duplicate_burst(duration_s, probability)
 
-    def stats(self) -> dict[str, object]:
+    def metric_values(self) -> dict[str, int]:
+        """Flat :class:`~repro.obs.registry.MetricSource` view, both ends summed."""
         return {
             "drops": self.a.impairment_drops.packets + self.b.impairment_drops.packets,
             "corrupted": self.a.corrupted.packets + self.b.corrupted.packets,

@@ -5,6 +5,10 @@ A :class:`Port` is one direction-agnostic attachment point owned by a device
 full-duplex link; each direction models store-and-forward transmission with
 a bounded output FIFO (tail drop), per-frame serialization at the port rate,
 and constant propagation delay.
+
+A receiver is handed each frame as ``handler(port, packet, size, when)``:
+the frame, its wire size and its wire arrival time.  The port holds no
+per-frame state for the handler to read back.
 """
 
 from __future__ import annotations
@@ -20,9 +24,7 @@ from .stats import Counter
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     import numpy as np
 
-PacketHandler = Callable[["Port", Packet], None]
-# Batched receive: one call per delivery flush with [(packet, size, when)].
-BatchHandler = Callable[["Port", "list[tuple[Packet, int, float]]"], None]
+PacketHandler = Callable[["Port", Packet, int, float], None]
 # Compiled-burst receive: one call per burst with the shared template, the
 # wire size, and the struct-of-arrays vector of delivery times.
 BurstHandler = Callable[["Port", Packet, int, "np.ndarray"], None]
@@ -47,13 +49,13 @@ class Port:
     and whole template bursts alike, in arrival order — queued and handed
     over in one flush event scheduled at the first pending frame's
     delivery time.  Later frames of the flush arrive *early* in event time
-    but carry their exact wire arrival as data, so a batch-aware receiver
-    (a compiled-tier FlexSFP module, a meter) reproduces the
-    event-per-frame arithmetic bit for bit.  A port takes batched delivery
-    iff that is safe: it has a batch handler (:meth:`attach_batch`), or no
-    per-frame handler at all (a counting sink).  A port with only a
-    per-frame handler (:meth:`attach`) reads ``sim.now``, so it gets one
-    deliver event per frame.
+    but carry their exact wire arrival as ``when``, so a receiver that
+    times frames by ``when`` (a compiled-tier FlexSFP module, a meter)
+    reproduces the event-per-frame arithmetic bit for bit.  A port takes
+    batched delivery when its handler came through :meth:`attach_batch`,
+    or when it has no handler at all (a counting sink); a handler given
+    to :meth:`attach` gets one deliver event per frame, so ``when`` is
+    also ``sim.now``.
 
     A reservation dies with its link: :meth:`disconnect` forgets both
     directions' queued frames, and a delivery already scheduled on the old
@@ -82,12 +84,8 @@ class Port:
         self.rx_flush_begin: Callable[[], None] | None = None
         self.rx_flush_end: Callable[[], None] | None = None
         self._handler: PacketHandler | None = None
-        self._batch_handler: BatchHandler | None = None
         self._burst_handler: BurstHandler | None = None
-        self._batched_rx = True  # no handler yet: see attach()
-        # Wire size of the frame the per-frame handler is being handed:
-        # a handler that forwards the frame passes it to the next send().
-        self.rx_size = 0
+        self._batched_rx = True  # no handler yet: a counting sink
         self._peer: Port | None = None
         self._propagation_s = DEFAULT_PROPAGATION_S
         # Link generation: deliveries capture it at reservation and fire
@@ -102,24 +100,24 @@ class Port:
     # Wiring
     # ------------------------------------------------------------------
     def attach(self, handler: PacketHandler) -> None:
-        """Register the owner's per-frame receive callback.
+        """Register the receive handler, one deliver event per frame.
 
-        A per-frame handler sees arrivals as events, so unless a batch
-        handler is attached too the port stops taking batched delivery.
-        While it runs, :attr:`rx_size` is the delivered frame's wire size.
+        ``handler(port, packet, size, when)`` runs as the frame's own
+        event.  Of :meth:`attach` and :meth:`attach_batch`, the last call
+        wins.
         """
         self._handler = handler
-        self._batched_rx = self._batch_handler is not None
+        self._batched_rx = False
 
-    def attach_batch(self, handler: BatchHandler) -> None:
-        """Register a batched receive callback.
+    def attach_batch(self, handler: PacketHandler) -> None:
+        """Register the receive handler, with batched delivery.
 
-        A sender's flush then hands each pending run of frames over in
-        one call — ``handler(port, [(packet, size, when), ...])`` with
-        ``when`` each frame's exact wire arrival — instead of one deliver
-        event per frame.
+        The same handler as for :meth:`attach`, but a sender's flush hands
+        every frame due in it over at once, each with its exact wire
+        arrival as ``when`` (which may lie ahead of ``sim.now``).  Of
+        :meth:`attach` and :meth:`attach_batch`, the last call wins.
         """
-        self._batch_handler = handler
+        self._handler = handler
         self._batched_rx = True
 
     def attach_burst(self, handler: BurstHandler) -> None:
@@ -129,7 +127,8 @@ class Port:
         call — ``handler(port, template, size, whens)`` — where ``whens``
         is the float64 vector of exact (virtual) delivery times.  The
         template is shared, not copied: the receiver must not mutate it.
-        Without one a burst reaches the batch handler as per-frame copies.
+        Without one a burst reaches the receive handler as per-frame
+        copies.
         """
         self._burst_handler = handler
 
@@ -195,7 +194,7 @@ class Port:
         ``size`` is the frame's wire size when the caller already holds
         it: whoever built or last mutated a frame computes it once, and
         every hop that forwards the frame unchanged passes on the
-        :attr:`rx_size` it was delivered with.
+        ``size`` its receive handler was handed.
         """
         return self._reserve_tx(packet, self.sim.now, size)
 
@@ -323,9 +322,9 @@ class Port:
         """Hand every pending reservation due within the run window over.
 
         One pass in delivery order: each burst goes to the peer's burst
-        handler, each run of single frames (and, absent a burst handler,
-        the per-frame copies of a burst) to its batch handler.  A peer
-        with neither is a counting sink.
+        handler, each single frame (and, absent a burst handler, each
+        per-frame copy of a burst) to its receive handler.  A peer with
+        neither is a counting sink.
         """
         if link != self._link:
             return
@@ -360,30 +359,24 @@ class Port:
         begin = peer.rx_flush_begin
         if begin is not None:
             begin()
+        handler = peer._handler
         burst_handler = peer._burst_handler
-        batch_handler = peer._batch_handler
         frames = 0
         total_bytes = 0
-        run: list[tuple[Packet, int, float]] = []
-        for entry in pending:
-            packet, size, when = entry
+        for packet, size, when in pending:
             if type(when) is float:
                 frames += 1
                 total_bytes += size
-                if batch_handler is not None:
-                    run.append(entry)
+                if handler is not None:
+                    handler(peer, packet, size, when)
                 continue
             frames += len(when)
             total_bytes += len(when) * size
             if burst_handler is not None:
-                if run:
-                    batch_handler(peer, run)
-                    run = []
                 burst_handler(peer, packet, size, when)
-            elif batch_handler is not None:
-                run.extend((packet.copy(), size, at) for at in when.tolist())
-        if run:
-            batch_handler(peer, run)
+            elif handler is not None:
+                for at in when.tolist():
+                    handler(peer, packet.copy(), size, at)
         self.tx.packets += frames
         self.tx.bytes += total_bytes
         peer.rx.packets += frames
@@ -393,12 +386,11 @@ class Port:
             end()
 
     def _deliver(self, packet: Packet, size: int) -> None:
-        self.rx_size = size
         rx = self.rx
         rx.packets += 1
         rx.bytes += size
         if self._handler is not None:
-            self._handler(self, packet)
+            self._handler(self, packet, size, self.sim.now)
 
 
 def connect(a: Port, b: Port, propagation_s: float = DEFAULT_PROPAGATION_S) -> None:

@@ -39,8 +39,8 @@ class Host:
         self.rx_meter = RateMeter(f"{name}.rx")
         self.handler: Callable[[Packet], None] | None = None
 
-    def _on_rx(self, port: Port, packet: Packet) -> None:
-        self.rx_meter.observe(self.sim.now, port.rx_size)
+    def _on_rx(self, port: Port, packet: Packet, size: int, when: float) -> None:
+        self.rx_meter.observe(when, size)
         self.received.append(packet)
         if len(self.received) > self.keep_last:
             del self.received[: -self.keep_last]

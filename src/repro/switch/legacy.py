@@ -107,8 +107,8 @@ class LegacySwitch:
         self.cages[index].insert_flexsfp(module)
 
     def _make_rx(self, index: int):
-        def _rx(port: Port, packet: Packet) -> None:
-            self._forward(index, packet, port.rx_size)
+        def _rx(port: Port, packet: Packet, size: int, when: float) -> None:
+            self._forward(index, packet, size)
 
         return _rx
 

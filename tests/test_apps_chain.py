@@ -143,7 +143,7 @@ class TestChainInModule:
         host = Port(sim, "host", 10e9)
         fiber = Port(sim, "fiber", 10e9)
         fiber_rx = []
-        fiber.attach(lambda p, pkt: fiber_rx.append(pkt))
+        fiber.attach(lambda p, pkt, size, when: fiber_rx.append(pkt))
         connect(host, module.edge_port)
         connect(module.line_port, fiber)
 

@@ -107,7 +107,7 @@ def cable(sim: Simulator, host: Port, module, per_event: bool = False) -> None:
     """Connect ``host`` to the module's edge.
 
     ``per_event`` splices a store-and-forward hop in between (a legacy
-    switch upstream) whose host-facing port has only a per-frame handler:
+    switch upstream) whose host-facing port attaches per frame:
     every frame crosses it as its own simulator event and is re-sent at
     ``sim.now``, so whatever the tier the module takes its frames one
     event at a time instead of in multi-frame flushes.
@@ -117,8 +117,8 @@ def cable(sim: Simulator, host: Port, module, per_event: bool = False) -> None:
         return
     tap = Port(sim, "tap", 10e9, queue_bytes=1 << 22)
     relay = Port(sim, "relay", 10e9, queue_bytes=1 << 22)
-    tap.attach(lambda port, packet: relay.send(packet))
-    relay.attach(lambda port, packet: tap.send(packet))
+    tap.attach(lambda port, packet, size, when: relay.send(packet))
+    relay.attach(lambda port, packet, size, when: tap.send(packet))
     connect(host, tap)
     connect(relay, module.edge_port)
 
@@ -332,13 +332,9 @@ def check_midrun_table_write(ingress: str) -> None:
         host = Port(sim, "host", 10e9, queue_bytes=1 << 22)
         fiber = Port(sim, "fiber", 10e9, queue_bytes=1 << 22)
         seen: list[str] = []
-        fiber.attach(lambda port, pkt: seen.append(pkt.ipv4.src_ip))
-        if compiled:
-            fiber.attach_batch(
-                lambda port, items: seen.extend(
-                    pkt.ipv4.src_ip for pkt, _size, _when in items
-                )
-            )
+        (fiber.attach_batch if compiled else fiber.attach)(
+            lambda port, pkt, size, when: seen.append(pkt.ipv4.src_ip)
+        )
         cable(sim, host, module, per_event=ingress == "event")
         connect(module.line_port, fiber)
         template = make_udp(src_ip="10.0.0.1", payload=b"y" * 50)
@@ -876,7 +872,9 @@ def run_engine_script(
             for at in [when] if kind == "frame" else when.tolist():
                 sim.schedule_at(
                     at,
-                    lambda t=template: ppe.submit(t.copy(), direction, done_frame),
+                    lambda t=template, at=at, n=size: ppe.submit(
+                        t.copy(), direction, done_frame, at, n
+                    ),
                 )
         elif kind == "frame":
             sim.schedule_at(

@@ -235,7 +235,9 @@ class TestCounterReadReply:
         host = Port(sim, "host", 10e9)
         replies = []
         host.attach(
-            lambda port, packet: replies.append(MgmtMessage.unpack(packet.payload, KEY))
+            lambda port, packet, size, when: replies.append(
+                MgmtMessage.unpack(packet.payload, KEY)
+            )
         )
         connect(host, module.edge_port)
         frame = mgmt_frame(

@@ -57,12 +57,12 @@ class TestEngineConfig:
             resolve_engine("warp", Settings())
 
     def test_reference_rejects_batching(self):
-        # The oracle takes its frames one deliver event at a time: per-frame
-        # receive handlers only, no flush brackets, no burst lane.
+        # The oracle takes its frames one deliver event at a time: no flush
+        # brackets, no burst lane.
         module = make_module(engine="reference")
         for port in (module.edge_port, module.line_port):
-            assert port._handler is not None and not port._batched_rx
-            assert port._batch_handler is None and port._burst_handler is None
+            assert port._handler == module._ingress and not port._batched_rx
+            assert port._burst_handler is None
             assert port.rx_flush_begin is None and port.rx_flush_end is None
         for method in ("submit_burst", "flush_begin", "flush_end"):
             assert not hasattr(module.ppe, method)
@@ -118,16 +118,15 @@ class TestModuleConflicts:
 
     def test_engine_config_carries_options(self):
         # What used to be options rides on the tier name: the fused program,
-        # the flow cache and the batch/burst receive side of the data ports
-        # (the only thing the fabric sees of the tier).
+        # the flow cache and the batched/burst receive side of the data ports
+        # (the only thing the fabric sees of the tier): the same handler as
+        # the oracle's, in the other delivery mode.
         module = make_module(engine="compiled", settings=Settings())
         assert module.program is not None
         assert module.flow_cache is not None
         for port in (module.edge_port, module.line_port):
-            assert port._batched_rx
-            assert port._batch_handler is not None and port._burst_handler is not None
-            # A batched port's per-frame handler is unreachable: none attached.
-            assert port._handler is None
+            assert port._handler == module._ingress and port._batched_rx
+            assert port._burst_handler == module._ingress_burst
             assert port.rx_flush_begin is not None and port.rx_flush_end is not None
 
 

@@ -70,7 +70,7 @@ class TestRetries:
         sim.run(until=5.0)
         assert len(replies) == 10
         assert all(reply and reply["ok"] for reply in replies)
-        assert wire.stats()["drops"] > 0  # the loss was real
+        assert wire.metric_values()["drops"] > 0  # the loss was real
 
 
     @pytest.mark.parametrize("body", [b"not json", b"[]"])

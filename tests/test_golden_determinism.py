@@ -151,7 +151,9 @@ class TestEnqueueTimestampRegression:
             packet = make_udp()
             # The key a pre-PR-24 engine stamped, a billion ns in the past.
             packet.meta["ppe_enqueue_ns"] = -1_000_000_000
-            engine.submit(packet, Direction.EDGE_TO_LINE, lambda *a: None)
+            engine.submit(
+                packet, Direction.EDGE_TO_LINE, lambda *a: None, sim.now, packet.wire_len
+            )
             sim.run()
             # The histogram measured only this engine's residency (< 1 ms);
             # a billion stale nanoseconds would overflow every bucket and

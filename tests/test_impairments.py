@@ -16,7 +16,7 @@ class TestLoss:
         tx = Port(sim, "tx", 10e9, queue_bytes=1 << 22)
         rx = ImpairedPort(sim, "rx", loss_probability=0.3, seed=5)
         received = []
-        rx.attach(lambda p, pkt: received.append(pkt))
+        rx.attach(lambda p, pkt, size, when: received.append(pkt))
         connect(tx, rx)
         for _ in range(1000):
             tx.send(make_udp(payload=b"x" * 100))
@@ -26,7 +26,7 @@ class TestLoss:
         assert rx.impairment_drops.packets == 1000 - len(received)
 
     def test_handlerless_impaired_port_is_never_a_batched_sink(self, sim):
-        """A sender batches toward a port with no per-frame handler — but
+        """A sender batches toward a port with no handler — but
         an impaired port's impairments act per frame, so it keeps one
         deliver event per frame and still drops."""
         tx = Port(sim, "tx", 10e9, queue_bytes=1 << 22)
@@ -38,13 +38,29 @@ class TestLoss:
         assert rx.impairment_drops.packets == pytest.approx(300, abs=50)
         assert rx.rx.packets == 1000 - rx.impairment_drops.packets
 
+    @pytest.mark.parametrize("attach", ["attach", "attach_batch"])
+    def test_attach_batch_keeps_the_impairments(self, sim, attach):
+        """A flush would hand frames over without ``_deliver``: an impaired
+        port takes ``attach_batch``'s handler per frame, so it drops the
+        same frames either way."""
+        tx = Port(sim, "tx", 10e9, queue_bytes=1 << 22)
+        rx = ImpairedPort(sim, "rx", loss_probability=0.99, seed=5)
+        received = []
+        getattr(rx, attach)(lambda p, pkt, size, when: received.append(when))
+        connect(tx, rx)
+        for _ in range(100):
+            tx.send(make_udp(payload=b"x" * 100))
+        sim.run()
+        assert rx.impairment_drops.packets == 100 - len(received) > 90
+        assert sim.events_processed == 100
+
     def test_deterministic_with_seed(self):
         def run(seed):
             sim = Simulator()
             tx = Port(sim, "tx", 10e9, queue_bytes=1 << 22)
             rx = ImpairedPort(sim, "rx", loss_probability=0.5, seed=seed)
             count = [0]
-            rx.attach(lambda p, pkt: count.__setitem__(0, count[0] + 1))
+            rx.attach(lambda p, pkt, size, when: count.__setitem__(0, count[0] + 1))
             connect(tx, rx)
             for _ in range(200):
                 tx.send(make_udp())
@@ -57,7 +73,7 @@ class TestLoss:
         tx = Port(sim, "tx", 10e9, queue_bytes=1 << 22)
         rx = ImpairedPort(sim, "rx")
         count = [0]
-        rx.attach(lambda p, pkt: count.__setitem__(0, count[0] + 1))
+        rx.attach(lambda p, pkt, size, when: count.__setitem__(0, count[0] + 1))
         connect(tx, rx)
         for _ in range(50):
             tx.send(make_udp())
@@ -76,7 +92,7 @@ class TestJitter:
         tx = Port(sim, "tx", 10e9, queue_bytes=1 << 22)
         rx = ImpairedPort(sim, "rx", jitter_s=10e-6, seed=3)
         arrivals = []
-        rx.attach(lambda p, pkt: arrivals.append(sim.now))
+        rx.attach(lambda p, pkt, size, when: arrivals.append(sim.now))
         connect(tx, rx)
         for _ in range(100):
             tx.send(make_udp())
@@ -91,7 +107,7 @@ class TestFlaps:
         tx = Port(sim, "tx", 10e9, queue_bytes=1 << 22)
         rx = ImpairedPort(sim, "rx", seed=2)
         received = []
-        rx.attach(lambda p, pkt: received.append(sim.now))
+        rx.attach(lambda p, pkt, size, when: received.append(sim.now))
         connect(tx, rx)
         CbrSource(sim, tx, rate_bps=1e9, frame_len=512, stop=3e-3)
         sim.schedule(1e-3, rx.flap, 1e-3)
@@ -116,12 +132,12 @@ class TestFlapDetectionEndToEnd:
         # The module's edge receives through an impaired segment.
         impaired = ImpairedPort(sim, "impaired", seed=4)
         sink = Port(sim, "sink", 10e9)
-        sink.attach(lambda p, pkt: None)
+        sink.attach(lambda p, pkt, size, when: None)
 
         # tx -> impaired (host-side wire) ... then hand frames onward into
         # the module edge port by re-sending from a relay.
         relay_out = Port(sim, "relay", 10e9, queue_bytes=1 << 22)
-        impaired.attach(lambda p, pkt: relay_out.send(pkt))
+        impaired.attach(lambda p, pkt, size, when: relay_out.send(pkt))
         connect(tx, impaired)
         connect(relay_out, module.edge_port)
         connect(module.line_port, sink)
@@ -148,7 +164,7 @@ class TestDarkRecheckAtDelivery:
         tx = Port(sim, "tx", 10e9, queue_bytes=1 << 22)
         rx = ImpairedPort(sim, "rx", jitter_s=2e-3, seed=3)
         received = []
-        rx.attach(lambda p, pkt: received.append(sim.now))
+        rx.attach(lambda p, pkt, size, when: received.append(sim.now))
         connect(tx, rx)
         for _ in range(200):
             tx.send(make_udp(payload=b"x" * 100))
@@ -165,7 +181,7 @@ class TestDarkRecheckAtDelivery:
         tx = Port(sim, "tx", 10e9, queue_bytes=1 << 22)
         rx = ImpairedPort(sim, "rx", duplicate_probability=0.99, seed=1)
         received = []
-        rx.attach(lambda p, pkt: received.append(sim.now))
+        rx.attach(lambda p, pkt, size, when: received.append(sim.now))
         connect(tx, rx)
         tx.send(make_udp(payload=b"x" * 100))
         # The duplicate trails the original by ~1-2 us: go dark then.
@@ -181,7 +197,7 @@ class TestCorruption:
         tx = Port(sim, "tx", 10e9, queue_bytes=1 << 22)
         rx = ImpairedPort(sim, "rx", corrupt_probability=0.5, seed=11)
         received = []
-        rx.attach(lambda p, pkt: received.append(pkt))
+        rx.attach(lambda p, pkt, size, when: received.append(pkt))
         connect(tx, rx)
         clean = b"A" * 64
         for _ in range(200):
@@ -200,7 +216,7 @@ class TestCorruption:
         tx = Port(sim, "tx", 10e9, queue_bytes=1 << 22)
         rx = ImpairedPort(sim, "rx", seed=6)
         received = []
-        rx.attach(lambda p, pkt: received.append((sim.now, pkt)))
+        rx.attach(lambda p, pkt, size, when: received.append((sim.now, pkt)))
         connect(tx, rx)
         clean = bytes(470)
         CbrSource(
@@ -229,7 +245,7 @@ class TestDuplication:
         tx = Port(sim, "tx", 10e9, queue_bytes=1 << 22)
         rx = ImpairedPort(sim, "rx", duplicate_probability=0.3, seed=8)
         received = []
-        rx.attach(lambda p, pkt: received.append(pkt))
+        rx.attach(lambda p, pkt, size, when: received.append(pkt))
         connect(tx, rx)
         for _ in range(300):
             tx.send(make_udp(payload=b"x" * 100))
@@ -241,7 +257,7 @@ class TestDuplication:
         tx = Port(sim, "tx", 10e9, queue_bytes=1 << 22)
         rx = ImpairedPort(sim, "rx", loss_probability=0.05, seed=13)
         received = []
-        rx.attach(lambda p, pkt: received.append(sim.now))
+        rx.attach(lambda p, pkt, size, when: received.append(sim.now))
         connect(tx, rx)
         CbrSource(sim, tx, rate_bps=1e9, frame_len=512, stop=6e-3)
         sim.schedule(2e-3, rx.loss_burst, 2e-3, 1.0)
@@ -259,8 +275,8 @@ class TestLossyWire:
         left = Port(sim, "left", 10e9)
         right = Port(sim, "right", 10e9)
         left_rx, right_rx = [], []
-        left.attach(lambda p, pkt: left_rx.append(pkt))
-        right.attach(lambda p, pkt: right_rx.append(pkt))
+        left.attach(lambda p, pkt, size, when: left_rx.append(pkt))
+        right.attach(lambda p, pkt, size, when: right_rx.append(pkt))
         left.connect(wire.a)
         wire.b.connect(right)
         left.send(make_udp(payload=b"east"))
@@ -276,8 +292,8 @@ class TestLossyWire:
         left = Port(sim, "left", 10e9)
         right = Port(sim, "right", 10e9)
         left_rx, right_rx = [], []
-        left.attach(lambda p, pkt: left_rx.append(pkt))
-        right.attach(lambda p, pkt: right_rx.append(pkt))
+        left.attach(lambda p, pkt, size, when: left_rx.append(pkt))
+        right.attach(lambda p, pkt, size, when: right_rx.append(pkt))
         left.connect(wire.a)
         wire.b.connect(right)
         wire.flap(1e-3)
@@ -285,6 +301,9 @@ class TestLossyWire:
         right.send(make_udp())
         sim.run(until=0.5e-3)
         assert left_rx == [] and right_rx == []
-        stats = wire.stats()
-        assert stats["drops"] == 2
-        assert stats["flaps"] == 2  # one per endpoint
+        assert wire.metric_values() == {
+            "drops": 2,
+            "corrupted": 0,
+            "duplicated": 0,
+            "flaps": 2,  # one per endpoint
+        }

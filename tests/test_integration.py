@@ -113,8 +113,8 @@ class TestOtaReprogramUnderTraffic:
         fiber = Port(sim, "fiber", 10e9)
         fiber_meter = RateMeter("fiber")
         host_rx = []
-        fiber.attach(lambda p, pkt: fiber_meter.observe(sim.now, pkt.wire_len))
-        host.attach(lambda p, pkt: host_rx.append(pkt))
+        fiber.attach(lambda p, pkt, size, when: fiber_meter.observe(when, size))
+        host.attach(lambda p, pkt, size, when: host_rx.append(pkt))
         connect(host, module.edge_port)
         connect(module.line_port, fiber)
 
@@ -226,7 +226,7 @@ class TestLineRateNat:
         host = Port(sim, "host", 10e9, queue_bytes=1 << 22)
         fiber = Port(sim, "fiber", 10e9)
         meter = RateMeter("fiber")
-        fiber.attach(lambda p, pkt: meter.observe(sim.now, pkt.wire_len))
+        fiber.attach(lambda p, pkt, size, when: meter.observe(when, size))
         connect(host, module.edge_port)
         connect(module.line_port, fiber)
 
@@ -269,7 +269,7 @@ class TestServiceChaining:
         host = Port(sim, "host", 10e9, queue_bytes=1 << 20)
         upstream = Port(sim, "upstream", 10e9)
         delivered = []
-        upstream.attach(lambda p, pkt: delivered.append(pkt))
+        upstream.attach(lambda p, pkt, size, when: delivered.append(pkt))
         connect(host, nat_module.edge_port)
         connect(nat_module.line_port, fw_module.edge_port)
         connect(fw_module.line_port, upstream)
@@ -296,7 +296,7 @@ class TestServiceChaining:
         host = Port(sim, "host", 10e9)
         sink = Port(sim, "sink", 10e9)
         arrivals = []
-        sink.attach(lambda p, pkt: arrivals.append(sim.now - pkt.meta["t0"]))
+        sink.attach(lambda p, pkt, size, when: arrivals.append(sim.now - pkt.meta["t0"]))
         connect(host, modules[0].edge_port)
         connect(modules[0].line_port, modules[1].edge_port)
         connect(modules[1].line_port, sink)

@@ -22,7 +22,7 @@ class TestDelivery:
     def test_packet_arrives(self, sim):
         a, b = make_pair(sim)
         got = []
-        b.attach(lambda port, packet: got.append(packet))
+        b.attach(lambda port, packet, size, when: got.append(packet))
         packet = make_udp(payload=b"hi")
         assert a.send(packet)
         sim.run()
@@ -31,7 +31,7 @@ class TestDelivery:
     def test_delivery_time_is_serialization_plus_propagation(self, sim):
         a, b = make_pair(sim)
         arrival = []
-        b.attach(lambda port, packet: arrival.append(sim.now))
+        b.attach(lambda port, packet, size, when: arrival.append(sim.now))
         packet = pad_to_min(make_udp())  # 60 B -> 84 B wire -> 67.2 ns
         a.send(packet)
         sim.run()
@@ -40,7 +40,7 @@ class TestDelivery:
     def test_back_to_back_serialization(self, sim):
         a, b = make_pair(sim, queue_bytes=1 << 20)
         arrivals = []
-        b.attach(lambda port, packet: arrivals.append(sim.now))
+        b.attach(lambda port, packet, size, when: arrivals.append(sim.now))
         for _ in range(3):
             a.send(pad_to_min(make_udp()))
         sim.run()
@@ -49,7 +49,7 @@ class TestDelivery:
 
     def test_counters(self, sim):
         a, b = make_pair(sim)
-        b.attach(lambda port, packet: None)
+        b.attach(lambda port, packet, size, when: None)
         a.send(make_udp(payload=b"x" * 100))
         sim.run()
         assert a.tx.packets == 1
@@ -64,7 +64,7 @@ class TestDrops:
 
     def test_queue_overflow_tail_drop(self, sim):
         a, b = make_pair(sim, queue_bytes=200)
-        b.attach(lambda port, packet: None)
+        b.attach(lambda port, packet, size, when: None)
         big = make_udp(payload=b"x" * 120)  # wire_len 162
         assert a.send(big)
         # First packet starts transmitting immediately; queue can hold one
@@ -76,7 +76,7 @@ class TestDrops:
     def test_queue_depth_tracking(self, sim):
         """Packets and bytes agree: the depth is the undrained reservations."""
         a, b = make_pair(sim, queue_bytes=1 << 20)
-        b.attach(lambda port, packet: None)
+        b.attach(lambda port, packet, size, when: None)
         for _ in range(4):
             a.send(pad_to_min(make_udp()))
         # One packet is in flight; remainder queued.
@@ -111,8 +111,8 @@ def frame_times(n, start=0.0, gap=FRAME_S):
 
 
 class TestBatchedDelivery:
-    """A sender batches toward a peer iff the peer can take it: it has a
-    batch handler, or no per-frame handler at all."""
+    """A sender batches toward a peer iff the peer asked for it: its handler
+    came through ``attach_batch``, or it has no handler at all."""
 
     def test_batch_rx_option_is_gone(self, sim):
         with pytest.raises(TypeError):
@@ -129,37 +129,59 @@ class TestBatchedDelivery:
     def test_per_frame_handler_keeps_one_event_per_frame(self, sim):
         a, b = make_pair(sim, queue_bytes=1 << 20)
         seen = []
-        b.attach(lambda port, packet: seen.append(sim.now))
+        b.attach(lambda port, packet, size, when: seen.append((when, sim.now)))
         for at in frame_times(8).tolist():
             a.send_at(pad_to_min(make_udp()), at)
         sim.run()
         assert sim.events_processed == 8
-        assert seen == pytest.approx(
+        assert all(when == now for when, now in seen)
+        assert [when for when, _now in seen] == pytest.approx(
             (frame_times(8) + FRAME_S + 50e-9).tolist(), rel=1e-12
         )
 
-    def test_batch_handler_gets_the_run_with_exact_times(self, sim):
+    def test_attach_batch_hands_a_flush_over_with_exact_times(self, sim):
         a, b = make_pair(sim, queue_bytes=1 << 20)
-        per_frame, batches = [], []
-        b.attach(lambda port, packet: per_frame.append(packet))
-        b.attach_batch(lambda port, items: batches.append(items))
+        seen = []
+        b.attach_batch(
+            lambda port, packet, size, when: seen.append((port, size, when, sim.now))
+        )
         for at in frame_times(8).tolist():
             a.send_at(pad_to_min(make_udp()), at)
         sim.run()
-        assert not per_frame and len(batches) == 1
-        whens = [when for _packet, _size, when in batches[0]]
-        assert whens == pytest.approx(
+        assert sim.events_processed == 1
+        assert all(port is b and size == 60 for port, size, _w, _n in seen)
+        # Handed over early in event time, each with its own wire arrival.
+        assert {now for _p, _s, _w, now in seen} == {seen[0][2]}
+        assert [when for _p, _s, when, _n in seen] == pytest.approx(
             (frame_times(8) + FRAME_S + 50e-9).tolist(), rel=1e-12
         )
 
+    @pytest.mark.parametrize("batched_last", [False, True])
+    def test_the_last_attach_wins(self, sim, batched_last):
+        """A port holds one receive handler: of ``attach`` and
+        ``attach_batch`` the last call picks both the handler and the
+        delivery mode, and the one it replaced is never called."""
+        a, b = make_pair(sim, queue_bytes=1 << 20)
+        first, last = [], []
+        first_attach, last_attach = (
+            (b.attach, b.attach_batch) if batched_last else (b.attach_batch, b.attach)
+        )
+        first_attach(lambda port, packet, size, when: first.append(when))
+        last_attach(lambda port, packet, size, when: last.append(when))
+        for at in frame_times(8).tolist():
+            a.send_at(pad_to_min(make_udp()), at)
+        sim.run()
+        assert not first and len(last) == 8
+        assert sim.events_processed == (1 if batched_last else 8)
+
     def test_bursts_and_frames_share_one_queue_in_arrival_order(self, sim):
-        """frame, burst, frame, burst -> batch, burst, batch, burst handler
-        calls inside one flush bracket, with one tx/rx count."""
+        """frame, burst, frame, frame, burst -> frame, burst, frame, frame,
+        burst handler calls inside one flush bracket, with one tx/rx count."""
         a, b = make_pair(sim, queue_bytes=1 << 20)
         calls = []
         b.rx_flush_begin = lambda: calls.append("begin")
         b.rx_flush_end = lambda: calls.append("end")
-        b.attach_batch(lambda port, items: calls.append(("batch", len(items))))
+        b.attach_batch(lambda port, packet, size, when: calls.append("frame"))
         b.attach_burst(
             lambda port, template, size, whens: calls.append(("burst", len(whens)))
         )
@@ -171,22 +193,21 @@ class TestBatchedDelivery:
         assert a.send_burst(template, 60, frame_times(3, start=7 * FRAME_S)) == 3
         sim.run()
         assert calls == [
-            "begin", ("batch", 1), ("burst", 4), ("batch", 2), ("burst", 3), "end",
+            "begin", "frame", ("burst", 4), "frame", "frame", ("burst", 3), "end",
         ]
         assert (a.tx.packets, b.rx.packets) == (10, 10)
 
-    def test_burst_without_a_burst_handler_reaches_the_batch_handler(self, sim):
+    def test_burst_without_a_burst_handler_reaches_the_receive_handler(self, sim):
         a, b = make_pair(sim, queue_bytes=1 << 20)
-        batches = []
-        b.attach_batch(lambda port, items: batches.append(items))
+        seen = []
+        b.attach_batch(lambda port, packet, size, when: seen.append((packet, when)))
         template = pad_to_min(make_udp())
         a.send_burst(template, 60, frame_times(4))
         a.send_at(template.copy(), 4 * FRAME_S)
         sim.run()
-        assert [len(items) for items in batches] == [5]
-        packets = [packet for packet, _size, _when in batches[0]]
-        assert all(packet is not template for packet in packets)
-        whens = [when for _packet, _size, when in batches[0]]
+        assert len(seen) == 5 and sim.events_processed == 1
+        assert all(packet is not template for packet, _when in seen)
+        whens = [when for _packet, when in seen]
         assert whens == sorted(whens)
 
     def test_flush_stops_at_the_run_horizon(self, sim):
@@ -223,13 +244,13 @@ class TestBatchedDelivery:
         sender, old_peer = (b, a) if reverse else (a, b)
         seen = []
         if per_frame:
-            old_peer.attach(lambda port, packet: seen.append(port.name))
+            old_peer.attach(lambda port, packet, size, when: seen.append(port.name))
         for _ in range(3):
             assert sender.send(pad_to_min(make_udp()))
         a.disconnect()
         c = Port(sim, "c")
         if per_frame:
-            c.attach(lambda port, packet: seen.append(port.name))
+            c.attach(lambda port, packet, size, when: seen.append(port.name))
         sender.connect(c)
         assert sim.now == 0.0 and sim.pending() >= 1  # the deliveries are still armed
         sim.run()
@@ -252,11 +273,9 @@ class TestBurstIsItsFrames:
         a, b = make_pair(sim, queue_bytes=queue_bytes)
         seen = []
         if handler:
-            b.attach(lambda port, packet: seen.append(sim.now))
+            b.attach(lambda port, packet, size, when: seen.append(when))
         if batch:
-            b.attach_batch(
-                lambda port, items: seen.extend(when for _p, _s, when in items)
-            )
+            b.attach_batch(lambda port, packet, size, when: seen.append(when))
         template = pad_to_min(make_udp())
         # 24 frames offered at twice the wire rate: the queue fills.
         times = frame_times(24, gap=FRAME_S / 2)
@@ -276,7 +295,8 @@ class TestBurstIsItsFrames:
     )
     @pytest.mark.parametrize("queue_bytes", [1 << 20, 300, 59])
     def test_matches_per_frame_sends(self, batch, handler, queue_bytes):
-        """Batch handler only, both, per-frame handler only, counting sink."""
+        """``attach_batch`` only, ``attach`` then ``attach_batch`` (the last
+        wins), ``attach`` only, counting sink."""
         per_frame = self.deliveries(False, batch, handler, queue_bytes)
         burst = self.deliveries(True, batch, handler, queue_bytes)
         assert burst == per_frame
@@ -295,7 +315,7 @@ class TestBurstIsItsFrames:
     def test_send_delayed_folds_the_delay_into_the_reservation(self, sim):
         a, b = make_pair(sim, queue_bytes=1 << 20)
         seen = []
-        b.attach(lambda port, packet: seen.append(sim.now))
+        b.attach(lambda port, packet, size, when: seen.append(sim.now))
         a.send_delayed(pad_to_min(make_udp()), 1e-6)
         sim.run()
         assert seen == [pytest.approx(1e-6 + FRAME_S + 50e-9, rel=1e-12)]
@@ -324,7 +344,7 @@ class TestCarriedWireSize:
         a, b = make_pair(sim)
         packet = pad_to_min(make_udp(payload=b"x" * 100))
         seen = []
-        b.attach(lambda port, pkt: seen.append(port.rx_size))
+        b.attach(lambda port, pkt, size, when: seen.append(size))
         assert a.send(packet, packet.wire_len)
         assert a.send(packet.copy())  # the size is optional: computed here
         sim.run()

@@ -119,16 +119,17 @@ def test_port_matches_the_event_per_frame_fifo():
         b = Port(sim, "b", rate_bps=rate_bps)
         connect(a, b, propagation_s)
         delivered = []
-        if batched:
-            b.attach_batch(
-                lambda port, items: delivered.extend(
-                    (packet.meta["frame"], when) for packet, _size, when in items
-                )
-            )
-        else:
-            b.attach(
-                lambda port, packet: delivered.append((packet.meta["frame"], sim.now))
-            )
+        sent_sizes = {}
+
+        def on_rx(port, packet, size, when):
+            # One handler for both delivery modes: the sent size, and the
+            # wire arrival, which per frame is also the event's time.
+            frame = packet.meta["frame"]
+            assert port is b and size == sent_sizes[frame]
+            assert batched or when == sim.now
+            delivered.append((frame, when))
+
+        (b.attach_batch if batched else b.attach)(on_rx)
         model_sim = Simulator()
         model = FifoPort(model_sim, rate_bps, queue_bytes, propagation_s)
 
@@ -152,6 +153,7 @@ def test_port_matches_the_event_per_frame_fifo():
 
             packet = make_udp(payload=bytes(size - HEADERS))
             packet.meta["frame"] = frame
+            sent_sizes[frame] = size
             sim.run(until=called)
             if kind == "send":
                 verdicts[frame] = a.send(packet)

@@ -25,8 +25,8 @@ def wire_module(sim, module):
     host = Port(sim, "host", 10e9)
     fiber = Port(sim, "fiber", 10e9)
     host_rx, fiber_rx = [], []
-    host.attach(lambda p, pkt: host_rx.append(pkt))
-    fiber.attach(lambda p, pkt: fiber_rx.append(pkt))
+    host.attach(lambda p, pkt, size, when: host_rx.append(pkt))
+    fiber.attach(lambda p, pkt, size, when: fiber_rx.append(pkt))
     connect(host, module.edge_port)
     connect(module.line_port, fiber)
     return host, fiber, host_rx, fiber_rx
@@ -149,7 +149,7 @@ class TestManagementPath:
         assert module.mgmt_port is not None
         controller = Port(sim, "controller", 1e9)
         replies = []
-        controller.attach(lambda p, pkt: replies.append(pkt))
+        controller.attach(lambda p, pkt, size, when: replies.append(pkt))
         connect(controller, module.mgmt_port)
         controller.send(
             mgmt_frame(

@@ -33,8 +33,8 @@ def deploy(sim, app, shell_kind=ShellKind.ONE_WAY_FILTER):
     host = Port(sim, "host", 10e9, queue_bytes=1 << 20)
     fiber = Port(sim, "fiber", 10e9, queue_bytes=1 << 20)
     host_rx, fiber_rx = [], []
-    host.attach(lambda p, pkt: host_rx.append(pkt))
-    fiber.attach(lambda p, pkt: fiber_rx.append(pkt))
+    host.attach(lambda p, pkt, size, when: host_rx.append(pkt))
+    fiber.attach(lambda p, pkt, size, when: fiber_rx.append(pkt))
     connect(host, module.edge_port)
     connect(module.line_port, fiber)
     return module, host, fiber, host_rx, fiber_rx

@@ -18,9 +18,9 @@ def sink_port(sim, name="sink"):
     meter = RateMeter(name)
     sizes = []
 
-    def on_rx(p, packet):
-        meter.observe(sim.now, packet.wire_len)
-        sizes.append(packet.wire_len)
+    def on_rx(p, packet, size, when):
+        meter.observe(when, size)
+        sizes.append(size)
 
     port.attach(on_rx)
     return port, meter, sizes
@@ -73,7 +73,7 @@ class TestPoisson:
             tx = Port(local, "tx", 10e9, queue_bytes=1 << 22)
             rx = Port(local, "rx", 10e9)
             arrivals = []
-            rx.attach(lambda p, pkt: arrivals.append(local.now))
+            rx.attach(lambda p, pkt, size, when: arrivals.append(local.now))
             connect(tx, rx)
             PoissonSource(local, tx, rate_bps=1e9, frame_len=512, count=50, seed=seed)
             local.run()

@@ -53,7 +53,7 @@ def _run_stream(fault: bool) -> dict:
     )
     host = Port(sim, "host", 10e9)
     fiber = Port(sim, "fiber", 10e9)
-    fiber.attach(lambda p, pkt: None)
+    fiber.attach(lambda p, pkt, size, when: None)
     connect(host, module.edge_port)
     connect(module.line_port, fiber)
 

@@ -18,8 +18,8 @@ def wire(sim, module):
     host = Port(sim, "host", 10e9)
     fiber = Port(sim, "fiber", 10e9)
     host_rx, fiber_rx = [], []
-    host.attach(lambda p, pkt: host_rx.append(pkt))
-    fiber.attach(lambda p, pkt: fiber_rx.append(pkt))
+    host.attach(lambda p, pkt, size, when: host_rx.append(pkt))
+    fiber.attach(lambda p, pkt, size, when: fiber_rx.append(pkt))
     connect(host, module.edge_port)
     connect(module.line_port, fiber)
     return host, fiber, host_rx, fiber_rx

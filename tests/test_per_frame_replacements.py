@@ -180,7 +180,7 @@ class TestMagicPreCheck:
                 if on_rx is unpack_first_on_rx:
                     on_rx(controller, frame)
                 else:
-                    on_rx(controller, controller.port, frame)
+                    on_rx(controller, controller.port, frame, frame.wire_len, sim.now)
             states.append(controller_state(controller, replies))
         assert states[0] == states[1]
 
@@ -193,10 +193,11 @@ class TestMagicPreCheck:
             classmethod(lambda cls, data, key: calls.append(data) or unpack(cls, data, key)),
         )
         controller = FleetController(Simulator(), auth_key=KEY)
-        controller._on_rx(controller.port, make_udp(payload=bytes(470)))
+        data = make_udp(payload=bytes(470))
+        controller._on_rx(controller.port, data, data.wire_len, 0.0)
         assert calls == []
         reply = mgmt_frame(MgmtMessage.control(MgmtOp.ACK, 1, ok=True), KEY, 1, 2)
-        controller._on_rx(controller.port, reply)
+        controller._on_rx(controller.port, reply, reply.wire_len, 0.0)
         assert len(calls) == 1
 
 
@@ -215,7 +216,9 @@ class TestFlood:
         got = {}
         for index, host in enumerate(hosts):
             host.connect(switch.external_port(index))
-            host.attach(lambda port, packet, index=index: got.setdefault(index, packet))
+            host.attach(
+                lambda port, packet, size, when, index=index: got.setdefault(index, packet)
+            )
         copies = []
         packet_copy = Packet.copy
         monkeypatch.setattr(
@@ -248,7 +251,9 @@ class TestFlood:
         for index in range(4):
             port = Port(sim, f"h{index}")
             port.connect(switch.external_port(index))
-            port.attach(lambda p, packet, index=index: order.append((index, sim.now)))
+            port.attach(
+                lambda p, packet, size, when, index=index: order.append((index, when))
+            )
         switch._forward(2, make_udp(dst_mac="02:00:00:00:00:77"), 42)
         sim.run()
         assert [index for index, _when in order] == [0, 1, 3]

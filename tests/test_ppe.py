@@ -46,10 +46,13 @@ class BadApp(EchoApp):
 def run_one(engine_cls, sim, app, packet=None, direction=Direction.EDGE_TO_LINE):
     engine = engine_cls(sim, app, TimingSpec(64, 156.25e6))
     results = []
+    packet = packet or make_udp()
     engine.submit(
-        packet or make_udp(),
+        packet,
         direction,
         lambda pkt, verdict, emitted, size, at: results.append((pkt, verdict, emitted)),
+        sim.now,
+        packet.wire_len,
     )
     sim.run()
     return engine, results
@@ -88,6 +91,8 @@ class TestProcessing:
             pad_to_min(make_udp()),
             Direction.EDGE_TO_LINE,
             lambda *a: done_at.append(sim.now),
+            sim.now,
+            60,
         )
         sim.run()
         service = TimingSpec(64, 156.25e6).frame_service_time(60)
@@ -108,6 +113,8 @@ class TestQueueing:
                 packet,
                 Direction.EDGE_TO_LINE,
                 lambda pkt, v, e, size, at: order.append(pkt.payload[0]),
+                sim.now,
+                packet.wire_len,
             )
         sim.run()
         assert order == [0, 1, 2, 3, 4]
@@ -119,7 +126,11 @@ class TestQueueing:
         )
         accepted = sum(
             engine.submit(
-                make_udp(payload=b"x" * 120), Direction.EDGE_TO_LINE, lambda *a: None
+                make_udp(payload=b"x" * 120),
+                Direction.EDGE_TO_LINE,
+                lambda *a: None,
+                sim.now,
+                162,
             )
             for _ in range(5)
         )
@@ -139,7 +150,9 @@ class TestQueueing:
         def offer(i=0):
             if i >= count:
                 return
-            engine.submit(pad_to_min(make_udp()), Direction.EDGE_TO_LINE, lambda *a: None)
+            engine.submit(
+                pad_to_min(make_udp()), Direction.EDGE_TO_LINE, lambda *a: None, sim.now, 60
+            )
             sim.schedule(interval, offer, i + 1)
 
         offer()

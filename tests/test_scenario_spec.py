@@ -125,20 +125,27 @@ class TestFramesCarryNoHiddenState:
         from repro.sim.link import Port
 
         seen = []
-        init = Port.__init__
+        init, attach = Port.__init__, Port.attach
 
         def recording_init(port, sim, name, *args, **kwargs):
             init(port, sim, name, *args, **kwargs)
             if name in ("fiber", "sink"):
-                port.attach_batch(
-                    lambda _port, items: seen.extend(item[0] for item in items)
-                )
+                port.attach_batch(lambda _port, packet, _size, _when: seen.append(packet))
                 # A burst's template is shared, not copied: look at it as is.
                 port.attach_burst(
                     lambda _port, template, _size, _whens: seen.append(template)
                 )
 
+        def recording_attach(port, handler):
+            # A sink that attaches a handler of its own stays recorded.
+            def recorded(_port, packet, size, when):
+                seen.append(packet)
+                handler(_port, packet, size, when)
+
+            attach(port, recorded if port.name in ("fiber", "sink") else handler)
+
         monkeypatch.setattr(Port, "__init__", recording_init)
+        monkeypatch.setattr(Port, "attach", recording_attach)
         spec.run()
         return seen
 

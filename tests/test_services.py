@@ -94,13 +94,21 @@ class TestRegistry:
         registry.register(IcmpEchoResponder(MODULE_MAC, MODULE_IP))
         reply = registry.dispatch(arp_request(MODULE_IP), Direction.EDGE_TO_LINE)
         assert reply is not None and reply.get(ARP) is not None
-        assert registry.stats()["arp-responder"]["handled"] == 1
+        assert registry.metric_values() == {
+            "arp-responder.handled": 1,
+            "arp-responder.ignored": 0,
+            "icmp-echo.handled": 0,
+            "icmp-echo.ignored": 0,
+        }
 
     def test_no_service_matches(self):
         registry = ServiceRegistry()
         registry.register(ArpResponder(MODULE_MAC, [MODULE_IP]))
         assert registry.dispatch(make_udp(), Direction.EDGE_TO_LINE) is None
-        assert registry.stats()["arp-responder"]["ignored"] == 1
+        assert registry.metric_values() == {
+            "arp-responder.handled": 0,
+            "arp-responder.ignored": 1,
+        }
 
     def test_duplicate_rejected(self):
         registry = ServiceRegistry()
@@ -165,5 +173,5 @@ class TestMicroserviceNodeEndToEnd:
         assert arp_replies[0].get(ARP).sender_mac == 0x02F5F9000042
         assert len(echo_replies) == 1 and echo_replies[0].payload == b"hi!"
         assert far.rx_packets == 1  # only the UDP data crossed the cable
-        assert module.services.stats()["arp-responder"]["handled"] == 1
-        assert module.services.stats()["icmp-echo"]["handled"] == 1
+        values = module.services.metric_values()
+        assert values["arp-responder.handled"] == values["icmp-echo.handled"] == 1

@@ -27,8 +27,8 @@ def wire_module(sim, module):
     host = Port(sim, "host", 10e9)
     fiber = Port(sim, "fiber", 10e9)
     host_rx, fiber_rx = [], []
-    host.attach(lambda p, pkt: host_rx.append(pkt))
-    fiber.attach(lambda p, pkt: fiber_rx.append(pkt))
+    host.attach(lambda p, pkt, size, when: host_rx.append(pkt))
+    fiber.attach(lambda p, pkt, size, when: fiber_rx.append(pkt))
     connect(host, module.edge_port)
     connect(module.line_port, fiber)
     return host, fiber, host_rx, fiber_rx
@@ -130,7 +130,7 @@ class TestDegradedPassthrough:
         module = self._degrade(sim)
         host, fiber, host_rx, fiber_rx = wire_module(sim, module)
         received_at = []
-        fiber.attach(lambda p, pkt: received_at.append(sim.now))
+        fiber.attach(lambda p, pkt, size, when: received_at.append(sim.now))
         start = RECONFIG_DOWNTIME_S + 1e-3
         frame = make_udp(payload=b"x")
         sim.schedule(start, host.send, frame)
