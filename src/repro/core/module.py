@@ -40,6 +40,7 @@ from .controlplane import ControlPlane
 from .flowcache import DEFAULT_FLOW_CACHE_ENTRIES, FlowCache
 from .mgmt import mgmt_frame
 from .ppe import (
+    BURST_FRAMES,
     Direction,
     PacketProcessingEngine,
     PPEApplication,
@@ -56,6 +57,20 @@ RECONFIG_DOWNTIME_S = 120e-3
 WATCHDOG_TIMEOUT_S = 50e-3
 
 DEFAULT_AUTH_KEY = b"flexsfp-mgmt-key"
+
+
+def source_burst(engine: str | None) -> int:
+    """Frames a traffic source emits per tick on tier ``engine``.
+
+    A per-tier source setting, whatever the source feeds, and the one
+    place a scenario builder learns it: :data:`BURST_FRAMES` on
+    ``compiled`` (one source burst fills one PPE group), one on
+    ``reference``; ``None`` resolves as a module's engine does.  A burst
+    changes no frame, time or drop of the source
+    (:class:`~repro.netem.TrafficSource`), only how many tick events
+    emit them.
+    """
+    return BURST_FRAMES if resolve_engine(engine) == ENGINE_COMPILED else 1
 
 
 class TenantSlot:

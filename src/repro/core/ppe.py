@@ -681,68 +681,95 @@ class PacketProcessingEngine(_EngineBase):
             if not arrivals or arrivals[0][5] > now:
                 return
             self._timeline.drain(now)
-            # Reconstruct each frame's queue depth as the oracle
-            # would have seen it at that frame's finish time:
-            # every arrival after it that is enqueued no later than the
-            # finish.  Arrivals are submit-ordered (non-decreasing enqueue
-            # time), so the "not yet arrived" entries — reservations
-            # delivered early by a batched flush — form a contiguous tail
-            # of the deque at most one flush long; only that tail is
-            # walked, keeping the reconstruction O(batch) rather than
-            # O(queue depth).
-            first_finish_ns = int(arrivals[0][5] * 1e9)
-            future: list = []
-            future_bytes = 0
-            for entry in reversed(arrivals):
-                if entry[4] <= first_finish_ns:
-                    break
-                future.append(entry)
-                future_bytes += entry[1]
-            remaining_bytes = self._arrivals_bytes
-            pipeline_latency_s = self.pipeline_latency_s
-            apply = self._apply
-            tracer = self.tracer
-            deliveries: list[
-                tuple[Packet, Verdict, list, int, DoneCallback, int, float]
-            ] = []
-            append = deliveries.append
-            while arrivals and arrivals[0][5] <= now:
-                packet, size, direction, done, enqueue_ns, finish = (
-                    arrivals.popleft()
-                )
-                remaining_bytes -= size
-                finish_ns = int(finish * 1e9)
-                # Drop matured entries — including this frame's own, and
-                # those of already-processed frames — so ``future`` holds
-                # exactly the arrivals still in flight at this finish.
-                while future and future[-1][4] <= finish_ns:
-                    future_bytes -= future[-1][1]
-                    future.pop()
-                if tracer is not None and tracer.is_traced(packet):
-                    verdict, emitted, size = self._apply_traced(
-                        packet, size, direction, enqueue_ns, finish_ns,
-                        remaining_bytes - future_bytes,
-                    )
-                else:
-                    verdict, emitted, size = apply(
-                        packet, size, direction, finish_ns,
-                        remaining_bytes - future_bytes,
-                    )
-                append(
-                    (packet, verdict, emitted, size, done, enqueue_ns,
-                     finish + pipeline_latency_s)
-                )
-            self._arrivals_bytes = remaining_bytes
-            group = self._group
-            if group and group[0][5] <= now:
-                # The drain ate into the open group (pre-mutation hook or
-                # a late event); keep only the still-unprocessed suffix.
-                self._group = [frame for frame in group if frame[5] > now]
+            frame = arrivals[0]
+            first_finish_ns = int(frame[5] * 1e9)
+            if (len(arrivals) == 1 or arrivals[1][5] > now) and (
+                arrivals[-1][4] <= first_finish_ns
+            ):
+                # One due frame and nothing in flight behind it (the
+                # newest arrival is enqueued by its finish): the oracle's
+                # depth is the rest of the queue, and the frame can only
+                # be the open group's head.
+                arrivals.popleft()
+                self._arrivals_bytes = depth = self._arrivals_bytes - frame[1]
+                deliveries = [self._run_frame(frame, first_finish_ns, depth)]
+                group = self._group
+                if group and group[0] is frame:
+                    del group[0]
+            else:
+                deliveries = self._run_due(arrivals, now, first_finish_ns)
             self.sim.schedule(
                 self.pipeline_latency_s, self._deliver_batch, deliveries
             )
         finally:
             self._processing = False
+
+    def _run_due(
+        self, arrivals: deque, now: float, first_finish_ns: int
+    ) -> list[tuple[Packet, Verdict, list, int, DoneCallback, int, float]]:
+        """Run every due frame of a drain in finish order; their deliveries.
+
+        Each frame's queue depth is reconstructed as the oracle would have
+        seen it at that frame's finish time: every arrival after it that
+        is enqueued no later than the finish.  Arrivals are submit-ordered
+        (non-decreasing enqueue time), so the "not yet arrived" entries —
+        reservations delivered early by a batched flush — form a
+        contiguous tail of the deque at most one flush long; only that
+        tail is walked, keeping the reconstruction O(batch) rather than
+        O(queue depth).
+        """
+        future: list = []
+        future_bytes = 0
+        for entry in reversed(arrivals):
+            if entry[4] <= first_finish_ns:
+                break
+            future.append(entry)
+            future_bytes += entry[1]
+        remaining_bytes = self._arrivals_bytes
+        run_frame = self._run_frame
+        deliveries = []
+        append = deliveries.append
+        while arrivals and arrivals[0][5] <= now:
+            frame = arrivals.popleft()
+            remaining_bytes -= frame[1]
+            finish_ns = int(frame[5] * 1e9)
+            # Drop matured entries — including this frame's own, and
+            # those of already-processed frames — so ``future`` holds
+            # exactly the arrivals still in flight at this finish.
+            while future and future[-1][4] <= finish_ns:
+                future_bytes -= future[-1][1]
+                future.pop()
+            append(run_frame(frame, finish_ns, remaining_bytes - future_bytes))
+        self._arrivals_bytes = remaining_bytes
+        group = self._group
+        if group and group[0][5] <= now:
+            # The drain ate into the open group (pre-mutation hook or a
+            # late event); keep only the still-unprocessed suffix.
+            self._group = [frame for frame in group if frame[5] > now]
+        return deliveries
+
+    def _run_frame(
+        self, frame: tuple, finish_ns: int, queue_depth: int
+    ) -> tuple[Packet, Verdict, list, int, DoneCallback, int, float]:
+        """The per-frame step of every drain: apply one due frame.
+
+        ``queue_depth`` is the oracle's depth at the frame's finish;
+        returns the frame's delivery record for :meth:`_deliver_batch`.
+        """
+        packet, size, direction, done, enqueue_ns, finish = frame
+        tracer = self.tracer
+        if tracer is not None and tracer.is_traced(packet):
+            verdict, emitted, size = self._apply_traced(
+                packet, size, direction, enqueue_ns, finish_ns, queue_depth
+            )
+        else:
+            verdict, emitted, size = self._apply(
+                packet, size, direction, finish_ns, queue_depth
+            )
+        return (
+            packet, verdict, emitted, size, done, enqueue_ns,
+            finish + self.pipeline_latency_s,
+        )  # fmt: skip
 
     def _deliver_batch(
         self,

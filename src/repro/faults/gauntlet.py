@@ -18,6 +18,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, field
 
+from ..core.module import source_burst
 from ..errors import ConfigError
 from ..fleet import FleetController
 from ..netem import CbrSource, LossyWire
@@ -280,6 +281,7 @@ def run_gauntlet(
         frame_len=frame_len,
         stop=duration_s,
         factory=lambda index, size: template.copy(),
+        burst=source_burst(engine),
     )
 
     injector = FaultInjector(sim)

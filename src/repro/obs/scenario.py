@@ -31,8 +31,7 @@ from typing import Callable
 from ..apps import StaticNat, create_app
 from ..artifact.diff import is_semantic_metric
 from ..config import Settings
-from ..core.module import FlexSFPModule
-from ..core.ppe import BURST_FRAMES
+from ..core.module import FlexSFPModule, source_burst
 from ..engine import (
     ENGINE_COMPILED,
     require_engine,
@@ -355,7 +354,7 @@ def _build_nat(spec: ScenarioSpec, module_count: int) -> ScenarioRun:
         frame_len=traffic.frame_len,
         stop=traffic.duration_s,
         factory=lambda index, size: template.copy(),
-        burst=BURST_FRAMES if compiled else 1,
+        burst=source_burst(spec.engine),
         # The compiled tier moves whole bursts as template + time vector;
         # the factory above is index-independent, as that mode requires.
         template_burst=compiled,
@@ -471,6 +470,7 @@ def _build_fleet_upgrade(spec: ScenarioSpec) -> ScenarioRun:
         frame_len=traffic.frame_len,
         stop=traffic.duration_s,
         factory=lambda index, size: template.copy(),
+        burst=source_burst(spec.engine),
     )
 
     target = create_app(spec.app)
@@ -554,7 +554,6 @@ def _build_nfv(spec: ScenarioSpec, churn: bool) -> ScenarioRun:
     sim, registry, tracer, profiler = _instrumented(spec)
 
     device = get_device(spec.device)
-    compiled = spec.engine == ENGINE_COMPILED
     deployment = Deployment.from_dicts(spec.tenants, device=device)
     module = FlexSFPModule(
         sim,
@@ -599,7 +598,7 @@ def _build_nfv(spec: ScenarioSpec, churn: bool) -> ScenarioRun:
         frame_len=traffic.frame_len,
         stop=traffic.duration_s,
         factory=lambda index, size: templates[index % len(templates)].copy(),
-        burst=BURST_FRAMES if compiled else 1,
+        burst=source_burst(spec.engine),
         template_burst=False,
     )
 

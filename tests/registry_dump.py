@@ -5,9 +5,11 @@ comparison of every metric, summary field and histogram bucket on both
 tiers; this is that comparison as a tool.
 
 ``python -m tests.registry_dump OUT.json`` runs the five non-chaos kinds
-on both tiers at seed 1 and ``chaos`` on both tiers at seeds 1, 2, 3, 5,
-7 and 11 (22 runs; seed 1 has the overlapping reboots seed 7 lacks) and
-writes ``{"<kind>/<engine>/<seed>": {metrics, summary, histograms}}``.
+on both tiers at seed 1, ``chaos`` on both tiers at seeds 1, 2, 3, 5, 7
+and 11 (seed 1 has the overlapping reboots seed 7 lacks) and every other
+named fault plan on both tiers at seed 1 (32 runs), and writes
+``{"<kind>/<engine>/<seed>": {metrics, summary, histograms}}``, the kind
+of a non-``smoke`` plan's run spelled ``chaos:<plan>``.
 It dumps whichever ``repro`` is first on ``PYTHONPATH``, so the parent's
 dump is ``PYTHONPATH=<parent clone>/src python -m tests.registry_dump``
 run from this checkout.
@@ -28,25 +30,36 @@ CHAOS_SEEDS = (1, 2, 3, 5, 7, 11)
 _MISSING = "<missing>"
 
 
-def runs() -> list[tuple[str, str, int]]:
+def runs() -> list[tuple[str, str, int, str | None]]:
+    """``(kind, engine, seed, fault plan)`` per run; no plan means the default."""
     from repro.engine import ENGINES
+    from repro.faults import NAMED_PLANS
     from repro.obs.scenario import SCENARIO_KINDS
 
-    return [
-        (kind, engine, seed)
+    planned = [
+        (kind, engine, seed, None)
         for kind in sorted(SCENARIO_KINDS)
         for engine in ENGINES
         for seed in (CHAOS_SEEDS if kind == "chaos" else (1,))
     ]
+    planned += [
+        ("chaos", engine, 1, plan)
+        for plan in sorted(NAMED_PLANS)
+        if plan != "smoke"
+        for engine in ENGINES
+    ]
+    return planned
 
 
 def dump() -> dict[str, dict]:
     from repro.obs.scenario import ScenarioSpec
 
     document = {}
-    for kind, engine, seed in runs():
-        run = ScenarioSpec(kind=kind, engine=engine, seed=seed).run()
-        document[f"{kind}/{engine}/{seed}"] = {
+    for kind, engine, seed, plan in runs():
+        spec = ScenarioSpec(kind=kind, engine=engine, seed=seed, fault_plan=plan)
+        run = spec.run()
+        label = kind if plan is None else f"{kind}:{plan}"
+        document[f"{label}/{engine}/{seed}"] = {
             "metrics": run.metrics(),
             "summary": run.summary,
             "histograms": run.histograms(),

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.apps import Passthrough
+from repro.artifact.diff import is_semantic_metric
 from repro.core import FlexSFPModule
 from repro.errors import ConfigError
 from repro.faults import (
@@ -16,6 +17,7 @@ from repro.faults import (
 )
 from repro.netem import LossyWire
 from repro.nfv import Deployment
+from repro.obs.registry import MetricsRegistry
 
 KEY = b"faults-test-key"
 
@@ -161,3 +163,47 @@ class TestGauntletDeterminism:
     def test_unknown_named_plan_rejected(self):
         with pytest.raises(ConfigError, match="unknown plan"):
             run_gauntlet(plan="not-a-plan")
+
+
+# The one named plan the tiers disagree on, and why: the compiled build
+# prices the fused executor and the flow-cache LSRAM into its bitstream
+# (lut4 36,211 vs 31,035; lsram 53 vs 5), so the repair image the fleet
+# pushes is 65,836 bytes instead of 65,835 and three byte counters along
+# its path read one more.
+_BROWNOUT_IMAGE = pytest.mark.xfail(
+    strict=True,
+    reason="compiled repair image is one byte longer: fleet.port.tx.bytes, "
+    "switch.forwarded.bytes and agg.sfp1.edge.rx.bytes differ by one",
+)
+
+
+class TestEveryNamedPlanAcrossTiers:
+    @staticmethod
+    def _run(plan, engine):
+        registry = MetricsRegistry()
+        result = run_gauntlet(seed=1, plan=plan, engine=engine, registry=registry)
+        semantic = {
+            name: value
+            for name, value in registry.collect().items()
+            if is_semantic_metric(name)
+        }
+        return result.to_dict(), semantic
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            pytest.param(name, marks=_BROWNOUT_IMAGE) if name == "brownout" else name
+            for name in NAMED_PLANS
+        ],
+    )
+    def test_the_tiers_agree_on_every_result_and_semantic_leaf(self, plan):
+        reference = self._run(plan, "reference")
+        compiled = self._run(plan, "compiled")
+        assert reference[0] == compiled[0]
+        assert reference[0]["packets_sent"] > 0
+        differing = {
+            name: (reference[1].get(name), compiled[1].get(name))
+            for name in reference[1].keys() | compiled[1].keys()
+            if reference[1].get(name) != compiled[1].get(name)
+        }
+        assert not differing

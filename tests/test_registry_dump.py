@@ -2,16 +2,43 @@
 
 import copy
 
+from repro.faults import NAMED_PLANS
 from tests.registry_dump import differing, leaves, runs
 
 
 def test_the_dump_covers_every_kind_on_both_tiers_and_six_chaos_seeds():
     planned = runs()
-    assert len(planned) == 22
-    assert {seed for kind, _engine, seed in planned if kind == "chaos"} == {
-        1, 2, 3, 5, 7, 11,
-    }  # fmt: skip
-    assert {engine for _kind, engine, _seed in planned} == {"reference", "compiled"}
+    assert len(planned) == 32
+    assert {
+        seed for kind, _engine, seed, plan in planned if kind == "chaos" and plan is None
+    } == {1, 2, 3, 5, 7, 11}
+    assert {engine for _kind, engine, _seed, _plan in planned} == {"reference", "compiled"}
+
+
+def test_every_other_named_plan_runs_once_per_tier_at_seed_one():
+    planned = runs()
+    plans = [(engine, seed, plan) for _kind, engine, seed, plan in planned if plan]
+    assert {plan for _engine, _seed, plan in plans} == set(NAMED_PLANS) - {"smoke"}
+    assert len(plans) == 2 * (len(NAMED_PLANS) - 1)
+    assert {seed for _engine, seed, _plan in plans} == {1}
+    assert all(kind == "chaos" for kind, _engine, _seed, plan in planned if plan)
+
+
+def test_a_plan_run_is_keyed_by_its_plan_and_diffs_like_any_other():
+    a = {
+        "chaos:brownout/compiled/1": {
+            "metrics": {"sim.events": 9, "switch.forwarded.bytes": 87598},
+            "summary": {},
+            "histograms": {},
+        }
+    }
+    b = copy.deepcopy(a)
+    b["chaos:brownout/compiled/1"]["metrics"]["sim.events"] = 8
+    assert differing(a, b, semantic=True) == []
+    b["chaos:brownout/compiled/1"]["metrics"]["switch.forwarded.bytes"] = 87597
+    assert differing(a, b, semantic=True) == [
+        "chaos:brownout/compiled/1/metrics/switch.forwarded.bytes: 87598 != 87597"
+    ]
 
 
 def test_diff_names_each_leaf_and_semantic_skips_strategy_counters():
