@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING
 
 from ..errors import ControlPlaneError, FlashError, ReproError, TableError
 from ..packet import Packet
+from ..sim.engine import Window
 from .mgmt import MAX_BODY, MgmtMessage, MgmtOp, parse_chunk_body
 from .tables import ExactTable, LPMTable, TernaryTable
 
@@ -48,7 +49,7 @@ class ControlPlane:
         self.replays_rejected = 0
         self.commands_handled = 0
         self.crashed = False
-        self._hung_until = 0.0
+        self.hung = Window()
         self.frames_while_unresponsive = 0
         self._reconfig_state = ReconfigState.IDLE
         self._reconfig_slot = 0
@@ -62,7 +63,7 @@ class ControlPlane:
     @property
     def responsive(self) -> bool:
         """Is the softcore answering management traffic right now?"""
-        return not self.crashed and self.module.sim.now >= self._hung_until
+        return not self.crashed and self.module.sim.now not in self.hung
 
     def crash(self) -> None:
         """The softcore wedges: no replies until the watchdog reboots it."""
@@ -70,24 +71,24 @@ class ControlPlane:
 
     def hang(self, duration_s: float) -> None:
         """The softcore stalls for ``duration_s`` then resumes on its own."""
-        self._hung_until = max(self._hung_until, self.module.sim.now + duration_s)
+        self.hung.open(self.module.sim.now, duration_s)
 
     def revive(self) -> None:
         """Restart the softcore event loop (runs as part of a reboot)."""
         self.crashed = False
-        self._hung_until = 0.0
+        self.hung.close(self.module.sim.now)
 
     # ------------------------------------------------------------------
     # Frame-level entry point
     # ------------------------------------------------------------------
-    def handle_frame(self, packet: Packet) -> MgmtMessage | None:
+    def handle_frame(self, packet: Packet, when: float) -> MgmtMessage | None:
         """Authenticate, replay-check, and dispatch one management frame.
 
         Returns the reply message (ACK/NAK), or None when the frame fails
         authentication (unauthenticated traffic gets no oracle) or the
-        softcore is crashed/hung (a dead CPU answers nothing).
+        softcore is crashed or hung at ``when`` (a dead CPU answers nothing).
         """
-        if not self.responsive:
+        if self.crashed or when in self.hung:
             self.frames_while_unresponsive += 1
             return None
         try:

@@ -32,7 +32,7 @@ from ..fpga.flash import SPIFlash
 from ..fpga.resources import FPGADevice, MPF200T
 from ..nfv import Crossbar, Deployment, check_deployment
 from ..packet import BROADCAST_MAC, Packet
-from ..sim.engine import Simulator
+from ..sim.engine import Simulator, Window
 from ..sim.link import Port
 from ..sim.stats import Counter
 from .arbiter import Arbiter, is_mgmt_frame
@@ -114,13 +114,7 @@ class TenantSlot:
         self.reboots = 0
         self.failed_boots = 0
         self.degraded = False
-        # The dark window of the latest (possibly announced) boot of this
-        # slot, in *virtual* time.  Ingress evaluates frames against this
-        # interval using their true wire-arrival timestamps rather than
-        # the event time a coalesced flush replays them at, so the
-        # drop/forward boundary is bit-identical across engines.
-        self.dark_from = 0.0
-        self.dark_until = 0.0
+        self.dark = Window()  # reprogram windows, announced ones included
         # Populated by the module during provisioning / boot:
         self.app: PPEApplication | None = None
         self.build = None
@@ -132,14 +126,6 @@ class TenantSlot:
         self.burst_done_edge: Callable | None = None
         self.burst_done_line: Callable | None = None
 
-    def is_dark(self, when: float) -> bool:
-        """Whether this slot's partition is being reprogrammed at ``when``."""
-        return self.dark_from <= when < self.dark_until
-
-    @property
-    def down(self) -> bool:
-        return self.is_dark(self.sim.now)
-
     def metric_values(self) -> dict[str, object]:
         return {
             "app": self.app.name,
@@ -147,7 +133,7 @@ class TenantSlot:
             "reboots": self.reboots,
             "failed_boots": self.failed_boots,
             "degraded": self.degraded,
-            "down": self.down,
+            "down": self.sim.now in self.dark,
             "boot_slot": self.flash.boot_slot,
         }
 
@@ -241,7 +227,7 @@ class FlexSFPModule:
         # via attach_tracer.  None costs one attribute load per frame.
         self._tracer = None
 
-        self._down = False
+        self.dark = Window()  # the whole fabric's reprogram windows
         # Every slot failed both boot images: the module is a dumb cable.
         self.degraded = False
         self.reboots = 0
@@ -492,15 +478,15 @@ class FlexSFPModule:
 
         ``when`` is the frame's exact wire arrival, which a coalesced
         flush hands over early in event time; everything below uses that
-        virtual time, never the clock, so timestamps and occupancy checks
-        match the event-per-frame run.
+        virtual time, never the clock, so dark windows, timestamps and
+        occupancy checks match the event-per-frame run.
         """
         direction = (
             Direction.EDGE_TO_LINE
             if reply_port is self.edge_port
             else Direction.LINE_TO_EDGE
         )
-        if self._down:
+        if self.dark.start <= when < self.dark.until:
             self.downtime_drops.count(size)
             return
         classified = self.arbiter.classify(packet, size)
@@ -549,7 +535,7 @@ class FlexSFPModule:
             return
         crossbar = self.crossbar
         if crossbar is None:
-            # A solo slot only boots with the whole module: ``_down`` above.
+            # A solo slot only boots with the whole module: ``dark`` above.
             slot = self.slots[0]
         else:
             slot = self.slots[crossbar.steer(packet, size)]
@@ -566,7 +552,7 @@ class FlexSFPModule:
             # Slot-local state affects only the frames steered to this slot
             # — the other slots keep forwarding, which is the whole point
             # of per-slot images.
-            if slot.is_dark(when):
+            if slot.dark.start <= when < slot.dark.until:
                 slot.downtime_drops.count(size)
                 return
         if slot.degraded:
@@ -592,11 +578,13 @@ class FlexSFPModule:
         The one place the module decides between the fused burst lane and
         expanding to per-frame copies through :meth:`_ingress`.  Anything
         with per-frame side effects deopts: a tracer, degraded forwarding,
-        management frames, and crossbar steering (more than one slot).
-        Per-frame counters, timestamps and drop decisions of the fused
-        lane are identical to that expansion.
+        management frames, crossbar steering (more than one slot), a burst
+        across an edge of the dark window.  Per-frame counters, timestamps
+        and drop decisions of the fused lane equal that expansion's.
         """
-        if self._down:
+        dark = self.dark
+        first, last = whens[0], whens[-1]
+        if dark.start <= first and last < dark.until:
             count = len(whens)
             self.downtime_drops.packets += count
             self.downtime_drops.bytes += count * size
@@ -607,6 +595,7 @@ class FlexSFPModule:
             or len(self.slots) > 1
             or slot.degraded
             or is_mgmt_frame(template)
+            or (first < dark.until and last >= dark.start)
         ):
             for when in whens.tolist():
                 self._ingress(reply_port, template.copy(), size, when)
@@ -738,7 +727,7 @@ class FlexSFPModule:
     # Control plane plumbing
     # ------------------------------------------------------------------
     def _to_control_plane(self, packet: Packet, reply_port: Port, when: float) -> None:
-        reply = self.control_plane.handle_frame(packet)
+        reply = self.control_plane.handle_frame(packet, when)
         if reply is None:
             return
         eth = packet.eth
@@ -767,11 +756,14 @@ class FlexSFPModule:
 
         Each slot goes through the boot FSM of :meth:`_boot_slot`; the
         shared fabric (MACs, crossbar, softcore) goes dark for one
-        ``RECONFIG_DOWNTIME_S`` reprogram window, during which ingress is
-        dropped and counted.  A module none of whose slots could boot
-        enters *degraded pass-through* — both directions keep forwarding
-        with the PPE bypassed — rather than going dark for good, and does
-        not count a reboot; remote reprogramming can never brick the port.
+        ``RECONFIG_DOWNTIME_S`` window from now (extending a running one),
+        during which ingress is dropped and counted.  Unannounced, it cannot
+        reach a frame a coalesced flush handed over before this call: the
+        one edge where the tiers may differ.  A module none of whose slots
+        could boot enters *degraded pass-through* — both directions keep
+        forwarding with the PPE bypassed — rather than going dark for good,
+        and does not count a reboot; remote reprogramming can never brick
+        the port.
         The management endpoint stays reachable either way (it lives in
         the always-on configuration controller, like a real FPGA's system
         controller), so the fleet can push a fresh image and reboot the
@@ -785,8 +777,7 @@ class FlexSFPModule:
         self.control_plane.revive()  # the softcore restarts with the fabric
         if any(booted):
             self.reboots += 1
-        self._down = True
-        self.sim.schedule(RECONFIG_DOWNTIME_S, self._boot_complete)
+        self.dark.open(self.sim.now, RECONFIG_DOWNTIME_S)
 
     def _boot_slot(
         self,
@@ -807,11 +798,9 @@ class FlexSFPModule:
             from ..apps import create_app
 
             app_factory = create_app
-        # An announced reconfiguration already registered this window (at
-        # swap time ``now == dark_from``, so re-registering is idempotent);
-        # un-announced boots (a whole-module reboot) register here.
-        slot.dark_from = self.sim.now
-        slot.dark_until = self.sim.now + RECONFIG_DOWNTIME_S
+        # Merges into the window an announced reconfiguration opened (at swap
+        # time ``now == dark.start``); un-announced boots open it here.
+        slot.dark.open(self.sim.now, RECONFIG_DOWNTIME_S)
         candidates = [slot.flash.boot_slot]
         if slot.flash.boot_slot != 0:
             candidates.append(0)
@@ -898,8 +887,7 @@ class FlexSFPModule:
                 )
             bitstream = self._synthesize(app)[0].bitstream
         start = self.sim.now if at_s is None else at_s
-        slot.dark_from = start
-        slot.dark_until = start + RECONFIG_DOWNTIME_S
+        slot.dark.open(start, RECONFIG_DOWNTIME_S)
         if start > self.sim.now:
             self.sim.schedule_at(start, self._swap_tenant_slot, slot, bitstream)
         else:
@@ -909,13 +897,6 @@ class FlexSFPModule:
         slot.flash.store_bitstream(1, bitstream)
         slot.flash.select_boot(1)
         self._boot_slot(slot)
-
-    def _boot_complete(self) -> None:
-        self._down = False
-
-    @property
-    def is_down(self) -> bool:
-        return self._down
 
     # ------------------------------------------------------------------
     # Softcore watchdog (fault-injection surface)
@@ -1005,7 +986,7 @@ class FlexSFPModule:
             "failed_boots": self.failed_boots,
             "watchdog_reboots": self.watchdog_reboots,
             "degraded": self.degraded,
-            "down": self._down,
+            "down": self.sim.now in self.dark,
             "boot_slot": self.flash.boot_slot,
             "control_fraction": self.arbiter.control_fraction(),
         }

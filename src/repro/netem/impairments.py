@@ -25,36 +25,13 @@ import random
 
 from ..errors import ConfigError
 from ..packet import Packet
-from ..sim.engine import Simulator
+from ..sim.engine import Simulator, Window
 from ..sim.link import PacketHandler, Port
 from ..sim.stats import Counter
 
 # Extra delay separating a duplicated frame from its original when the
 # port has no configured jitter (a retransmit-ish gap, not zero).
 DUPLICATE_GAP_S = 1e-6
-
-
-class _Burst:
-    """A bounded window of elevated impairment probability."""
-
-    __slots__ = ("until", "probability")
-
-    def __init__(self) -> None:
-        self.until = -1.0
-        self.probability = 0.0
-
-    def raise_to(self, now: float, duration_s: float, probability: float) -> None:
-        if duration_s <= 0:
-            raise ConfigError("burst duration must be positive")
-        if not 0.0 <= probability <= 1.0:
-            raise ConfigError("burst probability must be in [0, 1]")
-        self.until = max(self.until, now + duration_s)
-        self.probability = max(self.probability, probability)
-
-    def effective(self, now: float, base: float) -> float:
-        if now < self.until and self.probability > base:
-            return self.probability
-        return base
 
 
 class ImpairedPort(Port):
@@ -101,10 +78,11 @@ class ImpairedPort(Port):
         self.corrupt_probability = corrupt_probability
         self.duplicate_probability = duplicate_probability
         self._rng = random.Random(seed)
-        self._dark_until = -1.0
-        self._loss_burst = _Burst()
-        self._corrupt_burst = _Burst()
-        self._duplicate_burst = _Burst()
+        # Judged at the frame's time: the flap's, and one per burst kind.
+        self.dark = Window()
+        self._raised_loss = Window()
+        self._raised_corrupt = Window()
+        self._raised_duplicate = Window()
         self.impairment_drops = Counter(f"{name}.impairment_drops")
         self.corrupted = Counter(f"{name}.corrupted")
         self.duplicated = Counter(f"{name}.duplicated")
@@ -114,12 +92,8 @@ class ImpairedPort(Port):
         """Take the link dark for ``duration_s`` starting now."""
         if duration_s <= 0:
             raise ConfigError("flap duration must be positive")
-        self._dark_until = max(self._dark_until, self.sim.now + duration_s)
+        self.dark.open(self.sim.now, duration_s)
         self.flaps += 1
-
-    @property
-    def is_dark(self) -> bool:
-        return self.sim.now < self._dark_until
 
     def attach_batch(self, handler: PacketHandler) -> None:
         """Attach per frame: a flush would bypass the impairments."""
@@ -130,53 +104,68 @@ class ImpairedPort(Port):
     # ------------------------------------------------------------------
     def loss_burst(self, duration_s: float, probability: float = 1.0) -> None:
         """Elevate the loss probability for a bounded window."""
-        self._loss_burst.raise_to(self.sim.now, duration_s, probability)
+        self._raise(self._raised_loss, duration_s, probability)
 
     def corrupt_burst(self, duration_s: float, probability: float = 1.0) -> None:
         """Elevate the corruption probability for a bounded window."""
-        self._corrupt_burst.raise_to(self.sim.now, duration_s, probability)
+        self._raise(self._raised_corrupt, duration_s, probability)
 
     def duplicate_burst(self, duration_s: float, probability: float = 1.0) -> None:
         """Elevate the duplication probability for a bounded window."""
-        self._duplicate_burst.raise_to(self.sim.now, duration_s, probability)
+        self._raise(self._raised_duplicate, duration_s, probability)
+
+    def _raise(self, window: Window, duration_s: float, probability: float) -> None:
+        """Burst from now; overlapping bursts merge at the higher probability."""
+        if duration_s <= 0:
+            raise ConfigError("burst duration must be positive")
+        if not 0.0 <= probability <= 1.0:
+            raise ConfigError("burst probability must be in [0, 1]")
+        window.open(self.sim.now, duration_s, probability)
 
     # ------------------------------------------------------------------
     # Receive path
     # ------------------------------------------------------------------
-    def _deliver(self, packet: Packet, size: int) -> None:
-        now = self.sim.now
+    def _deliver(self, packet: Packet, size: int, when: float) -> None:
         rng = self._rng
-        loss = self._loss_burst.effective(now, self.loss_probability)
-        if now < self._dark_until or rng.random() < loss:
+        loss = self.loss_probability
+        raised = self._raised_loss
+        if raised.start <= when < raised.until and raised.level > loss:
+            loss = raised.level
+        if self.dark.start <= when < self.dark.until or rng.random() < loss:
             self.impairment_drops.count(size)
             return
-        dup = self._duplicate_burst.effective(now, self.duplicate_probability)
+        dup = self.duplicate_probability
+        raised = self._raised_duplicate
+        if raised.start <= when < raised.until and raised.level > dup:
+            dup = raised.level
         jitter = self.jitter_s
         if dup and rng.random() < dup:
             self.duplicated.count(size)
             gap = jitter if jitter > 0 else DUPLICATE_GAP_S
-            self.sim.schedule(
-                rng.uniform(0.0, gap) + gap, self._finish_rx, packet.copy(), size
-            )
+            at = when + (rng.uniform(0.0, gap) + gap)
+            self.sim.schedule_at(at, self._finish_rx, packet.copy(), size, at)
         if jitter > 0:
-            self.sim.schedule(rng.uniform(0.0, jitter), self._finish_rx, packet, size)
+            at = when + rng.uniform(0.0, jitter)
+            self.sim.schedule_at(at, self._finish_rx, packet, size, at)
             return
-        self._finish_rx(packet, size)
+        self._finish_rx(packet, size, when)
 
-    def _finish_rx(self, packet: Packet, size: int) -> None:
+    def _finish_rx(self, packet: Packet, size: int, when: float) -> None:
         # Darkness is re-checked at delivery time: a frame that arrived
         # before a flap must not surface inside the dark window its jitter
         # (or duplication gap) pushed it into.
-        now = self.sim.now
-        if now < self._dark_until:
+        if self.dark.start <= when < self.dark.until:
             self.impairment_drops.count(size)
             return
-        corrupt = self._corrupt_burst.effective(now, self.corrupt_probability)
+        corrupt = self.corrupt_probability
+        raised = self._raised_corrupt
+        if raised.start <= when < raised.until and raised.level > corrupt:
+            corrupt = raised.level
         if corrupt and self._rng.random() < corrupt:
             # One flipped payload byte: the frame's length does not change.
             self.corrupted.count(size)
             packet = self._corrupt(packet)
-        super()._deliver(packet, size)
+        super()._deliver(packet, size, when)
 
     def _corrupt(self, packet: Packet) -> Packet:
         """Flip one payload byte (a bit error the FCS failed to catch)."""
@@ -238,8 +227,8 @@ class LossyWire:
             duplicate_probability=duplicate_probability,
             seed=seed + 1,
         )
-        self.a.attach(lambda port, packet, size, when: self.b.send(packet, size))
-        self.b.attach(lambda port, packet, size, when: self.a.send(packet, size))
+        self.a.attach(lambda port, packet, size, when: self.b.send_at(packet, when, size))
+        self.b.attach(lambda port, packet, size, when: self.a.send_at(packet, when, size))
 
     @property
     def endpoints(self) -> tuple[ImpairedPort, ImpairedPort]:

@@ -295,6 +295,34 @@ class ServiceTimeline:
         self._pending.clear()
 
 
+class Window:
+    """One ``[start, until)`` interval of virtual time at a ``level``: the
+    one answer to "is time ``t`` inside a dark or raised window?", asked at
+    a frame's own time (hot paths read ``start <= when < until`` inline)."""
+
+    __slots__ = ("start", "until", "level")
+
+    def __init__(self) -> None:
+        self.start = self.until = -_INF  # empty: holds no time
+        self.level = 0.0
+
+    def open(self, start: float, duration: float, level: float = 1.0) -> None:
+        """Merge into an overlapping or touching window (the union, at the
+        higher level); replace a disjoint one, level included."""
+        until = start + duration
+        if start <= self.until and until >= self.start:
+            start = min(self.start, start)
+            until = max(self.until, until)
+            level = max(self.level, level)
+        self.start, self.until, self.level = start, until, level
+
+    def close(self, at: float) -> None:
+        self.until = min(self.until, at)
+
+    def __contains__(self, when: float) -> bool:
+        return self.start <= when < self.until
+
+
 class PeriodicTask:
     """Re-arms a callback every ``interval`` seconds until stopped."""
 

@@ -265,7 +265,7 @@ class Port:
             tx = self.tx  # Counter.count, inlined: once per delivered frame
             tx.packets += 1
             tx.bytes += size
-            self._peer._deliver(packet, size)
+            self._peer._deliver(packet, size, self.sim.now)
 
     def send_burst(
         self, template: Packet, size: int, times: "np.ndarray"
@@ -402,12 +402,12 @@ class Port:
         if end is not None:
             end()
 
-    def _deliver(self, packet: Packet, size: int) -> None:
+    def _deliver(self, packet: Packet, size: int, when: float) -> None:
         rx = self.rx
         rx.packets += 1
         rx.bytes += size
         if self._handler is not None:
-            self._handler(self, packet, size, self.sim.now)
+            self._handler(self, packet, size, when)
 
 
 def connect(a: Port, b: Port, propagation_s: float = DEFAULT_PROPAGATION_S) -> None:

@@ -108,12 +108,13 @@ class LegacySwitch:
 
     def _make_rx(self, index: int):
         def _rx(port: Port, packet: Packet, size: int, when: float) -> None:
-            self._forward(index, packet, size)
+            self._forward(index, packet, size, when)
 
         return _rx
 
-    def _forward(self, ingress: int, packet: Packet, size: int) -> None:
-        """Switch one frame of wire size ``size`` (no hop here changes it).
+    def _forward(self, ingress: int, packet: Packet, size: int, when: float) -> None:
+        """Switch one frame of wire size ``size`` (no hop here changes it)
+        that arrived at ``when``.
 
         A flooded frame leaves every port but its ingress: the last one
         gets the frame that came in, the others a copy each (N-2 copies).
@@ -124,21 +125,20 @@ class LegacySwitch:
             return
         self._learn(eth.src, ingress)
         egress = self._mac_table.get(eth.dst)
+        at = when + SWITCH_PIPELINE_LATENCY_S
         if eth.is_broadcast or eth.is_multicast or egress is None:
             self.flooded.count(size)
-            schedule = self.sim.schedule
+            schedule_at = self.sim.schedule_at
             others, last = self._flood_ports[ingress]
             for port in others:
-                schedule(SWITCH_PIPELINE_LATENCY_S, port.send, packet.copy(), size)
-            schedule(SWITCH_PIPELINE_LATENCY_S, last.send, packet, size)
+                schedule_at(at, port.send, packet.copy(), size)
+            schedule_at(at, last.send, packet, size)
             return
         if egress == ingress:
             self.filtered.count(size)
             return
         self.forwarded.count(size)
-        self.sim.schedule(
-            SWITCH_PIPELINE_LATENCY_S, self.cages[egress].asic_port.send, packet, size
-        )
+        self.sim.schedule_at(at, self.cages[egress].asic_port.send, packet, size)
 
     def _learn(self, mac: int, port_index: int) -> None:
         if mac in self._mac_table or len(self._mac_table) < self.mac_table_size:

@@ -18,6 +18,13 @@ run from this checkout.
 differing leaf and exits 1 if there is one; ``--semantic`` skips the
 leaves :func:`repro.artifact.diff.is_semantic_metric` excludes
 (``sim.events``, flow-cache and compiled-lane counters).
+
+``python -m tests.registry_dump --digests OUT.json`` writes one
+:func:`~repro.artifact.diff.semantic_shard_digest` per run key instead.
+The checked-in ``tests/snapshots/registry_semantic.json`` is that file:
+CI ``--diff``s a fresh one against it, so a change that moves a semantic
+leaf carries the new record in its own diff, where a reviewer sees which
+runs moved (the leaf-level view is a ``--diff --semantic`` of two dumps).
 """
 
 from __future__ import annotations
@@ -51,6 +58,11 @@ def runs() -> list[tuple[str, str, int, str | None]]:
     return planned
 
 
+def label(kind: str, engine: str, seed: int, plan: str | None) -> str:
+    """A run's key in a dump: ``<kind>[:<plan>]/<engine>/<seed>``."""
+    return f"{kind if plan is None else f'{kind}:{plan}'}/{engine}/{seed}"
+
+
 def dump() -> dict[str, dict]:
     from repro.obs.scenario import ScenarioSpec
 
@@ -58,13 +70,22 @@ def dump() -> dict[str, dict]:
     for kind, engine, seed, plan in runs():
         spec = ScenarioSpec(kind=kind, engine=engine, seed=seed, fault_plan=plan)
         run = spec.run()
-        label = kind if plan is None else f"{kind}:{plan}"
-        document[f"{label}/{engine}/{seed}"] = {
+        document[label(kind, engine, seed, plan)] = {
             "metrics": run.metrics(),
             "summary": run.summary,
             "histograms": run.histograms(),
         }
     return document
+
+
+def digests(document: dict[str, dict]) -> dict[str, str]:
+    """One semantic digest per run of a dump: what the CI record holds."""
+    from repro.artifact.diff import semantic_shard_digest
+
+    return {
+        key: semantic_shard_digest(run["metrics"], run["summary"], run["histograms"])
+        for key, run in document.items()
+    }
 
 
 def leaves(value: object, path: str = "") -> dict[str, object]:
@@ -109,14 +130,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--semantic", action="store_true", help="with --diff: semantic leaves only"
     )
+    parser.add_argument(
+        "--digests", action="store_true", help="dump one semantic digest per run"
+    )
     args = parser.parse_args(argv)
     if not args.diff:
         if len(args.files) != 1:
             parser.error("dumping takes one output file")
-        text = json.dumps(dump(), sort_keys=True, indent=1, default=str)
+        document = json.loads(json.dumps(dump(), default=str))
+        if args.digests:
+            document = digests(document)
         with open(args.files[0], "w") as handle:
-            handle.write(text + "\n")
-        document = json.loads(text)
+            handle.write(json.dumps(document, sort_keys=True, indent=1) + "\n")
         print(f"{len(document)} runs, {len(leaves(document))} leaves -> {args.files[0]}")
         return 0
     if len(args.files) != 2:

@@ -605,12 +605,13 @@ def test_template_burst_into_two_tenants_expands_at_the_module():
 
 def test_solo_reboot_under_coalesced_batch_ingress_matches_reference():
     """A whole-module reboot that swaps the application, crossed by
-    multi-frame coalesced flushes before, inside and after the dark window:
-    the one boot routine and the ``_down`` window agree on both tiers.
+    multi-frame coalesced flushes before, inside and across the end of the
+    dark window: the one boot routine and the module's window agree on
+    both tiers, frame by frame at the up edge.
 
-    The three traffic phases keep clear of the two window edges by more
-    than one flush, because a coalesced flush hands frames over early and
-    whole-module darkness is judged at event time.
+    Only the down edge is kept clear by more than one flush: a reboot is
+    not announced, so a flush that hands frames over before it judges
+    them up (the one edge the window rule leaves).
     """
     from repro.core import RECONFIG_DOWNTIME_S
     from repro.core.shells import ShellSpec
@@ -618,7 +619,7 @@ def test_solo_reboot_under_coalesced_batch_ingress_matches_reference():
 
     reboot_at = 1e-3
     back_at = reboot_at + RECONFIG_DOWNTIME_S
-    phases = ((0.0, 0.5e-3), (2e-3, 2.5e-3), (back_at + 0.5e-3, back_at + 1e-3))
+    phases = ((0.0, 0.5e-3), (2e-3, 2.5e-3), (back_at - 0.5e-3, back_at + 0.5e-3))
 
     def run(engine: str):
         sim = Simulator()
@@ -649,6 +650,45 @@ def test_solo_reboot_under_coalesced_batch_ingress_matches_reference():
     assert metrics["dut.downtime_drops.packets"] > 50
     assert metrics["dut.ppe.firewall.processed.packets"] > 50
     assert metrics["fiber.rx.packets"] > metrics["dut.ppe.firewall.processed.packets"]
+
+
+def test_template_bursts_across_the_end_of_a_reboot_window_match_reference():
+    """Same-flow template bursts into a rebooting module: a burst wholly
+    inside the dark window is counted in one step, the burst straddling
+    its end expands to per-frame ingress (each frame judged at its own
+    ``when``), and the bursts after it fuse again; every semantic leaf
+    equals the reference tier's."""
+    from repro.core import RECONFIG_DOWNTIME_S
+
+    reboot_at = 0.1e-3
+    back_at = reboot_at + RECONFIG_DOWNTIME_S
+    template = make_udp(src_ip="10.0.0.1", dst_ip="203.0.113.1", payload=bytes(80))
+
+    def run(engine: str):
+        sim = Simulator()
+        module, host, fiber = build_module(sim, "nat", engine)
+        sim.schedule_at(reboot_at, module.reboot)
+        CbrSource(
+            sim,
+            host,
+            rate_bps=RATE_BPS,
+            frame_len=template.wire_len,
+            start=back_at - 0.2e-3,
+            stop=back_at + 0.2e-3,
+            factory=lambda index, size: template.copy(),
+            burst=burst_of(module),
+            template_burst=module.engine == "compiled",
+        )
+        sim.run(until=back_at + 0.5e-3)
+        return registry_of(module, host, fiber), module
+
+    reference, _ = run("reference")
+    compiled, module = run("compiled")
+    assert compiled == reference
+    metrics = compiled["metrics"]
+    assert metrics["dut.downtime_drops.packets"] > BURST_FRAMES
+    assert metrics["dut.ppe.nat.processed.packets"] > BURST_FRAMES
+    assert compiled_stats(module.ppe)["bursts"] > 0
 
 
 @pytest.mark.parametrize("engine", ["reference", "compiled"])

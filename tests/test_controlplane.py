@@ -91,7 +91,7 @@ class TestFrameAuth:
         frame = mgmt_frame(
             MgmtMessage.control(MgmtOp.HELLO, 10), KEY, "02:00:00:00:00:aa", module.mgmt_mac
         )
-        reply = module.control_plane.handle_frame(frame)
+        reply = module.control_plane.handle_frame(frame, module.sim.now)
         assert reply is not None and reply.json_body()["ok"]
 
     def test_bad_key_silently_dropped(self, module):
@@ -101,15 +101,15 @@ class TestFrameAuth:
             "02:00:00:00:00:aa",
             module.mgmt_mac,
         )
-        assert module.control_plane.handle_frame(frame) is None
+        assert module.control_plane.handle_frame(frame, module.sim.now) is None
         assert module.control_plane.auth_failures == 1
 
     def test_replay_rejected(self, module):
         frame = mgmt_frame(
             MgmtMessage.control(MgmtOp.HELLO, 12), KEY, "02:00:00:00:00:aa", module.mgmt_mac
         )
-        assert module.control_plane.handle_frame(frame).json_body()["ok"]
-        reply = module.control_plane.handle_frame(frame)
+        assert module.control_plane.handle_frame(frame, module.sim.now).json_body()["ok"]
+        reply = module.control_plane.handle_frame(frame, module.sim.now)
         assert not reply.json_body()["ok"]
         assert module.control_plane.replays_rejected == 1
 
@@ -209,7 +209,7 @@ class TestCounterReadReply:
             "02:00:00:00:00:bb",
             module.mgmt_mac,
         )
-        return plane.handle_frame(frame)
+        return plane.handle_frame(frame, module.sim.now)
 
     @pytest.mark.parametrize("kind", ["nat-linerate", "nfv-chain"])
     def test_reply_is_byte_equal_across_tiers(self, kind):

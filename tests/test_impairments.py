@@ -267,6 +267,44 @@ class TestDuplication:
         assert [t for t in received if t >= 4e-3]
 
 
+class TestBurstProbabilityBelongsToItsWindow:
+    """A burst's probability holds inside its own window only: a later,
+    disjoint burst runs at its own probability, an overlapping one merges
+    into the running window at the higher of the two."""
+
+    @staticmethod
+    def loss_between(bursts, start, stop):
+        """Share of the frames arriving in ``[start, stop)`` that one seeded
+        port drops under ``bursts`` (``(at, duration, probability)`` each)."""
+
+        def delivered(bursts):
+            sim = Simulator()
+            tx = Port(sim, "tx", 10e9, queue_bytes=1 << 22)
+            rx = ImpairedPort(sim, "rx", seed=17)
+            received = []
+            rx.attach(lambda p, pkt, size, when: received.append(when))
+            connect(tx, rx)
+            CbrSource(sim, tx, rate_bps=1e9, frame_len=512, stop=10e-3)
+            for at, duration, probability in bursts:
+                sim.schedule_at(at, rx.loss_burst, duration, probability)
+            sim.run(until=11e-3)
+            return sum(1 for when in received if start <= when < stop)
+
+        offered = delivered(())
+        assert offered > 400
+        return 1 - delivered(bursts) / offered
+
+    def test_a_disjoint_later_burst_runs_at_its_own_probability(self):
+        bursts = ((1e-3, 2e-3, 0.9), (5e-3, 4e-3, 0.1))
+        assert self.loss_between(bursts, 1e-3, 3e-3) == pytest.approx(0.9, abs=0.04)
+        assert self.loss_between(bursts, 5e-3, 9e-3) == pytest.approx(0.1, abs=0.04)
+
+    def test_overlapping_bursts_keep_the_higher_probability(self):
+        bursts = ((1e-3, 4e-3, 0.9), (3e-3, 4e-3, 0.1))
+        assert self.loss_between(bursts, 5e-3, 7e-3) == pytest.approx(0.9, abs=0.04)
+        assert self.loss_between(bursts, 7e-3, 10e-3) == 0.0
+
+
 class TestLossyWire:
     def test_forwards_both_directions(self, sim):
         from repro.netem import LossyWire

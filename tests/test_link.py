@@ -365,12 +365,12 @@ class TestCarriedWireSize:
         def checking(cls, name):
             original = getattr(cls, name)
 
-            def wrapper(port, packet, size):
+            def wrapper(port, packet, size, when):
                 assert size == packet.wire_len, (port.name, name, size)
                 checked[f"{cls.__name__}.{name}"] += 1
                 if isinstance(port, ImpairedPort):
                     impaired.add(port)
-                return original(port, packet, size)
+                return original(port, packet, size, when)
 
             monkeypatch.setattr(cls, name, wrapper)
 

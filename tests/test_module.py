@@ -167,7 +167,7 @@ class TestReboot:
         sim.schedule(0.0, module.reboot)
         sim.schedule(RECONFIG_DOWNTIME_S / 2, lambda: host.send(make_udp()))
         sim.run(until=RECONFIG_DOWNTIME_S / 2 + 1e-3)
-        assert module.is_down
+        assert sim.now in module.dark
         assert module.downtime_drops.packets == 1
         assert not fiber_rx
 
@@ -177,26 +177,17 @@ class TestReboot:
         sim.schedule(0.0, module.reboot)
         sim.schedule(RECONFIG_DOWNTIME_S + 1e-3, lambda: host.send(make_udp()))
         sim.run(until=RECONFIG_DOWNTIME_S + 1e-2)
-        assert not module.is_down
+        assert sim.now not in module.dark
         assert len(fiber_rx) == 1
         assert module.reboots == 1
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="ROADMAP item 4: whole-module down-time is a boolean that the "
-        "first reboot's _boot_complete clears, not a [down_from, up_at) window",
-    )
     def test_overlapping_reboots_stay_down_until_the_last_window_ends(self, sim):
-        """Two reboots 50 ms apart: dark to +170 ms, yet up at +120 ms.
+        """Two reboots 50 ms apart: one dark window, 0 .. +170 ms.
 
-        The second reboot re-arms the slot's dark window (+50 .. +170 ms), but
-        the first reboot's ``_boot_complete`` event at +120 ms clears the
-        ``_down`` flag the second one set.  A tenant slot behind a crossbar
-        drops a frame at +130 ms (judged against its window); a solo slot
-        forwards it.  The benchmark's chaos seed 1 has such overlapping
-        reboots, so fixing this moves ``sim.events`` and ``downtime_drops``:
-        ROADMAP item 4's job, which flips this test.
+        The second reboot opens its window inside the first one's, so the
+        two merge; a frame at +130 ms is dropped on the module window, as
+        a tenant slot behind a crossbar drops it on its own.  The
+        benchmark's chaos seed 1 has such reboots.
         """
         module = FlexSFPModule(sim, "m", Deployment.solo(Passthrough()), auth_key=KEY)
         host, fiber, host_rx, fiber_rx = wire_module(sim, module)
@@ -205,13 +196,15 @@ class TestReboot:
         seen = []
 
         def probe():
-            seen.append((module.is_down, module.slots[0].is_dark(sim.now)))
+            seen.append((sim.now in module.dark, sim.now in module.slots[0].dark))
             host.send(make_udp())
 
         sim.schedule(130e-3, probe)
         sim.run(until=200e-3)
-        assert module.slots[0].dark_until == pytest.approx(50e-3 + RECONFIG_DOWNTIME_S)
-        assert seen == [(True, True)]  # today: (False, True)
+        assert module.dark.start == 0.0
+        assert module.dark.until == pytest.approx(50e-3 + RECONFIG_DOWNTIME_S)
+        assert module.slots[0].dark.until == module.dark.until
+        assert seen == [(True, True)]
         assert module.downtime_drops.packets == 1 and not fiber_rx
 
     def test_same_app_reboot_keeps_state(self, sim):
@@ -255,7 +248,7 @@ class TestBootFallback:
         # The module refused the boot and kept the running application.
         assert module.app.name == "passthrough"
         assert module.failed_boots == 1
-        assert not module.is_down
+        assert sim.now not in module.dark
 
 
 class TestShellVariants:

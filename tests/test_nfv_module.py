@@ -178,7 +178,7 @@ class TestPartialReconfiguration:
         scrub = module.tenant_slot("scrub")
         assert scrub.app.name == "passthrough"
         assert scrub.reboots == 1
-        assert not scrub.down
+        assert sim.now not in scrub.dark
         assert scrub.ppe.processed.packets == 1
         assert len(fiber_rx) == 1
 
@@ -187,7 +187,7 @@ class TestPartialReconfiguration:
         at = 5e-3
         module.reconfigure_tenant("scrub", Passthrough(), at_s=at)
         scrub = module.tenant_slot("scrub")
-        assert scrub.dark_from == at
+        assert scrub.dark.start == at
         assert scrub.app.name == "sanitizer"  # swap has not fired yet
         sim.run(until=at + 1e-6)
         assert scrub.app.name == "passthrough"
@@ -221,7 +221,7 @@ class TestCounterRead:
             "02:00:00:00:00:bb",
             module.mgmt_mac,
         )
-        reply = module.control_plane.handle_frame(frame)
+        reply = module.control_plane.handle_frame(frame, module.sim.now)
         assert reply is not None and reply.opcode is MgmtOp.ACK
         return reply.json_body()
 

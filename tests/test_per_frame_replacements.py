@@ -254,7 +254,7 @@ class TestFlood:
             port.attach(
                 lambda p, packet, size, when, index=index: order.append((index, when))
             )
-        switch._forward(2, make_udp(dst_mac="02:00:00:00:00:77"), 42)
+        switch._forward(2, make_udp(dst_mac="02:00:00:00:00:77"), 42, sim.now)
         sim.run()
         assert [index for index, _when in order] == [0, 1, 3]
         assert len({when for _index, when in order}) == 1

@@ -1,9 +1,14 @@
 """The parent-vs-change registry dump tool (``python -m tests.registry_dump``)."""
 
 import copy
+import json
+from pathlib import Path
 
+import tests.registry_dump as registry_dump
 from repro.faults import NAMED_PLANS
-from tests.registry_dump import differing, leaves, runs
+from tests.registry_dump import differing, digests, label, leaves, runs
+
+RECORD = Path(__file__).parent / "snapshots" / "registry_semantic.json"
 
 
 def test_the_dump_covers_every_kind_on_both_tiers_and_six_chaos_seeds():
@@ -64,3 +69,46 @@ def test_diff_names_each_leaf_and_semantic_skips_strategy_counters():
         "nat-linerate/compiled/1/histograms/h/counts/2: 0 != '<missing>'",
         "nat-linerate/compiled/1/summary/delivered/packets: 10 != 11",
     ]
+
+
+def test_digests_move_with_semantic_leaves_only():
+    run = {
+        "metrics": {"sim.events": 60, "fiber.rx.packets": 10},
+        "summary": {"sim_events": 60},
+        "histograms": {},
+    }
+    moved = copy.deepcopy(run)
+    moved["metrics"]["sim.events"] = moved["summary"]["sim_events"] = 59
+    assert digests({"k": run}) == digests({"k": moved})
+    moved["metrics"]["fiber.rx.packets"] = 11
+    assert digests({"k": run}) != digests({"k": moved})
+
+
+def test_digests_mode_writes_one_digest_per_run(monkeypatch, tmp_path):
+    document = {
+        "nat-linerate/reference/1": {
+            "metrics": {"fiber.rx.packets": 10},
+            "summary": {},
+            "histograms": {},
+        }
+    }
+    monkeypatch.setattr(registry_dump, "dump", lambda: document)
+    out = tmp_path / "record.json"
+    assert registry_dump.main(["--digests", str(out)]) == 0
+    assert json.loads(out.read_text()) == digests(document)
+    assert registry_dump.main(["--diff", str(out), str(out)]) == 0
+
+
+def test_the_checked_in_record_covers_every_run_and_the_tiers_agree():
+    """One digest per planned run; reference and compiled hash alike on
+    every run but ``brownout``'s (the pinned cross-tier divergence in
+    ``tests/test_faults.py``)."""
+    record = json.loads(RECORD.read_text())
+    assert set(record) == {label(*run) for run in runs()}
+    diverged = {
+        key.split("/")[0]
+        for key in record
+        if "/reference/" in key
+        and record[key] != record[key.replace("/reference/", "/compiled/")]
+    }
+    assert diverged == {"chaos:brownout"}

@@ -1,4 +1,4 @@
-"""Discrete-event engine: ordering, cancellation, periodic tasks."""
+"""Discrete-event engine: ordering, cancellation, periodic tasks, windows."""
 
 import ast
 from pathlib import Path
@@ -8,6 +8,7 @@ import pytest
 import repro
 from repro.errors import SimulationError
 from repro.sim import PeriodicTask
+from repro.sim.engine import Window
 
 
 class TestScheduling:
@@ -184,6 +185,93 @@ class TestPeriodicTask:
     def test_invalid_interval(self, sim):
         with pytest.raises(SimulationError):
             PeriodicTask(sim, 0.0, lambda: None)
+
+
+class TestWindow:
+    """One ``[start, until)`` interval; ``open`` merges or starts fresh."""
+
+    def test_an_empty_window_holds_no_time(self):
+        window = Window()
+        assert 0.0 not in window and -1e9 not in window
+        window.close(5.0)
+        assert 5.0 not in window
+
+    def test_overlapping_windows_merge_to_the_union_at_the_higher_level(self):
+        window = Window()
+        window.open(1.0, 2.0, level=0.9)
+        window.open(2.0, 2.0, level=0.1)
+        assert (window.start, window.until, window.level) == (1.0, 4.0, 0.9)
+        assert 1.0 in window and 3.5 in window and 4.0 not in window
+
+    def test_touching_windows_merge(self):
+        window = Window()
+        window.open(1.0, 1.0, level=0.2)
+        window.open(2.0, 1.0, level=0.5)
+        assert (window.start, window.until, window.level) == (1.0, 3.0, 0.5)
+
+    def test_a_disjoint_window_starts_fresh_with_its_own_level(self):
+        window = Window()
+        window.open(1.0, 1.0, level=0.9)
+        window.open(5.0, 1.0, level=0.1)
+        assert (window.start, window.until, window.level) == (5.0, 6.0, 0.1)
+        assert 1.5 not in window
+
+    def test_a_running_window_opened_before_an_announced_one_merges_with_it(self):
+        """A slot's reconfiguration announced for t = 1.0, then a module
+        reboot at 0.95: one dark window from the reboot to the end of the
+        announced one, whichever order the two arrive in."""
+        announced_first, running_first = Window(), Window()
+        announced_first.open(1.0, 0.12)
+        announced_first.open(0.95, 0.12)
+        running_first.open(0.95, 0.12)
+        running_first.open(1.0, 0.12)
+        for window in (announced_first, running_first):
+            assert (window.start, window.until) == (0.95, 1.0 + 0.12)
+
+    def test_close_ends_the_window_early(self):
+        window = Window()
+        window.open(1.0, 2.0)
+        window.close(1.5)
+        assert 1.25 in window and 1.5 not in window
+        window.close(9.0)  # past its end: nothing to shorten
+        assert window.until == 1.5
+
+
+# Every receive handler of the fabric, by (file, class, method): each judges
+# a frame at the time it was handed, never at ``sim.now``.
+RECEIVE_HANDLERS = (
+    ("core/module.py", "FlexSFPModule", "_ingress"),
+    ("core/module.py", "FlexSFPModule", "_ingress_burst"),
+    ("core/module.py", "FlexSFPModule", "_on_mgmt_rx"),
+    ("netem/impairments.py", "ImpairedPort", "_deliver"),
+    ("netem/impairments.py", "ImpairedPort", "_finish_rx"),
+    ("switch/legacy.py", "LegacySwitch", "_forward"),
+    ("core/controlplane.py", "ControlPlane", "handle_frame"),
+)
+
+
+def test_no_receive_handler_reads_the_clock():
+    """A frame's time is its ``when`` argument: no receive handler loads
+    an attribute named ``now`` (the sibling of the store scan below)."""
+    root = Path(repro.__file__).parent
+    offenders = []
+    for relative, cls, method in RECEIVE_HANDLERS:
+        tree = ast.parse((root / relative).read_text())
+        (body,) = [
+            node
+            for klass in tree.body
+            if isinstance(klass, ast.ClassDef) and klass.name == cls
+            for node in klass.body
+            if isinstance(node, ast.FunctionDef) and node.name == method
+        ]
+        arguments = {arg.arg for arg in body.args.args}
+        assert arguments & {"when", "whens"}, (cls, method)
+        offenders += [
+            f"{cls}.{method}:{node.lineno}"
+            for node in ast.walk(body)
+            if isinstance(node, ast.Attribute) and node.attr == "now"
+        ]
+    assert offenders == []
 
 
 def test_only_the_engine_stores_to_now():

@@ -54,7 +54,7 @@ class TestGoldenFallback:
         assert module.app.name == "passthrough"  # golden image
         assert module.failed_boots == 1
         assert not module.degraded
-        assert not module.is_down
+        assert sim.now not in module.dark
         assert module.reboots == 1
 
     def test_fallback_module_still_forwards(self, sim):
@@ -189,7 +189,7 @@ class TestSoftcoreWatchdog:
             "02:0c:00:00:00:0f",
             module.mgmt_mac,
         )
-        assert module.control_plane.handle_frame(frame) is None
+        assert module.control_plane.handle_frame(frame, module.sim.now) is None
         assert module.control_plane.frames_while_unresponsive == 1
         sim.run(until=module.watchdog_timeout_s + RECONFIG_DOWNTIME_S + 1e-3)
         assert module.control_plane.responsive
