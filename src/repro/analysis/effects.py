@@ -17,8 +17,8 @@ dependence, commutativity) and folds the records into an
 
 * **fusibility proof** — a burst mode (``pure`` / ``meter`` /
   ``unfusible``) with the blocking stages named when fusion is unsound,
-  plus derived ``key_bits``/``rewrite_bits`` that size the fused executor
-  hardware (replacing the hand-declared profile numbers);
+  plus derived ``key_bits``/``rewrite_bits``, the flow key and rewrite
+  widths of the fused lane (replacing the hand-declared profile numbers);
 * **worst-case timing** — per-frame table-port conflict cycles that feed
   :meth:`repro.fpga.timing.TimingSpec.sustains_line_rate`, so
   ``flexsfp check`` statically rejects programs that cannot hold the

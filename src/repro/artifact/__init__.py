@@ -14,7 +14,6 @@ __all__, __getattr__, __dir__ = export_table(
         "diff": (
             "ArtifactDiff", "DiffEntry", "DiffKind", "diff_artifacts",
             "is_semantic_metric", "semantic_metrics", "semantic_shard_digest",
-            "semantic_summary",
         ),
         "run": (
             "RunArtifact", "artifact_from_bench", "artifact_from_fleet_result",

@@ -54,8 +54,6 @@ NONSEMANTIC_PREFIXES = ("sim.profile.", "fleet.supervisor.")
 # engine counters (recipe hits, deopts, compile wall time) exist only
 # when that strategy runs and measure the *strategy*, not the result.
 NONSEMANTIC_INFIXES = (".flow_cache.", ".fastpath_hits.", ".compiled.")
-# Summary keys that mirror the execution strategy rather than results.
-NONSEMANTIC_SUMMARY_KEYS = frozenset({"sim_events"})
 
 
 def is_semantic_metric(name: str) -> bool:
@@ -78,15 +76,6 @@ def semantic_metrics(metrics: Mapping[str, object]) -> dict[str, object]:
     }
 
 
-def semantic_summary(summary: Mapping[str, object]) -> dict[str, object]:
-    """A scenario summary with execution-strategy keys removed."""
-    return {
-        key: summary[key]
-        for key in sorted(summary)
-        if key not in NONSEMANTIC_SUMMARY_KEYS
-    }
-
-
 def semantic_shard_digest(
     metrics: Mapping[str, object],
     summary: Mapping[str, object],
@@ -102,7 +91,7 @@ def semantic_shard_digest(
     """
     payload = {
         "metrics": semantic_metrics(metrics),
-        "summary": semantic_summary(summary),
+        "summary": dict(summary),
         "histograms": {name: dict(histograms[name]) for name in sorted(histograms)},
     }
     canonical = json.dumps(payload, sort_keys=True, default=str)
@@ -319,8 +308,7 @@ def diff_artifacts(a, b) -> ArtifactDiff:
             "histograms.", entries,
         )
         _diff_mapping(
-            semantic_summary(dict(da.get("summary", {}))),
-            semantic_summary(dict(db.get("summary", {}))),
+            da.get("summary", {}), db.get("summary", {}),
             "summary.", entries,
             semantic_fn=lambda _name: True,
         )
@@ -349,8 +337,7 @@ def diff_artifacts(a, b) -> ArtifactDiff:
         if shard_a.get("semantic_digest") != shard_b.get("semantic_digest"):
             summary_entries: list[DiffEntry] = []
             _diff_mapping(
-                semantic_summary(dict(shard_a.get("summary", {}))),
-                semantic_summary(dict(shard_b.get("summary", {}))),
+                shard_a.get("summary", {}), shard_b.get("summary", {}),
                 f"shards[{index}].summary.", summary_entries,
                 semantic_fn=lambda _name: True,
             )

@@ -20,9 +20,10 @@ mechanisms keep that true:
   conservative whole-cache flush a real double-buffered flow cache does on
   a rule push.
 
-The cache itself costs hardware: sized entries land in LSRAM via
-:func:`repro.fpga.estimator.flow_cache` and show up in the build report as
-a ``flow_cache`` stage beside the pipeline.
+``flexsfp build --cache-entries`` prices a hardware cache (sized entries
+land in LSRAM via :func:`repro.fpga.estimator.flow_cache`, a
+``flow_cache`` stage beside the pipeline); the simulator's cache prices
+nothing, so a module boots the same image on both engine tiers.
 """
 
 from __future__ import annotations

@@ -37,7 +37,7 @@ from ..sim.link import Port
 from ..sim.stats import Counter
 from .arbiter import Arbiter, is_mgmt_frame
 from .controlplane import ControlPlane
-from .flowcache import DEFAULT_FLOW_CACHE_ENTRIES, FlowCache
+from .flowcache import FlowCache
 from .mgmt import mgmt_frame
 from .ppe import (
     BURST_FRAMES,
@@ -180,6 +180,8 @@ class FlexSFPModule:
         program (:func:`repro.hls.compile_executor`) and has the data
         ports take batched delivery and bursts, so senders hand frames
         over a flush at a time and template bursts stay struct-of-arrays.
+        The tier decides how a slot runs, never what it boots: both tiers
+        boot the same image.
     """
 
     def __init__(
@@ -196,7 +198,6 @@ class FlexSFPModule:
         device_id: int = 0,
         mgmt_mac: str | int = "02:f5:f9:00:00:01",
         watchdog_timeout_s: float = WATCHDOG_TIMEOUT_S,
-        flow_cache_entries: int = DEFAULT_FLOW_CACHE_ENTRIES,
         settings: Settings | None = None,
         engine: str | None = None,
     ) -> None:
@@ -222,7 +223,6 @@ class FlexSFPModule:
         self.deploy_key = deploy_key if deploy_key is not None else auth_key
 
         self.engine = resolve_engine(engine, settings)
-        self._flow_cache_entries = flow_cache_entries
         # Optional packet tracer (duck-typed repro.obs.trace.Tracer), set
         # via attach_tracer.  None costs one attribute load per frame.
         self._tracer = None
@@ -317,31 +317,28 @@ class FlexSFPModule:
     # ------------------------------------------------------------------
     # Slot provisioning
     # ------------------------------------------------------------------
-    def _synthesize(self, app: PPEApplication, build=None):
-        """``(build, program)`` for ``app`` at the module's tier.
+    def _synthesize(self, app: PPEApplication):
+        """The image ``app`` boots, the same bitstream on both tiers.
 
-        The one place an application is synthesized.  A given ``build`` is
-        kept as the image (a pre-computed one, or the running one across a
-        reboot, when only the compiled tier's recipes need re-fusing
-        against the new application instance).
+        The one place an application is synthesized.
         """
-        if self.engine == ENGINE_COMPILED:
-            # Loaded by the tier that runs it: a reference module never
-            # imports the executor compiler, a pre-built image never the HLS flow.
-            from ..hls.executor import compile_executor
+        from ..hls.compiler import compile_app
 
-            executor = compile_executor(
-                app,
-                self.shell,
-                device=self.device,
-                flow_cache_entries=self._flow_cache_entries,
-            )
-            return (executor.build if build is None else build), executor.program
-        if build is None:
-            from ..hls.compiler import compile_app
+        return compile_app(app, self.shell, self.device)
 
-            build = compile_app(app, self.shell, self.device)
-        return build, None
+    def _fuse(self, app: PPEApplication):
+        """The compiled tier's fused program for ``app``; ``None`` on reference.
+
+        Recipes are compiled per application instance, like the flow cache,
+        so every boot re-fuses; the image stays what was synthesized.
+        """
+        if self.engine != ENGINE_COMPILED:
+            return None
+        # Loaded by the tier that runs it: a reference module never
+        # imports the executor compiler.
+        from ..hls.executor import compile_executor
+
+        return compile_executor(app, self.shell, self.device)
 
     def _make_engine(
         self,
@@ -369,10 +366,9 @@ class FlexSFPModule:
         """Synthesize one slot's partition and add it: build, flash, engine."""
         app = slot.app = slot.spec.build_app()
         if self.engine == ENGINE_COMPILED:
-            slot.flow_cache = FlowCache(
-                self._flow_cache_entries, name=f"{slot.base}.flow_cache"
-            )
-        slot.build, slot.program = self._synthesize(app, build)
+            slot.flow_cache = FlowCache(name=f"{slot.base}.flow_cache")
+        slot.build = self._synthesize(app) if build is None else build
+        slot.program = self._fuse(app)
         slot.flash.store_bitstream(0, slot.build.bitstream, allow_golden=True)
         slot.flash.select_boot(0)
         slot.ppe = self._make_engine(
@@ -826,9 +822,8 @@ class FlexSFPModule:
                 # Recipes replay against the application instance; a boot
                 # may swap it, so every cached decision is stale.
                 slot.flow_cache.invalidate()
-            # The compiled tier re-fuses against the booted application —
-            # recipes are compiled per app instance, like the flow cache.
-            _, slot.program = self._synthesize(app, slot.build)
+            # Re-fused, never re-synthesized: the image is the one loaded.
+            slot.program = self._fuse(app)
             slot.ppe = self._make_engine(
                 app, bitstream.timing, slot.flow_cache, slot.program
             )
@@ -852,7 +847,7 @@ class FlexSFPModule:
         """Swap one tenant's slot image while the other slots forward.
 
         The new image (a pre-signed *bitstream*, or one synthesized here
-        from *app* at the module's engine tier) is written to the slot's
+        from *app*, the same on either tier) is written to the slot's
         staging flash and booted through the per-slot boot FSM: staging
         first, the tenant's golden image on a corrupt or
         unreconstructible staging image (each failure counted in the
@@ -885,7 +880,7 @@ class FlexSFPModule:
                 raise ConfigError(
                     "reconfigure_tenant() needs a new app or bitstream"
                 )
-            bitstream = self._synthesize(app)[0].bitstream
+            bitstream = self._synthesize(app).bitstream
         start = self.sim.now if at_s is None else at_s
         slot.dark.open(start, RECONFIG_DOWNTIME_S)
         if start > self.sim.now:

@@ -197,45 +197,6 @@ def flow_cache(
     return controller + storage + crc_hash(key_bits)
 
 
-def fused_executor(
-    entries: int,
-    key_bits: int = 104,
-    rewrite_bits: int = 0,
-    lanes: int = 4,
-) -> ResourceVector:
-    """Compiled per-flow executor: recipe store + fused rewrite lanes.
-
-    The compiled engine (hXDP/PsPIN-style) replaces the generic
-    match-action walk with precomputed per-flow recipes executed by a
-    handful of specialized rewrite lanes.  Storage is the recipe table
-    (valid bit + key remainder + verdict/counter word + rewrite operands)
-    in LSRAM; logic is the lookup controller, the CRC index hash, and
-    ``lanes`` copies of a rewrite unit sized to the program's declared
-    rewrite width.  Verdict-only programs (``rewrite_bits=0``) still pay
-    the controller and hash, never the lanes.
-    """
-    if entries <= 0:
-        raise ResourceError("fused executor needs at least one recipe entry")
-    if rewrite_bits < 0:
-        raise ResourceError("negative rewrite width")
-    if lanes <= 0:
-        raise ResourceError("fused executor needs at least one lane")
-    recipe_bits = _align(8 + rewrite_bits + rewrite_bits // 2, 4)
-    entry_bits = _align(1 + key_bits + recipe_bits, 4)
-    address_bits = max(1, math.ceil(math.log2(entries)))
-    controller = ResourceVector(
-        lut4=150 * address_bits + 600,
-        ff=170 * address_bits + 380,
-    )
-    storage = ResourceVector(lsram=sram_blocks_for_table(entries, entry_bits))
-    lane_logic = ResourceVector()
-    if rewrite_bits:
-        lane = action_unit(rewrite_bits)
-        for _ in range(lanes):
-            lane_logic = lane_logic + lane
-    return controller + storage + lane_logic + crc_hash(key_bits)
-
-
 def action_unit(
     rewrite_bits: int, datapath_bits: int = REFERENCE_WIDTH_BITS
 ) -> ResourceVector:

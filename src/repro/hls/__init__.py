@@ -9,7 +9,7 @@ __all__, __getattr__, __dir__ = export_table(
             "BuildResult", "SynthesisReport", "compile_app", "compile_pipeline",
             "price_pipeline", "price_stage",
         ),
-        "executor": ("CompiledProgram", "ExecutorBuild", "compile_executor"),
+        "executor": ("CompiledProgram", "compile_executor"),
         "ir": ("CHAIN_STAGE_KINDS", "PipelineSpec", "Stage", "StageKind"),
         "passes": (
             "ALL_PASSES", "OptimizationReport", "PassFn", "coalesce_fifos",

@@ -139,6 +139,9 @@ class ScenarioSpec:
             raise ConfigError(
                 f"trace_packets must be >= 0: {self.trace_packets}"
             )
+        if self.profile and self.kind == "chaos":
+            # The gauntlet builds its own simulator; no profiler reaches it.
+            raise ConfigError("profile=True is not supported by the chaos kind")
         if self.fault_plan is not None:
             # Only a chaos spec names a plan: every other kind stays clear of
             # the gauntlet (fleet, switch, impairments).
@@ -364,7 +367,6 @@ def _build_nat(spec: ScenarioSpec, module_count: int) -> ScenarioRun:
         "kind": spec.kind,
         "modules": module_count,
         "delivered": fiber.rx.metric_values(),
-        "sim_events": sim.events_processed,
     }
     return ScenarioRun(
         sim, registry, modules, tracer, profiler, spec=spec, summary=summary
@@ -631,7 +633,6 @@ def _build_nfv(spec: ScenarioSpec, churn: bool) -> ScenarioRun:
             for slot in module.slots
         },
         "tenant_digests": _tenant_digests(module, run.metrics(), run.histograms()),
-        "sim_events": sim.events_processed,
     }
     if churn:
         slot = module.tenant_slot(churned)

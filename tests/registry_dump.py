@@ -104,16 +104,14 @@ def leaves(value: object, path: str = "") -> dict[str, object]:
 
 def differing(a: dict, b: dict, semantic: bool = False) -> list[str]:
     """One line per leaf of ``a`` and ``b`` that is not equal in both."""
-    from repro.artifact.diff import NONSEMANTIC_SUMMARY_KEYS, is_semantic_metric
+    from repro.artifact.diff import is_semantic_metric
 
     def compared(leaf: str) -> bool:
         if not semantic:
             return True
         # "<kind>/<engine>/<seed>/<section>/<name...>"
         section, name = (leaf.split("/", 4) + [""])[3:5]
-        if section == "metrics":
-            return is_semantic_metric(name)
-        return section != "summary" or name not in NONSEMANTIC_SUMMARY_KEYS
+        return section != "metrics" or is_semantic_metric(name)
 
     flat_a, flat_b = leaves(a), leaves(b)
     return [

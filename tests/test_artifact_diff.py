@@ -10,7 +10,6 @@ from repro.artifact import (
     is_semantic_metric,
     semantic_metrics,
     semantic_shard_digest,
-    semantic_summary,
 )
 
 
@@ -91,11 +90,6 @@ class TestSemanticClassification:
             {"b.drops": 1, "sim.events": 9, "a.packets": 2}
         )
         assert list(subset) == ["a.packets", "b.drops"]
-
-    def test_semantic_summary_drops_strategy_keys(self):
-        assert semantic_summary({"packets_sent": 5, "sim_events": 9}) == {
-            "packets_sent": 5
-        }
 
     def test_semantic_shard_digest_ignores_engine_noise(self):
         clean = {"fiber.rx.packets": 100}

@@ -47,7 +47,7 @@ metric_values = st.one_of(
 metrics_dicts = st.dictionaries(metric_names, metric_values, max_size=6)
 
 summary_dicts = st.dictionaries(
-    st.sampled_from(["packets_sent", "packets_lost", "repairs", "sim_events"]),
+    st.sampled_from(["packets_sent", "packets_lost", "repairs", "watchdog_reboots"]),
     st.integers(0, 10_000),
     max_size=4,
 )

@@ -868,19 +868,19 @@ def run_engine_script(
     from repro.core.flowcache import FlowCache
     from repro.core.ppe import Direction
     from repro.core.shells import ShellSpec
+    from repro.hls.compiler import compile_app
     from repro.hls.executor import compile_executor
 
     sim = Simulator()
     app = StaticNat()
     app.add_mapping("10.0.0.1", "198.51.100.1")
     app.add_mapping("10.0.0.2", "198.51.100.2")
-    executor = compile_executor(app, ShellSpec())
-    timing = executor.build.report.timing
+    timing = compile_app(app, ShellSpec()).report.timing
     if engine == "compiled":
         ppe = PacketProcessingEngine(
             sim, app, timing, queue_bytes=queue_bytes,
             flow_cache=None if variant == "no-flow-cache" else FlowCache(64),
-            program=None if variant == "no-program" else executor.program,
+            program=None if variant == "no-program" else compile_executor(app, ShellSpec()),
         )
     else:
         ppe = ReferenceEngine(sim, app, timing, queue_bytes=queue_bytes)

@@ -136,21 +136,20 @@ def test_compile_executor_accepts_exactly_the_verified_set(app):
     verifier_rejects = any(f.severity is Severity.ERROR for f in findings)
 
     try:
-        build = compile_app(app, shell)
+        compile_app(app, shell)
         bitstream_rejects = False
     except CompileError:
         bitstream_rejects = True
     try:
-        executor = compile_executor(app, shell)
+        program = compile_executor(app, shell)
         executor_rejects = False
     except CompileError:
         executor_rejects = True
-        executor = None
+        program = None
 
     assert executor_rejects == verifier_rejects, [f.render() for f in findings]
     assert executor_rejects == bitstream_rejects
-    if executor is not None:
-        program = executor.program
+    if program is not None:
         summary = analyze_pipeline(app.pipeline_spec())
         # Fusion is the analysis verdict engaged by the implemented
         # hooks; no declaration can widen (or narrow) it.
@@ -159,20 +158,9 @@ def test_compile_executor_accepts_exactly_the_verified_set(app):
         assert program.key_bits == summary.key_bits
         assert program.rewrite_bits == summary.rewrite_bits
         assert program.effect_digest == summary.digest()
-        if program.fusible:
-            # Fused datapath was priced into the synthesis report with
-            # the analysis-derived widths.
-            assert "fused executor" in executor.build.report.components
-            assert program.resources.lut4 > 0
-        else:
-            assert "fused executor" not in executor.build.report.components
+        if not program.fusible:
             assert any("deopt" in note for note in program.notes)
         assert program.compile_wall_s >= 0.0
-        # Same accepted IR, same shell build: the executor's report is
-        # the bitstream report plus (at most) the fused component.
-        assert (
-            executor.build.report.timing.clock_hz == build.report.timing.clock_hz
-        )
 
 
 def test_rejected_app_never_yields_a_program():
@@ -219,8 +207,5 @@ def test_stale_compiled_profile_is_an_error():
     app = Declared()
     findings = check_app(app, shell=ShellSpec())
     assert any(f.rule == "effect-profile-mismatch" for f in findings)
-    with pytest.raises(CompileError):
+    with pytest.raises(CompileError, match="effect-profile-mismatch"):
         compile_executor(app, ShellSpec())
-    # Non-strict builds survive but surface the mismatch as a note.
-    build = compile_executor(app, ShellSpec(), strict=False, verify=False)
-    assert any("effect-profile-mismatch" in n for n in build.program.notes)

@@ -165,18 +165,6 @@ class TestGauntletDeterminism:
             run_gauntlet(plan="not-a-plan")
 
 
-# The one named plan the tiers disagree on, and why: the compiled build
-# prices the fused executor and the flow-cache LSRAM into its bitstream
-# (lut4 36,211 vs 31,035; lsram 53 vs 5), so the repair image the fleet
-# pushes is 65,836 bytes instead of 65,835 and three byte counters along
-# its path read one more.
-_BROWNOUT_IMAGE = pytest.mark.xfail(
-    strict=True,
-    reason="compiled repair image is one byte longer: fleet.port.tx.bytes, "
-    "switch.forwarded.bytes and agg.sfp1.edge.rx.bytes differ by one",
-)
-
-
 class TestEveryNamedPlanAcrossTiers:
     @staticmethod
     def _run(plan, engine):
@@ -189,13 +177,7 @@ class TestEveryNamedPlanAcrossTiers:
         }
         return result.to_dict(), semantic
 
-    @pytest.mark.parametrize(
-        "plan",
-        [
-            pytest.param(name, marks=_BROWNOUT_IMAGE) if name == "brownout" else name
-            for name in NAMED_PLANS
-        ],
-    )
+    @pytest.mark.parametrize("plan", list(NAMED_PLANS))
     def test_the_tiers_agree_on_every_result_and_semantic_leaf(self, plan):
         reference = self._run(plan, "reference")
         compiled = self._run(plan, "compiled")

@@ -101,14 +101,7 @@ class TestChaosSweep:
             )
 
     def test_gauntlet_summaries_agree_across_engines(self, chaos_matrix):
-        summaries = [
-            {
-                key: value
-                for key, value in cell.artifact.shards[0]["summary"].items()
-                if key != "sim_events"
-            }
-            for cell in chaos_matrix.cells
-        ]
+        summaries = [cell.artifact.shards[0]["summary"] for cell in chaos_matrix.cells]
         assert all(summary == summaries[0] for summary in summaries[1:])
         assert summaries[0]["packets_sent"] > 0
 

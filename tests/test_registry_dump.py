@@ -50,7 +50,7 @@ def test_diff_names_each_leaf_and_semantic_skips_strategy_counters():
     a = {
         "nat-linerate/compiled/1": {
             "metrics": {"sim.events": 60, "fiber.rx.packets": 10, "m.flow_cache.hits": 9},
-            "summary": {"sim_events": 60, "delivered": {"packets": 10}},
+            "summary": {"delivered": {"packets": 10}},
             "histograms": {"h": {"bounds": [1.0, 2.0], "counts": [0, 3, 0]}},
         }
     }
@@ -60,8 +60,7 @@ def test_diff_names_each_leaf_and_semantic_skips_strategy_counters():
     run = b["nat-linerate/compiled/1"]
     run["metrics"]["sim.events"] = 61
     run["metrics"]["m.flow_cache.hits"] = 8
-    run["summary"]["sim_events"] = 61
-    assert len(differing(a, b)) == 3
+    assert len(differing(a, b)) == 2
     assert differing(a, b, semantic=True) == []
     run["summary"]["delivered"]["packets"] = 11
     del run["histograms"]["h"]["counts"][2]
@@ -74,11 +73,11 @@ def test_diff_names_each_leaf_and_semantic_skips_strategy_counters():
 def test_digests_move_with_semantic_leaves_only():
     run = {
         "metrics": {"sim.events": 60, "fiber.rx.packets": 10},
-        "summary": {"sim_events": 60},
+        "summary": {},
         "histograms": {},
     }
     moved = copy.deepcopy(run)
-    moved["metrics"]["sim.events"] = moved["summary"]["sim_events"] = 59
+    moved["metrics"]["sim.events"] = 59
     assert digests({"k": run}) == digests({"k": moved})
     moved["metrics"]["fiber.rx.packets"] = 11
     assert digests({"k": run}) != digests({"k": moved})
@@ -101,8 +100,7 @@ def test_digests_mode_writes_one_digest_per_run(monkeypatch, tmp_path):
 
 def test_the_checked_in_record_covers_every_run_and_the_tiers_agree():
     """One digest per planned run; reference and compiled hash alike on
-    every run but ``brownout``'s (the pinned cross-tier divergence in
-    ``tests/test_faults.py``)."""
+    every run."""
     record = json.loads(RECORD.read_text())
     assert set(record) == {label(*run) for run in runs()}
     diverged = {
@@ -111,4 +109,4 @@ def test_the_checked_in_record_covers_every_run_and_the_tiers_agree():
         if "/reference/" in key
         and record[key] != record[key.replace("/reference/", "/compiled/")]
     }
-    assert diverged == {"chaos:brownout"}
+    assert diverged == set()

@@ -34,6 +34,10 @@ class TestValidation:
         with pytest.raises(ConfigError, match="fault plan"):
             ScenarioSpec(kind="chaos", fault_plan="meteor").validate()
 
+    def test_chaos_rejects_a_profiler_it_would_never_install(self):
+        with pytest.raises(ConfigError, match="profile"):
+            ScenarioSpec(kind="chaos", profile=True).validate()
+
     def test_all_kinds_registered(self):
         assert set(SCENARIO_KINDS) == {
             "nat-linerate", "nat-chain", "chaos", "fleet-upgrade",
