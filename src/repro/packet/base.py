@@ -8,7 +8,7 @@ a buffer.  Parser dispatch (which header follows which) lives in
 
 from __future__ import annotations
 
-from typing import ClassVar
+from typing import Callable, ClassVar
 
 from ..errors import ParseError
 
@@ -46,7 +46,68 @@ class UDPPort:
     INT_COLLECTOR = 5605
 
 
-class Header:
+class Record:
+    """A slotted record of wire fields: the base of every header and of
+    :class:`~repro.packet.telemetry.INTHop`.
+
+    Each subclass lists its fields in ``__slots__``, so an instance holds
+    exactly those fields and a misspelt store raises ``AttributeError``.
+    When a subclass is defined, its ``copy`` is generated from the slots:
+    one allocation plus one store per field, the way :mod:`dataclasses`
+    generates ``__init__``.  Equality compares the same fields.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "__slots__" not in vars(cls):
+            raise TypeError(f"{cls.__name__} must declare __slots__ (its wire fields)")
+        if "copy" not in vars(cls):
+            cls.copy = slotted_copy(cls)
+
+    def copy(self) -> "Record":
+        """An independent record: one allocation plus one store per field.
+        Fields hold immutable values (a subclass with a mutable one,
+        ``INTShim.hops``, writes its own ``copy`` and copies that too)."""
+        raise NotImplementedError
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and all(
+            getattr(other, f) == getattr(self, f) for f in fields_of(type(self))
+        )
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        values = ", ".join(f"{f}={getattr(self, f)!r}" for f in fields_of(type(self)))
+        return f"{self.__class__.__name__}({values})"
+
+
+def fields_of(cls: type) -> tuple[str, ...]:
+    """Every slot ``cls`` and its bases declare, base classes first."""
+    fields: list[str] = []
+    for klass in reversed(cls.__mro__):
+        slots = vars(klass).get("__slots__", ())
+        fields.extend((slots,) if isinstance(slots, str) else slots)
+    return tuple(fields)
+
+
+def slotted_copy(cls: type) -> Callable:
+    """Generate a ``copy`` for ``cls``: one allocation plus one store per slot.
+
+    Compiled under this file's name, so profilers and the call census
+    attribute it to the packet layer.
+    """
+    stores = "".join(f"    clone.{f} = self.{f}\n" for f in fields_of(cls))
+    source = f"def copy(self):\n    clone = _new(cls)\n{stores}    return clone\n"
+    namespace: dict = {"_new": object.__new__, "cls": cls}
+    exec(compile(source, __file__, "exec"), namespace)
+    copy = namespace["copy"]
+    copy.__qualname__ = f"{cls.__qualname__}.copy"
+    copy.__doc__ = Record.copy.__doc__
+    return copy
+
+
+class Header(Record):
     """A single protocol header.
 
     Subclasses are simple records: integer fields, a fixed (or computed)
@@ -55,16 +116,19 @@ class Header:
 
     A plain class, not an ``ABC``: ``ABCMeta`` makes every ``isinstance``
     that misses a Python-level call, several per simulated frame.  What a
-    subclass must define is checked once, when it is defined.
+    subclass must define is checked once, when it is defined: the three
+    methods below, then (in :class:`Record`) its ``__slots__``.
     """
+
+    __slots__ = ()
 
     name: ClassVar[str] = "header"
 
     def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
         for required in ("header_len", "pack", "unpack"):
             if next(k for k in cls.__mro__ if required in vars(k)) is Header:
                 raise TypeError(f"{cls.__name__} must define Header.{required}")
+        super().__init_subclass__(**kwargs)
 
     @property
     def header_len(self) -> int:
@@ -79,20 +143,6 @@ class Header:
     def unpack(cls, data: memoryview, offset: int) -> tuple["Header", int]:
         """Parse a header at ``offset``; return ``(header, bytes_consumed)``."""
         raise NotImplementedError
-
-    def copy(self) -> "Header":
-        """One allocation, one dict copy: fields hold immutable values (a
-        subclass with a mutable one, ``INTShim.hops``, copies that too)."""
-        clone = object.__new__(self.__class__)
-        clone.__dict__ = self.__dict__.copy()
-        return clone
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and other.__dict__ == self.__dict__
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        fields = ", ".join(f"{k}={v!r}" for k, v in self.__dict__.items())
-        return f"{self.__class__.__name__}({fields})"
 
 
 def require(data: memoryview, offset: int, count: int, what: str) -> None:

@@ -17,6 +17,8 @@ BROADCAST_MAC = (1 << 48) - 1
 class Ethernet(Header):
     """Ethernet II header (no FCS; the MAC model accounts for it)."""
 
+    __slots__ = ("dst", "src", "ethertype")
+
     name = "ethernet"
 
     def __init__(
@@ -68,6 +70,8 @@ class VLAN(Header):
     next protocol, mirroring how hardware parsers treat it.
     """
 
+    __slots__ = ("vid", "pcp", "dei", "ethertype")
+
     name = "vlan"
 
     def __init__(
@@ -101,6 +105,8 @@ class VLAN(Header):
 
 class ARP(Header):
     """ARP for IPv4-over-Ethernet (the only variant the toolkit needs)."""
+
+    __slots__ = ("opcode", "sender_mac", "sender_ip", "target_mac", "target_ip")
 
     name = "arp"
 

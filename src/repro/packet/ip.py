@@ -20,6 +20,21 @@ class IPv4(Header):
     :meth:`repro.packet.packet.Packet.to_bytes` (mirroring NIC offload).
     """
 
+    __slots__ = (
+        "src",
+        "dst",
+        "proto",
+        "ttl",
+        "dscp",
+        "ecn",
+        "identification",
+        "flags",
+        "frag_offset",
+        "total_length",
+        "checksum",
+        "options",
+    )
+
     name = "ipv4"
 
     def __init__(
@@ -148,6 +163,16 @@ class IPv4(Header):
 
 class IPv6(Header):
     """IPv6 fixed header (extension headers are treated as payload)."""
+
+    __slots__ = (
+        "src",
+        "dst",
+        "next_header",
+        "hop_limit",
+        "traffic_class",
+        "flow_label",
+        "payload_length",
+    )
 
     name = "ipv6"
 

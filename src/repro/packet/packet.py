@@ -30,11 +30,11 @@ H = TypeVar("H", bound=Header)
 
 ETHERTYPE_TRANSPARENT_ETHERNET = 0x6558  # GRE/NVGRE bridged Ethernet
 
-# Maximum nesting of encapsulation the parser will follow.
+# Maximum nesting the parser will follow: every VLAN/QinQ tag, INT shim
+# and tunnel (VXLAN, GRE, IP-in-IP) is one level.
 _MAX_PARSE_DEPTH = 8
 
 _new = object.__new__
-_plain_copy = Header.copy
 
 
 class Packet:
@@ -147,19 +147,13 @@ class Packet:
         del self.headers[self.index_of(header)]
 
     def copy(self) -> "Packet":
-        """An independent frame: one dict copy per header and a new list;
-        only the immutable payload is shared, nothing is cached.  The loop
-        is ``Header.copy`` inlined; a subclass's override is called."""
+        """An independent frame: a new list of header copies (each one
+        allocation plus one store per field); only the immutable payload
+        is shared, nothing is cached."""
         clone = _new(Packet)
         clone.headers = headers = []
         for header in self.headers:
-            cls = header.__class__
-            if cls.copy is _plain_copy:
-                twin = _new(cls)
-                twin.__dict__ = header.__dict__.copy()
-            else:
-                twin = header.copy()
-            headers.append(twin)
+            headers.append(header.copy())
         clone.payload = self.payload
         meta = self.meta
         clone.meta = meta.copy() if meta else {}
@@ -274,11 +268,16 @@ class Packet:
         return packet
 
 
+def _deeper(depth: int) -> int:
+    """One more nesting level, or :class:`ParseError` past the limit."""
+    if depth >= _MAX_PARSE_DEPTH:
+        raise ParseError("encapsulation nesting too deep")
+    return depth + 1
+
+
 def _parse_ethernet_chain(
     view: memoryview, offset: int, headers: list[Header], depth: int
 ) -> int:
-    if depth > _MAX_PARSE_DEPTH:
-        raise ParseError("encapsulation nesting too deep")
     eth, consumed = Ethernet.unpack(view, offset)
     headers.append(eth)
     offset += consumed
@@ -292,13 +291,13 @@ def _parse_by_ethertype(
         vlan, consumed = VLAN.unpack(view, offset)
         headers.append(vlan)
         return _parse_by_ethertype(
-            view, offset + consumed, vlan.ethertype, headers, depth
+            view, offset + consumed, vlan.ethertype, headers, _deeper(depth)
         )
     if ethertype == EtherType.INT_SHIM:
         shim, consumed = INTShim.unpack(view, offset)
         headers.append(shim)
         return _parse_by_ethertype(
-            view, offset + consumed, shim.next_ethertype, headers, depth
+            view, offset + consumed, shim.next_ethertype, headers, _deeper(depth)
         )
     if ethertype == EtherType.IPV4:
         ip, consumed = IPv4.unpack(view, offset)
@@ -338,7 +337,7 @@ def _parse_by_ip_proto(
                 vxlan, vconsumed = VXLAN.unpack(view, offset)
                 headers.append(vxlan)
                 return _parse_ethernet_chain(
-                    view, offset + vconsumed, headers, depth + 1
+                    view, offset + vconsumed, headers, _deeper(depth)
                 )
             except ParseError:
                 del headers[mark:]
@@ -353,13 +352,13 @@ def _parse_by_ip_proto(
         headers.append(gre)
         offset += consumed
         if gre.protocol == ETHERTYPE_TRANSPARENT_ETHERNET:
-            return _parse_ethernet_chain(view, offset, headers, depth + 1)
-        return _parse_by_ethertype(view, offset, gre.protocol, headers, depth + 1)
+            return _parse_ethernet_chain(view, offset, headers, _deeper(depth))
+        return _parse_by_ethertype(view, offset, gre.protocol, headers, _deeper(depth))
     if proto == IPProto.IPIP:
         inner, consumed = IPv4.unpack(view, offset)
         headers.append(inner)
         return _parse_by_ip_proto(
-            view, offset + consumed, inner.proto, headers, depth + 1
+            view, offset + consumed, inner.proto, headers, _deeper(depth)
         )
     # Unknown L4 protocol: remainder is payload.
     return offset

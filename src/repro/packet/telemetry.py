@@ -9,19 +9,20 @@ first — the same layout idea as INT-MD, sized for a 64-bit datapath.
 
 from __future__ import annotations
 
-import copy
 import struct
 
 from .._util import check_range
 from ..errors import ParseError
-from .base import Header, require
+from .base import Header, Record, require, slotted_copy
 
 _SHIM = struct.Struct("!BBH")
 _HOP = struct.Struct("!HHIQ")
 
 
-class INTHop:
+class INTHop(Record):
     """One per-hop telemetry record (12.7 Gbps-friendly fixed 16 bytes)."""
+
+    __slots__ = ("device_id", "queue_depth", "latency_ns", "ingress_ts_ns")
 
     WIRE_LEN = 16
 
@@ -47,15 +48,6 @@ class INTHop:
         device_id, queue_depth, latency_ns, ts = _HOP.unpack_from(view, offset)
         return cls(device_id, queue_depth, latency_ns, ts)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, INTHop) and other.__dict__ == self.__dict__
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"INTHop(device_id={self.device_id}, queue_depth={self.queue_depth}, "
-            f"latency_ns={self.latency_ns})"
-        )
-
 
 class INTShim(Header):
     """INT shim header carrying a stack of :class:`INTHop` records.
@@ -66,6 +58,8 @@ class INTShim(Header):
       * ``max_hops`` — source-configured bound on the stack depth.
       * ``hops`` — per-hop records, most recent first.
     """
+
+    __slots__ = ("next_ethertype", "max_hops", "hops")
 
     name = "int_shim"
 
@@ -121,6 +115,9 @@ class INTShim(Header):
         return cls(next_ethertype, max_hops, hops), total
 
     def copy(self) -> "INTShim":
-        clone = super().copy()
-        clone.hops = [copy.copy(hop) for hop in self.hops]  # records are mutable
+        clone = _copy_shim_fields(self)
+        clone.hops = [hop.copy() for hop in self.hops]  # records are mutable
         return clone
+
+
+_copy_shim_fields = slotted_copy(INTShim)

@@ -16,6 +16,8 @@ _ICMP = struct.Struct("!BBHHH")
 class UDP(Header):
     """UDP header; ``length``/``checksum`` of 0 are filled at serialization."""
 
+    __slots__ = ("sport", "dport", "length", "checksum")
+
     name = "udp"
 
     def __init__(
@@ -57,6 +59,18 @@ class TCPFlags:
 
 class TCP(Header):
     """TCP header with options."""
+
+    __slots__ = (
+        "sport",
+        "dport",
+        "seq",
+        "ack",
+        "flags",
+        "window",
+        "checksum",
+        "urgent",
+        "options",
+    )
 
     name = "tcp"
 
@@ -139,6 +153,8 @@ class TCP(Header):
 
 class ICMP(Header):
     """ICMP header (echo request/reply oriented; other types pass through)."""
+
+    __slots__ = ("icmp_type", "code", "checksum", "identifier", "sequence")
 
     name = "icmp"
 

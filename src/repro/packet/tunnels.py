@@ -20,6 +20,8 @@ _VXLAN = struct.Struct("!BBHI")
 class GRE(Header):
     """GRE header (RFC 2784/2890 subset: optional checksum and key)."""
 
+    __slots__ = ("protocol", "key", "checksum_present")
+
     name = "gre"
 
     def __init__(
@@ -81,6 +83,8 @@ class GRE(Header):
 
 class VXLAN(Header):
     """VXLAN header (RFC 7348); always followed by an inner Ethernet frame."""
+
+    __slots__ = ("vni",)
 
     name = "vxlan"
 

@@ -1,6 +1,7 @@
 """Per-header pack/unpack symmetry and field validation."""
 
 import copy
+import pickle
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.packet import (
     Packet,
     make_udp,
 )
+from repro.packet.base import fields_of
 
 
 def roundtrip(header):
@@ -265,8 +267,9 @@ def populated(cls):
 
 
 def mutate_every_field(record):
-    """Change every public field of ``record``, nested records included."""
-    for name, value in list(vars(record).items()):
+    """Change every declared field of ``record``, nested records included."""
+    for name in fields_of(type(record)):
+        value = getattr(record, name)
         if isinstance(value, bool):
             setattr(record, name, not value)
         elif isinstance(value, int):
@@ -331,3 +334,52 @@ class TestCopyIndependence:
         clone = original.copy()
         clone.meta["k"] = 1
         assert original.meta == {} and original.copy().meta == {}
+
+
+# ----------------------------------------------------------------------
+# Every packet record is slotted: it holds its declared fields and no more
+# ----------------------------------------------------------------------
+RECORDS = PACKET_HEADERS + [INTHop]
+
+
+class TestSlottedRecords:
+    @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+    def test_no_instance_has_a_dict(self, cls):
+        record = populated(cls)
+        assert not hasattr(record, "__dict__")
+        assert not hasattr(record.copy(), "__dict__")
+        assert fields_of(cls) and all(hasattr(record, f) for f in fields_of(cls))
+
+    def test_a_misspelt_field_store_raises(self):
+        ip = IPv4("10.0.0.1", "10.0.0.2")
+        with pytest.raises(AttributeError):
+            ip.tll = 1
+        with pytest.raises(AttributeError):
+            INTHop().latency = 1
+        assert ip.ttl == 64
+
+    def test_a_subclass_without_slots_is_refused_by_name(self):
+        with pytest.raises(TypeError, match="Unslotted must declare __slots__"):
+
+            class Unslotted(UDP):
+                pass
+
+    def test_generated_copy_is_attributed_to_the_packet_layer(self):
+        """Not ``<string>``: the call census counts frames by file name."""
+        base_py = fields_of.__code__.co_filename
+        for cls in RECORDS:
+            if cls is not INTShim:  # writes its own, to copy the hop records
+                assert cls.copy.__code__.co_filename == base_py, cls
+        assert UDP.copy is not IPv4.copy and UDP.copy.__qualname__ == "UDP.copy"
+
+    @pytest.mark.parametrize(
+        "roundtrip", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )  # fmt: skip
+    def test_a_packet_of_every_header_round_trips(self, roundtrip):
+        original = Packet([populated(cls) for cls in PACKET_HEADERS], payload=b"tail")
+        original.meta["trace_id"] = 5
+        again = roundtrip(original)
+        assert again.headers == original.headers
+        assert all(a is not b for a, b in zip(again.headers, original.headers))
+        assert again.payload == original.payload and again.meta == original.meta

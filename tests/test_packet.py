@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.errors import SerializationError
+from repro.errors import ParseError, SerializationError
 from repro.packet import (
     GRE,
     ICMP,
+    INTShim,
     IPv4,
     Packet,
     UDP,
@@ -174,6 +175,53 @@ class TestTunnelsEndToEnd:
         parsed = Packet.parse(packet.to_bytes())
         assert parsed.get(GRE).key == 99
 
+
+
+class TestNestingLimit:
+    """Every tag, shim and tunnel is one nesting level: a frame of stacked
+    tags must fail as a :class:`ParseError`, not a ``RecursionError``."""
+
+    def test_two_thousand_stacked_tags_are_a_parse_error(self):
+        eth = Ethernet(ethertype=EtherType.VLAN).pack()
+        tag = VLAN(vid=1, ethertype=EtherType.VLAN).pack()
+        frame = eth + tag * 2000
+        assert len(frame) <= 8 * 1024
+        with pytest.raises(ParseError, match="nesting too deep"):
+            Packet.parse(frame)
+
+    def test_three_thousand_stacked_shims_are_a_parse_error(self):
+        eth = Ethernet(ethertype=EtherType.INT_SHIM).pack()
+        shim = INTShim(next_ethertype=EtherType.INT_SHIM).pack()
+        with pytest.raises(ParseError, match="nesting too deep"):
+            Packet.parse(eth + shim * 3000)
+
+    def test_stacked_ip_in_ip_is_a_parse_error(self):
+        inner = IPv4(proto=4, total_length=20).pack()
+        frame = Ethernet().pack() + inner * 50
+        with pytest.raises(ParseError, match="nesting too deep"):
+            Packet.parse(frame)
+
+    def test_qinq_with_an_int_shim_still_parses(self):
+        packet = make_udp(payload=b"data")
+        vlan_push(packet, vid=20)
+        vlan_push(packet, vid=10, service=True)
+        packet.insert_after(packet.get(VLAN, 1), INTShim(next_ethertype=EtherType.IPV4))
+        packet.get(VLAN, 1).ethertype = EtherType.INT_SHIM
+        parsed = Packet.parse(packet.to_bytes())
+        names = [h.name for h in parsed.headers]
+        assert names == ["ethernet", "vlan", "vlan", "int_shim", "ipv4", "udp"]
+        assert parsed.payload == b"data" and parsed.headers == packet.headers
+
+    def test_eight_levels_parse_and_a_ninth_is_refused(self):
+        def tagged(levels):
+            packet = make_udp()
+            for _ in range(levels):
+                vlan_push(packet, vid=levels)
+            return packet.to_bytes()
+
+        assert len(Packet.parse(tagged(8)).get_all(VLAN)) == 8
+        with pytest.raises(ParseError):
+            Packet.parse(tagged(9))
 
 class TestIntrospection:
     def test_five_tuple_v4(self):

@@ -34,6 +34,7 @@ from repro.packet import (
     make_udp6,
     vlan_push,
 )
+from repro.packet.base import Record
 from repro.sim import Port, Simulator
 from repro.switch import LegacySwitch
 from repro.switch.legacy import SWITCH_PIPELINE_LATENCY_S
@@ -278,6 +279,7 @@ class TestHeaderContract:
 
     def test_a_complete_subclass_and_its_subclasses_are_accepted(self):
         class Complete(Header):
+            __slots__ = ()
             header_len = property(lambda self: 0)
 
             def pack(self):
@@ -288,7 +290,7 @@ class TestHeaderContract:
                 return cls(), 0
 
         class Derived(Complete):  # inherits all three: still complete
-            pass
+            __slots__ = ()
 
         assert Derived().copy() == Derived() and Derived.unpack(b"", 0)[1] == 0
 
@@ -296,3 +298,5 @@ class TestHeaderContract:
         assert type(Header) is type
         with pytest.raises(NotImplementedError):
             Header().pack()
+        with pytest.raises(NotImplementedError):
+            Record().copy()  # every subclass gets a generated one
