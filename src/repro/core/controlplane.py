@@ -35,7 +35,35 @@ def _normalize_key(key: object) -> object:
     """JSON-transported keys: lists become tuples so they hash."""
     if isinstance(key, list):
         return tuple(_normalize_key(item) for item in key)
+    if isinstance(key, dict):
+        raise ControlPlaneError(f"field 'key' must not be an object, got {key!r}")
     return key
+
+
+_MISSING = object()
+
+
+def _int_field(body: dict, name: str, default: object = _MISSING) -> int:
+    """``body[name]`` as an int; a missing or non-integer field is a
+    :class:`ControlPlaneError` naming it."""
+    value = body.get(name, default)
+    if value is _MISSING:
+        raise ControlPlaneError(f"field {name!r} is required")
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ControlPlaneError(
+            f"field {name!r} must be an integer, got {value!r}"
+        ) from exc
+
+
+def _hex_field(body: dict, name: str) -> bytes:
+    """``body[name]`` decoded from hex (empty when absent)."""
+    value = body.get(name, "")
+    try:
+        return bytes.fromhex(value)
+    except (TypeError, ValueError) as exc:
+        raise ControlPlaneError(f"field {name!r} must be hex, got {value!r}") from exc
 
 
 class ControlPlane:
@@ -162,12 +190,14 @@ class ControlPlane:
         if isinstance(table, ExactTable):
             table.insert(key, value)
         elif isinstance(table, LPMTable):
-            table.insert(int(body["prefix"]), int(body["prefix_len"]), value)
+            table.insert(
+                _int_field(body, "prefix"), _int_field(body, "prefix_len"), value
+            )
         elif isinstance(table, TernaryTable):
             table.insert(
-                int(body["value_bits"]),
-                int(body["mask"]),
-                int(body.get("priority", 0)),
+                _int_field(body, "value_bits"),
+                _int_field(body, "mask"),
+                _int_field(body, "priority", 0),
                 value,
             )
         else:
@@ -180,7 +210,7 @@ class ControlPlane:
         if isinstance(table, ExactTable):
             table.delete(_normalize_key(body.get("key")))
         elif isinstance(table, LPMTable):
-            table.delete(int(body["prefix"]), int(body["prefix_len"]))
+            table.delete(_int_field(body, "prefix"), _int_field(body, "prefix_len"))
         else:
             raise TableError(f"table kind {table.kind!r} does not support delete")
         return self._ack(message, table=table.name, size=len(table))
@@ -227,8 +257,8 @@ class ControlPlane:
 
     def _op_reconfig_begin(self, message: MgmtMessage) -> MgmtMessage:
         body = message.json_body()
-        slot = int(body.get("slot", -1))
-        total = int(body.get("total_len", 0))
+        slot = _int_field(body, "slot", -1)
+        total = _int_field(body, "total_len", 0)
         sha = str(body.get("sha256", ""))
         if slot == 0:
             raise FlashError("the golden slot cannot be reprogrammed remotely")
@@ -266,8 +296,12 @@ class ControlPlane:
         # the commit body against the module's deployment key.
         from ..fpga.bitstream import Bitstream  # local import to stay light
 
-        bitstream = Bitstream.from_bytes(image)
-        signature = bytes.fromhex(str(message.json_body().get("signature", "")))
+        try:
+            bitstream = Bitstream.from_bytes(image)
+            signature = _hex_field(message.json_body(), "signature")
+        except ReproError:
+            self._reset_reconfig()
+            raise
         if not bitstream.verify(self.module.deploy_key, signature):
             self._reset_reconfig()
             raise ControlPlaneError("bitstream signature rejected")
@@ -289,7 +323,7 @@ class ControlPlane:
         self._reconfig_sha = ""
 
     def _op_boot_select(self, message: MgmtMessage) -> MgmtMessage:
-        slot = int(message.json_body().get("slot", -1))
+        slot = _int_field(message.json_body(), "slot", -1)
         self.module.flash.select_boot(slot)
         return self._ack(message, boot_slot=slot)
 

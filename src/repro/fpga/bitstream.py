@@ -17,12 +17,27 @@ import json
 import zlib
 from dataclasses import dataclass, field
 
-from ..errors import BitstreamError
+from ..errors import BitstreamError, TimingError
 from .resources import ResourceVector
 from .timing import TimingSpec
 
 MAGIC = b"FSFP"
 FORMAT_VERSION = 1
+_RESOURCE_FIELDS = frozenset(ResourceVector().as_dict())
+_MISSING = object()
+
+
+def _field(header: dict, name: str, kind, where: str = "", default=_MISSING):
+    """``header[name]`` if it is a ``kind`` (never a bool), else a
+    :class:`BitstreamError` naming the field."""
+    value = header.get(name, default)
+    if value is _MISSING:
+        raise BitstreamError(f"bitstream field '{where}{name}' is missing")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise BitstreamError(
+            f"bitstream field '{where}{name}' has the wrong type: {value!r}"
+        )
+    return value
 
 
 @dataclass
@@ -92,25 +107,39 @@ class Bitstream:
         head_len = int.from_bytes(data[4:8], "big")
         head_end = 8 + head_len
         try:
-            header = json.loads(data[8:head_end])
+            header = json.loads(body[8:head_end])
         except ValueError as exc:
             raise BitstreamError("corrupt bitstream header") from exc
-        payload_len = int.from_bytes(data[head_end : head_end + 4], "big")
-        payload = bytes(data[head_end + 4 : head_end + 4 + payload_len])
-        if len(payload) != payload_len:
+        payload_len = int.from_bytes(body[head_end : head_end + 4], "big")
+        payload = bytes(body[head_end + 4 : head_end + 4 + payload_len])
+        if head_end + 4 > len(body) or len(payload) != payload_len:
             raise BitstreamError("truncated bitstream payload")
+        if not isinstance(header, dict):
+            raise BitstreamError("bitstream header must be a JSON object")
         if header.get("format") != FORMAT_VERSION:
             raise BitstreamError(f"unsupported format {header.get('format')}")
-        res = header["resources"]
+        res = _field(header, "resources", dict)
+        for name in res:
+            if name not in _RESOURCE_FIELDS:
+                raise BitstreamError(f"bitstream field 'resources.{name}' is unknown")
+            _field(res, name, int, where="resources.")
+        bits = _field(header, "datapath_bits", int)
+        clock = _field(header, "clock_hz", (int, float))
+        try:
+            timing = TimingSpec(bits, clock)
+        except TimingError as exc:
+            raise BitstreamError(
+                f"bitstream fields 'datapath_bits'={bits!r}, 'clock_hz'={clock!r}: {exc}"
+            ) from exc
         return cls(
-            app_name=header["app_name"],
-            shell=header["shell"],
-            device=header["device"],
-            timing=TimingSpec(header["datapath_bits"], header["clock_hz"]),
+            app_name=_field(header, "app_name", str),
+            shell=_field(header, "shell", str),
+            device=_field(header, "device", str),
+            timing=timing,
             resources=ResourceVector(**res),
             payload=payload,
-            version=header["version"],
-            metadata=header.get("metadata", {}),
+            version=_field(header, "version", int),
+            metadata=_field(header, "metadata", dict, default={}),
         )
 
     # ------------------------------------------------------------------
@@ -129,17 +158,14 @@ def synthesize_payload(app_name: str, resources: ResourceVector, size_kib: int =
     """Deterministic stand-in for the real configuration payload.
 
     Real PolarFire bitstreams are a few MiB of opaque configuration data;
-    for simulation we generate a deterministic pseudo-random payload seeded
-    by the design identity so flash/UPLOAD paths move realistic volumes.
+    for simulation the payload is ``size_kib`` KiB of SHAKE-256 output
+    (one extendable-output call) seeded by the design identity, the app
+    name and its resources, so flash/UPLOAD paths move realistic volumes
+    and two different designs never share an image.
     """
     if size_kib <= 0:
         raise BitstreamError("payload size must be positive")
     seed = hashlib.sha256(
         f"{app_name}:{resources.as_dict()}".encode()
     ).digest()
-    out = bytearray()
-    block = seed
-    while len(out) < size_kib * 1024:
-        block = hashlib.sha256(block).digest()
-        out += block
-    return bytes(out[: size_kib * 1024])
+    return hashlib.shake_256(seed).digest(size_kib * 1024)

@@ -9,6 +9,7 @@ Two-Way-Core shell (Figure 1b) must process the *sum* of both directions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .._util import ceil_div
@@ -33,8 +34,8 @@ class TimingSpec:
                 f"datapath width must be a positive multiple of 8 bits, "
                 f"got {self.datapath_bits}"
             )
-        if self.clock_hz <= 0:
-            raise TimingError("clock must be positive")
+        if not 0 < self.clock_hz < math.inf:  # NaN fails both
+            raise TimingError("clock must be positive and finite")
 
     @property
     def datapath_bytes(self) -> int:

@@ -241,13 +241,26 @@ class ServiceTimeline:
         array): the same frames admitted, bit-equal finishes and the same
         ``free_at``, occupancy and pending reservations the fold leaves.
         Two vector regimes (:mod:`repro.sim.burst`) cover the traffic that
-        cannot tail-drop; everything else is the fold itself.
+        cannot tail-drop, keep-up first when the head finds the server
+        idle; everything else is the fold itself.
         """
         pending = self._pending
         head = float(times[0])
         self.drain(head)
         n = len(times)
         free_at = self.free_at
+        if head >= free_at and size <= limit:
+            # Nothing is pending (every reserved start precedes free_at)
+            # and each arrival drains its predecessor: one frame fitting
+            # is the exact no-drop condition, and one frame stays pending.
+            # Tried first: where the busy chain also holds, every arrival
+            # ties its predecessor's finish and both give the same floats.
+            on_arrival = keepup_reservations(times, service_s)
+            if on_arrival is not None:
+                self.free_at = float(on_arrival[-1])
+                pending.append((float(times[-1]), size))
+                self.pending_bytes = size
+                return times, on_arrival
         if self.pending_bytes + n * size <= limit:
             # Fits on top of the occupancy at its head, which only shrinks.
             chain = chain_reservations(times, service_s, free_at)
@@ -261,16 +274,6 @@ class ServiceTimeline:
                 pending.extend(zip(chain[matured:n].tolist(), repeat(size)))
                 self.pending_bytes += (n - matured) * size
                 return times, chain[1:]
-        if head >= free_at and size <= limit:
-            # Nothing is pending (every reserved start precedes free_at)
-            # and each arrival drains its predecessor: one frame fitting
-            # is the exact no-drop condition, and one frame stays pending.
-            on_arrival = keepup_reservations(times, service_s)
-            if on_arrival is not None:
-                self.free_at = float(on_arrival[-1])
-                pending.append((float(times[-1]), size))
-                self.pending_bytes = size
-                return times, on_arrival
         admit = self.admit
         admitted: list[float] = []
         finishes: list[float] = []

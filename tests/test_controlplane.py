@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.apps import AclFirewall, StaticNat
+from repro.apps import AclFirewall, StaticNat, TunnelGateway
 from repro.artifact.diff import semantic_metrics
 from repro.core import (
     FlexSFPModule,
@@ -17,10 +17,12 @@ from repro.core import (
     mgmt_frame,
 )
 from repro.core.mgmt import MAX_BODY
+from repro.errors import ControlPlaneError
 from repro.hls import compile_app
 from repro.nfv import Deployment
 from repro.obs.scenario import ScenarioSpec
 from repro.sim import Port, connect
+from tests.test_bitstream import MUTANTS, mutant_image
 
 KEY = b"unit-test-key"
 
@@ -121,7 +123,10 @@ class TestReconfigFsm:
         return build.bitstream
 
     def transfer(self, module, bitstream, slot=1, seq=100, corrupt=False, sign_key=KEY):
-        image = bitstream.to_bytes()
+        signature = bitstream.sign(sign_key).hex()
+        return self.transfer_image(module, bitstream.to_bytes(), signature, slot, seq, corrupt)
+
+    def transfer_image(self, module, image, signature, slot=1, seq=100, corrupt=False):
         digest = hashlib.sha256(image).hexdigest()
         reply = command(
             module,
@@ -142,7 +147,6 @@ class TestReconfigFsm:
             message = MgmtMessage(MgmtOp.RECONFIG_CHUNK, seq, chunk_body(offset, data))
             module.control_plane.dispatch(message)
         seq += 1
-        signature = bitstream.sign(sign_key).hex()
         return command(module, MgmtOp.RECONFIG_COMMIT, seq, signature=signature)
 
     def test_full_ota_flow(self, sim, module):
@@ -167,6 +171,19 @@ class TestReconfigFsm:
         bitstream = self.build_new_image(sim)
         reply = self.transfer(module, bitstream, sign_key=b"attacker")
         assert not reply["ok"] and "signature" in reply["reason"]
+
+    @pytest.mark.parametrize("name", sorted(MUTANTS))
+    def test_malformed_image_naks_and_resets_the_transfer(self, module, name):
+        reply = self.transfer_image(module, mutant_image(name), "00" * 32)
+        assert reply["opcode"] is MgmtOp.NAK
+        assert MUTANTS[name][1] in reply["reason"]
+        assert module.control_plane.reconfig_state is ReconfigState.IDLE
+
+    def test_non_hex_signature_naks_and_resets_the_transfer(self, sim, module):
+        image = self.build_new_image(sim).to_bytes()
+        reply = self.transfer_image(module, image, "not hex")
+        assert reply["opcode"] is MgmtOp.NAK and "signature" in reply["reason"]
+        assert module.control_plane.reconfig_state is ReconfigState.IDLE
 
     def test_golden_slot_protected(self, module):
         reply = command(
@@ -194,6 +211,43 @@ class TestReconfigFsm:
         build = compile_app(firewall, ShellSpec(), device=MPF300T)
         reply = self.transfer(module, build.bitstream)
         assert not reply["ok"] and "targets" in reply["reason"]
+
+
+#: (app factory, opcode, fields, field the refusal must name)
+_BAD_FIELDS = {
+    "begin-slot-string": (StaticNat, MgmtOp.RECONFIG_BEGIN,
+                          dict(slot="x", total_len=10, sha256="0" * 64), "slot"),
+    "begin-total-null": (StaticNat, MgmtOp.RECONFIG_BEGIN,
+                         dict(slot=1, total_len=None, sha256="0" * 64), "total_len"),
+    "begin-total-infinite": (StaticNat, MgmtOp.RECONFIG_BEGIN,
+                             dict(slot=1, total_len=float("inf"), sha256="0" * 64),
+                             "total_len"),
+    "boot-slot-list": (StaticNat, MgmtOp.BOOT_SELECT, dict(slot=[1]), "slot"),
+    "exact-key-object": (StaticNat, MgmtOp.TABLE_ADD,
+                         dict(table="nat", key={"a": 1}, value=2), "key"),
+    "lpm-add-no-prefix": (TunnelGateway, MgmtOp.TABLE_ADD,
+                          dict(table="tunnel_routes", prefix_len=8, value=1), "prefix"),
+    "lpm-add-bad-length": (TunnelGateway, MgmtOp.TABLE_ADD,
+                           dict(table="tunnel_routes", prefix=1, prefix_len="x", value=1),
+                           "prefix_len"),
+    "lpm-del-no-prefix": (TunnelGateway, MgmtOp.TABLE_DEL,
+                          dict(table="tunnel_routes", prefix_len=8), "prefix"),
+    "ternary-no-mask": (AclFirewall, MgmtOp.TABLE_ADD,
+                        dict(table="acl", value_bits=1, value="deny"), "mask"),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_FIELDS))
+def test_a_malformed_field_is_a_typed_nak_naming_it(sim, case):
+    make_app, opcode, fields, field = _BAD_FIELDS[case]
+    module = FlexSFPModule(sim, "dut", Deployment.solo(make_app()), auth_key=KEY)
+    plane = module.control_plane
+    message = MgmtMessage.control(opcode, 7, **fields)
+    with pytest.raises(ControlPlaneError, match=repr(field)):
+        getattr(plane, f"_op_{opcode.name.lower()}")(message)
+    reply = plane.dispatch(message)
+    assert reply.opcode is MgmtOp.NAK and repr(field) in reply.json_body()["reason"]
+    assert plane.reconfig_state is ReconfigState.IDLE
 
 
 class TestCounterReadReply:

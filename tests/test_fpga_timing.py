@@ -49,6 +49,9 @@ class TestTimingSpec:
             TimingSpec(63, 1e6)  # not a byte multiple
         with pytest.raises(TimingError):
             TimingSpec(64, 0)
+        for clock in (float("nan"), float("inf")):
+            with pytest.raises(TimingError):
+                TimingSpec(64, clock)
 
 
 class TestRequiredClock:

@@ -7,17 +7,20 @@ a server busy past the burst head or long idle, a queue limit anywhere
 from "nothing fits" to "everything fits" — and requires both forms to
 agree on everything observable, right after the call and after any later
 drain.  It also knows which of the three regimes each example must take
-(busy chain, keep-up, scalar replay), from their definitions in plain
-floats, so a vector regime that silently stops being taken fails here
-even though the replay behind it returns the same values.
+(keep-up, busy chain, scalar replay, in the order ``admit_burst`` tries
+them), from their definitions in plain floats, and records which vector
+kernel produced the result, so a regime that silently stops being taken,
+or is tried out of order, fails here even though the values agree.
 """
 
 from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sim import engine
 from repro.sim.engine import ServiceTimeline
 
 SERVICE_S = 51.2e-9
@@ -68,24 +71,61 @@ def fold(timeline: ServiceTimeline, times, size: int, limit: int):
     return admitted_at, finishes
 
 
-def regime(timeline: ServiceTimeline, times, size: int, limit: int) -> str:
-    """The regime a burst offered to ``timeline`` (drained to its head) is in."""
-    at = times.tolist()
-    if timeline.pending_bytes + len(at) * size <= limit:
-        finish = max(at[0], timeline.free_at)
-        for arrival in at[1:]:
-            finish = finish + SERVICE_S
-            if arrival > finish:
-                break
-        else:
-            return "busy chain"
-    if (
+def chains(timeline: ServiceTimeline, at: list, size: int, limit: int) -> bool:
+    """Busy chain: fits, and no arrival beats its predecessor's finish."""
+    if timeline.pending_bytes + len(at) * size > limit:
+        return False
+    finish = max(at[0], timeline.free_at)
+    for arrival in at[1:]:
+        finish = finish + SERVICE_S
+        if arrival > finish:
+            return False
+    return True
+
+
+def keeps_up(timeline: ServiceTimeline, at: list, size: int, limit: int) -> bool:
+    """Keep-up: an idle head, one frame fits, no arrival before a finish."""
+    return (
         at[0] >= timeline.free_at
         and size <= limit
         and all(b >= a + SERVICE_S for a, b in zip(at, at[1:]))
-    ):
+    )
+
+
+def regime(timeline: ServiceTimeline, times, size: int, limit: int) -> str:
+    """The regime a burst offered to ``timeline`` (drained to its head) is
+    in, in the order ``admit_burst`` tries them: keep-up, then busy chain."""
+    at = times.tolist()
+    if keeps_up(timeline, at, size, limit):
         return "keep-up"
+    if chains(timeline, at, size, limit):
+        return "busy chain"
     return "replay"
+
+
+@contextmanager
+def kernels_recorded():
+    """Record the regime of every vector kernel that returned a result."""
+    ran: list[str] = []
+
+    def recording(kernel, name):
+        def record(*args):
+            result = kernel(*args)
+            if result is not None:
+                ran.append(name)
+            return result
+
+        return record
+
+    kernels = {"chain_reservations": "busy chain", "keepup_reservations": "keep-up"}
+    originals = {attr: getattr(engine, attr) for attr in kernels}
+    for attr, name in kernels.items():
+        setattr(engine, attr, recording(originals[attr], name))
+    try:
+        yield ran
+    finally:
+        for attr, kernel in originals.items():
+            setattr(engine, attr, kernel)
 
 
 def test_admit_burst_equals_folding_admit():
@@ -122,9 +162,14 @@ def test_admit_burst_equals_folding_admit():
             limit += size // 2
         expected_regime = regime(folded, times, size, limit)
         split[expected_regime] += 1
+        if expected_regime == "keep-up" and chains(folded, times.tolist(), size, limit):
+            split["keep-up, chain also holds"] += 1
 
         expected_at, expected_finish = fold(folded, times, size, limit)
+        ran.clear()
         admitted_at, finishes = vector.admit_burst(times, size, SERVICE_S, limit)
+        # The kernel that produced the result is the one the order names.
+        assert ran == ([] if expected_regime == "replay" else [expected_regime])
 
         assert admitted_at.tolist() == expected_at  # same frames, so same drops
         assert finishes.tolist() == expected_finish  # bit-equal, not approx
@@ -138,20 +183,24 @@ def test_admit_burst_equals_folding_admit():
             folded.drain(probe)
             assert state(vector) == state(folded)
 
-    check()
+    with kernels_recorded() as ran:
+        check()
     print(f"regime split: {dict(split)}")
     assert min(split[r] for r in ("busy chain", "keep-up", "replay")) >= 50, split
+    assert split["keep-up, chain also holds"] >= 10, split
 
 
 def test_three_regimes_are_told_apart():
-    """Hand-built bursts that can only be in one regime each.
+    """Hand-built bursts, one regime each, in the order they are tried.
 
     A paced burst (arrivals inside the running service) can chain but not
-    keep up; a sparse one, and one whose every arrival ties its
-    predecessor's finish under a queue one frame deep, can keep up but not
-    chain; one early frame in a sparse burst, or a queue too shallow for a
-    paced one, replays.  ``pending_frames`` right after the call is the
-    fold's: the suffix of a chain still waiting, one frame after keep-up.
+    keep up; a sparse one can keep up but not chain; one whose every
+    arrival ties its predecessor's finish holds both and keeps up, since
+    keep-up is tried first on an idle head (the same floats either way);
+    under a queue one frame deep it can only keep up.  One early frame in
+    a sparse burst, or a queue too shallow for a paced one, replays.
+    ``pending_frames`` right after the call is the fold's: the suffix of a
+    chain still waiting, one frame after keep-up.
     """
     paced = np.add.accumulate(np.full(16, SERVICE_S / 2))
     sparse = np.add.accumulate(np.full(16, 2 * SERVICE_S))
@@ -160,7 +209,7 @@ def test_three_regimes_are_told_apart():
     stumble[9] = stumble[8] + SERVICE_S / 2
     cases = [  # regime, arrivals, size, limit, frames admitted, frames left pending
         ("busy chain", paced, 60, 1 << 20, 16, 8),  # starts past the last arrival
-        ("busy chain", tied, 60, 1 << 20, 16, 1),  # all matured but the last frame
+        ("keep-up", tied, 60, 1 << 20, 16, 1),  # chains too: all matured but the last
         ("keep-up", sparse, 60, 1 << 20, 16, 1),
         ("keep-up", sparse, 1514, 1514, 16, 1),  # one frame fits, sixteen never would
         ("keep-up", tied, 60, 60, 16, 1),
@@ -172,7 +221,9 @@ def test_three_regimes_are_told_apart():
         folded, vector = ServiceTimeline(), ServiceTimeline()
         assert regime(folded, times, size, limit) == expected_regime
         expected_at, expected_finish = fold(folded, times, size, limit)
-        admitted_at, finishes = vector.admit_burst(times, size, SERVICE_S, limit)
+        with kernels_recorded() as ran:
+            admitted_at, finishes = vector.admit_burst(times, size, SERVICE_S, limit)
+        assert ran == ([] if expected_regime == "replay" else [expected_regime])
         assert len(finishes) == len(expected_at) == admitted
         assert finishes.tolist() == expected_finish
         assert (admitted_at is times) == (expected_regime != "replay")
