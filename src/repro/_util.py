@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 import sys
 from collections import namedtuple
+from collections.abc import Mapping
 from functools import lru_cache
 from importlib import import_module
 
@@ -140,6 +141,32 @@ def check_range(name: str, value: int, bits: int) -> int:
     if not 0 <= value < (1 << bits):
         raise ConfigError(f"{name} out of range for {bits}-bit field: {value}")
     return value
+
+
+def typed(value, kind, where: str):
+    """``value`` if it is a ``kind`` (a bool only where ``kind`` names
+    ``bool``), else a :class:`ConfigError` naming ``where``."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if not isinstance(value, kinds) or (
+        isinstance(value, bool) and bool not in kinds
+    ):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise ConfigError(
+            f"{where} must be {names}, got {type(value).__name__}: {value!r}"
+        )
+    return value
+
+
+def checked_fields(payload: object, types: dict, where: str) -> dict:
+    """``payload`` as a dict whose every key is in ``types`` and typed per it:
+    a misspelt or retired field must not load as if left at its default."""
+    data = dict(typed(payload, Mapping, where))
+    unknown = sorted(set(data) - set(types))
+    if unknown:
+        raise ConfigError(f"unknown {where} field(s): {unknown}")
+    for name, value in data.items():
+        typed(value, types[name], f"{where} field {name!r}")
+    return data
 
 
 def ceil_div(numerator: int, denominator: int) -> int:

@@ -27,9 +27,10 @@ import sys
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable, Mapping
 
+from .._util import typed
 from ..engine import resolve_engine
 from ..errors import ConfigError
-from ..obs.export import SCHEMA_RUN, json_document
+from ..obs.export import SCHEMA_RUN
 from .diff import semantic_shard_digest
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -39,20 +40,16 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 
 def environment_fingerprint() -> dict:
     """Where this artifact was produced (volatile: never diffed as semantic)."""
+    from .. import __version__
+
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": sys.platform,
         "machine": platform.machine(),
         "cpus": os.cpu_count() or 1,
-        "repro": _package_version(),
+        "repro": __version__,
     }
-
-
-def _package_version() -> str:
-    from .. import __version__
-
-    return __version__
 
 
 def spec_digest_of(spec_payload: Mapping[str, object]) -> str:
@@ -66,21 +63,21 @@ def spec_digest_of(spec_payload: Mapping[str, object]) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+#: Every section of the document and its type; a missing section is empty.
+_SECTIONS = {
+    "source": str, "spec": dict, "spec_digest": str, "seed": int, "knobs": dict,
+    "metrics": dict, "histograms": dict, "shards": list, "completeness": dict,
+    "summary": dict, "findings": list, "timings": dict, "environment": dict,
+    "supervisor": dict,
+}  # fmt: skip
 #: What every entry of ``shards`` carries, and as what.
-_SHARD_FIELDS = (
-    ("index", int), ("seed", int), ("digest", str),
-    ("semantic_digest", str), ("summary", dict),
-)  # fmt: skip
+_SHARD_FIELDS = {
+    "index": int, "seed": int, "digest": str, "semantic_digest": str, "summary": dict,
+}  # fmt: skip
 
 
 def _typed(value: object, kind: type, where: str):
-    """``value`` if it is a ``kind`` (a bool is not an int), else ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ConfigError(
-            f"artifact field {where!r} must be a {kind.__name__}, "
-            f"got {type(value).__name__}: {value!r}"
-        )
-    return value
+    return typed(value, kind, f"artifact field {where!r}")
 
 
 @dataclass(frozen=True)
@@ -145,9 +142,7 @@ class RunArtifact:
 
     def document(self) -> str:
         """The canonical one-line ``flexsfp.run/1`` JSON document."""
-        payload = self.to_dict()
-        payload.pop("schema")
-        return json_document(SCHEMA_RUN, **payload)
+        return json.dumps(self.to_dict(), sort_keys=True, default=str)
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "RunArtifact":
@@ -163,47 +158,27 @@ class RunArtifact:
             raise ConfigError(
                 f"expected a {SCHEMA_RUN!r} document, got schema {schema!r}"
             )
-
-        def take(name: str, kind: type, default: object):
-            return _typed(data.get(name, default), kind, name)
-
-        shards = take("shards", list, [])
-        for index, shard in enumerate(shards):
+        doc = {
+            name: _typed(data.get(name, kind()), kind, name)
+            for name, kind in _SECTIONS.items()
+        }
+        for index, shard in enumerate(doc["shards"]):
             where = f"shards[{index}]"
             _typed(shard, dict, where)
-            for key, kind in _SHARD_FIELDS:
+            for key, kind in _SHARD_FIELDS.items():
                 _typed(shard.get(key), kind, f"{where}.{key}")
-        completeness = take("completeness", dict, {})
-        _typed(
-            completeness.get("failed_indices", []), list, "completeness.failed_indices"
-        )
-        knobs = take("knobs", dict, {})
-        deployment = _typed(knobs.get("deployment", {}), dict, "knobs.deployment")
-        for index, tenant in enumerate(
-            _typed(deployment.get("tenants", []), list, "knobs.deployment.tenants")
-        ):
+        for name, state in doc["histograms"].items():
+            _typed(state, dict, f"histograms[{name!r}]")
+        for index, finding in enumerate(doc["findings"]):
+            _typed(finding, dict, f"findings[{index}]")
+        failed = doc["completeness"].get("failed_indices", [])
+        _typed(failed, list, "completeness.failed_indices")
+        deployment = _typed(doc["knobs"].get("deployment", {}), dict, "knobs.deployment")
+        tenants = _typed(deployment.get("tenants", []), list, "knobs.deployment.tenants")
+        for index, tenant in enumerate(tenants):
             _typed(tenant, dict, f"knobs.deployment.tenants[{index}]")
         return cls(
-            source=take("source", str, ""),
-            spec=take("spec", dict, {}),
-            spec_digest=take("spec_digest", str, ""),
-            seed=take("seed", int, 0),
-            knobs=knobs,
-            metrics=take("metrics", dict, {}),
-            histograms={
-                name: dict(_typed(state, dict, f"histograms[{name!r}]"))
-                for name, state in take("histograms", dict, {}).items()
-            },
-            shards=tuple(dict(shard) for shard in shards),
-            completeness=completeness,
-            summary=take("summary", dict, {}),
-            findings=tuple(
-                dict(_typed(finding, dict, f"findings[{index}]"))
-                for index, finding in enumerate(take("findings", list, []))
-            ),
-            timings=take("timings", dict, {}),
-            environment=take("environment", dict, {}),
-            supervisor=take("supervisor", dict, {}),
+            **{**doc, "shards": tuple(doc["shards"]), "findings": tuple(doc["findings"])}
         )
 
     # ------------------------------------------------------------------
@@ -243,19 +218,12 @@ def _all_completed(shards: int) -> dict:
 
 
 def _knobs_from_spec(spec_payload: Mapping, workers: int | None) -> dict:
-    # Only building an artifact needs the effect analysis (and the PPE
-    # behind it); ``flexsfp diff`` loads and compares two without it.
-    from ..analysis.effects import corpus_digest
-
     knobs = {
         "engine": resolve_engine(spec_payload.get("engine")),
         "shards": int(spec_payload.get("shards", 1)),
         "workers": workers,
         "device": spec_payload.get("device"),
         "fault_plan": spec_payload.get("fault_plan"),
-        # Effect-analysis digest over the bundled app corpus: artifact
-        # diffs surface analysis/IR drift even when metrics agree.
-        "effect_digest": corpus_digest(),
     }
     tenants = spec_payload.get("tenants")
     if tenants:
@@ -275,43 +243,67 @@ def _knobs_from_spec(spec_payload: Mapping, workers: int | None) -> dict:
     return knobs
 
 
-def artifact_from_fleet_result(
-    result: "FleetRunResult",
-    source: str = "flexsfp-run",
+def _build(
+    source: str,
+    spec_payload: dict,
+    workers: int | None,
+    shards: Iterable[tuple],
+    completeness: dict | None = None,
     findings: Iterable[Mapping] = (),
+    wall_s: float | None = None,
+    **sections: dict,
 ) -> RunArtifact:
-    """Reduce a (supervised) fleet run to its ``flexsfp.run/1`` artifact."""
-    spec_payload = result.spec.to_dict()
-    shards = tuple(
+    """The one artifact builder; each entry point only gathers its inputs.
+
+    ``shards`` holds one ``(index, seed, digest, metrics, summary,
+    histograms)`` per shard; ``sections`` are the remaining document
+    sections (``metrics``, ``histograms``, ``summary``, ``supervisor``).
+    """
+    entries = tuple(
         {
-            "index": shard.index,
-            "seed": shard.seed,
-            "digest": shard.digest,
-            "semantic_digest": semantic_shard_digest(
-                shard.metrics, shard.summary, shard.histograms
-            ),
-            "summary": dict(shard.summary),
+            "index": index,
+            "seed": seed,
+            "digest": digest,
+            "semantic_digest": semantic_shard_digest(metrics, summary, histograms),
+            "summary": dict(summary),
         }
-        for shard in result.shards
-    )
-    completeness = (
-        result.completeness.to_dict()
-        if result.completeness is not None
-        else _all_completed(len(shards))
+        for index, seed, digest, metrics, summary, histograms in shards
     )
     return RunArtifact(
         source=source,
         spec=spec_payload,
         spec_digest=spec_digest_of(spec_payload),
         seed=int(spec_payload.get("seed", 0)),
-        knobs=_knobs_from_spec(spec_payload, result.workers),
+        knobs=_knobs_from_spec(spec_payload, workers),
+        shards=entries,
+        completeness=completeness or _all_completed(len(entries)),
+        findings=tuple(dict(finding) for finding in findings),
+        timings={} if wall_s is None else {"wall_s": wall_s},
+        environment=environment_fingerprint(),
+        **sections,
+    )
+
+
+def artifact_from_fleet_result(
+    result: "FleetRunResult",
+    source: str = "flexsfp-run",
+    findings: Iterable[Mapping] = (),
+) -> RunArtifact:
+    """Reduce a (supervised) fleet run to its ``flexsfp.run/1`` artifact."""
+    completeness = result.completeness
+    return _build(
+        source,
+        result.spec.to_dict(),
+        result.workers,
+        [
+            (s.index, s.seed, s.digest, s.metrics, s.summary, s.histograms)
+            for s in result.shards
+        ],
+        completeness=None if completeness is None else completeness.to_dict(),
+        findings=findings,
+        wall_s=result.wall_s,
         metrics=dict(result.merged_metrics),
         histograms={k: dict(v) for k, v in result.merged_histograms.items()},
-        shards=shards,
-        completeness=completeness,
-        findings=tuple(dict(finding) for finding in findings),
-        timings={"wall_s": result.wall_s},
-        environment=environment_fingerprint(),
         supervisor=dict(result.supervisor),
     )
 
@@ -328,35 +320,22 @@ def artifact_from_scenario_run(
     through here: same document, same digests, same diffability as a
     sharded campaign of size one.
     """
-    spec = run.spec
-    if spec is None:
+    if run.spec is None:
         raise ConfigError("scenario run carries no spec; cannot build artifact")
-    spec_payload = spec.resolved().to_dict()
-    metrics = dict(run.metrics())
-    histograms = run.histograms()
+    spec_payload = run.spec.resolved().to_dict()
+    metrics, histograms = run.metrics(), run.histograms()
     summary = dict(run.summary or {})
-    shard = {
-        "index": 0,
-        "seed": int(spec_payload.get("seed", 0)),
-        "digest": run.digest(),
-        "semantic_digest": semantic_shard_digest(metrics, summary, histograms),
-        "summary": summary,
-    }
-    timings = {} if wall_s is None else {"wall_s": wall_s}
-    return RunArtifact(
-        source=source,
-        spec=spec_payload,
-        spec_digest=spec_digest_of(spec_payload),
-        seed=int(spec_payload.get("seed", 0)),
-        knobs=_knobs_from_spec(spec_payload, workers=None),
+    shard = (0, spec_payload["seed"], run.digest(), metrics, summary, histograms)
+    return _build(
+        source,
+        spec_payload,
+        None,
+        [shard],
+        findings=findings,
+        wall_s=wall_s,
         metrics=metrics,
-        histograms={k: dict(v) for k, v in histograms.items()},
-        shards=(shard,),
-        completeness=_all_completed(1),
+        histograms=histograms,
         summary=summary,
-        findings=tuple(dict(finding) for finding in findings),
-        timings=timings,
-        environment=environment_fingerprint(),
     )
 
 
@@ -372,43 +351,22 @@ def artifact_from_bench(
 
     Benches have no :class:`~repro.obs.scenario.ScenarioSpec`; the spec
     payload is the bench's own identity (name + seed + knobs), which is
-    exactly what must be stable for BENCH history entries to be
+    exactly what must be stable for two runs of one bench to be
     comparable across commits.
     """
-    from ..analysis.effects import corpus_digest
-
     knobs = dict(knobs or {})
     spec_payload = {"kind": f"bench:{bench}", "seed": seed, **knobs}
-    metrics = dict(metrics)
-    summary = dict(summary or {})
-    shard = {
-        "index": 0,
-        "seed": seed,
-        "digest": semantic_shard_digest(metrics, summary, {}),
-        "semantic_digest": semantic_shard_digest(metrics, summary, {}),
-        "summary": summary,
-    }
-    return RunArtifact(
-        source=f"bench:{bench}",
-        spec=spec_payload,
-        spec_digest=spec_digest_of(spec_payload),
-        seed=seed,
-        knobs={
-            # The bench's tier resolves exactly like any other entrypoint.
-            "engine": resolve_engine(knobs.get("engine")),
-            "shards": int(knobs.get("shards", 1) or 1),
-            "workers": knobs.get("workers"),
-            "device": knobs.get("device"),
-            "fault_plan": knobs.get("fault_plan"),
-            "effect_digest": corpus_digest(),
-        },
+    metrics, summary = dict(metrics), dict(summary or {})
+    digest = semantic_shard_digest(metrics, summary, {})
+    return _build(
+        f"bench:{bench}",
+        spec_payload,
+        knobs.get("workers"),
+        [(0, seed, digest, metrics, summary, {})],
+        wall_s=wall_s,
         metrics=metrics,
         histograms={},
-        shards=(shard,),
-        completeness=_all_completed(1),
         summary=summary,
-        timings={} if wall_s is None else {"wall_s": wall_s},
-        environment=environment_fingerprint(),
     )
 
 

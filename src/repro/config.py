@@ -10,10 +10,8 @@ Recognized variables:
 =========================  ====================================================
 ``FLEXSFP_ENGINE``         engine tier default (``reference``/``compiled``);
                            unset means ``reference``
-``FLEXSFP_METRICS_DIR``    benchmark metrics-artifact export directory
-``FLEXSFP_BENCH_DIR``      BENCH history directory (``flexsfp.run/1``
-                           artifacts + ``BENCH_*.json`` history files);
-                           falls back to ``FLEXSFP_METRICS_DIR``
+``FLEXSFP_METRICS_DIR``    where benchmarks write their ``flexsfp.run/1``
+                           artifacts (``BENCH_<tag>.run.json``)
 ``FLEXSFP_MP_START``       multiprocessing start method (``fork``/``spawn``/
                            ``forkserver``); unset picks the best available
 =========================  ====================================================
@@ -37,7 +35,6 @@ from typing import Mapping
 
 ENV_ENGINE = "FLEXSFP_ENGINE"
 ENV_METRICS_DIR = "FLEXSFP_METRICS_DIR"
-ENV_BENCH_DIR = "FLEXSFP_BENCH_DIR"
 ENV_MP_START = "FLEXSFP_MP_START"
 
 _START_METHODS = ("fork", "spawn", "forkserver")
@@ -49,14 +46,13 @@ class Settings:
 
     ``engine`` names the default tier consumed by
     :func:`repro.engine.resolve_engine` (validated there, not here);
-    ``metrics_dir`` is where benchmarks export registry dumps;
+    ``metrics_dir`` is where benchmarks write their run artifacts;
     ``start_method`` is how the :mod:`repro.parallel` sharded runner
     starts its workers.
     """
 
     engine: str | None = None
     metrics_dir: Path | None = None
-    bench_dir: Path | None = None
     start_method: str | None = None
 
     @classmethod
@@ -65,20 +61,13 @@ class Settings:
         if env is None:
             env = os.environ
         metrics_dir = env.get(ENV_METRICS_DIR, "").strip()
-        bench_dir = env.get(ENV_BENCH_DIR, "").strip()
         start = env.get(ENV_MP_START, "").strip().lower()
         engine = env.get(ENV_ENGINE, "").strip().lower()
         return cls(
             engine=engine or None,
             metrics_dir=Path(metrics_dir) if metrics_dir else None,
-            bench_dir=Path(bench_dir) if bench_dir else None,
             start_method=start if start in _START_METHODS else None,
         )
-
-    @property
-    def bench_export_dir(self) -> Path | None:
-        """Where bench artifacts/history land: bench_dir, then metrics_dir."""
-        return self.bench_dir if self.bench_dir is not None else self.metrics_dir
 
     def with_overrides(self, **changes: object) -> "Settings":
         """A copy with the given fields replaced (keyword-checked)."""

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Mapping
 
-from .._util import ip_to_int
+from .._util import checked_fields, ip_to_int
 from ..errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports nfv)
@@ -94,13 +94,19 @@ class SteeringMatch:
         return out
 
     @classmethod
-    def from_dict(cls, payload: Mapping[str, Any] | None) -> SteeringMatch:
-        payload = dict(payload or {})
-        return cls(
-            udp_dport=payload.get("udp_dport"),
-            dst_ip=payload.get("dst_ip"),
-            prefix_len=int(payload.get("prefix_len", 32)),
-        )
+    def from_dict(
+        cls, payload: Mapping[str, Any] | None, where: str = "steering match"
+    ) -> SteeringMatch:
+        """Build a match from its serialized form; an unknown key (a misspelt
+        ``udp_dport`` would parse as the wildcard and claim every frame) or
+        a non-integer port or prefix length is a ConfigError naming it."""
+        return cls(**checked_fields(payload or {}, _MATCH_TYPES, where))
+
+
+_MATCH_TYPES = {
+    "udp_dport": (int, type(None)), "dst_ip": (str, int, type(None)),
+    "prefix_len": int,
+}  # fmt: skip
 
 
 @dataclass(frozen=True)
@@ -182,7 +188,9 @@ class TenantSpec:
             return cls(
                 name=str(payload["name"]),
                 app=str(payload["app"]),
-                match=SteeringMatch.from_dict(payload.get("match")),
+                match=SteeringMatch.from_dict(
+                    payload.get("match"), f"tenant {payload['name']!r} match"
+                ),
                 share=float(payload.get("share", 1.0)),
                 params=tuple(params),
             )

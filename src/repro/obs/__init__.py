@@ -14,10 +14,10 @@ __all__, __getattr__, __dir__ = export_table(
     __name__,
     {
         "export": (
-            "SCHEMA_BENCH_HISTORY", "SCHEMA_DIFF", "SCHEMA_JOURNAL", "SCHEMA_MATRIX",
-            "SCHEMA_METRICS", "SCHEMA_PROFILE", "SCHEMA_RUN", "SCHEMA_TABLE",
-            "SCHEMA_TRACE", "json_document", "metrics_json", "metrics_jsonl",
-            "prometheus_name", "prometheus_text", "table_json",
+            "SCHEMA_DIFF", "SCHEMA_JOURNAL", "SCHEMA_MATRIX", "SCHEMA_METRICS",
+            "SCHEMA_RUN", "SCHEMA_TABLE", "SCHEMA_TRACE", "json_document",
+            "metrics_json", "metrics_jsonl", "prometheus_name", "prometheus_text",
+            "table_json",
         ),
         "profiler": ("ComponentProfile", "LoopProfiler"),
         "registry": (

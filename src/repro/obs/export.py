@@ -26,12 +26,10 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 SCHEMA_METRICS = "flexsfp.metrics/1"
 SCHEMA_TABLE = "flexsfp.table/1"
 SCHEMA_TRACE = "flexsfp.trace/1"
-SCHEMA_PROFILE = "flexsfp.profile/1"
 SCHEMA_JOURNAL = "flexsfp.journal/1"
 SCHEMA_RUN = "flexsfp.run/1"
 SCHEMA_MATRIX = "flexsfp.matrix/1"
 SCHEMA_DIFF = "flexsfp.diff/1"
-SCHEMA_BENCH_HISTORY = "flexsfp.bench-history/1"
 
 _PROM_SANITIZE = re.compile(r"[^a-zA-Z0-9_]")
 

@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import Callable
 
+from .._util import checked_fields, typed
 from ..apps import StaticNat, create_app
 from ..artifact.diff import is_semantic_metric
 from ..config import Settings
@@ -199,25 +200,39 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ScenarioSpec":
-        data = dict(payload)
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
-        if unknown:
-            # Fail closed: a pre-2.0 payload (``fastpath``/``batch_size``)
-            # must not resume or replay as if its knobs still meant
-            # something.
-            raise ConfigError(f"unknown scenario spec field(s): {unknown}")
-        traffic = data.get("traffic")
-        if isinstance(traffic, dict):
-            data["traffic"] = TrafficProfile(**traffic)
-        tenants = data.get("tenants")
-        if tenants:
-            data["tenants"] = tuple(dict(t) for t in tenants)
+        """Rebuild a spec from its :meth:`to_dict` form (a checkpoint journal's
+        header): an unknown field, or one of the wrong type, is a
+        :class:`ConfigError` naming it."""
+        data = checked_fields(payload, _SPEC_TYPES, "scenario spec")
+        if data.get("traffic") is not None:
+            data["traffic"] = TrafficProfile(
+                **checked_fields(data["traffic"], _TRAFFIC_TYPES, "traffic")
+            )
+        if data.get("tenants"):
+            data["tenants"] = tuple(
+                dict(typed(tenant, dict, f"scenario spec field 'tenants[{index}]'"))
+                for index, tenant in enumerate(data["tenants"])
+            )
         return cls(**data)
+
+
+#: What each field of a serialised spec must be, and of its traffic block.
+_NONE = type(None)
+_SPEC_TYPES = {
+    "kind": str, "traffic": (dict, _NONE), "app": str, "device": str,
+    "fault_plan": (str, _NONE), "seed": int, "engine": (str, _NONE),
+    "trace_packets": (int, _NONE), "profile": bool, "shards": int,
+    "tenants": list,
+}  # fmt: skip
+_TRAFFIC_TYPES = {
+    "rate_bps": (int, float), "frame_len": int, "duration_s": (int, float),
+}  # fmt: skip
 
 
 # ----------------------------------------------------------------------
 # Run result
 # ----------------------------------------------------------------------
+@dataclass(eq=False)
 class ScenarioRun:
     """Everything an instrumented scenario run produced.
 
@@ -228,27 +243,11 @@ class ScenarioRun:
     counts.
     """
 
-    def __init__(
-        self,
-        sim: Simulator | None,
-        registry: MetricsRegistry,
-        modules: list[FlexSFPModule],
-        tracer: Tracer | None,
-        profiler: LoopProfiler | None,
-        spec: ScenarioSpec | None = None,
-        summary: dict | None = None,
-    ) -> None:
-        self.sim = sim
-        self.registry = registry
-        self.modules = modules
-        self.tracer = tracer
-        self.profiler = profiler
-        self.spec = spec
-        self.summary = summary if summary is not None else {}
-
-    @property
-    def module(self) -> FlexSFPModule:
-        return self.modules[0]
+    registry: MetricsRegistry
+    modules: list[FlexSFPModule]
+    tracer: Tracer | None
+    spec: ScenarioSpec | None = None
+    summary: dict = field(default_factory=dict)
 
     def metrics(self) -> dict:
         return self.registry.collect()
@@ -301,21 +300,21 @@ def _make_app(spec: ScenarioSpec, index: int):
 
 
 def _instrumented(spec: ScenarioSpec) -> tuple:
-    """A simulator plus the spec's registry, tracer and loop profiler."""
+    """A simulator plus the spec's registry (with ``sim.profile.*`` when
+    ``spec.profile``) and tracer."""
     sim = Simulator()
     registry = MetricsRegistry()
     tracer = Tracer(limit=spec.trace_packets) if spec.trace_packets is not None else None
-    profiler = LoopProfiler() if spec.profile else None
-    if profiler is not None:
-        sim.profiler = profiler
-        registry.register("sim.profile", profiler)
+    if spec.profile:
+        sim.profiler = LoopProfiler()
+        registry.register("sim.profile", sim.profiler)
     registry.register_value("sim.events", lambda: sim.events_processed)
-    return sim, registry, tracer, profiler
+    return sim, registry, tracer
 
 
 def _build_nat(spec: ScenarioSpec, module_count: int) -> ScenarioRun:
     traffic = spec.traffic
-    sim, registry, tracer, profiler = _instrumented(spec)
+    sim, registry, tracer = _instrumented(spec)
 
     device = get_device(spec.device)
     compiled = spec.engine == ENGINE_COMPILED
@@ -368,9 +367,7 @@ def _build_nat(spec: ScenarioSpec, module_count: int) -> ScenarioRun:
         "modules": module_count,
         "delivered": fiber.rx.metric_values(),
     }
-    return ScenarioRun(
-        sim, registry, modules, tracer, profiler, spec=spec, summary=summary
-    )
+    return ScenarioRun(registry, modules, tracer, spec=spec, summary=summary)
 
 
 # ----------------------------------------------------------------------
@@ -394,9 +391,7 @@ def _build_chaos(spec: ScenarioSpec) -> ScenarioRun:
     )
     if tracer is not None:
         registry.register("trace", tracer)
-    return ScenarioRun(
-        None, registry, [], tracer, None, spec=spec, summary=result.to_dict()
-    )
+    return ScenarioRun(registry, [], tracer, spec=spec, summary=result.to_dict())
 
 
 # ----------------------------------------------------------------------
@@ -423,7 +418,7 @@ def _build_fleet_upgrade(spec: ScenarioSpec) -> ScenarioRun:
     from ..switch import LegacySwitch, PortPolicy, RetrofitPlan, apply_retrofit
 
     traffic = spec.traffic
-    sim, registry, tracer, profiler = _instrumented(spec)
+    sim, registry, tracer = _instrumented(spec)
 
     num_ports = FLEET_UPGRADE_MODULES + 2  # + controller port + host port
     switch = LegacySwitch(sim, "agg", num_ports=num_ports, rate_bps=10e9)
@@ -500,9 +495,7 @@ def _build_fleet_upgrade(spec: ScenarioSpec) -> ScenarioRun:
         "delivered": sink.rx.metric_values(),
     }
     modules = [retrofit.module_at(p) for p in sorted(retrofit.modules)]
-    return ScenarioRun(
-        sim, registry, modules, tracer, profiler, spec=spec, summary=summary
-    )
+    return ScenarioRun(registry, modules, tracer, spec=spec, summary=summary)
 
 
 # ----------------------------------------------------------------------
@@ -553,7 +546,7 @@ def _build_nfv(spec: ScenarioSpec, churn: bool) -> ScenarioRun:
     partially reconfigured mid-run while the survivors keep forwarding.
     """
     traffic = spec.traffic
-    sim, registry, tracer, profiler = _instrumented(spec)
+    sim, registry, tracer = _instrumented(spec)
 
     device = get_device(spec.device)
     deployment = Deployment.from_dicts(spec.tenants, device=device)
@@ -623,7 +616,7 @@ def _build_nfv(spec: ScenarioSpec, churn: bool) -> ScenarioRun:
     drain_s = max(0.1e-3, 1024 * traffic.frame_len * 8 / traffic.rate_bps)
     sim.run(until=traffic.duration_s + drain_s)
 
-    run = ScenarioRun(sim, registry, [module], tracer, profiler, spec=spec)
+    run = ScenarioRun(registry, [module], tracer, spec=spec)
     summary = {
         "kind": spec.kind,
         "tenants": [slot.name for slot in module.slots],

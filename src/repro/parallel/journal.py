@@ -24,6 +24,7 @@ import json
 import os
 from pathlib import Path
 
+from .._util import typed
 from ..errors import ConfigError
 from ..obs.export import SCHEMA_JOURNAL
 from ..obs.scenario import ScenarioSpec
@@ -48,16 +49,40 @@ def _shard_record(result: ShardResult, attempts: int) -> dict:
     return record
 
 
-def _result_from_record(record: dict) -> ShardResult:
+def _histogram_state(state: object, where: str) -> dict:
+    typed(state, dict, where)
+    bounds = typed(state.get("bounds"), list, f"{where}.bounds")
+    counts = typed(state.get("counts"), list, f"{where}.counts")
+    if len(counts) != len(bounds) + 1:
+        # One bucket per bound plus the overflow: anything else would merge
+        # by a silently truncating zip.
+        raise ConfigError(
+            f"{where} has {len(counts)} counts for {len(bounds)} bounds "
+            f"(needs {len(bounds) + 1})"
+        )
+    return {"bounds": list(bounds), "counts": list(counts)}
+
+
+def _result_from_record(record: object, shards: int) -> ShardResult:
+    typed(record, dict, "shard record")
+    if record.get("kind") != "shard":
+        raise ConfigError(f"unknown record kind {record.get('kind')!r}")
+
+    def field(name: str, kind, default=None):
+        return typed(record.get(name, default), kind, f"shard record field {name!r}")
+
+    index = field("index", int)
+    if not 0 <= index < shards:
+        raise ConfigError(f"shard index {index} out of range for {shards} shards")
     return ShardResult(
-        index=int(record["index"]),
-        seed=int(record["seed"]),
-        digest=str(record["digest"]),
-        metrics=dict(record["metrics"]),
-        summary=dict(record["summary"]),
+        index=index,
+        seed=field("seed", int),
+        digest=field("digest", str),
+        metrics=dict(field("metrics", dict)),
+        summary=dict(field("summary", dict)),
         histograms={
-            name: {"bounds": list(state["bounds"]), "counts": list(state["counts"])}
-            for name, state in record.get("histograms", {}).items()
+            name: _histogram_state(state, f"shard record histogram {name!r}")
+            for name, state in field("histograms", dict, {}).items()
         },
     )
 
@@ -141,7 +166,7 @@ def load_journal(
     lines = _complete_bytes(target).decode(errors="replace").splitlines()
     if not lines:
         raise ConfigError(f"journal {target} is empty")
-    records: list[dict] = []
+    records: list[object] = []
     for number, line in enumerate(lines):
         if not line.strip():
             continue
@@ -154,27 +179,18 @@ def load_journal(
             ) from None
     if not records:
         raise ConfigError(f"journal {target} has no readable header")
-    header = records[0]
-    if header.get("schema") != SCHEMA_JOURNAL:
-        raise ConfigError(
-            f"journal {target} has schema {header.get('schema')!r}, "
-            f"expected {SCHEMA_JOURNAL!r}"
+    try:
+        header = typed(records[0], dict, "header")
+        if header.get("schema") != SCHEMA_JOURNAL:
+            raise ConfigError(
+                f"schema {header.get('schema')!r}, expected {SCHEMA_JOURNAL!r}"
+            )
+        spec = ScenarioSpec.from_dict(
+            typed(header.get("spec"), dict, "header field 'spec'")
         )
-    spec = ScenarioSpec.from_dict(header["spec"])
-    if spec_digest(spec) != header.get("spec_digest"):
-        raise ConfigError(f"journal {target} header digest mismatch")
-    completed: dict[int, ShardResult] = {}
-    for record in records[1:]:
-        if record.get("kind") != "shard":
-            raise ConfigError(
-                f"journal {target} carries unknown record kind "
-                f"{record.get('kind')!r}"
-            )
-        result = _result_from_record(record)
-        if not 0 <= result.index < spec.shards:
-            raise ConfigError(
-                f"journal {target} shard index {result.index} out of range "
-                f"for {spec.shards} shards"
-            )
-        completed[result.index] = result
-    return spec, completed
+        if spec_digest(spec) != header.get("spec_digest"):
+            raise ConfigError("header digest mismatch")
+        results = [_result_from_record(record, spec.shards) for record in records[1:]]
+    except ConfigError as exc:
+        raise ConfigError(f"journal {target}: {exc}") from None
+    return spec, {result.index: result for result in results}

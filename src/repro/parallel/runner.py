@@ -119,7 +119,7 @@ class FleetRunResult:
         emit and what :func:`repro.artifact.diff_artifacts` consumes.
         """
         # Only the parent builds the artifact: a spawned worker never loads
-        # artifact.run (and the effect analysis behind its corpus digest).
+        # artifact.run.
         from ..artifact import artifact_from_fleet_result
 
         return artifact_from_fleet_result(self, source=source)

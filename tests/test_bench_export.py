@@ -1,8 +1,8 @@
-"""The bench artifact writer: BENCH_<tag> latest + accumulating history.
+"""The bench artifact writer: one ``BENCH_<tag>.run.json`` per bench.
 
 ``benchmarks/common.py`` is a script-style helper module (not a
-package), so it is loaded here by file path; the functions under test
-are pure library code over :mod:`repro.artifact` and the atomic writer.
+package), so it is loaded here by file path; the function under test is
+pure library code over :mod:`repro.artifact` and the atomic writer.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.config import ENV_BENCH_DIR, ENV_METRICS_DIR, Settings
-from repro.obs import SCHEMA_BENCH_HISTORY, SCHEMA_RUN
+from repro.config import ENV_METRICS_DIR, Settings
+from repro.obs import SCHEMA_RUN
 
 BENCH_COMMON = Path(__file__).resolve().parent.parent / "benchmarks" / "common.py"
 
@@ -28,76 +28,24 @@ def common():
 
 
 class TestBenchDirSetting:
-    def test_bench_dir_parsed_from_env(self):
-        settings = Settings.from_env({ENV_BENCH_DIR: "/tmp/bench"})
-        assert settings.bench_dir == Path("/tmp/bench")
-        assert settings.bench_export_dir == Path("/tmp/bench")
-
-    def test_falls_back_to_metrics_dir(self):
-        settings = Settings.from_env({ENV_METRICS_DIR: "/tmp/metrics"})
-        assert settings.bench_dir is None
-        assert settings.bench_export_dir == Path("/tmp/metrics")
-
-    def test_bench_dir_wins_over_metrics_dir(self):
-        settings = Settings.from_env(
-            {ENV_BENCH_DIR: "/tmp/bench", ENV_METRICS_DIR: "/tmp/metrics"}
-        )
-        assert settings.bench_export_dir == Path("/tmp/bench")
-
     def test_unset_means_no_export(self):
-        assert Settings.from_env({}).bench_export_dir is None
+        assert Settings.from_env({}).metrics_dir is None
 
 
 class TestExportBench:
     def test_no_directory_means_noop(self, common, monkeypatch):
-        monkeypatch.delenv(ENV_BENCH_DIR, raising=False)
         monkeypatch.delenv(ENV_METRICS_DIR, raising=False)
         assert common.export_bench("noop", metrics={"a": 1}) is None
 
     def test_writes_latest_run_document(self, common, monkeypatch, tmp_path):
-        monkeypatch.setenv(ENV_BENCH_DIR, str(tmp_path))
-        common.export_bench(
+        monkeypatch.setenv(ENV_METRICS_DIR, str(tmp_path))
+        path = common.export_bench(
             "demo", metrics={"pps": 14.88}, summary={"frames": 6}, wall_s=0.5
         )
-        latest = json.loads((tmp_path / "BENCH_demo.run.json").read_text())
+        assert path == tmp_path / "BENCH_demo.run.json"
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        latest = json.loads(path.read_text())
         assert latest["schema"] == SCHEMA_RUN
         assert latest["source"] == "bench:demo"
         assert latest["metrics"]["pps"] == 14.88
         assert latest["summary"] == {"frames": 6}
-
-    def test_history_accumulates_across_invocations(
-        self, common, monkeypatch, tmp_path
-    ):
-        monkeypatch.setenv(ENV_BENCH_DIR, str(tmp_path))
-        for run in range(3):
-            common.export_bench("trend", metrics={"value": run})
-        history = json.loads((tmp_path / "BENCH_trend.json").read_text())
-        assert history["schema"] == SCHEMA_BENCH_HISTORY
-        assert history["bench"] == "trend"
-        assert [e["metrics"]["value"] for e in history["entries"]] == [0, 1, 2]
-        for entry in history["entries"]:
-            assert entry["schema"] == SCHEMA_RUN
-
-    def test_history_is_capped(self, common, monkeypatch, tmp_path):
-        monkeypatch.setenv(ENV_BENCH_DIR, str(tmp_path))
-        monkeypatch.setattr(common, "HISTORY_LIMIT", 2)
-        for run in range(4):
-            common.export_bench("capped", metrics={"value": run})
-        history = json.loads((tmp_path / "BENCH_capped.json").read_text())
-        assert [e["metrics"]["value"] for e in history["entries"]] == [2, 3]
-
-    def test_torn_history_restarts_the_series(self, common, monkeypatch, tmp_path):
-        monkeypatch.setenv(ENV_BENCH_DIR, str(tmp_path))
-        (tmp_path / "BENCH_torn.json").write_text('{"schema": "flexsfp.bench')
-        common.export_bench("torn", metrics={"value": 7})
-        history = json.loads((tmp_path / "BENCH_torn.json").read_text())
-        assert history["schema"] == SCHEMA_BENCH_HISTORY
-        assert len(history["entries"]) == 1
-
-    def test_foreign_file_restarts_the_series(self, common, monkeypatch, tmp_path):
-        monkeypatch.setenv(ENV_BENCH_DIR, str(tmp_path))
-        (tmp_path / "BENCH_alien.json").write_text('{"schema": "something/9"}')
-        common.export_bench("alien", metrics={"value": 1})
-        history = json.loads((tmp_path / "BENCH_alien.json").read_text())
-        assert history["schema"] == SCHEMA_BENCH_HISTORY
-        assert len(history["entries"]) == 1

@@ -25,7 +25,6 @@ class TestSettings:
         assert settings == Settings()
         assert settings.engine is None
         assert settings.metrics_dir is None
-        assert settings.bench_dir is None
         assert settings.start_method is None
 
     def test_full_env(self):
@@ -33,14 +32,12 @@ class TestSettings:
             {
                 "FLEXSFP_ENGINE": " Compiled ",
                 "FLEXSFP_METRICS_DIR": "out/metrics",
-                "FLEXSFP_BENCH_DIR": "out/bench",
                 "FLEXSFP_MP_START": "spawn",
             }
         )
         assert settings == Settings(
             engine="compiled",
             metrics_dir=Path("out/metrics"),
-            bench_dir=Path("out/bench"),
             start_method="spawn",
         )
 
@@ -49,8 +46,9 @@ class TestSettings:
             {
                 "FLEXSFP_MP_START": "teleport",
                 "FLEXSFP_METRICS_DIR": "   ",
-                # Removed in PR 24; still set somewhere, they are ignored
-                # like any unknown variable.
+                # Removed knobs: still set somewhere, they are ignored like
+                # any unknown variable.
+                "FLEXSFP_BENCH_DIR": "out/bench",
                 "FLEXSFP_WORKERS": "4",
                 "FLEXSFP_SHARD_TIMEOUT": "30.5",
                 "FLEXSFP_MAX_RETRIES": "5",

@@ -81,8 +81,33 @@ class TestTenantSpec:
             ({"name": "t"}, "app"),
             (["t", "int"], "JSON object"),
             ({"name": "t", "app": "int", "share": "half"}, "malformed tenant"),
+            (
+                {"name": "scrub", "app": "sanitizer", "match": {"dport": 9099}},
+                r"unknown tenant 'scrub' match field\(s\): \['dport'\]",
+            ),
+            (
+                {"name": "scrub", "app": "sanitizer", "match": {"udp_dport": "9099"}},
+                "tenant 'scrub' match field 'udp_dport' must be int",
+            ),
+            (
+                {"name": "scrub", "app": "sanitizer", "match": {"udp_dport": 9.5}},
+                "tenant 'scrub' match field 'udp_dport'",
+            ),
+            (
+                {"name": "net", "app": "int",
+                 "match": {"dst_ip": "10.0.0.0", "prefix_len": "8"}},
+                "tenant 'net' match field 'prefix_len' must be int",
+            ),
+            (
+                {"name": "net", "app": "int", "match": ["udp_dport", 53]},
+                "tenant 'net' match must be Mapping",
+            ),
         ],
-        ids=["unknown-key", "engine-key", "no-name", "no-app", "not-a-mapping", "bad-share"],
+        ids=[
+            "unknown-key", "engine-key", "no-name", "no-app", "not-a-mapping",
+            "bad-share", "match-unknown-key", "match-str-dport", "match-float-dport",
+            "match-str-prefix-len", "match-not-a-mapping",
+        ],
     )
     def test_from_dict_fails_closed(self, payload, needle):
         with pytest.raises(ConfigError, match=needle):

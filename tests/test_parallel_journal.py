@@ -1,6 +1,8 @@
 """The shard checkpoint journal: append-only, fsynced, kill-tolerant."""
 
+import hashlib
 import json
+import re
 
 import pytest
 
@@ -130,6 +132,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="empty"):
             load_journal(path)
 
+    def test_blank_lines_only_raise(self, tmp_path):
+        path = tmp_path / "blank.jsonl"
+        path.write_text("\n  \n")
+        with pytest.raises(ConfigError, match="no readable header"):
+            load_journal(path)
+
     def test_wrong_schema_raises(self, tmp_path):
         path = tmp_path / "other.jsonl"
         path.write_text(json.dumps({"schema": "flexsfp.metrics/1"}) + "\n")
@@ -183,3 +191,85 @@ class TestValidation:
             journal.append_shard(results[2])
         _, completed = load_journal(path)
         assert completed[2].seed == shard_spec(SPEC, 2).seed
+
+
+def _set(path: tuple, value):
+    """A mutation that stores ``value`` at ``path`` inside one record."""
+
+    def mutate(record):
+        target = record
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return record
+
+    return mutate
+
+
+def _drop(key: str):
+    def mutate(record):
+        del record[key]
+        return record
+
+    return mutate
+
+
+def _histogram_counts(record):
+    state = next(iter(record["histograms"].values()))
+    state["counts"] = state["counts"][:-1]
+    return record
+
+
+#: id -> (record to mutate: 0 the header, 1 the first shard, mutation,
+#: what the error must name).  Each case crashed ``--resume`` with a
+#: traceback, or loaded a journal the merge would silently mis-read.
+JOURNAL_MUTANTS = {
+    "header-without-spec": (0, _drop("spec"), "header field 'spec'"),
+    "header-is-array": (0, lambda record: [record], "header must be dict"),
+    "traffic-unknown-key": (
+        0, _set(("spec", "traffic", "burst"), 4), r"traffic field\(s\): \['burst'\]"
+    ),
+    "tenants-is-string": (0, _set(("spec", "tenants"), "ab"), "'tenants' must be list"),
+    "seed-is-string": (0, _set(("spec", "seed"), "x"), "'seed' must be int"),
+    "shards-is-float": (0, _set(("spec", "shards"), 2.5), "'shards' must be int"),
+    "profile-is-string": (0, _set(("spec", "profile"), "yes"), "'profile' must be bool"),
+    "device-is-int": (0, _set(("spec", "device"), 5), "'device' must be str"),
+    "shard-is-array": (1, lambda record: [record], "shard record must be dict"),
+    "shard-without-seed": (1, _drop("seed"), "shard record field 'seed'"),
+    "metrics-is-array": (1, _set(("metrics",), [1]), "'metrics' must be dict"),
+    "histogram-not-object": (
+        1, _set(("histograms", "h"), [1, 2]), "histogram 'h' must be dict"
+    ),
+    "histogram-short-counts": (1, _histogram_counts, "16 counts for 16 bounds"),
+}  # fmt: skip
+
+
+class TestMutantsFailClosed:
+    """A malformed journal is a ``ConfigError`` naming its field, exit 2."""
+
+    @pytest.fixture(params=sorted(JOURNAL_MUTANTS))
+    def mutant(self, request, tmp_path, results):
+        line, mutate, needle = JOURNAL_MUTANTS[request.param]
+        path = tmp_path / "run.jsonl"
+        with ShardJournal.open_new(path, SPEC) as journal:
+            journal.append_shard(results[0])
+        records = [json.loads(text) for text in path.read_text().splitlines()]
+        records[line] = mutate(records[line])
+        if line == 0 and isinstance(records[0], dict) and "spec" in records[0]:
+            # Re-bind the digest so the field itself, not the digest, is judged.
+            canonical = json.dumps(records[0]["spec"], sort_keys=True, default=str)
+            records[0]["spec_digest"] = hashlib.sha256(canonical.encode()).hexdigest()
+        path.write_text("".join(json.dumps(record) + "\n" for record in records))
+        return path, needle
+
+    def test_load_journal_names_the_field(self, mutant):
+        path, needle = mutant
+        with pytest.raises(ConfigError, match=needle):
+            load_journal(path)
+
+    def test_cli_resume_exits_2(self, mutant, capsys):
+        from repro.cli import main
+
+        path, needle = mutant
+        assert main(["run", "--resume", str(path), "--workers", "1"]) == 2
+        assert re.search(needle, capsys.readouterr().err)
