@@ -20,7 +20,7 @@ __all__, __getattr__, __dir__ = export_table(
         "effects": (
             "EffectSummary", "LineRateVerdict", "StageEffect", "analyze_app",
             "analyze_pipeline", "corpus_digest", "effect_findings",
-            "fusion_engagement", "line_rate_verdict", "profile_findings",
+            "fusion_engagement", "line_rate_verdict",
         ),
         "findings": (
             "Finding", "Severity", "errors", "findings_report", "severity_counts",

@@ -8,12 +8,10 @@ from ..fpga.resources import FPGADevice, MPF200T
 from ..hls.xdp import XdpProgram
 from .effects import (
     analyze_app,
-    analyze_pipeline,
     corpus_digest,
     effect_findings,
     fusion_engagement,
     line_rate_verdict,
-    profile_findings,
 )
 from .findings import Finding, sort_findings
 from .irverify import verify_pipeline
@@ -29,12 +27,7 @@ def check_app(
     device: FPGADevice = MPF200T,
     shell: ShellSpec | None = None,
 ) -> list[Finding]:
-    """All static findings for one application: XDP analysis + IR verify.
-
-    Also cross-checks any surviving hand-written ``compiled_profile``
-    declaration against the derived effect summary — a mismatch is an
-    error, so a stale fusion contract can never gate the compiled tier.
-    """
+    """All static findings for one application: XDP analysis + IR verify."""
     findings: list[Finding] = []
     rewrites = None
     if isinstance(app, XdpProgram):
@@ -44,7 +37,6 @@ def check_app(
     findings += verify_pipeline(
         spec, device=device, shell=shell, rewrites=rewrites
     )
-    findings += profile_findings(app, analyze_pipeline(spec))
     return sort_findings(findings)
 
 
@@ -72,9 +64,7 @@ def apps_report(
         app = create_app(name)
         summary = analyze_app(app)
         findings += check_app(app, device=device, shell=shell)
-        # check_app already cross-checked any surviving profile;
-        # include_profile=False keeps the findings deduplicated.
-        findings += effect_findings(app, shell, summary=summary, include_profile=False)
+        findings += effect_findings(app, shell, summary=summary)
         engaged = fusion_engagement(app, summary)
         if engaged is not None:
             fused.append(name)

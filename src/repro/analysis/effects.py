@@ -4,10 +4,9 @@ The compiled engine tier (``repro.hls.compile_executor``) fuses whole
 same-flow bursts through one :class:`~repro.core.flowcache.FlowRecipe`
 application.  That is only sound when the program's effects commute across
 the frames of a burst — no arrival-time-dependent output, no
-non-commutative per-flow state.  Early revisions *declared* this with a
-hand-written ``compiled_profile()`` dict per application; this module
-*derives* it from the pipeline IR instead, the way hXDP/P4 toolchains
-answer feasibility questions: with a dataflow pass, not runtime trust.
+non-commutative per-flow state.  This module *derives* that from the
+pipeline IR, the way hXDP/P4 toolchains answer feasibility questions:
+with a dataflow pass, not a hand-written declaration or runtime trust.
 
 The pass abstractly interprets a :class:`~repro.hls.ir.PipelineSpec` stage
 by stage into a per-stage effect record (:class:`StageEffect`: header
@@ -22,9 +21,7 @@ dependence, commutativity) and folds the records into an
 * **worst-case timing** — per-frame table-port conflict cycles that feed
   :meth:`repro.fpga.timing.TimingSpec.sustains_line_rate`, so
   ``flexsfp check`` statically rejects programs that cannot hold the
-  shell's line rate;
-* **a canonical digest** — recorded in ``flexsfp.run/1`` knob blocks so
-  artifact diffs detect analysis drift.
+  shell's line rate.
 
 Modeling assumptions (the abstraction's contract):
 
@@ -343,69 +340,23 @@ def analyze_app(app) -> EffectSummary:
 
 
 # ----------------------------------------------------------------------
-# Runtime engagement and the legacy-profile bridge
+# Runtime engagement
 # ----------------------------------------------------------------------
 def fusion_engagement(app, summary: EffectSummary) -> str | None:
     """Which fused runtime lane the app can actually drive, if any.
 
     The proof says fusion is *sound*; engagement says the application
-    implements the runtime hooks that lane needs — ``flow_key``/``decide``
-    overrides for the pure recipe lane, a ``burst_plan`` hook for the
-    sequential meter lane.  Proven-but-unengaged apps simply deopt.
+    implements the runtime hook that lane needs — a ``flow_key`` override
+    for the pure recipe lane (the recipe itself is recorded from
+    ``process``), a ``burst_plan`` hook for the sequential meter lane.
+    Proven-but-unengaged apps simply deopt.
     """
     if not summary.fusible:
         return None
     if summary.burst_mode == MODE_METER:
         return MODE_METER if callable(getattr(app, "burst_plan", None)) else None
-    cls = type(app)
-    overrides = (
-        getattr(cls, "flow_key", None) is not PPEApplication.flow_key
-        and getattr(cls, "decide", None) is not PPEApplication.decide
-    )
-    return MODE_PURE if overrides else None
-
-
-def profile_findings(app, summary: EffectSummary) -> list[Finding]:
-    """Cross-check a legacy hand-written ``compiled_profile`` declaration.
-
-    The analysis verdict is authoritative; a surviving profile dict that
-    disagrees with it is an error (the declaration the compiled tier used
-    to trust was wrong).  Matching declarations are merely redundant.
-    """
-    profile_fn = getattr(app, "compiled_profile", None)
-    if not callable(profile_fn):
-        return []
-    profile = profile_fn() or {}
-    name = getattr(app, "name", type(app).__name__)
-    mismatches: list[str] = []
-    declared_fusible = bool(profile.get("fusible"))
-    if declared_fusible != summary.fusible:
-        mismatches.append(
-            f"fusible: declared {declared_fusible}, derived {summary.fusible}"
-        )
-    if declared_fusible and summary.fusible:
-        for field_name, derived in (
-            ("key_bits", summary.key_bits),
-            ("rewrite_bits", summary.rewrite_bits),
-        ):
-            declared = profile.get(field_name)
-            if declared is not None and int(declared) != derived:
-                mismatches.append(
-                    f"{field_name}: declared {declared}, derived {derived}"
-                )
-    if not mismatches:
-        return []
-    return [
-        Finding(
-            "effect-profile-mismatch",
-            Severity.ERROR,
-            f"{name}:compiled_profile",
-            "legacy compiled_profile() disagrees with the derived effect "
-            "summary: " + "; ".join(mismatches),
-            "delete the hand-written profile; the analysis derives the "
-            "fusion contract from the pipeline IR",
-        )
-    ]
+    keyed = getattr(type(app), "flow_key", None) is not PPEApplication.flow_key
+    return MODE_PURE if keyed else None
 
 
 # ----------------------------------------------------------------------
@@ -439,7 +390,6 @@ def effect_findings(
     app,
     shell: ShellSpec | None = None,
     summary: EffectSummary | None = None,
-    include_profile: bool = True,
 ) -> list[Finding]:
     """Machine-readable effect report for one application.
 
@@ -449,14 +399,13 @@ def effect_findings(
     * ``effect-port-conflict`` (warning): a table needs more per-frame
       accesses than its RAM has ports; each excess access double-pumps.
     * ``effect-unfusible`` (info): which instruction blocks burst fusion.
-    * ``effect-profile-mismatch`` (error): a stale hand-written profile.
     """
     if summary is None:
         summary = analyze_app(app)
     if shell is None:
         shell = ShellSpec()
     name = getattr(app, "name", summary.pipeline)
-    findings = profile_findings(app, summary) if include_profile else []
+    findings: list[Finding] = []
     directions = 1 if shell.rate_multiplier == 1.0 else 2
     for effect in summary.effects:
         if not effect.table_accesses:
@@ -510,10 +459,9 @@ _CORPUS_DIGEST: dict[tuple[str, ...], str] = {}
 def corpus_digest(app_names=None) -> str:
     """One digest over every bundled app's effect summary.
 
-    Recorded in ``flexsfp.run/1`` knob blocks: any change to the analysis
-    or to a bundled pipeline shifts the digest, so artifact diffs surface
-    analysis drift even when the run's metrics happen to agree.  The
-    result is a pure function of the bundled IR, so it is memoized.
+    Reported by ``flexsfp check --fusibility``: any change to the analysis
+    or to a bundled pipeline shifts the digest.  The result is a pure
+    function of the bundled IR, so it is memoized.
     """
     names = tuple(sorted(APP_FACTORIES) if app_names is None else sorted(app_names))
     cached = _CORPUS_DIGEST.get(names)

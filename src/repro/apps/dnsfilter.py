@@ -12,7 +12,6 @@ Two enforcement mechanisms:
 from __future__ import annotations
 
 from .._util import ip_to_int
-from ..core.flowcache import FlowRecipe
 from ..core.ppe import PPEApplication, PPEContext, Verdict
 from ..core.tables import ExactTable
 from ..hls.ir import PipelineSpec, Stage, StageKind
@@ -99,20 +98,6 @@ class DnsFilter(PPEApplication):
             ip.dst if ip is not None else None,
             l4.dport if l4 is not None else None,
         )
-
-    def decide(self, packet: Packet, ctx: PPEContext) -> FlowRecipe | None:
-        if self.block_doh:
-            ip = packet.ipv4
-            l4 = packet.get(TCP) or packet.get(UDP)
-            if (
-                ip is not None
-                and l4 is not None
-                and l4.dport == 443
-                and self.doh_resolvers.lookup(ip.dst)
-            ):
-                return FlowRecipe(Verdict.DROP, counters=("doh_blocked",))
-        # flow_key filtered out anything DNS-parseable; the rest passes.
-        return FlowRecipe(Verdict.PASS)
 
     def pipeline_spec(self) -> PipelineSpec:
         return PipelineSpec(

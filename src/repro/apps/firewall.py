@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .._util import ip_to_int
-from ..core.flowcache import FlowRecipe
 from ..core.ppe import PPEApplication, PPEContext, Verdict
 from ..core.tables import TernaryTable
 from ..errors import ConfigError
@@ -125,17 +124,6 @@ class AclFirewall(PPEApplication):
             # All non-IPv4 traffic shares the default action: one cache slot.
             return ("non-ipv4",)
         return tuple5
-
-    def decide(self, packet: Packet, ctx: PPEContext) -> FlowRecipe | None:
-        tuple5 = packet.five_tuple()
-        if tuple5 is None or packet.ipv6 is not None:
-            action = self.default_action
-        else:
-            matched = self.acl.lookup(five_tuple_key(*tuple5))
-            action = matched if matched is not None else self.default_action
-        if action == "deny":
-            return FlowRecipe(Verdict.DROP, counters=("denied",))
-        return FlowRecipe(Verdict.PASS, counters=("permitted",))
 
     def pipeline_spec(self) -> PipelineSpec:
         return PipelineSpec(

@@ -17,7 +17,6 @@ import zlib
 from dataclasses import dataclass
 
 from .._util import ip_to_int, mac_to_int
-from ..core.flowcache import FlowRecipe
 from ..core.ppe import PPEApplication, PPEContext, Verdict
 from ..core.tables import ExactTable
 from ..errors import ConfigError
@@ -114,21 +113,6 @@ class L4LoadBalancer(PPEApplication):
             # Every non-IP frame takes the same no-VIP path.
             return ("no-flow",)
         return tuple5
-
-    def decide(self, packet: Packet, ctx: PPEContext) -> FlowRecipe | None:
-        backend = self.select_backend(packet)
-        if backend is None:
-            return FlowRecipe(Verdict.PASS, counters=("no_vip",))
-        if packet.ipv4 is None or packet.eth is None:
-            return None  # mirror process(): let the slow path assert
-        return FlowRecipe(
-            Verdict.PASS,
-            mutations=(
-                ("ipv4", "dst", ip_to_int(backend.ip)),
-                ("eth", "dst", mac_to_int(backend.mac)),
-            ),
-            counters=("steered",),
-        )
 
     def pipeline_spec(self) -> PipelineSpec:
         return PipelineSpec(

@@ -16,7 +16,6 @@ deparser.
 from __future__ import annotations
 
 from .._util import int_to_ip, ip_to_int
-from ..core.flowcache import FlowRecipe
 from ..core.ppe import Direction, PPEApplication, PPEContext, Verdict
 from ..core.tables import ExactTable
 from ..errors import ConfigError
@@ -111,31 +110,6 @@ class StaticNat(PPEApplication):
         if ip is None:
             return None  # non-IP handling is trivial; not worth a cache slot
         return (ip.src, ip.dst)
-
-    def decide(self, packet: Packet, ctx: PPEContext) -> FlowRecipe | None:
-        ip = packet.ipv4
-        assert ip is not None  # flow_key gated
-        if ctx.direction is Direction.EDGE_TO_LINE:
-            translated = self.nat_table.lookup(ip.src)
-            if translated is None:
-                verdict = (
-                    Verdict.DROP if self.miss_action == "drop" else Verdict.PASS
-                )
-                return FlowRecipe(verdict, counters=("miss",))
-            return FlowRecipe(
-                Verdict.PASS,
-                mutations=(("ipv4", "src", translated),),
-                counters=("translated",),
-            )
-        if self.translate_reverse:
-            original = self.reverse_table.lookup(ip.dst)
-            if original is not None:
-                return FlowRecipe(
-                    Verdict.PASS,
-                    mutations=(("ipv4", "dst", original),),
-                    counters=("untranslated",),
-                )
-        return FlowRecipe(Verdict.PASS)
 
     # ------------------------------------------------------------------
     # Synthesis

@@ -8,7 +8,6 @@ the tag on the way back, and optionally stack an 802.1ad service tag
 
 from __future__ import annotations
 
-from ..core.flowcache import FlowRecipe
 from ..core.ppe import Direction, PPEApplication, PPEContext, Verdict
 from ..errors import ConfigError
 from ..hls.ir import PipelineSpec, Stage, StageKind
@@ -83,41 +82,6 @@ class VlanTagger(PPEApplication):
         # most two: service + customer), so key on those VIDs; ``()``
         # is the untagged flow.
         return tuple(tag.vid for tag in packet.get_all(VLAN)[:2])
-
-    def decide(self, packet: Packet, ctx: PPEContext) -> FlowRecipe | None:
-        if ctx.direction is Direction.EDGE_TO_LINE:
-            if packet.get(VLAN) is not None:
-                return FlowRecipe(
-                    Verdict.DROP if self.drop_foreign else Verdict.PASS,
-                    counters=("already_tagged",),
-                )
-            ops = [("vlan_push", self.access_vid, self.pcp, False)]
-            if self.service_vid is not None:
-                ops.append(("vlan_push", self.service_vid, self.pcp, True))
-            return FlowRecipe(
-                Verdict.PASS, ops=tuple(ops), counters=("tagged",)
-            )
-        expected = (
-            [self.service_vid, self.access_vid]
-            if self.service_vid is not None
-            else [self.access_vid]
-        )
-        tags = packet.get_all(VLAN)
-        for i, vid in enumerate(expected):
-            if i >= len(tags) or tags[i].vid != vid:
-                # The slow path pops ``i`` matching tags before hitting
-                # the mismatch and counting, so the recipe replays the
-                # same partial pop.
-                return FlowRecipe(
-                    Verdict.DROP if self.drop_foreign else Verdict.PASS,
-                    ops=(("vlan_pop",),) * i,
-                    counters=("foreign_vid",),
-                )
-        return FlowRecipe(
-            Verdict.PASS,
-            ops=(("vlan_pop",),) * len(expected),
-            counters=("untagged",),
-        )
 
     def pipeline_spec(self) -> PipelineSpec:
         tags = 2 if self.service_vid is not None else 1

@@ -8,13 +8,13 @@ slow path produces a :class:`FlowRecipe` — the verdict plus a replayable
 mutation/counter recipe — and subsequent packets of the same flow replay
 the recipe without re-entering the application.
 
-Correctness contract (enforced by ``tests/test_compiled_differential.py``):
-replaying a recipe is bit-identical to running the slow path.  Two
-mechanisms keep that true:
+Correctness contract (enforced by ``tests/test_compiled_differential.py``
+and ``tests/test_recipe_recorder.py``): replaying a recipe is
+bit-identical to running the slow path.  Two mechanisms keep that true:
 
-* applications only return a recipe from :meth:`PPEApplication.decide`
-  when their verdict is a pure function of the flow key (time-varying
-  programs like the token-bucket policer never do);
+* the recipe is not written by hand: :func:`record_recipe` records what
+  the application's own ``process`` did to the flow's first frame, and
+  refuses (per-frame ``process``, no entry) any call no recipe can replay;
 * every cached entry is stamped with the application's table-generation
   counter, so any control-plane write invalidates affected entries — the
   conservative whole-cache flush a real double-buffered flow cache does on
@@ -32,11 +32,11 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING, Hashable
 
 from ..errors import ConfigError
-from ..packet import vlan_pop, vlan_push
+from ..packet import VLAN, EtherType, Ethernet, vlan_pop, vlan_push
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from ..packet import Packet
-    from .ppe import PPEApplication, Verdict
+    from .ppe import Direction, PPEApplication, Verdict
 
 DEFAULT_FLOW_CACHE_ENTRIES = 4096
 
@@ -126,15 +126,7 @@ class FlowRecipe:
         so the post-op size is ``size + size_delta`` without re-measuring
         the packet.
         """
-        self._replay_ops(packet)
-        for header_name, fields in self._grouped:
-            header = getattr(packet, header_name)
-            if header is None:  # pragma: no cover - key/recipe mismatch guard
-                raise ConfigError(
-                    f"recipe expects a {header_name} header the packet lacks"
-                )
-            for field, value in fields:
-                setattr(header, field, value)
+        self._replay(packet)
         if self.counters:
             if size is None:
                 size = packet.wire_len
@@ -163,15 +155,7 @@ class FlowRecipe:
         is the per-frame *arrival* wire length; counters see the post-op
         size, as on the slow path.
         """
-        self._replay_ops(packet)
-        for header_name, fields in self._grouped:
-            header = getattr(packet, header_name)
-            if header is None:  # pragma: no cover - key/recipe mismatch guard
-                raise ConfigError(
-                    f"recipe expects a {header_name} header the packet lacks"
-                )
-            for field, value in fields:
-                setattr(header, field, value)
+        self._replay(packet)
         if self.counters:
             if app is not self._bound_app:
                 self._bound_app = app
@@ -183,19 +167,222 @@ class FlowRecipe:
                 counter.bytes += count * (size + self.size_delta)
         return self.verdict
 
-    def _replay_ops(self, packet: "Packet") -> None:
+    def _replay(self, packet: "Packet") -> None:
+        """The structural ops, then the field stores, onto ``packet``."""
         for op in self.ops:
             if op[0] == "vlan_push":
                 _, vid, pcp, service = op
                 vlan_push(packet, vid, pcp=pcp, service=service)
             else:
                 vlan_pop(packet)
+        for header_name, fields in self._grouped:
+            header = getattr(packet, header_name)
+            if header is None:  # pragma: no cover - key/recipe mismatch guard
+                raise ConfigError(
+                    f"recipe expects a {header_name} header the packet lacks"
+                )
+            for field, value in fields:
+                setattr(header, field, value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"FlowRecipe({self.verdict}, mutations={self.mutations}, "
             f"counters={self.counters})"
         )
+
+
+# ----------------------------------------------------------------------
+# The recorder: a flow's recipe is what process() did to its first frame
+# ----------------------------------------------------------------------
+class _Unrecordable(Exception):
+    """Raised inside a probe by a read or an emit no recipe can replay."""
+
+
+class _ProbeContext:
+    """The :class:`~repro.core.ppe.PPEContext` a probe hands to ``process``:
+    what every frame of a flow shares.  The clock and the queue depth
+    differ per frame and an emit is beyond a recipe, so each ends the probe.
+    """
+
+    __slots__ = ("direction", "device_id")
+
+    def __init__(self, direction: "Direction", device_id: int) -> None:
+        self.direction = direction
+        self.device_id = device_id
+
+    @property
+    def time_ns(self) -> int:
+        raise _Unrecordable
+
+    queue_depth = time_ns
+
+    def emit(self, packet: "Packet", direction: "Direction") -> None:
+        raise _Unrecordable
+
+
+# The running probe's field stores, in order: ``(header, field, value)``.
+_writes: list[tuple[object, str, object]] = []
+# Per header class, a subclass with the same slots whose stores journal
+# (``isinstance`` holds, an exact ``type()`` test in ``process`` does not);
+# its ``copy`` is the class's own, so a header copied in ``process`` is plain.
+_RECORDING: dict[type, type] = {}
+
+
+def _record_write(header: object, field: str, value: object) -> None:
+    _writes.append((header, field, value))
+    object.__setattr__(header, field, value)
+
+
+def _recording(cls: type) -> type:
+    recording = _RECORDING.get(cls)
+    if recording is None:
+        namespace = {"__slots__": (), "__setattr__": _record_write, "copy": cls.copy}
+        recording = _RECORDING[cls] = type(cls.__name__, (cls,), namespace)
+    return recording
+
+
+def record_recipe(
+    app: "PPEApplication", packet: "Packet", direction: "Direction", device_id: int = 0
+) -> FlowRecipe | None:
+    """The recipe that replays ``app.process`` on ``packet``, or None.
+
+    ``process`` runs once on a copy of ``packet`` whose headers journal
+    their field stores: the recipe holds the stores, not a before/after
+    diff, so a store of an unchanged value still lands on later frames.
+    Leading VLAN tags pushed or popped become ops, which own
+    ``eth.ethertype`` and re-derive it per frame as ``vlan_push`` /
+    ``vlan_pop`` do.  Counter bumps become the recipe's counters; the
+    probe's own are undone, and a counter it created and bumped goes.
+
+    None (per-frame ``process``, no cache entry) when the call reads
+    ``ctx.time_ns`` / ``ctx.queue_depth``, emits, writes the tables, stores
+    into a header no ``packet.<name>`` of :data:`_MUTABLE_HEADERS` reaches,
+    changes the payload or the stack beyond leading VLAN tags, or counts
+    other than the processed frame's wire length.
+    """
+    probe = packet.copy()
+    arrived = list(probe.headers)
+    for header in arrived:
+        header.__class__ = _recording(type(header))
+    ethertype = getattr(arrived[0], "ethertype", None) if arrived else None
+    counters = app.counters
+    saved = {name: (c.packets, c.bytes) for name, c in counters.items()}
+    generation = app.tables.generation()
+    _writes.clear()
+    try:
+        verdict = app.process(probe, _ProbeContext(direction, device_id))
+    except _Unrecordable:
+        verdict = None
+    finally:
+        for header in arrived:
+            object.__setattr__(header, "__class__", type(header).__base__)
+        writes = _writes[:]
+        _writes.clear()
+        bumps = _undo_bumps(counters, saved)
+    if (
+        verdict is None
+        or app.tables.generation() != generation
+        or probe.payload is not packet.payload
+    ):
+        return None
+    ops = _vlan_ops(arrived, probe.headers, ethertype)
+    mutations = None if ops is None else _mutations(probe, writes, bool(ops))
+    if mutations is None:
+        return None
+    size = probe.wire_len
+    names: list[str] = []
+    for name, packets, nbytes in bumps:
+        if packets < 0 or nbytes != packets * size:
+            return None
+        names += [name] * packets
+    recipe = FlowRecipe(verdict, mutations, tuple(names), ops)
+    if size != packet.wire_len + recipe.size_delta:
+        return None  # a header changed its own length
+    return recipe
+
+
+def _undo_bumps(counters: dict, saved: dict) -> list[tuple[str, int, int]]:
+    """Restore the probe's counters; each bumped one's packet/byte deltas."""
+    bumps = []
+    for name, counter in list(counters.items()):
+        packets, nbytes = saved.get(name, (0, 0))
+        delta = (name, counter.packets - packets, counter.bytes - nbytes)
+        if delta[1] or delta[2]:
+            bumps.append(delta)
+            if name in saved:
+                counter.packets, counter.bytes = packets, nbytes
+            else:
+                del counters[name]
+    return bumps
+
+
+def _leading_tags(headers: list) -> int:
+    """How many VLAN tags sit right behind a leading Ethernet header."""
+    count = 0
+    if headers and isinstance(headers[0], Ethernet):
+        while count + 1 < len(headers) and isinstance(headers[count + 1], VLAN):
+            count += 1
+    return count
+
+
+def _vlan_ops(before: list, after: list, ethertype: int | None) -> tuple | None:
+    """The VLAN pops and pushes that turn ``before`` into ``after``, or None.
+
+    Both are the probe's header stacks.  Only the leading tags may change:
+    every other header must be the very object it was, in place.  The ops
+    pop the outermost old tags, then push the new ones innermost first,
+    each tag's service bit read off the ethertype that encloses it.
+    """
+    n, m = _leading_tags(before), _leading_tags(after)
+    if list(map(id, before[:1] + before[1 + n :])) != list(
+        map(id, after[:1] + after[1 + m :])
+    ):
+        return None
+    if not n and not m:
+        return ()
+    old, new = before[1 : 1 + n], after[1 : 1 + m]
+    kept = 0
+    while kept < min(n, m) and new[m - 1 - kept] is old[n - 1 - kept]:
+        kept += 1
+    pops, pushed = n - kept, new[: m - kept]
+    if set(map(id, pushed)) & set(map(id, old)):
+        return None  # an old tag moved
+    # The ethertype the pops leave in eth: after the pushes, the innermost
+    # new tag (or eth itself, with none) must still carry it.
+    inner = old[pops - 1].ethertype if pops else ethertype
+    ops: list[tuple] = [("vlan_pop",)] * pops
+    if (pushed[-1] if pushed else after[0]).ethertype != inner:
+        return None
+    for tag, enclosing in reversed(list(zip(pushed, [after[0], *pushed[:-1]]))):
+        tpid = enclosing.ethertype
+        if tag.dei or tpid not in (EtherType.VLAN, EtherType.QINQ):
+            return None
+        ops.append(("vlan_push", tag.vid, tag.pcp, tpid == EtherType.QINQ))
+    return tuple(ops)
+
+
+def _mutations(packet: "Packet", writes: list, with_ops: bool) -> tuple | None:
+    """The journal as ``(header, field, value)`` triples, or None.
+
+    Each store names its header by the accessor that reaches it on the
+    processed frame; the last store to a field wins.  With VLAN ops the
+    ops own ``eth.ethertype``, so its stores are dropped.
+    """
+    if not writes:
+        return ()
+    owners = {}
+    for name in _MUTABLE_HEADERS:
+        header = getattr(packet, name)
+        if header is not None:
+            owners[id(header)] = name
+    fields: dict[tuple[str, str], object] = {}
+    for header, field, value in writes:
+        name = owners.get(id(header))
+        if name is None:
+            return None
+        if not (with_ops and name == "eth" and field == "ethertype"):
+            fields[name, field] = value
+    return tuple((name, field, value) for (name, field), value in fields.items())
 
 
 class FlowCache:

@@ -29,10 +29,10 @@ repeat of the named ``BENCHMARK.json`` workload):
 
 - *per-frame* (:meth:`PacketProcessingEngine.submit`): all 14,881 frames
   of ``nfv-chain-mix`` and all 1,891 of ``chaos-smoke``.  Applications
-  with a :meth:`PPEApplication.flow_key` / :meth:`PPEApplication.decide`
-  pair replay a cached :class:`FlowRecipe` instead of re-running the
-  program (1,890 of those 1,891); table writes invalidate entries via the
-  registry generation counter.
+  with a :meth:`PPEApplication.flow_key` replay a cached recipe, recorded
+  from their own ``process`` on the flow's first frame, instead of
+  re-running the program (1,890 of those 1,891); table writes invalidate
+  entries via the registry generation counter.
 - *fused bursts* (:meth:`PacketProcessingEngine.submit_burst`): a
   same-flow burst arrives as one template packet plus a vector of arrival
   times, is admitted through the same timeline kernel and — when
@@ -41,15 +41,16 @@ repeat of the named ``BENCHMARK.json`` workload):
   histogram updates.  The ``recipe`` lane (one
   :meth:`~repro.core.flowcache.FlowRecipe.apply_burst` per slice) carries
   117 of 117 bursts of ``nat-linerate-fused``, each admitted by the
-  timeline's keep-up regime: 29,762 frames, one ``decide`` call.  The
-  ``meter`` lane (:meth:`PPEApplication.burst_plan`, sequential) has no
+  timeline's keep-up regime: 29,762 frames, one recorded ``process``
+  call.  The ``meter`` lane (:meth:`PPEApplication.burst_plan`, sequential) has no
   benchmark workload; the ratelimiter differentials in
   ``tests/test_compiled_differential.py`` are what keep it.
 - *deopt*: anything the fused contract cannot express — a tracer, per-frame
   arrivals interleaved, a flow the application opts out of, a verdict
-  beyond PASS/DROP, emissions, a meter without a plan — goes through one
-  door, :meth:`PacketProcessingEngine._materialize_pending_bursts`, back
-  into the per-frame lane, whether found at submit, on contact with a
+  beyond PASS/DROP, a call the recorder refuses, a meter without a plan —
+  goes through one door,
+  :meth:`PacketProcessingEngine._materialize_pending_bursts`, back into
+  the per-frame lane, whether found at submit, on contact with a
   per-frame submit, or at drain.  No workload above deopts a frame
   (``compiled.deopt_frames == 0``); the differential suite drives every
   way in.
@@ -75,7 +76,7 @@ if TYPE_CHECKING:  # pragma: no cover - break the hls<->core import cycle
     from ..hls.ir import PipelineSpec
 from ..sim.engine import ServiceTimeline, Simulator
 from ..sim.stats import Counter, Histogram
-from .flowcache import FlowCache, FlowRecipe
+from .flowcache import FlowCache, record_recipe
 from .tables import TableRegistry
 
 
@@ -148,9 +149,10 @@ class PPEApplication(ABC):
     control plane reads/writes through that registry) and keep functional
     statistics in ``self.counters``.
 
-    Applications whose verdict is a pure function of a per-flow key may
-    additionally implement :meth:`flow_key` and :meth:`decide` to opt into
-    the flow-cache fast path; the default implementations opt out.
+    Applications may implement :meth:`flow_key` to opt into the flow-cache
+    fast path, whose recipes are recorded from ``process`` itself.  The one
+    hand-written lane hook is :meth:`burst_plan`: a meter's verdict depends
+    on each frame's arrival time, which no single recorded call reproduces.
     """
 
     name: str = "app"
@@ -179,21 +181,13 @@ class PPEApplication(ABC):
     def flow_key(self, packet: Packet) -> Hashable | None:
         """Cache key identifying this packet's flow, or None to opt out.
 
-        Return a key only when :meth:`decide` can express the packet's
-        entire processing as a replayable :class:`FlowRecipe` — i.e. the
-        verdict and mutations depend on nothing but the key and table
-        state.  The engine adds the traversal direction to the key, so a
-        key need not encode it.
-        """
-        return None
-
-    def decide(self, packet: Packet, ctx: PPEContext) -> FlowRecipe | None:
-        """The packet's processing as a replayable recipe (slow path).
-
-        Only called for packets whose :meth:`flow_key` returned a key.
-        Returning None falls back to :meth:`process` uncached.  The
-        recipe, when returned, is applied to the packet in place of
-        ``process`` and cached for subsequent packets of the flow.
+        Return a key only when ``process`` does the same to every frame
+        with that key: verdict, header stores and counter bumps depend on
+        nothing but the key and table state.  The engine records the first
+        frame's ``process`` call as a :class:`~repro.core.flowcache.FlowRecipe`
+        (:func:`~repro.core.flowcache.record_recipe`) and replays it on
+        later frames.  The engine adds the traversal direction to the key,
+        so a key need not encode it.
         """
         return None
 
@@ -905,8 +899,9 @@ class PacketProcessingEngine(_EngineBase):
         """Process one due slice with a single fused recipe application.
 
         False — nothing applied, nothing counted — when the flow's recipe
-        is not one the fused contract can express: ``decide`` opts out or
-        emits, or the verdict needs per-frame handling downstream.
+        is not one the fused contract can express: the recorder refuses
+        the flow's ``process`` call, or the verdict needs per-frame
+        handling downstream.
         """
         count = end - pos
         app = self.app
@@ -916,18 +911,11 @@ class PacketProcessingEngine(_EngineBase):
         recipe = self.flow_cache.lookup((direction, burst.key), generation)
         decided = 0
         if recipe is None:
-            # Slow-path probe: one decide() stands for the whole slice.
-            # The effect analysis proved decide is a pure read of
-            # (packet, direction, tables), so the slice head's context is
-            # representative of every frame.
-            ctx = PPEContext(
-                int(burst.finish[pos] * 1e9),
-                direction,
-                self.device_id,
-                (len(burst.finish) - pos - 1) * size,
-            )
-            recipe = app.decide(burst.template, ctx)
-            if recipe is None or ctx.emitted:
+            # Slow-path probe: one recorded process() call stands for the
+            # whole slice; the recorder refuses a call that reads what
+            # differs between its frames (arrival time, queue depth).
+            recipe = record_recipe(app, burst.template, direction, self.device_id)
+            if recipe is None:
                 return False
             self.flow_cache.insert((direction, burst.key), recipe, generation)
             decided = 1
@@ -1099,15 +1087,15 @@ class PacketProcessingEngine(_EngineBase):
         """Run the application on one frame, via the flow cache if possible.
 
         Recipe replays never see a context (the application is not
-        entered), so cache hits skip building it entirely and report an
-        empty emitted tuple; a recipe's structural ops may change the
-        frame length, so the size returned (and counted as ``processed``)
-        is ``size`` plus the recipe's ``size_delta``.  Slow-path frames get
-        the identical ``PPEContext`` the oracle constructs.
+        entered), so they report an empty emitted tuple; a recipe's
+        structural ops may change the frame length, so the size returned
+        (and counted as ``processed``) is ``size`` plus the recipe's
+        ``size_delta``.  A miss records the flow's recipe from one probe
+        ``process`` call and replays it on the frame; a flow the recorder
+        refuses gets the identical ``PPEContext`` the oracle constructs.
         """
         app = self.app
         cache = self.flow_cache
-        ctx = None
         if cache is not None:
             key = app.flow_key(packet)
             if key is not None:
@@ -1124,17 +1112,15 @@ class PacketProcessingEngine(_EngineBase):
                     processed.bytes += size
                     self.verdict_counts[verdict] += 1
                     return verdict, (), size
-                ctx = PPEContext(finish_ns, direction, self.device_id, queue_depth)
-                recipe = app.decide(packet, ctx)
+                recipe = record_recipe(app, packet, direction, self.device_id)
                 if recipe is not None:
                     cache.insert((direction, key), recipe, generation)
-                    verdict = recipe.apply(packet, app, size)
+                    verdict = self._checked(recipe.apply(packet, app, size))
                     size += recipe.size_delta
                     self.processed.count(size)
                     self.verdict_counts[verdict] += 1
-                    return verdict, ctx.emitted, size
-        if ctx is None:
-            ctx = PPEContext(finish_ns, direction, self.device_id, queue_depth)
+                    return verdict, (), size
+        ctx = PPEContext(finish_ns, direction, self.device_id, queue_depth)
         verdict = self._checked(app.process(packet, ctx))
         # Measured post-process: applications may change the frame length.
         size = packet.wire_len

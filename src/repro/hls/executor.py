@@ -45,12 +45,10 @@ class CompiledProgram:
     replays the application's sequential :meth:`burst_plan`, and ``None``
     deopts every burst to the exact per-frame lane.  ``fusible`` is the
     engine-facing boolean view of ``mode``.  ``summary`` is the effect
-    analysis that proved (or refuted) fusion; its digest feeds the
-    ``flexsfp.run/1`` knob block so artifact diffs catch analysis drift.
-    ``compile_wall_s`` is the real (wall-clock) time the lowering took —
-    observability data only, never simulated state, and deliberately kept
-    out of the metric namespace so golden artifacts stay byte-identical
-    across regenerations.
+    analysis that proved (or refuted) fusion.  ``compile_wall_s`` is the
+    real (wall-clock) time the lowering took — observability data only,
+    never simulated state, and deliberately kept out of the metric
+    namespace so golden artifacts stay byte-identical across regenerations.
     """
 
     app_name: str
@@ -65,10 +63,6 @@ class CompiledProgram:
     def fusible(self) -> bool:
         return self.mode is not None
 
-    @property
-    def effect_digest(self) -> str:
-        return self.summary.digest() if self.summary is not None else ""
-
 
 def compile_executor(
     app, shell: ShellSpec, device: FPGADevice = MPF200T
@@ -79,13 +73,12 @@ def compile_executor(
     one :func:`~repro.hls.compiler.compile_app` runs), so the compiled
     tier's accepted set is exactly the verifier's accepted set: any
     application that raises here raises identically from the bitstream
-    flow, and vice versa.  A surviving hand-written ``compiled_profile``
-    that disagrees with the derived summary is one of those errors.  Burst
-    fusion is then gated by the effect analysis: the derived
-    :class:`~repro.analysis.effects.EffectSummary` must prove the
-    program's effects burst-safe *and* the application must implement the
-    runtime hooks the proven lane needs (``flow_key``/``decide`` for pure
-    recipes, ``burst_plan`` for the sequential meter lane).
+    flow, and vice versa.  Burst fusion is then gated by the effect
+    analysis: the derived :class:`~repro.analysis.effects.EffectSummary`
+    must prove the program's effects burst-safe *and* the application must
+    implement the runtime hook the proven lane needs (``flow_key`` for pure
+    recipes, which the engine records from ``process``; ``burst_plan`` for
+    the sequential meter lane).
     """
     start = perf_counter()  # flexsfp: allow(det-wallclock)
     app_name = getattr(app, "name", type(app).__name__)

@@ -25,7 +25,6 @@ import pytest
 from repro._util import ip_to_int
 from repro.apps import APP_FACTORIES, StaticNat, create_app
 from repro.core import FlexSFPModule
-from repro.core.flowcache import FlowRecipe
 from repro.core.ppe import BURST_FRAMES, Verdict
 from repro.netem import CbrSource, ImixSource
 from repro.packet import make_dns_query, make_tcp, make_udp, make_udp6
@@ -39,10 +38,11 @@ RATE_BPS = 5e9
 SEED = 7
 
 # Applications the effect analysis proves fusible AND that implement the
-# runtime hooks their proven lane needs (flow_key/decide for pure
-# recipes, burst_plan for the sequential meter lane); for these a
-# same-flow CBR burst run must record fused frames (otherwise the
-# differential passes vacuously with the fused lane never engaged).
+# runtime hook their proven lane needs (flow_key for pure recipes, which
+# the engine records from process; burst_plan for the sequential meter
+# lane); for these a same-flow CBR burst run must record fused frames
+# (otherwise the differential passes vacuously with the fused lane never
+# engaged).
 FUSIBLE_APPS = {
     "nat",
     "firewall",
@@ -52,10 +52,10 @@ FUSIBLE_APPS = {
     "vlan",
 }
 
-# Applications whose ``decide`` produces cacheable recipes for plain IPv4
-# traffic; for these the IMIX run must also record flow-cache hits
-# (otherwise the differential would pass vacuously with the cache never
-# engaged).
+# Applications whose ``flow_key`` names plain IPv4 flows and whose
+# ``process`` records into a cacheable recipe; for these the IMIX run
+# must also record flow-cache hits (otherwise the differential would pass
+# vacuously with the cache never engaged).
 CACHED_APPS = {"nat", "firewall", "loadbalancer", "dnsfilter"}
 
 SRC_IPS = [f"10.0.0.{i}" for i in range(1, 9)]
@@ -748,7 +748,8 @@ ODD_SRC = "10.0.0.9"
 
 class OddNat(StaticNat):
     """StaticNat whose handling of one source leaves the fused contract:
-    its recipe reflects, punts to the CPU, or ``decide`` opts out."""
+    its recipe reflects, punts to the CPU, or (``opt-out``) its
+    ``process`` reads the arrival clock, so the recorder refuses it."""
 
     def __init__(self, odd: str) -> None:
         super().__init__()
@@ -756,34 +757,46 @@ class OddNat(StaticNat):
         self.add_mapping("10.0.0.1", "198.51.100.1")
         self.add_mapping(ODD_SRC, "198.51.100.9")
 
-    def _odd_verdict(self, packet):
-        if self.odd == "opt-out" or packet.ipv4.src != ip_to_int(ODD_SRC):
-            return None
+    def process(self, packet, ctx):
+        if packet.ipv4.src != ip_to_int(ODD_SRC):
+            return super().process(packet, ctx)
+        if self.odd == "opt-out":
+            if ctx.time_ns >= 0:
+                return super().process(packet, ctx)
+        self.counter("odd").count(packet.wire_len)
         return Verdict.REFLECT if self.odd == "reflect" else Verdict.TO_CPU
 
-    def process(self, packet, ctx):
-        verdict = self._odd_verdict(packet)
-        if verdict is None:
-            return super().process(packet, ctx)
-        self.counter("odd").count(packet.wire_len)
-        return verdict
 
-    def decide(self, packet, ctx):
-        if packet.ipv4.src != ip_to_int(ODD_SRC):
-            return super().decide(packet, ctx)
-        verdict = self._odd_verdict(packet)
-        if verdict is None:
-            return None  # the engine falls back to process(), uncached
-        return FlowRecipe(verdict, counters=("odd",))
+class StampingNat(StaticNat):
+    """StaticNat that stamps the low 16 bits of its clock into every
+    translated frame's IPv4 identification: no flow has one recipe."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.add_mapping("10.0.0.1", "198.51.100.1")
+
+    def process(self, packet, ctx):
+        verdict = super().process(packet, ctx)
+        packet.ipv4.identification = ctx.time_ns & 0xFFFF
+        return verdict
 
 
 def run_template_bursts(make_app, engine: str, src_ips=("10.0.0.1", ODD_SRC)):
-    """One template-burst CBR stream per source through a solo module."""
+    """One template-burst CBR stream per source through a solo module.
+
+    ``result["delivered"]`` is the bytes of every frame the fiber
+    received, sorted: the compiled tier's shared egress does not keep two
+    flows' frames in the oracle's order once one flow deopts.
+    """
     sim = Simulator()
     module = FlexSFPModule(
         sim, "dut", Deployment.solo(make_app()), auth_key=KEY, engine=engine
     )
     host, fiber = wire(sim, module)
+    delivered: list[bytes] = []
+    (fiber.attach_batch if engine == "compiled" else fiber.attach)(
+        lambda port, packet, size, when: delivered.append(packet.to_bytes())
+    )
     for src in src_ips:
         template = make_udp(
             src_ip=src, dst_ip="203.0.113.1", sport=10_000, dport=20_000,
@@ -802,15 +815,17 @@ def run_template_bursts(make_app, engine: str, src_ips=("10.0.0.1", ODD_SRC)):
     sim.run(until=RUN_S + 0.2e-3)
     result = registry_of(module, host, fiber)
     result["punted"] = len(module.punted_to_cpu)
+    result["delivered"] = sorted(delivered)
     return result, module
 
 
 @pytest.mark.parametrize("odd", ["reflect", "to-cpu", "opt-out"])
 def test_fused_flow_leaving_the_contract_deopts_at_drain(odd):
     """A burst admitted to the recipe lane whose recipe turns out REFLECT
-    or TO_CPU, or whose ``decide`` returns None, materialises at drain time
-    and takes the per-frame lane with exact queue depths; the well-behaved
-    flow next to it keeps fusing whenever its bursts drain alone."""
+    or TO_CPU, or whose ``process`` the recorder refuses, materialises at
+    drain time and takes the per-frame lane with exact queue depths; the
+    well-behaved flow next to it keeps fusing whenever its bursts drain
+    alone."""
     reference, _ = run_template_bursts(lambda: OddNat(odd), "reference")
     compiled, module = run_template_bursts(lambda: OddNat(odd), "compiled")
     assert compiled == reference
@@ -823,6 +838,22 @@ def test_fused_flow_leaving_the_contract_deopts_at_drain(odd):
         assert compiled["punted"] > 50
     else:
         assert metrics["dut.ppe.nat.verdicts.pass"] == metrics["fiber.rx.packets"]
+
+
+def test_time_stamping_flow_keeps_its_stamp_on_the_compiled_tier():
+    """A ``process`` that stamps its clock into a header keeps the pure
+    proof (the pipeline IR is StaticNat's), so its bursts enter the
+    recipe lane; the recorder refuses the clock read, every frame deopts
+    to per-frame ``process`` and carries its own stamp, byte for byte."""
+    reference, _ = run_template_bursts(StampingNat, "reference", ("10.0.0.1",))
+    compiled, module = run_template_bursts(StampingNat, "compiled", ("10.0.0.1",))
+    assert compiled["delivered"] == reference["delivered"]
+    assert compiled == reference
+    stamps = {frame[18:20] for frame in reference["delivered"]}
+    assert len(stamps) > 1, stamps
+    stats = compiled_stats(module.ppe)
+    assert stats["bursts"] > 0 and stats["recipe_frames"] == 0, stats
+    assert stats["deopt_frames"] == compiled["metrics"]["dut.ppe.nat.processed.packets"]
 
 
 def test_meter_flow_without_a_plan_deopts_at_drain():

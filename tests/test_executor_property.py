@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro.analysis import Severity, check_app
 from repro.analysis.effects import analyze_pipeline, fusion_engagement
-from repro.core.flowcache import FlowRecipe
 from repro.core.ppe import PPEApplication, Verdict
 from repro.core.shells import ShellSpec
 from repro.errors import CompileError
@@ -75,7 +74,7 @@ def generated_apps(draw):
 
     ``drop_parser`` / ``drop_deparser`` deliberately break the structure
     rule on a fraction of examples so the rejected side of the property
-    is exercised, not just the happy path.  ``with_recipe_hooks`` /
+    is exercised, not just the happy path.  ``with_flow_key`` /
     ``with_burst_plan`` independently draw the runtime hooks, so every
     combination of (analysis verdict × implemented hooks) shows up.
     """
@@ -94,7 +93,7 @@ def generated_apps(draw):
         stages.append(Stage("deparse", StageKind.DEPARSER, {"header_bytes": 34}))
     if not stages:
         stages = [Stage("parse", StageKind.PARSER, {"header_bytes": 34})]
-    with_recipe_hooks = draw(st.booleans())
+    with_flow_key = draw(st.booleans())
     with_burst_plan = draw(st.booleans())
 
     class GeneratedApp(PPEApplication):
@@ -106,16 +105,12 @@ def generated_apps(draw):
         def process(self, packet, ctx) -> Verdict:
             return Verdict.PASS
 
-    if with_recipe_hooks:
+    if with_flow_key:
 
         def flow_key(self, packet):
             return 0
 
-        def decide(self, packet, ctx):
-            return FlowRecipe(Verdict.PASS)
-
         GeneratedApp.flow_key = flow_key
-        GeneratedApp.decide = decide
     if with_burst_plan:
 
         def burst_plan(self, template, direction):
@@ -157,7 +152,7 @@ def test_compile_executor_accepts_exactly_the_verified_set(app):
         assert program.fusible == (program.mode is not None)
         assert program.key_bits == summary.key_bits
         assert program.rewrite_bits == summary.rewrite_bits
-        assert program.effect_digest == summary.digest()
+        assert program.summary.digest() == summary.digest()
         if not program.fusible:
             assert any("deopt" in note for note in program.notes)
         assert program.compile_wall_s >= 0.0
@@ -180,32 +175,3 @@ def test_rejected_app_never_yields_a_program():
 
     with pytest.raises(CompileError):
         compile_executor(Broken(), ShellSpec())
-
-
-def test_stale_compiled_profile_is_an_error():
-    """A surviving hand-written declaration that disagrees with the
-    derived summary rejects the build — stale contracts cannot gate."""
-
-    class Declared(PPEApplication):
-        name = "declared"
-
-        def pipeline_spec(self) -> PipelineSpec:
-            return PipelineSpec(
-                name="declared",
-                stages=[
-                    Stage("parse", StageKind.PARSER, {"header_bytes": 34}),
-                    Stage("deparse", StageKind.DEPARSER, {"header_bytes": 34}),
-                ],
-            )
-
-        def process(self, packet, ctx) -> Verdict:
-            return Verdict.PASS
-
-        def compiled_profile(self) -> dict:
-            return {"fusible": False, "key_bits": 0, "rewrite_bits": 0}
-
-    app = Declared()
-    findings = check_app(app, shell=ShellSpec())
-    assert any(f.rule == "effect-profile-mismatch" for f in findings)
-    with pytest.raises(CompileError, match="effect-profile-mismatch"):
-        compile_executor(app, ShellSpec())
