@@ -27,7 +27,7 @@ from common import export_bench, report
 from repro.apps import StaticNat
 from repro.artifact.diff import semantic_shard_digest
 from repro.core import FlexSFPModule
-from repro.core.ppe import BURST_FRAMES
+from repro.core.module import source_burst
 from repro.netem import CbrSource, ImixSource
 from repro.obs.scenario import ScenarioSpec, TrafficProfile
 from repro.packet import make_udp
@@ -36,6 +36,8 @@ from repro.nfv import Deployment
 
 RUN_S = 0.3e-3
 SPEEDUP_RUN_S = 1.2e-3
+# The compiled tier's template-burst depth, as every scenario ticks it.
+TEMPLATE_BURST = source_burst("compiled", template_burst=True)
 # Measured on the 2-vCPU container this repo is developed in: single
 # compiled/reference pairs read 29x to 39x over ten interleaved pairs
 # (median 32x; a host stall cut one to 9.9x).  The test reports the
@@ -253,7 +255,7 @@ def compute_compiled_speedup():
             60,
             run_s=SPEEDUP_RUN_S,
             rate_bps=SPEEDUP_RATE_BPS,
-            burst=BURST_FRAMES if engine == "compiled" else 1,
+            burst=source_burst(engine, template_burst=True),
             engine=engine,
         )
     )
@@ -267,7 +269,7 @@ def test_compiled_speedup(benchmark):
         compiled["sim_pkts_per_wall_s"] / reference["sim_pkts_per_wall_s"]
     )
     report(
-        f"Compiled tier (fused recipes, source burst={BURST_FRAMES}) vs "
+        f"Compiled tier (fused recipes, source burst={TEMPLATE_BURST}) vs "
         f"reference: simulated packets per wall-second "
         f"(60 B CBR at {SPEEDUP_RATE_BPS / 1e9:.0f}G offered, "
         f"speedup {speedup:.2f}x)",
@@ -314,7 +316,7 @@ def test_compiled_speedup(benchmark):
                 "sim_pkts_per_wall_s", "events",
             )
         },
-        knobs={"engine": "compiled", "source_burst": BURST_FRAMES},
+        knobs={"engine": "compiled", "source_burst": TEMPLATE_BURST},
         summary={
             "speedup": speedup,
             "floor": COMPILED_SPEEDUP_FLOOR,
@@ -352,7 +354,7 @@ def test_scenario_compiled_speedup(benchmark):
     speedup = compiled["sim_pkts_per_wall_s"] / reference["sim_pkts_per_wall_s"]
     report(
         f"Compiled tier vs reference on the nat-linerate scenario "
-        f"(10G, 60 B, 2 ms; burst depth {BURST_FRAMES}; speedup {speedup:.2f}x)",
+        f"(10G, 60 B, 2 ms; burst depth {TEMPLATE_BURST}; speedup {speedup:.2f}x)",
         ("mode", "wall s", "events", "delivered", "deopt frames"),
         [
             (mode, f"{r['wall_s']:.4f}", r["events"], r["delivered"], r["deopt_frames"])
@@ -372,7 +374,7 @@ def test_scenario_compiled_speedup(benchmark):
             for mode, r in (("reference", reference), ("compiled", compiled))
             for key in ("delivered", "events")
         },
-        knobs={"engine": "compiled", "source_burst": BURST_FRAMES},
+        knobs={"engine": "compiled", "source_burst": TEMPLATE_BURST},
         summary={
             "speedup": speedup,
             "floor": SCENARIO_SPEEDUP_FLOOR,

@@ -41,6 +41,7 @@ from .flowcache import FlowCache
 from .mgmt import mgmt_frame
 from .ppe import (
     BURST_FRAMES,
+    TEMPLATE_BURST_FRAMES,
     Direction,
     PacketProcessingEngine,
     PPEApplication,
@@ -59,18 +60,22 @@ WATCHDOG_TIMEOUT_S = 50e-3
 DEFAULT_AUTH_KEY = b"flexsfp-mgmt-key"
 
 
-def source_burst(engine: str | None) -> int:
+def source_burst(engine: str | None, template_burst: bool = False) -> int:
     """Frames a traffic source emits per tick on tier ``engine``.
 
     A per-tier source setting, whatever the source feeds, and the one
-    place a scenario builder learns it: :data:`BURST_FRAMES` on
-    ``compiled`` (one source burst fills one PPE group), one on
-    ``reference``; ``None`` resolves as a module's engine does.  A burst
-    changes no frame, time or drop of the source
+    place a scenario builder learns it: on ``compiled``,
+    :data:`TEMPLATE_BURST_FRAMES` for a source that moves template bursts
+    (``template_burst``) and :data:`BURST_FRAMES` for one that emits
+    frames (one source burst fills one PPE group); one on ``reference``;
+    ``None`` resolves as a module's engine does.  A burst changes no
+    frame, time or drop of the source
     (:class:`~repro.netem.TrafficSource`), only how many tick events
     emit them.
     """
-    return BURST_FRAMES if resolve_engine(engine) == ENGINE_COMPILED else 1
+    if resolve_engine(engine) != ENGINE_COMPILED:
+        return 1
+    return TEMPLATE_BURST_FRAMES if template_burst else BURST_FRAMES
 
 
 class TenantSlot:
@@ -817,6 +822,11 @@ class FlexSFPModule:
                     slot.failed_boots += 1
                     continue
             slot.degraded = False
+            if app is not slot.app:
+                # The swapped-out application stays with the slot's spec;
+                # its tables must not keep the swapped-out engine (and
+                # that engine's cut hook) alive.
+                slot.app.tables.on_before_mutate = None
             slot.app = app
             if slot.flow_cache is not None:
                 # Recipes replay against the application instance; a boot

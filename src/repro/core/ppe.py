@@ -22,6 +22,8 @@ Two engines execute that contract, one per tier (:mod:`repro.engine`):
   :data:`BURST_FRAMES` per scheduled event, so per-frame start/finish
   timestamps — and therefore queueing, overload, and latency statistics —
   are identical to the oracle while heap and callback overhead amortizes.
+  A ``run(until=)`` cut settles the engine (:meth:`PacketProcessingEngine._settle`),
+  so its counters equal the oracle's at every cut, not only once drained.
 
 The fast engine has one lane, the per-frame one, and one optimisation of
 it.  Each piece is here because measured traffic takes it (counts: one
@@ -40,7 +42,7 @@ repeat of the named ``BENCHMARK.json`` workload):
   due slice collapses into one application with O(1) counter and
   histogram updates.  The ``recipe`` lane (one
   :meth:`~repro.core.flowcache.FlowRecipe.apply_burst` per slice) carries
-  117 of 117 bursts of ``nat-linerate-fused``, each admitted by the
+  30 of 30 bursts of ``nat-linerate-fused``, each admitted by the
   timeline's keep-up regime: 29,762 frames, one recorded ``process``
   call.  The ``meter`` lane (:meth:`PPEApplication.burst_plan`, sequential) has no
   benchmark workload; the ratelimiter differentials in
@@ -233,6 +235,20 @@ DoneCallback = Callable[
 BurstDoneCallback = Callable[[Packet, Verdict, int, "np.ndarray"], None]
 
 @dataclass(slots=True)
+class _SliceHandover:
+    """A processed fused slice not yet handed over: one verdict, one
+    template copy and the slice's per-frame deliver / enqueue vectors,
+    from which a cut hands over the prefix due by then."""
+
+    done: BurstDoneCallback
+    packet: Packet
+    verdict: Verdict
+    size: int
+    deliver_s: "np.ndarray"
+    enqueue_ns: "np.ndarray"
+
+
+@dataclass(slots=True)
 class _PendingBurst:
     """Struct-of-arrays record of one admitted compiled burst.
 
@@ -256,9 +272,15 @@ class _PendingBurst:
 
 
 #: Frames the fast engine processes per scheduled event; compiled-tier
-#: sources emit bursts of the same size so one burst fills one group.
-#: Why 256: the measured depth sweep in EXPERIMENTS.md ("Burst depth").
+#: per-frame sources emit bursts of the same size so one burst fills one
+#: group.  Why 256: the measured depth sweep in EXPERIMENTS.md ("Burst
+#: depth"); every in-flight frame holds its own packet and tuples.
 BURST_FRAMES = 256
+
+#: Frames a compiled-tier template-burst source emits per tick: a pending
+#: template burst holds 8 bytes per frame, so it runs deeper than a
+#: per-frame group.  Why 1024: the template-lane sweep in EXPERIMENTS.md.
+TEMPLATE_BURST_FRAMES = 1024
 
 
 class _EngineBase:
@@ -541,6 +563,11 @@ class PacketProcessingEngine(_EngineBase):
         self._drain_event = None
         self._arrivals: deque = deque()
         self._arrivals_bytes = 0
+        # Processed work not yet handed over, in deliver order: a list of
+        # per-frame delivery records or a _SliceHandover each, one deliver
+        # event apiece.  A cut hands over the part due by then.
+        self._handovers: deque = deque()
+        sim.add_cut_hook(self._settle)
         # Per-size service-time memo: frame_service_time is a pure function
         # of the frame length for a fixed TimingSpec.
         self._service_time = lru_cache(maxsize=None)(timing.frame_service_time)
@@ -644,8 +671,40 @@ class PacketProcessingEngine(_EngineBase):
         self._drain_event = None
         self._process_due()
 
-    def _process_due(self) -> None:
-        """Process every reserved frame whose virtual service has finished.
+    def _settle(self, until: float) -> None:
+        """The engine's cut hook: state at ``until`` as the oracle has it.
+
+        Processes every frame, per-frame or fused, that has finished by
+        ``until`` and hands over every delivery due by then; the deliver
+        events still fire and hand over whatever is left.
+        """
+        self._process_due(until)
+        for record in self._handovers:
+            if type(record) is list:
+                due = 0
+                for delivery in record:
+                    if delivery[6] > until:
+                        break
+                    due += 1
+                if due:
+                    self._deliver_frames(record[:due])
+                    del record[:due]
+                if record:
+                    return
+            else:
+                deliver_s = record.deliver_s
+                due = int(deliver_s.searchsorted(until, side="right"))
+                if due:
+                    enqueue_ns = record.enqueue_ns
+                    record.deliver_s = deliver_s[due:]
+                    record.enqueue_ns = enqueue_ns[due:]
+                    self._deliver_slice(record, deliver_s[:due], enqueue_ns[:due])
+                if due < len(deliver_s):
+                    return
+
+    def _process_due(self, due: float | None = None) -> None:
+        """Process every reserved frame whose virtual service has finished
+        by ``due`` (default: now).
 
         Finish times are strictly increasing across submits (``start =
         max(arrival, free_at)``, service > 0), so the due set is always a
@@ -656,7 +715,7 @@ class PacketProcessingEngine(_EngineBase):
         virtual decision time already passed to be decided against the
         pre-write table state, exactly as the oracle does.
         An event that fires after an earlier drain already consumed its
-        frames is a no-op.
+        frames is a no-op.  A cut (:meth:`_settle`) passes its ``until``.
         """
         if self._processing:
             # An application writing its own tables mid-processing fired
@@ -664,20 +723,23 @@ class PacketProcessingEngine(_EngineBase):
             return
         self._processing = True
         try:
-            now = self.sim.now
+            if due is None:
+                due = self.sim.now
             if self._bursts:
                 # Compiled bursts and per-frame arrivals never coexist
                 # (either side materializes the other on contact), so this
                 # either drains the burst lane or — on a deopt — turns it
                 # into the arrivals the per-frame drain below picks up.
-                self._process_due_bursts(now)
+                self._process_due_bursts(due)
             arrivals = self._arrivals
-            if not arrivals or arrivals[0][5] > now:
+            if not arrivals or arrivals[0][5] > due:
                 return
-            self._timeline.drain(now)
+            # Occupancy drains to the clock, never past it: a later submit
+            # may still arrive before ``due``.
+            self._timeline.drain(self.sim.now)
             frame = arrivals[0]
             first_finish_ns = int(frame[5] * 1e9)
-            if (len(arrivals) == 1 or arrivals[1][5] > now) and (
+            if (len(arrivals) == 1 or arrivals[1][5] > due) and (
                 arrivals[-1][4] <= first_finish_ns
             ):
                 # One due frame and nothing in flight behind it (the
@@ -691,15 +753,15 @@ class PacketProcessingEngine(_EngineBase):
                 if group and group[0] is frame:
                     del group[0]
             else:
-                deliveries = self._run_due(arrivals, now, first_finish_ns)
-            self.sim.schedule(
-                self.pipeline_latency_s, self._deliver_batch, deliveries
-            )
+                deliveries = self._run_due(arrivals, due, first_finish_ns)
+            # _queue_handover, inlined: once per drain.
+            self._handovers.append(deliveries)
+            self.sim.schedule_at(due + self.pipeline_latency_s, self._hand_over_next)
         finally:
             self._processing = False
 
     def _run_due(
-        self, arrivals: deque, now: float, first_finish_ns: int
+        self, arrivals: deque, due: float, first_finish_ns: int
     ) -> list[tuple[Packet, Verdict, list, int, DoneCallback, int, float]]:
         """Run every due frame of a drain in finish order; their deliveries.
 
@@ -723,7 +785,7 @@ class PacketProcessingEngine(_EngineBase):
         run_frame = self._run_frame
         deliveries = []
         append = deliveries.append
-        while arrivals and arrivals[0][5] <= now:
+        while arrivals and arrivals[0][5] <= due:
             frame = arrivals.popleft()
             remaining_bytes -= frame[1]
             finish_ns = int(frame[5] * 1e9)
@@ -736,10 +798,10 @@ class PacketProcessingEngine(_EngineBase):
             append(run_frame(frame, finish_ns, remaining_bytes - future_bytes))
         self._arrivals_bytes = remaining_bytes
         group = self._group
-        if group and group[0][5] <= now:
-            # The drain ate into the open group (pre-mutation hook or a
-            # late event); keep only the still-unprocessed suffix.
-            self._group = [frame for frame in group if frame[5] > now]
+        if group and group[0][5] <= due:
+            # The drain ate into the open group (pre-mutation hook, a cut
+            # or a late event); keep only the still-unprocessed suffix.
+            self._group = [frame for frame in group if frame[5] > due]
         return deliveries
 
     def _run_frame(
@@ -748,7 +810,7 @@ class PacketProcessingEngine(_EngineBase):
         """The per-frame step of every drain: apply one due frame.
 
         ``queue_depth`` is the oracle's depth at the frame's finish;
-        returns the frame's delivery record for :meth:`_deliver_batch`.
+        returns the frame's delivery record for :meth:`_deliver_frames`.
         """
         packet, size, direction, done, enqueue_ns, finish = frame
         tracer = self.tracer
@@ -765,7 +827,34 @@ class PacketProcessingEngine(_EngineBase):
             finish + self.pipeline_latency_s,
         )  # fmt: skip
 
-    def _deliver_batch(
+    def _queue_handover(self, record: "list | _SliceHandover", due: float) -> None:
+        """Queue what one drain processed by ``due``; arm its deliver event.
+
+        The event fires one pipeline latency after ``due``, by when every
+        frame of the record, and of every record queued before it, is due.
+        """
+        self._handovers.append(record)
+        self.sim.schedule_at(due + self.pipeline_latency_s, self._hand_over_next)
+
+    def _hand_over_next(self) -> None:
+        """A deliver event: hand over the rest of the oldest record.
+
+        Events and records pair one to one, and without a cut each event
+        meets its own record.  Taking the oldest instead keeps deliveries
+        in deliver order when a cut's record (its event one latency past
+        the cut) is followed by one whose event is earlier.
+        """
+        record = self._handovers.popleft()
+        if type(record) is list:
+            # _deliver_frames, inlined: once per deliver event.
+            latency_add = self.latency_ns.add
+            for packet, verdict, emitted, size, done, enqueue_ns, deliver_s in record:
+                latency_add(int(deliver_s * 1e9) - enqueue_ns)
+                done(packet, verdict, emitted, size, deliver_s)
+        elif len(record.deliver_s):
+            self._deliver_slice(record, record.deliver_s, record.enqueue_ns)
+
+    def _deliver_frames(
         self,
         deliveries: list[tuple[Packet, Verdict, list, int, DoneCallback, int, float]],
     ) -> None:
@@ -867,27 +956,27 @@ class PacketProcessingEngine(_EngineBase):
         key = None if self.flow_cache is None else self.app.flow_key(template)
         return ("recipe", key) if key is not None else (None, None)
 
-    def _process_due_bursts(self, now: float) -> None:
-        """Drain every burst frame whose virtual service has finished.
+    def _process_due_bursts(self, due: float) -> None:
+        """Drain every burst frame whose virtual service has finished by ``due``.
 
         The burst half of :meth:`_process_due`.  Due frames form a prefix
         of each pending burst, and each due slice collapses into one
         fused application.  A slice that cannot fuse deopts the whole
         burst lane into per-frame arrivals, which the caller then drains.
         """
-        self._timeline.drain(now)
+        self._timeline.drain(self.sim.now)
         bursts = self._bursts
         while bursts:
             burst = bursts[0]
             finish = burst.finish
             pos = burst.pos
-            end = int(finish.searchsorted(now, side="right"))
+            end = int(finish.searchsorted(due, side="right"))
             if end <= pos:
                 break
             fuse = (
                 self._fuse_meter_slice if burst.lane == "meter" else self._fuse_slice
             )
-            if not fuse(burst, pos, end):
+            if not fuse(burst, pos, end, due):
                 self._materialize_pending_bursts()
                 break
             if end < len(finish):
@@ -895,7 +984,9 @@ class PacketProcessingEngine(_EngineBase):
                 break
             bursts.popleft()
 
-    def _fuse_slice(self, burst: _PendingBurst, pos: int, end: int) -> bool:
+    def _fuse_slice(
+        self, burst: _PendingBurst, pos: int, end: int, due: float
+    ) -> bool:
         """Process one due slice with a single fused recipe application.
 
         False — nothing applied, nothing counted — when the flow's recipe
@@ -938,20 +1029,22 @@ class PacketProcessingEngine(_EngineBase):
         processed.bytes += count * effective
         self.verdict_counts[applied] += count
         self.compiled_frames += count
-        deliver_s = burst.finish[pos:end] + self.pipeline_latency_s
-        self.sim.schedule(
-            self.pipeline_latency_s,
-            self._deliver_burst,
-            burst.done_burst,
-            packet,
-            applied,
-            effective,
-            deliver_s,
-            burst.enqueue_ns[pos:end],
+        self._queue_handover(
+            _SliceHandover(
+                burst.done_burst,
+                packet,
+                applied,
+                effective,
+                burst.finish[pos:end] + self.pipeline_latency_s,
+                burst.enqueue_ns[pos:end],
+            ),
+            due,
         )
         return True
 
-    def _fuse_meter_slice(self, burst: _PendingBurst, pos: int, end: int) -> bool:
+    def _fuse_meter_slice(
+        self, burst: _PendingBurst, pos: int, end: int, due: float
+    ) -> bool:
         """Process one due slice through the sequential meter lane.
 
         No recipe and no flow cache: the application's
@@ -987,15 +1080,16 @@ class PacketProcessingEngine(_EngineBase):
         for verdict, n in runs:
             seg_finish = burst.finish[offset : offset + n]
             self.verdict_counts[verdict] += n
-            self.sim.schedule(
-                pipeline_latency_s,
-                self._deliver_burst,
-                burst.done_burst,
-                burst.template.copy(),
-                verdict,
-                size,
-                seg_finish + pipeline_latency_s,
-                burst.enqueue_ns[offset : offset + n],
+            self._queue_handover(
+                _SliceHandover(
+                    burst.done_burst,
+                    burst.template.copy(),
+                    verdict,
+                    size,
+                    seg_finish + pipeline_latency_s,
+                    burst.enqueue_ns[offset : offset + n],
+                ),
+                due,
             )
             offset += n
         return True
@@ -1043,12 +1137,9 @@ class PacketProcessingEngine(_EngineBase):
         if not self._defer_commit:
             self._arm_group()
 
-    def _deliver_burst(
+    def _deliver_slice(
         self,
-        done_burst: BurstDoneCallback,
-        packet: Packet,
-        verdict: Verdict,
-        size: int,
+        record: _SliceHandover,
         deliver_s: "np.ndarray",
         enqueue_ns: "np.ndarray",
     ) -> None:
@@ -1071,7 +1162,7 @@ class PacketProcessingEngine(_EngineBase):
             if bucket:
                 counts[index] += bucket
         histogram.total += len(latencies)
-        done_burst(packet, verdict, size, deliver_s)
+        record.done(record.packet, record.verdict, record.size, deliver_s)
 
     # ------------------------------------------------------------------
     # Functional application (flow cache + slow path)

@@ -356,9 +356,9 @@ def _build_nat(spec: ScenarioSpec, module_count: int) -> ScenarioRun:
         frame_len=traffic.frame_len,
         stop=traffic.duration_s,
         factory=lambda index, size: template.copy(),
-        burst=source_burst(spec.engine),
         # The compiled tier moves whole bursts as template + time vector;
         # the factory above is index-independent, as that mode requires.
+        burst=source_burst(spec.engine, template_burst=compiled),
         template_burst=compiled,
     )
     sim.run(until=traffic.duration_s + 0.1e-3)
@@ -607,12 +607,13 @@ def _build_nfv(spec: ScenarioSpec, churn: bool) -> ScenarioRun:
             churned, create_app(TENANT_CHURN_APP), at_s=churn_at
         )
 
-    # Drain tail sized to the worst-case burst window: at low line
-    # rates the host port still holds whole frame groups when the
-    # sources stop, and every engine must fully drain before the metrics
-    # cutoff for the cross-engine bit-identity contract to hold.  The
-    # tail is engine-*invariant* (a fixed frame budget, not the burst size)
-    # so all tiers observe the identical horizon.
+    # Drain tail: it fixes the run's horizon, so that every frame offered
+    # has left the module when the metrics are read.  A cut settles on
+    # every tier, so what the tiers read at it is equal anyway, except on
+    # the shared line port, which takes two slots' frames out of arrival
+    # order (ROADMAP item 3) and agrees only once drained.  The tail is a
+    # fixed frame budget, not a burst size, so every tier runs to the
+    # same horizon.
     drain_s = max(0.1e-3, 1024 * traffic.frame_len * 8 / traffic.rate_bps)
     sim.run(until=traffic.duration_s + drain_s)
 

@@ -14,6 +14,7 @@ from heapq import heappop, heappush
 from itertools import repeat
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable
+from weakref import WeakMethod
 
 from ..errors import SimulationError
 from .burst import chain_reservations, keepup_reservations
@@ -54,7 +55,9 @@ class Simulator:
 
     Components keep a reference to the simulator, call
     :meth:`schedule`/:meth:`schedule_at` to arrange callbacks, and read
-    :attr:`now` for the current simulation time.
+    :attr:`now` for the current simulation time.  A component that holds
+    work for virtual times ahead of its next event registers a cut hook
+    (:meth:`add_cut_hook`), so that a ``run(until=)`` settles it.
     """
 
     def __init__(self) -> None:
@@ -77,6 +80,19 @@ class Simulator:
         # attributed to the handling component class.  None costs one
         # attribute load per event.
         self.profiler: "LoopProfiler | None" = None
+        # Bound methods called at the end of every run(until=), held weakly.
+        self._cut_hooks: list[WeakMethod] = []
+
+    def add_cut_hook(self, hook: Callable[[float], Any]) -> None:
+        """Settle ``hook``'s owner at the end of every ``run(until=)``.
+
+        ``hook(until)`` must do, for virtual times at or before ``until``,
+        what the owner's own later events would have done for them (the
+        fast PPE processes and hands over what has finished by then).  It
+        is a bound method, held weakly: the hook lives as long as the
+        object it is bound to, and a replaced component leaves none behind.
+        """
+        self._cut_hooks.append(WeakMethod(hook))
 
     def schedule(
         self, delay: float, callback: Callable[..., Any], *args: Any
@@ -153,20 +169,38 @@ class Simulator:
 
         Returns the simulation time when the run stopped.  When ``until`` is
         given, time is advanced to exactly ``until`` even if the queue drains
-        earlier (so rate meters read consistent windows).
+        earlier (so rate meters read consistent windows), and the cut
+        settles first: once every event due by ``until`` has fired, the cut
+        hooks run, then the events they made due, and so on until nothing
+        is due at or before ``until``.  A component's state at the cut is
+        then what the event-per-frame execution shows at ``until``.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
         self.horizon = _INF if until is None else until
         try:
-            self._dispatch(self.horizon, _INF if max_events is None else max_events)
-            if until is not None and self.now < until:
+            limit = _INF if max_events is None else max_events
+            fired = self._dispatch(self.horizon, limit)
+            if until is not None and self.now <= until:
+                while fired < limit and self._cut(until):
+                    fired += self._dispatch(until, limit - fired)
                 self.now = until
         finally:
             self._running = False
             self.horizon = _INF
         return self.now
+
+    def _cut(self, until: float) -> bool:
+        """Run every live cut hook at ``until``; whether an event is now due."""
+        self._cut_hooks = hooks = [ref for ref in self._cut_hooks if ref() is not None]
+        for ref in hooks:
+            hook = ref()
+            if hook is not None:
+                hook(until)
+        self._dispatch(until, 0)  # drops cancelled entries off the head
+        queue = self._queue
+        return bool(queue) and queue[0][0] <= until
 
     def pending(self) -> int:
         """Number of not-yet-cancelled queued events (O(n): walks the heap)."""

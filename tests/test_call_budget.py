@@ -6,13 +6,14 @@ surface is.  For each of the four per-frame shapes the census runs the
 scenario once to warm up (lazy imports, memoised service times) and once
 under ``sys.setprofile``, counting every Python frame entered whose code
 lives under ``src/repro`` (list/dict/set comprehension frames excluded:
-3.12 inlines them), and divides by the frames the source offered.  The
-fused shape, ``nat-linerate-compiled`` (the benchmark's 29,762-frame
-``nat-linerate-fused`` run), spends a fraction of a call per frame, so
-it is divided by the PPE bursts instead (``*.compiled.bursts``).  Each
-figure must stay at or under its ceiling in
-``tests/snapshots/call_budget.json`` (measured + 3 %; ``--regen-golden``
-rewrites the file, and the diff is reviewed like ``import_surface.json``).
+3.12 inlines them), and divides by the frames the source offered.  So
+does the fused shape, ``nat-linerate-compiled`` (the benchmark's
+29,762-frame ``nat-linerate-fused`` run), which spends a fraction of a
+call per frame: per frame, its run's fixed build calls weigh the same
+whatever the burst depth.  Each figure must stay at or under its ceiling
+in ``tests/snapshots/call_budget.json`` (measured + 3 %, to four
+significant digits; ``--regen-golden`` rewrites the file, and the diff is
+reviewed like ``import_surface.json``).
 
 On the ``chaos`` shape, where the legacy switch floods nearly every frame
 past the fleet controller, the census also counts ``ABCMeta`` instance
@@ -62,9 +63,6 @@ SHAPES = {
         kind="nat-linerate", engine="compiled", traffic=TrafficProfile(10e9, 60, 2e-3)
     ),
 }  # fmt: skip
-#: Fused shapes, pinned per PPE burst: their per-frame work is a fraction
-#: of a call.
-PINNED_PER_BURST = frozenset({"nat-linerate-compiled"})
 
 
 def census(shape: str) -> dict:
@@ -111,17 +109,16 @@ def census(shape: str) -> dict:
     offered = metrics["host.tx.packets"] + metrics.get("host.drops.packets", 0)
     bursts = sum(v for k, v in metrics.items() if k.endswith(".compiled.bursts"))
     total = sum(calls.values())
-    per = {"frame": offered, "burst": bursts} if bursts else {"frame": offered}
     return {
         "frames_offered": offered,
         "ppe_bursts": bursts,
         "calls": total,
-        **{f"calls_per_{unit}": round(total / n, 2) for unit, n in per.items()},
+        "calls_per_frame": round(total / offered, 4),
         **seen,
         "top": [
             {
                 "calls": count,
-                **{f"per_{unit}": round(count / n, 2) for unit, n in per.items()},
+                "per_frame": round(count / offered, 4),
                 "where": f"{code.co_filename[len(SRC):]}:{code.co_firstlineno}:{code.co_name}",
             }
             for code, count in calls.most_common(15)
@@ -132,18 +129,17 @@ def census(shape: str) -> dict:
 @pytest.mark.parametrize("shape", list(SHAPES))
 def test_calls_per_offered_frame_stay_under_the_ceiling(shape, regen_golden):
     report = census(shape)
-    unit = "burst" if shape in PINNED_PER_BURST else "frame"
-    figure = report[f"calls_per_{unit}"]
+    figure = report["calls_per_frame"]
     expected = json.loads(EXPECTED_FILE.read_text()) if EXPECTED_FILE.exists() else {}
     if regen_golden:
         expected[shape] = {
             "measured": figure,
-            "ceiling": round(figure * HEADROOM, 1),
+            "ceiling": float(f"{figure * HEADROOM:.4g}"),
         }
         EXPECTED_FILE.write_text(json.dumps(expected, indent=1, sort_keys=True) + "\n")
     assert report["frames_offered"] > 500
     assert figure <= expected[shape]["ceiling"], (
-        f"{shape}: {figure} repro calls per {unit}, over "
+        f"{shape}: {figure} repro calls per offered frame, over "
         f"the ceiling {expected[shape]['ceiling']} (measured "
         f"{expected[shape]['measured']} when it was set); top callees: "
         f"{json.dumps(report['top'][:8], indent=1)}"

@@ -162,6 +162,60 @@ class TestRunControl:
         assert sim.events_processed == 3
 
 
+class TestCutHooks:
+    """``run(until=)`` ends with a fixpoint: events due by ``until``, then
+    the cut hooks, then what they made due, until nothing is due."""
+
+    class Holder:
+        """Work held for a virtual time, settled by a cut or its own event."""
+
+        def __init__(self, sim, at):
+            self.sim, self.at, self.done, self.cuts = sim, at, [], []
+            sim.add_cut_hook(self.settle)
+
+        def settle(self, until):
+            self.cuts.append(until)
+            if self.at is not None and self.at <= until:
+                # Hand the work over as an event at its own time, which the
+                # same cut must still fire.
+                self.sim.schedule_at(max(self.at, self.sim.now), self.done.append, self.at)
+                self.at = None
+
+    def test_a_cut_fires_what_its_hooks_made_due(self, sim):
+        holder = self.Holder(sim, at=2.0)
+        sim.schedule(1.0, lambda: None)
+        sim.run(until=3.0)
+        assert holder.done == [2.0]
+        # Once to hand the work over, once more to find nothing due.
+        assert holder.cuts == [3.0, 3.0]
+        assert sim.now == 3.0
+
+    def test_no_cut_without_until_or_past_the_limit(self, sim):
+        holder = self.Holder(sim, at=2.0)
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(1.5, lambda: None)
+        sim.run()
+        sim.run(until=0.5)  # a cut in the past settles nothing
+        assert holder.cuts == [] and sim.now == 1.5
+        sim.schedule(0.1, lambda: None)
+        sim.run(until=2.5, max_events=1)
+        assert holder.cuts == []
+        sim.run(until=2.5)
+        assert holder.done == [2.0]
+
+    def test_a_hook_lives_as_long_as_its_owner(self, sim):
+        import gc
+
+        kept = self.Holder(sim, at=None)
+        gone = self.Holder(sim, at=None)
+        cuts = gone.cuts
+        del gone
+        gc.collect()
+        sim.run(until=1.0)
+        assert kept.cuts == [1.0] and cuts == []
+        assert len(sim._cut_hooks) == 1
+
+
 class TestPeriodicTask:
     def test_fires_on_interval(self, sim):
         times = []
