@@ -6,38 +6,38 @@ optimisation *of* the per-frame reservation, never a second model of it:
 :meth:`repro.sim.engine.ServiceTimeline.admit_burst` is defined as folding
 the scalar ``admit`` over the arrival times, and each vector regime here
 exists because a measured workload takes it (counts: one repeat of
-``nat-linerate-fused``, 29,762 frames in 351 bursts: 117 PPE bursts and
-234 host- and line-port bursts).  ``admit_burst`` tries keep-up first
-whenever the head finds the server idle, then the busy chain: where both
-hold, every arrival equals its predecessor's finish and the two give the
-same floats and leave the same pending state, so the order only decides
-which kernel does the work.  It discards 5 vector attempts per repeat.
+``nat-linerate-fused``, 29,762 frames in 90 bursts of up to 1,024 frames:
+30 at the host port, 30 at the PPE, 30 at the line port).  ``admit_burst``
+tries keep-up first whenever the head finds the server idle, then the busy
+chain: where both hold, every arrival equals its predecessor's finish and
+the two give the same floats and leave the same pending state, so the
+order only decides which kernel does the work.  It discards 2 keep-up
+attempts per repeat.
 
 * **Keep-up** (:func:`keepup_reservations`): the head finds the server
   idle and no frame arrives before its predecessor finishes, so every
   frame starts on arrival and the finishes are one vector add.  This is
   the *PPE* regime (``f_clk x width >= line rate``: a 60 B frame is served
   in 57.6 ns — nine 64 b beats at 156.25 MHz — and arrives every 67.2 ns):
-  117 of 117 PPE bursts, and every PPE burst at 512 B and 1514 B, where
-  256 frames are 4x and 12x the PPE's 32 KiB FIFO and only the exact
-  no-drop condition (one frame fits: each arrival drains its predecessor)
-  holds.  It also takes a port burst its source paced at exactly the port
-  rate (each arrival ties the previous finish): 182 of the 234 port
-  bursts.  299 bursts in all.
-* **Busy chain** (:func:`chain_reservations`): every frame after the first
-  arrives no later than its predecessor's finish, so the server never
-  idles inside the burst and the finishes are one ``np.add.accumulate`` — a
-  sequential left fold, each element exactly ``previous + service`` in
-  scalar float64.  This is a *link* regime: a port serialises a burst
-  that finds it busy or that is paced above the port rate — 49 of the
-  234 port bursts.
-* Everything else — idle gaps and queueing inside one burst, or a burst
-  that might not fit the queue — is the exact scalar replay: 3 port
-  bursts, which idle in one place and queue in another by a rounding
-  error.
+  every PPE burst at 60, 512 and 1514 B, where 1,024 frames are up to 47x
+  the PPE's 32 KiB FIFO and only the exact no-drop condition (one frame
+  fits: each arrival drains its predecessor) holds.  It also takes a port
+  burst its source paced at exactly the port rate (each arrival ties the
+  previous finish): 30 host-port and 15 line-port bursts.
+* **Busy chain** (:func:`chain_reservations`): a burst that fits the queue
+  at its head, in alternating busy runs (one ``np.add.accumulate``, a
+  sequential left fold: each element exactly ``previous + service`` in
+  scalar float64) and keep-up runs.  This is the *line-port* regime: the
+  PPE's finishes plus the transceiver latency reach the line port within
+  a rounding error of its own finishes, so a burst queues in one place
+  and idles in another — 15 of the 30 line-port bursts, 12 in one busy
+  run and 3 in two to five runs.
+* Everything else — a burst that might not fit the queue, or one whose
+  runs outgrow the bound — is the exact scalar replay: none at 60 B or
+  512 B, one 1,514 B line-port burst (1.5 MB against a 512 KiB queue).
 
-Both validity tests reduce their mask with ``np.count_nonzero``, which
-skips the Python-level wrapper ``ndarray.any`` goes through.
+Masks reduce with ``np.count_nonzero``, ``np.flatnonzero`` or
+``ndarray.argmax``, never ``ndarray.any`` (a Python-level wrapper).
 """
 
 from __future__ import annotations
@@ -50,31 +50,58 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 
 def chain_reservations(
     times: np.ndarray, service: float, free_at: float
-) -> np.ndarray | None:
-    """Finish times of a burst served as one busy segment, else None.
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(starts, finishes)`` of the fold over a burst, run by run, else None.
 
     ``times`` is a non-decreasing float64 array of arrival seconds and
     ``service`` the per-frame service time (uniform — the burst contract).
-    The first frame starts at ``max(times[0], free_at)``; the result is
-    bit-identical to the sequential ``start = max(arrival, free_at);
-    finish = start + service`` loop provided no later arrival beats the
-    running finish (strict ``>``, matching the scalar ``max``).  When one
-    does, the server idles inside the burst and the caller replays the
-    scalar sequence instead.  Frame ``k``'s start is the previous frame's
-    finish (``chain[k]``), so the returned ``chain`` has ``n + 1`` entries:
-    starts are ``chain[:-1]`` and finishes ``chain[1:]``.
+    The fold (``start = max(arrival, free_at)``, ``finish = start +
+    service``) alternates two kinds of run.  A *busy run* starts where a
+    frame arrives before its predecessor's finish (or ``free_at``): its
+    starts are one ``np.add.accumulate`` from there, and it ends at the
+    first arrival later than its predecessor's finish.  A *keep-up run*
+    starts there: its starts are the arrivals, and it ends at the first
+    arrival earlier than ``previous arrival + service``, found by one
+    comparison over the whole burst.  A tie stays in its run; both rules
+    give it the same float.  Returns None (the caller folds) once the
+    vectors pass ``4 n``: the comparison counts ``n`` and each busy run
+    its span to the end.  Spans differ, so at most about ``sqrt(6 n)``
+    busy runs fit and the work stays linear in the burst.
     """
     import numpy as np
 
     n = len(times)
-    first = times[0]
-    chain = np.empty(n + 1)
-    chain[0] = first if first > free_at else free_at
-    chain[1:] = service
-    chain = np.add.accumulate(chain)
-    if n > 1 and np.count_nonzero(times[1:] > chain[1:n]):
-        return None
-    return chain
+    work = at = 0
+    pieces = []
+    keepup_ends = None
+    start = free_at if times[0] < free_at else None
+    while at < n:
+        if start is None:  # keep-up run
+            if keepup_ends is None:
+                work += n
+                keepup_ends = np.flatnonzero(times[1:] < times[:-1] + service) + 1
+            following = int(keepup_ends.searchsorted(at, side="right"))
+            end = int(keepup_ends[following]) if following < len(keepup_ends) else n
+            pieces.append(times[at:end])
+            if end < n:
+                start = times[end - 1] + service
+        else:  # busy run
+            work += n - at
+            if work > 4 * n:
+                return None
+            # chain[k] is the finish of frame ``at + k - 1``, which is frame
+            # ``at + k``'s start while the run lasts.
+            chain = np.full(n - at + 1, service)
+            chain[0] = start
+            np.add.accumulate(chain, out=chain)
+            idles = times[at:] > chain[:-1]
+            end = int(idles.argmax())
+            end = at + end if idles[end] else n
+            pieces.append(chain[: end - at])
+            start = None
+        at = end
+    starts = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+    return starts, starts + service
 
 
 def keepup_reservations(times: np.ndarray, service: float) -> np.ndarray | None:

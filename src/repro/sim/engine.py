@@ -274,9 +274,11 @@ class ServiceTimeline:
         :meth:`admit` over ``times`` (a non-empty, non-decreasing float64
         array): the same frames admitted, bit-equal finishes and the same
         ``free_at``, occupancy and pending reservations the fold leaves.
-        Two vector regimes (:mod:`repro.sim.burst`) cover the traffic that
-        cannot tail-drop, keep-up first when the head finds the server
-        idle; everything else is the fold itself.
+        Two vector kernels (:mod:`repro.sim.burst`) cover the traffic that
+        cannot tail-drop: keep-up when the head finds the server idle and
+        no frame queues, then the busy chain, alternating busy and keep-up
+        runs over a burst that fits the queue.  Everything else is the
+        fold itself.
         """
         pending = self._pending
         head = float(times[0])
@@ -297,17 +299,18 @@ class ServiceTimeline:
                 return times, on_arrival
         if self.pending_bytes + n * size <= limit:
             # Fits on top of the occupancy at its head, which only shrinks.
-            chain = chain_reservations(times, service_s, free_at)
-            if chain is not None:
-                self.free_at = float(chain[n])
+            runs = chain_reservations(times, service_s, free_at)
+            if runs is not None:
+                starts, finishes = runs
+                self.free_at = float(finishes[-1])
                 # The fold drains to each arrival in turn: only starts past
                 # the last arrival, and the last frame's own, stay pending.
                 last = float(times[-1])
                 self.drain(last)
-                matured = int(chain[: n - 1].searchsorted(last, side="right"))
-                pending.extend(zip(chain[matured:n].tolist(), repeat(size)))
+                matured = int(starts[: n - 1].searchsorted(last, side="right"))
+                pending.extend(zip(starts[matured:].tolist(), repeat(size)))
                 self.pending_bytes += (n - matured) * size
-                return times, chain[1:]
+                return times, finishes
         admit = self.admit
         admitted: list[float] = []
         finishes: list[float] = []

@@ -21,8 +21,10 @@ checks (a plain ``Header`` needs none) and exceptions raised (a flooded
 data frame is refused by a comparison, not by raise-and-catch).
 
 ``python -m tests.test_call_budget`` prints the whole census as JSON,
-with the top callees per shape (CI uploads it, so the next per-frame
-regression is a diff).
+with the top callees per shape and, under ``admit_burst regimes``, the
+owner x kernel split of ``nat-linerate``'s bursts at 60, 512 and 1,514 B
+(``tests/test_burst_regime_census.py``); CI uploads it, so the next
+per-frame or regime regression is a diff.
 """
 
 from __future__ import annotations
@@ -152,4 +154,10 @@ def test_calls_per_offered_frame_stay_under_the_ceiling(shape, regen_golden):
 
 
 if __name__ == "__main__":
-    print(json.dumps({shape: census(shape) for shape in SHAPES}, indent=1))
+    from tests.test_burst_regime_census import SIZES, regime_census
+
+    report = {shape: census(shape) for shape in SHAPES}
+    report["admit_burst regimes"] = {
+        f"nat-linerate-compiled {size} B": regime_census(size)[0] for size in SIZES
+    }
+    print(json.dumps(report, indent=1))

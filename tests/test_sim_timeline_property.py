@@ -10,7 +10,9 @@ drain.  It also knows which of the three regimes each example must take
 (keep-up, busy chain, scalar replay, in the order ``admit_burst`` tries
 them), from their definitions in plain floats, and records which vector
 kernel produced the result, so a regime that silently stops being taken,
-or is tried out of order, fails here even though the values agree.
+or is tried out of order, fails here even though the values agree.  The
+busy chain admits a burst that fits in alternating busy and keep-up runs
+(``fold_runs``) unless the runs' vectors pass four times the burst.
 """
 
 from collections import Counter
@@ -60,45 +62,76 @@ def state(timeline: ServiceTimeline) -> tuple:
     return timeline.free_at, timeline.pending_bytes, timeline.pending_frames
 
 
-def fold(timeline: ServiceTimeline, times, size: int, limit: int):
+def fold(
+    timeline: ServiceTimeline, times, size: int, limit: int, service: float = SERVICE_S
+):
     """The definition: ``admit`` once per arrival, in order."""
     admitted_at, finishes = [], []
     for at in times.tolist():
-        finish = timeline.admit(at, size, SERVICE_S, limit)
+        finish = timeline.admit(at, size, service, limit)
         if finish is not None:
             admitted_at.append(at)
             finishes.append(finish)
     return admitted_at, finishes
 
 
-def chains(timeline: ServiceTimeline, at: list, size: int, limit: int) -> bool:
-    """Busy chain: fits, and no arrival beats its predecessor's finish."""
+def fold_runs(
+    timeline: ServiceTimeline, at: list, service: float = SERVICE_S
+) -> list[tuple[str, int]]:
+    """The fold's runs as ``(kind, first frame)``: a busy run starts where a
+    frame arrives before its predecessor finishes (or before ``free_at``),
+    a keep-up run where one arrives after it; a tie stays in its run."""
+    runs: list[tuple[str, int]] = []
+    finish = timeline.free_at
+    for index, arrival in enumerate(at):
+        if arrival < finish:
+            kind = "busy"
+        elif arrival > finish or not runs:
+            kind = "keep-up"
+        else:
+            kind = runs[-1][0]
+        if not runs or runs[-1][0] != kind:
+            runs.append((kind, index))
+        finish = max(arrival, finish) + service
+    return runs
+
+
+def chains(
+    timeline: ServiceTimeline, at: list, size: int, limit: int, service=SERVICE_S
+) -> bool:
+    """Busy chain: fits, and the runs stay inside the work bound: each busy
+    run's span to the end of the burst, plus one pass over the burst if a
+    keep-up run needs it, at most four times the burst."""
     if timeline.pending_bytes + len(at) * size > limit:
         return False
-    finish = max(at[0], timeline.free_at)
-    for arrival in at[1:]:
-        finish = finish + SERVICE_S
-        if arrival > finish:
-            return False
-    return True
+    n = len(at)
+    runs = fold_runs(timeline, at, service)
+    work = sum(n - first for kind, first in runs if kind == "busy")
+    if any(kind == "keep-up" for kind, _ in runs):
+        work += n
+    return work <= 4 * n
 
 
-def keeps_up(timeline: ServiceTimeline, at: list, size: int, limit: int) -> bool:
+def keeps_up(
+    timeline: ServiceTimeline, at: list, size: int, limit: int, service=SERVICE_S
+) -> bool:
     """Keep-up: an idle head, one frame fits, no arrival before a finish."""
     return (
         at[0] >= timeline.free_at
         and size <= limit
-        and all(b >= a + SERVICE_S for a, b in zip(at, at[1:]))
+        and all(b >= a + service for a, b in zip(at, at[1:]))
     )
 
 
-def regime(timeline: ServiceTimeline, times, size: int, limit: int) -> str:
+def regime(
+    timeline: ServiceTimeline, times, size: int, limit: int, service: float = SERVICE_S
+) -> str:
     """The regime a burst offered to ``timeline`` (drained to its head) is
     in, in the order ``admit_burst`` tries them: keep-up, then busy chain."""
     at = times.tolist()
-    if keeps_up(timeline, at, size, limit):
+    if keeps_up(timeline, at, size, limit, service):
         return "keep-up"
-    if chains(timeline, at, size, limit):
+    if chains(timeline, at, size, limit, service):
         return "busy chain"
     return "replay"
 
@@ -194,28 +227,57 @@ def test_three_regimes_are_told_apart():
     """Hand-built bursts, one regime each, in the order they are tried.
 
     A paced burst (arrivals inside the running service) can chain but not
-    keep up; a sparse one can keep up but not chain; one whose every
-    arrival ties its predecessor's finish holds both and keeps up, since
-    keep-up is tried first on an idle head (the same floats either way);
-    under a queue one frame deep it can only keep up.  One early frame in
-    a sparse burst, or a queue too shallow for a paced one, replays.
-    ``pending_frames`` right after the call is the fold's: the suffix of a
-    chain still waiting, one frame after keep-up.
+    keep up; a sparse one keeps up (the busy chain would take it as one
+    keep-up run); one whose every arrival ties its predecessor's finish
+    holds both and keeps up, since keep-up is tried first on an idle head
+    (the same floats either way); under a queue one frame deep it can only
+    keep up.  One early frame in a sparse burst is a short busy run
+    between two keep-up runs; a paced head before a sparse tail ends in a
+    keep-up run; a busy run whose every other arrival ties the running
+    finish stays one run (split at each tie, it would pass the work
+    bound).  A sparse burst that stumbles at every other frame needs eight
+    busy runs, past the bound, and replays, as does a queue too shallow
+    for a paced one.  ``pending_frames`` right after the call is the
+    fold's: the starts still waiting, one frame after a keep-up run.
     """
     paced = np.add.accumulate(np.full(16, SERVICE_S / 2))
     sparse = np.add.accumulate(np.full(16, 2 * SERVICE_S))
     tied = np.add.accumulate(np.asarray([1.0, *[SERVICE_S] * 15]))
     stumble = sparse.copy()
     stumble[9] = stumble[8] + SERVICE_S / 2
+    stumbling = sparse.copy()
+    stumbling[1::2] = stumbling[::2] + SERVICE_S / 2
+    paced_then_sparse = np.concatenate([paced[:8], paced[7] + sparse[:8]])
+    tie_then_early, finish = [0.0], SERVICE_S  # each even frame ties a finish
+    for index in range(1, 16):
+        at = finish if index % 2 == 0 else tie_then_early[-1] + SERVICE_S / 2
+        tie_then_early.append(at)
+        finish = max(at, finish) + SERVICE_S
+    tie_then_early = np.asarray(tie_then_early)
     cases = [  # regime, arrivals, size, limit, frames admitted, frames left pending
         ("busy chain", paced, 60, 1 << 20, 16, 8),  # starts past the last arrival
         ("keep-up", tied, 60, 1 << 20, 16, 1),  # chains too: all matured but the last
         ("keep-up", sparse, 60, 1 << 20, 16, 1),
         ("keep-up", sparse, 1514, 1514, 16, 1),  # one frame fits, sixteen never would
         ("keep-up", tied, 60, 60, 16, 1),
-        ("replay", stumble, 60, 1 << 20, 16, 1),
+        ("busy chain", stumble, 60, 1 << 20, 16, 1),  # keep-up, busy, keep-up
+        ("busy chain", paced_then_sparse, 60, 1 << 20, 16, 1),
+        ("busy chain", tie_then_early, 60, 1 << 20, 16, 1),  # ties stay busy
+        ("replay", stumbling, 60, 1 << 20, 16, 1),  # 16 + 64 of vectors > 4 x 16
         ("replay", paced, 60, 200, 11, 3),  # tail drops mid-burst
         ("replay", sparse, 60, 59, 0, 0),
+    ]
+    runs = {
+        "stumble": fold_runs(ServiceTimeline(), stumble.tolist()),
+        "paced_then_sparse": fold_runs(ServiceTimeline(), paced_then_sparse.tolist()),
+        "stumbling": fold_runs(ServiceTimeline(), stumbling.tolist()),
+        "tie_then_early": fold_runs(ServiceTimeline(), tie_then_early.tolist()),
+    }
+    assert runs["tie_then_early"] == [("keep-up", 0), ("busy", 1)]
+    assert runs["stumble"] == [("keep-up", 0), ("busy", 9), ("keep-up", 10)]
+    assert runs["paced_then_sparse"] == [("keep-up", 0), ("busy", 1), ("keep-up", 11)]
+    assert [first for kind, first in runs["stumbling"] if kind == "busy"] == [
+        *range(1, 16, 2)
     ]
     for expected_regime, times, size, limit, admitted, left_pending in cases:
         folded, vector = ServiceTimeline(), ServiceTimeline()
@@ -229,3 +291,36 @@ def test_three_regimes_are_told_apart():
         assert (admitted_at is times) == (expected_regime != "replay")
         assert state(vector) == state(folded)
         assert vector.pending_frames == left_pending
+
+
+def test_a_line_port_burst_behind_the_ppe_runs_vector():
+    """The line port of a 60 B ``nat-linerate`` module, rebuilt in floats.
+
+    The host port serialises a 1,024-frame source burst at the port rate
+    (67.2 ns a frame), the PPE finishes each frame 57.6 ns after it
+    arrives, and the pipeline (38.4 ns) and the transceiver (40 ns) add
+    their latency.  Each arrival then ties its predecessor's finish on the
+    line port up to a rounding error (1e-22 to 1e-20 s) either way, so the
+    port idles at a few frames and queues at hundreds: a single busy chain
+    breaks at frame 5 and keep-up at frame 1, and the burst used to replay.
+    In runs it is five vector runs, bit-equal to the fold.
+    """
+    port, ppe = 67.2e-9, 57.6e-9
+    sent = np.add.accumulate(np.asarray([0.0, *[port] * 1023]))
+    at_ppe = (sent + port) + 50e-9
+    times = ((at_ppe + ppe) + 38.4e-9) + 40e-9
+    folded, vector = ServiceTimeline(), ServiceTimeline()
+    gaps = (times[1:] - (times[:-1] + port)).tolist()
+    assert min(gaps) < 0 < max(gaps) and max(map(abs, gaps)) < 1e-19
+    assert fold_runs(folded, times.tolist(), port) == [
+        ("keep-up", 0), ("busy", 1), ("keep-up", 5), ("busy", 111), ("keep-up", 454)
+    ]  # fmt: skip
+    limit = 1 << 19  # the line port's queue
+    assert regime(folded, times, 60, limit, port) == "busy chain"
+    expected_at, expected_finish = fold(folded, times, 60, limit, port)
+    with kernels_recorded() as ran:
+        admitted_at, finishes = vector.admit_burst(times, 60, port, limit)
+    assert ran == ["busy chain"]
+    assert admitted_at is times
+    assert finishes.tolist() == expected_finish
+    assert state(vector) == state(folded)
