@@ -278,9 +278,11 @@ class _PendingBurst:
 BURST_FRAMES = 256
 
 #: Frames a compiled-tier template-burst source emits per tick: a pending
-#: template burst holds 8 bytes per frame, so it runs deeper than a
-#: per-frame group.  Why 1024: the template-lane sweep in EXPERIMENTS.md.
-TEMPLATE_BURST_FRAMES = 1024
+#: template burst holds 8 bytes per frame and a port admits it by vector
+#: whenever no arrival finds the queue full, however deep it runs, so it
+#: runs deeper than a per-frame group.  Why 4096: the template-lane sweep
+#: in EXPERIMENTS.md.
+TEMPLATE_BURST_FRAMES = 4096
 
 
 class _EngineBase:

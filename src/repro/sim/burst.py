@@ -6,35 +6,39 @@ optimisation *of* the per-frame reservation, never a second model of it:
 :meth:`repro.sim.engine.ServiceTimeline.admit_burst` is defined as folding
 the scalar ``admit`` over the arrival times, and each vector regime here
 exists because a measured workload takes it (counts: one repeat of
-``nat-linerate-fused``, 29,762 frames in 90 bursts of up to 1,024 frames:
-30 at the host port, 30 at the PPE, 30 at the line port).  ``admit_burst``
+``nat-linerate-fused``, 29,762 frames in 24 bursts of up to 4,096 frames:
+8 at the host port, 8 at the PPE, 8 at the line port).  ``admit_burst``
 tries keep-up first whenever the head finds the server idle, then the busy
 chain: where both hold, every arrival equals its predecessor's finish and
 the two give the same floats and leave the same pending state, so the
-order only decides which kernel does the work.  It discards 2 keep-up
-attempts per repeat.
+order only decides which kernel does the work.  It discards 1 keep-up
+attempt per repeat.
 
 * **Keep-up** (:func:`keepup_reservations`): the head finds the server
   idle and no frame arrives before its predecessor finishes, so every
   frame starts on arrival and the finishes are one vector add.  This is
   the *PPE* regime (``f_clk x width >= line rate``: a 60 B frame is served
   in 57.6 ns — nine 64 b beats at 156.25 MHz — and arrives every 67.2 ns):
-  every PPE burst at 60, 512 and 1514 B, where 1,024 frames are up to 47x
-  the PPE's 32 KiB FIFO and only the exact no-drop condition (one frame
+  every PPE burst at 60, 512 and 1514 B, where a burst is up to 75x the
+  PPE's 32 KiB FIFO and only the exact no-drop condition (one frame
   fits: each arrival drains its predecessor) holds.  It also takes a port
   burst its source paced at exactly the port rate (each arrival ties the
-  previous finish): 30 host-port and 15 line-port bursts.
-* **Busy chain** (:func:`chain_reservations`): a burst that fits the queue
-  at its head, in alternating busy runs (one ``np.add.accumulate``, a
+  previous finish): 8 host-port and 4 line-port bursts.
+* **Busy chain** (:func:`chain_reservations`): a burst the fold admits
+  whole, in alternating busy runs (one ``np.add.accumulate``, a
   sequential left fold: each element exactly ``previous + service`` in
-  scalar float64) and keep-up runs.  This is the *line-port* regime: the
-  PPE's finishes plus the transceiver latency reach the line port within
-  a rounding error of its own finishes, so a burst queues in one place
-  and idles in another — 15 of the 30 line-port bursts, 12 in one busy
-  run and 3 in two to five runs.
-* Everything else — a burst that might not fit the queue, or one whose
-  runs outgrow the bound — is the exact scalar replay: none at 60 B or
-  512 B, one 1,514 B line-port burst (1.5 MB against a 512 KiB queue).
+  scalar float64) and keep-up runs.  Whether the fold admits it whole is
+  O(1) when the burst fits the queue at its head, else one vector pass
+  over the chain's starts (:func:`queue_peak`: the bytes each arrival
+  finds queued).  This is the *line-port* regime: the PPE's finishes plus
+  the transceiver latency reach the line port within a rounding error of
+  its own finishes, so a burst queues in one place and idles in another,
+  one frame deep — 4 of the 8 line-port bursts, 2 in one busy run and 2
+  in two and six runs.  At 512 and 1,514 B the first line-port burst
+  (2.1 and 2.5 MB against a 512 KiB queue) is admitted by the peak.
+* Everything else — a burst the fold drops frames of, or one whose runs
+  outgrow the bound — is the exact scalar replay: none at 60, 512 or
+  1,514 B.
 
 Masks reduce with ``np.count_nonzero``, ``np.flatnonzero`` or
 ``ndarray.argmax``, never ``ndarray.any`` (a Python-level wrapper).
@@ -45,6 +49,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from collections import deque
+
     import numpy as np
 
 
@@ -102,6 +108,35 @@ def chain_reservations(
         at = end
     starts = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
     return starts, starts + service
+
+
+def queue_peak(
+    times: np.ndarray, starts: np.ndarray, size: int, pending: deque[tuple[float, int]]
+) -> int:
+    """The most bytes queued at any arrival of a burst the fold admits whole.
+
+    ``starts`` are the burst's starts (:func:`chain_reservations`) and
+    ``pending`` the ``(start, size)`` reservations still queued at its head,
+    in start order.  Arrival ``i`` finds queued the pending reservations
+    that start after it, this burst's frames before ``i`` that start after
+    it (from the first start past ``times[i]``, clipped to ``i``: starts
+    never decrease), and frame ``i`` itself — what the fold's ``admit``
+    weighs against the limit there.  So the fold drops nothing exactly
+    when the peak fits the limit, and then its starts are ``starts``.
+    """
+    import numpy as np
+
+    before = np.arange(len(times))
+    started = starts.searchsorted(times, side="right")
+    np.minimum(started, before, out=started)
+    queued = (before - started + 1) * size
+    if pending:
+        pending_starts = np.fromiter((at for at, _ in pending), float, len(pending))
+        # from_first[k]: the bytes of pending reservation k and every later one.
+        from_first = np.zeros(len(pending) + 1, dtype=np.int64)
+        from_first[-2::-1] = np.add.accumulate([held for _, held in reversed(pending)])
+        queued += from_first[pending_starts.searchsorted(times, side="right")]
+    return int(queued.max())
 
 
 def keepup_reservations(times: np.ndarray, service: float) -> np.ndarray | None:

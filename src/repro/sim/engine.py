@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Any, Callable
 from weakref import WeakMethod
 
 from ..errors import SimulationError
-from .burst import chain_reservations, keepup_reservations
+from .burst import chain_reservations, keepup_reservations, queue_peak
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     import numpy as np
@@ -275,10 +275,12 @@ class ServiceTimeline:
         array): the same frames admitted, bit-equal finishes and the same
         ``free_at``, occupancy and pending reservations the fold leaves.
         Two vector kernels (:mod:`repro.sim.burst`) cover the traffic that
-        cannot tail-drop: keep-up when the head finds the server idle and
+        does not tail-drop: keep-up when the head finds the server idle and
         no frame queues, then the busy chain, alternating busy and keep-up
-        runs over a burst that fits the queue.  Everything else is the
-        fold itself.
+        runs, kept when no arrival finds the queue over ``limit`` (at once
+        when the whole burst fits on top of the occupancy at its head, else
+        counted over the chain's starts).  Everything else is the fold
+        itself.
         """
         pending = self._pending
         head = float(times[0])
@@ -297,20 +299,23 @@ class ServiceTimeline:
                 pending.append((float(times[-1]), size))
                 self.pending_bytes = size
                 return times, on_arrival
-        if self.pending_bytes + n * size <= limit:
-            # Fits on top of the occupancy at its head, which only shrinks.
-            runs = chain_reservations(times, service_s, free_at)
-            if runs is not None:
-                starts, finishes = runs
-                self.free_at = float(finishes[-1])
-                # The fold drains to each arrival in turn: only starts past
-                # the last arrival, and the last frame's own, stay pending.
-                last = float(times[-1])
-                self.drain(last)
-                matured = int(starts[: n - 1].searchsorted(last, side="right"))
-                pending.extend(zip(starts[matured:].tolist(), repeat(size)))
-                self.pending_bytes += (n - matured) * size
-                return times, finishes
+        runs = chain_reservations(times, service_s, free_at)
+        if runs is not None and (
+            # Fits whole on top of the occupancy at its head, which only
+            # shrinks; else no arrival finds the queue over the limit.
+            self.pending_bytes + n * size <= limit
+            or queue_peak(times, runs[0], size, pending) <= limit
+        ):
+            starts, finishes = runs
+            self.free_at = float(finishes[-1])
+            # The fold drains to each arrival in turn: only starts past
+            # the last arrival, and the last frame's own, stay pending.
+            last = float(times[-1])
+            self.drain(last)
+            matured = int(starts[: n - 1].searchsorted(last, side="right"))
+            pending.extend(zip(starts[matured:].tolist(), repeat(size)))
+            self.pending_bytes += (n - matured) * size
+            return times, finishes
         admit = self.admit
         admitted: list[float] = []
         finishes: list[float] = []

@@ -6,14 +6,16 @@ the busy chain (alternating busy and keep-up runs) or the scalar replay
 module sees should take a vector kernel: the census runs ``nat-linerate``
 on the compiled tier at ``TrafficProfile(10e9, size, 2e-3)`` for 60, 512
 and 1,514 B frames and counts each ``admit_burst`` call by its owner
-(host port, PPE, line port) and by the kernel that admitted it.  A replay
-counts as ``replay`` when the burst fits the queue at its head and as
-``replay: does not fit`` otherwise; only the second may occur.  The run's
-semantic leaves must equal the reference tier's, so the count is taken on
-a run that computes what the oracle computes.
+(host port, PPE, line port) and by the kernel whose result it returned.
+None may replay: no arrival at any of them finds its queue full, so every
+burst takes a vector kernel, 4,096 frames deep or not.  The run's semantic
+leaves must equal the reference tier's, so the count is taken on a run
+that computes what the oracle computes.
 
 ``python -m tests.test_call_budget`` prints the census beside the call
-census (CI uploads both), so the next regime regression is a diff.
+census (CI uploads both), with each owner's deepest queue against its
+limit in frames, so a burst drifting toward a replay is a diff before it
+costs a fold.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ import pytest
 from repro.artifact.diff import semantic_metrics
 from repro.core.ppe import PacketProcessingEngine
 from repro.obs.scenario import ScenarioSpec, TrafficProfile
-from repro.sim import engine
+from repro.sim.engine import ServiceTimeline
 from repro.sim.link import Port
-from tests.test_sim_timeline_property import kernels_recorded
+from tests.test_sim_timeline_property import copy_of, kernels_recorded
 
 SIZES = (60, 512, 1514)
 
@@ -45,14 +47,26 @@ def _owner(port: Port) -> str:
     return "line port" if port.name.endswith(".line") else port.name
 
 
+def deepest_queue(timeline, times, size: int, service_s: float, limit: int) -> int:
+    """The most frames queued at any arrival when ``timeline``'s fold takes
+    the burst, the arriving frame's included (counted on a copy)."""
+    twin = copy_of(timeline)
+    deepest = 0
+    for at in times.tolist():
+        twin.admit(at, size, service_s, limit)
+        deepest = max(deepest, twin.pending_frames)
+    return deepest
+
+
 @contextmanager
 def regimes_recorded():
-    """Count ``admit_burst`` calls as ``{owner: Counter(regime)}``."""
+    """Count ``admit_burst`` calls as ``{owner: Counter(regime)}``, and keep
+    each owner's deepest queue as ``{owner: [frames, limit in frames]}``."""
     census: dict[str, Counter] = {}
+    depths: dict[str, list[int]] = {}
     owners: list[str] = []
     send_burst = Port.send_burst
     submit_burst = PacketProcessingEngine.submit_burst
-    admit_burst = engine.ServiceTimeline.admit_burst
 
     def owned_send(port, *args, **kwargs):
         owners.append(_owner(port))
@@ -68,47 +82,46 @@ def regimes_recorded():
         finally:
             owners.pop()
 
-    def counted_admit(timeline, times, size, service_s, limit):
-        timeline.drain(float(times[0]))  # admit_burst's own first step
-        fits = timeline.pending_bytes + len(times) * size <= limit
-        ran.clear()
-        result = admit_burst(timeline, times, size, service_s, limit)
-        kind = ran[-1] if ran else "replay" if fits else "replay: does not fit"
-        census.setdefault(owners[-1], Counter())[kind] += 1
-        return result
-
     with kernels_recorded() as ran:
+        admit_burst = ServiceTimeline.admit_burst  # the labelled one
+
+        def counted_admit(timeline, times, size, service_s, limit):
+            timeline.drain(float(times[0]))  # admit_burst's own first step
+            deepest = deepest_queue(timeline, times, size, service_s, limit)
+            result = admit_burst(timeline, times, size, service_s, limit)
+            owner = owners[-1]
+            census.setdefault(owner, Counter())[ran[-1]] += 1
+            depth = depths.setdefault(owner, [0, limit // size])
+            depth[0] = max(depth[0], deepest)
+            return result
+
         Port.send_burst = owned_send
         PacketProcessingEngine.submit_burst = owned_submit
-        engine.ServiceTimeline.admit_burst = counted_admit
+        ServiceTimeline.admit_burst = counted_admit
         try:
-            yield census
+            yield census, depths
         finally:
             Port.send_burst = send_burst
             PacketProcessingEngine.submit_burst = submit_burst
-            engine.ServiceTimeline.admit_burst = admit_burst
+            ServiceTimeline.admit_burst = admit_burst
 
 
-def regime_census(size: int) -> tuple[dict[str, dict[str, int]], dict]:
+def regime_census(size: int) -> tuple[dict[str, dict[str, int]], dict, dict]:
     """The owner x regime split of one compiled ``nat-linerate`` run at
-    ``size`` bytes, and that run's metrics."""
-    with regimes_recorded() as census:
+    ``size`` bytes, each owner's deepest queue against its limit (both in
+    frames), and that run's metrics."""
+    with regimes_recorded() as (census, depths):
         run = nat_linerate(size).run()
     split = {owner: dict(sorted(kinds.items())) for owner, kinds in census.items()}
-    return dict(sorted(split.items())), run.metrics()
+    return dict(sorted(split.items())), dict(sorted(depths.items())), run.metrics()
 
 
 @pytest.mark.parametrize("size", SIZES)
-def test_only_a_burst_that_cannot_fit_replays(size):
-    census, metrics = regime_census(size)
+def test_no_line_rate_burst_replays(size):
+    census, depths, metrics = regime_census(size)
     assert set(census) == {"host port", "ppe", "line port"}, census
     assert set(census["ppe"]) == {"keep-up"}, census
-    replayed = Counter()
-    for kinds in census.values():
-        replayed.update({k: v for k, v in kinds.items() if k.startswith("replay")})
-    # Neither 1,514 B line-port burst (1,024 and 602 frames) fits the
-    # 512 KiB queue whole.  The second keeps up; the first queues by a
-    # rounding error somewhere, so the fold decides it frame by frame.
-    assert replayed == Counter({"replay: does not fit": 1} if size == 1514 else {})
+    replayed = {owner: kinds for owner, kinds in census.items() if "replay" in kinds}
+    assert replayed == {}, (census, depths)
     reference = nat_linerate(size, "reference").run().metrics()
     assert semantic_metrics(metrics) == semantic_metrics(reference)

@@ -23,8 +23,10 @@ data frame is refused by a comparison, not by raise-and-catch).
 ``python -m tests.test_call_budget`` prints the whole census as JSON,
 with the top callees per shape and, under ``admit_burst regimes``, the
 owner x kernel split of ``nat-linerate``'s bursts at 60, 512 and 1,514 B
-(``tests/test_burst_regime_census.py``); CI uploads it, so the next
-per-frame or regime regression is a diff.
+(``tests/test_burst_regime_census.py``), each owner beside the deepest
+queue its bursts reached against its limit, both in frames; CI uploads
+it, so the next per-frame or regime regression, or a queue creeping
+toward a replay, is a diff.
 """
 
 from __future__ import annotations
@@ -157,7 +159,14 @@ if __name__ == "__main__":
     from tests.test_burst_regime_census import SIZES, regime_census
 
     report = {shape: census(shape) for shape in SHAPES}
-    report["admit_burst regimes"] = {
-        f"nat-linerate-compiled {size} B": regime_census(size)[0] for size in SIZES
-    }
+    regimes = report["admit_burst regimes"] = {}
+    for size in SIZES:
+        split, depths, _ = regime_census(size)
+        regimes[f"nat-linerate-compiled {size} B"] = {
+            owner: {
+                **kinds,
+                "deepest queue (frames)": f"{depths[owner][0]} of {depths[owner][1]}",
+            }
+            for owner, kinds in split.items()
+        }
     print(json.dumps(report, indent=1))

@@ -267,7 +267,12 @@ def test_interleaved_frames_deopt_burst():
     """Per-frame arrivals landing between bursts reach the engine while a
     burst is still pending there (the host port queues both kinds in
     arrival order and hands each to its own handler), so the engine's one
-    materialiser runs; the mixed stream still matches reference exactly."""
+    materialiser runs; the mixed stream still matches reference exactly.
+    The stream is 1.3 bursts of the scenarios' depth long, so strays land
+    inside the first burst and the second one, whatever that depth."""
+    depth = source_burst("compiled", template_burst=True)
+    frame_len = make_udp(payload=bytes(80)).wire_len
+    stop = 1.3 * depth * frame_wire_bytes(frame_len) * 8 / RATE_BPS
 
     def run(engine: str):
         sim = Simulator()
@@ -285,7 +290,7 @@ def test_interleaved_frames_deopt_burst():
             host,
             rate_bps=RATE_BPS,
             frame_len=template.wire_len,
-            stop=RUN_S,
+            stop=stop,
             factory=lambda index, size: template.copy(),
             burst=burst_of(module, template_burst=True),
             template_burst=module.engine == "compiled",
@@ -293,10 +298,10 @@ def test_interleaved_frames_deopt_burst():
         # Stray per-frame sends interleave with the burst stream.
         for k in range(5):
             sim.schedule_at(
-                (k + 1) * RUN_S / 6,
+                (k + 1) * stop / 6,
                 lambda: host.send(stray.copy()),
             )
-        sim.run(until=RUN_S + 0.2e-3)
+        sim.run(until=stop + 0.2e-3)
         return registry_of(module, host, fiber), module
 
     reference, _ = run("reference")
@@ -306,7 +311,6 @@ def test_interleaved_frames_deopt_burst():
     assert stats["bursts"] > 0
     assert stats["recipe_frames"] > 0
     # Each stray deopted the burst it landed on, and only that one.
-    depth = source_burst("compiled", template_burst=True)
     assert 0 < stats["deopt_frames"] <= 5 * depth, stats
 
 
@@ -864,13 +868,16 @@ def test_template_bursts_across_the_end_of_a_reboot_window_match_reference():
     """Same-flow template bursts into a rebooting module: a burst wholly
     inside the dark window is counted in one step, the burst straddling
     its end expands to per-frame ingress (each frame judged at its own
-    ``when``), and the bursts after it fuse again; every semantic leaf
-    equals the reference tier's."""
+    ``when``), and the burst after it fuses again; every semantic leaf
+    equals the reference tier's.  The stream spans three bursts of the
+    scenarios' depth, the window's end halfway through the second."""
     from repro.core import RECONFIG_DOWNTIME_S
 
     reboot_at = 0.1e-3
     back_at = reboot_at + RECONFIG_DOWNTIME_S
     template = make_udp(src_ip="10.0.0.1", dst_ip="203.0.113.1", payload=bytes(80))
+    depth = source_burst("compiled", template_burst=True)
+    burst_s = depth * frame_wire_bytes(template.wire_len) * 8 / RATE_BPS
 
     def run(engine: str):
         sim = Simulator()
@@ -881,13 +888,13 @@ def test_template_bursts_across_the_end_of_a_reboot_window_match_reference():
             host,
             rate_bps=RATE_BPS,
             frame_len=template.wire_len,
-            start=back_at - 0.2e-3,
-            stop=back_at + 0.2e-3,
+            start=back_at - 1.5 * burst_s,
+            stop=back_at + 1.5 * burst_s,
             factory=lambda index, size: template.copy(),
             burst=burst_of(module, template_burst=True),
             template_burst=module.engine == "compiled",
         )
-        sim.run(until=back_at + 0.5e-3)
+        sim.run(until=back_at + 1.5 * burst_s + 0.3e-3)
         return registry_of(module, host, fiber), module
 
     reference, _ = run("reference")

@@ -8,11 +8,12 @@ from "nothing fits" to "everything fits" — and requires both forms to
 agree on everything observable, right after the call and after any later
 drain.  It also knows which of the three regimes each example must take
 (keep-up, busy chain, scalar replay, in the order ``admit_burst`` tries
-them), from their definitions in plain floats, and records which vector
-kernel produced the result, so a regime that silently stops being taken,
-or is tried out of order, fails here even though the values agree.  The
-busy chain admits a burst that fits in alternating busy and keep-up runs
-(``fold_runs``) unless the runs' vectors pass four times the burst.
+them), from their definitions in plain floats, and records the vector
+kernel whose result ``admit_burst`` returned, so a regime that silently
+stops being taken, or is tried out of order, fails here even though the
+values agree.  The busy chain admits a burst the fold drops nothing of,
+in alternating busy and keep-up runs (``fold_runs``), unless the runs'
+vectors pass four times the burst.
 """
 
 from collections import Counter
@@ -96,13 +97,21 @@ def fold_runs(
     return runs
 
 
+def copy_of(timeline: ServiceTimeline) -> ServiceTimeline:
+    twin = ServiceTimeline()
+    twin.free_at, twin.pending_bytes = timeline.free_at, timeline.pending_bytes
+    twin._pending.extend(timeline._pending)
+    return twin
+
+
 def chains(
     timeline: ServiceTimeline, at: list, size: int, limit: int, service=SERVICE_S
 ) -> bool:
-    """Busy chain: fits, and the runs stay inside the work bound: each busy
-    run's span to the end of the burst, plus one pass over the burst if a
-    keep-up run needs it, at most four times the burst."""
-    if timeline.pending_bytes + len(at) * size > limit:
+    """Busy chain: the fold drops nothing, and the runs stay inside the work
+    bound: each busy run's span to the end of the burst, plus one pass over
+    the burst if a keep-up run needs it, at most four times the burst."""
+    admitted, _ = fold(copy_of(timeline), np.asarray(at), size, limit, service)
+    if len(admitted) < len(at):
         return False
     n = len(at)
     runs = fold_runs(timeline, at, service)
@@ -138,25 +147,37 @@ def regime(
 
 @contextmanager
 def kernels_recorded():
-    """Record the regime of every vector kernel that returned a result."""
+    """Record, per ``admit_burst`` call, the regime whose result it returned:
+    the vector kernel whose finishes it handed back, else ``replay``."""
     ran: list[str] = []
+    results: list[tuple[str, object]] = []
 
     def recording(kernel, name):
         def record(*args):
             result = kernel(*args)
             if result is not None:
-                ran.append(name)
+                results.append((name, result if name == "keep-up" else result[1]))
             return result
 
         return record
 
+    def labelled(timeline, *args):
+        results.clear()
+        admitted_at, finishes = admit_burst(timeline, *args)
+        returned = (name for name, result in results if result is finishes)
+        ran.append(next(returned, "replay"))
+        return admitted_at, finishes
+
     kernels = {"chain_reservations": "busy chain", "keepup_reservations": "keep-up"}
     originals = {attr: getattr(engine, attr) for attr in kernels}
+    admit_burst = ServiceTimeline.admit_burst
     for attr, name in kernels.items():
         setattr(engine, attr, recording(originals[attr], name))
+    ServiceTimeline.admit_burst = labelled
     try:
         yield ran
     finally:
+        ServiceTimeline.admit_burst = admit_burst
         for attr, kernel in originals.items():
             setattr(engine, attr, kernel)
 
@@ -202,7 +223,7 @@ def test_admit_burst_equals_folding_admit():
         ran.clear()
         admitted_at, finishes = vector.admit_burst(times, size, SERVICE_S, limit)
         # The kernel that produced the result is the one the order names.
-        assert ran == ([] if expected_regime == "replay" else [expected_regime])
+        assert ran == [expected_regime]
 
         assert admitted_at.tolist() == expected_at  # same frames, so same drops
         assert finishes.tolist() == expected_finish  # bit-equal, not approx
@@ -237,8 +258,13 @@ def test_three_regimes_are_told_apart():
     finish stays one run (split at each tie, it would pass the work
     bound).  A sparse burst that stumbles at every other frame needs eight
     busy runs, past the bound, and replays, as does a queue too shallow
-    for a paced one.  ``pending_frames`` right after the call is the
-    fold's: the starts still waiting, one frame after a keep-up run.
+    for a paced one.  A paced burst queues at most half of itself, eight
+    frames at its last arrival: a queue exactly that deep chains it (it
+    never holds the whole burst), one byte less drops that frame.  So
+    does a burst arriving behind seven frames still queued from a prior
+    one, which drain while it queues: its peak is its own sixteen frames.
+    ``pending_frames`` right after the call is the fold's: the starts
+    still waiting, one frame after a keep-up run.
     """
     paced = np.add.accumulate(np.full(16, SERVICE_S / 2))
     sparse = np.add.accumulate(np.full(16, 2 * SERVICE_S))
@@ -254,7 +280,9 @@ def test_three_regimes_are_told_apart():
         tie_then_early.append(at)
         finish = max(at, finish) + SERVICE_S
     tie_then_early = np.asarray(tie_then_early)
+    behind = paced + paced[-1]  # arrives while paced's last seven frames queue
     cases = [  # regime, arrivals, size, limit, frames admitted, frames left pending
+        # [, the arrivals admitted first at 60 B]
         ("busy chain", paced, 60, 1 << 20, 16, 8),  # starts past the last arrival
         ("keep-up", tied, 60, 1 << 20, 16, 1),  # chains too: all matured but the last
         ("keep-up", sparse, 60, 1 << 20, 16, 1),
@@ -264,6 +292,10 @@ def test_three_regimes_are_told_apart():
         ("busy chain", paced_then_sparse, 60, 1 << 20, 16, 1),
         ("busy chain", tie_then_early, 60, 1 << 20, 16, 1),  # ties stay busy
         ("replay", stumbling, 60, 1 << 20, 16, 1),  # 16 + 64 of vectors > 4 x 16
+        ("busy chain", paced, 60, 480, 16, 8),  # peaks at the limit
+        ("busy chain", behind, 60, 960, 16, 16, paced),  # 420 B at its head
+        ("replay", paced, 60, 479, 15, 7),  # drops its last frame
+        ("replay", behind, 60, 959, 15, 15, paced),
         ("replay", paced, 60, 200, 11, 3),  # tail drops mid-burst
         ("replay", sparse, 60, 59, 0, 0),
     ]
@@ -279,13 +311,16 @@ def test_three_regimes_are_told_apart():
     assert [first for kind, first in runs["stumbling"] if kind == "busy"] == [
         *range(1, 16, 2)
     ]
-    for expected_regime, times, size, limit, admitted, left_pending in cases:
+    for expected_regime, times, size, limit, admitted, left_pending, *prior in cases:
         folded, vector = ServiceTimeline(), ServiceTimeline()
+        for at in prior[0].tolist() if prior else ():
+            folded.admit(at, 60, SERVICE_S, 1 << 20)
+            vector.admit(at, 60, SERVICE_S, 1 << 20)
         assert regime(folded, times, size, limit) == expected_regime
         expected_at, expected_finish = fold(folded, times, size, limit)
         with kernels_recorded() as ran:
             admitted_at, finishes = vector.admit_burst(times, size, SERVICE_S, limit)
-        assert ran == ([] if expected_regime == "replay" else [expected_regime])
+        assert ran == [expected_regime]
         assert len(finishes) == len(expected_at) == admitted
         assert finishes.tolist() == expected_finish
         assert (admitted_at is times) == (expected_regime != "replay")
