@@ -180,7 +180,6 @@ def run_nat(
             for name, value in module.ppe.metric_values().items()
             if name.startswith(lane)
         },
-        "compile_wall_s": module.program and module.program.compile_wall_s,
     }
 
 

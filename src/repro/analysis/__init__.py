@@ -8,7 +8,7 @@ Three analyzers share one :class:`Finding` model:
   source (protecting the golden-determinism guarantees).
 
 :func:`check_app` is the aggregate entry point the compiler
-(``verify=True``) and the ``flexsfp check`` CLI subcommand both use.
+(``compile_app``) and the ``flexsfp check`` CLI subcommand both use.
 """
 
 from .._util import export_table

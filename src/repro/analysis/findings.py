@@ -18,7 +18,7 @@ from .._util import Report
 class Severity(Enum):
     """How bad a finding is.
 
-    ``ERROR`` findings block compilation (``verify=True`` raises) and fail
+    ``ERROR`` findings block compilation (a strict build raises) and fail
     the ``flexsfp check`` exit code; ``WARNING`` findings surface in
     :attr:`SynthesisReport.notes <repro.hls.compiler.SynthesisReport>`;
     ``INFO`` findings are advisory only.

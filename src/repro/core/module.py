@@ -331,18 +331,21 @@ class FlexSFPModule:
 
         return compile_app(app, self.shell, self.device)
 
-    def _fuse(self, app: PPEApplication):
+    def _fuse(self, app: PPEApplication, verified: bool = False):
         """The compiled tier's fused program for ``app``; ``None`` on reference.
 
         Recipes are compiled per application instance, like the flow cache,
-        so every boot re-fuses; the image stays what was synthesized.
+        so every boot re-fuses; the image stays what was synthesized.  An
+        app ``_synthesize`` just built is ``verified`` and skips the gate.
         """
         if self.engine != ENGINE_COMPILED:
             return None
         # Loaded by the tier that runs it: a reference module never
         # imports the executor compiler.
-        from ..hls.executor import compile_executor
+        from ..hls.executor import compile_executor, prove_executor
 
+        if verified:
+            return prove_executor(app)
         return compile_executor(app, self.shell, self.device)
 
     def _make_engine(
@@ -373,7 +376,7 @@ class FlexSFPModule:
         if self.engine == ENGINE_COMPILED:
             slot.flow_cache = FlowCache(name=f"{slot.base}.flow_cache")
         slot.build = self._synthesize(app) if build is None else build
-        slot.program = self._fuse(app)
+        slot.program = self._fuse(app, verified=build is None)
         slot.flash.store_bitstream(0, slot.build.bitstream, allow_golden=True)
         slot.flash.select_boot(0)
         slot.ppe = self._make_engine(

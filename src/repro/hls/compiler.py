@@ -285,28 +285,25 @@ def compile_app(
     clock_hz: float | None = None,
     strict: bool = True,
     flow_cache_entries: int | None = None,
-    verify: bool = True,
 ) -> BuildResult:
     """Convenience: build a :class:`PPEApplication` instance.
 
-    With ``verify`` (default) the full static-analysis surface runs before
-    synthesis — the IR verifier plus, for XDP programs, the AST analyzer
-    (:func:`repro.analysis.check_app`).  Error findings raise
-    :class:`CompileError` before any packet could ever be processed;
+    The full static-analysis surface runs before synthesis — the IR
+    verifier plus, for XDP programs, the AST analyzer
+    (:func:`repro.analysis.check_app`).  In strict builds, error findings
+    raise :class:`CompileError` before any packet could ever be processed;
     warnings merge into :attr:`SynthesisReport.notes` together with any
     pending runtime :meth:`XdpProgram.lint` observations, so declaration
     drift is surfaced on every recompile instead of being dropped.
     """
-    verify_notes: list[str] = []
-    if verify:
-        # verify=False (feasibility sweeps) never loads the analyzers.
-        from ..analysis import check_app
+    # Loaded on the first build: the analyzers pull in the app registry.
+    from ..analysis import check_app
 
-        verify_notes = _verification_notes(
-            check_app(app, device=device, shell=shell),
-            getattr(app, "name", type(app).__name__),
-            strict,
-        )
+    verify_notes = _verification_notes(
+        check_app(app, device=device, shell=shell),
+        getattr(app, "name", type(app).__name__),
+        strict,
+    )
     result = compile_pipeline(
         app.pipeline_spec(),
         shell,

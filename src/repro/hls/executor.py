@@ -7,14 +7,14 @@ per-flow mutation recipes that the
 :class:`~repro.core.ppe.PacketProcessingEngine` burst lane uses to process
 whole same-flow bursts with a handful of Python-level operations.
 
-The gate is the same static verifier the bitstream flow uses —
-:func:`compile_executor` runs :func:`repro.analysis.check_app`, so a
-program only ever exists for IR the :mod:`repro.analysis` verifier
-accepted; error findings raise :class:`~repro.errors.CompileError` before
-any recipe could run.  Whether bursts may *fuse* is decided by the effect
-analysis (:func:`repro.analysis.effects.analyze_pipeline`) — a dataflow
-proof over the IR, not a hand-written declaration.  A program is not an
-image: it changes how the simulator runs the hardware
+A program only ever exists for IR the :mod:`repro.analysis` verifier
+accepted, checked once per boot: a slot just synthesized passed
+:func:`~repro.hls.compiler.compile_app`'s gate and takes
+:func:`prove_executor` alone; any other boot goes through
+:func:`compile_executor`, the gate plus the proof.  Whether bursts may
+*fuse* is decided by the effect analysis — a dataflow proof over the IR,
+not a hand-written declaration.  A program is not an image: it changes
+how the simulator runs the hardware
 :func:`~repro.hls.compiler.compile_app` priced, so it synthesizes and
 prices nothing, and both tiers boot the same bitstream.
 """
@@ -22,7 +22,6 @@ prices nothing, and both tiers boot the same bitstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 
 from ..analysis.appcheck import check_app
 from ..analysis.effects import (
@@ -45,18 +44,12 @@ class CompiledProgram:
     replays the application's sequential :meth:`burst_plan`, and ``None``
     deopts every burst to the exact per-frame lane.  ``fusible`` is the
     engine-facing boolean view of ``mode``.  ``summary`` is the effect
-    analysis that proved (or refuted) fusion.  ``compile_wall_s`` is the
-    real (wall-clock) time the lowering took — observability data only,
-    never simulated state, and deliberately kept out of the metric
-    namespace so golden artifacts stay byte-identical across regenerations.
+    analysis that proved (or refuted) fusion.
     """
 
     app_name: str
     mode: str | None
-    key_bits: int
-    rewrite_bits: int
-    compile_wall_s: float
-    summary: EffectSummary | None = None
+    summary: EffectSummary
     notes: list[str] = field(default_factory=list)
 
     @property
@@ -67,22 +60,29 @@ class CompiledProgram:
 def compile_executor(
     app, shell: ShellSpec, device: FPGADevice = MPF200T
 ) -> CompiledProgram:
-    """Lower ``app`` into a fused per-flow executor for the compiled tier.
+    """:func:`prove_executor` behind the verifier gate, for a boot that
+    has verified nothing yet.
 
-    Runs the verifier gate first (:func:`~repro.analysis.check_app`, the
-    one :func:`~repro.hls.compiler.compile_app` runs), so the compiled
-    tier's accepted set is exactly the verifier's accepted set: any
-    application that raises here raises identically from the bitstream
-    flow, and vice versa.  Burst fusion is then gated by the effect
-    analysis: the derived :class:`~repro.analysis.effects.EffectSummary`
-    must prove the program's effects burst-safe *and* the application must
-    implement the runtime hook the proven lane needs (``flow_key`` for pure
-    recipes, which the engine records from ``process``; ``burst_plan`` for
-    the sequential meter lane).
+    The gate is :func:`~repro.analysis.check_app`, strict, the one
+    :func:`~repro.hls.compiler.compile_app` runs: any application that
+    raises here raises identically from the bitstream flow, and vice versa.
     """
-    start = perf_counter()  # flexsfp: allow(det-wallclock)
     app_name = getattr(app, "name", type(app).__name__)
     _verification_notes(check_app(app, device=device, shell=shell), app_name, strict=True)
+    return prove_executor(app)
+
+
+def prove_executor(app) -> CompiledProgram:
+    """The fused executor of an ``app`` the verifier has already accepted.
+
+    Burst fusion is gated by the effect analysis: the derived
+    :class:`~repro.analysis.effects.EffectSummary` must prove the
+    program's effects burst-safe *and* the application must implement the
+    runtime hook the proven lane needs (``flow_key`` for pure recipes,
+    which the engine records from ``process``; ``burst_plan`` for the
+    sequential meter lane).
+    """
+    app_name = getattr(app, "name", type(app).__name__)
     summary = analyze_pipeline(app.pipeline_spec())
     mode = fusion_engagement(app, summary)
     notes: list[str] = []
@@ -103,12 +103,4 @@ def compile_executor(
             + "; ".join(summary.blockers)
             + "); compiled bursts deopt to the per-frame lane"
         )
-    return CompiledProgram(
-        app_name=app_name,
-        mode=mode,
-        key_bits=summary.key_bits,
-        rewrite_bits=summary.rewrite_bits,
-        compile_wall_s=perf_counter() - start,  # flexsfp: allow(det-wallclock)
-        summary=summary,
-        notes=notes,
-    )
+    return CompiledProgram(app_name=app_name, mode=mode, summary=summary, notes=notes)

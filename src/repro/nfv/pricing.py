@@ -6,7 +6,7 @@ and the shell's line rate:
 
 * ``nfv-oversubscription`` (error) — tenant resource shares sum past
   the whole app partition.
-* ``nfv-partition-overflow`` (error) — a tenant's synthesized pipeline
+* ``nfv-partition-overflow`` (error) — a tenant's priced pipeline
   does not fit inside its share of the partition (device capacity minus
   shell base minus crossbar, scaled by the tenant's share).
 * ``nfv-overflow`` (error) — the deployment as a whole (shell +
@@ -83,15 +83,18 @@ def price_deployment(
 ) -> DeploymentPrice:
     """Price every component of *deployment* on *device*.
 
-    Tenant pipelines are synthesized with ``strict=False`` so the price
-    is always produced — feasibility is reported, not raised, because
-    the caller here is a static check that wants to see the overflow.
+    Tenant pipelines are priced, not synthesized (``price_pipeline`` is
+    ``compile_app``'s ``app_resources``), so the price is always produced
+    — feasibility is reported, not raised, because the caller here is a
+    static check that wants to see the overflow.  Only a shell no
+    standard clock sustains raises, as its build would.
     """
     from ..fpga import estimator
     from ..fpga.resources import ResourceVector
-    from ..hls.compiler import compile_app
+    from ..hls.compiler import price_pipeline
 
     resolved_shell, resolved_device = _resolve(deployment, shell, device)
+    resolved_shell.standard_ppe_clock_hz()
     shell_base = resolved_shell.base_resources()
     xbar = (
         estimator.crossbar(
@@ -103,11 +106,11 @@ def price_deployment(
     per_tenant: dict[str, ResourceVector] = {}
     total = shell_base + xbar
     for spec in deployment.tenants:
-        result = compile_app(
-            spec.build_app(), resolved_shell, resolved_device, strict=False
+        app_total, _ = price_pipeline(
+            spec.build_app().pipeline_spec(), resolved_shell.datapath_bits
         )
-        per_tenant[spec.name] = result.report.app_resources
-        total = total + result.report.app_resources
+        per_tenant[spec.name] = app_total
+        total = total + app_total
     return DeploymentPrice(
         shell_base=shell_base,
         crossbar=xbar,

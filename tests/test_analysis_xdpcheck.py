@@ -2,8 +2,8 @@
 
 These checks run on the AST of the packet function — no packet is ever
 processed.  The integration tests at the bottom prove the compile-time
-gate: ``compile_app(..., verify=True)`` rejects a broken program before
-synthesis, while ``verify=False`` reproduces the old flow.
+gate: a strict ``compile_app`` rejects a broken program before synthesis,
+while ``strict=False`` builds it and records the finding in the notes.
 """
 
 import time
@@ -336,11 +336,14 @@ class TestCompileTimeGate:
             compile_app(bad, ShellSpec())
         assert bad.counter("packets").packets == 0  # nothing ever processed
 
-    def test_verify_false_preserves_old_flow(self):
+    def test_non_strict_build_notes_the_error(self):
         result = compile_app(
-            self.undeclared_rewrite_program(), ShellSpec(), verify=False
+            self.undeclared_rewrite_program(), ShellSpec(), strict=False
         )
         assert result.report.fits and result.report.meets_timing
+        assert any(
+            "xdp-undeclared-rewrite" in note for note in result.report.notes
+        )
 
     def test_warnings_land_in_report_notes(self):
         idle = XdpMap("idle", max_entries=8)
@@ -358,7 +361,7 @@ class TestCompileTimeGate:
         prog = program(peeks_ip, parses=(Ethernet, IPv4))
         prog.parses = [Ethernet]  # declaration drifts after construction
         prog.process(make_udp(), make_ctx())
-        result = compile_app(prog, ShellSpec(), verify=False)
+        result = compile_app(prog, ShellSpec(), strict=False)
         assert any(
             note.startswith("lint:") and "IPv4" in note
             for note in result.report.notes

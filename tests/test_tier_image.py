@@ -1,17 +1,28 @@
 """The tier decides how a module runs, never what it boots.
 
 Both tiers boot the image :func:`repro.hls.compiler.compile_app` builds;
-the compiled tier's fused program (:func:`repro.hls.compile_executor`)
-prices nothing, and a compiled reboot re-fuses without synthesizing.
+the compiled tier's fused program prices nothing, and a compiled reboot
+re-fuses without synthesizing.
+
+Each build decision is made once per boot, and the census below counts
+them.  A slot the module synthesizes is checked once, by
+``compile_app``'s strict gate, and its fused program is that app's
+effect proof alone; a reboot has verified nothing yet and goes through
+:func:`repro.hls.compile_executor`, whose gate checks once more.  A
+multi-tenant module synthesizes each tenant once: its feasibility check
+prices the tenant pipelines with the cost model and builds no image.
 """
 
 import pytest
 
+import repro.analysis
 import repro.hls.compiler as compiler
+import repro.hls.executor as executor
 from repro.apps import APP_FACTORIES, create_app
-from repro.core import FlexSFPModule
+from repro.core import FlexSFPModule, ShellSpec
 from repro.engine import ENGINES
-from repro.nfv import Deployment, default_nfv_tenants
+from repro.errors import ConfigError
+from repro.nfv import Deployment, check_deployment, default_nfv_tenants, price_deployment
 from repro.sim import Simulator
 
 
@@ -21,6 +32,24 @@ def _module(deployment: Deployment, engine: str) -> FlexSFPModule:
 
 def _nfv() -> Deployment:
     return Deployment.from_dicts(default_nfv_tenants())
+
+
+def _counted(monkeypatch, function: str, *modules) -> list:
+    """Count the calls to ``function`` through every module it is bound in."""
+    calls = []
+    for module in modules:
+        original = getattr(module, function)
+
+        def counting(*args, _original=original, **kwargs):
+            calls.append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, function, counting)
+    return calls
+
+
+def _check_app_calls(monkeypatch) -> list:
+    return _counted(monkeypatch, "check_app", repro.analysis, executor)
 
 
 @pytest.mark.parametrize("app", sorted(APP_FACTORIES))
@@ -59,7 +88,41 @@ def test_a_compiled_reboot_refuses_without_synthesizing(monkeypatch):
     monkeypatch.setattr(
         compiler, "compile_pipeline", lambda *args, **kwargs: calls.append(args)
     )
+    checks = _check_app_calls(monkeypatch)
     module.reboot()
     assert calls == []
+    assert len(checks) == 1  # the boot's own gate: nothing verified it yet
     assert module.program is not running
     assert module.program.fusible
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_solo_module_checks_its_app_once(monkeypatch, engine):
+    calls = _check_app_calls(monkeypatch)
+    module = _module(Deployment.solo("nat"), engine)
+    assert len(calls) == 1
+    assert (module.program is not None) == (engine == "compiled")
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_an_nfv_module_synthesizes_each_tenant_once(monkeypatch, engine):
+    calls = _counted(monkeypatch, "compile_pipeline", compiler)
+    module = _module(_nfv(), engine)
+    assert [args[0].name for args in calls] == [slot.app.name for slot in module.slots]
+    assert len(calls) == 2
+
+
+def test_the_nfv_price_is_the_synthesized_app_price():
+    deployment = _nfv()
+    price = price_deployment(deployment)
+    for spec in deployment.tenants:
+        build = compiler.compile_app(spec.build_app(), ShellSpec())
+        assert price.per_tenant[spec.name] == build.report.app_resources
+
+
+def test_a_shell_no_clock_sustains_still_fails_the_nfv_check():
+    shell = ShellSpec(line_rate_bps=400e9, datapath_bits=64)
+    with pytest.raises(
+        ConfigError, match="no standard clock sustains 400.0 Gbps on a 64-bit datapath"
+    ):
+        check_deployment(_nfv(), shell)
