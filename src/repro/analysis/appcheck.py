@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ..apps import create_app
 from ..core.shells import ShellSpec
 from ..fpga.resources import FPGADevice, MPF200T
@@ -14,8 +16,12 @@ from .effects import (
     line_rate_verdict,
 )
 from .findings import Finding, sort_findings
-from .irverify import verify_pipeline
+from .irverify import _verify_priced
 from .xdpcheck import check_program
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from ..hls.compiler import Price
+    from ..hls.ir import PipelineSpec
 
 
 _PROOF_HEADERS = ("app", "proof", "engaged", "key_bits", "rewrite_bits", "digest", "blockers")
@@ -28,16 +34,21 @@ def check_app(
     shell: ShellSpec | None = None,
 ) -> list[Finding]:
     """All static findings for one application: XDP analysis + IR verify."""
+    return _check_priced(app, app.pipeline_spec(), device, shell)[0]
+
+
+def _check_priced(
+    app, spec: PipelineSpec, device: FPGADevice, shell: ShellSpec | None
+) -> tuple[list[Finding], Price | None]:
+    """:func:`check_app` over ``app``'s ``spec``, plus the price the IR
+    verifier took of it (see :func:`~repro.analysis.irverify._verify_priced`)."""
     findings: list[Finding] = []
     rewrites = None
     if isinstance(app, XdpProgram):
         findings += check_program(app)
         rewrites = list(app.rewrites)
-    spec = app.pipeline_spec()
-    findings += verify_pipeline(
-        spec, device=device, shell=shell, rewrites=rewrites
-    )
-    return sort_findings(findings)
+    verified, price = _verify_priced(spec, device, shell, None, rewrites)
+    return sort_findings(findings + verified), price
 
 
 def apps_report(

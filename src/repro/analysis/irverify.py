@@ -23,12 +23,17 @@ bitstream ever reaches a cable:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ..core.shells import ShellSpec
 from ..errors import CompileError, ResourceError
 from ..fpga.resources import FPGADevice, MPF200T, ResourceVector
 from ..hls.ir import PipelineSpec, StageKind
 from ..packet import IPv4, IPv6, TCP, UDP
 from .findings import Finding, Severity, sort_findings
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from ..hls.compiler import Price
 
 # The paper's §5.3 guidance: chains of 3-4 match-action stages fit the
 # per-PPE budget; deeper chains should be split across PPEs.
@@ -246,14 +251,11 @@ def _check_resource_fit(
     spec: PipelineSpec,
     device: FPGADevice,
     shell: ShellSpec | None,
-    datapath_bits: int,
+    price: Price | None,
 ) -> list[Finding]:
-    from ..hls.compiler import price_pipeline
-
-    try:
-        app_total, per_stage = price_pipeline(spec, datapath_bits)
-    except (CompileError, ResourceError):
-        return []  # unpriceable specs already carry structural errors
+    if price is None:
+        return []
+    app_total, per_stage = price
     components = [app_total]
     if shell is not None:
         components.extend(vec for _, vec in sorted(shell.base_components().items()))
@@ -309,12 +311,31 @@ def verify_pipeline(
     base components in the resource-fit estimate, matching what
     :func:`~repro.hls.compiler.compile_pipeline` will build.
     """
+    return _verify_priced(spec, device, shell, datapath_bits, rewrites)[0]
+
+
+def _verify_priced(
+    spec: PipelineSpec,
+    device: FPGADevice,
+    shell: ShellSpec | None,
+    datapath_bits: int | None,
+    rewrites: list[tuple[type, str]] | None,
+) -> tuple[list[Finding], Price | None]:
+    """:func:`verify_pipeline`'s findings, and the ``price_pipeline``
+    result its resource-fit rule took (``None`` if ``spec`` is
+    unpriceable), so a build can synthesize without pricing again."""
+    from ..hls.compiler import price_pipeline
+
     if datapath_bits is None:
         datapath_bits = shell.datapath_bits if shell is not None else 64
+    try:
+        price = price_pipeline(spec, datapath_bits)
+    except (CompileError, ResourceError):
+        price = None  # unpriceable specs already carry structural errors
     findings = _check_structure(spec)
     findings += _check_key_widths(spec)
     findings += _check_checksum(spec, rewrites)
     findings += _check_chain_depth(spec)
     findings += _check_redundant_stages(spec)
-    findings += _check_resource_fit(spec, device, shell, datapath_bits)
-    return sort_findings(findings)
+    findings += _check_resource_fit(spec, device, shell, price)
+    return sort_findings(findings), price

@@ -61,10 +61,12 @@ repeat of the named ``BENCHMARK.json`` workload):
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from math import ceil
 from typing import TYPE_CHECKING, Callable, Hashable
 
 from ..errors import SimulationError
@@ -550,7 +552,6 @@ class PacketProcessingEngine(_EngineBase):
         # Struct-of-arrays bursts pending processing and fusion statistics.
         self.program = program
         self._bursts: deque = deque()
-        self._latency_bounds: np.ndarray | None = None  # built by the first burst
         self.compiled_bursts = 0
         self.compiled_frames = 0
         self.compiled_deopts = 0
@@ -1145,24 +1146,28 @@ class PacketProcessingEngine(_EngineBase):
         deliver_s: "np.ndarray",
         enqueue_ns: "np.ndarray",
     ) -> None:
-        # One histogram update per fused slice: searchsorted(side="right")
-        # is bisect_right, so the bulk binning lands every latency in the
-        # bucket the per-frame add() would have chosen, and the int64
-        # cast truncates exactly like int().
+        # One histogram update per fused slice, exact to folding add():
+        # bisect_right of the slice's min and max picks the buckets it
+        # reaches, and each bound it straddles splits them with one count
+        # of the latencies below it.  A keep-up slice's latencies are one
+        # constant up to nanosecond truncation, so it nearly always spans
+        # one bucket and costs two reductions.  The int64 cast truncates
+        # exactly like int(), and for an int latency ``v < bound`` is
+        # ``v < ceil(bound)``, which numpy compares without a float copy.
         import numpy as np
 
         latencies = (deliver_s * 1e9).astype(np.int64) - enqueue_ns
         histogram = self.latency_ns
+        bounds = histogram.bounds
         counts = histogram.counts
-        bounds = self._latency_bounds
-        if bounds is None:
-            bounds = self._latency_bounds = np.asarray(histogram.bounds)
-        binned = np.bincount(
-            bounds.searchsorted(latencies, side="right"), minlength=len(counts)
-        )
-        for index, bucket in enumerate(binned.tolist()):
-            if bucket:
-                counts[index] += bucket
+        first = bisect_right(bounds, int(latencies.min()))
+        last = bisect_right(bounds, int(latencies.max()))
+        below = 0
+        for index in range(first, last):
+            under = int(np.count_nonzero(latencies < ceil(bounds[index])))
+            counts[index] += under - below
+            below = under
+        counts[last] += len(latencies) - below
         histogram.total += len(latencies)
         record.done(record.packet, record.verdict, record.size, deliver_s)
 

@@ -158,14 +158,23 @@ def synthesize_payload(app_name: str, resources: ResourceVector, size_kib: int =
     """Deterministic stand-in for the real configuration payload.
 
     Real PolarFire bitstreams are a few MiB of opaque configuration data;
-    for simulation the payload is ``size_kib`` KiB of SHAKE-256 output
-    (one extendable-output call) seeded by the design identity, the app
-    name and its resources, so flash/UPLOAD paths move realistic volumes
-    and two different designs never share an image.
+    the stand-in promises what the flash, UPLOAD and boot paths rely on:
+
+    * **length** -- exactly ``size_kib`` KiB, so transfers move realistic
+      volumes;
+    * **determinism** -- the same design always yields the same bytes;
+    * **design identity** -- the bytes derive from the app name and its
+      resources, so two designs never share an image (they already
+      differ in the first KiB).
+
+    One 1 KiB SHAKE-256 block seeded by that identity is repeated to the
+    full length.  Integrity does not rest on the payload's content: the
+    image's CRC-32 and HMAC cover every byte, so a flipped bit in any
+    repetition fails :meth:`Bitstream.crc_ok` and the signature.
     """
     if size_kib <= 0:
         raise BitstreamError("payload size must be positive")
     seed = hashlib.sha256(
         f"{app_name}:{resources.as_dict()}".encode()
     ).digest()
-    return hashlib.shake_256(seed).digest(size_kib * 1024)
+    return hashlib.shake_256(seed).digest(1024) * size_kib

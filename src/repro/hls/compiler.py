@@ -137,9 +137,12 @@ def price_stage(stage: Stage, datapath_bits: int) -> ResourceVector:
     raise CompileError(f"no pricing rule for stage kind {kind}")  # pragma: no cover
 
 
-def price_pipeline(
-    spec: PipelineSpec, datapath_bits: int
-) -> tuple[ResourceVector, dict[str, ResourceVector]]:
+#: What :func:`price_pipeline` returns: the app total and the per-stage
+#: vectors, glue included.
+Price = tuple[ResourceVector, dict[str, ResourceVector]]
+
+
+def price_pipeline(spec: PipelineSpec, datapath_bits: int) -> Price:
     """Price a whole pipeline: every stage plus inter-stage glue."""
     spec.validate()
     per_stage: dict[str, ResourceVector] = {}
@@ -195,12 +198,31 @@ def compile_pipeline(
     if flow_cache_entries is not None:
         spec = _with_flow_cache(spec, flow_cache_entries)
     verify_notes: list[str] = []
+    price = None
     if verify:
-        from ..analysis.irverify import verify_pipeline
+        from ..analysis.irverify import _verify_priced
 
-        verify_notes = _verification_notes(
-            verify_pipeline(spec, device=device, shell=shell), spec.name, strict
-        )
+        findings, price = _verify_priced(spec, device, shell, None, None)
+        verify_notes = _verification_notes(findings, spec.name, strict)
+    result = _build_image(
+        spec, shell, device, clock_hz, strict, price, app_params, payload_kib
+    )
+    result.report.notes.extend(verify_notes)
+    return result
+
+
+def _build_image(
+    spec: PipelineSpec,
+    shell: ShellSpec,
+    device: FPGADevice,
+    clock_hz: float | None,
+    strict: bool,
+    price: Price | None,
+    app_params: dict | None,
+    payload_kib: int = 64,
+) -> BuildResult:
+    """Close timing, fit and emit the image for ``spec``; ``price`` is
+    the verifier's ``price_pipeline`` result, or ``None`` to price here."""
     if clock_hz is None:
         clock_hz = shell.standard_ppe_clock_hz()
     if clock_hz > device.max_fabric_mhz * 1e6:
@@ -210,7 +232,7 @@ def compile_pipeline(
         )
     timing = TimingSpec(shell.datapath_bits, clock_hz)
 
-    app_total, _ = price_pipeline(spec, shell.datapath_bits)
+    app_total, _ = price or price_pipeline(spec, shell.datapath_bits)
     components = dict(shell.base_components())
     components[f"{spec.name} app"] = app_total
     total = ResourceVector.sum(list(components.values()))
@@ -231,7 +253,6 @@ def compile_pipeline(
         raise CompileError(
             f"build of {spec.name!r} on {device.name} failed: {'; '.join(notes)}"
         )
-    notes.extend(verify_notes)
 
     report = SynthesisReport(
         app_name=spec.name,
@@ -297,23 +318,18 @@ def compile_app(
     drift is surfaced on every recompile instead of being dropped.
     """
     # Loaded on the first build: the analyzers pull in the app registry.
-    from ..analysis import check_app
+    from ..analysis.appcheck import _check_priced
 
+    spec = app.pipeline_spec()
+    findings, price = _check_priced(app, spec, device, shell)
     verify_notes = _verification_notes(
-        check_app(app, device=device, shell=shell),
-        getattr(app, "name", type(app).__name__),
-        strict,
+        findings, getattr(app, "name", type(app).__name__), strict
     )
-    result = compile_pipeline(
-        app.pipeline_spec(),
-        shell,
-        device=device,
-        clock_hz=clock_hz,
-        app_params=app.config(),
-        strict=strict,
-        flow_cache_entries=flow_cache_entries,
-        verify=False,
-    )
+    if flow_cache_entries is not None:
+        cached = _with_flow_cache(spec, flow_cache_entries)
+        if cached is not spec:  # the verifier priced the spec without it
+            spec, price = cached, None
+    result = _build_image(spec, shell, device, clock_hz, strict, price, app.config())
     lint = getattr(app, "lint", None)
     if callable(lint):
         verify_notes.extend(f"lint: {warning}" for warning in lint())

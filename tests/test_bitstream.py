@@ -117,8 +117,32 @@ class TestSyntheticPayload:
         # flash contents): a change to it must be deliberate.
         payload = synthesize_payload("nat", ResourceVector(lut4=1), 4)
         assert hashlib.sha256(payload).hexdigest() == (
-            "dfaf0b0751cf1c9c5300bdd8fad1ae32b7b0104693e8af5eb5831c687030da3c"
+            "a187f96c16a6b9be41ba7af7be05936722f051b13f4d5c5072581ce777704f80"
         )
+
+    def test_designs_differ_in_the_first_block(self):
+        res = ResourceVector(lut4=5)
+        a, b, c = (
+            synthesize_payload(name, vec, 4)
+            for name, vec in (("a", res), ("b", res), ("a", ResourceVector(lut4=6)))
+        )
+        assert a[:1024] != b[:1024]
+        assert a[:1024] != c[:1024]
+
+    @pytest.mark.parametrize("block", range(8))
+    def test_a_flipped_bit_in_any_repetition_fails_the_image(self, block):
+        # The payload repeats one 1 KiB block; the CRC still covers every
+        # copy, so flash bit-rot in any repetition is caught at boot.
+        good = make_bitstream()
+        raw = good.to_bytes()
+        start = raw.index(good.payload)
+        assert good.payload == good.payload[:1024] * 8
+        for offset in (0, 513, 1023):
+            rotted = bytearray(raw)
+            rotted[start + block * 1024 + offset] ^= 1 << (offset % 8)
+            assert not Bitstream.crc_ok(bytes(rotted))
+            with pytest.raises(BitstreamError, match="CRC"):
+                Bitstream.from_bytes(bytes(rotted))
 
     def test_size(self):
         assert len(synthesize_payload("x", ResourceVector(), 16)) == 16 * 1024

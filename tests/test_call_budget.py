@@ -24,9 +24,13 @@ data frame is refused by a comparison, not by raise-and-catch).
 with the top callees per shape and, under ``admit_burst regimes``, the
 owner x kernel split of ``nat-linerate``'s bursts at 60, 512 and 1,514 B
 (``tests/test_burst_regime_census.py``), each owner beside the deepest
-queue its bursts reached against its limit, both in frames; CI uploads
-it, so the next per-frame or regime regression, or a queue creeping
-toward a replay, is a diff.
+queue its bursts reached against its limit, both in frames; and, under
+``fused slices by buckets spanned``, each compiled shape's fused slices
+grouped by how many latency-histogram buckets their latencies span
+(counted by wrapping ``PacketProcessingEngine._deliver_slice`` here; a
+one-bucket slice costs the binning two reductions).  CI uploads it, so
+the next per-frame or regime regression, a queue creeping toward a
+replay, or a lane change that spreads a slice's latencies, is a diff.
 """
 
 from __future__ import annotations
@@ -130,6 +134,36 @@ def census(shape: str) -> dict:
     }
 
 
+def slice_spans(shape: str) -> dict:
+    """One run of ``shape``'s fused slices, by latency buckets spanned."""
+    from bisect import bisect_right
+
+    import numpy as np
+
+    from repro.core.ppe import PacketProcessingEngine
+
+    deliver_slice = PacketProcessingEngine._deliver_slice
+    spans: Counter = Counter()
+
+    def counting(engine, record, deliver_s, enqueue_ns):
+        latencies = (deliver_s * 1e9).astype(np.int64) - enqueue_ns
+        bounds = engine.latency_ns.bounds
+        first = bisect_right(bounds, int(latencies.min()))
+        spans[bisect_right(bounds, int(latencies.max())) - first + 1] += 1
+        return deliver_slice(engine, record, deliver_s, enqueue_ns)
+
+    PacketProcessingEngine._deliver_slice = counting
+    try:
+        SHAPES[shape].run()
+    finally:
+        PacketProcessingEngine._deliver_slice = deliver_slice
+    total = sum(spans.values())
+    return {
+        "one-bucket": f"{spans[1]} of {total}",
+        "by buckets spanned": {str(n): spans[n] for n in sorted(spans)},
+    }
+
+
 @pytest.mark.parametrize("shape", list(SHAPES))
 def test_calls_per_offered_frame_stay_under_the_ceiling(shape, regen_golden):
     report = census(shape)
@@ -169,4 +203,9 @@ if __name__ == "__main__":
             }
             for owner, kinds in split.items()
         }
+    report["fused slices by buckets spanned"] = {
+        shape: slice_spans(shape)
+        for shape, spec in SHAPES.items()
+        if spec.engine == "compiled"
+    }
     print(json.dumps(report, indent=1))

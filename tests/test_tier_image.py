@@ -10,18 +10,20 @@ them.  A slot the module synthesizes is checked once, by
 effect proof alone; a reboot has verified nothing yet and goes through
 :func:`repro.hls.compile_executor`, whose gate checks once more.  A
 multi-tenant module synthesizes each tenant once: its feasibility check
-prices the tenant pipelines with the cost model and builds no image.
+prices the tenant pipelines with the cost model and builds no image.  A
+build prices its pipeline once: the IR verifier's resource-fit rule takes
+the price, and synthesis reuses it.
 """
 
 import pytest
 
-import repro.analysis
+import repro.analysis.appcheck as appcheck
 import repro.hls.compiler as compiler
-import repro.hls.executor as executor
 from repro.apps import APP_FACTORIES, create_app
 from repro.core import FlexSFPModule, ShellSpec
 from repro.engine import ENGINES
 from repro.errors import ConfigError
+from repro.hls.ir import StageKind
 from repro.nfv import Deployment, check_deployment, default_nfv_tenants, price_deployment
 from repro.sim import Simulator
 
@@ -49,7 +51,8 @@ def _counted(monkeypatch, function: str, *modules) -> list:
 
 
 def _check_app_calls(monkeypatch) -> list:
-    return _counted(monkeypatch, "check_app", repro.analysis, executor)
+    # The one static check both check_app and compile_app go through.
+    return _counted(monkeypatch, "_check_priced", appcheck)
 
 
 @pytest.mark.parametrize("app", sorted(APP_FACTORIES))
@@ -84,10 +87,7 @@ def test_reconfigure_tenant_stages_the_same_image_on_both_tiers():
 def test_a_compiled_reboot_refuses_without_synthesizing(monkeypatch):
     module = _module(Deployment.solo("nat"), "compiled")
     running = module.program
-    calls = []
-    monkeypatch.setattr(
-        compiler, "compile_pipeline", lambda *args, **kwargs: calls.append(args)
-    )
+    calls = _counted(monkeypatch, "_build_image", compiler)
     checks = _check_app_calls(monkeypatch)
     module.reboot()
     assert calls == []
@@ -106,10 +106,43 @@ def test_a_solo_module_checks_its_app_once(monkeypatch, engine):
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_an_nfv_module_synthesizes_each_tenant_once(monkeypatch, engine):
-    calls = _counted(monkeypatch, "compile_pipeline", compiler)
+    calls = _counted(monkeypatch, "_build_image", compiler)
     module = _module(_nfv(), engine)
     assert [args[0].name for args in calls] == [slot.app.name for slot in module.slots]
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("app", sorted(APP_FACTORIES))
+def test_a_build_prices_its_pipeline_once(monkeypatch, app):
+    calls = _counted(monkeypatch, "price_pipeline", compiler)
+    build = compiler.compile_app(create_app(app), ShellSpec())
+    assert len(calls) == 1
+    unchecked = compiler.compile_pipeline(
+        create_app(app).pipeline_spec(), ShellSpec(), verify=False
+    )
+    assert build.report.app_resources == unchecked.report.app_resources
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_module_prices_each_build_once(monkeypatch, engine):
+    prices = _counted(monkeypatch, "price_pipeline", compiler)
+    builds = _counted(monkeypatch, "compile_app", compiler)
+    _module(Deployment.solo("nat"), engine)
+    assert len(builds) == 1
+    assert len(prices) == 1
+
+
+def test_a_flow_cache_build_prices_the_cached_pipeline(monkeypatch):
+    # The verifier prices the app's own pipeline; synthesis prices the one
+    # with the cache stage beside it.
+    calls = _counted(monkeypatch, "price_pipeline", compiler)
+    build = compiler.compile_app(create_app("nat"), ShellSpec(), flow_cache_entries=1024)
+    cached = [
+        any(stage.kind is StageKind.FLOW_CACHE for stage in spec.stages)
+        for spec, _bits in calls
+    ]
+    assert cached == [False, True]
+    assert build.report.app_resources == compiler.price_pipeline(*calls[1])[0]
 
 
 def test_the_nfv_price_is_the_synthesized_app_price():
