@@ -21,7 +21,7 @@ Latency constants (documented substitutes for measured silicon values):
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .._util import mac_to_int
 from ..config import Settings
@@ -50,6 +50,9 @@ from .ppe import (
 )
 from .services import ServiceRegistry
 from .shells import PROTOTYPE_SHELL, ShellKind, ShellSpec
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from ..hls.ir import PipelineSpec
 
 TRANSCEIVER_LATENCY_S = 40e-9
 PASSTHROUGH_LATENCY_S = 25e-9
@@ -331,21 +334,23 @@ class FlexSFPModule:
 
         return compile_app(app, self.shell, self.device)
 
-    def _fuse(self, app: PPEApplication, verified: bool = False):
+    def _fuse(self, app: PPEApplication, verified: PipelineSpec | None = None):
         """The compiled tier's fused program for ``app``; ``None`` on reference.
 
         Recipes are compiled per application instance, like the flow cache,
         so every boot re-fuses; the image stays what was synthesized.  An
-        app ``_synthesize`` just built is ``verified`` and skips the gate.
+        app ``_synthesize`` just built hands over the pipeline it
+        ``verified`` (the build's ``spec``): the proof reads that one and
+        skips the gate.
         """
         if self.engine != ENGINE_COMPILED:
             return None
         # Loaded by the tier that runs it: a reference module never
         # imports the executor compiler.
-        from ..hls.executor import compile_executor, prove_executor
+        from ..hls.executor import _prove, compile_executor
 
-        if verified:
-            return prove_executor(app)
+        if verified is not None:
+            return _prove(app, verified)
         return compile_executor(app, self.shell, self.device)
 
     def _make_engine(
@@ -375,8 +380,12 @@ class FlexSFPModule:
         app = slot.app = slot.spec.build_app()
         if self.engine == ENGINE_COMPILED:
             slot.flow_cache = FlowCache(name=f"{slot.base}.flow_cache")
-        slot.build = self._synthesize(app) if build is None else build
-        slot.program = self._fuse(app, verified=build is None)
+        if build is None:
+            slot.build = self._synthesize(app)
+            slot.program = self._fuse(app, verified=slot.build.spec)
+        else:
+            slot.build = build
+            slot.program = self._fuse(app)
         slot.flash.store_bitstream(0, slot.build.bitstream, allow_golden=True)
         slot.flash.select_boot(0)
         slot.ppe = self._make_engine(

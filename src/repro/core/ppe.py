@@ -300,6 +300,7 @@ class _EngineBase:
         timing: TimingSpec,
         queue_bytes: int,
         device_id: int,
+        pipeline_depth: int,
     ) -> None:
         self.sim = sim
         self.app = app
@@ -308,9 +309,7 @@ class _EngineBase:
         self.device_id = device_id
         # Pipeline fill latency is fixed per deployed app; computing it per
         # packet would rebuild the whole PipelineSpec each time.
-        self.pipeline_latency_s = (
-            app.pipeline_spec().pipeline_depth / timing.clock_hz
-        )
+        self.pipeline_latency_s = pipeline_depth / timing.clock_hz
         self.processed = Counter("ppe.processed")
         self.overload_drops = Counter("ppe.overload_drops")
         self.verdict_counts: dict[Verdict, int] = {v: 0 for v in Verdict}
@@ -421,7 +420,9 @@ class ReferenceEngine(_EngineBase):
         queue_bytes: int = 32 * 1024,
         device_id: int = 0,
     ) -> None:
-        super().__init__(sim, app, timing, queue_bytes, device_id)
+        super().__init__(
+            sim, app, timing, queue_bytes, device_id, app.pipeline_spec().pipeline_depth
+        )
         # (packet, wire size, direction, done callback, enqueue ns)
         self._fifo: deque = deque()
         self._fifo_bytes = 0
@@ -546,7 +547,13 @@ class PacketProcessingEngine(_EngineBase):
         flow_cache: FlowCache | None = None,
         program: "CompiledProgram | None" = None,
     ) -> None:
-        super().__init__(sim, app, timing, queue_bytes, device_id)
+        # A program's proof read the pipeline once: its depth is taken along.
+        depth = (
+            app.pipeline_spec().pipeline_depth
+            if program is None
+            else program.pipeline_depth
+        )
+        super().__init__(sim, app, timing, queue_bytes, device_id, depth)
         self.flow_cache = flow_cache
         self.fastpath_hits = Counter("ppe.fastpath_hits")
         # Struct-of-arrays bursts pending processing and fusion statistics.

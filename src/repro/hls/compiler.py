@@ -79,10 +79,12 @@ class SynthesisReport:
 
 @dataclass
 class BuildResult:
-    """A successful build: the report plus the deployable artifact."""
+    """A successful build: the report plus the deployable artifact, and
+    the pipeline both were built from (verified, when the build was)."""
 
     report: SynthesisReport
     bitstream: Bitstream
+    spec: PipelineSpec
 
 
 def price_stage(stage: Stage, datapath_bits: int) -> ResourceVector:
@@ -276,7 +278,7 @@ def _build_image(
         payload=synthesize_payload(spec.name, total, payload_kib),
         metadata={"app_params": app_params or {}},
     )
-    return BuildResult(report=report, bitstream=bitstream)
+    return BuildResult(report=report, bitstream=bitstream, spec=spec)
 
 
 def _with_flow_cache(spec: PipelineSpec, entries: int) -> PipelineSpec:
@@ -321,14 +323,14 @@ def compile_app(
     from ..analysis.appcheck import _check_priced
 
     spec = app.pipeline_spec()
+    if flow_cache_entries is not None:
+        # Verified as built: a cache that overflows the device is an
+        # ir-resource-fit finding naming its stage, and one price serves.
+        spec = _with_flow_cache(spec, flow_cache_entries)
     findings, price = _check_priced(app, spec, device, shell)
     verify_notes = _verification_notes(
         findings, getattr(app, "name", type(app).__name__), strict
     )
-    if flow_cache_entries is not None:
-        cached = _with_flow_cache(spec, flow_cache_entries)
-        if cached is not spec:  # the verifier priced the spec without it
-            spec, price = cached, None
     result = _build_image(spec, shell, device, clock_hz, strict, price, app.config())
     lint = getattr(app, "lint", None)
     if callable(lint):

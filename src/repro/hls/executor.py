@@ -33,6 +33,7 @@ from ..analysis.effects import (
 from ..core.shells import ShellSpec
 from ..fpga.resources import FPGADevice, MPF200T
 from .compiler import _verification_notes
+from .ir import PipelineSpec
 
 
 @dataclass
@@ -44,12 +45,14 @@ class CompiledProgram:
     replays the application's sequential :meth:`burst_plan`, and ``None``
     deopts every burst to the exact per-frame lane.  ``fusible`` is the
     engine-facing boolean view of ``mode``.  ``summary`` is the effect
-    analysis that proved (or refuted) fusion.
+    analysis that proved (or refuted) fusion, over a pipeline
+    ``pipeline_depth`` registered stages deep.
     """
 
     app_name: str
     mode: str | None
     summary: EffectSummary
+    pipeline_depth: int
     notes: list[str] = field(default_factory=list)
 
     @property
@@ -82,8 +85,14 @@ def prove_executor(app) -> CompiledProgram:
     which the engine records from ``process``; ``burst_plan`` for the
     sequential meter lane).
     """
+    return _prove(app, app.pipeline_spec())
+
+
+def _prove(app, spec: PipelineSpec) -> CompiledProgram:
+    """:func:`prove_executor` over ``spec``, the pipeline ``app`` was just
+    verified and built from (:attr:`~repro.hls.compiler.BuildResult.spec`)."""
     app_name = getattr(app, "name", type(app).__name__)
-    summary = analyze_pipeline(app.pipeline_spec())
+    summary = analyze_pipeline(spec)
     mode = fusion_engagement(app, summary)
     notes: list[str] = []
     if mode == MODE_METER:
@@ -103,4 +112,10 @@ def prove_executor(app) -> CompiledProgram:
             + "; ".join(summary.blockers)
             + "); compiled bursts deopt to the per-frame lane"
         )
-    return CompiledProgram(app_name=app_name, mode=mode, summary=summary, notes=notes)
+    return CompiledProgram(
+        app_name=app_name,
+        mode=mode,
+        summary=summary,
+        pipeline_depth=spec.pipeline_depth,
+        notes=notes,
+    )

@@ -50,6 +50,11 @@ class EventHandle:
         return self.callback is None
 
 
+# ``schedule`` builds its handle with this and two slot stores: no
+# Python-level ``__init__`` frame per event.
+_new_handle = EventHandle.__new__
+
+
 class Simulator:
     """The event loop.
 
@@ -101,7 +106,9 @@ class Simulator:
         if not delay >= 0:  # also refuses NaN, which compares False either way
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         self._seq = seq = self._seq + 1
-        event = EventHandle(callback, args)
+        event = _new_handle(EventHandle)
+        event.callback = callback
+        event.args = args
         heappush(self._queue, (self.now + delay, seq, event))
         return event
 
@@ -114,9 +121,35 @@ class Simulator:
                 f"cannot schedule into the past (when={when}, now={self.now})"
             )
         self._seq = seq = self._seq + 1
-        event = EventHandle(callback, args)
+        event = _new_handle(EventHandle)
+        event.callback = callback
+        event.args = args
         heappush(self._queue, (when, seq, event))
         return event
+
+    def _take_seq(self) -> int:
+        """Take the tiebreaker of an event that :meth:`_arm` pushes later.
+
+        An owner that holds a FIFO of future events (a port's in-flight
+        frames) takes each one's ``seq`` when it creates it and keeps one
+        of them armed at a time: each then fires where :meth:`schedule_at`
+        at that moment would have placed it among every other event.
+        """
+        self._seq = seq = self._seq + 1
+        return seq
+
+    def _arm(self, when: float, event: EventHandle, seq: int = 0) -> int:
+        """Push ``event`` at ``when``; returns the seq it fires with.
+
+        ``seq`` is one :meth:`_take_seq` returned earlier, or 0 to take
+        the next.  The owner reuses one ``event`` for every entry it arms
+        (it never has two in the heap at once) and arms only at or after
+        ``now``, so ``when`` is not checked.
+        """
+        if not seq:
+            self._seq = seq = self._seq + 1
+        heappush(self._queue, (when, seq, event))
+        return seq
 
     def _dispatch(self, until: float, limit: float) -> int:
         """Fire up to ``limit`` events due by ``until``; how many fired.

@@ -13,11 +13,12 @@ per-frame state for the handler to read back.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import TYPE_CHECKING, Callable
 
 from ..errors import SimulationError
 from ..packet import Packet
-from .engine import ServiceTimeline, Simulator
+from .engine import EventHandle, ServiceTimeline, Simulator
 from .mac import serialization_time
 from .stats import Counter
 
@@ -55,10 +56,13 @@ class Port:
     batched delivery when its handler came through :meth:`attach_batch`,
     or when it has no handler at all (a counting sink); a handler given
     to :meth:`attach` gets one deliver event per frame, so ``when`` is
-    also ``sim.now``.
+    also ``sim.now``.  Those frames wait in the sending port, not in the
+    event heap: an in-flight FIFO of which only the head is armed, each
+    frame firing with the ``seq`` it took at reservation, so the events
+    run in the order one scheduled event per frame would give.
 
     A reservation dies with its link: :meth:`disconnect` forgets both
-    directions' queued frames, and a delivery already scheduled on the old
+    directions' queued frames, and a delivery already in flight on the old
     link fires as a no-op (never into a peer connected since).
     """
 
@@ -77,6 +81,12 @@ class Port:
         # delivery order: (packet, size, when) per frame and (template,
         # size, whens) per burst, ``whens`` a float64 vector.
         self._pending_rx: list[tuple[Packet, int, "float | np.ndarray"]] = []
+        # Frames in flight toward a per-frame peer, in reservation order:
+        # (fire, seq, packet, size), and the one event that delivers the
+        # head.  One pair per link: a disconnect starts a new one.
+        self._inflight: deque[tuple[float, int, Packet, int]]
+        self._inflight_event: EventHandle
+        self._start_inflight()
         # Optional bracketing callbacks a batched receiver may install: a
         # sender's flush calls begin before and end after handing over the
         # whole pending run, letting the receiver defer per-frame work
@@ -88,8 +98,8 @@ class Port:
         self._batched_rx = True  # no handler yet: a counting sink
         self._peer: Port | None = None
         self._propagation_s = DEFAULT_PROPAGATION_S
-        # Link generation: deliveries capture it at reservation and fire
-        # as no-ops once a disconnect has moved it on.
+        # Link generation: a flush captures it when armed and fires as a
+        # no-op once a disconnect has moved it on.
         self._link = 0
         self._timeline = ServiceTimeline()
         self.tx = Counter(f"{name}.tx")
@@ -150,6 +160,9 @@ class Port:
                 port._peer = None
                 port._link += 1
                 port._pending_rx = []
+                # The old link's frames still fire, as no-ops, from the
+                # FIFO their armed event holds; the new link starts its own.
+                port._start_inflight()
                 port._timeline.reset()
 
     @property
@@ -219,9 +232,14 @@ class Port:
 
         Admission is judged at the frame's *arrival*: that is the state an
         event-per-frame FIFO would see if a deferred ``send`` ran at the
-        arrival time.  Callers must reserve in non-decreasing arrival
-        order, which every producer (serialized sources, per-direction
-        module egress) naturally does.
+        arrival time.  Whatever the arrival order, delivery times never
+        decrease in reservation order on one link: each finish lies past
+        ``free_at``, which only grows, and so does ``now``.  That is what
+        lets in-flight frames toward a per-frame peer wait in one FIFO.
+        A reservation that arrives earlier than one made before it is
+        still serialized behind it, which an event-per-frame FIFO fed at
+        the arrival times would not do: two tenant slots sharing a line
+        port reserve that way, a known gap of the shared egress.
         """
         if size is None:
             size = packet.wire_len
@@ -251,8 +269,13 @@ class Port:
             pending.append((packet, size, when))
             if len(pending) == 1:
                 self.sim.schedule_at(fire, self._flush_rx, self._link)
+            return True
+        inflight = self._inflight
+        if inflight:
+            seq = self.sim._take_seq()
         else:
-            self.sim.schedule_at(fire, self._deliver_tx, packet, size, self._link)
+            seq = self.sim._arm(fire, self._inflight_event)
+        inflight.append((fire, seq, packet, size))
         return True
 
     # The port's own senders reserve under this name, so a wrapper around
@@ -260,8 +283,26 @@ class Port:
     # once.
     _reserve_tx = send_at
 
-    def _deliver_tx(self, packet: Packet, size: int, link: int) -> None:
-        if link == self._link:
+    def _start_inflight(self) -> None:
+        """A new link's in-flight FIFO and the event that delivers its head."""
+        self._inflight = inflight = deque()
+        event = self._inflight_event = EventHandle(self._deliver_head, ())
+        event.args = (inflight, event)
+
+    def _deliver_head(self, inflight: deque, event: EventHandle) -> None:
+        """Deliver the in-flight FIFO's head and arm the next frame.
+
+        The next frame is armed first, with its own ``fire`` and ``seq``,
+        so a reservation the peer's handler makes on this port finds the
+        FIFO's head already armed.  ``inflight`` is the FIFO of the link
+        the frame left on, ``event`` the one that delivers it: after a
+        disconnect its frames fire as no-ops.
+        """
+        _fire, _seq, packet, size = inflight.popleft()
+        if inflight:
+            fire, seq, _packet, _size = inflight[0]
+            self.sim._arm(fire, event, seq)
+        if inflight is self._inflight:
             tx = self.tx  # Counter.count, inlined: once per delivered frame
             tx.packets += 1
             tx.bytes += size
@@ -324,7 +365,7 @@ class Port:
         per-frame copy of a burst) to its receive handler.  A peer with
         neither is a counting sink.
 
-        A flush of exactly one frame costs what :meth:`_deliver_tx` does:
+        A flush of exactly one frame costs what :meth:`_deliver_head` does:
         the counters and one handler call.  The flush fired at or after
         that frame's ``when``, so it is never beyond the run window, and
         the receiver's begin/end bracket only pays off for several frames

@@ -28,22 +28,29 @@ queue its bursts reached against its limit, both in frames; and, under
 ``fused slices by buckets spanned``, each compiled shape's fused slices
 grouped by how many latency-histogram buckets their latencies span
 (counted by wrapping ``PacketProcessingEngine._deliver_slice`` here; a
-one-bucket slice costs the binning two reductions).  CI uploads it, so
-the next per-frame or regime regression, a queue creeping toward a
-replay, or a lane change that spreads a slice's latencies, is a diff.
+one-bucket slice costs the binning two reductions); and, under ``heap
+depth``, each shape's median and deepest event heap, beside the
+reference tier's on ``chaos-smoke`` and ``fleet-upgrade``, sampled before
+every push (``Simulator.schedule``, ``schedule_at`` and ``_arm``, wrapped
+here).  CI uploads it, so the next per-frame or regime regression, a
+queue creeping toward a replay, a lane change that spreads a slice's
+latencies, or in-flight frames piling back into the heap, is a diff.
 """
 
 from __future__ import annotations
 
 import json
+import statistics
 import sys
 from abc import ABCMeta
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.obs.scenario import ScenarioSpec, TrafficProfile
+from repro.sim import Simulator
 
 SRC = str(Path(__file__).resolve().parents[1] / "src" / "repro") + "/"
 EXPECTED_FILE = Path(__file__).parent / "snapshots" / "call_budget.json"
@@ -164,6 +171,54 @@ def slice_spans(shape: str) -> dict:
     }
 
 
+#: Compiled shapes whose frames cross the per-frame fabric (switch,
+#: impaired links, controller): the heap holds what the reference holds.
+PER_FRAME_FABRIC = ("chaos-smoke", "fleet-upgrade")
+
+
+def heap_depths(spec: ScenarioSpec) -> dict:
+    """One run of ``spec``: the event heap's median and max depth,
+    sampled before every push onto it."""
+    depths: list[int] = []
+    originals = {
+        name: getattr(Simulator, name) for name in ("schedule", "schedule_at", "_arm")
+    }
+
+    def sampling(original):
+        def push(sim, *args):
+            depths.append(len(sim._queue))
+            return original(sim, *args)
+
+        return push
+
+    for name, original in originals.items():
+        setattr(Simulator, name, sampling(original))
+    try:
+        spec.run()
+    finally:
+        for name, original in originals.items():
+            setattr(Simulator, name, original)
+    return {"median": statistics.median(depths), "max": max(depths)}
+
+
+def depth_census() -> dict:
+    """Every shape's heap depth, and the reference tier's where the
+    compiled tier does not fuse (``chaos-smoke``, ``fleet-upgrade``)."""
+    report = {shape: heap_depths(spec) for shape, spec in SHAPES.items()}
+    for shape in PER_FRAME_FABRIC:
+        spec = replace(SHAPES[shape], engine="reference")
+        report[f"{shape} reference"] = heap_depths(spec)
+    return report
+
+
+@pytest.mark.parametrize("shape", PER_FRAME_FABRIC)
+def test_in_flight_frames_wait_in_their_port_not_in_the_heap(shape):
+    spec = SHAPES[shape]
+    compiled = heap_depths(spec)
+    reference = heap_depths(replace(spec, engine="reference"))
+    assert compiled["median"] <= 2 * reference["median"], (compiled, reference)
+
+
 @pytest.mark.parametrize("shape", list(SHAPES))
 def test_calls_per_offered_frame_stay_under_the_ceiling(shape, regen_golden):
     report = census(shape)
@@ -203,6 +258,7 @@ if __name__ == "__main__":
             }
             for owner, kinds in split.items()
         }
+    report["heap depth"] = depth_census()
     report["fused slices by buckets spanned"] = {
         shape: slice_spans(shape)
         for shape, spec in SHAPES.items()

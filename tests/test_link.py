@@ -263,6 +263,40 @@ class TestBatchedDelivery:
         assert (sender.tx.packets, c.rx.packets, old_peer.rx.packets) == (1, 1, 0)
         assert seen == (["c"] if per_frame else [])
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_a_new_link_delivers_ahead_of_the_old_links_frames(self, sim, reverse):
+        """Reconnect, then send on the new link while the old link's frames
+        are still in flight toward a per-frame peer: the new frames arrive
+        on time, between the old frames' no-op events, and the clock never
+        runs backwards."""
+        a, b = make_pair(sim, queue_bytes=1 << 20)
+        sender, old_peer = (b, a) if reverse else (a, b)
+        seen = []
+
+        def record(port, packet, size, when):
+            seen.append((port.name, when, sim.now, sim.events_processed))
+
+        old_peer.attach(record)
+        for _ in range(3):  # 1,500 B frames: due at 1.27, 2.49 and 3.71 us
+            assert sender.send(make_udp(payload=bytes(1458)))
+        a.disconnect()
+        c = Port(sim, "c")
+        c.attach(record)
+        sender.connect(c)
+        assert sender.send(pad_to_min(make_udp()))
+        sim.schedule(2e-6, lambda: sender.send(pad_to_min(make_udp())))
+        assert sim.run() == ((1500 + 24) * 8 / 10e9) * 3 + 50e-9
+        # Each new frame is due one 60 B frame time plus propagation after
+        # its send, which is the event it fires as: the first event of the
+        # run, then the fourth (after an old no-op and the send at 2 us).
+        assert seen == [
+            ("c", FRAME_S + 50e-9, FRAME_S + 50e-9, 1),
+            ("c", (2e-6 + FRAME_S) + 50e-9, (2e-6 + FRAME_S) + 50e-9, 4),
+        ]
+        # Three old no-ops, two deliveries and the send between them.
+        assert sim.events_processed == 6
+        assert (sender.tx.packets, c.rx.packets, old_peer.rx.packets) == (2, 2, 0)
+
 
 class TestBurstIsItsFrames:
     """``send_burst`` is ``send_at`` per frame, whatever the peer takes."""

@@ -12,7 +12,9 @@ effect proof alone; a reboot has verified nothing yet and goes through
 multi-tenant module synthesizes each tenant once: its feasibility check
 prices the tenant pipelines with the cost model and builds no image.  A
 build prices its pipeline once: the IR verifier's resource-fit rule takes
-the price, and synthesis reuses it.
+the price, and synthesis reuses it; a flow-cache build verifies and prices
+the pipeline with its cache stage.  A solo compiled boot builds its app's
+``pipeline_spec()`` once and passes it along.
 """
 
 import pytest
@@ -22,7 +24,8 @@ import repro.hls.compiler as compiler
 from repro.apps import APP_FACTORIES, create_app
 from repro.core import FlexSFPModule, ShellSpec
 from repro.engine import ENGINES
-from repro.errors import ConfigError
+from repro.errors import CompileError, ConfigError
+from repro.fpga.resources import MPF100T
 from repro.hls.ir import StageKind
 from repro.nfv import Deployment, check_deployment, default_nfv_tenants, price_deployment
 from repro.sim import Simulator
@@ -104,6 +107,15 @@ def test_a_solo_module_checks_its_app_once(monkeypatch, engine):
     assert (module.program is not None) == (engine == "compiled")
 
 
+def test_a_solo_compiled_boot_builds_its_pipeline_once(monkeypatch):
+    # compile_app verifies and builds it; the proof and the engine's
+    # pipeline depth take that spec along.
+    calls = _counted(monkeypatch, "pipeline_spec", type(create_app("nat")))
+    module = _module(Deployment.solo("nat"), "compiled")
+    assert len(calls) == 1
+    assert module.program.pipeline_depth == module.build.spec.pipeline_depth
+
+
 @pytest.mark.parametrize("engine", ENGINES)
 def test_an_nfv_module_synthesizes_each_tenant_once(monkeypatch, engine):
     calls = _counted(monkeypatch, "_build_image", compiler)
@@ -133,16 +145,28 @@ def test_a_module_prices_each_build_once(monkeypatch, engine):
 
 
 def test_a_flow_cache_build_prices_the_cached_pipeline(monkeypatch):
-    # The verifier prices the app's own pipeline; synthesis prices the one
-    # with the cache stage beside it.
+    # The verifier checks the pipeline as built, cache stage included, and
+    # synthesis reuses its price.
     calls = _counted(monkeypatch, "price_pipeline", compiler)
     build = compiler.compile_app(create_app("nat"), ShellSpec(), flow_cache_entries=1024)
     cached = [
         any(stage.kind is StageKind.FLOW_CACHE for stage in spec.stages)
         for spec, _bits in calls
     ]
-    assert cached == [False, True]
-    assert build.report.app_resources == compiler.price_pipeline(*calls[1])[0]
+    assert cached == [True]
+    assert build.report.app_resources == compiler.price_pipeline(*calls[0])[0]
+
+
+@pytest.mark.parametrize("app", sorted(APP_FACTORIES))
+def test_a_flow_cache_that_overflows_the_device_is_a_finding(app):
+    """Refused by the verifier's resource-fit rule, which names the cache
+    stage, not at synthesis by the coarse overflow report."""
+    with pytest.raises(CompileError, match="static verification") as refused:
+        compiler.compile_app(
+            create_app(app), ShellSpec(), device=MPF100T, flow_cache_entries=262144
+        )
+    assert "ir-resource-fit" in str(refused.value)
+    assert "biggest stages: fastpath_cache=" in str(refused.value)
 
 
 def test_the_nfv_price_is_the_synthesized_app_price():
