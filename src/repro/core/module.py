@@ -21,12 +21,13 @@ Latency constants (documented substitutes for measured silicon values):
 
 from __future__ import annotations
 
+import json
 from typing import TYPE_CHECKING, Callable
 
 from .._util import mac_to_int
 from ..config import Settings
 from ..engine import ENGINE_COMPILED, resolve_engine
-from ..errors import BitstreamError, ConfigError, FlashError
+from ..errors import BitstreamError, CompileError, ConfigError, FlashError
 from ..fpga.bitstream import Bitstream
 from ..fpga.flash import SPIFlash
 from ..fpga.resources import FPGADevice, MPF200T
@@ -84,11 +85,11 @@ def source_burst(engine: str | None, template_burst: bool = False) -> int:
 class TenantSlot:
     """One function's partition of the fabric; every module has at least one.
 
-    Each slot owns its application instance, synthesized build,
-    packet-processing engine, flow cache, boot flash, drop counters and
-    pre-bound completion callbacks.  A slot going dark (its partition
-    being reprogrammed) or degraded (both its boot images unusable)
-    affects only the frames that reach it.
+    Each slot owns its application instance and the pipeline it was
+    verified with, synthesized build, packet-processing engine, flow
+    cache, boot flash, drop counters and pre-bound completion callbacks.
+    A slot going dark (its partition being reprogrammed) or degraded
+    (both its boot images unusable) affects only the frames that reach it.
 
     A solo slot and a tenant slot differ in names only: a solo slot's
     metric ``base`` is the module name and its counters and flash are the
@@ -125,6 +126,7 @@ class TenantSlot:
         self.dark = Window()  # reprogram windows, announced ones included
         # Populated by the module during provisioning / boot:
         self.app: PPEApplication | None = None
+        self.pipeline: PipelineSpec | None = None  # the one app was verified with
         self.build = None
         self.program = None
         self.flow_cache: FlowCache | None = None
@@ -172,9 +174,10 @@ class FlexSFPModule:
         signature verification respectively.
     build:
         A pre-computed :class:`~repro.hls.compiler.BuildResult` for a
-        one-tenant deployment; when omitted the module synthesizes each
-        tenant's application itself (raising if it does not fit or
-        misses timing).
+        one-tenant deployment, booted as given once the tenant's own
+        application instance passes the strict verifier gate; when omitted
+        the module synthesizes each tenant's application itself (raising
+        if it does not fit or misses timing).
     settings:
         A pre-resolved :class:`~repro.config.Settings`; ``None`` resolves
         the environment here, once.
@@ -185,7 +188,7 @@ class FlexSFPModule:
         ``reference`` runs the per-frame oracle behind one deliver event
         per frame; ``compiled`` runs the fast engine behind a flow cache,
         lowers the verified pipeline IR into a fused per-flow executor
-        program (:func:`repro.hls.compile_executor`) and has the data
+        program (:mod:`repro.hls.executor`) and has the data
         ports take batched delivery and bursts, so senders hand frames
         over a flush at a time and template bursts stay struct-of-arrays.
         The tier decides how a slot runs, never what it boots: both tiers
@@ -334,63 +337,67 @@ class FlexSFPModule:
 
         return compile_app(app, self.shell, self.device)
 
-    def _fuse(self, app: PPEApplication, verified: PipelineSpec | None = None):
-        """The compiled tier's fused program for ``app``; ``None`` on reference.
+    def _gate(self, app: PPEApplication) -> PipelineSpec:
+        """Check an ``app`` no build verified: ``compile_app``'s strict gate."""
+        from ..hls.compiler import _gate
 
-        Recipes are compiled per application instance, like the flow cache,
-        so every boot re-fuses; the image stays what was synthesized.  An
-        app ``_synthesize`` just built hands over the pipeline it
-        ``verified`` (the build's ``spec``): the proof reads that one and
-        skips the gate.
+        pipeline = app.pipeline_spec()
+        _gate(app, pipeline, self.shell, self.device)
+        return pipeline
+
+    def _start(
+        self, slot: TenantSlot, app: PPEApplication, timing, pipeline: PipelineSpec
+    ) -> None:
+        """The one place an engine starts: ``app`` in ``slot``, from the
+        ``pipeline`` it was verified with; inherits the tracer.
+
+        A new app brings its pipeline and, on ``compiled``, its fused
+        program (the effect proof alone); the running one keeps both.
         """
-        if self.engine != ENGINE_COMPILED:
-            return None
-        # Loaded by the tier that runs it: a reference module never
-        # imports the executor compiler.
-        from ..hls.executor import _prove, compile_executor
+        if app is not slot.app:
+            if slot.app is not None:
+                # Its tables must not keep the swapped-out engine (and
+                # that engine's cut hook) alive.
+                slot.app.tables.on_before_mutate = None
+            slot.app = app
+            slot.pipeline = pipeline
+            if self.engine == ENGINE_COMPILED:
+                # Loaded by the tier that runs it: a reference module
+                # never imports the executor compiler.
+                from ..hls.executor import _prove
 
-        if verified is not None:
-            return _prove(app, verified)
-        return compile_executor(app, self.shell, self.device)
-
-    def _make_engine(
-        self,
-        app: PPEApplication,
-        timing,
-        flow_cache: FlowCache | None,
-        program,
-    ) -> PacketProcessingEngine | ReferenceEngine:
-        """The engine class the module's tier runs; inherits the tracer."""
+                slot.program = _prove(app, pipeline)
+        depth = pipeline.pipeline_depth
         if self.engine == ENGINE_COMPILED:
-            ppe = PacketProcessingEngine(
-                self.sim,
-                app,
-                timing,
-                device_id=self.device_id,
-                flow_cache=flow_cache,
-                program=program,
+            # Recipes replay against the application instance, so every
+            # boot starts from an empty cache.
+            slot.flow_cache.invalidate()
+            slot.ppe = PacketProcessingEngine(
+                self.sim, app, timing, depth, device_id=self.device_id,
+                flow_cache=slot.flow_cache, program=slot.program,
             )
         else:
-            ppe = ReferenceEngine(self.sim, app, timing, device_id=self.device_id)
-        ppe.tracer = self._tracer
-        return ppe
+            slot.ppe = ReferenceEngine(self.sim, app, timing, depth, device_id=self.device_id)
+        slot.ppe.tracer = self._tracer
 
     def _provision_slot(self, slot: TenantSlot, build=None) -> None:
-        """Synthesize one slot's partition and add it: build, flash, engine."""
-        app = slot.app = slot.spec.build_app()
+        """Synthesize one slot's partition and add it: build, flash, engine.
+
+        A caller's ``build`` was made from another instance, so the slot's
+        own goes through the strict gate (raising :class:`CompileError`).
+        """
+        app = slot.spec.build_app()
         if self.engine == ENGINE_COMPILED:
             slot.flow_cache = FlowCache(name=f"{slot.base}.flow_cache")
         if build is None:
-            slot.build = self._synthesize(app)
-            slot.program = self._fuse(app, verified=slot.build.spec)
+            build = self._synthesize(app)
+            pipeline = build.spec
         else:
-            slot.build = build
-            slot.program = self._fuse(app)
-        slot.flash.store_bitstream(0, slot.build.bitstream, allow_golden=True)
+            pipeline = self._gate(app)
+        slot.build = build
+        slot.flash.store_bitstream(0, build.bitstream, allow_golden=True)
         slot.flash.select_boot(0)
-        slot.ppe = self._make_engine(
-            app, slot.build.report.timing, slot.flow_cache, slot.program
-        )
+        self._start(slot, app, build.report.timing, pipeline)
         slot.done_edge, slot.burst_done_edge = self._bind_done(
             slot, Direction.EDGE_TO_LINE
         )
@@ -764,7 +771,7 @@ class FlexSFPModule:
         """Arrange a reboot shortly after the current command completes."""
         self.sim.schedule(delay_s, self.reboot)
 
-    def reboot(self, app_factory: Callable[[str, dict], PPEApplication] | None = None) -> None:
+    def reboot(self) -> None:
         """Reload every slot's boot image and restart its engine.
 
         Each slot goes through the boot FSM of :meth:`_boot_slot`; the
@@ -781,80 +788,68 @@ class FlexSFPModule:
         the always-on configuration controller, like a real FPGA's system
         controller), so the fleet can push a fresh image and reboot the
         module out of degradation.
-
-        New application instances are rebuilt from the bitstream's
-        recorded parameters via the application registry (or a supplied
-        factory).
         """
-        booted = [self._boot_slot(slot, app_factory) for slot in self.slots]
+        booted = [self._boot_slot(slot) for slot in self.slots]
         self.control_plane.revive()  # the softcore restarts with the fabric
         if any(booted):
             self.reboots += 1
         self.dark.open(self.sim.now, RECONFIG_DOWNTIME_S)
 
-    def _boot_slot(
-        self,
-        slot: TenantSlot,
-        app_factory: Callable[[str, dict], PPEApplication] | None = None,
-    ) -> bool:
+    def _boot_slot(self, slot: TenantSlot, staged=None) -> bool:
         """Per-slot boot FSM: selected image, then the slot's golden.
 
-        The FSM is a watchdog (§4): a corrupt or unreconstructible image
-        (CRC failure, truncated flash, unknown application) counts a
-        failed boot and falls through to the golden image.  If golden
-        fails too the slot degrades to pass-through while every other
-        slot keeps processing; returns whether an image booted.
+        The FSM is a watchdog (§4): an image that does not load (CRC
+        failure, truncated flash) or whose application cannot run here
+        (:meth:`_image_app`) counts a failed boot and falls through to the
+        golden image.  If golden fails too the slot degrades to
+        pass-through while every other slot keeps processing; returns
+        whether an image booted.  ``staged`` is the ``(app, pipeline)``
+        the selected image was just synthesized from.
         """
-        if app_factory is None:
-            # core does not import apps at module level; only a boot from
-            # flash metadata needs the registry.
-            from ..apps import create_app
-
-            app_factory = create_app
         # Merges into the window an announced reconfiguration opened (at swap
         # time ``now == dark.start``); un-announced boots open it here.
         slot.dark.open(self.sim.now, RECONFIG_DOWNTIME_S)
-        candidates = [slot.flash.boot_slot]
-        if slot.flash.boot_slot != 0:
-            candidates.append(0)
-        for index in candidates:
+        selected = slot.flash.boot_slot
+        for index in (selected, 0) if selected else (0,):
             try:
                 bitstream = slot.flash.load_bitstream(index)
-            except (FlashError, BitstreamError):
+                if staged is not None and index == selected:
+                    app, pipeline = staged
+                else:
+                    app, pipeline = self._image_app(slot, bitstream)
+            except (FlashError, BitstreamError, ConfigError, CompileError):
                 slot.failed_boots += 1
                 continue
-            app = slot.app  # same application: keep state
-            if bitstream.app_name != app.name:
-                try:
-                    params = bitstream.metadata.get("app_params", {})
-                    app = app_factory(bitstream.app_name, params)
-                except ConfigError:
-                    # The image names an application this module cannot
-                    # reconstruct (e.g. a custom program not in the registry).
-                    slot.failed_boots += 1
-                    continue
             slot.degraded = False
-            if app is not slot.app:
-                # The swapped-out application stays with the slot's spec;
-                # its tables must not keep the swapped-out engine (and
-                # that engine's cut hook) alive.
-                slot.app.tables.on_before_mutate = None
-            slot.app = app
-            if slot.flow_cache is not None:
-                # Recipes replay against the application instance; a boot
-                # may swap it, so every cached decision is stale.
-                slot.flow_cache.invalidate()
-            # Re-fused, never re-synthesized: the image is the one loaded.
-            slot.program = self._fuse(app)
-            slot.ppe = self._make_engine(
-                app, bitstream.timing, slot.flow_cache, slot.program
-            )
+            self._start(slot, app, bitstream.timing, pipeline)
             slot.reboots += 1
             self.degraded = False
             return True
         slot.degraded = True
         self.degraded = all(each.degraded for each in self.slots)
         return False
+
+    def _image_app(self, slot: TenantSlot, bitstream: Bitstream):
+        """The app ``bitstream`` runs in ``slot``, and its verified pipeline.
+
+        The running instance, tables and all, when the image records its
+        name and parameters (the image's went through JSON); else a new
+        one built from the image, which the strict gate checks.  Raises
+        :class:`ConfigError` for an app not in the registry and
+        :class:`CompileError` for one the gate refuses.
+        """
+        name, params = bitstream.app_name, bitstream.metadata.get("app_params")
+        running = slot.app
+        if name == running.name and json.dumps(params, sort_keys=True) == json.dumps(
+            running.config(), sort_keys=True
+        ):
+            return running, slot.pipeline
+        # core does not import apps at module level; only a boot from
+        # flash metadata needs the registry.
+        from ..apps import create_app
+
+        app = create_app(name, params or {})
+        return app, self._gate(app)
 
     # ------------------------------------------------------------------
     # Partial reconfiguration (per-tenant slot images)
@@ -869,16 +864,15 @@ class FlexSFPModule:
         """Swap one tenant's slot image while the other slots forward.
 
         The new image (a pre-signed *bitstream*, or one synthesized here
-        from *app*, the same on either tier) is written to the slot's
-        staging flash and booted through the per-slot boot FSM: staging
-        first, the tenant's golden image on a corrupt or
-        unreconstructible staging image (each failure counted in the
-        slot's ``failed_boots``), degraded slot pass-through if both
-        fail.  Only the reconfigured slot goes dark for the reprogram
-        window — frames steered to it are counted in its
-        ``downtime_drops`` while every other tenant's forwarding
-        continues untouched, which is what makes this *partial*
-        reconfiguration rather than the whole-module reboot.
+        from *app*, the same on either tier, which then runs *app*
+        itself) is written to the slot's staging flash and booted through
+        the per-slot boot FSM: staging first, the tenant's golden image
+        on a staging image that fails to boot (counted in the slot's
+        ``failed_boots``), degraded slot pass-through if both fail.  Only
+        the reconfigured slot goes dark for the reprogram window — frames
+        steered to it are counted in its ``downtime_drops`` while every
+        other tenant's forwarding continues untouched, which is what makes
+        this *partial* reconfiguration rather than the whole-module reboot.
 
         ``at_s`` *announces* the reconfiguration for a future virtual
         time: the slot's dark window is registered immediately (so
@@ -897,23 +891,25 @@ class FlexSFPModule:
                 f"(at_s={at_s}, now={self.sim.now})"
             )
         slot = self.tenant_slot(tenant)
+        staged = None
         if bitstream is None:
             if app is None:
                 raise ConfigError(
                     "reconfigure_tenant() needs a new app or bitstream"
                 )
-            bitstream = self._synthesize(app).bitstream
+            build = self._synthesize(app)
+            bitstream, staged = build.bitstream, (app, build.spec)
         start = self.sim.now if at_s is None else at_s
         slot.dark.open(start, RECONFIG_DOWNTIME_S)
         if start > self.sim.now:
-            self.sim.schedule_at(start, self._swap_tenant_slot, slot, bitstream)
+            self.sim.schedule_at(start, self._swap_tenant_slot, slot, bitstream, staged)
         else:
-            self._swap_tenant_slot(slot, bitstream)
+            self._swap_tenant_slot(slot, bitstream, staged)
 
-    def _swap_tenant_slot(self, slot: TenantSlot, bitstream: Bitstream) -> None:
+    def _swap_tenant_slot(self, slot: TenantSlot, bitstream: Bitstream, staged) -> None:
         slot.flash.store_bitstream(1, bitstream)
         slot.flash.select_boot(1)
-        self._boot_slot(slot)
+        self._boot_slot(slot, staged)
 
     # ------------------------------------------------------------------
     # Softcore watchdog (fault-injection surface)

@@ -307,8 +307,8 @@ class _EngineBase:
         self.timing = timing
         self.queue_bytes = queue_bytes
         self.device_id = device_id
-        # Pipeline fill latency is fixed per deployed app; computing it per
-        # packet would rebuild the whole PipelineSpec each time.
+        # Pipeline fill latency is fixed per deployed app: the depth of the
+        # pipeline it was verified with, which the caller hands over.
         self.pipeline_latency_s = pipeline_depth / timing.clock_hz
         self.processed = Counter("ppe.processed")
         self.overload_drops = Counter("ppe.overload_drops")
@@ -417,12 +417,11 @@ class ReferenceEngine(_EngineBase):
         sim: Simulator,
         app: PPEApplication,
         timing: TimingSpec,
+        pipeline_depth: int,
         queue_bytes: int = 32 * 1024,
         device_id: int = 0,
     ) -> None:
-        super().__init__(
-            sim, app, timing, queue_bytes, device_id, app.pipeline_spec().pipeline_depth
-        )
+        super().__init__(sim, app, timing, queue_bytes, device_id, pipeline_depth)
         # (packet, wire size, direction, done callback, enqueue ns)
         self._fifo: deque = deque()
         self._fifo_bytes = 0
@@ -534,7 +533,7 @@ class PacketProcessingEngine(_EngineBase):
     Results are bit-identical to :class:`ReferenceEngine` (see the module
     docstring for the lanes and why each stays exact); ``flow_cache``
     enables recipe replay and ``program`` — the verified executor from
-    :func:`repro.hls.compile_executor` — gates burst fusion.
+    :mod:`repro.hls.executor` — gates burst fusion.
     """
 
     def __init__(
@@ -542,18 +541,13 @@ class PacketProcessingEngine(_EngineBase):
         sim: Simulator,
         app: PPEApplication,
         timing: TimingSpec,
+        pipeline_depth: int,
         queue_bytes: int = 32 * 1024,
         device_id: int = 0,
         flow_cache: FlowCache | None = None,
         program: "CompiledProgram | None" = None,
     ) -> None:
-        # A program's proof read the pipeline once: its depth is taken along.
-        depth = (
-            app.pipeline_spec().pipeline_depth
-            if program is None
-            else program.pipeline_depth
-        )
-        super().__init__(sim, app, timing, queue_bytes, device_id, depth)
+        super().__init__(sim, app, timing, queue_bytes, device_id, pipeline_depth)
         self.flow_cache = flow_cache
         self.fastpath_hits = Counter("ppe.fastpath_hits")
         # Struct-of-arrays bursts pending processing and fusion statistics.

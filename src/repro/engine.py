@@ -12,7 +12,7 @@ simulation speeds:
     :class:`~repro.core.ppe.PacketProcessingEngine` — reserve-at-submit
     service with grouped processing, a flow cache, fused per-flow recipe
     programs compiled from verified pipeline IR
-    (:func:`repro.hls.compile_executor`) and a struct-of-arrays burst lane
+    (:mod:`repro.hls.executor`) and a struct-of-arrays burst lane
     through ports, sources, and the PPE; its module's data ports hand the
     same receive handler to :meth:`~repro.sim.link.Port.attach_batch`
     instead, so batched delivery is the only thing the fabric sees of the

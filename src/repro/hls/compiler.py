@@ -172,6 +172,19 @@ def _verification_notes(findings, name: str, strict: bool) -> list[str]:
     return [f.render() for f in findings]
 
 
+def _gate(
+    app, spec: PipelineSpec, shell: ShellSpec, device: FPGADevice, strict: bool = True
+) -> tuple[list[str], Price]:
+    """The verifier gate :func:`compile_app` runs on ``app``'s ``spec``:
+    ``(notes, price)``; a strict gate raises on error findings."""
+    # Loaded on the first check: the analyzers pull in the app registry.
+    from ..analysis.appcheck import _check_priced
+
+    findings, price = _check_priced(app, spec, device, shell)
+    name = getattr(app, "name", type(app).__name__)
+    return _verification_notes(findings, name, strict), price
+
+
 def compile_pipeline(
     spec: PipelineSpec,
     shell: ShellSpec,
@@ -319,18 +332,12 @@ def compile_app(
     pending runtime :meth:`XdpProgram.lint` observations, so declaration
     drift is surfaced on every recompile instead of being dropped.
     """
-    # Loaded on the first build: the analyzers pull in the app registry.
-    from ..analysis.appcheck import _check_priced
-
     spec = app.pipeline_spec()
     if flow_cache_entries is not None:
         # Verified as built: a cache that overflows the device is an
         # ir-resource-fit finding naming its stage, and one price serves.
         spec = _with_flow_cache(spec, flow_cache_entries)
-    findings, price = _check_priced(app, spec, device, shell)
-    verify_notes = _verification_notes(
-        findings, getattr(app, "name", type(app).__name__), strict
-    )
+    verify_notes, price = _gate(app, spec, shell, device, strict)
     result = _build_image(spec, shell, device, clock_hz, strict, price, app.config())
     lint = getattr(app, "lint", None)
     if callable(lint):

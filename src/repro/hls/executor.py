@@ -8,10 +8,10 @@ per-flow mutation recipes that the
 whole same-flow bursts with a handful of Python-level operations.
 
 A program only ever exists for IR the :mod:`repro.analysis` verifier
-accepted, checked once per boot: a slot just synthesized passed
-:func:`~repro.hls.compiler.compile_app`'s gate and takes
-:func:`prove_executor` alone; any other boot goes through
-:func:`compile_executor`, the gate plus the proof.  Whether bursts may
+accepted, and it is proven over the pipeline that check verified:
+:func:`compile_executor` is the gate plus the proof, and a module runs
+the proof alone (:func:`_prove`) on an application its slot verified
+once, when the application started running.  Whether bursts may
 *fuse* is decided by the effect analysis — a dataflow proof over the IR,
 not a hand-written declaration.  A program is not an image: it changes
 how the simulator runs the hardware
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..analysis.appcheck import check_app
 from ..analysis.effects import (
     MODE_METER,
     EffectSummary,
@@ -32,7 +31,7 @@ from ..analysis.effects import (
 )
 from ..core.shells import ShellSpec
 from ..fpga.resources import FPGADevice, MPF200T
-from .compiler import _verification_notes
+from .compiler import _gate
 from .ir import PipelineSpec
 
 
@@ -45,14 +44,12 @@ class CompiledProgram:
     replays the application's sequential :meth:`burst_plan`, and ``None``
     deopts every burst to the exact per-frame lane.  ``fusible`` is the
     engine-facing boolean view of ``mode``.  ``summary`` is the effect
-    analysis that proved (or refuted) fusion, over a pipeline
-    ``pipeline_depth`` registered stages deep.
+    analysis that proved (or refuted) fusion.
     """
 
     app_name: str
     mode: str | None
     summary: EffectSummary
-    pipeline_depth: int
     notes: list[str] = field(default_factory=list)
 
     @property
@@ -63,20 +60,18 @@ class CompiledProgram:
 def compile_executor(
     app, shell: ShellSpec, device: FPGADevice = MPF200T
 ) -> CompiledProgram:
-    """:func:`prove_executor` behind the verifier gate, for a boot that
-    has verified nothing yet.
-
-    The gate is :func:`~repro.analysis.check_app`, strict, the one
+    """The fused executor of ``app``, behind the strict verifier gate
     :func:`~repro.hls.compiler.compile_app` runs: any application that
     raises here raises identically from the bitstream flow, and vice versa.
     """
-    app_name = getattr(app, "name", type(app).__name__)
-    _verification_notes(check_app(app, device=device, shell=shell), app_name, strict=True)
-    return prove_executor(app)
+    spec = app.pipeline_spec()
+    _gate(app, spec, shell, device)
+    return _prove(app, spec)
 
 
-def prove_executor(app) -> CompiledProgram:
-    """The fused executor of an ``app`` the verifier has already accepted.
+def _prove(app, spec: PipelineSpec) -> CompiledProgram:
+    """The fused executor of an ``app`` the verifier accepted, over
+    ``spec``, the pipeline it was verified with.
 
     Burst fusion is gated by the effect analysis: the derived
     :class:`~repro.analysis.effects.EffectSummary` must prove the
@@ -85,12 +80,6 @@ def prove_executor(app) -> CompiledProgram:
     which the engine records from ``process``; ``burst_plan`` for the
     sequential meter lane).
     """
-    return _prove(app, app.pipeline_spec())
-
-
-def _prove(app, spec: PipelineSpec) -> CompiledProgram:
-    """:func:`prove_executor` over ``spec``, the pipeline ``app`` was just
-    verified and built from (:attr:`~repro.hls.compiler.BuildResult.spec`)."""
     app_name = getattr(app, "name", type(app).__name__)
     summary = analyze_pipeline(spec)
     mode = fusion_engagement(app, summary)
@@ -116,6 +105,5 @@ def _prove(app, spec: PipelineSpec) -> CompiledProgram:
         app_name=app_name,
         mode=mode,
         summary=summary,
-        pipeline_depth=spec.pipeline_depth,
         notes=notes,
     )

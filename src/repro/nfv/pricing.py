@@ -33,6 +33,7 @@ from ..errors import ReproError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports nfv)
     from ..core.shells import ShellSpec
     from ..fpga.resources import FPGADevice, ResourceVector
+    from ..hls.ir import PipelineSpec
 
     from .deployment import Deployment
 
@@ -89,36 +90,42 @@ def price_deployment(
     static check that wants to see the overflow.  Only a shell no
     standard clock sustains raises, as its build would.
     """
+    return _price(deployment, *_resolve(deployment, shell, device))[0]
+
+
+def _price(
+    deployment: Deployment, shell: ShellSpec, device: FPGADevice
+) -> tuple[DeploymentPrice, dict[str, PipelineSpec]]:
+    """:func:`price_deployment`, plus each tenant's pipeline: its
+    application is built once."""
     from ..fpga import estimator
     from ..fpga.resources import ResourceVector
     from ..hls.compiler import price_pipeline
 
-    resolved_shell, resolved_device = _resolve(deployment, shell, device)
-    resolved_shell.standard_ppe_clock_hz()
-    shell_base = resolved_shell.base_resources()
+    shell.standard_ppe_clock_hz()
+    shell_base = shell.base_resources()
     xbar = (
-        estimator.crossbar(
-            len(deployment.tenants), resolved_shell.datapath_bits
-        )
+        estimator.crossbar(len(deployment.tenants), shell.datapath_bits)
         if deployment.multi_tenant
         else ResourceVector()
     )
+    pipelines: dict[str, PipelineSpec] = {}
     per_tenant: dict[str, ResourceVector] = {}
     total = shell_base + xbar
     for spec in deployment.tenants:
-        app_total, _ = price_pipeline(
-            spec.build_app().pipeline_spec(), resolved_shell.datapath_bits
-        )
+        pipeline = pipelines[spec.name] = spec.build_app().pipeline_spec()
+        app_total, _ = price_pipeline(pipeline, shell.datapath_bits)
         per_tenant[spec.name] = app_total
         total = total + app_total
-    return DeploymentPrice(
+    price = DeploymentPrice(
         shell_base=shell_base,
         crossbar=xbar,
         per_tenant=per_tenant,
         total=total,
-        fits=resolved_device.fits(total),
-        utilization=resolved_device.utilization(total),
+        fits=device.fits(total),
+        utilization=device.utilization(total),
     )
+    return price, pipelines
 
 
 def check_deployment(
@@ -127,7 +134,14 @@ def check_deployment(
     device: FPGADevice | None = None,
 ) -> list[Finding]:
     """Static feasibility findings for *deployment* (see module docs)."""
-    from ..analysis.effects import analyze_app, line_rate_verdict
+    return _check(deployment, shell, device)[0]
+
+
+def _check(
+    deployment: Deployment, shell: ShellSpec | None, device: FPGADevice | None
+) -> tuple[list[Finding], DeploymentPrice]:
+    """:func:`check_deployment` plus the price it took."""
+    from ..analysis.effects import analyze_pipeline, line_rate_verdict
 
     resolved_shell, resolved_device = _resolve(deployment, shell, device)
     findings: list[Finding] = []
@@ -147,7 +161,7 @@ def check_deployment(
             )
         )
 
-    price = price_deployment(deployment, resolved_shell, resolved_device)
+    price, pipelines = _price(deployment, resolved_shell, resolved_device)
     capacity = resolved_device.capacity.as_dict()
     overhead = (price.shell_base + price.crossbar).as_dict()
     partition = {
@@ -201,7 +215,7 @@ def check_deployment(
         )
         try:
             verdict = line_rate_verdict(
-                analyze_app(spec.build_app()), tenant_shell
+                analyze_pipeline(pipelines[spec.name]), tenant_shell
             )
         except ReproError:
             # No standard clock sustains even the empty pipeline at this
@@ -225,7 +239,7 @@ def check_deployment(
                     hint="lower the tenant's share or simplify its pipeline",
                 )
             )
-    return sort_findings(findings)
+    return sort_findings(findings), price
 
 
 def deployment_report(
@@ -235,8 +249,8 @@ def deployment_report(
 ) -> tuple[list[Finding], list[str], dict[str, object], list]:
     """``flexsfp check --nfv``: ``(findings, targets, extra, text)``, the
     price as the document's ``nfv`` field and as text."""
-    findings = check_deployment(deployment, shell, device)
-    price = price_deployment(deployment, shell, device).describe()
+    findings, price = _check(deployment, shell, device)
+    price = price.describe()
     text = [
         f"nfv deployment: crossbar {price['crossbar']}, "
         f"{'fits' if price['fits'] else 'OVERFLOWS'} "

@@ -1152,15 +1152,16 @@ def run_engine_script(
     app = StaticNat()
     app.add_mapping("10.0.0.1", "198.51.100.1")
     app.add_mapping("10.0.0.2", "198.51.100.2")
-    timing = compile_app(app, ShellSpec()).report.timing
+    build = compile_app(app, ShellSpec())
+    timing, depth = build.report.timing, build.spec.pipeline_depth
     if engine == "compiled":
         ppe = PacketProcessingEngine(
-            sim, app, timing, queue_bytes=queue_bytes,
+            sim, app, timing, depth, queue_bytes=queue_bytes,
             flow_cache=None if variant == "no-flow-cache" else FlowCache(64),
             program=None if variant == "no-program" else compile_executor(app, ShellSpec()),
         )
     else:
-        ppe = ReferenceEngine(sim, app, timing, queue_bytes=queue_bytes)
+        ppe = ReferenceEngine(sim, app, timing, depth, queue_bytes=queue_bytes)
     if variant == "tracer":
         from repro.obs.trace import Tracer
 

@@ -238,7 +238,7 @@ REMOVED_SPELLINGS = {
     "batch_size=:retrofit": (lambda: _retrofit(batch_size=16), TypeError),
     "batch_size=:gauntlet": (lambda: run_gauntlet(batch_size=16), TypeError),
     "batch_size=:engine": (
-        lambda: PacketProcessingEngine(Simulator(), make_nat(), None, batch_size=16),
+        lambda: PacketProcessingEngine(Simulator(), make_nat(), None, 6, batch_size=16),
         TypeError,
     ),
     "batched_size=:matrix": (lambda: MatrixAxes(batched_size=8), TypeError),

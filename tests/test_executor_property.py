@@ -8,10 +8,10 @@ the executor exactly when it raises from :func:`compile_app`, and an
 accepted application always yields a :class:`CompiledProgram` whose
 fusion mode is exactly what the effect analysis proves and the
 application's runtime hooks engage — never a hand-written declaration;
-:func:`~repro.hls.executor.prove_executor`, the proof alone that a slot
-the module synthesized takes after ``compile_app``'s gate, yields the
-same program.  Hypothesis drives randomized stage lists (valid and broken alike) through
-both gates and compares the outcomes.
+the proof alone (``repro.hls.executor._prove``), which a slot runs on an
+application it verified once already, yields the same program.
+Hypothesis drives randomized stage lists (valid and broken alike)
+through both gates and compares the outcomes.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.core.ppe import PPEApplication, Verdict
 from repro.core.shells import ShellSpec
 from repro.errors import CompileError
 from repro.hls import PipelineSpec, Stage, StageKind, compile_app, compile_executor
-from repro.hls.executor import prove_executor
+from repro.hls.executor import _prove
 
 _COUNTER = st.integers(min_value=0, max_value=64)
 
@@ -156,9 +156,9 @@ def test_compile_executor_accepts_exactly_the_verified_set(app):
         assert program.summary.digest() == summary.digest()
         if not program.fusible:
             assert any("deopt" in note for note in program.notes)
-        # A slot the module synthesized skips the gate compile_app ran:
-        # the proof alone yields the same program.
-        proof = prove_executor(app)
+        # A slot that verified its app once skips the gate: the proof
+        # alone yields the same program.
+        proof = _prove(app, app.pipeline_spec())
         assert (proof.mode, proof.notes) == (program.mode, program.notes)
         assert proof.summary.digest() == summary.digest()
 

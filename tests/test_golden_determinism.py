@@ -147,7 +147,9 @@ class TestEnqueueTimestampRegression:
         """Whatever an upstream hop left on the packet, this submit's arrival
         is the enqueue time: ``meta`` is neither read nor written."""
         for engine_cls in (ReferenceEngine, PacketProcessingEngine):
-            engine = engine_cls(sim, StaticNat(capacity=16), TimingSpec(64, 156.25e6))
+            app = StaticNat(capacity=16)
+            depth = app.pipeline_spec().pipeline_depth
+            engine = engine_cls(sim, app, TimingSpec(64, 156.25e6), depth)
             packet = make_udp()
             # The key a pre-PR-24 engine stamped, a billion ns in the past.
             packet.meta["ppe_enqueue_ns"] = -1_000_000_000

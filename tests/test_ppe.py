@@ -43,8 +43,12 @@ class BadApp(EchoApp):
         return "not-a-verdict"
 
 
+def _depth(app) -> int:
+    return app.pipeline_spec().pipeline_depth
+
+
 def run_one(engine_cls, sim, app, packet=None, direction=Direction.EDGE_TO_LINE):
-    engine = engine_cls(sim, app, TimingSpec(64, 156.25e6))
+    engine = engine_cls(sim, app, TimingSpec(64, 156.25e6), _depth(app))
     results = []
     packet = packet or make_udp()
     engine.submit(
@@ -85,7 +89,7 @@ class TestProcessing:
 
     def test_latency_includes_service_and_pipeline(self, sim):
         app = EchoApp()
-        engine = self.engine_cls(sim, app, TimingSpec(64, 156.25e6))
+        engine = self.engine_cls(sim, app, TimingSpec(64, 156.25e6), _depth(app))
         done_at = []
         engine.submit(
             pad_to_min(make_udp()),
@@ -105,7 +109,7 @@ class TestQueueing:
 
     def test_fifo_order_preserved(self, sim):
         app = EchoApp()
-        engine = self.engine_cls(sim, app, TimingSpec(64, 156.25e6))
+        engine = self.engine_cls(sim, app, TimingSpec(64, 156.25e6), _depth(app))
         order = []
         for i in range(5):
             packet = make_udp(payload=bytes([i]) * 10)
@@ -122,7 +126,7 @@ class TestQueueing:
     def test_overload_drops_when_queue_full(self, sim):
         app = EchoApp()
         engine = self.engine_cls(
-            sim, app, TimingSpec(64, 156.25e6), queue_bytes=200
+            sim, app, TimingSpec(64, 156.25e6), _depth(app), queue_bytes=200
         )
         accepted = sum(
             engine.submit(
@@ -142,7 +146,7 @@ class TestQueueing:
         # must be dropped at the ingress FIFO.
         app = EchoApp()
         engine = self.engine_cls(
-            sim, app, TimingSpec(64, 156.25e6), queue_bytes=4096
+            sim, app, TimingSpec(64, 156.25e6), _depth(app), queue_bytes=4096
         )
         interval = TimingSpec(64, 156.25e6).frame_service_time(60) / 2
         count = 2000

@@ -21,7 +21,10 @@ from repro.sim.stats import Histogram
 
 
 def engine() -> PacketProcessingEngine:
-    return PacketProcessingEngine(Simulator(), create_app("nat"), TimingSpec(64, 156.25e6))
+    app = create_app("nat")
+    return PacketProcessingEngine(
+        Simulator(), app, TimingSpec(64, 156.25e6), app.pipeline_spec().pipeline_depth
+    )
 
 
 BOUNDS = [int(bound) for bound in engine().latency_ns.bounds]
