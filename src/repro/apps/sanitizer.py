@@ -48,7 +48,10 @@ class PacketSanitizer(PPEApplication):
         ]
 
     def _is_martian(self, src: int) -> bool:
-        return any(src >> (32 - length) == prefix for prefix, length in self._martians)
+        for prefix, length in self._martians:
+            if src >> (32 - length) == prefix:
+                return True
+        return False
 
     def process(self, packet: Packet, ctx: PPEContext) -> Verdict:
         ip = packet.ipv4

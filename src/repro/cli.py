@@ -253,7 +253,7 @@ def _paper_envelope(args: argparse.Namespace) -> Report:
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     from .artifact.run import artifact_from_scenario_run
-    from .faults.gauntlet import NAMED_PLANS
+    from .faults.plan import NAMED_PLANS
     from .obs.scenario import ScenarioSpec
 
     plan = NAMED_PLANS[args.plan](args.seed)
@@ -652,7 +652,7 @@ PAPER = (
 
 
 def _args_chaos(chaos: argparse.ArgumentParser) -> None:
-    from .faults.gauntlet import NAMED_PLANS
+    from .faults.plan import NAMED_PLANS
 
     chaos.add_argument("plan", choices=sorted(NAMED_PLANS))
     chaos.add_argument("--seed", type=int, default=1)
@@ -741,7 +741,7 @@ def _args_trace(trace: argparse.ArgumentParser) -> None:
 
 
 def _args_run(run: argparse.ArgumentParser) -> None:
-    from .faults.gauntlet import NAMED_PLANS
+    from .faults.plan import NAMED_PLANS
     from .obs.scenario import SCENARIO_KINDS
 
     run.add_argument("--scenario", choices=sorted(SCENARIO_KINDS), default="chaos")

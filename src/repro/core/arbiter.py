@@ -37,11 +37,15 @@ class Arbiter:
         """
         if size is None:
             size = packet.wire_len
-        if is_mgmt_frame(packet):
-            self.to_cpu.count(size)
-            return "cpu"
-        self.to_data.count(size)
-        return "data"
+        # is_mgmt_frame and Counter.count, inlined: once per ingress frame.
+        eth = packet.eth
+        if eth is not None and eth.ethertype == EtherType.FLEXSFP_MGMT:
+            counter, kind = self.to_cpu, "cpu"
+        else:
+            counter, kind = self.to_data, "data"
+        counter.packets += 1
+        counter.bytes += size
+        return kind
 
     def classify_bulk(self, packet: Packet, size: int, count: int) -> str:
         """Classify a burst of ``count`` identical frames in one call.

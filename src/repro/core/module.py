@@ -233,6 +233,12 @@ class FlexSFPModule:
         self.auth_key = auth_key
         self.deploy_key = deploy_key if deploy_key is not None else auth_key
 
+        # Which directions traverse the PPE is fixed by the shell: decided
+        # here, once, not asked of the shell per frame.
+        self._ppe_directions = frozenset(
+            direction for direction in Direction if shell.processes(direction)
+        )
+
         self.engine = resolve_engine(engine, settings)
         # Optional packet tracer (duck-typed repro.obs.trace.Tracer), set
         # via attach_tracer.  None costs one attribute load per frame.
@@ -410,14 +416,68 @@ class FlexSFPModule:
         """The slot's ``(per-frame, fused-slice)`` completion callbacks.
 
         Bound once per slot and direction, so the ingress path allocates
-        nothing per frame.
+        nothing per frame, and a completion is one call: ``done`` is the
+        whole per-frame verdict routing, not a hop to a shared method.
         """
         drops = slot.verdict_drops
+        to_line = direction is Direction.EDGE_TO_LINE
 
         def done(
-            packet: Packet, verdict: Verdict, emitted: list, size: int, deliver_s: float
+            packet: Packet,
+            verdict: Verdict,
+            emitted: list[tuple[Packet, Direction]],
+            size: int,
+            deliver_s: float,
         ) -> None:
-            self._ppe_done(packet, verdict, emitted, size, deliver_s, direction, drops)
+            # Batched PPE execution runs this callback at the batch tail,
+            # the oracle as the frame's own event; either way
+            # ``deliver_s`` is the frame's virtual deliver time, and
+            # egressing at that absolute time (plus the transceiver
+            # crossing, added in the same float order on both tiers) keeps
+            # downstream serialization timestamps bit-identical.
+            tracer = self._tracer
+            if tracer is not None and tracer.is_traced(packet):
+                egress_ns = int(deliver_s * 1e9)
+                detail: dict[str, object] = {"verdict": verdict.value}
+                if verdict is Verdict.PASS:
+                    detail["port"] = self._egress_port(direction).name
+                elif verdict is Verdict.REFLECT:
+                    detail["port"] = self._egress_port(direction.reverse).name
+                tracer.record(
+                    packet,
+                    "egress",
+                    self.name,
+                    egress_ns,
+                    egress_ns,
+                    direction,
+                    **detail,
+                )
+            if verdict is Verdict.PASS:
+                # The egress port, inlined for the dominant verdict.
+                port = self.line_port if to_line else self.edge_port
+                port.send_at(packet, deliver_s + TRANSCEIVER_LATENCY_S, size)
+            elif verdict is Verdict.REFLECT:
+                self._egress_port(direction.reverse).send_at(
+                    packet, deliver_s + TRANSCEIVER_LATENCY_S, size
+                )
+            elif verdict is Verdict.TO_CPU:
+                self.punted_to_cpu.append(packet)
+                # The embedded CPU's service chain may answer (§4.1's
+                # "self-contained microservice node"); replies leave
+                # through the interface the packet arrived on.
+                self.sim.schedule_at(
+                    max(deliver_s + CONTROL_PLANE_LATENCY_S, self.sim.now),
+                    self._run_services,
+                    packet,
+                    direction,
+                )
+            else:  # DROP
+                drops.packets += 1
+                drops.bytes += size
+            for extra, extra_direction in emitted:
+                self._egress_port(extra_direction).send_at(
+                    extra, deliver_s + TRANSCEIVER_LATENCY_S
+                )
 
         def burst_done(packet: Packet, verdict: Verdict, size: int, deliver_s) -> None:
             self._ppe_burst_done(packet, verdict, size, deliver_s, direction, drops)
@@ -542,7 +602,7 @@ class FlexSFPModule:
                 # Answer discovery and let the frame continue downstream.
                 self._to_control_plane(packet.copy(), reply_port, when)
             # Management traffic for other modules rides the data path.
-        if not self.shell.processes(direction):
+        if direction not in self._ppe_directions:
             # The unprocessed direction bypasses the PPE partitions (and
             # therefore the crossbar) entirely: merge + retime only — or,
             # with no live partition left, the bare retimer of a dumb cable.
@@ -626,7 +686,7 @@ class FlexSFPModule:
             else Direction.LINE_TO_EDGE
         )
         self.arbiter.classify_bulk(template, size, len(whens))
-        if not self.shell.processes(direction):
+        if direction not in self._ppe_directions:
             # Unprocessed direction: vectorized pass-through at retimer
             # latency (same scalar constant added per element).
             self._egress_port(direction).send_burst(
@@ -672,70 +732,6 @@ class FlexSFPModule:
             count = len(deliver_s)
             drops.packets += count
             drops.bytes += count * size
-
-    def _ppe_done(
-        self,
-        packet: Packet,
-        verdict: Verdict,
-        emitted: list[tuple[Packet, Direction]],
-        size: int,
-        deliver_s: float,
-        direction: Direction,
-        drops: Counter,
-    ) -> None:
-        # Batched PPE execution runs this callback at the batch tail, the
-        # oracle as the frame's own event; either way ``deliver_s`` is the
-        # frame's virtual deliver time, and egressing at that absolute
-        # time (plus the transceiver crossing, added in the same float
-        # order on both tiers) keeps downstream serialization timestamps
-        # bit-identical.
-        tracer = self._tracer
-        if tracer is not None and tracer.is_traced(packet):
-            egress_ns = int(deliver_s * 1e9)
-            detail: dict[str, object] = {"verdict": verdict.value}
-            if verdict is Verdict.PASS:
-                detail["port"] = self._egress_port(direction).name
-            elif verdict is Verdict.REFLECT:
-                detail["port"] = self._egress_port(direction.reverse).name
-            tracer.record(
-                packet,
-                "egress",
-                self.name,
-                egress_ns,
-                egress_ns,
-                direction,
-                **detail,
-            )
-        if verdict is Verdict.PASS:
-            # Inlined _egress_port for the dominant verdict: one fewer
-            # call per frame.
-            port = (
-                self.line_port
-                if direction is Direction.EDGE_TO_LINE
-                else self.edge_port
-            )
-            port.send_at(packet, deliver_s + TRANSCEIVER_LATENCY_S, size)
-        elif verdict is Verdict.REFLECT:
-            self._egress_port(direction.reverse).send_at(
-                packet, deliver_s + TRANSCEIVER_LATENCY_S, size
-            )
-        elif verdict is Verdict.TO_CPU:
-            self.punted_to_cpu.append(packet)
-            # The embedded CPU's service chain may answer (§4.1's
-            # "self-contained microservice node"); replies leave through
-            # the interface the packet arrived on.
-            self.sim.schedule_at(
-                max(deliver_s + CONTROL_PLANE_LATENCY_S, self.sim.now),
-                self._run_services,
-                packet,
-                direction,
-            )
-        else:  # DROP
-            drops.count(size)
-        for extra, extra_direction in emitted:
-            self._egress_port(extra_direction).send_at(
-                extra, deliver_s + TRANSCEIVER_LATENCY_S
-            )
 
     def _run_services(self, packet: Packet, direction: Direction) -> None:
         reply = self.services.dispatch(packet, direction)

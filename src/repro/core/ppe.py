@@ -67,7 +67,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import ceil
-from typing import TYPE_CHECKING, Callable, Hashable
+from typing import TYPE_CHECKING, Callable, Hashable, NoReturn
 
 from ..errors import SimulationError
 from ..fpga.timing import TimingSpec
@@ -318,13 +318,14 @@ class _EngineBase:
         # never imports obs).  Traced frames go through _apply_traced.
         self.tracer = None
 
-    def _checked(self, verdict: object) -> Verdict:
-        if not isinstance(verdict, Verdict):
-            raise SimulationError(
-                f"application {self.app.name!r} returned {verdict!r} "
-                "instead of a Verdict"
-            )
-        return verdict
+    def _refuse(self, verdict: object) -> NoReturn:
+        """Raise for an application that returned ``verdict``, not a
+        :class:`Verdict`.  Callers test ``type(verdict) is Verdict`` inline
+        (an enum with members has no subclasses) and call this only to raise."""
+        raise SimulationError(
+            f"application {self.app.name!r} returned {verdict!r} "
+            "instead of a Verdict"
+        )
 
     def _apply_traced(
         self,
@@ -507,7 +508,9 @@ class ReferenceEngine(_EngineBase):
         the frame after processing, which may have changed its length.
         """
         ctx = PPEContext(time_ns, direction, self.device_id, queue_depth)
-        verdict = self._checked(self.app.process(packet, ctx))
+        verdict = self.app.process(packet, ctx)
+        if type(verdict) is not Verdict:
+            self._refuse(verdict)
         size = packet.wire_len
         self.processed.count(size)
         self.verdict_counts[verdict] += 1
@@ -549,6 +552,13 @@ class PacketProcessingEngine(_EngineBase):
     ) -> None:
         super().__init__(sim, app, timing, queue_bytes, device_id, pipeline_depth)
         self.flow_cache = flow_cache
+        # Whether the app keys flows is fixed per class, so it is decided
+        # here, once: the app's bound ``flow_key`` when its class overrides
+        # the base hook and a cache can hold recipes, else None (the base
+        # hook opts every frame out, so no frame of such an app reaches
+        # the cache).
+        overrides = type(app).flow_key is not PPEApplication.flow_key
+        self._flow_key = app.flow_key if overrides and flow_cache is not None else None
         self.fastpath_hits = Counter("ppe.fastpath_hits")
         # Struct-of-arrays bursts pending processing and fusion statistics.
         self.program = program
@@ -752,7 +762,20 @@ class PacketProcessingEngine(_EngineBase):
                 # be the open group's head.
                 arrivals.popleft()
                 self._arrivals_bytes = depth = self._arrivals_bytes - frame[1]
-                deliveries = [self._run_frame(frame, first_finish_ns, depth)]
+                packet, size, direction, done, enqueue_ns, finish = frame
+                tracer = self.tracer
+                if tracer is not None and tracer.is_traced(packet):
+                    verdict, emitted, size = self._apply_traced(
+                        packet, size, direction, enqueue_ns, first_finish_ns, depth
+                    )
+                else:
+                    verdict, emitted, size = self._apply(
+                        packet, size, direction, first_finish_ns, depth
+                    )
+                deliveries = [(
+                    packet, verdict, emitted, size, done, enqueue_ns,
+                    finish + self.pipeline_latency_s,
+                )]  # fmt: skip
                 group = self._group
                 if group and group[0] is frame:
                     del group[0]
@@ -767,7 +790,8 @@ class PacketProcessingEngine(_EngineBase):
     def _run_due(
         self, arrivals: deque, due: float, first_finish_ns: int
     ) -> list[tuple[Packet, Verdict, list, int, DoneCallback, int, float]]:
-        """Run every due frame of a drain in finish order; their deliveries.
+        """Run every due frame of a drain in finish order; their deliveries
+        (the records :meth:`_deliver_frames` hands over).
 
         Each frame's queue depth is reconstructed as the oracle would have
         seen it at that frame's finish time: every arrival after it that
@@ -786,20 +810,33 @@ class PacketProcessingEngine(_EngineBase):
             future.append(entry)
             future_bytes += entry[1]
         remaining_bytes = self._arrivals_bytes
-        run_frame = self._run_frame
+        tracer = self.tracer
+        apply = self._apply
+        latency_s = self.pipeline_latency_s
         deliveries = []
         append = deliveries.append
         while arrivals and arrivals[0][5] <= due:
-            frame = arrivals.popleft()
-            remaining_bytes -= frame[1]
-            finish_ns = int(frame[5] * 1e9)
+            packet, size, direction, done, enqueue_ns, finish = arrivals.popleft()
+            remaining_bytes -= size
+            finish_ns = int(finish * 1e9)
             # Drop matured entries — including this frame's own, and
             # those of already-processed frames — so ``future`` holds
             # exactly the arrivals still in flight at this finish.
             while future and future[-1][4] <= finish_ns:
                 future_bytes -= future[-1][1]
                 future.pop()
-            append(run_frame(frame, finish_ns, remaining_bytes - future_bytes))
+            depth = remaining_bytes - future_bytes
+            if tracer is not None and tracer.is_traced(packet):
+                verdict, emitted, size = self._apply_traced(
+                    packet, size, direction, enqueue_ns, finish_ns, depth
+                )
+            else:
+                verdict, emitted, size = apply(
+                    packet, size, direction, finish_ns, depth
+                )
+            append(
+                (packet, verdict, emitted, size, done, enqueue_ns, finish + latency_s)
+            )
         self._arrivals_bytes = remaining_bytes
         group = self._group
         if group and group[0][5] <= due:
@@ -807,29 +844,6 @@ class PacketProcessingEngine(_EngineBase):
             # or a late event); keep only the still-unprocessed suffix.
             self._group = [frame for frame in group if frame[5] > due]
         return deliveries
-
-    def _run_frame(
-        self, frame: tuple, finish_ns: int, queue_depth: int
-    ) -> tuple[Packet, Verdict, list, int, DoneCallback, int, float]:
-        """The per-frame step of every drain: apply one due frame.
-
-        ``queue_depth`` is the oracle's depth at the frame's finish;
-        returns the frame's delivery record for :meth:`_deliver_frames`.
-        """
-        packet, size, direction, done, enqueue_ns, finish = frame
-        tracer = self.tracer
-        if tracer is not None and tracer.is_traced(packet):
-            verdict, emitted, size = self._apply_traced(
-                packet, size, direction, enqueue_ns, finish_ns, queue_depth
-            )
-        else:
-            verdict, emitted, size = self._apply(
-                packet, size, direction, finish_ns, queue_depth
-            )
-        return (
-            packet, verdict, emitted, size, done, enqueue_ns,
-            finish + self.pipeline_latency_s,
-        )  # fmt: skip
 
     def _queue_handover(self, record: "list | _SliceHandover", due: float) -> None:
         """Queue what one drain processed by ``due``; arm its deliver event.
@@ -850,10 +864,14 @@ class PacketProcessingEngine(_EngineBase):
         """
         record = self._handovers.popleft()
         if type(record) is list:
-            # _deliver_frames, inlined: once per deliver event.
-            latency_add = self.latency_ns.add
+            # _deliver_frames, inlined: most drains on a per-frame fabric
+            # hold one frame, so a call here would be a call per frame.
+            histogram = self.latency_ns
+            histogram.total += len(record)
+            bounds = histogram.bounds
+            counts = histogram.counts
             for packet, verdict, emitted, size, done, enqueue_ns, deliver_s in record:
-                latency_add(int(deliver_s * 1e9) - enqueue_ns)
+                counts[bisect_right(bounds, int(deliver_s * 1e9) - enqueue_ns)] += 1
                 done(packet, verdict, emitted, size, deliver_s)
         elif len(record.deliver_s):
             self._deliver_slice(record, record.deliver_s, record.enqueue_ns)
@@ -865,10 +883,15 @@ class PacketProcessingEngine(_EngineBase):
         # Done callbacks run at the batch tail but are handed each frame's
         # virtual deliver time (``finish + pipeline_latency`` — the exact
         # float the oracle's schedule computes), so the consumer keeps
-        # downstream timestamps identical via ``Port.send_at``.
-        latency_add = self.latency_ns.add
+        # downstream timestamps identical via ``Port.send_at``.  Each
+        # latency is binned as ``Histogram.add`` bins it, with no call per
+        # frame, and the total grows once per record.
+        histogram = self.latency_ns
+        histogram.total += len(deliveries)
+        bounds = histogram.bounds
+        counts = histogram.counts
         for packet, verdict, emitted, size, done, enqueue_ns, deliver_s in deliveries:
-            latency_add(int(deliver_s * 1e9) - enqueue_ns)
+            counts[bisect_right(bounds, int(deliver_s * 1e9) - enqueue_ns)] += 1
             done(packet, verdict, emitted, size, deliver_s)
 
     # ------------------------------------------------------------------
@@ -957,7 +980,8 @@ class PacketProcessingEngine(_EngineBase):
             return None, None
         if program.mode == "meter":
             return "meter", None
-        key = None if self.flow_cache is None else self.app.flow_key(template)
+        flow_key = self._flow_key
+        key = None if flow_key is None else flow_key(template)
         return ("recipe", key) if key is not None else (None, None)
 
     def _process_due_bursts(self, due: float) -> None:
@@ -1194,10 +1218,11 @@ class PacketProcessingEngine(_EngineBase):
         refuses gets the identical ``PPEContext`` the oracle constructs.
         """
         app = self.app
-        cache = self.flow_cache
-        if cache is not None:
-            key = app.flow_key(packet)
+        flow_key = self._flow_key
+        if flow_key is not None:
+            key = flow_key(packet)
             if key is not None:
+                cache = self.flow_cache
                 generation = app.tables.generation()
                 recipe = cache.lookup((direction, key), generation)
                 if recipe is not None:
@@ -1214,18 +1239,26 @@ class PacketProcessingEngine(_EngineBase):
                 recipe = record_recipe(app, packet, direction, self.device_id)
                 if recipe is not None:
                     cache.insert((direction, key), recipe, generation)
-                    verdict = self._checked(recipe.apply(packet, app, size))
+                    verdict = recipe.apply(packet, app, size)
+                    if type(verdict) is not Verdict:
+                        self._refuse(verdict)
                     size += recipe.size_delta
-                    self.processed.count(size)
+                    processed = self.processed
+                    processed.packets += 1
+                    processed.bytes += size
                     self.verdict_counts[verdict] += 1
                     return verdict, (), size
         ctx = PPEContext(finish_ns, direction, self.device_id, queue_depth)
-        verdict = self._checked(app.process(packet, ctx))
+        verdict = app.process(packet, ctx)
+        if type(verdict) is not Verdict:
+            self._refuse(verdict)
         # Measured post-process: applications may change the frame length.
         size = packet.wire_len
-        self.processed.count(size)
+        processed = self.processed
+        processed.packets += 1
+        processed.bytes += size
         self.verdict_counts[verdict] += 1
-        return verdict, ctx.emitted, size
+        return verdict, ctx._emitted, size
 
     def metric_values(self) -> dict[str, object]:
         prefix = self.app.name

@@ -11,10 +11,11 @@ from .._util import export_table
 __all__, __getattr__, __dir__ = export_table(
     __name__,
     {
-        "gauntlet": ("NAMED_PLANS", "GauntletResult", "run_gauntlet"),
+        "gauntlet": ("GauntletResult", "run_gauntlet"),
         "injector": ("FaultInjector",),
         "plan": (
-            "ALL_FAULTS", "LINK_FAULTS", "MODULE_FAULTS", "FaultEvent", "FaultPlan",
+            "ALL_FAULTS", "LINK_FAULTS", "MODULE_FAULTS", "NAMED_PLANS", "FaultEvent",
+            "FaultPlan",
         ),
         "workers": ("WORKER_FAULTS", "WorkerFault", "WorkerFaultPlan"),
     },

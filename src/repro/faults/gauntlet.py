@@ -15,7 +15,6 @@ regression test instead of an anecdote.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 
 from ..core.module import source_burst
@@ -27,97 +26,19 @@ from ..sim.engine import Simulator
 from ..sim.link import Port
 from ..switch import LegacySwitch, PortPolicy, RetrofitPlan, apply_retrofit
 from .injector import FaultInjector
-from .plan import LINK_FAULTS, FaultEvent, FaultPlan
+from .plan import (
+    DUT,
+    GAUNTLET_RUN_S,
+    LINE_LINK,
+    MGMT_LINK,
+    NAMED_PLANS,
+    FaultPlan,
+    _derived_seed,
+)
 
 KEY = b"chaos-key"
 
-# Canonical target names inside the gauntlet topology.
-DUT = "dut"
-MGMT_LINK = "mgmt-link"
-LINE_LINK = "line-link"
-
-GAUNTLET_RUN_S = 1.5
-GAUNTLET_SETTLE_S = 0.4  # fault-free tail so recovery can complete
 PROBE_INTERVAL_S = 25e-3
-
-
-def _derived_seed(seed: int, label: str) -> int:
-    return zlib.crc32(f"{seed}:{label}".encode())
-
-
-# ----------------------------------------------------------------------
-# Named plans (replayable via the ``chaos`` CLI subcommand)
-# ----------------------------------------------------------------------
-def _generated(seed: int, count: int, kinds: tuple[str, ...] | None) -> FaultPlan:
-    return FaultPlan.generate(
-        seed,
-        GAUNTLET_RUN_S,
-        links=(MGMT_LINK, LINE_LINK),
-        modules=(DUT,),
-        count=count,
-        kinds=kinds,
-        settle_s=GAUNTLET_SETTLE_S,
-    )
-
-
-def _plan_smoke(seed: int) -> FaultPlan:
-    return _generated(seed, count=6, kinds=None)
-
-
-def _plan_linkstorm(seed: int) -> FaultPlan:
-    return _generated(seed, count=16, kinds=LINK_FAULTS)
-
-
-def _plan_flashstorm(seed: int) -> FaultPlan:
-    return _generated(
-        seed, count=8, kinds=("flash_bitrot", "flash_write_fail", "module_reboot")
-    )
-
-
-def _plan_crashloop(seed: int) -> FaultPlan:
-    return _generated(seed, count=8, kinds=("softcore_crash", "softcore_hang"))
-
-
-def _plan_full(seed: int) -> FaultPlan:
-    return _generated(seed, count=24, kinds=None)
-
-
-def _plan_brownout(seed: int) -> FaultPlan:
-    """Hand-authored worst case: the golden image itself rots.
-
-    The module reboots into a double boot failure, degrades to
-    pass-through, and must be *rescued* by the fleet controller pushing a
-    fresh image over a management link that is itself lossy — the one
-    scenario where self-healing alone is not enough.
-    """
-    return FaultPlan(
-        [
-            FaultEvent(
-                0.10,
-                "flash_bitrot",
-                DUT,
-                {"slot": 0, "nbits": 16, "seed": _derived_seed(seed, "golden")},
-            ),
-            FaultEvent(0.15, "module_reboot", DUT, {}),
-            FaultEvent(
-                0.40,
-                "link_loss_burst",
-                MGMT_LINK,
-                {"duration_s": 50e-3, "probability": 0.2},
-            ),
-        ],
-        seed=seed,
-    )
-
-
-NAMED_PLANS = {
-    "smoke": _plan_smoke,
-    "linkstorm": _plan_linkstorm,
-    "flashstorm": _plan_flashstorm,
-    "crashloop": _plan_crashloop,
-    "full": _plan_full,
-    "brownout": _plan_brownout,
-}
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 from .._util import ip_to_int
+from ..packet import IPv4, UDP
 from ..sim.stats import Counter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -41,9 +42,18 @@ class Crossbar:
         ]
 
     def select(self, packet: Packet) -> int:
-        """Pure classification: the slot index *packet* steers to."""
-        ip = packet.ipv4
-        udp = None if ip is None else packet.udp
+        """Pure classification: the slot index *packet* steers to.
+
+        The rules read the first IPv4 header and the first UDP header of
+        the stack (``packet.ipv4`` / ``packet.udp``), found in one pass.
+        """
+        ip = udp = None
+        for header in packet.headers:
+            if isinstance(header, IPv4):
+                if ip is None:
+                    ip = header
+            elif udp is None and isinstance(header, UDP):
+                udp = header
         for slot, dport, prefix, shift in self._rows:
             if dport is prefix is None:  # the wildcard claims non-IP frames too
                 return slot
@@ -58,9 +68,15 @@ class Crossbar:
         raise AssertionError("crossbar steering fell through the catch-all")
 
     def steer(self, packet: Packet, size: int) -> int:
-        """Classify and count one frame; returns the slot index."""
+        """Classify and count one frame; returns the slot index.
+
+        The counter is bumped in place: the crossbar costs two calls
+        per frame, this one and :meth:`select`.
+        """
         index = self.select(packet)
-        self.steered[index].count(size)
+        counter = self.steered[index]
+        counter.packets += 1
+        counter.bytes += size
         return index
 
     def steer_bulk(self, template: Packet, size: int, count: int) -> int:

@@ -146,7 +146,7 @@ class ScenarioSpec:
         if self.fault_plan is not None:
             # Only a chaos spec names a plan: every other kind stays clear of
             # the gauntlet (fleet, switch, impairments).
-            from ..faults import NAMED_PLANS
+            from ..faults.plan import NAMED_PLANS
 
             if self.fault_plan not in NAMED_PLANS:
                 raise ConfigError(

@@ -21,7 +21,10 @@ checks (a plain ``Header`` needs none) and exceptions raised (a flooded
 data frame is refused by a comparison, not by raise-and-catch).
 
 ``python -m tests.test_call_budget`` prints the whole census as JSON,
-with the top callees per shape and, under ``admit_burst regimes``, the
+with the top callees per shape, the calls per offered frame grouped by
+layer (``core`` and ``sim`` by module, every other package whole:
+``core.ppe``, ``core.module``, ``sim.link``, ``packet``, ``apps``, ``nfv``
+...) so a moved count names its layer, and, under ``admit_burst regimes``, the
 owner x kernel split of ``nat-linerate``'s bursts at 60, 512 and 1,514 B
 (``tests/test_burst_regime_census.py``), each owner beside the deepest
 queue its bursts reached against its limit, both in frames; and, under
@@ -80,6 +83,19 @@ SHAPES = {
 }  # fmt: skip
 
 
+#: Packages whose modules are each a layer; any other package is one.
+_SPLIT_PACKAGES = ("core", "sim")
+
+
+def layer_of(filename: str) -> str:
+    """The layer a ``src/repro`` source file belongs to (``core/ppe.py``
+    is ``core.ppe``, ``packet/ip.py`` is ``packet``, ``cli.py`` is ``cli``)."""
+    parts = filename[len(SRC) :].removesuffix(".py").split("/")
+    if parts[0] in _SPLIT_PACKAGES and len(parts) > 1:
+        return ".".join(parts[:2])
+    return parts[0]
+
+
 def census(shape: str) -> dict:
     """Warm up, then count one run of ``shape`` call by call."""
     spec = SHAPES[shape]
@@ -124,12 +140,18 @@ def census(shape: str) -> dict:
     offered = metrics["host.tx.packets"] + metrics.get("host.drops.packets", 0)
     bursts = sum(v for k, v in metrics.items() if k.endswith(".compiled.bursts"))
     total = sum(calls.values())
+    layers: Counter = Counter()
+    for code, count in calls.items():
+        layers[layer_of(code.co_filename)] += count
     return {
         "frames_offered": offered,
         "ppe_bursts": bursts,
         "calls": total,
         "calls_per_frame": round(total / offered, 4),
         **seen,
+        "by_layer": {
+            layer: round(count / offered, 4) for layer, count in layers.most_common()
+        },
         "top": [
             {
                 "calls": count,

@@ -430,25 +430,31 @@ class TestCarriedWireSize:
     def test_the_ppe_completion_carries_the_post_process_size(
         self, monkeypatch, kind, engine
     ):
-        """The PPE hop: ``_ppe_done`` hands ``send_at`` the size the engine
-        measured after processing (nfv-chain's in-band tenant grows the frame
-        by an INT shim), so no send re-walks the headers; on both tiers the
-        frame's time is an argument, so the module never calls ``send_delayed``."""
+        """The PPE hop: a slot's completion callback hands ``send_at`` the
+        size the engine measured after processing (nfv-chain's in-band tenant
+        grows the frame by an INT shim), so no send re-walks the headers; on
+        both tiers the frame's time is an argument, so the module never calls
+        ``send_delayed``."""
         from repro.core.module import FlexSFPModule
         from repro.obs.scenario import ScenarioSpec, TrafficProfile
 
-        completing = []  # the frame _ppe_done is egressing right now
+        completing = []  # the frame a completion is egressing right now
         sent = Counter()
         sizes = set()
-        ppe_done = FlexSFPModule._ppe_done
+        bind_done = FlexSFPModule._bind_done
 
-        def checked_done(module, packet, verdict, emitted, size, *rest):
-            assert size == packet.wire_len, (module.name, verdict, size)
-            completing.append(packet)
-            try:
-                ppe_done(module, packet, verdict, emitted, size, *rest)
-            finally:
-                completing.pop()
+        def checked_bind_done(module, slot, direction):
+            done, burst_done = bind_done(module, slot, direction)
+
+            def checked_done(packet, verdict, emitted, size, deliver_s):
+                assert size == packet.wire_len, (module.name, verdict, size)
+                completing.append(packet)
+                try:
+                    done(packet, verdict, emitted, size, deliver_s)
+                finally:
+                    completing.pop()
+
+            return checked_done, burst_done
 
         def checking(name):
             original = getattr(Port, name)
@@ -462,7 +468,7 @@ class TestCarriedWireSize:
 
             monkeypatch.setattr(Port, name, wrapper)
 
-        monkeypatch.setattr(FlexSFPModule, "_ppe_done", checked_done)
+        monkeypatch.setattr(FlexSFPModule, "_bind_done", checked_bind_done)
         checking("send_at")
         checking("send_delayed")
         # A tracer (tracing nothing) keeps nat-linerate's compiled tier on the

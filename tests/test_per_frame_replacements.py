@@ -9,22 +9,47 @@ against "every egress port gets its own equal frame", and the plain
 ``Header`` against the abstract-method contract ``ABC`` used to hold.
 ``Simulator.schedule`` pushing its own heap entry is covered by
 ``tests/test_sim_engine_property.py``.
+
+The compiled lane costs one call per layer a frame crosses, so the helpers
+that decided nothing per frame are inlined or decided once, and each is
+held to its definition here too: ``Crossbar.steer`` against ``select``
+plus ``Counter.count``, the engine's build-time flow-key decision against
+calling ``flow_key``, the drains' latency binning against
+``Histogram.add``, a module's processed directions against
+``ShellSpec.processes`` and ``Arbiter.classify`` against ``is_mgmt_frame``
+plus the counts.  The drains themselves keep two invariants: a traced
+frame is the only one that takes the traced path, and an application that
+returns no ``Verdict`` is refused on every drain and on both tiers.
 """
 
 import copy
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._util import int_to_ip
+from repro.apps import create_app
+from repro.artifact.diff import semantic_metrics
+from repro.core import Direction, PacketProcessingEngine, ReferenceEngine, Verdict
+from repro.core.arbiter import Arbiter, is_mgmt_frame
+from repro.core.flowcache import FlowCache
 from repro.core.mgmt import MAGIC, MgmtMessage, MgmtOp, mgmt_frame
-from repro.errors import ControlPlaneError
+from repro.core.module import FlexSFPModule
+from repro.core.ppe import PPEApplication
+from repro.core.shells import ShellKind, ShellSpec
+from repro.errors import ControlPlaneError, SimulationError
 from repro.fleet import FleetController
-from repro.nfv import SteeringMatch, TenantSpec
+from repro.fpga import TimingSpec
+from repro.hls.ir import PipelineSpec, Stage, StageKind
+from repro.nfv import Deployment, SteeringMatch, TenantSpec
 from repro.nfv.crossbar import Crossbar
+from repro.obs.scenario import ScenarioSpec, TrafficProfile
+from repro.obs.trace import TRACE_ID_META
 from repro.packet import (
     ARP,
+    UDP,
     Ethernet,
     EtherType,
     Header,
@@ -33,9 +58,11 @@ from repro.packet import (
     make_udp,
     make_udp6,
     vlan_push,
+    vxlan_encap,
 )
 from repro.packet.base import Record
 from repro.sim import Port, Simulator
+from repro.sim.stats import Counter, Histogram
 from repro.switch import LegacySwitch
 from repro.switch.legacy import SWITCH_PIPELINE_LATENCY_S
 
@@ -63,6 +90,20 @@ def ipv4_without_l4(dst):
     return packet
 
 
+def udp_before_ipv4(dst, dport):
+    """An odd stack: the first UDP header comes before the first IPv4."""
+    packet = make_udp(dst_ip=dst, dport=dport)
+    eth, ip, udp = packet.headers[:3]
+    packet.headers[:3] = [eth, udp, ip]
+    return packet
+
+
+def two_udp_headers(dst, outer, inner):
+    packet = make_udp(dst_ip=dst, dport=outer)
+    packet.insert_after(packet.udp, UDP(1234, inner))
+    return packet
+
+
 frames = st.one_of(
     st.builds(make_udp, dst_ip=st.sampled_from(ADDRESSES), dport=st.sampled_from(PORTS)),
     st.builds(make_tcp, dst_ip=st.sampled_from(ADDRESSES), dport=st.sampled_from(PORTS)),
@@ -74,7 +115,25 @@ frames = st.one_of(
     st.builds(make_udp6, dport=st.sampled_from(PORTS)),
     st.just(Packet([Ethernet(ethertype=EtherType.ARP), ARP()])),
     st.just(Packet([], b"raw")),
+    st.builds(udp_before_ipv4, st.sampled_from(ADDRESSES), st.sampled_from(PORTS)),
+    st.builds(
+        two_udp_headers,
+        st.sampled_from(ADDRESSES), st.sampled_from(PORTS), st.sampled_from(PORTS),
+    ),
+    st.builds(
+        lambda dst, dport, outer: vxlan_encap(
+            make_udp(dst_ip=dst, dport=dport), 7, "192.168.0.1", outer
+        ),
+        st.sampled_from(ADDRESSES), st.sampled_from(PORTS), st.sampled_from(ADDRESSES),
+    ),
 )  # fmt: skip
+
+
+def tenants_for(rules):
+    return [
+        TenantSpec(f"t{index}", "passthrough", match=match)
+        for index, match in enumerate([*rules, SteeringMatch()])
+    ]
 
 
 class TestCrossbarRows:
@@ -113,6 +172,24 @@ class TestCrossbarRows:
         crossbar = Crossbar("xbar", [TenantSpec("only", "passthrough", SteeringMatch(53))])
         with pytest.raises(AssertionError):
             crossbar.select(make_udp(dport=54))
+        with pytest.raises(AssertionError):
+            crossbar.steer(make_udp(dport=54), 60)
+
+    @given(
+        st.lists(matches, max_size=5),
+        st.lists(st.tuples(frames, st.integers(0, 1518)), min_size=1, max_size=8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_steer_is_select_plus_a_count(self, rules, sent):
+        steering = Crossbar("xbar", tenants_for(rules))
+        model = Crossbar("xbar", tenants_for(rules))
+        for packet, size in sent:
+            index = model.select(packet)
+            model.steered[index].count(size)
+            assert steering.steer(packet, size) == index
+        assert [(c.packets, c.bytes) for c in steering.steered] == [
+            (c.packets, c.bytes) for c in model.steered
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -300,3 +377,226 @@ class TestHeaderContract:
             Header().pack()
         with pytest.raises(NotImplementedError):
             Record().copy()  # every subclass gets a generated one
+
+
+# ----------------------------------------------------------------------
+# The compiled lane's build-time decisions == their per-frame definitions
+# ----------------------------------------------------------------------
+class Keyless(PPEApplication):
+    """No ``flow_key`` of its own: the base hook opts every frame out."""
+
+    name = "keyless"
+
+    def pipeline_spec(self):
+        return PipelineSpec(
+            name=self.name, stages=[Stage("parse", StageKind.PARSER, {"header_bytes": 14})]
+        )
+
+    def process(self, packet, ctx):
+        return Verdict.PASS
+
+
+class Keyed(Keyless):
+    name = "keyed"
+
+    def flow_key(self, packet):
+        udp = packet.udp
+        return None if udp is None else udp.dport
+
+
+def keyed_later():
+    """A class given ``flow_key`` after its definition, before any engine."""
+
+    class Late(Keyless):
+        name = "late"
+
+    Late.flow_key = lambda self, packet: len(packet.headers)
+    return Late()
+
+
+def fast_engine(app, sim=None, flow_cache=True):
+    return PacketProcessingEngine(
+        sim or Simulator(),
+        app,
+        TimingSpec(64, 156.25e6),
+        app.pipeline_spec().pipeline_depth,
+        flow_cache=FlowCache(name="cache") if flow_cache else None,
+    )
+
+
+class TestFlowKeyDecision:
+    @pytest.mark.parametrize(
+        "make_app", [Keyless, Keyed, keyed_later], ids=["no-override", "override", "late"]
+    )
+    def test_the_decision_answers_what_flow_key_answers(self, make_app):
+        app = make_app()
+        engine = fast_engine(app)
+        decided = engine._flow_key
+        assert (decided is None) == (make_app is Keyless)
+        for packet in (make_udp(dport=53), make_tcp(), Packet([], b"raw")):
+            expected = app.flow_key(packet)
+            assert (None if decided is None else decided(packet)) == expected
+
+    def test_no_cache_means_no_key(self):
+        assert fast_engine(Keyed(), flow_cache=False)._flow_key is None
+
+
+def hand_over(engine, records):
+    """A deliver event meeting its record."""
+    engine._handovers.append(records)
+    engine._hand_over_next()
+
+
+class TestInlineLatencyBinning:
+    @pytest.mark.parametrize(
+        "deliver",
+        [hand_over, PacketProcessingEngine._deliver_frames],
+        ids=["deliver-event", "cut"],
+    )
+    @given(st.lists(st.integers(0, 4_000_000), min_size=1, max_size=40), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_deliveries_bin_as_histogram_add_does(self, deliver, latencies, data):
+        engine = fast_engine(Keyless())
+        bounds = engine.latency_ns.bounds
+        # Values equal to a bound land above it under bisect_right.
+        latencies += data.draw(st.lists(st.sampled_from([int(b) for b in bounds])))
+        model = Histogram.exponential(start=50.0, factor=2.0, count=16)
+        done = []
+        records = []
+        for latency in latencies:
+            model.add(latency)
+            # int(1.0 * 1e9) is exact, so each record's latency is ``latency``.
+            records.append(
+                (make_udp(), Verdict.PASS, (), 60, lambda *a: done.append(a), 10**9 - latency, 1.0)
+            )
+        deliver(engine, records)
+        assert engine.latency_ns.counts == model.counts
+        assert engine.latency_ns.total == model.total == len(done) == len(latencies)
+
+
+class TestShellDirections:
+    @pytest.mark.parametrize("kind", list(ShellKind))
+    @pytest.mark.parametrize("filtered", list(Direction))
+    def test_the_module_processes_what_its_shell_processes(self, kind, filtered):
+        shell = ShellSpec(kind=kind, filtered_direction=filtered)
+        module = FlexSFPModule(
+            Simulator(), "dut", Deployment.solo(create_app("passthrough")), shell=shell
+        )
+        for direction in Direction:
+            assert (direction in module._ppe_directions) == shell.processes(direction)
+
+
+def mgmt(payload=b""):
+    return Packet([Ethernet(ethertype=EtherType.FLEXSFP_MGMT)], payload)
+
+
+arbiter_frames = st.one_of(
+    frames,
+    st.just(mgmt()),
+    st.builds(lambda vid: vlan_push(mgmt(b"tagged"), vid), st.integers(1, 4094)),
+    st.just(mgmt_frame(MgmtMessage.control(MgmtOp.ACK, 1, ok=True), KEY, 1, 2)),
+)
+
+
+class TestArbiterClassify:
+    @given(st.lists(st.tuples(arbiter_frames, st.none() | st.integers(0, 1518)), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_classify_is_is_mgmt_frame_plus_the_counts(self, offered):
+        arbiter = Arbiter("arb")
+        to_cpu, to_data = Counter("cpu"), Counter("data")
+        for packet, size in offered:
+            kind = arbiter.classify(packet, size)
+            counted = packet.wire_len if size is None else size
+            if is_mgmt_frame(packet):
+                assert kind == "cpu"
+                to_cpu.count(counted)
+            else:
+                assert kind == "data"
+                to_data.count(counted)
+        assert (arbiter.to_cpu.packets, arbiter.to_cpu.bytes) == (to_cpu.packets, to_cpu.bytes)
+        assert (arbiter.to_data.packets, arbiter.to_data.bytes) == (
+            to_data.packets,
+            to_data.bytes,
+        )
+
+
+# ----------------------------------------------------------------------
+# The drains keep their invariants with the per-frame step folded in
+# ----------------------------------------------------------------------
+class TestTracedFrameInAMultiFrameDrain:
+    def test_only_the_traced_frame_takes_the_traced_path(self, monkeypatch):
+        spec = ScenarioSpec(
+            kind="nfv-chain", engine="compiled", traffic=TrafficProfile(10e9, 60, 50e-6)
+        )
+        untraced = spec.run()
+        traced_frames, drains = [], []
+        apply_traced = PacketProcessingEngine._apply_traced
+        run_due = PacketProcessingEngine._run_due
+
+        def counting(engine, packet, *rest):
+            traced_frames.append(packet)
+            return apply_traced(engine, packet, *rest)
+
+        def recording(engine, *args):
+            deliveries = run_due(engine, *args)
+            traced = [d[0] for d in deliveries if engine.tracer.is_traced(d[0])]
+            drains.append((len(deliveries), traced))
+            return deliveries
+
+        monkeypatch.setattr(PacketProcessingEngine, "_apply_traced", counting)
+        monkeypatch.setattr(PacketProcessingEngine, "_run_due", recording)
+        run = replace(spec, trace_packets=1).run()
+        (packet,) = traced_frames  # its drain-mates all took the untraced path
+        ((size, traced),) = [drain for drain in drains if drain[1]]
+        assert traced == [packet] and size > 1
+        stages = run.tracer.stages(packet.meta[TRACE_ID_META])
+        assert "ppe" in stages and "app" in stages
+        leaves = {
+            name: value
+            for name, value in semantic_metrics(run.metrics()).items()
+            if not name.startswith("trace.")
+        }
+        assert leaves == semantic_metrics(untraced.metrics())
+
+
+class Unverdicted(Keyless):
+    name = "unverdicted"
+
+    def process(self, packet, ctx):
+        return "pass"
+
+
+class KeyedUnverdicted(Unverdicted):
+    """Recorded into a recipe, so its replay is what returns no Verdict."""
+
+    def flow_key(self, packet):
+        return 0
+
+
+class TestUnverdictedAppIsRefused:
+    @pytest.mark.parametrize("frames_in_drain", [1, 3])
+    @pytest.mark.parametrize("app_cls", [Unverdicted, KeyedUnverdicted])
+    @pytest.mark.parametrize("engine_cls", [PacketProcessingEngine, ReferenceEngine])
+    def test_every_drain_names_the_app(self, engine_cls, app_cls, frames_in_drain):
+        sim = Simulator()
+        app = app_cls()
+        fast = engine_cls is PacketProcessingEngine
+        engine = (
+            fast_engine(app, sim)
+            if fast
+            else ReferenceEngine(
+                sim, app, TimingSpec(64, 156.25e6), app.pipeline_spec().pipeline_depth
+            )
+        )
+        done = []
+        if fast:  # one flush: the drain event finds every frame due at once
+            engine.flush_begin()
+        for _ in range(frames_in_drain):
+            engine.submit(
+                make_udp(), Direction.EDGE_TO_LINE, lambda *a: done.append(a), 0.0, 60
+            )
+        if fast:
+            engine.flush_end()
+        with pytest.raises(SimulationError, match="'unverdicted'.*instead of a Verdict"):
+            sim.run()
+        assert done == []
