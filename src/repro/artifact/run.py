@@ -148,16 +148,20 @@ class RunArtifact:
     def from_dict(cls, payload: Mapping) -> "RunArtifact":
         """Rebuild an artifact from its document; a missing section is empty.
 
-        The document comes from outside the program: a field of the wrong
-        type is a :class:`ConfigError` naming it, never a ``TypeError``
-        from deep inside a later diff.
+        The document comes from outside the program: a missing ``schema``,
+        an unknown top-level field or a field of the wrong type is a
+        :class:`ConfigError` naming it, never a ``TypeError`` from deep
+        inside a later diff.
         """
         data = dict(payload)
-        schema = data.pop("schema", SCHEMA_RUN)
+        schema = data.pop("schema", None)
         if schema != SCHEMA_RUN:
             raise ConfigError(
                 f"expected a {SCHEMA_RUN!r} document, got schema {schema!r}"
             )
+        unknown = sorted(map(str, data.keys() - _SECTIONS.keys()))
+        if unknown:
+            raise ConfigError(f"unknown artifact field(s) {unknown}")
         doc = {
             name: _typed(data.get(name, kind()), kind, name)
             for name, kind in _SECTIONS.items()

@@ -21,9 +21,10 @@ exposes the toolkit's analysis surface without writing any code:
   deterministic retry, ``--checkpoint``/``--resume`` journalling, and a
   distinct exit code (``4``) when retries were exhausted and the merged
   artifact is explicitly partial.
-* ``matrix`` — sweep engine/shards/workers/device/fault-plan
-  axes over one scenario, diff every cell against a baseline cell, and
-  exit ``5`` on semantic divergence (with ``--fail-on-diverged``).
+* ``matrix`` — run the declared tier sweep (:func:`repro.matrix.declared`)
+  on both tiers, diff each compiled cell against its reference cell,
+  write (``--record``) or check (``--against``) the per-cell semantic
+  digests, and exit ``5`` on any semantic divergence.
 * ``diff`` — compare two saved ``flexsfp.run/1`` artifacts; exit ``5``
   when they diverge semantically, ``0`` when identical or timing-only.
 
@@ -479,41 +480,32 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_matrix(args: argparse.Namespace) -> int:
-    from .matrix import MatrixAxes, parse_int_axis, parse_optional_axis, run_matrix
-    from .obs.scenario import ScenarioSpec
+    from .matrix import compare, labels, load_against, run_declared
 
-    axes = MatrixAxes(
-        engines=tuple(args.engines.split(",")) if args.engines else ("reference",),
-        shards=parse_int_axis(args.shards, "shards"),
-        workers=parse_int_axis(args.workers, "workers"),
-        devices=parse_optional_axis(args.devices, "devices"),
-        fault_plans=parse_optional_axis(args.fault_plans, "fault-plans"),
-    )
-    spec = ScenarioSpec(kind=args.scenario, seed=args.seed)
+    # A bad --against file fails before any cell runs.
+    against = None if args.against is None else load_against(args.against)
     progress = None
     if not args.json:
-        total = axes.size()
+        total = len(labels(args.scenario))
 
         def progress(label: str, _counter=iter(range(1, total + 1))) -> None:
             print(f"[{next(_counter)}/{total}] {label}")
 
-    result = run_matrix(
-        spec,
-        axes,
-        baseline=args.baseline,
-        start_method=args.start_method,
-        progress=progress,
-    )
-    document = result.document()
+    result = run_declared(args.scenario, progress)
+    lines, diverged = ([], []) if against is None else compare(result, against)
     if args.out is not None:
-        write_text_atomic(args.out, document + "\n")
-    exit_code = 0
-    if not result.ok:
-        exit_code = EXIT_PARTIAL
-    if result.diverged and args.fail_on_diverged:
+        write_text_atomic(args.out, result.document() + "\n")
+    if args.record is not None:
+        record = json.dumps(result.record(), sort_keys=True, indent=1)
+        write_text_atomic(args.record, record + "\n")
+    exit_code = 0 if result.ok else EXIT_PARTIAL
+    if result.diverged or diverged:
         exit_code = EXIT_DIVERGED
     if args.json:
-        print(document)
+        payload = result.to_dict()
+        if against is not None:
+            payload["against"] = {"file": args.against, "diverged": diverged, "lines": lines}
+        print(json.dumps(payload, sort_keys=True, default=str))
         return exit_code
     print()
     _print_rows(
@@ -522,18 +514,21 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     )
     counts = result.counts()
     print(
-        f"\n{counts['cells']} cell(s) vs baseline [{result.baseline}]: "
+        f"\n{counts['cells']} cell(s), each against its sweep's first: "
         f"{counts['diverged']} diverged, {counts['partial']} partial "
         f"-> {result.verdict}"
     )
     for cell in result.diverged_cells:
         for entry in cell.diff.semantic_entries:
-            print(
-                f"  {cell.config.label}: {entry.kind.value} {entry.name}: "
-                f"{entry.a!r} != {entry.b!r}"
-            )
-    if args.out is not None:
-        print(f"wrote {args.out}")
+            print(f"  {cell.label}: {entry.kind.value} {entry.name}: {entry.a!r} != {entry.b!r}")
+    if against is not None:
+        print(f"\nagainst {args.against}:")
+        for line in lines:
+            print(f"  {line}")
+        print(f"{len(diverged)} cell(s) diverged from {args.against}")
+    for written in (args.out, args.record):
+        if written is not None:
+            print(f"wrote {written}")
     return exit_code
 
 
@@ -813,56 +808,29 @@ def _args_matrix(matrix: argparse.ArgumentParser) -> None:
     from .obs.scenario import SCENARIO_KINDS
 
     matrix.add_argument(
-        "--scenario", choices=sorted(SCENARIO_KINDS), default="nat-linerate"
-    )
-    matrix.add_argument("--seed", type=int, default=1, help="root seed")
-    matrix.add_argument(
-        "--engines",
-        default="reference",
-        help="comma-separated engine axis: reference,compiled",
-    )
-    matrix.add_argument(
-        "--shards", default="1", help="comma-separated shard-count axis: 1,4"
-    )
-    matrix.add_argument(
-        "--workers", default="1", help="comma-separated worker-count axis"
-    )
-    matrix.add_argument(
-        "--devices",
-        default="none",
-        help="comma-separated device axis ('none' keeps the base spec)",
-    )
-    matrix.add_argument(
-        "--fault-plans",
-        default="none",
-        dest="fault_plans",
-        help="comma-separated fault-plan axis ('none' keeps the base spec)",
-    )
-    matrix.add_argument(
-        "--baseline",
-        type=int,
-        default=0,
-        help="index of the baseline cell in axis-major order (default: 0)",
-    )
-    matrix.add_argument(
-        "--start-method",
-        choices=("fork", "spawn", "forkserver"),
+        "--scenario",
+        choices=sorted(SCENARIO_KINDS),
         default=None,
-        dest="start_method",
-        help="multiprocessing start method for multi-worker cells",
+        help="run only this kind's declared cells (default: every cell)",
     )
     matrix.add_argument(
         "--out",
         metavar="FILE",
         default=None,
-        help="write the merged flexsfp.matrix/1 document to FILE (atomic)",
+        help="write the flexsfp.matrix/1 document (every cell's artifact) to FILE",
     )
     matrix.add_argument(
-        "--fail-on-diverged",
-        action="store_true",
-        dest="fail_on_diverged",
-        help=f"exit {EXIT_DIVERGED} if any cell diverges semantically "
-        "from the baseline (CI gate)",
+        "--record",
+        metavar="FILE",
+        default=None,
+        help="write {cell label: semantic digest} to FILE (the checked-in record)",
+    )
+    matrix.add_argument(
+        "--against",
+        metavar="FILE",
+        default=None,
+        help=f"check every cell against a record or an earlier --out document; "
+        f"exit {EXIT_DIVERGED} on any divergence",
     )
 
 
@@ -887,7 +855,7 @@ COMMANDS = (
     ("metrics", "run an instrumented scenario, export its metrics registry", _args_metrics, cmd_metrics),
     ("trace", "per-packet stage spans through a scenario (JSON Lines)", _args_trace, cmd_trace),
     ("run", "sharded fleet-scale scenario run with merged metrics", _args_run, cmd_run),
-    ("matrix", "sweep scenario axes, diff every cell against a baseline", _args_matrix, cmd_matrix),
+    ("matrix", "run the declared tier sweep, check it against a record", _args_matrix, cmd_matrix),
     ("diff", "compare two saved flexsfp.run/1 artifacts", _args_diff, cmd_diff),
 )  # fmt: skip
 

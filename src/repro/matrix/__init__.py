@@ -1,4 +1,4 @@
-"""``repro.matrix`` — sweep ScenarioSpec axes and cross-diff the cells."""
+"""``repro.matrix`` — the declared tier sweep, its record and its check."""
 
 from .._util import export_table
 
@@ -6,9 +6,8 @@ __all__, __getattr__, __dir__ = export_table(
     __name__,
     {
         "runner": (
-            "CellConfig", "MatrixAxes", "MatrixCell", "MatrixResult",
-            "parse_axis_values", "parse_int_axis", "parse_optional_axis",
-            "run_matrix",
+            "CellConfig", "MatrixAxes", "MatrixCell", "MatrixResult", "compare",
+            "declared", "labels", "load_against", "run_declared", "run_matrix",
         ),
     },
 )

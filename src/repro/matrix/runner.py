@@ -1,159 +1,103 @@
-"""The scenario matrix: sweep spec axes, diff every cell vs a baseline.
+"""The tier sweep: one declared cell list, run on both tiers and checked.
 
-A matrix run is the one-command differential oracle: take a base
-:class:`~repro.obs.scenario.ScenarioSpec`, expand it across
-engine × shards × workers × device × fault-plan axes, run
-each cell through the supervised sharded runner, reduce each cell to a
-``flexsfp.run/1`` artifact, and cross-diff every cell against the
-designated baseline cell with :func:`repro.artifact.diff_artifacts`.
-"Does the compiled engine compute what the reference engine computes, at
-every shard count" stops being a test file and becomes
-``flexsfp matrix --engines reference,compiled --shards 1,4``.
+The reproduction's central claim is that both engine tiers compute the
+same result.  :func:`declared` is the one list of runs that checks it:
+every scenario kind at root seed 1, ``chaos`` at six more root seeds,
+every named fault plan but ``smoke`` at seed 1, ``nat-linerate`` at seed
+11 with one and four shards, and ``nfv-chain`` / ``tenant-churn`` at
+seed 3.  A sweep runs its cells (one per tier and shard count) through
+the supervised sharded runner, reduces each to a ``flexsfp.run/1``
+artifact and diffs it against the sweep's first cell (reference tier,
+one shard) with :func:`repro.artifact.diff_artifacts`.
 
-Shard-count cells share their shard prefix (shard ``i`` always runs
-under the same derived seed), so the diff engine compares per-shard
-semantic digests across cells with different shard counts instead of
-apples-to-oranges merged aggregates.
+A cell's seed is the *root* seed, as ``flexsfp run --seed`` means it:
+shard ``i`` runs under the seed derived from (root, ``i``), so cells
+with different shard counts share their shard prefix and the diff
+compares per-shard semantic digests across them instead of merged
+aggregates of different fleet sizes.
+
+A sweep's record (:meth:`MatrixResult.record`) is one semantic digest per
+cell; the checked-in ``tests/snapshots/registry_semantic.json`` is that
+record, and :func:`compare` checks a run against it or against an
+earlier run's document, cell by cell.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 from dataclasses import dataclass, replace
-from typing import Iterator
+from pathlib import Path
+from typing import Callable, Iterator, Mapping
 
+from .._util import typed
 from ..artifact import ArtifactDiff, RunArtifact, diff_artifacts
-from ..engine import validate_engine
+from ..engine import ENGINES, validate_engine
 from ..errors import ConfigError
-from ..obs.export import SCHEMA_MATRIX, json_document
-from ..obs.scenario import ScenarioSpec
+from ..faults.plan import NAMED_PLANS
+from ..obs.export import SCHEMA_MATRIX
+from ..obs.scenario import SCENARIO_KINDS, ScenarioSpec
 from ..parallel.supervisor import run_sharded
+
+#: Root seeds of the default-plan chaos sweep.  Root 21 is the one whose
+#: shard reboots the module again inside the first reboot's dark window.
+CHAOS_SEEDS = (1, 2, 3, 5, 7, 11, 21)
 
 
 @dataclass(frozen=True)
 class MatrixAxes:
-    """The swept knobs.  Every axis defaults to "just the base spec".
+    """The tiers and shard counts one sweep crosses."""
 
-    ``devices`` / ``fault_plans`` accept ``None`` entries meaning "keep
-    whatever the base spec says" — the identity element every axis
-    needs so a 1-long axis never perturbs the spec.
-    """
-
-    engines: tuple[str, ...] = ("reference",)
+    engines: tuple[str, ...] = ENGINES
     shards: tuple[int, ...] = (1,)
-    workers: tuple[int, ...] = (1,)
-    devices: tuple[str | None, ...] = (None,)
-    fault_plans: tuple[str | None, ...] = (None,)
 
     def validate(self) -> None:
-        for axis, values in (
-            ("engines", self.engines),
-            ("shards", self.shards),
-            ("workers", self.workers),
-            ("devices", self.devices),
-            ("fault_plans", self.fault_plans),
-        ):
-            if not values:
-                raise ConfigError(f"matrix axis {axis!r} must be non-empty")
+        if not self.engines or not self.shards:
+            raise ConfigError("matrix axes must be non-empty")
         for engine in self.engines:
             validate_engine(engine)
         for count in self.shards:
             if count < 1:
                 raise ConfigError(f"shards axis values must be >= 1: {count}")
-        for count in self.workers:
-            if count < 1:
-                raise ConfigError(f"workers axis values must be >= 1: {count}")
-
-    def size(self) -> int:
-        return (
-            len(self.engines)
-            * len(self.shards)
-            * len(self.workers)
-            * len(self.devices)
-            * len(self.fault_plans)
-        )
 
     def cells(self) -> Iterator["CellConfig"]:
-        """Every cell in deterministic axis-major order.
-
-        The first yielded cell is the default baseline, so axis ordering
-        is part of the contract: engines vary slowest, fault plans
-        fastest.
-        """
+        """Every cell, engines slowest: the first one is the baseline."""
         self.validate()
-        for engine, shards, workers, device, plan in itertools.product(
-            self.engines,
-            self.shards,
-            self.workers,
-            self.devices,
-            self.fault_plans,
-        ):
-            yield CellConfig(
-                engine=engine,
-                shards=shards,
-                workers=workers,
-                device=device,
-                fault_plan=plan,
-            )
+        for engine, shards in itertools.product(self.engines, self.shards):
+            yield CellConfig(engine=engine, shards=shards)
 
 
 @dataclass(frozen=True)
 class CellConfig:
-    """One matrix cell's knob assignment."""
+    """One cell's tier and shard count."""
 
     engine: str
     shards: int
-    workers: int
-    device: str | None
-    fault_plan: str | None
-
-    @property
-    def label(self) -> str:
-        parts = [
-            f"engine={self.engine}",
-            f"shards={self.shards}",
-            f"workers={self.workers}",
-        ]
-        if self.device is not None:
-            parts.append(f"device={self.device}")
-        if self.fault_plan is not None:
-            parts.append(f"faults={self.fault_plan}")
-        return ",".join(parts)
 
     def apply(self, base: ScenarioSpec) -> ScenarioSpec:
-        """The cell's concrete spec: base spec with this cell's knobs."""
-        changes: dict[str, object] = {
-            "engine": self.engine,
-            "shards": self.shards,
-        }
-        if self.device is not None:
-            changes["device"] = self.device
-        if self.fault_plan is not None:
-            changes["fault_plan"] = self.fault_plan
-        return replace(base, **changes)
+        """The cell's concrete spec: ``base`` run on this tier and fleet."""
+        return replace(base, engine=self.engine, shards=self.shards)
+
+    def label(self, base: ScenarioSpec) -> str:
+        """``<kind>[:<plan>]/<engine>/<root seed>[/shards=<n>]``."""
+        kind = base.kind if base.fault_plan is None else f"{base.kind}:{base.fault_plan}"
+        label = f"{kind}/{self.engine}/{base.seed}"
+        return label if self.shards == 1 else f"{label}/shards={self.shards}"
 
     def to_dict(self) -> dict:
-        return {
-            "engine": self.engine,
-            "shards": self.shards,
-            "workers": self.workers,
-            "device": self.device,
-            "fault_plan": self.fault_plan,
-            "label": self.label,
-        }
+        return {"engine": self.engine, "shards": self.shards}
 
 
 @dataclass(frozen=True)
 class MatrixCell:
-    """One executed cell: its config, artifact, and diff vs baseline."""
+    """One executed cell: its label, config, artifact, and diff vs baseline."""
 
+    label: str
     config: CellConfig
     artifact: RunArtifact
+    baseline: str
     diff: ArtifactDiff | None  # None only for the baseline cell
-
-    @property
-    def is_baseline(self) -> bool:
-        return self.diff is None
 
     @property
     def diverged(self) -> bool:
@@ -163,9 +107,20 @@ class MatrixCell:
     def verdict(self) -> str:
         return "baseline" if self.diff is None else self.diff.verdict
 
+    @property
+    def digest(self) -> str:
+        """The cell's record entry: its shard's semantic digest (a hash of
+        every shard's, in index order, past one shard)."""
+        digests = [str(shard["semantic_digest"]) for shard in self.artifact.shards]
+        if len(digests) == 1:
+            return digests[0]
+        return hashlib.sha256("\n".join(digests).encode()).hexdigest()
+
     def to_dict(self) -> dict:
         return {
+            "label": self.label,
             "config": self.config.to_dict(),
+            "baseline": self.baseline,
             "artifact": self.artifact.to_dict(),
             "diff": None if self.diff is None else self.diff.to_dict(),
             "verdict": self.verdict,
@@ -174,10 +129,8 @@ class MatrixCell:
 
 @dataclass(frozen=True)
 class MatrixResult:
-    """A full matrix run, ready to render or persist as one document."""
+    """Executed cells, ready to render, record or persist as one document."""
 
-    base_spec: dict
-    baseline: str
     cells: tuple[MatrixCell, ...]
 
     @property
@@ -186,7 +139,7 @@ class MatrixResult:
 
     @property
     def ok(self) -> bool:
-        """Every cell complete (no shard losses anywhere in the grid)."""
+        """Every cell complete (no shard losses anywhere in the sweep)."""
         return all(cell.artifact.ok for cell in self.cells)
 
     @property
@@ -208,11 +161,13 @@ class MatrixResult:
             "partial": sum(1 for cell in self.cells if not cell.artifact.ok),
         }
 
+    def record(self) -> dict[str, str]:
+        """``{cell label: semantic digest}``: what the checked-in record holds."""
+        return {cell.label: cell.digest for cell in self.cells}
+
     def to_dict(self) -> dict:
         return {
             "schema": SCHEMA_MATRIX,
-            "base_spec": dict(self.base_spec),
-            "baseline": self.baseline,
             "verdict": self.verdict,
             "counts": self.counts(),
             "cells": [cell.to_dict() for cell in self.cells],
@@ -220,114 +175,171 @@ class MatrixResult:
 
     def document(self) -> str:
         """The canonical one-line ``flexsfp.matrix/1`` JSON document."""
-        payload = self.to_dict()
-        payload.pop("schema")
-        return json_document(SCHEMA_MATRIX, **payload)
+        return json.dumps(self.to_dict(), sort_keys=True, default=str)
 
     def rows(self) -> list[tuple]:
-        """(label, verdict, semantic, timing-only, ok) per cell — the
-        CLI table body."""
+        """(label, verdict, semantic, timing-only, complete) per cell."""
         rows = []
         for cell in self.cells:
-            semantic = (
-                0 if cell.diff is None else len(cell.diff.semantic_entries)
-            )
-            timing = (
-                0
-                if cell.diff is None
-                else len(cell.diff.entries) - semantic
-            )
-            rows.append(
-                (
-                    cell.config.label,
-                    cell.verdict,
-                    semantic,
-                    timing,
-                    "yes" if cell.artifact.ok else "NO",
-                )
-            )
+            entries = () if cell.diff is None else cell.diff.entries
+            semantic = sum(entry.semantic for entry in entries)
+            complete = "yes" if cell.artifact.ok else "NO"
+            rows.append((cell.label, cell.verdict, semantic, len(entries) - semantic, complete))
         return rows
+
+
+def declared() -> tuple[tuple[ScenarioSpec, MatrixAxes], ...]:
+    """Every declared sweep: a base spec and the cells it runs."""
+    both = MatrixAxes()
+    sweeps = [
+        (ScenarioSpec(kind=kind, seed=seed), both)
+        for kind in sorted(SCENARIO_KINDS)
+        for seed in (CHAOS_SEEDS if kind == "chaos" else (1,))
+    ]
+    sweeps += [
+        (ScenarioSpec(kind="chaos", fault_plan=plan, seed=1), both)
+        for plan in sorted(NAMED_PLANS)
+        if plan != "smoke"
+    ]
+    sweeps += [
+        (ScenarioSpec(kind="nat-linerate", seed=11), MatrixAxes(shards=(1, 4))),
+        (ScenarioSpec(kind="nfv-chain", seed=3), both),
+        (ScenarioSpec(kind="tenant-churn", seed=3), both),
+    ]
+    return tuple(sweeps)
+
+
+def _declared_of(kind: str | None) -> list[tuple[ScenarioSpec, MatrixAxes]]:
+    if kind is not None and kind not in SCENARIO_KINDS:
+        raise ConfigError(
+            f"unknown scenario {kind!r}; available: {sorted(SCENARIO_KINDS)}"
+        )
+    return [(spec, axes) for spec, axes in declared() if kind in (None, spec.kind)]
+
+
+def labels(kind: str | None = None) -> list[str]:
+    """Every declared cell's label (of one kind's sweeps, given ``kind``)."""
+    return [
+        config.label(spec)
+        for spec, axes in _declared_of(kind)
+        for config in axes.cells()
+    ]
 
 
 def run_matrix(
     spec: ScenarioSpec,
     axes: MatrixAxes,
-    baseline: int = 0,
-    start_method: str | None = None,
-    progress=None,
+    progress: Callable[[str], None] | None = None,
 ) -> MatrixResult:
-    """Execute every cell of ``axes`` over ``spec`` and diff vs baseline.
+    """Execute every cell of ``axes`` over ``spec`` and diff vs the first.
 
-    The base spec is resolved once in the parent — every cell then
-    overrides exactly the swept knobs, so un-swept knobs (traffic, app,
-    seed) are pinned identically across the grid.  ``baseline`` indexes
-    into the deterministic cell order (default: first cell).
-    ``progress`` is an optional ``callable(label)`` invoked before each
-    cell runs (the CLI's live narration hook).
+    The base spec is resolved once in the parent, so every cell overrides
+    exactly its tier and shard count.  ``progress`` is an optional
+    ``callable(label)`` invoked before each cell runs.
     """
-    configs = list(axes.cells())
-    if not 0 <= baseline < len(configs):
-        raise ConfigError(
-            f"baseline index {baseline} out of range for {len(configs)} cells"
-        )
     resolved = spec.resolved()
-    artifacts: list[RunArtifact] = []
-    for config in configs:
+    cells: list[MatrixCell] = []
+    for config in axes.cells():
+        label = config.label(spec)
         if progress is not None:
-            progress(config.label)
-        cell_spec = config.apply(resolved)
-        result = run_sharded(
-            cell_spec, workers=config.workers, start_method=start_method
+            progress(label)
+        artifact = run_sharded(config.apply(resolved)).to_artifact(
+            source=f"matrix:{label}"
         )
-        artifacts.append(
-            result.to_artifact(source=f"matrix:{config.label}")
+        base = cells[0] if cells else None
+        cells.append(
+            MatrixCell(
+                label=label,
+                config=config,
+                artifact=artifact,
+                baseline=label if base is None else base.label,
+                diff=None if base is None else diff_artifacts(base.artifact, artifact),
+            )
         )
-    base_artifact = artifacts[baseline]
-    cells = tuple(
-        MatrixCell(
-            config=config,
-            artifact=artifact,
-            diff=(
-                None
-                if index == baseline
-                else diff_artifacts(base_artifact, artifact)
-            ),
+    return MatrixResult(cells=tuple(cells))
+
+
+def run_declared(
+    kind: str | None = None, progress: Callable[[str], None] | None = None
+) -> MatrixResult:
+    """Run every declared sweep (only ``kind``'s, given one) as one result."""
+    cells: tuple[MatrixCell, ...] = ()
+    for spec, axes in _declared_of(kind):
+        cells += run_matrix(spec, axes, progress).cells
+    return MatrixResult(cells=cells)
+
+
+def load_against(path: str | Path) -> dict[str, str] | dict[str, RunArtifact]:
+    """Read what ``--against`` names, fail-closed.
+
+    A record (``{label: digest}``, no ``schema``) comes back as is; a
+    ``flexsfp.matrix/1`` document as ``{label: its cell's artifact}``.
+    Anything else is a :class:`ConfigError` naming the file.
+    """
+    target = Path(path)
+    try:
+        payload = json.loads(target.read_text())
+    except OSError as exc:
+        raise ConfigError(f"{target}: cannot read: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{target} is not valid JSON: {exc}") from None
+    typed(payload, dict, f"{target}")
+    if "schema" not in payload:
+        for label, digest in payload.items():
+            typed(digest, str, f"{target}: record entry {label!r}")
+        return payload
+    if payload["schema"] != SCHEMA_MATRIX:
+        raise ConfigError(
+            f"{target}: expected a record or a {SCHEMA_MATRIX!r} document, "
+            f"got schema {payload['schema']!r}"
         )
-        for index, (config, artifact) in enumerate(zip(configs, artifacts))
-    )
-    return MatrixResult(
-        base_spec=resolved.to_dict(),
-        baseline=configs[baseline].label,
-        cells=cells,
-    )
-
-
-def parse_axis_values(raw: str, axis: str) -> tuple[str, ...]:
-    """Split a comma-separated CLI axis value, rejecting empties."""
-    values = tuple(part.strip() for part in raw.split(",") if part.strip())
-    if not values:
-        raise ConfigError(f"matrix axis {axis!r} has no values: {raw!r}")
-    return values
-
-
-def parse_int_axis(raw: str, axis: str) -> tuple[int, ...]:
-    """Parse a comma-separated integer axis like ``1,4``."""
-    values = []
-    for token in parse_axis_values(raw, axis):
+    artifacts = {}
+    for index, cell in enumerate(typed(payload.get("cells"), list, f"{target}: cells")):
+        where = f"{target}: cells[{index}]"
+        typed(cell, dict, where)
+        label = typed(cell.get("label"), str, f"{where}.label")
         try:
-            values.append(int(token))
-        except ValueError:
-            raise ConfigError(
-                f"matrix axis {axis!r}: expected integers, got {token!r}"
-            ) from None
-    return tuple(values)
+            artifacts[label] = RunArtifact.from_dict(
+                typed(cell.get("artifact"), dict, f"{where}.artifact")
+            )
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+    return artifacts
 
 
-def parse_optional_axis(
-    raw: str, axis: str
-) -> tuple[str | None, ...]:
-    """Parse an axis whose ``none`` token means "keep the base spec"."""
-    return tuple(
-        None if token.lower() == "none" else token
-        for token in parse_axis_values(raw, axis)
-    )
+def compare(
+    result: MatrixResult, against: Mapping[str, str | RunArtifact]
+) -> tuple[list[str], list[str]]:
+    """Each run cell against the cell of the same label in ``against``.
+
+    Returns the lines to print and the labels that diverged.  Against a
+    record a cell diverges when its digest differs; against a document,
+    when :func:`diff_artifacts` finds a semantic entry (every entry is
+    printed, timing-only ones too).  A run cell the file lacks, and a
+    label the file holds that is not declared at all, diverge as well; a
+    declared cell this run did not take (another kind's) is skipped.
+    """
+    lines: list[str] = []
+    diverged: list[str] = []
+    for label in sorted(against.keys() - set(labels())):
+        lines.append(f"{label}: not a declared cell")
+        diverged.append(label)
+    for cell in result.cells:
+        expected = against.get(cell.label)
+        if expected is None:
+            lines.append(f"{cell.label}: missing from the file")
+            diverged.append(cell.label)
+        elif isinstance(expected, str):
+            if expected != cell.digest:
+                lines.append(f"{cell.label}: {expected} != {cell.digest}")
+                diverged.append(cell.label)
+        else:
+            diff = diff_artifacts(expected, cell.artifact)
+            lines += [
+                f"{cell.label}: {entry.kind.value} {entry.name}: {entry.a!r} != {entry.b!r}"
+                for entry in diff.entries
+            ]
+            lines += [f"{cell.label}: note: {note}" for note in diff.notes]
+            if diff.diverged:
+                diverged.append(cell.label)
+    return lines, diverged

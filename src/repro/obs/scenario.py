@@ -148,6 +148,10 @@ class ScenarioSpec:
             # the gauntlet (fleet, switch, impairments).
             from ..faults.plan import NAMED_PLANS
 
+            if self.kind != "chaos":
+                raise ConfigError(
+                    f"a fault plan only applies to the chaos kind, not {self.kind!r}"
+                )
             if self.fault_plan not in NAMED_PLANS:
                 raise ConfigError(
                     f"unknown fault plan {self.fault_plan!r}; named plans: "

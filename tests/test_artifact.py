@@ -246,6 +246,23 @@ class TestArtifactBoundaryFailsClosed:
                 assert all(loaded.digests)
         assert mutants > 1000 and refused > 100, (mutants, refused)
 
+    def test_no_schema_or_an_unknown_field_is_refused(self, fleet_artifact, tmp_path, capsys):
+        from repro.cli import main
+
+        document = json.loads(fleet_artifact.document())
+        with pytest.raises(ConfigError, match="schema"):
+            RunArtifact.from_dict(_mutant(document, ("schema",), _DELETE))
+        with pytest.raises(ConfigError, match="bogus"):
+            RunArtifact.from_dict({**document, "bogus": 3})
+        # Two digest records are not run artifacts: diff refuses them
+        # instead of calling them identical.
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        a.write_text(json.dumps({"chaos/reference/1": "a" * 64}))
+        b.write_text(json.dumps({"chaos/reference/1": "b" * 64}))
+        assert main(["diff", str(a), str(b)]) == 2
+        assert "schema" in capsys.readouterr().err
+
     def test_diff_cli_names_the_field_and_exits_2(self, fleet_artifact, tmp_path, capsys):
         from repro.cli import main
 

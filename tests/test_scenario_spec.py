@@ -34,6 +34,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match="fault plan"):
             ScenarioSpec(kind="chaos", fault_plan="meteor").validate()
 
+    def test_a_fault_plan_on_a_kind_that_runs_no_faults_is_refused(self, capsys):
+        from repro.cli import main
+
+        for kind in sorted(set(SCENARIO_KINDS) - {"chaos"}):
+            with pytest.raises(ConfigError, match=kind):
+                ScenarioSpec(kind=kind, fault_plan="linkstorm").validate()
+        argv = ["run", "--scenario", "nat-linerate", "--plan", "linkstorm", "--shards", "1"]
+        assert main(argv) == 2
+        assert "'nat-linerate'" in capsys.readouterr().err
+
     def test_chaos_rejects_a_profiler_it_would_never_install(self):
         with pytest.raises(ConfigError, match="profile"):
             ScenarioSpec(kind="chaos", profile=True).validate()
