@@ -39,6 +39,8 @@ class AppChain(PPEApplication):
             raise ConfigError(f"duplicate application names in chain: {names}")
         self.name = name
         self.apps = list(apps)
+        # Each member beside its stop counter's name, built once.
+        self._stops = [(app, f"stopped_by_{app.name}") for app in self.apps]
         # Re-export member tables under prefixed names so the control
         # plane can address them without collisions.
         self.tables = TableRegistry()
@@ -49,12 +51,12 @@ class AppChain(PPEApplication):
 
     # ------------------------------------------------------------------
     def process(self, packet: Packet, ctx: PPEContext) -> Verdict:
-        for app in self.apps:
+        for app, stopped in self._stops:
             verdict = app.process(packet, ctx)
             if verdict is not Verdict.PASS:
-                self.counter(f"stopped_by_{app.name}").count(packet.wire_len)
+                self.count(stopped, packet)
                 return verdict
-        self.counter("passed").count(packet.wire_len)
+        self.count("passed", packet)
         return Verdict.PASS
 
     # ------------------------------------------------------------------

@@ -74,16 +74,16 @@ class DnsFilter(PPEApplication):
                 and l4.dport == 443
                 and self.doh_resolvers.lookup(ip.dst)
             ):
-                self.counter("doh_blocked").count(packet.wire_len)
+                self.count("doh_blocked", packet)
                 return Verdict.DROP
         # Cleartext DNS query inspection.
         message = packet.dns()
         if message is not None and message.is_query:
             for question in message.questions:
                 if self.is_blocked(question.qname):
-                    self.counter("dns_blocked").count(packet.wire_len)
+                    self.count("dns_blocked", packet)
                     return Verdict.DROP
-            self.counter("dns_allowed").count(packet.wire_len)
+            self.count("dns_allowed", packet)
         return Verdict.PASS
 
     def flow_key(self, packet: Packet):

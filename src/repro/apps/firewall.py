@@ -113,9 +113,9 @@ class AclFirewall(PPEApplication):
             matched = self.acl.lookup(key)
             action = matched if matched is not None else self.default_action
         if action == "deny":
-            self.counter("denied").count(packet.wire_len)
+            self.count("denied", packet)
             return Verdict.DROP
-        self.counter("permitted").count(packet.wire_len)
+        self.count("permitted", packet)
         return Verdict.PASS
 
     def flow_key(self, packet: Packet):

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import struct
 
-from ..core.ppe import PPEApplication, PPEContext, Verdict
+from .._util import typed
+from ..core.ppe import Direction, PPEApplication, PPEContext, Verdict
 from ..errors import ConfigError
 from ..hls.ir import PipelineSpec, Stage, StageKind
 from ..packet import (
+    Ethernet,
     EtherType,
     INTHop,
     INTShim,
@@ -27,6 +29,9 @@ from ..packet import (
 )
 
 ROLES = ("source", "transit", "sink")
+DIRECTIONS = (None, "edge->line", "line->edge")  # ``only_direction``
+
+_new = object.__new__
 
 _REPORT_HEADER = struct.Struct("!HHI")  # version, hop_count, device_id
 REPORT_VERSION = 1
@@ -67,30 +72,35 @@ class InbandTelemetry(PPEApplication):
         super().__init__()
         if role not in ROLES:
             raise ConfigError(f"unknown INT role {role!r}; pick from {ROLES}")
+        # A shim holds the source's own hop and at most 15 (a 4-bit field).
+        if not 1 <= typed(max_hops, int, "INT max_hops") <= INTShim.MAX_HOPS_LIMIT:
+            raise ConfigError(f"INT max_hops must be 1..15, got {max_hops}")
+        if only_direction not in DIRECTIONS:
+            raise ConfigError(f"INT only_direction {only_direction!r} is not one of {DIRECTIONS}")
         self.role = role
         self.max_hops = max_hops
         self.collector_ip = collector_ip
         self.exporter_ip = exporter_ip
         self.only_direction = only_direction
-        self.reports_sent = 0
-
-    def _applies(self, ctx: PPEContext) -> bool:
-        return (
-            self.only_direction is None
-            or ctx.direction.value == self.only_direction
-        )
+        self._only = None if only_direction is None else Direction(only_direction)
 
     def _hop(self, ctx: PPEContext) -> INTHop:
-        ingress_ns = ctx.time_ns
-        return INTHop(
-            device_id=ctx.device_id,
-            queue_depth=min(ctx.queue_depth, 0xFFFF),
-            latency_ns=0,
-            ingress_ts_ns=ingress_ns,
-        )
+        """This hop's record by slot stores; a value out of range goes to
+        the validating constructor, which raises its ``ConfigError``."""
+        device_id, time_ns = ctx.device_id, ctx.time_ns
+        depth = min(ctx.queue_depth, 0xFFFF)
+        if not (0 <= device_id <= 0xFFFF and depth >= 0 and 0 <= time_ns < 1 << 64):
+            INTHop(device_id, depth, 0, time_ns)
+        hop = _new(INTHop)
+        hop.device_id = device_id
+        hop.queue_depth = depth
+        hop.latency_ns = 0
+        hop.ingress_ts_ns = time_ns
+        return hop
 
     def process(self, packet: Packet, ctx: PPEContext) -> Verdict:
-        if not self._applies(ctx):
+        only = self._only
+        if only is not None and ctx.direction is not only:
             return Verdict.PASS
         if self.role == "source":
             return self._source(packet, ctx)
@@ -99,14 +109,24 @@ class InbandTelemetry(PPEApplication):
         return self._sink(packet, ctx)
 
     def _source(self, packet: Packet, ctx: PPEContext) -> Verdict:
-        eth = packet.eth
-        if eth is None or packet.get(INTShim) is not None:
+        headers = packet.headers
+        at = None  # ``packet.eth`` and ``packet.get(INTShim)`` in one pass
+        for index, header in enumerate(headers):
+            if isinstance(header, INTShim):
+                return Verdict.PASS
+            if at is None and isinstance(header, Ethernet):
+                at, eth = index, header
+        if at is None:
             return Verdict.PASS
-        shim = INTShim(next_ethertype=eth.ethertype, max_hops=self.max_hops)
-        shim.push_hop(self._hop(ctx))
+        if not 0 <= eth.ethertype <= 0xFFFF:
+            INTShim(eth.ethertype)  # raises, as a stamp of this frame did
+        shim = _new(INTShim)
+        shim.next_ethertype = eth.ethertype
+        shim.max_hops = self.max_hops
+        shim.hops = [self._hop(ctx)]  # max_hops >= 1: the own hop fits
         eth.ethertype = EtherType.INT_SHIM
-        packet.insert_after(eth, shim)
-        self.counter("inserted").count(packet.wire_len)
+        headers.insert(at + 1, shim)
+        self.count("inserted", packet)
         return Verdict.PASS
 
     def _transit(self, packet: Packet, ctx: PPEContext) -> Verdict:
@@ -114,9 +134,9 @@ class InbandTelemetry(PPEApplication):
         if shim is None:
             return Verdict.PASS
         if shim.push_hop(self._hop(ctx)):
-            self.counter("pushed").count(packet.wire_len)
+            self.count("pushed", packet)
         else:
-            self.counter("stack_full").count(packet.wire_len)
+            self.count("stack_full", packet)
         return Verdict.PASS
 
     def _sink(self, packet: Packet, ctx: PPEContext) -> Verdict:
@@ -137,8 +157,7 @@ class InbandTelemetry(PPEApplication):
         # The report follows the monitored traffic so it reaches the
         # collector behind the sink's egress side.
         ctx.emit(report, ctx.direction)
-        self.reports_sent += 1
-        self.counter("terminated").count(packet.wire_len)
+        self.count("terminated", packet)
         return Verdict.PASS
 
     def pipeline_spec(self) -> PipelineSpec:

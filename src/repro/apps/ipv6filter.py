@@ -60,21 +60,21 @@ class Ipv6Filter(PPEApplication):
             and ip4 is not None
             and ip4.proto == IPV6_IN_IPV4_PROTO
         ):
-            self.counter("blocked_6in4").count(packet.wire_len)
+            self.count("blocked_6in4", packet)
             return Verdict.DROP
         return Verdict.PASS
 
     def _apply_policy(self, packet: Packet, ip6: IPv6) -> Verdict:
-        self.counter("ipv6_seen").count(packet.wire_len)
+        self.count("ipv6_seen", packet)
         if self.mode == "permit-all":
             return Verdict.PASS
         if self.mode == "block-all":
-            self.counter("blocked").count(packet.wire_len)
+            self.count("blocked", packet)
             return Verdict.DROP
         if ip6.next_header in self.allowed_next_headers:
-            self.counter("allowed").count(packet.wire_len)
+            self.count("allowed", packet)
             return Verdict.PASS
-        self.counter("blocked").count(packet.wire_len)
+        self.count("blocked", packet)
         return Verdict.DROP
 
     def pipeline_spec(self) -> PipelineSpec:

@@ -102,7 +102,7 @@ class LinkHealthMonitor(PPEApplication):
             self._burst_run = 1
             self._burst_start_ns = now
         self._last_arrival_ns = now
-        self.counter("observed").count(packet.wire_len)
+        self.count("observed", packet)
         return Verdict.PASS
 
     def _track_burst(self, gap_ns: int, now: int, ctx: PPEContext) -> None:

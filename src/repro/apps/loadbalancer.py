@@ -97,14 +97,14 @@ class L4LoadBalancer(PPEApplication):
     def process(self, packet: Packet, ctx: PPEContext) -> Verdict:
         backend = self.select_backend(packet)
         if backend is None:
-            self.counter("no_vip").count(packet.wire_len)
+            self.count("no_vip", packet)
             return Verdict.PASS
         ip = packet.ipv4
         eth = packet.eth
         assert ip is not None and eth is not None  # five_tuple() guaranteed IPv4
         ip.dst = ip_to_int(backend.ip)
         eth.dst = mac_to_int(backend.mac)
-        self.counter("steered").count(packet.wire_len)
+        self.count("steered", packet)
         return Verdict.PASS
 
     def flow_key(self, packet: Packet):

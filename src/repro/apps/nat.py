@@ -85,21 +85,21 @@ class StaticNat(PPEApplication):
     def process(self, packet: Packet, ctx: PPEContext) -> Verdict:
         ip = packet.ipv4
         if ip is None:
-            self.counter("non_ip").count(packet.wire_len)
+            self.count("non_ip", packet)
             return Verdict.PASS
         if ctx.direction is Direction.EDGE_TO_LINE:
             translated = self.nat_table.lookup(ip.src)
             if translated is None:
-                self.counter("miss").count(packet.wire_len)
+                self.count("miss", packet)
                 return Verdict.DROP if self.miss_action == "drop" else Verdict.PASS
             ip.src = translated
-            self.counter("translated").count(packet.wire_len)
+            self.count("translated", packet)
             return Verdict.PASS
         if self.translate_reverse:
             original = self.reverse_table.lookup(ip.dst)
             if original is not None:
                 ip.dst = original
-                self.counter("untranslated").count(packet.wire_len)
+                self.count("untranslated", packet)
         return Verdict.PASS
 
     # ------------------------------------------------------------------

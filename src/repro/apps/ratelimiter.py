@@ -80,12 +80,12 @@ class RateLimiter(PPEApplication):
             return Verdict.PASS if self.default_permit else Verdict.DROP
         bucket = self.meters.lookup(ip.src)
         if bucket is None:
-            self.counter("unmetered").count(packet.wire_len)
+            self.count("unmetered", packet)
             return Verdict.PASS if self.default_permit else Verdict.DROP
         if bucket.conforms(packet.wire_len, ctx.time_ns):
-            self.counter("conformed").count(packet.wire_len)
+            self.count("conformed", packet)
             return Verdict.PASS
-        self.counter("policed").count(packet.wire_len)
+        self.count("policed", packet)
         return Verdict.DROP
 
     def flow_key(self, packet: Packet) -> None:

@@ -38,14 +38,14 @@ class CpuPunt(PPEApplication):
             if arp is not None and (
                 not self._owned or arp.target_ip in self._owned
             ):
-                self.counter("punted_arp").count(packet.wire_len)
+                self.count("punted_arp", packet)
                 return Verdict.TO_CPU
         if self.punt_icmp_echo and packet.get(ICMP) is not None:
             ip = packet.ipv4
             if ip is not None and ip.dst in self._owned:
-                self.counter("punted_icmp").count(packet.wire_len)
+                self.count("punted_icmp", packet)
                 return Verdict.TO_CPU
-        self.counter("forwarded").count(packet.wire_len)
+        self.count("forwarded", packet)
         return Verdict.PASS
 
     def pipeline_spec(self) -> PipelineSpec:

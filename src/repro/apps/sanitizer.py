@@ -13,7 +13,7 @@ from __future__ import annotations
 from .._util import ip_to_int
 from ..core.ppe import PPEApplication, PPEContext, Verdict
 from ..hls.ir import PipelineSpec, Stage, StageKind
-from ..packet import IPv4, Packet, UDP
+from ..packet import Packet
 
 # Default martian source prefixes: (prefix, length).
 DEFAULT_MARTIANS = (
@@ -43,39 +43,37 @@ class PacketSanitizer(PPEApplication):
         self.drop_martians = drop_martians
         self.strip_ipv4_options = strip_ipv4_options
         self.min_udp_payload = min_udp_payload
-        self._martians = [
-            (ip_to_int(prefix) >> (32 - length), length) for prefix, length in martians
+        self._martians = [  # (network, shift)
+            (ip_to_int(prefix) >> (32 - length), 32 - length) for prefix, length in martians
         ]
-
-    def _is_martian(self, src: int) -> bool:
-        for prefix, length in self._martians:
-            if src >> (32 - length) == prefix:
-                return True
-        return False
 
     def process(self, packet: Packet, ctx: PPEContext) -> Verdict:
         ip = packet.ipv4
         if ip is None:
             return Verdict.PASS
         if self.verify_checksums and ip.checksum and not ip.verify_checksum():
-            self.counter("bad_checksum").count(packet.wire_len)
+            self.count("bad_checksum", packet)
             return Verdict.DROP
         if self.drop_expired_ttl and ip.ttl == 0:
-            self.counter("expired_ttl").count(packet.wire_len)
+            self.count("expired_ttl", packet)
             return Verdict.DROP
-        if self.drop_martians and self._is_martian(ip.src):
-            self.counter("martian").count(packet.wire_len)
-            return Verdict.DROP
-        udp = packet.get(UDP)
-        if udp is not None and len(packet.payload) < self.min_udp_payload:
-            self.counter("runt_payload").count(packet.wire_len)
+        if self.drop_martians:
+            src = ip.src
+            for network, shift in self._martians:
+                if src >> shift == network:
+                    self.count("martian", packet)
+                    return Verdict.DROP
+        # No payload is shorter than the default floor of 0: only a set
+        # floor looks for the UDP header.
+        if len(packet.payload) < self.min_udp_payload and packet.udp is not None:
+            self.count("runt_payload", packet)
             return Verdict.DROP
         if self.strip_ipv4_options and ip.options:
             # Deprecated header removal: clear options, checksum refreshed
             # at serialization (incremental update in hardware).
             ip.options = b""
-            self.counter("options_stripped").count(packet.wire_len)
-        self.counter("clean").count(packet.wire_len)
+            self.count("options_stripped", packet)
+        self.count("clean", packet)
         return Verdict.PASS
 
     def pipeline_spec(self) -> PipelineSpec:
@@ -112,7 +110,7 @@ class Passthrough(PPEApplication):
     name = "passthrough"
 
     def process(self, packet: Packet, ctx: PPEContext) -> Verdict:
-        self.counter("passed").count(packet.wire_len)
+        self.count("passed", packet)
         return Verdict.PASS
 
     def pipeline_spec(self) -> PipelineSpec:

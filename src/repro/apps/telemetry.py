@@ -136,7 +136,7 @@ class FlowTelemetry(PPEApplication):
                     record = FlowRecord()
                     self.flows.insert(tuple5, record)
                 else:
-                    self.counter("cache_full").count(packet.wire_len)
+                    self.count("cache_full", packet)
             if record is not None:
                 record.update(packet.wire_len, ctx.time_ns)
         if ctx.time_ns - self._last_export_ns >= self.export_interval_ns:
@@ -171,7 +171,7 @@ class FlowTelemetry(PPEApplication):
         )
         ctx.emit(report, Direction.EDGE_TO_LINE)
         self.exports_sent += 1
-        self.counter("exports").count(report.wire_len)
+        self.count("exports", report)
 
     def pipeline_spec(self) -> PipelineSpec:
         return PipelineSpec(

@@ -73,7 +73,7 @@ class TunnelGateway(PPEApplication):
             return Verdict.PASS
         route = self.routes.lookup(ip.dst)
         if route is None:
-            self.counter("no_route").count(packet.wire_len)
+            self.count("no_route", packet)
             return Verdict.PASS
         if route.kind == "gre":
             gre_encap(packet, self.local_ip, route.remote_ip, key=route.key)
@@ -81,7 +81,7 @@ class TunnelGateway(PPEApplication):
             vxlan_encap(packet, route.key or 0, self.local_ip, route.remote_ip)
         else:  # ipip
             self._ipip_encap(packet, route.remote_ip)
-        self.counter(f"encap_{route.kind}").count(packet.wire_len)
+        self.count(f"encap_{route.kind}", packet)
         return Verdict.PASS
 
     def _ipip_encap(self, packet: Packet, remote_ip: str) -> None:
@@ -99,11 +99,11 @@ class TunnelGateway(PPEApplication):
             if gre is not None:
                 packet.remove(outer)
                 packet.remove(gre)
-                self.counter("decap_gre").count(packet.wire_len)
+                self.count("decap_gre", packet)
                 return Verdict.PASS
         if outer.proto == IPProto.IPIP:
             packet.remove(outer)
-            self.counter("decap_ipip").count(packet.wire_len)
+            self.count("decap_ipip", packet)
             return Verdict.PASS
         if outer.proto == IPProto.UDP:
             vxlan = packet.get(VXLAN)
@@ -113,7 +113,7 @@ class TunnelGateway(PPEApplication):
                 for header in (eth_outer, outer, udp, vxlan):
                     if header is not None:
                         packet.remove(header)
-                self.counter("decap_vxlan").count(packet.wire_len)
+                self.count("decap_vxlan", packet)
                 return Verdict.PASS
         return Verdict.PASS
 

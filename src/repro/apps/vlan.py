@@ -49,12 +49,12 @@ class VlanTagger(PPEApplication):
     def _tag(self, packet: Packet) -> Verdict:
         if packet.get(VLAN) is not None:
             # Already tagged at an access port: policy violation.
-            self.counter("already_tagged").count(packet.wire_len)
+            self.count("already_tagged", packet)
             return Verdict.DROP if self.drop_foreign else Verdict.PASS
         vlan_push(packet, self.access_vid, pcp=self.pcp)
         if self.service_vid is not None:
             vlan_push(packet, self.service_vid, pcp=self.pcp, service=True)
-        self.counter("tagged").count(packet.wire_len)
+        self.count("tagged", packet)
         return Verdict.PASS
 
     def _untag(self, packet: Packet) -> Verdict:
@@ -66,10 +66,10 @@ class VlanTagger(PPEApplication):
         for vid in expected:
             tag = packet.get(VLAN)
             if tag is None or tag.vid != vid:
-                self.counter("foreign_vid").count(packet.wire_len)
+                self.count("foreign_vid", packet)
                 return Verdict.DROP if self.drop_foreign else Verdict.PASS
             vlan_pop(packet)
-        self.counter("untagged").count(packet.wire_len)
+        self.count("untagged", packet)
         return Verdict.PASS
 
     # ------------------------------------------------------------------

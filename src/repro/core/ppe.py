@@ -146,6 +146,10 @@ class PPEContext:
         return self._emitted
 
 
+# The fast engine's context: no Python-level ``__init__`` frame per frame.
+_new_context = PPEContext.__new__
+
+
 class PPEApplication(ABC):
     """A packet function deployable into a FlexSFP PPE.
 
@@ -170,6 +174,14 @@ class PPEApplication(ABC):
         if name not in self.counters:
             self.counters[name] = Counter(f"{self.name}.{name}")
         return self.counters[name]
+
+    def count(self, name: str, packet: Packet) -> None:
+        """``counter(name).count(packet.wire_len)`` in one call."""
+        counter = self.counters.get(name)
+        if counter is None:
+            counter = self.counters[name] = Counter(f"{self.name}.{name}")
+        counter.packets += 1
+        counter.bytes += packet.wire_len
 
     @abstractmethod
     def pipeline_spec(self) -> "PipelineSpec":
@@ -1248,7 +1260,12 @@ class PacketProcessingEngine(_EngineBase):
                     processed.bytes += size
                     self.verdict_counts[verdict] += 1
                     return verdict, (), size
-        ctx = PPEContext(finish_ns, direction, self.device_id, queue_depth)
+        ctx = _new_context(PPEContext)
+        ctx.time_ns = finish_ns
+        ctx.direction = direction
+        ctx.device_id = self.device_id
+        ctx.queue_depth = queue_depth
+        ctx._emitted = []
         verdict = app.process(packet, ctx)
         if type(verdict) is not Verdict:
             self._refuse(verdict)

@@ -285,7 +285,7 @@ class XdpProgram(PPEApplication):
         self._observed_rewrite_bits = max(
             self._observed_rewrite_bits, xdp_ctx.rewritten_bits
         )
-        self.counter("packets").count(packet.wire_len)
+        self.count("packets", packet)
         return _VERDICT_MAP[verdict]
 
     # Synthesis ----------------------------------------------------------

@@ -10,6 +10,7 @@ from repro.apps import (
 )
 from repro.core import Direction, Verdict
 from repro.errors import ConfigError
+from repro.nfv import Deployment, check_deployment
 from repro.packet import EtherType, INTShim, UDPPort, make_udp
 from tests.conftest import make_ctx
 
@@ -128,6 +129,14 @@ class TestInbandTelemetry:
         assert device_id == 9
         assert hops[0].device_id == 1
 
+    def test_sink_passes_a_frame_without_a_shim(self):
+        sink = InbandTelemetry(role="sink", only_direction=None)
+        packet, ctx = make_udp(payload=b"user-data"), make_ctx()
+        before = packet.to_bytes()
+        assert sink.process(packet, ctx) is Verdict.PASS
+        assert packet.to_bytes() == before
+        assert ctx.emitted == [] and sink.counters == {}
+
     def test_direction_scoping(self):
         source = InbandTelemetry(role="source", only_direction="edge->line")
         packet = make_udp()
@@ -155,3 +164,42 @@ class TestInbandTelemetry:
     def test_invalid_role(self):
         with pytest.raises(ConfigError):
             InbandTelemetry(role="observer")
+
+
+class TestInbandConfigFailsClosed:
+    """A bad INT parameter is refused when the app is built (so by
+    ``check_deployment``), not at the first stamped frame mid-run, and
+    never silently turns stamping off."""
+
+    @staticmethod
+    def _check(params):
+        deployment = Deployment.from_dicts(
+            [
+                {"name": "scrub", "app": "sanitizer", "match": {"udp_dport": 9}, "share": 0.5},
+                {"name": "telemetry", "app": "int", "params": params, "share": 0.5},
+            ]
+        )
+        return check_deployment(deployment)
+
+    @pytest.mark.parametrize("max_hops", [0, 16, 20, -1])
+    def test_max_hops_outside_one_to_fifteen(self, max_hops):
+        with pytest.raises(ConfigError, match="max_hops"):
+            self._check({"max_hops": max_hops})
+
+    @pytest.mark.parametrize("max_hops", [8.0, "8", True])
+    def test_max_hops_not_an_int(self, max_hops):
+        with pytest.raises(ConfigError, match="max_hops"):
+            self._check({"max_hops": max_hops})
+
+    @pytest.mark.parametrize("only_direction", ["edge-line", "", Direction.EDGE_TO_LINE])
+    def test_only_direction_typo(self, only_direction):
+        with pytest.raises(ConfigError, match="only_direction"):
+            self._check({"only_direction": only_direction})
+
+    @pytest.mark.parametrize(
+        "params",
+        [{"max_hops": 1}, {"max_hops": 15}, {"only_direction": None},
+         {"only_direction": "line->edge"}],
+    )
+    def test_every_valid_value_checks_clean(self, params):
+        assert self._check(params) == []

@@ -13,7 +13,8 @@ call per frame: per frame, its run's fixed build calls weigh the same
 whatever the burst depth.  Each figure must stay at or under its ceiling
 in ``tests/snapshots/call_budget.json`` (measured + 3 %, to four
 significant digits; ``--regen-golden`` rewrites the file, and the diff is
-reviewed like ``import_surface.json``).
+reviewed like ``import_surface.json``).  On ``nfv-chain-compiled`` the
+``_util`` layer (the validators) must also stay under 0.1 call per frame.
 
 On the ``chaos`` shape, where the legacy switch floods nearly every frame
 past the fleet controller, the census also counts ``ABCMeta`` instance
@@ -259,6 +260,12 @@ def test_calls_per_offered_frame_stay_under_the_ceiling(shape, regen_golden):
         f"{expected[shape]['measured']} when it was set); top callees: "
         f"{json.dumps(report['top'][:8], indent=1)}"
     )
+    if shape == "nfv-chain-compiled":
+        # The INT stamp checks its per-frame values inline and calls
+        # ``_util.check_range`` only to raise: validation that creeps back
+        # into the lane shows here first (2.44 calls per frame when the
+        # records were built by their validating constructors).
+        assert report["by_layer"].get("_util", 0) < 0.1, report["by_layer"]
     if shape == "chaos-smoke":
         # Nothing per frame: a handful per run (typing's own ABCs, a lazy
         # import's failed stat; a corrupted management frame would add one).

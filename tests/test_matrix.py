@@ -19,7 +19,7 @@ from repro.core.module import RECONFIG_DOWNTIME_S, FlexSFPModule
 from repro.errors import ConfigError
 from repro.matrix import CellConfig, MatrixAxes, declared, labels
 from repro.matrix import runner
-from repro.obs.scenario import ScenarioSpec, TrafficProfile
+from repro.obs.scenario import SCENARIO_KINDS, ScenarioSpec, TrafficProfile
 from repro.parallel import run_sharded
 
 NAT = ("matrix", "--scenario", "nat-linerate")
@@ -53,6 +53,26 @@ class TestDeclaredList:
                 if any(b - a < RECONFIG_DOWNTIME_S for a, b in zip(reboots, reboots[1:])):
                     overlapping.append(spec.seed)
         assert 21 in overlapping
+
+    @pytest.mark.parametrize("kind", sorted(set(SCENARIO_KINDS) - {"chaos"}))
+    def test_every_kind_but_chaos_ignores_its_root_seed(self, kind):
+        """Every kind but chaos draws nothing from its root seed, so
+        ``declared()`` runs it one-shard at root 1 only: a second root would
+        record the same digest.  A kind that starts drawing from its seed
+        fails here by name, and then wants a second root in the sweep."""
+        short = {
+            "tenant-churn": TrafficProfile(rate_bps=20e6, frame_len=256, duration_s=0.1),
+            "fleet-upgrade": TrafficProfile(rate_bps=20e6, frame_len=512, duration_s=0.2),
+        }.get(kind)
+        digests = {
+            seed: run_sharded(ScenarioSpec(kind=kind, seed=seed, traffic=short))
+            .to_artifact(source="seed")
+            .shards[0]["semantic_digest"]
+            for seed in (1, 3)
+        }
+        assert digests[1] == digests[3], f"{kind} draws from its root seed"
+        one_shard = [s.seed for s, axes in declared() if s.kind == kind and axes.shards == (1,)]
+        assert one_shard == [1]
 
 
 class TestAxes:

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.artifact import diff_artifacts
 from repro.matrix import MatrixAxes, run_matrix
 from repro.obs.scenario import ScenarioSpec, TrafficProfile
+from repro.parallel import run_sharded
 
 # Short chaos window: the gauntlet's early fault cluster still fires,
 # while the suite stays fast enough for the tier-1 run.
@@ -30,9 +32,9 @@ def chaos_matrix():
     )
 
 
-def _root_11_pair(nat_sweep):
-    """The one-shard ``nat-linerate`` cells at root seed 11, reference first."""
-    return [cell for cell in nat_sweep.cells if cell.label.endswith("/11")]
+def _one_shard_pair(nat_sweep):
+    """The one-shard ``nat-linerate`` cells, reference first."""
+    return [cell for cell in nat_sweep.cells if cell.config.shards == 1]
 
 
 class TestNatLinerateSweep:
@@ -46,7 +48,7 @@ class TestNatLinerateSweep:
 
     def test_all_engine_fastpath_cells_ran(self, nat_sweep):
         # One cell per tier: the engine axis has no sub-options to cross.
-        assert [cell.config.engine for cell in _root_11_pair(nat_sweep)] == [
+        assert [cell.config.engine for cell in _one_shard_pair(nat_sweep)] == [
             "reference",
             "compiled",
         ]
@@ -54,7 +56,7 @@ class TestNatLinerateSweep:
     def test_compiled_cell_fused_real_bursts(self, nat_sweep):
         """The compiled cell demonstrably ran the fused lane (not a
         vacuous differential where everything deopted or never fused)."""
-        (cell,) = [c for c in _root_11_pair(nat_sweep) if c.config.engine == "compiled"]
+        (cell,) = [c for c in _one_shard_pair(nat_sweep) if c.config.engine == "compiled"]
         fused = sum(
             value
             for name, value in cell.artifact.metrics.items()
@@ -64,7 +66,7 @@ class TestNatLinerateSweep:
 
     def test_semantic_shard_digests_agree_across_engines(self, nat_sweep):
         digests = {
-            cell.artifact.shards[0]["semantic_digest"] for cell in _root_11_pair(nat_sweep)
+            cell.artifact.shards[0]["semantic_digest"] for cell in _one_shard_pair(nat_sweep)
         }
         assert len(digests) == 1, "engines disagree on the semantic payload"
 
@@ -72,7 +74,7 @@ class TestNatLinerateSweep:
         # Sanity check that the semantic digest is doing real work: the
         # raw (unfiltered) digests differ across engine cells because
         # the compiled cell carries flow-cache metrics.
-        raw = {cell.artifact.shards[0]["digest"] for cell in _root_11_pair(nat_sweep)}
+        raw = {cell.artifact.shards[0]["digest"] for cell in _one_shard_pair(nat_sweep)}
         assert len(raw) > 1
 
     def test_every_cell_is_complete(self, nat_sweep):
@@ -100,17 +102,21 @@ class TestChaosSweep:
 class TestShardCountSweep:
     def test_shard_axis_reports_no_semantic_divergence(self, nat_sweep):
         assert nat_sweep.verdict == "clean"
-        # Cross-shard-count cells skip the merged view with a note but
-        # still compare the common shard prefix.
-        cross = [cell for cell in nat_sweep.cells if cell.config.shards != 1]
-        assert [cell.label for cell in cross] == [
+        fleets = [cell for cell in nat_sweep.cells if cell.config.shards != 1]
+        assert [cell.label for cell in fleets] == [
             "nat-linerate/reference/11/shards=4",
             "nat-linerate/compiled/11/shards=4",
         ]
-        by_label = {cell.label: cell for cell in nat_sweep.cells}
-        for cell in cross:
-            assert any("merged views" in note for note in cell.diff.notes)
-            first = by_label[cell.baseline].artifact.shards[0]
+        # Against a one-shard run at the same root, the merged views are
+        # skipped with a note and the common shard (index 0, same seed)
+        # still compares.
+        solo = run_sharded(
+            ScenarioSpec(kind="nat-linerate", seed=11, engine="reference")
+        ).to_artifact(source="solo")
+        for cell in fleets:
+            diff = diff_artifacts(solo, cell.artifact)
+            assert any("merged views" in note for note in diff.notes)
+            assert not diff.diverged
             assert cell.artifact.shards[0] == {
-                **first, "digest": cell.artifact.shards[0]["digest"]
+                **solo.shards[0], "digest": cell.artifact.shards[0]["digest"]
             }

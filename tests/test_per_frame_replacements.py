@@ -20,6 +20,13 @@ calling ``flow_key``, the drains' latency binning against
 plus the counts.  The drains themselves keep two invariants: a traced
 frame is the only one that takes the traced path, and an application that
 returns no ``Verdict`` is refused on every drain and on both tiers.
+
+An application decides a frame in one call per decision: ``count`` against
+``counter().count``, the INT source and transit (records built by slot
+stores, each value checked inline) against the validating constructors,
+and the sanitizer's inline scans against its helpers, both kept below as
+models; the fast engine's context, built without ``__init__``, against
+the oracle's.
 """
 
 import copy
@@ -29,17 +36,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro._util import int_to_ip
-from repro.apps import create_app
+from repro._util import int_to_ip, ip_to_int
+from repro.apps import InbandTelemetry, PacketSanitizer, create_app
+from repro.apps.inband import DIRECTIONS
+from repro.apps.sanitizer import DEFAULT_MARTIANS
 from repro.artifact.diff import semantic_metrics
 from repro.core import Direction, PacketProcessingEngine, ReferenceEngine, Verdict
 from repro.core.arbiter import Arbiter, is_mgmt_frame
-from repro.core.flowcache import FlowCache
+from repro.core import flowcache
+from repro.core.flowcache import FlowCache, record_recipe
 from repro.core.mgmt import MAGIC, MgmtMessage, MgmtOp, mgmt_frame
 from repro.core.module import FlexSFPModule
 from repro.core.ppe import PPEApplication
 from repro.core.shells import ShellKind, ShellSpec
-from repro.errors import ControlPlaneError, SimulationError
+from repro.errors import ConfigError, ControlPlaneError, SimulationError
 from repro.fleet import FleetController
 from repro.fpga import TimingSpec
 from repro.hls.ir import PipelineSpec, Stage, StageKind
@@ -49,11 +59,18 @@ from repro.obs.scenario import ScenarioSpec, TrafficProfile
 from repro.obs.trace import TRACE_ID_META
 from repro.packet import (
     ARP,
+    ETHERTYPE_TRANSPARENT_ETHERNET,
+    GRE,
     UDP,
     Ethernet,
     EtherType,
     Header,
+    INTHop,
+    INTShim,
+    IPProto,
+    IPv4,
     Packet,
+    gre_encap,
     make_tcp,
     make_udp,
     make_udp6,
@@ -65,6 +82,8 @@ from repro.sim import Port, Simulator
 from repro.sim.stats import Counter, Histogram
 from repro.switch import LegacySwitch
 from repro.switch.legacy import SWITCH_PIPELINE_LATENCY_S
+
+from tests.conftest import make_ctx
 
 KEY = b"replacement-key"
 
@@ -600,3 +619,278 @@ class TestUnverdictedAppIsRefused:
         with pytest.raises(SimulationError, match="'unverdicted'.*instead of a Verdict"):
             sim.run()
         assert done == []
+
+
+# ----------------------------------------------------------------------
+# One call per app decision: ``PPEApplication.count``, the INT stamp's
+# records built by slot stores, the sanitizer's inline scans and the fast
+# engine's context, each against the code it replaced
+# ----------------------------------------------------------------------
+@st.composite
+def stacks(draw):
+    """Frames with VLAN tags, IPv4 options, an INT shim with hops, IPv6,
+    tunnels, or no Ethernet in front (or none at all)."""
+    payload = draw(st.binary(max_size=48))
+    packet = draw(
+        st.sampled_from(
+            [make_udp(payload=payload), make_tcp(payload=payload), make_udp6(payload=payload)]
+        )
+    )
+    if packet.ipv4 is not None:
+        packet.ipv4.options = draw(st.sampled_from([b"", b"\x01" * 4, b"\x01" * 40]))
+    for _ in range(draw(st.integers(0, 2))):
+        vlan_push(packet, draw(st.integers(1, 4094)))
+    if draw(st.booleans()):
+        hops = [INTHop(i, i, i, i) for i in range(draw(st.integers(0, 4)))]
+        eth = packet.eth
+        shim = INTShim(eth.ethertype, draw(st.integers(max(len(hops), 1), 15)), hops)
+        eth.ethertype = EtherType.INT_SHIM
+        packet.insert_after(eth, shim)
+    tunnel = draw(st.sampled_from(["none", "vxlan", "gre", "bridged", "bare"]))
+    if tunnel == "vxlan":
+        vxlan_encap(packet, 7, "192.0.2.1", "192.0.2.2")
+    elif tunnel == "gre" and packet.ipv4 is not None:
+        gre_encap(packet, "192.0.2.1", "192.0.2.2", key=5)
+    elif tunnel == "bridged":  # GRE/IPv4 in front: Ethernet is not first
+        packet.headers[:0] = [
+            IPv4("192.0.2.1", "192.0.2.2", proto=IPProto.GRE),
+            GRE(protocol=ETHERTYPE_TRANSPARENT_ETHERNET),
+        ]
+    elif tunnel == "bare":  # no Ethernet anywhere
+        del packet.headers[0]
+    return packet
+
+
+def app_contexts():
+    """Contexts whose queue depth may exceed the 16-bit hop field."""
+    return st.builds(
+        make_ctx,
+        direction=st.sampled_from(list(Direction)),
+        time_ns=st.integers(0, (1 << 64) - 1),
+        device_id=st.integers(0, 0xFFFF),
+        queue_depth=st.integers(0, 1 << 20),
+    )
+
+
+class TestCountInOneCall:
+    @settings(max_examples=100, deadline=None)
+    @given(frames=st.lists(st.tuples(st.sampled_from(["a", "b"]), stacks()), max_size=6))
+    def test_count_moves_the_counter_as_counter_count_does(self, frames):
+        counted, reference = Keyless(), Keyless()
+        for name, packet in frames:
+            assert (name in counted.counters) == (name in reference.counters)
+            counted.count(name, packet)
+            reference.counter(name).count(packet.wire_len)
+        assert counted.metric_values() == reference.metric_values()
+        assert [c.name for c in counted.counters.values()] == [
+            c.name for c in reference.counters.values()
+        ]
+
+    def test_the_recorder_sees_the_bump_and_undoes_it(self):
+        class Counting(Keyless):
+            def process(self, packet, ctx):
+                self.count("seen", packet)
+                return Verdict.PASS
+
+        app = Counting()
+        recipe = record_recipe(app, make_udp(payload=b"x" * 10), Direction.EDGE_TO_LINE)
+        assert recipe.counters == ("seen",)
+        assert app.counters == {}  # the probe's leaf goes again
+
+
+class ValidatingInbandTelemetry(InbandTelemetry):
+    """The INT source and transit as they were: validating constructors,
+    ``packet.eth`` / ``get`` / ``insert_after``, the direction's value."""
+
+    def process(self, packet, ctx):
+        if self.only_direction is not None and ctx.direction.value != self.only_direction:
+            return Verdict.PASS
+        if self.role == "source":
+            eth = packet.eth
+            if eth is None or packet.get(INTShim) is not None:
+                return Verdict.PASS
+            shim = INTShim(next_ethertype=eth.ethertype, max_hops=self.max_hops)
+            shim.push_hop(self._validated_hop(ctx))
+            eth.ethertype = EtherType.INT_SHIM
+            packet.insert_after(eth, shim)
+            self.counter("inserted").count(packet.wire_len)
+            return Verdict.PASS
+        shim = packet.get(INTShim)
+        if shim is None:
+            return Verdict.PASS
+        if shim.push_hop(self._validated_hop(ctx)):
+            self.counter("pushed").count(packet.wire_len)
+        else:
+            self.counter("stack_full").count(packet.wire_len)
+        return Verdict.PASS
+
+    @staticmethod
+    def _validated_hop(ctx):
+        return INTHop(
+            device_id=ctx.device_id,
+            queue_depth=min(ctx.queue_depth, 0xFFFF),
+            latency_ns=0,
+            ingress_ts_ns=ctx.time_ns,
+        )
+
+
+def stamp_both(params, packet, ctx, recording=False):
+    """[(outcome, counters)] of the app, then of its validating model, each
+    run on its own copy of ``packet``: the outcome is the frame, or the
+    ``ConfigError`` message.  With ``recording`` the app's copy carries the
+    recipe recorder's header classes (``isinstance`` holds, ``type`` not)."""
+    results = []
+    for cls in (InbandTelemetry, ValidatingInbandTelemetry):
+        app, frame = cls(**params), packet.copy()
+        if recording and cls is InbandTelemetry:
+            for header in frame.headers:
+                header.__class__ = flowcache._recording(type(header))
+        try:
+            assert app.process(frame, copy.copy(ctx)) is Verdict.PASS
+            outcome = frame
+        except ConfigError as exc:
+            outcome = f"ConfigError: {exc}"
+        finally:
+            for header in frame.headers:
+                if type(header).__base__ is not Header:
+                    object.__setattr__(header, "__class__", type(header).__base__)
+            flowcache._writes.clear()
+        results.append((outcome, app.metric_values()))
+    return results
+
+
+int_params = st.fixed_dictionaries(
+    {
+        "role": st.sampled_from(["source", "transit"]),
+        "max_hops": st.integers(1, 15),
+        "only_direction": st.sampled_from(DIRECTIONS),
+    }
+)
+
+
+class TestInbandStampBySlotStores:
+    @settings(max_examples=300, deadline=None)
+    @given(params=int_params, packet=stacks(), ctx=app_contexts(), recording=st.booleans())
+    def test_source_and_transit_equal_the_validating_constructors(
+        self, params, packet, ctx, recording
+    ):
+        (ours, counted), (model, model_counted) = stamp_both(params, packet, ctx, recording)
+        assert ours.to_bytes() == model.to_bytes()
+        assert counted == model_counted
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        params=int_params,
+        packet=stacks(),
+        ctx=app_contexts(),
+        field=st.sampled_from(["device_id", "time_ns", "ethertype"]),
+        bad=st.one_of(st.integers(max_value=-1), st.integers(min_value=1 << 64)),
+    )
+    def test_an_out_of_range_value_still_raises(self, params, packet, ctx, field, bad):
+        """A ``device_id`` past 16 bits, a ``time_ns`` below 0 or at 2**64
+        and up, and a stored ``ethertype`` past 16 bits each raise the
+        ``ConfigError`` the constructors raised, whenever a record is built."""
+        if field == "ethertype":
+            if packet.eth is None:
+                return
+            packet.eth.ethertype = bad
+        else:
+            setattr(ctx, field, bad)
+        (ours, counted), (model, model_counted) = stamp_both(params, packet, ctx)
+        assert counted == model_counted
+        if isinstance(model, str):
+            assert ours == model
+        else:
+            assert (ours.headers, ours.payload) == (model.headers, model.payload)
+        has_shim = packet.get(INTShim) is not None
+        builds = (
+            packet.eth is not None and not has_shim
+            if params["role"] == "source"
+            else has_shim and field != "ethertype"
+        )
+        if builds and params["only_direction"] in (None, ctx.direction.value):
+            name = {"time_ns": "ingress_ts_ns", "ethertype": "next_ethertype"}.get(field, field)
+            assert ours == f"ConfigError: {name} out of range for " + (
+                f"64-bit field: {bad}" if name == "ingress_ts_ns" else f"16-bit field: {bad}"
+            )
+
+    def test_a_negative_queue_depth_still_raises(self):
+        (ours, _), (model, _) = stamp_both({"role": "source"}, make_udp(), make_ctx(queue_depth=-1))
+        assert ours == model == "ConfigError: queue_depth out of range for 16-bit field: -1"
+
+
+class ValidatingSanitizer(PacketSanitizer):
+    """The sanitizer as it was: the martian prefixes tested as written,
+    and ``get(UDP)`` on every frame that reaches the runt check."""
+
+    def process(self, packet, ctx):
+        ip = packet.ipv4
+        if ip is None:
+            return Verdict.PASS
+        if self.verify_checksums and ip.checksum and not ip.verify_checksum():
+            self.counter("bad_checksum").count(packet.wire_len)
+            return Verdict.DROP
+        if self.drop_expired_ttl and ip.ttl == 0:
+            self.counter("expired_ttl").count(packet.wire_len)
+            return Verdict.DROP
+        if self.drop_martians and any(
+            ip.src >> (32 - length) == ip_to_int(prefix) >> (32 - length)
+            for prefix, length in DEFAULT_MARTIANS
+        ):
+            self.counter("martian").count(packet.wire_len)
+            return Verdict.DROP
+        udp = packet.get(UDP)
+        if udp is not None and len(packet.payload) < self.min_udp_payload:
+            self.counter("runt_payload").count(packet.wire_len)
+            return Verdict.DROP
+        if self.strip_ipv4_options and ip.options:
+            ip.options = b""
+            self.counter("options_stripped").count(packet.wire_len)
+        self.counter("clean").count(packet.wire_len)
+        return Verdict.PASS
+
+
+class TestSanitizerInlineScans:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        packet=stacks(),
+        src=st.sampled_from([0x01020304, 0x7F000001, 0xF0000001, 0x0A000001, 0]),
+        ttl=st.sampled_from([0, 1, 64]),
+        min_udp_payload=st.sampled_from([0, 16, 64]),
+        drop_martians=st.booleans(),
+    )
+    def test_the_sanitizer_equals_its_model(self, packet, src, ttl, min_udp_payload, drop_martians):
+        if packet.ipv4 is not None:
+            packet.ipv4.src, packet.ipv4.ttl = src, ttl
+        params = {"min_udp_payload": min_udp_payload, "drop_martians": drop_martians}
+        results = []
+        for cls in (PacketSanitizer, ValidatingSanitizer):
+            app, frame = cls(**params), packet.copy()
+            verdict = app.process(frame, make_ctx())
+            results.append((verdict, frame.to_bytes(), app.metric_values()))
+        assert results[0] == results[1]
+
+
+class CtxCapture(Keyless):
+    def process(self, packet, ctx):
+        self.seen = (ctx.time_ns, ctx.direction, ctx.device_id, ctx.queue_depth)
+        ctx.emit(make_udp(), ctx.direction.reverse)
+        return Verdict.PASS
+
+
+class TestFastEngineContext:
+    def test_the_fast_engine_hands_the_oracle_s_context(self):
+        seen = []
+        for engine_cls in (ReferenceEngine, PacketProcessingEngine):
+            sim, app = Simulator(), CtxCapture()
+            engine = engine_cls(
+                sim, app, TimingSpec(64, 156.25e6), app.pipeline_spec().pipeline_depth,
+                device_id=7,
+            )
+            done = []
+            engine.submit(make_udp(), Direction.LINE_TO_EDGE, lambda *a: done.append(a), 0.0, 60)
+            sim.run()
+            (emitted,) = done[0][2]
+            seen.append((app.seen, emitted[1]))
+        assert seen[0] == seen[1]
+        assert seen[0][0][1:3] == (Direction.LINE_TO_EDGE, 7)
