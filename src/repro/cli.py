@@ -708,9 +708,11 @@ def _args_check(check: argparse.ArgumentParser) -> None:
 
 
 def _args_metrics(metrics: argparse.ArgumentParser) -> None:
-    from .obs.scenario import SCENARIOS
+    from .obs.scenario import SCENARIO_KINDS
 
-    metrics.add_argument("--scenario", choices=SCENARIOS, default="nat-linerate")
+    metrics.add_argument(
+        "--scenario", choices=sorted(SCENARIO_KINDS), default="nat-linerate"
+    )
     metrics.add_argument(
         "--format",
         choices=("prom", "json", "jsonl"),
@@ -726,9 +728,11 @@ def _args_metrics(metrics: argparse.ArgumentParser) -> None:
 
 
 def _args_trace(trace: argparse.ArgumentParser) -> None:
-    from .obs.scenario import SCENARIOS
+    from .obs.scenario import SCENARIO_KINDS
 
-    trace.add_argument("--scenario", choices=SCENARIOS, default="nat-chain")
+    trace.add_argument(
+        "--scenario", choices=sorted(SCENARIO_KINDS), default="nat-chain"
+    )
     trace.add_argument(
         "--packets", type=int, default=4, help="number of packets to trace"
     )

@@ -1,8 +1,11 @@
 """The chaos gauntlet: a NAT'd FlexSFP under a randomized fault schedule.
 
-One reference topology, one seeded :class:`~repro.faults.plan.FaultPlan`,
-and a fleet controller that keeps probing (and, when the module degrades,
-re-deploys a fresh image).  The run reports the robustness numbers the
+The ``chaos`` scenario kind: the retrofitted aggregation switch and the
+offered load of :mod:`repro.obs.scenario`, with the gauntlet's own parts
+added — impairable management and line links, a fault injector playing
+one seeded :class:`~repro.faults.plan.FaultPlan`, and a fleet controller
+that keeps probing (and, when the module degrades, re-deploys a fresh
+image).  The run reports the robustness numbers the
 paper's deployment story implies but never measures: packets lost to the
 fault schedule, recovery time after the last fault, and what fraction of
 damage incidents the module healed *by itself* (watchdog + golden-image
@@ -17,14 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.module import source_burst
 from ..errors import ConfigError
-from ..fleet import FleetController
-from ..netem import CbrSource, LossyWire
-from ..packet import make_udp
-from ..sim.engine import Simulator
+from ..netem import LossyWire
 from ..sim.link import Port
-from ..switch import LegacySwitch, PortPolicy, RetrofitPlan, apply_retrofit
+from ..switch import PortPolicy
 from .injector import FaultInjector
 from .plan import (
     DUT,
@@ -115,28 +114,40 @@ def run_gauntlet(
     duration_s: float = GAUNTLET_RUN_S,
     traffic_bps: float = 50e6,
     frame_len: int = 512,
-    probe_interval_s: float = PROBE_INTERVAL_S,
     engine: str | None = None,
-    registry=None,
-    tracer=None,
 ) -> GauntletResult:
     """Run one chaos gauntlet and return its measurements.
 
-    Topology: a traffic host and a fleet controller hang off a legacy
-    switch; port 1 holds a FlexSFP running the NAT whose optical side
-    (via an impairable ``line-link``) leads to the measured sink.  The
-    controller reaches the switch through an impairable ``mgmt-link`` and
-    probes the module every ``probe_interval_s``; a probe that reports
-    *degraded* triggers a re-deploy of the application image (counted as
-    a repair, i.e. NOT self-healing).
-
-    ``registry`` (a :class:`~repro.obs.registry.MetricsRegistry`)
-    optionally instruments every component — module, switch, fleet
-    controller, fault injector, host/sink ports — and ``tracer``
-    optionally attaches per-packet stage tracing to the module; both are
-    pull-based/off-by-default and do not perturb the simulation (the
-    golden determinism suite pins this).
+    The ``chaos`` scenario kind at this traffic, with ``plan`` — a named
+    plan or any :class:`FaultPlan` — as its fault schedule.
     """
+    from ..obs.scenario import ScenarioSpec, TrafficProfile
+
+    spec = ScenarioSpec(
+        kind="chaos",
+        traffic=TrafficProfile(traffic_bps, frame_len, duration_s),
+        seed=seed,
+        engine=engine,
+    )
+    return play_gauntlet(spec.resolved(), plan)[0]
+
+
+def play_gauntlet(spec, plan: FaultPlan | str) -> tuple:
+    """Build and run the gauntlet of a resolved ``chaos`` spec under
+    ``plan``; returns the :class:`GauntletResult` and the instrumented
+    :class:`~repro.obs.scenario.ScenarioRun`.
+
+    Topology: the retrofitted aggregation switch of
+    :func:`~repro.obs.scenario._retrofitted_switch` with one FlexSFP
+    running the NAT in port 1, whose optical side (via an impairable
+    ``line-link``) leads to the measured sink.  The controller reaches
+    the switch through an impairable ``mgmt-link`` and probes the module
+    every :data:`PROBE_INTERVAL_S`; a probe that reports *degraded*
+    triggers a re-deploy of the application image (counted as a repair,
+    i.e. NOT self-healing).
+    """
+    from ..obs.scenario import ScenarioRun, _instrumented, _retrofitted_switch
+
     if isinstance(plan, str):
         builder = NAMED_PLANS.get(plan)
         if builder is None:
@@ -144,33 +155,22 @@ def run_gauntlet(
                 f"unknown plan {plan!r}; named plans: {sorted(NAMED_PLANS)}"
             )
         plan_name = plan
-        plan = builder(seed)
+        plan = builder(spec.seed)
     else:
         plan_name = "custom"
 
-    sim = Simulator()
-    switch = LegacySwitch(sim, "agg", num_ports=3, rate_bps=10e9)
-    retrofit_plan = RetrofitPlan()
-    retrofit_plan.assign(
-        1,
-        PortPolicy(
-            "nat",
-            {"capacity": 128},
-            configure=lambda app: app.add_mapping("10.0.0.1", "198.51.100.1"),
-        ),
+    traffic = spec.traffic
+    seed = spec.seed
+    sim, registry, tracer = _instrumented(spec)
+    nat = PortPolicy(
+        "nat",
+        {"capacity": 128},
+        configure=lambda app: app.add_mapping("10.0.0.1", "198.51.100.1"),
     )
-    retrofit = apply_retrofit(
-        sim,
-        switch,
-        retrofit_plan,
-        auth_key=KEY,
-        engine=engine,
+    switch, controller, (module,), source = _retrofitted_switch(
+        spec, sim, registry, tracer, [nat], KEY, _derived_seed(seed, "retry")
     )
-    module = retrofit.module_at(1)
 
-    controller = FleetController(
-        sim, auth_key=KEY, retry_seed=_derived_seed(seed, "retry")
-    )
     mgmt_wire = LossyWire(
         sim, MGMT_LINK, rate_bps=1e9, seed=_derived_seed(seed, MGMT_LINK)
     )
@@ -183,6 +183,7 @@ def run_gauntlet(
     line_wire.a.connect(switch.external_port(1))
     sink = Port(sim, "sink", rate_bps=10e9)
     sink.connect(line_wire.b)
+    registry.register("sink", sink)
     received = [0]
     sink.attach(
         lambda port, pkt, size, when: received.__setitem__(0, received[0] + 1)
@@ -190,37 +191,12 @@ def run_gauntlet(
         else None
     )
 
-    host = Port(sim, "host", rate_bps=10e9, queue_bytes=1 << 22)
-    host.connect(switch.external_port(2))
-    template = make_udp(
-        src_ip="10.0.0.1", dst_ip="8.8.8.8", payload=bytes(max(0, frame_len - 42))
-    )
-    source = CbrSource(
-        sim,
-        host,
-        rate_bps=traffic_bps,
-        frame_len=frame_len,
-        stop=duration_s,
-        factory=lambda index, size: template.copy(),
-        burst=source_burst(engine),
-    )
-
     injector = FaultInjector(sim)
     injector.register_link(MGMT_LINK, mgmt_wire)
     injector.register_link(LINE_LINK, line_wire)
     injector.register_module(DUT, module)
     injector.arm(plan)
-
-    if tracer is not None:
-        module.attach_tracer(tracer)
-    if registry is not None:
-        registry.register_value("sim.events", lambda: sim.events_processed)
-        retrofit.register_metrics(registry)
-        registry.register("switch", switch)
-        controller.register_metrics(registry)
-        registry.register("faults", injector)
-        registry.register("host", host)
-        registry.register("sink", sink)
+    registry.register("faults", injector)
 
     # Controller-side health probing + degraded-module rescue.
     probe_log: list[tuple[float, bool]] = []
@@ -242,11 +218,11 @@ def run_gauntlet(
 
     def probe() -> None:
         controller.hello(module.mgmt_mac, on_probe)
-        if sim.now + probe_interval_s < duration_s:
-            sim.schedule(probe_interval_s, probe)
+        if sim.now + PROBE_INTERVAL_S < traffic.duration_s:
+            sim.schedule(PROBE_INTERVAL_S, probe)
 
-    sim.schedule(probe_interval_s, probe)
-    sim.run(until=duration_s + 50e-3)
+    sim.schedule(PROBE_INTERVAL_S, probe)
+    sim.run(until=traffic.duration_s + 50e-3)
 
     last_fault = max((t for t, _ in injector.applied), default=0.0)
     unhealthy = [t for t, ok in probe_log if not ok]
@@ -274,7 +250,8 @@ def run_gauntlet(
         reboots=module.reboots,
         degraded_at_end=module.degraded,
     )
-    return result
+    run = ScenarioRun(registry, [], tracer, spec=spec, summary=result.to_dict())
+    return result, run
 
 
 def _count_incidents(probe_log: list[tuple[float, bool]]) -> int:

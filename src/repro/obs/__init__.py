@@ -24,8 +24,7 @@ __all__, __getattr__, __dir__ = export_table(
             "MetricSource", "MetricsRegistry", "MetricValue", "validate_metric_name",
         ),
         "scenario": (
-            "SCENARIO_KINDS", "SCENARIOS", "ScenarioRun", "ScenarioSpec",
-            "TrafficProfile",
+            "SCENARIO_KINDS", "ScenarioRun", "ScenarioSpec", "TrafficProfile",
         ),
         "trace": (
             "STAGE_APP", "STAGE_ARBITER", "STAGE_EGRESS", "STAGE_MAC_RX", "STAGE_PPE",

@@ -48,7 +48,9 @@ class LoopProfiler:
         """Attribution key for an event callback.
 
         Bound methods attribute to their instance's class name; plain
-        functions (closures, module-level helpers) to their qualname.
+        functions to the module-level function or class that defines them
+        (the first segment of their qualname, so a closure's ``<locals>``
+        never reaches a metric name); anything else to its type's name.
         """
         cached = self._key_cache.get(callback)
         if cached is not None:
@@ -57,7 +59,8 @@ class LoopProfiler:
         if owner is not None:
             key = type(owner).__name__
         else:
-            key = getattr(callback, "__qualname__", None) or repr(callback)
+            qualname = getattr(callback, "__qualname__", None)
+            key = (qualname or type(callback).__name__).split(".", 1)[0].strip("<>")
         self._key_cache[callback] = key
         return key
 

@@ -10,14 +10,16 @@ shards out across worker processes and merges the results
 deterministically (:mod:`repro.parallel` imports this module at its
 top; nothing here imports the runner or the supervisor back).
 
-Every run is wired into the full observability stack: a
-:class:`~repro.obs.registry.MetricsRegistry` over every component, an
+Every kind starts from one skeleton, :func:`_instrumented`: a simulator,
+a :class:`~repro.obs.registry.MetricsRegistry` over every component, an
 optional :class:`~repro.obs.trace.Tracer`, and an optional
-:class:`~repro.obs.profiler.LoopProfiler` on the event loop.  ``flexsfp
-metrics`` / ``flexsfp trace`` / ``flexsfp run`` and the benchmark
-artifact export all drive these builders, so the numbers a CI artifact
-carries and the ones a test asserts on come from the identical code
-path.
+:class:`~repro.obs.profiler.LoopProfiler` on the event loop.  Every
+kind's offered load is built by :func:`_offered_load`, and the two kinds
+that retrofit a legacy switch (``chaos``, ``fleet-upgrade``) build it with
+:func:`_retrofitted_switch`.  ``flexsfp metrics`` / ``flexsfp trace`` /
+``flexsfp run`` and the benchmark artifact export all drive these
+builders, so the numbers a CI artifact carries and the ones a test
+asserts on come from the identical code path.
 """
 
 from __future__ import annotations
@@ -140,9 +142,6 @@ class ScenarioSpec:
             raise ConfigError(
                 f"trace_packets must be >= 0: {self.trace_packets}"
             )
-        if self.profile and self.kind == "chaos":
-            # The gauntlet builds its own simulator; no profiler reaches it.
-            raise ConfigError("profile=True is not supported by the chaos kind")
         if self.fault_plan is not None:
             # Only a chaos spec names a plan: every other kind stays clear of
             # the gauntlet (fleet, switch, impairments).
@@ -305,15 +304,74 @@ def _make_app(spec: ScenarioSpec, index: int):
 
 def _instrumented(spec: ScenarioSpec) -> tuple:
     """A simulator plus the spec's registry (with ``sim.profile.*`` when
-    ``spec.profile``) and tracer."""
+    ``spec.profile``) and tracer: where every kind's run starts."""
     sim = Simulator()
     registry = MetricsRegistry()
     tracer = Tracer(limit=spec.trace_packets) if spec.trace_packets is not None else None
     if spec.profile:
         sim.profiler = LoopProfiler()
         registry.register("sim.profile", sim.profiler)
+    if tracer is not None:
+        registry.register("trace", tracer)
     registry.register_value("sim.events", lambda: sim.events_processed)
     return sim, registry, tracer
+
+
+def _offered_load(spec, sim, registry, peer, flows, rate_bps, template_burst=False):
+    """The ``host`` port toward ``peer`` and the CBR source that loads it.
+
+    One UDP template per flow (``make_udp`` keyword arguments), built once;
+    the source cycles them frame by frame.  ``template_burst`` is the
+    compiled tier's template + time-vector emission, which only a
+    one-flow load may use (its factory runs once per burst).
+    """
+    traffic = spec.traffic
+    host = Port(sim, "host", rate_bps=rate_bps, queue_bytes=1 << 22)
+    connect(host, peer)
+    registry.register("host", host)
+    payload = bytes(max(0, traffic.frame_len - 42))
+    templates = [make_udp(payload=payload, **flow) for flow in flows]
+    return CbrSource(
+        sim,
+        host,
+        rate_bps=traffic.rate_bps,
+        frame_len=traffic.frame_len,
+        stop=traffic.duration_s,
+        factory=lambda index, size: templates[index % len(templates)].copy(),
+        burst=source_burst(spec.engine, template_burst=template_burst),
+        template_burst=template_burst,
+    )
+
+
+def _retrofitted_switch(spec, sim, registry, tracer, policies, auth_key, retry_seed):
+    """The §2.1/§4.1 deployment: a legacy aggregation switch with one
+    FlexSFP per policy in ports 1..N, the fleet controller that manages
+    them, and background traffic into port N+1.
+
+    The caller cables the controller to port 0.  Returns the switch, the
+    controller, the modules in port order and the traffic source.
+    """
+    # Loaded by the kinds that retrofit a switch only.
+    from ..fleet import FleetController
+    from ..switch import LegacySwitch, RetrofitPlan, apply_retrofit
+
+    switch = LegacySwitch(sim, "agg", num_ports=len(policies) + 2, rate_bps=10e9)
+    plan = RetrofitPlan()
+    for port, policy in enumerate(policies, start=1):
+        plan.assign(port, policy)
+    retrofit = apply_retrofit(sim, switch, plan, auth_key=auth_key, engine=spec.engine)
+    controller = FleetController(sim, auth_key=auth_key, retry_seed=retry_seed)
+    retrofit.register_metrics(registry)
+    registry.register("switch", switch)
+    controller.register_metrics(registry)
+    modules = [retrofit.module_at(port) for port in sorted(retrofit.modules)]
+    if tracer is not None:
+        for module in modules:
+            module.attach_tracer(tracer)
+    uplink = switch.external_port(len(policies) + 1)
+    flows = ({"src_ip": "10.0.0.1", "dst_ip": "8.8.8.8"},)
+    source = _offered_load(spec, sim, registry, uplink, flows, rate_bps=10e9)
+    return switch, controller, modules, source
 
 
 def _build_nat(spec: ScenarioSpec, module_count: int) -> ScenarioRun:
@@ -321,7 +379,6 @@ def _build_nat(spec: ScenarioSpec, module_count: int) -> ScenarioRun:
     sim, registry, tracer = _instrumented(spec)
 
     device = get_device(spec.device)
-    compiled = spec.engine == ENGINE_COMPILED
     modules: list[FlexSFPModule] = []
     previous_port: Port | None = None
     for index in range(module_count):
@@ -340,30 +397,15 @@ def _build_nat(spec: ScenarioSpec, module_count: int) -> ScenarioRun:
             connect(previous_port, module.edge_port)
         modules.append(module)
         previous_port = module.line_port
-    if tracer is not None:
-        registry.register("trace", tracer)
 
-    host = Port(sim, "host", rate_bps=traffic.rate_bps, queue_bytes=1 << 22)
     fiber = Port(sim, "fiber", rate_bps=traffic.rate_bps, queue_bytes=1 << 22)
-    connect(host, modules[0].edge_port)
     connect(previous_port, fiber)
-    registry.register("host", host)
     registry.register("fiber", fiber)
-
-    template = make_udp(
-        src_ip="10.0.0.1", payload=bytes(max(0, traffic.frame_len - 42))
-    )
-    CbrSource(
-        sim,
-        host,
-        rate_bps=traffic.rate_bps,
-        frame_len=traffic.frame_len,
-        stop=traffic.duration_s,
-        factory=lambda index, size: template.copy(),
-        # The compiled tier moves whole bursts as template + time vector;
-        # the factory above is index-independent, as that mode requires.
-        burst=source_burst(spec.engine, template_burst=compiled),
-        template_burst=compiled,
+    # One flow: the compiled tier moves whole bursts as template + time vector.
+    flows = ({"src_ip": "10.0.0.1"},)
+    compiled = spec.engine == ENGINE_COMPILED
+    _offered_load(
+        spec, sim, registry, modules[0].edge_port, flows, traffic.rate_bps, compiled
     )
     sim.run(until=traffic.duration_s + 0.1e-3)
     summary = {
@@ -378,24 +420,9 @@ def _build_nat(spec: ScenarioSpec, module_count: int) -> ScenarioRun:
 # Chaos gauntlet as a scenario kind
 # ----------------------------------------------------------------------
 def _build_chaos(spec: ScenarioSpec) -> ScenarioRun:
-    from ..faults.gauntlet import run_gauntlet  # loaded by the chaos kind only
+    from ..faults.gauntlet import play_gauntlet  # loaded by the chaos kind only
 
-    traffic = spec.traffic
-    registry = MetricsRegistry()
-    tracer = Tracer(limit=spec.trace_packets) if spec.trace_packets is not None else None
-    result = run_gauntlet(
-        seed=spec.seed,
-        plan=spec.fault_plan,
-        duration_s=traffic.duration_s,
-        traffic_bps=traffic.rate_bps,
-        frame_len=traffic.frame_len,
-        engine=spec.engine,
-        registry=registry,
-        tracer=tracer,
-    )
-    if tracer is not None:
-        registry.register("trace", tracer)
-    return ScenarioRun(registry, [], tracer, spec=spec, summary=result.to_dict())
+    return play_gauntlet(spec, spec.fault_plan)[1]
 
 
 # ----------------------------------------------------------------------
@@ -414,69 +441,28 @@ def _build_fleet_upgrade(spec: ScenarioSpec) -> ScenarioRun:
     module from ``passthrough`` to ``spec.app``, one at a time with a
     health probe between — the §4.1 orchestration story, instrumented.
     """
-    # Loaded by the fleet-upgrade kind only: the controller, the switch.
+    # Loaded by the fleet-upgrade kind only: the image compiler.
     from ..core.shells import ShellSpec
-    from ..fleet import FleetController
     from ..hls import compile_app
     from ..parallel.seeds import derive_shard_seed
-    from ..switch import LegacySwitch, PortPolicy, RetrofitPlan, apply_retrofit
+    from ..switch import PortPolicy
 
     traffic = spec.traffic
     sim, registry, tracer = _instrumented(spec)
-
-    num_ports = FLEET_UPGRADE_MODULES + 2  # + controller port + host port
-    switch = LegacySwitch(sim, "agg", num_ports=num_ports, rate_bps=10e9)
-    plan = RetrofitPlan()
-    for port in range(1, FLEET_UPGRADE_MODULES + 1):
-        plan.assign(port, PortPolicy("passthrough"))
-    retrofit = apply_retrofit(
-        sim,
-        switch,
-        plan,
-        auth_key=SCENARIO_KEY,
-        engine=spec.engine,
-    )
-    retrofit.register_metrics(registry)
-    registry.register("switch", switch)
-
-    controller = FleetController(
-        sim,
-        auth_key=SCENARIO_KEY,
-        retry_seed=derive_shard_seed(spec.seed, 0, label="fleet-retry"),
+    policies = [PortPolicy("passthrough")] * FLEET_UPGRADE_MODULES
+    retry_seed = derive_shard_seed(spec.seed, 0, label="fleet-retry")
+    switch, controller, modules, _source = _retrofitted_switch(
+        spec, sim, registry, tracer, policies, SCENARIO_KEY, retry_seed
     )
     controller.port.connect(switch.external_port(0))
-    controller.register_metrics(registry)
-
-    if tracer is not None:
-        for module in retrofit.modules.values():
-            module.attach_tracer(tracer)
-        registry.register("trace", tracer)
-
-    # Background data traffic through the first retrofitted port.
+    # The traffic leaves through the first retrofitted port.
     sink = Port(sim, "sink", rate_bps=10e9)
     sink.connect(switch.external_port(1))
-    host = Port(sim, "host", rate_bps=10e9, queue_bytes=1 << 22)
-    host.connect(switch.external_port(FLEET_UPGRADE_MODULES + 1))
     registry.register("sink", sink)
-    registry.register("host", host)
-    template = make_udp(
-        src_ip="10.0.0.1",
-        dst_ip="8.8.8.8",
-        payload=bytes(max(0, traffic.frame_len - 42)),
-    )
-    CbrSource(
-        sim,
-        host,
-        rate_bps=traffic.rate_bps,
-        frame_len=traffic.frame_len,
-        stop=traffic.duration_s,
-        factory=lambda index, size: template.copy(),
-        burst=source_burst(spec.engine),
-    )
 
     target = create_app(spec.app)
     target_build = compile_app(target, ShellSpec())
-    macs = [retrofit.module_at(p).mgmt_mac for p in sorted(retrofit.modules)]
+    macs = [module.mgmt_mac for module in modules]
     reports: list = []
     controller.rolling_upgrade(
         macs,
@@ -498,7 +484,6 @@ def _build_fleet_upgrade(spec: ScenarioSpec) -> ScenarioRun:
         "ok": bool(report and report.ok),
         "delivered": sink.rx.metric_values(),
     }
-    modules = [retrofit.module_at(p) for p in sorted(retrofit.modules)]
     return ScenarioRun(registry, modules, tracer, spec=spec, summary=summary)
 
 
@@ -565,16 +550,10 @@ def _build_nfv(spec: ScenarioSpec, churn: bool) -> ScenarioRun:
     module.register_metrics(registry)
     if tracer is not None:
         module.attach_tracer(tracer)
-        registry.register("trace", tracer)
 
-    host = Port(sim, "host", rate_bps=traffic.rate_bps, queue_bytes=1 << 22)
     fiber = Port(sim, "fiber", rate_bps=traffic.rate_bps, queue_bytes=1 << 22)
-    connect(host, module.edge_port)
     connect(module.line_port, fiber)
-    registry.register("host", host)
     registry.register("fiber", fiber)
-
-    payload = bytes(max(0, traffic.frame_len - 42))
     # One CBR stream cycling a five-frame tenant mix: 40% clean traffic
     # for the scrub tenant (its steering dport), 20% martians the scrub
     # app exists to drop, 40% default-dport frames for the catch-all
@@ -583,23 +562,11 @@ def _build_nfv(spec: ScenarioSpec, churn: bool) -> ScenarioRun:
     # arrival order on the shared port).  The multi-tenant module deopts
     # fused bursts at the crossbar anyway, so the compiled tier runs
     # without ``template_burst`` here — the per-index mix requires it.
-    templates = (
-        make_udp(src_ip="10.0.0.1", dport=NFV_SCRUB_DPORT, payload=payload),
-        make_udp(src_ip="10.0.0.2", payload=payload),
-        make_udp(src_ip="127.0.0.1", dport=NFV_SCRUB_DPORT, payload=payload),
-        make_udp(src_ip="10.0.0.1", dport=NFV_SCRUB_DPORT, payload=payload),
-        make_udp(src_ip="10.0.0.2", payload=payload),
-    )
-    CbrSource(
-        sim,
-        host,
-        rate_bps=traffic.rate_bps,
-        frame_len=traffic.frame_len,
-        stop=traffic.duration_s,
-        factory=lambda index, size: templates[index % len(templates)].copy(),
-        burst=source_burst(spec.engine),
-        template_burst=False,
-    )
+    scrub = {"src_ip": "10.0.0.1", "dport": NFV_SCRUB_DPORT}
+    other = {"src_ip": "10.0.0.2"}
+    martian = {"src_ip": "127.0.0.1", "dport": NFV_SCRUB_DPORT}
+    flows = (scrub, other, martian, scrub, other)
+    _offered_load(spec, sim, registry, module.edge_port, flows, traffic.rate_bps)
 
     churned = module.slots[0].name if churn else None
     churn_at = min(TENANT_CHURN_AT_S, traffic.duration_s / 4)
@@ -657,6 +624,3 @@ SCENARIO_KINDS: dict[str, Callable[[ScenarioSpec], ScenarioRun]] = {
     "nfv-chain": partial(_build_nfv, churn=False),
     "tenant-churn": partial(_build_nfv, churn=True),
 }
-
-#: The kinds ``flexsfp metrics`` / ``flexsfp trace`` offer as ``--scenario``.
-SCENARIOS = ("nat-linerate", "nat-chain")

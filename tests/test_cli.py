@@ -193,6 +193,14 @@ class TestJsonOutput:
         assert "# TYPE flexsfp_" in out
         assert "flexsfp_module0_ppe_nat_processed_packets" in out
 
+    def test_metrics_profiles_the_chaos_kind(self, capsys):
+        code, doc = run_json(capsys, "metrics", "--scenario", "chaos", "--profile")
+        assert code == 0
+        metrics = doc["metrics"]
+        assert metrics["agg.sfp1.ppe.nat.processed.packets"] > 0
+        assert metrics["faults.applied"] > 0
+        assert metrics["sim.profile.FaultInjector.calls"] == metrics["faults.applied"]
+
     def test_trace_jsonl_default(self, capsys):
         code, out, _ = run(capsys, "trace", "--packets", "1")
         assert code == 0
@@ -208,6 +216,18 @@ class TestJsonOutput:
         assert code == 0
         assert doc["schema"] == "flexsfp.trace/1"
         assert len(doc["spans"]) == 10
+
+    def test_trace_a_retrofitted_switch(self, capsys):
+        code, out, _ = run(
+            capsys, "trace", "--scenario", "fleet-upgrade", "--packets", "2"
+        )
+        assert code == 0
+        spans = [json.loads(line) for line in out.strip().splitlines()]
+        # The legacy switch floods the first frame to both retrofitted ports.
+        assert {span["component"] for span in spans if span["stage"] == "mac.rx"} == {
+            "agg.sfp1", "agg.sfp2",
+        }
+        assert {span["trace"] for span in spans} == {0, 1}
 
 
 class TestRunSubcommand:

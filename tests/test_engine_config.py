@@ -242,6 +242,10 @@ REMOVED_SPELLINGS = {
         TypeError,
     ),
     "batched_size=:matrix": (lambda: MatrixAxes(batched_size=8), TypeError),
+    # The gauntlet's simulator, registry and tracer are the chaos scenario's.
+    "registry=:gauntlet": (lambda: run_gauntlet(registry=None), TypeError),
+    "tracer=:gauntlet": (lambda: run_gauntlet(tracer=None), TypeError),
+    "probe_interval_s=:gauntlet": (lambda: run_gauntlet(probe_interval_s=1), TypeError),
     "app=:module": (
         lambda: FlexSFPModule(Simulator(), "dut", app=make_nat()),
         TypeError,

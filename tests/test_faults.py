@@ -17,7 +17,7 @@ from repro.faults import (
 )
 from repro.netem import LossyWire
 from repro.nfv import Deployment
-from repro.obs.registry import MetricsRegistry
+from repro.obs.scenario import ScenarioSpec
 
 KEY = b"faults-test-key"
 
@@ -168,14 +168,13 @@ class TestGauntletDeterminism:
 class TestEveryNamedPlanAcrossTiers:
     @staticmethod
     def _run(plan, engine):
-        registry = MetricsRegistry()
-        result = run_gauntlet(seed=1, plan=plan, engine=engine, registry=registry)
+        run = ScenarioSpec(kind="chaos", fault_plan=plan, seed=1, engine=engine).run()
         semantic = {
             name: value
-            for name, value in registry.collect().items()
+            for name, value in run.metrics().items()
             if is_semantic_metric(name)
         }
-        return result.to_dict(), semantic
+        return run.summary, semantic
 
     @pytest.mark.parametrize("plan", list(NAMED_PLANS))
     def test_the_tiers_agree_on_every_result_and_semantic_leaf(self, plan):

@@ -1,6 +1,7 @@
 """Packet tracing, the scenario harness, and the loop profiler."""
 
 import json
+from functools import partial
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.obs import (
     LoopProfiler,
     ScenarioSpec,
     Tracer,
+    validate_metric_name,
 )
 from repro.packet import make_udp
 from repro.sim import Simulator
@@ -164,6 +166,28 @@ class TestLoopProfiler:
         values = profiler.metric_values()
         assert values["Widget.calls"] == 2
         assert values["Widget.wall_s"] >= 0.0
+
+    def test_closures_attribute_to_the_function_that_defines_them(self):
+        sim = Simulator()
+        profiler = LoopProfiler()
+        sim.profiler = profiler
+
+        def probe():
+            pass
+
+        sim.schedule(0.0, probe)
+        sim.schedule(0.0, lambda: None)
+        sim.schedule(0.0, partial(probe))
+        sim.run()
+        name = type(self).__name__
+        assert profiler.metric_values() == {
+            f"{name}.calls": 2,
+            f"{name}.wall_s": profiler.profiles[name].wall_s,
+            "partial.calls": 1,
+            "partial.wall_s": profiler.profiles["partial"].wall_s,
+        }
+        for metric in profiler.metric_values():
+            validate_metric_name(metric)
 
     def test_report_rows(self):
         sim = Simulator()

@@ -44,10 +44,6 @@ class TestValidation:
         assert main(argv) == 2
         assert "'nat-linerate'" in capsys.readouterr().err
 
-    def test_chaos_rejects_a_profiler_it_would_never_install(self):
-        with pytest.raises(ConfigError, match="profile"):
-            ScenarioSpec(kind="chaos", profile=True).validate()
-
     def test_all_kinds_registered(self):
         assert set(SCENARIO_KINDS) == {
             "nat-linerate", "nat-chain", "chaos", "fleet-upgrade",
@@ -120,6 +116,25 @@ class TestRuns:
         assert "agg.sfp1.ppe.nat.processed.packets" in metrics
         assert "fleet.retries.packets" in metrics
         assert metrics["faults.applied"] >= 0
+
+    def test_a_profiled_chaos_run_is_the_unprofiled_one_plus_its_profile(self):
+        from repro.artifact.diff import semantic_shard_digest
+
+        def run(profile):
+            spec = ScenarioSpec(
+                kind="chaos", seed=5, profile=profile,
+                traffic=TrafficProfile(rate_bps=50e6, frame_len=512, duration_s=0.4),
+            )
+            run = spec.run()
+            return run.metrics(), semantic_shard_digest(
+                run.metrics(), run.summary, run.histograms()
+            )
+
+        plain, plain_digest = run(False)
+        profiled, profiled_digest = run(True)
+        assert any(name.startswith("sim.profile.") for name in profiled)
+        assert not any(name.startswith("sim.profile.") for name in plain)
+        assert profiled_digest == plain_digest
 
     def test_fleet_upgrade_run(self):
         run = ScenarioSpec(kind="fleet-upgrade", seed=2).run()
