@@ -250,7 +250,7 @@ def play_gauntlet(spec, plan: FaultPlan | str) -> tuple:
         reboots=module.reboots,
         degraded_at_end=module.degraded,
     )
-    run = ScenarioRun(registry, [], tracer, spec=spec, summary=result.to_dict())
+    run = ScenarioRun(registry, [module], tracer, spec=spec, summary=result.to_dict())
     return result, run
 
 
