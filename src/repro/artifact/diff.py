@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
@@ -50,10 +51,15 @@ NONSEMANTIC_NAMES = frozenset({"sim.events", "wall_s"})
 # Prefix families: wall-clock profiler attribution and supervision
 # counters (retry counts depend on injected chaos, not on results).
 NONSEMANTIC_PREFIXES = ("sim.profile.", "fleet.supervisor.")
-# Infix families: flow-cache state, fast-path hit counters, and compiled
-# engine counters (recipe hits, deopts, compile wall time) exist only
-# when that strategy runs and measure the *strategy*, not the result.
-NONSEMANTIC_INFIXES = (".flow_cache.", ".fastpath_hits.", ".compiled.")
+# Strategy families: flow-cache state, fast-path hit counters, and compiled
+# engine counters (recipe hits, deopts) exist only when that strategy runs
+# and measure the *strategy*, not the result.  A family counts only where
+# the PPE publishes it, directly under the app segment
+# (``<...>.ppe.<app>.<family>.<leaf>``), so a tenant of the same name
+# keeps its leaves.
+NONSEMANTIC_FAMILY = re.compile(
+    r"(?:^|\.)ppe\.[^.]+\.(?:flow_cache|fastpath_hits|compiled)\."
+)
 
 
 def is_semantic_metric(name: str) -> bool:
@@ -66,7 +72,7 @@ def is_semantic_metric(name: str) -> bool:
         return False
     if name.startswith(NONSEMANTIC_PREFIXES):
         return False
-    return not any(infix in name for infix in NONSEMANTIC_INFIXES)
+    return NONSEMANTIC_FAMILY.search(name) is None
 
 
 def semantic_metrics(metrics: Mapping[str, object]) -> dict[str, object]:

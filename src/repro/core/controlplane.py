@@ -20,6 +20,7 @@ from ..errors import ControlPlaneError, FlashError, ReproError, TableError
 from ..packet import Packet
 from ..sim.engine import Window
 from .mgmt import MAX_BODY, MgmtMessage, MgmtOp, parse_chunk_body
+from .ppe import _EngineBase
 from .tables import ExactTable, LPMTable, TernaryTable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -230,19 +231,18 @@ class ControlPlane:
         return self._ack(message, stats=self.module.app.tables.stats())
 
     def _op_counter_read(self, message: MgmtMessage) -> MgmtMessage:
-        """Every slot's app counters and its PPE's semantic leaves.
+        """Every slot's app counters and its PPE's counters.
 
-        Only the leaves both engine tiers publish are sent, so the reply
-        is byte-equal across tiers and carries no wall-clock time.
+        Only the leaves both engine tiers publish (the base engine's view)
+        are sent, so the reply is byte-equal across tiers and carries no
+        wall-clock time.
         """
-        from ..artifact.diff import semantic_metrics  # local import to stay light
-
         return self._ack(
             message,
             tenants={
                 slot.name: {
                     "app": slot.app.metric_values(),
-                    "ppe": semantic_metrics(slot.ppe.metric_values()),
+                    "ppe": _EngineBase.metric_values(slot.ppe),
                 }
                 for slot in self.module.slots
             },

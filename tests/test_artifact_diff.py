@@ -64,10 +64,39 @@ class TestSemanticClassification:
             "module0.ppe.nat.drops",
             "module0.ppe.nat.processed.packets",
             "fleet.repairs",
+            "module0.tenant.compiled.ppe.sanitizer.verdicts.drop",
+            "module0.tenant.flow_cache.steered.packets",
+            "module0.tenant.fastpath_hits.ppe.int.processed.packets",
         ],
     )
     def test_semantic_names(self, name):
         assert is_semantic_metric(name)
+
+    def test_a_tenant_named_like_a_strategy_family_keeps_its_leaves(self):
+        """The family segment counts only directly under the PPE's app
+        segment: a tenant named ``compiled`` keeps every leaf, and its
+        digest moves with its drops."""
+        from repro.nfv import default_nfv_tenants
+        from repro.obs.scenario import ScenarioSpec, _tenant_digests
+
+        tenants = [dict(tenant) for tenant in default_nfv_tenants()]
+        tenants[0]["name"] = "compiled"
+        run = ScenarioSpec(
+            kind="nfv-chain", tenants=tuple(tenants), engine="reference"
+        ).run()
+        metrics = run.metrics()
+        prefix = "module0.tenant.compiled."
+        leaves = [name for name in metrics if name.startswith(prefix)]
+        assert len(leaves) == 26
+        assert all(is_semantic_metric(name) for name in leaves)
+        drops = "module0.tenant.compiled.verdict_drops.packets"
+        assert metrics[drops] > 0
+        digests = run.summary["tenant_digests"]
+        moved = _tenant_digests(
+            run.modules[0], {**metrics, drops: metrics[drops] + 1}, run.histograms()
+        )
+        assert moved["compiled"] != digests["compiled"]
+        assert moved["telemetry"] == digests["telemetry"]
 
     @pytest.mark.parametrize(
         "name",

@@ -6,7 +6,6 @@ import json
 import pytest
 
 from repro.apps import AclFirewall, StaticNat, TunnelGateway
-from repro.artifact.diff import semantic_metrics
 from repro.core import (
     FlexSFPModule,
     MgmtMessage,
@@ -17,6 +16,7 @@ from repro.core import (
     mgmt_frame,
 )
 from repro.core.mgmt import MAX_BODY
+from repro.core.ppe import _EngineBase
 from repro.errors import ControlPlaneError
 from repro.hls import compile_app
 from repro.nfv import Deployment
@@ -73,7 +73,7 @@ class TestTableOps:
         assert reply["ok"] and set(reply["tenants"]) == {"default"}
         tenant = reply["tenants"]["default"]
         assert tenant["app"] == module.app.metric_values()
-        assert tenant["ppe"] == semantic_metrics(module.ppe.metric_values())
+        assert tenant["ppe"] == _EngineBase.metric_values(module.ppe)
 
     def test_list_key_normalized_to_tuple(self, sim):
         firewall = AclFirewall()

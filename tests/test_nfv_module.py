@@ -3,8 +3,8 @@
 import pytest
 
 from repro.apps import Passthrough
-from repro.artifact.diff import semantic_metrics
 from repro.core import FlexSFPModule, RECONFIG_DOWNTIME_S
+from repro.core.ppe import _EngineBase
 from repro.errors import ConfigError
 from repro.nfv import NFV_SCRUB_DPORT, Deployment, default_nfv_tenants
 from repro.obs import MetricsRegistry
@@ -240,7 +240,7 @@ class TestCounterRead:
             slot = module.tenant_slot(name)
             assert body["tenants"][name] == {
                 "app": slot.app.metric_values(),
-                "ppe": semantic_metrics(slot.ppe.metric_values()),
+                "ppe": _EngineBase.metric_values(slot.ppe),
             }
             ppe = body["tenants"][name]["ppe"]
             assert ppe[f"{slot.app.name}.processed.packets"] == processed
