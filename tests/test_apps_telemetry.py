@@ -1,5 +1,7 @@
 """Flow telemetry and in-band telemetry applications."""
 
+import json
+
 import pytest
 
 from repro.apps import (
@@ -196,10 +198,28 @@ class TestInbandConfigFailsClosed:
         with pytest.raises(ConfigError, match="only_direction"):
             self._check({"only_direction": only_direction})
 
+    @pytest.mark.parametrize("field", ["collector_ip", "exporter_ip"])
+    @pytest.mark.parametrize("ip", ["203.0.113", "203.0.113.256", "", 1 << 32, 2.5, None])
+    def test_a_bad_report_address(self, field, ip):
+        with pytest.raises(ConfigError, match=field):
+            self._check({"role": "sink", field: ip})
+
+    def test_check_nfv_exits_2_on_a_bad_collector(self, tmp_path, capsys):
+        from repro.cli import main
+
+        tenants = tmp_path / "tenants.json"
+        tenants.write_text(json.dumps([
+            {"name": "scrub", "app": "sanitizer", "match": {"udp_dport": 9}, "share": 0.5},
+            {"name": "telemetry", "app": "int", "share": 0.5,
+             "params": {"role": "sink", "collector_ip": "203.0.113"}},
+        ]))  # fmt: skip
+        assert main(["check", "--nfv", "--tenants", str(tenants)]) == 2
+        assert "collector_ip" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "params",
         [{"max_hops": 1}, {"max_hops": 15}, {"only_direction": None},
-         {"only_direction": "line->edge"}],
+         {"only_direction": "line->edge"}, {"collector_ip": 0xCB00710A}],
     )
     def test_every_valid_value_checks_clean(self, params):
         assert self._check(params) == []
