@@ -77,11 +77,13 @@ class TunnelGateway(PPEApplication):
             return Verdict.PASS
         if route.kind == "gre":
             gre_encap(packet, self.local_ip, route.remote_ip, key=route.key)
+            self.count("encap_gre", packet)
         elif route.kind == "vxlan":
             vxlan_encap(packet, route.key or 0, self.local_ip, route.remote_ip)
+            self.count("encap_vxlan", packet)
         else:  # ipip
             self._ipip_encap(packet, route.remote_ip)
-        self.count(f"encap_{route.kind}", packet)
+            self.count("encap_ipip", packet)
         return Verdict.PASS
 
     def _ipip_encap(self, packet: Packet, remote_ip: str) -> None:
