@@ -223,11 +223,10 @@ class TestJsonOutput:
         )
         assert code == 0
         spans = [json.loads(line) for line in out.strip().splitlines()]
-        # The legacy switch floods the first frame to both retrofitted ports.
-        assert {span["component"] for span in spans if span["stage"] == "mac.rx"} == {
-            "agg.sfp1", "agg.sfp2",
-        }
-        assert {span["trace"] for span in spans} == {0, 1}
+        # Both sampled frames enter a module seated in the legacy switch.
+        entries = [span for span in spans if span["stage"] == "mac.rx"]
+        assert [span["trace"] for span in entries] == [0, 1]
+        assert all(span["component"].startswith("agg.sfp") for span in entries)
 
 
 class TestRunSubcommand:
