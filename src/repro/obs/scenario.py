@@ -292,16 +292,8 @@ class ScenarioRun:
 
 
 # ----------------------------------------------------------------------
-# NAT scenario builders (the §5.1 quick configs)
+# The skeleton every kind shares
 # ----------------------------------------------------------------------
-def _make_app(spec: ScenarioSpec, index: int):
-    if spec.app == "nat":
-        nat = StaticNat(capacity=1024)
-        nat.add_mapping(f"10.0.0.{index + 1}", f"198.51.100.{index + 1}")
-        return nat
-    return create_app(spec.app)
-
-
 def _instrumented(spec: ScenarioSpec) -> tuple:
     """A simulator plus the spec's registry (with ``sim.profile.*`` when
     ``spec.profile``) and tracer: where every kind's run starts."""
@@ -372,6 +364,17 @@ def _retrofitted_switch(spec, sim, registry, tracer, policies, auth_key, retry_s
     flows = ({"src_ip": "10.0.0.1", "dst_ip": "8.8.8.8"},)
     source = _offered_load(spec, sim, registry, uplink, flows, rate_bps=10e9)
     return switch, controller, modules, source
+
+
+# ----------------------------------------------------------------------
+# NAT scenario builders (the §5.1 quick configs)
+# ----------------------------------------------------------------------
+def _make_app(spec: ScenarioSpec, index: int):
+    if spec.app == "nat":
+        nat = StaticNat(capacity=1024)
+        nat.add_mapping(f"10.0.0.{index + 1}", f"198.51.100.{index + 1}")
+        return nat
+    return create_app(spec.app)
 
 
 def _build_nat(spec: ScenarioSpec, module_count: int) -> ScenarioRun:
