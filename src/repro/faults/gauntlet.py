@@ -5,10 +5,10 @@ offered load of :mod:`repro.obs.scenario`, with the gauntlet's own parts
 added — impairable management and line links, a fault injector playing
 one seeded :class:`~repro.faults.plan.FaultPlan`, and a fleet controller
 that keeps probing (and, when the module degrades, re-deploys a fresh
-image).  The run reports the robustness numbers the
-paper's deployment story implies but never measures: packets lost to the
-fault schedule, recovery time after the last fault, and what fraction of
-damage incidents the module healed *by itself* (watchdog + golden-image
+image).  The run reports the robustness numbers the paper's deployment
+story implies but never measures: packets lost to the fault schedule,
+recovery time after the last fault, and what fraction of damage
+incidents the module healed *by itself* (watchdog + golden-image
 fallback) versus needing the fleet to intervene.
 
 The same seed reproduces the same gauntlet bit-for-bit — schedule,
