@@ -17,8 +17,7 @@ __all__, __getattr__, __dir__ = export_table(
         ),
         "run": (
             "RunArtifact", "artifact_from_bench", "artifact_from_fleet_result",
-            "artifact_from_scenario_run", "environment_fingerprint", "load_artifact",
-            "spec_digest_of",
+            "environment_fingerprint", "load_artifact", "spec_digest_of",
         ),
     },
 )

@@ -33,8 +33,7 @@ from ..errors import ConfigError
 from ..obs.export import SCHEMA_RUN
 from .diff import semantic_shard_digest
 
-if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from ..obs.scenario import ScenarioRun
+if TYPE_CHECKING:  # pragma: no cover - type-only import
     from ..parallel.runner import FleetRunResult
 
 
@@ -309,37 +308,6 @@ def artifact_from_fleet_result(
         metrics=dict(result.merged_metrics),
         histograms={k: dict(v) for k, v in result.merged_histograms.items()},
         supervisor=dict(result.supervisor),
-    )
-
-
-def artifact_from_scenario_run(
-    run: "ScenarioRun",
-    source: str,
-    findings: Iterable[Mapping] = (),
-    wall_s: float | None = None,
-) -> RunArtifact:
-    """Wrap one in-process :class:`ScenarioRun` as a 1-shard artifact.
-
-    The chaos-gauntlet CLI and any direct ``spec.run()`` caller emit
-    through here: same document, same digests, same diffability as a
-    sharded campaign of size one.
-    """
-    if run.spec is None:
-        raise ConfigError("scenario run carries no spec; cannot build artifact")
-    spec_payload = run.spec.resolved().to_dict()
-    metrics, histograms = run.metrics(), run.histograms()
-    summary = dict(run.summary or {})
-    shard = (0, spec_payload["seed"], run.digest(), metrics, summary, histograms)
-    return _build(
-        source,
-        spec_payload,
-        None,
-        [shard],
-        findings=findings,
-        wall_s=wall_s,
-        metrics=metrics,
-        histograms=histograms,
-        summary=summary,
     )
 
 

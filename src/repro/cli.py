@@ -253,56 +253,63 @@ def _paper_envelope(args: argparse.Namespace) -> Report:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    from .artifact.run import artifact_from_scenario_run
     from .faults.plan import NAMED_PLANS
     from .obs.scenario import ScenarioSpec
+    from .parallel import run_sharded, shard_spec
 
-    plan = NAMED_PLANS[args.plan](args.seed)
-    # The gauntlet runs through the instrumented chaos scenario (same
-    # run_gauntlet invocation, same defaults, plus a metrics registry) so
-    # the chaos CLI emits the same flexsfp.run/1 artifact as `flexsfp
-    # run` and the benches.
-    run = ScenarioSpec(
-        kind="chaos",
-        fault_plan=args.plan,
-        seed=args.seed,
-        engine=args.engine,
-    ).run()
-    result = run.summary
+    # One shard of `flexsfp run --scenario chaos`: a root seed names the same
+    # run through either command, and its shard plays the plan drawn at the
+    # shard's own seed.
+    spec = ScenarioSpec(
+        kind="chaos", fault_plan=args.plan, seed=args.seed, engine=args.engine
+    )
+    result = run_sharded(spec)
+    shard_seed = shard_spec(result.spec, 0).seed
+    plan = NAMED_PLANS[args.plan](shard_seed)
     findings = [
         {"time_s": e.time_s, "kind": e.kind, "target": e.target} for e in plan
     ]
-    artifact = artifact_from_scenario_run(
-        run, source="chaos-gauntlet", findings=findings
-    )
-    metric_rows = [
-        ("packets sent", result["packets_sent"]),
-        ("packets lost", result["packets_lost"]),
-        ("loss fraction", f"{result['loss_fraction']:.4f}"),
-        ("damage incidents", result["incidents"]),
-        ("fleet repairs", result["repairs"]),
-        ("self-healed fraction", f"{result['self_healed_fraction']:.2f}"),
-        ("recovery time (ms)", f"{result['recovery_time_s'] * 1e3:.1f}"),
-        ("watchdog reboots", result["watchdog_reboots"]),
-        ("failed boots", result["failed_boots"]),
-        ("healthy at end", result["healthy_at_end"]),
-    ]
-    document = artifact.document()
+    document = result.to_artifact(source="chaos-gauntlet", findings=findings).document()
     if args.out is not None:
         write_text_atomic(args.out, document + "\n")
+    exit_code = 0 if result.ok else EXIT_PARTIAL
     if args.json:
         print(document)
-        return 0
-    print(f"plan {args.plan!r} seed={args.seed} sig={plan.signature()[:16]}…")
+        return exit_code
+    print(
+        f"plan {args.plan!r} seed={args.seed} (shard seed {shard_seed}) "
+        f"sig={plan.signature()[:16]}…"
+    )
     _print_rows(
         ("t (ms)", "fault", "target"),
         [(f"{e.time_s * 1e3:.1f}", e.kind, e.target) for e in plan],
     )
     print()
-    _print_rows(("metric", "value"), metric_rows)
+    for failure in result.completeness.failed:
+        print(
+            f"PARTIAL RESULT: the shard gave up after {failure.attempts} "
+            f"attempt(s): {', '.join(failure.reasons)}"
+        )
+    for shard in result.shards:
+        summary = shard.summary
+        _print_rows(
+            ("metric", "value"),
+            [
+                ("packets sent", summary["packets_sent"]),
+                ("packets lost", summary["packets_lost"]),
+                ("loss fraction", f"{summary['loss_fraction']:.4f}"),
+                ("damage incidents", summary["incidents"]),
+                ("fleet repairs", summary["repairs"]),
+                ("self-healed fraction", f"{summary['self_healed_fraction']:.2f}"),
+                ("recovery time (ms)", f"{summary['recovery_time_s'] * 1e3:.1f}"),
+                ("watchdog reboots", summary["watchdog_reboots"]),
+                ("failed boots", summary["failed_boots"]),
+                ("healthy at end", summary["healthy_at_end"]),
+            ],
+        )
     if args.out is not None:
         print(f"wrote {args.out}")
-    return 0
+    return exit_code
 
 
 def _nfv_deployment(args: argparse.Namespace, device):

@@ -1,9 +1,10 @@
 """Deterministic fault injection and the chaos gauntlet.
 
-Plans (:class:`FaultPlan`) are seeded, serializable schedules of faults;
+Plans (:class:`FaultPlan`) are seeded, fingerprinted schedules of faults;
 the :class:`FaultInjector` binds them to live links and modules; the
-gauntlet (:func:`run_gauntlet`) runs the reference robustness experiment
-and reports recovery metrics.
+gauntlet (:func:`play_gauntlet`, the ``chaos`` scenario kind) runs the
+reference robustness experiment under a named or custom plan and reports
+recovery metrics in its run's ``summary``.
 """
 
 from .._util import export_table
@@ -11,7 +12,7 @@ from .._util import export_table
 __all__, __getattr__, __dir__ = export_table(
     __name__,
     {
-        "gauntlet": ("GauntletResult", "run_gauntlet"),
+        "gauntlet": ("play_gauntlet",),
         "injector": ("FaultInjector",),
         "plan": (
             "ALL_FAULTS", "LINK_FAULTS", "MODULE_FAULTS", "NAMED_PLANS", "FaultEvent",

@@ -11,14 +11,16 @@ recovery time after the last fault, and what fraction of damage
 incidents the module healed *by itself* (watchdog + golden-image
 fallback) versus needing the fleet to intervene.
 
-The same seed reproduces the same gauntlet bit-for-bit — schedule,
-damage, and recovery stats — which is what makes a chaos result a
-regression test instead of an anecdote.
+The numbers are the ``summary`` of the run :func:`play_gauntlet` returns;
+there is no second result type.  A named plan runs as the ``chaos`` kind
+(``flexsfp run --scenario chaos --plan NAME`` or ``flexsfp chaos NAME``,
+one shard of it), a custom :class:`~repro.faults.plan.FaultPlan` through
+:func:`play_gauntlet` directly.  The same seed reproduces the same
+gauntlet bit-for-bit — schedule, damage, and recovery stats — which is
+what makes a chaos result a regression test instead of an anecdote.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from ..errors import ConfigError
 from ..netem import LossyWire
@@ -27,7 +29,6 @@ from ..switch import PortPolicy
 from .injector import FaultInjector
 from .plan import (
     DUT,
-    GAUNTLET_RUN_S,
     LINE_LINK,
     MGMT_LINK,
     NAMED_PLANS,
@@ -41,103 +42,16 @@ PROBE_INTERVAL_S = 25e-3
 
 
 # ----------------------------------------------------------------------
-# Result
-# ----------------------------------------------------------------------
-@dataclass
-class GauntletResult:
-    """Everything a chaos run measures (deterministic per seed)."""
-
-    seed: int
-    plan_name: str
-    plan_signature: str
-    faults_applied: int
-    faults_by_kind: dict[str, int] = field(default_factory=dict)
-    packets_sent: int = 0
-    packets_received: int = 0
-    probes: int = 0
-    probes_unhealthy: int = 0
-    incidents: int = 0
-    repairs: int = 0
-    recovery_time_s: float = 0.0
-    healthy_at_end: bool = False
-    watchdog_reboots: int = 0
-    failed_boots: int = 0
-    reboots: int = 0
-    degraded_at_end: bool = False
-
-    @property
-    def packets_lost(self) -> int:
-        return max(0, self.packets_sent - self.packets_received)
-
-    @property
-    def loss_fraction(self) -> float:
-        return self.packets_lost / self.packets_sent if self.packets_sent else 0.0
-
-    @property
-    def self_healed_fraction(self) -> float:
-        """Damage incidents resolved without fleet intervention."""
-        if self.incidents == 0:
-            return 1.0
-        return (self.incidents - min(self.repairs, self.incidents)) / self.incidents
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "plan": self.plan_name,
-            "plan_signature": self.plan_signature,
-            "faults_applied": self.faults_applied,
-            "faults_by_kind": dict(self.faults_by_kind),
-            "packets_sent": self.packets_sent,
-            "packets_received": self.packets_received,
-            "packets_lost": self.packets_lost,
-            "loss_fraction": self.loss_fraction,
-            "probes": self.probes,
-            "probes_unhealthy": self.probes_unhealthy,
-            "incidents": self.incidents,
-            "repairs": self.repairs,
-            "self_healed_fraction": self.self_healed_fraction,
-            "recovery_time_s": self.recovery_time_s,
-            "healthy_at_end": self.healthy_at_end,
-            "watchdog_reboots": self.watchdog_reboots,
-            "failed_boots": self.failed_boots,
-            "reboots": self.reboots,
-            "degraded_at_end": self.degraded_at_end,
-        }
-
-
-# ----------------------------------------------------------------------
 # The gauntlet itself
 # ----------------------------------------------------------------------
-def run_gauntlet(
-    seed: int = 1,
-    plan: FaultPlan | str = "smoke",
-    duration_s: float = GAUNTLET_RUN_S,
-    traffic_bps: float = 50e6,
-    frame_len: int = 512,
-    engine: str | None = None,
-) -> GauntletResult:
-    """Run one chaos gauntlet and return its measurements.
+def play_gauntlet(spec, plan: FaultPlan | str):
+    """Build and run the gauntlet of a ``chaos`` spec under ``plan`` (a
+    named plan, drawn at ``spec.seed``, or any :class:`FaultPlan`); returns
+    the instrumented :class:`~repro.obs.scenario.ScenarioRun`, whose
+    ``summary`` holds the robustness numbers.
 
-    The ``chaos`` scenario kind at this traffic, with ``plan`` — a named
-    plan or any :class:`FaultPlan` — as its fault schedule.
-    """
-    from ..obs.scenario import ScenarioSpec, TrafficProfile
-
-    spec = ScenarioSpec(
-        kind="chaos",
-        traffic=TrafficProfile(traffic_bps, frame_len, duration_s),
-        seed=seed,
-        engine=engine,
-    )
-    return play_gauntlet(spec.resolved(), plan)[0]
-
-
-def play_gauntlet(spec, plan: FaultPlan | str) -> tuple:
-    """Build and run the gauntlet of a resolved ``chaos`` spec under
-    ``plan``; returns the :class:`GauntletResult` and the instrumented
-    :class:`~repro.obs.scenario.ScenarioRun`.
-
-    Topology: the retrofitted aggregation switch of
+    The ``chaos`` kind plays its named plan through here; a custom plan
+    has no other door.  Topology: the retrofitted aggregation switch of
     :func:`~repro.obs.scenario._retrofitted_switch` with one FlexSFP
     running the NAT in port 1, whose optical side (via an impairable
     ``line-link``) leads to the measured sink.  The controller reaches
@@ -148,6 +62,7 @@ def play_gauntlet(spec, plan: FaultPlan | str) -> tuple:
     """
     from ..obs.scenario import ScenarioRun, _instrumented, _retrofitted_switch
 
+    spec = spec.resolved()
     if isinstance(plan, str):
         builder = NAMED_PLANS.get(plan)
         if builder is None:
@@ -226,32 +141,38 @@ def play_gauntlet(spec, plan: FaultPlan | str) -> tuple:
 
     last_fault = max((t for t, _ in injector.applied), default=0.0)
     unhealthy = [t for t, ok in probe_log if not ok]
-    recovery_time_s = max(0.0, max(unhealthy, default=last_fault) - last_fault)
-    result = GauntletResult(
-        seed=seed,
-        plan_name=plan_name,
-        plan_signature=plan.signature(),
-        faults_applied=len(injector.applied),
-        faults_by_kind={
+    sent, incidents = source.sent.packets, _count_incidents(probe_log)
+    lost = max(0, sent - received[0])
+    summary = {
+        "seed": seed,
+        "plan": plan_name,
+        "plan_signature": plan.signature(),
+        "faults_applied": len(injector.applied),
+        "faults_by_kind": {
             key.removeprefix("by_kind."): count
             for key, count in injector.metric_values().items()
             if key != "applied"
         },
-        packets_sent=source.sent.packets,
-        packets_received=received[0],
-        probes=len(probe_log),
-        probes_unhealthy=len(unhealthy),
-        incidents=_count_incidents(probe_log),
-        repairs=repairs[0],
-        recovery_time_s=recovery_time_s,
-        healthy_at_end=bool(probe_log) and probe_log[-1][1],
-        watchdog_reboots=module.watchdog_reboots,
-        failed_boots=module.failed_boots,
-        reboots=module.reboots,
-        degraded_at_end=module.degraded,
-    )
-    run = ScenarioRun(registry, [module], tracer, spec=spec, summary=result.to_dict())
-    return result, run
+        "packets_sent": sent,
+        "packets_received": received[0],
+        "packets_lost": lost,
+        "loss_fraction": lost / sent if sent else 0.0,
+        "probes": len(probe_log),
+        "probes_unhealthy": len(unhealthy),
+        "incidents": incidents,
+        "repairs": repairs[0],
+        # Damage incidents resolved without fleet intervention.
+        "self_healed_fraction": (
+            (incidents - min(repairs[0], incidents)) / incidents if incidents else 1.0
+        ),
+        "recovery_time_s": max(0.0, max(unhealthy, default=last_fault) - last_fault),
+        "healthy_at_end": bool(probe_log) and probe_log[-1][1],
+        "watchdog_reboots": module.watchdog_reboots,
+        "failed_boots": module.failed_boots,
+        "reboots": module.reboots,
+        "degraded_at_end": module.degraded,
+    }
+    return ScenarioRun(registry, [module], tracer, summary=summary)
 
 
 def _count_incidents(probe_log: list[tuple[float, bool]]) -> int:

@@ -4,8 +4,8 @@ A :class:`FaultPlan` is an ordered schedule of :class:`FaultEvent`\\ s —
 *what* goes wrong, *where*, and *when* on the simulator clock.  Plans are
 plain data: they can be generated from a seed (every draw comes from one
 ``random.Random``, so the same seed always yields byte-identical
-schedules), serialized to/from JSON-friendly dicts for replay, and
-fingerprinted for reproducibility checks.
+schedules) and fingerprinted over their canonical JSON form for
+reproducibility checks.
 
 The plan knows nothing about the simulation; :class:`~repro.faults.injector.
 FaultInjector` binds target *names* to live objects and fires the events.
@@ -63,15 +63,6 @@ class FaultEvent:
             "params": dict(self.params),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultEvent":
-        return cls(
-            time_s=float(data["time_s"]),
-            kind=str(data["kind"]),
-            target=str(data["target"]),
-            params=dict(data.get("params", {})),
-        )
-
 
 class FaultPlan:
     """An ordered, reproducible schedule of faults."""
@@ -87,20 +78,13 @@ class FaultPlan:
         return iter(self.events)
 
     # ------------------------------------------------------------------
-    # Serialization / fingerprinting
+    # Fingerprinting
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         return {
             "seed": self.seed,
             "events": [event.to_dict() for event in self.events],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultPlan":
-        return cls(
-            [FaultEvent.from_dict(item) for item in data.get("events", [])],
-            seed=data.get("seed"),
-        )
 
     def signature(self) -> str:
         """SHA-256 over the canonical JSON form — equal plans, equal hash."""

@@ -67,23 +67,6 @@ class WorkerFault:
                 f"unknown worker fault {self.kind!r}; kinds: {WORKER_FAULTS}"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "shard": self.shard,
-            "attempt": self.attempt,
-            "kind": self.kind,
-            "hang_s": self.hang_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WorkerFault":
-        return cls(
-            shard=int(data["shard"]),
-            attempt=int(data["attempt"]),
-            kind=str(data["kind"]),
-            hang_s=float(data.get("hang_s", DEFAULT_HANG_S)),
-        )
-
 
 @dataclass(frozen=True)
 class WorkerFaultPlan:
@@ -116,17 +99,6 @@ class WorkerFaultPlan:
         """Highest scheduled attempt for ``shard`` (0 when unscheduled)."""
         return max(
             (f.attempt for f in self.faults if f.shard == shard), default=0
-        )
-
-    def to_dict(self) -> dict:
-        return {"faults": [fault.to_dict() for fault in self.faults]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WorkerFaultPlan":
-        return cls(
-            faults=tuple(
-                WorkerFault.from_dict(item) for item in data.get("faults", [])
-            )
         )
 
     # ------------------------------------------------------------------

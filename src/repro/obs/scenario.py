@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import Callable
@@ -68,6 +69,12 @@ class TrafficProfile:
     duration_s: float = DEFAULT_DURATION_S
 
     def validate(self) -> None:
+        # A NaN passes every comparison below and an infinity never ends a
+        # run: both are refused by name.
+        for name in ("rate_bps", "duration_s"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"traffic {name} must be finite: {value}")
         if self.rate_bps <= 0:
             raise ConfigError(f"traffic rate must be positive: {self.rate_bps}")
         if self.frame_len < 60:
@@ -211,6 +218,7 @@ class ScenarioSpec:
             data["traffic"] = TrafficProfile(
                 **checked_fields(data["traffic"], _TRAFFIC_TYPES, "traffic")
             )
+            data["traffic"].validate()
         if data.get("tenants"):
             data["tenants"] = tuple(
                 dict(typed(tenant, dict, f"scenario spec field 'tenants[{index}]'"))
@@ -249,7 +257,6 @@ class ScenarioRun:
     registry: MetricsRegistry
     modules: list[FlexSFPModule]
     tracer: Tracer | None
-    spec: ScenarioSpec | None = None
     summary: dict = field(default_factory=dict)
 
     def metrics(self) -> dict:
@@ -416,7 +423,7 @@ def _build_nat(spec: ScenarioSpec, module_count: int) -> ScenarioRun:
         "modules": module_count,
         "delivered": fiber.rx.metric_values(),
     }
-    return ScenarioRun(registry, modules, tracer, spec=spec, summary=summary)
+    return ScenarioRun(registry, modules, tracer, summary=summary)
 
 
 # ----------------------------------------------------------------------
@@ -425,7 +432,7 @@ def _build_nat(spec: ScenarioSpec, module_count: int) -> ScenarioRun:
 def _build_chaos(spec: ScenarioSpec) -> ScenarioRun:
     from ..faults.gauntlet import play_gauntlet  # loaded by the chaos kind only
 
-    return play_gauntlet(spec, spec.fault_plan)[1]
+    return play_gauntlet(spec, spec.fault_plan)
 
 
 # ----------------------------------------------------------------------
@@ -487,7 +494,7 @@ def _build_fleet_upgrade(spec: ScenarioSpec) -> ScenarioRun:
         "ok": bool(report and report.ok),
         "delivered": sink.rx.metric_values(),
     }
-    return ScenarioRun(registry, modules, tracer, spec=spec, summary=summary)
+    return ScenarioRun(registry, modules, tracer, summary=summary)
 
 
 # ----------------------------------------------------------------------
@@ -591,7 +598,7 @@ def _build_nfv(spec: ScenarioSpec, churn: bool) -> ScenarioRun:
     drain_s = max(0.1e-3, 1024 * traffic.frame_len * 8 / traffic.rate_bps)
     sim.run(until=traffic.duration_s + drain_s)
 
-    run = ScenarioRun(registry, [module], tracer, spec=spec)
+    run = ScenarioRun(registry, [module], tracer)
     summary = {
         "kind": spec.kind,
         "tenants": [slot.name for slot in module.slots],

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from ..errors import ConfigError
 from ..obs.registry import MetricValue
@@ -112,17 +112,21 @@ class FleetRunResult:
             "supervisor": dict(self.supervisor),
         }
 
-    def to_artifact(self, source: str = "flexsfp-run"):
+    def to_artifact(
+        self, source: str = "flexsfp-run", findings: Iterable[Mapping] = ()
+    ):
         """This run as a unified ``flexsfp.run/1`` artifact.
 
         The artifact (not this raw result dict) is what entry points
-        emit and what :func:`repro.artifact.diff_artifacts` consumes.
+        emit and what :func:`repro.artifact.diff_artifacts` consumes;
+        every scenario document is built here, so one root seed names
+        one run whichever command made it.
         """
         # Only the parent builds the artifact: a spawned worker never loads
         # artifact.run.
         from ..artifact import artifact_from_fleet_result
 
-        return artifact_from_fleet_result(self, source=source)
+        return artifact_from_fleet_result(self, source=source, findings=findings)
 
 
 def shard_spec(spec: ScenarioSpec, index: int) -> ScenarioSpec:

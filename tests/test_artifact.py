@@ -9,7 +9,6 @@ import pytest
 from repro.artifact import (
     RunArtifact,
     artifact_from_bench,
-    artifact_from_scenario_run,
     diff_artifacts,
     environment_fingerprint,
     load_artifact,
@@ -108,28 +107,31 @@ class TestRunArtifact:
 
 
 class TestScenarioRunBuilder:
+    """A one-shard scenario run is a fleet run of one: the chaos command's
+    document comes from the same builder as ``flexsfp run``'s."""
+
     def test_chaos_scenario_artifact(self):
-        run = ScenarioSpec(
-            kind="chaos", fault_plan="smoke", seed=7, engine="reference"
-        ).resolved().run()
-        artifact = artifact_from_scenario_run(
-            run, source="chaos-gauntlet", findings=[{"kind": "optical_cut"}]
+        result = run_sharded(
+            ScenarioSpec(kind="chaos", fault_plan="smoke", seed=7, engine="reference")
+        )
+        artifact = result.to_artifact(
+            source="chaos-gauntlet", findings=[{"kind": "optical_cut"}]
         )
         assert artifact.source == "chaos-gauntlet"
         assert artifact.seed == 7
         assert artifact.completeness["ok"] is True
         assert artifact.completeness["shards"] == 1
         assert len(artifact.shards) == 1
-        assert artifact.shards[0]["digest"] == run.digest()
-        assert artifact.summary["packets_sent"] > 0
+        assert artifact.shards[0]["digest"] == result.shards[0].digest
+        assert artifact.shards[0]["summary"]["packets_sent"] > 0
         assert artifact.findings == ({"kind": "optical_cut"},)
 
     def test_scenario_artifact_spec_digest_is_stable(self):
         spec = ScenarioSpec(
             kind="chaos", fault_plan="smoke", seed=7, engine="reference"
         )
-        first = artifact_from_scenario_run(spec.resolved().run(), source="x")
-        second = artifact_from_scenario_run(spec.resolved().run(), source="x")
+        first = run_sharded(spec).to_artifact(source="x")
+        second = run_sharded(spec).to_artifact(source="x")
         assert first.spec_digest == second.spec_digest
         assert first.artifact_digest() == second.artifact_digest()
 

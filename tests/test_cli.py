@@ -172,7 +172,24 @@ class TestJsonOutput:
         assert doc["source"] == "chaos-gauntlet"
         assert doc["spec"]["fault_plan"] == "smoke" and doc["seed"] == 3
         assert doc["findings"], "fault plan events missing"
-        assert doc["summary"]["packets_sent"] > 0
+        assert doc["shards"][0]["summary"]["packets_sent"] > 0
+
+    def test_chaos_is_one_shard_of_run(self, capsys, tmp_path):
+        """A root seed names one run: `flexsfp chaos` and `flexsfp run`
+        write the same document but for its source and findings, and the
+        printed plan is the one the shard played."""
+        a, b = tmp_path / "chaos.json", tmp_path / "run.json"
+        code, out, _ = run(capsys, "chaos", "smoke", "--seed", "3", "--out", str(a))
+        assert code == 0
+        code, _, _ = run(
+            capsys, "run", "--scenario", "chaos", "--plan", "smoke", "--seed", "3",
+            "--shards", "1", "--out", str(b),
+        )
+        assert code == 0
+        assert main(["diff", str(a), str(b)]) == 0
+        capsys.readouterr()
+        summary = json.loads(a.read_text())["shards"][0]["summary"]
+        assert f"sig={summary['plan_signature'][:16]}" in out
 
     def test_chaos_json_legacy_table(self, capsys):
         # 2.0: the flexsfp.table/1 shape of a chaos run is gone with its flag.
@@ -354,6 +371,36 @@ class TestSupervisedRun:
         assert code == 4
         assert "PARTIAL RESULT: 1/2 shards completed" in out
         assert "shard 0" in out and "crash" in out
+
+    def test_an_incomplete_chaos_run_exits_4(self, capsys, monkeypatch):
+        self._inject_chaos(monkeypatch, {(0, 1): "worker_kill"})
+        code, out, _ = run(capsys, "chaos", "smoke", "--seed", "3")
+        assert code == 4
+        assert "PARTIAL RESULT: the shard gave up after 1 attempt(s)" in out
+        code, doc = run_json(capsys, "chaos", "smoke", "--seed", "3")
+        assert code == 4
+        assert doc["completeness"]["failed_indices"] == [0] and doc["shards"] == []
+
+    def test_resume_refuses_a_non_finite_journal_header(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        journal = tmp_path / "campaign.jsonl"
+        code, _ = run_json(
+            capsys, "run", "--scenario", "nat-linerate", "--shards", "1",
+            "--checkpoint", str(journal),
+        )
+        assert code == 0
+        header, *records = journal.read_text().splitlines()
+        payload = json.loads(header)
+        payload["spec"]["traffic"]["duration_s"] = float("nan")
+        journal.write_text("\n".join([json.dumps(payload), *records]) + "\n")
+        ran = []
+        monkeypatch.setattr(
+            "repro.obs.scenario.ScenarioSpec.run", lambda spec: ran.append(spec)
+        )
+        code, out, err = run(capsys, "run", "--resume", str(journal))
+        assert code == 2 and ran == []
+        assert "traffic duration_s must be finite" in err
 
     def test_checkpoint_then_resume_reproduces_digests(self, capsys, tmp_path):
         journal = tmp_path / "campaign.jsonl"

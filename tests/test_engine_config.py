@@ -19,7 +19,7 @@ from repro.config import Settings
 from repro.core import FlexSFPModule, PacketProcessingEngine, ReferenceEngine
 from repro.engine import ENGINES, resolve_engine, validate_engine
 from repro.errors import ConfigError
-from repro.faults.gauntlet import run_gauntlet
+from repro.faults.gauntlet import play_gauntlet
 from repro.matrix import MatrixAxes
 from repro.nfv import Deployment, TenantSpec
 from repro.obs.scenario import ScenarioSpec
@@ -232,20 +232,20 @@ REMOVED_SPELLINGS = {
     "engine=batched:cli": (lambda: main(["metrics", "--engine", "batched"]), SystemExit),
     "fastpath=:spec": (lambda: ScenarioSpec(fastpath=True), TypeError),
     "fastpath=:retrofit": (lambda: _retrofit(fastpath=True), TypeError),
-    "fastpath=:gauntlet": (lambda: run_gauntlet(fastpath=True), TypeError),
+    "fastpath=:gauntlet": (lambda: play_gauntlet(fastpath=True), TypeError),
     "fastpath=:matrix": (lambda: MatrixAxes(fastpath=(True,)), TypeError),
     "batch_size=:spec": (lambda: ScenarioSpec(batch_size=16), TypeError),
     "batch_size=:retrofit": (lambda: _retrofit(batch_size=16), TypeError),
-    "batch_size=:gauntlet": (lambda: run_gauntlet(batch_size=16), TypeError),
+    "batch_size=:gauntlet": (lambda: play_gauntlet(batch_size=16), TypeError),
     "batch_size=:engine": (
         lambda: PacketProcessingEngine(Simulator(), make_nat(), None, 6, batch_size=16),
         TypeError,
     ),
     "batched_size=:matrix": (lambda: MatrixAxes(batched_size=8), TypeError),
     # The gauntlet's simulator, registry and tracer are the chaos scenario's.
-    "registry=:gauntlet": (lambda: run_gauntlet(registry=None), TypeError),
-    "tracer=:gauntlet": (lambda: run_gauntlet(tracer=None), TypeError),
-    "probe_interval_s=:gauntlet": (lambda: run_gauntlet(probe_interval_s=1), TypeError),
+    "registry=:gauntlet": (lambda: play_gauntlet(registry=None), TypeError),
+    "tracer=:gauntlet": (lambda: play_gauntlet(tracer=None), TypeError),
+    "probe_interval_s=:gauntlet": (lambda: play_gauntlet(probe_interval_s=1), TypeError),
     "app=:module": (
         lambda: FlexSFPModule(Simulator(), "dut", app=make_nat()),
         TypeError,

@@ -13,11 +13,11 @@ from repro.faults import (
     FaultEvent,
     FaultInjector,
     FaultPlan,
-    run_gauntlet,
+    play_gauntlet,
 )
 from repro.netem import LossyWire
 from repro.nfv import Deployment
-from repro.obs.scenario import ScenarioSpec
+from repro.obs.scenario import ScenarioSpec, TrafficProfile
 
 KEY = b"faults-test-key"
 
@@ -33,12 +33,6 @@ class TestFaultPlan:
         a = FaultPlan.generate(1, 1.0, links=("l",), modules=("m",), count=12)
         b = FaultPlan.generate(2, 1.0, links=("l",), modules=("m",), count=12)
         assert a.signature() != b.signature()
-
-    def test_roundtrip_through_dict(self):
-        plan = FaultPlan.generate(7, 1.0, links=("l",), modules=("m",), count=8)
-        clone = FaultPlan.from_dict(plan.to_dict())
-        assert clone.signature() == plan.signature()
-        assert clone.seed == 7
 
     def test_settle_tail_is_fault_free(self):
         plan = FaultPlan.generate(
@@ -153,16 +147,21 @@ class TestGauntletDeterminism:
             ],
             seed=19,
         )
-        first = run_gauntlet(seed=19, plan=plan, duration_s=0.5, traffic_bps=20e6)
-        second = run_gauntlet(seed=19, plan=plan, duration_s=0.5, traffic_bps=20e6)
-        assert first.to_dict() == second.to_dict()
-        assert first.faults_applied == 2
-        assert first.watchdog_reboots == 1
-        assert first.healthy_at_end
+        spec = ScenarioSpec(
+            kind="chaos", traffic=TrafficProfile(20e6, 512, 0.5), seed=19
+        )
+        first = play_gauntlet(spec, plan).summary
+        second = play_gauntlet(spec, plan).summary
+        assert first == second
+        assert first["plan"] == "custom"
+        assert first["plan_signature"] == plan.signature()
+        assert first["faults_applied"] == 2
+        assert first["watchdog_reboots"] == 1
+        assert first["healthy_at_end"]
 
     def test_unknown_named_plan_rejected(self):
         with pytest.raises(ConfigError, match="unknown plan"):
-            run_gauntlet(plan="not-a-plan")
+            play_gauntlet(ScenarioSpec(kind="chaos"), "not-a-plan")
 
 
 class TestEveryNamedPlanAcrossTiers:

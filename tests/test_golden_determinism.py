@@ -18,10 +18,10 @@ import json
 from repro.apps import StaticNat
 from repro.core import Direction, FlexSFPModule, PacketProcessingEngine, Verdict
 from repro.core.ppe import BURST_FRAMES, ReferenceEngine
-from repro.faults import run_gauntlet
 from repro.fpga import TimingSpec
 from repro.netem import CbrSource
 from repro.obs import MetricsRegistry, Tracer
+from repro.obs.scenario import ScenarioSpec, TrafficProfile
 from repro.packet import make_udp
 from repro.sim import Port, Simulator, connect
 from repro.nfv import Deployment
@@ -77,6 +77,18 @@ def nat_linerate_stats(engine: str, observe: str | None = None) -> bytes:
     return json.dumps(stats, sort_keys=True, default=str).encode()
 
 
+def chaos_quick_config(engine: str | None) -> bytes:
+    """Quick config of the chaos gauntlet (smoke plan), its summary as JSON."""
+    spec = ScenarioSpec(
+        kind="chaos",
+        fault_plan="smoke",
+        seed=23,
+        engine=engine,
+        traffic=TrafficProfile(20e6, 512, 0.4),
+    )
+    return json.dumps(spec.run().summary, sort_keys=True, default=str).encode()
+
+
 class TestGoldenDeterminism:
     def test_nat_linerate_reference_engine(self):
         first = nat_linerate_stats("reference")
@@ -111,32 +123,10 @@ class TestGoldenDeterminism:
         assert tracer_off == baseline
 
     def test_chaos_gauntlet_quick_config(self):
-        runs = [
-            run_gauntlet(seed=23, plan="smoke", duration_s=0.4, traffic_bps=20e6)
-            for _ in range(2)
-        ]
-        first, second = (
-            json.dumps(r.to_dict(), sort_keys=True, default=str).encode()
-            for r in runs
-        )
-        assert first == second
+        assert chaos_quick_config(None) == chaos_quick_config(None)
 
     def test_chaos_gauntlet_fastpath_quick_config(self):
-        runs = [
-            run_gauntlet(
-                seed=23,
-                plan="smoke",
-                duration_s=0.4,
-                traffic_bps=20e6,
-                engine="compiled",
-            )
-            for _ in range(2)
-        ]
-        first, second = (
-            json.dumps(r.to_dict(), sort_keys=True, default=str).encode()
-            for r in runs
-        )
-        assert first == second
+        assert chaos_quick_config("compiled") == chaos_quick_config("compiled")
 
 
 class TestEnqueueTimestampRegression:

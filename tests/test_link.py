@@ -389,9 +389,10 @@ class TestCarriedWireSize:
     def test_carried_size_is_the_recomputed_size_on_every_hop(
         self, monkeypatch, engine
     ):
-        from repro.faults import FaultEvent, FaultPlan, run_gauntlet
+        from repro.faults import FaultEvent, FaultPlan, play_gauntlet
         from repro.faults.gauntlet import LINE_LINK, MGMT_LINK, NAMED_PLANS
         from repro.netem import ImpairedPort
+        from repro.obs.scenario import ScenarioSpec, TrafficProfile
 
         checked = Counter()
         impaired = set()
@@ -417,10 +418,10 @@ class TestCarriedWireSize:
             for i, (kind, link) in enumerate(product(kinds, (LINE_LINK, MGMT_LINK)))
         ]
         plan = FaultPlan([*NAMED_PLANS["smoke"](5), *bursts], seed=5)
-        result = run_gauntlet(
-            seed=5, plan=plan, duration_s=0.4, traffic_bps=20e6, engine=engine
+        spec = ScenarioSpec(
+            kind="chaos", traffic=TrafficProfile(20e6, 512, 0.4), seed=5, engine=engine
         )
-        assert result.packets_received > 1000
+        assert play_gauntlet(spec, plan).summary["packets_received"] > 1000
         assert min(checked.values()) > 1000 and len(checked) == 3
         assert sum(port.duplicated.packets for port in impaired) > 10
         assert sum(port.corrupted.packets for port in impaired) > 10

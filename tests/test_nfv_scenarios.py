@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.artifact import artifact_from_scenario_run, diff_artifacts
+from repro.artifact import diff_artifacts
 from repro.artifact.diff import DiffKind
 from repro.engine import ENGINES
 from repro.obs.scenario import (
@@ -22,6 +22,7 @@ from repro.obs.scenario import (
     ScenarioSpec,
     TrafficProfile,
 )
+from repro.parallel import run_sharded
 
 # Short profiles keep the four scenario runs inside the tier-1 budget
 # while still crossing the churn window (churn fires at duration/4).
@@ -29,9 +30,10 @@ CHAIN_TRAFFIC = TrafficProfile(rate_bps=20e6, frame_len=256, duration_s=0.2)
 
 
 def run_kind(kind: str, engine: str, traffic=CHAIN_TRAFFIC, **kwargs):
-    return ScenarioSpec(
-        kind=kind, engine=engine, seed=3, traffic=traffic, **kwargs
-    ).resolved().run()
+    """One shard of ``kind``, run as ``flexsfp run`` runs it."""
+    return run_sharded(
+        ScenarioSpec(kind=kind, engine=engine, seed=3, traffic=traffic, **kwargs)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +49,7 @@ def churn_runs():
 class TestCrossEngineIdentity:
     def test_chain_semantic_digests_agree(self, chain_runs):
         artifacts = {
-            engine: artifact_from_scenario_run(run, source="test")
+            engine: run.to_artifact(source="test")
             for engine, run in chain_runs.items()
         }
         digests = {a.shards[0]["semantic_digest"] for a in artifacts.values()}
@@ -55,22 +57,22 @@ class TestCrossEngineIdentity:
 
     def test_churn_semantic_digests_agree(self, churn_runs):
         artifacts = {
-            engine: artifact_from_scenario_run(run, source="test")
+            engine: run.to_artifact(source="test")
             for engine, run in churn_runs.items()
         }
         digests = {a.shards[0]["semantic_digest"] for a in artifacts.values()}
         assert len(digests) == 1, "engines disagree on tenant-churn"
 
     def test_per_tenant_digests_agree_across_engines(self, chain_runs):
-        per_engine = [run.summary["tenant_digests"] for run in chain_runs.values()]
+        per_engine = [
+            run.shards[0].summary["tenant_digests"] for run in chain_runs.values()
+        ]
         assert all(d == per_engine[0] for d in per_engine[1:])
         assert set(per_engine[0]) == {"scrub", "telemetry"}
 
     def test_diff_between_engines_is_timing_only(self, chain_runs):
-        reference = artifact_from_scenario_run(
-            chain_runs["reference"], source="test"
-        )
-        other = artifact_from_scenario_run(chain_runs["compiled"], source="test")
+        reference = chain_runs["reference"].to_artifact(source="test")
+        other = chain_runs["compiled"].to_artifact(source="test")
         diff = diff_artifacts(reference, other)
         assert not diff.diverged, [e.to_dict() for e in diff.semantic_entries]
 
@@ -78,7 +80,7 @@ class TestCrossEngineIdentity:
 class TestTenantChurn:
     def test_churn_reprograms_exactly_one_slot(self, churn_runs):
         for run in churn_runs.values():
-            churn = run.summary["churn"]
+            churn = run.shards[0].summary["churn"]
             assert churn["tenant"] == "scrub"
             assert churn["app_after"] == TENANT_CHURN_APP
             assert churn["reboots"] == 1
@@ -91,36 +93,32 @@ class TestTenantChurn:
         churn_free = run_kind("nfv-chain", "reference")
         churned = churn_runs["reference"]
         assert (
-            churned.summary["tenant_digests"]["telemetry"]
-            == churn_free.summary["tenant_digests"]["telemetry"]
+            churned.shards[0].summary["tenant_digests"]["telemetry"]
+            == churn_free.shards[0].summary["tenant_digests"]["telemetry"]
         )
         # The churned tenant's digest must move: it dropped frames while
         # dark and came back as a different app.
         assert (
-            churned.summary["tenant_digests"]["scrub"]
-            != churn_free.summary["tenant_digests"]["scrub"]
+            churned.shards[0].summary["tenant_digests"]["scrub"]
+            != churn_free.shards[0].summary["tenant_digests"]["scrub"]
         )
 
     def test_all_tenants_saw_traffic(self, chain_runs):
-        steered = chain_runs["reference"].summary["steered"]
+        steered = chain_runs["reference"].shards[0].summary["steered"]
         assert steered["scrub"]["packets"] > 0
         assert steered["telemetry"]["packets"] > 0
 
 
 class TestDeploymentKnobsAndDiff:
     def test_artifact_records_resolved_deployment(self, chain_runs):
-        artifact = artifact_from_scenario_run(
-            chain_runs["reference"], source="test"
-        )
+        artifact = chain_runs["reference"].to_artifact(source="test")
         deployment = artifact.knobs["deployment"]
         names = [tenant["name"] for tenant in deployment["tenants"]]
         assert names == ["scrub", "telemetry"]
         assert deployment["tenants"][0]["match"] == {"udp_dport": 9099}
 
     def test_tenant_set_mismatch_is_semantic(self, chain_runs):
-        artifact = artifact_from_scenario_run(
-            chain_runs["reference"], source="test"
-        )
+        artifact = chain_runs["reference"].to_artifact(source="test")
         knobs = dict(artifact.knobs)
         deployment = {
             "tenants": [
@@ -139,9 +137,7 @@ class TestDeploymentKnobsAndDiff:
         assert entry.semantic
 
     def test_tenant_field_drift_is_semantic(self, chain_runs):
-        artifact = artifact_from_scenario_run(
-            chain_runs["reference"], source="test"
-        )
+        artifact = chain_runs["reference"].to_artifact(source="test")
         knobs = dict(artifact.knobs)
         knobs["deployment"] = {
             "tenants": [
@@ -159,11 +155,12 @@ class TestDeploymentKnobsAndDiff:
         # The module's tier is every slot's tier: neither the knob block
         # nor the registry carries a per-tenant engine.
         for engine, run in chain_runs.items():
-            artifact = artifact_from_scenario_run(run, source="test")
+            artifact = run.to_artifact(source="test")
             assert artifact.knobs["engine"] == engine
             for tenant in artifact.knobs["deployment"]["tenants"]:
                 assert set(tenant) == {"name", "app", "match", "share"}
-            assert not [name for name in run.metrics() if name.endswith(".engine")]
+            metrics = run.shards[0].metrics
+            assert not [name for name in metrics if name.endswith(".engine")]
 
 
 class TestSpecSurface:

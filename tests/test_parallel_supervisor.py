@@ -269,7 +269,7 @@ class TestWorkerFaultPlan:
         assert len(one) == 4
         assert one != WorkerFaultPlan.generate(seed=4, shards=8, count=4)
 
-    def test_lookup_and_round_trip(self):
+    def test_lookup(self):
         plan = WorkerFaultPlan.scripted({
             (2, 1): "worker_hang", (2, 2): "worker_kill",
         })
@@ -278,4 +278,3 @@ class TestWorkerFaultPlan:
         assert plan.fault_for(0, 1) is None
         assert plan.max_attempts_hit(2) == 2
         assert plan.max_attempts_hit(5) == 0
-        assert WorkerFaultPlan.from_dict(plan.to_dict()) == plan

@@ -30,6 +30,24 @@ class TestValidation:
         with pytest.raises(ConfigError, match="frame_len"):
             spec.validate()
 
+    @pytest.mark.parametrize("field", ["rate_bps", "duration_s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_a_non_finite_traffic_value_is_refused_by_name(self, field, value):
+        # A NaN passed every comparison and an infinity never ended the run.
+        traffic = TrafficProfile(**{field: value})
+        with pytest.raises(ConfigError, match=f"traffic {field} must be finite"):
+            traffic.validate()
+        with pytest.raises(ConfigError, match=field):
+            ScenarioSpec(kind="nat-linerate", traffic=traffic).run()
+
+    def test_from_dict_refuses_a_json_nan(self):
+        import json
+
+        payload = ScenarioSpec(traffic=TrafficProfile()).to_dict()
+        payload["traffic"]["duration_s"] = float("nan")
+        with pytest.raises(ConfigError, match="duration_s"):
+            ScenarioSpec.from_dict(json.loads(json.dumps(payload)))
+
     def test_unknown_fault_plan(self):
         with pytest.raises(ConfigError, match="fault plan"):
             ScenarioSpec(kind="chaos", fault_plan="meteor").validate()
