@@ -47,7 +47,7 @@ def _check_priced(
     if isinstance(app, XdpProgram):
         findings += check_program(app)
         rewrites = list(app.rewrites)
-    verified, price = _verify_priced(spec, device, shell, None, rewrites)
+    verified, price = _verify_priced(spec, device, shell, rewrites)
     return sort_findings(findings + verified), price
 
 

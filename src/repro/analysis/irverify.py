@@ -299,35 +299,33 @@ def _check_resource_fit(
 def verify_pipeline(
     spec: PipelineSpec,
     device: FPGADevice = MPF200T,
-    shell: ShellSpec | None = None,
-    datapath_bits: int | None = None,
     rewrites: list[tuple[type, str]] | None = None,
 ) -> list[Finding]:
     """Run every IR rule over ``spec``; return sorted findings.
 
     ``rewrites`` (header type, field) pairs — available when the spec was
     lowered from an :class:`~repro.hls.xdp.XdpProgram` — upgrade the
-    checksum rule from advisory to exact.  ``shell`` includes the shell's
-    base components in the resource-fit estimate, matching what
-    :func:`~repro.hls.compiler.compile_pipeline` will build.
+    checksum rule from advisory to exact.  The pipeline is priced on the
+    64-bit reference datapath, without a shell's base components.
     """
-    return _verify_priced(spec, device, shell, datapath_bits, rewrites)[0]
+    return _verify_priced(spec, device, None, rewrites)[0]
 
 
 def _verify_priced(
     spec: PipelineSpec,
     device: FPGADevice,
     shell: ShellSpec | None,
-    datapath_bits: int | None,
     rewrites: list[tuple[type, str]] | None,
 ) -> tuple[list[Finding], Price | None]:
     """:func:`verify_pipeline`'s findings, and the ``price_pipeline``
     result its resource-fit rule took (``None`` if ``spec`` is
-    unpriceable), so a build can synthesize without pricing again."""
+    unpriceable), so a build can synthesize without pricing again.
+    ``shell`` (a build's) sets the datapath width and adds its base
+    components to the resource-fit estimate, matching what
+    :func:`~repro.hls.compiler.compile_pipeline` will build."""
     from ..hls.compiler import price_pipeline
 
-    if datapath_bits is None:
-        datapath_bits = shell.datapath_bits if shell is not None else 64
+    datapath_bits = shell.datapath_bits if shell is not None else 64
     try:
         price = price_pipeline(spec, datapath_bits)
     except (CompileError, ResourceError):

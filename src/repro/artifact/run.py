@@ -220,12 +220,14 @@ def _all_completed(shards: int) -> dict:
     }
 
 
-def _knobs_from_spec(spec_payload: Mapping, workers: int | None) -> dict:
+def _knobs_from_spec(
+    spec_payload: Mapping, workers: int | None, device: str | None
+) -> dict:
     knobs = {
         "engine": resolve_engine(spec_payload.get("engine")),
         "shards": int(spec_payload.get("shards", 1)),
         "workers": workers,
-        "device": spec_payload.get("device"),
+        "device": device,
         "fault_plan": spec_payload.get("fault_plan"),
     }
     tenants = spec_payload.get("tenants")
@@ -250,6 +252,7 @@ def _build(
     source: str,
     spec_payload: dict,
     workers: int | None,
+    device: str | None,
     shards: Iterable[tuple],
     completeness: dict | None = None,
     findings: Iterable[Mapping] = (),
@@ -259,8 +262,9 @@ def _build(
     """The one artifact builder; each entry point only gathers its inputs.
 
     ``shards`` holds one ``(index, seed, digest, metrics, summary,
-    histograms)`` per shard; ``sections`` are the remaining document
-    sections (``metrics``, ``histograms``, ``summary``, ``supervisor``).
+    histograms)`` per shard; ``device`` is the FPGA the run's modules were
+    built for; ``sections`` are the remaining document sections
+    (``metrics``, ``histograms``, ``summary``, ``supervisor``).
     """
     entries = tuple(
         {
@@ -277,7 +281,7 @@ def _build(
         spec=spec_payload,
         spec_digest=spec_digest_of(spec_payload),
         seed=int(spec_payload.get("seed", 0)),
-        knobs=_knobs_from_spec(spec_payload, workers),
+        knobs=_knobs_from_spec(spec_payload, workers, device),
         shards=entries,
         completeness=completeness or _all_completed(len(entries)),
         findings=tuple(dict(finding) for finding in findings),
@@ -293,11 +297,14 @@ def artifact_from_fleet_result(
     findings: Iterable[Mapping] = (),
 ) -> RunArtifact:
     """Reduce a (supervised) fleet run to its ``flexsfp.run/1`` artifact."""
+    from ..fpga.resources import MPF200T  # every scenario module's device
+
     completeness = result.completeness
     return _build(
         source,
         result.spec.to_dict(),
         result.workers,
+        MPF200T.name,
         [
             (s.index, s.seed, s.digest, s.metrics, s.summary, s.histograms)
             for s in result.shards
@@ -334,6 +341,7 @@ def artifact_from_bench(
         f"bench:{bench}",
         spec_payload,
         knobs.get("workers"),
+        knobs.get("device"),
         [(0, seed, digest, metrics, summary, {})],
         wall_s=wall_s,
         metrics=metrics,

@@ -349,7 +349,7 @@ def cmd_check(args: argparse.Namespace) -> Report:
     if args.nfv:
         from .nfv.pricing import deployment_report
 
-        parts["nfv"] = deployment_report(_nfv_deployment(args, device), shell, device)
+        parts["nfv"] = deployment_report(_nfv_deployment(args, device), shell)
     if args.self_lint:
         from .analysis.simlint import default_lint_root, lint_paths
 

@@ -30,7 +30,6 @@ from ..engine import ENGINE_COMPILED, resolve_engine
 from ..errors import BitstreamError, CompileError, ConfigError, FlashError
 from ..fpga.bitstream import Bitstream
 from ..fpga.flash import SPIFlash
-from ..fpga.resources import FPGADevice, MPF200T
 from ..nfv import Crossbar, Deployment, check_deployment
 from ..packet import BROADCAST_MAC, Packet
 from ..sim.engine import Simulator, Window
@@ -164,11 +163,10 @@ class FlexSFPModule:
     deployment:
         A :class:`~repro.nfv.Deployment` — the ordered tenant slots this
         module hosts (one tenant for the classic single-function cable,
-        several for multi-tenant NFV chaining with crossbar steering).
+        several for multi-tenant NFV chaining with crossbar steering) and
+        the target FPGA they are built for.
     shell:
         Architecture shell (defaults to the prototype One-Way-Filter).
-    device:
-        Target FPGA (defaults to the prototype's MPF200T).
     auth_key / deploy_key:
         HMAC keys for management-frame authentication and bitstream
         signature verification respectively.
@@ -201,14 +199,11 @@ class FlexSFPModule:
         name: str,
         deployment: Deployment,
         shell: ShellSpec = PROTOTYPE_SHELL,
-        device: FPGADevice = MPF200T,
         auth_key: bytes = DEFAULT_AUTH_KEY,
         deploy_key: bytes | None = None,
         build=None,
-        flash_slots: int = 4,
         device_id: int = 0,
         mgmt_mac: str | int = "02:f5:f9:00:00:01",
-        watchdog_timeout_s: float = WATCHDOG_TIMEOUT_S,
         settings: Settings | None = None,
         engine: str | None = None,
     ) -> None:
@@ -217,16 +212,12 @@ class FlexSFPModule:
                 "FlexSFPModule needs a Deployment "
                 "(wrap a single application in Deployment.solo(app))"
             )
-        if deployment.shell is not None:
-            shell = deployment.shell
-        if deployment.device is not None:
-            device = deployment.device
 
         self.sim = sim
         self.name = name
         self.deployment = deployment
         self.shell = shell
-        self.device = device
+        self.device = deployment.device
         self.device_id = device_id
         self.mgmt_mac = mgmt_mac
         self._mgmt_mac_int = mac_to_int(mgmt_mac)
@@ -248,7 +239,6 @@ class FlexSFPModule:
         # Every slot failed both boot images: the module is a dumb cable.
         self.degraded = False
         self.reboots = 0
-        self.watchdog_timeout_s = watchdog_timeout_s
         self.watchdog_reboots = 0
         self.verdict_drops = Counter(f"{name}.verdict_drops")
         self.downtime_drops = Counter(f"{name}.downtime_drops")
@@ -262,7 +252,7 @@ class FlexSFPModule:
             # The naming decision: a solo slot is the module under its own
             # name — the module's counters, the module's flash, and no
             # crossbar in front of it.
-            self.flash = SPIFlash(slots=flash_slots)
+            self.flash = SPIFlash()
             counters = (self.verdict_drops, self.downtime_drops, self.degraded_forwarded)
             self._provision_slot(
                 TenantSlot(sim, 0, tenants[0], name, self.flash, counters), build
@@ -274,7 +264,7 @@ class FlexSFPModule:
                 )
             from ..analysis.findings import errors as finding_errors
 
-            blocking = finding_errors(check_deployment(deployment, shell, device))
+            blocking = finding_errors(check_deployment(deployment, shell))
             if blocking:
                 raise ConfigError(
                     "infeasible deployment: "
@@ -289,7 +279,7 @@ class FlexSFPModule:
             # The module-level flash keeps the first tenant's image as the
             # golden slot so control-plane OTA and boot metrics stay
             # meaningful; per-tenant images live in the slot flashes.
-            self.flash = SPIFlash(slots=flash_slots)
+            self.flash = SPIFlash()
             self.flash.store_bitstream(0, self.build.bitstream, allow_golden=True)
             self.flash.select_boot(0)
 
@@ -913,7 +903,7 @@ class FlexSFPModule:
     def crash_softcore(self) -> None:
         """Wedge the control plane; the hardware watchdog reboots later."""
         self.control_plane.crash()
-        self.sim.schedule(self.watchdog_timeout_s, self._watchdog_fire)
+        self.sim.schedule(WATCHDOG_TIMEOUT_S, self._watchdog_fire)
 
     def hang_softcore(self, duration_s: float) -> None:
         """Stall the control plane; it resumes on its own (no reboot)."""

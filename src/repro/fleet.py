@@ -39,10 +39,10 @@ from .sim.link import Port
 from .sim.stats import Counter
 
 BROADCAST = "ff:ff:ff:ff:ff:ff"
-DEFAULT_TIMEOUT_S = 20e-3
+REQUEST_TIMEOUT_S = 20e-3
 DEFAULT_MAX_RETRIES = 2
-DEFAULT_BACKOFF_BASE_S = 1e-3
-DEFAULT_BACKOFF_JITTER = 0.5
+BACKOFF_BASE_S = 1e-3
+BACKOFF_JITTER = 0.5
 DEFAULT_DISCOVERY_REPEATS = 3
 CHUNK_BYTES = 1024
 
@@ -97,20 +97,14 @@ class FleetController:
         auth_key: bytes = b"flexsfp-mgmt-key",
         mac: str | int = "02:0c:00:00:00:0f",
         rate_bps: float = 1e9,
-        timeout_s: float = DEFAULT_TIMEOUT_S,
         max_retries: int = DEFAULT_MAX_RETRIES,
-        backoff_base_s: float = DEFAULT_BACKOFF_BASE_S,
-        backoff_jitter: float = DEFAULT_BACKOFF_JITTER,
         retry_seed: int = 1,
     ) -> None:
         self.sim = sim
         self.name = name
         self.auth_key = auth_key
         self.mac = mac
-        self.timeout_s = timeout_s
         self.max_retries = max_retries
-        self.backoff_base_s = backoff_base_s
-        self.backoff_jitter = backoff_jitter
         self._retry_rng = random.Random(retry_seed)
         self.port = Port(sim, f"{name}.mgmt", rate_bps=rate_bps)
         self.port.attach(self._on_rx)
@@ -158,7 +152,7 @@ class FleetController:
         """One attempt: frame, arm the timeout, transmit. No retries."""
         frame = mgmt_frame(message, self.auth_key, self.mac, dst_mac)
         if track and on_reply is not None:
-            timer = self.sim.schedule(self.timeout_s, self._timeout, message.seq)
+            timer = self.sim.schedule(REQUEST_TIMEOUT_S, self._timeout, message.seq)
             self._pending[message.seq] = _Pending(on_reply, timer)
         self.port.send(frame)
 
@@ -186,8 +180,8 @@ class FleetController:
                     on_reply(body)
                     return
                 self.retries.count()
-                backoff = self.backoff_base_s * (2**used) * (
-                    1.0 + self.backoff_jitter * self._retry_rng.random()
+                backoff = BACKOFF_BASE_S * (2**used) * (
+                    1.0 + BACKOFF_JITTER * self._retry_rng.random()
                 )
                 self.sim.schedule(backoff, attempt, used + 1)
 

@@ -191,7 +191,6 @@ def compile_pipeline(
     device: FPGADevice = MPF200T,
     clock_hz: float | None = None,
     app_params: dict | None = None,
-    payload_kib: int = 64,
     strict: bool = True,
     flow_cache_entries: int | None = None,
     verify: bool = True,
@@ -217,11 +216,9 @@ def compile_pipeline(
     if verify:
         from ..analysis.irverify import _verify_priced
 
-        findings, price = _verify_priced(spec, device, shell, None, None)
+        findings, price = _verify_priced(spec, device, shell, None)
         verify_notes = _verification_notes(findings, spec.name, strict)
-    result = _build_image(
-        spec, shell, device, clock_hz, strict, price, app_params, payload_kib
-    )
+    result = _build_image(spec, shell, device, clock_hz, strict, price, app_params)
     result.report.notes.extend(verify_notes)
     return result
 
@@ -234,7 +231,6 @@ def _build_image(
     strict: bool,
     price: Price | None,
     app_params: dict | None,
-    payload_kib: int = 64,
 ) -> BuildResult:
     """Close timing, fit and emit the image for ``spec``; ``price`` is
     the verifier's ``price_pipeline`` result, or ``None`` to price here."""
@@ -288,7 +284,7 @@ def _build_image(
         device=device.name,
         timing=timing,
         resources=total,
-        payload=synthesize_payload(spec.name, total, payload_kib),
+        payload=synthesize_payload(spec.name, total),
         metadata={"app_params": app_params or {}},
     )
     return BuildResult(report=report, bitstream=bitstream, spec=spec)

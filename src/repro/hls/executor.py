@@ -30,7 +30,7 @@ from ..analysis.effects import (
     fusion_engagement,
 )
 from ..core.shells import ShellSpec
-from ..fpga.resources import FPGADevice, MPF200T
+from ..fpga.resources import MPF200T
 from .compiler import _gate
 from .ir import PipelineSpec
 
@@ -57,15 +57,14 @@ class CompiledProgram:
         return self.mode is not None
 
 
-def compile_executor(
-    app, shell: ShellSpec, device: FPGADevice = MPF200T
-) -> CompiledProgram:
+def compile_executor(app, shell: ShellSpec) -> CompiledProgram:
     """The fused executor of ``app``, behind the strict verifier gate
-    :func:`~repro.hls.compiler.compile_app` runs: any application that
-    raises here raises identically from the bitstream flow, and vice versa.
+    :func:`~repro.hls.compiler.compile_app` runs on the prototype's
+    MPF200T: any application that raises here raises identically from the
+    bitstream flow, and vice versa.
     """
     spec = app.pipeline_spec()
-    _gate(app, spec, shell, device)
+    _gate(app, spec, shell, MPF200T)
     return _prove(app, spec)
 
 

@@ -7,7 +7,7 @@ per cable" to an ordered set of *tenants* sharing one FPGA:
 * :mod:`repro.nfv.deployment` — the typed deployment API:
   :class:`SteeringMatch` (which ingress frames a tenant claims),
   :class:`TenantSpec` (name, app, match, resource share)
-  and :class:`Deployment` (ordered tenant slots + shell/device).
+  and :class:`Deployment` (ordered tenant slots + target device).
 * :mod:`repro.nfv.crossbar` — the runtime crosspoint-steering stage
   that partitions every data-plane frame to exactly one tenant slot.
 * :mod:`repro.nfv.pricing` — static feasibility: the crossbar plus

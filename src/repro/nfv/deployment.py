@@ -22,11 +22,10 @@ from typing import TYPE_CHECKING, Any, Mapping
 
 from .._util import checked_fields, ip_to_int
 from ..errors import ConfigError
+from ..fpga.resources import FPGADevice, MPF200T
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports nfv)
     from ..core.ppe import PPEApplication
-    from ..core.shells import ShellSpec
-    from ..fpga.resources import FPGADevice
     from ..packet import Packet
 
 #: Tenant names become metric-name segments (``<module>.tenant.<name>.*``),
@@ -204,8 +203,9 @@ class TenantSpec:
 class Deployment:
     """An ordered set of tenant slots sharing one module.
 
-    ``shell`` / ``device`` override the module defaults when set, so a
-    deployment is a self-contained provisioning document.  Validation
+    ``device`` is the FPGA the module is built for (the prototype's
+    MPF200T unless set); the shell is the module's, passed to
+    :class:`~repro.core.module.FlexSFPModule` by whoever seats it.  Validation
     enforces structure only (names, matches, per-tenant shares); whether
     the *sum* of shares and the priced partitions actually fit the FPGA
     is the static feasibility check (:func:`repro.nfv.check_deployment`),
@@ -213,8 +213,7 @@ class Deployment:
     """
 
     tenants: tuple[TenantSpec, ...]
-    shell: ShellSpec | None = None
-    device: FPGADevice | None = None
+    device: FPGADevice = MPF200T
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tenants", tuple(self.tenants))
@@ -234,27 +233,10 @@ class Deployment:
 
     @classmethod
     def solo(
-        cls,
-        app: str | PPEApplication,
-        *,
-        name: str = "default",
-        shell: ShellSpec | None = None,
-        device: FPGADevice | None = None,
-        params: Mapping[str, Any] | None = None,
+        cls, app: str | PPEApplication, *, device: FPGADevice = MPF200T
     ) -> Deployment:
         """A one-tenant deployment: the single-function cable."""
-        return cls(
-            tenants=(
-                TenantSpec(
-                    name=name,
-                    app=app,
-                    share=1.0,
-                    params=tuple(sorted((params or {}).items())),
-                ),
-            ),
-            shell=shell,
-            device=device,
-        )
+        return cls(tenants=(TenantSpec(name="default", app=app),), device=device)
 
     @property
     def multi_tenant(self) -> bool:
@@ -276,22 +258,14 @@ class Deployment:
         return {"tenants": [tenant.describe() for tenant in self.tenants]}
 
     @classmethod
-    def from_dicts(
-        cls,
-        tenants: Any,
-        *,
-        shell: ShellSpec | None = None,
-        device: FPGADevice | None = None,
-    ) -> Deployment:
+    def from_dicts(cls, tenants: Any, *, device: FPGADevice = MPF200T) -> Deployment:
         """Build a deployment from serialized tenant payloads."""
         if not isinstance(tenants, (list, tuple)):
             raise ConfigError(
                 f"tenants must be a list of objects, got {type(tenants).__name__}"
             )
         return cls(
-            tenants=tuple(TenantSpec.from_dict(t) for t in tenants),
-            shell=shell,
-            device=device,
+            tenants=tuple(TenantSpec.from_dict(t) for t in tenants), device=device
         )
 
 

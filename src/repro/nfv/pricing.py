@@ -32,7 +32,7 @@ from ..errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports nfv)
     from ..core.shells import ShellSpec
-    from ..fpga.resources import FPGADevice, ResourceVector
+    from ..fpga.resources import ResourceVector
     from ..hls.ir import PipelineSpec
 
     from .deployment import Deployment
@@ -64,25 +64,11 @@ class DeploymentPrice:
         }
 
 
-def _resolve(
-    deployment: Deployment,
-    shell: ShellSpec | None,
-    device: FPGADevice | None,
-) -> tuple[ShellSpec, FPGADevice]:
-    from ..core.shells import PROTOTYPE_SHELL
-    from ..fpga.resources import MPF200T
-
-    resolved_shell = deployment.shell or shell or PROTOTYPE_SHELL
-    resolved_device = deployment.device or device or MPF200T
-    return resolved_shell, resolved_device
-
-
 def price_deployment(
-    deployment: Deployment,
-    shell: ShellSpec | None = None,
-    device: FPGADevice | None = None,
+    deployment: Deployment, shell: ShellSpec | None = None
 ) -> DeploymentPrice:
-    """Price every component of *deployment* on *device*.
+    """Price every component of *deployment* in *shell* (the prototype's
+    One-Way-Filter when omitted) on the deployment's device.
 
     Tenant pipelines are priced, not synthesized (``price_pipeline`` is
     ``compile_app``'s ``app_resources``), so the price is always produced
@@ -90,11 +76,17 @@ def price_deployment(
     static check that wants to see the overflow.  Only a shell no
     standard clock sustains raises, as its build would.
     """
-    return _price(deployment, *_resolve(deployment, shell, device))[0]
+    return _price(deployment, _shell_or_prototype(shell))[0]
+
+
+def _shell_or_prototype(shell: ShellSpec | None) -> ShellSpec:
+    from ..core.shells import PROTOTYPE_SHELL
+
+    return PROTOTYPE_SHELL if shell is None else shell
 
 
 def _price(
-    deployment: Deployment, shell: ShellSpec, device: FPGADevice
+    deployment: Deployment, shell: ShellSpec
 ) -> tuple[DeploymentPrice, dict[str, PipelineSpec]]:
     """:func:`price_deployment`, plus each tenant's pipeline: its
     application is built once."""
@@ -117,6 +109,7 @@ def _price(
         app_total, _ = price_pipeline(pipeline, shell.datapath_bits)
         per_tenant[spec.name] = app_total
         total = total + app_total
+    device = deployment.device
     price = DeploymentPrice(
         shell_base=shell_base,
         crossbar=xbar,
@@ -129,21 +122,19 @@ def _price(
 
 
 def check_deployment(
-    deployment: Deployment,
-    shell: ShellSpec | None = None,
-    device: FPGADevice | None = None,
+    deployment: Deployment, shell: ShellSpec | None = None
 ) -> list[Finding]:
     """Static feasibility findings for *deployment* (see module docs)."""
-    return _check(deployment, shell, device)[0]
+    return _check(deployment, shell)[0]
 
 
 def _check(
-    deployment: Deployment, shell: ShellSpec | None, device: FPGADevice | None
+    deployment: Deployment, shell: ShellSpec | None
 ) -> tuple[list[Finding], DeploymentPrice]:
     """:func:`check_deployment` plus the price it took."""
     from ..analysis.effects import analyze_pipeline, line_rate_verdict
 
-    resolved_shell, resolved_device = _resolve(deployment, shell, device)
+    shell, device = _shell_or_prototype(shell), deployment.device
     findings: list[Finding] = []
 
     share_total = deployment.share_total()
@@ -161,8 +152,8 @@ def _check(
             )
         )
 
-    price, pipelines = _price(deployment, resolved_shell, resolved_device)
-    capacity = resolved_device.capacity.as_dict()
+    price, pipelines = _price(deployment, shell)
+    capacity = device.capacity.as_dict()
     overhead = (price.shell_base + price.crossbar).as_dict()
     partition = {
         kind: capacity[kind] - overhead.get(kind, 0) for kind in capacity
@@ -201,8 +192,8 @@ def _check(
                 severity=Severity.ERROR,
                 location="deployment:total",
                 message=(
-                    f"deployment overflows {resolved_device.name}: "
-                    + "; ".join(resolved_device.overflow_report(price.total))
+                    f"deployment overflows {device.name}: "
+                    + "; ".join(device.overflow_report(price.total))
                 ),
                 hint="drop a tenant or target a larger device",
             )
@@ -210,8 +201,8 @@ def _check(
 
     for spec in deployment.tenants:
         tenant_shell = replace(
-            resolved_shell,
-            line_rate_bps=resolved_shell.line_rate_bps * spec.share,
+            shell,
+            line_rate_bps=shell.line_rate_bps * spec.share,
         )
         try:
             verdict = line_rate_verdict(
@@ -230,7 +221,7 @@ def _check(
                     message=(
                         f"tenant {spec.name!r} ({spec.app_name}) cannot "
                         f"sustain its {spec.share:.0%} share of "
-                        f"{resolved_shell.line_rate_bps / 1e9:.0f}G: "
+                        f"{shell.line_rate_bps / 1e9:.0f}G: "
                         f"worst-case frame needs {verdict.worst_frame} "
                         f"cycles ({verdict.conflict_cycles} from table-port "
                         f"conflicts) at "
@@ -243,13 +234,11 @@ def _check(
 
 
 def deployment_report(
-    deployment: Deployment,
-    shell: ShellSpec | None = None,
-    device: FPGADevice | None = None,
+    deployment: Deployment, shell: ShellSpec | None = None
 ) -> tuple[list[Finding], list[str], dict[str, object], list]:
     """``flexsfp check --nfv``: ``(findings, targets, extra, text)``, the
     price as the document's ``nfv`` field and as text."""
-    findings, price = _check(deployment, shell, device)
+    findings, price = _check(deployment, shell)
     price = price.describe()
     text = [
         f"nfv deployment: crossbar {price['crossbar']}, "

@@ -2,11 +2,12 @@
 
 One :class:`ScenarioSpec` describes a complete simulated workload — which
 scenario *kind* to build (NAT line-rate, chained NATs, the chaos
-gauntlet, a fleet upgrade campaign), the traffic profile, the target
-device, the fault plan, the engine tier, and how many
-independent shards a fleet-scale run should split into.  ``spec.run()``
-executes one instance; :func:`repro.parallel.run_sharded` fans the
-shards out across worker processes and merges the results
+gauntlet, a fleet upgrade campaign), the traffic profile, the fault
+plan, the engine tier, and how many independent shards a fleet-scale
+run should split into.  Every module is built for its
+:class:`~repro.nfv.Deployment`'s device, the prototype's MPF200T.
+``spec.run()`` executes one instance; :func:`repro.parallel.run_sharded`
+fans the shards out across worker processes and merges the results
 deterministically (:mod:`repro.parallel` imports this module at its
 top; nothing here imports the runner or the supervisor back).
 
@@ -43,7 +44,6 @@ from ..engine import (
     validate_engine,
 )
 from ..errors import ConfigError
-from ..fpga import get_device
 from ..netem import CbrSource
 from ..nfv import NFV_SCRUB_DPORT, Deployment, default_nfv_tenants
 from ..packet import make_udp
@@ -119,8 +119,6 @@ class ScenarioSpec:
 
     kind: str = "nat-linerate"
     traffic: TrafficProfile | None = None
-    app: str = "nat"
-    device: str = "MPF200T"
     fault_plan: str | None = None
     seed: int = 1
     engine: str | None = None
@@ -230,8 +228,8 @@ class ScenarioSpec:
 #: What each field of a serialised spec must be, and of its traffic block.
 _NONE = type(None)
 _SPEC_TYPES = {
-    "kind": str, "traffic": (dict, _NONE), "app": str, "device": str,
-    "fault_plan": (str, _NONE), "seed": int, "engine": (str, _NONE),
+    "kind": str, "traffic": (dict, _NONE), "fault_plan": (str, _NONE),
+    "seed": int, "engine": (str, _NONE),
     "trace_packets": (int, _NONE), "profile": bool, "shards": int,
     "tenants": list,
 }  # fmt: skip
@@ -376,26 +374,23 @@ def _retrofitted_switch(spec, sim, registry, tracer, policies, auth_key, retry_s
 # ----------------------------------------------------------------------
 # NAT scenario builders (the §5.1 quick configs)
 # ----------------------------------------------------------------------
-def _make_app(spec: ScenarioSpec, index: int):
-    if spec.app == "nat":
-        nat = StaticNat(capacity=1024)
-        nat.add_mapping(f"10.0.0.{index + 1}", f"198.51.100.{index + 1}")
-        return nat
-    return create_app(spec.app)
+def _nat(index: int) -> StaticNat:
+    nat = StaticNat(capacity=1024)
+    nat.add_mapping(f"10.0.0.{index + 1}", f"198.51.100.{index + 1}")
+    return nat
 
 
 def _build_nat(spec: ScenarioSpec, module_count: int) -> ScenarioRun:
     traffic = spec.traffic
     sim, registry, tracer = _instrumented(spec)
 
-    device = get_device(spec.device)
     modules: list[FlexSFPModule] = []
     previous_port: Port | None = None
     for index in range(module_count):
         module = FlexSFPModule(
             sim,
             f"module{index}",
-            Deployment.solo(_make_app(spec, index), device=device),
+            Deployment.solo(_nat(index)),
             auth_key=SCENARIO_KEY,
             device_id=index,
             engine=spec.engine,
@@ -441,6 +436,8 @@ def _build_chaos(spec: ScenarioSpec) -> ScenarioRun:
 FLEET_UPGRADE_MODULES = 2
 FLEET_UPGRADE_SETTLE_S = 0.25
 FLEET_UPGRADE_WINDOW_S = 3.0
+#: The app the campaign upgrades every module to.
+FLEET_UPGRADE_APP = "nat"
 
 
 def _build_fleet_upgrade(spec: ScenarioSpec) -> ScenarioRun:
@@ -448,7 +445,7 @@ def _build_fleet_upgrade(spec: ScenarioSpec) -> ScenarioRun:
 
     Traffic flows host → switch → port-1 FlexSFP → sink for the whole
     window while the :class:`~repro.fleet.FleetController` upgrades every
-    module from ``passthrough`` to ``spec.app``, one at a time with a
+    module from ``passthrough`` to ``nat``, one at a time with a
     health probe between — the §4.1 orchestration story, instrumented.
     """
     # Loaded by the fleet-upgrade kind only: the image compiler.
@@ -470,8 +467,7 @@ def _build_fleet_upgrade(spec: ScenarioSpec) -> ScenarioRun:
     sink.connect(switch.external_port(1))
     registry.register("sink", sink)
 
-    target = create_app(spec.app)
-    target_build = compile_app(target, ShellSpec())
+    target_build = compile_app(create_app(FLEET_UPGRADE_APP), ShellSpec())
     macs = [module.mgmt_mac for module in modules]
     reports: list = []
     controller.rolling_upgrade(
@@ -486,7 +482,7 @@ def _build_fleet_upgrade(spec: ScenarioSpec) -> ScenarioRun:
     report = reports[0] if reports else None
     summary = {
         "kind": spec.kind,
-        "target_app": spec.app,
+        "target_app": FLEET_UPGRADE_APP,
         "campaign_done": bool(reports),
         "upgraded": list(report.upgraded) if report else [],
         "failed": [list(item) for item in report.failed] if report else [],
@@ -547,12 +543,10 @@ def _build_nfv(spec: ScenarioSpec, churn: bool) -> ScenarioRun:
     traffic = spec.traffic
     sim, registry, tracer = _instrumented(spec)
 
-    device = get_device(spec.device)
-    deployment = Deployment.from_dicts(spec.tenants, device=device)
     module = FlexSFPModule(
         sim,
         "module0",
-        deployment,
+        Deployment.from_dicts(spec.tenants),
         auth_key=SCENARIO_KEY,
         device_id=0,
         engine=spec.engine,

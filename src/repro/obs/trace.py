@@ -28,6 +28,8 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from ..packet import Packet
 
 TRACE_ID_META = "trace_id"
+#: Spans a tracer records before it stops recording.
+MAX_SPANS = 1_000_000
 
 # Stage names, in canonical pipeline order (used for documentation and
 # test assertions; recording accepts any string).
@@ -113,15 +115,14 @@ class Tracer:
     """Collects :class:`TraceSpan` records for admitted packets.
 
     ``limit`` caps how many distinct packets are admitted (None = every
-    packet offered); ``max_spans`` bounds memory on long runs — recording
-    stops silently once reached, which keeps a forgotten tracer from
-    consuming the heap.  A packet's trace id rides in
+    packet offered); :data:`MAX_SPANS` bounds memory on long runs —
+    recording stops silently once reached, which keeps a forgotten tracer
+    from consuming the heap.  A packet's trace id rides in
     ``packet.meta["trace_id"]``, so it survives module chains and copies.
     """
 
-    def __init__(self, limit: int | None = None, max_spans: int = 1_000_000) -> None:
+    def __init__(self, limit: int | None = None) -> None:
         self.limit = limit
-        self.max_spans = max_spans
         self.enabled = True
         self.spans: list[TraceSpan] = []
         self._next_id = 0
@@ -162,7 +163,7 @@ class Tracer:
         **detail: object,
     ) -> None:
         """Append one span for ``packet`` (no-op for untraced packets)."""
-        if not self.enabled or len(self.spans) >= self.max_spans:
+        if not self.enabled or len(self.spans) >= MAX_SPANS:
             return
         trace_id = packet.meta.get(TRACE_ID_META)
         if trace_id is None:

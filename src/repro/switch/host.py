@@ -10,11 +10,14 @@ from ..sim.engine import Simulator
 from ..sim.link import Port
 from ..sim.stats import RateMeter
 
+#: Received packets a host keeps for inspection (the oldest are dropped).
+KEEP_LAST = 4096
+
 
 class Host:
     """A host with a single NIC port.
 
-    Received packets are recorded (bounded by ``keep_last``) and measured
+    Received packets are recorded (the last :data:`KEEP_LAST`) and measured
     by a :class:`RateMeter`; an optional handler can implement protocol
     behaviour (echo servers, collectors, …).
     """
@@ -26,13 +29,11 @@ class Host:
         mac: str | int = 0,
         ip: str = "0.0.0.0",
         rate_bps: float = 10e9,
-        keep_last: int = 4096,
     ) -> None:
         self.sim = sim
         self.name = name
         self.mac = mac_to_int(mac) if mac else 0
         self.ip = ip
-        self.keep_last = keep_last
         self.port = Port(sim, f"{name}.nic", rate_bps=rate_bps)
         self.port.attach(self._on_rx)
         self.received: list[Packet] = []
@@ -42,8 +43,8 @@ class Host:
     def _on_rx(self, port: Port, packet: Packet, size: int, when: float) -> None:
         self.rx_meter.observe(when, size)
         self.received.append(packet)
-        if len(self.received) > self.keep_last:
-            del self.received[: -self.keep_last]
+        if len(self.received) > KEEP_LAST:
+            del self.received[:-KEEP_LAST]
         if self.handler is not None:
             self.handler(packet)
 

@@ -233,7 +233,12 @@ JOURNAL_MUTANTS = {
     "seed-is-string": (0, _set(("spec", "seed"), "x"), "'seed' must be int"),
     "shards-is-float": (0, _set(("spec", "shards"), 2.5), "'shards' must be int"),
     "profile-is-string": (0, _set(("spec", "profile"), "yes"), "'profile' must be bool"),
-    "device-is-int": (0, _set(("spec", "device"), 5), "'device' must be str"),
+    "device-is-int": (
+        0, _set(("spec", "device"), 5), r"unknown scenario spec field\(s\): \['device'\]"
+    ),
+    "app-is-retired": (
+        0, _set(("spec", "app"), "nat"), r"unknown scenario spec field\(s\): \['app'\]"
+    ),
     "shard-is-array": (1, lambda record: [record], "shard record must be dict"),
     "shard-without-seed": (1, _drop("seed"), "shard record field 'seed'"),
     "metrics-is-array": (1, _set(("metrics",), [1]), "'metrics' must be dict"),

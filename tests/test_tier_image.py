@@ -45,8 +45,8 @@ from repro.nfv import (
 from repro.sim import Simulator
 
 
-def _module(deployment: Deployment, engine: str, **options) -> FlexSFPModule:
-    return FlexSFPModule(Simulator(), "m", deployment, engine=engine, **options)
+def _module(deployment: Deployment, engine: str) -> FlexSFPModule:
+    return FlexSFPModule(Simulator(), "m", deployment, engine=engine)
 
 
 def _nfv() -> Deployment:
@@ -91,7 +91,7 @@ def _boot_into(module: FlexSFPModule, app) -> None:
 def _refused_module(engine: str) -> FlexSFPModule:
     """An MPF100T module running ``firewall`` whose selected image is a
     ``nat`` that fits the default MPF200T but not this device."""
-    module = _module(Deployment.solo("firewall"), engine, device=MPF100T)
+    module = _module(Deployment.solo("firewall", device=MPF100T), engine)
     _boot_into(module, create_app("nat", {"capacity": 73728}))
     return module
 

@@ -14,7 +14,7 @@ from repro.core import (
 from repro.errors import FlashError
 from repro.hls import compile_app
 from repro.packet import make_udp
-from repro.core.module import TRANSCEIVER_LATENCY_S
+from repro.core.module import TRANSCEIVER_LATENCY_S, WATCHDOG_TIMEOUT_S
 from repro.sim import Port, connect
 from repro.sim.link import DEFAULT_PROPAGATION_S
 from repro.sim.mac import serialization_time
@@ -191,7 +191,7 @@ class TestSoftcoreWatchdog:
         )
         assert module.control_plane.handle_frame(frame, module.sim.now) is None
         assert module.control_plane.frames_while_unresponsive == 1
-        sim.run(until=module.watchdog_timeout_s + RECONFIG_DOWNTIME_S + 1e-3)
+        sim.run(until=WATCHDOG_TIMEOUT_S + RECONFIG_DOWNTIME_S + 1e-3)
         assert module.control_plane.responsive
         assert module.watchdog_reboots == 1
         assert module.reboots == 1
@@ -219,7 +219,7 @@ class TestSoftcoreWatchdog:
         host, fiber, host_rx, fiber_rx = wire_module(sim, module)
         module.crash_softcore()
         sim.schedule(
-            module.watchdog_timeout_s + 1e-3, host.send, make_udp()
+            WATCHDOG_TIMEOUT_S + 1e-3, host.send, make_udp()
         )  # mid-downtime
         sim.run(until=1.0)
         assert module.downtime_drops.packets == 1
