@@ -946,9 +946,8 @@ class FlexSFPModule:
             )
         if self.crossbar is not None:
             # Per-tenant isolation: every tenant's counters live under its
-            # own ``<module>.tenant.<name>.*`` subtree, with the steering
-            # decision itself observable at ``<module>.crossbar.*``.
-            registry.register(f"{name}.crossbar", self.crossbar)
+            # own ``<module>.tenant.<name>.*`` subtree, the steering
+            # decision included (``<base>.steered.*``).
             for slot in self.slots:
                 base = slot.base
                 registry.register(base, slot)

@@ -36,7 +36,6 @@ class Crossbar:
             match, shift = spec.match, 32 - spec.match.prefix_len
             prefix = None if match.dst_ip is None else ip_to_int(match.dst_ip) >> shift
             self._rows.append((slot, match.udp_dport, prefix, shift))
-        self.tenant_names = tuple(spec.name for spec in tenants)
         self.steered = [
             Counter(f"{name}.tenant.{spec.name}.steered") for spec in tenants
         ]
@@ -87,9 +86,3 @@ class Crossbar:
         counter.packets += count
         counter.bytes += size * count
         return index
-
-    def metric_values(self) -> dict[str, float]:
-        return {
-            f"{name}.frames": float(counter.packets)
-            for name, counter in zip(self.tenant_names, self.steered)
-        }

@@ -139,7 +139,6 @@ class TestMetricsIsolation:
         assert shape_scrub == shape_telemetry
         assert metrics["m.tenant.scrub.steered.packets"] == 1
         assert metrics["m.tenant.telemetry.steered.packets"] == 1
-        assert metrics["m.crossbar.scrub.frames"] == 1.0
 
     def test_histograms_keyed_per_tenant(self, sim):
         module = make_module(sim)
