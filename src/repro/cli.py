@@ -376,9 +376,11 @@ def cmd_check(args: argparse.Namespace) -> Report:
 def cmd_metrics(args: argparse.Namespace) -> int:
     from .obs.export import metrics_json, metrics_jsonl, prometheus_text
     from .obs.scenario import ScenarioSpec
+    from .parallel import shard_spec
 
+    # Shard 0 of `flexsfp run --scenario KIND`: the run its root seed names.
     spec = ScenarioSpec(kind=args.scenario, engine=args.engine, profile=args.profile)
-    metrics = spec.run().metrics()
+    metrics = shard_spec(spec.resolved(), 0).run().metrics()
     fmt = "json" if args.json else args.format
     if fmt == "json":
         print(metrics_json(metrics))
@@ -392,12 +394,13 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     from .obs.export import SCHEMA_TRACE, json_document
     from .obs.scenario import ScenarioSpec
+    from .parallel import shard_spec
 
-    run = ScenarioSpec(
-        kind=args.scenario,
-        trace_packets=args.packets,
-        engine=args.engine,
-    ).run()
+    # Shard 0 of `flexsfp run --scenario KIND`, as `flexsfp metrics` runs.
+    spec = ScenarioSpec(
+        kind=args.scenario, trace_packets=args.packets, engine=args.engine
+    )
+    run = shard_spec(spec.resolved(), 0).run()
     tracer = run.tracer
     if args.json:
         print(json_document(SCHEMA_TRACE, spans=tracer.to_dicts()))

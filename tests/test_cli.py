@@ -218,6 +218,19 @@ class TestJsonOutput:
         assert metrics["faults.applied"] > 0
         assert metrics["sim.profile.FaultInjector.calls"] == metrics["faults.applied"]
 
+    def test_metrics_of_chaos_are_shard_zero_of_run(self, capsys, tmp_path):
+        journal = tmp_path / "run.jsonl"
+        code, _, _ = run(
+            capsys, "run", "--scenario", "chaos", "--shards", "1",
+            "--checkpoint", str(journal),
+        )  # fmt: skip
+        assert code == 0
+        shard = json.loads(journal.read_text().splitlines()[1])
+        assert shard["index"] == 0
+        code, out, _ = run(capsys, "metrics", "--scenario", "chaos", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["metrics"] == shard["metrics"]
+
     def test_trace_jsonl_default(self, capsys):
         code, out, _ = run(capsys, "trace", "--packets", "1")
         assert code == 0
