@@ -20,8 +20,8 @@ __all__, __getattr__, __dir__ = export_table(
     {
         "journal": ("ShardJournal", "load_journal", "spec_digest"),
         "merge": (
-            "MergeKind", "classify", "histogram_percentile", "merge_histogram_states",
-            "merge_metrics", "merge_values",
+            "MergeKind", "classify", "merge_histogram_states", "merge_metrics",
+            "merge_values",
         ),
         "runner": (
             "SHARD_SEED_LABEL", "FleetRunResult", "ShardResult", "run_shard",

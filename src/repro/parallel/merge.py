@@ -30,8 +30,7 @@ unlike percentile-of-percentiles.
 
 from __future__ import annotations
 
-import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from enum import Enum
 
 from ..errors import ConfigError
@@ -173,27 +172,3 @@ def merge_histogram_states(
                 )
             base["counts"] = [x + y for x, y in zip(base["counts"], counts)]
     return {name: merged[name] for name in sorted(merged)}
-
-
-def histogram_percentile(state: Mapping[str, Sequence], pct: float) -> float:
-    """Percentile of a merged histogram state (upper bucket bound).
-
-    Exactly mirrors :meth:`repro.sim.stats.Histogram.percentile` —
-    ``counts`` carries one trailing overflow bucket beyond ``bounds``,
-    the threshold is the ceiling of ``total * pct / 100``, and samples
-    in the overflow bucket report ``inf``.
-    """
-    if not 0 < pct <= 100:
-        raise ConfigError("percentile must be in (0, 100]")
-    bounds = state["bounds"]
-    counts = state["counts"]
-    total = sum(counts)
-    if total == 0:
-        return 0.0
-    threshold = math.ceil(total * pct / 100)
-    seen = 0
-    for i, count in enumerate(counts):
-        seen += count
-        if seen >= threshold:
-            return float(bounds[i]) if i < len(bounds) else math.inf
-    return math.inf  # pragma: no cover - unreachable

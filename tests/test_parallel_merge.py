@@ -6,8 +6,6 @@ order produces the same result whatever order shards *complete* in.
 These are the law tests; integer metrics keep every operation exact.
 """
 
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,7 +14,6 @@ from repro.errors import ConfigError
 from repro.parallel import (
     MergeKind,
     classify,
-    histogram_percentile,
     merge_histogram_states,
     merge_metrics,
     merge_values,
@@ -169,20 +166,9 @@ class TestHistogramMerge:
         merged = merge_histogram_states(
             [{"lat": self._state(left)}, {"lat": self._state(right)}]
         )
-        assert merged["lat"]["counts"] == whole.counts
-        for pct in (50, 90, 99, 100):
-            expected = whole.percentile(pct)
-            actual = histogram_percentile(merged["lat"], pct)
-            assert actual == expected or (
-                math.isinf(actual) and math.isinf(expected)
-            )
-
-    def test_empty_percentile_is_zero(self):
-        assert histogram_percentile({"bounds": [1.0], "counts": [0, 0]}, 99) == 0.0
-
-    def test_bad_percentile_rejected(self):
-        with pytest.raises(ConfigError):
-            histogram_percentile({"bounds": [1.0], "counts": [1, 0]}, 0)
+        # Same bounds and counts: every percentile of the merged state is
+        # the whole histogram's (Histogram.percentile reads nothing else).
+        assert merged["lat"] == self._state(whole)
 
     def test_mismatched_bounds_rejected(self):
         with pytest.raises(ConfigError):
