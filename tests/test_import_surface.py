@@ -277,6 +277,24 @@ def test_every_module_can_be_the_first_one_imported():
     assert census("every-module-first")["imported"] > 100
 
 
+#: README "What a command loads" row -> the snapshot case it states.
+README_ROWS = {
+    "`import repro.cli` (also `flexsfp --help`)": "import-cli",
+    "`flexsfp run --scenario fleet-upgrade --engine compiled`": "run-fleet-upgrade",
+    "`flexsfp chaos smoke --engine compiled`": "chaos-compiled",
+}
+
+
+def test_the_readme_table_states_the_snapshot_counts(expected):
+    stated = {}
+    for line in (ROOT / "README.md").read_text().splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if line.startswith("| ") and cells[0] in README_ROWS:
+            # The `repro*` column reads "<before PR 19> -> <today>".
+            stated[README_ROWS[cells[0]]] = int(cells[2].split("->")[-1])
+    assert stated == {case: len(expected[case]) for case in README_ROWS.values()}
+
+
 if __name__ == "__main__":
     print(
         json.dumps(
