@@ -205,11 +205,12 @@ class Deployment:
 
     ``device`` is the FPGA the module is built for (the prototype's
     MPF200T unless set); the shell is the module's, passed to
-    :class:`~repro.core.module.FlexSFPModule` by whoever seats it.  Validation
-    enforces structure only (names, matches, per-tenant shares); whether
-    the *sum* of shares and the priced partitions actually fit the FPGA
-    is the static feasibility check (:func:`repro.nfv.check_deployment`),
-    surfaced by ``flexsfp check`` and enforced at module construction.
+    :class:`~repro.core.module.FlexSFPModule` by whoever seats it.
+    Validation enforces structure only (names, matches, per-tenant
+    shares); whether the *sum* of shares and the priced partitions
+    actually fit the FPGA is the static feasibility check
+    (:func:`repro.nfv.check_deployment`), surfaced by ``flexsfp check``
+    and enforced at module construction.
     """
 
     tenants: tuple[TenantSpec, ...]

@@ -28,10 +28,10 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
 from ..analysis.findings import Finding, Severity, sort_findings
+from ..core.shells import PROTOTYPE_SHELL, ShellSpec
 from ..errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports nfv)
-    from ..core.shells import ShellSpec
     from ..fpga.resources import ResourceVector
     from ..hls.ir import PipelineSpec
 
@@ -65,10 +65,10 @@ class DeploymentPrice:
 
 
 def price_deployment(
-    deployment: Deployment, shell: ShellSpec | None = None
+    deployment: Deployment, shell: ShellSpec = PROTOTYPE_SHELL
 ) -> DeploymentPrice:
-    """Price every component of *deployment* in *shell* (the prototype's
-    One-Way-Filter when omitted) on the deployment's device.
+    """Price every component of *deployment* in *shell* on the
+    deployment's device.
 
     Tenant pipelines are priced, not synthesized (``price_pipeline`` is
     ``compile_app``'s ``app_resources``), so the price is always produced
@@ -76,13 +76,7 @@ def price_deployment(
     static check that wants to see the overflow.  Only a shell no
     standard clock sustains raises, as its build would.
     """
-    return _price(deployment, _shell_or_prototype(shell))[0]
-
-
-def _shell_or_prototype(shell: ShellSpec | None) -> ShellSpec:
-    from ..core.shells import PROTOTYPE_SHELL
-
-    return PROTOTYPE_SHELL if shell is None else shell
+    return _price(deployment, shell)[0]
 
 
 def _price(
@@ -109,32 +103,31 @@ def _price(
         app_total, _ = price_pipeline(pipeline, shell.datapath_bits)
         per_tenant[spec.name] = app_total
         total = total + app_total
-    device = deployment.device
     price = DeploymentPrice(
         shell_base=shell_base,
         crossbar=xbar,
         per_tenant=per_tenant,
         total=total,
-        fits=device.fits(total),
-        utilization=device.utilization(total),
+        fits=deployment.device.fits(total),
+        utilization=deployment.device.utilization(total),
     )
     return price, pipelines
 
 
 def check_deployment(
-    deployment: Deployment, shell: ShellSpec | None = None
+    deployment: Deployment, shell: ShellSpec = PROTOTYPE_SHELL
 ) -> list[Finding]:
     """Static feasibility findings for *deployment* (see module docs)."""
     return _check(deployment, shell)[0]
 
 
 def _check(
-    deployment: Deployment, shell: ShellSpec | None
+    deployment: Deployment, shell: ShellSpec
 ) -> tuple[list[Finding], DeploymentPrice]:
     """:func:`check_deployment` plus the price it took."""
     from ..analysis.effects import analyze_pipeline, line_rate_verdict
 
-    shell, device = _shell_or_prototype(shell), deployment.device
+    device = deployment.device
     findings: list[Finding] = []
 
     share_total = deployment.share_total()
@@ -234,7 +227,7 @@ def _check(
 
 
 def deployment_report(
-    deployment: Deployment, shell: ShellSpec | None = None
+    deployment: Deployment, shell: ShellSpec
 ) -> tuple[list[Finding], list[str], dict[str, object], list]:
     """``flexsfp check --nfv``: ``(findings, targets, extra, text)``, the
     price as the document's ``nfv`` field and as text."""
