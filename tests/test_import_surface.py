@@ -290,7 +290,7 @@ def test_the_readme_table_states_the_snapshot_counts(expected):
     for line in (ROOT / "README.md").read_text().splitlines():
         cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
         if line.startswith("| ") and cells[0] in README_ROWS:
-            # The `repro*` column reads "<before PR 19> -> <today>".
+            # The `repro*` column reads "<before> -> <today>".
             stated[README_ROWS[cells[0]]] = int(cells[2].split("->")[-1])
     assert stated == {case: len(expected[case]) for case in README_ROWS.values()}
 
