@@ -89,6 +89,17 @@ class TestLPMTable:
         with pytest.raises(TableError):
             table.delete(0x0A000000, 8)
 
+    def test_hit_miss_stats(self):
+        # One count per lookup, however many prefix lengths it tries.
+        table = LPMTable("routes", 8, key_bits=32)
+        table.insert(0x0A000000, 8, "broad")
+        table.insert(0x0A0A0000, 16, "narrow")
+        table.lookup(0x0A0A0101)
+        table.lookup(0x0A010101)
+        table.lookup(0x0B000000)
+        stats = table.stats()
+        assert stats["hits"] == 2 and stats["misses"] == 1
+
     def test_prefix_length_validation(self):
         table = LPMTable("routes", 8, key_bits=32)
         with pytest.raises(TableError):
@@ -139,6 +150,17 @@ class TestTernaryTable:
         table.insert(0xAB00, 0xFF00, priority=0, action="match-high-byte")
         assert table.lookup(0xABCD) == "match-high-byte"
         assert table.lookup(0xACCD) is None
+
+    def test_hit_miss_stats(self):
+        # One count per lookup, however many entries it tries.
+        table = TernaryTable("acl", 8)
+        table.insert(0xAB00, 0xFF00, priority=1, action="high-byte")
+        table.insert(0x00CD, 0x00FF, priority=0, action="low-byte")
+        table.lookup(0xABCD)
+        table.lookup(0x11CD)
+        table.lookup(0x1111)
+        stats = table.stats()
+        assert stats["hits"] == 2 and stats["misses"] == 1
 
     def test_atomic_replace_sorts(self):
         table = TernaryTable("acl", 8)
