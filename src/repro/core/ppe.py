@@ -326,6 +326,9 @@ class _EngineBase:
         self.overload_drops = Counter("ppe.overload_drops")
         self.verdict_counts: dict[Verdict, int] = {v: 0 for v in Verdict}
         self.latency_ns = Histogram.exponential(start=50.0, factor=2.0, count=16)
+        # Per-size service-time memo: frame_service_time is a pure function
+        # of the frame length for a fixed TimingSpec.
+        self._service_time = lru_cache(maxsize=None)(timing.frame_service_time)
         # Optional packet tracer (duck-typed repro.obs.trace.Tracer — core
         # never imports obs).  Traced frames go through _apply_traced.
         self.tracer = None
@@ -463,13 +466,11 @@ class ReferenceEngine(_EngineBase):
         return True
 
     def _start_next(self) -> None:
-        if not self._fifo:
-            self._busy = False
-            return
+        """Start serving the FIFO's head (the FIFO holds a frame)."""
         self._busy = True
         packet, size, direction, done, enqueue_ns = self._fifo.popleft()
         self._fifo_bytes -= size
-        service = self.timing.frame_service_time(size)
+        service = self._service_time(size)
         self.sim.schedule(
             service, self._finish, packet, size, direction, done, enqueue_ns
         )
@@ -504,7 +505,10 @@ class ReferenceEngine(_EngineBase):
             done,
             enqueue_ns,
         )
-        self._start_next()
+        if self._fifo:
+            self._start_next()
+        else:
+            self._busy = False
 
     def _apply(
         self,
@@ -524,9 +528,11 @@ class ReferenceEngine(_EngineBase):
         if type(verdict) is not Verdict:
             self._refuse(verdict)
         size = packet.wire_len
-        self.processed.count(size)
+        processed = self.processed  # Counter.count, inlined
+        processed.packets += 1
+        processed.bytes += size
         self.verdict_counts[verdict] += 1
-        return verdict, ctx.emitted, size
+        return verdict, ctx._emitted, size
 
     def _deliver(
         self,
@@ -538,7 +544,10 @@ class ReferenceEngine(_EngineBase):
         enqueue_ns: int,
     ) -> None:
         now = self.sim.now
-        self.latency_ns.add(int(now * 1e9) - enqueue_ns)
+        histogram = self.latency_ns  # Histogram.add, inlined
+        latency = int(now * 1e9) - enqueue_ns
+        histogram.counts[bisect_right(histogram.bounds, latency)] += 1
+        histogram.total += 1
         done(packet, verdict, emitted, size, now)
 
 
@@ -594,9 +603,6 @@ class PacketProcessingEngine(_EngineBase):
         # event apiece.  A cut hands over the part due by then.
         self._handovers: deque = deque()
         sim.add_cut_hook(self._settle)
-        # Per-size service-time memo: frame_service_time is a pure function
-        # of the frame length for a fixed TimingSpec.
-        self._service_time = lru_cache(maxsize=None)(timing.frame_service_time)
         # While True (inside a batched-delivery flush bracketed by
         # flush_begin/flush_end) submits skip per-frame group-event
         # re-arming; flush_end arms one event for the open group.

@@ -57,14 +57,9 @@ class Table(Generic[K, V]):
         raise NotImplementedError
 
     def lookup(self, key: K) -> V | None:
+        """The value ``key`` matches, or None; each lookup counts itself
+        as a hit or a miss (a None value is a miss)."""
         raise NotImplementedError
-
-    def _record(self, value: V | None) -> V | None:
-        if value is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return value
 
     def stats(self) -> dict[str, int]:
         return {
@@ -114,7 +109,12 @@ class ExactTable(Table[K, V]):
         self._bump()
 
     def lookup(self, key: K) -> V | None:
-        return self._record(self._entries.get(key))
+        value = self._entries.get(key)
+        if value is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return value
 
     def atomic_replace(self, entries: dict[K, V]) -> None:
         """Swap the whole table contents in one generation step."""
@@ -192,8 +192,10 @@ class LPMTable(Table[int, V]):
                 continue
             candidate = bucket.get(key & self._mask(prefix_len))
             if candidate is not None:
-                return self._record(candidate)
-        return self._record(None)
+                self.hits += 1
+                return candidate
+        self.misses += 1
+        return None
 
 
 class TernaryEntry(Generic[V]):
@@ -265,10 +267,16 @@ class TernaryTable(Table[int, V]):
         self._bump()
 
     def lookup(self, key: int) -> V | None:
+        action = None
         for entry in self._entries:
             if entry.matches(key):
-                return self._record(entry.action)
-        return self._record(None)
+                action = entry.action
+                break
+        if action is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return action
 
     def entries(self) -> list[TernaryEntry[V]]:
         return list(self._entries)

@@ -165,7 +165,11 @@ class ImpairedPort(Port):
             # One flipped payload byte: the frame's length does not change.
             self.corrupted.count(size)
             packet = self._corrupt(packet)
-        super()._deliver(packet, size, when)
+        rx = self.rx  # Port._deliver, inlined: once per delivered frame
+        rx.packets += 1
+        rx.bytes += size
+        if self._handler is not None:
+            self._handler(self, packet, size, when)
 
     def _corrupt(self, packet: Packet) -> Packet:
         """Flip one payload byte (a bit error the FCS failed to catch)."""

@@ -60,6 +60,10 @@ class TrafficSource:
     ``send_failures`` counts every frame the port refused at reservation:
     no link, or a tail drop — including the tail drop of a future-dated
     send, which the port judges at the frame's arrival time.
+
+    ``wire_size`` is the wire size of every frame ``factory`` builds, when
+    the caller measured it once (copies of same-size templates): the
+    source then does not measure each frame.
     """
 
     def __init__(
@@ -72,6 +76,7 @@ class TrafficSource:
         stop: float | None = None,
         name: str = "source",
         burst: int = 1,
+        wire_size: int | None = None,
     ) -> None:
         if burst < 1:
             raise ConfigError(f"burst must be >= 1, got {burst}")
@@ -82,6 +87,7 @@ class TrafficSource:
         self.stop = stop
         self.name = name
         self.burst = burst
+        self.wire_size = wire_size
         self.sent = Counter(f"{name}.sent")
         self.send_failures = Counter(f"{name}.send_failures")
         self._index = 0
@@ -102,6 +108,7 @@ class TrafficSource:
         sent = self.sent
         count = self.count
         stop = self.stop
+        wire_size = self.wire_size
         for _ in range(self.burst):
             if (count is not None and self._index >= count) or (
                 stop is not None and t >= stop
@@ -110,7 +117,7 @@ class TrafficSource:
             frame_len, gap = next(frames)
             packet = factory(self._index, frame_len)
             self._index += 1
-            size = packet.wire_len
+            size = packet.wire_len if wire_size is None else wire_size
             if send(packet, t, size):
                 sent.packets += 1
                 sent.bytes += size
@@ -146,6 +153,10 @@ class CbrSource(TrafficSource):
         self.rate_bps = rate_bps
         self.frame_len = frame_len
         self.template_burst = template_burst
+        if template_burst:
+            # A per-frame source ticks with TrafficSource._tick itself:
+            # no override frame between the event and the emission loop.
+            self._tick = self._tick_burst
         super().__init__(sim, port, **kwargs)
 
     def _frames(self) -> Iterator[tuple[int, float]]:
@@ -154,10 +165,7 @@ class CbrSource(TrafficSource):
             (self.frame_len, frame_wire_bytes(self.frame_len) * 8 / self.rate_bps)
         )
 
-    def _tick(self) -> None:
-        if not self.template_burst:
-            super()._tick()
-            return
+    def _tick_burst(self) -> None:
         import numpy as np
 
         t = self.sim.now
@@ -198,7 +206,7 @@ class CbrSource(TrafficSource):
         if limit == self.burst and (
             self.count is None or self._index < self.count
         ):
-            self.sim.schedule_at(float(times[n]), self._tick)
+            self.sim.schedule_at(float(times[n]), self._tick_burst)
 
 
 class PoissonSource(TrafficSource):

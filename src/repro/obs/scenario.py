@@ -328,6 +328,8 @@ def _offered_load(spec, sim, registry, peer, flows, rate_bps, template_burst=Fal
     registry.register("host", host)
     payload = bytes(max(0, traffic.frame_len - 42))
     templates = [make_udp(payload=payload, **flow) for flow in flows]
+    # Every template carries the same payload: one wire size, measured once.
+    (wire_size,) = {template.wire_len for template in templates}
     return CbrSource(
         sim,
         host,
@@ -337,6 +339,7 @@ def _offered_load(spec, sim, registry, peer, flows, rate_bps, template_burst=Fal
         factory=lambda index, size: templates[index % len(templates)].copy(),
         burst=source_burst(spec.engine, template_burst=template_burst),
         template_burst=template_burst,
+        wire_size=wire_size,
     )
 
 

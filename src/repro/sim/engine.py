@@ -68,6 +68,9 @@ class Simulator:
     def __init__(self) -> None:
         # Heap of (when, seq, handle): heapq orders entries on the float
         # and the int, in C; seq is unique, so a handle is never compared.
+        # A port's in-flight FIFO (repro.sim.link) takes each frame's seq
+        # at reservation and pushes its head here itself, one at a time:
+        # each fires where schedule_at at reservation would have put it.
         self._queue: list[tuple[float, int, EventHandle]] = []
         self._seq = 0
         # Current simulation time in seconds.  A plain attribute (it is
@@ -126,30 +129,6 @@ class Simulator:
         event.args = args
         heappush(self._queue, (when, seq, event))
         return event
-
-    def _take_seq(self) -> int:
-        """Take the tiebreaker of an event that :meth:`_arm` pushes later.
-
-        An owner that holds a FIFO of future events (a port's in-flight
-        frames) takes each one's ``seq`` when it creates it and keeps one
-        of them armed at a time: each then fires where :meth:`schedule_at`
-        at that moment would have placed it among every other event.
-        """
-        self._seq = seq = self._seq + 1
-        return seq
-
-    def _arm(self, when: float, event: EventHandle, seq: int = 0) -> int:
-        """Push ``event`` at ``when``; returns the seq it fires with.
-
-        ``seq`` is one :meth:`_take_seq` returned earlier, or 0 to take
-        the next.  The owner reuses one ``event`` for every entry it arms
-        (it never has two in the heap at once) and arms only at or after
-        ``now``, so ``when`` is not checked.
-        """
-        if not seq:
-            self._seq = seq = self._seq + 1
-        heappush(self._queue, (when, seq, event))
-        return seq
 
     def _dispatch(self, until: float, limit: float) -> int:
         """Fire up to ``limit`` events due by ``until``; how many fired.

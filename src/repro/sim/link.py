@@ -14,6 +14,7 @@ per-frame state for the handler to read back.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import TYPE_CHECKING, Callable
 
 from ..errors import SimulationError
@@ -270,11 +271,12 @@ class Port:
             if len(pending) == 1:
                 self.sim.schedule_at(fire, self._flush_rx, self._link)
             return True
+        # The frame takes its seq now; only the FIFO's head is in the heap.
         inflight = self._inflight
-        if inflight:
-            seq = self.sim._take_seq()
-        else:
-            seq = self.sim._arm(fire, self._inflight_event)
+        sim = self.sim
+        sim._seq = seq = sim._seq + 1
+        if not inflight:
+            heappush(sim._queue, (fire, seq, self._inflight_event))
         inflight.append((fire, seq, packet, size))
         return True
 
@@ -301,7 +303,7 @@ class Port:
         _fire, _seq, packet, size = inflight.popleft()
         if inflight:
             fire, seq, _packet, _size = inflight[0]
-            self.sim._arm(fire, event, seq)
+            heappush(self.sim._queue, (fire, seq, event))
         if inflight is self._inflight:
             tx = self.tx  # Counter.count, inlined: once per delivered frame
             tx.packets += 1

@@ -118,6 +118,8 @@ class LegacySwitch:
 
         A flooded frame leaves every port but its ingress: the last one
         gets the frame that came in, the others a copy each (N-2 copies).
+        Each copy is one event at ``at`` that reserves on its egress port
+        as ``Port.send`` would then.
         """
         eth = packet.eth
         if eth is None:
@@ -131,14 +133,15 @@ class LegacySwitch:
             schedule_at = self.sim.schedule_at
             others, last = self._flood_ports[ingress]
             for port in others:
-                schedule_at(at, port.send, packet.copy(), size)
-            schedule_at(at, last.send, packet, size)
+                schedule_at(at, port._reserve_tx, packet.copy(), at, size)
+            schedule_at(at, last._reserve_tx, packet, at, size)
             return
         if egress == ingress:
             self.filtered.count(size)
             return
         self.forwarded.count(size)
-        self.sim.schedule_at(at, self.cages[egress].asic_port.send, packet, size)
+        port = self.cages[egress].asic_port
+        self.sim.schedule_at(at, port._reserve_tx, packet, at, size)
 
     def _learn(self, mac: int, port_index: int) -> None:
         if mac in self._mac_table or len(self._mac_table) < self.mac_table_size:

@@ -13,8 +13,11 @@ call per frame: per frame, its run's fixed build calls weigh the same
 whatever the burst depth.  Each figure must stay at or under its ceiling
 in ``tests/snapshots/call_budget.json`` (measured + 3 %, to four
 significant digits; ``--regen-golden`` rewrites the file, and the diff is
-reviewed like ``import_surface.json``).  On ``nfv-chain-compiled`` the
-``_util`` layer (the validators) must also stay under 0.1 call per frame.
+reviewed like ``import_surface.json``).  The same file pins each shape's
+``sim.events`` exactly: a change that only cuts the calls an event pays
+moves no event, and one that folds events shows how many.  On
+``nfv-chain-compiled`` the ``_util`` layer (the validators) must also stay
+under 0.1 call per frame.
 
 On the ``chaos`` shape, where the legacy switch floods nearly every frame
 past the fleet controller, the census also counts ``ABCMeta`` instance
@@ -35,8 +38,8 @@ grouped by how many latency-histogram buckets their latencies span
 one-bucket slice costs the binning two reductions); and, under ``heap
 depth``, each shape's median and deepest event heap, beside the
 reference tier's on ``chaos-smoke`` and ``fleet-upgrade``, sampled before
-every push (``Simulator.schedule``, ``schedule_at`` and ``_arm``, wrapped
-here).  CI uploads it, so the next per-frame or regime regression, a
+every push (the ``heappush`` of every ``repro`` module that pushes onto
+the heap, wrapped here).  CI uploads it, so the next per-frame or regime regression, a
 queue creeping toward a replay, a lane change that spreads a slice's
 latencies, or in-flight frames piling back into the heap, is a diff.
 """
@@ -49,12 +52,13 @@ import sys
 from abc import ABCMeta
 from collections import Counter
 from dataclasses import replace
+from heapq import heappush
 from pathlib import Path
 
 import pytest
 
+import repro.sim.link  # noqa: F401 - a pusher onto the event heap
 from repro.obs.scenario import ScenarioSpec, TrafficProfile
-from repro.sim import Simulator
 
 SRC = str(Path(__file__).resolve().parents[1] / "src" / "repro") + "/"
 EXPECTED_FILE = Path(__file__).parent / "snapshots" / "call_budget.json"
@@ -146,6 +150,7 @@ def census(shape: str) -> dict:
         layers[layer_of(code.co_filename)] += count
     return {
         "frames_offered": offered,
+        "events": metrics["sim.events"],
         "ppe_bursts": bursts,
         "calls": total,
         "calls_per_frame": round(total / offered, 4),
@@ -201,26 +206,39 @@ PER_FRAME_FABRIC = ("chaos-smoke", "fleet-upgrade")
 
 def heap_depths(spec: ScenarioSpec) -> dict:
     """One run of ``spec``: the event heap's median and max depth,
-    sampled before every push onto it."""
+    sampled before every push onto it.
+
+    What pushes onto the heap is not one method: the engine's
+    ``schedule`` / ``schedule_at`` and a port's in-flight FIFO each call
+    ``heappush`` themselves.  So the name ``heappush`` is swapped for a
+    sampling one in every loaded ``repro`` module that imports it.  Every
+    event that fires was pushed once: fewer samples than events fired
+    means a pusher went unseen, and the census refuses to report.
+    """
     depths: list[int] = []
-    originals = {
-        name: getattr(Simulator, name) for name in ("schedule", "schedule_at", "_arm")
+
+    def push(heap, entry):
+        depths.append(len(heap))
+        heappush(heap, entry)
+
+    pushers = [
+        module
+        for name, module in list(sys.modules.items())
+        if name.startswith("repro") and getattr(module, "heappush", None) is heappush
+    ]
+    assert {module.__name__ for module in pushers} >= {
+        "repro.sim.engine",
+        "repro.sim.link",
     }
-
-    def sampling(original):
-        def push(sim, *args):
-            depths.append(len(sim._queue))
-            return original(sim, *args)
-
-        return push
-
-    for name, original in originals.items():
-        setattr(Simulator, name, sampling(original))
+    for module in pushers:
+        module.heappush = push
     try:
-        spec.run()
+        run = spec.run()
     finally:
-        for name, original in originals.items():
-            setattr(Simulator, name, original)
+        for module in pushers:
+            module.heappush = heappush
+    fired = run.metrics()["sim.events"]
+    assert len(depths) >= fired, f"{len(depths)} pushes seen, {fired} events fired"
     return {"median": statistics.median(depths), "max": max(depths)}
 
 
@@ -251,9 +269,14 @@ def test_calls_per_offered_frame_stay_under_the_ceiling(shape, regen_golden):
         expected[shape] = {
             "measured": figure,
             "ceiling": float(f"{figure * HEADROOM:.4g}"),
+            "events": report["events"],
         }
         EXPECTED_FILE.write_text(json.dumps(expected, indent=1, sort_keys=True) + "\n")
     assert report["frames_offered"] > 500
+    assert report["events"] == expected[shape]["events"], (
+        f"{shape}: {report['events']} events, pinned at "
+        f"{expected[shape]['events']}"
+    )
     assert figure <= expected[shape]["ceiling"], (
         f"{shape}: {figure} repro calls per offered frame, over "
         f"the ceiling {expected[shape]['ceiling']} (measured "
