@@ -58,6 +58,8 @@ TRANSCEIVER_LATENCY_S = 40e-9
 PASSTHROUGH_LATENCY_S = 25e-9
 CONTROL_PLANE_LATENCY_S = 5e-6
 RECONFIG_DOWNTIME_S = 120e-3
+# A commanded reboot waits this long, so the command's reply leaves first.
+REBOOT_DELAY_S = 1e-3
 WATCHDOG_TIMEOUT_S = 50e-3
 
 DEFAULT_AUTH_KEY = b"flexsfp-mgmt-key"
@@ -753,9 +755,9 @@ class FlexSFPModule:
         """Factory/JTAG load path: may program any slot, golden included."""
         self.flash.store_bitstream(slot, bitstream, allow_golden=True)
 
-    def schedule_reboot(self, delay_s: float = 1e-3) -> None:
-        """Arrange a reboot shortly after the current command completes."""
-        self.sim.schedule(delay_s, self.reboot)
+    def schedule_reboot(self) -> None:
+        """Arrange a reboot ``REBOOT_DELAY_S`` after the current command."""
+        self.sim.schedule(REBOOT_DELAY_S, self.reboot)
 
     def reboot(self) -> None:
         """Reload every slot's boot image and restart its engine.

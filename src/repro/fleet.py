@@ -161,16 +161,16 @@ class FleetController:
         dst_mac: str | int,
         make_message: MessageFactory,
         on_reply: ReplyCallback,
-        retries: int | None = None,
     ) -> None:
-        """Send with bounded retries, exponential backoff, and jitter.
+        """Send with up to ``max_retries`` retries, exponential backoff,
+        and jitter.
 
         ``make_message`` is invoked per attempt so every retransmission
         carries a fresh sequence number — required because the original
         may have been *received* with only its reply lost, and the module
         replay-rejects reused sequence numbers.
         """
-        budget = self.max_retries if retries is None else retries
+        budget = self.max_retries
 
         def attempt(used: int) -> None:
             def handle(body: dict | None) -> None:

@@ -188,14 +188,12 @@ def _gate(
 def compile_pipeline(
     spec: PipelineSpec,
     shell: ShellSpec,
-    device: FPGADevice = MPF200T,
     clock_hz: float | None = None,
     app_params: dict | None = None,
     strict: bool = True,
-    flow_cache_entries: int | None = None,
     verify: bool = True,
 ) -> BuildResult:
-    """Build a pipeline into a shell on a device.
+    """Build a pipeline into a shell on the MPF200T.
 
     ``clock_hz=None`` lets the flow pick the slowest standard clock that
     sustains the shell's offered rate (the paper's 156.25 MHz for the
@@ -203,22 +201,20 @@ def compile_pipeline(
     ``strict`` (default), resource overflow or a timing miss raises; with
     ``strict=False`` the report records the failure — useful for
     feasibility sweeps that *want* to see where designs stop fitting.
-    ``flow_cache_entries`` adds a fast-path flow cache beside the pipeline
-    (priced in LSRAM, zero added pipeline depth).  ``verify`` (default)
-    runs the :mod:`repro.analysis` IR verifier first: error findings raise
-    :class:`CompileError` before synthesis, warnings land in the report's
-    notes; ``verify=False`` reproduces the pre-verifier flow exactly.
+    ``verify`` (default) runs the :mod:`repro.analysis` IR verifier
+    first: error findings raise :class:`CompileError` before synthesis,
+    warnings land in the report's notes; ``verify=False`` reproduces the
+    pre-verifier flow exactly.  A pipeline with a flow cache declares it
+    as a stage; :func:`compile_app` adds one on request.
     """
-    if flow_cache_entries is not None:
-        spec = _with_flow_cache(spec, flow_cache_entries)
     verify_notes: list[str] = []
     price = None
     if verify:
         from ..analysis.irverify import _verify_priced
 
-        findings, price = _verify_priced(spec, device, shell, None)
+        findings, price = _verify_priced(spec, MPF200T, shell, None)
         verify_notes = _verification_notes(findings, spec.name, strict)
-    result = _build_image(spec, shell, device, clock_hz, strict, price, app_params)
+    result = _build_image(spec, shell, MPF200T, clock_hz, strict, price, app_params)
     result.report.notes.extend(verify_notes)
     return result
 

@@ -29,6 +29,9 @@ from .ir import PipelineSpec, Stage, StageKind
 
 PassFn = Callable[[list[Stage]], list[Stage]]
 
+# The datapath width the before/after prices assume (the default shell's).
+DATAPATH_BITS = 64
+
 
 def fuse_actions(stages: list[Stage]) -> list[Stage]:
     """Merge runs of adjacent ACTION stages into one wider action unit."""
@@ -138,12 +141,10 @@ class OptimizationReport:
         return self.before_resources.ff - self.after_resources.ff
 
 
-def optimize(
-    spec: PipelineSpec, datapath_bits: int = 64
-) -> tuple[PipelineSpec, OptimizationReport]:
+def optimize(spec: PipelineSpec) -> tuple[PipelineSpec, OptimizationReport]:
     """Run every pass to a fixed point; return the new spec + report."""
     try:
-        before_total, _ = price_pipeline(spec, datapath_bits)
+        before_total, _ = price_pipeline(spec, DATAPATH_BITS)
     except ResourceError:
         # Dead stages (e.g. a zero-counter bank) are unpriceable but cost
         # no hardware; price the live subset for the "before" figure.
@@ -152,7 +153,7 @@ def optimize(
             stages=eliminate_dead_stages(list(spec.stages)),
             description=spec.description,
         )
-        before_total, _ = price_pipeline(live, datapath_bits)
+        before_total, _ = price_pipeline(live, DATAPATH_BITS)
     stages = list(spec.stages)
     iterations = 0
     while True:
@@ -166,7 +167,7 @@ def optimize(
     optimized = PipelineSpec(
         name=spec.name, stages=stages, description=spec.description
     )
-    after_total, _ = price_pipeline(optimized, datapath_bits)
+    after_total, _ = price_pipeline(optimized, DATAPATH_BITS)
     report = OptimizationReport(
         before_stages=len(spec.stages),
         after_stages=len(stages),
