@@ -14,8 +14,8 @@ read/write bits, table/meter state access, arrival-time reads, verdict
 dependence, commutativity) and folds the records into an
 :class:`EffectSummary`:
 
-* **fusibility proof** — a burst mode (``pure`` / ``meter`` /
-  ``unfusible``) with the blocking stages named when fusion is unsound,
+* **fusibility proof** — a burst mode (``pure`` / ``unfusible``) with
+  the blocking stages named when fusion is unsound,
   plus derived ``key_bits``/``rewrite_bits``, the flow key and rewrite
   widths of the fused lane (replacing the hand-declared profile numbers);
 * **worst-case timing** — per-frame table-port conflict cycles that feed
@@ -32,10 +32,9 @@ Modeling assumptions (the abstraction's contract):
   counting a burst in aggregate equals counting it per frame — unless the
   counted value depends on arrival time;
 * ``METERS`` are non-commutative read-modify-write state keyed by arrival
-  time (token refill).  A meter burst is still burst-safe when replayed
-  *sequentially* inside the fused lane (the engine's meter mode), because
-  the per-frame arithmetic depends only on (size, arrival time, meter
-  state), never on header contents of earlier frames;
+  time (token refill): each frame's verdict depends on the bucket the
+  frames before it left at their arrival times, so no one recorded
+  decision stands for a burst and a metered program is unfusible;
 * ``TIMESTAMP`` makes the arrival clock visible to the program.  If any
   writer stage (``ACTION``, ``COUNTERS``) can fold that value into
   headers or state, every frame of a burst would produce distinct output
@@ -57,7 +56,6 @@ from .findings import Finding, Severity, sort_findings
 
 # Burst modes the classifier can prove.
 MODE_PURE = "pure"
-MODE_METER = "meter"
 MODE_UNFUSIBLE = "unfusible"
 
 # Synthesized table RAMs are dual-ported (LSRAM on PolarFire-class parts):
@@ -122,10 +120,9 @@ class EffectSummary:
 
     * ``pure`` — every effect is a pure function of (headers, direction,
       table state); one decision stands for a whole same-flow burst.
-    * ``meter`` — effects additionally read arrival time through a
-      ``METERS`` stage; bursts fuse through sequential meter replay.
-    * ``unfusible`` — arrival time can reach headers or state through a
-      writer stage; ``blockers`` names the stages that prove it.
+    * ``unfusible`` — arrival time reaches the verdict through a
+      ``METERS`` stage, or headers or state through a writer stage;
+      ``blockers`` names the stages that prove it.
 
     ``key_bits``/``rewrite_bits`` are the *derived* fused-executor widths:
     the flow key cannot need more bits than the narrowest of (parsed
@@ -262,43 +259,38 @@ def _stage_effect(stage: Stage) -> StageEffect:
 def _classify(effects: tuple[StageEffect, ...]) -> tuple[str, tuple[str, ...]]:
     """Fold stage effects into (burst_mode, blockers).
 
-    The taint argument: a ``TIMESTAMP`` stage makes the arrival clock a
-    live value for the whole program (IR stage order is structural, not
-    def-use order — the ratelimiter stamps *after* its meter stage).  The
-    value is harmless until a writer can observe it:
+    Two ways arrival time makes each frame's outcome its own:
 
-    * ``METERS`` absorbs it into the meter lane — sequentially replayable,
-      so the program is ``meter``-fusible (unless a header writer could
-      also see it);
-    * ``ACTION`` / ``COUNTERS`` with a live clock can fold per-frame times
-      into headers or state — every frame's output is distinct and the
-      program is unfusible.
+    * ``METERS`` read-modify-write a token bucket at each frame's arrival,
+      so the verdict of one frame depends on the arrivals before it;
+    * a ``TIMESTAMP`` stage makes the arrival clock a live value for the
+      whole program (IR stage order is structural, not def-use order — the
+      ratelimiter stamps *after* its meter stage), and ``ACTION`` /
+      ``COUNTERS`` with a live clock can fold per-frame times into headers
+      or state.
+
+    Either makes the program unfusible; anything else is ``pure``.
     """
     by_kind: dict[str, list[StageEffect]] = {}
     for effect in effects:
         by_kind.setdefault(effect.kind, []).append(effect)
-    meters = by_kind.get(StageKind.METERS.value, [])
     stamps = by_kind.get(StageKind.TIMESTAMP.value, [])
-    actions = by_kind.get(StageKind.ACTION.value, [])
-    counters = by_kind.get(StageKind.COUNTERS.value, [])
-    if meters:
-        if stamps and actions:
-            return MODE_UNFUSIBLE, tuple(
-                f"{stage.stage}: header rewrite can observe the arrival "
-                "clock made live by a timestamp stage"
-                for stage in actions
-            )
-        return MODE_METER, ()
-    if stamps:
-        writers = actions + counters
-        if writers:
-            blockers = tuple(
-                f"{stamp.stage}: arrival clock flows into writer stage "
-                f"{writer.stage!r} ({writer.kind}); per-frame outputs differ"
-                for stamp in stamps
-                for writer in writers
-            )
-            return MODE_UNFUSIBLE, blockers
+    writers = by_kind.get(StageKind.ACTION.value, []) + by_kind.get(
+        StageKind.COUNTERS.value, []
+    )
+    blockers = [
+        f"{meter.stage}: token bucket is read-modify-written at each "
+        "frame's arrival clock; per-frame verdicts differ"
+        for meter in by_kind.get(StageKind.METERS.value, [])
+    ]
+    blockers += [
+        f"{stamp.stage}: arrival clock flows into writer stage "
+        f"{writer.stage!r} ({writer.kind}); per-frame outputs differ"
+        for stamp in stamps
+        for writer in writers
+    ]
+    if blockers:
+        return MODE_UNFUSIBLE, tuple(blockers)
     return MODE_PURE, ()
 
 
@@ -346,15 +338,12 @@ def fusion_engagement(app, summary: EffectSummary) -> str | None:
     """Which fused runtime lane the app can actually drive, if any.
 
     The proof says fusion is *sound*; engagement says the application
-    implements the runtime hook that lane needs — a ``flow_key`` override
-    for the pure recipe lane (the recipe itself is recorded from
-    ``process``), a ``burst_plan`` hook for the sequential meter lane.
+    implements the one runtime hook the recipe lane needs, a ``flow_key``
+    override (the recipe itself is recorded from ``process``).
     Proven-but-unengaged apps simply deopt.
     """
     if not summary.fusible:
         return None
-    if summary.burst_mode == MODE_METER:
-        return MODE_METER if callable(getattr(app, "burst_plan", None)) else None
     keyed = getattr(type(app), "flow_key", None) is not PPEApplication.flow_key
     return MODE_PURE if keyed else None
 

@@ -9,6 +9,7 @@ dropped at the optical edge before it consumes any downstream capacity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 from .._util import ip_to_int
 from ..core.ppe import PPEApplication, PPEContext, Verdict
@@ -33,6 +34,12 @@ class TokenBucket:
     last_refill_ns: int = 0
 
     def __post_init__(self) -> None:
+        # A NaN passes the sign check below, and a non-finite bucket
+        # polices every frame or none: each is refused by name.
+        for name in ("rate_bps", "burst_bytes"):
+            value = getattr(self, name)
+            if not isfinite(value):
+                raise ConfigError(f"token bucket {name} must be finite: {value}")
         if self.rate_bps <= 0 or self.burst_bytes <= 0:
             raise ConfigError("token bucket needs positive rate and burst")
         self.tokens = float(self.burst_bytes)
@@ -96,55 +103,6 @@ class RateLimiter(PPEApplication):
         decision.  Explicit override to document the opt-out.
         """
         return None
-
-    def burst_plan(self, template: Packet, direction):
-        """Sequential meter replay for the compiled engine's meter lane.
-
-        A cached :class:`~repro.core.flowcache.FlowRecipe` can never
-        replay a policing decision (the same flow conforms now and is
-        policed a microsecond later), but the decision *is* a pure
-        function of the arrival times and sizes the engine already
-        knows.  The returned plan debits the bucket once per frame in
-        arrival order — bit-identical to per-frame :meth:`process` —
-        and hands back contiguous verdict runs for aggregate delivery.
-        """
-        ip = template.ipv4
-        permit = Verdict.PASS if self.default_permit else Verdict.DROP
-        if ip is None:
-
-            def plan_non_ip(times_ns: list[int], size: int):
-                return [(permit, len(times_ns))]
-
-            return plan_non_ip
-        src = ip.src
-
-        def plan(times_ns: list[int], size: int):
-            bucket = self.meters.lookup(src)
-            n = len(times_ns)
-            if bucket is None:
-                counter = self.counter("unmetered")
-                counter.packets += n
-                counter.bytes += n * size
-                return [(permit, n)]
-            conformed = self.counter("conformed")
-            policed = self.counter("policed")
-            runs: list[tuple[Verdict, int]] = []
-            for now_ns in times_ns:
-                if bucket.conforms(size, now_ns):
-                    verdict = Verdict.PASS
-                    conformed.packets += 1
-                    conformed.bytes += size
-                else:
-                    verdict = Verdict.DROP
-                    policed.packets += 1
-                    policed.bytes += size
-                if runs and runs[-1][0] is verdict:
-                    runs[-1] = (verdict, runs[-1][1] + 1)
-                else:
-                    runs.append((verdict, 1))
-            return runs
-
-        return plan
 
     def pipeline_spec(self) -> PipelineSpec:
         return PipelineSpec(

@@ -9,6 +9,7 @@ else from this package.
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
+from inspect import signature
 from typing import TYPE_CHECKING, Callable
 
 from .. import apps
@@ -55,10 +56,20 @@ APP_FACTORIES: Mapping[str, Callable[..., PPEApplication]] = _Registry(
 
 
 def create_app(name: str, params: dict | None = None) -> PPEApplication:
-    """Instantiate a registered application from bitstream metadata."""
+    """Instantiate a registered application from bitstream metadata.
+
+    ``params`` are bound against the factory's signature first, so a
+    parameter the application does not take is a :class:`ConfigError`
+    naming both; an error raised by the constructor itself is its own.
+    """
     factory = APP_FACTORIES.get(name)
     if factory is None:
         raise ConfigError(
             f"unknown application {name!r}; registered: {sorted(APP_FACTORIES)}"
         )
-    return factory(**(params or {}))
+    params = params or {}
+    try:
+        signature(factory).bind(**params)
+    except TypeError as exc:
+        raise ConfigError(f"application {name!r} parameters: {exc}") from None
+    return factory(**params)

@@ -38,19 +38,19 @@ repeat of the named ``BENCHMARK.json`` workload):
 - *fused bursts* (:meth:`PacketProcessingEngine.submit_burst`): a
   same-flow burst arrives as one template packet plus a vector of arrival
   times, is admitted through the same timeline kernel and — when
-  :meth:`PacketProcessingEngine._burst_lane` finds a lane for it — each
-  due slice collapses into one application with O(1) counter and
-  histogram updates.  The ``recipe`` lane (one
-  :meth:`~repro.core.flowcache.FlowRecipe.apply_burst` per slice) carries
-  30 of 30 bursts of ``nat-linerate-fused``, each admitted by the
-  timeline's keep-up regime: 29,762 frames, one recorded ``process``
-  call.  The ``meter`` lane (:meth:`PPEApplication.burst_plan`, sequential) has no
-  benchmark workload; the ratelimiter differentials in
-  ``tests/test_compiled_differential.py`` are what keep it.
+  :meth:`PacketProcessingEngine._burst_lane` finds the burst's flow key —
+  each due slice collapses into one
+  :meth:`~repro.core.flowcache.FlowRecipe.apply_burst` with O(1) counter
+  and histogram updates.  There is one fused lane, and its recipe is
+  recorded from ``process``: no application writes a lane hook by hand.
+  It carries 30 of 30 bursts of ``nat-linerate-fused``, each admitted by
+  the timeline's keep-up regime: 29,762 frames, one recorded ``process``
+  call.
 - *deopt*: anything the fused contract cannot express — a tracer, per-frame
-  arrivals interleaved, a flow the application opts out of, a verdict
-  beyond PASS/DROP, a call the recorder refuses, a meter without a plan —
-  goes through one door,
+  arrivals interleaved, a flow the application opts out of, a program the
+  effect analysis cannot prove fusible (a meter reads each frame's
+  arrival time), a verdict beyond PASS/DROP, a call the recorder
+  refuses — goes through one door,
   :meth:`PacketProcessingEngine._materialize_pending_bursts`, back into
   the per-frame lane, whether found at submit, on contact with a
   per-frame submit, or at drain.  No workload above deopts a frame
@@ -158,9 +158,8 @@ class PPEApplication(ABC):
     statistics in ``self.counters``.
 
     Applications may implement :meth:`flow_key` to opt into the flow-cache
-    fast path, whose recipes are recorded from ``process`` itself.  The one
-    hand-written lane hook is :meth:`burst_plan`: a meter's verdict depends
-    on each frame's arrival time, which no single recorded call reproduces.
+    fast path, whose recipes are recorded from ``process`` itself; that is
+    the only hook, and no application writes a lane by hand.
     """
 
     name: str = "app"
@@ -204,22 +203,6 @@ class PPEApplication(ABC):
         (:func:`~repro.core.flowcache.record_recipe`) and replays it on
         later frames.  The engine adds the traversal direction to the key,
         so a key need not encode it.
-        """
-        return None
-
-    def burst_plan(self, template: Packet, direction: Direction):
-        """Sequential burst replay for meter-mode fusion, or None to deopt.
-
-        Only consulted when the effect analysis classifies the pipeline as
-        ``meter``-fusible (:mod:`repro.analysis.effects`).  The hook
-        receives a burst's template frame and traversal direction and
-        returns a callable ``plan(times_ns, size) -> [(Verdict, count)]``
-        replaying the per-frame meter arithmetic in arrival order —
-        bit-identical state updates and counter bumps, collapsed into
-        contiguous same-verdict runs — or None to deopt the burst.  A plan
-        must restrict itself to PASS/DROP verdicts and may not read the
-        queue depth or emit packets (the analysis proves the pipeline has
-        no effects beyond meter state, counters, and the verdict).
         """
         return None
 
@@ -268,15 +251,13 @@ class _PendingBurst:
 
     ``enqueue_ns``/``finish`` are per-admitted-frame arrays; ``pos`` marks
     how far the drain has consumed the burst (finish times are
-    non-decreasing, so the due set is always a prefix).  ``lane`` is the
-    :meth:`PacketProcessingEngine._burst_lane` verdict and ``key`` the
-    flow key of the recipe lane.
+    non-decreasing, so the due set is always a prefix).  ``key`` is the
+    flow key :meth:`PacketProcessingEngine._burst_lane` found.
     """
 
     template: Packet
     size: int
     direction: Direction
-    lane: str | None
     key: Hashable
     done_burst: BurstDoneCallback
     done_frame: DoneCallback
@@ -952,13 +933,12 @@ class PacketProcessingEngine(_EngineBase):
             self.overload_drops.bytes += drops * size
             if count == 0:
                 return 0
-        lane, key = self._burst_lane(template)
+        key = self._burst_lane(template)
         self._bursts.append(
             _PendingBurst(
                 template,
                 size,
                 direction,
-                lane,
                 key,
                 done_burst,
                 done_frame,
@@ -966,7 +946,7 @@ class PacketProcessingEngine(_EngineBase):
                 finishes,
             )
         )
-        if lane is None:
+        if key is None:
             self._materialize_pending_bursts()
             return count
         self.compiled_bursts += 1
@@ -975,18 +955,17 @@ class PacketProcessingEngine(_EngineBase):
         self._arm_drain(float(finishes[-1]))
         return count
 
-    def _burst_lane(self, template: Packet) -> tuple[str | None, Hashable]:
-        """Which fused lane a burst of ``template`` frames takes, if any.
+    def _burst_lane(self, template: Packet) -> Hashable | None:
+        """The flow key a burst of ``template`` frames fuses under, if any.
 
-        The one place the lane is chosen: ``("recipe", flow_key)`` when the
-        effect analysis proved the program ``pure`` and the application
-        names the template's flow, ``("meter", None)`` when it proved a
-        sequential meter, ``(None, None)`` — the per-frame lane — for a
-        program that is not fusible, a flow the application opts out of,
-        an attached tracer (recipes skip per-stage spans) or per-frame
-        arrivals already queued (one finish-ordered queue drains both).
-        Being admitted to a lane is not a promise: the drain deopts a
-        burst whose recipe or plan turns out not to be fusible.
+        The one place the lane is chosen: the application's flow key for
+        the template when the effect analysis proved the program ``pure``,
+        ``None`` — the per-frame lane — for a program that is not fusible,
+        a flow the application opts out of, an attached tracer (recipes
+        skip per-stage spans) or per-frame arrivals already queued (one
+        finish-ordered queue drains both).  Being admitted to the lane is
+        not a promise: the drain deopts a burst whose recipe turns out not
+        to be fusible.
         """
         program = self.program
         if (
@@ -995,12 +974,9 @@ class PacketProcessingEngine(_EngineBase):
             or self.tracer is not None
             or self._arrivals
         ):
-            return None, None
-        if program.mode == "meter":
-            return "meter", None
+            return None
         flow_key = self._flow_key
-        key = None if flow_key is None else flow_key(template)
-        return ("recipe", key) if key is not None else (None, None)
+        return None if flow_key is None else flow_key(template)
 
     def _process_due_bursts(self, due: float) -> None:
         """Drain every burst frame whose virtual service has finished by ``due``.
@@ -1019,10 +995,7 @@ class PacketProcessingEngine(_EngineBase):
             end = int(finish.searchsorted(due, side="right"))
             if end <= pos:
                 break
-            fuse = (
-                self._fuse_meter_slice if burst.lane == "meter" else self._fuse_slice
-            )
-            if not fuse(burst, pos, end, due):
+            if not self._fuse_slice(burst, pos, end, due):
                 self._materialize_pending_bursts()
                 break
             if end < len(finish):
@@ -1086,58 +1059,6 @@ class PacketProcessingEngine(_EngineBase):
             ),
             due,
         )
-        return True
-
-    def _fuse_meter_slice(
-        self, burst: _PendingBurst, pos: int, end: int, due: float
-    ) -> bool:
-        """Process one due slice through the sequential meter lane.
-
-        No recipe and no flow cache: the application's
-        :meth:`~PPEApplication.burst_plan` replays its time-varying state
-        (token buckets) over the slice's arrival times in order —
-        bit-identical arithmetic to per-frame ``process`` calls — and
-        returns contiguous verdict runs.  Each run delivers as one fused
-        burst; nothing is cached, so the next slice replans against the
-        then-current meter state.  False when the application has no
-        plan for this template.
-        """
-        import numpy as np
-
-        app = self.app
-        size = burst.size
-        plan = app.burst_plan(burst.template, burst.direction)
-        if plan is None:
-            return False
-        count = end - pos
-        times_ns = (burst.finish[pos:end] * 1e9).astype(np.int64).tolist()
-        runs = plan(times_ns, size)
-        if sum(n for _verdict, n in runs) != count:
-            raise SimulationError(
-                f"application {app.name!r} burst plan covered "
-                f"{sum(n for _v, n in runs)} of {count} frames"
-            )
-        processed = self.processed
-        processed.packets += count
-        processed.bytes += count * size
-        self.compiled_frames += count
-        pipeline_latency_s = self.pipeline_latency_s
-        offset = pos
-        for verdict, n in runs:
-            seg_finish = burst.finish[offset : offset + n]
-            self.verdict_counts[verdict] += n
-            self._queue_handover(
-                _SliceHandover(
-                    burst.done_burst,
-                    burst.template.copy(),
-                    verdict,
-                    size,
-                    seg_finish + pipeline_latency_s,
-                    burst.enqueue_ns[offset : offset + n],
-                ),
-                due,
-            )
-            offset += n
         return True
 
     def _materialize_pending_bursts(self) -> None:

@@ -23,12 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..analysis.effects import (
-    MODE_METER,
-    EffectSummary,
-    analyze_pipeline,
-    fusion_engagement,
-)
+from ..analysis.effects import EffectSummary, analyze_pipeline, fusion_engagement
 from ..core.shells import ShellSpec
 from ..fpga.resources import MPF200T
 from .compiler import _gate
@@ -39,22 +34,16 @@ from .ir import PipelineSpec
 class CompiledProgram:
     """A verified, fused per-flow executor for one application.
 
-    ``mode`` selects the burst lane the engine drives: ``"pure"`` replays
-    one :class:`~repro.core.flowcache.FlowRecipe` per slice, ``"meter"``
-    replays the application's sequential :meth:`burst_plan`, and ``None``
-    deopts every burst to the exact per-frame lane.  ``fusible`` is the
-    engine-facing boolean view of ``mode``.  ``summary`` is the effect
+    ``fusible`` says whether the engine's burst lane replays one
+    :class:`~repro.core.flowcache.FlowRecipe` per slice; when False every
+    burst deopts to the exact per-frame lane.  ``summary`` is the effect
     analysis that proved (or refuted) fusion.
     """
 
     app_name: str
-    mode: str | None
+    fusible: bool
     summary: EffectSummary
     notes: list[str] = field(default_factory=list)
-
-    @property
-    def fusible(self) -> bool:
-        return self.mode is not None
 
 
 def compile_executor(app, shell: ShellSpec) -> CompiledProgram:
@@ -75,34 +64,26 @@ def _prove(app, spec: PipelineSpec) -> CompiledProgram:
     Burst fusion is gated by the effect analysis: the derived
     :class:`~repro.analysis.effects.EffectSummary` must prove the
     program's effects burst-safe *and* the application must implement the
-    runtime hook the proven lane needs (``flow_key`` for pure recipes,
-    which the engine records from ``process``; ``burst_plan`` for the
-    sequential meter lane).
+    runtime hook the recipe lane needs, ``flow_key`` (the recipe itself the
+    engine records from ``process``).
     """
     app_name = getattr(app, "name", type(app).__name__)
     summary = analyze_pipeline(spec)
-    mode = fusion_engagement(app, summary)
+    fusible = fusion_engagement(app, summary) is not None
     notes: list[str] = []
-    if mode == MODE_METER:
-        notes.append(
-            f"executor: {app_name!r} fuses through the sequential "
-            "meter lane (analysis mode 'meter')"
+    if not fusible:
+        reason = (
+            f"is proven {summary.burst_mode}-fusible but implements no fusion hooks"
+            if summary.fusible
+            else "is unfusible (" + "; ".join(summary.blockers) + ")"
         )
-    elif mode is None and summary.fusible:
         notes.append(
-            f"executor: {app_name!r} is proven "
-            f"{summary.burst_mode}-fusible but implements no "
-            "fusion hooks; compiled bursts deopt to the per-frame lane"
-        )
-    elif mode is None:
-        notes.append(
-            f"executor: {app_name!r} is unfusible ("
-            + "; ".join(summary.blockers)
-            + "); compiled bursts deopt to the per-frame lane"
+            f"executor: {app_name!r} {reason}; compiled bursts deopt to the "
+            "per-frame lane"
         )
     return CompiledProgram(
         app_name=app_name,
-        mode=mode,
+        fusible=fusible,
         summary=summary,
         notes=notes,
     )

@@ -107,6 +107,14 @@ class TestTokenBucket:
         with pytest.raises(ConfigError):
             TokenBucket(rate_bps=0, burst_bytes=100)
 
+    @pytest.mark.parametrize("field", ["rate_bps", "burst_bytes"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rate_or_depth_is_refused_by_name(self, field, value):
+        # Unchecked, such a bucket conforms every frame or none.
+        params = {"rate_bps": 8_000, "burst_bytes": 100, field: value}
+        with pytest.raises(ConfigError, match=field):
+            TokenBucket(**params)
+
     @given(st.lists(st.integers(1, 1500), min_size=1, max_size=200))
     def test_never_exceeds_rate_plus_burst(self, sizes):
         # Invariant: accepted bytes <= burst + rate * elapsed.

@@ -524,6 +524,12 @@ class TestTenantsFileBoundary:
         assert code == 2
         assert needle in err and "Traceback" not in err
 
+    def test_unknown_app_parameter_exits_2_naming_it(self, capsys, tmp_path):
+        policer = {"name": "pol", "app": "ratelimiter", "params": {"zz": 1}, "share": 0.5}
+        code, _, err = self.check(capsys, tmp_path, json.dumps([policer, self.GOOD[1]]))
+        assert code == 2 and "Traceback" not in err
+        assert err.startswith("error: ") and "'ratelimiter'" in err and "'zz'" in err
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "check", "--nfv", "--tenants", str(tmp_path / "absent.json")

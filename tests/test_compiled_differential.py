@@ -39,17 +39,15 @@ RATE_BPS = 5e9
 SEED = 7
 
 # Applications the effect analysis proves fusible AND that implement the
-# runtime hook their proven lane needs (flow_key for pure recipes, which
-# the engine records from process; burst_plan for the sequential meter
-# lane); for these a same-flow CBR burst run must record fused frames
-# (otherwise the differential passes vacuously with the fused lane never
-# engaged).
+# runtime hook the recipe lane needs (flow_key; the engine records the
+# recipe from process); for these a same-flow CBR burst run must record
+# fused frames (otherwise the differential passes vacuously with the fused
+# lane never engaged).
 FUSIBLE_APPS = {
     "nat",
     "firewall",
     "loadbalancer",
     "dnsfilter",
-    "ratelimiter",
     "vlan",
 }
 
@@ -216,6 +214,9 @@ def check_imix_matches_reference(name: str, per_event: bool = False) -> None:
     # Real traffic, well past the BURST_FRAMES group boundary...
     assert reference["processed"]["packets"] > 50, name
     assert module.program is not None
+    if not module.program.fusible:
+        # A program the analysis refused (a meter, a live clock) never fuses.
+        assert compiled_stats(module.ppe)["recipe_frames"] == 0, name
     # ...and for recipe-producing apps the cache demonstrably engaged.
     if name in CACHED_APPS:
         cache = module.ppe.flow_cache
@@ -387,13 +388,13 @@ def test_midrun_table_write_event_ingress_matches_reference():
     check_midrun_table_write("event")
 
 
-def test_metered_ratelimiter_burst_matches_reference():
-    """The sequential meter lane replays token buckets bit-identically.
+def test_metered_ratelimiter_burst_takes_the_per_frame_lane():
+    """A metered burst deopts at submit and replays token buckets
+    bit-identically through per-frame ``process``.
 
-    The bucket flips between conform and police mid-burst, so this pins
-    the property a frozen recipe could never provide: per-frame verdicts
-    inside one fused slice diverge exactly where the reference engine's
-    do."""
+    The bucket flips between conform and police mid-burst, the property a
+    frozen recipe could never provide: per-frame verdicts diverge exactly
+    where the reference engine's do."""
 
     def run(engine: str):
         sim = Simulator()
@@ -426,8 +427,8 @@ def test_metered_ratelimiter_burst_matches_reference():
     assert counters["conformed.packets"] > 0
     assert counters["policed.packets"] > 0
     stats = compiled_stats(module.ppe)
-    assert stats["bursts"] > 0, stats
-    assert stats["recipe_frames"] > 0, stats
+    assert stats["bursts"] == 0 and stats["recipe_frames"] == 0, stats
+    assert stats["deopt_frames"] == compiled["processed"]["packets"], stats
 
 
 @pytest.mark.parametrize("service_vid", [None, 200])
@@ -662,10 +663,11 @@ def test_every_cut_inside_a_burst_matches_the_oracle(frame_len, ingress):
 
 @pytest.mark.parametrize("lane", ["meter", "deopt"])
 def test_cuts_match_the_oracle_on_the_meter_and_deopt_lanes(lane):
-    """The meter lane (a token bucket flipping between conform and police
-    inside a burst) and the deopt door (a flow whose ``process`` reads the
-    clock: admitted to the recipe lane, the recorder refuses it at the
-    drain, a cut's included) settle at every cut as the recipe lane does."""
+    """The two ways a burst leaves the fused lane settle at every cut as
+    the recipe lane does: a meter (a token bucket flipping between conform
+    and police inside a burst) deopts at submit, and a flow whose
+    ``process`` reads the clock is admitted to the recipe lane and refused
+    by the recorder at the drain, a cut's included."""
     stop = RUN_S
 
     def build(sim: Simulator, engine: str):
@@ -695,8 +697,9 @@ def test_cuts_match_the_oracle_on_the_meter_and_deopt_lanes(lane):
     cuts = sorted(rng.uniform(0, stop) for _ in range(9))
     reference, stats = assert_every_cut_matches(cuts, stop, build)
     counters = reference[-1]["metrics"]
-    assert stats["bursts"] > 0, stats
-    assert (stats["deopt_frames"] > 0) == (lane == "deopt"), stats
+    assert stats["deopt_frames"] > 0 and stats["recipe_frames"] == 0, stats
+    # Only the clock-reading flow is admitted to the fused lane at all.
+    assert (stats["bursts"] > 0) == (lane == "deopt"), stats
     if lane == "meter":
         # Conformed frames pass, policed ones drop.
         assert counters["dut.ppe.ratelimiter.verdicts.pass"] > 0
@@ -1100,31 +1103,6 @@ def test_time_stamping_flow_keeps_its_stamp_on_the_compiled_tier():
     stats = compiled_stats(module.ppe)
     assert stats["bursts"] > 0 and stats["recipe_frames"] == 0, stats
     assert stats["deopt_frames"] == compiled["metrics"]["dut.ppe.nat.processed.packets"]
-
-
-def test_meter_flow_without_a_plan_deopts_at_drain():
-    """A meter-lane burst whose ``burst_plan`` returns None replays through
-    per-frame ``process`` — same buckets, same flips — and never fuses."""
-    from repro.apps.ratelimiter import RateLimiter
-
-    class PlanlessLimiter(RateLimiter):
-        def burst_plan(self, template, direction):
-            return None
-
-    def make_app():
-        app = PlanlessLimiter()
-        app.add_limit("10.0.0.0", 8, rate_bps=1e8, burst_bytes=4_000)
-        return app
-
-    reference, _ = run_template_bursts(make_app, "reference", ("10.0.0.1",))
-    compiled, module = run_template_bursts(make_app, "compiled", ("10.0.0.1",))
-    assert compiled == reference
-    assert module.program.mode == "meter"
-    stats = compiled_stats(module.ppe)
-    assert stats["bursts"] > 0 and stats["recipe_frames"] == 0, stats
-    assert stats["deopt_frames"] == compiled["metrics"]["dut.ppe.ratelimiter.processed.packets"]
-    counters = module.app.metric_values()
-    assert counters["conformed.packets"] > 0 and counters["policed.packets"] > 0
 
 
 def run_engine_script(

@@ -77,9 +77,9 @@ def generated_apps(draw):
 
     ``drop_parser`` / ``drop_deparser`` deliberately break the structure
     rule on a fraction of examples so the rejected side of the property
-    is exercised, not just the happy path.  ``with_flow_key`` /
-    ``with_burst_plan`` independently draw the runtime hooks, so every
-    combination of (analysis verdict × implemented hooks) shows up.
+    is exercised, not just the happy path.  ``with_flow_key`` draws the
+    runtime hook, so every combination of (analysis verdict × implemented
+    hook) shows up.
     """
     middles = draw(
         st.lists(st.tuples(_MIDDLE_KINDS, _COUNTER, _COUNTER), max_size=6)
@@ -97,7 +97,6 @@ def generated_apps(draw):
     if not stages:
         stages = [Stage("parse", StageKind.PARSER, {"header_bytes": 34})]
     with_flow_key = draw(st.booleans())
-    with_burst_plan = draw(st.booleans())
 
     class GeneratedApp(PPEApplication):
         name = "generated"
@@ -114,15 +113,6 @@ def generated_apps(draw):
             return 0
 
         GeneratedApp.flow_key = flow_key
-    if with_burst_plan:
-
-        def burst_plan(self, template, direction):
-            def plan(times_ns, size):
-                return [(Verdict.PASS, len(times_ns))]
-
-            return plan
-
-        GeneratedApp.burst_plan = burst_plan
     return GeneratedApp()
 
 
@@ -150,16 +140,15 @@ def test_compile_executor_accepts_exactly_the_verified_set(app):
     if program is not None:
         summary = analyze_pipeline(app.pipeline_spec())
         # Fusion is the analysis verdict engaged by the implemented
-        # hooks; no declaration can widen (or narrow) it.
-        assert program.mode == fusion_engagement(app, summary)
-        assert program.fusible == (program.mode is not None)
+        # hook; no declaration can widen (or narrow) it.
+        assert program.fusible == (fusion_engagement(app, summary) is not None)
         assert program.summary.digest() == summary.digest()
         if not program.fusible:
             assert any("deopt" in note for note in program.notes)
         # A slot that verified its app once skips the gate: the proof
         # alone yields the same program.
         proof = _prove(app, app.pipeline_spec())
-        assert (proof.mode, proof.notes) == (program.mode, program.notes)
+        assert (proof.fusible, proof.notes) == (program.fusible, program.notes)
         assert proof.summary.digest() == summary.digest()
 
 
