@@ -65,8 +65,8 @@ class InbandTelemetry(PPEApplication):
         self,
         role: str = "source",
         max_hops: int = 8,
-        collector_ip: str = "203.0.113.10",
-        exporter_ip: str = "203.0.113.2",
+        collector_ip: str | int = "203.0.113.10",
+        exporter_ip: str | int = "203.0.113.2",
         only_direction: str | None = "edge->line",
     ) -> None:
         super().__init__()

@@ -68,13 +68,6 @@ class StaticNat(PPEApplication):
         self.nat_table.insert(orig, trans)
         self.reverse_table.insert(trans, orig)
 
-    def remove_mapping(self, original: str | int) -> None:
-        orig = ip_to_int(original)
-        translated = self.nat_table.lookup(orig)
-        self.nat_table.delete(orig)
-        if translated is not None:
-            self.reverse_table.delete(translated)
-
     def mapping_of(self, original: str | int) -> str | None:
         translated = self.nat_table.lookup(ip_to_int(original))
         return None if translated is None else int_to_ip(translated)

@@ -8,11 +8,13 @@ else from this package.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator, Mapping
 from inspect import signature
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, get_args, get_origin
 
 from .. import apps
+from .._util import typed
 from ..errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -55,12 +57,28 @@ APP_FACTORIES: Mapping[str, Callable[..., PPEApplication]] = _Registry(
 )
 
 
+def _kinds(annotation) -> tuple[type, ...]:
+    """The value types a constructor annotation admits: ``float`` takes an
+    int too, ``X | None`` takes ``None``, a ``tuple[...]`` or ``list[...]``
+    takes either sequence (a JSON list arrives as a list)."""
+    if get_origin(annotation) in (tuple, list):
+        return (list, tuple)
+    if args := get_args(annotation):
+        return sum((_kinds(arg) for arg in args), ())
+    if annotation is float:
+        return (int, float)
+    return (annotation,)
+
+
 def create_app(name: str, params: dict | None = None) -> PPEApplication:
     """Instantiate a registered application from bitstream metadata.
 
-    ``params`` are bound against the factory's signature first, so a
-    parameter the application does not take is a :class:`ConfigError`
-    naming both; an error raised by the constructor itself is its own.
+    ``params`` are bound against the factory's signature first, and each
+    bound value is checked against its annotation (an ``int`` is not a
+    bool, a ``float`` is finite), so a parameter the application does not
+    take, or a value of the wrong type, is a :class:`ConfigError` naming
+    the application and the parameter; range rules stay in the
+    constructors, and an error raised there is its own.
     """
     factory = APP_FACTORIES.get(name)
     if factory is None:
@@ -68,8 +86,14 @@ def create_app(name: str, params: dict | None = None) -> PPEApplication:
             f"unknown application {name!r}; registered: {sorted(APP_FACTORIES)}"
         )
     params = params or {}
+    accepted = signature(factory, eval_str=True)
     try:
-        signature(factory).bind(**params)
+        bound = accepted.bind(**params)
     except TypeError as exc:
         raise ConfigError(f"application {name!r} parameters: {exc}") from None
+    for key, value in bound.arguments.items():
+        where = f"application {name!r} parameter {key!r}"
+        typed(value, _kinds(accepted.parameters[key].annotation), where)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{where} must be finite, got {value!r}")
     return factory(**params)

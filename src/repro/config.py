@@ -29,7 +29,7 @@ let a stale CI job test the oracle against itself and stay green.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -68,10 +68,6 @@ class Settings:
             metrics_dir=Path(metrics_dir) if metrics_dir else None,
             start_method=start if start in _START_METHODS else None,
         )
-
-    def with_overrides(self, **changes: object) -> "Settings":
-        """A copy with the given fields replaced (keyword-checked)."""
-        return replace(self, **changes)
 
 
 def get_settings(env: Mapping[str, str] | None = None) -> Settings:

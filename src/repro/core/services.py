@@ -92,9 +92,6 @@ class ArpResponder(ControlPlaneService):
         self.mac = mac_to_int(mac)
         self.owned = {ip_to_int(ip) for ip in owned_ips}
 
-    def add_address(self, ip: str | int) -> None:
-        self.owned.add(ip_to_int(ip))
-
     def handle(self, packet: Packet, direction: Direction) -> Packet | None:
         arp = packet.get(ARP)
         if arp is None or arp.opcode != ARP.REQUEST or arp.target_ip not in self.owned:

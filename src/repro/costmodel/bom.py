@@ -76,10 +76,6 @@ class FlexSfpBom:
             high += item_high
         return low, high
 
-    def dominant_item(self) -> BomItem:
-        """The largest cost driver (the paper: "the FPGA")."""
-        return max(self.items, key=lambda item: item.cost_high_usd)
-
     def breakdown(self, units: int = 1_000) -> list[dict[str, object]]:
         rows = []
         total_low, total_high = self.total_range(units)

@@ -95,12 +95,6 @@ class WorkerFaultPlan:
                 return fault
         return None
 
-    def max_attempts_hit(self, shard: int) -> int:
-        """Highest scheduled attempt for ``shard`` (0 when unscheduled)."""
-        return max(
-            (f.attempt for f in self.faults if f.shard == shard), default=0
-        )
-
     # ------------------------------------------------------------------
     @classmethod
     def scripted(cls, schedule: dict[tuple[int, int], str]) -> "WorkerFaultPlan":

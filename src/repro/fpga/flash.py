@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..errors import BitstreamError, FlashError
+from ..errors import FlashError
 from .bitstream import Bitstream
 
 DEFAULT_FLASH_BITS = 128 * 1024 * 1024  # 128 Mb (prototype)
@@ -133,15 +133,6 @@ class SPIFlash:
         if not self.slots[index].occupied:
             raise FlashError(f"cannot boot from empty slot {index}")
         self.boot_slot = index
-
-    def boot_image(self) -> Bitstream:
-        """The bitstream the module will boot, falling back to golden."""
-        try:
-            return self.load_bitstream(self.boot_slot)
-        except (FlashError, BitstreamError):
-            if self.boot_slot != 0:
-                return self.load_bitstream(0)
-            raise
 
     def verify_slot(self, index: int) -> bool:
         """Does the slot hold an image whose CRC checks out?"""

@@ -141,14 +141,6 @@ class FPGADevice:
             if value > getattr(self, key)
         ]
 
-    def check_fits(self, used: ResourceVector, what: str = "design") -> None:
-        """Raise :class:`ResourceError` when ``used`` exceeds capacity."""
-        if not self.fits(used):
-            overs = self.overflow_report(used)
-            raise ResourceError(
-                f"{what} does not fit {self.name}: over on {', '.join(overs)}"
-            )
-
 
 def sram_blocks_for_table(entries: int, entry_bits: int) -> int:
     """LSRAM blocks needed to store ``entries`` × ``entry_bits`` of state.

@@ -136,10 +136,6 @@ class OptimizationReport:
     def lut_saving(self) -> int:
         return self.before_resources.lut4 - self.after_resources.lut4
 
-    @property
-    def ff_saving(self) -> int:
-        return self.before_resources.ff - self.after_resources.ff
-
 
 def optimize(spec: PipelineSpec) -> tuple[PipelineSpec, OptimizationReport]:
     """Run every pass to a fixed point; return the new spec + report."""

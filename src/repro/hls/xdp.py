@@ -163,7 +163,6 @@ class XdpContext:
         self._ppe_ctx = ppe_ctx
         self.touched_headers: set[type] = set()
         self.rewritten_bits = 0
-        self.used_checksum = False
 
     # Header access ----------------------------------------------------
     def header(self, header_type: type, index: int = 0):
@@ -201,14 +200,6 @@ class XdpContext:
             )
         setattr(header, field, value)
         self.rewritten_bits += bits
-
-    def csum_update(self) -> None:
-        """Mark that the program relies on incremental checksum hardware.
-
-        Functionally a no-op: the simulator recomputes checksums at
-        serialization (RFC 1624 equivalence is covered by unit tests).
-        """
-        self.used_checksum = True
 
     def now_ns(self) -> int:
         return self._ppe_ctx.time_ns

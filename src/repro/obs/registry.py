@@ -103,12 +103,6 @@ class MetricsRegistry:
         prefix, leaf = name.rsplit(".", 1)
         self.register(prefix, lambda: {leaf: supplier()})
 
-    def unregister(self, prefix: str) -> None:
-        """Remove the source bound at ``prefix`` (missing prefixes error)."""
-        if prefix not in self._sources:
-            raise ObservabilityError(f"metric prefix {prefix!r} is not registered")
-        del self._sources[prefix]
-
     def prefixes(self) -> tuple[str, ...]:
         """Registered prefixes, sorted."""
         return tuple(sorted(self._sources))

@@ -85,14 +85,6 @@ class IPv4(Header):
     def dst_ip(self) -> str:
         return int_to_ip(self.dst)
 
-    @property
-    def dont_fragment(self) -> bool:
-        return bool(self.flags & 0x2)
-
-    @property
-    def more_fragments(self) -> bool:
-        return bool(self.flags & 0x1)
-
     def pack(self) -> bytes:
         tos = (self.dscp << 2) | self.ecn
         flags_frag = (self.flags << 13) | self.frag_offset
@@ -109,13 +101,6 @@ class IPv4(Header):
             self.dst.to_bytes(4, "big"),
         )
         return head + self.options
-
-    def packed_with_checksum(self) -> bytes:
-        """Pack with the header checksum recomputed in place."""
-        self.checksum = 0
-        raw = self.pack()
-        self.checksum = internet_checksum(raw)
-        return self.pack()
 
     def verify_checksum(self) -> bool:
         """True iff the stored header checksum is valid."""

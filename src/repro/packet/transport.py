@@ -108,9 +108,6 @@ class TCP(Header):
     def data_offset(self) -> int:
         return self.header_len // 4
 
-    def has_flag(self, flag: int) -> bool:
-        return bool(self.flags & flag)
-
     def pack(self) -> bytes:
         off_flags = (self.data_offset << 12) | self.flags
         head = _TCP.pack(

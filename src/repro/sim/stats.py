@@ -68,10 +68,6 @@ class RunningStats:
     def variance(self) -> float:
         return self._m2 / (self.count - 1) if self.count > 1 else 0.0
 
-    @property
-    def stdev(self) -> float:
-        return math.sqrt(self.variance)
-
     def metric_values(self) -> dict[str, float]:
         """Flat :class:`~repro.obs.registry.MetricSource` view."""
         return {

@@ -52,16 +52,6 @@ class SfpCage:
         self.module = module
         self.asic_port.connect(module.edge_port)
 
-    def remove_module(self) -> FlexSFPModule | None:
-        """Pull the module (its links are torn down)."""
-        module = self.module
-        if module is not None:
-            self.asic_port.disconnect()
-            module.edge_port.disconnect()
-            module.line_port.disconnect()
-            self.module = None
-        return module
-
 
 class LegacySwitch:
     """Fixed-function MAC-learning switch; no programmability inside."""

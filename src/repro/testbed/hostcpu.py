@@ -83,8 +83,3 @@ class HostCpuPath:
             return math.inf
         # M/D/1 mean waiting time: rho * service / (2 (1 - rho)).
         return service + rho * service / (2 * (1 - rho))
-
-    def jitter_ratio(self, pps: float) -> float:
-        """Sojourn time at load vs unloaded service time (>= 1)."""
-        latency = self.latency_s(pps)
-        return latency / (self.per_packet_ns / 1e9)

@@ -21,11 +21,6 @@ class TestMappings:
         assert nat.mapping_of("10.0.0.1") == "198.51.100.1"
         assert nat.mapping_of("10.0.0.99") is None
 
-    def test_remove(self, nat):
-        nat.remove_mapping("10.0.0.1")
-        assert nat.mapping_of("10.0.0.1") is None
-        assert nat.reverse_table.lookup(0xC6336401) is None
-
     def test_capacity(self):
         nat = StaticNat(capacity=1)
         nat.add_mapping("10.0.0.1", "198.51.100.1")

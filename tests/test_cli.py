@@ -530,6 +530,13 @@ class TestTenantsFileBoundary:
         assert code == 2 and "Traceback" not in err
         assert err.startswith("error: ") and "'ratelimiter'" in err and "'zz'" in err
 
+    def test_wrongly_typed_app_parameter_exits_2_naming_it(self, capsys, tmp_path):
+        policer = {"name": "pol", "app": "ratelimiter", "params": {"capacity": "x"},
+                   "share": 0.5}  # fmt: skip
+        code, _, err = self.check(capsys, tmp_path, json.dumps([policer, self.GOOD[1]]))
+        assert code == 2 and "Traceback" not in err
+        assert err.startswith("error: ") and "'capacity'" in err and "'x'" in err
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "check", "--nfv", "--tenants", str(tmp_path / "absent.json")

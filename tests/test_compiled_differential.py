@@ -492,6 +492,56 @@ def test_vlan_untag_direction_matches_reference(service_vid):
     assert stats["recipe_frames"] > 0, stats
 
 
+def test_reverse_nat_per_destination_matches_reference():
+    """Line→edge NAT from one source alternating between two public
+    addresses: each frame's reverse translation depends on its
+    destination, so a flow key without ``ip.dst`` would replay one
+    mapping's recipe onto the other's frames."""
+    from repro.core.ppe import Direction
+    from repro.core.shells import ShellSpec
+
+    publics = ("198.51.100.1", "198.51.100.2")
+    templates = [
+        make_udp(
+            src_ip="203.0.113.7", dst_ip=public, sport=20_000, dport=10_000,
+            payload=bytes(80),
+        )
+        for public in publics
+    ]
+
+    def run(engine: str):
+        sim = Simulator()
+        nat = StaticNat()
+        nat.add_mapping("10.0.0.1", publics[0])
+        nat.add_mapping("10.0.0.2", publics[1])
+        shell = ShellSpec(filtered_direction=Direction.LINE_TO_EDGE)
+        module = FlexSFPModule(
+            sim, "dut", Deployment.solo(nat), shell=shell, auth_key=KEY, engine=engine
+        )
+        host, fiber = wire(sim, module)
+        dsts = []
+        host.attach(lambda port, packet, size, when: dsts.append(packet.ipv4.dst))
+        CbrSource(
+            sim,
+            fiber,
+            rate_bps=RATE_BPS,
+            frame_len=templates[0].wire_len,
+            stop=RUN_S,
+            factory=lambda index, size: templates[index % 2].copy(),
+            burst=burst_of(module),
+        )
+        sim.run(until=RUN_S + 0.2e-3)
+        return results_of(module, host, fiber), dsts, module
+
+    reference, reference_dsts, _ = run("reference")
+    compiled, compiled_dsts, module = run("compiled")
+    assert compiled_dsts == reference_dsts
+    assert reference_dsts[:2] == [ip_to_int("10.0.0.1"), ip_to_int("10.0.0.2")]
+    assert compiled == reference
+    # Not vacuous: the compiled tier replayed cached recipes.
+    assert module.ppe.metric_values()["nat.flow_cache.hits"] > 0
+
+
 # ----------------------------------------------------------------------
 # One slot list, one ingress: the seams between the lanes and the boot FSM
 # ----------------------------------------------------------------------

@@ -178,13 +178,6 @@ class TestOverflowReport:
 
         assert MPF200T.overflow_report(ResourceVector(lut4=1)) == []
 
-    def test_check_fits_message_uses_report(self):
-        from repro.errors import ResourceError
-        from repro.fpga import MPF100T, ResourceVector
-
-        with pytest.raises(ResourceError, match="lut4"):
-            MPF100T.check_fits(ResourceVector(lut4=MPF100T.lut4 + 1))
-
 
 class TestVerifyFlag:
     def test_verify_notes_surface_warnings(self):

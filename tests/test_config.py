@@ -57,12 +57,6 @@ class TestSettings:
         )
         assert settings == Settings()
 
-    def test_with_overrides(self):
-        base = Settings()
-        tuned = base.with_overrides(engine="compiled", start_method="spawn")
-        assert (tuned.engine, tuned.start_method) == ("compiled", "spawn")
-        assert base == Settings()  # frozen: original untouched
-
     def test_get_settings_reads_process_env(self, monkeypatch):
         monkeypatch.setenv("FLEXSFP_MP_START", "spawn")
         assert get_settings().start_method == "spawn"

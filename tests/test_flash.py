@@ -97,24 +97,9 @@ class TestGoldenProtection:
 
 
 class TestBoot:
-    def test_boot_selection(self):
-        flash = SPIFlash()
-        flash.store_bitstream(0, make_bitstream("golden"), allow_golden=True)
-        flash.store_bitstream(2, make_bitstream("new"))
-        flash.select_boot(2)
-        assert flash.boot_image().app_name == "new"
-
     def test_cannot_boot_empty_slot(self):
         with pytest.raises(FlashError):
             SPIFlash().select_boot(3)
-
-    def test_boot_falls_back_to_golden(self):
-        flash = SPIFlash()
-        flash.store_bitstream(0, make_bitstream("golden"), allow_golden=True)
-        flash.store_bitstream(1, make_bitstream("app"))
-        flash.select_boot(1)
-        flash.erase_slot(1)  # app slot wiped behind our back
-        assert flash.boot_image().app_name == "golden"
 
     def test_directory_snapshot(self):
         flash = SPIFlash()

@@ -51,10 +51,6 @@ class TestDeviceCatalog:
         assert not MPF200T.fits(ResourceVector(lut4=200_000))
         assert not MPF100T.fits(ResourceVector(lsram=400))
 
-    def test_check_fits_raises_with_detail(self):
-        with pytest.raises(ResourceError, match="lsram"):
-            MPF200T.check_fits(ResourceVector(lsram=700))
-
     def test_utilization(self):
         util = MPF200T.utilization(ResourceVector(lut4=MPF200T.lut4 // 2))
         assert util["lut4"] == pytest.approx(0.5)

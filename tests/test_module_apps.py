@@ -5,10 +5,14 @@ application inside a full :class:`FlexSFPModule` (build flow included)
 with representative traffic, asserting deployment-level behaviour.
 """
 
+import math
+
 import pytest
 
-from repro.apps import APP_FACTORIES, TunnelRoute, create_app
+from repro import apps
+from repro.apps import APP_FACTORIES, Passthrough, TunnelRoute, create_app
 from repro.core import FlexSFPModule, ShellKind, ShellSpec
+from repro.errors import ConfigError
 from repro.packet import (
     GRE,
     IPv4,
@@ -38,6 +42,42 @@ def deploy(sim, app, shell_kind=ShellKind.ONE_WAY_FILTER):
     connect(host, module.edge_port)
     connect(module.line_port, fiber)
     return module, host, fiber, host_rx, fiber_rx
+
+
+class TestCreateAppParameterTypes:
+    """A registry build checks each value against its annotation, naming
+    the application, the parameter and the value."""
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("ratelimiter", {"capacity": "x"}),
+            ("vlan", {"access_vid": "100"}),
+            ("nat", {"capacity": math.nan}),
+            ("nat", {"capacity": True}),
+        ],
+        ids=["str-for-int", "numeric-str", "nan-for-int", "bool-for-int"],
+    )
+    def test_a_wrongly_typed_value_is_refused(self, name, params):
+        [(key, value)] = params.items()
+        with pytest.raises(ConfigError) as excinfo:
+            create_app(name, params)
+        message = str(excinfo.value)
+        assert f"{name!r}" in message and f"{key!r}" in message
+        assert repr(value) in message
+
+    def test_a_float_parameter_must_be_finite(self, monkeypatch):
+        class Meter(Passthrough):
+            def __init__(self, rate: float = 1.0) -> None:
+                super().__init__()
+                self.rate = rate
+
+        monkeypatch.setattr(apps, "Meter", Meter, raising=False)
+        monkeypatch.setitem(APP_FACTORIES._exports, "meter", "Meter")
+        assert create_app("meter", {"rate": 2}).rate == 2
+        for rate in (math.inf, math.nan, False):
+            with pytest.raises(ConfigError, match="'rate'"):
+                create_app("meter", {"rate": rate})
 
 
 class TestEveryAppBuildsAndForwards:

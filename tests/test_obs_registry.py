@@ -82,14 +82,6 @@ class TestRegistration:
         with pytest.raises(ObservabilityError):
             registry.register("dut", object())
 
-    def test_unregister(self):
-        registry = MetricsRegistry()
-        registry.register("dut", FixedSource({"x": 1}))
-        registry.unregister("dut")
-        assert "dut" not in registry and len(registry) == 0
-        with pytest.raises(ObservabilityError):
-            registry.unregister("dut")
-
 
 class TestCollection:
     def test_nested_prefixes_coexist(self):

@@ -276,5 +276,3 @@ class TestWorkerFaultPlan:
         assert plan.fault_for(2, 1).kind == "worker_hang"
         assert plan.fault_for(2, 3) is None
         assert plan.fault_for(0, 1) is None
-        assert plan.max_attempts_hit(2) == 2
-        assert plan.max_attempts_hit(5) == 0

@@ -57,11 +57,6 @@ class TestArpResponder:
         packet.get(ARP).opcode = ARP.REPLY
         assert responder.handle(packet, Direction.EDGE_TO_LINE) is None
 
-    def test_add_address(self):
-        responder = ArpResponder(MODULE_MAC, [])
-        responder.add_address("192.0.2.7")
-        assert responder.handle(arp_request("192.0.2.7"), Direction.EDGE_TO_LINE)
-
 
 class TestIcmpEchoResponder:
     def test_answers_ping(self):

@@ -105,14 +105,6 @@ class TestCages:
         with pytest.raises(SimulationError, match="unplug"):
             switch.insert_flexsfp(0, FlexSFPModule(sim, "m", Deployment.solo(VlanTagger())))
 
-    def test_remove_module(self, sim):
-        switch = LegacySwitch(sim, "sw", num_ports=2)
-        module = FlexSFPModule(sim, "m", Deployment.solo(VlanTagger()))
-        switch.insert_flexsfp(0, module)
-        removed = switch.cages[0].remove_module()
-        assert removed is module
-        assert switch.external_port(0) is switch.cages[0].asic_port
-
 
 class TestRetrofit:
     def test_apply_retrofit_builds_modules(self, sim):

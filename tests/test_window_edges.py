@@ -1,0 +1,153 @@
+"""Window edges: a dark or raised window is ``[start, until)`` at the
+frame's wire time, on both tiers.
+
+Each test places one frame exactly on an edge, with a frame on either
+side of it: a frame arriving at ``start`` is judged inside the window, one
+arriving at ``until`` outside.  The arrival times are measured first, at
+the port that judges them or a plain port cabled in its place, then the
+window is opened on that exact float.
+"""
+
+import math
+
+import pytest
+
+from repro.apps import Passthrough
+from repro.core import FlexSFPModule
+from repro.core.module import RECONFIG_DOWNTIME_S
+from repro.netem import ImpairedPort
+from repro.nfv import Deployment
+from repro.packet import make_udp
+from repro.sim import Port, Simulator, connect
+
+TIERS = ("reference", "compiled")
+#: Three frames after the module's boot window, far enough apart that
+#: each is delivered on its own.
+SEND_AT_S = tuple(RECONFIG_DOWNTIME_S + t for t in (10e-6, 30e-6, 50e-6))
+
+
+def ending_at(until: float, duration: float) -> float:
+    """The start whose ``start + duration`` is exactly ``until``."""
+    start = until - duration
+    while start + duration > until:
+        start = math.nextafter(start, -math.inf)
+    while start + duration < until:
+        start = math.nextafter(start, math.inf)
+    assert start + duration == until
+    return start
+
+
+class TestImpairedPortEdges:
+    """Frames cross a module of each tier, then an impaired fiber port."""
+
+    @staticmethod
+    def delivered(engine, window=None):
+        """The arrival times of the frames the fiber port kept.
+
+        ``window(sim, fiber)`` opens the window under test; it is
+        called before any frame is sent, so a window event at a frame's own
+        time fires first.  Without it every frame is kept and the arrival
+        times are the ones the window is placed on.
+        """
+        sim = Simulator()
+        module = FlexSFPModule(
+            sim, "m", Deployment.solo(Passthrough()), auth_key=b"k", engine=engine
+        )
+        host = Port(sim, "host", 10e9)
+        fiber = ImpairedPort(sim, "fiber", seed=1)
+        kept = []
+        fiber.attach(lambda port, packet, size, when: kept.append(when))
+        connect(host, module.edge_port)
+        connect(module.line_port, fiber)
+        if window is not None:
+            window(sim, fiber)
+        for at in SEND_AT_S:
+            sim.schedule_at(at, host.send, make_udp())
+        sim.run(until=SEND_AT_S[-1] + 1e-3)
+        return kept
+
+    @pytest.fixture(params=TIERS)
+    def edge(self, request):
+        """(tier, the three arrival times), all three kept unwindowed."""
+        arrivals = self.delivered(request.param)
+        assert len(arrivals) == 3
+        return request.param, arrivals
+
+    def test_dark_start_drops_the_frame_on_it(self, edge):
+        engine, arrivals = edge
+        kept = self.delivered(
+            engine,
+            lambda sim, fiber: sim.schedule_at(arrivals[1], fiber.flap, 1e-3),
+        )
+        assert kept == arrivals[:1]
+
+    def test_dark_end_keeps_the_frame_on_it(self, edge):
+        engine, arrivals = edge
+        kept = self.delivered(engine, lambda sim, fiber: fiber.flap(arrivals[1]))
+        assert kept == arrivals[1:]
+
+    def test_raised_loss_start_drops_the_frame_on_it(self, edge):
+        engine, arrivals = edge
+        kept = self.delivered(
+            engine,
+            lambda sim, fiber: sim.schedule_at(
+                arrivals[1], fiber.loss_burst, 1e-3, 1.0
+            ),
+        )
+        assert kept == arrivals[:1]
+
+    def test_raised_loss_end_keeps_the_frame_on_it(self, edge):
+        engine, arrivals = edge
+        kept = self.delivered(
+            engine, lambda sim, fiber: fiber.loss_burst(arrivals[1], 1.0)
+        )
+        assert kept == arrivals[1:]
+
+
+class TestRebootEdges:
+    """A module of each tier reboots with a frame exactly on an edge of its
+    ``RECONFIG_DOWNTIME_S`` window."""
+
+    @staticmethod
+    def arrivals():
+        """When the three frames reach a module's edge port."""
+        sim = Simulator()
+        host, edge = Port(sim, "host", 10e9), Port(sim, "edge", 10e9)
+        seen = []
+        edge.attach(lambda port, packet, size, when: seen.append(when))
+        connect(host, edge)
+        for at in SEND_AT_S:
+            sim.schedule_at(at, host.send, make_udp())
+        sim.run()
+        return seen
+
+    @staticmethod
+    def forwarded(engine, reboot_at):
+        """Which frames a module rebooting at ``reboot_at`` forwards."""
+        sim = Simulator()
+        module = FlexSFPModule(
+            sim, "m", Deployment.solo(Passthrough()), auth_key=b"k", engine=engine
+        )
+        host, fiber = Port(sim, "host", 10e9), Port(sim, "fiber", 10e9)
+        kept = []
+        fiber.attach(lambda port, packet, size, when: kept.append(packet.payload[0]))
+        connect(host, module.edge_port)
+        connect(module.line_port, fiber)
+        sim.schedule_at(reboot_at, module.reboot)
+        for index, at in enumerate(SEND_AT_S):
+            sim.schedule_at(at, host.send, make_udp(payload=bytes([index])))
+        sim.run(until=reboot_at + RECONFIG_DOWNTIME_S + 1e-3)
+        assert module.reboots == 1
+        assert module.downtime_drops.packets == len(SEND_AT_S) - len(kept)
+        return kept
+
+    @pytest.mark.parametrize("engine", TIERS)
+    def test_down_edge_drops_the_frame_on_it(self, engine):
+        on_edge = self.arrivals()[1]
+        assert self.forwarded(engine, on_edge) == [0]
+
+    @pytest.mark.parametrize("engine", TIERS)
+    def test_up_edge_forwards_the_frame_on_it(self, engine):
+        on_edge = self.arrivals()[1]
+        reboot_at = ending_at(on_edge, RECONFIG_DOWNTIME_S)
+        assert self.forwarded(engine, reboot_at) == [1, 2]

@@ -82,7 +82,6 @@ class TestRuntime:
         def rewrite(ctx: XdpContext) -> XdpVerdict:
             ip = ctx.ipv4
             ctx.rewrite(ip, "src", 0x01020304)
-            ctx.csum_update()
             return XdpVerdict.XDP_PASS
 
         program = make_program(
