@@ -97,8 +97,8 @@ def compute():
     return [run_fused(), run_chained_modules()]
 
 
-def test_composition_ablation(benchmark):
-    rows = benchmark.pedantic(compute, rounds=1, iterations=1)
+def test_composition_ablation():
+    rows = compute()
     report(
         "Ablation: NAT+firewall fused in one PPE vs two modules in series",
         ("deployment", "modules", "total LUT", "power W", "latency us"),

@@ -39,8 +39,8 @@ def compute():
     return rows
 
 
-def test_controlplane_class_ablation(benchmark):
-    rows = benchmark.pedantic(compute, rounds=3, iterations=1)
+def test_controlplane_class_ablation():
+    rows = compute()
     report(
         "Ablation: softcore (Mi-V) vs SoC control plane (NAT design)",
         ("control plane", "LUT", "FF", "uSRAM", "module W"),

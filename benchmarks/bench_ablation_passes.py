@@ -52,8 +52,8 @@ def compute():
     return naive, optimized, opt_report
 
 
-def test_optimizer_ablation(benchmark):
-    naive, optimized, opt_report = benchmark.pedantic(compute, rounds=3, iterations=1)
+def test_optimizer_ablation():
+    naive, optimized, opt_report = compute()
     rows = [
         (
             "naive",

@@ -55,8 +55,8 @@ def compute():
     return results
 
 
-def test_chain_depth_ablation(benchmark):
-    results = benchmark.pedantic(compute, rounds=1, iterations=1)
+def test_chain_depth_ablation():
+    results = compute()
     report(
         "Ablation: match-action chain depth on MPF200T (Two-Way-Core, 8k-entry tables)",
         ("stages", "LUT", "LSRAM", "LUT util", "LSRAM util", "fits"),

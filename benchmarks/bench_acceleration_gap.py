@@ -49,8 +49,8 @@ def compute():
     return rows
 
 
-def test_acceleration_gap(benchmark):
-    rows = benchmark.pedantic(compute, rounds=3, iterations=1)
+def test_acceleration_gap():
+    rows = compute()
     report(
         "§2 acceleration gap: one simple task, three paths (64 B frames)",
         (

@@ -35,8 +35,8 @@ def compute():
     return rows
 
 
-def test_app_footprints(benchmark):
-    rows = benchmark.pedantic(compute, rounds=1, iterations=1)
+def test_app_footprints():
+    rows = compute()
     report(
         "§3 use-case spectrum: per-application footprints (MPF200T, 10G one-way)",
         ("app", "chain", "app LUT", "app LSRAM", "LUT util", "LSRAM util", "fits", "timing"),

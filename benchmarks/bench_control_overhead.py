@@ -82,8 +82,8 @@ def compute():
     }
 
 
-def test_control_overhead(benchmark):
-    result = benchmark.pedantic(compute, rounds=1, iterations=1)
+def test_control_overhead():
+    result = compute()
     report(
         "§4.1 assumption: control share during a full OTA deploy + polling",
         ("metric", "value"),

@@ -192,8 +192,8 @@ def compute_all():
     return results
 
 
-def test_e2e_nat_line_rate(benchmark):
-    results = benchmark.pedantic(compute_all, rounds=1, iterations=1)
+def test_e2e_nat_line_rate():
+    results = compute_all()
     report(
         "§5.1 E2E: NAT at 10G line rate (One-Way-Filter, 64b @ 156.25 MHz)",
         ("frame B", "achieved Gbps", "expected Gbps", "Mpps", "PPE drops"),
@@ -263,10 +263,8 @@ def compute_compiled_speedup():
     )
 
 
-def test_compiled_speedup(benchmark):
-    reference, compiled = benchmark.pedantic(
-        compute_compiled_speedup, rounds=1, iterations=1
-    )
+def test_compiled_speedup():
+    reference, compiled = compute_compiled_speedup()
     speedup = (
         compiled["sim_pkts_per_wall_s"] / reference["sim_pkts_per_wall_s"]
     )
@@ -349,10 +347,8 @@ def _scenario_run(engine: str) -> dict:
     }
 
 
-def test_scenario_compiled_speedup(benchmark):
-    reference, compiled = benchmark.pedantic(
-        _cleanest_pair, args=(_scenario_run,), rounds=1, iterations=1
-    )
+def test_scenario_compiled_speedup():
+    reference, compiled = _cleanest_pair(_scenario_run)
     speedup = compiled["sim_pkts_per_wall_s"] / reference["sim_pkts_per_wall_s"]
     report(
         f"Compiled tier vs reference on the nat-linerate scenario "

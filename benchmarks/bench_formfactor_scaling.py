@@ -35,8 +35,8 @@ def compute():
     return rows
 
 
-def test_formfactor_scaling(benchmark):
-    rows = benchmark.pedantic(compute, rounds=1, iterations=1)
+def test_formfactor_scaling():
+    rows = compute()
     report(
         "§6: FlexSFP power vs MSA envelopes across form factors",
         ("Gbps", "form factor", "module W", "envelope W", "verdict"),

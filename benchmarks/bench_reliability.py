@@ -55,10 +55,8 @@ def compute():
     return fractions, diagnosis, economics
 
 
-def test_reliability(benchmark):
-    fractions, diagnosis, economics = benchmark.pedantic(
-        compute, rounds=1, iterations=1
-    )
+def test_reliability():
+    fractions, diagnosis, economics = compute()
     report(
         "§5.3 reliability: fleet laser-failure fraction (lognormal TTF, median 12y)",
         ("horizon (y)", "failed fraction"),

@@ -48,8 +48,8 @@ def compute():
     return results
 
 
-def test_scalability_sweep(benchmark):
-    results = benchmark.pedantic(compute, rounds=1, iterations=1)
+def test_scalability_sweep():
+    results = compute()
     report(
         "§5.3 scalability: NAT operating points per line rate",
         ("Gbps", "width b", "clock MHz", "app LUT", "total LUT", "timing")
@@ -85,7 +85,7 @@ def test_scalability_sweep(benchmark):
     assert headrooms == sorted(headrooms, reverse=True)
 
 
-def test_two_way_scaling_needs_double(benchmark):
+def test_two_way_scaling_needs_double():
     """The Two-Way-Core's 2x multiplier shifts every crossover point."""
 
     def compute_two_way():
@@ -96,7 +96,7 @@ def test_two_way_scaling_needs_double(benchmark):
             rows.append((line_rate / 1e9, one_way, two_way))
         return rows
 
-    rows = benchmark.pedantic(compute_two_way, rounds=1, iterations=1)
+    rows = compute_two_way()
     report(
         "§5.3: one-way vs two-way operating points",
         ("Gbps", "one-way (b, MHz)", "two-way (b, MHz)"),

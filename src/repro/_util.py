@@ -106,6 +106,17 @@ def ip_to_int(ip: str | int) -> int:
     return value
 
 
+def check_ipv4(where: str, **addresses: str | int) -> None:
+    """Refuse a malformed IPv4 address (dotted quad or int), naming
+    ``where`` and the field: an app builds the datagrams it exports from
+    these mid-run, so a bad one is refused when the app is made."""
+    for field, ip in addresses.items():
+        try:
+            ip_to_int(typed(ip, (str, int), f"{where} {field}"))
+        except ConfigError as exc:
+            raise ConfigError(f"{where} {field}: {exc}") from None
+
+
 def int_to_ip(value: int) -> str:
     """Format a 32-bit integer as a dotted quad."""
     if not 0 <= value < (1 << 32):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import struct
 
-from .._util import ip_to_int, typed
+from .._util import check_ipv4, typed
 from ..core.ppe import Direction, PPEApplication, PPEContext, Verdict
 from ..errors import ConfigError
 from ..hls.ir import PipelineSpec, Stage, StageKind
@@ -77,12 +77,7 @@ class InbandTelemetry(PPEApplication):
             raise ConfigError(f"INT max_hops must be 1..15, got {max_hops}")
         if only_direction not in DIRECTIONS:
             raise ConfigError(f"INT only_direction {only_direction!r} is not one of {DIRECTIONS}")
-        # The sink's report is built from these: refused here, not mid-run.
-        for field, ip in (("collector_ip", collector_ip), ("exporter_ip", exporter_ip)):
-            try:
-                ip_to_int(typed(ip, (str, int), f"INT {field}"))
-            except ConfigError as exc:
-                raise ConfigError(f"INT {field}: {exc}") from None
+        check_ipv4("INT", collector_ip=collector_ip, exporter_ip=exporter_ip)
         self.role = role
         self.max_hops = max_hops
         self.collector_ip = collector_ip

@@ -22,6 +22,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+from .._util import check_ipv4
 from ..core.ppe import Direction, PPEApplication, PPEContext, Verdict
 from ..errors import ConfigError
 from ..hls.ir import PipelineSpec, Stage, StageKind
@@ -69,14 +70,15 @@ class LinkHealthMonitor(PPEApplication):
         dead_interval_ns: int = 1_000_000,  # 1 ms of silence
         flap_count: int = 3,
         flap_window_ns: int = 1_000_000_000,
-        collector_ip: str = "203.0.113.10",
-        exporter_ip: str = "203.0.113.3",
+        collector_ip: str | int = "203.0.113.10",
+        exporter_ip: str | int = "203.0.113.3",
     ) -> None:
         super().__init__()
         if burst_packets < 2:
             raise ConfigError("burst_packets must be at least 2")
         if dead_interval_ns <= 0 or flap_window_ns <= 0:
             raise ConfigError("intervals must be positive")
+        check_ipv4("linkhealth", collector_ip=collector_ip, exporter_ip=exporter_ip)
         self.burst_gap_ns = burst_gap_ns
         self.burst_packets = burst_packets
         self.dead_interval_ns = dead_interval_ns

@@ -18,6 +18,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+from .._util import check_ipv4
 from ..core.ppe import Direction, PPEApplication, PPEContext, Verdict
 from ..core.tables import ExactTable
 from ..errors import ConfigError
@@ -106,13 +107,14 @@ class FlowTelemetry(PPEApplication):
         capacity: int = 4096,
         sample_rate: int = 1,
         export_interval_ns: int = 1_000_000_000,
-        collector_ip: str = "203.0.113.10",
-        exporter_ip: str = "203.0.113.1",
+        collector_ip: str | int = "203.0.113.10",
+        exporter_ip: str | int = "203.0.113.1",
         max_records_per_export: int = 30,
     ) -> None:
         super().__init__()
         if sample_rate < 1:
             raise ConfigError("sample_rate must be >= 1 (1 = every packet)")
+        check_ipv4("telemetry", collector_ip=collector_ip, exporter_ip=exporter_ip)
         self.capacity = capacity
         self.sample_rate = sample_rate
         self.export_interval_ns = export_interval_ns

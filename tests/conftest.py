@@ -94,3 +94,14 @@ def nat_sweep(sweep_runs: dict, nat_progress: list[str]):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(runner, "run_sharded", _run_once(sweep_runs))
         return run_declared("nat-linerate", progress=nat_progress.append)
+
+
+@pytest.fixture(scope="session")
+def nat_build():
+    """The NAT design's synthesis report, built as ``flexsfp paper table1``
+    and ``flexsfp paper power`` build it."""
+    from repro.apps import create_app
+    from repro.core.shells import ShellSpec
+    from repro.hls import compile_app
+
+    return compile_app(create_app("nat"), ShellSpec()).report

@@ -516,8 +516,13 @@ class TestTenantsFileBoundary:
             (json.dumps([{"app": "int"}]), "name"),
             (json.dumps([{"name": "solo"}]), "app"),
             (json.dumps([dict(GOOD[1], engine="compiled")]), "engine"),
+            (json.dumps([dict(GOOD[1], app="telemetry", params={"collector_ip": "203.0.113"})]),
+             "telemetry collector_ip: invalid IPv4 address"),
+            (json.dumps([dict(GOOD[1], app="linkhealth", params={"collector_ip": "203.0.113"})]),
+             "linkhealth collector_ip: invalid IPv4 address"),
         ],
-        ids=["malformed-json", "not-a-list", "no-name", "no-app", "engine-key"],
+        ids=["malformed-json", "not-a-list", "no-name", "no-app", "engine-key",
+             "telemetry-collector", "linkhealth-collector"],
     )
     def test_bad_file_exits_2_without_traceback(self, capsys, tmp_path, text, needle):
         code, _, err = self.check(capsys, tmp_path, text)

@@ -492,6 +492,52 @@ def test_vlan_untag_direction_matches_reference(service_vid):
     assert stats["recipe_frames"] > 0, stats
 
 
+def alternating_on_both_tiers(make_app, templates, value_of, shell=None) -> list:
+    """One source alternating between ``templates`` through a module of
+    each tier, which must deliver the same ``value_of`` each frame in the
+    same order, with the same results, while the compiled tier replays
+    cached recipes.  Returns the reference tier's delivered values.
+
+    The templates differ only in a field the app's verdict or rewrite
+    depends on, so a flow key without that field replays one template's
+    recipe onto the other's frames."""
+    from repro.core.ppe import Direction
+    from repro.core.shells import ShellSpec
+
+    shell = shell or ShellSpec()
+
+    def run(engine: str):
+        sim = Simulator()
+        module = FlexSFPModule(
+            sim, "dut", Deployment.solo(make_app()), shell=shell, auth_key=KEY, engine=engine
+        )
+        host, fiber = wire(sim, module)
+        source, sink = (
+            (fiber, host) if shell.filtered_direction is Direction.LINE_TO_EDGE else (host, fiber)
+        )
+        values = []
+        sink.attach(lambda port, packet, size, when: values.append(value_of(packet)))
+        CbrSource(
+            sim,
+            source,
+            rate_bps=RATE_BPS,
+            frame_len=templates[0].wire_len,
+            stop=RUN_S,
+            factory=lambda index, size: templates[index % 2].copy(),
+            burst=burst_of(module),
+        )
+        sim.run(until=RUN_S + 0.2e-3)
+        return values, results_of(module, host, fiber), module
+
+    reference_values, reference, _ = run("reference")
+    compiled_values, compiled, module = run("compiled")
+    assert compiled_values == reference_values
+    assert compiled == reference
+    # Not vacuous: the compiled tier replayed cached recipes.
+    assert module.ppe.metric_values()[f"{module.app.name}.flow_cache.hits"] > 0
+    return reference_values
+
+
 def test_reverse_nat_per_destination_matches_reference():
     """Line→edge NAT from one source alternating between two public
     addresses: each frame's reverse translation depends on its
@@ -509,37 +555,104 @@ def test_reverse_nat_per_destination_matches_reference():
         for public in publics
     ]
 
-    def run(engine: str):
-        sim = Simulator()
+    def make_nat():
         nat = StaticNat()
         nat.add_mapping("10.0.0.1", publics[0])
         nat.add_mapping("10.0.0.2", publics[1])
-        shell = ShellSpec(filtered_direction=Direction.LINE_TO_EDGE)
-        module = FlexSFPModule(
-            sim, "dut", Deployment.solo(nat), shell=shell, auth_key=KEY, engine=engine
-        )
-        host, fiber = wire(sim, module)
-        dsts = []
-        host.attach(lambda port, packet, size, when: dsts.append(packet.ipv4.dst))
-        CbrSource(
-            sim,
-            fiber,
-            rate_bps=RATE_BPS,
-            frame_len=templates[0].wire_len,
-            stop=RUN_S,
-            factory=lambda index, size: templates[index % 2].copy(),
-            burst=burst_of(module),
-        )
-        sim.run(until=RUN_S + 0.2e-3)
-        return results_of(module, host, fiber), dsts, module
+        return nat
 
-    reference, reference_dsts, _ = run("reference")
-    compiled, compiled_dsts, module = run("compiled")
-    assert compiled_dsts == reference_dsts
-    assert reference_dsts[:2] == [ip_to_int("10.0.0.1"), ip_to_int("10.0.0.2")]
-    assert compiled == reference
-    # Not vacuous: the compiled tier replayed cached recipes.
-    assert module.ppe.metric_values()["nat.flow_cache.hits"] > 0
+    dsts = alternating_on_both_tiers(
+        make_nat,
+        templates,
+        lambda packet: packet.ipv4.dst,
+        ShellSpec(filtered_direction=Direction.LINE_TO_EDGE),
+    )
+    assert dsts[:2] == [ip_to_int("10.0.0.1"), ip_to_int("10.0.0.2")]
+
+
+def test_firewall_per_port_verdict_matches_reference():
+    """One flow alternating between a permitted and a denied destination
+    port: the verdict depends on ``dport``."""
+    from repro.apps import AclFirewall, AclRule
+
+    def make_firewall():
+        firewall = AclFirewall()
+        firewall.add_rule(AclRule("deny", dport=23))
+        return firewall
+
+    templates = [
+        make_udp(src_ip="10.0.0.1", dst_ip="203.0.113.1", sport=20_000, dport=dport,
+                 payload=bytes(80))
+        for dport in (80, 23)
+    ]  # fmt: skip
+    dports = alternating_on_both_tiers(
+        make_firewall, templates, lambda packet: packet.udp.dport
+    )
+    assert dports and set(dports) == {80}
+
+
+def test_loadbalancer_per_source_port_backend_matches_reference():
+    """One client alternating between two source ports that hash to
+    different backends: the rewrite depends on ``sport``."""
+    from repro.apps.loadbalancer import Backend, L4LoadBalancer
+
+    backends = [Backend("10.1.0.1", "02:00:00:00:01:01"), Backend("10.1.0.2", "02:00:00:00:01:02")]
+
+    def make_balancer():
+        balancer = L4LoadBalancer()
+        balancer.add_service("203.0.113.100", 80, 17, backends)
+        return balancer
+
+    templates = [
+        make_udp(src_ip="198.51.100.7", dst_ip="203.0.113.100", sport=sport, dport=80,
+                 payload=bytes(80))
+        for sport in (20_000, 20_001)
+    ]  # fmt: skip
+    dsts = alternating_on_both_tiers(
+        make_balancer, templates, lambda packet: packet.ipv4.dst
+    )
+    assert dsts[:2] == [ip_to_int("10.1.0.1"), ip_to_int("10.1.0.2")]
+
+
+def test_vlan_per_vid_verdict_matches_reference():
+    """Line→edge frames alternating between the access VID and a foreign
+    one: the verdict (untag or drop) depends on the leading VID."""
+    from repro.apps import VlanTagger
+    from repro.core.ppe import Direction
+    from repro.core.shells import ShellSpec
+    from repro.packet import VLAN, vlan_push
+
+    templates = []
+    for vid in (100, 999):
+        packet = make_udp(src_ip="198.51.100.1", dst_ip="10.0.0.1", sport=20_000,
+                          dport=10_000, payload=bytes(80))  # fmt: skip
+        vlan_push(packet, vid)
+        templates.append(packet)
+    stacks = alternating_on_both_tiers(
+        lambda: VlanTagger(access_vid=100),
+        templates,
+        lambda packet: tuple(tag.vid for tag in packet.get_all(VLAN)),
+        ShellSpec(filtered_direction=Direction.LINE_TO_EDGE),
+    )
+    assert stacks and set(stacks) == {()}
+
+
+def test_dnsfilter_per_destination_verdict_matches_reference():
+    """One client alternating between a known DoH resolver and another
+    server, both on port 443: the verdict depends on ``ip.dst``."""
+    from repro.apps import DnsFilter
+
+    def make_filter():
+        dns = DnsFilter()
+        dns.add_doh_resolver("203.0.113.53")
+        return dns
+
+    templates = [
+        make_udp(src_ip="10.0.0.1", dst_ip=dst, sport=20_000, dport=443, payload=bytes(80))
+        for dst in ("203.0.113.53", "203.0.113.54")
+    ]
+    dsts = alternating_on_both_tiers(make_filter, templates, lambda packet: packet.ipv4.dst)
+    assert dsts and set(dsts) == {ip_to_int("203.0.113.54")}
 
 
 # ----------------------------------------------------------------------

@@ -1,18 +1,15 @@
-"""Cost model: BOM, ideal scaling, and the Table 3 bands."""
+"""Cost model: BOM, ideal scaling, the FlexSFP row and the Table 3 rows' shape.
+
+The other Table 3 figures are checked in ``tests/test_paper_claims.py``."""
 
 import pytest
 
 from repro.costmodel import (
-    DPU_BF2,
-    FPGA_NIC,
-    MANY_CORE,
     FlexSfpBom,
     Solution,
-    capex_saving_vs,
     flexsfp_solution,
     per_10g,
     per_10g_band,
-    power_reduction_vs,
     slices,
     table3_rows,
 )
@@ -47,7 +44,7 @@ class TestBom:
         bom = FlexSfpBom()
         low_1k, high_1k = bom.total_range(1_000)
         low_100k, high_100k = bom.total_range(100_000)
-        assert high_100k < high_1k
+        assert high_100k < high_1k and low_100k < low_1k
         assert low_100k < 250  # the paper's volume trajectory
 
     def test_breakdown_shares_sum_to_one(self):
@@ -56,21 +53,6 @@ class TestBom:
 
 
 class TestTable3:
-    def test_dpu_row_matches_paper(self):
-        row = DPU_BF2.row()
-        assert row["usd_per_10g"] == (300.0, 400.0)
-        assert row["w_per_10g"] == 15.0
-
-    def test_many_core_row_matches_paper(self):
-        row = MANY_CORE.row()
-        assert row["usd_per_10g"] == (100.0, 150.0)
-        assert row["w_per_10g"] == 5.0
-
-    def test_fpga_row_in_paper_band(self):
-        low, high = FPGA_NIC.cost_per_10g()
-        assert 200 <= low and high <= 400
-        assert 7 <= FPGA_NIC.power_per_10g() <= 10
-
     def test_flexsfp_row_derived(self):
         row = flexsfp_solution().row()
         low, high = row["usd_per_10g"]
@@ -93,13 +75,8 @@ class TestTable3:
 
 
 class TestHeadlineClaims:
-    def test_two_thirds_capex_saving(self):
-        # "roughly two-thirds CAPEX saving" vs the cheaper SmartNIC class.
-        saving = capex_saving_vs(MANY_CORE)
-        assert saving == pytest.approx(2 / 3, abs=0.1)
-
-    def test_order_of_magnitude_power_reduction(self):
-        assert power_reduction_vs(DPU_BF2) == pytest.approx(10.0, rel=0.15)
+    """The headline figures are claims rows; a solution behind them is
+    refused when its cost band is inverted."""
 
     def test_inverted_band_rejected(self):
         with pytest.raises(ConfigError):

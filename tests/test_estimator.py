@@ -1,82 +1,11 @@
-"""Synthesis cost model: Table 1 calibration and scaling behaviour."""
+"""Synthesis cost model: scaling behaviour and parameter validation.
+
+The Table 1 calibration is checked in ``tests/test_paper_claims.py``."""
 
 import pytest
 
 from repro.errors import ResourceError
-from repro.fpga import MPF200T, ResourceVector
 from repro.fpga import estimator as E
-
-# Paper Table 1 reference rows.
-PAPER_MIV = ResourceVector(lut4=8_696, ff=376, usram=6, lsram=4)
-PAPER_IF = ResourceVector(lut4=6_824, ff=6_924, usram=118, lsram=0)
-PAPER_NAT = ResourceVector(lut4=9_122, ff=11_294, usram=36, lsram=160)
-PAPER_TOTAL = ResourceVector(lut4=31_455, ff=25_518, usram=278, lsram=164)
-
-CALIBRATION_TOLERANCE = 0.10
-
-
-def nat_app_estimate() -> ResourceVector:
-    """The NAT pipeline as priced by the cost model (§5.1 composition)."""
-    return (
-        E.parser(34)
-        + E.exact_match_table(32_768, 32, 64)
-        + E.action_unit(32)
-        + E.checksum_update_unit()
-        + E.frame_fifo(2 * 1518, metadata_bits=192, metadata_entries=16)
-        + E.deparser(34)
-        + E.pipeline_glue(6)
-    )
-
-
-def within(value: int, reference: int, tolerance: float = CALIBRATION_TOLERANCE) -> bool:
-    return abs(value - reference) <= reference * tolerance
-
-
-class TestTable1Calibration:
-    def test_miv_exact(self):
-        assert E.miv_core() == PAPER_MIV
-
-    def test_interfaces_exact(self):
-        assert E.ethernet_interface_10g("electrical") == PAPER_IF
-        optical = E.ethernet_interface_10g("optical")
-        assert optical.lut4 == 6_813
-        assert optical.ff == PAPER_IF.ff
-
-    def test_nat_app_logic_within_tolerance(self):
-        nat = nat_app_estimate()
-        assert within(nat.lut4, PAPER_NAT.lut4), (nat.lut4, PAPER_NAT.lut4)
-        assert within(nat.ff, PAPER_NAT.ff), (nat.ff, PAPER_NAT.ff)
-
-    def test_nat_app_memory_exact(self):
-        nat = nat_app_estimate()
-        assert nat.usram == PAPER_NAT.usram
-        assert nat.lsram == PAPER_NAT.lsram
-
-    def test_full_design_totals(self):
-        total = (
-            E.miv_core()
-            + E.ethernet_interface_10g("electrical")
-            + E.ethernet_interface_10g("optical")
-            + nat_app_estimate()
-        )
-        assert within(total.lut4, PAPER_TOTAL.lut4, 0.05)
-        assert within(total.ff, PAPER_TOTAL.ff, 0.05)
-        assert total.usram == PAPER_TOTAL.usram
-        assert total.lsram == PAPER_TOTAL.lsram
-
-    def test_utilization_percentages_match_paper(self):
-        # Paper: 16% LUT, 13% FF, ~15% uSRAM, ~26% LSRAM.
-        total = (
-            E.miv_core()
-            + E.ethernet_interface_10g("electrical")
-            + E.ethernet_interface_10g("optical")
-            + nat_app_estimate()
-        )
-        util = MPF200T.utilization(total)
-        assert util["lut4"] == pytest.approx(0.16, abs=0.02)
-        assert util["ff"] == pytest.approx(0.13, abs=0.02)
-        assert util["usram"] == pytest.approx(0.15, abs=0.02)
-        assert util["lsram"] == pytest.approx(0.26, abs=0.02)
 
 
 class TestScalingBehaviour:

@@ -42,10 +42,6 @@ class TestDeviceCatalog:
         assert MPF200T.usram == 1_764
         assert MPF200T.lsram == 616
 
-    def test_mpf200t_sram_close_to_13_3_mbit(self):
-        # The paper quotes "13.3 Mb of on-chip SRAM".
-        assert MPF200T.sram_kbit == pytest.approx(13_300, rel=0.05)
-
     def test_fits(self):
         assert MPF200T.fits(ResourceVector(lut4=100_000))
         assert not MPF200T.fits(ResourceVector(lut4=200_000))

@@ -46,10 +46,14 @@ class TestFitChecks:
         # 14.1 Mb BRAM vs ~13.3 Mb budget: logic fits, BRAM within 10%.
         assert not FLOWBLAZE_STAGE.fits_device(MPF200T)
         assert FLOWBLAZE_STAGE.fit_class(MPF200T) == "marginal"
+        assert FLOWBLAZE_STAGE.fit_report(MPF200T)["logic_ratio"] < 1.0
 
     def test_pigasus_and_clicknp_exceed(self):
         assert PIGASUS.fit_class(MPF200T) == "exceeds"
         assert CLICKNP_IPSEC_GW.fit_class(MPF200T) == "exceeds"
+        # The 100G-class designs are over twice the logic budget.
+        assert PIGASUS.fit_report(MPF200T)["logic_ratio"] > 2.0
+        assert CLICKNP_IPSEC_GW.fit_report(MPF200T)["logic_ratio"] > 2.0
 
     def test_table2_rows_complete(self):
         rows = table2_rows()

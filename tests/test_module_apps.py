@@ -66,6 +66,15 @@ class TestCreateAppParameterTypes:
         assert f"{name!r}" in message and f"{key!r}" in message
         assert repr(value) in message
 
+    @pytest.mark.parametrize("field", ["collector_ip", "exporter_ip"])
+    @pytest.mark.parametrize(
+        "name, where", [("telemetry", "telemetry"), ("linkhealth", "linkhealth"), ("int", "INT")]
+    )
+    def test_a_malformed_export_address_is_refused_at_build(self, name, where, field):
+        with pytest.raises(ConfigError, match=f"{where} {field}"):
+            create_app(name, {field: "203.0.113"})
+        assert getattr(create_app(name, {field: 0xCB00710A}), field) == 0xCB00710A
+
     def test_a_float_parameter_must_be_finite(self, monkeypatch):
         class Meter(Passthrough):
             def __init__(self, rate: float = 1.0) -> None:

@@ -1,4 +1,6 @@
-"""The §5 power experiment and the underlying activity model."""
+"""The activity-based power model behind the §5 experiment.
+
+The §5 readings themselves are checked in ``tests/test_paper_claims.py``."""
 
 import pytest
 
@@ -8,41 +10,9 @@ from repro.testbed import (
     NIC_BASELINE_W,
     PLAIN_SFP_TOTAL_W,
     PowerTestbed,
-    flexsfp_power_w,
     fpga_power_w,
     optics_power_w,
 )
-
-# The deployed NAT design (Table 1 totals from the calibrated estimator).
-NAT_TOTAL = ResourceVector(lut4=31_579, ff=25_606, usram=278, lsram=164)
-NAT_CLOCK = 156.25e6
-
-
-class TestPaperReadings:
-    def test_bare_nic(self):
-        assert PowerTestbed().measure_bare().watts == pytest.approx(3.800)
-
-    def test_plain_sfp_reading(self):
-        sample = PowerTestbed().measure_plain_sfp(activity=1.0)
-        assert sample.watts == pytest.approx(4.693, abs=0.01)
-
-    def test_flexsfp_reading(self):
-        sample = PowerTestbed().measure_flexsfp(NAT_TOTAL, NAT_CLOCK, activity=1.0)
-        assert sample.watts == pytest.approx(5.320, abs=0.02)
-
-    def test_paper_series_deltas(self):
-        bare, sfp, flex = PowerTestbed().paper_series(NAT_TOTAL, NAT_CLOCK)
-        # "a single SFP draws ~.9W"
-        assert sfp.watts - bare.watts == pytest.approx(0.893, abs=0.01)
-        # "the FlexSFP shows an increase of ~.7W ... overall ~1.5W"
-        assert flex.watts - sfp.watts == pytest.approx(0.63, abs=0.05)
-        assert flex.watts - bare.watts == pytest.approx(1.52, abs=0.05)
-
-    def test_flexsfp_within_transceiver_envelope(self):
-        # §2: "designed to stay within the 1-3W envelope".
-        module = flexsfp_power_w(NAT_TOTAL, NAT_CLOCK, activity=1.0)
-        assert 1.0 <= module <= 3.0
-
 
 class TestModelBehaviour:
     def test_optics_activity_scaling(self):
@@ -53,27 +23,35 @@ class TestModelBehaviour:
         with pytest.raises(ConfigError):
             optics_power_w(1.5)
 
-    def test_fpga_idle_floor(self):
-        idle = fpga_power_w(NAT_TOTAL, NAT_CLOCK, activity=0.0)
-        busy = fpga_power_w(NAT_TOTAL, NAT_CLOCK, activity=1.0)
+    def test_fpga_idle_floor(self, nat_build):
+        idle = fpga_power_w(nat_build.total, nat_build.timing.clock_hz, activity=0.0)
+        busy = fpga_power_w(nat_build.total, nat_build.timing.clock_hz, activity=1.0)
         assert 0 < idle < busy
 
-    def test_power_scales_with_clock(self):
-        slow = fpga_power_w(NAT_TOTAL, 156.25e6)
-        fast = fpga_power_w(NAT_TOTAL, 312.5e6)
+    def test_power_rises_with_activity(self, nat_build):
+        testbed, clock_hz = PowerTestbed(), nat_build.timing.clock_hz
+        watts = [
+            testbed.measure_flexsfp(nat_build.total, clock_hz, activity).watts
+            for activity in (0.0, 0.25, 0.5, 0.75, 1.0)
+        ]
+        assert watts == sorted(watts)
+
+    def test_power_scales_with_clock(self, nat_build):
+        slow = fpga_power_w(nat_build.total, 156.25e6)
+        fast = fpga_power_w(nat_build.total, 312.5e6)
         assert fast > slow
 
-    def test_power_scales_with_design_size(self):
-        small = fpga_power_w(ResourceVector(lut4=10_000, usram=50), NAT_CLOCK)
-        assert small < fpga_power_w(NAT_TOTAL, NAT_CLOCK)
+    def test_power_scales_with_design_size(self, nat_build):
+        small = fpga_power_w(ResourceVector(lut4=10_000, usram=50), nat_build.timing.clock_hz)
+        assert small < fpga_power_w(nat_build.total, nat_build.timing.clock_hz)
 
     def test_invalid_clock(self):
         with pytest.raises(ConfigError):
-            fpga_power_w(NAT_TOTAL, 0)
+            fpga_power_w(ResourceVector(lut4=1), 0)
 
     def test_invalid_baseline(self):
         with pytest.raises(ConfigError):
             PowerTestbed(nic_baseline_w=0)
 
     def test_baseline_constant_exported(self):
-        assert NIC_BASELINE_W == 3.800
+        assert PowerTestbed().measure_bare().watts == NIC_BASELINE_W

@@ -151,3 +151,45 @@ class TestRebootEdges:
         on_edge = self.arrivals()[1]
         reboot_at = ending_at(on_edge, RECONFIG_DOWNTIME_S)
         assert self.forwarded(engine, reboot_at) == [1, 2]
+
+
+class TestJitteredDarkEdges:
+    """A jittered frame meets the dark window twice: ``_deliver`` judges it
+    at its arrival, before any random draw, and ``_finish_rx`` again at
+    its jittered delivery time.  Frames reach the impaired port at the
+    arrival times ``TestRebootEdges.arrivals`` measures (same link)."""
+
+    JITTER_S = 10e-6
+    FLAP_S = 20e-6  # longer than the jitter, shorter than the frame gap
+
+    def deliveries(self, sends, flap_at=None):
+        """(delivery times, impairment drops) of frames sent at ``sends``
+        into a jittered port that goes dark at ``flap_at``."""
+        sim = Simulator()
+        host = Port(sim, "host", 10e9)
+        fiber = ImpairedPort(sim, "fiber", jitter_s=self.JITTER_S, seed=1)
+        kept = []
+        fiber.attach(lambda port, packet, size, when: kept.append(when))
+        connect(host, fiber)
+        if flap_at is not None:
+            sim.schedule_at(flap_at, fiber.flap, self.FLAP_S)
+        for at in sends:
+            sim.schedule_at(at, host.send, make_udp())
+        sim.run()
+        return kept, fiber.impairment_drops.packets
+
+    def test_a_frame_on_the_dark_start_draws_no_random_number(self):
+        on_edge, _, after = TestRebootEdges.arrivals()
+        assert on_edge + self.FLAP_S < after
+        kept, drops = self.deliveries([SEND_AT_S[0], SEND_AT_S[2]], flap_at=on_edge)
+        # A twin that never saw the dark frame draws the same numbers.
+        twin, twin_drops = self.deliveries([SEND_AT_S[2]], flap_at=on_edge)
+        assert (drops, twin_drops) == (1, 0)
+        assert kept == twin and after < kept[0]
+
+    def test_jitter_into_the_dark_window_drops_at_delivery(self):
+        arrival = TestRebootEdges.arrivals()[0]
+        dark_start = arrival + 1e-9
+        [jittered], _ = self.deliveries([SEND_AT_S[0]])
+        assert dark_start < jittered < dark_start + self.FLAP_S
+        assert self.deliveries([SEND_AT_S[0]], flap_at=dark_start) == ([], 1)
